@@ -43,6 +43,13 @@ NUM_ACTIONS = len(ACTION_NAMES)
 #: Maximum MCS offset supported by the RDM's custom CQI-MCS tables.
 MAX_MCS_OFFSET = 10
 
+#: Values every ``engine=`` argument and ``--engine`` flag accepts:
+#: "scalar" steps each world through its own per-slot loop (the parity
+#: reference), "vector" steps all worlds in lockstep through one
+#: :class:`~repro.engine.batch.BatchSimulator`.  Both run the same
+#: float64 kernels, so results are bit-identical.
+ENGINES: Tuple[str, ...] = ("scalar", "vector")
+
 
 @dataclass(frozen=True)
 class SliceSLA:

@@ -11,11 +11,7 @@ into flat array math:
   slot-arena allocator that lets a warmed kernel pass run with zero
   heap array allocations;
 * :mod:`repro.engine.batch` -- :class:`BatchSimulator`, stepping B
-  heterogeneous worlds in lockstep with per-world RNG stream parity
-  (engine tiers in :data:`BATCH_ENGINES`);
-* :mod:`repro.engine.fastpath` -- the opt-in ``vector-fast`` tier
-  (float32 + optional numba) layered on the same kernels, with the
-  float64 arena path kept as the bit-exact digest-bearing oracle;
+  heterogeneous worlds in lockstep with per-world RNG stream parity;
 * :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol
   plus vectorised rule-based / model-based / actor-critic policies,
   batched projection, and the vectorised-env OnRL learner.
@@ -25,12 +21,8 @@ The layers above consume it through
 vector driver, and the ``--engine`` CLI switches.
 """
 
-from repro.engine.arena import KernelArena, TransientArena
-from repro.engine.batch import (
-    BATCH_ENGINES,
-    BatchSimulator,
-    BatchStepResult,
-)
+from repro.engine.arena import KernelArena
+from repro.engine.batch import BatchSimulator, BatchStepResult
 from repro.engine.kernels import (
     SliceRows,
     WorldConditions,
@@ -50,12 +42,10 @@ from repro.engine.policies import (
 
 __all__ = [
     "ActorCriticBatchPolicy",
-    "BATCH_ENGINES",
     "BatchPolicy",
     "BatchSimulator",
     "BatchStepResult",
     "KernelArena",
-    "TransientArena",
     "ConstantBatchPolicy",
     "ModelBasedBatchPolicy",
     "RuleBasedBatchPolicy",

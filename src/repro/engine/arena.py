@@ -33,21 +33,11 @@ is identical on every pass over the same layout -- so request index
 they read (the same discipline ``np.empty`` requires), which the
 parity suite enforces by comparing against the scalar engine
 bit-for-bit.
-
-Precision tiers
----------------
-``dtype`` fixes the arena's default buffer dtype: ``float64`` is the
-digest-bearing parity path, ``float32`` backs the opt-in
-``vector-fast`` engine.  :meth:`rows_view` supplies the matching cast
-of a :class:`~repro.engine.kernels.SliceRows` bundle's float constants
-(cached per bundle), so the fast path casts static row data once per
-layout instead of once per slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -55,15 +45,12 @@ import numpy as np
 class KernelArena:
     """Layout-keyed pool of reusable kernel temporaries."""
 
-    def __init__(self, dtype=np.float64) -> None:
-        self.dtype = np.dtype(dtype)
+    def __init__(self) -> None:
         self._key: object = None
         # (shape, dtype) -> list of preallocated buffers
-        self._pools: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
+        self._pools: Dict[Tuple[tuple, type], List[np.ndarray]] = {}
         # (shape, dtype) -> next handout index within the current pass
-        self._cursors: Dict[Tuple[tuple, np.dtype], int] = {}
-        # id(rows) -> dtype-cast SliceRows mirror (fast path)
-        self._rows_views: Dict[int, object] = {}
+        self._cursors: Dict[Tuple[tuple, type], int] = {}
         # name -> derived static value (row-constant arrays etc.)
         self._statics: Dict[object, object] = {}
         #: Number of times the pools were dropped (layout changes).
@@ -81,7 +68,6 @@ class KernelArena:
         """
         if key != self._key:
             self._pools = {}
-            self._rows_views = {}
             self._statics = {}
             self._key = key
             self.rebuilds += 1
@@ -91,7 +77,7 @@ class KernelArena:
             for pool_key in cursors:
                 cursors[pool_key] = 0
 
-    def take(self, shape, dtype=None) -> np.ndarray:
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
         """Hand out the next reusable buffer of ``shape``/``dtype``.
 
         Contents are undefined (``np.empty`` semantics): the caller
@@ -101,8 +87,7 @@ class KernelArena:
             shape = (shape,)
         else:
             shape = tuple(shape)
-        pool_key = (shape, self.dtype if dtype is None
-                    else np.dtype(dtype))
+        pool_key = (shape, dtype)
         pool = self._pools.get(pool_key)
         if pool is None:
             pool = self._pools[pool_key] = []
@@ -129,55 +114,5 @@ class KernelArena:
             value = self._statics[name] = builder()
         return value
 
-    # ---- static-constant casts (fast path) ---------------------------
 
-    def rows_view(self, rows):
-        """``rows`` with float constants cast to the arena dtype.
-
-        Returns ``rows`` itself on the float64 arena (no copy); on a
-        float32 arena the cast mirror is built once per rows object
-        and cached until the layout key changes.
-        """
-        if self.dtype == np.float64:
-            return rows
-        cached = self._rows_views.get(id(rows))
-        if cached is None:
-            cached = _cast_rows(rows, self.dtype)
-            self._rows_views[id(rows)] = cached
-        return cached
-
-
-def _cast_rows(rows, dtype: np.dtype):
-    """Shallow :class:`SliceRows` copy with float arrays cast."""
-    values = {}
-    for spec in fields(rows):
-        value = getattr(rows, spec.name)
-        if isinstance(value, np.ndarray) \
-                and value.dtype == np.float64:
-            value = value.astype(dtype)
-        values[spec.name] = value
-    return type(rows)(**values)
-
-
-#: Process-default transient arena used when a caller passes
-#: ``arena=None``: layoutless (every ``begin`` drops the pools), so it
-#: reproduces the historical allocate-per-call behaviour -- this is
-#: what the ``vector-compat`` reference engine runs on.
-class TransientArena(KernelArena):
-    """An arena that never reuses: fresh buffers every pass."""
-
-    def begin(self, key: object) -> None:  # noqa: D102 (see class doc)
-        self._pools = {}
-        self._rows_views = {}
-        self._statics = {}
-        self._cursors = {}
-        self._key = key
-        self.rebuilds += 1
-
-    def rows_view(self, rows):
-        if self.dtype == np.float64:
-            return rows
-        return _cast_rows(rows, self.dtype)
-
-
-__all__ = ["KernelArena", "TransientArena"]
+__all__ = ["KernelArena"]

@@ -48,16 +48,6 @@ from repro.engine.kernels import (
 from repro.obs.trace import trace
 from repro.sim.env import ARRIVAL_WINDOW_S, STATE_DIM, ScenarioSimulator
 
-#: Engine tiers a :class:`BatchSimulator` can run its kernels on.
-#: ``vector`` is the default bit-exact float64 path on a persistent
-#: :class:`~repro.engine.arena.KernelArena` (zero steady-state array
-#: allocations); ``vector-compat`` is the historical allocate-per-call
-#: driver (kept as the benchmark control and parity cross-check);
-#: ``vector-fast`` is the opt-in float32 tier (numba-JIT queueing
-#: kernels when numba is installed), tolerance-checked against the
-#: float64 oracle and never digest-bearing.
-BATCH_ENGINES = ("vector", "vector-compat", "vector-fast")
-
 #: Per-world actions for one slot: a mapping ``slice name -> action``
 #: (scalar-simulator style), an ``(S, 10)`` array in
 #: ``sim.slice_names`` order, or ``None`` to skip the world this slot.
@@ -192,23 +182,12 @@ class BatchSimulator:
                  engine: str = "vector") -> None:
         if not simulators:
             raise ValueError("need at least one world")
-        if engine not in BATCH_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected "
-                             f"one of {BATCH_ENGINES}")
+        if engine != "vector":
+            raise ValueError(f"unknown engine {engine!r}; a "
+                             "BatchSimulator only runs 'vector'")
         self.sims: List[ScenarioSimulator] = list(simulators)
         self.engine = engine
-        if engine == "vector":
-            self._arena: Optional[KernelArena] = KernelArena()
-        elif engine == "vector-fast":
-            from repro.engine.fastpath import make_fast_arena
-            self._arena = make_fast_arena()
-        else:                       # vector-compat: allocate per call
-            self._arena = None
-        #: vector-compat reproduces the pre-arena engine faithfully:
-        #: per-channel stepping/gathering and per-slot staging
-        #: allocations, so it doubles as the benchmark's pre-PR
-        #: reference.  Bits are identical either way.
-        self._compat = engine == "vector-compat"
+        self._arena = KernelArena()
         # Fleet-stacked channel state (all worlds, one AR(1) update
         # per slot); rebuilt whenever any world's bank changes.
         self._fleet = None
@@ -307,16 +286,9 @@ class BatchSimulator:
             #    exactly the scalar step_channels stream; the fleet
             #    bank fuses all worlds' AR(1) updates into one)
             with trace("engine.channels"):
-                fleet = None if self._compat else self._fleet_bank()
+                fleet = self._fleet_bank()
                 if fleet is not None:
                     fleet.step_worlds(stepping)
-                elif self._compat:
-                    # historical per-channel loop (same bits, same
-                    # RNG stream, pre-PR Python cost)
-                    for b in stepping:
-                        for channel in (self.sims[b].network
-                                        .channels.values()):
-                            channel.step()
                 else:
                     for b in stepping:
                         self.sims[b].network.step_channels()
@@ -325,13 +297,10 @@ class BatchSimulator:
             #    == the scalar per-slice draw sequence)
             with trace("engine.arrivals"):
                 total = sum(len(state.names) for state in states)
-                if self._compat:
-                    rates = np.empty(total)  # pre-PR: fresh per slot
-                else:
-                    if self._rates is None \
-                            or self._rates.shape[0] != total:
-                        self._rates = np.empty(total)
-                    rates = self._rates
+                if self._rates is None \
+                        or self._rates.shape[0] != total:
+                    self._rates = np.empty(total)
+                rates = self._rates
                 row = 0
                 for state in states:
                     sim = state.sim
@@ -345,13 +314,10 @@ class BatchSimulator:
             # 4. one kernel evaluation over every row of every world
             with trace("engine.kernel"):
                 bundle = self._bundle_for(stepping, states)
-                if self._compat:
-                    matrix = np.empty((total, NUM_ACTIONS))
-                else:
-                    if self._matrix is None \
-                            or self._matrix.shape[0] != total:
-                        self._matrix = np.empty((total, NUM_ACTIONS))
-                    matrix = self._matrix
+                if self._matrix is None \
+                        or self._matrix.shape[0] != total:
+                    self._matrix = np.empty((total, NUM_ACTIONS))
+                matrix = self._matrix
                 row = 0
                 for b, state in zip(stepping, states):
                     hi = row + len(state.names)
@@ -361,15 +327,11 @@ class BatchSimulator:
                 cqi, margin = self._gather_channels(states)
                 fabrics = [state.sim.network.fabric
                            for state in states]
-                if self._compat:
-                    cond = WorldConditions.from_fabrics(fabrics)
-                else:
-                    if self._cond is None \
-                            or self._cond.capacity_scale.shape[0] \
-                            != len(fabrics):
-                        self._cond = WorldConditions.nominal(
-                            len(fabrics))
-                    cond = self._cond.refresh(fabrics)
+                if self._cond is None \
+                        or self._cond.capacity_scale.shape[0] \
+                        != len(fabrics):
+                    self._cond = WorldConditions.nominal(len(fabrics))
+                cond = self._cond.refresh(fabrics)
                 out = evaluate_rows(bundle, cond, matrix, rates, cqi,
                                     margin, arena=self._arena)
 
@@ -409,18 +371,6 @@ class BatchSimulator:
     def _gather_channels(self, states: List[_WorldState]):
         umax = max(state.users for state in states)
         total = sum(len(state.names) for state in states)
-        if self._compat:
-            # pre-PR behaviour: fresh buffers, per-channel copies
-            cqi = np.ones((total, umax), dtype=np.intp)
-            margin = np.zeros((total, umax))
-            row = 0
-            for state in states:
-                u = state.users
-                for channel in state.sim.network.channels.values():
-                    cqi[row, :u] = channel.cqi
-                    margin[row, :u] = channel.margins_db
-                    row += 1
-            return cqi, margin
         fleet = self._fleet
         if fleet is not None and len(states) == len(self.sims) \
                 and fleet.cqi.shape == (total, umax):

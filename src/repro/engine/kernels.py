@@ -75,24 +75,16 @@ a float expression; each is bit-exact for the stated reason:
   (``1 - overhead``, float casts of the integer ``users`` /
   ``num_paths`` / ``num_sgwu`` columns, app masks, padded-user masks)
   are cached per layout via :meth:`KernelArena.static`; integer ->
-  float64/float32 casts of these small counts are exact, and numpy
-  performs the identical promotion inside the historical mixed-dtype
+  float64 casts of these small counts are exact, and numpy performs
+  the identical promotion inside the historical mixed-dtype
   expressions.
-
-Precision tiers: a float64 arena (the default, and the only
-digest-bearing configuration) reproduces the scalar pipeline
-bit-for-bit; a float32 arena evaluates the same operation sequence in
-single precision for the opt-in ``vector-fast`` engine, with
-:meth:`KernelArena.rows_view` supplying cast row constants.  The fast
-tier's agreement with the float64 oracle is tolerance-checked, never
-digest-pinned (``tests/test_engine_fast.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -109,7 +101,6 @@ from repro.sim.queueing import RHO_KNEE
 #: MCS spectral-efficiency table as an array (same values as the
 #: scalar lookups in :mod:`repro.sim.phy`).
 _MCS_EFF = np.asarray(MCS_TABLE, dtype=np.float64)
-_MCS_EFF_F32 = _MCS_EFF.astype(np.float32)
 
 #: Usage-counted action columns (paper Eq. 9).
 _USAGE_COLS = np.asarray(USAGE_ACTION_INDICES, dtype=np.intp)
@@ -127,20 +118,13 @@ _ROWS_UIDS = itertools.count(1)
 
 def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
                    a: KernelArena) -> np.ndarray:
-    """Arena form of :func:`queueing_latency_rows` (same bits).
+    """Vectorised :func:`repro.sim.queueing.queueing_latency_ms`.
 
-    When the arena carries a compiled queueing kernel (the numba tier
-    of ``vector-fast``, see :mod:`repro.engine.fastpath`) the seven
-    ufunc passes collapse into one fused loop; that hook only exists
-    on non-digest-bearing float32 arenas.
+    M/M/1 below the knee utilisation, the linear finite-buffer overload
+    regime above it -- branch structure and float association exactly
+    as the scalar function.
     """
     shape = rho.shape
-    jit = getattr(a, "jit", None)
-    if jit is not None and service_ms.shape == shape \
-            and service_ms.flags.c_contiguous and rho.flags.c_contiguous:
-        out = a.take(shape)
-        jit(service_ms.ravel(), rho.ravel(), out.ravel())
-        return out
     r = a.take(shape)
     np.maximum(rho, 0.0, out=r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,21 +145,6 @@ def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
     np.copyto(out, d)
     np.copyto(out, below, where=bk)
     return out
-
-
-def queueing_latency_rows(service_ms: np.ndarray,
-                          rho: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`repro.sim.queueing.queueing_latency_ms`.
-
-    M/M/1 below the knee utilisation, the linear finite-buffer overload
-    regime above it -- branch structure and float association exactly
-    as the scalar function.
-    """
-    service_ms = np.asarray(service_ms, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    arena = KernelArena()
-    arena.begin(("queueing_latency_rows", rho.shape))
-    return _queueing_rows(service_ms, rho, arena)
 
 
 @dataclass
@@ -402,16 +371,6 @@ class WorldConditions:
                    extra_latency_ms=np.zeros(num_worlds),
                    background_load_fraction=np.zeros(num_worlds))
 
-    @classmethod
-    def from_fabrics(cls, fabrics) -> "WorldConditions":
-        return cls(
-            capacity_scale=np.asarray(
-                [fabric.capacity_scale for fabric in fabrics]),
-            extra_latency_ms=np.asarray(
-                [fabric.extra_latency_ms for fabric in fabrics]),
-            background_load_fraction=np.asarray(
-                [fabric.background_load_fraction for fabric in fabrics]))
-
     def refresh(self, fabrics) -> "WorldConditions":
         """Re-read the fabrics into the existing buffers (no allocs).
 
@@ -446,7 +405,6 @@ def _user_sum_into(values: np.ndarray, mask: np.ndarray,
 
 def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
     """Layout-constant derived arrays, built once per arena key."""
-    dt = a.dtype
 
     def s(name, builder):
         return a.static(name, builder)
@@ -455,13 +413,13 @@ def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
     return {
         "user_mask": s("user_mask", lambda: (
             np.arange(num_users)[None, :] < rows.users[:, None])),
-        "users_f": s("users_f", lambda: rows.users.astype(dt)),
+        "users_f": s("users_f", lambda: rows.users.astype(np.float64)),
         "num_paths_f": s("num_paths_f",
-                         lambda: rows.num_paths.astype(dt)),
+                         lambda: rows.num_paths.astype(np.float64)),
         "paths_hi": s("paths_hi",
-                      lambda: (rows.num_paths - 1).astype(dt)),
+                      lambda: (rows.num_paths - 1).astype(np.float64)),
         "num_sgwu_f": s("num_sgwu_f",
-                        lambda: rows.num_sgwu.astype(dt)),
+                        lambda: rows.num_sgwu.astype(np.float64)),
         "max_sgwu": s("max_sgwu", lambda: int(rows.num_sgwu.max())),
         "sgwu_masks": s("sgwu_masks", lambda: [
             j < rows.num_sgwu
@@ -479,20 +437,10 @@ def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
     }
 
 
-def _cast_in(value: np.ndarray, a: KernelArena) -> np.ndarray:
-    """``value`` in the arena dtype (no copy when it already is)."""
-    if value.dtype == a.dtype:
-        return value
-    out = a.take(value.shape)
-    out[...] = value
-    return out
-
-
 def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                   actions: np.ndarray, rates: np.ndarray,
                   cqi: np.ndarray, margin_db: np.ndarray,
-                  arena: Optional[KernelArena] = None
-                  ) -> Dict[str, np.ndarray]:
+                  arena: KernelArena) -> Dict[str, np.ndarray]:
     """Evaluate one configuration slot for every row at once.
 
     Parameters
@@ -510,13 +458,10 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         ``(R, Umax)`` per-user CQI and channel margin (current SNR
         minus per-user mean), padded past ``rows.users`` per row.
     arena:
-        Persistent :class:`~repro.engine.arena.KernelArena` for
-        steady-state zero-allocation evaluation; ``None`` builds a
-        transient arena for this call (the historical
-        allocate-per-call behaviour, kept for the ``vector-compat``
-        reference engine and one-shot callers).  The returned arrays
-        are **owned by the arena**: read/copy them before the next
-        pass on the same arena overwrites them.
+        The caller's persistent :class:`~repro.engine.arena
+        .KernelArena` (steady-state zero-allocation evaluation).  The
+        returned arrays are **owned by the arena**: read/copy them
+        before the next pass on the same arena overwrites them.
 
     Returns a dict of ``(R,)`` arrays (plus the ``(W, Pmax)`` transport
     ``path_loads`` for state write-back) covering every
@@ -530,26 +475,18 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     when profiling is off the hook is one module-global read.
     """
     lap = _profile_begin()
-    a = arena if arena is not None else KernelArena()
+    a = arena
     num_rows = rows.num_rows
     num_users = cqi.shape[1]
     a.begin((rows.uid, num_rows, num_users))
-    dt = a.dtype
-    rows = a.rows_view(rows)
     st = _statics_for(rows, a, num_users)
     R = num_rows
 
-    actions = np.asarray(actions)
-    if actions.shape != (R, NUM_ACTIONS):
+    raw = np.asarray(actions)
+    if raw.shape != (R, NUM_ACTIONS):
         raise ValueError(
             f"actions must have shape ({R}, {NUM_ACTIONS})"
-            f", got {actions.shape}")
-    raw = _cast_in(actions, a)
-    rates = _cast_in(np.asarray(rates), a)
-    margin_db = _cast_in(np.asarray(margin_db), a)
-    cap_scale = _cast_in(cond.capacity_scale, a)
-    extra_lat = _cast_in(cond.extra_latency_ms, a)
-    bg_load = _cast_in(cond.background_load_fraction, a)
+            f", got {raw.shape}")
 
     arr = a.take((R, NUM_ACTIONS))
     np.clip(raw, 0.0, 1.0, out=arr)
@@ -612,11 +549,12 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     num_worlds = rows.link_capacity_w.shape[0]
     pmax = rows.path_hops.shape[1]
     eff_cap_w = a.take(num_worlds)
-    np.multiply(rows.link_capacity_w, cap_scale, out=eff_cap_w)
+    np.multiply(rows.link_capacity_w, cond.capacity_scale,
+                out=eff_cap_w)
     eff_cap = a.take(R)
     np.take(eff_cap_w, rows.world, out=eff_cap)
     seed = a.take(num_worlds)
-    np.multiply(bg_load, eff_cap_w, out=seed)
+    np.multiply(cond.background_load_fraction, eff_cap_w, out=seed)
     loads = a.take((num_worlds, pmax))
     np.copyto(loads, seed[:, None])
     reserve = a.take(R)
@@ -646,7 +584,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     np.multiply(hops, rows.hop_latency_ms, out=tn_latency)
     np.add(tn_latency, queueing_ms, out=tn_latency)
     extra = a.take(R)
-    np.take(extra_lat, rows.world, out=extra)
+    np.take(cond.extra_latency_ms, rows.world, out=extra)
     np.add(tn_latency, extra, out=tn_latency)
     dead = a.take(R, bool)
     np.less_equal(tn_cap, 0, out=dead)
@@ -840,8 +778,7 @@ def _radio_direction(rows: SliceRows, st, share: np.ndarray,
     np.subtract(base_mcs, mcs_offset[:, None], out=mcs)
     np.clip(mcs, 0, NUM_MCS - 1, out=mcs)
     eff = a.take((num_rows, num_users))
-    table = _MCS_EFF if a.dtype == np.float64 else _MCS_EFF_F32
-    np.take(table, mcs, out=eff)
+    np.take(_MCS_EFF, mcs, out=eff)
     off_f = a.take(num_rows)
     off_f[...] = mcs_offset
     retx_row = a.take(num_rows)

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import (
+    ENGINES,
     ExperimentConfig,
     NUM_ACTIONS,
     TrafficConfig,
@@ -197,23 +198,18 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
     * the simulator's cumulative episode cost equals the summed
       per-slot costs (write-back consistency);
     * with ``check_parity``, a fresh run of the same worlds on the
-      *other* engine produces identical episode totals (the float64
-      engines are bit-identical by contract).  With
-      ``engine="vector-fast"`` the oracle switches to *tolerance
-      mode*: the float32 tier is compared against the float64 vector
-      oracle within the documented fast-path bounds
-      (:data:`repro.engine.fastpath.FAST_RTOL` /
-      :data:`~repro.engine.fastpath.FAST_ATOL` per slot) instead of
-      bit equality.
+      *other* engine produces identical episode totals (the two
+      engines are bit-identical by contract).
 
     Returns one dict per world: scenario name, family, violated
     slices, per-slice mean cost/usage, and any invariant breaches.
     """
-    from repro.engine.batch import BATCH_ENGINES, BatchSimulator
+    from repro.engine.batch import BatchSimulator
     from repro.engine.policies import project_actions_batch
 
-    if engine != "scalar" and engine not in BATCH_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected "
+                         f"one of {ENGINES}")
     if not specs:
         raise ValueError("need at least one spec")
     built = [_build_world(spec) for spec in specs]
@@ -226,7 +222,7 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
                   run_episodes(sims, policy, episodes=1,
                                engine="scalar")]
     else:
-        batch = BatchSimulator(sims, engine=engine)
+        batch = BatchSimulator(sims)
         states: List[np.ndarray] = []
         totals = []
         for b in range(batch.num_worlds):
@@ -292,40 +288,16 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
                             f"{drift:g}")
 
     if check_parity:
-        # The fast tier is checked against the float64 vector oracle
-        # within the documented tolerances; every float64 engine pair
-        # must match bit-for-bit.
-        other_engine = ("vector" if engine == "vector-fast"
-                        else "scalar" if engine != "scalar"
-                        else "vector")
+        other_engine = "vector" if engine == "scalar" else "scalar"
         fresh = [_build_world(spec)[1] for spec in specs]
         other = [world[0] for world in
                  run_episodes(fresh, policy, episodes=1,
                               engine=other_engine)]
-        if engine == "vector-fast":
-            from repro.engine.fastpath import FAST_ATOL, FAST_RTOL
-
-            for b, spec in enumerate(specs):
-                horizon = sims[b].horizon
-                for name, got in totals[b].items():
-                    ref = other[b][name]
-                    for kind in ("cost", "usage"):
-                        bound = (FAST_RTOL * abs(ref[kind])
-                                 + FAST_ATOL * horizon)
-                        drift = abs(got[kind] - ref[kind])
-                        if drift > bound:
-                            _breach(
-                                breaches, b, spec.name,
-                                "fast_tolerance",
-                                f"slice {name!r} episode {kind} "
-                                f"drifts {drift:g} from the float64 "
-                                f"oracle (bound {bound:g})")
-        else:
-            for b, spec in enumerate(specs):
-                if totals[b] != other[b]:
-                    _breach(breaches, b, spec.name, "parity",
-                            f"{engine} and {other_engine} episode "
-                            "totals diverge")
+        for b, spec in enumerate(specs):
+            if totals[b] != other[b]:
+                _breach(breaches, b, spec.name, "parity",
+                        f"{engine} and {other_engine} episode "
+                        "totals diverge")
 
     results: List[Dict[str, object]] = []
     for b, (spec, cfg, sim) in enumerate(zip(specs, cfgs, sims)):

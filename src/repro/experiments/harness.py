@@ -30,7 +30,12 @@ from repro.baselines.rule_based import (
     RuleBasedPolicy,
     fit_rule_based_policy,
 )
-from repro.config import ExperimentConfig, NUM_ACTIONS, SwitchingConfig
+from repro.config import (
+    ENGINES,
+    ExperimentConfig,
+    NUM_ACTIONS,
+    SwitchingConfig,
+)
 from repro.core.agent import OnSlicingAgent
 from repro.core.offline import (
     OfflineDataset,
@@ -113,20 +118,17 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
     :class:`~repro.engine.batch.BatchSimulator`, with
     ``engine="scalar"`` each world runs the classic per-slot loop.
     Both traverse the same kernels, so their results are bit-identical
-    -- the parity suite asserts it.  ``"vector-compat"`` is the
-    allocating reference tier (same bits, no arena reuse) and
-    ``"vector-fast"`` the float32/numba tier (fast, *not*
-    bit-identical; see :mod:`repro.engine.fastpath`).
+    -- the parity suite asserts it.
 
     Returns ``result[world][episode][slice] == {"cost": total,
     "usage": total}`` (sum over the episode's slots).
     """
-    from repro.engine.batch import BATCH_ENGINES, BatchSimulator
+    from repro.engine.batch import BatchSimulator
     from repro.engine.policies import project_actions_batch
 
-    if engine != "scalar" and engine not in BATCH_ENGINES:
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected "
-                         f"'scalar' or one of {BATCH_ENGINES}")
+                         f"one of {ENGINES}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
 
@@ -157,7 +159,7 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
             results.append(world_episodes)
         return results
 
-    batch = BatchSimulator(simulators, engine=engine)
+    batch = BatchSimulator(simulators)
     results = [[] for _ in simulators]
     remaining = [episodes] * len(simulators)
     totals: List[Optional[Dict]] = [None] * len(simulators)

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.config import ENGINES
 from repro.fleet.spec import CellPlan, FleetSpec
 from repro.obs.trace import configure_from_env, flush as trace_flush, \
     trace
@@ -103,20 +104,15 @@ class ShardPlan:
     store_dir: str
     snapshot_ref: str
     snapshot_digest: str
-    #: "vector" (and the "vector-compat" reference tier) step every
-    #: cell of the shard in one lockstep
+    #: "vector" steps every cell of the shard in one lockstep
     #: :class:`~repro.engine.batch.BatchSimulator`; "scalar" runs the
     #: classic sequential per-cell loop.  Cell results (decision
-    #: digests included) are identical across those three -- they share
-    #: one float64 kernel code path -- so the choice never enters
-    #: cache keys.  "vector-fast" trades that bit-parity for speed
-    #: (float32 + optional numba); never use it for digest-bearing
-    #: runs.
+    #: digests included) are identical -- both share one float64
+    #: kernel code path -- so the choice never enters cache keys.
     engine: str = "vector"
 
 
-def _drive_cells_lockstep(generators, episodes: int,
-                          engine: str = "vector") -> None:
+def _drive_cells_lockstep(generators, episodes: int) -> None:
     """Advance every cell's episodes through one batched engine.
 
     Each slot serves every active cell's decision batch through its
@@ -127,8 +123,7 @@ def _drive_cells_lockstep(generators, episodes: int,
     """
     from repro.engine.batch import BatchSimulator
 
-    batch = BatchSimulator([g.simulator for g in generators],
-                           engine=engine)
+    batch = BatchSimulator([g.simulator for g in generators])
     active = []
     for index, generator in enumerate(generators):
         generator.begin_run(episodes)
@@ -190,12 +185,10 @@ def run_fleet_shard(plan: ShardPlan,
             f"snapshot {plan.snapshot_ref!r} changed since the fleet "
             f"was planned (digest {snapshot.digest[:12]} != "
             f"{plan.snapshot_digest[:12]}); re-plan the fleet")
-    from repro.engine.batch import BATCH_ENGINES
-
-    if plan.engine != "scalar" and plan.engine not in BATCH_ENGINES:
+    if plan.engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {plan.engine!r}; expected 'scalar' or "
-            f"one of {BATCH_ENGINES}")
+            f"unknown engine {plan.engine!r}; expected one of "
+            f"{ENGINES}")
     with trace("fleet.shard", shard=plan.shard):
         aggregate = Telemetry()
         generators = []
@@ -214,8 +207,7 @@ def run_fleet_shard(plan: ShardPlan,
                 trace_attrs={"cell": cell.cell,
                              "scenario": cell.scenario}))
         if plan.engine != "scalar" and len(generators) > 1:
-            _drive_cells_lockstep(generators, plan.spec.episodes,
-                                  engine=plan.engine)
+            _drive_cells_lockstep(generators, plan.spec.episodes)
             reports = [generator.finish_run()
                        for generator in generators]
         else:

@@ -179,13 +179,6 @@ def compare(results_dir: str, baseline_dir: str,
     wall-clock timer noise (a pure-math figure takes ~0.2 ms; a 1.5x
     "slowdown" there is scheduler jitter, not a regression) and are
     reported ``ok`` whatever their ratio.
-
-    Benches can additionally self-gate on their own metrics: a
-    ``gates`` mapping in a result's ``extra_info`` (metric name ->
-    minimum value) is checked against the same ``extra_info``, and a
-    metric below its minimum (or absent) is a regression regardless of
-    wall-clock ratio.  The engine bench uses this to pin the arena
-    path's B=128 speedup over the allocating ``vector-compat`` tier.
     """
     current = load_dir(results_dir)
     baseline = load_dir(baseline_dir)
@@ -219,21 +212,6 @@ def compare(results_dir: str, baseline_dir: str,
                 row.update(status=status, ratio=ratio,
                            current_mean=cur["mean"],
                            baseline_mean=base["mean"])
-            if cur is not None:
-                extra = cur.get("extra_info") or {}
-                gates = extra.get("gates") or {}
-                failures = []
-                for metric, minimum in sorted(gates.items()):
-                    value = extra.get(metric)
-                    if not isinstance(value, (int, float)) \
-                            or value < minimum:
-                        failures.append(
-                            f"{metric}={value!r} < {minimum:g}")
-                if failures:
-                    if row.get("status") != "regression":
-                        regressions += 1
-                    row["status"] = "regression"
-                    row["gate_failures"] = failures
             rows.append(row)
     return {"rows": rows, "regressions": regressions,
             "tolerance": tolerance}
@@ -257,8 +235,6 @@ def format_compare(report: Dict[str, object]) -> str:
             f"{(f'{cur:.4f}' if cur is not None else '-'):>10} "
             f"{(f'{ratio:.2f}x' if ratio is not None else '-'):>7}  "
             f"{row['status']}")
-        for failure in row.get("gate_failures", ()):
-            lines.append(f"{'':<12} {'':<42} gate failed: {failure}")
     lines.append(
         f"{report['regressions']} regression(s) at tolerance "
         f"{report['tolerance']:g}")

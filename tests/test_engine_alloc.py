@@ -25,7 +25,7 @@ import pytest
 
 from repro import scenarios
 from repro.config import NUM_ACTIONS
-from repro.engine import BatchSimulator, KernelArena, TransientArena
+from repro.engine import BatchSimulator, KernelArena
 from repro.engine import arena as arena_module
 from repro.engine import kernels as kernels_module
 
@@ -107,16 +107,8 @@ class TestArenaUnit:
         assert a.static("hoisted", build) is first
         assert calls == [1]
 
-    def test_transient_arena_never_reuses(self):
-        a = TransientArena()
-        a.begin("k")
-        old = a.take(5)
-        a.begin("k")
-        assert a.take(5) is not old
-
     def test_dtype_tiers(self):
         assert KernelArena().take(2).dtype == np.float64
-        assert KernelArena(np.float32).take(2).dtype == np.float32
         assert KernelArena().take(2, bool).dtype == np.bool_
 
 
