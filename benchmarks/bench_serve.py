@@ -17,9 +17,14 @@ import numpy as np
 
 from conftest import run_once
 
-from repro.experiments.harness import make_onrl_agents
+from repro.experiments.harness import build_onslicing, make_onrl_agents
 from repro.scenarios import get as get_scenario
-from repro.serve import DecisionRequest, SlicingService, snapshot_onrl
+from repro.serve import (
+    DecisionRequest,
+    SlicingService,
+    snapshot_onrl,
+    snapshot_onslicing,
+)
 from repro.serve.loadgen import scenario_with_population
 
 SLICES = 50
@@ -102,6 +107,59 @@ def test_serve_batched_vs_unbatched(benchmark):
         np.testing.assert_allclose(batched_d[name].action,
                                    unbatched_d[name].action,
                                    atol=1e-9)
+
+
+#: Rows per pi_phi call: one slice per policy (the fleet's regime), a
+#: 64-slice cell split over three policies, and a full 64-row group.
+POSTERIOR_ROWS = (1, 21, 64)
+POSTERIOR_CALLS = 100
+
+
+def test_serve_estimator_posterior(benchmark):
+    """Per-call cost of the Eq. 8 stage on an OnSlicing snapshot.
+
+    Ungated trajectory case.  Each batch holds ``rows`` slices of one
+    application, so they share one snapshot policy and ``decide`` makes
+    exactly one pi_phi posterior call; the service's own
+    ``stage_fallback_ms`` histogram (posterior + the Eq. 8 compare)
+    is what lands in ``extra_info``.  States carry zero cumulative
+    cost, so no slice latches onto pi_b and nothing but the posterior
+    is in the stage.
+    """
+    base_cfg = get_scenario("default").build_config()
+    snapshot = snapshot_onslicing(
+        "bench-posterior",
+        build_onslicing(base_cfg, offline_episodes=1,
+                        exploration_episodes=1, seed=11), seed=11)
+    target = scenario_with_population(
+        get_scenario("default"), 3 * max(POSTERIOR_ROWS)).build_config()
+    app = target.slices[0].app
+    names = [spec.name for spec in target.slices if spec.app == app]
+    rng = np.random.default_rng(5)
+    services = {}
+    batches = {}
+    for rows in POSTERIOR_ROWS:
+        services[rows] = SlicingService(snapshot, cfg=target,
+                                        rng_seed=0)
+        states = rng.uniform(0.0, 1.0, size=(rows, 9))
+        states[:, 8] = 0.0                  # no cost spent yet
+        batches[rows] = [DecisionRequest(slice_name=name, state=state)
+                         for name, state in zip(names, states)]
+        services[rows].decide(batches[rows])            # warm-up
+
+    def drive():
+        for rows in POSTERIOR_ROWS:
+            for _ in range(POSTERIOR_CALLS):
+                services[rows].decide(batches[rows])
+
+    run_once(benchmark, drive)
+    print(f"\npi_phi posterior per call ({POSTERIOR_CALLS} calls each):")
+    for rows in POSTERIOR_ROWS:
+        telemetry = services[rows].telemetry
+        assert telemetry.counter("fallbacks").value == 0
+        per_call_ms = telemetry.histogram("stage_fallback_ms").mean
+        benchmark.extra_info[f"posterior_ms_rows{rows}"] = per_call_ms
+        print(f"  {rows:3d} rows  {per_call_ms:8.3f} ms")
 
 
 def test_serve_slo_overhead(benchmark):

@@ -43,11 +43,8 @@ def save_agent(agent: OnSlicingAgent, path: str) -> None:
           [p.value.copy()
            for p in agent.estimator.network.parameters()], out)
     out["log_std"] = agent.model.dist.log_std.value.copy()
-    out["scalars"] = np.array([
-        agent.lagrangian.value,
-        agent.estimator._target_mean,
-        agent.estimator._target_std,
-    ])
+    out["scalars"] = np.array([agent.lagrangian.value,
+                               *agent.estimator.target_scale])
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     np.savez(path, **out)
@@ -78,5 +75,4 @@ def load_agent(agent: OnSlicingAgent, path: str) -> None:
         agent.model.dist.log_std.value = data["log_std"].copy()
         scalars = data["scalars"]
         agent.lagrangian.value = float(scalars[0])
-        agent.estimator._target_mean = float(scalars[1])
-        agent.estimator._target_std = float(scalars[2])
+        agent.estimator.target_scale = scalars[1:3]

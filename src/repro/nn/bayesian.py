@@ -81,13 +81,20 @@ class VariationalDense(Module):
         return [self.weight_mu, self.weight_rho, self.bias_mu,
                 self.bias_rho]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _moments(self, x: np.ndarray):
+        """Pre-activation ``(mean, std)`` under the weight posterior,
+        plus the posterior scales ``(sigma_w, sigma_b)`` behind them.
+        ``x`` may carry leading batch axes."""
         sigma_w = _softplus(self.weight_rho.value)
         sigma_b = _softplus(self.bias_rho.value)
         act_mean = x @ self.weight_mu.value + self.bias_mu.value
         act_var = (x ** 2) @ (sigma_w ** 2) + sigma_b ** 2
         act_std = np.sqrt(np.maximum(act_var, 1e-16))
+        return act_mean, act_std, sigma_w, sigma_b
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        act_mean, act_std, sigma_w, sigma_b = self._moments(x)
         if self.sample_noise:
             eps = self._rng.standard_normal(act_mean.shape)
         else:
@@ -239,20 +246,49 @@ class BayesianMLP(Module):
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior-predictive mean and standard deviation.
 
-        Draws ``num_samples`` stochastic forward passes (epistemic
-        uncertainty) and folds in the learned observation noise
-        (aleatoric).  Accepts single or batched inputs.
+        Monte-Carlo over ``num_samples`` stochastic forward passes
+        (epistemic uncertainty), folding in the learned observation
+        noise (aleatoric).  Accepts single or batched inputs.
+
+        The passes run together: posterior scales are computed once,
+        the samples ride the leading axis of ``(S, n, k) @ (k, m)``
+        (numpy issues one ``(n, k) @ (k, m)`` product per sample), and
+        all noise is one block laid out sample-major / layer-minor --
+        the order ``num_samples`` consecutive :meth:`forward` calls
+        would draw it in.  Results and the generator state left behind
+        are therefore bit-identical to that loop, which survives as the
+        oracle in ``tests/test_nn_bayesian.py``.  The layers' shared
+        generator (the constructor's, or ``rng``, which rebinds them
+        all) supplies the block.
         """
+        if num_samples < 1:
+            raise ValueError(
+                f"num_samples must be >= 1, got {num_samples}")
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        x2d = np.atleast_2d(x)
+        out = np.atleast_2d(x)
         if rng is not None:
             for vlayer in self._vlayers:
                 vlayer._rng = rng
-        self._set_sampling(True)
-        draws = np.stack([self.forward(x2d) for _ in range(num_samples)])
-        mean = draws.mean(axis=0)
-        epistemic_var = draws.var(axis=0)
+        rows = out.shape[0]
+        noise = self._vlayers[0]._rng.standard_normal(
+            (num_samples,
+             rows * sum(v.out_features for v in self._vlayers)))
+        offset = 0
+        for layer in self.layers:
+            if not isinstance(layer, VariationalDense):
+                out = layer.forward(out)
+                continue
+            # Layer 0 sees the 2-D input, so its moments are computed
+            # once and broadcast against the (S, n, m) noise.
+            act_mean, act_std, _, _ = layer._moments(out)
+            span = rows * layer.out_features
+            eps = noise[:, offset:offset + span].reshape(
+                num_samples, rows, layer.out_features)
+            offset += span
+            out = act_mean + act_std * eps
+        mean = out.mean(axis=0)
+        epistemic_var = out.var(axis=0)
         noise_var = float(np.exp(2.0 * self.log_noise.value[0]))
         std = np.sqrt(epistemic_var + noise_var)
         if single:

@@ -105,14 +105,38 @@ class CostToGoEstimator:
 
     # ---- inference ----------------------------------------------------
 
+    @property
+    def target_scale(self) -> Tuple[float, float]:
+        """``(mean, std)`` the cost-to-go targets were standardised
+        with at the last :meth:`fit`; persisted beside the weights."""
+        return self._target_mean, self._target_std
+
+    @target_scale.setter
+    def target_scale(self, scale: Sequence[float]) -> None:
+        mean, std = scale
+        self._target_mean, self._target_std = float(mean), float(std)
+
+    def predict_batch(self, states: np.ndarray,
+                      num_samples: Optional[int] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior predictive ``(mu, sigma)`` of the cost-to-go per
+        row of ``states``, de-standardised to cost units."""
+        if num_samples is None:
+            num_samples = self.cfg.num_posterior_samples
+            if num_samples < 1:
+                raise ValueError(
+                    "EstimatorConfig.num_posterior_samples must be "
+                    f">= 1, got {num_samples}")
+        mean, std = self.network.predict(
+            np.atleast_2d(states), num_samples=num_samples,
+            rng=self._rng)
+        return (mean[:, 0] * self._target_std + self._target_mean,
+                std[:, 0] * self._target_std)
+
     def predict(self, state: np.ndarray,
                 num_samples: Optional[int] = None
                 ) -> Tuple[float, float]:
-        """Posterior predictive ``(mu, sigma)`` of the cost-to-go."""
-        num_samples = (num_samples if num_samples is not None
-                       else self.cfg.num_posterior_samples)
-        mean, std = self.network.predict(
-            np.asarray(state, dtype=np.float64),
-            num_samples=num_samples, rng=self._rng)
-        return (float(mean[0]) * self._target_std + self._target_mean,
-                float(std[0]) * self._target_std)
+        """Posterior predictive ``(mu, sigma)`` of one state: the
+        1-row case of :meth:`predict_batch`."""
+        mu, sigma = self.predict_batch(state, num_samples)
+        return float(mu[0]), float(sigma[0])

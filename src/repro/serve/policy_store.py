@@ -32,6 +32,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
 from repro.config import ExperimentConfig
@@ -76,9 +77,15 @@ class PolicySnapshot:
     def ref(self) -> str:
         return f"{self.name}@{self.version}"
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Content hash of everything that changes decisions."""
+        """Content hash of everything that changes decisions.
+
+        Computed on first access and kept on this instance: a snapshot
+        is immutable by contract (derive variants with
+        :func:`dataclasses.replace`, which starts a fresh object with
+        no memo), so re-serialising every weight per read buys nothing.
+        """
         return content_key({"method": self.method,
                             "config": self.config,
                             "policies": self.policies})
@@ -294,8 +301,7 @@ def snapshot_onslicing(name: str, bundle, scenario: str = "default",
             "app": apps[slice_name],
             "model": agent.model.state_dict(),
             "estimator": agent.estimator.network.state_dict(),
-            "estimator_scale": [agent.estimator._target_mean,
-                                agent.estimator._target_std],
+            "estimator_scale": list(agent.estimator.target_scale),
             "lagrangian": float(agent.lagrangian.value),
             "baseline": bundle.baselines[slice_name],
         }

@@ -85,8 +85,7 @@ class _LearnedPolicy:
             estimator = CostToGoEstimator(
                 STATE_DIM, cfg=agent_cfg.estimator, rng=rng)
             estimator.network.load_state_dict(payload["estimator"])
-            estimator._target_mean, estimator._target_std = \
-                payload["estimator_scale"]
+            estimator.target_scale = payload["estimator_scale"]
             self.estimator = estimator
 
     def actions(self, states: np.ndarray) -> np.ndarray:
@@ -96,12 +95,7 @@ class _LearnedPolicy:
     def cost_to_go(self, states: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched pi_phi posterior ``(mu, sigma)`` per state."""
-        estimator = self.estimator
-        mean, std = estimator.network.predict(
-            states, num_samples=estimator.cfg.num_posterior_samples,
-            rng=estimator._rng)
-        mu = mean[:, 0] * estimator._target_std + estimator._target_mean
-        sigma = std[:, 0] * estimator._target_std
+        mu, sigma = self.estimator.predict_batch(states)
         return np.maximum(mu, 0.0), sigma
 
 

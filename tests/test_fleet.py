@@ -281,6 +281,16 @@ class TestShards:
         with pytest.raises(ValueError, match="changed since"):
             run_fleet_shard(plan)
 
+    def test_shard_rejects_mismatch_on_memoised_snapshot(self, snapshot,
+                                                         store):
+        """A snapshot handed in with its digest already computed is
+        still checked against the plan."""
+        assert snapshot.digest                        # memoised here
+        plan = plan_shards(SPEC, 1, store.directory, snapshot.ref,
+                           "0" * 64)[0]
+        with pytest.raises(ValueError, match="changed since"):
+            run_fleet_shard(plan, snapshot=snapshot)
+
     def test_shard_telemetry_is_mergeable_state(self, snapshot, store):
         plan = plan_shards(SPEC, 1, store.directory, snapshot.ref,
                            snapshot.digest)[0]
@@ -297,6 +307,26 @@ class TestShards:
 
 
 class TestCoordinator:
+    def test_inline_run_hashes_the_snapshot_once(self, snapshot, store,
+                                                 tmp_path, monkeypatch):
+        """Planning, the checkpoint header, the shard check and the
+        report all read ``snapshot.digest``; only the store's
+        load-time verification serialises the weights."""
+        from repro.serve import policy_store
+
+        hashed = []
+
+        def counting_content_key(payload):
+            hashed.append(set(payload))
+            return content_key(payload)
+
+        monkeypatch.setattr(policy_store, "content_key",
+                            counting_content_key)
+        report = run_fleet(SPEC, store.directory, shards=1,
+                           checkpoint_path=str(tmp_path / "ck.jsonl"))
+        assert hashed == [{"method", "config", "policies"}]
+        assert report.snapshot_digest == snapshot.digest
+
     def test_report_shape(self, snapshot, store):
         report = run_fleet(SPEC, store.directory,
                            snapshot_ref=snapshot.ref)

@@ -112,3 +112,106 @@ class TestBayesianMLP:
         parts = sum(v.kl_divergence(net.prior_std)
                     for v in net._vlayers)
         assert total == pytest.approx(parts)
+
+
+def _loop_predict(net, x, num_samples, rng):
+    """The oracle: ``predict`` as it was before the one-pass rewrite --
+    ``num_samples`` full stochastic ``forward`` calls, stacked."""
+    x = np.asarray(x, dtype=np.float64)
+    for vlayer in net._vlayers:
+        vlayer._rng = rng
+    net._set_sampling(True)
+    draws = np.stack([net.forward(np.atleast_2d(x))
+                      for _ in range(num_samples)])
+    mean = draws.mean(axis=0)
+    noise_var = float(np.exp(2.0 * net.log_noise.value[0]))
+    std = np.sqrt(draws.var(axis=0) + noise_var)
+    return (mean[0], std[0]) if x.ndim == 1 else (mean, std)
+
+
+def _twin_nets(activation="relu", perturb_rho=False):
+    nets = [BayesianMLP(9, 1, hidden_sizes=(64, 32),
+                        activation=activation,
+                        rng=np.random.default_rng(5))
+            for _ in range(2)]
+    if perturb_rho:
+        shift = np.random.default_rng(9)
+        for p_one, p_two in zip(*(net.parameters() for net in nets)):
+            if "rho" in p_one.name:
+                delta = 3.0 + shift.normal(0.0, 0.5, p_one.shape)
+                p_one.value = p_one.value + delta
+                p_two.value = p_two.value + delta
+    return nets
+
+
+def _assert_parity(net, oracle, x, num_samples, calls=1):
+    """Bit-equal moments *and* generators left in the same state."""
+    rng_net = np.random.default_rng(3)
+    rng_oracle = np.random.default_rng(3)
+    for _ in range(calls):
+        mean, std = net.predict(x, num_samples=num_samples, rng=rng_net)
+        want_mean, want_std = _loop_predict(oracle, x, num_samples,
+                                            rng_oracle)
+        assert mean.shape == want_mean.shape
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(std, want_std)
+    assert rng_net.standard_normal() == rng_oracle.standard_normal()
+
+
+class TestPredictMatchesForwardLoop:
+    """``predict`` draws the whole posterior in one pass; the loop of
+    ``forward`` calls it replaced is the reference."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 21, 64])
+    @pytest.mark.parametrize("num_samples", [1, 4, 16])
+    def test_batched_rows(self, rows, num_samples):
+        net, oracle = _twin_nets()
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (rows, 9))
+        _assert_parity(net, oracle, x, num_samples)
+
+    def test_single_state_input(self):
+        net, oracle = _twin_nets()
+        x = np.random.default_rng(1).uniform(0.0, 1.0, 9)
+        _assert_parity(net, oracle, x, 16)
+
+    @pytest.mark.parametrize("rows", [1, 21])
+    def test_non_relu_activation(self, rows):
+        net, oracle = _twin_nets(activation="tanh")
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, (rows, 9))
+        _assert_parity(net, oracle, x, 16)
+
+    @pytest.mark.parametrize("rows", [1, 21])
+    def test_perturbed_rho(self, rows):
+        """Posterior scales far from the -5 initialisation, so the
+        variance path carries real weight in every layer."""
+        net, oracle = _twin_nets(perturb_rho=True)
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (rows, 9))
+        _assert_parity(net, oracle, x, 16)
+
+    def test_consecutive_calls_share_one_stream(self):
+        net, oracle = _twin_nets(perturb_rho=True)
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (3, 9))
+        _assert_parity(net, oracle, x, 16, calls=3)
+
+    def test_no_stale_scales_after_training_step(self):
+        """A predict right after ``elbo_step`` + optimiser step sees
+        the updated ``rho`` (nothing is cached across calls)."""
+        nets = _twin_nets()
+        data = np.random.default_rng(2)
+        x_train = data.uniform(0.0, 1.0, (32, 9))
+        y_train = data.normal(0.0, 1.0, (32, 1))
+        x = data.uniform(0.0, 1.0, (3, 9))
+        for net in nets:
+            net.predict(x, num_samples=4,
+                        rng=np.random.default_rng(8))   # before the step
+            optim = Adam(net.parameters(), lr=0.05)
+            optim.zero_grad()
+            net.elbo_step(x_train, y_train)
+            optim.step()
+        _assert_parity(nets[0], nets[1], x, 16)
+
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_rejects_empty_sample_count(self, rng, num_samples):
+        net = BayesianMLP(3, 1, hidden_sizes=(8,), rng=rng)
+        with pytest.raises(ValueError, match="num_samples"):
+            net.predict(np.zeros(3), num_samples=num_samples, rng=rng)

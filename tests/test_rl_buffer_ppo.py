@@ -236,6 +236,44 @@ class TestCostEstimator:
         assert mu == pytest.approx(4.0, abs=1.0)
         assert sigma > 0
 
+    def test_predict_is_one_row_predict_batch(self):
+        """Same float ops, same generator draws: a state served alone
+        and as a 1-row batch gets bit-equal (mu, sigma)."""
+        one, two = (CostToGoEstimator(4, rng=np.random.default_rng(6))
+                    for _ in range(2))
+        for est in (one, two):
+            est.target_scale = (2.5, 0.75)
+        states = np.random.default_rng(1).uniform(0.0, 1.0, (5, 4))
+        mu, sigma = one.predict(states[0])
+        mu_b, sigma_b = two.predict_batch(states[:1])
+        assert isinstance(mu, float) and isinstance(sigma, float)
+        assert (mu, sigma) == (mu_b[0], sigma_b[0])
+        mu_b, sigma_b = two.predict_batch(states)
+        assert mu_b.shape == sigma_b.shape == (5,)
+        assert np.all(sigma_b > 0)
+
+    def test_target_scale_round_trip(self, rng):
+        est = CostToGoEstimator(2, rng=rng)
+        assert est.target_scale == (0.0, 1.0)
+        est.add_episode([np.array([0.0, 0.5]), np.array([0.5, 0.5])],
+                        [1.0, 3.0])
+        est.fit(epochs=1)
+        mean, std = est.target_scale
+        assert (mean, std) == (3.5, 0.5)
+        other = CostToGoEstimator(2, rng=rng)
+        other.target_scale = [mean, std]
+        assert other.target_scale == est.target_scale
+
+    def test_rejects_empty_posterior_sample_count(self, rng):
+        from repro.config import EstimatorConfig
+
+        est = CostToGoEstimator(
+            2, cfg=EstimatorConfig(num_posterior_samples=0), rng=rng)
+        with pytest.raises(ValueError, match="num_posterior_samples"):
+            est.predict(np.zeros(2))
+        with pytest.raises(ValueError, match="num_samples"):
+            est.predict(np.zeros(2), num_samples=0)
+
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                 min_size=1, max_size=20))

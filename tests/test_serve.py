@@ -2,6 +2,7 @@
 snapshot-eval units, and the serve-facing CLI surface)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ class TestPolicyStore:
             json.dump(payload, fh)
         with pytest.raises(ValueError, match="corrupt"):
             store.load(saved.name)
+
+    def test_single_weight_edit_detected(self, tmp_path,
+                                         onslicing_snapshot):
+        """The digest is memoised per snapshot *object*; ``load``
+        builds a fresh one, so it still hashes what the file holds."""
+        store = PolicyStore(str(tmp_path))
+        saved = store.save(onslicing_snapshot)
+        assert store.load(saved.ref).digest == saved.digest
+        path = store._path(saved.name, saved.version)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        weights = payload["policies"]["MAR"]["estimator"]
+        weights["pi_phi.v0.weight_mu"]["data"][0][0] += 1e-9
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match="corrupt"):
+            store.load(saved.ref)
+
+    def test_replace_starts_a_fresh_digest(self, onrl_snapshot):
+        source_digest = onrl_snapshot.digest          # memoised here
+        assert onrl_snapshot.digest is source_digest
+        trimmed = replace(
+            onrl_snapshot,
+            policies={"MAR": onrl_snapshot.policies["MAR"]})
+        assert trimmed.digest != source_digest
+        assert replace(onrl_snapshot, version=9).digest == source_digest
+        assert onrl_snapshot.digest is source_digest
 
     def test_invalid_names_rejected(self, tiny_cfg):
         with pytest.raises(ValueError, match="invalid snapshot name"):
