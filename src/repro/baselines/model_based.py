@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.config import (
     NUM_ACTIONS,
@@ -115,6 +114,11 @@ class ModelBasedPolicy:
         (the one-variable program has the closed form
         ``U_u = f*s / (R * (P - l_s))``, which the solver recovers).
         """
+        # Imported here: scipy.optimize is about half the import time
+        # of the whole package and only this baseline's MAR program
+        # uses it.
+        from scipy import optimize
+
         spec, cfg = self.spec, self.cfg
         f = arrival_rate * cfg.provisioning_margin
         s = spec.uplink_payload_bits

@@ -31,6 +31,8 @@ from repro.config import (
     SliceSpec,
     action_index,
 )
+from repro.engine.arena import KernelArena
+from repro.engine.kernels import WorldConditions, evaluate_rows
 from repro.sim.env import SliceObservation
 from repro.sim.network import EndToEndNetwork
 
@@ -105,6 +107,21 @@ class GridSearchConfig:
     #: resources at zero violation).
     safety_step: int = 1
 
+    def __post_init__(self) -> None:
+        if self.traffic_margin <= 0:
+            raise ValueError("traffic_margin must be positive")
+        if self.cost_margin <= 0:
+            raise ValueError("cost_margin must be positive")
+        if not self.bin_edges:
+            raise ValueError("bin_edges must name at least one bin")
+        if any(b <= a for a, b in zip(self.bin_edges,
+                                      self.bin_edges[1:])):
+            raise ValueError("bin_edges must be strictly increasing")
+        if self.eval_slots < 1:
+            raise ValueError("eval_slots must be >= 1")
+        if self.safety_step < 0:
+            raise ValueError("safety_step must be >= 0")
+
 
 class RuleBasedPolicy:
     """Per-traffic-bin action table for one slice.
@@ -119,6 +136,8 @@ class RuleBasedPolicy:
                  actions: Sequence[np.ndarray]) -> None:
         if len(bin_edges) != len(actions):
             raise ValueError("one action per traffic bin required")
+        if len(actions) == 0:
+            raise ValueError("at least one traffic bin required")
         self.slice_name = slice_name
         self.app = app
         self.bin_edges = np.asarray(bin_edges, dtype=float)
@@ -142,18 +161,73 @@ class RuleBasedPolicy:
         return self.action_for_traffic(float(state_vector[1]))
 
 
-def _evaluate_candidate(network: EndToEndNetwork, spec: SliceSpec,
-                        action: np.ndarray, arrival_rate: float,
-                        eval_slots: int) -> Tuple[float, float]:
-    """Mean (cost, usage) of an action at a fixed arrival rate."""
-    costs, usages = [], []
-    for _ in range(eval_slots):
+def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,
+                  search_cfg: GridSearchConfig, seed: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cost and usage of every key-factor combo in every bin.
+
+    Returns ``(candidates, cost, usage)``: the ``(n, NUM_ACTIONS)``
+    candidate actions in ``itertools.product`` order over the slice's
+    key-factor grids, and two ``(num_bins, n)`` tables averaged over
+    ``eval_slots`` channel slots.
+
+    The testbed is one single-slice network whose channels advance one
+    slot per evaluation; neither the action nor the arrival rate feeds
+    back into the channels, so candidate ``i``'s ``k``-th evaluation
+    sees trajectory slot ``i * eval_slots + k`` in every bin.  The
+    trajectory is therefore recorded once, and each bin is a single
+    :func:`~repro.engine.kernels.evaluate_rows` call in which every
+    (candidate, slot) pair is a row in a world of its own
+    (:meth:`~repro.engine.kernels.SliceRows.repeat`) -- bit-identical
+    to evaluating the pairs one at a time, because the kernels are
+    row-independent apart from the per-world transport loads.
+    """
+    network = EndToEndNetwork(network_cfg, slices=[spec],
+                              rng=np.random.default_rng(seed))
+    factors = KEY_FACTORS[spec.app]
+    combos = list(itertools.product(*(GRID_VALUES[f] for f in factors)))
+    candidates = np.tile(default_action(spec.app), (len(combos), 1))
+    candidates[:, [action_index(f) for f in factors]] = combos
+
+    slots = search_cfg.eval_slots
+    num_rows = len(combos) * slots
+    cqi = np.empty((num_rows, network_cfg.users_per_slice), dtype=np.intp)
+    margin = np.empty(cqi.shape)
+    for row in range(num_rows):
         network.step_channels()
-        reports = network.evaluate_slot(
-            {spec.name: action}, {spec.name: arrival_rate})
-        costs.append(reports[spec.name].cost)
-        usages.append(reports[spec.name].usage)
-    return float(np.mean(costs)), float(np.mean(usages))
+        slot_cqi, slot_margin = network.gather_channel_state()
+        cqi[row] = slot_cqi[0]
+        margin[row] = slot_margin[0]
+
+    rows = network.slot_rows().repeat(num_rows)
+    cond = WorldConditions.nominal(num_rows)    # a fresh fabric's state
+    actions = np.repeat(candidates, slots, axis=0)
+    rates = np.empty(num_rows)
+    arena = KernelArena()
+    shape = (len(search_cfg.bin_edges), len(combos))
+    cost, usage = np.empty(shape), np.empty(shape)
+    for b, bin_edge in enumerate(search_cfg.bin_edges):
+        rates.fill(bin_edge * search_cfg.traffic_margin
+                   * spec.max_arrival_rate)
+        out = evaluate_rows(rows, cond, actions, rates, cqi, margin,
+                            arena)
+        cost[b] = out["cost"].reshape(-1, slots).mean(axis=1)
+        usage[b] = out["usage"].reshape(-1, slots).mean(axis=1)
+    return candidates, cost, usage
+
+
+def select_candidate(cost: np.ndarray, usage: np.ndarray,
+                     target_cost: float) -> int:
+    """Index of the minimum-usage candidate meeting ``target_cost``.
+
+    Ties go to the earliest candidate (``argmin`` returns the first
+    minimum, as a strict-``<`` scan in grid order would); when nothing
+    qualifies, the earliest minimum-cost candidate is the fallback.
+    """
+    qualifies = cost <= target_cost
+    if qualifies.any():
+        return int(np.argmin(np.where(qualifies, usage, np.inf)))
+    return int(np.argmin(cost))
 
 
 def fit_rule_based_policy(spec: SliceSpec,
@@ -165,53 +239,26 @@ def fit_rule_based_policy(spec: SliceSpec,
     For each traffic bin the search evaluates the key-factor grid at
     ``bin_edge * traffic_margin`` of the slice's peak arrival rate and
     keeps the minimum-usage point whose mean cost stays below
-    ``cost_margin * C_max``; if nothing qualifies, the most generous
-    (highest-usage) point is used -- mirroring an operator falling back
-    to maximum provisioning.
+    ``cost_margin * C_max``; if nothing qualifies, the lowest-cost
+    point is used -- mirroring an operator falling back to the best
+    provisioning on offer.  Every bin sees the same channel
+    trajectory (see :func:`evaluate_grid`).
     """
     network_cfg = network_cfg or NetworkConfig()
     search_cfg = search_cfg or GridSearchConfig()
-    factors = KEY_FACTORS[spec.app]
-    template = default_action(spec.app)
-    grids = [GRID_VALUES[f] for f in factors]
-    indices = [action_index(f) for f in factors]
+    candidates, cost, usage = evaluate_grid(spec, network_cfg,
+                                            search_cfg, seed)
+    target_cost = spec.sla.cost_threshold * search_cfg.cost_margin
     actions: List[np.ndarray] = []
-    for bin_edge in search_cfg.bin_edges:
-        rng = np.random.default_rng(seed)  # same channels per bin
-        network = EndToEndNetwork(network_cfg, slices=[spec], rng=rng)
-        rate = (bin_edge * search_cfg.traffic_margin
-                * spec.max_arrival_rate)
-        target_cost = spec.sla.cost_threshold * search_cfg.cost_margin
-        best_action: Optional[np.ndarray] = None
-        best_usage = float("inf")
-        fallback_action: Optional[np.ndarray] = None
-        fallback_cost = float("inf")
-        best_combo = None
-        fallback_combo = None
-        for combo in itertools.product(*grids):
-            candidate = template.copy()
-            for idx, value in zip(indices, combo):
-                candidate[idx] = value
-            cost, usage = _evaluate_candidate(
-                network, spec, candidate, rate, search_cfg.eval_slots)
-            if cost <= target_cost and usage < best_usage:
-                best_usage = usage
-                best_action = candidate
-                best_combo = combo
-            if cost < fallback_cost:
-                fallback_cost = cost
-                fallback_action = candidate
-                fallback_combo = combo
-        chosen = best_action if best_action is not None else \
-            fallback_action
-        combo = best_combo if best_combo is not None else fallback_combo
-        if search_cfg.safety_step > 0:
-            chosen = chosen.copy()
-            for factor, idx, value in zip(factors, indices, combo):
-                grid = GRID_VALUES[factor]
-                pos = min(grid.index(value) + search_cfg.safety_step,
-                          len(grid) - 1)
-                chosen[idx] = grid[pos]
+    for bin_cost, bin_usage in zip(cost, usage):
+        chosen = candidates[
+            select_candidate(bin_cost, bin_usage, target_cost)].copy()
+        for factor in KEY_FACTORS[spec.app]:
+            grid = GRID_VALUES[factor]
+            idx = action_index(factor)
+            pos = min(grid.index(chosen[idx]) + search_cfg.safety_step,
+                      len(grid) - 1)
+            chosen[idx] = grid[pos]
         actions.append(chosen)
     return RuleBasedPolicy(spec.name, spec.app,
                            search_cfg.bin_edges, actions)

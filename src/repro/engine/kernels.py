@@ -82,6 +82,7 @@ a float expression; each is bit-exact for the stated reason:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
@@ -216,6 +217,16 @@ class SliceRows:
     def num_rows(self) -> int:
         return len(self.names)
 
+    def repeat(self, n: int) -> "SliceRows":
+        """``n`` copies of this one-world bundle, each its own world.
+
+        Field for field ``concat_rows([self] * n)``.  The transport
+        kernel sums path loads per world, so every copy is evaluated
+        exactly as it would be alone -- ``n`` independent testbeds in
+        one :func:`evaluate_rows` call.
+        """
+        return _stack_rows([self], n)
+
 
 def rows_for_network(network, horizon: int,
                      world: int = 0) -> SliceRows:
@@ -290,71 +301,53 @@ def rows_for_network(network, horizon: int,
     )
 
 
+def _stack_rows(parts: Sequence[SliceRows], copies: int) -> SliceRows:
+    """``parts`` in order, the whole sequence laid out ``copies`` times.
+
+    One :func:`dataclasses.fields` walk serves :func:`concat_rows` and
+    :meth:`SliceRows.repeat`: every part is one world, renumbered in
+    output order; the per-world path-hops tables are padded to the
+    widest path count and stacked; name lists and every other array
+    (per-row and per-world alike) join end to end; ``uid`` is fresh.
+    """
+    if not parts or copies < 1:
+        raise ValueError("need at least one world")
+    pmax = max(part.path_hops.shape[1] for part in parts)
+
+    def padded_hops(part):
+        table = part.path_hops
+        short = pmax - table.shape[1]
+        return np.pad(table, ((0, 0), (0, short))) if short else table
+
+    columns = {
+        "world": np.repeat(
+            np.arange(len(parts) * copies, dtype=np.intp),
+            np.tile([part.num_rows for part in parts], copies)),
+        "num_worlds": len(parts) * copies,
+    }
+    for spec in dataclasses.fields(SliceRows):
+        name = spec.name
+        if name == "uid" or name in columns:
+            continue
+        values = [padded_hops(part) if name == "path_hops"
+                  else getattr(part, name) for part in parts]
+        if isinstance(values[0], list):
+            columns[name] = list(
+                itertools.chain.from_iterable(values)) * copies
+        else:
+            joined = np.concatenate(values)
+            columns[name] = joined if copies == 1 else np.tile(
+                joined, (copies,) + (1,) * (joined.ndim - 1))
+    return SliceRows(**columns)
+
+
 def concat_rows(parts: Sequence[SliceRows]) -> SliceRows:
     """Concatenate per-world row bundles into one multi-world bundle.
 
     World indices are renumbered 0..W-1 in ``parts`` order; the
     per-world path-hops tables are padded to the widest path count.
     """
-    if not parts:
-        raise ValueError("need at least one world")
-    pmax = max(part.path_hops.shape[1] for part in parts)
-    hop_tables = []
-    for part in parts:
-        table = part.path_hops
-        if table.shape[1] < pmax:
-            pad = np.zeros((table.shape[0], pmax - table.shape[1]),
-                           dtype=table.dtype)
-            table = np.concatenate([table, pad], axis=1)
-        hop_tables.append(table)
-    world = np.concatenate([
-        np.full(part.num_rows, index, dtype=np.intp)
-        for index, part in enumerate(parts)])
-
-    def cat(field):
-        return np.concatenate([getattr(part, field) for part in parts])
-
-    return SliceRows(
-        names=[name for part in parts for name in part.names],
-        metrics=[m for part in parts for m in part.metrics],
-        world=world,
-        num_worlds=len(parts),
-        app=cat("app"),
-        max_arrival=cat("max_arrival"),
-        ul_bits=cat("ul_bits"),
-        dl_bits=cat("dl_bits"),
-        sum_bits=cat("sum_bits"),
-        compute_units=cat("compute_units"),
-        sla_target=cat("sla_target"),
-        cost_threshold=cat("cost_threshold"),
-        lower_better=cat("lower_better"),
-        ul_prbs_total=cat("ul_prbs_total"),
-        dl_prbs_total=cat("dl_prbs_total"),
-        prb_bandwidth_hz=cat("prb_bandwidth_hz"),
-        uplink_fraction=cat("uplink_fraction"),
-        downlink_fraction=cat("downlink_fraction"),
-        overhead=cat("overhead"),
-        fixed_mcs=cat("fixed_mcs"),
-        ran_base_latency_ms=cat("ran_base_latency_ms"),
-        base_retx_ul=cat("base_retx_ul"),
-        base_retx_dl=cat("base_retx_dl"),
-        decay_ul=cat("decay_ul"),
-        decay_dl=cat("decay_dl"),
-        link_capacity_bps=cat("link_capacity_bps"),
-        hop_latency_ms=cat("hop_latency_ms"),
-        num_paths=cat("num_paths"),
-        path_hops=np.concatenate(hop_tables, axis=0),
-        link_capacity_w=cat("link_capacity_w"),
-        sgwu_capacity_pps=cat("sgwu_capacity_pps"),
-        num_sgwu=cat("num_sgwu"),
-        core_base_latency_ms=cat("core_base_latency_ms"),
-        mean_packet_bits=cat("mean_packet_bits"),
-        edge_capacity_ups=cat("edge_capacity_ups"),
-        total_ram_gb=cat("total_ram_gb"),
-        ram_gb_per_ups=cat("ram_gb_per_ups"),
-        users=cat("users"),
-        horizon=cat("horizon"),
-    )
+    return _stack_rows(parts, 1)
 
 
 @dataclass

@@ -1,5 +1,10 @@
 """Tests: rule-based baseline, model-based method, OnRL, projection."""
 
+import dataclasses
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,17 +18,22 @@ from repro.baselines.rule_based import (
     GridSearchConfig,
     RuleBasedPolicy,
     default_action,
+    evaluate_grid,
     fit_rule_based_policy,
+    select_candidate,
 )
 from repro.config import (
     NUM_ACTIONS,
+    NetworkConfig,
     action_index,
     default_slice_specs,
     mar_slice_spec,
     usage_from_action,
 )
+from repro.engine.kernels import SliceRows, concat_rows
+from repro.scenarios import ScenarioSpec, get as get_scenario, population
 from repro.sim.env import SliceObservation
-from repro.sim.network import CONSTRAINED_RESOURCES
+from repro.sim.network import CONSTRAINED_RESOURCES, EndToEndNetwork
 
 
 def _obs(traffic: float) -> SliceObservation:
@@ -118,7 +128,280 @@ class TestRuleBased:
         assert usages[-1] >= usages[0]
 
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            RuleBasedPolicy("S", "mar", [], [])
+
+    @pytest.mark.parametrize("field, value", [
+        ("eval_slots", 0),
+        ("bin_edges", ()),
+        ("bin_edges", (0.5, 0.5)),
+        ("bin_edges", (0.8, 0.4)),
+        ("safety_step", -1),
+        ("traffic_margin", 0.0),
+        ("cost_margin", -0.5),
+    ])
+    def test_degenerate_search_rejected_at_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GridSearchConfig(**{field: value})
+
+
+def _evaluate_candidate_oracle(network, spec, action, arrival_rate,
+                               eval_slots):
+    """The pre-batching per-candidate evaluation, kept verbatim."""
+    costs, usages = [], []
+    for _ in range(eval_slots):
+        network.step_channels()
+        reports = network.evaluate_slot(
+            {spec.name: action}, {spec.name: arrival_rate})
+        costs.append(reports[spec.name].cost)
+        usages.append(reports[spec.name].usage)
+    return float(np.mean(costs)), float(np.mean(usages))
+
+
+def _fit_oracle(spec, network_cfg, search_cfg, seed=1234):
+    """The pre-batching sequential grid search, kept verbatim (fresh
+    network per bin, one ``evaluate_slot`` per candidate-slot, strict
+    ``<`` scan) -- plus the per-candidate (cost, usage) it saw."""
+    factors = KEY_FACTORS[spec.app]
+    template = default_action(spec.app)
+    grids = [GRID_VALUES[f] for f in factors]
+    indices = [action_index(f) for f in factors]
+    actions, all_costs, all_usages = [], [], []
+    for bin_edge in search_cfg.bin_edges:
+        rng = np.random.default_rng(seed)  # same channels per bin
+        network = EndToEndNetwork(network_cfg, slices=[spec], rng=rng)
+        rate = (bin_edge * search_cfg.traffic_margin
+                * spec.max_arrival_rate)
+        target_cost = spec.sla.cost_threshold * search_cfg.cost_margin
+        best_action = None
+        best_usage = float("inf")
+        fallback_action = None
+        fallback_cost = float("inf")
+        best_combo = None
+        fallback_combo = None
+        costs, usages = [], []
+        for combo in itertools.product(*grids):
+            candidate = template.copy()
+            for idx, value in zip(indices, combo):
+                candidate[idx] = value
+            cost, usage = _evaluate_candidate_oracle(
+                network, spec, candidate, rate, search_cfg.eval_slots)
+            costs.append(cost)
+            usages.append(usage)
+            if cost <= target_cost and usage < best_usage:
+                best_usage = usage
+                best_action = candidate
+                best_combo = combo
+            if cost < fallback_cost:
+                fallback_cost = cost
+                fallback_action = candidate
+                fallback_combo = combo
+        chosen = best_action if best_action is not None else \
+            fallback_action
+        combo = best_combo if best_combo is not None else fallback_combo
+        if search_cfg.safety_step > 0:
+            chosen = chosen.copy()
+            for factor, idx, value in zip(factors, indices, combo):
+                grid = GRID_VALUES[factor]
+                pos = min(grid.index(value) + search_cfg.safety_step,
+                          len(grid) - 1)
+                chosen[idx] = grid[pos]
+        actions.append(chosen)
+        all_costs.append(costs)
+        all_usages.append(usages)
+    return actions, np.array(all_costs), np.array(all_usages)
+
+
+#: Two bins keep the sequential oracle affordable; the default search
+#: config is covered once, on the default trio's smallest grid.
+_TWO_BINS = GridSearchConfig(bin_edges=(0.4, 1.3))
+_PARITY_CASES = {
+    "mar": (0, None, _TWO_BINS, 1234),
+    "hvs-default-search": (1, None, GridSearchConfig(), 1234),
+    "rdc": (2, None, _TWO_BINS, 1234),
+    "lte_fixed_mcs": (0, "lte_fixed_mcs", _TWO_BINS, 1234),
+    "nr_fixed_mcs": (2, "nr_fixed_mcs", _TWO_BINS, 1234),
+    "one-slot-no-safety-step": (
+        0, None, GridSearchConfig(eval_slots=1, safety_step=0,
+                                  bin_edges=(0.5, 1.3)), 1234),
+    "nothing-qualifies": (
+        1, None, dataclasses.replace(_TWO_BINS, cost_margin=1e-9),
+        1234),
+    "overloaded": (
+        0, None, dataclasses.replace(_TWO_BINS, traffic_margin=6.0),
+        1234),
+    "seed": (1, None, _TWO_BINS, 99),
+}
+
+
+class TestGridSearchMatchesSequentialOracle:
+    """The batched search is a re-layout of the sequential one: same
+    per-candidate numbers, same tables, bit for bit."""
+
+    @staticmethod
+    def _check(spec, network_cfg, search_cfg, seed):
+        actions, cost, usage = _fit_oracle(spec, network_cfg,
+                                           search_cfg, seed)
+        _, got_cost, got_usage = evaluate_grid(spec, network_cfg,
+                                               search_cfg, seed)
+        assert np.array_equal(got_cost, cost)
+        assert np.array_equal(got_usage, usage)
+        policy = fit_rule_based_policy(spec, network_cfg, search_cfg,
+                                       seed)
+        assert len(policy.actions) == len(actions)
+        for got, want in zip(policy.actions, actions):
+            assert np.array_equal(got, want)
+        return cost
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_parity(self, case):
+        index, scenario, search_cfg, seed = _PARITY_CASES[case]
+        network_cfg = (get_scenario(scenario).build_config().network
+                       if scenario else NetworkConfig())
+        spec = default_slice_specs()[index]
+        cost = self._check(spec, network_cfg, search_cfg, seed)
+        target = spec.sla.cost_threshold * search_cfg.cost_margin
+        if case == "nothing-qualifies":
+            assert (cost > target).all()          # fallback branch
+        if case == "overloaded":
+            assert (cost[0] <= target).any()      # both branches
+            assert (cost[1] > target).all()
+
+    def test_parity_derated_population_slice(self):
+        cfg = ScenarioSpec(name="pop12",
+                           slices=population(12)).build_config()
+        assert cfg.slices[4].max_arrival_rate \
+            < default_slice_specs()[1].max_arrival_rate
+        self._check(cfg.slices[4], cfg.network, _TWO_BINS, 1234)
+
+    def test_candidates_follow_product_order(self):
+        spec = mar_slice_spec()
+        candidates, cost, usage = evaluate_grid(
+            spec, NetworkConfig(), _TWO_BINS, 1234)
+        factors = KEY_FACTORS["mar"]
+        combos = list(itertools.product(
+            *(GRID_VALUES[f] for f in factors)))
+        assert cost.shape == usage.shape == (2, len(combos))
+        for row, combo in zip(candidates, combos):
+            want = default_action("mar")
+            for factor, value in zip(factors, combo):
+                want[action_index(factor)] = value
+            assert np.array_equal(row, want)
+
+
+class TestSelectCandidate:
+    def test_minimum_usage_among_qualifying(self):
+        cost = np.array([0.0, 0.9, 0.1, 0.2])
+        usage = np.array([0.5, 0.1, 0.3, 0.4])
+        assert select_candidate(cost, usage, 0.25) == 2
+
+    def test_equal_usage_first_wins(self):
+        cost = np.array([0.9, 0.1, 0.1, 0.0])
+        usage = np.array([0.1, 0.3, 0.3, 0.3])
+        assert select_candidate(cost, usage, 0.25) == 1
+
+    def test_target_is_inclusive(self):
+        assert select_candidate(np.array([0.5, 0.25]),
+                                np.array([0.2, 0.1]), 0.25) == 1
+
+    def test_fallback_is_first_minimum_cost(self):
+        cost = np.array([0.9, 0.7, 0.7, 0.8])
+        usage = np.array([0.1, 0.9, 0.2, 0.3])
+        assert select_candidate(cost, usage, 0.25) == 1
+
+    def test_rdc_all_usages_tie_earliest_qualifying_combo_chosen(self):
+        """RDC's key factors (MCS offsets) are not usage-counted, so
+        every candidate ties on usage and grid order alone decides."""
+        spec = default_slice_specs()[2]
+        search_cfg = GridSearchConfig(bin_edges=(1.0,), safety_step=0)
+        candidates, cost, usage = evaluate_grid(
+            spec, NetworkConfig(), search_cfg, 1234)
+        assert np.unique(usage).size == 1
+        qualifying = np.flatnonzero(
+            cost[0] <= spec.sla.cost_threshold * search_cfg.cost_margin)
+        assert qualifying.size > 1
+        policy = fit_rule_based_policy(spec, search_cfg=search_cfg)
+        assert np.array_equal(policy.actions[0],
+                              candidates[qualifying[0]])
+
+
+class TestSliceRowsRepeat:
+    @staticmethod
+    def _rows(scenario="default"):
+        cfg = get_scenario(scenario).build_config()
+        return EndToEndNetwork(cfg.network, slices=cfg.slices).slot_rows()
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.uid != want.uid
+        for spec in dataclasses.fields(SliceRows):
+            if spec.name == "uid":
+                continue
+            a, b = getattr(got, spec.name), getattr(want, spec.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype, spec.name
+                assert np.array_equal(a, b), spec.name
+            else:
+                assert a == b, spec.name
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_repeat_equals_concat_of_copies(self, n):
+        rows = self._rows()
+        self._assert_same(rows.repeat(n), concat_rows([rows] * n))
+
+    def test_repeat_renumbers_worlds(self):
+        rows = self._rows()
+        out = rows.repeat(3)
+        assert out.num_worlds == 3
+        assert out.world.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert out.path_hops.shape == (3, rows.path_hops.shape[1])
+        assert out.link_capacity_w.shape == (3,)
+
+    def test_concat_pads_narrow_path_tables(self):
+        wide = self._rows()
+        narrow = dataclasses.replace(
+            wide, path_hops=wide.path_hops[:, :1].copy(),
+            num_paths=np.ones_like(wide.num_paths))
+        out = concat_rows([narrow, wide, narrow])
+        pmax = wide.path_hops.shape[1]
+        assert out.path_hops.shape == (3, pmax)
+        assert out.path_hops.dtype == wide.path_hops.dtype
+        assert np.array_equal(out.path_hops[1], wide.path_hops[0])
+        for w in (0, 2):
+            assert out.path_hops[w, 0] == wide.path_hops[0, 0]
+            assert not out.path_hops[w, 1:].any()
+        assert out.world.tolist() == [0] * 3 + [1] * 3 + [2] * 3
+
+    def test_zero_copies_rejected(self):
+        with pytest.raises(ValueError):
+            self._rows().repeat(0)
+        with pytest.raises(ValueError):
+            concat_rows([])
+
+
 class TestModelBased:
+    def test_scipy_optimize_deferred_until_solve(self):
+        """Importing the harness must not pay for scipy.optimize; the
+        MAR program imports it on first solve."""
+        script = (
+            "import sys\n"
+            "import repro.experiments.harness\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from repro.baselines.model_based import ModelBasedPolicy\n"
+            "from repro.config import mar_slice_spec\n"
+            "action = ModelBasedPolicy(mar_slice_spec())"
+            ".action_for_rate(2.0)\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "assert 0.02 < action[0] < 1.0, action\n"
+            "print('ok')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
     def test_mar_uplink_grows_with_traffic(self):
         policy = ModelBasedPolicy(mar_slice_spec())
         low = policy.action_for_rate(1.0)
