@@ -21,10 +21,10 @@ gates apply either way.
 The arena test records the ``vector`` engine's world-slot throughput
 at B=128 (persistent :class:`~repro.engine.arena.KernelArena`) and
 asserts its steady-state allocations per slot (tracemalloc, numpy
-data domain, kernel/arena frames only) are exactly zero.  The control
-is the committed ``benchmarks/baselines/BENCH_engine.json``:
-``repro obs compare`` flags the case when its wall time regresses
-against that recording.
+data domain, kernel/arena frames only) are exactly zero.  The
+committed ``benchmarks/baselines/BENCH_engine.json`` records one such
+run; wall-time changes are judged by ``benchmarks/e2e/run.py
+compare`` on the ``engine_fuzz`` workload, not against that file.
 
 A second test holds the observability layer to its own claim: span
 tracing at the default sampling interval must cost the vector engine

@@ -18,8 +18,8 @@ All work is submitted through a shared
 Every benchmark module additionally lands its measurements in a
 ``BENCH_<name>.json`` perf-trajectory file (schema in
 :mod:`repro.obs.bench`) under ``REPRO_BENCH_DIR`` (default
-``.repro_bench``); ``python -m repro obs compare`` diffs a run
-against the committed ``benchmarks/baselines``.
+``.repro_bench``).  They are records, not gates: perf claims are
+judged by ``python3 benchmarks/e2e/run.py compare``.
 """
 
 from __future__ import annotations

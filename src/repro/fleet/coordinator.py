@@ -29,13 +29,12 @@ from typing import Callable, Dict, List, Optional
 from repro.fleet.report import FleetReport, build_report
 from repro.fleet.shard import ShardPlan, ShardResult, run_fleet_shard
 from repro.fleet.spec import CellPlan, FleetSpec
-from repro.obs.diagnose import make_event_hook, replay_shards, \
-    worst_cells
+from repro.obs.diagnose import ShardReplay, replay_shards
+from repro.obs.metrics import read_jsonl
 from repro.obs.slo import IncidentTimeline, SloEvaluator, SloSpec
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
 from repro.serve.policy_store import PolicyStore
-from repro.serve.telemetry import Telemetry
 
 CHECKPOINT_FORMAT = 1
 
@@ -98,63 +97,17 @@ class FleetSloBreach(RuntimeError):
         self.evaluator = evaluator
 
 
-class _SloDriver:
-    """Prefix-ordered SLO evaluation over completing shards.
-
-    Shard *completion* order is nondeterministic (``as_completed``
-    over a process pool), so results are buffered and the merged
-    telemetry is evaluated strictly in shard-index order -- shard k's
-    evaluation point is the cumulative merge of shards 0..k at logical
-    time ``k + 1``.  That makes the incident timeline (and its digest)
-    a pure function of the campaign, bit-identical across runs, shard
-    counts permitting, and resume/replay paths.
-    """
-
-    def __init__(self, evaluator: SloEvaluator) -> None:
-        self.evaluator = evaluator
-        self._telemetry = Telemetry()
-        self._cells: List = []
-        self._events: Dict[str, tuple] = {}
-        self._pending: Dict[int, ShardResult] = {}
-        self._next = 0
-        # Incident records cite the injected-event windows of the
-        # scenarios the worst cells ran (the diagnosis layer's event
-        # hook); rows are deterministic, so the timeline digest stays
-        # a pure function of the campaign.
-        if evaluator.attribution_hook is None:
-            evaluator.attribution_hook = make_event_hook(self._events)
-
-    def offer(self, result: ShardResult) -> List[Dict]:
-        """Buffer one completed shard; evaluate any ready prefix."""
-        self._pending[result.shard] = result
-        emitted: List[Dict] = []
-        while self._next in self._pending:
-            shard = self._pending.pop(self._next)
-            self._telemetry.merge(shard.telemetry())
-            self._cells.extend(shard.cells)
-            for name, rows in getattr(shard, "events", {}).items():
-                self._events.setdefault(
-                    name, tuple(dict(row) for row in rows))
-            emitted.extend(self.evaluator.observe(
-                self._telemetry, at=float(self._next + 1),
-                attribution=worst_cells(self._cells)))
-            self._next += 1
-        return emitted
-
-    @property
-    def paging(self) -> bool:
-        return self.evaluator.paging
-
-
 def evaluate_checkpoint_slo(checkpoint: "str | FleetCheckpoint",
                             slo: SloSpec,
                             timeline: "str | IncidentTimeline | None"
                             = None) -> SloEvaluator:
     """Replay a checkpoint's shards through an SLO evaluator.
 
-    The offline twin of ``run_fleet(..., slo=...)``: shards evaluate
-    in shard-index order, so the resulting timeline -- and its digest
-    -- is identical to the one the live run wrote.  This is the entry
+    The offline form of ``run_fleet(..., slo=...)``: both drive one
+    :class:`~repro.obs.diagnose.ShardReplay`, so the resulting
+    timeline -- and its digest -- is identical to the one the live
+    run wrote (for a checkpoint with a hole, to what the live run had
+    written when it was killed).  This is the entry
     point ``repro obs watch --checkpoint`` and the CI smoke replay
     use.  ``timeline`` may be a path (a fresh JSONL timeline is
     written there) or an :class:`IncidentTimeline`; ``None`` keeps
@@ -190,25 +143,20 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     """Parse a checkpoint JSONL file written by :func:`run_fleet`.
 
     Tolerant of a truncated final line (the signature of a kill
-    mid-append): parsing stops there and the shards read so far stand.
+    mid-append): the shards read so far stand.  A corrupt earlier
+    line is a ``ValueError`` naming ``path:lineno``
+    (:func:`~repro.obs.metrics.read_jsonl`).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    rows = read_jsonl(path)
+    if not rows:
         raise ValueError(f"checkpoint {path!r} is empty")
-    header = json.loads(lines[0])
+    header = rows[0]
     if (header.get("kind") != "fleet"
             or header.get("format") != CHECKPOINT_FORMAT):
         raise ValueError(f"{path!r} is not a fleet checkpoint "
                          f"(format {CHECKPOINT_FORMAT})")
     results: Dict[int, ShardResult] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            break  # truncated tail: the run was killed mid-append
+    for row in rows[1:]:
         if row.get("kind") != "shard":
             continue
         result = from_jsonable(row["result"])
@@ -263,6 +211,11 @@ def _checkpoint_header(spec: FleetSpec, snapshot_ref: str,
             "scenario_key": scenario_key,
             "snapshot_ref": snapshot_ref,
             "snapshot_digest": snapshot_digest, "shards": shards}
+
+
+def _shard_line(result: ShardResult) -> str:
+    return json.dumps({"kind": "shard", "shard": result.shard,
+                       "result": to_jsonable(result)}) + "\n"
 
 
 def run_fleet(spec: FleetSpec, store_dir: str,
@@ -402,10 +355,11 @@ def run_fleet(spec: FleetSpec, store_dir: str,
     if slo is not None:
         timeline = IncidentTimeline(path=slo_timeline) \
             if owns_timeline else slo_timeline
-        driver = _SloDriver(SloEvaluator(slo, timeline=timeline))
+        driver = ShardReplay(slo, timeline=timeline)
 
     def check_breach() -> None:
-        if fail_fast and driver is not None and driver.paging:
+        if (fail_fast and driver is not None
+                and driver.evaluator.paging):
             timeline = driver.evaluator.timeline
             paged = sorted(
                 name for name, record
@@ -436,19 +390,14 @@ def run_fleet(spec: FleetSpec, store_dir: str,
                 spec, snapshot.ref, snapshot.digest, shards,
                 scenario_key)) + "\n")
             for shard_id in sorted(done):
-                out.write(json.dumps(
-                    {"kind": "shard", "shard": shard_id,
-                     "result": to_jsonable(done[shard_id])}) + "\n")
+                out.write(_shard_line(done[shard_id]))
         os.replace(tmp, checkpoint_path)
         fh = open(checkpoint_path, "a", encoding="utf-8")
 
     def record(result: ShardResult) -> None:
         done[result.shard] = result
         if fh is not None:
-            fh.write(json.dumps({"kind": "shard",
-                                 "shard": result.shard,
-                                 "result": to_jsonable(result)})
-                     + "\n")
+            fh.write(_shard_line(result))
             fh.flush()
         if progress:
             progress(f"shard {result.shard}: {len(result.cells)} "

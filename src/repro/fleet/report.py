@@ -17,10 +17,10 @@ from typing import Dict, List, Tuple
 
 from repro.fleet.shard import CellStats, ShardResult
 from repro.fleet.spec import FleetSpec
+from repro.obs.metrics import Telemetry
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import register_dataclass
 from repro.serve.service import DECISION_STAGES
-from repro.serve.telemetry import Telemetry
 
 #: Cells reported as outliers (largest SLA deviation first).
 OUTLIER_LIMIT = 5

@@ -10,7 +10,7 @@ through a :class:`~repro.serve.loadgen.LoadGenerator` -- a per-cell
 :class:`~repro.serve.service.SlicingService` over the shared snapshot.
 
 Telemetry never leaves the shard raw: per-cell counters and bounded
-histograms merge into one shard-level :class:`~repro.serve.telemetry
+histograms merge into one shard-level :class:`~repro.obs.metrics
 .Telemetry`, and the :class:`ShardResult` shipped to the coordinator
 is O(instruments) + O(cells-in-shard) small, no matter how many
 decisions the shard served.
@@ -24,13 +24,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.config import ENGINES
 from repro.fleet.spec import CellPlan, FleetSpec
+from repro.obs.metrics import Histogram, Telemetry, parse_key
 from repro.obs.trace import configure_from_env, flush as trace_flush, \
     trace
 from repro.runtime.serialization import register_dataclass
 from repro.scenarios import ScenarioSpec
 from repro.serve.loadgen import LoadGenerator
 from repro.serve.policy_store import PolicySnapshot, PolicyStore
-from repro.serve.telemetry import Histogram, Telemetry, parse_key
 
 
 @register_dataclass

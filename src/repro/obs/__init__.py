@@ -11,16 +11,15 @@ repo:
   shard count.
 * :mod:`repro.obs.metrics` -- the unified metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, optional
-  labels, JSONL + Prometheus-text export, injectable clock).
-  ``repro.serve.telemetry`` re-exports it unchanged, so existing
-  snapshot keys and fleet merge semantics hold.
+  labels, JSONL + Prometheus-text export, injectable clock), the
+  one JSONL row reader (``read_jsonl``) and the one cumulative
+  windowed series (:class:`WindowedSeries`) the judging layers share.
 * :mod:`repro.obs.profile` -- opt-in per-kernel wall/alloc sampling
   hooks inside :func:`repro.engine.kernels.evaluate_rows`;
   ``repro obs profile`` prints the per-kernel cost breakdown.
-* :mod:`repro.obs.bench` -- the persistent perf trajectory: every
-  bench writes ``BENCH_<name>.json`` through the shared recorder,
-  and ``repro obs compare`` gates regressions against the committed
-  baselines.
+* :mod:`repro.obs.bench` -- the perf-trajectory recorder: every
+  bench writes ``BENCH_<name>.json`` through it.  Records, not gates
+  -- claims are judged by ``benchmarks/e2e/run.py compare``.
 * :mod:`repro.obs.slo` -- the judging layer over the metrics:
   declarative :class:`SloSpec` health contracts, streaming
   :class:`SloEvaluator` with multi-window burn-rate alerting, and the
@@ -54,11 +53,7 @@ from repro.obs.anomaly import (
     StreamingDetector,
     default_detectors,
 )
-from repro.obs.bench import (
-    compare as compare_bench,
-    load_dir as load_bench_dir,
-    record_result as record_bench_result,
-)
+from repro.obs.bench import record_result as record_bench_result
 from repro.obs.diagnose import (
     DiagnosisReport,
     Hypothesis,
@@ -109,7 +104,6 @@ __all__ = [
     "StreamingDetector",
     "Telemetry",
     "Tracer",
-    "compare_bench",
     "configure_tracing",
     "configure_tracing_from_env",
     "default_detectors",
@@ -117,7 +111,6 @@ __all__ = [
     "diagnose_fleet",
     "diagnose_telemetry",
     "disable_tracing",
-    "load_bench_dir",
     "read_rollup",
     "record_bench_result",
     "replay_shards",

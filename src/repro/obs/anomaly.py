@@ -21,8 +21,8 @@ level shift
 
 Detectors keep the same discipline as :class:`~repro.obs.slo
 .SloEvaluator`: they are fed *cumulative* registries on a logical
-time axis, keep a bounded ``(at, numerator, denominator)`` ring, and
-derive per-step windowed values as deltas -- so a fleet replay that
+time axis and derive per-step values as deltas off the same
+:class:`~repro.obs.metrics.WindowedSeries` -- so a fleet replay that
 merges shard prefixes in shard-index order produces bit-identical
 anomaly series no matter how the underlying observations were split
 across shards (see ``tests/test_anomaly_props.py``).
@@ -31,8 +31,8 @@ An EWMA of the series is maintained alongside (``alpha`` smoothing)
 purely as a cheap trend readout for dashboards; flagging decisions
 use the robust statistics only.
 
-Import discipline: standard library only (numpy not even needed --
-histories are tiny by construction).
+Import discipline: :mod:`repro.obs.metrics` and the standard library
+(histories are tiny by construction).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Telemetry
+from repro.obs.metrics import Telemetry, WindowedSeries
 
 #: Series modes a detector understands (see :class:`DetectorSpec`).
 MODES = ("mean", "ratio", "rate")
@@ -135,30 +135,15 @@ class StreamingDetector:
 
     def __init__(self, spec: DetectorSpec) -> None:
         self.spec = spec
-        #: Cumulative (at, numerator, denominator) ring.
-        self._samples: List[Tuple[float, float, float]] = []
+        #: Step deltas only: a zero horizon keeps the previous sample.
+        self._series = WindowedSeries(
+            f"detector {spec.name!r}", spec.mode, spec.instrument,
+            total=spec.total if spec.mode == "ratio" else "")
         #: Windowed values, oldest first, bounded by ``spec.history``.
         self._values: List[float] = []
         self.ewma: Optional[float] = None
         self._points: List[Dict] = []
         self._last: Optional[Dict] = None
-
-    # ---- reading the registry ---------------------------------------
-
-    def _cumulative(self, telemetry: Telemetry
-                    ) -> Tuple[float, float]:
-        spec = self.spec
-        if spec.mode == "mean":
-            histogram = telemetry.find_histogram(spec.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return float(histogram.total), float(histogram.count)
-        numerator = telemetry.find_counter(spec.instrument)
-        num = numerator.value if numerator is not None else 0.0
-        if spec.mode == "rate":
-            return num, -1.0        # denominator is the at axis
-        total = telemetry.find_counter(spec.total)
-        return num, total.value if total is not None else 0.0
 
     # ---- the streaming step -----------------------------------------
 
@@ -169,29 +154,10 @@ class StreamingDetector:
         unremarkable (the common case)."""
         at = float(at)
         spec = self.spec
-        if self._samples and at <= self._samples[-1][0]:
-            raise ValueError(
-                f"observation at {at} is not after the previous "
-                f"sample at {self._samples[-1][0]} (detector "
-                f"{spec.name!r})")
-        num, den = self._cumulative(telemetry)
-        previous = self._samples[-1] if self._samples else None
-        self._samples.append((at, num, den))
-        del self._samples[:-2]          # only step deltas are needed
-
-        if spec.mode == "rate":
-            prev_at, prev_num = (previous[0], previous[1]) \
-                if previous else (0.0, 0.0)
-            span = at - prev_at
-            value = (num - prev_num) / span if span > 0 else 0.0
-        else:
-            prev_num, prev_den = (previous[1], previous[2]) \
-                if previous else (0.0, 0.0)
-            delta_den = den - prev_den
-            if delta_den <= 0:          # idle step: series holds
-                value = self._values[-1] if self._values else 0.0
-            else:
-                value = (num - prev_num) / delta_den
+        self._series.push(telemetry, at)
+        # an idle step (no new denominator) holds the series
+        value = self._series.rate(
+            0.0, idle=self._values[-1] if self._values else 0.0)
 
         # baseline excludes this step: statistics read self._values
         # *before* the append below

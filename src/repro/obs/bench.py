@@ -8,14 +8,10 @@ carries enough context to compare runs honestly: machine fingerprint,
 git revision, raw samples and the bench's own ``extra_info``
 (throughput rates, speedup ratios, scale knobs).
 
-:func:`compare` diffs a results directory against the committed
-baseline directory with a *relative noise tolerance*: a test regresses
-when ``current_mean > baseline_mean * (1 + tolerance)``.  The default
-tolerance (0.5) is deliberately generous -- wall-clock benches on
-shared runners are noisy -- while still catching the 2x slowdowns that
-matter.  ``python -m repro obs compare`` wraps this and exits non-zero
-on any regression, which is what the CI ``bench-trajectory`` job
-gates on.
+These files are *records*, not gates: one quick-mode sample says
+nothing about noise.  Performance claims are judged by the
+noise-aware paired comparer, ``python3 benchmarks/e2e/run.py compare
+A.json B.json``.
 """
 
 from __future__ import annotations
@@ -26,27 +22,20 @@ import platform
 import subprocess
 from typing import Dict, List, Optional
 
+import numpy
+
 SCHEMA_VERSION = 1
-DEFAULT_TOLERANCE = 0.5
-#: Means below this (seconds) are timer noise, never regressions.
-DEFAULT_FLOOR = 0.005
 DEFAULT_RESULTS_DIR = ".repro_bench"
-DEFAULT_BASELINE_DIR = os.path.join("benchmarks", "baselines")
 ENV_BENCH_DIR = "REPRO_BENCH_DIR"
 
 
 def machine_info() -> Dict[str, object]:
     """Fingerprint of the machine a bench ran on."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except Exception:                               # pragma: no cover
-        numpy_version = "unavailable"
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "cpus": os.cpu_count() or 1,
     }
 
@@ -59,8 +48,8 @@ def git_rev(cwd: Optional[str] = None) -> str:
             cwd=cwd, capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except Exception:
-        pass
+    except (OSError, subprocess.SubprocessError):
+        pass        # no git binary, or it hung past the timeout
     return "unknown"
 
 
@@ -149,93 +138,3 @@ def load(path: str) -> Dict[str, object]:
         payload = json.load(fh)
     validate(payload)
     return payload
-
-
-def load_dir(directory: str) -> Dict[str, Dict[str, object]]:
-    """Name -> validated payload for every ``BENCH_*.json`` in
-    ``directory`` (empty when the directory is missing)."""
-    out: Dict[str, Dict[str, object]] = {}
-    if not os.path.isdir(directory):
-        return out
-    for entry in sorted(os.listdir(directory)):
-        if entry.startswith("BENCH_") and entry.endswith(".json"):
-            payload = load(os.path.join(directory, entry))
-            out[str(payload["name"])] = payload
-    return out
-
-
-def compare(results_dir: str, baseline_dir: str,
-            tolerance: float = DEFAULT_TOLERANCE,
-            floor: float = DEFAULT_FLOOR) -> Dict[str, object]:
-    """Diff a results directory against the committed baselines.
-
-    Returns ``{"rows": [...], "regressions": n, "tolerance": t}``;
-    each row carries bench/test names, the two means, their ratio and
-    a status (``ok`` / ``regression`` / ``improvement`` /
-    ``missing-baseline`` / ``missing-current``).  Missing counterparts
-    are reported but never fail the comparison -- new benches enter the
-    trajectory without blocking, retired ones leave the same way.
-    Tests where *both* means sit under ``floor`` seconds are below
-    wall-clock timer noise (a pure-math figure takes ~0.2 ms; a 1.5x
-    "slowdown" there is scheduler jitter, not a regression) and are
-    reported ``ok`` whatever their ratio.
-    """
-    current = load_dir(results_dir)
-    baseline = load_dir(baseline_dir)
-    rows: List[Dict[str, object]] = []
-    regressions = 0
-    for name in sorted(set(current) | set(baseline)):
-        cur_results = current.get(name, {}).get("results", {})
-        base_results = baseline.get(name, {}).get("results", {})
-        for test in sorted(set(cur_results) | set(base_results)):
-            cur = cur_results.get(test)
-            base = base_results.get(test)
-            row: Dict[str, object] = {"bench": name, "test": test}
-            if cur is None:
-                row.update(status="missing-current",
-                           baseline_mean=base["mean"])
-            elif base is None:
-                row.update(status="missing-baseline",
-                           current_mean=cur["mean"])
-            else:
-                ratio = (cur["mean"] / base["mean"]
-                         if base["mean"] > 0 else float("inf"))
-                if cur["mean"] < floor and base["mean"] < floor:
-                    status = "ok"
-                elif ratio > 1.0 + tolerance:
-                    status = "regression"
-                    regressions += 1
-                elif ratio < 1.0 / (1.0 + tolerance):
-                    status = "improvement"
-                else:
-                    status = "ok"
-                row.update(status=status, ratio=ratio,
-                           current_mean=cur["mean"],
-                           baseline_mean=base["mean"])
-            rows.append(row)
-    return {"rows": rows, "regressions": regressions,
-            "tolerance": tolerance}
-
-
-def format_compare(report: Dict[str, object]) -> str:
-    """Text table for a :func:`compare` report."""
-    rows = report["rows"]
-    if not rows:
-        return ("(no bench results found -- run the benchmarks with "
-                "the recorder enabled first)")
-    lines = [f"{'bench':<12} {'test':<42} {'baseline':>10} "
-             f"{'current':>10} {'ratio':>7}  status"]
-    for row in rows:
-        base = row.get("baseline_mean")
-        cur = row.get("current_mean")
-        ratio = row.get("ratio")
-        lines.append(
-            f"{row['bench']:<12} {row['test']:<42} "
-            f"{(f'{base:.4f}' if base is not None else '-'):>10} "
-            f"{(f'{cur:.4f}' if cur is not None else '-'):>10} "
-            f"{(f'{ratio:.2f}x' if ratio is not None else '-'):>7}  "
-            f"{row['status']}")
-    lines.append(
-        f"{report['regressions']} regression(s) at tolerance "
-        f"{report['tolerance']:g}")
-    return "\n".join(lines)

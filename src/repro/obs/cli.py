@@ -1,4 +1,4 @@
-"""``python -m repro obs ...``: report, compare, profile.
+"""``python -m repro obs ...``: report, profile, watch, diagnose.
 
 Kept separate from :mod:`repro.runtime.cli` so the top-level parser
 stays light; heavy imports (engine, serve) happen inside the handlers
@@ -7,10 +7,6 @@ that need them.
 * ``obs report [paths...]`` -- merge trace files/directories into one
   flamegraph-style rollup (``--json`` for machine-readable rows plus
   the attributed-span digest).
-* ``obs compare`` -- diff ``BENCH_*.json`` results against the
-  committed baselines; exits 1 on regression beyond the noise
-  tolerance (the CI ``bench-trajectory`` gate).  ``--update`` copies
-  the current results over the baselines instead.
 * ``obs profile`` -- run one scenario episode under the kernel
   profiler and print the per-kernel cost breakdown.
 * ``obs watch`` -- live fleet health: evaluate an SLO spec against a
@@ -28,6 +24,11 @@ that need them.
 * ``obs slo-compare`` -- canary verdict between two fleet
   checkpoints: exits 3 when the candidate regresses any objective
   beyond the tolerance (the auto-rollback gate).
+
+Every leaf parser names its function with ``set_defaults(handler=...)``
+and the root CLI calls ``args.handler(args)``.  Every JSONL input goes
+through :func:`repro.obs.metrics.read_jsonl`, so a corrupt file is a
+one-line ``path:lineno`` message and exit 2 on every subcommand.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from typing import List, Optional
 
@@ -43,8 +43,8 @@ from typing import List, Optional
 def add_obs_parser(subparsers) -> None:
     """Attach the ``obs`` subcommand tree to the root CLI parser."""
     obs = subparsers.add_parser(
-        "obs", help="observability: trace rollups, perf trajectory, "
-                    "kernel profiles")
+        "obs", help="observability: trace rollups, kernel profiles, "
+                    "SLO health, diagnosis")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     report = obs_sub.add_parser(
@@ -58,31 +58,7 @@ def add_obs_parser(subparsers) -> None:
                         help="show at most N rollup rows")
     report.add_argument("--json", action="store_true",
                         help="emit rollup rows + digest as JSON")
-
-    compare = obs_sub.add_parser(
-        "compare", help="diff BENCH_*.json results against the "
-                        "committed baselines")
-    compare.add_argument(
-        "--results", default=None,
-        help="results directory (default: $REPRO_BENCH_DIR or "
-             ".repro_bench)")
-    compare.add_argument(
-        "--baseline", default=None,
-        help="baseline directory (default: benchmarks/baselines)")
-    compare.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative noise tolerance (default: 0.5 = fail beyond "
-             "1.5x baseline)")
-    compare.add_argument(
-        "--floor", type=float, default=None, metavar="SECONDS",
-        help="means below this never regress -- timer noise "
-             "(default: 0.005)")
-    compare.add_argument("--json", action="store_true",
-                         help="emit the comparison as JSON")
-    compare.add_argument(
-        "--update", action="store_true",
-        help="copy current results over the baselines instead of "
-             "comparing")
+    report.set_defaults(handler=_run_report)
 
     profile = obs_sub.add_parser(
         "profile", help="run one scenario episode under the kernel "
@@ -96,14 +72,11 @@ def add_obs_parser(subparsers) -> None:
                               "(tracemalloc; slow)")
     profile.add_argument("--seed", type=int, default=None)
     profile.add_argument("--json", action="store_true")
+    profile.set_defaults(handler=_run_profile)
 
     watch = obs_sub.add_parser(
         "watch", help="live SLO health dashboard over a fleet "
                       "checkpoint or telemetry exports")
-    watch.add_argument(
-        "--slo", default="default", metavar="SPEC",
-        help="'default' for the stock contract or a tagged-JSON "
-             "SloSpec file")
     watch.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="fleet checkpoint JSONL: full burn-rate evaluation with "
@@ -125,6 +98,7 @@ def add_obs_parser(subparsers) -> None:
     watch.add_argument("--no-clear", action="store_true",
                        dest="no_clear",
                        help="do not clear the terminal between frames")
+    watch.set_defaults(handler=_run_watch)
 
     diagnose = obs_sub.add_parser(
         "diagnose", help="root-cause attribution over a fleet "
@@ -132,10 +106,6 @@ def add_obs_parser(subparsers) -> None:
     diagnose.add_argument(
         "path", help="fleet checkpoint JSONL, or a telemetry JSONL "
                      "export dir/file (auto-detected)")
-    diagnose.add_argument(
-        "--slo", default="default", metavar="SPEC",
-        help="'default' for the stock contract or a tagged-JSON "
-             "SloSpec file")
     diagnose.add_argument(
         "--incident", default=None, metavar="OBJECTIVE",
         help="diagnose only this objective's breach")
@@ -145,6 +115,7 @@ def add_obs_parser(subparsers) -> None:
     diagnose.add_argument("--json", action="store_true",
                           help="emit the tagged DiagnosisReport + "
                                "digest as JSON")
+    diagnose.set_defaults(handler=_run_diagnose)
 
     slo_compare = obs_sub.add_parser(
         "slo-compare", help="canary verdict: compare two fleet "
@@ -154,15 +125,12 @@ def add_obs_parser(subparsers) -> None:
     slo_compare.add_argument("candidate",
                              help="candidate fleet checkpoint JSONL")
     slo_compare.add_argument(
-        "--slo", default="default", metavar="SPEC",
-        help="'default' for the stock contract or a tagged-JSON "
-             "SloSpec file")
-    slo_compare.add_argument(
         "--tolerance", type=float, default=0.10,
         help="relative SLI slack the candidate is allowed "
              "(default: 0.10)")
     slo_compare.add_argument("--json", action="store_true",
                              help="emit the verdict as JSON")
+    slo_compare.set_defaults(handler=_run_slo_compare)
 
     incidents = obs_sub.add_parser(
         "incidents", help="query an incident timeline JSONL")
@@ -177,24 +145,13 @@ def add_obs_parser(subparsers) -> None:
                            help="only this transition kind")
     incidents.add_argument("--json", action="store_true",
                            help="emit records + digest as JSON")
+    incidents.set_defaults(handler=_run_incidents)
 
-
-def run_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "report":
-        return _run_report(args)
-    if args.obs_command == "compare":
-        return _run_compare(args)
-    if args.obs_command == "profile":
-        return _run_profile(args)
-    if args.obs_command == "watch":
-        return _run_watch(args)
-    if args.obs_command == "incidents":
-        return _run_incidents(args)
-    if args.obs_command == "diagnose":
-        return _run_diagnose(args)
-    if args.obs_command == "slo-compare":
-        return _run_slo_compare(args)
-    raise SystemExit(f"unknown obs command {args.obs_command!r}")
+    for judged in (watch, diagnose, slo_compare):
+        judged.add_argument(
+            "--slo", default="default", metavar="SPEC",
+            help="'default' for the stock contract or a tagged-JSON "
+                 "SloSpec file")
 
 
 def load_slo_spec(value: Optional[str]):
@@ -243,7 +200,11 @@ def _run_report(args: argparse.Namespace) -> int:
         print(f"no trace data at: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    rollup = read_rollup(paths)
+    try:
+        rollup = read_rollup(paths)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read trace data: {exc}", file=sys.stderr)
+        return 2
     if not rollup:
         print(f"no trace spans under: {', '.join(paths)} (run with "
               "REPRO_TRACE_DIR set or 'fleet run --trace-dir' first)",
@@ -257,48 +218,6 @@ def _run_report(args: argparse.Namespace) -> int:
         print(format_rollup(rollup, limit=args.limit))
         print(f"\nattributed-span digest: {digest}")
     return 0
-
-
-def _run_compare(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    results = args.results or os.environ.get(
-        bench.ENV_BENCH_DIR) or bench.DEFAULT_RESULTS_DIR
-    baseline = args.baseline or bench.DEFAULT_BASELINE_DIR
-    if args.update:
-        try:
-            current = bench.load_dir(results)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read bench results: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not current:
-            print(f"no BENCH_*.json under {results}", file=sys.stderr)
-            return 2
-        os.makedirs(baseline, exist_ok=True)
-        for name in sorted(current):
-            src = bench.bench_path(results, name)
-            dst = bench.bench_path(baseline, name)
-            shutil.copyfile(src, dst)
-            print(f"baseline updated: {dst}")
-        return 0
-    tolerance = (bench.DEFAULT_TOLERANCE
-                 if args.tolerance is None else args.tolerance)
-    floor = (bench.DEFAULT_FLOOR
-             if args.floor is None else args.floor)
-    try:
-        report = bench.compare(results, baseline, tolerance=tolerance,
-                               floor=floor)
-    except (OSError, ValueError) as exc:
-        # a corrupt/truncated BENCH_*.json or baseline file must not
-        # traceback out of a CI gate
-        print(f"cannot compare bench results: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(bench.format_compare(report))
-    return 1 if report["regressions"] else 0
 
 
 def _run_profile(args: argparse.Namespace) -> int:
@@ -337,34 +256,65 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_checkpoint(path: str):
+    """Load a fleet checkpoint (raises ``OSError`` / ``ValueError`` on
+    unreadable or corrupt files).  One with a hole gets a stderr
+    note, as ``fleet report`` gives partial files."""
+    from repro.fleet import load_checkpoint
+
+    checkpoint = load_checkpoint(path)
+    waiting_for = 0
+    while waiting_for in checkpoint.results:
+        waiting_for += 1
+    held = len(checkpoint.results) - waiting_for
+    if held:
+        print(f"note: {path}: {held} shard(s) held back waiting for "
+              f"shard {waiting_for}; only the contiguous prefix is "
+              "judged, as the live run judged it (finish with 'fleet "
+              "run --resume')", file=sys.stderr)
+    return checkpoint
+
+
+def _read_exports(path: str):
+    """Telemetry export rows under ``path``, or ``None`` after a
+    one-line stderr message."""
+    from repro.obs.monitor import read_telemetry_export
+
+    try:
+        rows = read_telemetry_export(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read telemetry exports: {exc}", file=sys.stderr)
+        return None
+    if not rows:
+        print(f"no telemetry exports under {path!r} "
+              "(run serve/loadgen with --telemetry-dir first)",
+              file=sys.stderr)
+    return rows or None
+
+
 def _render_watch_frame(args: argparse.Namespace, spec) -> int:
     """One ``obs watch`` frame; returns the would-be exit code."""
     from repro.obs import monitor
 
     if args.checkpoint is not None:
-        from repro.fleet import load_checkpoint
         from repro.obs.anomaly import AnomalyMonitor
         from repro.obs.diagnose import replay_shards
 
         try:
-            checkpoint = load_checkpoint(args.checkpoint)
-        except OSError as exc:
+            checkpoint = _load_checkpoint(args.checkpoint)
+        except (OSError, ValueError) as exc:
             print(f"cannot read checkpoint: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        state = replay_shards(checkpoint.results.values(), slo=spec,
-                              monitor=AnomalyMonitor())
-        evaluator = state.evaluator
-        anomalies = state.monitor.anomalies()
+        replay = replay_shards(checkpoint.results.values(), slo=spec,
+                               monitor=AnomalyMonitor())
+        anomalies = replay.monitor.anomalies()
         if args.json:
             print(json.dumps(monitor.frame_payload(
-                evaluator, anomalies=anomalies), indent=2))
+                replay.evaluator, anomalies=anomalies), indent=2))
         else:
             print(monitor.render_frame(
                 f"fleet health -- {args.checkpoint} "
-                f"[slo {spec.name}]", evaluator,
+                f"[slo {spec.name}]", replay.evaluator,
                 anomalies=anomalies))
         return 0
     if not os.path.exists(args.telemetry_dir):
@@ -372,19 +322,8 @@ def _render_watch_frame(args: argparse.Namespace, spec) -> int:
               "(run serve/loadgen with --telemetry-dir first)",
               file=sys.stderr)
         return 2
-    try:
-        rows = monitor.read_telemetry_export(args.telemetry_dir)
-    except OSError as exc:
-        print(f"cannot read telemetry exports: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"malformed telemetry export under "
-              f"{args.telemetry_dir!r}: {exc}", file=sys.stderr)
-        return 2
-    if not rows:
-        print(f"no telemetry exports under {args.telemetry_dir!r} "
-              "(run serve/loadgen with --telemetry-dir first)",
-              file=sys.stderr)
+    rows = _read_exports(args.telemetry_dir)
+    if rows is None:
         return 2
     if args.json:
         statuses = monitor.point_statuses(spec, rows)
@@ -429,7 +368,7 @@ def _run_incidents(args: argparse.Namespace) -> int:
 
     try:
         timeline = IncidentTimeline.load(args.path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read incident timeline: {exc}", file=sys.stderr)
         return 2
     kept = [record for record in timeline.records
@@ -442,9 +381,7 @@ def _run_incidents(args: argparse.Namespace) -> int:
         print(json.dumps({"digest": timeline.digest(),
                           "records": kept}, indent=2))
         return 0
-    print(format_incidents(timeline.records,
-                           objective=args.objective,
-                           severity=args.severity, event=args.event))
+    print(format_incidents(kept))
     print(f"\n{len(kept)}/{len(timeline.records)} record(s), "
           f"timeline digest {timeline.digest()[:16]}")
     return 0
@@ -466,7 +403,6 @@ def _filter_report(report, objective: str):
 
 
 def _run_diagnose(args: argparse.Namespace) -> int:
-    from repro.obs import monitor
     from repro.obs.diagnose import (diagnose_fleet, diagnose_telemetry,
                                     format_report)
 
@@ -478,15 +414,15 @@ def _run_diagnose(args: argparse.Namespace) -> int:
         return 2
     report = None
     if not os.path.isdir(args.path):
-        from repro.fleet import load_checkpoint
-
         try:
-            checkpoint = load_checkpoint(args.path)
+            checkpoint = _load_checkpoint(args.path)
         except OSError as exc:
             print(f"cannot read {args.path!r}: {exc}", file=sys.stderr)
             return 2
         except ValueError:
-            checkpoint = None       # not a checkpoint: telemetry file
+            # not a checkpoint: a telemetry file (a corrupt line
+            # fails the same way again just below)
+            checkpoint = None
         if checkpoint is not None:
             report = diagnose_fleet(
                 checkpoint.results.values(), spec,
@@ -494,16 +430,8 @@ def _run_diagnose(args: argparse.Namespace) -> int:
                 snapshot_ref=checkpoint.snapshot_ref,
                 snapshot_digest=checkpoint.snapshot_digest)
     if report is None:
-        try:
-            rows = monitor.read_telemetry_export(args.path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read telemetry exports: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not rows:
-            print(f"no telemetry exports under {args.path!r} "
-                  "(run serve/loadgen with --telemetry-dir first)",
-                  file=sys.stderr)
+        rows = _read_exports(args.path)
+        if rows is None:
             return 2
         report = diagnose_telemetry(rows, spec, label=args.path)
     if args.incident is not None:
@@ -526,7 +454,6 @@ def _run_diagnose(args: argparse.Namespace) -> int:
 
 
 def _run_slo_compare(args: argparse.Namespace) -> int:
-    from repro.fleet import load_checkpoint
     from repro.obs.diagnose import replay_shards
     from repro.obs.slo import SloEvaluator
 
@@ -535,16 +462,12 @@ def _run_slo_compare(args: argparse.Namespace) -> int:
     for role, path in (("incumbent", args.incumbent),
                        ("candidate", args.candidate)):
         try:
-            checkpoint = load_checkpoint(path)
-        except OSError as exc:
+            registries.append(replay_shards(
+                _load_checkpoint(path).results.values()).telemetry)
+        except (OSError, ValueError) as exc:
             print(f"cannot read {role} checkpoint: {exc}",
                   file=sys.stderr)
             return 2
-        except ValueError as exc:
-            print(f"{role}: {exc}", file=sys.stderr)
-            return 2
-        registries.append(
-            replay_shards(checkpoint.results.values()).telemetry)
     verdict = SloEvaluator(spec).compare(
         registries[0], registries[1], tolerance=args.tolerance)
     if args.json:

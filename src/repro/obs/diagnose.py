@@ -28,9 +28,9 @@ Determinism contract
 Layering: this module is part of :mod:`repro.obs` (stdlib + numpy
 only) and therefore never imports :mod:`repro.fleet`.  Shard results
 are duck-typed (``.shard`` / ``.cells`` / ``.telemetry()`` /
-``.events``); the fleet coordinator imports :func:`worst_cells`,
-:func:`make_event_hook` and :func:`replay_shards` *from here*, and
-the tagged-JSON registration of the report dataclasses lives in
+``.events``); the fleet coordinator drives its live SLO evaluation
+through :class:`ShardReplay` *from here*, and the tagged-JSON
+registration of the report dataclasses lives in
 :mod:`repro.runtime.serialization`, both downward imports.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.anomaly import AnomalyMonitor, DetectorSpec
@@ -200,56 +200,74 @@ def make_event_hook(events_by_scenario: Dict[str, Sequence[Dict]]):
     return hook
 
 
-@dataclass
-class ReplayState:
-    """Everything a prefix-ordered shard replay accumulated."""
+class ShardReplay:
+    """Incremental shard-order replay: the one driver behind the live
+    coordinator and every offline checkpoint reader.
 
-    telemetry: Telemetry
-    cells: List
-    events: Dict[str, Tuple[Dict, ...]]
-    evaluator: Optional[SloEvaluator] = None
-    monitor: Optional[AnomalyMonitor] = None
+    Shard *completion* order is nondeterministic (``as_completed``
+    over a process pool), so :meth:`offer` holds a result back until
+    every lower shard index has arrived and evaluates only the
+    contiguous prefix: shard k's evaluation point is the cumulative
+    merge of shards 0..k at logical time ``k + 1``, with worst-cell
+    attribution plus the event-window hook.  Evaluating across a hole
+    would hand time ``k + 1`` a registry no uninterrupted run ever
+    merged, so a killed run's checkpoint replays to exactly what the
+    live run judged -- a prefix of the complete run's timeline -- and
+    the incident timeline (and its digest) is a pure function of the
+    campaign.  ``results`` rows are duck-typed (``.shard`` /
+    ``.cells`` / ``.telemetry()`` / optional ``.events``);
+    pre-event-capture checkpoints simply contribute no event rows.
+    """
+
+    def __init__(self, slo: Optional[SloSpec] = None,
+                 timeline: Optional[IncidentTimeline] = None,
+                 monitor: Optional[AnomalyMonitor] = None) -> None:
+        self.telemetry = Telemetry()
+        self.cells: List = []
+        self.events: Dict[str, Tuple[Dict, ...]] = {}
+        self.monitor = monitor
+        self.evaluator = None if slo is None else SloEvaluator(
+            slo, timeline=timeline,
+            attribution_hook=make_event_hook(self.events))
+        #: Offered shards waiting for shard ``next_shard`` to land.
+        self.held: Dict[int, object] = {}
+        self.next_shard = 0
+
+    def offer(self, result) -> List[Dict]:
+        """Take one completed shard; evaluate whatever prefix is now
+        contiguous and return the incident records that emitted."""
+        self.held[result.shard] = result
+        emitted: List[Dict] = []
+        while self.next_shard in self.held:
+            shard = self.held.pop(self.next_shard)
+            self.next_shard += 1
+            self.telemetry.merge(shard.telemetry())
+            self.cells.extend(shard.cells)
+            for name, rows in getattr(shard, "events", {}).items():
+                self.events.setdefault(
+                    name, tuple(dict(row) for row in rows))
+            at = float(self.next_shard)
+            if self.evaluator is not None:
+                emitted.extend(self.evaluator.observe(
+                    self.telemetry, at,
+                    attribution=worst_cells(self.cells)))
+            if self.monitor is not None:
+                self.monitor.observe(self.telemetry, at)
+        return emitted
 
 
 def replay_shards(results: Iterable,
                   slo: Optional[SloSpec] = None,
                   timeline: Optional[IncidentTimeline] = None,
                   monitor: Optional[AnomalyMonitor] = None
-                  ) -> ReplayState:
-    """Stream shard results through SLO / anomaly evaluation.
-
-    The offline twin of the coordinator's live ``_SloDriver``: shards
-    merge strictly in shard-index order, shard k evaluating at logical
-    time ``k + 1`` with worst-cell attribution plus the event-window
-    hook -- so a checkpoint replay reproduces the live run's timeline
-    (and digest) bit for bit.  ``results`` rows are duck-typed
-    (``.shard`` / ``.cells`` / ``.telemetry()`` / optional
-    ``.events``); pre-event-capture checkpoints simply contribute no
-    event rows.
-    """
-    ordered = sorted(results, key=lambda result: result.shard)
-    events: Dict[str, Tuple[Dict, ...]] = {}
-    evaluator = None
-    if slo is not None:
-        evaluator = SloEvaluator(slo, timeline=timeline,
-                                 attribution_hook=make_event_hook(
-                                     events))
-    telemetry = Telemetry()
-    cells: List = []
-    for index, result in enumerate(ordered):
-        telemetry.merge(result.telemetry())
-        cells.extend(result.cells)
-        for name, rows in getattr(result, "events", {}).items():
-            events.setdefault(
-                name, tuple(dict(row) for row in rows))
-        at = float(index + 1)
-        if evaluator is not None:
-            evaluator.observe(telemetry, at,
-                              attribution=worst_cells(cells))
-        if monitor is not None:
-            monitor.observe(telemetry, at)
-    return ReplayState(telemetry=telemetry, cells=cells, events=events,
-                       evaluator=evaluator, monitor=monitor)
+                  ) -> ShardReplay:
+    """Offer every result (any order) to a fresh :class:`ShardReplay`
+    and return it -- the offline form of what ``run_fleet`` does
+    live."""
+    replay = ShardReplay(slo, timeline=timeline, monitor=monitor)
+    for result in results:
+        replay.offer(result)
+    return replay
 
 
 # ---- judging the final state -----------------------------------------
@@ -265,16 +283,10 @@ def final_incidents(spec: SloSpec, telemetry: Telemetry) -> List[Dict]:
     """
     rows: List[Dict] = []
     for objective in spec.objectives:
-        num, den = SloEvaluator._cumulative(objective, telemetry)
-        if den <= 0:
-            continue
-        sli = num / den
+        sli = objective.series().overall(telemetry)
         burn = sli / objective.allowance
-        if burn >= objective.page_burn:
-            severity = "page"
-        elif burn >= objective.warn_burn:
-            severity = "warn"
-        else:
+        severity = objective.severity(burn, burn)
+        if severity is None:        # healthy, or no traffic at all
             continue
         rows.append({"objective": objective.name,
                      "kind": objective.kind,
@@ -437,35 +449,33 @@ def _snapshot_hypothesis(incident: Dict, telemetry: Telemetry,
                       label=label, score=score, evidence=evidence)
 
 
-def _stage_hypothesis(incident: Dict, telemetry: Telemetry
+def _stage_hypothesis(incident: Dict, rows: Sequence[Dict]
                       ) -> Optional[Hypothesis]:
     """The serve-path explanation: where decision wall time goes.
 
-    Stage means are wall-clock, so they ride in each row's ``"wall"``
-    sub-dict and the score is a fixed low prior -- the serve path
-    cannot move the *simulated* latency SLIs, it can only corroborate.
+    ``rows`` are ``stage`` evidence rows; their means are wall-clock,
+    so they ride in each row's ``"wall"`` sub-dict and the score is a
+    fixed low prior -- the serve path cannot move the *simulated*
+    latency SLIs, it can only corroborate.
     """
-    if incident["kind"] not in ("latency", "mean"):
-        return None
-    histograms = telemetry.histograms()
-    rows: List[Dict] = []
-    for key in sorted(histograms):
-        if not (key.startswith("stage_") and key.endswith("_ms")):
-            continue
-        histogram = histograms[key]
-        rows.append({
-            "kind": "stage",
-            "stage": key[len("stage_"):-len("_ms")],
-            "count": histogram.count,
-            "wall": {"mean_ms": histogram.mean,
-                     "total_ms": histogram.total},
-        })
-    if not rows:
+    if not rows or incident["kind"] not in ("latency", "mean"):
         return None
     label = ("stage:serve-path latency profile (wall-clock evidence) "
              f"-> {incident['instrument']} {incident['severity']}")
     return Hypothesis(incident=incident["objective"], kind="stage",
                       label=label, score=0.25, evidence=tuple(rows))
+
+
+def _stage_rows(telemetry: Telemetry) -> List[Dict]:
+    """Stage evidence from the merged ``stage_<name>_ms`` histograms."""
+    histograms = telemetry.histograms()
+    return [{"kind": "stage",
+             "stage": key[len("stage_"):-len("_ms")],
+             "count": histograms[key].count,
+             "wall": {"mean_ms": histograms[key].mean,
+                      "total_ms": histograms[key].total}}
+            for key in sorted(histograms)
+            if key.startswith("stage_") and key.endswith("_ms")]
 
 
 def rank_hypotheses(hypotheses: Iterable[Hypothesis]
@@ -499,21 +509,18 @@ def diagnose_fleet(results: Iterable,
     state = replay_shards(results, slo=slo, monitor=monitor)
     telemetry = state.telemetry
     incidents = final_incidents(slo, telemetry)
+    stage_rows = _stage_rows(telemetry)
     hypotheses: List[Hypothesis] = []
     for incident in incidents:
         hypotheses.extend(_event_hypotheses(
             incident, state.cells, state.events, telemetry))
-        for build in (_fallback_hypothesis,):
-            hypothesis = build(incident, telemetry)
-            if hypothesis is not None:
-                hypotheses.append(hypothesis)
-        hypothesis = _snapshot_hypothesis(
-            incident, telemetry, snapshot_ref, snapshot_digest)
-        if hypothesis is not None:
-            hypotheses.append(hypothesis)
-        hypothesis = _stage_hypothesis(incident, telemetry)
-        if hypothesis is not None:
-            hypotheses.append(hypothesis)
+        hypotheses.extend(
+            hypothesis for hypothesis in (
+                _fallback_hypothesis(incident, telemetry),
+                _snapshot_hypothesis(incident, telemetry,
+                                     snapshot_ref, snapshot_digest),
+                _stage_hypothesis(incident, stage_rows))
+            if hypothesis is not None)
     event_rows = tuple(
         {"scenario": scenario, **dict(row)}
         for scenario in sorted(state.events)
@@ -544,14 +551,9 @@ def diagnose_telemetry(rows: Sequence[Dict], slo: SloSpec,
     (:func:`repro.obs.monitor.point_statuses`) and hypotheses from the
     counter taxonomy alone.
     """
-    from repro.obs.monitor import point_statuses
+    from repro.obs.monitor import export_registry, point_statuses
 
-    telemetry = Telemetry()
-    for row in rows:
-        if row.get("type") == "counter":
-            telemetry.counter(str(row.get("metric", "")),
-                              row.get("labels")).inc(
-                float(row.get("value", 0.0)))
+    telemetry, _ = export_registry(rows)
     incidents: List[Dict] = []
     for status in point_statuses(slo, rows):
         if status.severity is None:
@@ -564,29 +566,22 @@ def diagnose_telemetry(rows: Sequence[Dict], slo: SloSpec,
             "burn": round(status.burn_fast, 9),
             "value": round(status.value, 9),
         })
-    hypotheses: List[Hypothesis] = []
-    for incident in incidents:
-        hypothesis = _fallback_hypothesis(incident, telemetry)
-        if hypothesis is not None:
-            hypotheses.append(hypothesis)
-        stage_rows = [
-            {"kind": "stage",
-             "stage": str(row["metric"])[len("stage_"):-len("_ms")],
-             "count": int(row.get("count", 0)),
-             "wall": {"mean_ms": float(row.get("mean", 0.0))}}
-            for row in rows
-            if row.get("type") == "histogram"
-            and str(row.get("metric", "")).startswith("stage_")
-            and str(row.get("metric", "")).endswith("_ms")
-            and not row.get("labels")
-        ]
-        if stage_rows and incident["kind"] in ("latency", "mean"):
-            hypotheses.append(Hypothesis(
-                incident=incident["objective"], kind="stage",
-                label=("stage:serve-path latency profile (wall-clock "
-                       f"evidence) -> {incident['instrument']} "
-                       f"{incident['severity']}"),
-                score=0.25, evidence=tuple(stage_rows)))
+    stage_rows = [
+        {"kind": "stage",
+         "stage": str(row["metric"])[len("stage_"):-len("_ms")],
+         "count": int(row.get("count", 0)),
+         "wall": {"mean_ms": float(row.get("mean", 0.0))}}
+        for row in rows
+        if row.get("type") == "histogram"
+        and str(row.get("metric", "")).startswith("stage_")
+        and str(row.get("metric", "")).endswith("_ms")
+        and not row.get("labels")
+    ]
+    hypotheses = [
+        hypothesis for incident in incidents for hypothesis in (
+            _fallback_hypothesis(incident, telemetry),
+            _stage_hypothesis(incident, stage_rows))
+        if hypothesis is not None]
     return DiagnosisReport(
         fleet=label,
         slo=slo.name,

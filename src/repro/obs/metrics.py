@@ -1,13 +1,12 @@
 """Unified metrics registry: counters, gauges, histograms, exporters.
 
-This module is the general home of what started life as serve-side
-telemetry (``repro.serve.telemetry`` remains as a re-export shim, so
-snapshot keys, checkpoint states and fleet merge semantics are
-unchanged).  A :class:`Telemetry` registry hands out named
-:class:`Counter`, :class:`Gauge` and :class:`Histogram` instruments --
-optionally *labeled* with a small ``{key: value}`` dict, Prometheus
-style -- and exports them as JSONL (one JSON object per instrument)
-or Prometheus text exposition format.
+A :class:`Telemetry` registry hands out named :class:`Counter`,
+:class:`Gauge` and :class:`Histogram` instruments -- optionally
+*labeled* with a small ``{key: value}`` dict, Prometheus style -- and
+exports them as JSONL (one JSON object per instrument) or Prometheus
+text exposition format.  :func:`read_jsonl` is the one reader behind
+every JSONL surface of the repo, and :class:`WindowedSeries` the one
+cumulative-window primitive the SLO and anomaly layers judge with.
 
 Every instrument is *mergeable*: a fleet shard aggregates its cells'
 telemetry locally, ships a compact serialisable state to the
@@ -28,11 +27,14 @@ against a shared clock.
 
 from __future__ import annotations
 
+import bisect
 import json
+import operator
 import os
 import re
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -572,3 +574,143 @@ class Telemetry:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.export_prometheus())
         return path
+
+
+def jsonl_files(paths: Sequence[str]) -> List[str]:
+    """Each path itself, or for a directory its ``*.jsonl`` files in
+    name order."""
+    files: List[str] = []
+    for path in paths:
+        if os.path.isdir(path):
+            files.extend(sorted(
+                os.path.join(path, name)
+                for name in os.listdir(path)
+                if name.endswith(".jsonl")))
+        else:
+            files.append(path)
+    return files
+
+
+def read_jsonl(path: str) -> List[Dict]:
+    """The object rows of one JSONL file, blank lines skipped.
+
+    One policy for checkpoints, incident timelines, telemetry exports
+    and trace files: an undecodable *final* line is the signature of a
+    writer killed mid-append, so the rows before it stand; an
+    undecodable (or non-object) line anywhere earlier is corruption
+    and raises ``ValueError`` naming ``path:lineno``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    rows: List[Dict] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            if lineno == len(lines):
+                break
+            raise ValueError(f"{path}:{lineno}: undecodable JSONL "
+                             f"row ({exc})") from None
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}:{lineno}: JSONL row is not an "
+                             "object")
+        rows.append(row)
+    return rows
+
+
+_sample_at = operator.itemgetter(0)
+
+
+class WindowedSeries:
+    """Cumulative ``(at, numerator, denominator)`` ring over one
+    instrument reading of a growing :class:`Telemetry` registry.
+
+    reading="latency"
+        ``instrument`` names a histogram: observations above
+        ``threshold`` over all observations.
+    reading="mean"
+        ``instrument`` names a histogram: sum over count.
+    reading="ratio"
+        ``instrument`` / ``total`` name counters.
+    reading="rate"
+        ``instrument`` names a counter; the denominator is the
+        caller's ``at`` axis itself.
+
+    Counters and histograms only ever grow (and fleet prefixes merge
+    monotonically), so a windowed value is a delta ratio against the
+    newest sample at or before the window start -- the zero origin
+    before any sample.  ``horizon`` is the longest window a caller
+    will ask for; older samples are dropped, keeping one anchor at or
+    before every reachable window start.
+    """
+
+    def __init__(self, label: str, reading: str, instrument: str,
+                 total: str = "", threshold: float = 0.0,
+                 horizon: float = 0.0) -> None:
+        #: Names the owner in the monotonic-``at`` error.
+        self.label = label
+        self.reading = reading
+        self.instrument = instrument
+        self.total = total
+        self.threshold = threshold
+        self.horizon = horizon
+        self._samples: List[Tuple[float, float, float]] = []
+
+    def _cumulative(self, telemetry: "Telemetry"
+                    ) -> Tuple[float, float]:
+        """(numerator, denominator) running totals; the ``rate``
+        denominator is filled in by :meth:`push`."""
+        if self.reading in ("latency", "mean"):
+            histogram = telemetry.find_histogram(self.instrument)
+            if histogram is None:
+                return 0.0, 0.0
+            if self.reading == "latency":
+                return (histogram.count_over(self.threshold),
+                        float(histogram.count))
+            return float(histogram.total), float(histogram.count)
+        numerator = telemetry.find_counter(self.instrument)
+        total = telemetry.find_counter(self.total)
+        return (numerator.value if numerator is not None else 0.0,
+                total.value if total is not None else 0.0)
+
+    def overall(self, telemetry: "Telemetry") -> float:
+        """The whole-registry value (no windowing, nothing stored)."""
+        num, den = self._cumulative(telemetry)
+        return num / den if den > 0 else 0.0
+
+    def push(self, telemetry: "Telemetry", at: float) -> None:
+        """Sample the registry at logical time ``at`` (strictly after
+        the previous sample)."""
+        samples = self._samples
+        if samples and at <= samples[-1][0]:
+            raise ValueError(
+                f"observation at {at} is not after the previous "
+                f"sample at {samples[-1][0]} ({self.label})")
+        num, den = self._cumulative(telemetry)
+        samples.append((at, num, at if self.reading == "rate" else den))
+        keep = bisect.bisect_right(samples, at - self.horizon,
+                                   hi=len(samples) - 1,
+                                   key=_sample_at) - 1
+        if keep > 0:
+            del samples[:keep]
+
+    def rate(self, window: float, idle: float = 0.0) -> float:
+        """Delta ratio of the newest sample against the newest earlier
+        sample at or before ``at - window``; ``idle`` when the
+        denominator did not move."""
+        samples = self._samples
+        at, num, den = samples[-1]
+        index = bisect.bisect_right(samples, at - window,
+                                    hi=len(samples) - 1,
+                                    key=_sample_at)
+        anchor_num = anchor_den = 0.0
+        if index > 0:
+            _, anchor_num, anchor_den = samples[index - 1]
+        delta_den = den - anchor_den
+        if delta_den <= 0:
+            return idle
+        return (num - anchor_num) / delta_den

@@ -18,10 +18,10 @@ data, return strings -- so tests can pin frames without a terminal.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import (Histogram, Telemetry, instrument_key,
+                               jsonl_files, read_jsonl)
 from repro.obs.slo import (IncidentTimeline, ObjectiveStatus,
                            SloEvaluator, SloSpec)
 
@@ -64,6 +64,20 @@ def format_statuses(statuses: Sequence[ObjectiveStatus]) -> str:
     return "\n".join(lines)
 
 
+def _format_attribution(record: Dict, cell: str) -> str:
+    """Cell rows (worst offenders, first three) and injected-event
+    rows (the diagnosis hook) share the attribution list; render each
+    in its own idiom."""
+    rows = record.get("attribution", [])
+    parts = [cell.format(cell=row["cell"],
+                         scenario=row.get("scenario"))
+             for row in rows if "cell" in row][:3]
+    parts.extend(f"{row['event']}@slots "
+                 f"{row['start_slot']}-{row['end_slot']}"
+                 for row in rows if "event" in row)
+    return ", ".join(parts)
+
+
 def format_open_incidents(timeline: IncidentTimeline) -> str:
     open_incidents = timeline.open_incidents()
     if not open_incidents:
@@ -71,17 +85,8 @@ def format_open_incidents(timeline: IncidentTimeline) -> str:
     lines = [f"{len(open_incidents)} open incident(s):"]
     for name in sorted(open_incidents):
         record = open_incidents[name]
-        rows = record.get("attribution", [])
-        # cell rows (worst offenders) and injected-event rows (the
-        # diagnosis hook) share the attribution list; render each in
-        # its own idiom
-        parts = [f"cell {row.get('cell')} ({row.get('scenario')})"
-                 for row in rows if "cell" in row][:3]
-        parts.extend(
-            f"{row['event']}@slots "
-            f"{row['start_slot']}-{row['end_slot']}"
-            for row in rows if "event" in row)
-        attribution = ", ".join(parts)
+        attribution = _format_attribution(
+            record, "cell {cell} ({scenario})")
         lines.append(
             f"  [{record['severity']}] {record['incident']} "
             f"since t={record['at']:g} "
@@ -153,28 +158,32 @@ def frame_payload(evaluator: SloEvaluator,
 def read_telemetry_export(path: str) -> List[Dict]:
     """Rows of every instrument-export ``*.jsonl`` under ``path``
     (a file works too).  Prometheus ``.prom`` siblings are ignored."""
-    files: List[str] = []
-    if os.path.isdir(path):
-        files = sorted(os.path.join(path, name)
-                       for name in os.listdir(path)
-                       if name.endswith(".jsonl"))
-    else:
-        files = [path]
-    rows: List[Dict] = []
-    for file_path in files:
-        with open(file_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-    return rows
+    return [row for file_path in jsonl_files([path])
+            for row in read_jsonl(file_path)]
 
 
-def _export_key(row: Dict) -> str:
-    from repro.obs.metrics import instrument_key
-
-    return instrument_key(str(row.get("metric", "")),
-                          row.get("labels"))
+def export_registry(rows: Sequence[Dict]
+                    ) -> Tuple[Telemetry, Dict[str, Dict]]:
+    """Exported rows as a registry the SLO readings understand, plus
+    the newest histogram row per key: counters are summed, histograms
+    carry each newest row's count / sum totals (exported percentiles
+    are not mergeable and stay on the rows)."""
+    telemetry = Telemetry()
+    newest: Dict[str, Dict] = {}
+    for row in rows:
+        name, labels = str(row.get("metric", "")), row.get("labels")
+        if row.get("type") == "counter":
+            telemetry.counter(name, labels).inc(
+                float(row.get("value", 0.0)))
+        elif row.get("type") == "histogram":
+            newest[instrument_key(name, labels)] = row
+    for row in newest.values():
+        telemetry.adopt(Histogram.from_state({
+            "name": str(row.get("metric", "")),
+            "labels": row.get("labels"),
+            "count": row.get("count", 0), "sum": row.get("sum", 0.0),
+            "samples": []}))
+    return telemetry, newest
 
 
 def point_statuses(spec: SloSpec, rows: Sequence[Dict]
@@ -188,21 +197,13 @@ def point_statuses(spec: SloSpec, rows: Sequence[Dict]
     percentile nearest the objective's (p50/p90/p99 are exported)
     and report ``value / budget`` as the burn.
     """
-    counters: Dict[str, float] = {}
-    histograms: Dict[str, Dict] = {}
-    for row in rows:
-        key = _export_key(row)
-        if row.get("type") == "counter":
-            counters[key] = counters.get(key, 0.0) \
-                + float(row.get("value", 0.0))
-        elif row.get("type") == "histogram":
-            histograms[key] = row
+    telemetry, histogram_rows = export_registry(rows)
     statuses: List[ObjectiveStatus] = []
     for objective in spec.objectives:
         value = 0.0
         burn = 0.0
         if objective.kind == "latency":
-            row = histograms.get(objective.instrument)
+            row = histogram_rows.get(objective.instrument)
             if row is not None:
                 exported = [float(p[1:]) for p in row
                             if p.startswith("p") and p[1:]
@@ -214,22 +215,11 @@ def point_statuses(spec: SloSpec, rows: Sequence[Dict]
                     value = float(row[f"p{nearest:g}"])
                     burn = value / objective.budget_ms
         else:
-            numerator = counters.get(objective.instrument, 0.0)
-            if objective.kind == "mean" and not objective.total:
-                row = histograms.get(objective.instrument)
-                if row is not None and row.get("count"):
-                    value = float(row["sum"]) / float(row["count"])
-            else:
-                denominator = counters.get(objective.total, 0.0)
-                value = numerator / denominator if denominator else 0.0
+            value = objective.series().overall(telemetry)
             burn = value / objective.allowance
-        severity = None
-        if burn >= objective.page_burn:
-            severity = "page"
-        elif burn >= objective.warn_burn:
-            severity = "warn"
         statuses.append(ObjectiveStatus(
-            objective=objective, severity=severity,
+            objective=objective,
+            severity=objective.severity(burn, burn),
             burn_fast=burn, burn_slow=burn, value=value,
             history=[burn]))
     return statuses
@@ -250,32 +240,17 @@ def render_point_frame(title: str, spec: SloSpec,
 
 # ---- incident timeline formatting ------------------------------------
 
-def format_incidents(records: Sequence[Dict],
-                     objective: Optional[str] = None,
-                     severity: Optional[str] = None,
-                     event: Optional[str] = None) -> str:
-    """Text table over (optionally filtered) timeline records."""
-    kept = [r for r in records
-            if (objective is None or r["objective"] == objective)
-            and (severity is None or r["severity"] == severity)
-            and (event is None or r["event"] == event)]
-    if not kept:
+def format_incidents(records: Sequence[Dict]) -> str:
+    """Text table over timeline records."""
+    if not records:
         return "(no matching incident records)"
     lines = [f"{'seq':>4} {'t':>8} {'event':<8} {'sev':<5} "
              f"{'incident':<26} {'burn f/s':>13}  attribution"]
-    for record in kept:
-        rows = record.get("attribution", [])
-        parts = [f"cell {row.get('cell')}:{row.get('scenario')}"
-                 for row in rows if "cell" in row][:3]
-        parts.extend(
-            f"{row['event']}@slots "
-            f"{row['start_slot']}-{row['end_slot']}"
-            for row in rows if "event" in row)
-        attribution = ", ".join(parts)
+    for record in records:
         lines.append(
             f"{record['seq']:>4} {record['at']:>8g} "
             f"{record['event']:<8} {str(record['severity']):<5} "
             f"{str(record['incident']):<26} "
             f"{record['burn_fast']:>6.1f}/{record['burn_slow']:<6.1f}"
-            f"  {attribution}")
+            f"  {_format_attribution(record, 'cell {cell}:{scenario}')}")
     return "\n".join(lines)

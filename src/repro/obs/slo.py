@@ -48,16 +48,14 @@ registration of its dataclasses lives in
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
-import operator
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Telemetry
+from repro.obs.metrics import Telemetry, WindowedSeries, read_jsonl
 
 TIMELINE_FORMAT = 1
 
@@ -71,8 +69,6 @@ DEFAULT_WARN_BURN = 6.0
 
 #: Burn-history samples kept per objective for sparkline rendering.
 HISTORY_LIMIT = 120
-
-_sample_at = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,28 @@ class SloObjective:
         if self.kind == "latency":
             return (100.0 - self.percentile) / 100.0
         return self.ceiling
+
+    def series(self) -> WindowedSeries:
+        """The windowed reading this objective is judged on (a mean
+        over counters reads like a ratio)."""
+        counters = self.kind != "latency" and self.total
+        return WindowedSeries(
+            f"objective {self.name!r}",
+            "ratio" if counters else self.kind, self.instrument,
+            total=self.total, threshold=self.budget_ms,
+            horizon=self.slow_window)
+
+    def severity(self, burn_fast: float, burn_slow: float
+                 ) -> Optional[str]:
+        """``"page"`` / ``"warn"`` when *both* burns reach the
+        threshold, else ``None`` (point-in-time callers pass the one
+        burn twice)."""
+        floor = min(burn_fast, burn_slow)
+        if floor >= self.page_burn:
+            return "page"
+        if floor >= self.warn_burn:
+            return "warn"
+        return None
 
 
 @dataclass(frozen=True)
@@ -273,22 +291,11 @@ class IncidentTimeline:
              clock: Callable[[], float] = time.time
              ) -> "IncidentTimeline":
         """Parse a timeline file; ``append=True`` keeps it open for
-        further records (the evaluator-restart path).  Tolerates a
-        torn trailing line, like the fleet checkpoint reader."""
-        records: List[Dict] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError:
-                    break
-                # incident rows carry an "event"; the header (and any
-                # future non-incident row kinds) do not
-                if "event" in row:
-                    records.append(row)
+        further records (the evaluator-restart path).  Torn-tail /
+        corruption policy: :func:`~repro.obs.metrics.read_jsonl`."""
+        # incident rows carry an "event"; the header (and any future
+        # non-incident row kinds) do not
+        records = [row for row in read_jsonl(path) if "event" in row]
         timeline = cls(path=path if append else None, clock=clock,
                        records=records)
         if append:
@@ -362,10 +369,9 @@ class SloEvaluator:
 
     Feed it *cumulative* registries (the natural shape of this repo's
     telemetry: counters and histograms only ever grow, and fleet
-    prefixes merge monotonically); the evaluator keeps a bounded ring
-    of (at, numerator, denominator) samples per objective and reads
-    windowed rates as deltas against the newest sample at or before
-    the window start.  Restarting mid-stream is safe: pass the loaded
+    prefixes merge monotonically); each objective reads its fast and
+    slow windows off one :class:`~repro.obs.metrics.WindowedSeries`.
+    Restarting mid-stream is safe: pass the loaded
     timeline and already-open incidents stay open (no duplicate
     ``open`` records), resolving normally when the burn clears.
     """
@@ -385,8 +391,8 @@ class SloEvaluator:
         #: diagnosis layer's event hook attaches scenario event
         #: windows this way).
         self.attribution_hook = attribution_hook
-        self._samples: Dict[str, List[Tuple[float, float, float]]] = \
-            {o.name: [] for o in spec.objectives}
+        self._series: Dict[str, WindowedSeries] = \
+            {o.name: o.series() for o in spec.objectives}
         self._status: Dict[str, ObjectiveStatus] = \
             {o.name: ObjectiveStatus(objective=o)
              for o in spec.objectives}
@@ -407,47 +413,6 @@ class SloEvaluator:
                 status.severity = record["severity"]
                 status.incident = record["incident"]
 
-    # ---- reading the registry ---------------------------------------
-
-    @staticmethod
-    def _cumulative(objective: SloObjective, telemetry: Telemetry
-                    ) -> Tuple[float, float]:
-        """(numerator, denominator) running totals for one objective."""
-        if objective.kind == "latency":
-            histogram = telemetry.find_histogram(objective.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return (histogram.count_over(objective.budget_ms),
-                    float(histogram.count))
-        if objective.kind == "mean" and not objective.total:
-            histogram = telemetry.find_histogram(objective.instrument)
-            if histogram is None:
-                return 0.0, 0.0
-            return float(histogram.total), float(histogram.count)
-        bad = telemetry.find_counter(objective.instrument)
-        total = telemetry.find_counter(objective.total)
-        return (bad.value if bad is not None else 0.0,
-                total.value if total is not None else 0.0)
-
-    def _window_rate(self, name: str, at: float, window: float
-                     ) -> float:
-        """Windowed SLI: delta ratio against the newest sample at or
-        before ``at - window`` (the zero origin before any sample)."""
-        samples = self._samples[name]
-        # newest sample (excluding the one just appended) at or
-        # before the window start; samples are at-sorted, so bisect
-        index = bisect.bisect_right(samples, at - window,
-                                    hi=len(samples) - 1,
-                                    key=_sample_at)
-        anchor_num = anchor_den = 0.0
-        if index > 0:
-            _, anchor_num, anchor_den = samples[index - 1]
-        _, num, den = samples[-1]
-        delta_den = den - anchor_den
-        if delta_den <= 0:
-            return 0.0
-        return (num - anchor_num) / delta_den
-
     # ---- the streaming step -----------------------------------------
 
     def observe(self, telemetry: Telemetry, at: float,
@@ -465,36 +430,13 @@ class SloEvaluator:
         exemplars: Optional[List[Dict]] = None
         for objective in self.spec.objectives:
             name = objective.name
-            samples = self._samples[name]
-            if samples and at <= samples[-1][0]:
-                raise ValueError(
-                    f"observation at {at} is not after the previous "
-                    f"sample at {samples[-1][0]} (objective {name!r})")
-            num, den = self._cumulative(objective, telemetry)
-            samples.append((at, num, den))
-            # prune beyond the slow window, keeping one anchor sample
-            # at/before every reachable window start
-            horizon = at - objective.slow_window
-            keep = 0
-            for i, (sample_at, _, _) in enumerate(samples):
-                if sample_at > horizon:     # at-sorted: done
-                    break
-                keep = i
-            del samples[:keep]
-
-            sli_fast = self._window_rate(name, at,
-                                         objective.fast_window)
-            sli_slow = self._window_rate(name, at,
-                                         objective.slow_window)
+            series = self._series[name]
+            series.push(telemetry, at)
+            sli_fast = series.rate(objective.fast_window)
             burn_fast = sli_fast / objective.allowance
-            burn_slow = sli_slow / objective.allowance
-            severity = None
-            if (burn_fast >= objective.page_burn
-                    and burn_slow >= objective.page_burn):
-                severity = "page"
-            elif (burn_fast >= objective.warn_burn
-                    and burn_slow >= objective.warn_burn):
-                severity = "warn"
+            burn_slow = series.rate(objective.slow_window) \
+                / objective.allowance
+            severity = objective.severity(burn_fast, burn_slow)
 
             status = self._status[name]
             previous = status.severity
@@ -576,10 +518,9 @@ class SloEvaluator:
         rows: List[Dict] = []
         ok = True
         for objective in self.spec.objectives:
-            inc_num, inc_den = self._cumulative(objective, incumbent)
-            cand_num, cand_den = self._cumulative(objective, candidate)
-            inc_value = inc_num / inc_den if inc_den > 0 else 0.0
-            cand_value = cand_num / cand_den if cand_den > 0 else 0.0
+            series = self._series[objective.name]
+            inc_value = series.overall(incumbent)
+            cand_value = series.overall(candidate)
             within_budget = cand_value <= objective.allowance
             regressed = cand_value > inc_value * (1.0 + tolerance) \
                 + 1e-12

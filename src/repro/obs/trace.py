@@ -47,6 +47,8 @@ import time
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from repro.obs.metrics import jsonl_files, read_jsonl
+
 TRACE_FORMAT = 1
 DEFAULT_SAMPLE_INTERVAL = 16
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
@@ -315,44 +317,26 @@ def configure_from_env(label: str = "proc") -> Optional[Tracer]:
 
 # ---- trace-file reading / rollup ------------------------------------
 
-def _trace_files(paths: Sequence[str]) -> List[str]:
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            files.extend(sorted(
-                os.path.join(path, name)
-                for name in os.listdir(path)
-                if name.endswith(".jsonl")))
-        else:
-            files.append(path)
-    return files
-
-
 def read_rollup(paths: Sequence[str]) \
         -> Dict[RollupKey, Dict[str, float]]:
     """Merge the ``stats`` rows of any set of trace files/directories
     into one rollup (the mergeable cross-process read path)."""
     rollup: Dict[RollupKey, Dict[str, float]] = {}
-    for file_path in _trace_files(paths):
-        with open(file_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if row.get("kind") != "stats":
-                    continue
-                attrs = tuple(sorted(
-                    (str(k), str(v))
-                    for k, v in (row.get("attrs") or {}).items()))
-                key = (str(row["path"]), attrs)
-                entry = rollup.setdefault(
-                    key, {"count": 0, "total_ms": 0.0,
-                          "child_ms": 0.0, "sampled": 0})
-                entry["count"] += int(row["count"])
-                entry["total_ms"] += float(row["total_ms"])
-                entry["child_ms"] += float(row["child_ms"])
-                entry["sampled"] += int(row.get("sampled", 0))
+    for file_path in jsonl_files(paths):
+        for row in read_jsonl(file_path):
+            if row.get("kind") != "stats":
+                continue
+            attrs = tuple(sorted(
+                (str(k), str(v))
+                for k, v in (row.get("attrs") or {}).items()))
+            key = (str(row["path"]), attrs)
+            entry = rollup.setdefault(
+                key, {"count": 0, "total_ms": 0.0,
+                      "child_ms": 0.0, "sampled": 0})
+            entry["count"] += int(row["count"])
+            entry["total_ms"] += float(row["total_ms"])
+            entry["child_ms"] += float(row["child_ms"])
+            entry["sampled"] += int(row.get("sampled", 0))
     return rollup
 
 

@@ -59,15 +59,12 @@ Subcommands
 ``cache``
     Inspect (``info``), drop (``clear``) or size-bound (``prune
     --max-size``) the on-disk result cache.
-``obs report / compare / profile / watch / incidents / diagnose /
-slo-compare``
+``obs report / profile / watch / incidents / diagnose / slo-compare``
     Observability tooling: ``report`` rolls merged trace files (from
     ``REPRO_TRACE_DIR`` or ``fleet run --trace-dir``) into a
     flamegraph-style span tree with an attributed-span digest;
-    ``compare`` diffs ``BENCH_*.json`` perf results against the
-    committed baselines (non-zero exit on regression); ``profile``
-    runs one scenario episode under the per-kernel profiler and
-    prints where engine time goes; ``watch`` renders a live fleet
+    ``profile`` runs one scenario episode under the per-kernel
+    profiler and prints where engine time goes; ``watch`` renders a live fleet
     health board (burn sparklines, open incidents) from a fleet
     checkpoint or a serving telemetry export; ``incidents`` queries
     an SLO incident timeline (filter by objective/severity/event)
@@ -105,7 +102,6 @@ Examples
     python -m repro fleet run --cells 8 --slo default \
         --slo-timeline incidents.jsonl --fail-fast
     python -m repro obs report .repro_trace
-    python -m repro obs compare --results .repro_bench
     python -m repro obs profile --scenario flash_crowd --alloc
     python -m repro obs watch --checkpoint fleet.jsonl --once
     python -m repro obs incidents incidents.jsonl --severity page
@@ -128,7 +124,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import ENGINES
-from repro.obs.cli import add_obs_parser, run_obs
+from repro.obs.cli import add_obs_parser
 from repro.runtime.cache import configure_shared_cache
 from repro.runtime.runner import ParallelRunner, default_workers
 from repro.runtime.serialization import to_jsonable
@@ -285,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the paper's tables and figures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list runnable artefacts")
+    sub.add_parser("list", help="list runnable artefacts"
+                   ).set_defaults(handler=_run_list)
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -307,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--scenario", default=None, metavar="NAME",
                            help="bench: a single scenario (default: "
                                 "the whole catalog)")
+    scenarios.set_defaults(handler=_run_scenarios)
 
     train = sub.add_parser(
         "train", help="train a method and snapshot the policy")
@@ -325,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help=f"policy store (default: "
                             f"{DEFAULT_STORE_DIR})")
+    train.set_defaults(handler=_run_train)
 
     for command, description in (
             ("serve", "run the decision service over a scenario feed"),
@@ -359,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "for the stock contract or a tagged-JSON "
                             "SloSpec file")
         p.add_argument("--json", action="store_true", dest="as_json")
+        p.set_defaults(handler=_run_serving,
+                       report_telemetry=(command == "serve"))
 
     fleet = sub.add_parser(
         "fleet", help="sharded multi-cell fleet simulation")
@@ -431,12 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "hypotheses (needs --checkpoint)")
     fleet_run.add_argument("--json", action="store_true",
                            dest="as_json")
+    fleet_run.set_defaults(handler=_fleet_run)
     fleet_report = fleet_sub.add_parser(
         "report", help="rebuild a fleet report from a checkpoint")
     fleet_report.add_argument("--checkpoint", required=True,
                               metavar="PATH")
     fleet_report.add_argument("--json", action="store_true",
                               dest="as_json")
+    fleet_report.set_defaults(handler=_fleet_report)
 
     fuzz = sub.add_parser(
         "fuzz", help="fuzz scenarios, shrink failing worlds, sweep")
@@ -470,6 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
         p.add_argument("--no-cache", action="store_true",
                        help="recompute, bypassing the result cache")
+    fuzz_run.set_defaults(handler=_fuzz_run)
+    fuzz_shrink.set_defaults(handler=_fuzz_shrink)
+    fuzz_sweep_p.set_defaults(handler=_fuzz_sweep)
     fuzz_run.add_argument("--engine", choices=ENGINES,
                           default="vector",
                           help="driving engine (the parity oracle "
@@ -517,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute everything, bypassing the cache")
     run.add_argument("--json", action="store_true", dest="as_json",
                      help="print results as JSON instead of text")
+    run.set_defaults(handler=_run_artefacts)
 
     cache = sub.add_parser("cache",
                            help="inspect/clear/prune the cache")
@@ -526,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prune target, bytes with optional "
                             "K/M/G suffix (e.g. 256M); required for "
                             "'prune'")
+    cache.set_defaults(handler=_run_cache)
 
     add_obs_parser(sub)
     return parser
@@ -573,6 +581,17 @@ def parse_size(value: str, option: str = "--max-size") -> int:
                * _SIZE_SUFFIXES[match.group(2).lower()])
 
 
+def _require_scenarios(*names: str) -> None:
+    """Exit with the registry hint unless every name is registered."""
+    from repro import scenarios as scenario_registry
+
+    unknown = [name for name in names
+               if name not in scenario_registry.names()]
+    if unknown:
+        raise SystemExit(f"unknown scenario(s): {', '.join(unknown)} "
+                         f"(try 'python -m repro scenarios')")
+
+
 def _load_serving_snapshot(store_dir: str, ref: Optional[str]):
     """Resolve the snapshot a serve/loadgen/fleet run should use
     (:func:`repro.serve.resolve_serving_snapshot`: explicit ref, else
@@ -593,17 +612,16 @@ def _load_serving_snapshot(store_dir: str, ref: Optional[str]):
             "train --save')")
 
 
-def _run_serving(args, report_telemetry: bool) -> int:
-    """Shared body of the ``serve`` and ``loadgen`` subcommands."""
+def _run_serving(args) -> int:
+    """Shared body of the ``serve`` and ``loadgen`` subcommands
+    (``serve`` also prints the service telemetry)."""
     from repro.serve import LoadGenerator
+
+    report_telemetry = args.report_telemetry
 
     snapshot = _load_serving_snapshot(args.store_dir, args.snapshot)
     scenario = args.scenario or snapshot.scenario
-    from repro import scenarios as scenario_registry
-
-    if scenario not in scenario_registry.names():
-        raise SystemExit(f"unknown scenario {scenario!r} "
-                         f"(try 'python -m repro scenarios')")
+    _require_scenarios(scenario)
     evaluator = None
     if args.slo is not None:
         from repro.obs.cli import load_slo_spec
@@ -697,10 +715,7 @@ def _scenarios_bench(args) -> int:
         raise SystemExit("--batch must be >= 1 and --slots >= 2")
     names = ([args.scenario] if args.scenario
              else sorted(scenario_registry.names()))
-    unknown = [n for n in names if n not in scenario_registry.names()]
-    if unknown:
-        raise SystemExit(f"unknown scenario(s): {', '.join(unknown)} "
-                         f"(try 'python -m repro scenarios')")
+    _require_scenarios(*names)
     policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
     rows = []
     for name in names:
@@ -769,35 +784,40 @@ def _fleet_json(report, complete: bool = True) -> str:
     }, indent=2)
 
 
-def _run_fleet(args) -> int:
-    """The ``fleet run`` / ``fleet report`` subcommands."""
+def _fleet_report(args) -> int:
+    """``fleet report``: rebuild the report from a checkpoint."""
+    from repro.fleet import (
+        format_report,
+        load_checkpoint,
+        report_from_checkpoint,
+    )
+
+    try:
+        checkpoint = load_checkpoint(args.checkpoint)
+    except OSError as exc:
+        raise SystemExit(f"cannot read checkpoint: {exc}")
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    report = report_from_checkpoint(checkpoint)
+    if not checkpoint.complete:
+        print(f"note: checkpoint holds {len(checkpoint.results)}/"
+              f"{checkpoint.shards} shard(s); this report is "
+              "partial (finish with 'fleet run --resume')",
+              file=sys.stderr)
+    print(_fleet_json(report, complete=checkpoint.complete)
+          if args.as_json else format_report(report))
+    return 0
+
+
+def _fleet_run(args) -> int:
+    """``fleet run``: the sharded campaign, judged and diagnosed."""
     from repro.fleet import (
         FleetSloBreach,
         FleetSpec,
         format_report,
         load_checkpoint,
-        report_from_checkpoint,
         run_fleet,
     )
-
-    if args.fleet_command == "report":
-        try:
-            checkpoint = load_checkpoint(args.checkpoint)
-        except OSError as exc:
-            raise SystemExit(f"cannot read checkpoint: {exc}")
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        report = report_from_checkpoint(checkpoint)
-        if not checkpoint.complete:
-            print(f"note: checkpoint holds {len(checkpoint.results)}/"
-                  f"{checkpoint.shards} shard(s); this report is "
-                  "partial (finish with 'fleet run --resume')",
-                  file=sys.stderr)
-        print(_fleet_json(report, complete=checkpoint.complete)
-              if args.as_json else format_report(report))
-        return 0
-
-    from repro import scenarios as scenario_registry
 
     scenario_names = None
     if args.scenarios is not None:
@@ -811,12 +831,7 @@ def _run_fleet(args) -> int:
                              "scenario (try 'python -m repro "
                              "scenarios', or drop the flag for the "
                              "robustness matrix)")
-        unknown = [name for name in scenario_names
-                   if name not in scenario_registry.names()]
-        if unknown:
-            raise SystemExit(f"unknown scenario(s): "
-                             f"{', '.join(unknown)} "
-                             f"(try 'python -m repro scenarios')")
+        _require_scenarios(*scenario_names)
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume needs --checkpoint (there is "
                          "nothing to resume from without one)")
@@ -885,11 +900,10 @@ def _run_fleet(args) -> int:
               file=sys.stderr)
     diagnosis = None
     if args.diagnose:
-        from repro.fleet import load_checkpoint as _load_ckpt
         from repro.obs.diagnose import diagnose_fleet
         from repro.obs.slo import default_slo_spec
 
-        checkpoint = _load_ckpt(args.checkpoint)
+        checkpoint = load_checkpoint(args.checkpoint)
         diagnosis = diagnose_fleet(
             checkpoint.results.values(),
             slo_spec if slo_spec is not None else default_slo_spec(),
@@ -930,80 +944,88 @@ def _parse_fuzz_methods(text: str) -> tuple:
     return methods
 
 
-def _run_fuzz(args) -> int:
-    """The ``fuzz run`` / ``fuzz shrink`` / ``fuzz sweep`` subcommands.
-
-    ``run`` exits non-zero when the oracle reports an engine invariant
-    breach (a bug, unlike SLA violations, which are findings); the CI
-    smoke job leans on that.
-    """
+def _fuzz_shrink(args) -> int:
+    """``fuzz shrink``: delta-debug one violating world."""
     from repro.experiments.fuzz import (
         build_method_policies,
-        fuzz_sweep,
-        run_fuzz,
         shrink_violation,
     )
     from repro.experiments.robustness import METHOD_LABELS
     from repro.scenarios.fuzz import generate_spec, spec_digest
 
-    if args.fuzz_command == "shrink":
-        policies = build_method_policies(
-            methods=(args.method,), scale=args.scale,
-            snapshot_store=args.store_dir)
-        policy = policies[METHOD_LABELS[args.method]][0]
-        spec = generate_spec(args.seed, args.world)
-        try:
-            shrunk, evals = shrink_violation(
-                spec, policy, max_evals=args.max_evals)
-        except ValueError as exc:
-            raise SystemExit(
-                f"{exc} (find violating worlds with 'python -m repro "
-                f"fuzz run --seed {args.seed} --methods "
-                f"{args.method}')")
-        digest = spec_digest(shrunk)
-        slots = (shrunk.traffic_cfg.slots_per_episode
-                 if shrunk.traffic_cfg is not None else None)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(to_jsonable(shrunk), fh, indent=2)
-        if args.as_json:
-            print(json.dumps({
-                "seed": args.seed, "world": args.world,
-                "method": args.method, "evals": evals,
-                "digest": digest, "slices": len(shrunk.slices),
-                "events": len(shrunk.events), "slots": slots,
-                "spec": to_jsonable(shrunk),
-            }, indent=2))
-            return 0
-        print(f"== fuzz shrink seed={args.seed} world={args.world} "
-              f"({args.method}) ==")
-        print(f"  before  {len(spec.slices)} slice(s), "
-              f"{len(spec.events)} event(s)")
-        print(f"  after   {len(shrunk.slices)} slice(s), "
-              f"{len(shrunk.events)} event(s), {slots} slot(s) "
-              f"in {evals} evaluation(s)")
-        print(f"  digest  {digest}")
-        if args.out:
-            print(f"  spec written to {args.out}")
+    policies = build_method_policies(
+        methods=(args.method,), scale=args.scale,
+        snapshot_store=args.store_dir)
+    policy = policies[METHOD_LABELS[args.method]][0]
+    spec = generate_spec(args.seed, args.world)
+    try:
+        shrunk, evals = shrink_violation(
+            spec, policy, max_evals=args.max_evals)
+    except ValueError as exc:
+        raise SystemExit(
+            f"{exc} (find violating worlds with 'python -m repro "
+            f"fuzz run --seed {args.seed} --methods "
+            f"{args.method}')")
+    digest = spec_digest(shrunk)
+    slots = (shrunk.traffic_cfg.slots_per_episode
+             if shrunk.traffic_cfg is not None else None)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(to_jsonable(shrunk), fh, indent=2)
+    if args.as_json:
+        print(json.dumps({
+            "seed": args.seed, "world": args.world,
+            "method": args.method, "evals": evals,
+            "digest": digest, "slices": len(shrunk.slices),
+            "events": len(shrunk.events), "slots": slots,
+            "spec": to_jsonable(shrunk),
+        }, indent=2))
         return 0
+    print(f"== fuzz shrink seed={args.seed} world={args.world} "
+          f"({args.method}) ==")
+    print(f"  before  {len(spec.slices)} slice(s), "
+          f"{len(spec.events)} event(s)")
+    print(f"  after   {len(shrunk.slices)} slice(s), "
+          f"{len(shrunk.events)} event(s), {slots} slot(s) "
+          f"in {evals} evaluation(s)")
+    print(f"  digest  {digest}")
+    if args.out:
+        print(f"  spec written to {args.out}")
+    return 0
+
+
+def _fuzz_sweep(args) -> int:
+    """``fuzz sweep``: Pareto frontier + family heatmap artefacts."""
+    from repro.experiments.fuzz import fuzz_sweep
 
     configure_shared_cache(None if args.no_cache else args.cache_dir)
-    methods = _parse_fuzz_methods(args.methods)
-    if args.fuzz_command == "sweep":
-        rows = fuzz_sweep(scale=args.scale, seed=args.seed,
-                          count=args.count, methods=methods,
-                          snapshot_store=args.store_dir,
-                          batch=args.batch, out_dir=args.out)
-        if args.as_json:
-            print(json.dumps(to_jsonable(rows), indent=2))
-        else:
-            _print_result("fuzz_sweep", rows)
-            if args.out:
-                print(f"  artefacts written to {args.out}/")
-        return 0
+    rows = fuzz_sweep(scale=args.scale, seed=args.seed,
+                      count=args.count,
+                      methods=_parse_fuzz_methods(args.methods),
+                      snapshot_store=args.store_dir,
+                      batch=args.batch, out_dir=args.out)
+    if args.as_json:
+        print(json.dumps(to_jsonable(rows), indent=2))
+    else:
+        _print_result("fuzz_sweep", rows)
+        if args.out:
+            print(f"  artefacts written to {args.out}/")
+    return 0
 
+
+def _fuzz_run(args) -> int:
+    """``fuzz run``: oracle-check a seeded corpus.
+
+    Exits non-zero when the oracle reports an engine invariant breach
+    (a bug, unlike SLA violations, which are findings); the CI smoke
+    job leans on that.
+    """
+    from repro.experiments.fuzz import run_fuzz
+
+    configure_shared_cache(None if args.no_cache else args.cache_dir)
     result = run_fuzz(seed=args.seed, count=args.count,
-                      methods=methods, batch=args.batch,
+                      methods=_parse_fuzz_methods(args.methods),
+                      batch=args.batch,
                       engine=args.engine,
                       check_parity=not args.no_parity,
                       scale=args.scale,
@@ -1041,114 +1063,93 @@ def _run_fuzz(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run_list(args) -> int:
+    """``list``: every runnable artefact."""
+    print(f"{'artefact':<10} {'units':<8} description")
+    for spec in ARTEFACTS.values():
+        units = "fan-out" if spec.kind == "fanout" else "1 figure"
+        print(f"{spec.name:<10} {units:<8} {spec.description}")
+    return 0
 
-    # REPRO_TRACE_DIR turns on span tracing for any subcommand; a
-    # no-op (and zero per-span cost) when the variable is unset.
-    from repro.obs.trace import configure_from_env
 
-    configure_from_env(label="cli")
+def _run_scenarios(args) -> int:
+    """``scenarios``: list the registry, or bench the engines."""
+    if args.scenarios_command == "bench":
+        return _scenarios_bench(args)
+    from repro import scenarios as scenario_registry
 
-    if args.command == "obs":
-        return run_obs(args)
-
-    if args.command == "list":
-        print(f"{'artefact':<10} {'units':<8} description")
-        for spec in ARTEFACTS.values():
-            units = "fan-out" if spec.kind == "fanout" else "1 figure"
-            print(f"{spec.name:<10} {units:<8} {spec.description}")
+    rows = []
+    for spec in scenario_registry.all_specs():
+        rows.append({
+            "name": spec.name,
+            "description": spec.description,
+            "slices": len(spec.slices) if spec.slices else 3,
+            "traffic": (type(spec.traffic).__name__
+                        if spec.traffic is not None else "diurnal"),
+            "events": len(spec.events),
+            "seed": spec.seed,
+        })
+    if args.as_json:
+        print(json.dumps(rows, indent=2))
         return 0
+    print(f"{'scenario':<18} {'slices':<7} {'traffic':<18} "
+          f"{'events':<7} description")
+    for row in rows:
+        print(f"{row['name']:<18} {row['slices']:<7} "
+              f"{row['traffic']:<18} {row['events']:<7} "
+              f"{row['description']}")
+    print(f"{len(rows)} scenario(s) registered")
+    return 0
 
-    if args.command == "scenarios":
-        if args.scenarios_command == "bench":
-            return _scenarios_bench(args)
-        from repro import scenarios as scenario_registry
 
-        rows = []
-        for spec in scenario_registry.all_specs():
-            rows.append({
-                "name": spec.name,
-                "description": spec.description,
-                "slices": len(spec.slices) if spec.slices else 3,
-                "traffic": (type(spec.traffic).__name__
-                            if spec.traffic is not None else "diurnal"),
-                "events": len(spec.events),
-                "seed": spec.seed,
-            })
-        if args.as_json:
-            print(json.dumps(rows, indent=2))
-            return 0
-        print(f"{'scenario':<18} {'slices':<7} {'traffic':<18} "
-              f"{'events':<7} description")
-        for row in rows:
-            print(f"{row['name']:<18} {row['slices']:<7} "
-                  f"{row['traffic']:<18} {row['events']:<7} "
-                  f"{row['description']}")
-        print(f"{len(rows)} scenario(s) registered")
-        return 0
+def _run_cache(args) -> int:
+    """``cache info / clear / prune``."""
+    cache = configure_shared_cache(args.cache_dir)
+    if args.action == "clear":
+        size = len(cache)
+        cache.clear()
+        print(f"cleared {size} cached result(s) from "
+              f"{args.cache_dir}")
+    elif args.action == "prune":
+        if args.max_size is None:
+            raise SystemExit("cache prune requires --max-size")
+        stats = cache.prune(parse_size(args.max_size))
+        print(f"{args.cache_dir}: pruned {stats['removed']} "
+              f"entry(ies), kept {stats['kept']} "
+              f"({stats['bytes_before']} -> "
+              f"{stats['bytes_after']} bytes)")
+    else:
+        print(f"{args.cache_dir}: {len(cache)} cached result(s), "
+              f"{cache.disk_usage()} bytes on disk")
+    return 0
 
-    if args.command == "cache":
-        cache = configure_shared_cache(args.cache_dir)
-        if args.action == "clear":
-            size = len(cache)
-            cache.clear()
-            print(f"cleared {size} cached result(s) from "
-                  f"{args.cache_dir}")
-        elif args.action == "prune":
-            if args.max_size is None:
-                raise SystemExit("cache prune requires --max-size")
-            stats = cache.prune(parse_size(args.max_size))
-            print(f"{args.cache_dir}: pruned {stats['removed']} "
-                  f"entry(ies), kept {stats['kept']} "
-                  f"({stats['bytes_before']} -> "
-                  f"{stats['bytes_after']} bytes)")
-        else:
-            print(f"{args.cache_dir}: {len(cache)} cached result(s), "
-                  f"{cache.disk_usage()} bytes on disk")
-        return 0
 
-    if args.command == "train":
-        from repro.serve import PolicyStore, train_snapshot
+def _run_train(args) -> int:
+    """``train``: train one method, optionally snapshot it."""
+    from repro.serve import PolicyStore, train_snapshot
 
-        from repro import scenarios as scenario_registry
+    _require_scenarios(args.scenario)
+    store = (PolicyStore(args.store_dir)
+             if args.save is not None else None)
+    snapshot = train_snapshot(
+        args.method, scenario=args.scenario, scale=args.scale,
+        seed=args.seed, name=(args.save or None), store=store)
+    if store is not None:
+        print(f"saved snapshot {snapshot.ref} "
+              f"({snapshot.method} on {snapshot.scenario}, "
+              f"digest {snapshot.digest[:12]}) to "
+              f"{args.store_dir}")
+    else:
+        print(f"trained {snapshot.method} on {snapshot.scenario} "
+              "(not saved; pass --save to snapshot it)")
+    return 0
 
-        if args.scenario not in scenario_registry.names():
-            raise SystemExit(f"unknown scenario {args.scenario!r} "
-                             f"(try 'python -m repro scenarios')")
-        store = (PolicyStore(args.store_dir)
-                 if args.save is not None else None)
-        snapshot = train_snapshot(
-            args.method, scenario=args.scenario, scale=args.scale,
-            seed=args.seed, name=(args.save or None), store=store)
-        if store is not None:
-            print(f"saved snapshot {snapshot.ref} "
-                  f"({snapshot.method} on {snapshot.scenario}, "
-                  f"digest {snapshot.digest[:12]}) to "
-                  f"{args.store_dir}")
-        else:
-            print(f"trained {snapshot.method} on {snapshot.scenario} "
-                  "(not saved; pass --save to snapshot it)")
-        return 0
 
-    if args.command in ("serve", "loadgen"):
-        return _run_serving(args,
-                            report_telemetry=args.command == "serve")
-
-    if args.command == "fleet":
-        return _run_fleet(args)
-
-    if args.command == "fuzz":
-        return _run_fuzz(args)
-
+def _run_artefacts(args) -> int:
+    """``run``: regenerate artefacts through the shared runner."""
     names = resolve_artefacts(args.artefacts)
     if args.scenario is not None:
-        from repro import scenarios as scenario_registry
-
-        if args.scenario not in scenario_registry.names():
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} "
-                f"(try 'python -m repro scenarios')")
+        _require_scenarios(args.scenario)
         # Fail before any unit executes, not mid-sweep: every selected
         # artefact must be scenario-aware.
         incompatible = [n for n in names if not supports_scenario(n)]
@@ -1198,6 +1199,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             _print_result(name, result)
         print(f"run summary: {runner.summary.line()}")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    # REPRO_TRACE_DIR turns on span tracing for any subcommand; a
+    # no-op (and zero per-span cost) when the variable is unset.
+    from repro.obs.trace import configure_from_env
+
+    configure_from_env(label="cli")
+    # every leaf parser names its function (set_defaults(handler=...))
+    return args.handler(args)
 
 
 if __name__ == "__main__":

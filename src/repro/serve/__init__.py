@@ -14,8 +14,9 @@ repository (the ROADMAP's "serve heavy traffic" north star):
 * :mod:`repro.serve.loadgen` -- :class:`LoadGenerator`, which drives
   the service with any registered scenario at ``population(N)`` scale
   and reports decisions/sec, p50/p99 latency and SLA-violation rate;
-* :mod:`repro.serve.telemetry` -- counters/histograms with JSONL
-  export, so serve runs produce artefacts like everything else;
+* :mod:`repro.obs.metrics` -- the counters/histograms serve runs
+  record into (``Telemetry`` et al. are re-exported here), with JSONL
+  export so serve runs produce artefacts like everything else;
 * :mod:`repro.serve.training` / :mod:`repro.serve.evaluate` -- the
   train-once path: ``train_snapshot`` ends in a stored snapshot,
   ``evaluate_snapshot`` replays it on any scenario without retraining.
@@ -23,6 +24,7 @@ repository (the ROADMAP's "serve heavy traffic" north star):
 CLI: ``python -m repro train --save``, ``serve``, ``loadgen``.
 """
 
+from repro.obs.metrics import Counter, Gauge, Histogram, Telemetry
 from repro.serve.evaluate import evaluate_snapshot
 from repro.serve.loadgen import (
     LoadGenerator,
@@ -44,7 +46,6 @@ from repro.serve.service import (
     DecisionRequest,
     SlicingService,
 )
-from repro.serve.telemetry import Counter, Gauge, Histogram, Telemetry
 from repro.serve.training import (
     DEFAULT_STORE_DIR,
     resolve_serving_snapshot,

@@ -37,11 +37,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.config import ExperimentConfig
+from repro.obs.metrics import Telemetry
 from repro.obs.slo import SloEvaluator
 from repro.scenarios.spec import ScenarioSpec, population
 from repro.serve.policy_store import PolicySnapshot
 from repro.serve.service import DecisionRequest, SlicingService
-from repro.serve.telemetry import Telemetry
 from repro.sim.env import STATE_DIM
 
 #: Telemetry-flush interval (in served slots) at which an attached

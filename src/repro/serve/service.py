@@ -34,11 +34,11 @@ import numpy as np
 from repro.baselines.model_based import ModelBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS
 from repro.domains.coordinator import ParameterCoordinator
+from repro.obs.metrics import Telemetry
 from repro.obs.trace import trace
 from repro.rl.cost_estimator import CostToGoEstimator
 from repro.rl.ppo import GaussianActorCritic
 from repro.serve.policy_store import PolicySnapshot
-from repro.serve.telemetry import Telemetry
 from repro.sim.env import STATE_DIM
 from repro.sim.network import CONSTRAINED_RESOURCES
 

@@ -10,7 +10,7 @@ the same action -> performance relationships:
   MCS-offset retransmission behaviour, per-user channel processes;
 * :mod:`repro.sim.ran` -- PRB/RBG MAC with RR/PF/Max-CQI schedulers;
 * :mod:`repro.sim.transport` -- SDN switch fabric with OpenFlow-style
-  meters and reserved paths on a networkx topology;
+  meters and reserved paths over disjoint switch chains;
 * :mod:`repro.sim.core_network` -- CUPS EPC (HSS/MME/SPGW-C/SPGW-U);
 * :mod:`repro.sim.containers` / :mod:`repro.sim.edge` -- Docker-like
   container runtime and edge compute;

@@ -1,8 +1,8 @@
 """Transport network: SDN switch fabric, meters, reserved paths.
 
 Substitutes the Ruckus ICX 7150-C12P + OpenDayLight TDM: the topology is
-a networkx multigraph between the RAN aggregation point and the core,
-offering ``num_paths`` pre-computed paths of increasing hop count.  The
+a set of disjoint switch chains between the RAN aggregation point and
+the core, ``num_paths`` pre-computed paths of increasing hop count.  The
 ``U_b`` action maps to an OpenFlow-meter-style rate cap ("the meters API
 limits the maximum data rate of associated flows") and ``U_l`` selects
 the reserved path.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.config import TransportConfig
@@ -30,27 +29,15 @@ class TransportReport:
     latency_ms: float
 
 
-def build_topology(cfg: TransportConfig) -> nx.MultiGraph:
-    """Construct the switch fabric between ``ran`` and ``core``.
+def build_topology(cfg: TransportConfig) -> List[List[str]]:
+    """The node sequence of every reserved path from ``ran`` to
+    ``core``.
 
     Path ``k`` is a chain of ``2 + extra_hops[k]`` links through
     dedicated intermediate switches, all at ``link_capacity_bps``.
     """
-    graph = nx.MultiGraph()
-    graph.add_node("ran")
-    graph.add_node("core")
-    for k, extra in enumerate(cfg.path_extra_hops):
-        hops = 2 + extra
-        prev = "ran"
-        for h in range(hops - 1):
-            node = f"sw{k}_{h}"
-            graph.add_node(node)
-            graph.add_edge(prev, node, path=k,
-                           capacity=cfg.link_capacity_bps)
-            prev = node
-        graph.add_edge(prev, "core", path=k,
-                       capacity=cfg.link_capacity_bps)
-    return graph
+    return [["ran", *(f"sw{k}_{h}" for h in range(1 + extra)), "core"]
+            for k, extra in enumerate(cfg.path_extra_hops)]
 
 
 class TransportFabric:
@@ -62,7 +49,6 @@ class TransportFabric:
 
     def __init__(self, cfg: Optional[TransportConfig] = None) -> None:
         self.cfg = cfg or TransportConfig()
-        self.graph = build_topology(self.cfg)
         self._path_hops: List[int] = [
             2 + extra for extra in self.cfg.path_extra_hops]
         self._path_load_bps = np.zeros(self.cfg.num_paths)
@@ -183,8 +169,4 @@ class TransportFabric:
 
     def shortest_path_nodes(self, path_index: int) -> List[str]:
         """The node sequence of a reserved path (for inspection/tests)."""
-        edges = [(u, v) for u, v, data in self.graph.edges(data=True)
-                 if data["path"] == path_index]
-        subgraph = nx.Graph()
-        subgraph.add_edges_from(edges)
-        return nx.shortest_path(subgraph, "ran", "core")
+        return build_topology(self.cfg)[path_index]

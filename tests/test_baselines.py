@@ -383,11 +383,14 @@ class TestSliceRowsRepeat:
 class TestModelBased:
     def test_scipy_optimize_deferred_until_solve(self):
         """Importing the harness must not pay for scipy.optimize; the
-        MAR program imports it on first solve."""
+        MAR program imports it on first solve.  networkx is no
+        dependency at all: the transport paths are chains."""
         script = (
             "import sys\n"
             "import repro.experiments.harness\n"
             "assert 'scipy.optimize' not in sys.modules\n"
+            "import repro.fleet, repro.serve\n"
+            "assert 'networkx' not in sys.modules\n"
             "from repro.baselines.model_based import ModelBasedPolicy\n"
             "from repro.config import mar_slice_spec\n"
             "action = ModelBasedPolicy(mar_slice_spec())"

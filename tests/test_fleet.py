@@ -31,7 +31,7 @@ from repro.runtime.units import (
 )
 from repro.scenarios import ROBUSTNESS_MATRIX
 from repro.serve import PolicyStore, snapshot_onrl
-from repro.serve.telemetry import (
+from repro.obs.metrics import (
     BUCKET_COUNT,
     EXACT_SAMPLE_LIMIT,
     Histogram,

@@ -1,5 +1,9 @@
 """Tests: harness plumbing that needs no training (cheap paths)."""
 
+import ast
+import importlib
+import os
+
 import numpy as np
 import pytest
 
@@ -48,3 +52,40 @@ def test_variant_config_wiring(variant, expect):
                              offline_episodes=1,
                              exploration_episodes=1)
     assert expect(bundle.cfg)
+
+
+E2E_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                       "benchmarks", "e2e")
+
+
+def test_frozen_e2e_harness_imports_still_resolve():
+    """``benchmarks/e2e/`` is what performance claims are judged by
+    and may not be edited to follow a rename, so every ``from repro...
+    import name`` in it must keep resolving."""
+    wanted = set()
+    for entry in sorted(os.listdir(E2E_DIR)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(E2E_DIR, entry), "r",
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=entry)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "repro"):
+                wanted.update((node.module, alias.name)
+                              for alias in node.names)
+    assert ("repro.serve", "Telemetry") in wanted
+    assert ("repro.fleet", "evaluate_checkpoint_slo") in wanted
+
+    def resolves(module, name):
+        if hasattr(importlib.import_module(module), name):
+            return True
+        try:        # ``from repro import scenarios``: a submodule
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            return False
+        return True
+
+    missing = [f"{module}.{name}" for module, name in sorted(wanted)
+               if not resolves(module, name)]
+    assert not missing, missing

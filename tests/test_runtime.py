@@ -266,6 +266,34 @@ class TestCli:
         assert args.no_cache and args.as_json
         assert args.cache_dir == ".repro_cache"
 
+    def test_every_leaf_command_names_its_handler(self):
+        """argparse's own dispatch: each leaf parser carries a
+        callable ``handler`` default, so ``main`` needs no chain of
+        command-name comparisons -- and a command that was deleted
+        (``obs compare``) is argparse's exit 2, not a fallthrough."""
+        import argparse
+
+        from repro.runtime.cli import main
+
+        def leaves(parser, prefix=()):
+            nested = [action for action in parser._actions
+                      if isinstance(action,
+                                    argparse._SubParsersAction)]
+            if not nested:
+                yield prefix, parser
+            for action in nested:
+                for name, child in action.choices.items():
+                    yield from leaves(child, prefix + (name,))
+
+        found = dict(leaves(build_parser()))
+        assert {("list",), ("obs", "watch"), ("fleet", "report"),
+                ("fuzz", "shrink")} <= set(found)
+        for command, parser in found.items():
+            assert callable(parser.get_default("handler")), command
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "compare"])
+        assert excinfo.value.code == 2
+
     def test_workers_auto_and_validation(self):
         assert parse_workers("auto") >= 1
         with pytest.raises(SystemExit):

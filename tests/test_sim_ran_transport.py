@@ -1,6 +1,5 @@
 """Unit tests: RAN cell/schedulers and the transport fabric."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,8 +114,8 @@ class TestQueueing:
 class TestTransport:
     def test_topology_paths_exist(self):
         cfg = TransportConfig()
-        graph = build_topology(cfg)
-        assert nx.has_path(graph, "ran", "core")
+        paths = build_topology(cfg)
+        assert len(paths) == cfg.num_paths
         fabric = TransportFabric(cfg)
         for k in range(cfg.num_paths):
             nodes = fabric.shortest_path_nodes(k)

@@ -11,6 +11,7 @@ fixture, the same way the golden-digest suite pins traffic traces.
 import itertools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,19 +21,22 @@ from repro.fleet import (
     FleetSloBreach,
     FleetSpec,
     evaluate_checkpoint_slo,
+    load_checkpoint,
     plan_shards,
     run_fleet,
     run_fleet_shard,
 )
-from repro.fleet.coordinator import _SloDriver
 from repro.obs.cli import load_slo_spec
+from repro.obs.diagnose import ShardReplay, diagnose_fleet
 from repro.obs.metrics import (
     EXACT_SAMPLE_LIMIT,
     Histogram,
     Telemetry,
     _bucket_index,
+    read_jsonl,
 )
 from repro.obs.slo import (
+    DIGEST_FIELDS,
     IncidentTimeline,
     SloEvaluator,
     SloObjective,
@@ -42,6 +46,7 @@ from repro.obs.slo import (
 from repro.obs.trace import (
     DEFAULT_SAMPLE_INTERVAL,
     ENV_TRACE_SAMPLE,
+    Tracer,
     parse_sample_interval,
 )
 from repro.runtime.cli import main
@@ -455,10 +460,32 @@ class TestTraceSampleValidation:
 
 
 def timeline_from(results, order):
-    driver = _SloDriver(SloEvaluator(LATENCY_SPEC))
+    replay = ShardReplay(LATENCY_SPEC)
     for index in order:
-        driver.offer(results[index])
-    return driver.evaluator.timeline
+        replay.offer(results[index])
+    return replay.evaluator.timeline
+
+
+def projected(records):
+    """Timeline records without their volatile fields."""
+    return [{key: record.get(key) for key in DIGEST_FIELDS}
+            for record in records]
+
+
+@pytest.fixture(scope="module")
+def checkpoints(store, snapshot, tmp_path_factory):
+    """SPEC run 4-way, and the same file with only shards 0 and 2 --
+    what a run killed with shard 1 in flight leaves behind."""
+    directory = tmp_path_factory.mktemp("slo_ckpt")
+    complete = str(directory / "complete.jsonl")
+    run_fleet(SPEC, store.directory, snapshot_ref=snapshot.ref,
+              shards=4, checkpoint_path=complete, snapshot=snapshot)
+    holed = str(directory / "holed.jsonl")
+    with open(holed, "w", encoding="utf-8") as fh:
+        for row in read_jsonl(complete):
+            if row.get("shard") in (None, 0, 2):    # None: the header
+                fh.write(json.dumps(row) + "\n")
+    return {"complete": complete, "holed": holed}
 
 
 class TestFleetSlo:
@@ -487,6 +514,27 @@ class TestFleetSlo:
         assert attribution[0]["cell"] == 0
         assert attribution[0]["scenario"] == "transport_brownout"
         assert timeline.digest() == PINNED_TIMELINE_DIGEST
+
+    def test_holed_checkpoint_replays_to_a_prefix_of_the_complete_run(
+            self, checkpoints):
+        """Shard 2 waits for shard 1 offline exactly as it did live:
+        the offline readers judge the contiguous prefix and nothing
+        else, so their timeline is the head of the complete run's."""
+        complete = evaluate_checkpoint_slo(checkpoints["complete"],
+                                           LATENCY_SPEC).timeline
+        assert complete.digest() == PINNED_TIMELINE_DIGEST
+        holed = evaluate_checkpoint_slo(checkpoints["holed"],
+                                        LATENCY_SPEC).timeline
+        assert [(r["event"], r["at"]) for r in holed.records] == \
+            [("open", 1.0)]
+        assert projected(holed.records) == \
+            projected(complete.records)[:len(holed.records)]
+        results = load_checkpoint(checkpoints["holed"]).results
+        assert sorted(results) == [0, 2]
+        live = timeline_from(results, (2, 0))
+        assert live.digest() == holed.digest()
+        assert diagnose_fleet(results.values(), LATENCY_SPEC
+                              ).timeline_digest == holed.digest()
 
     def test_run_fleet_replay_and_resume_share_one_timeline(
             self, store, snapshot, tmp_path):
@@ -706,15 +754,75 @@ class TestCliSurface:
         empty.mkdir()
         assert main(["obs", "report", str(empty)]) == 2
 
-    def test_obs_compare_corrupt_baseline_is_friendly(self, tmp_path):
-        from repro.obs import bench
+    def test_watch_and_diagnose_note_held_back_shards(
+            self, checkpoints, artifacts, capsys):
+        """Like ``fleet report`` on a partial file, the replaying
+        readers say what they left out -- and judge what the live run
+        judged."""
+        note = "1 shard(s) held back waiting for shard 1"
+        assert main(["obs", "watch", "--checkpoint",
+                     checkpoints["holed"], "--slo", artifacts["spec"],
+                     "--once", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert note in captured.err
+        assert json.loads(captured.out)["digest"] == \
+            evaluate_checkpoint_slo(checkpoints["holed"],
+                                    LATENCY_SPEC).timeline.digest()
+        assert main(["obs", "diagnose", checkpoints["holed"],
+                     "--slo", artifacts["spec"]]) == 0
+        assert note in capsys.readouterr().err
+        assert main(["obs", "diagnose", checkpoints["complete"],
+                     "--slo", artifacts["spec"]]) == 0
+        assert "held back" not in capsys.readouterr().err
 
-        current = str(tmp_path / "cur")
-        baseline = tmp_path / "base"
-        bench.record_result(current, "engine", "test_vector", [0.1])
-        baseline.mkdir()
-        with open(baseline / "BENCH_engine.json", "w",
-                  encoding="utf-8") as fh:
-            fh.write("{corrupt")
-        assert main(["obs", "compare", "--results", current,
-                     "--baseline", str(baseline)]) == 2
+    @pytest.mark.parametrize("surface", [
+        "checkpoint", "timeline", "telemetry", "trace"])
+    def test_jsonl_surfaces_share_one_corruption_policy(
+            self, surface, checkpoints, artifacts, tmp_path, capsys):
+        """One reader, one policy: a torn final line is a writer
+        killed mid-append and is tolerated; a damaged earlier line is
+        corruption -- ``ValueError`` naming ``path:lineno`` from the
+        library, exit 2 and one line on stderr from the CLI."""
+        source = str(tmp_path / "source.jsonl")
+        if surface == "checkpoint":
+            source = checkpoints["complete"]
+            argv = ["obs", "watch", "--once", "--slo",
+                    artifacts["spec"], "--checkpoint"]
+        elif surface == "timeline":
+            evaluate_checkpoint_slo(checkpoints["complete"],
+                                    LATENCY_SPEC,
+                                    timeline=source).timeline.close()
+            argv = ["obs", "incidents"]
+        elif surface == "telemetry":
+            counters(decisions=8, fallbacks=1, sla_episodes=4
+                     ).export_jsonl(source)
+            argv = ["obs", "watch", "--once", "--telemetry-dir"]
+        else:
+            tracer = Tracer(path=source)
+            for cell in (0, 1):
+                with tracer.span("serve.decide", {"cell": cell}):
+                    pass
+            tracer.flush()
+            argv = ["obs", "report"]
+        with open(source, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) >= 3
+
+        torn = str(tmp_path / "torn.jsonl")
+        with open(torn, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n" + lines[-1][:7])
+        assert read_jsonl(torn) == [json.loads(line)
+                                    for line in lines]
+        assert main(argv + [torn]) == 0
+
+        flipped = str(tmp_path / "flipped.jsonl")
+        lines[1] = lines[1].replace('"', "\x02", 1)
+        with open(flipped, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{flipped}:2: ")):
+            read_jsonl(flipped)
+        capsys.readouterr()
+        assert main(argv + [flipped]) == 2
+        message = capsys.readouterr().err.strip()
+        assert f"{flipped}:2: " in message
+        assert len(message.splitlines()) == 1

@@ -16,7 +16,7 @@ float artefact, not a telemetry property.
 import numpy as np
 import pytest
 
-from repro.serve.telemetry import (
+from repro.obs.metrics import (
     BUCKET_MIN,
     EXACT_SAMPLE_LIMIT,
     Histogram,
