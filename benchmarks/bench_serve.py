@@ -1,14 +1,13 @@
-"""Serving throughput: micro-batched vs single-request inference.
+"""Serving throughput of the micro-batched decision service.
 
-The decision service's core claim (repo extension toward the ROADMAP's
-"fast as the hardware allows"): grouping a 50-slice cell's requests
-into one vectorised :meth:`~repro.nn.network.MLP.predict_batch` call
-per policy must beat running the same 50 requests through the
-single-state path by a wide margin.  The gate is >= 3x; on a typical
-machine the measured ratio is far higher.
-
-Both paths serve identical requests through identical snapshots
-(coordination included), so the ratio isolates batching.
+The decision service groups a 50-slice cell's requests into one
+vectorised :meth:`~repro.nn.network.MLP.predict_batch` call per policy
+(coordination included); ``test_serve_throughput`` records its
+decisions/s as an ungated trajectory entry.  It used to be a >= 3x
+ratio against a single-state path kept in ``src/`` only to be that
+ratio's denominator; the path is deleted, and what the two had to
+agree on is now ``tests/test_serve.py::test_batched_matches_unbatched``
+(one N-row ``decide`` vs N one-row ``decide``s).
 """
 
 import time
@@ -30,10 +29,6 @@ from repro.serve.loadgen import scenario_with_population
 SLICES = 50
 SLOTS = 40
 
-#: The acceptance gate: batched decisions/sec over unbatched.
-MIN_SPEEDUP = 3.0
-
-
 #: SLO-evaluation overhead gate: streaming burn-rate evaluation at an
 #: every-batch cadence (64x denser than the service default) must not
 #: cost more than 5% of serving throughput.
@@ -45,8 +40,7 @@ MAX_SLO_OVERHEAD = 0.05
 MAX_DIAGNOSE_OVERHEAD = 0.05
 
 
-def _make_service(batching: bool, slo=None,
-                  slo_every: int = 64,
+def _make_service(slo=None, slo_every: int = 64,
                   anomaly=None) -> SlicingService:
     base_cfg = get_scenario("default").build_config()
     snapshot = snapshot_onrl(
@@ -54,8 +48,7 @@ def _make_service(batching: bool, slo=None,
         make_onrl_agents(base_cfg, seed=11), seed=11)
     target = scenario_with_population(get_scenario("default"), SLICES)
     return SlicingService(snapshot, cfg=target.build_config(),
-                          batching=batching, rng_seed=0,
-                          slo=slo, slo_every=slo_every,
+                          rng_seed=0, slo=slo, slo_every=slo_every,
                           anomaly=anomaly)
 
 
@@ -76,37 +69,22 @@ def _drive(service: SlicingService, slots) -> float:
     return time.perf_counter() - start
 
 
-def test_serve_batched_vs_unbatched(benchmark):
-    batched = _make_service(batching=True)
-    unbatched = _make_service(batching=False)
-    slots = _make_requests(batched)
-    # one warm-up slot each: numpy buffers, coordinator warm start
-    _drive(batched, slots[:1])
-    _drive(unbatched, slots[:1])
+def test_serve_throughput(benchmark):
+    """Ungated trajectory case: decisions/s at a 50-slice cell."""
+    service = _make_service()
+    slots = _make_requests(service)
+    # one warm-up slot: numpy buffers, coordinator warm start
+    _drive(service, slots[:1])
 
-    batched_s = run_once(benchmark, _drive, batched, slots)
-    unbatched_s = _drive(unbatched, slots)
+    elapsed = run_once(benchmark, _drive, service, slots)
 
     decisions = SLOTS * SLICES
-    batched_rate = decisions / batched_s
-    unbatched_rate = decisions / unbatched_s
-    speedup = batched_rate / unbatched_rate
+    rate = decisions / elapsed
+    benchmark.extra_info["decisions_per_sec"] = rate
     print(f"\nServing throughput at {SLICES} slices "
-          f"({decisions} decisions):")
-    print(f"  batched    {batched_rate:12,.0f} decisions/s")
-    print(f"  unbatched  {unbatched_rate:12,.0f} decisions/s")
-    print(f"  speedup    {speedup:12.1f}x  (gate: "
-          f">= {MIN_SPEEDUP:.0f}x)")
-    assert speedup >= MIN_SPEEDUP
-
-    # same snapshot, same states -> same allocations either way
-    sample = slots[0]
-    batched_d = batched.decide(sample)
-    unbatched_d = unbatched.decide(sample)
-    for name in batched_d:
-        np.testing.assert_allclose(batched_d[name].action,
-                                   unbatched_d[name].action,
-                                   atol=1e-9)
+          f"({decisions} decisions): {rate:,.0f} decisions/s")
+    assert service.telemetry.counter("decisions").value \
+        == decisions + SLICES
 
 
 #: Rows per pi_phi call: one slice per policy (the fleet's regime), a
@@ -188,8 +166,8 @@ def test_serve_slo_overhead(benchmark):
                      instrument="stage_coordinate_ms", ceiling=100.0,
                      fast_window=8.0, slow_window=24.0),
     ))
-    plain = _make_service(batching=True)
-    guarded = _make_service(batching=True, slo=SloEvaluator(spec),
+    plain = _make_service()
+    guarded = _make_service(slo=SloEvaluator(spec),
                             slo_every=1)
     slots = _make_requests(plain)
     _drive(plain, slots[:1])                              # warm-up
@@ -246,8 +224,8 @@ def test_serve_diagnose_overhead(benchmark):
                      instrument="fallbacks", total="decisions",
                      ceiling=0.5, fast_window=8.0, slow_window=24.0),
     ))
-    plain = _make_service(batching=True)
-    guarded = _make_service(batching=True, slo=SloEvaluator(spec),
+    plain = _make_service()
+    guarded = _make_service(slo=SloEvaluator(spec),
                             slo_every=1, anomaly=AnomalyMonitor())
     slots = _make_requests(plain)
     _drive(plain, slots[:1])                              # warm-up

@@ -5,8 +5,10 @@ performance models in each slice.  The end-to-end latency and frame
 rate are formulated as p_MAR = (f*s)/U_u + l_s and p_HVS = U_d/(f*s)
 ... the MCS offset U_m = 6, U_s = 0 [for RDC] ... the problem of
 minimizing the overall resource usage is solved by using the CVXPY
-tool."  We solve the same programs with scipy's SLSQP (CVXPY is not
-available offline; the programs are tiny and smooth).
+tool."  Each program is one-variable with a monotone constraint, so
+its optimum is the closed form evaluated here (the SLSQP solve the
+closed form replaced lives on as the oracle in
+``tests/test_baselines.py``).
 
 The method's weaknesses -- the reason the paper measures *both* higher
 usage and more violations than Baseline -- are kept exactly as the
@@ -95,8 +97,17 @@ class ModelBasedPolicy:
                  network_cfg: Optional[NetworkConfig] = None,
                  cfg: Optional[ModelBasedConfig] = None) -> None:
         self.spec = spec
+        self.app = spec.app
         self.network_cfg = network_cfg or NetworkConfig()
         self.cfg = cfg or ModelBasedConfig()
+        if (spec.app == "mar"
+                and spec.sla.target <= self.cfg.static_latency_ms):
+            raise ValueError(
+                f"ModelBasedConfig.static_latency_ms "
+                f"({self.cfg.static_latency_ms:g} ms) leaves no "
+                f"latency budget under slice {spec.name!r}'s "
+                f"sla.target ({spec.sla.target:g} ms); the MAR model "
+                "p = (f*s)/(U_u R) + l_s has no feasible U_u")
         ran = self.network_cfg.ran
         eff = mcs_spectral_efficiency(cqi_to_mcs(self.cfg.nominal_cqi))
         base = ran.num_prbs * ran.prb_bandwidth_hz * (1.0 - ran.overhead)
@@ -110,29 +121,15 @@ class ModelBasedPolicy:
     def _solve_mar(self, arrival_rate: float) -> np.ndarray:
         """min U_u  s.t.  p_MAR = (f*s)/(U_u R) + l_s <= P (paper model).
 
-        Solved with SLSQP for parity with the paper's CVXPY program
-        (the one-variable program has the closed form
-        ``U_u = f*s / (R * (P - l_s))``, which the solver recovers).
+        The constraint is monotone in the one variable, so the optimum
+        is where it binds: ``U_u = f*s / (R * (P - l_s))``, clipped to
+        the program's box ``[0.02, 1]``.
         """
-        # Imported here: scipy.optimize is about half the import time
-        # of the whole package and only this baseline's MAR program
-        # uses it.
-        from scipy import optimize
-
         spec, cfg = self.spec, self.cfg
         f = arrival_rate * cfg.provisioning_margin
         s = spec.uplink_payload_bits
         budget_ms = spec.sla.target - cfg.static_latency_ms
-
-        def latency_ms(x):
-            return f * s / (x[0] * self._nominal_ul_bps) * 1e3
-
-        result = optimize.minimize(
-            lambda x: x[0], x0=np.array([0.3]), method="SLSQP",
-            bounds=[(0.02, 1.0)],
-            constraints=[{"type": "ineq",
-                          "fun": lambda x: budget_ms - latency_ms(x)}])
-        u_u = float(result.x[0]) if result.success else 1.0
+        u_u = f * s * 1e3 / (self._nominal_ul_bps * budget_ms)
         action = _mb_default_action("mar")
         action[action_index("uplink_bandwidth")] = float(np.clip(
             u_u, 0.02, 1.0))
@@ -190,3 +187,7 @@ class ModelBasedPolicy:
     def act_vector(self, state_vector: np.ndarray) -> np.ndarray:
         rate = float(state_vector[1]) * self.spec.max_arrival_rate
         return self.action_for_rate(rate)
+
+    def act_rows(self, states: np.ndarray) -> np.ndarray:
+        """One :meth:`act_vector` program per stacked state row."""
+        return np.stack([self.act_vector(state) for state in states])

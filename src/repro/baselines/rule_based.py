@@ -128,7 +128,10 @@ class RuleBasedPolicy:
 
     ``act`` is the runtime interface used as the paper's pi_b: it looks
     up the bin of the current observed traffic and returns the
-    pre-searched action.
+    pre-searched action.  Every form (``act``, ``act_vector``, the
+    batch engine's ``act_rows``) is :meth:`action_for_traffic` -- one
+    ``searchsorted`` over the stacked table, the scalar forms being
+    its 0-d case.
     """
 
     def __init__(self, slice_name: str, app: str,
@@ -141,16 +144,17 @@ class RuleBasedPolicy:
         self.slice_name = slice_name
         self.app = app
         self.bin_edges = np.asarray(bin_edges, dtype=float)
-        self.actions = [np.asarray(a, dtype=float).copy()
-                        for a in actions]
+        #: ``(bins, NUM_ACTIONS)``: row ``i`` is bin ``i``'s action.
+        self.actions = np.stack([np.asarray(a, dtype=float)
+                                 for a in actions])
 
-    def action_for_traffic(self, normalized_traffic: float) -> np.ndarray:
-        """The grid-searched action of a normalised traffic level."""
-        idx = int(np.searchsorted(self.bin_edges,
-                                  max(normalized_traffic, 0.0),
-                                  side="left"))
-        idx = min(idx, len(self.actions) - 1)
-        return self.actions[idx].copy()
+    def action_for_traffic(self, normalized_traffic) -> np.ndarray:
+        """The grid-searched action of a normalised traffic level; an
+        ``(R,)`` array of levels gives the ``(R, NUM_ACTIONS)`` rows."""
+        idx = self.bin_edges.searchsorted(
+            np.maximum(normalized_traffic, 0.0), side="left")
+        # traffic above the last edge reads the last bin
+        return self.actions.take(idx, axis=0, mode="clip")
 
     def act(self, observation: SliceObservation) -> np.ndarray:
         """pi_b(s): key on the observed traffic feature."""
@@ -158,7 +162,11 @@ class RuleBasedPolicy:
 
     def act_vector(self, state_vector: np.ndarray) -> np.ndarray:
         """pi_b over a raw state vector (traffic is feature index 1)."""
-        return self.action_for_traffic(float(state_vector[1]))
+        return self.action_for_traffic(state_vector[1])
+
+    def act_rows(self, states: np.ndarray) -> np.ndarray:
+        """pi_b over stacked state vectors, one action row each."""
+        return self.action_for_traffic(states[:, 1])
 
 
 def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,

@@ -75,6 +75,10 @@ class SliceSLA:
     cost_threshold: float = 0.05
     lower_is_better: bool = False
 
+    def violated(self, mean_cost: float) -> bool:
+        """The episode SLA verdict: mean per-slot cost above ``C_max``."""
+        return mean_cost > self.cost_threshold
+
 
 @dataclass(frozen=True)
 class SliceSpec:

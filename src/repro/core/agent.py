@@ -219,9 +219,3 @@ class OnSlicingAgent:
     @property
     def cumulative_cost(self) -> float:
         return self._cum_cost
-
-    def sla_violated(self) -> bool:
-        """Episode-level SLA check at the current slot."""
-        if self._slot == 0:
-            return False
-        return (self._cum_cost / self._slot) > self.cost_threshold

@@ -12,9 +12,10 @@ into flat array math:
   heap array allocations;
 * :mod:`repro.engine.batch` -- :class:`BatchSimulator`, stepping B
   heterogeneous worlds in lockstep with per-world RNG stream parity;
-* :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol
-  plus vectorised rule-based / model-based / actor-critic policies,
-  batched projection, and the vectorised-env OnRL learner.
+* :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol,
+  the one name -> per-slice-policy router behind the rule-based /
+  model-based / snapshot batch policies, batched projection, and the
+  vectorised-env OnRL learner.
 
 The layers above consume it through
 :func:`repro.experiments.harness.run_episodes`, the fleet shard's
@@ -31,23 +32,23 @@ from repro.engine.kernels import (
     rows_for_network,
 )
 from repro.engine.policies import (
-    ActorCriticBatchPolicy,
     BatchPolicy,
     ConstantBatchPolicy,
     ModelBasedBatchPolicy,
+    RoutedBatchPolicy,
     RuleBasedBatchPolicy,
     VecOnRLAgent,
     project_actions_batch,
 )
 
 __all__ = [
-    "ActorCriticBatchPolicy",
     "BatchPolicy",
     "BatchSimulator",
     "BatchStepResult",
     "KernelArena",
     "ConstantBatchPolicy",
     "ModelBasedBatchPolicy",
+    "RoutedBatchPolicy",
     "RuleBasedBatchPolicy",
     "SliceRows",
     "VecOnRLAgent",

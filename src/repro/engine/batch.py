@@ -83,16 +83,6 @@ class BatchStepResult:
         i = self.worlds.index(world)
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    def totals_of(self, world: int) -> Dict[str, Dict[str, float]]:
-        """Per-slice ``{"cost", "usage"}`` of one world this slot."""
-        rows = self.rows_of(world)
-        i = self.worlds.index(world)
-        return {
-            name: {"cost": float(self.costs[rows][j]),
-                   "usage": float(self.usages[rows][j])}
-            for j, name in enumerate(self.names[i])
-        }
-
 
 class _WorldState:
     """Cached layout of one world's current slice set."""
@@ -233,15 +223,6 @@ class BatchSimulator:
         for i, name in enumerate(names):
             observations[name].vector(out=out[i])
         return out
-
-    def observation_offsets(self,
-                            worlds: Optional[Sequence[int]] = None
-                            ) -> np.ndarray:
-        """Managed-row offsets for a world subset (default: all)."""
-        worlds = range(self.num_worlds) if worlds is None else worlds
-        sizes = [len(self._require_state(b).managed_names)
-                 for b in worlds]
-        return np.concatenate([[0], np.cumsum(sizes)])
 
     def _require_state(self, world: int) -> _WorldState:
         state = self._states[world]

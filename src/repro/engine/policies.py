@@ -4,13 +4,15 @@ The :class:`BatchPolicy` protocol is the engine-side counterpart of
 the per-slice ``act``/``act_vector`` interfaces: a policy maps an
 ``(R, STATE_DIM)`` observation matrix (plus per-row slice metadata) to
 an ``(R, NUM_ACTIONS)`` action matrix in one shot.  The paper's
-comparison policies vectorise directly:
+comparison policies are per-slice objects, so the batch form of all of
+them is one router, :class:`RoutedBatchPolicy`: every row goes to the
+per-slice policy its slice name resolves to, and rows that share a
+policy are served by one ``policy.act_rows(states)`` call --
 
-* the rule-based Baseline is a per-traffic-bin table -- one
-  ``searchsorted`` over the traffic column plus a row gather;
-* Model_Based's programs have closed forms (the SLSQP solve of the
-  scalar path just recovers them), evaluated here as array math;
-* OnRL / the actor-critic run one ``MLP.predict_batch`` forward pass.
+* the rule-based Baseline's ``act_rows`` is one ``searchsorted`` over
+  the traffic column plus a row gather from its bin table;
+* Model_Based's evaluates its closed-form program row by row;
+* a learned snapshot policy's is one ``MLP.predict_batch`` forward.
 
 :func:`project_actions_batch` applies the paper's projection
 (Sec. 4) per world across a whole batch, and :class:`VecOnRLAgent`
@@ -24,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.config import NUM_ACTIONS, action_index
+from repro.config import NUM_ACTIONS
 from repro.rl.buffer import RolloutBuffer, Transition
 from repro.sim.network import CONSTRAINED_RESOURCES
 
@@ -61,74 +63,25 @@ class ConstantBatchPolicy:
                                (len(states), NUM_ACTIONS)).copy()
 
 
-class RuleBasedBatchPolicy:
-    """Vectorised pi_b: per-traffic-bin table lookups for all rows.
+class RoutedBatchPolicy:
+    """Per-slice policies over a batch: route each row by slice name.
 
-    ``policies`` maps slice names to fitted
-    :class:`~repro.baselines.rule_based.RuleBasedPolicy` tables;
-    unmatched names fall back to any policy of the same leading app
-    prefix, else the first table (mirroring how population scenarios
-    cycle the three fitted apps).
+    ``policies`` maps slice names to per-slice policies exposing
+    ``app`` and ``act_rows(states)``.  A row's name resolves to the
+    policy of that exact name, else to the first policy of the same
+    leading app prefix (``MAR7`` -> the ``mar`` policy, mirroring how
+    population scenarios cycle the three fitted apps), else to the
+    first policy.
     """
 
     def __init__(self, policies: Mapping[str, object]) -> None:
         if not policies:
-            raise ValueError("need at least one fitted policy")
+            raise ValueError("need at least one per-slice policy")
         self.policies = dict(policies)
         self._by_app: Dict[str, object] = {}
         for policy in self.policies.values():
             self._by_app.setdefault(policy.app, policy)
         self._fallback = next(iter(self.policies.values()))
-        #: id(policy) -> stacked (bins, NUM_ACTIONS) action table.
-        self._tables = {id(policy): np.stack(policy.actions)
-                        for policy in self.policies.values()}
-
-    def _resolve(self, name: str):
-        policy = self.policies.get(name)
-        if policy is not None:
-            return policy
-        app = name[:3].lower()
-        return self._by_app.get(app, self._fallback)
-
-    def act_batch(self, states: np.ndarray,
-                  slice_names: Sequence[str]) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        actions = np.empty((len(states), NUM_ACTIONS))
-        traffic = np.maximum(states[:, 1], 0.0)
-        groups: Dict[int, List[int]] = {}
-        resolved = [self._resolve(name) for name in slice_names]
-        for row, policy in enumerate(resolved):
-            groups.setdefault(id(policy), []).append(row)
-        for rows in groups.values():
-            policy = resolved[rows[0]]
-            idx = np.searchsorted(policy.bin_edges, traffic[rows],
-                                  side="left")
-            idx = np.minimum(idx, len(policy.actions) - 1)
-            actions[rows] = self._tables[id(policy)][idx]
-        return actions
-
-
-class ModelBasedBatchPolicy:
-    """Vectorised Model_Based: the papers' closed-form programs.
-
-    The scalar :class:`~repro.baselines.model_based.ModelBasedPolicy`
-    runs a one-variable SLSQP per MAR request whose optimum has the
-    closed form ``U_u = f*s / (R * (P - l_s))``; this policy evaluates
-    the closed forms directly for every row, so a 50-slice cell costs
-    one pass of array math instead of 50 solver invocations.  Within
-    solver tolerance it matches the scalar method; it is a distinct
-    (faster, tighter) implementation, not a bit-exact replay.
-    """
-
-    def __init__(self, policies: Mapping[str, object]) -> None:
-        if not policies:
-            raise ValueError("need at least one analytic policy")
-        self.policies = dict(policies)
-        sample = next(iter(self.policies.values()))
-        self._by_app = {}
-        for policy in self.policies.values():
-            self._by_app.setdefault(policy.spec.app, policy)
-        self._fallback = sample
 
     def _resolve(self, name: str):
         policy = self.policies.get(name)
@@ -140,66 +93,20 @@ class ModelBasedBatchPolicy:
                   slice_names: Sequence[str]) -> np.ndarray:
         states = np.asarray(states, dtype=float)
         actions = np.empty((len(states), NUM_ACTIONS))
-        for row, name in enumerate(slice_names):
-            policy = self._resolve(name)
-            cfg = policy.cfg
-            spec = policy.spec
-            rate = states[row, 1] * spec.max_arrival_rate
-            f = rate * cfg.provisioning_margin
-            if spec.app == "mar":
-                from repro.baselines.model_based import \
-                    _mb_default_action
-
-                action = _mb_default_action("mar")
-                budget = spec.sla.target - cfg.static_latency_ms
-                u_u = (f * spec.uplink_payload_bits * 1e3
-                       / (policy._nominal_ul_bps * budget))
-                action[action_index("uplink_bandwidth")] = float(
-                    np.clip(u_u, 0.02, 1.0))
-                action[action_index("transport_bandwidth")] = float(
-                    np.clip(f * spec.uplink_payload_bits
-                            / policy._link_bps
-                            * cfg.provisioning_margin, 0.01, 1.0))
-            elif spec.app == "hvs":
-                from repro.baselines.model_based import \
-                    _mb_default_action
-
-                action = _mb_default_action("hvs")
-                demand = (f * spec.sla.target
-                          * spec.downlink_payload_bits)
-                action[action_index("downlink_bandwidth")] = float(
-                    np.clip(demand / policy._nominal_dl_bps,
-                            0.05, 1.0))
-                action[action_index("transport_bandwidth")] = float(
-                    np.clip(demand / policy._link_bps
-                            * cfg.provisioning_margin, 0.01, 1.0))
-            else:
-                action = policy._solve_rdc(rate)
-            actions[row] = action
+        resolved = [self._resolve(name) for name in slice_names]
+        groups: Dict[int, List[int]] = {}
+        for row, policy in enumerate(resolved):
+            groups.setdefault(id(policy), []).append(row)
+        for rows in groups.values():
+            actions[rows] = resolved[rows[0]].act_rows(states[rows])
         return actions
 
 
-class ActorCriticBatchPolicy:
-    """Deterministic pi_theta over a stacked batch (one forward)."""
-
-    def __init__(self, models: Mapping[str, object]) -> None:
-        if not models:
-            raise ValueError("need at least one model")
-        self.models = dict(models)
-        self._fallback = next(iter(self.models.values()))
-
-    def act_batch(self, states: np.ndarray,
-                  slice_names: Sequence[str]) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        actions = np.empty((len(states), NUM_ACTIONS))
-        groups: Dict[str, List[int]] = {}
-        for row, name in enumerate(slice_names):
-            key = name if name in self.models else "*"
-            groups.setdefault(key, []).append(row)
-        for key, rows in groups.items():
-            model = self.models.get(key, self._fallback)
-            actions[rows] = model.mean_actions(states[rows])
-        return actions
+#: The static methods' batch policies are the router itself, over
+#: fitted :class:`~repro.baselines.rule_based.RuleBasedPolicy` tables
+#: and per-slice :class:`~repro.baselines.model_based.ModelBasedPolicy`
+#: programs respectively.
+RuleBasedBatchPolicy = ModelBasedBatchPolicy = RoutedBatchPolicy
 
 
 def project_actions_batch(actions: np.ndarray,

@@ -366,8 +366,7 @@ def fig14(cfg: Optional[ExperimentConfig] = None,
             usages[spec.name].append(usage_percent(
                 totals[spec.name]["usage"] / horizon))
             violations[spec.name].append(100.0 * float(
-                totals[spec.name]["cost"] / horizon
-                > spec.sla.cost_threshold))
+                spec.sla.violated(totals[spec.name]["cost"] / horizon)))
     out["usage_pct"] = usages
     out["violation_pct"] = violations
     return out
@@ -503,9 +502,8 @@ def fig18(scale: float = 0.25,
                 observations[name] = result.observation
         horizon = simulator.horizon
         out["usage_pct"].append(usage_percent(total_usage / horizon))
-        out["violation_pct"].append(
-            100.0 * float(total_cost / horizon
-                          > mar_spec.sla.cost_threshold))
+        out["violation_pct"].append(100.0 * float(
+            mar_spec.sla.violated(total_cost / horizon)))
     return out
 
 

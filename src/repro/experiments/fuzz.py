@@ -35,14 +35,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import (
-    ENGINES,
-    ExperimentConfig,
-    NUM_ACTIONS,
-    TrafficConfig,
+from repro.config import ENGINES, ExperimentConfig, TrafficConfig
+from repro.engine.batch import BatchSimulator
+from repro.engine.policies import (
+    ModelBasedBatchPolicy,
+    RoutedBatchPolicy,
+    RuleBasedBatchPolicy,
 )
 from repro.experiments.harness import (
+    episode_totals,
     fit_baselines,
+    lockstep,
     make_model_based_policies,
     run_episodes,
 )
@@ -70,14 +73,14 @@ _CHECK_ATOL = 1e-9
 STATIC_METHODS = ("baseline", "model_based")
 
 
-class SnapshotBatchPolicy:
+class SnapshotBatchPolicy(RoutedBatchPolicy):
     """Deterministic batch inference over a trained policy snapshot.
 
-    Rebuilds each snapshot policy's actor-critic and serves
-    ``mean_actions`` -- the same deterministic-test protocol as the
-    Table 1 evaluation -- with app-prefix routing for fuzzed
-    populations (``MAR7`` routes to the snapshot's MAR policy), the
-    routing rule the other batch policies already use.
+    Rebuilds each snapshot policy's actor-critic and serves its mean
+    actions -- the same deterministic-test protocol as the Table 1
+    evaluation -- through the router the static methods use, so
+    ``MAR7`` of a fuzzed population lands on the snapshot's MAR
+    policy.
     """
 
     def __init__(self, snapshot) -> None:
@@ -86,32 +89,23 @@ class SnapshotBatchPolicy:
         if not snapshot.policies:
             raise ValueError(f"snapshot {snapshot.ref} has no policies")
         rng = np.random.default_rng(snapshot.seed)
-        self._models: Dict[str, object] = {}
-        self._by_app: Dict[str, object] = {}
-        for name, payload in snapshot.policies.items():
-            model = _LearnedPolicy(name, payload, snapshot.config,
-                                   rng).model
-            self._models[name] = model
-            self._by_app.setdefault(payload["app"], model)
-        self._fallback = next(iter(self._models.values()))
+        super().__init__({
+            name: _LearnedPolicy(name, payload, snapshot.config, rng)
+            for name, payload in snapshot.policies.items()})
 
-    def _resolve(self, name: str):
-        model = self._models.get(name)
-        if model is not None:
-            return model
-        return self._by_app.get(name[:3].lower(), self._fallback)
 
-    def act_batch(self, states: np.ndarray,
-                  slice_names: Sequence[str]) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        actions = np.empty((len(states), NUM_ACTIONS))
-        resolved = [self._resolve(name) for name in slice_names]
-        groups: Dict[int, List[int]] = {}
-        for row, model in enumerate(resolved):
-            groups.setdefault(id(model), []).append(row)
-        for rows in groups.values():
-            actions[rows] = resolved[rows[0]].mean_actions(states[rows])
-        return actions
+#: method -> ``(cfg, snapshot) -> batch policy``: the static methods
+#: derive from the paper world's ``cfg`` (their app-level tables /
+#: programs transfer to any fuzzed population via the router's prefix
+#: rule), the learners from a trained snapshot.
+BATCH_POLICY_FACTORIES = {
+    "onslicing": lambda cfg, snapshot: SnapshotBatchPolicy(snapshot),
+    "onrl": lambda cfg, snapshot: SnapshotBatchPolicy(snapshot),
+    "baseline": lambda cfg, snapshot: RuleBasedBatchPolicy(
+        fit_baselines(cfg)),
+    "model_based": lambda cfg, snapshot: ModelBasedBatchPolicy(
+        make_model_based_policies(cfg)),
+}
 
 
 def build_method_policies(methods: Optional[Sequence[str]] = None,
@@ -120,13 +114,11 @@ def build_method_policies(methods: Optional[Sequence[str]] = None,
                           ) -> Dict[str, Tuple[object, str]]:
     """``label -> (batch policy, cache signature)`` per method.
 
-    The static methods derive from the paper world's config (their
-    app-level tables/programs transfer to any fuzzed population via
-    prefix routing); the learners evaluate train-once snapshots from
-    ``snapshot_store`` (trained at ``scale`` if absent -- the same
-    store entries the ``robustness`` snapshot path uses).  The
-    signature feeds the result-cache key: static policies are pinned
-    by the config they were fitted on, snapshots by their digest.
+    The learners evaluate train-once snapshots from ``snapshot_store``
+    (trained at ``scale`` if absent -- the same store entries the
+    ``robustness`` snapshot path uses).  The signature feeds the
+    result-cache key: static policies are pinned by the config they
+    were fitted on, snapshots by their digest.
     """
     chosen = tuple(methods) if methods is not None \
         else tuple(METHOD_LABELS)
@@ -145,22 +137,11 @@ def build_method_policies(methods: Optional[Sequence[str]] = None,
         if learners else {}
     policies: Dict[str, Tuple[object, str]] = {}
     for method in chosen:
-        label = METHOD_LABELS[method]
-        if method == "baseline":
-            from repro.engine.policies import RuleBasedBatchPolicy
-
-            policies[label] = (RuleBasedBatchPolicy(fit_baselines(cfg)),
-                               "static:baseline")
-        elif method == "model_based":
-            from repro.engine.policies import ModelBasedBatchPolicy
-
-            policies[label] = (
-                ModelBasedBatchPolicy(make_model_based_policies(cfg)),
-                "static:model_based")
-        else:
-            snapshot = snapshots[method]
-            policies[label] = (SnapshotBatchPolicy(snapshot),
-                               f"snapshot:{snapshot.digest}")
+        snapshot = snapshots.get(method)
+        policies[METHOD_LABELS[method]] = (
+            BATCH_POLICY_FACTORIES[method](cfg, snapshot),
+            f"static:{method}" if snapshot is None
+            else f"snapshot:{snapshot.digest}")
     return policies
 
 
@@ -204,9 +185,6 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
     Returns one dict per world: scenario name, family, violated
     slices, per-slice mean cost/usage, and any invariant breaches.
     """
-    from repro.engine.batch import BatchSimulator
-    from repro.engine.policies import project_actions_batch
-
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected "
                          f"one of {ENGINES}")
@@ -222,61 +200,10 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
                   run_episodes(sims, policy, episodes=1,
                                engine="scalar")]
     else:
-        batch = BatchSimulator(sims)
-        states: List[np.ndarray] = []
-        totals = []
-        for b in range(batch.num_worlds):
-            obs = batch.reset_world(b)
-            if not np.all(np.isfinite(obs)):
-                _breach(breaches, b, specs[b].name, "nonfinite",
-                        "initial observation contains non-finite "
-                        "values")
-            states.append(obs)
-            totals.append({name: {"cost": 0.0, "usage": 0.0}
-                           for name in batch.slice_names(b)})
-        active = set(range(batch.num_worlds))
-        while active:
-            worlds = sorted(active)
-            stacked = np.concatenate([states[b] for b in worlds])
-            names = [n for b in worlds for n in batch.slice_names(b)]
-            matrix = np.asarray(policy.act_batch(stacked, names),
-                                dtype=float)
-            offsets = np.concatenate(
-                [[0], np.cumsum([len(states[b]) for b in worlds])])
-            matrix = project_actions_batch(matrix, offsets)
-            step = batch.step(_scatter(matrix, offsets, worlds,
-                                       batch.num_worlds))
-            for i, b in enumerate(worlds):
-                rows = step.rows_of(b)
-                requested = matrix[offsets[i]:offsets[i + 1],
-                                   _KIND_COLUMNS]
-                over = requested.sum(axis=0) - 1.0
-                if np.any(over > _CHECK_ATOL):
-                    _breach(breaches, b, specs[b].name, "conservation",
-                            "post-projection constrained totals "
-                            f"exceed capacity by {float(over.max()):g}")
-                for arr, label in ((step.observations[rows],
-                                    "observation"),
-                                   (step.costs[rows], "cost"),
-                                   (step.usages[rows], "usage")):
-                    if not np.all(np.isfinite(arr)):
-                        _breach(breaches, b, specs[b].name,
-                                "nonfinite",
-                                f"non-finite {label} at slot "
-                                f"{sims[b].slot}")
-                if np.any(step.costs[rows] < -_CHECK_ATOL) \
-                        or np.any(step.usages[rows] < -_CHECK_ATOL):
-                    _breach(breaches, b, specs[b].name, "negative",
-                            f"negative cost/usage at slot "
-                            f"{sims[b].slot}")
-                for j, name in enumerate(step.names[i]):
-                    totals[b][name]["cost"] += float(
-                        step.costs[rows][j])
-                    totals[b][name]["usage"] += float(
-                        step.usages[rows][j])
-                states[b] = step.observations[rows]
-                if step.dones[i]:
-                    active.discard(b)
+        slots = _checked(lockstep(BatchSimulator(sims), policy),
+                         specs, sims, breaches)
+        totals = [world[0] for world in
+                  episode_totals(slots, len(sims))]
         for b, sim in enumerate(sims):
             for name in sim.slice_names:
                 drift = abs(sim.cumulative_cost(name)
@@ -302,7 +229,7 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
     results: List[Dict[str, object]] = []
     for b, (spec, cfg, sim) in enumerate(zip(specs, cfgs, sims)):
         horizon = sim.horizon
-        thresholds = {s.name: s.sla.cost_threshold for s in cfg.slices}
+        slas = {s.name: s.sla for s in cfg.slices}
         mean_cost = {name: t["cost"] / horizon
                      for name, t in totals[b].items()}
         mean_usage = {name: t["usage"] / horizon
@@ -315,7 +242,7 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
             "horizon": horizon,
             "violations": sorted(
                 name for name, cost in mean_cost.items()
-                if cost > thresholds[name]),
+                if slas[name].violated(cost)),
             "mean_cost": mean_cost,
             "mean_usage": mean_usage,
             "breaches": [row for row in breaches
@@ -324,12 +251,36 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
     return results
 
 
-def _scatter(matrix: np.ndarray, offsets: np.ndarray,
-             worlds: List[int], num_worlds: int) -> List:
-    actions: List[Optional[np.ndarray]] = [None] * num_worlds
-    for i, b in enumerate(worlds):
-        actions[b] = matrix[offsets[i]:offsets[i + 1]]
-    return actions
+def _checked(slots, specs: Sequence[ScenarioSpec], sims: List,
+             breaches: List[Dict[str, object]]):
+    """Pass :func:`~repro.experiments.harness.lockstep` slots through,
+    recording a breach for every per-slot engine invariant a world
+    breaks (finite, non-negative, within capacity)."""
+    for states, matrix, step in slots:
+        for i, b in enumerate(step.worlds):
+            rows = slice(step.offsets[i], step.offsets[i + 1])
+            slot = sims[b].slot     # already advanced by the step
+            if slot == 1 and not np.all(np.isfinite(states[rows])):
+                _breach(breaches, b, specs[b].name, "nonfinite",
+                        "initial observation contains non-finite "
+                        "values")
+            over = matrix[rows, _KIND_COLUMNS].sum(axis=0) - 1.0
+            if np.any(over > _CHECK_ATOL):
+                _breach(breaches, b, specs[b].name, "conservation",
+                        "post-projection constrained totals "
+                        f"exceed capacity by {float(over.max()):g}")
+            for arr, label in ((step.observations[rows],
+                                "observation"),
+                               (step.costs[rows], "cost"),
+                               (step.usages[rows], "usage")):
+                if not np.all(np.isfinite(arr)):
+                    _breach(breaches, b, specs[b].name, "nonfinite",
+                            f"non-finite {label} at slot {slot}")
+            if np.any(step.costs[rows] < -_CHECK_ATOL) \
+                    or np.any(step.usages[rows] < -_CHECK_ATOL):
+                _breach(breaches, b, specs[b].name, "negative",
+                        f"negative cost/usage at slot {slot}")
+        yield states, matrix, step
 
 
 def run_fuzz(seed: int = 11, count: int = 16,
@@ -467,9 +418,11 @@ def shrink_spec(spec: ScenarioSpec,
     Starting from a failing spec, repeatedly tries the reduction
     candidates (biggest cut first) and restarts from the first one
     that still fails, until a fixpoint or the evaluation budget.
-    Candidates that raise (e.g. a reduction left a dangling event
-    reference) count as not-preserving.  Deterministic: same spec,
-    predicate and budget always shrink to the same result.
+    A candidate whose spec / config validation raises ``ValueError``
+    (the reduction went past what a world can be) counts as
+    not-preserving; any other exception is a bug and propagates.
+    Deterministic: same spec, predicate and budget always shrink to
+    the same result.
 
     Returns ``(shrunk spec, predicate evaluations used)``.
     """
@@ -490,7 +443,7 @@ def shrink_spec(spec: ScenarioSpec,
             evals += 1
             try:
                 preserved = predicate(candidate)
-            except Exception:
+            except ValueError:      # over-shrunk: not a valid world
                 preserved = False
             if preserved:
                 current = candidate
@@ -506,18 +459,6 @@ def violation_predicate(policy) -> Callable[[ScenarioSpec], bool]:
         rows = run_fuzz_batch([spec], policy, engine="vector",
                               check_parity=False)
         return bool(rows[0]["violations"])
-
-    return predicate
-
-
-def breach_predicate(policy,
-                     kind: str) -> Callable[[ScenarioSpec], bool]:
-    """Failure witness: an engine invariant breach of ``kind``
-    (parity breaches need the cross-engine run, so it stays on)."""
-    def predicate(spec: ScenarioSpec) -> bool:
-        rows = run_fuzz_batch([spec], policy, engine="vector",
-                              check_parity=(kind == "parity"))
-        return any(row["kind"] == kind for row in rows[0]["breaches"])
 
     return predicate
 

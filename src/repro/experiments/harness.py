@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,12 @@ from repro.core.offline import (
     pretrain_agent,
 )
 from repro.core.orchestrator import DomainManagerSet, OnSlicingOrchestrator
+from repro.engine.batch import BatchSimulator
+from repro.engine.policies import (
+    RoutedBatchPolicy,
+    VecOnRLAgent,
+    project_actions_batch,
+)
 from repro.experiments.metrics import (
     MethodResult,
     TrajectoryPoint,
@@ -123,9 +129,6 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
     Returns ``result[world][episode][slice] == {"cost": total,
     "usage": total}`` (sum over the episode's slots).
     """
-    from repro.engine.batch import BatchSimulator
-    from repro.engine.policies import project_actions_batch
-
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected "
                          f"one of {ENGINES}")
@@ -159,17 +162,30 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
             results.append(world_episodes)
         return results
 
-    batch = BatchSimulator(simulators)
-    results = [[] for _ in simulators]
-    remaining = [episodes] * len(simulators)
-    totals: List[Optional[Dict]] = [None] * len(simulators)
-    states = [None] * len(simulators)
-    for b in range(len(simulators)):
-        states[b] = batch.reset_world(b)
-        remaining[b] -= 1
-        totals[b] = {n: {"cost": 0.0, "usage": 0.0}
-                     for n in batch.slice_names(b)}
-    active = set(range(len(simulators)))
+    return episode_totals(
+        lockstep(BatchSimulator(simulators), policy, episodes, project),
+        len(simulators))
+
+
+def lockstep(batch, policy, episodes: int = 1, project: bool = True):
+    """The lockstep loop: every world of ``batch`` for ``episodes``
+    episodes under one :class:`~repro.engine.policies.BatchPolicy`.
+
+    Per slot the active worlds' observations are stacked, the policy
+    is asked once, each world's rows are projected (paper Sec. 4) and
+    all of them advance through one ``batch.step``.  Yields
+    ``(states, matrix, step)`` per slot -- the observations the policy
+    saw, the action matrix that was executed and the
+    :class:`~repro.engine.batch.BatchStepResult`, all in
+    ``step.worlds`` order with ``step.offsets`` delimiting worlds.
+    Once the consumer has folded the slot, a world whose episode ended
+    is reset if it has episodes left and retired otherwise, so the
+    consumer reads a finished world's simulator before it restarts.
+    """
+    count = batch.num_worlds
+    states = [batch.reset_world(b) for b in range(count)]
+    remaining = [episodes - 1] * count
+    active = set(range(count))
     while active:
         worlds = sorted(active)
         stacked = np.concatenate([states[b] for b in worlds])
@@ -180,25 +196,41 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
             [[0], np.cumsum([len(states[b]) for b in worlds])])
         if project:
             matrix = project_actions_batch(matrix, offsets)
-        actions: List[Optional[np.ndarray]] = [None] * len(simulators)
+        actions: List[Optional[np.ndarray]] = [None] * count
         for i, b in enumerate(worlds):
             actions[b] = matrix[offsets[i]:offsets[i + 1]]
         step = batch.step(actions)
+        yield stacked, matrix, step
         for i, b in enumerate(worlds):
-            rows = step.rows_of(b)
-            for j, n in enumerate(step.names[i]):
-                totals[b][n]["cost"] += float(step.costs[rows][j])
-                totals[b][n]["usage"] += float(step.usages[rows][j])
-            states[b] = step.observations[rows]
+            if not step.dones[i]:
+                states[b] = step.observations[
+                    offsets[i]:offsets[i + 1]]
+            elif remaining[b] > 0:
+                states[b] = batch.reset_world(b)
+                remaining[b] -= 1
+            else:
+                active.discard(b)
+
+
+def episode_totals(slots, num_worlds: int
+                   ) -> List[List[Dict[str, Dict[str, float]]]]:
+    """Fold :func:`lockstep` slots into ``run_episodes``' result:
+    per world, per episode, per slice ``{"cost", "usage"}`` sums."""
+    results: List[List[Dict]] = [[] for _ in range(num_worlds)]
+    totals: List[Dict] = [{} for _ in range(num_worlds)]
+    for _, _, step in slots:
+        costs, usages = step.costs.tolist(), step.usages.tolist()
+        for i, b in enumerate(step.worlds):
+            if not totals[b]:       # first slot of an episode
+                totals[b] = {n: {"cost": 0.0, "usage": 0.0}
+                             for n in step.names[i]}
+            for row, n in enumerate(step.names[i],
+                                    int(step.offsets[i])):
+                totals[b][n]["cost"] += costs[row]
+                totals[b][n]["usage"] += usages[row]
             if step.dones[i]:
                 results[b].append(totals[b])
-                if remaining[b] > 0:
-                    states[b] = batch.reset_world(b)
-                    remaining[b] -= 1
-                    totals[b] = {n: {"cost": 0.0, "usage": 0.0}
-                                 for n in batch.slice_names(b)}
-                else:
-                    active.discard(b)
+                totals[b] = {}
     return results
 
 
@@ -374,6 +406,18 @@ def test_performance(bundle: OnSlicingBundle, episodes: int = 3
 # ---- static policies (Baseline / Model_Based) -------------------------
 
 
+def episode_verdicts(cfg: ExperimentConfig,
+                     totals: Dict[str, Dict[str, float]],
+                     horizon: int) -> Tuple[List[float], List[float]]:
+    """One episode's per-slice mean usage and SLA verdict (1.0 =
+    violated), both in ``cfg.slices`` order, from its totals."""
+    usages = [totals[spec.name]["usage"] / horizon
+              for spec in cfg.slices]
+    violations = [float(spec.sla.violated(
+        totals[spec.name]["cost"] / horizon)) for spec in cfg.slices]
+    return usages, violations
+
+
 def evaluate_static_policies(cfg: ExperimentConfig,
                              policies: Dict[str, object],
                              episodes: int = 3,
@@ -383,38 +427,20 @@ def evaluate_static_policies(cfg: ExperimentConfig,
 
     Used for both the rule-based Baseline and Model_Based -- the two
     non-learning comparison methods, which resolve over-requests with
-    the projection method (paper Sec. 7.1).
+    the projection method (paper Sec. 7.1): :func:`run_episodes` on
+    the one world of ``cfg``/``scenario``, folded per slice.
     """
     simulator = make_simulator(cfg, scenario)
-    per_slice_u: Dict[str, List[float]] = {
-        n: [] for n in simulator.slice_names}
-    per_slice_v: Dict[str, List[float]] = {
-        n: [] for n in simulator.slice_names}
-    for _ in range(episodes):
-        observations = simulator.reset()
-        totals = {n: {"cost": 0.0, "usage": 0.0}
-                  for n in simulator.slice_names}
-        while not simulator.done:
-            proposals = {
-                name: np.asarray(policies[name].act(observations[name]),
-                                 dtype=float)
-                for name in simulator.slice_names
-            }
-            actions = project_actions(proposals)
-            results = simulator.step(actions)
-            for name, result in results.items():
-                totals[name]["cost"] += result.cost
-                totals[name]["usage"] += result.usage
-                observations[name] = result.observation
-        horizon = simulator.horizon
-        for spec in cfg.slices:
-            mean_cost = totals[spec.name]["cost"] / horizon
-            mean_usage = totals[spec.name]["usage"] / horizon
-            per_slice_u[spec.name].append(mean_usage)
-            per_slice_v[spec.name].append(
-                float(mean_cost > spec.sla.cost_threshold))
-    per_usage = {n: float(np.mean(v)) for n, v in per_slice_u.items()}
-    per_viol = {n: float(np.mean(v)) for n, v in per_slice_v.items()}
+    world, = run_episodes([simulator], RoutedBatchPolicy(policies),
+                          episodes=episodes)
+    usages, violations = zip(*(
+        episode_verdicts(cfg, totals, simulator.horizon)
+        for totals in world))
+    # per slice, the mean over its episodes
+    per_usage = {spec.name: float(np.mean(column))
+                 for spec, column in zip(cfg.slices, zip(*usages))}
+    per_viol = {spec.name: float(np.mean(column))
+                for spec, column in zip(cfg.slices, zip(*violations))}
     return MethodResult(
         method=method,
         avg_resource_usage=usage_percent(
@@ -496,8 +522,6 @@ def run_onrl_episode_batch(batch, vec_agents: Dict[str, object],
     vectorised-env analogue of :func:`run_onrl_episode`.  Returns
     per-world episode totals.
     """
-    from repro.engine.policies import project_actions_batch
-
     num_envs = batch.num_worlds
     names = batch.slice_names(0)
     s = len(names)
@@ -564,21 +588,16 @@ def train_onrl(cfg: ExperimentConfig, epochs: int = 12,
                 totals = run_onrl_episode(simulator, agents, learn=True)
                 for agent in agents.values():
                     agent.end_episode()
-                horizon = simulator.horizon
-                for spec in cfg.slices:
-                    usages.append(totals[spec.name]["usage"] / horizon)
-                    violations.append(float(
-                        totals[spec.name]["cost"] / horizon
-                        > spec.sla.cost_threshold))
+                used, violated = episode_verdicts(cfg, totals,
+                                                  simulator.horizon)
+                usages += used
+                violations += violated
             trajectory.append(TrajectoryPoint(
                 epoch=epoch, mean_usage=float(np.mean(usages)),
                 mean_cost=0.0,
                 violation_rate=float(np.mean(violations))))
         return {"agents": agents, "simulator": simulator,
                 "trajectory": trajectory}
-
-    from repro.engine.batch import BatchSimulator
-    from repro.engine.policies import VecOnRLAgent
 
     simulators = make_simulators(cfg, scenario, count=envs)
     batch = BatchSimulator(simulators)
@@ -594,12 +613,10 @@ def train_onrl(cfg: ExperimentConfig, epochs: int = 12,
                 agent.end_episodes()
                 agent.maybe_update()
             for world_totals in totals:
-                for spec in cfg.slices:
-                    usages.append(
-                        world_totals[spec.name]["usage"] / horizon)
-                    violations.append(float(
-                        world_totals[spec.name]["cost"] / horizon
-                        > spec.sla.cost_threshold))
+                used, violated = episode_verdicts(cfg, world_totals,
+                                                  horizon)
+                usages += used
+                violations += violated
         trajectory.append(TrajectoryPoint(
             epoch=epoch, mean_usage=float(np.mean(usages)),
             mean_cost=0.0,
@@ -633,12 +650,10 @@ def run_onrl_phase(cfg: Optional[ExperimentConfig] = None,
     for _ in range(3):
         totals = run_onrl_episode(simulator, agents, learn=False,
                                   deterministic=True)
-        horizon = simulator.horizon
-        for spec in cfg.slices:
-            test_usages.append(totals[spec.name]["usage"] / horizon)
-            test_violations.append(float(
-                totals[spec.name]["cost"] / horizon
-                > spec.sla.cost_threshold))
+        used, violated = episode_verdicts(cfg, totals,
+                                          simulator.horizon)
+        test_usages += used
+        test_violations += violated
     return MethodResult(
         method="OnRL",
         avg_resource_usage=usage_percent(float(np.mean(test_usages))),

@@ -348,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="traffic/service seed (default: the "
                             "scenario's)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="disable micro-batched inference "
-                            "(reference path)")
         p.add_argument("--telemetry-dir", default=None, metavar="DIR",
                        help="export instrument readings as JSONL")
         p.add_argument("--slo", default=None, metavar="SPEC",
@@ -629,9 +626,7 @@ def _run_serving(args) -> int:
 
         evaluator = SloEvaluator(load_slo_spec(args.slo))
     generator = LoadGenerator(snapshot, scenario, slices=args.slices,
-                              seed=args.seed,
-                              batching=not args.no_batch,
-                              slo=evaluator)
+                              seed=args.seed, slo=evaluator)
     report = generator.run(episodes=args.episodes,
                            max_decisions=args.decisions)
     telemetry_rows = generator.telemetry.snapshot()
@@ -1163,16 +1158,10 @@ def _run_artefacts(args) -> int:
                                  use_cache=False,
                                  seed_override=args.seed)
         for name in names:
-            try:
-                run_artefact(name, planner, args.scale,
-                             scenario=args.scenario)
-            except SystemExit:
-                raise
-            except Exception as exc:
-                # stub results may not satisfy every generator's
-                # assembly step; the units submitted so far still list
-                print(f"note: {name} decomposition incomplete ({exc})",
-                      file=sys.stderr)
+            # every generator assembles over the planner's stub
+            # results (tier-1 lists them all): an exception is a bug
+            run_artefact(name, planner, args.scale,
+                         scenario=args.scenario)
         _print_units(planner.collected)
         return 0
 

@@ -32,8 +32,7 @@ METHOD_LABELS = {
 def evaluate_snapshot(snapshot: PolicySnapshot, scenario=None,
                       episodes: int = 1,
                       slices: Optional[int] = None,
-                      seed: Optional[int] = None,
-                      batching: bool = True) -> MethodResult:
+                      seed: Optional[int] = None) -> MethodResult:
     """Deterministic service-side evaluation of a snapshot.
 
     ``scenario`` defaults to the snapshot's training scenario --
@@ -44,8 +43,7 @@ def evaluate_snapshot(snapshot: PolicySnapshot, scenario=None,
     generator = LoadGenerator(snapshot,
                               scenario if scenario is not None
                               else snapshot.scenario,
-                              slices=slices, seed=seed,
-                              batching=batching)
+                              slices=slices, seed=seed)
     report = generator.run(episodes=episodes)
     return MethodResult(
         method=METHOD_LABELS[snapshot.method],

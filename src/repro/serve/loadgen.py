@@ -96,7 +96,6 @@ class LoadGenerator:
     def __init__(self, snapshot: PolicySnapshot, scenario,
                  slices: Optional[int] = None,
                  seed: Optional[int] = None,
-                 batching: bool = True,
                  eta: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
                  trace_attrs: Optional[Dict[str, object]] = None,
@@ -117,9 +116,8 @@ class LoadGenerator:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.service = SlicingService(
-            snapshot, cfg=self.cfg, batching=batching, eta=eta,
-            telemetry=self.telemetry, rng_seed=self.seed,
-            trace_attrs=trace_attrs)
+            snapshot, cfg=self.cfg, eta=eta, telemetry=self.telemetry,
+            rng_seed=self.seed, trace_attrs=trace_attrs)
         self.simulator = self.spec.build_simulator(
             self.cfg, rng=np.random.default_rng(self.cfg.seed))
         self.slo = slo
@@ -273,7 +271,7 @@ class LoadGenerator:
                 continue
             mean_cost = self._totals[spec.name]["cost"] / slots
             mean_usage = self._totals[spec.name]["usage"] / slots
-            violated = float(mean_cost > spec.sla.cost_threshold)
+            violated = float(spec.sla.violated(mean_cost))
             self._per_slice_usage.setdefault(spec.name, []).append(
                 mean_usage)
             self._per_slice_violation.setdefault(

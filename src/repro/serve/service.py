@@ -74,6 +74,7 @@ class _LearnedPolicy:
     def __init__(self, name: str, payload: Dict, cfg: ExperimentConfig,
                  rng: np.random.Generator) -> None:
         self.name = name
+        self.app = payload["app"]
         agent_cfg = cfg.agent
         self.model = GaussianActorCritic(
             STATE_DIM, NUM_ACTIONS, policy_cfg=agent_cfg.policy,
@@ -88,7 +89,7 @@ class _LearnedPolicy:
             estimator.target_scale = payload["estimator_scale"]
             self.estimator = estimator
 
-    def actions(self, states: np.ndarray) -> np.ndarray:
+    def act_rows(self, states: np.ndarray) -> np.ndarray:
         """Deterministic pi_theta actions for a batch of states."""
         return self.model.mean_actions(states)
 
@@ -114,9 +115,6 @@ class SlicingService:
     eta:
         Risk preference of the fallback criterion (Eq. 8); defaults to
         the snapshot config's switching eta.
-    batching:
-        When False every request runs through the single-state path --
-        the reference the batched path is benchmarked against.
     trace_attrs:
         Attributes stamped onto every span this service emits (the
         fleet layer passes ``cell``/``scenario`` so traces attribute
@@ -138,7 +136,6 @@ class SlicingService:
     def __init__(self, snapshot: PolicySnapshot,
                  cfg: Optional[ExperimentConfig] = None,
                  eta: Optional[float] = None,
-                 batching: bool = True,
                  telemetry: Optional[Telemetry] = None,
                  max_coordination_rounds: int = 8,
                  tolerance: float = 1e-3,
@@ -151,7 +148,6 @@ class SlicingService:
         self.cfg = cfg if cfg is not None else snapshot.config
         self.eta = eta if eta is not None \
             else snapshot.config.agent.switching.eta
-        self.batching = batching
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.horizon = self.cfg.traffic.slots_per_episode
@@ -265,9 +261,7 @@ class SlicingService:
         start = time.perf_counter()
         stages = dict.fromkeys(DECISION_STAGES, 0.0)
         with trace("serve.decide", **self._trace_attrs):
-            proposed = (self._decide_batched(requests, stages)
-                        if self.batching
-                        else self._decide_unbatched(requests, stages))
+            proposed = self._propose(requests, stages)
             actions = {name: action
                        for name, (action, _, _) in proposed.items()}
             t0 = time.perf_counter()
@@ -325,9 +319,9 @@ class SlicingService:
                 f"({STATE_DIM},), got {state.shape}")
         return state
 
-    def _decide_batched(self, requests: Sequence[DecisionRequest],
-                        stages: Dict[str, float]
-                        ) -> Dict[str, Tuple[np.ndarray, bool, str]]:
+    def _propose(self, requests: Sequence[DecisionRequest],
+                 stages: Dict[str, float]
+                 ) -> Dict[str, Tuple[np.ndarray, bool, str]]:
         """Group requests by snapshot policy; one forward per group.
 
         Returns pre-coordination ``(action, fallback, policy key)``
@@ -346,7 +340,8 @@ class SlicingService:
                 key, table_policy = self._routes[request.slice_name]
                 if table_policy is not None:
                     # rule-based / analytic policies have no network to
-                    # batch; they are per-request table reads or solves
+                    # batch; each request is a table read or a closed
+                    # form, the one-row case of their batch form
                     proposed[request.slice_name] = (
                         np.asarray(table_policy.act_vector(state),
                                    dtype=float), False, key)
@@ -359,7 +354,7 @@ class SlicingService:
             policy = self._policies[key]
             states = np.stack([state for _, state in entries])
             with trace("serve.forward", **self._trace_attrs):
-                actions = policy.actions(states)
+                actions = policy.act_rows(states)
             t1 = time.perf_counter()
             with trace("serve.fallback", **self._trace_attrs):
                 flags = self._fallback_flags(policy, states)
@@ -377,44 +372,6 @@ class SlicingService:
             t2 = time.perf_counter()
             stages["forward"] += t1 - t0
             stages["fallback"] += t2 - t1
-        return proposed
-
-    def _decide_unbatched(self, requests: Sequence[DecisionRequest],
-                          stages: Dict[str, float]
-                          ) -> Dict[str, Tuple[np.ndarray, bool, str]]:
-        """Reference path: every request runs alone (no batching).
-
-        Stage attribution mirrors :meth:`_decide_batched` so the two
-        paths' ``stage_*_ms`` histograms are comparable.
-        """
-        proposed: Dict[str, Tuple[np.ndarray, bool, str]] = {}
-        for request in requests:
-            t0 = time.perf_counter()
-            state = self._validated_state(request)
-            key, table_policy = self._routes[request.slice_name]
-            if table_policy is not None:
-                proposed[request.slice_name] = (
-                    np.asarray(table_policy.act_vector(state),
-                               dtype=float), False, key)
-                stages["assemble"] += time.perf_counter() - t0
-                continue
-            policy = self._policies[key]
-            single = state[None, :]
-            t1 = time.perf_counter()
-            action = policy.actions(single)[0]
-            t2 = time.perf_counter()
-            fallback = (request.slice_name in self._switched
-                        or bool(self._fallback_flags(policy, single)[0]))
-            if fallback:
-                self._count_fallback(request.slice_name)
-                self._switched.add(request.slice_name)
-                action = np.asarray(policy.baseline.act_vector(state),
-                                    dtype=float)
-            t3 = time.perf_counter()
-            proposed[request.slice_name] = (action, fallback, key)
-            stages["assemble"] += t1 - t0
-            stages["forward"] += t2 - t1
-            stages["fallback"] += t3 - t2
         return proposed
 
     def _fallback_flags(self, policy: _LearnedPolicy,

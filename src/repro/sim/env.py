@@ -354,8 +354,8 @@ class ScenarioSimulator:
 
     def sla_violated(self, name: str) -> bool:
         """Episode-level SLA check: mean cost above ``C_max``."""
-        spec = self.network.slices[name]
-        return self.mean_cost(name) > spec.sla.cost_threshold
+        sla = self.network.slices[name].sla
+        return sla.violated(self.mean_cost(name))
 
 
 #: A background policy maps (slice_name, observation) -> action.

@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.baselines.model_based import ModelBasedConfig, ModelBasedPolicy
+from repro.baselines.model_based import (
+    ModelBasedConfig,
+    ModelBasedPolicy,
+    _mb_default_action,
+)
 from repro.baselines.onrl import OnRLAgent, OnRLConfig
 from repro.baselines.projection import project_actions
 from repro.baselines.rule_based import (
@@ -380,23 +384,86 @@ class TestSliceRowsRepeat:
             concat_rows([])
 
 
+def _slsqp_solve_mar(policy, arrival_rate):
+    """``ModelBasedPolicy._solve_mar`` as it was while Model_Based ran
+    SLSQP per MAR request, kept verbatim (``self`` -> ``policy``) as
+    the oracle of the closed form."""
+    from scipy import optimize
+
+    spec, cfg = policy.spec, policy.cfg
+    f = arrival_rate * cfg.provisioning_margin
+    s = spec.uplink_payload_bits
+    budget_ms = spec.sla.target - cfg.static_latency_ms
+
+    def latency_ms(x):
+        return f * s / (x[0] * policy._nominal_ul_bps) * 1e3
+
+    result = optimize.minimize(
+        lambda x: x[0], x0=np.array([0.3]), method="SLSQP",
+        bounds=[(0.02, 1.0)],
+        constraints=[{"type": "ineq",
+                      "fun": lambda x: budget_ms - latency_ms(x)}])
+    u_u = float(result.x[0]) if result.success else 1.0
+    action = _mb_default_action("mar")
+    action[action_index("uplink_bandwidth")] = float(np.clip(
+        u_u, 0.02, 1.0))
+    action[action_index("transport_bandwidth")] = float(np.clip(
+        f * s / policy._link_bps * cfg.provisioning_margin,
+        0.01, 1.0))
+    return action, result.success
+
+
+def _parent_batch_row(policy, rate):
+    """One row of the pre-merge ``ModelBasedBatchPolicy.act_batch``
+    loop body, kept verbatim (``states[row, 1] * max_arrival_rate``
+    is ``rate``)."""
+    cfg = policy.cfg
+    spec = policy.spec
+    f = rate * cfg.provisioning_margin
+    if spec.app == "mar":
+        action = _mb_default_action("mar")
+        budget = spec.sla.target - cfg.static_latency_ms
+        u_u = (f * spec.uplink_payload_bits * 1e3
+               / (policy._nominal_ul_bps * budget))
+        action[action_index("uplink_bandwidth")] = float(
+            np.clip(u_u, 0.02, 1.0))
+        action[action_index("transport_bandwidth")] = float(
+            np.clip(f * spec.uplink_payload_bits
+                    / policy._link_bps
+                    * cfg.provisioning_margin, 0.01, 1.0))
+    elif spec.app == "hvs":
+        action = _mb_default_action("hvs")
+        demand = (f * spec.sla.target
+                  * spec.downlink_payload_bits)
+        action[action_index("downlink_bandwidth")] = float(
+            np.clip(demand / policy._nominal_dl_bps,
+                    0.05, 1.0))
+        action[action_index("transport_bandwidth")] = float(
+            np.clip(demand / policy._link_bps
+                    * cfg.provisioning_margin, 0.01, 1.0))
+    else:
+        action = policy._solve_rdc(rate)
+    return action
+
+
 class TestModelBased:
-    def test_scipy_optimize_deferred_until_solve(self):
-        """Importing the harness must not pay for scipy.optimize; the
-        MAR program imports it on first solve.  networkx is no
-        dependency at all: the transport paths are chains."""
+    def test_fresh_checkout_serve_never_imports_scipy(self, tmp_path):
+        """An empty policy store bootstraps a Model_Based snapshot;
+        serving from it must never load scipy (no runtime dependency
+        any more) -- nor networkx: the transport paths are chains."""
         script = (
             "import sys\n"
-            "import repro.experiments.harness\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "import repro.fleet, repro.serve\n"
-            "assert 'networkx' not in sys.modules\n"
-            "from repro.baselines.model_based import ModelBasedPolicy\n"
-            "from repro.config import mar_slice_spec\n"
-            "action = ModelBasedPolicy(mar_slice_spec())"
-            ".action_for_rate(2.0)\n"
-            "assert 'scipy.optimize' in sys.modules\n"
-            "assert 0.02 < action[0] < 1.0, action\n"
+            "from repro.serve import LoadGenerator, "
+            "resolve_serving_snapshot\n"
+            f"snapshot = resolve_serving_snapshot({str(tmp_path)!r})\n"
+            "assert snapshot.method == 'model_based', snapshot.method\n"
+            "report = LoadGenerator(snapshot, 'default')"
+            ".run(max_decisions=30)\n"
+            "assert report.decisions == 30, report\n"
+            "import repro.experiments.harness, repro.fleet\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'networkx')]\n"
+            "assert not loaded, loaded\n"
             "print('ok')\n"
         )
         result = subprocess.run(
@@ -404,6 +471,63 @@ class TestModelBased:
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
+
+    def test_closed_form_equals_parent_batch_math(self):
+        """200 rates x 3 apps: the one program is bit-for-bit what the
+        batch policy's own copy of it computed."""
+        rng = np.random.default_rng(5)
+        for spec in default_slice_specs():
+            policy = ModelBasedPolicy(spec)
+            rates = rng.uniform(0.0, 1.3, 200) * spec.max_arrival_rate
+            for rate in rates:
+                assert np.array_equal(policy.action_for_rate(rate),
+                                      _parent_batch_row(policy, rate))
+
+    def test_closed_form_within_solver_tolerance_of_slsqp(self):
+        """Wherever SLSQP succeeds the closed form is within 1e-6 of
+        it; it only fails where the program is infeasible (needs
+        U_u > 1), which both resolve to the full cell."""
+        policy = ModelBasedPolicy(mar_slice_spec())
+        solved = 0
+        for traffic in np.linspace(0.0, 1.3, 40):
+            rate = traffic * policy.spec.max_arrival_rate
+            oracle, success = _slsqp_solve_mar(policy, rate)
+            action = policy.action_for_rate(rate)
+            if success:
+                solved += 1
+                np.testing.assert_allclose(action, oracle,
+                                           rtol=0.0, atol=1e-6)
+            else:
+                assert action[action_index("uplink_bandwidth")] == 1.0
+                assert np.array_equal(action, oracle)
+        assert 20 <= solved < 40
+
+    def test_mar_target_inside_static_latency_rejected(self):
+        """No latency budget: the closed form would go negative (and
+        clip to the floor) where the solver failed over to 1.0."""
+        for target in (100.0, 120.0):
+            spec = dataclasses.replace(
+                mar_slice_spec(), sla=dataclasses.replace(
+                    mar_slice_spec().sla, target=target))
+            with pytest.raises(ValueError) as excinfo:
+                ModelBasedPolicy(spec)
+            message = str(excinfo.value)
+            assert "ModelBasedConfig.static_latency_ms" in message
+            assert "sla.target" in message and "'MAR'" in message
+        tight = ModelBasedConfig(static_latency_ms=499.0)
+        assert ModelBasedPolicy(mar_slice_spec(), cfg=tight) \
+            .action_for_rate(2.0)[action_index("uplink_bandwidth")] \
+            == 1.0
+
+    def test_static_latency_only_constrains_mar(self):
+        """HVS targets 30 (FPS) and RDC 0.99999: both far below the
+        120 ms the MAR model subtracts, and neither program reads it."""
+        cfg = ModelBasedConfig(static_latency_ms=1e6)
+        for spec in default_slice_specs()[1:]:
+            assert spec.sla.target < cfg.static_latency_ms
+            assert np.array_equal(
+                ModelBasedPolicy(spec, cfg=cfg).action_for_rate(1.0),
+                ModelBasedPolicy(spec).action_for_rate(1.0))
 
     def test_mar_uplink_grows_with_traffic(self):
         policy = ModelBasedPolicy(mar_slice_spec())
@@ -413,7 +537,7 @@ class TestModelBased:
         assert high[idx] > low[idx]
 
     def test_mar_closed_form_recovered(self):
-        """SLSQP recovers U_u = f*s / (R * (P - l_s))."""
+        """U_u = f*s / (R * (P - l_s))."""
         spec = mar_slice_spec()
         cfg = ModelBasedConfig()
         policy = ModelBasedPolicy(spec, cfg=cfg)

@@ -80,6 +80,15 @@ class TestConfig:
             SliceSpec(name="X", app="mar",
                       sla=SliceSLA("fps", 30.0), max_arrival_rate=0.0)
 
+    def test_sla_episode_verdict_is_strict(self):
+        """Mean cost *above* C_max violates; sitting on it does not
+        (the comparison every harness, loadgen and figure site used
+        to spell out)."""
+        sla = SliceSLA("fps", 30.0, cost_threshold=0.05)
+        assert sla.violated(0.05 + 1e-12)
+        assert not sla.violated(0.05)
+        assert not sla.violated(0.0)
+
     def test_ran_configs(self):
         lte = lte_ran_config()
         nr = nr_ran_config()

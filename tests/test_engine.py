@@ -33,6 +33,7 @@ from repro.engine import (
     BatchSimulator,
     ConstantBatchPolicy,
     ModelBasedBatchPolicy,
+    RoutedBatchPolicy,
     RuleBasedBatchPolicy,
     VecOnRLAgent,
     project_actions_batch,
@@ -43,7 +44,7 @@ from repro.experiments.harness import (
     run_episodes,
     train_onrl,
 )
-from repro.sim.env import STATE_DIM, ScenarioSimulator
+from repro.sim.env import STATE_DIM, ScenarioSimulator, SliceObservation
 
 from test_golden_digests import GOLDEN_TRACE_DIGESTS
 
@@ -52,6 +53,10 @@ def _build_sim(name, seed=None):
     spec = scenarios.get(name)
     cfg = spec.build_config(seed=seed)
     return spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
+
+
+def _observation(vector) -> SliceObservation:
+    return SliceObservation(*(float(x) for x in vector))
 
 
 def _trace_digest(sim) -> str:
@@ -312,8 +317,67 @@ class TestBatchPolicies:
         actions = batch.act_batch(states, names)
         for i, name in enumerate(names):
             expected = policies[name].act_vector(states[i])
-            assert np.allclose(actions[i], expected, atol=5e-3), \
-                f"row {i} ({name}) diverged from the SLSQP solve"
+            assert np.array_equal(actions[i], expected), \
+                f"row {i} ({name}) is not the per-slice program"
+
+    def test_scalar_form_is_row_zero_of_the_batch_form(self):
+        """Per method: ``act_vector(s)`` is ``act_rows(s[None])[0]``,
+        and so is a one-row ``act_batch``."""
+        cfg = ExperimentConfig()
+        rng = np.random.default_rng(4)
+        table = [rng.uniform(0.0, 1.0, NUM_ACTIONS) for _ in range(4)]
+        per_slice = [RuleBasedPolicy("MAR", "mar",
+                                     (0.25, 0.5, 0.75, 1.0), table)]
+        per_slice += [ModelBasedPolicy(spec, cfg.network)
+                      for spec in cfg.slices]
+        for policy in per_slice:
+            router = RoutedBatchPolicy({"S": policy})
+            for state in rng.uniform(-0.2, 1.4, (25, STATE_DIM)):
+                scalar = policy.act_vector(state)
+                assert np.array_equal(
+                    scalar, policy.act_rows(state[None])[0])
+                assert np.array_equal(
+                    scalar, router.act_batch(state[None], ["S"])[0])
+                assert np.array_equal(
+                    scalar, policy.act(_observation(state)))
+
+    def test_router_exact_same_app_and_fallback(self):
+        def constant(name, app, level):
+            return RuleBasedPolicy(name, app, (1.0,),
+                                   [np.full(NUM_ACTIONS, level)])
+
+        mar, hvs = constant("MAR", "mar", 0.1), constant("HVS", "hvs",
+                                                         0.2)
+        exact = constant("HVS9", "hvs", 0.3)
+        router = RoutedBatchPolicy({"MAR": mar, "HVS": hvs,
+                                    "HVS9": exact})
+        names = ["MAR", "HVS9", "HVS4", "hvs-churn", "RDC3", "x"]
+        actions = router.act_batch(np.zeros((6, STATE_DIM)), names)
+        # exact name; exact beats same-app; same app (either case);
+        # no rdc policy and an unknown prefix: the first policy
+        assert actions[:, 0].tolist() == [0.1, 0.3, 0.2, 0.2, 0.1, 0.1]
+        for cls in (RoutedBatchPolicy, RuleBasedBatchPolicy,
+                    ModelBasedBatchPolicy):
+            with pytest.raises(ValueError, match="at least one"):
+                cls({})
+
+    def test_snapshot_policy_routes_like_the_static_ones(self):
+        from repro.experiments.fuzz import SnapshotBatchPolicy
+        from repro.serve.policy_store import snapshot_onrl
+
+        cfg = ExperimentConfig()
+        snapshot = snapshot_onrl("router", cfg,
+                                 make_onrl_agents(cfg, seed=3), seed=3)
+        policy = SnapshotBatchPolicy(snapshot)
+        assert isinstance(policy, RoutedBatchPolicy)
+        states = np.random.default_rng(6).uniform(
+            0.0, 1.0, (4, STATE_DIM))
+        routed = policy.act_batch(states, ["HVS", "MAR", "HVS5", "?"])
+        # one forward per resolved policy, over exactly its rows
+        for name, rows in (("HVS", [0, 2]), ("MAR", [1, 3])):
+            assert np.array_equal(
+                routed[rows],
+                policy.policies[name].act_rows(states[rows]))
 
     def test_projection_matches_scalar(self):
         rng = np.random.default_rng(3)

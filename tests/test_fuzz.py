@@ -160,6 +160,101 @@ class TestOracle:
             build_method_policies(methods=("onrl",))
 
 
+#: Recorded at the parent of the PR that folded ``run_episodes``'
+#: vector branch and ``run_fuzz_batch`` onto ``harness.lockstep``
+#: (commit 980c054): ``generate_corpus(11, 6)`` under the two static
+#: methods' batch policies.  Per world, ``run_episodes(episodes=2)``'
+#: summed (cost, usage) -- equal on both engines -- then
+#: ``run_fuzz_batch``'s violations and summed mean cost / mean usage.
+PARENT_TOTALS = {
+    "Baseline": (
+        [(0.05431865967491167, 9.368333333333334),
+         (0.16751697852129266, 12.443333333333333),
+         (0.5911435962218375, 16.426666666666666),
+         (0.3940697336415101, 11.946666666666662),
+         (0.18248463068863197, 16.42833333333333),
+         (0.0, 13.258333333333336)],
+        [([], 0.002855259796157457, 0.41333333333333333),
+         ([], 0.005895563957813703, 0.38885416666666667),
+         ([], 0.025960505226067673, 0.7466666666666667),
+         ([], 0.0226608491866844, 0.7466666666666666),
+         ([], 0.004942548159598734, 0.3716666666666666),
+         ([], 0.0, 0.22166666666666676)]),
+    "Model_Based": (
+        [(0.13685729320965367, 9.08080174437395),
+         (1.8102646945859289, 10.447204001790599),
+         (7.244066710635479, 15.98691380808812),
+         (8.145982214238458, 11.310181329033888),
+         (5.116093600987339, 12.73408803889491),
+         (0.00219804960596115, 11.991904689155884)],
+        [([], 0.007193902232697033, 0.38556094771696114),
+         ([], 0.046032711726430656, 0.3251440630782464),
+         (["MAR1", "MAR4", "MAR7"], 0.3194068756832481,
+          0.7266891340686173),
+         (["MAR1", "MAR4", "MAR7"], 0.5251685191419274,
+          0.7122251708880453),
+         (["MAR1"], 0.12091486102365435, 0.28828070730958155),
+         ([], 7.3268320198705e-05, 0.20141200975659662)]),
+}
+
+
+class TestLockstepFoldsMatchTheParent:
+    @pytest.mark.parametrize("method", ["baseline", "model_based"])
+    def test_totals_equal_recorded_values(self, method):
+        from repro.experiments.fuzz import (
+            build_method_policies,
+            run_fuzz_batch,
+        )
+        from repro.experiments.harness import run_episodes
+
+        (label, (policy, _)), = build_method_policies(
+            methods=(method,)).items()
+        want_episodes, want_fuzz = PARENT_TOTALS[label]
+        specs = generate_corpus(11, 6)
+        for engine in ("vector", "scalar"):
+            results = run_episodes(
+                [spec.build_simulator() for spec in specs], policy,
+                episodes=2, engine=engine)
+            got = [(sum(t["cost"] for ep in world
+                        for t in ep.values()),
+                    sum(t["usage"] for ep in world
+                        for t in ep.values()))
+                   for world in results]
+            assert got == want_episodes, engine
+        rows = run_fuzz_batch(specs, policy, check_parity=True)
+        assert [(row["violations"], sum(row["mean_cost"].values()),
+                 sum(row["mean_usage"].values()))
+                for row in rows] == want_fuzz
+        assert not any(row["breaches"] for row in rows)
+
+    def test_lockstep_yields_what_the_policy_saw_and_played(
+            self, model_based_policy):
+        """The generator's contract with its two folds: per slot the
+        stacked input observations, the executed (projected) matrix
+        and the step result line up row for row."""
+        from repro.engine.batch import BatchSimulator
+        from repro.experiments.harness import episode_totals, lockstep
+
+        specs = generate_corpus(11, 3)
+        sims = [spec.build_simulator() for spec in specs]
+        slots = []
+
+        def recording(source):
+            for states, matrix, step in source:
+                assert len(states) == len(matrix) == len(step.costs)
+                assert step.offsets[-1] == len(states)
+                slots.append(list(step.worlds))
+                yield states, matrix, step
+
+        results = episode_totals(recording(lockstep(
+            BatchSimulator(sims), model_based_policy, episodes=2)), 3)
+        assert [len(world) for world in results] == [2, 2, 2]
+        horizons = [sim.horizon for sim in sims]
+        assert len(slots) == 2 * max(horizons)
+        for b, horizon in enumerate(horizons):
+            assert sum(b in worlds for worlds in slots) == 2 * horizon
+
+
 class TestShrinker:
     def test_structural_shrink_with_cheap_predicate(self):
         """Mechanics without engine runs: a predicate that only needs
@@ -215,17 +310,34 @@ class TestShrinker:
         assert len(first.slices) <= 8
 
     def test_exception_in_candidate_counts_as_not_preserved(self):
+        """The exception an over-shrunk candidate raises is the
+        ``ValueError`` of spec / config validation."""
         from repro.experiments.fuzz import shrink_spec
 
         spec = generate_spec(11, 3)
 
         def fragile(candidate):
             if candidate is not spec:
-                raise RuntimeError("candidate build exploded")
+                raise ValueError("slots_per_episode must be >= 2")
             return True
 
         shrunk, _ = shrink_spec(spec, fragile, max_evals=50)
         assert shrunk == spec  # every reduction failed; fixpoint
+
+    def test_non_validation_error_in_candidate_propagates(self):
+        """Anything else is a bug in the engine or the predicate, not
+        a shrink verdict, and must not be swallowed."""
+        from repro.experiments.fuzz import shrink_spec
+
+        spec = generate_spec(11, 3)
+
+        def buggy(candidate):
+            if candidate is not spec:
+                raise RuntimeError("engine exploded")
+            return True
+
+        with pytest.raises(RuntimeError, match="engine exploded"):
+            shrink_spec(spec, buggy, max_evals=50)
 
     def test_pinned_catalog_repro_still_violates(
             self, model_based_policy):

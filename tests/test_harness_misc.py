@@ -89,3 +89,137 @@ def test_frozen_e2e_harness_imports_still_resolve():
     missing = [f"{module}.{name}" for module, name in sorted(wanted)
                if not resolves(module, name)]
     assert not missing, missing
+
+
+def test_frozen_e2e_harness_calls_still_bind():
+    """Same contract one level down: every keyword (and positional
+    count) the frozen harness passes to the APIs it drives must still
+    bind to the live signature, so deleting a parameter it uses fails
+    here and not in the benchmark."""
+    import inspect
+
+    from repro import fleet, serve
+    from repro.engine.batch import BatchSimulator
+    from repro.experiments import harness
+
+    live = {"BatchSimulator": BatchSimulator,
+            "run_episodes": harness.run_episodes,
+            "LoadGenerator": serve.LoadGenerator,
+            "SlicingService": serve.SlicingService,
+            "plan_shards": fleet.plan_shards,
+            "run_fleet": fleet.run_fleet}
+    seen = dict.fromkeys(live, 0)
+    unbound = []
+    for entry in sorted(os.listdir(E2E_DIR)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(E2E_DIR, entry), "r",
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=entry)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            if name not in live:
+                continue
+            seen[name] += 1
+            positional = [arg for arg in node.args
+                          if not isinstance(arg, ast.Starred)]
+            keywords = {kw.arg: None for kw in node.keywords
+                        if kw.arg is not None}
+            try:
+                inspect.signature(live[name]).bind_partial(
+                    *positional, **keywords)
+            except TypeError as exc:
+                unbound.append(f"{entry}:{node.lineno} {name}: {exc}")
+    assert all(seen.values()), seen
+    assert not unbound, unbound
+
+
+def test_call_binding_check_catches_a_deleted_parameter():
+    """The check above has teeth: a keyword the live signature lost
+    does not bind."""
+    import inspect
+
+    from repro.serve import LoadGenerator
+
+    with pytest.raises(TypeError):
+        inspect.signature(LoadGenerator).bind_partial(
+            None, None, batching=True)
+
+
+# ---- evaluate_static_policies == the loop it replaced -----------------
+
+
+def _old_evaluate_static_policies(cfg, policies, episodes=3,
+                                  method="Baseline", scenario=None):
+    """``harness.evaluate_static_policies`` as it was before it became
+    ``run_episodes`` on one world, kept verbatim as the oracle."""
+    from repro.baselines.projection import project_actions
+    from repro.experiments.harness import make_simulator
+    from repro.experiments.metrics import (
+        MethodResult,
+        usage_percent,
+        violation_percent,
+    )
+
+    simulator = make_simulator(cfg, scenario)
+    per_slice_u = {n: [] for n in simulator.slice_names}
+    per_slice_v = {n: [] for n in simulator.slice_names}
+    for _ in range(episodes):
+        observations = simulator.reset()
+        totals = {n: {"cost": 0.0, "usage": 0.0}
+                  for n in simulator.slice_names}
+        while not simulator.done:
+            proposals = {
+                name: np.asarray(policies[name].act(observations[name]),
+                                 dtype=float)
+                for name in simulator.slice_names
+            }
+            actions = project_actions(proposals)
+            results = simulator.step(actions)
+            for name, result in results.items():
+                totals[name]["cost"] += result.cost
+                totals[name]["usage"] += result.usage
+                observations[name] = result.observation
+        horizon = simulator.horizon
+        for spec in cfg.slices:
+            mean_cost = totals[spec.name]["cost"] / horizon
+            mean_usage = totals[spec.name]["usage"] / horizon
+            per_slice_u[spec.name].append(mean_usage)
+            per_slice_v[spec.name].append(
+                float(mean_cost > spec.sla.cost_threshold))
+    per_usage = {n: float(np.mean(v)) for n, v in per_slice_u.items()}
+    per_viol = {n: float(np.mean(v)) for n, v in per_slice_v.items()}
+    return MethodResult(
+        method=method,
+        avg_resource_usage=usage_percent(
+            float(np.mean(list(per_usage.values())))),
+        avg_sla_violation=violation_percent(
+            float(np.mean(list(per_viol.values())))),
+        per_slice_usage=per_usage,
+        per_slice_violation=per_viol)
+
+
+@pytest.mark.parametrize("scenario", ["default", "transport_brownout"])
+@pytest.mark.parametrize("method", ["Baseline", "Model_Based"])
+def test_evaluate_static_policies_matches_the_old_loop(scenario,
+                                                       method):
+    import dataclasses
+
+    from repro import scenarios
+    from repro.experiments import harness
+
+    spec = scenarios.get(scenario)
+    cfg = spec.build_config().replace(
+        traffic=TrafficConfig(slots_per_episode=24))
+    policies = (fit_baselines(cfg) if method == "Baseline"
+                else harness.make_model_based_policies(cfg))
+    new = harness.evaluate_static_policies(
+        cfg, policies, episodes=2, method=method, scenario=spec)
+    old = _old_evaluate_static_policies(
+        cfg, policies, episodes=2, method=method, scenario=spec)
+    assert dataclasses.asdict(new) == dataclasses.asdict(old)
+    assert list(new.per_slice_usage) == list(old.per_slice_usage)

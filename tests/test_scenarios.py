@@ -676,6 +676,33 @@ class TestCli:
         assert "4 unit(s)" in out
         assert " 7 " in out  # the seed override reached the units
 
+    def test_run_list_units_assembles_every_artefact(
+            self, tmp_path, monkeypatch, capsys):
+        """``--list-units`` catches nothing because nothing raises:
+        every generator assembles over the planner's stub results
+        (fleet_sweep bootstraps its snapshot into the cwd store)."""
+        from repro.runtime.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "all", "--list-units",
+                     "--scale", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert "incomplete" not in captured.err
+        assert "fleet" in captured.out and "figure" in captured.out
+
+    def test_run_list_units_lets_generator_errors_propagate(
+            self, monkeypatch):
+        """A generator that fails while planning is a bug to surface,
+        not a note on stderr next to a partial listing."""
+        from repro.runtime import cli
+
+        def broken(name, runner, scale, scenario=None):
+            raise RuntimeError("generator exploded")
+
+        monkeypatch.setattr(cli, "run_artefact", broken)
+        with pytest.raises(RuntimeError, match="generator exploded"):
+            cli.main(["run", "table1", "--list-units"])
+
     def test_run_unknown_scenario_rejected(self):
         from repro.runtime.cli import main
 

@@ -33,6 +33,7 @@ from repro.serve import (
     snapshot_onslicing,
     train_snapshot,
 )
+from repro.serve.service import DECISION_STAGES
 from repro.scenarios import get as get_scenario
 
 
@@ -253,19 +254,53 @@ class TestPolicyStore:
 
 class TestSlicingService:
     def test_batched_matches_unbatched(self, onrl_snapshot):
+        """One N-row ``decide`` proposes what N one-row ``decide``s
+        propose: a 9-slice cell is three 3-row forwards together and
+        nine 1-row forwards alone (the comparison the deleted
+        single-state path used to be kept for)."""
+        cfg = scenario_with_population(
+            get_scenario("short_horizon"), 9).build_config()
         rng = np.random.default_rng(7)
-        states = {name: rng.uniform(0.0, 1.0, size=9)
-                  for name in ("MAR", "HVS", "RDC")}
-        requests = [DecisionRequest(name, state)
-                    for name, state in states.items()]
-        batched = SlicingService(onrl_snapshot, batching=True,
-                                 rng_seed=0).decide(requests)
-        unbatched = SlicingService(onrl_snapshot, batching=False,
-                                   rng_seed=0).decide(requests)
-        for name in states:
-            np.testing.assert_allclose(batched[name].action,
-                                       unbatched[name].action,
-                                       atol=1e-12)
+        requests = [DecisionRequest(spec.name,
+                                    rng.uniform(0.0, 1.0, size=9))
+                    for spec in cfg.slices]
+
+        def proposals(batches):
+            service = SlicingService(onrl_snapshot, cfg=cfg,
+                                     rng_seed=0)
+            out = {}
+            for batch in batches:
+                out.update(service._propose(
+                    batch, dict.fromkeys(DECISION_STAGES, 0.0)))
+            return out
+
+        together = proposals([requests])
+        alone = proposals([[request] for request in requests])
+        assert set(together) == set(alone) == \
+            {spec.name for spec in cfg.slices}
+        for name in together:
+            np.testing.assert_allclose(together[name][0],
+                                       alone[name][0], atol=1e-12)
+            assert together[name][1:] == alone[name][1:]
+
+    def test_table_snapshot_rows_are_their_scalar_form(self, tiny_cfg):
+        """A baseline snapshot's decision is the routed table's
+        ``act_vector`` on the request state, whatever the batch."""
+        baselines = fit_baselines(tiny_cfg)
+        service = SlicingService(
+            snapshot_baseline("pi-b", tiny_cfg, baselines, seed=5),
+            rng_seed=0)
+        rng = np.random.default_rng(8)
+        requests = [DecisionRequest(name, rng.uniform(0.0, 1.0, size=9))
+                    for name in service.slice_names]
+        proposed = service._propose(
+            requests, dict.fromkeys(DECISION_STAGES, 0.0))
+        for request in requests:
+            action, fallback, key = proposed[request.slice_name]
+            assert np.array_equal(
+                action,
+                baselines[request.slice_name].act_vector(request.state))
+            assert not fallback and key == request.slice_name
 
     def test_population_routing_by_app(self, onrl_snapshot):
         spec = scenario_with_population(get_scenario("short_horizon"),
@@ -539,6 +574,15 @@ class TestServeCli:
         assert any(row["metric"] == "decisions" for row in rows)
         prom = exported[1].read_text()
         assert "# TYPE decisions_total counter" in prom
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_no_batch_flag_is_gone(self, command, capsys):
+        """The single-state path it selected was deleted: the flag is
+        argparse's own exit 2, not a silently ignored option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scenario", "default", "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_loadgen_rejects_unknown(self, tmp_path):
         store_dir = str(tmp_path / "policies")
