@@ -1,22 +1,19 @@
-"""Engine throughput: batched lockstep vs scalar world stepping.
+"""Engine throughput: one batch of B worlds vs one batch per world.
 
-The batched engine's core claim (the ROADMAP's "fast as the hardware
-allows", inside one process): stepping B=32 independent worlds
-through one :class:`~repro.engine.batch.BatchSimulator` kernel
-evaluation per slot must beat stepping the same 32 worlds
-sequentially through the scalar loop by a wide margin.  The gate is
->= 4x slot throughput; on a typical machine the measured ratio is
-higher.
-
-Both engines traverse identical kernels under identical seeds, so
-the ratio isolates batching -- and the bench asserts the two engines'
-episode totals are *equal*, making every run a live parity check.
+There is one world stepper (:class:`~repro.engine.batch.BatchSimulator`);
+``run_episodes(engine=)`` only picks the batch width.  The first test
+records world-slots/s for B=32 default worlds stepped in one lockstep
+batch (``"vector"``) and as 32 one-world batches (``"scalar"``) --
+ungated: the wide batch's advantage is a property of numpy dispatch
+on this machine, not a contract, and there is no second
+implementation to hold it against.  What *is* asserted is that the two
+widths' episode totals are equal: a world steps bit-identically alone
+and inside a batch, so every run is a live parity check.
 Decisions/sec (slice-decisions applied per second of engine time)
 lands in the benchmark's ``extra_info``, so the JSON trajectory
 records engine throughput over time alongside the artefact timings.
 
-``REPRO_BENCH_QUICK=1`` shrinks the horizon for CI smoke runs; the
-gates apply either way.
+``REPRO_BENCH_QUICK=1`` shrinks the horizon for CI smoke runs.
 
 The arena test records the ``vector`` engine's world-slot throughput
 at B=128 (persistent :class:`~repro.engine.arena.KernelArena`) and
@@ -59,9 +56,6 @@ BATCH = 32
 SLOTS = 24 if os.environ.get("REPRO_BENCH_QUICK") else 96
 #: The arena case runs at the ROADMAP's target batch.
 ARENA_BATCH = 128
-
-#: The acceptance gate: vector world-slots/sec over scalar.
-MIN_SPEEDUP = 4.0
 
 #: Max fractional throughput loss from tracing at default sampling.
 #: The tracer's true cost is low single digits; the headroom above
@@ -149,27 +143,22 @@ def test_engine_vector_vs_scalar(benchmark):
     scalar = _drive("scalar")
 
     assert vector["totals"] == scalar["totals"], \
-        "engine parity violation: vector and scalar totals differ"
+        "parity violation: worlds stepped alone and in one batch differ"
 
     vector_rate = vector["world_slots"] / vector["elapsed_s"]
     scalar_rate = scalar["world_slots"] / scalar["elapsed_s"]
     decisions_per_sec = vector["decisions"] / vector["elapsed_s"]
-    speedup = vector_rate / scalar_rate
     benchmark.extra_info["engine_batch"] = BATCH
     benchmark.extra_info["engine_slots"] = SLOTS
     benchmark.extra_info["vector_world_slots_per_sec"] = vector_rate
     benchmark.extra_info["scalar_world_slots_per_sec"] = scalar_rate
     benchmark.extra_info["decisions_per_sec"] = decisions_per_sec
-    benchmark.extra_info["speedup"] = speedup
 
-    print(f"\nEngine slot throughput at B={BATCH} "
+    print(f"\nEngine slot throughput, {BATCH} worlds "
           f"({SLOTS}-slot episodes):")
-    print(f"  scalar  {scalar_rate:12,.0f} world-slots/s")
-    print(f"  vector  {vector_rate:12,.0f} world-slots/s "
+    print(f"  one batch per world {scalar_rate:12,.0f} world-slots/s")
+    print(f"  one batch of {BATCH:<6} {vector_rate:12,.0f} world-slots/s "
           f"({decisions_per_sec:,.0f} decisions/s)")
-    print(f"  speedup {speedup:12.1f}x  (gate: >= "
-          f"{MIN_SPEEDUP:.0f}x)")
-    assert speedup >= MIN_SPEEDUP
 
 
 def test_engine_arena_b128(benchmark):

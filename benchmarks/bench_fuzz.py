@@ -1,21 +1,21 @@
-"""Fuzz-oracle throughput: vectorized corpus sweeps vs scalar replay.
+"""Fuzz-oracle throughput: a corpus in one batch vs one world at a time.
 
-The fuzzer's practicality rests on the batched engine: a corpus of
-randomly composed worlds (ragged slice counts, ragged horizons) must
-sweep through :func:`repro.experiments.fuzz.run_fuzz_batch` much
-faster than replaying the same worlds one by one through the scalar
-loop, or the Pareto sweep and CI smoke budgets stop fitting.  The
-gate is deliberately modest (>= 2x) because fuzz corpora are adversely
-shaped for batching -- worlds finish at different slots and the
-lockstep kernel carries the stragglers.
+The fuzzer's practicality rests on batching: a corpus of randomly
+composed worlds (ragged slice counts, ragged horizons) sweeps through
+:func:`repro.experiments.fuzz.run_fuzz_batch` in one lockstep batch.
+This records world-slots/s for that against the same corpus fed to the
+oracle one world per call -- ungated: fuzz corpora are adversely
+shaped for batching (worlds finish at different slots and the lockstep
+kernel carries the stragglers), and the ratio is a property of the
+machine, not a contract.
 
-Each run is also a live oracle check: the batch executes with the
-invariant checks on, and the bench asserts zero breaches in both
-engines, so a kernel regression fails the benchmark rather than
-skewing its timing.
+Each run is also a live oracle check: every world runs with the
+invariant checks on whatever the batch width (there is no unchecked
+path), and the bench asserts zero breaches and equal verdicts on both,
+so a kernel regression fails the benchmark rather than skewing its
+timing.
 
-``REPRO_BENCH_QUICK=1`` shrinks the corpus for CI smoke runs; the
-gate applies either way.
+``REPRO_BENCH_QUICK=1`` shrinks the corpus for CI smoke runs.
 """
 
 import os
@@ -29,17 +29,17 @@ from repro.scenarios.fuzz import generate_corpus
 SEED = 11
 COUNT = 8 if os.environ.get("REPRO_BENCH_QUICK") else 24
 
-#: The acceptance gate: vector corpus-worlds/sec over scalar.
-MIN_SPEEDUP = 2.0
 
-
-def _drive(engine: str):
+def _drive(width: int):
+    """The corpus through the oracle, ``width`` worlds per batch."""
     specs = generate_corpus(SEED, COUNT)
     policy, _ = build_method_policies(
         methods=("model_based",))["Model_Based"]
     start = time.perf_counter()
-    rows = run_fuzz_batch(specs, policy, engine=engine,
-                          check_parity=False)
+    rows = []
+    for lo in range(0, len(specs), width):
+        rows += run_fuzz_batch(specs[lo:lo + width], policy,
+                               check_parity=False)
     elapsed = time.perf_counter() - start
     slots = sum(row["horizon"] for row in rows)
     return {"elapsed_s": elapsed, "rows": rows, "world_slots": slots}
@@ -47,33 +47,29 @@ def _drive(engine: str):
 
 def test_fuzz_oracle_vector_vs_scalar(benchmark):
     # warm-up: kernels, policy model caches, trace synthesis
-    _drive("vector")
+    _drive(COUNT)
 
-    vector = run_once(benchmark, _drive, "vector")
-    scalar = _drive("scalar")
+    vector = run_once(benchmark, _drive, COUNT)
+    scalar = _drive(1)
 
-    for label, result in (("vector", vector), ("scalar", scalar)):
+    for label, result in (("one batch", vector),
+                          ("per world", scalar)):
         breaches = [b for row in result["rows"]
                     for b in row["breaches"]]
         assert not breaches, \
-            f"fuzz oracle breaches under the {label} engine: {breaches}"
-    assert [(row["scenario"], row["violations"])
+            f"fuzz oracle breaches ({label}): {breaches}"
+    assert [(row["scenario"], row["violations"], row["mean_cost"])
             for row in vector["rows"]] == \
-        [(row["scenario"], row["violations"])
+        [(row["scenario"], row["violations"], row["mean_cost"])
          for row in scalar["rows"]], \
-        "engine parity violation: fuzz verdicts differ"
+        "parity violation: fuzz verdicts differ with the batch width"
 
     vector_rate = vector["world_slots"] / vector["elapsed_s"]
     scalar_rate = scalar["world_slots"] / scalar["elapsed_s"]
-    speedup = vector_rate / scalar_rate
     benchmark.extra_info["fuzz_corpus"] = COUNT
     benchmark.extra_info["vector_world_slots_per_sec"] = vector_rate
     benchmark.extra_info["scalar_world_slots_per_sec"] = scalar_rate
-    benchmark.extra_info["speedup"] = speedup
 
     print(f"\nFuzz-oracle throughput over {COUNT} fuzzed worlds:")
-    print(f"  scalar  {scalar_rate:12,.0f} world-slots/s")
-    print(f"  vector  {vector_rate:12,.0f} world-slots/s")
-    print(f"  speedup {speedup:12.1f}x  (gate: >= "
-          f"{MIN_SPEEDUP:.0f}x)")
-    assert speedup >= MIN_SPEEDUP
+    print(f"  one world per call {scalar_rate:12,.0f} world-slots/s")
+    print(f"  one batch          {vector_rate:12,.0f} world-slots/s")

@@ -43,11 +43,11 @@ NUM_ACTIONS = len(ACTION_NAMES)
 #: Maximum MCS offset supported by the RDM's custom CQI-MCS tables.
 MAX_MCS_OFFSET = 10
 
-#: Values every ``engine=`` argument and ``--engine`` flag accepts:
-#: "scalar" steps each world through its own per-slot loop (the parity
-#: reference), "vector" steps all worlds in lockstep through one
-#: :class:`~repro.engine.batch.BatchSimulator`.  Both run the same
-#: float64 kernels, so results are bit-identical.
+#: Values every ``engine=`` argument accepts.  There is one stepper
+#: (:class:`~repro.engine.batch.BatchSimulator`); the value only picks
+#: the batch width of a call: "vector" steps all its worlds in one
+#: lockstep batch, "scalar" one batch per world.  A world steps
+#: bit-identically alone and inside a batch, so results are equal.
 ENGINES: Tuple[str, ...] = ("scalar", "vector")
 
 

@@ -3,23 +3,23 @@
 ``repro.engine`` turns the paper's one-world, one-slot-at-a-time MDP
 into flat array math:
 
-* :mod:`repro.engine.kernels` -- the vectorised slot kernels shared by
-  the scalar :class:`~repro.sim.env.ScenarioSimulator` (``R = S``
-  rows) and the batch engine, so both are bit-identical by
-  construction;
+* :mod:`repro.engine.kernels` -- the vectorised slot kernels: every
+  slot evaluation in the repo (the stepper, the what-if
+  ``evaluate_slot``, the pi_b grid search) is one ``evaluate_rows``;
 * :mod:`repro.engine.arena` -- :class:`KernelArena`, the layout-keyed
   slot-arena allocator that lets a warmed kernel pass run with zero
   heap array allocations;
-* :mod:`repro.engine.batch` -- :class:`BatchSimulator`, stepping B
-  heterogeneous worlds in lockstep with per-world RNG stream parity;
+* :mod:`repro.engine.batch` -- :class:`BatchSimulator`, the one world
+  stepper: B heterogeneous worlds in lockstep with per-world RNG
+  streams (``ScenarioSimulator.step`` is its ``B = 1`` case);
 * :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol,
   the one name -> per-slice-policy router behind the rule-based /
   model-based / snapshot batch policies, batched projection, and the
   vectorised-env OnRL learner.
 
 The layers above consume it through
-:func:`repro.experiments.harness.run_episodes`, the fleet shard's
-vector driver, and the ``--engine`` CLI switches.
+:func:`repro.experiments.harness.lockstep` and the serving driver
+:func:`repro.serve.loadgen.drive_lockstep`.
 """
 
 from repro.engine.arena import KernelArena

@@ -1,38 +1,42 @@
-"""Batched episode engine: B worlds stepped in lockstep.
+"""The world stepper: B worlds advanced one slot in lockstep.
 
-:class:`BatchSimulator` owns ``B`` independent
+:class:`BatchSimulator` steps ``B`` independent
 :class:`~repro.sim.env.ScenarioSimulator` worlds -- possibly
 heterogeneous scenarios with different slice populations, horizons and
-event timelines -- as struct-of-arrays state, and advances *all* of
-them per slot through the vectorised kernels of
-:mod:`repro.engine.kernels`.  The hot path is O(T) array ops instead
-of O(B*T) Python iterations, which is where the fleet/serving layers'
-single-process throughput comes from.
+event timelines -- through one evaluation of the vectorised kernels of
+:mod:`repro.engine.kernels` per slot.  :meth:`BatchSimulator.step` is
+the only implementation of the paper's slot sequence (events ->
+channels -> Poisson arrivals -> kernels -> Eq. 9 usage / Eq. 10 cost
+-> next state); ``ScenarioSimulator.step`` is its ``B = 1`` case.
+Each world's episode state (slot, traces, and the struct-of-arrays
+:class:`~repro.sim.env.WorldLayout`) lives on its simulator, so the
+engine keeps only staging buffers and a world may be stepped alone
+and inside a shared batch interchangeably.
 
 Determinism contract
 --------------------
-Each world keeps its *own* RNG (the simulator's), consumed in exactly
-the scalar engine's order: event activation draws, then one
-standard-normal block per channel (``ChannelProcess.step``), then one
-Poisson draw per slice.  Array draws consume a ``numpy`` Generator
-identically to the equivalent sequence of scalar draws, so a world
-stepped inside a batch produces bit-identical traffic, channels,
-rewards, costs and observations to the same world stepped alone --
-``tests/test_engine.py`` pins this against the golden trace digests
-for every catalog scenario.
+Each world keeps its *own* RNG (the simulator's), consumed in a fixed
+order per slot: event activation draws, then one standard-normal block
+for the world's channels, then one Poisson array draw over its slices.
+A world stepped inside a batch therefore produces bit-identical
+traffic, channels, rewards, costs and observations to the same world
+stepped alone -- ``tests/test_engine.py`` pins this against the golden
+trace digests for every catalog scenario.
 
 Two costs are deliberately *not* paid per slot: per-slice
 ``SliceObservation``/``SlotReport`` object construction (results are
-returned as stacked arrays; build objects only at the edges if you
-need them) and container-runtime share mirroring (the kernels compute
-allocations directly; a batch-driven world's ``ContainerRuntime``
-bookkeeping is not refreshed each slot).
+returned as stacked arrays; ``ScenarioSimulator.step`` builds objects
+at the edge for callers that want them) and substrate mirroring (the
+kernels compute path loads and container allocations directly; a
+stepped world's ``TransportFabric`` loads and ``ContainerRuntime``
+shares are not refreshed -- the scalar domain models configure their
+own before every evaluation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,10 +47,14 @@ from repro.engine.kernels import (
     WorldConditions,
     concat_rows,
     evaluate_rows,
-    rows_for_network,
 )
 from repro.obs.trace import trace
-from repro.sim.env import ARRIVAL_WINDOW_S, STATE_DIM, ScenarioSimulator
+from repro.sim.env import (
+    ARRIVAL_WINDOW_S,
+    STATE_DIM,
+    ScenarioSimulator,
+    WorldLayout,
+)
 
 #: Per-world actions for one slot: a mapping ``slice name -> action``
 #: (scalar-simulator style), an ``(S, 10)`` array in
@@ -84,89 +92,8 @@ class BatchStepResult:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
-class _WorldState:
-    """Cached layout of one world's current slice set."""
-
-    def __init__(self, sim: ScenarioSimulator) -> None:
-        self.sim = sim
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        sim = self.sim
-        network = sim.network
-        self.signature = tuple(network.slice_names)
-        self.rows = rows_for_network(network, horizon=sim.horizon)
-        self.users = network.cfg.users_per_slice
-        self.names = list(network.slice_names)
-        self.managed = np.asarray(
-            [name not in sim._event_slices for name in self.names],
-            dtype=bool)
-        self.managed_names = [name for name in self.names
-                              if name not in sim._event_slices]
-        self.max_arrival = self.rows.max_arrival
-        self.cost_threshold = self.rows.cost_threshold[self.managed]
-        self.horizon_cost = (sim.horizon
-                             * self.rows.cost_threshold[self.managed])
-        # Traffic envelopes in network row order (managed traces from
-        # the episode's generation, churn slices pinned at 1.0).
-        self.traces = np.stack([sim._traces[name]
-                                for name in self.names])
-        # Background churn slices play their fixed action every slot.
-        self.event_actions = {
-            name: np.asarray(action, dtype=float)
-            for name, action in sim._event_slices.items()}
-        # Poisson intensities for every (slice, slot) of the episode,
-        # precomputed so the hot loop only slices a column.  Bit-equal
-        # to the historical per-slot (envelope * max_arrival) *
-        # ARRIVAL_WINDOW_S: the same elementwise products, evaluated
-        # for all slots at once.
-        self.lam_table = ((self.traces * self.max_arrival[:, None])
-                          * ARRIVAL_WINDOW_S)
-        # Managed cumulative episode cost, aligned with managed rows
-        # (carried over from the simulator on churn rebuilds).
-        self.cum_cost = np.asarray(
-            [sim._cum_cost[name] for name in self.managed_names])
-
-    def actions_matrix(self, actions: WorldActions,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Joint (S, NUM_ACTIONS) matrix in network row order.
-
-        ``out`` receives the rows in place (the batch engine hands a
-        view of its reused step matrix); values are identical either
-        way.
-        """
-        matrix = (np.empty((len(self.names), NUM_ACTIONS))
-                  if out is None else out)
-        if isinstance(actions, np.ndarray):
-            provided = np.asarray(actions, dtype=float)
-            if provided.shape != (len(self.managed_names), NUM_ACTIONS):
-                raise ValueError(
-                    f"actions must have shape "
-                    f"({len(self.managed_names)}, {NUM_ACTIONS}), "
-                    f"got {provided.shape}")
-            cursor = 0
-            for i, name in enumerate(self.names):
-                if self.managed[i]:
-                    matrix[i] = provided[cursor]
-                    cursor += 1
-                else:
-                    matrix[i] = self.event_actions[name]
-            return matrix
-        for i, name in enumerate(self.names):
-            if self.managed[i]:
-                arr = np.asarray(actions[name], dtype=float)
-                if arr.shape != (NUM_ACTIONS,):
-                    raise ValueError(
-                        f"action must have shape ({NUM_ACTIONS},), "
-                        f"got {arr.shape}")
-                matrix[i] = arr
-            else:
-                matrix[i] = self.event_actions[name]
-        return matrix
-
-
 class BatchSimulator:
-    """Vectorised lockstep driver over B scalar simulator worlds."""
+    """Vectorised lockstep stepper over B simulator worlds."""
 
     def __init__(self, simulators: Sequence[ScenarioSimulator],
                  engine: str = "vector") -> None:
@@ -182,13 +109,12 @@ class BatchSimulator:
         # per slot); rebuilt whenever any world's bank changes.
         self._fleet = None
         self._fleet_key: object = None
-        self._states: List[Optional[_WorldState]] = [None] * len(
-            self.sims)
         self._bundle_key = None
         self._bundle: Optional[SliceRows] = None
         # Reused per-step staging buffers (rebuilt on layout changes).
         self._cond: Optional[WorldConditions] = None
         self._matrix: Optional[np.ndarray] = None
+        self._finite: Optional[np.ndarray] = None
         self._rates: Optional[np.ndarray] = None
         self._cqi: Optional[np.ndarray] = None
         self._margin: Optional[np.ndarray] = None
@@ -213,30 +139,31 @@ class BatchSimulator:
         return np.concatenate(rows, axis=0)
 
     def reset_world(self, world: int) -> np.ndarray:
-        """Reset one world (its own RNG stream; bit-identical to a
-        scalar ``sim.reset()``) and return its initial observations."""
-        sim = self.sims[world]
-        observations = sim.reset()
-        self._states[world] = _WorldState(sim)
-        names = self._states[world].managed_names
-        out = np.empty((len(names), STATE_DIM))
-        for i, name in enumerate(names):
-            observations[name].vector(out=out[i])
+        """Reset one world (``sim.reset()``, on its own RNG stream)
+        and return its initial observations, stacked."""
+        observations = self.sims[world].reset()
+        out = np.empty((len(observations), STATE_DIM))
+        for row, observation in zip(out, observations.values()):
+            observation.vector(out=row)
         return out
-
-    def _require_state(self, world: int) -> _WorldState:
-        state = self._states[world]
-        if state is None:
-            raise RuntimeError(
-                f"world {world} was never reset; call reset() or "
-                "reset_world() first")
-        return state
 
     # ---- lockstep stepping ------------------------------------------
 
     def step(self, actions: Sequence[WorldActions]) -> BatchStepResult:
         """Advance every world with a non-``None`` action set by one
         slot, all through one kernel evaluation."""
+        return self.step_rows(actions)[0]
+
+    def step_rows(self, actions: Sequence[WorldActions]
+                  ) -> Tuple[BatchStepResult, Dict[str, np.ndarray],
+                             np.ndarray]:
+        """:meth:`step`, also handing back what the kernels computed:
+        ``(result, out, rates)`` with ``out`` the
+        :func:`~repro.engine.kernels.evaluate_rows` arrays and
+        ``rates`` the realised arrivals/s, both over *every* row of
+        the stepped worlds (background churn slices included) and
+        owned by this engine until its next step -- what a caller
+        building per-slice reports at the edge reads."""
         if len(actions) != self.num_worlds:
             raise ValueError(
                 f"need one action set per world ({self.num_worlds}), "
@@ -249,23 +176,22 @@ class BatchSimulator:
             # 1. events + churn (may consume world RNG; may change
             #    layout)
             with trace("engine.events"):
-                states: List[_WorldState] = []
+                states: List[WorldLayout] = []
                 for b in stepping:
                     sim = self.sims[b]
+                    if not sim._traces:
+                        raise RuntimeError(
+                            f"world {b} was never reset; call reset() "
+                            "or reset_world() first")
                     if sim.done:
                         raise RuntimeError(
                             f"world {b}: episode finished; call "
-                            "reset_world()")
-                    state = self._require_state(b)
+                            "reset() or reset_world()")
                     sim.apply_events()
-                    if tuple(sim.network.slice_names) \
-                            != state.signature:
-                        state.rebuild()
-                    states.append(state)
+                    states.append(sim.layout())
 
-            # 2. channels (one standard-normal block per world,
-            #    exactly the scalar step_channels stream; the fleet
-            #    bank fuses all worlds' AR(1) updates into one)
+            # 2. channels (one standard-normal block per world; the
+            #    fleet bank fuses all worlds' AR(1) updates into one)
             with trace("engine.channels"):
                 fleet = self._fleet_bank()
                 if fleet is not None:
@@ -274,8 +200,7 @@ class BatchSimulator:
                     for b in stepping:
                         self.sims[b].network.step_channels()
 
-            # 3. realised arrivals (one Poisson array draw per world
-            #    == the scalar per-slice draw sequence)
+            # 3. realised arrivals (one Poisson array draw per world)
             with trace("engine.arrivals"):
                 total = sum(len(state.names) for state in states)
                 if self._rates is None \
@@ -298,13 +223,22 @@ class BatchSimulator:
                 if self._matrix is None \
                         or self._matrix.shape[0] != total:
                     self._matrix = np.empty((total, NUM_ACTIONS))
+                    self._finite = np.empty((total, NUM_ACTIONS),
+                                            dtype=bool)
                 matrix = self._matrix
                 row = 0
                 for b, state in zip(stepping, states):
                     hi = row + len(state.names)
-                    state.actions_matrix(actions[b],
-                                         out=matrix[row:hi])
+                    state.stage_actions(actions[b], matrix[row:hi])
                     row = hi
+                # Out-of-range finite actions are the decode kernel's
+                # to clip; NaN / inf would reach its integer decodes.
+                if not np.isfinite(matrix, out=self._finite).all():
+                    bad = int(np.argmin(self._finite.all(axis=1)))
+                    raise ValueError(
+                        f"world {stepping[bundle.world[bad]]}: "
+                        f"non-finite action for slice "
+                        f"{bundle.names[bad]!r}: {matrix[bad]}")
                 cqi, margin = self._gather_channels(states)
                 fabrics = [state.sim.network.fabric
                            for state in states]
@@ -318,14 +252,14 @@ class BatchSimulator:
 
             # 5. state write-back + stacked managed-row results
             with trace("engine.commit"):
-                return self._commit(stepping, states, bundle, out,
-                                    rates)
+                return self._commit(stepping, states, out,
+                                    rates), out, rates
 
     def _bundle_for(self, stepping: List[int],
-                    states: List[_WorldState]) -> SliceRows:
-        # id(rows) keys the cache: rebuilds (churn, resets) swap the
-        # rows object even when the slice-name signature is unchanged.
-        key = tuple((b, id(state.rows))
+                    states: List[WorldLayout]) -> SliceRows:
+        # rows.uid keys the cache: churn swaps a world's rows object,
+        # and a uid (unlike id()) is never reused after one is freed.
+        key = tuple((b, state.rows.uid)
                     for b, state in zip(stepping, states))
         if key != self._bundle_key:
             self._bundle = concat_rows([state.rows for state in states])
@@ -337,8 +271,13 @@ class BatchSimulator:
 
         Keyed on the per-world bank identities, so slice churn or a
         non-bankable world anywhere in the fleet drops straight back
-        to the per-network path.
+        to the per-network path.  One world needs none: its own bank
+        is already one contiguous block, and leaving its storage where
+        it is keeps the world steppable by any other engine holding
+        it.
         """
+        if len(self.sims) == 1:
+            return None
         from repro.sim.channel import FleetChannelBank
 
         banks = [sim.network.channel_bank() for sim in self.sims]
@@ -349,20 +288,24 @@ class BatchSimulator:
             self._fleet_key = key
         return self._fleet
 
-    def _gather_channels(self, states: List[_WorldState]):
+    def _gather_channels(self, states: List[WorldLayout]):
         umax = max(state.users for state in states)
         total = sum(len(state.names) for state in states)
-        fleet = self._fleet
-        if fleet is not None and len(states) == len(self.sims) \
-                and fleet.cqi.shape == (total, umax):
-            # Whole fleet stepping and uniform user counts: the fleet
-            # block *is* the gather layout -- no per-world copies.
+        block = None
+        if len(states) == 1:
+            block = states[0].sim.network.channel_bank()
+        elif len(states) == len(self.sims):
+            block = self._fleet
+        if block is not None and block.cqi.shape == (total, umax):
+            # One world stepping, or the whole fleet at uniform user
+            # counts: the bank's block *is* the gather layout -- no
+            # per-world copies.
             if self._margin is None \
                     or self._margin.shape != (total, umax):
                 self._margin = np.zeros((total, umax))
-            np.subtract(fleet.snr_db, fleet.mean_snr_db,
+            np.subtract(block.snr_db, block.mean_snr_db,
                         out=self._margin)
-            return fleet.cqi, self._margin
+            return block.cqi, self._margin
         if self._cqi is None or self._cqi.shape != (total, umax):
             # Padding lanes (beyond each row's user count) are
             # initialised once and never read unmasked by the kernels.
@@ -386,8 +329,8 @@ class BatchSimulator:
                     row += 1
         return cqi, margin
 
-    def _commit(self, stepping: List[int], states: List[_WorldState],
-                bundle: SliceRows, out: Dict[str, np.ndarray],
+    def _commit(self, stepping: List[int], states: List[WorldLayout],
+                out: Dict[str, np.ndarray],
                 rates: np.ndarray) -> BatchStepResult:
         managed = np.concatenate([state.managed for state in states])
         costs = out["cost"][managed]
@@ -406,25 +349,15 @@ class BatchSimulator:
             world_rows = slice(row_all, row_all + len(state.names))
             row_all += len(state.names)
             lo, hi = offsets[i], offsets[i + 1]
-            world_rates = rates[world_rows][state.managed]
-
-            # transport loads mirror the scalar fabric state
-            fabric = sim.network.fabric
-            fabric.set_loads(out["path_loads"][i, :fabric.num_paths])
 
             sim._slot += 1
-            state.cum_cost = state.cum_cost + costs[lo:hi]
-            for j, name in enumerate(state.managed_names):
-                sim._cum_cost[name] = float(state.cum_cost[j])
-            sim._last_rates = {
-                name: float(world_rates[j])
-                for j, name in enumerate(state.managed_names)}
+            state.cum_cost += costs[lo:hi]
             dones.append(sim.done)
 
             block = obs[lo:hi]
             block[:, 0] = sim._slot / sim.horizon
-            block[:, 1] = world_rates \
-                / state.max_arrival[state.managed]
+            block[:, 1] = rates[world_rows][state.managed] \
+                / state.max_arrival
             block[:, 2] = out["channel_quality"][world_rows][
                 state.managed]
             block[:, 3] = out["radio_usage"][world_rows][state.managed]

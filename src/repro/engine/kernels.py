@@ -207,7 +207,6 @@ class SliceRows:
 
     # -- channel population -------------------------------------------
     users: np.ndarray                 # (R,) int users per row's slice
-    horizon: np.ndarray               # (R,) int episode horizon
 
     #: Unique layout token; :func:`evaluate_rows` keys its arena on
     #: this, so churn-rebuilt bundles always reset the buffer pools.
@@ -228,8 +227,7 @@ class SliceRows:
         return _stack_rows([self], n)
 
 
-def rows_for_network(network, horizon: int,
-                     world: int = 0) -> SliceRows:
+def rows_for_network(network, world: int = 0) -> SliceRows:
     """Build the static row constants of one world's current slices.
 
     ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
@@ -297,7 +295,6 @@ def rows_for_network(network, horizon: int,
         total_ram_gb=const(cfg.edge.total_ram_gb),
         ram_gb_per_ups=const(cfg.edge.ram_gb_per_ups),
         users=const(cfg.users_per_slice, dtype=np.intp),
-        horizon=const(horizon, dtype=np.intp),
     )
 
 

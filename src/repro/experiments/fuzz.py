@@ -6,8 +6,9 @@ decides what they *mean*:
 * :func:`run_fuzz_batch` drives generated specs through the batched
   engine under one method policy with per-slot invariant checks
   (finite kernels, non-negative costs/usages, post-projection capacity
-  conservation, cumulative-cost consistency) plus a cross-engine
-  parity check, and evaluates every world's SLA verdict;
+  conservation, cumulative-cost consistency) plus the determinism
+  contract's parity check (alone == inside the batch), and evaluates
+  every world's SLA verdict;
 * :func:`run_fuzz` fans a whole corpus over the four comparison
   methods, cached through the shared runtime result cache like any
   other experiment;
@@ -35,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import ENGINES, ExperimentConfig, TrafficConfig
+from repro.config import ExperimentConfig, TrafficConfig
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import (
     ModelBasedBatchPolicy,
@@ -162,15 +163,13 @@ def _breach(breaches: List[Dict[str, object]], world: int,
 
 
 def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
-                   engine: str = "vector",
                    check_parity: bool = True
                    ) -> List[Dict[str, object]]:
     """One instrumented episode of every spec under one batch policy.
 
-    Every world runs in lockstep through the batched engine (or the
-    scalar loop with ``engine="scalar"``) with the paper's projection,
-    while the oracle checks the engine invariants the parity suite
-    relies on:
+    Every world runs in lockstep through the batched engine with the
+    paper's projection, while the oracle checks the engine invariants
+    the parity suite relies on:
 
     * every observation/cost/usage the kernels emit is finite;
     * costs and usages are non-negative;
@@ -178,16 +177,13 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
       exceed capacity (conservation);
     * the simulator's cumulative episode cost equals the summed
       per-slot costs (write-back consistency);
-    * with ``check_parity``, a fresh run of the same worlds on the
-      *other* engine produces identical episode totals (the two
-      engines are bit-identical by contract).
+    * with ``check_parity``, a fresh copy of each world stepped alone
+      produces the episode totals it produced inside the batch (the
+      determinism contract of :mod:`repro.engine.batch`).
 
     Returns one dict per world: scenario name, family, violated
     slices, per-slice mean cost/usage, and any invariant breaches.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected "
-                         f"one of {ENGINES}")
     if not specs:
         raise ValueError("need at least one spec")
     built = [_build_world(spec) for spec in specs]
@@ -195,36 +191,29 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
     sims = [sim for _, sim in built]
     breaches: List[Dict[str, object]] = []
 
-    if engine == "scalar":
-        totals = [world[0] for world in
-                  run_episodes(sims, policy, episodes=1,
-                               engine="scalar")]
-    else:
-        slots = _checked(lockstep(BatchSimulator(sims), policy),
-                         specs, sims, breaches)
-        totals = [world[0] for world in
-                  episode_totals(slots, len(sims))]
-        for b, sim in enumerate(sims):
-            for name in sim.slice_names:
-                drift = abs(sim.cumulative_cost(name)
-                            - totals[b][name]["cost"])
-                if drift > _CHECK_ATOL:
-                    _breach(breaches, b, specs[b].name, "cum_cost",
-                            f"slice {name!r}: simulator cumulative "
-                            f"cost drifts from summed costs by "
-                            f"{drift:g}")
+    slots = _checked(lockstep(BatchSimulator(sims), policy),
+                     specs, sims, breaches)
+    totals = [world[0] for world in episode_totals(slots, len(sims))]
+    for b, sim in enumerate(sims):
+        for name in sim.slice_names:
+            drift = abs(sim.cumulative_cost(name)
+                        - totals[b][name]["cost"])
+            if drift > _CHECK_ATOL:
+                _breach(breaches, b, specs[b].name, "cum_cost",
+                        f"slice {name!r}: simulator cumulative "
+                        f"cost drifts from summed costs by "
+                        f"{drift:g}")
 
     if check_parity:
-        other_engine = "vector" if engine == "scalar" else "scalar"
         fresh = [_build_world(spec)[1] for spec in specs]
-        other = [world[0] for world in
+        alone = [world[0] for world in
                  run_episodes(fresh, policy, episodes=1,
-                              engine=other_engine)]
+                              engine="scalar")]
         for b, spec in enumerate(specs):
-            if totals[b] != other[b]:
+            if totals[b] != alone[b]:
                 _breach(breaches, b, spec.name, "parity",
-                        f"{engine} and {other_engine} episode "
-                        "totals diverge")
+                        "episode totals stepped alone and inside "
+                        "the batch diverge")
 
     results: List[Dict[str, object]] = []
     for b, (spec, cfg, sim) in enumerate(zip(specs, cfgs, sims)):
@@ -286,18 +275,18 @@ def _checked(slots, specs: Sequence[ScenarioSpec], sims: List,
 def run_fuzz(seed: int = 11, count: int = 16,
              methods: Optional[Sequence[str]] = None,
              space: Optional[FuzzSpace] = None,
-             batch: int = 8, engine: str = "vector",
-             check_parity: bool = True, scale: float = 0.05,
+             batch: int = 8, check_parity: bool = True,
+             scale: float = 0.05,
              snapshot_store: Optional[str] = None,
              use_cache: bool = True) -> Dict[str, object]:
     """Generate a corpus and run it across methods (cached).
 
     Per-method world results go through the shared runtime cache,
     keyed by the exact specs (tagged JSON), the method's policy
-    signature, the engine, the parity setting, and the code version --
-    a re-run of an unchanged corpus is a cache fetch.
+    signature, the parity setting, and the code version -- a re-run
+    of an unchanged corpus is a cache fetch.
 
-    Returns ``{"seed", "count", "corpus_digest", "engine",
+    Returns ``{"seed", "count", "corpus_digest",
     "methods": {label: {"worlds": [...], "summary": {...}}}}``.
     """
     from repro.runtime.cache import (
@@ -317,7 +306,6 @@ def run_fuzz(seed: int = 11, count: int = 16,
     result: Dict[str, object] = {
         "seed": seed, "count": count,
         "corpus_digest": corpus_digest(specs),
-        "engine": engine,
         "methods": {},
     }
     for label, (policy, signature) in policies.items():
@@ -326,7 +314,6 @@ def run_fuzz(seed: int = 11, count: int = 16,
             "specs": [to_jsonable(spec) for spec in specs],
             "method": label,
             "signature": signature,
-            "engine": engine,
             "parity": check_parity,
             "code_version": code_version(),
         })
@@ -335,7 +322,7 @@ def run_fuzz(seed: int = 11, count: int = 16,
             worlds = []
             for start in range(0, len(specs), batch):
                 worlds.extend(run_fuzz_batch(
-                    specs[start:start + batch], policy, engine=engine,
+                    specs[start:start + batch], policy,
                     check_parity=check_parity))
             for offset, row in enumerate(worlds):
                 row["world"] = offset  # global corpus index
@@ -454,10 +441,9 @@ def shrink_spec(spec: ScenarioSpec,
 
 def violation_predicate(policy) -> Callable[[ScenarioSpec], bool]:
     """Failure witness: the world SLA-violates under ``policy``
-    (vector engine, parity off -- the shrink loop's hot path)."""
+    (parity off -- the shrink loop's hot path)."""
     def predicate(spec: ScenarioSpec) -> bool:
-        rows = run_fuzz_batch([spec], policy, engine="vector",
-                              check_parity=False)
+        rows = run_fuzz_batch([spec], policy, check_parity=False)
         return bool(rows[0]["violations"])
 
     return predicate

@@ -119,11 +119,11 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
 
     The workhorse of batched evaluation: ``policy`` is a
     :class:`~repro.engine.policies.BatchPolicy` (stacked observations
-    in, stacked actions out); with ``engine="vector"`` all worlds
-    advance in lockstep through one
-    :class:`~repro.engine.batch.BatchSimulator`, with
-    ``engine="scalar"`` each world runs the classic per-slot loop.
-    Both traverse the same kernels, so their results are bit-identical
+    in, stacked actions out) driven through :func:`lockstep`.
+    ``engine`` only picks the batch width: ``"vector"`` advances all
+    worlds in one :class:`~repro.engine.batch.BatchSimulator`,
+    ``"scalar"`` runs the same loop once per world.  A world steps
+    bit-identically alone and inside a batch, so the results are equal
     -- the parity suite asserts it.
 
     Returns ``result[world][episode][slice] == {"cost": total,
@@ -134,37 +134,14 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
                          f"one of {ENGINES}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-
-    if engine == "scalar":
-        results = []
-        for sim in simulators:
-            world_episodes = []
-            for _ in range(episodes):
-                observations = sim.reset()
-                names = sim.slice_names
-                totals = {n: {"cost": 0.0, "usage": 0.0}
-                          for n in names}
-                states = np.stack([observations[n].vector()
-                                   for n in names])
-                while not sim.done:
-                    matrix = np.asarray(
-                        policy.act_batch(states, names), dtype=float)
-                    if project:
-                        matrix = project_actions_batch(
-                            matrix, np.array([0, len(names)]))
-                    step = sim.step(
-                        {n: matrix[i] for i, n in enumerate(names)})
-                    for i, n in enumerate(names):
-                        totals[n]["cost"] += step[n].cost
-                        totals[n]["usage"] += step[n].usage
-                        step[n].observation.vector(out=states[i])
-                world_episodes.append(totals)
-            results.append(world_episodes)
-        return results
-
-    return episode_totals(
-        lockstep(BatchSimulator(simulators), policy, episodes, project),
-        len(simulators))
+    batches = ([[sim] for sim in simulators] if engine == "scalar"
+               else [simulators])
+    results: List[List[Dict[str, Dict[str, float]]]] = []
+    for worlds in batches:
+        results += episode_totals(
+            lockstep(BatchSimulator(worlds), policy, episodes, project),
+            len(worlds))
+    return results
 
 
 def lockstep(batch, policy, episodes: int = 1, project: bool = True):

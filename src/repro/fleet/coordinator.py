@@ -258,11 +258,11 @@ def run_fleet(spec: FleetSpec, store_dir: str,
         live in ``store_dir`` under its own ref -- worker shards load
         it from there.
     engine:
-        "vector" (default) steps each shard's cells in one lockstep
-        :class:`~repro.engine.batch.BatchSimulator`; "scalar" keeps
-        the sequential per-cell loop.  Both engines share one kernel
-        code path, so reports (and their digests) are identical --
-        which is why the choice is deliberately absent from fleet
+        Batch width only: "vector" (default) steps each shard's cells
+        in one lockstep :class:`~repro.engine.batch.BatchSimulator`,
+        "scalar" drives them one cell at a time through the same
+        loop.  Reports (and their digests) are identical -- which is
+        why the choice is deliberately absent from fleet
         experiment-unit cache keys and checkpoint headers.
     slo / slo_timeline / fail_fast:
         With an :class:`SloSpec`, the coordinator streams every

@@ -29,7 +29,7 @@ from repro.obs.trace import configure_from_env, flush as trace_flush, \
     trace
 from repro.runtime.serialization import register_dataclass
 from repro.scenarios import ScenarioSpec
-from repro.serve.loadgen import LoadGenerator
+from repro.serve.loadgen import LoadGenerator, drive_lockstep
 from repro.serve.policy_store import PolicySnapshot, PolicyStore
 
 
@@ -104,61 +104,12 @@ class ShardPlan:
     store_dir: str
     snapshot_ref: str
     snapshot_digest: str
-    #: "vector" steps every cell of the shard in one lockstep
-    #: :class:`~repro.engine.batch.BatchSimulator`; "scalar" runs the
-    #: classic sequential per-cell loop.  Cell results (decision
-    #: digests included) are identical -- both share one float64
-    #: kernel code path -- so the choice never enters cache keys.
+    #: Batch width only: "vector" steps every cell of the shard in
+    #: one lockstep :class:`~repro.engine.batch.BatchSimulator`,
+    #: "scalar" runs the same drive loop one cell at a time.  Cell
+    #: results (decision digests included) are identical, so the
+    #: choice never enters cache keys.
     engine: str = "vector"
-
-
-def _drive_cells_lockstep(generators, episodes: int) -> None:
-    """Advance every cell's episodes through one batched engine.
-
-    Each slot serves every active cell's decision batch through its
-    own :class:`~repro.serve.service.SlicingService` (per-cell
-    fallback state, coordination and digests untouched), then steps
-    all cells' simulators in one kernel evaluation.  Cells with
-    shorter horizons roll into their next episode independently.
-    """
-    from repro.engine.batch import BatchSimulator
-
-    batch = BatchSimulator([g.simulator for g in generators])
-    active = []
-    for index, generator in enumerate(generators):
-        generator.begin_run(episodes)
-        generator.begin_episode(observations=batch.reset_world(index))
-        active.append(index)
-    while active:
-        actions = [None] * len(generators)
-        for cell in active:
-            actions[cell] = generators[cell].serve_slot()
-        step = batch.step(actions)
-        still_active = []
-        for i, cell in enumerate(active):
-            rows = step.rows_of(cell)
-            names = step.names[i]
-            generators[cell].record_step(
-                {n: float(step.costs[rows][j])
-                 for j, n in enumerate(names)},
-                {n: float(step.usages[rows][j])
-                 for j, n in enumerate(names)},
-                {n: step.observations[rows][j]
-                 for j, n in enumerate(names)},
-                {n: float(step.latencies[rows][j])
-                 for j, n in enumerate(names)})
-            if step.dones[i] or generators[cell]._stopped:
-                # _stopped mirrors LoadGenerator.run's per-slot
-                # max_decisions check (the fleet never sets one, but
-                # the drive modes must stay interchangeable)
-                generators[cell].end_episode()
-                if generators[cell].want_more_episodes:
-                    generators[cell].begin_episode(
-                        observations=batch.reset_world(cell))
-                    still_active.append(cell)
-            else:
-                still_active.append(cell)
-        active = still_active
 
 
 def run_fleet_shard(plan: ShardPlan,
@@ -206,13 +157,11 @@ def run_fleet_shard(plan: ShardPlan,
                 telemetry=telemetry,
                 trace_attrs={"cell": cell.cell,
                              "scenario": cell.scenario}))
-        if plan.engine != "scalar" and len(generators) > 1:
-            _drive_cells_lockstep(generators, plan.spec.episodes)
-            reports = [generator.finish_run()
-                       for generator in generators]
-        else:
-            reports = [generator.run(episodes=plan.spec.episodes)
-                       for generator in generators]
+        batches = ([[generator] for generator in generators]
+                   if plan.engine == "scalar" else [generators])
+        for cells in batches:
+            drive_lockstep(cells, plan.spec.episodes)
+        reports = [generator.finish_run() for generator in generators]
         rows = []
         for cell, telemetry, report in zip(plan.cells, telemetries,
                                            reports):

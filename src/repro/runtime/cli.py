@@ -40,7 +40,7 @@ Subcommands
     Scenario fuzzing: ``run`` generates a seeded spec corpus
     (``--seed``/``--count``) and oracle-checks it across methods --
     SLA verdicts plus engine invariants (finite kernels, conservation,
-    cross-engine parity), exiting non-zero on an invariant breach;
+    alone-vs-batched parity), exiting non-zero on an invariant breach;
     ``shrink`` delta-debugs one violating world to a minimal spec
     (``--out`` writes the tagged JSON for catalog graduation);
     ``sweep`` writes cost-vs-SLA Pareto frontier and scenario-family
@@ -123,7 +123,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.config import ENGINES
 from repro.obs.cli import add_obs_parser
 from repro.runtime.cache import configure_shared_cache
 from repro.runtime.runner import ParallelRunner, default_workers
@@ -285,25 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
                    ).set_defaults(handler=_run_list)
 
     scenarios = sub.add_parser(
-        "scenarios",
-        help="list registered scenarios / bench the engines")
-    scenarios.add_argument("scenarios_command", nargs="?",
-                           choices=("list", "bench"), default="list",
-                           help="'list' (default) or 'bench': measure "
-                                "scalar vs vector engine slot "
-                                "throughput over the catalog")
+        "scenarios", help="list registered scenarios")
     scenarios.add_argument("--json", action="store_true",
                            dest="as_json",
                            help="machine-readable output")
-    scenarios.add_argument("--batch", type=int, default=8,
-                           help="bench: worlds per scenario batch "
-                                "(default: 8)")
-    scenarios.add_argument("--slots", type=int, default=24,
-                           help="bench: episode horizon in slots "
-                                "(default: 24)")
-    scenarios.add_argument("--scenario", default=None, metavar="NAME",
-                           help="bench: a single scenario (default: "
-                                "the whole catalog)")
     scenarios.set_defaults(handler=_run_scenarios)
 
     train = sub.add_parser(
@@ -395,13 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--resume", action="store_true",
                            help="resume a killed run from "
                                 "--checkpoint (same spec and seed)")
-    fleet_run.add_argument("--engine", choices=ENGINES,
-                           default="vector",
-                           help="cell stepping engine: 'vector' "
-                                "(default) batch-steps each shard's "
-                                "cells in lockstep through the "
-                                "kernel arena, 'scalar' runs them "
-                                "sequentially (results identical)")
     fleet_run.add_argument("--trace-dir", default=None, metavar="DIR",
                            dest="trace_dir",
                            help="write obs trace spans (one JSONL "
@@ -473,12 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_run.set_defaults(handler=_fuzz_run)
     fuzz_shrink.set_defaults(handler=_fuzz_shrink)
     fuzz_sweep_p.set_defaults(handler=_fuzz_sweep)
-    fuzz_run.add_argument("--engine", choices=ENGINES,
-                          default="vector",
-                          help="driving engine (the parity oracle "
-                               "re-runs the corpus on the other one)")
     fuzz_run.add_argument("--no-parity", action="store_true",
-                          help="skip the cross-engine parity check")
+                          help="skip the parity check (each world "
+                               "re-run alone must equal its run "
+                               "inside the batch)")
     fuzz_shrink.add_argument("--world", type=int, required=True,
                              help="corpus index of the failing world")
     fuzz_shrink.add_argument("--method", choices=TRAIN_METHODS,
@@ -686,85 +661,6 @@ def _run_serving(args) -> int:
     return 0
 
 
-def _scenarios_bench(args) -> int:
-    """``scenarios bench``: scalar vs vector engine slot throughput.
-
-    Builds a ``--batch``-world batch per catalog scenario (short
-    ``--slots`` horizon), drives both engines under a fixed allocation
-    policy, and prints world-slots/s, decisions/s and the speedup.
-    The two engines share one kernel path, so this measures batching
-    alone -- and doubles as a quick live parity check, since mismatched
-    totals abort the bench.
-    """
-    import dataclasses as _dc
-    import time
-
-    import numpy as np
-
-    from repro import scenarios as scenario_registry
-    from repro.config import NUM_ACTIONS, TrafficConfig
-    from repro.engine.policies import ConstantBatchPolicy
-    from repro.experiments.harness import make_simulators
-
-    if args.batch < 1 or args.slots < 2:
-        raise SystemExit("--batch must be >= 1 and --slots >= 2")
-    names = ([args.scenario] if args.scenario
-             else sorted(scenario_registry.names()))
-    _require_scenarios(*names)
-    policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
-    rows = []
-    for name in names:
-        spec = scenario_registry.get(name)
-        traffic = (spec.traffic_cfg if spec.traffic_cfg is not None
-                   else TrafficConfig())
-        spec = _dc.replace(spec, traffic_cfg=_dc.replace(
-            traffic, slots_per_episode=args.slots))
-        cfg = spec.build_config()
-
-        def timed(engine):
-            from repro.experiments.harness import run_episodes
-
-            sims = make_simulators(cfg, spec, count=args.batch)
-            start = time.perf_counter()
-            totals = run_episodes(sims, policy, episodes=1,
-                                  engine=engine)
-            return time.perf_counter() - start, totals
-
-        scalar_s, scalar_totals = timed("scalar")
-        vector_s, vector_totals = timed("vector")
-        if scalar_totals != vector_totals:
-            raise SystemExit(
-                f"engine parity violation on scenario {name!r}: "
-                "scalar and vector totals differ -- this is a bug, "
-                "please report it")
-        world_slots = args.batch * args.slots
-        decisions = sum(len(episode[0]) for episode in scalar_totals) \
-            * args.slots
-        rows.append({
-            "scenario": name,
-            "worlds": args.batch,
-            "slots": args.slots,
-            "scalar_world_slots_per_s": world_slots / scalar_s,
-            "vector_world_slots_per_s": world_slots / vector_s,
-            "vector_decisions_per_s": decisions / vector_s,
-            "speedup": scalar_s / vector_s,
-        })
-    if args.as_json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    print(f"{'scenario':<18} {'worlds':>6} {'scalar w-slots/s':>17} "
-          f"{'vector w-slots/s':>17} {'speedup':>8}")
-    for row in rows:
-        print(f"{row['scenario']:<18} {row['worlds']:>6} "
-              f"{row['scalar_world_slots_per_s']:>17,.0f} "
-              f"{row['vector_world_slots_per_s']:>17,.0f} "
-              f"{row['speedup']:>7.1f}x")
-    mean = sum(row["speedup"] for row in rows) / len(rows)
-    print(f"{len(rows)} scenario(s), mean speedup {mean:.1f}x "
-          f"at B={args.batch} (identical results on both engines)")
-    return 0
-
-
 def _fleet_json(report, complete: bool = True) -> str:
     """Machine-readable fleet report payload."""
     return json.dumps({
@@ -863,8 +759,7 @@ def _fleet_run(args) -> int:
             shards=shards, checkpoint_path=args.checkpoint,
             resume=args.resume,
             progress=lambda line: print(line, file=sys.stderr),
-            snapshot=snapshot, engine=args.engine,
-            slo=slo_spec, slo_timeline=args.slo_timeline,
+            snapshot=snapshot, slo=slo_spec, slo_timeline=args.slo_timeline,
             fail_fast=args.fail_fast)
     except FleetSloBreach as exc:
         print(f"SLO BREACH: {exc}", file=sys.stderr)
@@ -1021,7 +916,6 @@ def _fuzz_run(args) -> int:
     result = run_fuzz(seed=args.seed, count=args.count,
                       methods=_parse_fuzz_methods(args.methods),
                       batch=args.batch,
-                      engine=args.engine,
                       check_parity=not args.no_parity,
                       scale=args.scale,
                       snapshot_store=args.store_dir,
@@ -1033,7 +927,7 @@ def _fuzz_run(args) -> int:
                        for m in result["methods"].values())
         return 1 if breaches else 0
     print(f"== fuzz run seed={result['seed']} "
-          f"count={result['count']} engine={result['engine']} ==")
+          f"count={result['count']} ==")
     print(f"  corpus digest {result['corpus_digest']}")
     for label, method_result in result["methods"].items():
         summary = method_result["summary"]
@@ -1068,9 +962,7 @@ def _run_list(args) -> int:
 
 
 def _run_scenarios(args) -> int:
-    """``scenarios``: list the registry, or bench the engines."""
-    if args.scenarios_command == "bench":
-        return _scenarios_bench(args)
+    """``scenarios``: list the registry."""
     from repro import scenarios as scenario_registry
 
     rows = []

@@ -272,11 +272,10 @@ def execute_unit(unit: ExperimentUnit) -> Any:
         # Shards stay inline (1): the unit itself is the parallelism
         # grain -- the runner may already be fanning units over
         # processes, and inline execution keeps results cache-exact.
-        # The stepping engine (vector by default) is deliberately NOT
-        # part of the unit params/cache key: both engines share one
-        # kernel code path and produce identical reports, so a cached
-        # scalar-era result is still exact under the vector engine
-        # (tests/test_engine.py pins the equivalence).
+        # The shard batch width (``engine``, vector by default) is
+        # deliberately NOT part of the unit params/cache key: a cell
+        # steps bit-identically alone and inside a batch
+        # (tests/test_engine.py pins it), so reports are identical.
         return run_fleet(fleet_spec, p["store"],
                          snapshot_ref=p["snapshot"], shards=1,
                          scenarios=scenarios, snapshot=snapshot)

@@ -1,7 +1,6 @@
 """Built-in scenarios.
 
-Four mirror the paper's canonical configurations (so the legacy
-factories in :mod:`repro.experiments.scenarios` and the experiment
+Four mirror the paper's canonical configurations (so the experiment
 units keep their exact configs); the rest open the non-stationary /
 faulty regimes where safe *online* learning actually differs from the
 offline baselines: flash crowds, bursty MMPP sources, traffic-mix

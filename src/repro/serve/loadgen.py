@@ -15,15 +15,15 @@ a ``decision_digest`` (SHA-256 over every action served, in order) so
 two runs from the same snapshot and seed can be byte-compared: the CI
 smoke job replays 100 decisions twice and asserts the digests match.
 
-``run()`` is built from an incremental API (``begin_run`` /
+A generator exposes an incremental API (``begin_run`` /
 ``begin_episode`` / ``serve_slot`` / ``record_step`` /
-``end_episode`` / ``finish_run``) so the fleet layer's vector engine
-can drive many generators in lockstep through one
-:class:`~repro.engine.batch.BatchSimulator` while each cell keeps its
-own service, accounting and digest -- the two drive modes produce
-identical reports.  Per-slice observation buffers are reused across
-slots (the service copies states before inference), so steady-state
-serving allocates nothing per decision.
+``end_episode`` / ``finish_run``) and :func:`drive_lockstep` is the one
+loop over it: ``run()`` drives one cell, a fleet shard drives all its
+cells through one :class:`~repro.engine.batch.BatchSimulator`, and each
+cell keeps its own service, accounting and digest either way.
+Per-slice observation buffers are reused across slots (the service
+copies states before inference), so steady-state serving allocates
+nothing per decision.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.config import ExperimentConfig
+from repro.engine.batch import BatchSimulator
 from repro.obs.metrics import Telemetry
 from repro.obs.slo import SloEvaluator
 from repro.scenarios.spec import ScenarioSpec, population
@@ -128,10 +129,8 @@ class LoadGenerator:
 
     # ---- incremental driving API ------------------------------------
     #
-    # `run()` composes these; the fleet layer's vector engine drives
-    # many generators in lockstep through one BatchSimulator, calling
-    # the same methods per cell so the two paths produce identical
-    # reports (decision digests included).
+    # What `drive_lockstep` (and any outside driver re-tracing it)
+    # calls per cell.
 
     def begin_run(self, episodes: int = 1,
                   max_decisions: Optional[int] = None) -> None:
@@ -182,25 +181,19 @@ class LoadGenerator:
         return (not self._stopped
                 and self._episodes_run < self._episodes_wanted)
 
-    def begin_episode(self, observations=None) -> None:
-        """Start one episode; ``observations`` skips the internal
-        reset when the caller (the batched driver) already reset the
-        simulator and holds the initial observation rows."""
-        if observations is None:
-            observations = self.simulator.reset()
+    def begin_episode(self, observations: np.ndarray) -> None:
+        """Start one episode from the initial observation rows
+        (``slice_names`` order) of the simulator the driver just
+        reset."""
         self.service.begin_episode()   # re-arm the one-way fallback
         names = self.simulator.slice_names
         self._totals = {name: {"cost": 0.0, "usage": 0.0, "slots": 0}
                         for name in names}
-        for i, name in enumerate(names):
+        for name, row in zip(names, observations):
             buffer = self._states.get(name)
             if buffer is None:
-                buffer = np.empty(STATE_DIM)
-                self._states[name] = buffer
-            if isinstance(observations, np.ndarray):
-                buffer[:] = observations[i]
-            else:
-                observations[name].vector(out=buffer)
+                buffer = self._states[name] = np.empty(STATE_DIM)
+            buffer[:] = row
 
     def serve_slot(self) -> Dict[str, np.ndarray]:
         """One decision batch: requests from the held observations,
@@ -239,8 +232,6 @@ class LoadGenerator:
         latency (transport + core + edge, ms) -- a *deterministic*
         signal, unlike the wall-clock ``decision_latency_ms``, which
         is what makes latency-SLO incident timelines reproducible.
-        Both drive modes (the scalar ``run()`` loop and the fleet's
-        lockstep batch engine) supply it identically.
         """
         for name, cost in costs.items():
             totals = self._totals[name]
@@ -320,23 +311,49 @@ class LoadGenerator:
             max_decisions: Optional[int] = None) -> LoadReport:
         """Serve ``episodes`` full episodes (or stop after
         ``max_decisions`` decisions, mid-episode if need be)."""
-        self.begin_run(episodes, max_decisions)
-        simulator = self.simulator
-        while self.want_more_episodes:
-            self.begin_episode()
-            while not simulator.done and not self._stopped:
-                actions = self.serve_slot()
-                results = simulator.step(actions)
-                self.record_step(
-                    {name: result.cost
-                     for name, result in results.items()},
-                    {name: result.usage
-                     for name, result in results.items()},
-                    {name: result.observation.vector()
-                     for name, result in results.items()},
-                    {name: result.report.transport_latency_ms
-                     + result.report.core_latency_ms
-                     + result.report.edge_latency_ms
-                     for name, result in results.items()})
-            self.end_episode()
+        drive_lockstep([self], episodes, max_decisions)
         return self.finish_run()
+
+
+def drive_lockstep(generators: List[LoadGenerator], episodes: int = 1,
+                   max_decisions: Optional[int] = None) -> None:
+    """Advance every cell's episodes through one batched engine.
+
+    Each slot serves every active cell's decision batch through its
+    own :class:`~repro.serve.service.SlicingService` (per-cell
+    fallback state, coordination and digests untouched), then steps
+    all cells' simulators in one kernel evaluation.  Cells with
+    shorter horizons roll into their next episode independently, and
+    a cell that has served ``max_decisions`` stops after recording
+    the slot it decided.  Callers read each cell's ``finish_run()``.
+    """
+    batch = BatchSimulator([g.simulator for g in generators])
+    active = []
+    for index, generator in enumerate(generators):
+        generator.begin_run(episodes, max_decisions)
+        generator.begin_episode(observations=batch.reset_world(index))
+        active.append(index)
+    while active:
+        actions = [None] * len(generators)
+        for cell in active:
+            actions[cell] = generators[cell].serve_slot()
+        step = batch.step(actions)
+        still_active = []
+        for i, cell in enumerate(active):
+            generator = generators[cell]
+            rows = step.rows_of(cell)
+            names = step.names[i]
+            generator.record_step(
+                dict(zip(names, step.costs[rows].tolist())),
+                dict(zip(names, step.usages[rows].tolist())),
+                dict(zip(names, step.observations[rows])),
+                dict(zip(names, step.latencies[rows].tolist())))
+            if not step.dones[i] and not generator._stopped:
+                still_active.append(cell)
+                continue
+            generator.end_episode()
+            if generator.want_more_episodes:
+                generator.begin_episode(
+                    observations=batch.reset_world(cell))
+                still_active.append(cell)
+        active = still_active

@@ -14,16 +14,15 @@ the same action -> performance relationships:
 * :mod:`repro.sim.core_network` -- CUPS EPC (HSS/MME/SPGW-C/SPGW-U);
 * :mod:`repro.sim.containers` / :mod:`repro.sim.edge` -- Docker-like
   container runtime and edge compute;
-* :mod:`repro.sim.traffic` -- Telecom-Italia-style traces + Poisson
-  arrival emulation;
+* :mod:`repro.sim.traffic` -- Telecom-Italia-style traffic traces;
 * :mod:`repro.sim.apps` -- MAR / HVS / RDC application models;
 * :mod:`repro.sim.network` / :mod:`repro.sim.env` -- the composed
-  end-to-end network and the per-slice RL environment.
+  end-to-end network and the paper's MDP over it.
 """
 
 from repro.sim.apps import AppPerformance, evaluate_app
 from repro.sim.channel import ChannelProcess, UserChannel
-from repro.sim.env import SliceEnv, SliceObservation
+from repro.sim.env import SliceObservation
 from repro.sim.network import EndToEndNetwork, SliceAllocation, SlotReport
 from repro.sim.phy import (
     CQI_TABLE,
@@ -32,7 +31,7 @@ from repro.sim.phy import (
     cqi_to_mcs,
     mcs_spectral_efficiency,
 )
-from repro.sim.traffic import PoissonArrivals, TelecomItaliaSynthesizer
+from repro.sim.traffic import TelecomItaliaSynthesizer
 
 __all__ = [
     "AppPerformance",
@@ -41,9 +40,7 @@ __all__ = [
     "EndToEndNetwork",
     "MCS_TABLE",
     "PhyModel",
-    "PoissonArrivals",
     "SliceAllocation",
-    "SliceEnv",
     "SliceObservation",
     "SlotReport",
     "TelecomItaliaSynthesizer",

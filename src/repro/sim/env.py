@@ -10,26 +10,26 @@ Implements the paper's MDP (Sec. 3):
 * **Reward** -- negative total virtual-resource usage (Eq. 9).
 * **Cost** -- SLA degradation ``1 - clip(p/P, 0, 1)`` (Eq. 10).
 
-:class:`ScenarioSimulator` steps *all* slices jointly (the orchestrator
-uses this); :class:`SliceEnv` is a single-slice view that drives the
-other slices with background policies, used for individual agent
-training and unit tests.
+:class:`ScenarioSimulator` owns one world -- network, traffic traces,
+event timeline, generator and the struct-of-arrays
+:class:`WorldLayout` of its current episode -- and steps *all* its
+slices jointly.  The slot sequence itself (events -> channels ->
+Poisson arrivals -> kernels -> Eq. 9 / Eq. 10 -> next state) has one
+implementation, :meth:`repro.engine.batch.BatchSimulator.step`;
+:meth:`ScenarioSimulator.step` is its one-world case with the
+per-slice objects built at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.config import ExperimentConfig, NUM_ACTIONS, slice_spec_for_app
 from repro.sim.network import EndToEndNetwork, SlotReport
-from repro.sim.traffic import (
-    MAX_ENVELOPE,
-    PoissonArrivals,
-    TelecomItaliaSynthesizer,
-)
+from repro.sim.traffic import MAX_ENVELOPE, TelecomItaliaSynthesizer
 
 #: Number of features in the observation vector.
 STATE_DIM = 9
@@ -89,6 +89,72 @@ class SliceStepResult:
     report: SlotReport
 
 
+class WorldLayout:
+    """One world's current slice set and episode as struct-of-arrays.
+
+    What the stepper reads and writes per slot, in network row order
+    (managed and background churn slices alike): the kernel row
+    constants, the managed-row mask, the episode's Poisson intensities
+    and the managed slices' cumulative cost.  Owned by the simulator
+    it describes (see :meth:`ScenarioSimulator.layout`), so every
+    engine stepping the world -- alone or inside a shared batch --
+    sees the same episode.
+    """
+
+    def __init__(self, sim: "ScenarioSimulator",
+                 cum_cost: Optional[np.ndarray] = None) -> None:
+        network = sim.network
+        self.sim = sim
+        self.rows = network.slot_rows()
+        self.names = self.rows.names
+        self.users = network.cfg.users_per_slice
+        self.managed = np.asarray(
+            [name not in sim._event_slices for name in self.names],
+            dtype=bool)
+        self.managed_names = sim.slice_names
+        self._managed_rows = np.flatnonzero(self.managed).tolist()
+        self._background_rows = np.flatnonzero(~self.managed).tolist()
+        self.max_arrival = self.rows.max_arrival[self.managed]
+        self.cost_threshold = self.rows.cost_threshold[self.managed]
+        self.horizon_cost = sim.horizon * self.cost_threshold
+        # Poisson intensities for every (slice, slot) of the episode
+        # (managed traces from the episode's generation, churn slices
+        # pinned at 1.0), precomputed so the hot loop only slices a
+        # column.  Bit-equal to a per-slot (envelope * max_arrival) *
+        # ARRIVAL_WINDOW_S: the same elementwise products, evaluated
+        # for all slots at once.
+        traces = np.stack([sim._traces[name] for name in self.names])
+        self.lam_table = ((traces * self.rows.max_arrival[:, None])
+                          * ARRIVAL_WINDOW_S)
+        # Managed cumulative episode cost, aligned with managed rows;
+        # a churn rebuild carries the episode's array over.
+        self.cum_cost = (np.zeros(len(self.managed_names))
+                         if cum_cost is None else cum_cost)
+
+    def stage_actions(self, actions, out: np.ndarray) -> None:
+        """Write this world's joint action rows into ``out``, a
+        ``(S, NUM_ACTIONS)`` view of the stepper's matrix in network
+        row order.  ``actions`` is a mapping ``slice name -> action``
+        or a managed-rows array in ``slice_names`` order; background
+        churn slices play their event's fixed allocation."""
+        if isinstance(actions, np.ndarray):
+            shape = (len(self.managed_names), NUM_ACTIONS)
+            if actions.shape != shape:
+                raise ValueError(f"actions must have shape {shape}, "
+                                 f"got {actions.shape}")
+            out[self.managed] = actions
+        else:
+            for i, name in zip(self._managed_rows, self.managed_names):
+                arr = np.asarray(actions[name], dtype=float)
+                if arr.shape != (NUM_ACTIONS,):
+                    raise ValueError(
+                        f"action must have shape ({NUM_ACTIONS},), "
+                        f"got {arr.shape}")
+                out[i] = arr
+        for i in self._background_rows:
+            out[i] = self.sim._event_slices[self.names[i]]
+
+
 class ScenarioSimulator:
     """Joint multi-slice episode driver over :class:`EndToEndNetwork`.
 
@@ -113,7 +179,6 @@ class ScenarioSimulator:
             self.cfg.network, slices=self.cfg.slices, rng=self._rng)
         self._synth = TelecomItaliaSynthesizer(self.cfg.traffic,
                                                rng=self._rng)
-        self._arrivals = PoissonArrivals(rng=self._rng)
         self.horizon = self.cfg.traffic.slots_per_episode
         self._traffic_model = traffic_model
         self._events = tuple(events)
@@ -127,9 +192,11 @@ class ScenarioSimulator:
         self._traces: Dict[str, np.ndarray] = {}
         self._slot = 0
         self._day = 0
-        self._cum_cost: Dict[str, float] = {}
-        self._last: Dict[str, SliceObservation] = {}
-        self._last_rates: Dict[str, float] = {}
+        self._layout: Optional[WorldLayout] = None
+        #: The one-world stepper behind :meth:`step`, built on the
+        #: first call (a world only ever stepped inside a shared
+        #: batch never pays for it).
+        self._engine = None
 
     @property
     def slice_names(self) -> List[str]:
@@ -218,9 +285,8 @@ class ScenarioSimulator:
     def apply_events(self) -> None:
         """Expire finished events and fire the ones due this slot.
 
-        Called by :meth:`step` (and, world by world, by the batched
-        engine -- event draws consume this world's RNG in the same
-        order either way).
+        Called world by world by the stepper; event draws consume
+        this world's own RNG.
         """
         if not self._events:
             return
@@ -267,7 +333,7 @@ class ScenarioSimulator:
         self.network.clear_transport_conditions()
         self._traces = self._generate_traces()
         self._day += 1
-        self._cum_cost = {name: 0.0 for name in self.slice_names}
+        self._layout = None
         observations = {}
         for name in self.slice_names:
             spec = self.network.slices[name]
@@ -283,60 +349,47 @@ class ScenarioSimulator:
                 cost_threshold=spec.sla.cost_threshold,
                 cumulative_cost=0.0,
             )
-        self._last = dict(observations)
-        self._last_rates = {name: 0.0 for name in self.slice_names}
         return observations
 
-    def realized_rate(self, name: str) -> float:
-        """Poisson-realised arrivals/s of a slice at the current slot."""
-        spec = self.network.slices[name]
-        envelope = float(self._traces[name][self._slot])
-        return self._arrivals.empirical_rate(
-            envelope * spec.max_arrival_rate, ARRIVAL_WINDOW_S)
+    def layout(self) -> WorldLayout:
+        """The current episode's :class:`WorldLayout`.
+
+        ``reset()`` drops it and the first step of the episode builds
+        it, so trace edits made in between count; when churn swapped
+        the network's row layout it is rebuilt with the episode's
+        cumulative cost carried over.
+        """
+        current = self._layout
+        if current is None:
+            self._layout = WorldLayout(self)
+        elif current.rows is not self.network.slot_rows():
+            self._layout = WorldLayout(self, current.cum_cost)
+        return self._layout
 
     def step(self, actions: Mapping[str, np.ndarray]
              ) -> Dict[str, SliceStepResult]:
         """Advance one slot with every slice's action.
 
-        Raises once the episode horizon is exceeded; callers check
-        :attr:`done` (or episode length) to reset.
+        The one-world case of :meth:`repro.engine.batch.BatchSimulator
+        .step` -- the only implementation of the slot sequence -- with
+        the per-slice observation / report objects built from the
+        stepped rows.  Raises once the episode horizon is exceeded;
+        callers check :attr:`done` (or episode length) to reset.
         """
-        if self._slot >= self.horizon:
-            raise RuntimeError("episode finished; call reset()")
-        self.apply_events()
-        self.network.step_channels()
-        rates = {name: self.realized_rate(name)
-                 for name in self.network.slice_names}
-        joint = {name: np.asarray(action, dtype=float)
-                 for name, action in actions.items()}
-        for name, action in self._event_slices.items():
-            joint.setdefault(name, action)
-        reports = self.network.evaluate_slot(joint, rates)
-        self._slot += 1
+        if self._engine is None:
+            from repro.engine.batch import BatchSimulator
+
+            self._engine = BatchSimulator([self])
+        step, out, rates = self._engine.step_rows([actions])
+        reports = self.network.wrap_reports(out, rates)
         results: Dict[str, SliceStepResult] = {}
-        for name, report in reports.items():
-            if name in self._event_slices:
-                continue    # background churn slice: not reported
-            spec = self.network.slices[name]
-            self._cum_cost[name] += report.cost
-            horizon_cost = self.horizon * spec.sla.cost_threshold
-            obs = SliceObservation(
-                slot_fraction=self._slot / self.horizon,
-                traffic=rates[name] / spec.max_arrival_rate,
-                channel_quality=self.network.channels[name]
-                .normalized_quality(),
-                radio_usage=report.radio_usage,
-                workload=report.workload,
-                last_usage=report.usage,
-                last_cost=report.cost,
-                cost_threshold=spec.sla.cost_threshold,
-                cumulative_cost=self._cum_cost[name] / horizon_cost,
-            )
-            self._last[name] = obs
+        for name, vector in zip(step.names[0],
+                                step.observations.tolist()):
+            report = reports[name]
             results[name] = SliceStepResult(
-                observation=obs, reward=-report.usage,
-                cost=report.cost, usage=report.usage, report=report)
-        self._last_rates = {name: rates[name] for name in results}
+                observation=SliceObservation(*vector),
+                reward=-report.usage, cost=report.cost,
+                usage=report.usage, report=report)
         return results
 
     @property
@@ -344,82 +397,19 @@ class ScenarioSimulator:
         return self._slot >= self.horizon
 
     def cumulative_cost(self, name: str) -> float:
-        return self._cum_cost[name]
+        """Summed per-slot cost of a managed slice this episode."""
+        index = self.slice_names.index(name)
+        if self._layout is None:        # nothing stepped since reset
+            return 0.0
+        return float(self._layout.cum_cost[index])
 
     def mean_cost(self, name: str) -> float:
         """Mean per-slot cost so far this episode."""
         if self._slot == 0:
             return 0.0
-        return self._cum_cost[name] / self._slot
+        return self.cumulative_cost(name) / self._slot
 
     def sla_violated(self, name: str) -> bool:
         """Episode-level SLA check: mean cost above ``C_max``."""
         sla = self.network.slices[name].sla
         return sla.violated(self.mean_cost(name))
-
-
-#: A background policy maps (slice_name, observation) -> action.
-BackgroundPolicy = Callable[[str, SliceObservation], np.ndarray]
-
-
-def constant_background(action: np.ndarray) -> BackgroundPolicy:
-    """Background policy that always plays a fixed allocation."""
-    action = np.asarray(action, dtype=float)
-    if action.shape != (NUM_ACTIONS,):
-        raise ValueError(f"action must have {NUM_ACTIONS} dims")
-
-    def policy(_name: str, _obs: SliceObservation) -> np.ndarray:
-        return action.copy()
-
-    return policy
-
-
-class SliceEnv:
-    """Single-slice gym-like environment.
-
-    Wraps a :class:`ScenarioSimulator`: the focal slice takes the
-    caller's action while every other slice follows ``background``.
-    """
-
-    def __init__(self, simulator: ScenarioSimulator, slice_name: str,
-                 background: Optional[BackgroundPolicy] = None) -> None:
-        if slice_name not in simulator.slice_names:
-            raise KeyError(f"no slice {slice_name!r} in simulator")
-        self.simulator = simulator
-        self.slice_name = slice_name
-        default = np.full(NUM_ACTIONS, 0.15)
-        self.background = (background if background is not None
-                           else constant_background(default))
-        self._observations: Dict[str, SliceObservation] = {}
-
-    @property
-    def state_dim(self) -> int:
-        return STATE_DIM
-
-    @property
-    def action_dim(self) -> int:
-        return NUM_ACTIONS
-
-    @property
-    def horizon(self) -> int:
-        return self.simulator.horizon
-
-    def reset(self) -> np.ndarray:
-        self._observations = self.simulator.reset()
-        return self._observations[self.slice_name].vector()
-
-    def step(self, action: np.ndarray):
-        """Returns ``(obs_vector, reward, cost, done, result)``."""
-        actions = {}
-        for name in self.simulator.slice_names:
-            if name == self.slice_name:
-                actions[name] = np.asarray(action, dtype=float)
-            else:
-                actions[name] = self.background(
-                    name, self._observations[name])
-        results = self.simulator.step(actions)
-        for name, result in results.items():
-            self._observations[name] = result.observation
-        focal = results[self.slice_name]
-        return (focal.observation.vector(), focal.reward, focal.cost,
-                self.simulator.done, focal)

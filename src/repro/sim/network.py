@@ -7,12 +7,13 @@ evaluates a configuration slot: given each slice's resource allocation
 performance/cost plus the usage and state features the agents consume.
 
 Slot evaluation runs through the vectorised engine kernels
-(:mod:`repro.engine.kernels`): one network is just the ``R = S`` rows
-special case of the batched engine, so the scalar simulator and
-:class:`~repro.engine.batch.BatchSimulator` share one numeric code
-path and stay bit-identical by construction.  The substrate objects
-(fabric loads, container shares) are still updated every slot, so
-external readers observe the same state as before the refactor.
+(:mod:`repro.engine.kernels`): :meth:`EndToEndNetwork.evaluate_slot` is
+the stateless what-if evaluator -- actions and rates in, reports out,
+no events, channels, arrivals or episode state -- while *stepping* a
+world is :class:`~repro.engine.batch.BatchSimulator`'s job.  The
+kernels are pure: the substrate objects (fabric loads, container
+shares) belong to the scalar domain models, which configure their own
+before every evaluation.
 """
 
 from __future__ import annotations
@@ -147,10 +148,9 @@ class EndToEndNetwork:
         #: lazily after slice churn.
         self._bank: Optional[ChannelBank] = None
         self._bank_ready = False
-        #: Persistent kernel arena + reused slot staging buffers for
-        #: the scalar ``evaluate_slot`` route (lazily built), so the
-        #: scalar hot path shares the batch engine's zero-allocation
-        #: steady state.
+        #: Persistent kernel arena + reused slot staging buffers of
+        #: ``evaluate_slot`` (lazily built), so repeated what-if
+        #: evaluations share the engine's zero-allocation steady state.
         self._kernel_arena = None
         self._slot_cond = None
         self._slot_matrix = None
@@ -264,11 +264,12 @@ class EndToEndNetwork:
             channel.step()
 
     def slot_rows(self):
-        """This network's engine row layout (cached per slice set)."""
-        from repro.engine.kernels import rows_for_network
-
+        """This network's engine row layout (cached per slice set:
+        churn drops it, so a new object *is* a new layout)."""
         if self._rows_cache is None:
-            self._rows_cache = rows_for_network(self, horizon=0)
+            from repro.engine.kernels import rows_for_network
+
+            self._rows_cache = rows_for_network(self)
         return self._rows_cache
 
     def gather_channel_state(self):
@@ -276,8 +277,8 @@ class EndToEndNetwork:
 
         Returns ``(cqi, margin)`` of shape ``(S, users_per_slice)`` in
         slice order.  The buffers are cached alongside the row layout
-        and refilled per call, so the scalar hot path allocates
-        nothing per slot (callers must consume them before the next
+        and refilled per call, so repeated evaluations allocate
+        nothing (callers must consume them before the next
         ``evaluate_slot``).
         """
         shape = (len(self.channels), self.cfg.users_per_slice)
@@ -339,37 +340,16 @@ class EndToEndNetwork:
         out = evaluate_rows(
             rows, self._slot_cond.refresh([self.fabric]),
             matrix, rates, cqi, margin, arena=self._kernel_arena)
-        self._apply_slot_state(matrix, out)
-        return self.wrap_reports(rows, out, rates)
+        return self.wrap_reports(out, rates)
 
-    def _apply_slot_state(self, matrix: np.ndarray, out: Dict) -> None:
-        """Mirror the slot's side effects onto the substrate objects.
-
-        The kernels are pure; transport path loads and container
-        CPU/RAM shares are written back so diagnostic readers (tests,
-        the domain managers, figure scripts) observe the same
-        post-slot state the per-slice loop used to leave behind.
-        """
-        self.fabric.set_loads(
-            out["path_loads"][0, :self.fabric.num_paths])
-        for i, name in enumerate(self.slices):
-            # decoded consumable shares (clip to [0, 1], MIN_SHARE floor)
-            cpu = float(np.clip(matrix[i, 8], 0.01, 1.0))
-            ram = float(np.clip(matrix[i, 9], 0.01, 1.0))
-            self.core.set_slice_resources(
-                name, cpu, ram * self.cfg.edge.total_ram_gb)
-            self.edge.set_resources(name, cpu, ram)
-
-    def wrap_reports(self, rows, out: Dict, rates: np.ndarray,
-                     offset: int = 0) -> Dict[str, SlotReport]:
-        """Build per-slice :class:`SlotReport` objects from kernel rows
-        (``offset`` selects this network's rows in a multi-world
-        bundle)."""
+    def wrap_reports(self, out: Dict, rates: np.ndarray
+                     ) -> Dict[str, SlotReport]:
+        """Build per-slice :class:`SlotReport` objects from this
+        network's kernel rows."""
         reports: Dict[str, SlotReport] = {}
-        for i, name in enumerate(self.slices):
-            r = offset + i
+        for r, (name, spec) in enumerate(self.slices.items()):
             performance = AppPerformance(
-                metric=rows.metrics[r],
+                metric=spec.sla.metric,
                 value=float(out["value"][r]),
                 satisfaction=float(out["satisfaction"][r]),
                 cost=float(out["cost"][r]))
@@ -377,7 +357,7 @@ class EndToEndNetwork:
                 slice_name=name,
                 performance=performance,
                 usage=float(out["usage"][r]),
-                arrival_rate=float(rates[i]),
+                arrival_rate=float(rates[r]),
                 ul_capacity_bps=float(out["ul_capacity_bps"][r]),
                 dl_capacity_bps=float(out["dl_capacity_bps"][r]),
                 radio_usage=float(out["radio_usage"][r]),

@@ -1,10 +1,11 @@
-"""Traffic synthesis: Telecom-Italia-style traces + Poisson emulation.
+"""Traffic synthesis: Telecom-Italia-style traces.
 
 The paper drives its slices with the open Telecom Italia dataset (Call /
 SMS / Internet records over the Province of Trento at >=10-minute
 intervals), scaling each base station's trace to the testbed capability
 (5 users/s MAR, 2 users/s HVS, 100 users/s RDC) and emulating arrivals
-inside a slot with a Poisson point process.  The dataset is not
+inside a slot with a Poisson point process (the stepper's arrivals
+stage: one Poisson draw per slice and slot).  The dataset is not
 available offline, so :class:`TelecomItaliaSynthesizer` generates traces
 with the dataset's documented structure: a diurnal double-peak profile,
 weekly (weekday/weekend) modulation, and multiplicative log-normal
@@ -95,53 +96,3 @@ class TelecomItaliaSynthesizer:
             raise ValueError("num_days must be positive")
         return self.generate(num_days * self.slots_per_day(),
                              day_of_week=start_day_of_week)
-
-
-class PoissonArrivals:
-    """Poisson-point-process arrival emulation within one slot.
-
-    Matches the testbed's emulation: "we emulate the traffic of slices
-    during the configuration interval (i.e., generating all arrival
-    timestamp of users) according to the Poisson point process", with
-    exponential inter-arrival times at the trace-derived rate.
-    """
-
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(13)
-
-    def arrival_times(self, rate_per_s: float,
-                      duration_s: float) -> np.ndarray:
-        """All arrival timestamps in ``[0, duration_s)`` at ``rate_per_s``."""
-        if rate_per_s < 0 or duration_s < 0:
-            raise ValueError("rate and duration must be non-negative")
-        if rate_per_s == 0 or duration_s == 0:
-            return np.empty(0)
-        # Draw a generous batch of exponential gaps, extend if needed.
-        expected = rate_per_s * duration_s
-        times: list = []
-        t = 0.0
-        batch = max(int(expected * 1.5) + 16, 16)
-        while True:
-            gaps = self._rng.exponential(1.0 / rate_per_s, size=batch)
-            for gap in gaps:
-                t += gap
-                if t >= duration_s:
-                    return np.array(times)
-                times.append(t)
-
-    def arrival_count(self, rate_per_s: float, duration_s: float) -> int:
-        """Number of arrivals in a slot (closed-form Poisson draw)."""
-        if rate_per_s < 0 or duration_s < 0:
-            raise ValueError("rate and duration must be non-negative")
-        return int(self._rng.poisson(rate_per_s * duration_s))
-
-    def empirical_rate(self, rate_per_s: float,
-                       duration_s: float) -> float:
-        """Realised arrival rate of one slot (count / duration).
-
-        This is what the slice actually experiences -- the Poisson
-        burstiness around the trace envelope.
-        """
-        if duration_s <= 0:
-            return 0.0
-        return self.arrival_count(rate_per_s, duration_s) / duration_s

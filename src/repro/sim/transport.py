@@ -123,22 +123,6 @@ class TransportFabric:
             raise ValueError("rate_bps must be non-negative")
         self._path_load_bps[path_index] += rate_bps
 
-    def set_loads(self, loads_bps: np.ndarray) -> None:
-        """Overwrite this slot's per-path loads in one shot.
-
-        The engine kernels compute every path's reserved load as one
-        array (background + all slices' meters); both engines write
-        the result back here so ``path_utilization`` and other
-        readers observe the same post-slot state the per-slice
-        ``reserve`` loop used to leave behind.
-        """
-        loads = np.asarray(loads_bps, dtype=float)
-        if loads.shape != self._path_load_bps.shape:
-            raise ValueError(
-                f"loads must have shape {self._path_load_bps.shape}, "
-                f"got {loads.shape}")
-        self._path_load_bps[:] = loads
-
     def path_utilization(self, path_index: int) -> float:
         return float(self._path_load_bps[path_index]
                      / self.effective_capacity_bps())

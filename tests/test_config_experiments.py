@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import scenarios
 from repro.config import (
     ACTION_NAMES,
     NUM_ACTIONS,
@@ -25,12 +26,6 @@ from repro.experiments.metrics import (
     cdf,
     online_phase_summary,
     usage_percent,
-)
-from repro.experiments.scenarios import (
-    default_scenario,
-    lte_fixed_mcs_scenario,
-    nr_fixed_mcs_scenario,
-    short_horizon_scenario,
 )
 
 
@@ -103,11 +98,13 @@ class TestConfig:
         assert new.seed == 99 and cfg.seed == 7
 
     def test_scenarios(self):
-        assert default_scenario().network.ran.technology == "lte"
-        assert lte_fixed_mcs_scenario().network.ran.fixed_mcs == 9
-        assert nr_fixed_mcs_scenario().network.ran.technology == "nr"
-        assert short_horizon_scenario(
-            8).traffic.slots_per_episode == 8
+        def cfg(name):
+            return scenarios.get(name).build_config()
+
+        assert cfg("default").network.ran.technology == "lte"
+        assert cfg("lte_fixed_mcs").network.ran.fixed_mcs == 9
+        assert cfg("nr_fixed_mcs").network.ran.technology == "nr"
+        assert cfg("short_horizon").traffic.slots_per_episode == 12
 
 
 class TestMetrics:

@@ -83,6 +83,18 @@ def _random_policy_slots(sim, rng, slots):
     return out
 
 
+def _world_rows(step, world):
+    """One world's rows of a batch step, in the per-slice shape
+    :func:`_random_policy_slots` records for a lone world."""
+    rows = step.rows_of(world)
+    names = step.names[step.worlds.index(world)]
+    return {n: (tuple(step.observations[rows][j]),
+                float(step.rewards[rows][j]),
+                float(step.costs[rows][j]),
+                float(step.usages[rows][j]))
+            for j, n in enumerate(names)}
+
+
 class TestRNGStreamEquivalence:
     """Array draws must equal the scalar draw sequence, bit for bit."""
 
@@ -247,6 +259,94 @@ class TestStepParity:
         with pytest.raises(RuntimeError, match="episode finished"):
             batch.step([{n: np.full(NUM_ACTIONS, 0.2)
                          for n in sim.slice_names}])
+
+
+class TestActionBoundary:
+    """Where actions are staged into the step matrix (the scalar
+    front's half is in ``tests/test_sim_network_env.py``)."""
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_action_names_world_and_slice(self, poison):
+        sims = [_build_sim("default"), _build_sim("six_slices")]
+        batch = BatchSimulator(sims)
+        batch.reset()
+        actions = [np.full((len(sim.slice_names), NUM_ACTIONS), 0.2)
+                   for sim in sims]
+        actions[1][4, 8] = poison
+        culprit = sims[1].slice_names[4]
+        with pytest.raises(ValueError,
+                           match=f"world 1.*{culprit!r}"):
+            batch.step(actions)
+        with pytest.raises(ValueError, match="world 1"):
+            batch.step([None, actions[1]])     # index, not position
+
+
+class TestWorldOwnsItsEpisode:
+    """The episode layout (traffic table, cumulative cost) lives on
+    the simulator, so every engine holding a world sees the episode
+    the world is actually in."""
+
+    @staticmethod
+    def _actions(sim):
+        return {n: np.full(NUM_ACTIONS, 0.3) for n in sim.slice_names}
+
+    def test_direct_reset_while_a_batch_holds_the_world(self):
+        lone = _build_sim("default", seed=5)
+        expected = []
+        for _ in range(2):
+            lone.reset()
+            expected.append(_random_policy_slots(
+                lone, np.random.default_rng(7), 1)[0])
+
+        sims = [_build_sim("default", seed=5), _build_sim("bursty")]
+        batch = BatchSimulator(sims)
+        batch.reset()
+        rng = np.random.default_rng(7)
+        got = []
+        for episode in range(2):
+            if episode:
+                sims[0].reset()         # behind the batch's back
+                rng = np.random.default_rng(7)
+            step = batch.step([
+                {n: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                 for n in sims[0].slice_names},
+                self._actions(sims[1])])
+            got.append(_world_rows(step, 0))
+        assert got == expected
+
+    def test_alternating_fronts_within_one_episode(self):
+        lone = _build_sim("slice_churn")
+        lone.reset()
+        slots = int(0.6 * lone.horizon)        # across the churn
+        expected = _random_policy_slots(
+            lone, np.random.default_rng(31), slots)
+
+        sim, other = _build_sim("slice_churn"), _build_sim("default")
+        shared = BatchSimulator([sim, other])
+        shared.reset()
+        rng = np.random.default_rng(31)
+        got = []
+        for slot in range(slots):
+            actions = {n: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                       for n in sim.slice_names}
+            if slot % 2:
+                results = sim.step(actions)
+                got.append({
+                    n: (tuple(results[n].observation.vector()),
+                        results[n].reward, results[n].cost,
+                        results[n].usage)
+                    for n in sim.slice_names})
+                continue
+            # the other world sits some of the shared steps out
+            step = shared.step([
+                actions, self._actions(other) if slot % 3 else None])
+            got.append(_world_rows(step, 0))
+        assert got == expected
+        assert _trace_digest(sim) == _trace_digest(lone)
+        assert sim.slot == lone.slot
+        for name in lone.slice_names:
+            assert sim.cumulative_cost(name) == \
+                lone.cumulative_cost(name)
 
 
 class TestRunEpisodes:
@@ -502,8 +602,10 @@ _RETIRED_TIERS = ["vector-" + suffix for suffix in ("compat", "fast")]
 
 
 class TestEngineNamesRejected:
-    """``engine`` is "scalar" or "vector"; the retired tier names and
-    typos fail with the valid values in the message on every surface."""
+    """``engine`` is "scalar" or "vector" on the four surfaces that
+    still take it; the retired tier names and typos fail with the
+    valid values in the message, and the surfaces that lost the
+    argument reject it outright."""
 
     @pytest.fixture(scope="class")
     def shard_plan(self):
@@ -539,18 +641,20 @@ class TestEngineNamesRejected:
         from repro.fleet.shard import run_fleet_shard
 
         policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
+        if surface == "run_fuzz_batch":     # no engine to name at all
+            with pytest.raises(TypeError, match="engine"):
+                run_fuzz_batch([scenarios.get("short_horizon")],
+                               policy, engine=engine)
+            return
         with pytest.raises(ValueError) as excinfo:
             if surface == "BatchSimulator":
                 BatchSimulator([_build_sim("default")], engine=engine)
             elif surface == "run_episodes":
                 run_episodes([_build_sim("default")], policy,
                              engine=engine)
-            elif surface == "run_fleet_shard":
+            else:
                 snapshot, plan = shard_plan(engine)
                 run_fleet_shard(plan, snapshot=snapshot)
-            else:
-                run_fuzz_batch([scenarios.get("short_horizon")],
-                               policy, engine=engine)
         message = str(excinfo.value)
         assert repr(engine) in message
         assert "'vector'" in message
@@ -560,14 +664,26 @@ class TestEngineNamesRejected:
     @pytest.mark.parametrize("command, engine", [
         ("fleet", _RETIRED_TIERS[1]),
         ("fuzz", _RETIRED_TIERS[0]),
+        ("fleet", "scalar"),
+        ("fuzz", "scalar"),
     ])
     def test_cli_rejects_retired_tiers(self, command, engine, capsys):
+        """The CLI has no ``--engine`` at all any more: every value,
+        the two live ones included, is argparse's exit 2."""
         from repro.runtime.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
             main([command, "run", "--engine", engine])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in \
+            capsys.readouterr().err
+
+    def test_cli_has_no_scenarios_bench(self, capsys):
+        from repro.runtime.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenarios", "bench"])
+        assert excinfo.value.code == 2
 
 
 class TestScalarDomainModelsMatchKernels:

@@ -1,14 +1,11 @@
-"""Tests: policy aggregation / federated averaging and checkpointing
-(the paper's Sec. 9 extension hooks)."""
+"""Tests: full-training-state checkpointing of an OnSlicing agent."""
 
 import numpy as np
 import pytest
 
 from repro.config import AgentConfig, NUM_ACTIONS, SwitchingConfig
-from repro.core.aggregation import PolicyAggregator, federated_average
 from repro.core.agent import OnSlicingAgent
 from repro.core.persistence import load_agent, save_agent
-from repro.nn.network import MLP
 from repro.sim.env import STATE_DIM
 
 
@@ -22,101 +19,6 @@ def _agent(seed):
     return OnSlicingAgent("S", _FixedBaseline(), horizon=10,
                           cost_threshold=0.05, cfg=cfg,
                           rng=np.random.default_rng(seed))
-
-
-class TestFederatedAverage:
-    def test_uniform_average(self, rng):
-        nets = [MLP(3, 2, hidden_sizes=(4,),
-                    rng=np.random.default_rng(i)) for i in range(3)]
-        averaged = federated_average(nets)
-        manual = [np.mean([n.get_weights()[i] for n in nets], axis=0)
-                  for i in range(len(averaged))]
-        for a, m in zip(averaged, manual):
-            np.testing.assert_allclose(a, m)
-
-    def test_weighted_average(self):
-        a = MLP(2, 1, hidden_sizes=(3,), rng=np.random.default_rng(0))
-        b = MLP(2, 1, hidden_sizes=(3,), rng=np.random.default_rng(1))
-        averaged = federated_average([a, b], weights=[3.0, 1.0])
-        expected = [0.75 * wa + 0.25 * wb for wa, wb in
-                    zip(a.get_weights(), b.get_weights())]
-        for got, want in zip(averaged, expected):
-            np.testing.assert_allclose(got, want)
-
-    def test_validation(self):
-        net = MLP(2, 1, hidden_sizes=(3,))
-        with pytest.raises(ValueError):
-            federated_average([])
-        with pytest.raises(ValueError):
-            federated_average([net], weights=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            federated_average([net, net], weights=[0.0, 0.0])
-
-    def test_architecture_mismatch(self):
-        a = MLP(2, 1, hidden_sizes=(3,))
-        b = MLP(2, 1, hidden_sizes=(5,))
-        with pytest.raises(ValueError):
-            federated_average([a, b])
-
-
-class TestPolicyAggregator:
-    def test_full_blend_converges_weights(self):
-        actors = {f"s{i}": MLP(3, 2, hidden_sizes=(4,),
-                               rng=np.random.default_rng(i))
-                  for i in range(3)}
-        PolicyAggregator(blend=1.0).aggregate(actors)
-        reference = actors["s0"].get_weights()
-        for actor in actors.values():
-            for got, want in zip(actor.get_weights(), reference):
-                np.testing.assert_allclose(got, want)
-
-    def test_zero_blend_is_noop(self):
-        actors = {f"s{i}": MLP(3, 2, hidden_sizes=(4,),
-                               rng=np.random.default_rng(i))
-                  for i in range(2)}
-        before = {n: a.get_weights() for n, a in actors.items()}
-        PolicyAggregator(blend=0.0).aggregate(actors)
-        for name, actor in actors.items():
-            for got, want in zip(actor.get_weights(), before[name]):
-                np.testing.assert_allclose(got, want)
-
-    def test_single_member_noop(self):
-        actor = MLP(3, 2, hidden_sizes=(4,))
-        before = actor.get_weights()
-        PolicyAggregator().aggregate({"only": actor})
-        for got, want in zip(actor.get_weights(), before):
-            np.testing.assert_allclose(got, want)
-
-    def test_aggregate_by_class_keeps_specialisation(self):
-        actors = {
-            "mar-0": MLP(3, 2, hidden_sizes=(4,),
-                         rng=np.random.default_rng(0)),
-            "mar-1": MLP(3, 2, hidden_sizes=(4,),
-                         rng=np.random.default_rng(1)),
-            "hvs-0": MLP(3, 2, hidden_sizes=(4,),
-                         rng=np.random.default_rng(2)),
-        }
-        hvs_before = actors["hvs-0"].get_weights()
-        aggregator = PolicyAggregator(blend=1.0)
-        aggregator.aggregate_by_class(
-            actors, {"mar-0": "mar", "mar-1": "mar", "hvs-0": "hvs"})
-        # MAR replicas converged to each other...
-        for got, want in zip(actors["mar-0"].get_weights(),
-                             actors["mar-1"].get_weights()):
-            np.testing.assert_allclose(got, want)
-        # ...the lone HVS agent is untouched
-        for got, want in zip(actors["hvs-0"].get_weights(),
-                             hvs_before):
-            np.testing.assert_allclose(got, want)
-
-    def test_missing_class_rejected(self):
-        actors = {"x": MLP(2, 1, hidden_sizes=(3,))}
-        with pytest.raises(KeyError):
-            PolicyAggregator().aggregate_by_class(actors, {})
-
-    def test_invalid_blend(self):
-        with pytest.raises(ValueError):
-            PolicyAggregator(blend=1.5)
 
 
 class TestPersistence:

@@ -143,13 +143,53 @@ class TestOracle:
         assert [row["world"] for row in worlds] == [0, 1]
 
     def test_engine_validation(self, model_based_policy):
-        from repro.experiments.fuzz import run_fuzz_batch
+        """There is no engine to pick: every fuzzed world runs the
+        checked loop, so the argument is gone on both entry points."""
+        from repro.experiments.fuzz import run_fuzz, run_fuzz_batch
 
-        with pytest.raises(ValueError, match="engine"):
-            run_fuzz_batch(generate_corpus(11, 1),
-                           model_based_policy, engine="quantum")
+        for engine in ("scalar", "vector", "quantum"):
+            with pytest.raises(TypeError, match="engine"):
+                run_fuzz_batch(generate_corpus(11, 1),
+                               model_based_policy, engine=engine)
+            with pytest.raises(TypeError, match="engine"):
+                run_fuzz(count=1, methods=("model_based",),
+                         engine=engine)
         with pytest.raises(ValueError, match="at least one"):
             run_fuzz_batch([], model_based_policy)
+
+    def test_checked_sees_negative_costs_and_non_finite_observations(
+            self):
+        """The per-slot oracle on a doctored one-world step: both
+        breaches are recorded against the world, and the slot passes
+        through untouched."""
+        from repro.engine.batch import BatchSimulator
+        from repro.experiments.fuzz import _checked
+
+        spec = sc.get("short_horizon")
+        sim = spec.build_simulator()
+        batch = BatchSimulator([sim])
+        states = batch.reset()
+        matrix = np.full((len(states), 10), 0.2)
+        step = batch.step([matrix])
+        step.costs[1] = -0.5
+        step.observations[2, 4] = np.nan
+        breaches = []
+        slots = list(_checked([(states, matrix, step)], [spec], [sim],
+                              breaches))
+        assert slots == [(states, matrix, step)]
+        assert sorted((row["world"], row["kind"]) for row in breaches) \
+            == [(0, "negative"), (0, "nonfinite")]
+        assert "observation at slot 1" in next(
+            row["detail"] for row in breaches
+            if row["kind"] == "nonfinite")
+
+    def test_run_fuzz_result_has_no_engine_entry(self):
+        from repro.experiments.fuzz import run_fuzz
+
+        result = run_fuzz(seed=13, count=1, methods=("model_based",),
+                          check_parity=False, use_cache=False)
+        assert sorted(result) == ["corpus_digest", "count", "methods",
+                                  "seed"]
 
     def test_method_policy_validation(self):
         from repro.experiments.fuzz import build_method_policies

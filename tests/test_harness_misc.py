@@ -138,6 +138,94 @@ def test_frozen_e2e_harness_calls_still_bind():
     assert not unbound, unbound
 
 
+def test_frozen_e2e_harness_attributes_still_exist():
+    """One more level down: every attribute the frozen harness reads
+    on the objects the stepping and serving stack hands it -- a batch
+    step result, the batch, a simulator and its per-slice step result,
+    a load generator, a shard plan -- still exists on a live one."""
+    from repro import fleet, scenarios
+    from repro.engine.batch import BatchSimulator
+    from repro.serve import LoadGenerator, snapshot_baseline
+
+    cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=6))
+    simulator = scenarios.get("short_horizon").build_simulator(cfg)
+    batch = BatchSimulator([simulator], engine="vector")
+    states = batch.reset()
+    step = batch.step([np.full((len(states), 10), 0.3)])
+    result = next(iter(simulator.step(
+        {n: np.full(10, 0.3) for n in simulator.slice_names}).values()))
+    snapshot = snapshot_baseline("attrs", cfg, fit_baselines(cfg),
+                                 seed=1)
+    generator = LoadGenerator(snapshot, "short_horizon")
+    generator.begin_run()
+    spec = fleet.FleetSpec(name="attrs", cells=1,
+                           scenarios=("short_horizon",))
+    plan, = fleet.plan_shards(spec, 1, ".", snapshot.ref,
+                              snapshot.digest, engine="vector")
+    #: (harness file, driver function) -> variable name -> a live
+    #: object of what that driver binds the name to.
+    live = {
+        ("wl_engine.py", "traced"): {"step": step, "batch": batch},
+        ("wl_fleet.py", "_drive_shard"): {
+            "step": step, "batch": batch, "plan": plan,
+            "generator": generator, "g": generator,
+            "generators[]": generator},
+        ("wl_train.py", "traced"): {"simulator": simulator},
+        ("wl_train.py", "_drive_episode"): {
+            "simulator": simulator, "result": result},
+        ("wl_serve.py", "_record"): {
+            "simulator": simulator, "result": result}}
+    seen = set()
+    missing = []
+    for (entry, driver), names in live.items():
+        with open(os.path.join(E2E_DIR, entry), "r",
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=entry)
+        function, = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == driver]
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Subscript):
+                target = names.get(
+                    getattr(owner.value, "id", "") + "[]")
+            else:
+                target = names.get(getattr(owner, "id", None))
+            if target is None:
+                continue
+            seen.add((type(target).__name__, node.attr))
+            if not hasattr(target, node.attr):
+                missing.append(f"{entry}:{node.lineno} "
+                               f"{type(target).__name__}.{node.attr}")
+    assert not missing, missing
+    assert seen >= {
+        ("BatchStepResult", "rows_of"), ("BatchStepResult", "names"),
+        ("BatchStepResult", "latencies"), ("BatchStepResult", "dones"),
+        ("BatchSimulator", "reset_world"),
+        ("BatchSimulator", "slice_names"),
+        ("ScenarioSimulator", "horizon"), ("ScenarioSimulator", "done"),
+        ("SliceStepResult", "observation"),
+        ("LoadGenerator", "simulator"),
+        ("LoadGenerator", "want_more_episodes"),
+        ("LoadGenerator", "serve_slot"), ("ShardPlan", "engine")}, seen
+
+
+def test_frozen_e2e_harness_selftest_passes():
+    """All five workloads in tiny mode with traced drivers and digest
+    checks (~7 s): a PR that breaks the benchmark fails here, not in
+    the benchmark run that judges it."""
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, os.path.join(E2E_DIR, "run.py"), "--selftest"],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert "selftest ok" in done.stdout
+
+
 def test_call_binding_check_catches_a_deleted_parameter():
     """The check above has teeth: a keyword the live signature lost
     does not bind."""

@@ -14,12 +14,6 @@ from repro.config import (
     slice_spec_for_app,
 )
 from repro.experiments.robustness import robustness
-from repro.experiments.scenarios import (
-    default_scenario,
-    lte_fixed_mcs_scenario,
-    nr_fixed_mcs_scenario,
-    short_horizon_scenario,
-)
 from repro.runtime import ParallelRunner, ResultCache, make_unit, \
     unit_cache_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
@@ -118,30 +112,29 @@ class TestScenarioRegistryClass:
 
 
 class TestLegacyFactories:
-    """experiments/scenarios.py factories, now registry-backed."""
+    """The paper's configurations as the registry builds them (what
+    the deleted ``experiments/scenarios.py`` factories delegated to)."""
 
     def test_default(self):
-        cfg = default_scenario(seed=9)
+        cfg = sc.get("default").build_config(seed=9)
         assert cfg == ExperimentConfig(seed=9)
 
     def test_fixed_mcs_variants(self):
-        lte = lte_fixed_mcs_scenario()
-        nr = nr_fixed_mcs_scenario()
+        lte = sc.get("lte_fixed_mcs").build_config()
+        nr = sc.get("nr_fixed_mcs").build_config()
         assert lte.network.ran.fixed_mcs == 9
         assert lte.network.ran.technology == "lte"
         assert nr.network.ran.fixed_mcs == 9
         assert nr.network.ran.technology == "nr"
 
     def test_short_horizon_parameterised(self):
-        assert short_horizon_scenario(8).traffic.slots_per_episode == 8
-        assert short_horizon_scenario().traffic.slots_per_episode == 12
-
-    def test_factories_match_registry(self):
-        assert default_scenario() == sc.get("default").build_config()
-        assert lte_fixed_mcs_scenario() == \
-            sc.get("lte_fixed_mcs").build_config()
-        assert short_horizon_scenario() == \
-            sc.get("short_horizon").build_config()
+        """The horizon is a traffic-config parameter: the registered
+        ``short_horizon`` pins 12 slots, any other length is one
+        ``TrafficConfig`` away."""
+        assert sc.get("short_horizon").build_config() == \
+            ExperimentConfig(traffic=TrafficConfig(slots_per_episode=12))
+        cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=8))
+        assert ScenarioSimulator(cfg).horizon == 8
 
 
 class TestPopulation:
@@ -292,7 +285,7 @@ class TestEvents:
             kind = "meteor_strike"
 
         with pytest.raises(ValueError, match="unknown event kind"):
-            ScenarioSimulator(short_horizon_scenario(), events=(Rogue(),))
+            ScenarioSimulator(events=(Rogue(),))
 
 
 def run_episode(sim, level=0.2):

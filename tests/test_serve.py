@@ -452,6 +452,51 @@ class TestLoadGenerator:
         with pytest.raises(ValueError, match="named scenario"):
             LoadGenerator(onrl_snapshot, None)
 
+    #: ``LoadGenerator.run`` at the parent of the PR that made it the
+    #: one-cell case of ``drive_lockstep`` (commit 99fdf2c, whose
+    #: ``run`` was a hand-written loop over ``ScenarioSimulator.step``):
+    #: 2 x 24 slots, seed 5, an untrained OnRL snapshot (its actions
+    #: read the whole observation vector) and the pi_b tables.  Per
+    #: run: decision digest, decisions, mean usage, violation rate.
+    PARENT_RUNS = {
+        ("default", "onrl", None): (
+            "60dbfca1d4301b238b8443f45a3bdf9d7d594aacd0179658c593ef8bb24"
+            "15565", 144, 0.3663008317208342, 0.0),
+        ("default", "onrl", 100): (
+            "a5703228e860f406f411f515048d587d7c72654c96c0227febfb0610f4c"
+            "5de40", 102, 0.3659267123417009, 0.0),
+        ("lte_fixed_mcs", "onrl", None): (
+            "f9c222ae881c36dc1ecad9bd0e4b77432ef44fe652cf77736757d360b05"
+            "0c620", 144, 0.325278074031702, 0.6666666666666666),
+        ("lte_fixed_mcs", "onrl", 100): (
+            "97f0574a86a129ed652ae1afa84b01b1f5bfbdcba85d154fbf44f691d65"
+            "b2221", 102, 0.33684487236861976, 0.6666666666666666),
+        ("lte_fixed_mcs", "baseline", None): (
+            "84b88b8e912ee97fadf770288057c5e045ee909480274107e306cc8702b"
+            "bc996", 144, 0.15383101851851852, 0.3333333333333333),
+        ("lte_fixed_mcs", "baseline", 100): (
+            "344fbfb194a48780085426490323a3614384d664af7d82e8ab97d923d41"
+            "db77f", 102, 0.1522685185185185, 0.3333333333333333),
+    }
+
+    def test_run_reports_equal_the_parents_hand_written_loop(self):
+        cfg = get_scenario("default").build_config()
+        snapshots = {
+            "onrl": snapshot_onrl(
+                "rec-o", cfg, make_onrl_agents(cfg, seed=11), seed=11),
+            "baseline": snapshot_baseline(
+                "rec-b", cfg, fit_baselines(cfg), seed=3)}
+        for (name, method, limit), want in self.PARENT_RUNS.items():
+            spec = get_scenario(name)
+            spec = replace(spec, traffic_cfg=replace(
+                spec.build_config().traffic, slots_per_episode=24))
+            report = LoadGenerator(snapshots[method], spec, seed=5).run(
+                episodes=2, max_decisions=limit)
+            assert (report.decision_digest, report.decisions,
+                    report.mean_usage, report.violation_rate) == want, \
+                (name, method, limit)
+            assert report.episodes == 2 and report.fallbacks == 0
+
 
 # ---- snapshot evaluation / units -------------------------------------
 

@@ -1,4 +1,8 @@
-"""Integration tests: the composed network and the RL environments."""
+"""Integration tests: the composed network and the paper's MDP."""
+
+import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,12 +16,8 @@ from repro.config import (
     default_slice_specs,
     usage_from_action,
 )
-from repro.sim.env import (
-    STATE_DIM,
-    ScenarioSimulator,
-    SliceEnv,
-    constant_background,
-)
+from repro import scenarios
+from repro.sim.env import STATE_DIM, ScenarioSimulator
 from repro.sim.network import (
     CONSTRAINED_RESOURCES,
     EndToEndNetwork,
@@ -163,35 +163,80 @@ class TestScenarioSimulator:
                                        obs_b[name].vector())
 
 
-class TestSliceEnv:
-    def test_gym_like_loop(self, simulator):
-        env = SliceEnv(simulator, "MAR")
-        obs = env.reset()
-        assert obs.shape == (STATE_DIM,)
-        total_reward = 0.0
-        done = False
-        while not done:
-            obs, reward, cost, done, _result = env.step(
-                np.full(NUM_ACTIONS, 0.4))
-            total_reward += reward
-        assert total_reward < 0.0  # usage is always positive
+    def test_step_before_reset_names_reset(self, simulator):
+        actions = {n: np.full(NUM_ACTIONS, 0.4)
+                   for n in simulator.slice_names}
+        with pytest.raises(RuntimeError, match=r"never reset.*reset\(\)"):
+            simulator.step(actions)
 
-    def test_unknown_slice_rejected(self, simulator):
-        with pytest.raises(KeyError):
-            SliceEnv(simulator, "nope")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_names_world_and_slice(self, simulator,
+                                                     poison):
+        simulator.reset()
+        actions = {n: np.full(NUM_ACTIONS, 0.4)
+                   for n in simulator.slice_names}
+        actions["HVS"][6] = poison
+        with pytest.raises(ValueError, match=r"world 0.*'HVS'"):
+            simulator.step(actions)
 
-    def test_background_policy_applied(self, simulator):
-        marker = np.full(NUM_ACTIONS, 0.31)
-        env = SliceEnv(simulator, "MAR",
-                       background=constant_background(marker))
-        env.reset()
-        _obs, _r, _c, _d, result = env.step(np.full(NUM_ACTIONS, 0.5))
-        # the background slices ran with the marker usage
-        assert result.report.slice_name == "MAR"
+    def test_out_of_range_finite_actions_are_clipped(self, simulator):
+        simulator.reset()
+        wild = simulator.step({n: np.full(NUM_ACTIONS, 1e9)
+                               for n in simulator.slice_names})
+        twin = ScenarioSimulator(simulator.cfg)
+        twin.reset()
+        full = twin.step({n: np.ones(NUM_ACTIONS)
+                          for n in twin.slice_names})
+        for name in wild:
+            assert wild[name].report.performance == \
+                full[name].report.performance
 
-    def test_constant_background_validates_shape(self):
-        with pytest.raises(ValueError):
-            constant_background(np.zeros(3))
+
+#: ``ScenarioSimulator.step`` at the parent of the PR that made it the
+#: B = 1 case of ``BatchSimulator.step`` (commit 99fdf2c, which still
+#: had its own stepper): SHA-256 over ``repr`` of every field of every
+#: ``SliceStepResult`` of a 24-slot episode under a seeded random
+#: action stream, and over the world generator's final state.
+PARENT_STEP_DIGESTS = {
+    "default": (
+        "f054b4122407449b1ea1d68bae8612e039fda56e3cbf15405a78d42f0b270cb5",
+        "81206046034b9bf0141297d73d4f6c8c33d60aa08a28ae5304122a5b97ac6c15"),
+    "slice_churn": (
+        "9fb311014de111a58e477ff4a06f0306ed642168092bec5f609b6d9557a28ec0",
+        "6d984d0791e69d37c7a94f510fbd5af75d29726f8fa9b29b378515d76144ad69"),
+    "transport_brownout": (
+        "762fe58d72779e4a8ec75f51cf3b693b50fc3bcec329c0e58e6df618fb3a89f3",
+        "81206046034b9bf0141297d73d4f6c8c33d60aa08a28ae5304122a5b97ac6c15"),
+    "six_slices": (
+        "e5dc4674a2c1770c43f19e6fc272fb3e998fcc7588be9618b043a4b3dc6d178b",
+        "3ef64d54ba25b1a98b4c3e0c09a772c33212fd89ecd466a8a58dc143e3001c0b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_STEP_DIGESTS))
+def test_step_results_equal_the_parents_own_stepper(name):
+    """Field for field (observation, reward, cost, usage and all
+    eleven ``SlotReport`` fields; ``repr`` round-trips floats, so this
+    is ``==``, not ``allclose``) and the same generator state after."""
+    spec = scenarios.get(name)
+    traffic = dataclasses.replace(spec.build_config().traffic,
+                                  slots_per_episode=24)
+    spec = dataclasses.replace(spec, traffic_cfg=traffic)
+    cfg = spec.build_config()
+    sim = spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
+    sim.reset()
+    rng = np.random.default_rng(2024)
+    sha = hashlib.sha256()
+    while not sim.done:
+        results = sim.step({n: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                            for n in sim.slice_names})
+        for n in sorted(results):
+            sha.update(repr(
+                (n, dataclasses.astuple(results[n]))).encode())
+    state = json.dumps(sim._rng.bit_generator.state, sort_keys=True)
+    assert (sha.hexdigest(),
+            hashlib.sha256(state.encode()).hexdigest()) == \
+        PARENT_STEP_DIGESTS[name]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),

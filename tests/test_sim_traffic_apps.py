@@ -1,4 +1,5 @@
-"""Unit tests: traffic synthesis, Poisson arrivals, app models."""
+"""Unit tests: traffic synthesis, the stepper's Poisson arrivals, app
+models."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
+    NUM_ACTIONS,
+    ExperimentConfig,
     TrafficConfig,
     hvs_slice_spec,
     mar_slice_spec,
@@ -18,7 +21,9 @@ from repro.sim.apps import (
     evaluate_mar,
     evaluate_rdc,
 )
-from repro.sim.traffic import PoissonArrivals, TelecomItaliaSynthesizer
+from repro.scenarios import ConstantTraffic
+from repro.sim.env import ARRIVAL_WINDOW_S, ScenarioSimulator
+from repro.sim.traffic import TelecomItaliaSynthesizer
 
 
 def make_pipe(**overrides) -> PipelineState:
@@ -71,30 +76,44 @@ class TestTraffic:
 
 
 class TestPoisson:
-    def test_arrival_times_sorted_and_bounded(self):
-        arr = PoissonArrivals(np.random.default_rng(0))
-        times = arr.arrival_times(5.0, 10.0)
-        assert np.all(np.diff(times) >= 0)
-        assert np.all((times >= 0) & (times < 10.0))
+    """The stepper's arrivals stage: per slice and slot, one Poisson
+    count at ``envelope * max_arrival_rate`` over the 60 s window."""
+
+    @staticmethod
+    def _episode(level):
+        """Per slice: (max arrival rate, realised arrivals/s per slot,
+        the next observations' normalised traffic)."""
+        sim = ScenarioSimulator(ExperimentConfig(seed=1),
+                                traffic_model=ConstantTraffic(level))
+        sim.reset()
+        actions = {name: np.full(NUM_ACTIONS, 0.3)
+                   for name in sim.slice_names}
+        rates = {name: [] for name in sim.slice_names}
+        traffic = {name: [] for name in sim.slice_names}
+        while not sim.done:
+            for name, result in sim.step(actions).items():
+                rates[name].append(result.report.arrival_rate)
+                traffic[name].append(result.observation.traffic)
+        return {name: (sim.network.slices[name].max_arrival_rate,
+                       np.array(rates[name]), np.array(traffic[name]))
+                for name in sim.slice_names}
 
     def test_zero_rate(self):
-        arr = PoissonArrivals()
-        assert arr.arrival_times(0.0, 10.0).size == 0
-        assert arr.arrival_count(0.0, 10.0) == 0
+        for _, rates, traffic in self._episode(0.0).values():
+            assert not rates.any() and not traffic.any()
 
     def test_count_matches_rate_statistically(self):
-        arr = PoissonArrivals(np.random.default_rng(1))
-        counts = [arr.arrival_count(5.0, 10.0) for _ in range(300)]
-        assert np.mean(counts) == pytest.approx(50.0, rel=0.1)
+        for peak, rates, _ in self._episode(0.5).values():
+            counts = rates * ARRIVAL_WINDOW_S
+            np.testing.assert_allclose(counts, np.rint(counts))
+            assert counts.mean() == pytest.approx(
+                0.5 * peak * ARRIVAL_WINDOW_S, rel=0.1)
+            assert counts.std() > 0.0       # Poisson, not the mean
 
     def test_empirical_rate_near_envelope(self):
-        arr = PoissonArrivals(np.random.default_rng(2))
-        rates = [arr.empirical_rate(5.0, 60.0) for _ in range(200)]
-        assert np.mean(rates) == pytest.approx(5.0, rel=0.1)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals().arrival_times(-1.0, 1.0)
+        for peak, rates, traffic in self._episode(0.5).values():
+            assert np.array_equal(traffic, rates / peak)
+            assert traffic.mean() == pytest.approx(0.5, rel=0.1)
 
 
 class TestMAR:
