@@ -1,17 +1,21 @@
 """Operating the four domain managers through their REST-style API.
 
-Walks through the paper's Sec. 6 control surface: create an end-to-end
-slice across RDM / TDM / CDM / EDM, configure per-domain resources
-(including the RDM's custom CQI-MCS offset tables), attach a subscriber
-by IMSI, and read measurements back -- the same interactions the
-OnSlicing agents drive programmatically.
+Walks through the paper's Sec. 6 control surface: take an end-to-end
+slice under management across RDM / TDM / CDM / EDM, configure
+per-domain resources (including the RDM's custom CQI-MCS offset
+tables), attach a subscriber by IMSI, and ask what the configuration
+delivers -- the same interactions the OnSlicing agents drive
+programmatically.  The managers configure and enforce isolation; the
+numbers come from the one model of the testbed, the engine kernels,
+through ``DomainManagerSet.evaluate_slot``.
 
 Run:  python examples/domain_managers_api.py
 """
 
 import numpy as np
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, rdc_slice_spec
+from repro.core.orchestrator import DomainManagerSet
 from repro.domains import (
     CoreDomainManager,
     EdgeDomainManager,
@@ -19,12 +23,7 @@ from repro.domains import (
     Request,
     TransportDomainManager,
 )
-from repro.sim.channel import ChannelProcess
-from repro.sim.containers import ContainerRuntime
-from repro.sim.core_network import CoreNetwork
-from repro.sim.edge import EdgeServerPool
-from repro.sim.ran import RadioCell
-from repro.sim.transport import TransportFabric
+from repro.sim.network import EndToEndNetwork
 
 
 def show(label: str, response) -> None:
@@ -32,13 +31,17 @@ def show(label: str, response) -> None:
 
 
 def main() -> None:
-    cfg = NetworkConfig()
-    runtime = ContainerRuntime(cfg.edge.total_cpu_cores,
-                               cfg.edge.total_ram_gb)
-    rdm = RadioDomainManager(RadioCell(cfg.ran))
-    tdm = TransportDomainManager(TransportFabric(cfg.transport))
-    cdm = CoreDomainManager(CoreNetwork(cfg.core, runtime=runtime))
-    edm = EdgeDomainManager(EdgeServerPool(cfg.edge, runtime=runtime))
+    # The simulated testbed admits the slice's UEs together with its
+    # SPGW-U pool and edge server; the CDM and EDM adopt those.
+    network = EndToEndNetwork(NetworkConfig(),
+                              slices=[rdc_slice_spec("urllc")],
+                              rng=np.random.default_rng(1))
+    managers = DomainManagerSet(
+        rdm=RadioDomainManager(),
+        tdm=TransportDomainManager(network.fabric),
+        cdm=CoreDomainManager(network.core),
+        edm=EdgeDomainManager(network.edge))
+    rdm, tdm, cdm, edm = managers
 
     print("== Create the slice in every domain ==")
     show("RDM", rdm.handle(Request("POST", "/slices/urllc")))
@@ -62,25 +65,20 @@ def main() -> None:
         body={"cpu_share": 0.2, "ram_share": 0.1})))
 
     print("\n== Attach a subscriber (IMSI -> slice -> SPGW-U pool) ==")
-    cdm.core.hss.provision("001010000000001", "urllc")
+    cdm.core.hss.provision("001019000000001", "urllc")
     show("CDM", cdm.handle(Request(
-        "POST", "/subscribers/001010000000001/attach")))
+        "POST", "/subscribers/001019000000001/attach")))
 
-    print("\n== Measurements ==")
-    channel = ChannelProcess(3, np.random.default_rng(1))
-    ul_mbps = rdm.measure_slice_rate("urllc", channel,
-                                     uplink=True) / 1e6
-    print(f"  RDM slice uplink capacity: {ul_mbps:.2f} Mbps")
-    print(f"  RDM retransmission at offset 6 (UL): "
-          f"{rdm.measure_retransmission(6, uplink=True):.2e}")
-    tdm.fabric.reset_loads()
-    report = tdm.carry("urllc", offered_bps=2e6)
-    print(f"  TDM carried {report.achieved_rate_bps / 1e6:.1f} Mbps "
-          f"over path {report.path_index} "
-          f"({report.latency_ms:.2f} ms)")
-    core_report = cdm.evaluate("urllc", offered_bps=2e6)
-    print(f"  CDM user-plane latency: {core_report.latency_ms:.2f} ms "
-          f"at {core_report.utilization * 100:.1f}% utilisation")
+    print("\n== Measurements (the configuration, through the kernels) ==")
+    report = managers.evaluate_slot(network, {"urllc": 50.0})["urllc"]
+    print(f"  RAN capacity: {report.ul_capacity_bps / 1e6:.2f} Mbps up, "
+          f"{report.dl_capacity_bps / 1e6:.2f} Mbps down")
+    print(f"  TN {report.transport_latency_ms:.2f} ms, "
+          f"CN {report.core_latency_ms:.2f} ms, "
+          f"EN {report.edge_latency_ms:.2f} ms "
+          f"at {report.arrival_rate:.0f} messages/s")
+    print(f"  {report.performance.metric}: "
+          f"{report.performance.value:.6f} (cost {report.cost:.2e})")
 
     print("\n== Capacity is enforced (409 on over-commit) ==")
     rdm.handle(Request("POST", "/slices/embb"))

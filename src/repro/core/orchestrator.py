@@ -15,25 +15,37 @@ coordinators and the end-to-end network (paper Fig. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.projection import project_actions
-from repro.config import ExperimentConfig
+from repro.config import ACTION_NAMES, ExperimentConfig
 from repro.core.agent import OnSlicingAgent
+from repro.domains.base import DomainManager
 from repro.domains.cdm import CoreDomainManager
 from repro.domains.coordinator import ParameterCoordinator
 from repro.domains.edm import EdgeDomainManager
 from repro.domains.rdm import RadioDomainManager
 from repro.domains.tdm import TransportDomainManager
 from repro.sim.env import ScenarioSimulator, SliceObservation
-from repro.sim.network import CONSTRAINED_RESOURCES
+from repro.sim.network import (
+    CONSTRAINED_RESOURCES,
+    EndToEndNetwork,
+    SlotReport,
+)
 
 
 @dataclass
 class DomainManagerSet:
-    """The four domain managers over one network instance."""
+    """The four domain managers over one network instance.
+
+    Each manager is lifecycle, per-slice configuration with isolation
+    enforced, and (for the three that own constrained kinds) a
+    parameter coordinator; none of them models performance.  "What
+    would this configuration deliver?" has one answer for all four,
+    :meth:`evaluate_slot`.
+    """
 
     rdm: RadioDomainManager
     tdm: TransportDomainManager
@@ -46,8 +58,7 @@ class DomainManagerSet:
                       ) -> "DomainManagerSet":
         network = simulator.network
         managers = cls(
-            rdm=RadioDomainManager(network.cell,
-                                   coordinator_step=coordinator_step),
+            rdm=RadioDomainManager(coordinator_step=coordinator_step),
             tdm=TransportDomainManager(network.fabric,
                                        coordinator_step=coordinator_step),
             cdm=CoreDomainManager(network.core),
@@ -55,14 +66,39 @@ class DomainManagerSet:
                                   coordinator_step=coordinator_step),
         )
         for name in simulator.slice_names:
-            managers.rdm.create_slice(name)
-            managers.tdm.create_slice(name)
+            for manager in managers:
+                manager.create_slice(name)
         return managers
+
+    def __iter__(self) -> Iterator[DomainManager]:
+        return iter((self.rdm, self.tdm, self.cdm, self.edm))
 
     @property
     def coordinators(self) -> List[ParameterCoordinator]:
         return [self.rdm.coordinator, self.tdm.coordinator,
                 self.edm.coordinator]
+
+    def slot_action(self, name: str) -> np.ndarray:
+        """The 10-dim action the four managers' current configuration
+        of slice ``name`` amounts to (each contributes its own
+        dimensions, see :meth:`DomainManager.action_terms`)."""
+        terms: Dict[str, float] = {}
+        for manager in self:
+            terms.update(manager.action_terms(name))
+        return np.array([terms[dim] for dim in ACTION_NAMES])
+
+    def evaluate_slot(self, network: EndToEndNetwork,
+                      arrival_rates: Mapping[str, float]
+                      ) -> Dict[str, SlotReport]:
+        """What the managers' configuration would deliver on
+        ``network`` at these arrival rates: the configured slices'
+        actions through the kernels (``network.evaluate_slot``), under
+        the network's current channels and fabric conditions.  (Eq. 9
+        ``usage`` counts ``U_l``, so it reflects the mid-bin encoding
+        of the configured path.)"""
+        return network.evaluate_slot(
+            {name: self.slot_action(name)
+             for name in network.slice_names}, arrival_rates)
 
 
 @dataclass(frozen=True)

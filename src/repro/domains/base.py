@@ -95,3 +95,11 @@ class DomainManager(abc.ABC):
                         slice_names: List[str]) -> float:
         return sum(self.requested_share(name, kind)
                    for name in slice_names)
+
+    def action_terms(self, slice_name: str) -> Dict[str, float]:
+        """The dimensions of the 10-dim slot action (keyed by
+        :data:`repro.config.ACTION_NAMES`) that this domain's
+        configuration of ``slice_name`` determines -- the inverse of
+        the kernels' decode stage, with discrete choices encoded
+        mid-bin.  None by default."""
+        return {}

@@ -5,17 +5,18 @@ pools, users attach via the IMSI-keyed HSS with round-robin SPGW-U
 selection, and the user-plane CPU/RAM of a slice is applied across its
 pool with ``docker update`` semantics.  The workstation CPU it shares
 with the edge is coordinated by the EDM, so the CDM owns no constrained
-resource kind itself; it reports its configured shares for accounting.
+resource kind and no dimension of the slot action itself (``U_c`` /
+``U_r`` size the co-located SPGW-U and edge containers together).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Set
 
 import numpy as np
 
 from repro.domains.base import DomainManager
-from repro.sim.core_network import CoreNetwork, CoreReport, Session
+from repro.sim.core_network import CoreNetwork, Session
 
 
 class CoreDomainManager(DomainManager):
@@ -26,7 +27,7 @@ class CoreDomainManager(DomainManager):
     def __init__(self, core: CoreNetwork) -> None:
         super().__init__("cdm")
         self.core = core
-        self._cpu_shares: Dict[str, float] = {}
+        self._slices: Set[str] = set()
         self.route("POST", "/slices/{name}", self._create_slice)
         self.route("DELETE", "/slices/{name}", self._delete_slice)
         self.route("PUT", "/slices/{name}/resources", self._configure)
@@ -58,18 +59,28 @@ class CoreDomainManager(DomainManager):
         return {"sessions": [s.imsi for s in sessions]}
 
     def create_slice(self, name: str, num_instances=None) -> List[str]:
-        self._cpu_shares[name] = 0.0
-        return self.core.create_slice_pool(name, num_instances)
+        """Instantiate the slice's SPGW-U pool, or adopt the one the
+        testbed already runs (``EndToEndNetwork.add_slice`` builds a
+        slice's pool, edge server and UEs together)."""
+        if name in self._slices:
+            raise ValueError(f"slice {name!r} already exists in CDM")
+        try:
+            pool = list(self.core.pool(name))
+        except KeyError:
+            pool = self.core.create_slice_pool(name, num_instances)
+        self._slices.add(name)
+        return pool
 
     def delete_slice(self, name: str) -> None:
         self.core.delete_slice_pool(name)
-        self._cpu_shares.pop(name, None)
+        self._slices.discard(name)
 
     def configure_slice(self, name: str, cpu_share: float,
                         ram_gb: float = 0.0) -> None:
+        if name not in self._slices:
+            raise KeyError(f"no core slice {name!r}")
         cpu_share = float(np.clip(cpu_share, 0.0, 1.0))
         self.core.set_slice_resources(name, cpu_share, max(ram_gb, 0.0))
-        self._cpu_shares[name] = cpu_share
 
     def attach(self, imsi: str) -> Session:
         return self.core.attach(imsi)
@@ -78,6 +89,3 @@ class CoreDomainManager(DomainManager):
         raise KeyError("CDM owns no constrained resource kinds; the "
                        "co-located workstation CPU/RAM are coordinated "
                        "by the EDM")
-
-    def evaluate(self, name: str, offered_bps: float) -> CoreReport:
-        return self.core.evaluate(name, offered_bps)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.domains.base import DomainManager, ResourceConstraintError
 from repro.domains.coordinator import ParameterCoordinator
-from repro.sim.edge import EdgeReport, EdgeServerPool
+from repro.sim.edge import EdgeServerPool
 
 
 class EdgeDomainManager(DomainManager):
@@ -57,7 +57,12 @@ class EdgeDomainManager(DomainManager):
                 "ram_share": self._ram[name]}
 
     def create_slice(self, name: str) -> None:
-        self.pool.create_server(name)
+        """Instantiate the slice's edge server, or adopt the one the
+        testbed already runs (see ``CoreDomainManager.create_slice``)."""
+        if name in self._cpu:
+            raise ValueError(f"slice {name!r} already exists in EDM")
+        if name not in self.pool:
+            self.pool.create_server(name)
         self._cpu[name] = 0.0
         self._ram[name] = 0.0
 
@@ -92,7 +97,6 @@ class EdgeDomainManager(DomainManager):
             return self._ram[slice_name]
         raise KeyError(f"EDM does not own resource {kind!r}")
 
-    def evaluate(self, name: str, offered_rate_ups: float,
-                 compute_units_per_request: float = 1.0) -> EdgeReport:
-        return self.pool.evaluate(name, offered_rate_ups,
-                                  compute_units_per_request)
+    def action_terms(self, slice_name: str) -> Dict[str, float]:
+        return {"cpu_allocation": self.requested_share(slice_name, "cpu"),
+                "ram_allocation": self.requested_share(slice_name, "ram")}

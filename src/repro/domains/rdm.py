@@ -5,21 +5,22 @@ and the customised CQI-MCS mapping tables of the paper: each slice may
 request an MCS offset per direction so the used MCS is the vanilla
 CQI-derived MCS minus the offset (robustness vs capacity trade).
 The RDM owns the ``uplink_prb`` and ``downlink_prb`` constrained
-resources and rejects configurations that over-commit the cell.
+resources and rejects configurations that over-commit the cell.  What
+a configuration delivers is the kernels' to say
+(:meth:`repro.core.orchestrator.DomainManagerSet.evaluate_slot`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.config import MAX_MCS_OFFSET
 from repro.domains.base import DomainManager, ResourceConstraintError
 from repro.domains.coordinator import ParameterCoordinator
-from repro.sim.channel import ChannelProcess
-from repro.sim.ran import RadioCell, Scheduler
+from repro.sim.ran import Scheduler
 
 
 @dataclass
@@ -39,10 +40,8 @@ class RadioDomainManager(DomainManager):
 
     resource_kinds = ("uplink_prb", "downlink_prb")
 
-    def __init__(self, cell: RadioCell,
-                 coordinator_step: float = 0.5) -> None:
+    def __init__(self, coordinator_step: float = 0.5) -> None:
         super().__init__("rdm")
-        self.cell = cell
         self._configs: Dict[str, RadioSliceConfig] = {}
         self.coordinator = ParameterCoordinator(
             self.resource_kinds, step_size=coordinator_step)
@@ -152,23 +151,16 @@ class RadioDomainManager(DomainManager):
             return cfg.downlink_share
         raise KeyError(f"RDM does not own resource {kind!r}")
 
-    # ---- measurements (Fig. 5 / Fig. 6 support) ------------------------
-
-    def measure_slice_rate(self, name: str, channel: ChannelProcess,
-                           uplink: bool) -> float:
-        """Achievable rate of a slice at its current configuration."""
-        cfg = self._config(name)
-        share = cfg.uplink_share if uplink else cfg.downlink_share
-        offset = (cfg.uplink_mcs_offset if uplink
-                  else cfg.downlink_mcs_offset)
-        sched = (cfg.uplink_scheduler if uplink
-                 else cfg.downlink_scheduler)
-        report = self.cell.slice_capacity(share, offset, sched, channel,
-                                          uplink=uplink)
-        return report.capacity_bps
-
-    def measure_retransmission(self, mcs_offset: int,
-                               uplink: bool) -> float:
-        """Retransmission probability at an offset (Fig. 6's iperf runs)."""
-        return self.cell.phy.retransmission_probability(
-            mcs_offset, uplink)
+    def action_terms(self, slice_name: str) -> Dict[str, float]:
+        cfg = self._config(slice_name)
+        return {
+            "uplink_bandwidth": cfg.uplink_share,
+            "uplink_mcs_offset": cfg.uplink_mcs_offset / MAX_MCS_OFFSET,
+            "uplink_scheduler":
+                (cfg.uplink_scheduler.value + 0.5) / len(Scheduler),
+            "downlink_bandwidth": cfg.downlink_share,
+            "downlink_mcs_offset":
+                cfg.downlink_mcs_offset / MAX_MCS_OFFSET,
+            "downlink_scheduler":
+                (cfg.downlink_scheduler.value + 0.5) / len(Scheduler),
+        }

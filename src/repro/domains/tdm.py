@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.domains.base import DomainManager, ResourceConstraintError
 from repro.domains.coordinator import ParameterCoordinator
-from repro.sim.transport import TransportFabric, TransportReport
+from repro.sim.transport import TransportFabric
 
 
 @dataclass
@@ -104,8 +104,10 @@ class TransportDomainManager(DomainManager):
             raise KeyError(f"TDM does not own resource {kind!r}")
         return self._get_config(slice_name).meter_share
 
-    def carry(self, name: str, offered_bps: float) -> TransportReport:
-        """Evaluate a slice's traffic over its configured meter/path."""
-        cfg = self._get_config(name)
-        return self.fabric.evaluate(cfg.path_index, cfg.meter_share,
-                                    offered_bps)
+    def action_terms(self, slice_name: str) -> Dict[str, float]:
+        cfg = self._get_config(slice_name)
+        return {
+            "transport_bandwidth": cfg.meter_share,
+            "transport_path":
+                (cfg.path_index + 0.5) / self.fabric.num_paths,
+        }

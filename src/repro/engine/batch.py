@@ -28,9 +28,9 @@ Two costs are deliberately *not* paid per slot: per-slice
 returned as stacked arrays; ``ScenarioSimulator.step`` builds objects
 at the edge for callers that want them) and substrate mirroring (the
 kernels compute path loads and container allocations directly; a
-stepped world's ``TransportFabric`` loads and ``ContainerRuntime``
-shares are not refreshed -- the scalar domain models configure their
-own before every evaluation).
+stepped world's ``ContainerRuntime`` shares are not refreshed -- they
+are the domain managers' configuration surface, not a record of what
+the stepper executed).
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
 """Vectorised slot kernels: the paper's MDP as flat array math.
 
-This module is the numeric core of the batched engine.  It evaluates
-one configuration slot for ``R`` (world, slice) *rows* at once -- the
-per-slice scalar pipeline of :mod:`repro.sim.network`,
-:mod:`repro.sim.ran`, :mod:`repro.sim.phy`, :mod:`repro.sim.apps`,
-:mod:`repro.sim.queueing` and the container/core/edge models, extracted
-into numpy kernels.  A row bundle may hold one world's slices (the
-scalar :class:`~repro.sim.env.ScenarioSimulator`, which routes its
-``step`` through these kernels with ``R = S``) or every slice of every
-world in a :class:`~repro.engine.batch.BatchSimulator` (``R = sum_b
-S_b``).
+This module is the one numeric model of the testbed: the only code
+under ``src/`` that turns (allocation, traffic, channel, fabric
+conditions) into a performance number.  It evaluates one configuration
+slot for ``R`` (world, slice) *rows* at once; :mod:`repro.sim` holds
+the state and configuration it reads (channels, fabric conditions and
+path hops, PHY parameters and tables, slice specs) and none of the
+arithmetic.  The per-slice scalar pipeline these kernels were
+extracted from survives, verbatim, as their test oracle
+(``tests/scalar_oracle.py``); the stage comments below name the oracle
+function each stage reproduces.  A row bundle may hold one world's
+slices (the scalar :class:`~repro.sim.env.ScenarioSimulator`, which
+routes its ``step`` through these kernels with ``R = S``) or every
+slice of every world in a :class:`~repro.engine.batch.BatchSimulator`
+(``R = sum_b S_b``).
 
 Parity contract
 ---------------
@@ -22,7 +26,9 @@ regardless of array length, and the only cross-row reductions
 (transport path loads) accumulate with ``np.add.at`` in row order --
 the same order the scalar loop reserved meters in.  The engine parity
 suite (``tests/test_engine.py``) asserts this bit-exactness against
-the scalar simulator for every catalog scenario.
+the scalar simulator for every catalog scenario, and its
+``TestScalarDomainModelsMatchKernels`` holds ``evaluate_rows`` to the
+scalar oracle itself (``rtol=1e-9``; observed <= 3e-16).
 
 Arena discipline
 ~~~~~~~~~~~~~~~~
@@ -106,7 +112,11 @@ _MCS_EFF = np.asarray(MCS_TABLE, dtype=np.float64)
 #: Usage-counted action columns (paper Eq. 9).
 _USAGE_COLS = np.asarray(USAGE_ACTION_INDICES, dtype=np.intp)
 
-#: Consumable-share floor (mirrors SliceAllocation.MIN_SHARE).
+#: Consumable-share floor: the minimum share every admitted slice is
+#: granted.  Domain managers never configure a literal zero for an
+#: active bearer/meter/container -- a 0-rate OpenFlow meter or a 0-CPU
+#: cgroup would black-hole the slice entirely -- so requests below the
+#: floor are rounded up (oracle: ``SliceAllocation.MIN_SHARE``).
 _MIN_SHARE = 0.01
 
 #: Application codes used by the row layout.
@@ -119,11 +129,11 @@ _ROWS_UIDS = itertools.count(1)
 
 def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
                    a: KernelArena) -> np.ndarray:
-    """Vectorised :func:`repro.sim.queueing.queueing_latency_ms`.
+    """The shared queueing-latency law (:mod:`repro.sim.queueing`).
 
     M/M/1 below the knee utilisation, the linear finite-buffer overload
     regime above it -- branch structure and float association exactly
-    as the scalar function.
+    as the oracle's scalar ``queueing_latency_ms``.
     """
     shape = rho.shape
     r = a.take(shape)
@@ -481,7 +491,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     arr = a.take((R, NUM_ACTIONS))
     np.clip(raw, 0.0, 1.0, out=arr)
 
-    # ---- action decode (SliceAllocation.from_action) -----------------
+    # ---- action decode (oracle: SliceAllocation.from_action) ---------
     ul_bw = a.take(R)
     np.maximum(arr[:, 0], _MIN_SHARE, out=ul_bw)
     dl_bw = a.take(R)
@@ -515,7 +525,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if lap is not None:
         lap.lap("decode")
 
-    # ---- RAN capacities (RadioCell.slice_capacity, vectorised) -------
+    # ---- RAN capacities (oracle: RadioCell.slice_capacity) -----------
     # direction-shared terms (see Fusions): margin factor and base MCS
     margin_pow = a.take((R, num_users))
     np.divide(margin_db, -6.0, out=margin_pow)
@@ -535,7 +545,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if lap is not None:
         lap.lap("radio")
 
-    # ---- transport (TransportFabric reserve + evaluate) --------------
+    # ---- transport (oracle: TransportFabric.reserve + evaluate) ------
     num_worlds = rows.link_capacity_w.shape[0]
     pmax = rows.path_hops.shape[1]
     eff_cap_w = a.take(num_worlds)
@@ -585,7 +595,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if lap is not None:
         lap.lap("transport")
 
-    # ---- core (CoreNetwork.set_slice_resources + evaluate) -----------
+    # ---- core (set_slice_resources + oracle: CoreNetwork.evaluate) ---
     per_cpu = a.take(R)
     np.clip(cpu, 0.0, 1.0, out=per_cpu)
     np.divide(per_cpu, st["num_sgwu_f"], out=per_cpu)
@@ -628,7 +638,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if lap is not None:
         lap.lap("core")
 
-    # ---- edge (EdgeServerPool.set_resources + evaluate) --------------
+    # ---- edge (set_resources + oracle: EdgeServerPool.evaluate) ------
     edge_cpu = a.take(R)
     np.clip(cpu, 0.0, 1.0, out=edge_cpu)
     edge_ram_gb = a.take(R)
@@ -683,7 +693,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if lap is not None:
         lap.lap("edge")
 
-    # ---- applications (repro.sim.apps, vectorised per app) -----------
+    # ---- applications (oracle: evaluate_mar / _hvs / _rdc) -----------
     value, satisfaction = _evaluate_apps(
         rows, st, rates, ul["capacity"], dl["capacity"], ul["retx"],
         dl["retx"], tn_cap, tn_latency, core_latency, core_pps,
@@ -740,7 +750,9 @@ def _radio_direction(rows: SliceRows, st, share: np.ndarray,
                      base_mcs: np.ndarray, margin_pow: np.ndarray,
                      user_mask: np.ndarray, uplink: bool,
                      a: KernelArena) -> Dict[str, np.ndarray]:
-    """One direction of ``RadioCell.slice_capacity`` for all rows.
+    """One direction of the oracle's ``RadioCell.slice_capacity`` (with
+    ``PhyModel.link_quality`` and ``scheduler_efficiency`` inlined) for
+    all rows.
 
     ``base_mcs`` and ``margin_pow`` are the direction-shared terms
     precomputed by :func:`evaluate_rows` (see the module Fusions
@@ -819,7 +831,7 @@ def _radio_direction(rows: SliceRows, st, share: np.ndarray,
 
 def _mm1_rows(payload_bits: np.ndarray, capacity_bps: np.ndarray,
               demand_bps: np.ndarray, a: KernelArena) -> np.ndarray:
-    """Vectorised ``repro.sim.apps._mm1_latency_ms``."""
+    """Vectorised ``_mm1_latency_ms`` of the oracle's app models."""
     shape = capacity_bps.shape
     has_cap = a.take(shape, bool)
     np.greater(capacity_bps, 0, out=has_cap)
@@ -840,7 +852,7 @@ def _mm1_rows(payload_bits: np.ndarray, capacity_bps: np.ndarray,
 
 def _satisfaction_rows(rows: SliceRows, measured: np.ndarray,
                        a: KernelArena) -> np.ndarray:
-    """Vectorised ``repro.sim.apps._satisfaction`` (both orientations)."""
+    """Vectorised ``_satisfaction`` of the oracle (both orientations)."""
     shape = measured.shape
     target = rows.sla_target
     positive = a.take(shape, bool)

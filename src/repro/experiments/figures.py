@@ -23,14 +23,17 @@ import numpy as np
 from repro.config import (
     ExperimentConfig,
     MAX_MCS_OFFSET,
+    NUM_ACTIONS,
     NetworkConfig,
     SliceSpec,
+    action_index,
     default_slice_specs,
     lte_ran_config,
     nr_ran_config,
 )
-from repro.core.orchestrator import coordinate_actions
-from repro.domains.coordinator import ParameterCoordinator
+from repro.core.orchestrator import DomainManagerSet, coordinate_actions
+from repro.engine.arena import KernelArena
+from repro.engine.kernels import WorldConditions, evaluate_rows
 from repro.experiments.harness import (
     build_onslicing,
     fit_baselines,
@@ -41,11 +44,8 @@ from repro.rl.behavior_cloning import BehaviorCloningTrainer
 from repro.runtime.runner import ParallelRunner
 from repro.runtime.units import make_unit, schedule_epochs as _schedule
 from repro.rl.ppo import GaussianActorCritic
-from repro.sim.channel import ChannelProcess
 from repro.sim.env import ScenarioSimulator
 from repro.sim.network import CONSTRAINED_RESOURCES, EndToEndNetwork
-from repro.sim.phy import PhyModel
-from repro.sim.ran import RadioCell, Scheduler
 
 
 # ---------------------------------------------------------------- Fig 3
@@ -87,22 +87,29 @@ def fig5(cfg: Optional[NetworkConfig] = None,
 
     Three slices with equal exclusive shares; the sum of their rates
     should approach the unsliced (vanilla) cell rate in both
-    directions, demonstrating low-overhead virtualisation.
+    directions, demonstrating low-overhead virtualisation.  The cell's
+    whole UE population (three slices' worth) is one slice of a
+    one-slice network, evaluated by the kernels at the full cell
+    (vanilla) and at a one-third share, round robin, no MCS offset.
     """
     cfg = cfg or NetworkConfig()
-    rng = np.random.default_rng(seed)
-    cell = RadioCell(cfg.ran)
-    channel = ChannelProcess(cfg.users_per_slice * 3, rng)
-    series: Dict[str, Dict[str, float]] = {}
-    for uplink, key in ((False, "dl_mbps"), (True, "ul_mbps")):
-        vanilla = cell.vanilla_capacity(channel, uplink) / 1e6
-        series.setdefault("Vanilla", {})[key] = vanilla
-        for i in range(3):
-            report = cell.slice_capacity(1.0 / 3.0, 0,
-                                         Scheduler.ROUND_ROBIN,
-                                         channel, uplink)
-            series.setdefault(f"Slice {i + 1}", {})[key] = \
-                report.capacity_bps / 1e6
+    network = EndToEndNetwork(
+        dataclasses.replace(cfg, users_per_slice=cfg.users_per_slice * 3),
+        slices=default_slice_specs()[:1],
+        rng=np.random.default_rng(seed))
+    (name,) = network.slice_names
+
+    def rates_mbps(share: float) -> Dict[str, float]:
+        action = np.zeros(NUM_ACTIONS)  # round robin, no MCS offset
+        action[action_index("uplink_bandwidth")] = share
+        action[action_index("downlink_bandwidth")] = share
+        report = network.evaluate_slot({name: action}, {name: 0.0})[name]
+        return {"dl_mbps": report.dl_capacity_bps / 1e6,
+                "ul_mbps": report.ul_capacity_bps / 1e6}
+
+    series = {"Vanilla": rates_mbps(1.0)}
+    for i in range(3):                  # same UEs, same share: same rate
+        series[f"Slice {i + 1}"] = rates_mbps(1.0 / 3.0)
     return series
 
 
@@ -113,16 +120,26 @@ def fig6() -> Dict[str, List[float]]:
     """Fig. 6: retransmission probability vs MCS offset (UL and DL).
 
     Paper shape: log-scale decay from ~1e-1 toward ~1e-5 over offsets
-    0..10, steeper in the uplink.
+    0..10, steeper in the uplink.  One kernel pass over eleven copies
+    of a one-UE slice, one MCS offset each, at zero channel margin
+    (the nominal conditions the paper's iperf runs report).
     """
-    phy = PhyModel()
+    network = EndToEndNetwork(NetworkConfig(users_per_slice=1),
+                              slices=default_slice_specs()[:1])
     offsets = list(range(MAX_MCS_OFFSET + 1))
+    rows = len(offsets)
+    actions = np.zeros((rows, NUM_ACTIONS))
+    for dim in ("uplink_mcs_offset", "downlink_mcs_offset"):
+        actions[:, action_index(dim)] = np.array(offsets) / MAX_MCS_OFFSET
+    out = evaluate_rows(
+        network.slot_rows().repeat(rows), WorldConditions.nominal(rows),
+        actions, rates=np.zeros(rows),
+        cqi=np.ones((rows, 1), dtype=np.intp),   # retx ignores the CQI
+        margin_db=np.zeros((rows, 1)), arena=KernelArena())
     return {
         "offset": offsets,
-        "uplink": [phy.retransmission_probability(o, uplink=True)
-                   for o in offsets],
-        "downlink": [phy.retransmission_probability(o, uplink=False)
-                     for o in offsets],
+        "uplink": out["ul_retx"].tolist(),
+        "downlink": out["dl_retx"].tolist(),
     }
 
 
@@ -542,11 +559,8 @@ def fig19(slice_counts=(9, 15, 21, 27),
                     * len(base_specs) / count))
         cfg = template_cfg.replace(slices=tuple(replicas))
         simulator = ScenarioSimulator(cfg)
-        coordinators = [
-            ParameterCoordinator(("uplink_prb", "downlink_prb")),
-            ParameterCoordinator(("transport_bandwidth",)),
-            ParameterCoordinator(("cpu", "ram")),
-        ]
+        coordinators = DomainManagerSet.for_simulator(
+            simulator).coordinators
         agents = {spec.name: _ModifierProxy(modifiers[spec.app])
                   for spec in replicas}
         rounds: List[int] = []

@@ -2,7 +2,8 @@
 
 Each application converts the end-to-end pipeline state (RAN capacity,
 transport rate/latency, core processing, edge compute) into the scalar
-performance metric its SLA is written against:
+performance metric its SLA is written against (the apps stage of
+:mod:`repro.engine.kernels`; this module holds the outcome record):
 
 * **MAR** -- mobile augmented reality: 540p frames uplink, ORB feature
   extraction at the edge, matched objects downlink.  Metric: average
@@ -21,31 +22,6 @@ metrics and ``target/measured`` for latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
-from repro.config import SliceSpec
-from repro.sim.queueing import queueing_latency_ms
-
-
-@dataclass(frozen=True)
-class PipelineState:
-    """Everything an app model needs about one slot's pipeline."""
-
-    arrival_rate: float            # requests (users) per second
-    ul_capacity_bps: float
-    dl_capacity_bps: float
-    ul_retx_probability: float
-    dl_retx_probability: float
-    ran_base_latency_ms: float
-    transport_rate_bps: float      # metered cap actually granted
-    transport_latency_ms: float
-    core_latency_ms: float
-    core_capacity_pps: float
-    edge_latency_ms: float
-    edge_capacity_ups: float
-    mean_packet_bits: float = 12e3
 
 
 @dataclass(frozen=True)
@@ -56,119 +32,3 @@ class AppPerformance:
     value: float                   # measured performance (ms, fps, prob)
     satisfaction: float            # clip(p/P, 0, 1)
     cost: float                    # 1 - satisfaction (paper Eq. 10)
-
-
-def _mm1_latency_ms(payload_bits: float, capacity_bps: float,
-                    demand_bps: float) -> float:
-    """Transfer latency of one payload over a shared fluid link.
-
-    Service time is ``payload / capacity``, inflated by the shared
-    queueing law (:func:`repro.sim.queueing.queueing_latency_ms`):
-    M/M/1 below the knee, smooth linear overload above it.
-    """
-    if capacity_bps <= 0:
-        return float("inf")
-    rho = demand_bps / capacity_bps
-    service_ms = payload_bits / capacity_bps * 1e3
-    return queueing_latency_ms(service_ms, rho)
-
-
-def _satisfaction(spec: SliceSpec, measured: float) -> float:
-    """``clip(p/P, 0, 1)`` handling both metric orientations."""
-    target = spec.sla.target
-    if spec.sla.lower_is_better:
-        if measured <= 0:
-            return 1.0
-        if not np.isfinite(measured):
-            return 0.0
-        ratio = target / measured
-    else:
-        ratio = measured / target
-    return float(np.clip(ratio, 0.0, 1.0))
-
-
-def evaluate_mar(spec: SliceSpec, pipe: PipelineState) -> AppPerformance:
-    """Round-trip frame latency of the MAR loop.
-
-    uplink frame transfer + transport + core processing + edge feature
-    extraction/matching + downlink reply.  HARQ retransmissions add the
-    8 ms LTE HARQ round trip weighted by the retransmission probability.
-    """
-    ul_demand = pipe.arrival_rate * spec.uplink_payload_bits
-    dl_demand = pipe.arrival_rate * spec.downlink_payload_bits
-    effective_ul = min(pipe.ul_capacity_bps, pipe.transport_rate_bps) \
-        if pipe.transport_rate_bps > 0 else 0.0
-    ul_ms = _mm1_latency_ms(spec.uplink_payload_bits, effective_ul,
-                            ul_demand)
-    dl_ms = _mm1_latency_ms(spec.downlink_payload_bits,
-                            pipe.dl_capacity_bps, dl_demand)
-    harq_ms = 8.0 * (pipe.ul_retx_probability
-                     + pipe.dl_retx_probability)
-    latency = (pipe.ran_base_latency_ms + ul_ms + dl_ms + harq_ms
-               + pipe.transport_latency_ms + pipe.core_latency_ms
-               + pipe.edge_latency_ms)
-    sat = _satisfaction(spec, latency)
-    return AppPerformance(metric=spec.sla.metric, value=float(latency),
-                          satisfaction=sat, cost=1.0 - sat)
-
-
-def evaluate_hvs(spec: SliceSpec, pipe: PipelineState) -> AppPerformance:
-    """Delivered FPS of the streaming slice.
-
-    Each concurrent viewer needs ``target_fps * frame_bits`` of
-    sustained downlink; the delivered FPS scales with the tightest
-    bottleneck among RAN downlink, the transport meter, and core packet
-    processing.
-    """
-    target_fps = spec.sla.target
-    demand_bps = (pipe.arrival_rate * target_fps
-                  * spec.downlink_payload_bits)
-    core_bps = pipe.core_capacity_pps * pipe.mean_packet_bits
-    supply_bps = min(pipe.dl_capacity_bps, pipe.transport_rate_bps,
-                     core_bps)
-    if demand_bps <= 0:
-        fps = target_fps
-    else:
-        fps = target_fps * min(supply_bps / demand_bps, 1.0)
-        # Retransmissions skip/delay frames slightly even when
-        # bandwidth suffices.
-        fps *= 1.0 - 0.5 * pipe.dl_retx_probability
-    sat = _satisfaction(spec, fps)
-    return AppPerformance(metric=spec.sla.metric, value=float(fps),
-                          satisfaction=sat, cost=1.0 - sat)
-
-
-def evaluate_rdc(spec: SliceSpec, pipe: PipelineState) -> AppPerformance:
-    """Radio transmission reliability of the control loop.
-
-    Control messages are single-shot (the loop deadline leaves no room
-    for HARQ), so a message survives only if both directions succeed at
-    the first attempt; the MCS offset is the knob that buys reliability
-    (paper Fig. 6).  If the slice's PRB partitions cannot carry the
-    aggregate message rate, excess messages are dropped outright.
-    """
-    msg_rate_bps = pipe.arrival_rate * spec.uplink_payload_bits
-    radio_ok = (1.0 - pipe.ul_retx_probability) \
-        * (1.0 - pipe.dl_retx_probability)
-    ul_carried = min(pipe.ul_capacity_bps / msg_rate_bps, 1.0) \
-        if msg_rate_bps > 0 else 1.0
-    dl_carried = min(pipe.dl_capacity_bps / msg_rate_bps, 1.0) \
-        if msg_rate_bps > 0 else 1.0
-    reliability = radio_ok * ul_carried * dl_carried
-    sat = _satisfaction(spec, reliability)
-    return AppPerformance(metric=spec.sla.metric,
-                          value=float(reliability), satisfaction=sat,
-                          cost=1.0 - sat)
-
-
-_EVALUATORS = {"mar": evaluate_mar, "hvs": evaluate_hvs,
-               "rdc": evaluate_rdc}
-
-
-def evaluate_app(spec: SliceSpec, pipe: PipelineState) -> AppPerformance:
-    """Dispatch to the slice's application model."""
-    try:
-        evaluator = _EVALUATORS[spec.app]
-    except KeyError as exc:
-        raise ValueError(f"unknown app {spec.app!r}") from exc
-    return evaluator(spec, pipe)

@@ -6,7 +6,8 @@ corresponding SPGW-U scheduling method", users are mapped to slices by
 IMSI, and the SPGW-U for a user is chosen round-robin at attach time.
 Each SPGW-U runs in a container; its packet-processing rate scales with
 the CPU share the EDM/CDM allocate (``U_c``) and its latency follows an
-M/M/1 processor-sharing curve.
+M/M/1 processor-sharing curve -- the core stage of
+:mod:`repro.engine.kernels`; this module is the lifecycle and state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from repro.config import CoreConfig
 from repro.sim.containers import ContainerRuntime
-from repro.sim.queueing import queueing_latency_ms
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,6 @@ class Session:
     imsi: str
     slice_name: str
     sgwu_name: str
-
-
-@dataclass(frozen=True)
-class CoreReport:
-    """Per-slot user-plane outcome for one slice."""
-
-    processing_rate_pps: float
-    offered_rate_pps: float
-    latency_ms: float
-    utilization: float
 
 
 class HSS:
@@ -67,6 +57,10 @@ class HSS:
             return self._subscribers[imsi]
         except KeyError as exc:
             raise KeyError(f"unknown IMSI {imsi}") from exc
+
+    def deprovision(self, imsi: str) -> None:
+        self.lookup(imsi)               # unknown IMSI: KeyError
+        del self._subscribers[imsi]
 
     def __len__(self) -> int:
         return len(self._subscribers)
@@ -166,7 +160,7 @@ class CoreNetwork:
         return [s for s in self._sessions.values()
                 if s.slice_name == slice_name]
 
-    # ---- user-plane performance --------------------------------------
+    # ---- user-plane resources ----------------------------------------
 
     def set_slice_resources(self, slice_name: str, cpu_share: float,
                             ram_gb: float) -> None:
@@ -176,28 +170,3 @@ class CoreNetwork:
         per_ram = max(ram_gb, 0.0) / len(pool)
         for name in pool:
             self.runtime.update(name, cpu_share=per_cpu, ram_gb=per_ram)
-
-    def evaluate(self, slice_name: str, offered_rate_bps: float
-                 ) -> CoreReport:
-        """Process a slice's user-plane load through its SPGW-U pool.
-
-        Service rate scales linearly in the pool's CPU share;
-        latency follows M/M/1: ``1/(mu - lambda)`` in packet-service
-        units, plus the control-plane base latency.
-        """
-        pool = self.pool(slice_name)
-        cpu = sum(self.runtime.get(n).cpu_share for n in pool)
-        mu = cpu * self.cfg.sgwu_capacity_pps
-        lam = offered_rate_bps / self.cfg.mean_packet_bits
-        if mu <= 0:
-            return CoreReport(processing_rate_pps=0.0,
-                              offered_rate_pps=float(lam),
-                              latency_ms=float("inf"),
-                              utilization=1.0 if lam > 0 else 0.0)
-        utilization = lam / mu
-        latency = self.cfg.base_latency_ms + queueing_latency_ms(
-            1e3 / mu, utilization)
-        return CoreReport(processing_rate_pps=float(mu),
-                          offered_rate_pps=float(lam),
-                          latency_ms=float(latency),
-                          utilization=float(min(utilization, 1.0)))

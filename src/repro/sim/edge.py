@@ -6,30 +6,19 @@ extraction; we model each slice's edge server as an M/M/1 processor
 whose service rate scales with its CPU share (``U_c``), with a RAM
 (``U_r``) working-set penalty when under-provisioned (thrashing slows
 processing sharply, as real feature-matching pipelines do when the
-feature database no longer fits in memory).
+feature database no longer fits in memory).  That model is the edge
+stage of :mod:`repro.engine.kernels`; this module is the servers'
+lifecycle and their configured shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.config import EdgeConfig
 from repro.sim.containers import ContainerRuntime
-from repro.sim.queueing import queueing_latency_ms
-
-
-@dataclass(frozen=True)
-class EdgeReport:
-    """Per-slot edge-compute outcome for one slice."""
-
-    service_rate_ups: float      # compute units served per second
-    offered_rate_ups: float
-    latency_ms: float
-    utilization: float
-    ram_penalty: float           # 1.0 = no penalty
 
 
 class EdgeServerPool:
@@ -43,6 +32,9 @@ class EdgeServerPool:
             ContainerRuntime(self.cfg.total_cpu_cores,
                              self.cfg.total_ram_gb)
         self._slices: Dict[str, str] = {}
+
+    def __contains__(self, slice_name: str) -> bool:
+        return slice_name in self._slices
 
     def create_server(self, slice_name: str) -> str:
         """Instantiate the slice's edge container (idempotent per slice)."""
@@ -74,35 +66,3 @@ class EdgeServerPool:
         except KeyError as exc:
             raise KeyError(
                 f"slice {slice_name!r} has no edge server") from exc
-
-    def evaluate(self, slice_name: str, offered_rate_ups: float,
-                 compute_units_per_request: float = 1.0) -> EdgeReport:
-        """Serve a slice's compute load at its current allocation.
-
-        ``offered_rate_ups`` is requests/s; each request costs
-        ``compute_units_per_request``.  The RAM penalty divides the
-        service rate when the working set (proportional to the offered
-        rate) exceeds the allocated RAM.
-        """
-        container = self.runtime.get(self._container_name(slice_name))
-        work_rate = offered_rate_ups * compute_units_per_request
-        mu = container.cpu_share * self.cfg.compute_capacity_ups
-        required_ram = work_rate * self.cfg.ram_gb_per_ups
-        if required_ram > 0 and container.ram_gb < required_ram:
-            # Thrashing: service rate degrades with the shortfall ratio.
-            ram_penalty = max(container.ram_gb / required_ram, 0.1)
-        else:
-            ram_penalty = 1.0
-        mu_eff = mu * ram_penalty
-        if mu_eff <= 0:
-            utilization = 1.0 if work_rate > 0 else 0.0
-            latency = float("inf") if work_rate > 0 else 0.0
-        else:
-            utilization = work_rate / mu_eff
-            latency = queueing_latency_ms(
-                1e3 / mu_eff * compute_units_per_request, utilization)
-        return EdgeReport(service_rate_ups=float(mu_eff),
-                          offered_rate_ups=float(work_rate),
-                          latency_ms=float(latency),
-                          utilization=float(min(utilization, 1.0)),
-                          ram_penalty=float(ram_penalty))

@@ -11,9 +11,10 @@ Slot evaluation runs through the vectorised engine kernels
 the stateless what-if evaluator -- actions and rates in, reports out,
 no events, channels, arrivals or episode state -- while *stepping* a
 world is :class:`~repro.engine.batch.BatchSimulator`'s job.  The
-kernels are pure: the substrate objects (fabric loads, container
-shares) belong to the scalar domain models, which configure their own
-before every evaluation.
+kernels are the model and they are pure: the substrate objects here
+are state and configuration (channels, fabric conditions and path
+hops, pools, sessions, containers and their shares) that the kernels
+read through the row layout and never write.
 """
 
 from __future__ import annotations
@@ -23,71 +24,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import (
-    MAX_MCS_OFFSET,
-    NUM_ACTIONS,
-    NetworkConfig,
-    SliceSpec,
-)
+from repro.config import NUM_ACTIONS, NetworkConfig, SliceSpec
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import ChannelBank, ChannelProcess
 from repro.sim.containers import ContainerRuntime
 from repro.sim.core_network import CoreNetwork
 from repro.sim.edge import EdgeServerPool
-from repro.sim.ran import RadioCell, Scheduler
+from repro.sim.ran import RadioCell
 from repro.sim.transport import TransportFabric
-
-
-@dataclass(frozen=True)
-class SliceAllocation:
-    """Decoded view of a 10-dim orchestration action."""
-
-    uplink_bandwidth: float
-    uplink_mcs_offset: int
-    uplink_scheduler: Scheduler
-    downlink_bandwidth: float
-    downlink_mcs_offset: int
-    downlink_scheduler: Scheduler
-    transport_bandwidth: float
-    transport_path: int
-    cpu_allocation: float
-    ram_allocation: float
-
-    #: Minimum share every admitted slice is granted on the consumable
-    #: resources.  Domain managers never configure a literal zero for an
-    #: active bearer/meter/container -- a 0-rate OpenFlow meter or a
-    #: 0-CPU cgroup would black-hole the slice entirely -- so requests
-    #: below the floor are rounded up to the minimum commitment.
-    MIN_SHARE = 0.01
-
-    @classmethod
-    def from_action(cls, action: np.ndarray,
-                    num_paths: int = 3) -> "SliceAllocation":
-        """Decode an action vector in [0, 1]^10.
-
-        Discretised dimensions: MCS offsets round to 0..10, schedulers
-        map thirds of [0, 1] to RR/PF/Max-CQI, and the path index maps
-        to the transport fabric's reserved paths.  Consumable shares
-        are floored at :attr:`MIN_SHARE`.
-        """
-        arr = np.clip(np.asarray(action, dtype=float), 0.0, 1.0)
-        if arr.shape != (NUM_ACTIONS,):
-            raise ValueError(
-                f"action must have shape ({NUM_ACTIONS},), got {arr.shape}")
-        floor = cls.MIN_SHARE
-        return cls(
-            uplink_bandwidth=max(float(arr[0]), floor),
-            uplink_mcs_offset=int(round(arr[1] * MAX_MCS_OFFSET)),
-            uplink_scheduler=Scheduler.from_action(arr[2]),
-            downlink_bandwidth=max(float(arr[3]), floor),
-            downlink_mcs_offset=int(round(arr[4] * MAX_MCS_OFFSET)),
-            downlink_scheduler=Scheduler.from_action(arr[5]),
-            transport_bandwidth=max(float(arr[6]), floor),
-            transport_path=int(np.clip(arr[7] * num_paths, 0,
-                                       num_paths - 1)),
-            cpu_allocation=max(float(arr[8]), floor),
-            ram_allocation=max(float(arr[9]), floor),
-        )
 
 
 @dataclass(frozen=True)
@@ -184,6 +128,7 @@ class EndToEndNetwork:
             raise KeyError(f"no slice {name!r}")
         for session in list(self.core.sessions_of(name)):
             self.core.detach(session.imsi)
+            self.core.hss.deprovision(session.imsi)
         self.core.delete_slice_pool(name)
         self.edge.delete_server(name)
         del self.channels[name]
@@ -214,23 +159,6 @@ class EndToEndNetwork:
 
     def clear_transport_conditions(self) -> None:
         self.fabric.clear_conditions()
-
-    # ---- constraint accounting ----------------------------------------
-
-    @staticmethod
-    def over_request(actions: Dict[str, np.ndarray]) -> Dict[str, float]:
-        """Total requested share minus capacity (1.0) per resource kind.
-
-        Positive entries mean the infrastructure is over-requested --
-        the situation the action modifier / parameter coordinator
-        resolve (paper Sec. 4).
-        """
-        totals = {kind: 0.0 for kind in CONSTRAINED_RESOURCES}
-        for action in actions.values():
-            arr = np.asarray(action, dtype=float)
-            for kind, idx in CONSTRAINED_RESOURCES.items():
-                totals[kind] += float(arr[idx])
-        return {kind: total - 1.0 for kind, total in totals.items()}
 
     # ---- slot evaluation -----------------------------------------------
 
@@ -371,17 +299,15 @@ class EndToEndNetwork:
 
     # ---- diagnostics -----------------------------------------------------
 
-    def ping_delay_ms(self, slice_name: str,
-                      rng: Optional[np.random.Generator] = None) -> float:
+    def ping_delay_ms(self, slice_name: str) -> float:
         """One emulated ping between a UE and its SPGW-U (paper Fig. 16).
 
         RAN base latency both ways + per-hop transport forwarding +
         core control latency, with light jitter.
         """
-        rng = rng if rng is not None else self._rng
         ran_rtt = 2.0 * self.cfg.ran.base_latency_ms
         hops = self.fabric.path_hops(0)
         tn_rtt = 2.0 * hops * self.cfg.transport.hop_latency_ms
         cn_rtt = 2.0 * self.cfg.core.base_latency_ms
-        jitter = float(rng.gamma(2.0, 0.8))
+        jitter = float(self._rng.gamma(2.0, 0.8))
         return ran_rtt + tn_rtt + cn_rtt + jitter

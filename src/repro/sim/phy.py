@@ -11,16 +11,17 @@ Models the pieces of the OAI PHY/MAC that the paper's RDM manipulates:
   reduces the retransmission probability, matching the paper's Fig. 6
   measurement (~1e-1 at offset 0 down to ~1e-5 at offset 10, with the
   uplink benefiting more steeply than the downlink).
+
+This module holds the tables and the BLER model's parameters; the
+arithmetic over them (effective MCS, retransmission probability,
+goodput) is the radio stage of :mod:`repro.engine.kernels`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.config import MAX_MCS_OFFSET
 
 #: CQI index -> (modulation order bits, code rate x1024, efficiency)
 #: following 3GPP TS 36.213 Table 7.2.3-1 (4-bit CQI, QPSK..64QAM).
@@ -86,19 +87,9 @@ def mcs_spectral_efficiency(mcs: int) -> float:
     return MCS_TABLE[mcs]
 
 
-@dataclass(frozen=True)
-class LinkQuality:
-    """Result of a PHY evaluation for one link direction."""
-
-    mcs: int
-    spectral_efficiency: float     # bit/s/Hz before HARQ losses
-    bler: float                    # first-transmission block error rate
-    retransmission_probability: float
-    goodput_efficiency: float      # efficiency after HARQ overhead
-
-
 class PhyModel:
-    """Link-level model tying CQI, MCS offset and retransmissions.
+    """Parameters of the link-level model tying CQI, MCS offset and
+    retransmissions (read by the kernels' row layout).
 
     Parameters
     ----------
@@ -125,70 +116,3 @@ class PhyModel:
         self.base_retx_dl = base_retx_dl
         self.uplink_bler_decay = uplink_bler_decay
         self.downlink_bler_decay = downlink_bler_decay
-
-    def effective_mcs(self, cqi: int, mcs_offset: int,
-                      fixed_mcs: int = -1) -> int:
-        """MCS actually used: vanilla MCS from CQI minus the offset.
-
-        A non-negative ``fixed_mcs`` (paper Sec. 7.2 pins MCS 9 for the
-        4G/5G comparison) bypasses link adaptation; the offset then
-        still applies below the fixed point, mirroring how the RDM's
-        custom table composes with a pinned MCS.
-        """
-        if not 0 <= mcs_offset <= MAX_MCS_OFFSET:
-            raise ValueError(
-                f"mcs_offset must be in 0..{MAX_MCS_OFFSET}")
-        base = fixed_mcs if fixed_mcs >= 0 else cqi_to_mcs(cqi)
-        return int(np.clip(base - mcs_offset, 0, NUM_MCS - 1))
-
-    def retransmission_probability(self, mcs_offset: int,
-                                   uplink: bool,
-                                   channel_margin_db: float = 0.0
-                                   ) -> float:
-        """First-transmission error probability at a given offset.
-
-        ``channel_margin_db`` shifts the curve: positive margins (better
-        channel than the CQI report assumed) reduce the error rate by
-        ~a decade per 6 dB.
-        """
-        if uplink:
-            base, decay = self.base_retx_ul, self.uplink_bler_decay
-        else:
-            base, decay = self.base_retx_dl, self.downlink_bler_decay
-        prob = base * decay ** mcs_offset
-        prob *= 10.0 ** (-channel_margin_db / 6.0)
-        return float(np.clip(prob, 1e-9, 0.99))
-
-    def link_quality(self, cqi: int, mcs_offset: int, uplink: bool,
-                     fixed_mcs: int = -1,
-                     channel_margin_db: float = 0.0) -> LinkQuality:
-        """Full link evaluation for one direction.
-
-        The goodput efficiency folds HARQ retransmissions in as a rate
-        discount of ``1 / (1 + p)`` (each errored block consumes one
-        extra transmission on average for small ``p``).
-        """
-        mcs = self.effective_mcs(cqi, mcs_offset, fixed_mcs=fixed_mcs)
-        eff = mcs_spectral_efficiency(mcs)
-        retx = self.retransmission_probability(
-            mcs_offset, uplink, channel_margin_db=channel_margin_db)
-        goodput = eff * (1.0 - retx) / (1.0 + retx)
-        return LinkQuality(mcs=mcs, spectral_efficiency=eff, bler=retx,
-                           retransmission_probability=retx,
-                           goodput_efficiency=goodput)
-
-    def message_failure_probability(self, mcs_offset: int, uplink: bool,
-                                    harq_rounds: int = 2,
-                                    channel_margin_db: float = 0.0
-                                    ) -> float:
-        """Probability a small message fails all HARQ rounds.
-
-        The RDC slice's reliability metric: a 1 kbit message fits one
-        transport block, is retried up to ``harq_rounds`` times, and is
-        lost only when every round fails.
-        """
-        if harq_rounds < 1:
-            raise ValueError("harq_rounds must be >= 1")
-        p = self.retransmission_probability(
-            mcs_offset, uplink, channel_margin_db=channel_margin_db)
-        return float(p ** harq_rounds)

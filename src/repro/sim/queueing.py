@@ -1,4 +1,4 @@
-"""Shared queueing-latency model with a smooth overload regime.
+"""Shared queueing-latency law with a smooth overload regime.
 
 All pipeline stages (RAN partitions, SPGW-U packet processing, edge
 compute) use the same delay law: M/M/1 ``service / (1 - rho)`` below a
@@ -6,23 +6,12 @@ knee utilisation, then a linear finite-buffer overload regime whose
 slope matches the M/M/1 derivative at the knee.  Real queues degrade
 under overload rather than becoming instantaneously infinite, and the
 smooth mapping gives learning agents a usable gradient across the
-overload boundary.
+overload boundary.  The law itself is
+:func:`repro.engine.kernels._queueing_rows`; this module holds its one
+parameter.
 """
 
 from __future__ import annotations
 
 #: Utilisation where M/M/1 hands over to the linear overload regime.
 RHO_KNEE = 0.95
-
-
-def queueing_latency_ms(service_ms: float, rho: float) -> float:
-    """Sojourn time of a processor-sharing stage at utilisation rho."""
-    if service_ms < 0:
-        raise ValueError("service_ms must be non-negative")
-    if rho < 0:
-        rho = 0.0
-    if rho < RHO_KNEE:
-        return service_ms / (1.0 - rho)
-    knee_latency = service_ms / (1.0 - RHO_KNEE)
-    slope = service_ms / (1.0 - RHO_KNEE) ** 2
-    return knee_latency + slope * (rho - RHO_KNEE)

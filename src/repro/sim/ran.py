@@ -6,77 +6,36 @@ physical resource blocks (PRBs) in the downlink and uplink MAC layers"
 (Sec. 6).  A :class:`RadioCell` owns the PRB budget of one direction
 pair; each slice receives an exclusive share and a scheduling algorithm
 (the ``U_a`` / ``U_g`` actions) that determines how efficiently its
-users convert PRBs into bits.
+users convert PRBs into bits -- arithmetic that lives in the radio
+stage of :mod:`repro.engine.kernels`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-import numpy as np
 
 from repro.config import RANConfig
-from repro.sim.channel import ChannelProcess
-from repro.sim.phy import PhyModel, mcs_spectral_efficiency
+from repro.sim.phy import PhyModel
 
 
 class Scheduler(enum.Enum):
-    """MAC scheduling algorithms selectable per slice and direction."""
+    """MAC scheduling algorithms selectable per slice and direction.
+
+    The values are the codes the kernels' decode stage maps thirds of
+    the ``[0, 1]`` scheduler action onto.
+    """
 
     ROUND_ROBIN = 0
     PROPORTIONAL_FAIR = 1
     MAX_CQI = 2
 
-    @classmethod
-    def from_action(cls, value: float) -> "Scheduler":
-        """Map a continuous action in [0, 1] to a scheduler choice."""
-        idx = int(np.clip(value * len(cls), 0, len(cls) - 1))
-        return list(cls)[idx]
-
-
-def scheduler_efficiency(scheduler: Scheduler,
-                         efficiencies: Sequence[float]) -> float:
-    """Aggregate per-user spectral efficiency under a scheduler.
-
-    * Round robin serves users uniformly -> arithmetic mean.
-    * Max-CQI always serves the best instantaneous channel -> maximum
-      (shaded slightly toward the mean because even Max-CQI must serve
-      retransmissions and control traffic of weaker users).
-    * Proportional fair sits between the two; the classic log-utility
-      scheduler realises most of the multi-user diversity gain.
-    """
-    effs = np.asarray(efficiencies, dtype=float)
-    if effs.size == 0:
-        raise ValueError("need at least one user efficiency")
-    mean = float(effs.mean())
-    best = float(effs.max())
-    if scheduler is Scheduler.ROUND_ROBIN:
-        return mean
-    if scheduler is Scheduler.MAX_CQI:
-        return 0.9 * best + 0.1 * mean
-    return 0.6 * best + 0.4 * mean  # PROPORTIONAL_FAIR
-
-
-@dataclass(frozen=True)
-class SliceRadioReport:
-    """Per-slot RAN outcome for one slice and direction."""
-
-    prbs: int
-    capacity_bps: float
-    retransmission_probability: float
-    mcs: int
-    scheduler: Scheduler
-
 
 class RadioCell:
     """One eNB/gNB with exclusive PRB partitioning between slices."""
 
-    def __init__(self, cfg: RANConfig, phy: Optional[PhyModel] = None
-                 ) -> None:
+    def __init__(self, cfg: RANConfig) -> None:
         self.cfg = cfg
-        self.phy = phy if phy is not None else PhyModel()
+        self.phy = PhyModel()
         #: Useful PRB-seconds per second in each direction (TDD split).
         self._dl_prbs = cfg.num_prbs
         self._ul_prbs = cfg.num_prbs
@@ -88,77 +47,3 @@ class RadioCell:
     @property
     def uplink_prbs(self) -> int:
         return self._ul_prbs
-
-    def prbs_for_share(self, share: float, uplink: bool) -> int:
-        """Integer PRBs exclusively assigned for a [0, 1] share.
-
-        Rounded to the nearest PRB, with a 1-PRB floor for any non-zero
-        request -- the MAC always grants at least one PRB to an active
-        bearer, so capacity degrades smoothly instead of cliffing to
-        zero at small shares.
-        """
-        share = float(np.clip(share, 0.0, 1.0))
-        total = self._ul_prbs if uplink else self._dl_prbs
-        prbs = int(round(share * total))
-        if share > 1e-3 and prbs == 0:
-            prbs = 1
-        return prbs
-
-    def slice_capacity(self, share: float, mcs_offset: int,
-                       scheduler: Scheduler, channel: ChannelProcess,
-                       uplink: bool) -> SliceRadioReport:
-        """Achievable goodput of a slice's exclusive PRB partition.
-
-        capacity = PRBs * PRB_bandwidth * duty * scheduler-aggregated
-        goodput-efficiency * (1 - overhead), where duty is the TDD
-        fraction of the direction and the goodput efficiency already
-        accounts for HARQ retransmissions at the chosen MCS offset.
-        """
-        cfg = self.cfg
-        prbs = self.prbs_for_share(share, uplink)
-        duty = cfg.uplink_fraction if uplink else cfg.downlink_fraction
-        effs = []
-        retx = 0.0
-        mcs_used = 0
-        for user in channel.users:
-            quality = self.phy.link_quality(
-                user.cqi, mcs_offset, uplink, fixed_mcs=cfg.fixed_mcs,
-                channel_margin_db=user.snr_db - user.mean_snr_db)
-            effs.append(quality.goodput_efficiency)
-            retx += quality.retransmission_probability
-            mcs_used = max(mcs_used, quality.mcs)
-        retx /= len(channel.users)
-        agg_eff = scheduler_efficiency(scheduler, effs)
-        capacity = (prbs * cfg.prb_bandwidth_hz * duty * agg_eff
-                    * (1.0 - cfg.overhead))
-        return SliceRadioReport(
-            prbs=prbs, capacity_bps=float(capacity),
-            retransmission_probability=float(retx), mcs=mcs_used,
-            scheduler=scheduler)
-
-    def vanilla_capacity(self, channel: ChannelProcess,
-                         uplink: bool) -> float:
-        """Unsliced capacity of the whole cell (Fig. 5's 'Vanilla').
-
-        Used to verify low-overhead virtualisation: the sum of slice
-        capacities at equal shares must approach this value.
-        """
-        report = self.slice_capacity(
-            1.0, 0, Scheduler.ROUND_ROBIN, channel, uplink)
-        return report.capacity_bps
-
-    def transmission_latency_ms(self, payload_bits: float,
-                                capacity_bps: float,
-                                retransmission_probability: float
-                                ) -> float:
-        """Air-time latency of one payload over a slice partition.
-
-        Serialisation plus the scheduling pipeline, inflated by the
-        expected number of HARQ rounds (8 ms RTT per retransmission,
-        the LTE HARQ timing).
-        """
-        if capacity_bps <= 0:
-            return float("inf")
-        serialisation = payload_bits / capacity_bps * 1e3
-        harq = retransmission_probability * 8.0
-        return self.cfg.base_latency_ms + serialisation + harq

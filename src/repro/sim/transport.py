@@ -10,23 +10,9 @@ the reserved path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.config import TransportConfig
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    """Per-slot transport outcome for one slice."""
-
-    path_index: int
-    hops: int
-    rate_cap_bps: float
-    achieved_rate_bps: float
-    latency_ms: float
 
 
 def build_topology(cfg: TransportConfig) -> List[List[str]]:
@@ -41,17 +27,18 @@ def build_topology(cfg: TransportConfig) -> List[List[str]]:
 
 
 class TransportFabric:
-    """Stateful transport network shared by all slices.
+    """The transport network shared by all slices: its reserved paths
+    and current link conditions.
 
-    Tracks per-path reserved load so queueing latency grows as a path
-    approaches saturation (M/M/1-style), and enforces per-slice meters.
+    The per-path reserved load, the meters and the M/M/1-style latency
+    that grows as a path approaches saturation are the transport stage
+    of :mod:`repro.engine.kernels`, which reads this state.
     """
 
     def __init__(self, cfg: Optional[TransportConfig] = None) -> None:
         self.cfg = cfg or TransportConfig()
         self._path_hops: List[int] = [
             2 + extra for extra in self.cfg.path_extra_hops]
-        self._path_load_bps = np.zeros(self.cfg.num_paths)
         # Mutable link conditions, driven by scenario events (fault
         # injection): a capacity degradation factor, added forwarding
         # latency, and cross-traffic that loads every path before the
@@ -97,59 +84,10 @@ class TransportFabric:
         self.extra_latency_ms = 0.0
         self.background_load_fraction = 0.0
 
-    def effective_capacity_bps(self) -> float:
-        """Per-link capacity under the current degradation factor."""
-        return self.cfg.link_capacity_bps * self.capacity_scale
-
-    def path_index_from_action(self, value: float) -> int:
-        """Map the continuous ``U_l`` action in [0, 1] to a path index."""
-        idx = int(np.clip(value * self.num_paths, 0,
-                          self.num_paths - 1))
-        return idx
-
     def path_hops(self, path_index: int) -> int:
         if not 0 <= path_index < self.num_paths:
             raise ValueError(f"path index out of range: {path_index}")
         return self._path_hops[path_index]
-
-    def reset_loads(self) -> None:
-        """Reset per-path load to the background level for a new slot."""
-        self._path_load_bps.fill(self.background_load_fraction
-                                 * self.effective_capacity_bps())
-
-    def reserve(self, path_index: int, rate_bps: float) -> None:
-        """Account a slice's metered reservation on a path."""
-        if rate_bps < 0:
-            raise ValueError("rate_bps must be non-negative")
-        self._path_load_bps[path_index] += rate_bps
-
-    def path_utilization(self, path_index: int) -> float:
-        return float(self._path_load_bps[path_index]
-                     / self.effective_capacity_bps())
-
-    def evaluate(self, path_index: int, meter_share: float,
-                 offered_bps: float) -> TransportReport:
-        """Carry a slice's offered load over its reserved path.
-
-        ``meter_share`` in [0, 1] scales the OpenFlow meter cap; the
-        achieved rate is ``min(offered, cap)``.  Latency = per-hop
-        forwarding plus an M/M/1 queueing term on the path utilisation
-        (keeps latency finite but sharply increasing near saturation).
-        """
-        meter_share = float(np.clip(meter_share, 0.0, 1.0))
-        cap = meter_share * self.effective_capacity_bps()
-        achieved = min(offered_bps, cap)
-        hops = self.path_hops(path_index)
-        utilization = min(self.path_utilization(path_index), 0.99)
-        queueing_ms = (self.cfg.hop_latency_ms * utilization
-                       / (1.0 - utilization))
-        latency = (hops * self.cfg.hop_latency_ms + queueing_ms
-                   + self.extra_latency_ms)
-        if cap <= 0 and offered_bps > 0:
-            latency = float("inf")
-        return TransportReport(
-            path_index=path_index, hops=hops, rate_cap_bps=cap,
-            achieved_rate_bps=float(achieved), latency_ms=float(latency))
 
     def shortest_path_nodes(self, path_index: int) -> List[str]:
         """The node sequence of a reserved path (for inspection/tests)."""

@@ -19,6 +19,7 @@ ever breaks in a numpy upgrade, these tests fail loudly instead of
 the engine silently drifting from the scalar reference.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -49,8 +50,13 @@ from repro.sim.env import STATE_DIM, ScenarioSimulator, SliceObservation
 from test_golden_digests import GOLDEN_TRACE_DIGESTS
 
 
-def _build_sim(name, seed=None):
+def _build_sim(name, seed=None, slots=None):
+    """The catalog world ``name``; ``slots`` shortens its day (event
+    fractions scale, so every event still fires)."""
     spec = scenarios.get(name)
+    if slots is not None:
+        spec = dataclasses.replace(spec, traffic_cfg=dataclasses.replace(
+            spec.build_config().traffic, slots_per_episode=slots))
     cfg = spec.build_config(seed=seed)
     return spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
 
@@ -687,14 +693,19 @@ class TestEngineNamesRejected:
 
 
 class TestScalarDomainModelsMatchKernels:
-    """The scalar domain models are a second copy of the slot math.
+    """The kernels against their one independent check.
 
-    ``sim/{ran,transport,core_network,edge,apps}.py`` back the paper's
-    Sec. 6 domain-manager API while ``EndToEndNetwork.evaluate_slot``
-    runs the row kernels; nothing else ties the two together, so this
-    drives the scalar models from the decoded ``SliceAllocation`` the
-    way the pre-kernel per-slice loop did and holds the kernels'
-    ``SlotReport`` to the result.
+    ``tests/scalar_oracle.py`` is the per-slice scalar model of a slot
+    that ``repro.sim`` carried until the kernels became the only model
+    under ``src/`` (moved verbatim; this class is its only importer).
+    It is driven here from the decoded ``SliceAllocation`` the way the
+    pre-kernel per-slice loop did, over oracle substrates shadowing
+    the network under test, and ``EndToEndNetwork.evaluate_slot`` --
+    the kernels -- is held to the result: link adaptation and the
+    fixed-MCS branch, three to six slices, churn, a degraded fabric,
+    and every third slot each all-zero actions under overload and
+    under zero arrivals (the ``MIN_SHARE`` floor, the overload regime,
+    the thrashing floor, the zero-work branches).
     """
 
     SLOTS = 24
@@ -704,45 +715,55 @@ class TestScalarDomainModelsMatchKernels:
               "edge_latency_ms", "performance.value",
               "performance.satisfaction", "performance.cost",
               "usage", "radio_usage", "workload")
+    #: Fabric conditions applied to ``transport_brownout`` for the whole
+    #: run (its own events only start mid-episode).
+    DEGRADED = dict(capacity_scale=0.4, extra_latency_ms=7.5,
+                    background_load_fraction=0.6)
 
     def _scalar_slot(self, net, actions, rates):
         """One slot's ``SlotReport``s from the scalar models only."""
         from repro.config import usage_from_action
-        from repro.sim.apps import PipelineState, evaluate_app
-        from repro.sim.network import SliceAllocation, SlotReport
+        from repro.sim.network import SlotReport
+        from scalar_oracle import (
+            PipelineState,
+            ScalarSubstrates,
+            SliceAllocation,
+            evaluate_app,
+        )
 
+        sub = ScalarSubstrates(net)
         allocations = {
             name: SliceAllocation.from_action(
-                actions[name], num_paths=net.fabric.num_paths)
+                actions[name], num_paths=sub.fabric.num_paths)
             for name in net.slices}
-        net.fabric.reset_loads()
+        sub.fabric.reset_loads()
         for alloc in allocations.values():
-            net.fabric.reserve(
+            sub.fabric.reserve(
                 alloc.transport_path,
                 alloc.transport_bandwidth
-                * net.fabric.effective_capacity_bps())
+                * sub.fabric.effective_capacity_bps())
         reports = {}
         for name, alloc in allocations.items():
             spec = net.slices[name]
             channel = net.channels[name]
-            ul = net.cell.slice_capacity(
+            ul = sub.cell.slice_capacity(
                 alloc.uplink_bandwidth, alloc.uplink_mcs_offset,
                 alloc.uplink_scheduler, channel, uplink=True)
-            dl = net.cell.slice_capacity(
+            dl = sub.cell.slice_capacity(
                 alloc.downlink_bandwidth, alloc.downlink_mcs_offset,
                 alloc.downlink_scheduler, channel, uplink=False)
             offered_bps = rates[name] * (spec.uplink_payload_bits
                                          + spec.downlink_payload_bits)
-            transport = net.fabric.evaluate(
+            transport = sub.fabric.evaluate(
                 alloc.transport_path, alloc.transport_bandwidth,
                 offered_bps)
-            net.core.set_slice_resources(
+            sub.core.set_slice_resources(
                 name, alloc.cpu_allocation,
                 alloc.ram_allocation * net.cfg.edge.total_ram_gb)
-            core = net.core.evaluate(name, offered_bps)
-            net.edge.set_resources(name, alloc.cpu_allocation,
+            core = sub.core.evaluate(name, offered_bps)
+            sub.edge.set_resources(name, alloc.cpu_allocation,
                                    alloc.ram_allocation)
-            edge = net.edge.evaluate(name,
+            edge = sub.edge.evaluate(name,
                                      rates[name] * spec.compute_units)
             performance = evaluate_app(spec, PipelineState(
                 arrival_rate=rates[name],
@@ -774,27 +795,54 @@ class TestScalarDomainModelsMatchKernels:
         return reports
 
     def test_slot_reports_match_scalar_models(self):
+        self._hold_kernels_to_oracle("default")
+
+    @pytest.mark.parametrize("scenario", [
+        "lte_fixed_mcs", "six_slices", "slice_churn",
+        "transport_brownout"])
+    def test_other_worlds_match_scalar_models(self, scenario):
+        self._hold_kernels_to_oracle(scenario)
+
+    def _hold_kernels_to_oracle(self, scenario):
         from operator import attrgetter
 
-        sim = _build_sim("default")
+        # a 24-slot day, so the scenario's own events (the churn slice
+        # attaching and leaving, the brownout window) all fire
+        sim = _build_sim(scenario, slots=self.SLOTS)
         sim.reset()
         net = sim.network
         rng = np.random.default_rng(2021)
+        populations = set()
         for slot in range(self.SLOTS):
-            net.step_channels()
+            sim.step({name: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                      for name in sim.slice_names})
+            if scenario == "transport_brownout":
+                net.set_transport_conditions(**self.DEGRADED)
+            populations.add(tuple(net.slices))
+            # slot by slot: a random request at a random load, the
+            # MIN_SHARE floor under 4x overload (the knee's far side,
+            # the RAM-thrashing floor), the floor with nothing offered
+            mode = slot % 3
             actions = {name: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                       if mode == 0 else np.zeros(NUM_ACTIONS)
                        for name in net.slices}
-            rates = {name: float(rng.uniform(0.0,
-                                             spec.max_arrival_rate))
+            rates = {name: (float(rng.uniform(0.0, spec.max_arrival_rate)),
+                            4.0 * spec.max_arrival_rate, 0.0)[mode]
                      for name, spec in net.slices.items()}
             expected = self._scalar_slot(net, actions, rates)
             reports = net.evaluate_slot(actions, rates)
+            assert set(reports) == set(expected) == set(net.slices)
             for name in net.slices:
                 for field in self.FIELDS:
                     read = attrgetter(field)
-                    np.testing.assert_allclose(
-                        read(reports[name]), read(expected[name]),
-                        rtol=self.RTOL, atol=0.0,
-                        err_msg=f"slot {slot} slice {name!r} "
-                                f"{field}: kernels drifted from the "
-                                f"scalar domain model")
+                    got, want = read(reports[name]), read(expected[name])
+                    where = (f"{scenario} slot {slot} slice {name!r} "
+                             f"{field}: kernels drifted from the "
+                             f"scalar oracle")
+                    if np.isfinite(want):
+                        np.testing.assert_allclose(
+                            got, want, rtol=self.RTOL, atol=0.0,
+                            err_msg=where)
+                    else:
+                        assert got == want, where
+        assert len(populations) == (2 if scenario == "slice_churn" else 1)

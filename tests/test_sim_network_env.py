@@ -9,45 +9,70 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_probe import kernel_slot, make_action, make_network
 from repro.config import (
     ExperimentConfig,
     NUM_ACTIONS,
     TrafficConfig,
+    TransportConfig,
     default_slice_specs,
+    mar_slice_spec,
     usage_from_action,
 )
 from repro import scenarios
 from repro.sim.env import STATE_DIM, ScenarioSimulator
-from repro.sim.network import (
-    CONSTRAINED_RESOURCES,
-    EndToEndNetwork,
-    SliceAllocation,
-)
+from repro.sim.network import EndToEndNetwork
+
+
+def _decoded(action, margin_db=0.0):
+    """Kernel outputs of a lone MAR slice at ``action``: what the
+    decode stage made of it shows in what each stage then computed."""
+    net = make_network([mar_slice_spec()])
+    return kernel_slot(net, {"MAR": np.asarray(action, dtype=float)},
+                       {"MAR": 1.0}, margin_db=margin_db)["MAR"]
 
 
 class TestSliceAllocation:
+    """The kernels' decode stage (action -> allocation)."""
+
+    #: The consumable shares: U_u, U_d, U_b, U_c, U_r.
+    CONSUMABLE = [0, 3, 6, 8, 9]
+
     def test_decodes_discrete_dims(self):
         action = np.array([0.5, 1.0, 0.0, 0.5, 0.45, 0.99,
                            0.5, 0.99, 0.5, 0.5])
-        alloc = SliceAllocation.from_action(action)
-        assert alloc.uplink_mcs_offset == 10
-        assert alloc.downlink_mcs_offset == 4  # round(0.45*10)
-        assert alloc.transport_path == 2
+        out = _decoded(action)
+        assert out["ul_retx"] == pytest.approx(0.12 * 0.40 ** 10)
+        assert out["dl_retx"] == pytest.approx(
+            0.015 * 0.63 ** 4)                  # round(0.45*10)
+        transport = TransportConfig()           # path 2: 4 hops,
+        assert out["transport_latency_ms"] == pytest.approx(
+            (4 + 0.5 / (1 - 0.5)) * transport.hop_latency_ms)
 
     def test_floors_consumable_shares(self):
-        alloc = SliceAllocation.from_action(np.zeros(NUM_ACTIONS))
-        assert alloc.uplink_bandwidth == SliceAllocation.MIN_SHARE
-        assert alloc.transport_bandwidth == SliceAllocation.MIN_SHARE
-        assert alloc.cpu_allocation == SliceAllocation.MIN_SHARE
+        floored = np.zeros(NUM_ACTIONS)
+        floored[self.CONSUMABLE] = 0.01         # the minimum commitment
+        zeros, floor = _decoded(np.zeros(NUM_ACTIONS)), _decoded(floored)
+        for key in ("ul_capacity_bps", "dl_capacity_bps",
+                    "transport_rate_bps", "transport_latency_ms",
+                    "core_latency_ms", "edge_latency_ms", "value",
+                    "radio_usage"):
+            assert zeros[key] == floor[key], key
+        assert zeros["transport_rate_bps"] == pytest.approx(
+            0.01 * TransportConfig().link_capacity_bps)
+        assert zeros["radio_usage"] == pytest.approx(0.01)
+        assert zeros["usage"] == 0.0            # Eq. 9 is on the request
 
-    def test_rejects_wrong_shape(self):
+    def test_rejects_wrong_shape(self, rng):
+        net = EndToEndNetwork(slices=default_slice_specs()[:1], rng=rng)
         with pytest.raises(ValueError):
-            SliceAllocation.from_action(np.zeros(4))
+            net.evaluate_slot({"MAR": np.zeros(4)}, {"MAR": 1.0})
 
     def test_clips_out_of_box(self):
-        action = np.full(NUM_ACTIONS, 2.0)
-        alloc = SliceAllocation.from_action(action)
-        assert alloc.uplink_bandwidth == 1.0
+        wild, full = (_decoded(np.full(NUM_ACTIONS, v))
+                      for v in (2.0, 1.0))
+        del wild["usage"], full["usage"]        # Eq. 9: raw request
+        assert wild == full
 
 
 class TestEndToEndNetwork:
@@ -74,14 +99,25 @@ class TestEndToEndNetwork:
             net.evaluate_slot({"MAR": np.full(NUM_ACTIONS, 0.5)},
                               {"MAR": 1.0})
 
-    def test_over_request_accounting(self):
-        actions = {
-            "a": np.full(NUM_ACTIONS, 0.7),
-            "b": np.full(NUM_ACTIONS, 0.6),
-        }
-        over = EndToEndNetwork.over_request(actions)
-        for kind in CONSTRAINED_RESOURCES:
-            assert over[kind] == pytest.approx(0.3)
+    def test_remove_slice_deprovisions_subscribers(self, rng):
+        """Churn leaks nothing: five add / remove rounds of one
+        background slice leave the HSS, the sessions and the
+        containers where they started."""
+        net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
+
+        def census():
+            return (len(net.core.hss),
+                    sum(len(net.core.sessions_of(n))
+                        for n in net.slice_names),
+                    len(net.core.runtime))
+
+        before = census()
+        assert before[:2] == (9, 9)
+        for _ in range(5):
+            net.add_slice(mar_slice_spec("background"))
+            assert census() > before
+            net.remove_slice("background")
+        assert census() == before
 
     def test_generous_beats_starved(self, rng):
         net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
@@ -239,12 +275,39 @@ def test_step_results_equal_the_parents_own_stepper(name):
         PARENT_STEP_DIGESTS[name]
 
 
+def test_churn_world_keeps_one_subscriber_per_ue():
+    """Two episodes of ``slice_churn`` (slices added and removed
+    mid-episode) end with exactly the attached UEs provisioned."""
+    spec = scenarios.get("slice_churn")
+    cfg = spec.build_config()
+    sim = spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
+    for _ in range(2):
+        sim.reset()
+        while not sim.done:
+            sim.step({n: np.full(NUM_ACTIONS, 0.3)
+                      for n in sim.slice_names})
+        net = sim.network
+        assert len(net.core.hss) == \
+            net.cfg.users_per_slice * len(net.slices)
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                 min_size=NUM_ACTIONS, max_size=NUM_ACTIONS))
 @settings(max_examples=20, deadline=None)
 def test_allocation_decode_total_property(values):
-    """Decoded allocations stay inside physical bounds (property)."""
-    alloc = SliceAllocation.from_action(np.array(values))
-    assert 0.0 < alloc.uplink_bandwidth <= 1.0
-    assert 0 <= alloc.uplink_mcs_offset <= 10
-    assert 0 <= alloc.transport_path <= 2
+    """Decoded allocations stay inside physical bounds (property):
+    at least one PRB and at most the cell, a retransmission
+    probability of a valid offset, one of the three reserved paths."""
+    out = _decoded(values)
+    one_prb = _decoded(make_action(      # offset 10, round robin
+        uplink_bandwidth=0.0, uplink_mcs_offset=1.0))
+    cell = _decoded(make_action(         # no offset, Max-CQI
+        uplink_bandwidth=1.0, uplink_scheduler=1.0))
+    assert one_prb["ul_capacity_bps"] <= out["ul_capacity_bps"] \
+        <= cell["ul_capacity_bps"]
+    assert 0.12 * 0.40 ** 10 <= out["ul_retx"] * (1 + 1e-12)
+    assert out["ul_retx"] <= 0.12 * (1 + 1e-12)
+    transport = TransportConfig()
+    assert 2 * transport.hop_latency_ms <= out["transport_latency_ms"]
+    assert out["transport_latency_ms"] <= \
+        (4 + 0.99 / 0.01) * transport.hop_latency_ms

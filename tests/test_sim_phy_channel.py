@@ -1,11 +1,15 @@
-"""Unit tests: PHY tables, MCS offsets, BLER model, channel process."""
+"""Unit tests: PHY tables and the channel process; the MCS-offset /
+BLER model's properties, read off the kernels' radio stage."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MAX_MCS_OFFSET
+from kernel_probe import probe
+from repro.config import MAX_MCS_OFFSET, lte_ran_config, mar_slice_spec
 from repro.sim.channel import ChannelProcess
 from repro.sim.phy import (
     CQI_TABLE,
@@ -60,62 +64,76 @@ class TestTables:
 
 
 class TestPhyModel:
+    """The link-level model, read off the radio stage at a chosen CQI
+    and channel margin (``kernel_probe``): per-user goodput efficiency
+    is ``eff(mcs) * (1 - p) / (1 + p)`` and a slice of identical users
+    under round robin has exactly that efficiency."""
+
+    SHARE = 0.5
+
+    @classmethod
+    def _link(cls, cqi, offset, margin_db=0.0, ran=None):
+        """``(raw, goodput)`` downlink spectral efficiency (bit/s/Hz)
+        and the ``(ul, dl)`` retransmission probabilities."""
+        ran = ran or lte_ran_config()
+        out = probe(mar_slice_spec(), cqi=cqi, margin_db=margin_db,
+                    net_cfg=dict(ran=ran),
+                    downlink_bandwidth=cls.SHARE,
+                    uplink_mcs_offset=offset / MAX_MCS_OFFSET,
+                    downlink_mcs_offset=offset / MAX_MCS_OFFSET)
+        goodput = out["dl_capacity_bps"] / (
+            round(cls.SHARE * ran.num_prbs) * ran.prb_bandwidth_hz
+            * ran.downlink_fraction * (1.0 - ran.overhead))
+        retx = out["dl_retx"]
+        raw = goodput * (1.0 + retx) / (1.0 - retx)
+        return raw, goodput, (out["ul_retx"], retx)
+
     def test_offset_lowers_mcs(self):
-        phy = PhyModel()
-        assert phy.effective_mcs(15, 4) == cqi_to_mcs(15) - 4
+        raw, _, _ = self._link(cqi=15, offset=4)
+        assert raw == pytest.approx(
+            mcs_spectral_efficiency(cqi_to_mcs(15) - 4))
 
     def test_offset_clamps_at_zero(self):
-        phy = PhyModel()
-        assert phy.effective_mcs(1, MAX_MCS_OFFSET) == 0
+        raw, _, _ = self._link(cqi=1, offset=MAX_MCS_OFFSET)
+        assert raw == pytest.approx(mcs_spectral_efficiency(0))
 
     def test_fixed_mcs_bypasses_cqi(self):
-        phy = PhyModel()
-        assert phy.effective_mcs(15, 0, fixed_mcs=9) == 9
+        pinned = dataclasses.replace(lte_ran_config(), fixed_mcs=9)
+        for cqi in (3, 15):
+            raw, _, _ = self._link(cqi=cqi, offset=0, ran=pinned)
+            assert raw == pytest.approx(mcs_spectral_efficiency(9))
 
     def test_invalid_offset(self):
-        phy = PhyModel()
-        with pytest.raises(ValueError):
-            phy.effective_mcs(10, MAX_MCS_OFFSET + 1)
+        """No offset outside 0..10 reaches the radio stage: the decode
+        clips the action, so 11/10 is offset 10 and -1/10 offset 0."""
+        assert self._link(10, MAX_MCS_OFFSET + 1) == \
+            self._link(10, MAX_MCS_OFFSET)
+        assert self._link(10, -1) == self._link(10, 0)
 
     def test_retransmission_decays_with_offset(self):
-        phy = PhyModel()
-        for uplink in (True, False):
-            probs = [phy.retransmission_probability(o, uplink)
-                     for o in range(MAX_MCS_OFFSET + 1)]
+        curves = [self._link(10, o)[2]
+                  for o in range(MAX_MCS_OFFSET + 1)]
+        for probs in zip(*curves):              # uplink, downlink
             assert all(b < a for a, b in zip(probs, probs[1:]))
 
     def test_fig6_endpoints(self):
         """The Fig. 6 anchor points: UL ~1e-1 -> ~1e-5, DL flatter."""
-        phy = PhyModel()
-        assert phy.retransmission_probability(0, True) == \
-            pytest.approx(0.12)
-        assert phy.retransmission_probability(10, True) < 5e-5
-        assert phy.retransmission_probability(0, False) == \
-            pytest.approx(0.015)
-        assert phy.retransmission_probability(10, False) > \
-            phy.retransmission_probability(10, True)
+        ul_0, dl_0 = self._link(10, 0)[2]
+        ul_10, dl_10 = self._link(10, 10)[2]
+        assert ul_0 == pytest.approx(0.12)
+        assert ul_10 < 5e-5
+        assert dl_0 == pytest.approx(0.015)
+        assert dl_10 > ul_10
 
     def test_channel_margin_shifts_curve(self):
-        phy = PhyModel()
-        better = phy.retransmission_probability(
-            0, True, channel_margin_db=6.0)
-        worse = phy.retransmission_probability(
-            0, True, channel_margin_db=-6.0)
-        assert better < phy.retransmission_probability(0, True) < worse
+        better = self._link(10, 0, margin_db=6.0)[2][0]
+        worse = self._link(10, 0, margin_db=-6.0)[2][0]
+        assert better < self._link(10, 0)[2][0] < worse
+        assert better == pytest.approx(0.12 / 10.0)     # a decade / 6 dB
 
     def test_link_quality_goodput_below_raw(self):
-        phy = PhyModel()
-        quality = phy.link_quality(10, 0, uplink=True)
-        assert quality.goodput_efficiency < \
-            quality.spectral_efficiency
-
-    def test_message_failure_harq_rounds(self):
-        phy = PhyModel()
-        one = phy.message_failure_probability(0, True, harq_rounds=1)
-        two = phy.message_failure_probability(0, True, harq_rounds=2)
-        assert two == pytest.approx(one ** 2)
-        with pytest.raises(ValueError):
-            phy.message_failure_probability(0, True, harq_rounds=0)
+        raw, goodput, _ = self._link(cqi=10, offset=0)
+        assert goodput < raw
 
     def test_invalid_constructor(self):
         with pytest.raises(ValueError):
@@ -167,6 +185,9 @@ class TestChannelProcess:
        st.integers(min_value=0, max_value=10))
 @settings(max_examples=50, deadline=None)
 def test_effective_mcs_bounded_property(cqi, offset):
-    phy = PhyModel()
-    mcs = phy.effective_mcs(cqi, offset)
-    assert 0 <= mcs <= cqi_to_mcs(cqi)
+    """The MCS in use is a table entry between MCS 0 and the vanilla
+    MCS of the reported CQI."""
+    raw, _, _ = TestPhyModel._link(cqi, offset)
+    assert any(raw == pytest.approx(eff) for eff in MCS_TABLE)
+    assert mcs_spectral_efficiency(0) <= raw * (1 + 1e-12)
+    assert raw <= mcs_spectral_efficiency(cqi_to_mcs(cqi)) * (1 + 1e-12)

@@ -1,42 +1,35 @@
-"""Unit tests: traffic synthesis, the stepper's Poisson arrivals, app
-models."""
+"""Unit tests: traffic synthesis and the stepper's Poisson arrivals;
+the MAR / HVS / RDC app models' properties, read off the kernels
+(``tests/kernel_probe.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_probe import make_action, make_network, probe
 from repro.config import (
     NUM_ACTIONS,
+    CoreConfig,
     ExperimentConfig,
     TrafficConfig,
+    TransportConfig,
     hvs_slice_spec,
     mar_slice_spec,
     rdc_slice_spec,
-)
-from repro.sim.apps import (
-    PipelineState,
-    evaluate_app,
-    evaluate_hvs,
-    evaluate_mar,
-    evaluate_rdc,
 )
 from repro.scenarios import ConstantTraffic
 from repro.sim.env import ARRIVAL_WINDOW_S, ScenarioSimulator
 from repro.sim.traffic import TelecomItaliaSynthesizer
 
 
-def make_pipe(**overrides) -> PipelineState:
-    """A healthy default pipeline, overridable per test."""
-    defaults = dict(
-        arrival_rate=2.0, ul_capacity_bps=10e6, dl_capacity_bps=15e6,
-        ul_retx_probability=0.01, dl_retx_probability=0.01,
-        ran_base_latency_ms=10.0, transport_rate_bps=50e6,
-        transport_latency_ms=2.0, core_latency_ms=2.0,
-        core_capacity_pps=1e5, edge_latency_ms=50.0,
-        edge_capacity_ups=20.0)
-    defaults.update(overrides)
-    return PipelineState(**defaults)
+def healthy(spec, rate=2.0, **overrides):
+    """Kernel outputs of ``spec`` alone on a healthy pipeline (half of
+    every share, round robin, no MCS offset), overridable per test."""
+    dims = dict(uplink_bandwidth=0.5, downlink_bandwidth=0.5,
+                cpu_allocation=0.5, ram_allocation=0.5)
+    dims.update(overrides)
+    return probe(spec, rate=rate, **dims)
 
 
 class TestTraffic:
@@ -119,96 +112,129 @@ class TestPoisson:
 class TestMAR:
     def test_healthy_pipeline_meets_sla(self):
         spec = mar_slice_spec()
-        perf = evaluate_mar(spec, make_pipe())
-        assert perf.value < spec.sla.target
-        assert perf.cost == 0.0
+        perf = healthy(spec)
+        assert perf["value"] < spec.sla.target
+        assert perf["cost"] == 0.0
 
     def test_starved_uplink_violates(self):
-        spec = mar_slice_spec()
-        perf = evaluate_mar(spec, make_pipe(ul_capacity_bps=1e5))
-        assert perf.cost > 0.5
+        perf = healthy(mar_slice_spec(), uplink_bandwidth=0.01)
+        assert perf["cost"] > 0.5
 
     def test_latency_monotone_in_edge_capacity(self):
         spec = mar_slice_spec()
-        slow = evaluate_mar(spec, make_pipe(edge_latency_ms=400.0))
-        fast = evaluate_mar(spec, make_pipe(edge_latency_ms=10.0))
-        assert slow.value > fast.value
+        slow = healthy(spec, cpu_allocation=0.06)
+        fast = healthy(spec, cpu_allocation=1.0)
+        assert slow["edge_latency_ms"] > fast["edge_latency_ms"]
+        assert slow["value"] - fast["value"] == pytest.approx(
+            slow["edge_latency_ms"] - fast["edge_latency_ms"]
+            + slow["core_latency_ms"] - fast["core_latency_ms"])
 
     def test_transport_bottleneck_applies(self):
+        """Frames go up through ``min(RAN uplink, transport meter)``: a
+        meter far below the radio capacity sets the latency, and a
+        dead one is a total miss."""
         spec = mar_slice_spec()
-        perf = evaluate_mar(spec, make_pipe(transport_rate_bps=0.0))
-        assert perf.cost == 1.0
+        thin = dict(transport=TransportConfig(link_capacity_bps=1e6))
+        perf = healthy(spec, net_cfg=thin, transport_bandwidth=0.05)
+        assert perf["transport_rate_bps"] < perf["ul_capacity_bps"] / 100
+        assert perf["value"] > 1e3 * healthy(spec)["value"]
+        dead = dict(transport=TransportConfig(link_capacity_bps=0.0))
+        with np.errstate(all="ignore"):
+            assert healthy(spec, net_cfg=dead)["cost"] == 1.0
 
 
 class TestHVS:
     def test_full_supply_full_fps(self):
+        """Bandwidth to spare: the target FPS, less the frames that
+        retransmissions skip."""
         spec = hvs_slice_spec()
-        perf = evaluate_hvs(spec, make_pipe(dl_retx_probability=0.0))
-        assert perf.value == pytest.approx(spec.sla.target)
-        assert perf.cost == 0.0
+        perf = healthy(spec, rate=1.0, downlink_bandwidth=1.0,
+                       downlink_mcs_offset=1.0)
+        assert perf["value"] == pytest.approx(
+            spec.sla.target * (1.0 - 0.5 * perf["dl_retx"]))
+        assert perf["value"] == pytest.approx(spec.sla.target, rel=1e-3)
+        assert perf["cost"] < 1e-3
 
     def test_fps_scales_with_bottleneck(self):
         spec = hvs_slice_spec()
         demand = 2.0 * spec.sla.target * spec.downlink_payload_bits
-        perf = evaluate_hvs(spec, make_pipe(
-            dl_capacity_bps=demand / 2, dl_retx_probability=0.0))
-        assert perf.value == pytest.approx(spec.sla.target / 2, rel=0.01)
+        perf = healthy(spec, downlink_bandwidth=0.1)
+        assert perf["dl_capacity_bps"] < demand / 2
+        assert perf["value"] == pytest.approx(
+            spec.sla.target * perf["dl_capacity_bps"] / demand
+            * (1.0 - 0.5 * perf["dl_retx"]))
 
     def test_core_can_bottleneck(self):
         spec = hvs_slice_spec()
-        perf = evaluate_hvs(spec, make_pipe(core_capacity_pps=10.0))
-        assert perf.value < spec.sla.target / 2
+        slow_core = dict(core=CoreConfig(sgwu_capacity_pps=10.0))
+        perf = healthy(spec, net_cfg=slow_core, downlink_bandwidth=1.0)
+        assert perf["value"] < spec.sla.target / 2
 
     def test_retransmissions_shave_fps(self):
+        """With supply to spare either way, backing the MCS off buys
+        frames back."""
         spec = hvs_slice_spec()
-        clean = evaluate_hvs(spec, make_pipe(dl_retx_probability=0.0))
-        dirty = evaluate_hvs(spec, make_pipe(dl_retx_probability=0.1))
-        assert dirty.value < clean.value
+        clean = healthy(spec, rate=0.2, downlink_bandwidth=1.0,
+                        downlink_mcs_offset=1.0)
+        dirty = healthy(spec, rate=0.2, downlink_bandwidth=1.0,
+                        downlink_mcs_offset=0.0)
+        assert dirty["dl_retx"] > clean["dl_retx"]
+        assert dirty["value"] < clean["value"]
 
 
 class TestRDC:
     def test_reliability_improves_with_offset_like_retx(self):
         spec = rdc_slice_spec()
-        risky = evaluate_rdc(spec, make_pipe(
-            ul_retx_probability=0.12, dl_retx_probability=0.015))
-        safe = evaluate_rdc(spec, make_pipe(
-            ul_retx_probability=5e-4, dl_retx_probability=1e-4))
-        assert safe.value > risky.value
-        assert safe.cost < risky.cost
+        risky = healthy(spec, rate=50.0)
+        safe = healthy(spec, rate=50.0, uplink_mcs_offset=0.8,
+                       downlink_mcs_offset=0.8)
+        assert safe["value"] > risky["value"]
+        assert safe["cost"] < risky["cost"]
+        assert risky["value"] == pytest.approx(
+            (1.0 - risky["ul_retx"]) * (1.0 - risky["dl_retx"]))
 
     def test_insufficient_prbs_drop_messages(self):
         spec = rdc_slice_spec()
-        msg_bps = 100.0 * spec.uplink_payload_bits
-        perf = evaluate_rdc(spec, make_pipe(
-            arrival_rate=100.0, ul_capacity_bps=msg_bps / 2))
-        assert perf.value < 0.6
+        one_prb = healthy(spec, rate=0.0,
+                          uplink_bandwidth=0.01)["ul_capacity_bps"]
+        flood = 2.5 * one_prb / spec.uplink_payload_bits
+        perf = healthy(spec, rate=flood, uplink_bandwidth=0.01)
+        assert perf["value"] < 0.6
 
     def test_meets_threshold_at_high_offsets(self):
         spec = rdc_slice_spec()
-        perf = evaluate_rdc(spec, make_pipe(
-            arrival_rate=50.0, ul_retx_probability=5e-4,
-            dl_retx_probability=1e-3))
-        assert perf.cost < spec.sla.cost_threshold
+        perf = healthy(spec, rate=50.0, uplink_mcs_offset=1.0,
+                       downlink_mcs_offset=1.0)
+        assert perf["cost"] < spec.sla.cost_threshold
 
 
 class TestDispatch:
     def test_evaluate_app_routes(self):
-        pipe = make_pipe()
-        assert evaluate_app(mar_slice_spec(), pipe).metric == \
-            "latency_ms"
-        assert evaluate_app(hvs_slice_spec(), pipe).metric == "fps"
-        assert evaluate_app(rdc_slice_spec(), pipe).metric == \
-            "reliability"
+        """Each slice is judged by its own application's metric: the
+        same pipeline is a latency, a frame rate and a probability."""
+        specs = [mar_slice_spec(), hvs_slice_spec(), rdc_slice_spec()]
+        net = make_network(specs)
+        reports = net.evaluate_slot(
+            {spec.name: make_action() for spec in specs},
+            {spec.name: 1.0 for spec in specs})
+        assert [reports[spec.name].performance.metric
+                for spec in specs] == ["latency_ms", "fps", "reliability"]
+        mar, hvs, rdc = (reports[spec.name].performance.value
+                         for spec in specs)
+        assert mar > hvs > 1.0 > rdc > 0.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_cost_always_in_unit_interval(retx_ul, retx_dl):
-    """Eq. 10 guarantees cost in [0, 1] for any pipeline (property)."""
-    pipe = make_pipe(ul_retx_probability=min(retx_ul, 0.99),
-                     dl_retx_probability=min(retx_dl, 0.99))
+    """Eq. 10 guarantees cost in [0, 1] for any pipeline (property):
+    any pair of MCS offsets, on a good and on a terrible channel (the
+    latter clips the retransmission probability at 0.99)."""
     for spec in (mar_slice_spec(), hvs_slice_spec(), rdc_slice_spec()):
-        perf = evaluate_app(spec, pipe)
-        assert 0.0 <= perf.cost <= 1.0
-        assert 0.0 <= perf.satisfaction <= 1.0
+        for margin_db in (0.0, -24.0):
+            perf = healthy(spec, margin_db=margin_db,
+                           uplink_mcs_offset=retx_ul,
+                           downlink_mcs_offset=retx_dl)
+            assert 0.0 <= perf["cost"] <= 1.0
+            assert 0.0 <= perf["satisfaction"] <= 1.0
