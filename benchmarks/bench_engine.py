@@ -23,7 +23,17 @@ committed ``benchmarks/baselines/BENCH_engine.json`` records one such
 run; wall-time changes are judged by ``benchmarks/e2e/run.py
 compare`` on the ``engine_fuzz`` workload, not against that file.
 
-A second test holds the observability layer to its own claim: span
+The corpus test drives what the uniform fleets above never do: a
+24-world fuzz corpus with slice churn, transport faults and ragged
+horizons, two episodes in one batch, where worlds retire one by one
+and churn rebuilds row layouts mid-episode.  It records world-slots/s
+and the engine's rebuild counters
+(:attr:`~repro.engine.batch.BatchSimulator.counters`: one full bundle
+build and one whole-fleet channel adoption, the rest splices and
+single-bank re-adoptions) in ``extra_info`` -- ungated, like the
+throughputs above.
+
+A last test holds the observability layer to its own claim: span
 tracing at the default sampling interval must cost the vector engine
 no more than :data:`MAX_TRACING_OVERHEAD` of its world-slot
 throughput.  Wall-clock jitter on shared runners easily exceeds the
@@ -46,14 +56,23 @@ import numpy as np
 from conftest import run_once
 
 from repro.config import NUM_ACTIONS
-from repro.engine import ConstantBatchPolicy
-from repro.experiments.harness import make_simulators, run_episodes
+from repro.engine import BatchSimulator, ConstantBatchPolicy
+from repro.experiments.harness import (
+    episode_totals,
+    lockstep,
+    make_simulators,
+    run_episodes,
+)
 from repro.obs.trace import configure as configure_tracing, \
     disable as disable_tracing
+from repro.scenarios import FuzzSpace, generate_corpus
 from repro.scenarios import get as get_scenario
 
 BATCH = 32
 SLOTS = 24 if os.environ.get("REPRO_BENCH_QUICK") else 96
+#: The churn / ragged-horizon case: worlds of one fuzz corpus.
+CORPUS_WORLDS = 24
+CORPUS_SPACE = FuzzSpace(min_slots=SLOTS // 2, max_slots=SLOTS)
 #: The arena case runs at the ROADMAP's target batch.
 ARENA_BATCH = 128
 
@@ -189,6 +208,41 @@ def test_engine_arena_b128(benchmark):
     print(f"  steady-state kernel allocations/slot: {allocs:g}")
     assert allocs == 0.0, \
         "arena path allocated heap arrays in steady state"
+
+
+def _drive_corpus():
+    sims = [spec.build_simulator() for spec in generate_corpus(
+        7, CORPUS_WORLDS, CORPUS_SPACE)]
+    batch = BatchSimulator(sims)
+    policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
+    start = time.perf_counter()
+    totals = episode_totals(lockstep(batch, policy, episodes=2),
+                            len(sims))
+    elapsed = time.perf_counter() - start
+    return {"elapsed_s": elapsed, "totals": totals,
+            "world_slots": 2 * sum(sim.horizon for sim in sims),
+            "counters": dict(batch.counters)}
+
+
+def test_engine_fuzz_corpus(benchmark):
+    """Churn and ragged horizons: throughput and rebuild counters."""
+    _drive_corpus()                                        # warm-up
+    run = run_once(benchmark, _drive_corpus)
+    assert all(len(world) == 2 for world in run["totals"])
+
+    rate = run["world_slots"] / run["elapsed_s"]
+    benchmark.extra_info["engine_batch"] = CORPUS_WORLDS
+    benchmark.extra_info["corpus_min_slots"] = CORPUS_SPACE.min_slots
+    benchmark.extra_info["corpus_max_slots"] = CORPUS_SPACE.max_slots
+    benchmark.extra_info["corpus_world_slots_per_sec"] = rate
+    benchmark.extra_info.update(
+        {f"counter_{name}": value
+         for name, value in run["counters"].items()})
+    print(f"\nFuzz corpus, {CORPUS_WORLDS} worlds x 2 episodes "
+          f"({CORPUS_SPACE.min_slots}-{CORPUS_SPACE.max_slots} slots):")
+    print(f"  {rate:12,.0f} world-slots/s")
+    print("  " + ", ".join(f"{name} {value}" for name, value
+                           in sorted(run["counters"].items())))
 
 
 def test_engine_tracing_overhead(benchmark):

@@ -8,10 +8,39 @@ event timelines -- through one evaluation of the vectorised kernels of
 the only implementation of the paper's slot sequence (events ->
 channels -> Poisson arrivals -> kernels -> Eq. 9 usage / Eq. 10 cost
 -> next state); ``ScenarioSimulator.step`` is its ``B = 1`` case.
-Each world's episode state (slot, traces, and the struct-of-arrays
-:class:`~repro.sim.env.WorldLayout`) lives on its simulator, so the
-engine keeps only staging buffers and a world may be stepped alone
-and inside a shared batch interchangeably.
+Each world's episode state (slot, traces, generator and the
+struct-of-arrays :class:`~repro.sim.env.WorldLayout`) lives on its
+simulator, so a world may be stepped alone and inside a shared batch
+interchangeably.
+
+A slot costs a constant number of array operations whatever B is.
+Per world the stepper only checks that it may step, draws its
+innovations and arrivals from its own generator and advances its slot
+counter; everything else is whole-batch:
+
+* what is constant for a row layout -- concatenated kernel rows,
+  managed-row index, offsets, per-row constants, name lists, buffers
+  -- is a :class:`_Bundle`, keyed on the stepping worlds and their
+  :attr:`SliceRows.uid` and *spliced* (kept runs of worlds + the
+  worlds that changed) when churn, a retirement or a sit-out changes
+  the key;
+* channels of a multi-world batch live in one
+  :class:`~repro.sim.channel.FleetChannelBank` block advanced by one
+  fused AR(1) update over the stepped worlds' rows; only a world whose
+  bank changed (``network.churn_count`` moved, so its layout was
+  rebuilt) is re-adopted, and a bank that does not fit dissolves the
+  block until a later key change finds the banks uniform again;
+* cumulative episode costs are one stacked vector the worlds' layouts
+  view (re-homed when a layout is new or another engine stepped the
+  world), updated with one add;
+* ``apply_events`` runs on a world's event slots only (the start and
+  end slots of its timeline, ``ScenarioSimulator.event_slots``).
+
+Every stepping world and every action is validated -- against the
+worlds' managed slice names; layouts are built after the event pass --
+before the first of these mutates anything, so a rejected step can
+simply be retried.
+:attr:`BatchSimulator.counters` counts the rebuilds.
 
 Determinism contract
 --------------------
@@ -36,6 +65,7 @@ the stepper executed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,6 +79,7 @@ from repro.engine.kernels import (
     evaluate_rows,
 )
 from repro.obs.trace import trace
+from repro.sim.channel import FleetChannelBank
 from repro.sim.env import (
     ARRIVAL_WINDOW_S,
     STATE_DIM,
@@ -92,6 +123,84 @@ class BatchStepResult:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
+class _Bundle:
+    """Everything that is constant for one row layout of the stepping
+    worlds: built (or spliced from its predecessor) when the worlds or
+    one of their :attr:`SliceRows.uid` change, and read-only between.
+
+    The stacked inputs are joined piece by piece -- the kernel row
+    constants, the managed-row mask, the action matrix (a background
+    churn slice's row holds its event's fixed allocation; managed
+    rows are overwritten every slot), the horizons, the managed-name
+    lists and the fabrics -- and everything else the slot needs (index
+    vectors, per-managed-row constants, buffers sized for the layout)
+    is derived from them with a constant number of array operations.
+    """
+
+    def __init__(self, worlds: List[int], uids: List[int],
+                 rows: SliceRows, mask: np.ndarray, matrix: np.ndarray,
+                 horizons: np.ndarray, names: List[List[str]],
+                 fabrics: list) -> None:
+        self.worlds = worlds
+        self.uids = uids
+        self.rows = rows
+        self.mask = mask
+        self.matrix = matrix
+        self.horizons = horizons
+        self.names = names
+        self.fabrics = fabrics
+        count = len(worlds)
+        #: first row of each world (all rows, managed or not)
+        self.row_starts = np.searchsorted(rows.world,
+                                          np.arange(count + 1))
+        #: managed rows, their world (bundle position) and offsets
+        self.managed = np.flatnonzero(mask)
+        self.world_of = rows.world[self.managed]
+        self.offsets = np.searchsorted(self.world_of,
+                                       np.arange(count + 1))
+        self.max_arrival = rows.max_arrival[self.managed]
+        self.cost_threshold = rows.cost_threshold[self.managed]
+        self.horizon_cost = (horizons[self.world_of]
+                             * self.cost_threshold)
+        self.counts = np.empty(rows.num_rows, dtype=np.int64)
+        self.rates = np.empty(rows.num_rows)
+        self.cond = WorldConditions.nominal(count)
+        #: where the worlds' managed rows / channel rows sit in the
+        #: engine's stacked cumulative cost / the fleet channel block
+        #: (set by the engine, which owns both)
+        self.cum_rows: Union[slice, np.ndarray] = slice(None)
+        self.channel_rows: Optional[np.ndarray] = None
+
+    def pieces(self, worlds: List[int], uids: List[int],
+               states: List[WorldLayout]) -> list:
+        """How to make the bundle of ``worlds`` from this one: runs
+        ``(lo, hi)`` of this bundle's worlds that carry over as they
+        are, and the :class:`WorldLayout` of every world that is new
+        or whose rows changed, in output order."""
+        position = {b: i for i, b in enumerate(self.worlds)}
+        pieces: list = []
+        for b, uid, state in zip(worlds, uids, states):
+            i = position.get(b)
+            if i is None or self.uids[i] != uid:
+                pieces.append(state)
+            elif (pieces and isinstance(pieces[-1], tuple)
+                    and pieces[-1][1] == i):
+                pieces[-1] = (pieces[-1][0], i + 1)
+            else:
+                pieces.append((i, i + 1))
+        return pieces
+
+
+def _ranges(starts: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``starts[m]:starts[m + 1]`` for every ``m`` of ``members``, end
+    to end, as one index vector."""
+    first = starts[members]
+    sizes = starts[members + 1] - first
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(first - (ends - sizes),
+                                           sizes)
+
+
 class BatchSimulator:
     """Vectorised lockstep stepper over B simulator worlds."""
 
@@ -105,17 +214,17 @@ class BatchSimulator:
         self.sims: List[ScenarioSimulator] = list(simulators)
         self.engine = engine
         self._arena = KernelArena()
-        # Fleet-stacked channel state (all worlds, one AR(1) update
-        # per slot); rebuilt whenever any world's bank changes.
-        self._fleet = None
-        self._fleet_key: object = None
-        self._bundle_key = None
-        self._bundle: Optional[SliceRows] = None
-        # Reused per-step staging buffers (rebuilt on layout changes).
-        self._cond: Optional[WorldConditions] = None
-        self._matrix: Optional[np.ndarray] = None
-        self._finite: Optional[np.ndarray] = None
-        self._rates: Optional[np.ndarray] = None
+        self._bundle: Optional[_Bundle] = None
+        self._counters = dict.fromkeys(
+            ("bundle_builds", "bundle_splices", "fleet_adoptions",
+             "bank_readoptions", "event_slots"), 0)
+        self._fleet: Optional[FleetChannelBank] = None
+        self._adopt_fleet()
+        # Every world's managed cumulative episode cost, stacked at
+        # fixed positions; a stepped world's ``WorldLayout.cum_cost``
+        # is re-homed as a view of its segment.
+        self._restack()
+        # Padded channel gather buffers of the per-network path.
         self._cqi: Optional[np.ndarray] = None
         self._margin: Optional[np.ndarray] = None
 
@@ -128,6 +237,18 @@ class BatchSimulator:
     @property
     def dones(self) -> List[bool]:
         return [sim.done for sim in self.sims]
+
+    @property
+    def counters(self) -> Mapping[str, int]:
+        """What this engine rebuilt so far (a read-only snapshot):
+        kernel-arena rebuilds, full bundle builds and bundle splices,
+        whole-fleet channel adoptions and single-bank re-adoptions,
+        and the world-slots on which an event boundary was handled.
+        Slice churn, worlds joining or leaving the stepped set and
+        resets that detach churn slices are the only things that move
+        any of them after the first step."""
+        return MappingProxyType(dict(
+            self._counters, arena_rebuilds=self._arena.rebuilds))
 
     def slice_names(self, world: int) -> List[str]:
         return list(self.sims[world].slice_names)
@@ -163,7 +284,14 @@ class BatchSimulator:
         ``rates`` the realised arrivals/s, both over *every* row of
         the stepped worlds (background churn slices included) and
         owned by this engine until its next step -- what a caller
-        building per-slice reports at the edge reads."""
+        building per-slice reports at the edge reads.
+
+        A step that is rejected (a world never reset or past its
+        horizon, an action of the wrong shape, for an unknown slice
+        or not finite) raises before anything changed: no event
+        fired, no generator advanced, and the same worlds can be
+        stepped again with valid actions.
+        """
         if len(actions) != self.num_worlds:
             raise ValueError(
                 f"need one action set per world ({self.num_worlds}), "
@@ -173,139 +301,261 @@ class BatchSimulator:
             raise ValueError("no world to step (all actions None)")
 
         with trace("engine.step"):
-            # 1. events + churn (may consume world RNG; may change
-            #    layout)
+            staged = self._stage(stepping, actions)
+
+            # 1. events + churn, on the worlds at an event boundary
+            #    (may consume world RNG; may change layout)
             with trace("engine.events"):
                 states: List[WorldLayout] = []
                 for b in stepping:
                     sim = self.sims[b]
-                    if not sim._traces:
-                        raise RuntimeError(
-                            f"world {b} was never reset; call reset() "
-                            "or reset_world() first")
-                    if sim.done:
-                        raise RuntimeError(
-                            f"world {b}: episode finished; call "
-                            "reset() or reset_world()")
-                    sim.apply_events()
+                    if sim._slot in sim.event_slots:
+                        sim.apply_events()
+                        self._counters["event_slots"] += 1
                     states.append(sim.layout())
+                bundle = self._sync(stepping, states)
 
-            # 2. channels (one standard-normal block per world; the
-            #    fleet bank fuses all worlds' AR(1) updates into one)
+            # 2. channels (one standard-normal block per world, one
+            #    fused AR(1) update over all of them)
             with trace("engine.channels"):
-                fleet = self._fleet_bank()
-                if fleet is not None:
-                    fleet.step_worlds(stepping)
+                if self._fleet is not None:
+                    cqi, margin = self._fleet.step_worlds(
+                        stepping, bundle.channel_rows)
                 else:
-                    for b in stepping:
-                        self.sims[b].network.step_channels()
+                    for state in states:
+                        state.sim.network.step_channels()
+                    cqi, margin = self._gather_channels(states)
 
-            # 3. realised arrivals (one Poisson array draw per world)
+            # 3. realised arrivals (one Poisson array draw per world);
+            #    the world's generator is done for the slot, so the
+            #    slot counter advances here too
             with trace("engine.arrivals"):
-                total = sum(len(state.names) for state in states)
-                if self._rates is None \
-                        or self._rates.shape[0] != total:
-                    self._rates = np.empty(total)
-                rates = self._rates
-                row = 0
+                counts, slots, dones = [], [], []
                 for state in states:
                     sim = state.sim
-                    counts = sim._rng.poisson(
-                        state.lam_table[:, sim._slot])
-                    hi = row + len(state.names)
-                    np.divide(counts, ARRIVAL_WINDOW_S,
-                              out=rates[row:hi])
-                    row = hi
+                    slot = sim._slot
+                    counts.append(sim._rng.poisson(
+                        state.lam_rows[slot]))
+                    sim._slot = slot = slot + 1
+                    slots.append(slot)
+                    dones.append(slot >= sim.horizon)
+                rates = bundle.rates
+                np.concatenate(counts, out=bundle.counts)
+                np.divide(bundle.counts, ARRIVAL_WINDOW_S, out=rates)
 
             # 4. one kernel evaluation over every row of every world
             with trace("engine.kernel"):
-                bundle = self._bundle_for(stepping, states)
-                if self._matrix is None \
-                        or self._matrix.shape[0] != total:
-                    self._matrix = np.empty((total, NUM_ACTIONS))
-                    self._finite = np.empty((total, NUM_ACTIONS),
-                                            dtype=bool)
-                matrix = self._matrix
-                row = 0
-                for b, state in zip(stepping, states):
-                    hi = row + len(state.names)
-                    state.stage_actions(actions[b], matrix[row:hi])
-                    row = hi
-                # Out-of-range finite actions are the decode kernel's
-                # to clip; NaN / inf would reach its integer decodes.
-                if not np.isfinite(matrix, out=self._finite).all():
-                    bad = int(np.argmin(self._finite.all(axis=1)))
-                    raise ValueError(
-                        f"world {stepping[bundle.world[bad]]}: "
-                        f"non-finite action for slice "
-                        f"{bundle.names[bad]!r}: {matrix[bad]}")
-                cqi, margin = self._gather_channels(states)
-                fabrics = [state.sim.network.fabric
-                           for state in states]
-                if self._cond is None \
-                        or self._cond.capacity_scale.shape[0] \
-                        != len(fabrics):
-                    self._cond = WorldConditions.nominal(len(fabrics))
-                cond = self._cond.refresh(fabrics)
-                out = evaluate_rows(bundle, cond, matrix, rates, cqi,
-                                    margin, arena=self._arena)
+                matrix = bundle.matrix
+                matrix[bundle.managed] = staged
+                out = evaluate_rows(
+                    bundle.rows, bundle.cond.refresh(bundle.fabrics),
+                    matrix, rates, cqi, margin, arena=self._arena)
 
-            # 5. state write-back + stacked managed-row results
+            # 5. stacked managed-row results + cumulative cost
             with trace("engine.commit"):
-                return self._commit(stepping, states, out,
+                return self._commit(bundle, slots, dones, out,
                                     rates), out, rates
 
-    def _bundle_for(self, stepping: List[int],
-                    states: List[WorldLayout]) -> SliceRows:
-        # rows.uid keys the cache: churn swaps a world's rows object,
-        # and a uid (unlike id()) is never reused after one is freed.
-        key = tuple((b, state.rows.uid)
-                    for b, state in zip(stepping, states))
-        if key != self._bundle_key:
-            self._bundle = concat_rows([state.rows for state in states])
-            self._bundle_key = key
-        return self._bundle
+    def _stage(self, stepping: List[int],
+               actions: Sequence[WorldActions]) -> np.ndarray:
+        """Check every stepping world and every action before the
+        first mutation (against the worlds' managed slice names: the
+        layouts are built after the event pass, once); returns the
+        managed rows' actions stacked world-major,
+        ``(M, NUM_ACTIONS)``."""
+        names: List[List[str]] = []
+        parts: List[np.ndarray] = []
+        for b in stepping:
+            sim = self.sims[b]
+            if not sim._traces:
+                raise RuntimeError(
+                    f"world {b} was never reset; call reset() "
+                    "or reset_world() first")
+            if sim.done:
+                raise RuntimeError(
+                    f"world {b}: episode finished; call "
+                    "reset() or reset_world()")
+            managed = sim._managed_names()
+            episode = sim._layout       # None before the first step
+            if episode is not None \
+                    and episode.churn_count != sim.network.churn_count \
+                    and episode.managed_names != managed:
+                raise ValueError(
+                    f"world {b}: the managed slices changed "
+                    f"mid-episode ({episode.managed_names} -> "
+                    f"{managed}), which its cumulative costs cannot "
+                    "follow; reset the world first")
+            given = actions[b]
+            if isinstance(given, np.ndarray):
+                if given.shape != (len(managed), NUM_ACTIONS):
+                    raise ValueError(
+                        f"world {b}: actions must have shape "
+                        f"{(len(managed), NUM_ACTIONS)}, got "
+                        f"{given.shape}")
+                parts.append(given)
+            else:
+                for name in managed:
+                    row = np.asarray(given[name], dtype=float)
+                    if row.shape != (NUM_ACTIONS,):
+                        raise ValueError(
+                            f"world {b}: action for slice {name!r} "
+                            f"must have shape ({NUM_ACTIONS},), got "
+                            f"{row.shape}")
+                    parts.append(row[None])
+            names.append(managed)
+        staged = np.concatenate(parts, dtype=float)
+        # Out-of-range finite actions are the decode kernel's to
+        # clip; NaN / inf would reach its integer decodes.
+        finite = np.isfinite(staged)
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=1)))
+            row = bad
+            for b, managed in zip(stepping, names):
+                if row < len(managed):
+                    raise ValueError(
+                        f"world {b}: non-finite action for slice "
+                        f"{managed[row]!r}: {staged[bad]}")
+                row -= len(managed)
+        return staged
 
-    def _fleet_bank(self):
-        """The all-worlds stacked channel bank (or ``None``).
+    # ---- what is cached per layout ----------------------------------
 
-        Keyed on the per-world bank identities, so slice churn or a
-        non-bankable world anywhere in the fleet drops straight back
-        to the per-network path.  One world needs none: its own bank
-        is already one contiguous block, and leaving its storage where
-        it is keeps the world steppable by any other engine holding
-        it.
-        """
+    def _adopt_fleet(self) -> None:
+        """Stack every world's channel bank into one
+        :class:`FleetChannelBank` (all worlds, one AR(1) update per
+        slot).  One world needs none -- its own bank is already one
+        contiguous block -- and a fleet whose banks are not uniform
+        gets none (``adopt`` returns ``None``): both step their
+        networks' own banks."""
         if len(self.sims) == 1:
-            return None
-        from repro.sim.channel import FleetChannelBank
+            return
+        self._fleet = FleetChannelBank.adopt(
+            [sim.network.channel_bank() for sim in self.sims],
+            [sim.network._rng for sim in self.sims])
+        self._counters["fleet_adoptions"] += self._fleet is not None
 
-        banks = [sim.network.channel_bank() for sim in self.sims]
-        key = tuple(id(bank) for bank in banks)
-        if key != self._fleet_key:
-            self._fleet = FleetChannelBank.adopt(
-                banks, [sim.network._rng for sim in self.sims])
-            self._fleet_key = key
-        return self._fleet
+    def _restack(self) -> None:
+        """(Re)lay out the stacked cumulative cost from the worlds'
+        current managed slice counts.  Layouts homed in the previous
+        vector keep reading it and are re-homed on their next step."""
+        self._cum_starts = np.concatenate(
+            [[0], np.cumsum([len(sim._managed_names())
+                             for sim in self.sims])])
+        self._cum = np.zeros(int(self._cum_starts[-1]))
+        self._bundle = None
+
+    def _sync(self, stepping: List[int],
+              states: List[WorldLayout]) -> _Bundle:
+        """Bring what this engine caches in line with the stepping
+        worlds' layouts, touching only what moved: re-home a cumulative
+        cost vector that lives elsewhere (fresh episode, another
+        engine stepped the world), re-adopt a channel bank the fleet
+        block does not hold (churn), splice the bundle when the worlds
+        or their row layouts changed.
+
+        A bank that does not fit the block (``replace`` refuses it)
+        dissolves the block -- every world steps its own bank -- until
+        a later key change finds the banks uniform again."""
+        fleet = self._fleet
+        uids = []
+        strays = []
+        moved = False
+        for b, state in zip(stepping, states):
+            if state.cum_cost.base is not self._cum:
+                strays.append((b, state))
+            if fleet is not None and (state.bank is None
+                                      or state.bank._home
+                                      is not fleet):
+                if fleet.replace(b, state.bank):
+                    self._counters["bank_readoptions"] += 1
+                else:
+                    self._fleet = fleet = None
+                moved = True    # the block's row ranges shifted
+            uids.append(state.rows.uid)
+        if strays:
+            self._home_costs(strays, list(zip(stepping, states)))
+        bundle = self._bundle
+        if bundle is None or moved or uids != bundle.uids \
+                or stepping != bundle.worlds:
+            if self._fleet is None:
+                self._adopt_fleet()
+            bundle = self._bundle = self._rebundle(stepping, uids,
+                                                   states)
+        return bundle
+
+    def _home_costs(self, strays: list, everyone: list) -> None:
+        """Make the cumulative cost of every ``(world, layout)`` of
+        ``strays`` a view of the world's segment of the stacked
+        vector, which is laid out afresh -- once, and then for
+        ``everyone`` stepping -- when a world's managed slice count
+        is not the one it was laid out for (it changed between
+        episodes; :meth:`_stage` rejects a change inside one)."""
+        def segment(b: int) -> np.ndarray:
+            return self._cum[self._cum_starts[b]:self._cum_starts[b + 1]]
+
+        if any(len(segment(b)) != len(state.cum_cost)
+               for b, state in strays):
+            self._restack()
+            strays = everyone
+        for b, state in strays:
+            home = segment(b)
+            home[:] = state.cum_cost
+            state.cum_cost = home
+
+    def _rebundle(self, stepping: List[int], uids: List[int],
+                  states: List[WorldLayout]) -> _Bundle:
+        old = self._bundle
+        if old is None:
+            pieces = list(states)
+            self._counters["bundle_builds"] += 1
+        else:
+            pieces = old.pieces(stepping, uids, states)
+            self._counters["bundle_splices"] += 1
+        rows, masks, matrices, horizons = [], [], [], []
+        names: List[List[str]] = []
+        fabrics: list = []
+        for piece in pieces:
+            if isinstance(piece, tuple):
+                lo, hi = piece
+                first, last = old.row_starts[lo], old.row_starts[hi]
+                rows.append(old.rows.take_worlds(lo, hi))
+                masks.append(old.mask[first:last])
+                matrices.append(old.matrix[first:last])
+                horizons.append(old.horizons[lo:hi])
+                names += old.names[lo:hi]
+                fabrics += old.fabrics[lo:hi]
+            else:
+                rows.append(piece.rows)
+                masks.append(piece.managed)
+                matrices.append(piece.fixed_actions)
+                horizons.append([piece.sim.horizon])
+                names.append(piece.managed_names)
+                fabrics.append(piece.sim.network.fabric)
+        bundle = _Bundle(stepping, uids, concat_rows(rows),
+                         np.concatenate(masks), np.concatenate(matrices),
+                         np.concatenate(horizons), names, fabrics)
+        if len(stepping) < len(self.sims):
+            members = np.asarray(stepping)
+            bundle.cum_rows = _ranges(self._cum_starts, members)
+            if self._fleet is not None:
+                bundle.channel_rows = _ranges(
+                    np.asarray(self._fleet.starts), members)
+        return bundle
 
     def _gather_channels(self, states: List[WorldLayout]):
+        """``(cqi, margin_db)`` of the stepped worlds from their own
+        networks' channels: the path of one world (whose bank *is* the
+        gather layout) and of fleets whose user populations differ."""
         umax = max(state.users for state in states)
         total = sum(len(state.names) for state in states)
-        block = None
-        if len(states) == 1:
-            block = states[0].sim.network.channel_bank()
-        elif len(states) == len(self.sims):
-            block = self._fleet
-        if block is not None and block.cqi.shape == (total, umax):
-            # One world stepping, or the whole fleet at uniform user
-            # counts: the bank's block *is* the gather layout -- no
-            # per-world copies.
+        if len(states) == 1 and states[0].bank is not None:
+            bank = states[0].bank
             if self._margin is None \
                     or self._margin.shape != (total, umax):
                 self._margin = np.zeros((total, umax))
-            np.subtract(block.snr_db, block.mean_snr_db,
+            np.subtract(bank.snr_db, bank.mean_snr_db,
                         out=self._margin)
-            return block.cqi, self._margin
+            return bank.cqi, self._margin
         if self._cqi is None or self._cqi.shape != (total, umax):
             # Padding lanes (beyond each row's user count) are
             # initialised once and never read unmasked by the kernels.
@@ -315,7 +565,7 @@ class BatchSimulator:
         row = 0
         for state in states:
             u = state.users
-            bank = state.sim.network.channel_bank()
+            bank = state.bank
             if bank is not None:
                 hi = row + len(state.names)
                 cqi[row:hi, :u] = bank.cqi
@@ -329,48 +579,34 @@ class BatchSimulator:
                     row += 1
         return cqi, margin
 
-    def _commit(self, stepping: List[int], states: List[WorldLayout],
-                out: Dict[str, np.ndarray],
+    def _commit(self, bundle: _Bundle, slots: List[int],
+                dones: List[bool], out: Dict[str, np.ndarray],
                 rates: np.ndarray) -> BatchStepResult:
-        managed = np.concatenate([state.managed for state in states])
+        managed = bundle.managed
         costs = out["cost"][managed]
         usages = out["usage"][managed]
         latencies = (out["transport_latency_ms"]
                      + out["core_latency_ms"]
                      + out["edge_latency_ms"])[managed]
-        obs = np.empty((int(managed.sum()), STATE_DIM))
+        cum = self._cum[bundle.cum_rows]
+        cum += costs
+        self._cum[bundle.cum_rows] = cum
 
-        sizes = [int(state.managed.sum()) for state in states]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        row_all = 0
-        dones: List[bool] = []
-        for i, state in enumerate(states):
-            sim = state.sim
-            world_rows = slice(row_all, row_all + len(state.names))
-            row_all += len(state.names)
-            lo, hi = offsets[i], offsets[i + 1]
-
-            sim._slot += 1
-            state.cum_cost += costs[lo:hi]
-            dones.append(sim.done)
-
-            block = obs[lo:hi]
-            block[:, 0] = sim._slot / sim.horizon
-            block[:, 1] = rates[world_rows][state.managed] \
-                / state.max_arrival
-            block[:, 2] = out["channel_quality"][world_rows][
-                state.managed]
-            block[:, 3] = out["radio_usage"][world_rows][state.managed]
-            block[:, 4] = out["workload"][world_rows][state.managed]
-            block[:, 5] = usages[lo:hi]
-            block[:, 6] = costs[lo:hi]
-            block[:, 7] = state.cost_threshold
-            block[:, 8] = state.cum_cost / state.horizon_cost
-
+        obs = np.empty((len(managed), STATE_DIM))
+        obs[:, 0] = (np.asarray(slots)
+                     / bundle.horizons)[bundle.world_of]
+        obs[:, 1] = rates[managed] / bundle.max_arrival
+        obs[:, 2] = out["channel_quality"][managed]
+        obs[:, 3] = out["radio_usage"][managed]
+        obs[:, 4] = out["workload"][managed]
+        obs[:, 5] = usages
+        obs[:, 6] = costs
+        obs[:, 7] = bundle.cost_threshold
+        obs[:, 8] = cum / bundle.horizon_cost
         return BatchStepResult(
-            worlds=list(stepping),
-            offsets=offsets,
-            names=[state.managed_names for state in states],
+            worlds=list(bundle.worlds),
+            offsets=bundle.offsets,
+            names=bundle.names,
             observations=obs,
             rewards=-usages,
             costs=costs,

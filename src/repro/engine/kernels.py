@@ -158,6 +158,13 @@ def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
     return out
 
 
+def _per_world():
+    """A :class:`SliceRows` table with one entry per world, not per
+    row -- the one place that says so; :func:`_stack_rows` and
+    :meth:`SliceRows.take_worlds` read the marker."""
+    return field(metadata={"per_world": True})
+
+
 @dataclass
 class SliceRows:
     """Static per-row constants for a set of (world, slice) rows.
@@ -165,7 +172,8 @@ class SliceRows:
     Built once per world from its :class:`~repro.sim.network
     .EndToEndNetwork` (and rebuilt only on slice churn), then
     concatenated across worlds by the batch engine.  All arrays are
-    length ``R`` except the per-world tables noted below.
+    length ``R`` except the per-world tables marked
+    :func:`_per_world`.
     """
 
     # -- identity ------------------------------------------------------
@@ -203,8 +211,8 @@ class SliceRows:
     link_capacity_bps: np.ndarray     # (R,)
     hop_latency_ms: np.ndarray        # (R,)
     num_paths: np.ndarray             # (R,) int
-    path_hops: np.ndarray             # (W, Pmax) int, padded per world
-    link_capacity_w: np.ndarray       # (W,)
+    path_hops: np.ndarray = _per_world()    # (W, Pmax) int, padded
+    link_capacity_w: np.ndarray = _per_world()          # (W,)
 
     # -- core / edge ---------------------------------------------------
     sgwu_capacity_pps: np.ndarray
@@ -235,6 +243,23 @@ class SliceRows:
         one :func:`evaluate_rows` call.
         """
         return _stack_rows([self], n)
+
+    def take_worlds(self, lo: int, hi: int) -> "SliceRows":
+        """Worlds ``lo:hi`` of this bundle as a bundle of their own,
+        renumbered from 0 (array fields are views): what
+        :func:`concat_rows` splices an existing bundle from."""
+        first, last = np.searchsorted(self.world, (lo, hi)).tolist()
+        columns = {"world": self.world[first:last] - lo,
+                   "num_worlds": hi - lo}
+        for spec in dataclasses.fields(SliceRows):
+            name = spec.name
+            if name == "uid" or name in columns:
+                continue
+            values = getattr(self, name)
+            columns[name] = (values[lo:hi]
+                             if spec.metadata.get("per_world")
+                             else values[first:last])
+        return SliceRows(**columns)
 
 
 def rows_for_network(network, world: int = 0) -> SliceRows:
@@ -312,32 +337,37 @@ def _stack_rows(parts: Sequence[SliceRows], copies: int) -> SliceRows:
     """``parts`` in order, the whole sequence laid out ``copies`` times.
 
     One :func:`dataclasses.fields` walk serves :func:`concat_rows` and
-    :meth:`SliceRows.repeat`: every part is one world, renumbered in
-    output order; the per-world path-hops tables are padded to the
-    widest path count and stacked; name lists and every other array
-    (per-row and per-world alike) join end to end; ``uid`` is fresh.
+    :meth:`SliceRows.repeat`: a part holds one world or several, and
+    worlds are renumbered in output order; a two-dimensional per-world
+    table (the path hops) is padded to the widest part's column count
+    and stacked; name lists and every other array (per-row and
+    per-world alike) join end to end; ``uid`` is fresh.
     """
     if not parts or copies < 1:
         raise ValueError("need at least one world")
-    pmax = max(part.path_hops.shape[1] for part in parts)
 
-    def padded_hops(part):
-        table = part.path_hops
-        short = pmax - table.shape[1]
+    def padded(table, width):
+        short = width - table.shape[1]
         return np.pad(table, ((0, 0), (0, short))) if short else table
 
-    columns = {
-        "world": np.repeat(
-            np.arange(len(parts) * copies, dtype=np.intp),
-            np.tile([part.num_rows for part in parts], copies)),
-        "num_worlds": len(parts) * copies,
-    }
+    first_world = [0]
+    for part in parts:
+        first_world.append(first_world[-1] + part.num_worlds)
+    world = np.concatenate([part.world + first
+                            for part, first in zip(parts, first_world)])
+    if copies > 1:
+        world = (world + first_world[-1]
+                 * np.arange(copies)[:, None]).ravel()
+    columns = {"world": world,
+               "num_worlds": first_world[-1] * copies}
     for spec in dataclasses.fields(SliceRows):
         name = spec.name
         if name == "uid" or name in columns:
             continue
-        values = [padded_hops(part) if name == "path_hops"
-                  else getattr(part, name) for part in parts]
+        values = [getattr(part, name) for part in parts]
+        if spec.metadata.get("per_world") and values[0].ndim == 2:
+            width = max(table.shape[1] for table in values)
+            values = [padded(table, width) for table in values]
         if isinstance(values[0], list):
             columns[name] = list(
                 itertools.chain.from_iterable(values)) * copies
@@ -349,8 +379,11 @@ def _stack_rows(parts: Sequence[SliceRows], copies: int) -> SliceRows:
 
 
 def concat_rows(parts: Sequence[SliceRows]) -> SliceRows:
-    """Concatenate per-world row bundles into one multi-world bundle.
+    """Concatenate row bundles into one multi-world bundle.
 
+    A part may itself hold several worlds (a run of an existing
+    bundle, see :meth:`SliceRows.take_worlds`), so replacing or
+    dropping one world of a B-world bundle joins three parts, not B.
     World indices are renumbered 0..W-1 in ``parts`` order; the
     per-world path-hops tables are padded to the widest path count.
     """

@@ -82,6 +82,10 @@ class RoutedBatchPolicy:
         for policy in self.policies.values():
             self._by_app.setdefault(policy.app, policy)
         self._fallback = next(iter(self.policies.values()))
+        # The routing plan of the last name sequence served: a batch
+        # driver asks with the same names slot after slot.
+        self._plan_names: List[str] = []
+        self._plan: List[tuple] = []
 
     def _resolve(self, name: str):
         policy = self.policies.get(name)
@@ -89,16 +93,28 @@ class RoutedBatchPolicy:
             return policy
         return self._by_app.get(name[:3].lower(), self._fallback)
 
+    def _route(self, slice_names: Sequence[str]) -> List[tuple]:
+        """``(policy, row indices)`` per resolved policy, in order of
+        first appearance; recomputed only when the names change."""
+        if not isinstance(slice_names, list):
+            slice_names = list(slice_names)
+        if slice_names != self._plan_names:
+            groups: Dict[int, tuple] = {}
+            for row, name in enumerate(slice_names):
+                policy = self._resolve(name)
+                groups.setdefault(id(policy), (policy, []))[1].append(
+                    row)
+            self._plan = [(policy, np.asarray(rows, dtype=np.intp))
+                          for policy, rows in groups.values()]
+            self._plan_names = list(slice_names)
+        return self._plan
+
     def act_batch(self, states: np.ndarray,
                   slice_names: Sequence[str]) -> np.ndarray:
         states = np.asarray(states, dtype=float)
         actions = np.empty((len(states), NUM_ACTIONS))
-        resolved = [self._resolve(name) for name in slice_names]
-        groups: Dict[int, List[int]] = {}
-        for row, policy in enumerate(resolved):
-            groups.setdefault(id(policy), []).append(row)
-        for rows in groups.values():
-            actions[rows] = resolved[rows[0]].act_rows(states[rows])
+        for policy, rows in self._route(slice_names):
+            actions[rows] = policy.act_rows(states[rows])
         return actions
 
 

@@ -18,6 +18,7 @@ cache directory is configured (see :mod:`repro.runtime.cache`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -158,19 +159,24 @@ def lockstep(batch, policy, episodes: int = 1, project: bool = True):
     Once the consumer has folded the slot, a world whose episode ended
     is reset if it has episodes left and retired otherwise, so the
     consumer reads a finished world's simulator before it restarts.
+
+    Between two slots only what a finished world changes is redone:
+    the next stacked observations are the step's own, with a reset
+    world's rows swapped in and a retired world's dropped, and the
+    name list and offsets are rebuilt when a world retires.
     """
     count = batch.num_worlds
-    states = [batch.reset_world(b) for b in range(count)]
     remaining = [episodes - 1] * count
-    active = set(range(count))
-    while active:
-        worlds = sorted(active)
-        stacked = np.concatenate([states[b] for b in worlds])
-        names = [n for b in worlds for n in batch.slice_names(b)]
-        matrix = np.asarray(policy.act_batch(stacked, names),
+    worlds = list(range(count))
+    stacked = np.concatenate([batch.reset_world(b) for b in worlds])
+    names = [batch.slice_names(b) for b in worlds]
+    flat = offsets = None
+    while worlds:
+        if flat is None:            # first slot, or a world retired
+            flat = list(itertools.chain.from_iterable(names))
+            offsets = [0, *itertools.accumulate(map(len, names))]
+        matrix = np.asarray(policy.act_batch(stacked, flat),
                             dtype=float)
-        offsets = np.concatenate(
-            [[0], np.cumsum([len(states[b]) for b in worlds])])
         if project:
             matrix = project_actions_batch(matrix, offsets)
         actions: List[Optional[np.ndarray]] = [None] * count
@@ -178,36 +184,69 @@ def lockstep(batch, policy, episodes: int = 1, project: bool = True):
             actions[b] = matrix[offsets[i]:offsets[i + 1]]
         step = batch.step(actions)
         yield stacked, matrix, step
-        for i, b in enumerate(worlds):
-            if not step.dones[i]:
-                states[b] = step.observations[
-                    offsets[i]:offsets[i + 1]]
-            elif remaining[b] > 0:
-                states[b] = batch.reset_world(b)
+        stacked = step.observations
+        if not any(step.dones):
+            continue
+        pieces, kept, retired = [], 0, []
+        for i, done in enumerate(step.dones):
+            if not done:
+                continue
+            pieces.append(stacked[offsets[kept]:offsets[i]])
+            kept = i + 1
+            b = worlds[i]
+            if remaining[b] > 0:
+                pieces.append(batch.reset_world(b))
                 remaining[b] -= 1
             else:
-                active.discard(b)
+                retired.append(i)
+        pieces.append(stacked[offsets[kept]:])
+        stacked = np.concatenate(pieces)
+        for i in reversed(retired):
+            del worlds[i], names[i]
+            flat = None
 
 
 def episode_totals(slots, num_worlds: int
                    ) -> List[List[Dict[str, Dict[str, float]]]]:
     """Fold :func:`lockstep` slots into ``run_episodes``' result:
-    per world, per episode, per slice ``{"cost", "usage"}`` sums."""
+    per world, per episode, per slice ``{"cost", "usage"}`` sums.
+
+    Each slot's cost and usage vectors are added, element by element,
+    onto running totals laid out like the step's rows (the same
+    ``+=`` in slot order a per-slice loop makes, so every total is
+    the same float); a world's dicts are built when its episode ends.
+    """
     results: List[List[Dict]] = [[] for _ in range(num_worlds)]
-    totals: List[Dict] = [{} for _ in range(num_worlds)]
+    worlds: List[int] = []
+    offsets = [0]
+    cost = usage = np.zeros(0)
     for _, _, step in slots:
-        costs, usages = step.costs.tolist(), step.usages.tolist()
-        for i, b in enumerate(step.worlds):
-            if not totals[b]:       # first slot of an episode
-                totals[b] = {n: {"cost": 0.0, "usage": 0.0}
-                             for n in step.names[i]}
-            for row, n in enumerate(step.names[i],
-                                    int(step.offsets[i])):
-                totals[b][n]["cost"] += costs[row]
-                totals[b][n]["usage"] += usages[row]
-            if step.dones[i]:
-                results[b].append(totals[b])
-                totals[b] = {}
+        if step.worlds != worlds:
+            # the stepped set changed: carry the surviving worlds'
+            # running totals over to the new row layout
+            carried = {b: (cost[lo:hi], usage[lo:hi])
+                       for b, lo, hi in zip(worlds, offsets,
+                                            offsets[1:])}
+            worlds = step.worlds
+            offsets = step.offsets.tolist()
+            blank = np.zeros(offsets[-1])
+            cost, usage = blank.copy(), blank.copy()
+            for b, lo, hi in zip(worlds, offsets, offsets[1:]):
+                if b in carried:
+                    cost[lo:hi], usage[lo:hi] = carried[b]
+        cost += step.costs
+        usage += step.usages
+        if not any(step.dones):
+            continue
+        for i, done in enumerate(step.dones):
+            if done:
+                rows = slice(offsets[i], offsets[i + 1])
+                results[worlds[i]].append({
+                    name: {"cost": c, "usage": u}
+                    for name, c, u in zip(step.names[i],
+                                          cost[rows].tolist(),
+                                          usage[rows].tolist())})
+                cost[rows] = usage[rows] = 0.0
     return results
 
 

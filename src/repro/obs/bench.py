@@ -41,10 +41,13 @@ def machine_info() -> Dict[str, object]:
 
 
 def git_rev(cwd: Optional[str] = None) -> str:
-    """Short git revision of the working tree, ``unknown`` outside git."""
+    """Short git revision of the working tree -- ``<rev>-dirty`` when
+    tracked files differ from it, so a record made on uncommitted
+    changes does not pass for its parent's -- ``unknown`` outside
+    git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
             cwd=cwd, capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()

@@ -221,6 +221,7 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_profile(args: argparse.Namespace) -> int:
+    from repro.engine.batch import BatchSimulator
     from repro.obs.profile import KernelProfiler, format_profile
     from repro.experiments.harness import resolve_scenario
 
@@ -235,24 +236,30 @@ def _run_profile(args: argparse.Namespace) -> int:
     cfg = spec.build_config(seed=args.seed)
     simulator = spec.build_simulator(
         cfg, rng=np.random.default_rng(cfg.seed))
+    batch = BatchSimulator([simulator])
     profiler = KernelProfiler(sample_interval=args.sample,
                               alloc=args.alloc)
     with profiler:
-        simulator.reset()
-        actions = {name: np.full(NUM_ACTIONS, 0.15)
-                   for name in simulator.slice_names}
+        batch.reset()
+        actions = [np.full((len(simulator.slice_names), NUM_ACTIONS),
+                           0.15)]
         while not simulator.done:
-            simulator.step(actions)
+            batch.step(actions)
     rows = profiler.report()
+    counters = dict(batch.counters)
     if args.json:
         print(json.dumps({"scenario": spec.name,
                           "kernel_calls": profiler.calls,
                           "sample_interval": args.sample,
-                          "rows": rows}, indent=2))
+                          "rows": rows,
+                          "engine_counters": counters}, indent=2))
     else:
         print(f"scenario {spec.name}: {profiler.calls} kernel calls, "
               f"sampling 1/{args.sample}")
         print(format_profile(rows))
+        print("engine counters: " + ", ".join(
+            f"{name} {value}" for name, value in sorted(
+                counters.items())))
     return 0
 
 

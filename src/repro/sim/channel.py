@@ -9,8 +9,13 @@ standard reporting thresholds.
 
 State is stored struct-of-arrays (one mean/SNR/CQI array per process)
 so the batched engine (:mod:`repro.engine`) can advance and read whole
-populations with array ops; :attr:`ChannelProcess.users` remains as a
-per-user snapshot view for diagnostic callers.  The RNG consumption is
+populations with array ops, and storage nests: a process's arrays are
+its own until a :class:`ChannelBank` stacks its network's processes,
+and the bank's are its own until a :class:`FleetChannelBank` stacks a
+batch's banks -- each level then reads its rows *through* the one
+above, so the holder can move or reshape its block without visiting
+what it holds.  :attr:`ChannelProcess.users` remains as a per-user
+snapshot view for diagnostic callers.  The RNG consumption is
 bit-compatible with the historical per-user scalar draws: a size-``n``
 ``standard_normal`` call consumes the generator exactly like ``n``
 scalar draws, so seeds reproduce the same channels as before the
@@ -65,6 +70,10 @@ def _ar1_step(snr_db: np.ndarray, mean_snr_db: np.ndarray,
             1, NUM_CQI, out=cqi_out)
 
 
+#: The three per-user state arrays of a channel population.
+_STATE_FIELDS = ("mean_snr_db", "snr_db", "cqi")
+
+
 class ChannelProcess:
     """AR(1) SNR evolution for a population of users.
 
@@ -79,6 +88,11 @@ class ChannelProcess:
         the 15-minute configuration interval.
     innovation_std_db:
         Standard deviation of the AR(1) innovation.
+
+    State (``mean_snr_db`` / ``snr_db`` / ``cqi``) lives on the process
+    until a :class:`ChannelBank` takes it; from then on the three
+    attributes read the process's row *through* the bank, wherever the
+    bank's storage currently is.
     """
 
     def __init__(self, num_users: int, rng: np.random.Generator,
@@ -98,16 +112,36 @@ class ChannelProcess:
         # consumes the generator identically; the even entries scale
         # into means, the odd ones into initial SNRs.
         z = rng.standard_normal(2 * num_users)
-        self.mean_snr_db = mean_snr_db + snr_spread_db * z[0::2]
-        self.snr_db = self.mean_snr_db + innovation_std_db * z[1::2]
-        self.cqi = snr_to_cqi_array(self.snr_db)
+        mean = mean_snr_db + snr_spread_db * z[0::2]
+        snr = mean + innovation_std_db * z[1::2]
+        self._bank: Optional["ChannelBank"] = None
+        self._row = 0
+        self._state = {"mean_snr_db": mean, "snr_db": snr,
+                       "cqi": snr_to_cqi_array(snr)}
+
+    def _read(self, field: str) -> np.ndarray:
+        if self._bank is None:
+            return self._state[field]
+        return getattr(self._bank, field)[self._row]
+
+    @property
+    def mean_snr_db(self) -> np.ndarray:
+        return self._read("mean_snr_db")
+
+    @property
+    def snr_db(self) -> np.ndarray:
+        return self._read("snr_db")
+
+    @property
+    def cqi(self) -> np.ndarray:
+        return self._read("cqi")
 
     @property
     def users(self) -> List[UserChannel]:
         """Per-user snapshot views (read-only; state lives in arrays)."""
-        return [UserChannel(mean_snr_db=float(self.mean_snr_db[i]),
-                            snr_db=float(self.snr_db[i]),
-                            cqi=int(self.cqi[i]))
+        mean, snr, cqi = self.mean_snr_db, self.snr_db, self.cqi
+        return [UserChannel(mean_snr_db=float(mean[i]),
+                            snr_db=float(snr[i]), cqi=int(cqi[i]))
                 for i in range(self.num_users)]
 
     def step(self) -> None:
@@ -119,9 +153,8 @@ class ChannelProcess:
         innovations (the batched engine pre-draws these per world so
         the per-world stream matches the scalar engine exactly).
 
-        Updates state in place -- ``snr_db``/``cqi`` keep their
-        identity, so :class:`ChannelBank` row views stay live -- and
-        consumes ``innovations`` as scratch.
+        Updates state in place, wherever it is stored, and consumes
+        ``innovations`` as scratch.
         """
         innovations = np.asarray(innovations, dtype=np.float64)
         _ar1_step(self.snr_db, self.mean_snr_db, innovations,
@@ -152,16 +185,20 @@ class ChannelProcess:
 class ChannelBank:
     """One network's channels as stacked ``(S, U)`` state arrays.
 
-    Adopting a bank moves every :class:`ChannelProcess`'s state into
-    rows of three shared arrays (the process attributes become row
-    views, so per-channel readers keep working), after which
-    :meth:`step` advances the whole population with a handful of array
-    ops and **one** ``standard_normal`` block -- which consumes the
-    shared generator exactly like the historical per-channel size-``U``
-    draws in slice order (the block/sequential stream equivalence is
-    pinned by ``tests/test_engine.py``).  This is what makes
-    channel stepping O(1) Python work per network per slot instead of
-    O(slices).
+    Building a bank moves every :class:`ChannelProcess`'s state into
+    rows of three stacked arrays (the processes read their rows through
+    the bank from then on), after which :meth:`step` advances the whole
+    population with a handful of array ops and **one**
+    ``standard_normal`` block -- which consumes the shared generator
+    exactly like the historical per-channel size-``U`` draws in slice
+    order (the block/sequential stream equivalence is pinned by
+    ``tests/test_engine.py``).  This is what makes channel stepping
+    O(1) Python work per network per slot instead of O(slices).
+
+    The stacked arrays live on the bank until a
+    :class:`FleetChannelBank` takes them; ``mean_snr_db`` / ``snr_db``
+    / ``cqi`` then read the bank's rows of the fleet block, so the
+    fleet can move or reshape its block without touching the banks.
 
     Built by :meth:`adopt`, which returns ``None`` (no bank, callers
     keep the per-channel loop) when the population is not uniform:
@@ -173,31 +210,42 @@ class ChannelBank:
         self.channels = list(channels)
         self.correlation = first.correlation
         self.innovation_std_db = first.innovation_std_db
-        num = len(channels)
-        users = first.num_users
-        self._z = np.empty((num, users))
-        self.repoint(np.empty((num, users)), np.empty((num, users)),
-                     np.empty((num, users), dtype=np.intp))
+        self._z = np.empty((len(channels), first.num_users))
+        self._home: Optional["FleetChannelBank"] = None
+        self._index = 0
+        self._state = {field: np.stack([getattr(channel, field)
+                                        for channel in channels])
+                       for field in _STATE_FIELDS}
+        for row, channel in enumerate(channels):
+            channel._bank, channel._row = self, row
+            channel._state = None
 
-    def repoint(self, mean_snr_db: np.ndarray, snr_db: np.ndarray,
-                cqi: np.ndarray) -> None:
-        """Move this bank's state into caller-owned ``(S, U)`` views.
+    def _read(self, field: str) -> np.ndarray:
+        home = self._home
+        if home is None:
+            return self._state[field]
+        return getattr(home, field)[home.starts[self._index]:
+                                    home.starts[self._index + 1]]
 
-        Copies the current values in, then re-points the bank *and*
-        every adopted channel at the new storage -- this is how
-        :class:`FleetChannelBank` stacks many networks' banks into one
-        contiguous block without breaking per-channel readers.
-        """
-        for i, channel in enumerate(self.channels):
-            mean_snr_db[i] = channel.mean_snr_db
-            snr_db[i] = channel.snr_db
-            cqi[i] = channel.cqi
-            channel.mean_snr_db = mean_snr_db[i]
-            channel.snr_db = snr_db[i]
-            channel.cqi = cqi[i]
-        self.mean_snr_db = mean_snr_db
-        self.snr_db = snr_db
-        self.cqi = cqi
+    @property
+    def mean_snr_db(self) -> np.ndarray:
+        return self._read("mean_snr_db")
+
+    @property
+    def snr_db(self) -> np.ndarray:
+        return self._read("snr_db")
+
+    @property
+    def cqi(self) -> np.ndarray:
+        return self._read("cqi")
+
+    def release(self) -> None:
+        """Take the state back from the fleet block (as copies): the
+        bank, and any channel still reading through it, keeps what it
+        last saw after the fleet reuses the rows."""
+        self._state = {field: getattr(self, field).copy()
+                       for field in _STATE_FIELDS}
+        self._home = None
 
     @classmethod
     def adopt(cls, channels: Sequence[ChannelProcess]
@@ -229,21 +277,22 @@ class FleetChannelBank:
     The batch engine steps B worlds per slot; with per-network banks
     that is still B Python-level AR(1) updates on small ``(S, U)``
     arrays -- at B=128 the dispatch overhead dominates the actual
-    math.  The fleet bank re-points every world's bank (and, through
-    :meth:`ChannelBank.repoint`, every channel) into rows of one
-    contiguous block, so a full-fleet slot is B innovation draws plus
-    **one** fused AR(1) update.
+    math.  The fleet bank holds every world's bank in rows
+    ``starts[b]:starts[b + 1]`` of one block (the banks, and through
+    them the channels, read their rows here), so a slot is one
+    innovation draw per stepped world plus **one** fused AR(1) update,
+    whether every world steps or any subset does.
 
     RNG parity is preserved exactly: each world's innovations are
     drawn from *its own* generator into its row block, in world order
     -- the identical stream the per-network banks (and the historical
-    per-channel loops) consume.  Worlds can also be stepped
-    individually (:meth:`step_worlds` with a subset) when some worlds
-    sit out a slot; only the stepped worlds' generators advance.
+    per-channel loops) consume; only the stepped worlds' generators
+    advance.
 
     Built by :meth:`adopt`, which returns ``None`` when the banks are
     not uniform (user counts or AR(1) parameters differ) -- callers
-    then keep the per-network path.
+    then keep the per-network path.  A world whose bank changed (slice
+    churn) is spliced in by :meth:`replace`; nothing else moves.
     """
 
     def __init__(self, banks: Sequence[ChannelBank],
@@ -253,20 +302,21 @@ class FleetChannelBank:
         self.rngs = list(rngs)
         self.correlation = first.correlation
         self.innovation_std_db = first.innovation_std_db
-        total = sum(bank.snr_db.shape[0] for bank in banks)
-        users = first.snr_db.shape[1]
-        self.mean_snr_db = np.empty((total, users))
-        self.snr_db = np.empty((total, users))
-        self.cqi = np.empty((total, users), dtype=np.intp)
-        self._z = np.empty((total, users))
-        self.rows = []                    # (lo, hi) per world
-        row = 0
+        self.starts = [0]
         for bank in banks:
-            hi = row + bank.snr_db.shape[0]
-            bank.repoint(self.mean_snr_db[row:hi],
-                         self.snr_db[row:hi], self.cqi[row:hi])
-            self.rows.append((row, hi))
-            row = hi
+            self.starts.append(self.starts[-1] + bank.snr_db.shape[0])
+        for field in _STATE_FIELDS:
+            setattr(self, field, np.concatenate(
+                [getattr(bank, field) for bank in banks]))
+        self._z = np.empty_like(self.snr_db)
+        self._margin = np.empty_like(self.snr_db)
+        for index, bank in enumerate(banks):
+            self._take(index, bank)
+
+    def _take(self, index: int, bank: ChannelBank) -> None:
+        self.banks[index] = bank
+        bank._home, bank._index = self, index
+        bank._state = None
 
     @classmethod
     def adopt(cls, banks: Sequence[Optional[ChannelBank]],
@@ -286,21 +336,65 @@ class FleetChannelBank:
                 return None
         return cls(banks, rngs)
 
-    def step_worlds(self, worlds: Sequence[int]) -> None:
-        """Advance the given worlds' channels by one slot.
+    def replace(self, index: int, bank: Optional[ChannelBank]) -> bool:
+        """Splice world ``index``'s current bank into the block.
 
-        The full fleet steps as one fused update; a strict subset
-        falls back to per-bank steps (the bank arrays are views into
-        the fleet block, so both paths write the same storage).
+        Called when churn rebuilt the world's bank or another fleet
+        took it: the bank this block held for the world gets its rows
+        back (:meth:`ChannelBank.release`), the new bank's state
+        replaces them, and later worlds' row ranges shift by the size
+        difference.  Returns ``False`` -- nothing changed -- when the
+        bank does not fit the block (missing, other user count or
+        AR(1) parameters).
         """
-        if len(worlds) == len(self.banks):
-            z = self._z
-            for b in worlds:
-                lo, hi = self.rows[b]
-                self.rngs[b].standard_normal(out=z[lo:hi])
+        if (bank is None
+                or bank.snr_db.shape[1] != self.snr_db.shape[1]
+                or bank.correlation != self.correlation
+                or bank.innovation_std_db != self.innovation_std_db):
+            return False
+        old = self.banks[index]
+        if old is not bank and old._home is self:
+            old.release()
+        lo, hi = self.starts[index], self.starts[index + 1]
+        for field in _STATE_FIELDS:
+            block = getattr(self, field)
+            setattr(self, field, np.concatenate(
+                [block[:lo], getattr(bank, field), block[hi:]]))
+        moved = bank.snr_db.shape[0] - (hi - lo)
+        if moved:
+            self.starts[index + 1:] = [
+                start + moved for start in self.starts[index + 1:]]
+            self._z = np.empty_like(self.snr_db)
+            self._margin = np.empty_like(self.snr_db)
+        self._take(index, bank)
+        return True
+
+    def step_worlds(self, worlds: Sequence[int],
+                    rows: Optional[np.ndarray] = None):
+        """Advance the given worlds' channels by one slot and return
+        their ``(cqi, margin_db)`` rows, world-major.
+
+        ``rows`` are the block rows of ``worlds`` (``None``: every
+        world steps and the update runs on the block in place);
+        either way it is one fused AR(1) update.  The returned arrays
+        are this block's until the next call.
+        """
+        z, starts = self._z, self.starts
+        for b in worlds:
+            self.rngs[b].standard_normal(out=z[starts[b]:starts[b + 1]])
+        if rows is None:
             _ar1_step(self.snr_db, self.mean_snr_db, z,
                       self.correlation, self.innovation_std_db,
                       self.cqi)
-            return
-        for b in worlds:
-            self.banks[b].step(self.rngs[b])
+            np.subtract(self.snr_db, self.mean_snr_db,
+                        out=self._margin)
+            return self.cqi, self._margin
+        snr = self.snr_db[rows]
+        mean = self.mean_snr_db[rows]
+        cqi = np.empty(snr.shape, dtype=np.intp)
+        _ar1_step(snr, mean, z[rows], self.correlation,
+                  self.innovation_std_db, cqi)
+        self.snr_db[rows] = snr
+        self.cqi[rows] = cqi
+        np.subtract(snr, mean, out=mean)
+        return cqi, mean

@@ -92,67 +92,53 @@ class SliceStepResult:
 class WorldLayout:
     """One world's current slice set and episode as struct-of-arrays.
 
-    What the stepper reads and writes per slot, in network row order
-    (managed and background churn slices alike): the kernel row
-    constants, the managed-row mask, the episode's Poisson intensities
-    and the managed slices' cumulative cost.  Owned by the simulator
-    it describes (see :meth:`ScenarioSimulator.layout`), so every
-    engine stepping the world -- alone or inside a shared batch --
-    sees the same episode.
+    What the stepper reads per world, in network row order (managed
+    and background churn slices alike): the kernel row constants, the
+    channel bank, the managed-row mask, the background slices' fixed
+    allocations, the episode's Poisson intensities and the managed
+    slices' cumulative cost.  Owned by the simulator it describes (see
+    :meth:`ScenarioSimulator.layout`), so every engine stepping the
+    world -- alone or inside a shared batch -- sees the same episode.
     """
 
     def __init__(self, sim: "ScenarioSimulator",
                  cum_cost: Optional[np.ndarray] = None) -> None:
         network = sim.network
         self.sim = sim
+        #: ``network.churn_count`` this layout was built at.
+        self.churn_count = network.churn_count
         self.rows = network.slot_rows()
+        self.bank = network.channel_bank()
         self.names = self.rows.names
         self.users = network.cfg.users_per_slice
+        background = sim._event_slices
         self.managed = np.asarray(
-            [name not in sim._event_slices for name in self.names],
+            [name not in background for name in self.names],
             dtype=bool)
         self.managed_names = sim.slice_names
-        self._managed_rows = np.flatnonzero(self.managed).tolist()
-        self._background_rows = np.flatnonzero(~self.managed).tolist()
-        self.max_arrival = self.rows.max_arrival[self.managed]
-        self.cost_threshold = self.rows.cost_threshold[self.managed]
-        self.horizon_cost = sim.horizon * self.cost_threshold
-        # Poisson intensities for every (slice, slot) of the episode
+        #: ``(S, NUM_ACTIONS)``: a background churn slice's row is its
+        #: event's fixed allocation (managed rows are never read).
+        self.fixed_actions = np.zeros((len(self.names), NUM_ACTIONS))
+        for row, name in enumerate(self.names):
+            if name in background:
+                self.fixed_actions[row] = background[name]
+        # Poisson intensities for every (slot, slice) of the episode
         # (managed traces from the episode's generation, churn slices
-        # pinned at 1.0), precomputed so the hot loop only slices a
-        # column.  Bit-equal to a per-slot (envelope * max_arrival) *
-        # ARRIVAL_WINDOW_S: the same elementwise products, evaluated
-        # for all slots at once.
-        traces = np.stack([sim._traces[name] for name in self.names])
-        self.lam_table = ((traces * self.rows.max_arrival[:, None])
-                          * ARRIVAL_WINDOW_S)
+        # pinned at 1.0), precomputed slot-major so the hot loop only
+        # takes a contiguous row.  Bit-equal to a per-slot (envelope *
+        # max_arrival) * ARRIVAL_WINDOW_S: the same elementwise
+        # products, evaluated for all slots at once.
+        traces = np.stack([sim._traces[name] for name in self.names],
+                          axis=1)
+        self.lam_rows = ((traces * self.rows.max_arrival)
+                         * ARRIVAL_WINDOW_S)
         # Managed cumulative episode cost, aligned with managed rows;
-        # a churn rebuild carries the episode's array over.
+        # a churn rebuild carries the episode's array over.  A batch
+        # engine re-homes it as a view of its own stacked vector (see
+        # ``BatchSimulator``), so always read it through this
+        # attribute.
         self.cum_cost = (np.zeros(len(self.managed_names))
                          if cum_cost is None else cum_cost)
-
-    def stage_actions(self, actions, out: np.ndarray) -> None:
-        """Write this world's joint action rows into ``out``, a
-        ``(S, NUM_ACTIONS)`` view of the stepper's matrix in network
-        row order.  ``actions`` is a mapping ``slice name -> action``
-        or a managed-rows array in ``slice_names`` order; background
-        churn slices play their event's fixed allocation."""
-        if isinstance(actions, np.ndarray):
-            shape = (len(self.managed_names), NUM_ACTIONS)
-            if actions.shape != shape:
-                raise ValueError(f"actions must have shape {shape}, "
-                                 f"got {actions.shape}")
-            out[self.managed] = actions
-        else:
-            for i, name in zip(self._managed_rows, self.managed_names):
-                arr = np.asarray(actions[name], dtype=float)
-                if arr.shape != (NUM_ACTIONS,):
-                    raise ValueError(
-                        f"action must have shape ({NUM_ACTIONS},), "
-                        f"got {arr.shape}")
-                out[i] = arr
-        for i in self._background_rows:
-            out[i] = self.sim._event_slices[self.names[i]]
 
 
 class ScenarioSimulator:
@@ -187,12 +173,26 @@ class ScenarioSimulator:
                     _CONDITION_EVENT_KINDS
                     + ("slice_arrival", "slice_departure")):
                 raise ValueError(f"unknown event kind on {event!r}")
+        # The timeline at this horizon, resolved once: when each event
+        # starts and ends, and the only slots at which
+        # :meth:`apply_events` has anything to do.
+        self._start_slot = [(event, event.start_slot(self.horizon))
+                            for event in self._events]
+        self._end_slot = {id(event): event.end_slot(self.horizon)
+                          for event in self._events}
+        #: Slots at which some event of the timeline starts or ends
+        #: (the stepper calls :meth:`apply_events` on these only).
+        self.event_slots = frozenset(
+            slot for _, slot in self._start_slot).union(
+                self._end_slot.values())
         self._active_events: List = []
         self._event_slices: Dict[str, np.ndarray] = {}
         self._traces: Dict[str, np.ndarray] = {}
         self._slot = 0
         self._day = 0
         self._layout: Optional[WorldLayout] = None
+        self._managed: List[str] = []
+        self._managed_at = -1       # network.churn_count of _managed
         #: The one-world stepper behind :meth:`step`, built on the
         #: first call (a world only ever stepped inside a shared
         #: batch never pays for it).
@@ -201,8 +201,17 @@ class ScenarioSimulator:
     @property
     def slice_names(self) -> List[str]:
         """The managed (agent-facing) slices -- churn slices excluded."""
-        return [name for name in self.network.slice_names
-                if name not in self._event_slices]
+        return list(self._managed_names())
+
+    def _managed_names(self) -> List[str]:
+        """:attr:`slice_names` without the copy, re-derived only when
+        the network's slice set changed (do not mutate)."""
+        churn = self.network.churn_count
+        if self._managed_at != churn:
+            self._managed = [name for name in self.network.slices
+                             if name not in self._event_slices]
+            self._managed_at = churn
+        return self._managed
 
     @property
     def background_slice_names(self) -> List[str]:
@@ -283,19 +292,23 @@ class ScenarioSimulator:
             background_load_fraction=min(load, 0.95))
 
     def apply_events(self) -> None:
-        """Expire finished events and fire the ones due this slot.
+        """Expire finished events, fire the ones due this slot and
+        write the active events' transport conditions to the fabric.
 
-        Called world by world by the stepper; event draws consume
-        this world's own RNG.
+        Between two slots of :attr:`event_slots` a call changes
+        nothing the timeline owns, so the stepper makes it on those
+        slots only (world by world; event draws consume this world's
+        own RNG).  Transport conditions set by hand therefore hold
+        until the world's next event boundary or ``reset()``.
         """
         if not self._events:
             return
         for event in list(self._active_events):
-            if self._slot >= event.end_slot(self.horizon):
+            if self._slot >= self._end_slot[id(event)]:
                 self._deactivate(event)
-        for event in self._events:
-            if (event.start_slot(self.horizon) == self._slot
-                    and event not in self._active_events):
+        for event, start in self._start_slot:
+            if start == self._slot \
+                    and event not in self._active_events:
                 self._activate(event)
         self._refresh_conditions()
 
@@ -361,10 +374,11 @@ class ScenarioSimulator:
         """
         current = self._layout
         if current is None:
-            self._layout = WorldLayout(self)
-        elif current.rows is not self.network.slot_rows():
-            self._layout = WorldLayout(self, current.cum_cost)
-        return self._layout
+            current = self._layout = WorldLayout(self)
+        elif current.churn_count != self.network.churn_count:
+            current = self._layout = WorldLayout(self,
+                                                 current.cum_cost)
+        return current
 
     def step(self, actions: Mapping[str, np.ndarray]
              ) -> Dict[str, SliceStepResult]:

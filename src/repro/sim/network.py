@@ -83,6 +83,11 @@ class EndToEndNetwork:
         self.slices: Dict[str, SliceSpec] = {}
         self.channels: Dict[str, ChannelProcess] = {}
         self._imsi_counter = 0
+        #: Bumped by every slice attach / detach: what holders of
+        #: anything derived from the slice set (row layout, channel
+        #: bank, a simulator's episode layout) compare to know it is
+        #: stale.
+        self.churn_count = 0
         #: Cached engine row layout; rebuilt whenever the slice set
         #: changes (see :meth:`slot_rows`).
         self._rows_cache = None
@@ -119,9 +124,7 @@ class EndToEndNetwork:
             self._imsi_counter += 1
             self.core.hss.provision(imsi, spec.name)
             self.core.attach(imsi)
-        self._rows_cache = None
-        self._bank = None
-        self._bank_ready = False
+        self._slice_set_changed()
 
     def remove_slice(self, name: str) -> None:
         if name not in self.slices:
@@ -133,6 +136,10 @@ class EndToEndNetwork:
         self.edge.delete_server(name)
         del self.channels[name]
         del self.slices[name]
+        self._slice_set_changed()
+
+    def _slice_set_changed(self) -> None:
+        self.churn_count += 1
         self._rows_cache = None
         self._bank = None
         self._bank_ready = False
