@@ -1,4 +1,4 @@
-"""Serving throughput of the micro-batched decision service.
+"""Serving throughput of the row-wise decision service.
 
 The decision service groups a 50-slice cell's requests into one
 vectorised :meth:`~repro.nn.network.MLP.predict_batch` call per policy
@@ -8,6 +8,8 @@ ratio against a single-state path kept in ``src/`` only to be that
 ratio's denominator; the path is deleted, and what the two had to
 agree on is now ``tests/test_serve.py::test_batched_matches_unbatched``
 (one N-row ``decide`` vs N one-row ``decide``s).
+``test_serve_fleet_shard`` records the other regime: many small cells
+decided by one ``decide_rows`` call per slot.
 """
 
 import time
@@ -16,11 +18,20 @@ import numpy as np
 
 from conftest import run_once
 
-from repro.experiments.harness import build_onslicing, make_onrl_agents
+from repro.experiments.harness import (
+    build_onslicing,
+    fit_baselines,
+    make_onrl_agents,
+)
+from repro.fleet import FleetSpec, plan_shards
+from repro.fleet.shard import run_fleet_shard
+from repro.scenarios import ROBUSTNESS_MATRIX
 from repro.scenarios import get as get_scenario
 from repro.serve import (
+    DecisionCore,
     DecisionRequest,
     SlicingService,
+    snapshot_baseline,
     snapshot_onrl,
     snapshot_onslicing,
 )
@@ -85,6 +96,59 @@ def test_serve_throughput(benchmark):
           f"({decisions} decisions): {rate:,.0f} decisions/s")
     assert service.telemetry.counter("decisions").value \
         == decisions + SLICES
+
+
+#: The fleet-shard case: cells x slots x episodes of one shard.
+SHARD_CELLS = 32
+SHARD_SLOTS = 96
+SHARD_EPISODES = 2
+
+
+def test_serve_fleet_shard(benchmark, monkeypatch):
+    """Ungated trajectory case: one 32-cell ``ROBUSTNESS_MATRIX``
+    shard on the rule-based snapshot through ``run_fleet_shard`` --
+    the small-batch regime, where the cost is calls rather than
+    arithmetic.  Records decisions/s over the shard's wall time,
+    ``decide_rows`` calls per lockstep slot and the serving core's
+    counters."""
+    cfg = get_scenario("default").build_config()
+    snapshot = snapshot_baseline("bench-shard", cfg, fit_baselines(cfg),
+                                 seed=7)
+    spec = FleetSpec(name="bench-shard", cells=SHARD_CELLS,
+                     scenarios=ROBUSTNESS_MATRIX, slots=SHARD_SLOTS,
+                     episodes=SHARD_EPISODES, seed=7)
+    plan, = plan_shards(spec, 1, "unused", snapshot.ref,
+                        snapshot.digest)
+    run_fleet_shard(plan, snapshot=snapshot)             # warm-up
+    cores = []
+    build = DecisionCore.__init__
+
+    def spy(core, services):
+        build(core, services)
+        cores.append(core)
+
+    monkeypatch.setattr(DecisionCore, "__init__", spy)
+    result = run_once(benchmark, run_fleet_shard, plan,
+                      snapshot=snapshot)
+    monkeypatch.undo()
+
+    core = max(cores, key=lambda c: len(c.services))
+    assert len(core.services) == SHARD_CELLS
+    counters = dict(core.counters)
+    slots = SHARD_SLOTS * SHARD_EPISODES
+    rate = result.decisions / result.elapsed_s
+    benchmark.extra_info["decisions_per_sec"] = rate
+    benchmark.extra_info["decide_calls_per_slot"] = \
+        counters["decide_calls"] / slots
+    benchmark.extra_info["serve_counters"] = counters
+    print(f"\nFleet shard ({SHARD_CELLS} cells x {SHARD_SLOTS} slots x "
+          f"{SHARD_EPISODES} episodes, {result.decisions} decisions): "
+          f"{rate:,.0f} decisions/s, "
+          f"{counters['decide_calls'] / slots:g} decide call(s)/slot")
+    print("  " + ", ".join(f"{name} {value}" for name, value
+                           in sorted(counters.items())))
+    assert counters["decide_calls"] == slots
+    assert counters["telemetry_folds"] == SHARD_CELLS * SHARD_EPISODES
 
 
 #: Rows per pi_phi call: one slice per policy (the fleet's regime), a

@@ -7,8 +7,9 @@ where that is a code path rather than an extrapolation: a
 :class:`~repro.sim.env.ScenarioSimulator` running its own registered
 scenario under a seed derived from the fleet seed -- sharded across
 worker processes that all serve decisions from one digest-pinned
-:class:`~repro.serve.policy_store.PolicyStore` snapshot through
-per-shard :class:`~repro.serve.service.SlicingService` instances.
+:class:`~repro.serve.policy_store.PolicyStore` snapshot: one
+:class:`~repro.serve.service.SlicingService` per cell, one
+:class:`~repro.serve.service.DecisionCore` call per shard and slot.
 
 * :mod:`repro.fleet.spec` -- :class:`FleetSpec` / :class:`CellPlan`:
   declarative campaigns, tagged-JSON serialisable and content-keyed

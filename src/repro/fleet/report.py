@@ -45,9 +45,10 @@ class StageRow:
     """Fleet-wide latency of one decision-path stage.
 
     Built from the merged ``stage_<name>_ms`` histograms every
-    :class:`~repro.serve.service.SlicingService` records per decide
-    call, so the breakdown survives shard fan-in exactly like the
-    decision-latency histogram does.  ``share`` is the stage's
+    :class:`~repro.serve.service.SlicingService` cell records per
+    decision (its row-proportional share of the stage's time when one
+    call decided many cells), so the breakdown survives shard fan-in
+    exactly like the decision-latency histogram does.  ``share`` is the stage's
     fraction of the summed stage time -- where a fleet's decision
     latency actually goes.
     """

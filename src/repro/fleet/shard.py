@@ -5,9 +5,11 @@ cells without talking to anyone: the fleet spec, its cell assignments,
 the *resolved* scenario specs (so worker processes never re-resolve
 the registry), and the digest-pinned snapshot reference.  The shard
 loads the snapshot from the :class:`~repro.serve.policy_store
-.PolicyStore` exactly once, verifies the digest, then drives each cell
-through a :class:`~repro.serve.loadgen.LoadGenerator` -- a per-cell
-:class:`~repro.serve.service.SlicingService` over the shared snapshot.
+.PolicyStore` exactly once, verifies the digest, then drives its cells
+-- one :class:`~repro.serve.loadgen.LoadGenerator` each, a
+:class:`~repro.serve.service.SlicingService` over the shared snapshot
+-- in lockstep: one decision batch and one engine step per slot for
+all of them (:func:`~repro.serve.loadgen.drive_lockstep`).
 
 Telemetry never leaves the shard raw: per-cell counters and bounded
 histograms merge into one shard-level :class:`~repro.obs.metrics

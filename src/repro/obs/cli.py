@@ -7,8 +7,10 @@ that need them.
 * ``obs report [paths...]`` -- merge trace files/directories into one
   flamegraph-style rollup (``--json`` for machine-readable rows plus
   the attributed-span digest).
-* ``obs profile`` -- run one scenario episode under the kernel
-  profiler and print the per-kernel cost breakdown.
+* ``obs profile`` -- run one scenario episode, served by the
+  rule-based baseline, under the kernel profiler and print the
+  per-kernel cost breakdown with the engine's and the serving core's
+  counters.
 * ``obs watch`` -- live fleet health: evaluate an SLO spec against a
   fleet checkpoint (full burn-rate view, deterministic timeline
   digest) or a telemetry JSONL export dir (point-in-time view) and
@@ -61,8 +63,8 @@ def add_obs_parser(subparsers) -> None:
     report.set_defaults(handler=_run_report)
 
     profile = obs_sub.add_parser(
-        "profile", help="run one scenario episode under the kernel "
-                        "profiler")
+        "profile", help="run one pi_b-served scenario episode under "
+                        "the kernel profiler")
     profile.add_argument("--scenario", default="default",
                          help="registered scenario name")
     profile.add_argument("--sample", type=int, default=1,
@@ -223,7 +225,8 @@ def _run_report(args: argparse.Namespace) -> int:
 def _run_profile(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchSimulator
     from repro.obs.profile import KernelProfiler, format_profile
-    from repro.experiments.harness import resolve_scenario
+    from repro.experiments.harness import fit_baselines, resolve_scenario
+    from repro.serve import SlicingService, snapshot_baseline
 
     spec = resolve_scenario(args.scenario)
     if spec is None:
@@ -231,35 +234,43 @@ def _run_profile(args: argparse.Namespace) -> int:
         return 2
     import numpy as np
 
-    from repro.sim.env import NUM_ACTIONS
-
     cfg = spec.build_config(seed=args.seed)
     simulator = spec.build_simulator(
         cfg, rng=np.random.default_rng(cfg.seed))
     batch = BatchSimulator([simulator])
+    # the episode is served by the rule-based baseline, so the serving
+    # core's counters are those of a real decision stream
+    core = SlicingService(
+        snapshot_baseline("profile", cfg, fit_baselines(cfg),
+                          seed=cfg.seed), cfg=cfg).core
+    names = [simulator.slice_names]
     profiler = KernelProfiler(sample_interval=args.sample,
                               alloc=args.alloc)
     with profiler:
-        batch.reset()
-        actions = [np.full((len(simulator.slice_names), NUM_ACTIONS),
-                           0.15)]
+        states = batch.reset()
         while not simulator.done:
-            batch.step(actions)
+            states = batch.step(
+                [core.decide_rows(states, names).actions]).observations
+    core.flush()
     rows = profiler.report()
     counters = dict(batch.counters)
+    serving = dict(core.counters)
     if args.json:
         print(json.dumps({"scenario": spec.name,
                           "kernel_calls": profiler.calls,
                           "sample_interval": args.sample,
                           "rows": rows,
-                          "engine_counters": counters}, indent=2))
+                          "engine_counters": counters,
+                          "serve_counters": serving}, indent=2))
     else:
         print(f"scenario {spec.name}: {profiler.calls} kernel calls, "
               f"sampling 1/{args.sample}")
         print(format_profile(rows))
-        print("engine counters: " + ", ".join(
-            f"{name} {value}" for name, value in sorted(
-                counters.items())))
+        for title, values in (("engine", counters),
+                              ("serve", serving)):
+            print(f"{title} counters: " + ", ".join(
+                f"{name} {value}" for name, value in sorted(
+                    values.items())))
     return 0
 
 

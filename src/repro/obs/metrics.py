@@ -116,6 +116,15 @@ class Counter:
             raise ValueError("counters only increase")
         self.value += amount
 
+    def inc_many(self, amounts) -> None:
+        """``inc(a)`` for every ``a`` of ``amounts``, in order, as one
+        array operation: the total is the same float the loop leaves
+        (:func:`_running_sum`)."""
+        amounts = np.asarray(amounts, dtype=float).ravel()
+        if (amounts < 0).any():
+            raise ValueError("counters only increase")
+        self.value = _running_sum(self.value, amounts)
+
     def merge(self, other: "Counter") -> "Counter":
         """Fold another counter's total into this one."""
         self.inc(other.value)
@@ -216,6 +225,35 @@ class Histogram:
                 self._fold()
         else:
             self._buckets[_bucket_index(value)] += 1
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` every value of ``values``, in order, as a
+        constant number of array operations.
+
+        Leaves exactly what the loop leaves: ``sum`` is added left to
+        right (it is an order-dependent float, so never ``np.sum``,
+        which adds pairwise), NaNs are skipped by ``min`` / ``max`` as
+        the comparisons skip them, and samples crossing
+        :data:`EXACT_SAMPLE_LIMIT` land in the same buckets whether
+        they fold together or one by one.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.size == 1:
+            self.observe(values.item())
+            return
+        values = values.ravel()
+        if not values.size:
+            return
+        self._count += values.size
+        self._sum = _running_sum(self._sum, values)
+        self._min = min(self._min, float(np.fmin.reduce(values)))
+        self._max = max(self._max, float(np.fmax.reduce(values)))
+        if self._samples is None:
+            self._buckets += _bucketize(values)
+            return
+        self._samples.extend(values.tolist())
+        if len(self._samples) > EXACT_SAMPLE_LIMIT:
+            self._fold()
 
     def _fold(self) -> None:
         """Switch from exact samples to the bounded bucket grid."""
@@ -387,11 +425,21 @@ def _bucket_index(value: float) -> int:
     return int(np.searchsorted(_EDGES, value, side="right"))
 
 
-def _bucketize(samples: List[float]) -> np.ndarray:
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...`` added left to right --
+    the float a loop of ``+=`` leaves (``np.sum`` adds pairwise and
+    rounds differently)."""
+    if not values.size:
+        return start
+    return float(np.add.accumulate(
+        np.concatenate(((start,), values)))[-1])
+
+
+def _bucketize(samples) -> np.ndarray:
     """Fold raw samples onto the shared grid (underflow+grid+overflow)."""
     counts = np.zeros(BUCKET_COUNT + 2, dtype=np.int64)
-    if samples:
-        values = np.asarray(samples, dtype=float)
+    values = np.asarray(samples, dtype=float)
+    if values.size:
         indices = np.searchsorted(_EDGES, values, side="right")
         indices[values < BUCKET_MIN] = 0
         indices[values >= _EDGES[-1]] = BUCKET_COUNT + 1

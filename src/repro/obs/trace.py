@@ -26,9 +26,12 @@ correct).  Files from different processes merge by concatenation;
 :func:`read_rollup` sums ``stats`` rows across any set of files or
 directories, and :func:`rollup_digest` hashes the *attributed* span
 profile (rows carrying at least one non-volatile attribute, counts
-only) -- per-cell serve spans carry ``cell``/``scenario`` attrs and
-are emitted once per slot per cell in both drive modes, so the digest
-is invariant to shard count, mirroring the telemetry-merge guarantee.
+only) -- the serving core reports one ``serve.decide`` row (and its
+stage children) per slot per cell with ``cell``/``scenario`` attrs
+(:meth:`Tracer.add`: it decides many cells per call, so it counts
+them rather than opening a span each), however the cells are packed
+into shards, so the digest is invariant to shard count, mirroring the
+telemetry-merge guarantee.
 
 Cross-process wiring: set ``REPRO_TRACE_DIR`` (the ``fleet run
 --trace-dir`` flag does this) and every process that calls
@@ -165,6 +168,33 @@ class Tracer:
             self._pending.append(json.dumps(row))
             if len(self._pending) >= 512:
                 self._write_pending()
+
+    def add(self, name: str, attrs: Dict[str, Any], count: int = 1,
+            total_s: float = 0.0, child_s: float = 0.0) -> None:
+        """Fold ``count`` spans called ``name`` into the aggregation
+        without opening them -- what a row-wise caller that did many
+        attributed units of work in one call reports per unit.
+
+        The rollup counts are those of ``count`` ``trace(name,
+        **attrs)`` blocks run under the innermost open span; no
+        sampled event rows are emitted.  ``total_s`` is the time the
+        caller attributes to them (``child_s`` of it inside their own
+        children).  A ``/`` in ``name`` places the rows deeper below
+        the open span; their time is then already part of the
+        shallower row's total, so only a ``/``-less add counts towards
+        the open span's child time.
+        """
+        stack = self._stack
+        path = (stack[-1].path + "/" + name) if stack else name
+        if stack and "/" not in name:
+            stack[-1].child_s += total_s
+        key = (path, _attrs_key(attrs))
+        stats = self._stats.get(key)
+        if stats is None:
+            stats = self._stats[key] = [0, 0.0, 0.0, 0]
+        stats[0] += count
+        stats[1] += total_s
+        stats[2] += child_s
 
     # ---- reading / flushing ------------------------------------------
 
@@ -344,7 +374,7 @@ def rollup_digest(rollup: Dict[RollupKey, Dict[str, float]]) -> str:
     """SHA-256 over the *attributed* span profile.
 
     Only rows with at least one non-volatile attribute participate,
-    and only their counts: per-cell serve spans fire once per slot per
+    and only their counts: per-cell serve rows count once per slot per
     cell regardless of how cells are packed into shards or how batch
     steps interleave, while unattributed engine/batch spans (whose
     counts legitimately depend on sharding) are excluded.  Two runs of

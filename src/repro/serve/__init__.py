@@ -6,14 +6,17 @@ repository (the ROADMAP's "serve heavy traffic" north star):
 * :mod:`repro.serve.policy_store` -- :class:`PolicyStore`, versioned
   tagged-JSON snapshots of trained policies for all four methods
   (``save``/``load``/``list``, content-digest verified);
-* :mod:`repro.serve.service` -- :class:`SlicingService`, the online
-  decision loop: micro-batched vectorised inference per policy, the
-  paper's safe fallback to pi_b when pi_phi predicts an SLA violation,
-  and allocation coordination through the
-  :class:`~repro.domains.coordinator.ParameterCoordinator`;
+* :mod:`repro.serve.service` -- :class:`DecisionCore`, the online
+  decision row-wise for any number of cells per call (vectorised
+  inference per policy, the paper's safe fallback to pi_b when pi_phi
+  predicts an SLA violation, Eq. 14 price coordination per cell), and
+  :class:`SlicingService`, one cell of it and its request / decision
+  object edge;
 * :mod:`repro.serve.loadgen` -- :class:`LoadGenerator`, which drives
   the service with any registered scenario at ``population(N)`` scale
-  and reports decisions/sec, p50/p99 latency and SLA-violation rate;
+  and reports decisions/sec, p50/p99 latency and SLA-violation rate,
+  and :func:`drive_lockstep`, the one loop a single run and a fleet
+  shard share;
 * :mod:`repro.obs.metrics` -- the counters/histograms serve runs
   record into (``Telemetry`` et al. are re-exported here), with JSONL
   export so serve runs produce artefacts like everything else;
@@ -43,6 +46,7 @@ from repro.serve.policy_store import (
 )
 from repro.serve.service import (
     Decision,
+    DecisionCore,
     DecisionRequest,
     SlicingService,
 )
@@ -57,6 +61,7 @@ __all__ = [
     "SNAPSHOT_METHODS",
     "Counter",
     "Decision",
+    "DecisionCore",
     "DecisionRequest",
     "Gauge",
     "Histogram",

@@ -15,10 +15,13 @@ float artefact, not a telemetry property.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     BUCKET_MIN,
     EXACT_SAMPLE_LIMIT,
+    Counter,
     Histogram,
     Telemetry,
 )
@@ -227,3 +230,140 @@ def test_telemetry_merge_associative():
     right_inner = b2.merge(c2)
     right = a2.merge(right_inner)
     assert telemetry_fingerprint(left) == telemetry_fingerprint(right)
+
+
+# ---- bulk updates == one update per sample ----------------------------
+#
+# The serving core buffers a cell's decisions and folds them into its
+# registry with one ``observe_many`` / ``inc_many`` / ``inc(n)`` per
+# instrument; the fold must leave exactly what the per-sample loop
+# leaves, floats included.
+
+#: Zero, negatives, repeats, the underflow bucket's edge and values
+#: past the last bucket edge.
+EDGE_SAMPLES = [0.0, -0.0, -3.5, -3.5, BUCKET_MIN / 2, BUCKET_MIN,
+                2.5, 2.5, 1e9, 4e9, 1e12]
+SAMPLES = st.one_of(
+    st.sampled_from(EDGE_SAMPLES),
+    st.floats(min_value=-1e3, max_value=1e12, allow_nan=False))
+
+
+@st.composite
+def sample_runs(draw):
+    """A float list whose length straddles ``EXACT_SAMPLE_LIMIT`` (a
+    seeded bulk plus a drawn tail) and a split of it into consecutive
+    chunks."""
+    bulk = draw(st.sampled_from(
+        [0, 3, EXACT_SAMPLE_LIMIT - 4, EXACT_SAMPLE_LIMIT,
+         EXACT_SAMPLE_LIMIT + 30]))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    values = np.random.default_rng(seed).lognormal(
+        0.0, 3.0, size=bulk).tolist()
+    values += draw(st.lists(SAMPLES, max_size=24))
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=len(values)), max_size=6)))
+    return values, [0] + cuts + [len(values)]
+
+
+def reading(histogram):
+    """State plus every derived reading the SLO layer takes."""
+    return (histogram.state(),
+            [histogram.percentile(p) for p in (0, 50, 90, 99, 100)],
+            [histogram.count_over(t)
+             for t in (-10.0, 0.0, 1e-7, 1.0, 2.5, 1e3, 2e9, 1e13)])
+
+
+@given(sample_runs())
+@settings(max_examples=60, deadline=None)
+def test_observe_many_is_the_observe_loop(run):
+    values, cuts = run
+    looped = histogram_of(values)
+    whole = Histogram("h")
+    whole.observe_many(values)
+    chunked = Histogram("h")
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunked.observe_many(np.asarray(values[lo:hi]))
+    assert reading(whole) == reading(looped)
+    assert reading(chunked) == reading(looped)
+    # ... and merges the same way afterwards, into and out of it
+    other = histogram_of(exact_values(np.random.default_rng(3), 50))
+    assert reading(Histogram("h").merge(chunked).merge(other)) == \
+        reading(Histogram("h").merge(looped).merge(other))
+    assert reading(histogram_of(other.state()["samples"])
+                   .merge(chunked)) == \
+        reading(histogram_of(other.state()["samples"]).merge(looped))
+
+
+def test_observe_many_sum_is_ordered_not_pairwise(monkeypatch):
+    """The property above has teeth: with ``np.sum`` (pairwise) in
+    place of the left-to-right accumulate the bulk sum is a different
+    float from the loop's."""
+    from repro.obs import metrics
+
+    values = np.random.default_rng(5).lognormal(0.0, 2.0, size=300)
+    looped = histogram_of(values.tolist())
+    ordered = Histogram("h")
+    ordered.observe_many(values)
+    assert ordered.total == looped.total
+    monkeypatch.setattr(
+        metrics, "_running_sum",
+        lambda start, array: float(start + np.sum(array)))
+    pairwise = Histogram("h")
+    pairwise.observe_many(values)
+    assert pairwise.total != looped.total
+    assert pairwise.total == pytest.approx(looped.total)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=500), max_size=12),
+       st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_counter_bulk_increments(counts, amounts):
+    looped, bulk = Counter("c"), Counter("c")
+    for n in counts:            # inc(n) == n x inc()
+        for _ in range(n):
+            looped.inc()
+        bulk.inc(n)
+    assert bulk.value == looped.value == sum(counts)
+    for amount in amounts:      # inc_many(xs) == inc(x) for x in xs
+        looped.inc(amount)
+    bulk.inc_many(amounts)
+    assert bulk.value == looped.value
+    with pytest.raises(ValueError, match="only increase"):
+        bulk.inc_many([1.0, -1.0])
+    assert bulk.value == looped.value
+
+
+@given(st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=30, deadline=None)
+def test_bulk_trace_count_is_that_many_empty_spans(outer, inner):
+    from repro.obs.trace import Tracer
+
+    attrs = {"cell": 3, "scenario": "bursty"}
+    looped, bulk = Tracer(), Tracer()
+    with looped.span("shard", {}):
+        for _ in range(outer):
+            with looped.span("serve.decide", attrs):
+                for _ in range(inner):
+                    with looped.span("serve.forward", attrs):
+                        pass
+    with bulk.span("shard", {}):
+        if outer:
+            bulk.add("serve.decide", attrs, outer)
+        if outer * inner:
+            bulk.add("serve.decide/serve.forward", attrs, outer * inner)
+
+    def counts(tracer):
+        return {key: row["count"]
+                for key, row in tracer.rollup().items()}
+
+    assert counts(bulk) == counts(looped)
+    timed = Tracer()
+    with timed.span("shard", {}):
+        timed.add("serve.decide", attrs, 2, total_s=0.5, child_s=0.25)
+        timed.add("serve.decide/serve.forward", attrs, 2, total_s=0.25)
+    rollup = timed.rollup()
+    assert rollup[("shard", ())]["child_ms"] == 500.0
+    assert rollup[("shard/serve.decide",
+                   (("cell", "3"), ("scenario", "bursty")))] == {
+        "count": 2, "total_ms": 500.0, "child_ms": 250.0, "sampled": 0}
