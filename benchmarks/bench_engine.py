@@ -31,7 +31,10 @@ and the engine's rebuild counters
 (:attr:`~repro.engine.batch.BatchSimulator.counters`: one full bundle
 build and one whole-fleet channel adoption, the rest splices and
 single-bank re-adoptions) in ``extra_info`` -- ungated, like the
-throughputs above.
+throughputs above.  The same test drives a ``slice_churn`` fleet
+whose worlds alternate 3 and 5 users per slice -- the one place the
+engine's padded ``(R, Umax)`` channel block has a number
+(``padded_*`` rows: world-slots/s and counters, ungated too).
 
 A last test holds the observability layer to its own claim: span
 tracing at the default sampling interval must cost the vector engine
@@ -87,11 +90,16 @@ MAX_TRACING_OVERHEAD = 0.10
 TRACING_SAMPLES = 5
 
 
-def _make_worlds(batch: int = BATCH):
-    spec = get_scenario("default")
+def _spec(name: str):
+    """The catalog scenario ``name`` at the bench horizon."""
+    spec = get_scenario(name)
     traffic = dataclasses.replace(spec.build_config().traffic,
                                   slots_per_episode=SLOTS)
-    spec = dataclasses.replace(spec, traffic_cfg=traffic)
+    return dataclasses.replace(spec, traffic_cfg=traffic)
+
+
+def _make_worlds(batch: int = BATCH):
+    spec = _spec("default")
     cfg = spec.build_config()
     return make_simulators(cfg, spec, count=batch), cfg
 
@@ -210,9 +218,27 @@ def test_engine_arena_b128(benchmark):
         "arena path allocated heap arrays in steady state"
 
 
-def _drive_corpus():
-    sims = [spec.build_simulator() for spec in generate_corpus(
+def _corpus_worlds():
+    return [spec.build_simulator() for spec in generate_corpus(
         7, CORPUS_WORLDS, CORPUS_SPACE)]
+
+
+def _padded_worlds():
+    """``slice_churn`` worlds of 3 and 5 users per slice, alternating:
+    their channels share one block five lanes wide."""
+    spec = _spec("slice_churn")
+    sims = []
+    for world in range(CORPUS_WORLDS):
+        cfg = spec.build_config(seed=world)
+        cfg = cfg.replace(network=dataclasses.replace(
+            cfg.network, users_per_slice=(3, 5)[world % 2]))
+        sims.append(spec.build_simulator(
+            cfg, rng=np.random.default_rng(cfg.seed)))
+    return sims
+
+
+def _drive_corpus(make_worlds=_corpus_worlds):
+    sims = make_worlds()
     batch = BatchSimulator(sims)
     policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
     start = time.perf_counter()
@@ -243,6 +269,18 @@ def test_engine_fuzz_corpus(benchmark):
     print(f"  {rate:12,.0f} world-slots/s")
     print("  " + ", ".join(f"{name} {value}" for name, value
                            in sorted(run["counters"].items())))
+
+    padded = _drive_corpus(_padded_worlds)
+    padded_rate = padded["world_slots"] / padded["elapsed_s"]
+    benchmark.extra_info["padded_world_slots_per_sec"] = padded_rate
+    benchmark.extra_info.update(
+        {f"padded_counter_{name}": value
+         for name, value in padded["counters"].items()})
+    print(f"  3-and-5-user slice_churn fleet, {CORPUS_WORLDS} worlds x "
+          f"2 episodes ({SLOTS} slots): {padded_rate:,.0f} "
+          "world-slots/s")
+    print("  " + ", ".join(f"{name} {value}" for name, value
+                           in sorted(padded["counters"].items())))
 
 
 def test_engine_tracing_overhead(benchmark):

@@ -14,7 +14,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.sim.network import CONSTRAINED_RESOURCES
+from repro.engine.policies import project_actions_batch
 
 
 def project_actions(actions: Mapping[str, np.ndarray],
@@ -24,15 +24,13 @@ def project_actions(actions: Mapping[str, np.ndarray],
     For every constrained kind ``k`` with ``sum_i a_i_k > capacity``,
     every slice's ``a_i_k`` is multiplied by ``capacity / sum``; other
     dimensions are untouched.  Returns new arrays (inputs unmodified).
+    The one-world call of
+    :func:`repro.engine.policies.project_actions_batch`.
     """
-    projected = {name: np.asarray(action, dtype=float).copy()
-                 for name, action in actions.items()}
-    if not projected:
-        return projected
-    for kind, idx in CONSTRAINED_RESOURCES.items():
-        total = sum(action[idx] for action in projected.values())
-        if total > capacity and total > 0:
-            scale = capacity / total
-            for action in projected.values():
-                action[idx] *= scale
-    return projected
+    if not actions:
+        return {}
+    projected = project_actions_batch(
+        np.stack([np.asarray(action, dtype=float)
+                  for action in actions.values()]),
+        np.array([0, len(actions)]), capacity)
+    return dict(zip(actions, projected))

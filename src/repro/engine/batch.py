@@ -24,12 +24,13 @@ counter; everything else is whole-batch:
   :attr:`SliceRows.uid` and *spliced* (kept runs of worlds + the
   worlds that changed) when churn, a retirement or a sit-out changes
   the key;
-* channels of a multi-world batch live in one
-  :class:`~repro.sim.channel.FleetChannelBank` block advanced by one
-  fused AR(1) update over the stepped worlds' rows; only a world whose
-  bank changed (``network.churn_count`` moved, so its layout was
-  rebuilt) is re-adopted, and a bank that does not fit dissolves the
-  block until a later key change finds the banks uniform again;
+* the worlds' channels live in this engine's
+  :class:`~repro.sim.channel.FleetChannelBank` block -- built at
+  construction for any B, one world included, and as wide as the
+  widest world's user count -- advanced by one fused AR(1) update over
+  the stepped worlds' rows; only a world whose bank the block does not
+  hold (``network.churn_count`` moved, so its layout was rebuilt, or
+  another engine stepped the world) is re-adopted;
 * cumulative episode costs are one stacked vector the worlds' layouts
   view (re-homed when a layout is new or another engine stepped the
   world), updated with one add;
@@ -218,15 +219,16 @@ class BatchSimulator:
         self._counters = dict.fromkeys(
             ("bundle_builds", "bundle_splices", "fleet_adoptions",
              "bank_readoptions", "event_slots"), 0)
-        self._fleet: Optional[FleetChannelBank] = None
-        self._adopt_fleet()
+        # Every world's channel bank, stacked into the one block the
+        # channel stage advances.
+        self._fleet = FleetChannelBank(
+            [sim.network.channel_bank() for sim in self.sims],
+            [sim.network._rng for sim in self.sims])
+        self._counters["fleet_adoptions"] += 1
         # Every world's managed cumulative episode cost, stacked at
         # fixed positions; a stepped world's ``WorldLayout.cum_cost``
         # is re-homed as a view of its segment.
         self._restack()
-        # Padded channel gather buffers of the per-network path.
-        self._cqi: Optional[np.ndarray] = None
-        self._margin: Optional[np.ndarray] = None
 
     # ---- episode lifecycle ------------------------------------------
 
@@ -242,11 +244,13 @@ class BatchSimulator:
     def counters(self) -> Mapping[str, int]:
         """What this engine rebuilt so far (a read-only snapshot):
         kernel-arena rebuilds, full bundle builds and bundle splices,
-        whole-fleet channel adoptions and single-bank re-adoptions,
-        and the world-slots on which an event boundary was handled.
-        Slice churn, worlds joining or leaving the stepped set and
-        resets that detach churn slices are the only things that move
-        any of them after the first step."""
+        whole-fleet channel adoptions (always 1: the block is built
+        with the engine) and single-bank re-adoptions, and the
+        world-slots on which an event boundary was handled.  Slice
+        churn, worlds joining or leaving the stepped set, resets that
+        detach churn slices and another engine stepping one of the
+        worlds are the only things that move any of them after the
+        first step."""
         return MappingProxyType(dict(
             self._counters, arena_rebuilds=self._arena.rebuilds))
 
@@ -318,13 +322,8 @@ class BatchSimulator:
             # 2. channels (one standard-normal block per world, one
             #    fused AR(1) update over all of them)
             with trace("engine.channels"):
-                if self._fleet is not None:
-                    cqi, margin = self._fleet.step_worlds(
-                        stepping, bundle.channel_rows)
-                else:
-                    for state in states:
-                        state.sim.network.step_channels()
-                    cqi, margin = self._gather_channels(states)
+                cqi, margin = self._fleet.step_worlds(
+                    stepping, bundle.channel_rows)
 
             # 3. realised arrivals (one Poisson array draw per world);
             #    the world's generator is done for the slot, so the
@@ -420,20 +419,6 @@ class BatchSimulator:
 
     # ---- what is cached per layout ----------------------------------
 
-    def _adopt_fleet(self) -> None:
-        """Stack every world's channel bank into one
-        :class:`FleetChannelBank` (all worlds, one AR(1) update per
-        slot).  One world needs none -- its own bank is already one
-        contiguous block -- and a fleet whose banks are not uniform
-        gets none (``adopt`` returns ``None``): both step their
-        networks' own banks."""
-        if len(self.sims) == 1:
-            return
-        self._fleet = FleetChannelBank.adopt(
-            [sim.network.channel_bank() for sim in self.sims],
-            [sim.network._rng for sim in self.sims])
-        self._counters["fleet_adoptions"] += self._fleet is not None
-
     def _restack(self) -> None:
         """(Re)lay out the stacked cumulative cost from the worlds'
         current managed slice counts.  Layouts homed in the previous
@@ -450,35 +435,26 @@ class BatchSimulator:
         worlds' layouts, touching only what moved: re-home a cumulative
         cost vector that lives elsewhere (fresh episode, another
         engine stepped the world), re-adopt a channel bank the fleet
-        block does not hold (churn), splice the bundle when the worlds
-        or their row layouts changed.
-
-        A bank that does not fit the block (``replace`` refuses it)
-        dissolves the block -- every world steps its own bank -- until
-        a later key change finds the banks uniform again."""
+        block does not hold (churn, or another engine stepped the
+        world), splice the bundle when the worlds or their row layouts
+        changed."""
         fleet = self._fleet
         uids = []
         strays = []
-        moved = False
         for b, state in zip(stepping, states):
             if state.cum_cost.base is not self._cum:
                 strays.append((b, state))
-            if fleet is not None and (state.bank is None
-                                      or state.bank._home
-                                      is not fleet):
-                if fleet.replace(b, state.bank):
-                    self._counters["bank_readoptions"] += 1
-                else:
-                    self._fleet = fleet = None
-                moved = True    # the block's row ranges shifted
+            if state.bank._home is not fleet:
+                # (a bank of another size comes with new kernel rows,
+                # so the uid test below re-derives ``channel_rows``)
+                fleet.replace(b, state.bank)
+                self._counters["bank_readoptions"] += 1
             uids.append(state.rows.uid)
         if strays:
             self._home_costs(strays, list(zip(stepping, states)))
         bundle = self._bundle
-        if bundle is None or moved or uids != bundle.uids \
+        if bundle is None or uids != bundle.uids \
                 or stepping != bundle.worlds:
-            if self._fleet is None:
-                self._adopt_fleet()
             bundle = self._bundle = self._rebundle(stepping, uids,
                                                    states)
         return bundle
@@ -537,47 +513,9 @@ class BatchSimulator:
         if len(stepping) < len(self.sims):
             members = np.asarray(stepping)
             bundle.cum_rows = _ranges(self._cum_starts, members)
-            if self._fleet is not None:
-                bundle.channel_rows = _ranges(
-                    np.asarray(self._fleet.starts), members)
+            bundle.channel_rows = _ranges(
+                np.asarray(self._fleet.starts), members)
         return bundle
-
-    def _gather_channels(self, states: List[WorldLayout]):
-        """``(cqi, margin_db)`` of the stepped worlds from their own
-        networks' channels: the path of one world (whose bank *is* the
-        gather layout) and of fleets whose user populations differ."""
-        umax = max(state.users for state in states)
-        total = sum(len(state.names) for state in states)
-        if len(states) == 1 and states[0].bank is not None:
-            bank = states[0].bank
-            if self._margin is None \
-                    or self._margin.shape != (total, umax):
-                self._margin = np.zeros((total, umax))
-            np.subtract(bank.snr_db, bank.mean_snr_db,
-                        out=self._margin)
-            return bank.cqi, self._margin
-        if self._cqi is None or self._cqi.shape != (total, umax):
-            # Padding lanes (beyond each row's user count) are
-            # initialised once and never read unmasked by the kernels.
-            self._cqi = np.ones((total, umax), dtype=np.intp)
-            self._margin = np.zeros((total, umax))
-        cqi, margin = self._cqi, self._margin
-        row = 0
-        for state in states:
-            u = state.users
-            bank = state.bank
-            if bank is not None:
-                hi = row + len(state.names)
-                cqi[row:hi, :u] = bank.cqi
-                np.subtract(bank.snr_db, bank.mean_snr_db,
-                            out=margin[row:hi, :u])
-                row = hi
-            else:
-                for channel in state.sim.network.channels.values():
-                    cqi[row, :u] = channel.cqi
-                    margin[row, :u] = channel.margins_db
-                    row += 1
-        return cqi, margin
 
     def _commit(self, bundle: _Bundle, slots: List[int],
                 dones: List[bool], out: Dict[str, np.ndarray],

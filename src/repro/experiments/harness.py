@@ -482,7 +482,7 @@ def make_onrl_agents(cfg: ExperimentConfig, seed: int = 17,
     """Per-slice learn-from-scratch OnRL agents (paper Sec. 7.1)."""
     return {
         spec.name: OnRLAgent(
-            spec.name, STATE_DIM, 10, cfg=onrl_cfg,
+            spec.name, STATE_DIM, NUM_ACTIONS, cfg=onrl_cfg,
             rng=np.random.default_rng(seed + i))
         for i, spec in enumerate(cfg.slices)
     }

@@ -8,18 +8,21 @@ from a log-distance shadowing distribution, quantised to CQI with the
 standard reporting thresholds.
 
 State is stored struct-of-arrays (one mean/SNR/CQI array per process)
-so the batched engine (:mod:`repro.engine`) can advance and read whole
-populations with array ops, and storage nests: a process's arrays are
-its own until a :class:`ChannelBank` stacks its network's processes,
-and the bank's are its own until a :class:`FleetChannelBank` stacks a
-batch's banks -- each level then reads its rows *through* the one
-above, so the holder can move or reshape its block without visiting
-what it holds.  :attr:`ChannelProcess.users` remains as a per-user
-snapshot view for diagnostic callers.  The RNG consumption is
-bit-compatible with the historical per-user scalar draws: a size-``n``
-``standard_normal`` call consumes the generator exactly like ``n``
-scalar draws, so seeds reproduce the same channels as before the
-struct-of-arrays refactor.
+and storage nests: a process's arrays are its own until its network's
+:class:`ChannelBank` stacks them, and the bank's are its own until a
+:class:`FleetChannelBank` stacks an engine's banks -- each level then
+reads its rows *through* the one above, so the holder can move or
+reshape its block without visiting what it holds.
+
+There are two holders and two callers of the AR(1) step:
+:meth:`ChannelBank.step` advances a bare network (the pi_b grid
+search, the figures), :meth:`FleetChannelBank.step_worlds` advances
+the worlds of a :class:`~repro.engine.batch.BatchSimulator` -- every
+one of them, a one-world engine and worlds of differing user counts
+included.  :class:`ChannelProcess` is the per-channel reference both
+are held against: a size-``n`` ``standard_normal`` call consumes the
+generator exactly like ``n`` scalar draws, so a block draw reproduces
+the per-channel (and the historical per-user) streams bit for bit.
 """
 
 from __future__ import annotations
@@ -70,8 +73,11 @@ def _ar1_step(snr_db: np.ndarray, mean_snr_db: np.ndarray,
             1, NUM_CQI, out=cqi_out)
 
 
-#: The three per-user state arrays of a channel population.
-_STATE_FIELDS = ("mean_snr_db", "snr_db", "cqi")
+#: The three per-user state arrays of a channel population, and what
+#: each holds in a fleet block's padding lanes: SNR pinned at a mean on
+#: the lowest CQI threshold.
+_PADDING = {"mean_snr_db": CQI_SNR_THRESHOLDS_DB[0],
+            "snr_db": CQI_SNR_THRESHOLDS_DB[0], "cqi": 1}
 
 
 class ChannelProcess:
@@ -145,19 +151,10 @@ class ChannelProcess:
                 for i in range(self.num_users)]
 
     def step(self) -> None:
-        """Advance every user's channel by one configuration slot."""
-        self.advance(self._rng.standard_normal(self.num_users))
-
-    def advance(self, innovations: np.ndarray) -> None:
-        """Apply one slot of AR(1) evolution from given standard-normal
-        innovations (the batched engine pre-draws these per world so
-        the per-world stream matches the scalar engine exactly).
-
-        Updates state in place, wherever it is stored, and consumes
-        ``innovations`` as scratch.
-        """
-        innovations = np.asarray(innovations, dtype=np.float64)
-        _ar1_step(self.snr_db, self.mean_snr_db, innovations,
+        """Advance every user's channel by one configuration slot, in
+        place, wherever the state is stored."""
+        _ar1_step(self.snr_db, self.mean_snr_db,
+                  self._rng.standard_normal(self.num_users),
                   self.correlation, self.innovation_std_db, self.cqi)
 
     @property
@@ -190,33 +187,41 @@ class ChannelBank:
     the bank from then on), after which :meth:`step` advances the whole
     population with a handful of array ops and **one**
     ``standard_normal`` block -- which consumes the shared generator
-    exactly like the historical per-channel size-``U`` draws in slice
-    order (the block/sequential stream equivalence is pinned by
-    ``tests/test_engine.py``).  This is what makes channel stepping
-    O(1) Python work per network per slot instead of O(slices).
+    exactly like the per-channel size-``U`` draws in slice order
+    (``tests/test_sim_phy_channel.py`` pins the block against S
+    sequential :meth:`ChannelProcess.step` calls).
+
+    The population is uniform by construction: one network builds all
+    its processes with one user count, one generator and one set of
+    AR(1) parameters, and rebuilds the bank whenever its slice set
+    changes.  A network without slices has a zero-row bank.
 
     The stacked arrays live on the bank until a
     :class:`FleetChannelBank` takes them; ``mean_snr_db`` / ``snr_db``
-    / ``cqi`` then read the bank's rows of the fleet block, so the
-    fleet can move or reshape its block without touching the banks.
-
-    Built by :meth:`adopt`, which returns ``None`` (no bank, callers
-    keep the per-channel loop) when the population is not uniform:
-    differing user counts, AR(1) parameters, or generators.
+    / ``cqi`` then read the bank's rows (and its ``U`` lanes) of the
+    fleet block, so the fleet can move or reshape its block without
+    touching the banks.
     """
 
-    def __init__(self, channels: Sequence[ChannelProcess]) -> None:
-        first = channels[0]
+    def __init__(self, channels: Sequence[ChannelProcess],
+                 num_users: int) -> None:
         self.channels = list(channels)
-        self.correlation = first.correlation
-        self.innovation_std_db = first.innovation_std_db
-        self._z = np.empty((len(channels), first.num_users))
+        # The population's AR(1) parameters (a zero-row bank steps
+        # nothing, whatever they are).
+        self.correlation, self.innovation_std_db = next(
+            ((channel.correlation, channel.innovation_std_db)
+             for channel in self.channels), (0.0, 0.0))
+        shape = (len(self.channels), num_users)
+        self._z = np.empty(shape)
+        self._margin = np.empty(shape)
         self._home: Optional["FleetChannelBank"] = None
         self._index = 0
-        self._state = {field: np.stack([getattr(channel, field)
-                                        for channel in channels])
-                       for field in _STATE_FIELDS}
-        for row, channel in enumerate(channels):
+        self._state = {"mean_snr_db": np.empty(shape),
+                       "snr_db": np.empty(shape),
+                       "cqi": np.empty(shape, dtype=np.intp)}
+        for row, channel in enumerate(self.channels):
+            for field, block in self._state.items():
+                block[row] = getattr(channel, field)
             channel._bank, channel._row = self, row
             channel._state = None
 
@@ -224,8 +229,9 @@ class ChannelBank:
         home = self._home
         if home is None:
             return self._state[field]
-        return getattr(home, field)[home.starts[self._index]:
-                                    home.starts[self._index + 1]]
+        return getattr(home, field)[
+            home.starts[self._index]:home.starts[self._index + 1],
+            :self._z.shape[1]]
 
     @property
     def mean_snr_db(self) -> np.ndarray:
@@ -244,25 +250,8 @@ class ChannelBank:
         bank, and any channel still reading through it, keeps what it
         last saw after the fleet reuses the rows."""
         self._state = {field: getattr(self, field).copy()
-                       for field in _STATE_FIELDS}
+                       for field in _PADDING}
         self._home = None
-
-    @classmethod
-    def adopt(cls, channels: Sequence[ChannelProcess]
-              ) -> Optional["ChannelBank"]:
-        """Stack ``channels`` into a bank, or ``None`` if non-uniform."""
-        channels = list(channels)
-        if not channels:
-            return None
-        first = channels[0]
-        for channel in channels[1:]:
-            if (channel.num_users != first.num_users
-                    or channel.correlation != first.correlation
-                    or channel.innovation_std_db
-                    != first.innovation_std_db
-                    or channel._rng is not first._rng):
-                return None
-        return cls(channels)
 
     def step(self, rng: np.random.Generator) -> None:
         """Advance every channel by one slot (one block draw)."""
@@ -270,118 +259,121 @@ class ChannelBank:
         _ar1_step(self.snr_db, self.mean_snr_db, self._z,
                   self.correlation, self.innovation_std_db, self.cqi)
 
+    def read(self):
+        """``(cqi, margin_db)``, both ``(S, U)`` in slice order; the
+        margin buffer is this bank's until the next call."""
+        np.subtract(self.snr_db, self.mean_snr_db, out=self._margin)
+        return self.cqi, self._margin
+
 
 class FleetChannelBank:
-    """Many networks' channel banks stacked into one ``(R, U)`` block.
+    """Many networks' channel banks stacked into one ``(R, Umax)``
+    block: the one channel store the world stepper advances.
 
-    The batch engine steps B worlds per slot; with per-network banks
-    that is still B Python-level AR(1) updates on small ``(S, U)``
-    arrays -- at B=128 the dispatch overhead dominates the actual
-    math.  The fleet bank holds every world's bank in rows
-    ``starts[b]:starts[b + 1]`` of one block (the banks, and through
-    them the channels, read their rows here), so a slot is one
-    innovation draw per stepped world plus **one** fused AR(1) update,
-    whether every world steps or any subset does.
+    Every :class:`~repro.engine.batch.BatchSimulator` owns one, a
+    one-world engine included.  World ``b``'s bank sits in rows
+    ``starts[b]:starts[b + 1]`` and reads them through this block (and
+    its channels through the bank), so a slot is one innovation draw
+    per stepped world plus **one** fused AR(1) update, whether every
+    world steps or any subset does.  A world with fewer than ``Umax``
+    users per slice leaves the lanes past its own count as padding:
+    SNR pinned at its mean, never drawn into, so the fused update
+    keeps them at ``cqi = 1``, ``margin = 0`` -- lanes the kernels'
+    ``user_mask`` never reads.
 
     RNG parity is preserved exactly: each world's innovations are
-    drawn from *its own* generator into its row block, in world order
-    -- the identical stream the per-network banks (and the historical
-    per-channel loops) consume; only the stepped worlds' generators
-    advance.
+    drawn from *its own* generator as one ``(S, U)`` block, in world
+    order -- the identical stream :meth:`ChannelBank.step` and the
+    per-channel :meth:`ChannelProcess.step` loop consume; only the
+    stepped worlds' generators advance.
 
-    Built by :meth:`adopt`, which returns ``None`` when the banks are
-    not uniform (user counts or AR(1) parameters differ) -- callers
-    then keep the per-network path.  A world whose bank changed (slice
-    churn) is spliced in by :meth:`replace`; nothing else moves.
+    The AR(1) parameters are the first bank's: every network builds
+    its channels with the same ones.  A world whose bank changed
+    (slice churn) or was taken by another fleet is spliced in by
+    :meth:`replace`; nothing else moves.
     """
 
     def __init__(self, banks: Sequence[ChannelBank],
                  rngs: Sequence[np.random.Generator]) -> None:
-        first = banks[0]
         self.banks = list(banks)
         self.rngs = list(rngs)
-        self.correlation = first.correlation
-        self.innovation_std_db = first.innovation_std_db
+        self.correlation = banks[0].correlation
+        self.innovation_std_db = banks[0].innovation_std_db
+        #: users per slice of each world; the block is as wide as the
+        #: widest
+        self.users = [bank.snr_db.shape[1] for bank in banks]
+        self._width = max(self.users)
         self.starts = [0]
         for bank in banks:
             self.starts.append(self.starts[-1] + bank.snr_db.shape[0])
-        for field in _STATE_FIELDS:
+        for field in _PADDING:
             setattr(self, field, np.concatenate(
-                [getattr(bank, field) for bank in banks]))
-        self._z = np.empty_like(self.snr_db)
-        self._margin = np.empty_like(self.snr_db)
+                [self._padded(bank, field) for bank in banks]))
+        self._lay_out_scratch()
         for index, bank in enumerate(banks):
             self._take(index, bank)
+
+    def _padded(self, bank: ChannelBank, field: str) -> np.ndarray:
+        """The bank's ``field`` as ``(S, Umax)`` block rows."""
+        state = getattr(bank, field)
+        rows = np.full((state.shape[0], self._width), _PADDING[field],
+                       dtype=state.dtype)
+        rows[:, :state.shape[1]] = state
+        return rows
+
+    def _lay_out_scratch(self) -> None:
+        # Zeros: the padding lanes' innovations, which no draw writes.
+        self._z = np.zeros_like(self.snr_db)
+        self._margin = np.empty_like(self.snr_db)
 
     def _take(self, index: int, bank: ChannelBank) -> None:
         self.banks[index] = bank
         bank._home, bank._index = self, index
         bank._state = None
 
-    @classmethod
-    def adopt(cls, banks: Sequence[Optional[ChannelBank]],
-              rngs: Sequence[np.random.Generator]
-              ) -> Optional["FleetChannelBank"]:
-        """Stack per-world banks, or ``None`` if any is missing or the
-        populations are not uniform across worlds."""
-        banks = list(banks)
-        if not banks or any(bank is None for bank in banks):
-            return None
-        first = banks[0]
-        for bank in banks[1:]:
-            if (bank.snr_db.shape[1] != first.snr_db.shape[1]
-                    or bank.correlation != first.correlation
-                    or bank.innovation_std_db
-                    != first.innovation_std_db):
-                return None
-        return cls(banks, rngs)
-
-    def replace(self, index: int, bank: Optional[ChannelBank]) -> bool:
+    def replace(self, index: int, bank: ChannelBank) -> None:
         """Splice world ``index``'s current bank into the block.
 
         Called when churn rebuilt the world's bank or another fleet
         took it: the bank this block held for the world gets its rows
         back (:meth:`ChannelBank.release`), the new bank's state
         replaces them, and later worlds' row ranges shift by the size
-        difference.  Returns ``False`` -- nothing changed -- when the
-        bank does not fit the block (missing, other user count or
-        AR(1) parameters).
+        difference.
         """
-        if (bank is None
-                or bank.snr_db.shape[1] != self.snr_db.shape[1]
-                or bank.correlation != self.correlation
-                or bank.innovation_std_db != self.innovation_std_db):
-            return False
         old = self.banks[index]
         if old is not bank and old._home is self:
             old.release()
         lo, hi = self.starts[index], self.starts[index + 1]
-        for field in _STATE_FIELDS:
+        for field in _PADDING:
             block = getattr(self, field)
             setattr(self, field, np.concatenate(
-                [block[:lo], getattr(bank, field), block[hi:]]))
+                [block[:lo], self._padded(bank, field), block[hi:]]))
+        self.users[index] = bank.snr_db.shape[1]
         moved = bank.snr_db.shape[0] - (hi - lo)
-        if moved:
-            self.starts[index + 1:] = [
-                start + moved for start in self.starts[index + 1:]]
-            self._z = np.empty_like(self.snr_db)
-            self._margin = np.empty_like(self.snr_db)
+        self.starts[index + 1:] = [
+            start + moved for start in self.starts[index + 1:]]
+        self._lay_out_scratch()
         self._take(index, bank)
-        return True
 
     def step_worlds(self, worlds: Sequence[int],
                     rows: Optional[np.ndarray] = None):
         """Advance the given worlds' channels by one slot and return
-        their ``(cqi, margin_db)`` rows, world-major.
+        their ``(cqi, margin_db)`` rows, world-major, ``Umax`` wide.
 
         ``rows`` are the block rows of ``worlds`` (``None``: every
         world steps and the update runs on the block in place);
         either way it is one fused AR(1) update.  The returned arrays
         are this block's until the next call.
         """
-        z, starts = self._z, self.starts
+        z, starts, width = self._z, self.starts, self._width
         for b in worlds:
-            self.rngs[b].standard_normal(out=z[starts[b]:starts[b + 1]])
+            draw = z[starts[b]:starts[b + 1]]
+            users = self.users[b]
+            if users == width:
+                self.rngs[b].standard_normal(out=draw)
+            else:
+                draw[:, :users] = self.rngs[b].standard_normal(
+                    (len(draw), users))
         if rows is None:
             _ar1_step(self.snr_db, self.mean_snr_db, z,
                       self.correlation, self.innovation_std_db,

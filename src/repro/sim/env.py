@@ -110,7 +110,6 @@ class WorldLayout:
         self.rows = network.slot_rows()
         self.bank = network.channel_bank()
         self.names = self.rows.names
-        self.users = network.cfg.users_per_slice
         background = sim._event_slices
         self.managed = np.asarray(
             [name not in background for name in self.names],
@@ -159,6 +158,9 @@ class ScenarioSimulator:
                  traffic_model=None,
                  events: Sequence = ()) -> None:
         self.cfg = cfg or ExperimentConfig()
+        if not self.cfg.slices:
+            raise ValueError("cfg.slices is empty: a world needs at "
+                             "least one slice to step")
         self._rng = rng if rng is not None else np.random.default_rng(
             self.cfg.seed)
         self.network = EndToEndNetwork(

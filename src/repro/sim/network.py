@@ -91,12 +91,10 @@ class EndToEndNetwork:
         #: Cached engine row layout; rebuilt whenever the slice set
         #: changes (see :meth:`slot_rows`).
         self._rows_cache = None
-        #: Reused per-slot (cqi, margin) gather buffers.
-        self._channel_buffers = None
-        #: Stacked channel state (see :meth:`channel_bank`); rebuilt
-        #: lazily after slice churn.
-        self._bank: Optional[ChannelBank] = None
-        self._bank_ready = False
+        #: Stacked channel state of the current slice set (the
+        #: channels' storage): rebuilt by every attach / detach, zero
+        #: rows while there is no slice.
+        self._bank = ChannelBank([], self.cfg.users_per_slice)
         #: Persistent kernel arena + reused slot staging buffers of
         #: ``evaluate_slot`` (lazily built), so repeated what-if
         #: evaluations share the engine's zero-allocation steady state.
@@ -141,8 +139,8 @@ class EndToEndNetwork:
     def _slice_set_changed(self) -> None:
         self.churn_count += 1
         self._rows_cache = None
-        self._bank = None
-        self._bank_ready = False
+        self._bank = ChannelBank(list(self.channels.values()),
+                                 self.cfg.users_per_slice)
 
     @property
     def slice_names(self) -> List[str]:
@@ -169,34 +167,19 @@ class EndToEndNetwork:
 
     # ---- slot evaluation -----------------------------------------------
 
-    def channel_bank(self) -> Optional[ChannelBank]:
-        """This network's stacked channel state (built lazily).
-
-        ``None`` when the channel population is non-uniform (see
-        :meth:`ChannelBank.adopt`); callers then fall back to the
-        per-channel loop.
-        """
-        if not self._bank_ready:
-            self._bank = (ChannelBank.adopt(list(self.channels
-                                                 .values()))
-                          if self.channels else None)
-            self._bank_ready = True
+    def channel_bank(self) -> ChannelBank:
+        """This network's stacked channel state: rebuilt with every
+        slice attach / detach, zero rows without slices."""
         return self._bank
 
     def step_channels(self) -> None:
         """Advance every slice's radio channel by one slot.
 
         One stacked AR(1) update over the channel bank; consumes the
-        RNG identically to the historical per-channel loop (one
-        ``(S, U)`` block draw == S sequential size-``U`` draws in
-        slice order).
+        RNG identically to a per-channel loop (one ``(S, U)`` block
+        draw == S sequential size-``U`` draws in slice order).
         """
-        bank = self.channel_bank()
-        if bank is not None:
-            bank.step(self._rng)
-            return
-        for channel in self.channels.values():
-            channel.step()
+        self._bank.step(self._rng)
 
     def slot_rows(self):
         """This network's engine row layout (cached per slice set:
@@ -208,28 +191,14 @@ class EndToEndNetwork:
         return self._rows_cache
 
     def gather_channel_state(self):
-        """Stack every slice's per-user CQI and channel margin.
+        """Every slice's per-user CQI and channel margin.
 
         Returns ``(cqi, margin)`` of shape ``(S, users_per_slice)`` in
-        slice order.  The buffers are cached alongside the row layout
-        and refilled per call, so repeated evaluations allocate
-        nothing (callers must consume them before the next
-        ``evaluate_slot``).
+        slice order.  The margin buffer is the bank's and refilled per
+        call, so repeated evaluations allocate nothing (callers must
+        consume it before the next ``evaluate_slot``).
         """
-        shape = (len(self.channels), self.cfg.users_per_slice)
-        if self._channel_buffers is None \
-                or self._channel_buffers[0].shape != shape:
-            self._channel_buffers = (np.empty(shape, dtype=np.intp),
-                                     np.empty(shape))
-        cqi, margin = self._channel_buffers
-        bank = self.channel_bank()
-        if bank is not None:
-            np.subtract(bank.snr_db, bank.mean_snr_db, out=margin)
-            return bank.cqi, margin
-        for i, channel in enumerate(self.channels.values()):
-            cqi[i] = channel.cqi
-            margin[i] = channel.margins_db
-        return cqi, margin
+        return self._bank.read()
 
     def evaluate_slot(self, actions: Dict[str, np.ndarray],
                       arrival_rates: Dict[str, float]

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.model_based import (
     ModelBasedConfig,
@@ -47,7 +49,43 @@ def _obs(traffic: float) -> SliceObservation:
         cost_threshold=0.05, cumulative_cost=0.1)
 
 
+def _loop_projection(actions, capacity=1.0):
+    """The projection rule as a loop over kinds and slices (how
+    ``project_actions`` was typed before it became the one-world call
+    of ``project_actions_batch``), kept as the reference."""
+    projected = {name: np.asarray(action, dtype=float).copy()
+                 for name, action in actions.items()}
+    for idx in CONSTRAINED_RESOURCES.values():
+        total = sum(action[idx] for action in projected.values())
+        if total > capacity and total > 0:
+            scale = capacity / total
+            for action in projected.values():
+                action[idx] *= scale
+    return projected
+
+
+#: Per resource kind: every slice asks for nothing, the slices together
+#: stay under capacity, or they over-request.
+_REQUEST_LEVELS = st.sampled_from((0.0, 0.15, 2.0))
+
+
 class TestProjection:
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.lists(_REQUEST_LEVELS, min_size=NUM_ACTIONS,
+                    max_size=NUM_ACTIONS),
+           st.sampled_from((0.5, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_loop_bit_for_bit(self, slices, seed, levels,
+                                         capacity):
+        rng = np.random.default_rng(seed)
+        actions = {f"s{i}": rng.uniform(0.0, 1.0, NUM_ACTIONS) * levels
+                   for i in range(slices)}
+        projected = project_actions(actions, capacity)
+        reference = _loop_projection(actions, capacity)
+        assert list(projected) == list(reference)
+        for name in actions:
+            assert projected[name].tolist() == reference[name].tolist()
+
     def test_scales_only_overcommitted_kinds(self):
         actions = {
             "a": np.full(NUM_ACTIONS, 0.8),

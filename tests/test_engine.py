@@ -321,13 +321,24 @@ class TestWorldOwnsItsEpisode:
         assert got == expected
 
     def test_alternating_fronts_within_one_episode(self):
+        self._alternate(_build_sim("default"))
+
+    def test_alternating_fronts_on_a_padded_block(self):
+        """The same, beside a world of five users per slice: the
+        shared engine's channel block is five lanes wide, the world's
+        own three, and its bank moves between them every slot."""
+        cfg = ExperimentConfig(network=NetworkConfig(users_per_slice=5))
+        self._alternate(ScenarioSimulator(
+            cfg, rng=np.random.default_rng(cfg.seed)))
+
+    def _alternate(self, other):
         lone = _build_sim("slice_churn")
         lone.reset()
         slots = int(0.6 * lone.horizon)        # across the churn
         expected = _random_policy_slots(
             lone, np.random.default_rng(31), slots)
 
-        sim, other = _build_sim("slice_churn"), _build_sim("default")
+        sim = _build_sim("slice_churn")
         shared = BatchSimulator([sim, other])
         shared.reset()
         rng = np.random.default_rng(31)
@@ -353,6 +364,11 @@ class TestWorldOwnsItsEpisode:
         for name in lone.slice_names:
             assert sim.cumulative_cost(name) == \
                 lone.cumulative_cost(name)
+        assert sim._rng.bit_generator.state == \
+            lone._rng.bit_generator.state
+        for name, channel in lone.network.channels.items():
+            np.testing.assert_array_equal(
+                sim.network.channels[name].snr_db, channel.snr_db)
 
 
 class TestRunEpisodes:

@@ -277,6 +277,10 @@ class TestCounters:
                 boundaries += tuple(lone.network.slices) != population
                 population = tuple(lone.network.slices)
         assert boundaries == 4
+        # a world only ever stepped alone owns a one-world block:
+        # adopted once, re-adopted at the churn boundaries only
+        assert lone._engine.counters["fleet_adoptions"] == 1
+        assert lone._engine.counters["bank_readoptions"] == boundaries
 
         counters = _run([_build(churn), _build(calm)], episodes=2)
         assert counters["bundle_builds"] == 1
@@ -305,46 +309,6 @@ class TestCounters:
             "bundle_splices": 2, "fleet_adoptions": 1,
             "bank_readoptions": 0, "event_slots": 0}
 
-    def test_a_dissolved_fleet_block_is_adopted_again(self):
-        """A bank that does not fit the block (here: one channel with
-        its own AR(1) correlation, so the world has no bank at all)
-        sends every world back to its own bank; once the banks are
-        uniform again the next key change re-adopts the fleet -- and
-        the worlds never notice."""
-        from repro.sim.channel import ChannelProcess
-
-        spec = _with_horizon(scenarios.get("default"), 12)
-
-        def swap_channel(sim, **kwargs):
-            network = sim.network
-            network.channels["HVS"] = ChannelProcess(
-                network.cfg.users_per_slice, network._rng, **kwargs)
-            network._slice_set_changed()
-
-        sims = [_build(spec), _build(spec, seed=3)]
-        twins = [_build(spec), _build(spec, seed=3)]
-        batch = BatchSimulator(sims)
-        batch.reset()
-        for twin in twins:
-            twin.reset()
-        adoptions = []
-        for slot in range(12):
-            if slot in (3, 7):
-                kwargs = {"correlation": 0.5} if slot == 3 else {}
-                swap_channel(sims[0], **kwargs)
-                swap_channel(twins[0], **kwargs)
-            step = batch.step([_valid(sim) for sim in sims])
-            for b, twin in enumerate(twins):
-                results = twin.step(dict(zip(twin.slice_names,
-                                             _valid(twin))))
-                assert step.observations[step.rows_of(b)].tolist() == \
-                    [list(results[n].observation.vector())
-                     for n in twin.slice_names]
-            adoptions.append(batch.counters["fleet_adoptions"])
-        assert adoptions == [1] * 7 + [2] * 5
-        assert batch.counters["bank_readoptions"] == 0
-
-
     def test_obs_profile_reports_the_counters(self, capsys):
         from repro.runtime.cli import main
 
@@ -353,11 +317,90 @@ class TestCounters:
         report = json.loads(capsys.readouterr().out)
         assert report["engine_counters"] == {
             "arena_rebuilds": 3, "bundle_builds": 1,
-            "bundle_splices": 2, "fleet_adoptions": 0,
-            "bank_readoptions": 0, "event_slots": 2}
+            "bundle_splices": 2, "fleet_adoptions": 1,
+            "bank_readoptions": 2, "event_slots": 2}
         assert main(["obs", "profile", "--scenario", "default"]) == 0
         assert "engine counters: arena_rebuilds 1, " in \
             capsys.readouterr().out
+
+
+# ---- worlds of differing user counts share one padded block -----------
+
+
+def _build_users(spec, users, seed):
+    cfg = spec.build_config(seed=seed)
+    cfg = cfg.replace(network=dataclasses.replace(
+        cfg.network, users_per_slice=users))
+    return spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
+
+
+def _padded_fleet():
+    churn = scenarios.get("slice_churn")
+    return [_build_users(_with_horizon(churn, slots), users, seed)
+            for seed, (users, slots) in enumerate(
+                ((3, 12), (5, 16), (3, 20), (5, 14)))]
+
+
+def test_padded_fleet_steps_every_world_like_the_world_alone():
+    """Worlds of 3 and 5 users per slice, churning, with ragged
+    horizons, over two episodes, world 1 sitting out every third slot:
+    one ``(R, 5)`` block adopted once, and every world's rows,
+    channels and generator equal a lone twin's replaying the world's
+    own action stream."""
+    sims, twins = _padded_fleet(), _padded_fleet()
+    count = len(sims)
+    batch = BatchSimulator(sims)
+    streams = [np.random.default_rng(500 + b) for b in range(count)]
+    scripts = [[] for _ in range(count)]
+    for _ in range(2):
+        batch.reset()
+        slot = 0
+        while not all(sim.done for sim in sims):
+            actions = [None] * count
+            for b, sim in enumerate(sims):
+                if not sim.done and not (b == 1 and slot % 3 == 2):
+                    actions[b] = streams[b].uniform(
+                        0.0, 1.0, (len(sim.slice_names), NUM_ACTIONS))
+            slot += 1
+            if all(action is None for action in actions):
+                continue        # only world 1 is left, sitting out
+            step = batch.step(actions)
+            for i, b in enumerate(step.worlds):
+                rows = step.rows_of(b)
+                scripts[b].append((
+                    actions[b], step.names[i],
+                    step.observations[rows].tolist(),
+                    step.rewards[rows].tolist(),
+                    step.costs[rows].tolist(),
+                    step.usages[rows].tolist(),
+                    step.latencies[rows].tolist(), step.dones[i]))
+        for b, twin in enumerate(twins):
+            twin.reset()
+            for action, names, obs, rewards, costs, usages, latencies, \
+                    done in scripts[b]:
+                results = twin.step(dict(zip(names, action)))
+                assert list(results) == names
+                got = [results[n] for n in names]
+                assert [list(r.observation.vector())
+                        for r in got] == obs, b
+                assert [r.reward for r in got] == rewards
+                assert [r.cost for r in got] == costs
+                assert [r.usage for r in got] == usages
+                assert [r.report.transport_latency_ms
+                        + r.report.core_latency_ms
+                        + r.report.edge_latency_ms
+                        for r in got] == latencies
+                assert twin.done == done
+            scripts[b].clear()
+            assert _fingerprint(twin) == _fingerprint(sims[b])
+            for name, channel in twin.network.channels.items():
+                mine = sims[b].network.channels[name]
+                np.testing.assert_array_equal(mine.snr_db, channel.snr_db)
+                np.testing.assert_array_equal(mine.cqi, channel.cqi)
+    assert batch._fleet.snr_db.shape[1] == 5
+    assert batch.counters["fleet_adoptions"] == 1
+    # every world churns twice an episode
+    assert batch.counters["bank_readoptions"] == 2 * 2 * count
 
 
 # ---- recorded-parent totals over fuzz corpora -------------------------
@@ -704,7 +747,7 @@ class TestSplicedBundles:
                     for i in range(4)]
 
         fleet_nets, lone_nets = networks(), networks()
-        fleet = FleetChannelBank.adopt(
+        fleet = FleetChannelBank(
             [net.channel_bank() for net in fleet_nets],
             [net._rng for net in fleet_nets])
         extra = scenarios.get("six_slices").build_config().slices[4]
@@ -712,7 +755,7 @@ class TestSplicedBundles:
             if subset == [0]:       # churn world 2 in both fleets
                 for nets in (fleet_nets, lone_nets):
                     nets[2].add_slice(extra)
-                assert fleet.replace(2, fleet_nets[2].channel_bank())
+                fleet.replace(2, fleet_nets[2].channel_bank())
             rows = None if len(subset) == 4 else np.concatenate(
                 [np.arange(fleet.starts[b], fleet.starts[b + 1])
                  for b in subset])

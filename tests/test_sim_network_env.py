@@ -147,6 +147,10 @@ class TestEndToEndNetwork:
 
 
 class TestScenarioSimulator:
+    def test_a_world_without_slices_is_rejected_where_it_is_made(self):
+        with pytest.raises(ValueError, match="cfg.slices"):
+            ScenarioSimulator(ExperimentConfig().replace(slices=()))
+
     def test_episode_runs_to_horizon(self, simulator):
         simulator.reset()
         actions = {n: np.full(NUM_ACTIONS, 0.4)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_probe import probe
+from kernel_probe import make_network, probe
+from repro import scenarios
 from repro.config import MAX_MCS_OFFSET, lte_ran_config, mar_slice_spec
 from repro.sim.channel import ChannelProcess
 from repro.sim.phy import (
@@ -179,6 +180,32 @@ class TestChannelProcess:
     def test_invalid_correlation(self, rng):
         with pytest.raises(ValueError):
             ChannelProcess(3, rng, correlation=1.0)
+
+
+@pytest.mark.parametrize("slices, users",
+                         [(3, 3), (6, 5), (4, 1), (0, 3)])
+def test_bank_step_is_the_sequential_channel_steps(slices, users):
+    """A bare network's one block draw + stacked AR(1) update equals S
+    per-channel ``ChannelProcess.step`` calls in slice order: same
+    channels, same generator afterwards.  A network without slices has
+    a zero-row bank and steps nothing."""
+    specs = scenarios.get("six_slices").build_config().slices[:slices]
+    net = make_network(specs, seed=77, users_per_slice=users)
+    rng = np.random.default_rng(77)
+    reference = [ChannelProcess(users, rng) for _ in specs]
+    for _ in range(5):
+        net.step_channels()
+        for channel in reference:
+            channel.step()
+        cqi, margin = net.gather_channel_state()
+        assert cqi.shape == margin.shape == (slices, users)
+        for row, channel in enumerate(reference):
+            np.testing.assert_array_equal(cqi[row], channel.cqis)
+            np.testing.assert_array_equal(margin[row],
+                                          channel.margins_db)
+        for mine, channel in zip(net.channels.values(), reference):
+            np.testing.assert_array_equal(mine.snr_db, channel.snr_db)
+    assert net._rng.bit_generator.state == rng.bit_generator.state
 
 
 @given(st.integers(min_value=1, max_value=15),
