@@ -15,13 +15,11 @@ records engine throughput over time alongside the artefact timings.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the horizon for CI smoke runs.
 
-The arena test records the ``vector`` engine's world-slot throughput
-at B=128 (persistent :class:`~repro.engine.arena.KernelArena`) and
-asserts its steady-state allocations per slot (tracemalloc, numpy
-data domain, kernel/arena frames only) are exactly zero.  The
-committed ``benchmarks/baselines/BENCH_engine.json`` records one such
-run; wall-time changes are judged by ``benchmarks/e2e/run.py
-compare`` on the ``engine_fuzz`` workload, not against that file.
+The B=128 test records the ``vector`` engine's world-slot throughput
+at the ROADMAP's target batch, ungated.  The committed
+``benchmarks/baselines/BENCH_engine.json`` records one such run;
+wall-time changes are judged by ``benchmarks/e2e/run.py compare`` on
+the ``engine_fuzz`` workload, not against that file.
 
 The corpus test drives what the uniform fleets above never do: a
 24-world fuzz corpus with slice churn, transport faults and ragged
@@ -76,8 +74,8 @@ SLOTS = 24 if os.environ.get("REPRO_BENCH_QUICK") else 96
 #: The churn / ragged-horizon case: worlds of one fuzz corpus.
 CORPUS_WORLDS = 24
 CORPUS_SPACE = FuzzSpace(min_slots=SLOTS // 2, max_slots=SLOTS)
-#: The arena case runs at the ROADMAP's target batch.
-ARENA_BATCH = 128
+#: The wide case runs at the ROADMAP's target batch.
+WIDE_BATCH = 128
 
 #: Max fractional throughput loss from tracing at default sampling.
 #: The tracer's true cost is low single digits; the headroom above
@@ -116,52 +114,6 @@ def _drive(engine: str, batch: int = BATCH):
             "decisions": batch * SLOTS * slices}
 
 
-def _allocations_per_slot(slots: int = 8) -> float:
-    """Steady-state heap array allocations per kernel slot.
-
-    Warms a B=8 :class:`~repro.engine.batch.BatchSimulator`, then
-    counts numpy data-buffer allocations (tracemalloc domain) whose
-    traceback lands in the kernel or arena modules over ``slots``
-    further steps.  The arena contract is exactly zero.
-    """
-    import tracemalloc
-
-    from repro import engine as engine_pkg
-    from repro.engine.batch import BatchSimulator
-
-    sims, _ = _make_worlds(batch=8)
-    batch = BatchSimulator(sims)
-    actions = []
-    for b in range(batch.num_worlds):
-        batch.reset_world(b)
-        actions.append(np.full((len(batch.slice_names(b)),
-                                NUM_ACTIONS), 0.25))
-    for _ in range(3):                                   # warm the arena
-        batch.step(actions)
-    modules = [os.path.join(os.path.dirname(engine_pkg.__file__),
-                            name)
-               for name in ("kernels.py", "arena.py")]
-    tracemalloc.start(10)
-    try:
-        before = tracemalloc.take_snapshot()
-        for _ in range(slots):
-            batch.step(actions)
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    numpy_domain = 389047  # numpy's tracemalloc data-buffer domain
-    filters = [tracemalloc.DomainFilter(True, numpy_domain)]
-    count = 0
-    for diff in after.filter_traces(filters).compare_to(
-            before.filter_traces(filters), "traceback"):
-        if diff.count_diff <= 0:
-            continue
-        frames = {frame.filename for frame in diff.traceback}
-        if frames & set(modules):
-            count += diff.count_diff
-    return count / slots
-
-
 def test_engine_vector_vs_scalar(benchmark):
     # one warm-up lockstep episode: kernels, layout caches
     _drive("vector")
@@ -188,34 +140,21 @@ def test_engine_vector_vs_scalar(benchmark):
           f"({decisions_per_sec:,.0f} decisions/s)")
 
 
-def test_engine_arena_b128(benchmark):
-    """The kernel arena at B=128: throughput and zero allocations.
+def test_engine_throughput_b128(benchmark):
+    """World-slot throughput at B=128: best of two ``vector`` runs
+    after a warm-up."""
+    _drive("vector", batch=WIDE_BATCH)                      # warm-up
 
-    Best-of-2 ``vector`` world-slot throughput after a warm-up, plus
-    the steady-state allocation count, which must be exactly zero.
-    """
-    _drive("vector", batch=ARENA_BATCH)                     # warm-up
+    runs = [run_once(benchmark, _drive, "vector", batch=WIDE_BATCH),
+            _drive("vector", batch=WIDE_BATCH)]
+    rate = runs[0]["world_slots"] / min(run["elapsed_s"] for run in runs)
 
-    arena_runs = [run_once(benchmark, _drive, "vector",
-                           batch=ARENA_BATCH),
-                  _drive("vector", batch=ARENA_BATCH)]
-
-    world_slots = arena_runs[0]["world_slots"]
-    arena_rate = world_slots / min(run["elapsed_s"]
-                                   for run in arena_runs)
-    allocs = _allocations_per_slot()
-
-    benchmark.extra_info["engine_batch"] = ARENA_BATCH
+    benchmark.extra_info["engine_batch"] = WIDE_BATCH
     benchmark.extra_info["engine_slots"] = SLOTS
-    benchmark.extra_info["arena_world_slots_per_sec"] = arena_rate
-    benchmark.extra_info["allocations_per_slot"] = allocs
+    benchmark.extra_info["world_slots_per_sec"] = rate
 
-    print(f"\nArena throughput at B={ARENA_BATCH} "
-          f"({SLOTS}-slot episodes):")
-    print(f"  vector        {arena_rate:12,.0f} world-slots/s")
-    print(f"  steady-state kernel allocations/slot: {allocs:g}")
-    assert allocs == 0.0, \
-        "arena path allocated heap arrays in steady state"
+    print(f"\nThroughput at B={WIDE_BATCH} ({SLOTS}-slot episodes):")
+    print(f"  vector        {rate:12,.0f} world-slots/s")
 
 
 def _corpus_worlds():

@@ -31,7 +31,6 @@ from repro.config import (
     SliceSpec,
     action_index,
 )
-from repro.engine.arena import KernelArena
 from repro.engine.kernels import WorldConditions, evaluate_rows
 from repro.sim.env import SliceObservation
 from repro.sim.network import EndToEndNetwork
@@ -210,15 +209,12 @@ def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,
     rows = network.slot_rows().repeat(num_rows)
     cond = WorldConditions.nominal(num_rows)    # a fresh fabric's state
     actions = np.repeat(candidates, slots, axis=0)
-    rates = np.empty(num_rows)
-    arena = KernelArena()
     shape = (len(search_cfg.bin_edges), len(combos))
     cost, usage = np.empty(shape), np.empty(shape)
     for b, bin_edge in enumerate(search_cfg.bin_edges):
-        rates.fill(bin_edge * search_cfg.traffic_margin
-                   * spec.max_arrival_rate)
-        out = evaluate_rows(rows, cond, actions, rates, cqi, margin,
-                            arena)
+        rates = np.full(num_rows, bin_edge * search_cfg.traffic_margin
+                        * spec.max_arrival_rate)
+        out = evaluate_rows(rows, cond, actions, rates, cqi, margin)
         cost[b] = out["cost"].reshape(-1, slots).mean(axis=1)
         usage[b] = out["usage"].reshape(-1, slots).mean(axis=1)
     return candidates, cost, usage

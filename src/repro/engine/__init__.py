@@ -6,9 +6,6 @@ into flat array math:
 * :mod:`repro.engine.kernels` -- the vectorised slot kernels: every
   slot evaluation in the repo (the stepper, the what-if
   ``evaluate_slot``, the pi_b grid search) is one ``evaluate_rows``;
-* :mod:`repro.engine.arena` -- :class:`KernelArena`, the layout-keyed
-  slot-arena allocator that lets a warmed kernel pass run with zero
-  heap array allocations;
 * :mod:`repro.engine.batch` -- :class:`BatchSimulator`, the one world
   stepper: B heterogeneous worlds in lockstep with per-world RNG
   streams (``ScenarioSimulator.step`` is its ``B = 1`` case);
@@ -22,7 +19,6 @@ The layers above consume it through
 :func:`repro.serve.loadgen.drive_lockstep`.
 """
 
-from repro.engine.arena import KernelArena
 from repro.engine.batch import BatchSimulator, BatchStepResult
 from repro.engine.kernels import (
     SliceRows,
@@ -45,7 +41,6 @@ __all__ = [
     "BatchPolicy",
     "BatchSimulator",
     "BatchStepResult",
-    "KernelArena",
     "ConstantBatchPolicy",
     "ModelBasedBatchPolicy",
     "RoutedBatchPolicy",

@@ -72,7 +72,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import NUM_ACTIONS
-from repro.engine.arena import KernelArena
 from repro.engine.kernels import (
     SliceRows,
     WorldConditions,
@@ -214,7 +213,6 @@ class BatchSimulator:
                              "BatchSimulator only runs 'vector'")
         self.sims: List[ScenarioSimulator] = list(simulators)
         self.engine = engine
-        self._arena = KernelArena()
         self._bundle: Optional[_Bundle] = None
         self._counters = dict.fromkeys(
             ("bundle_builds", "bundle_splices", "fleet_adoptions",
@@ -243,16 +241,15 @@ class BatchSimulator:
     @property
     def counters(self) -> Mapping[str, int]:
         """What this engine rebuilt so far (a read-only snapshot):
-        kernel-arena rebuilds, full bundle builds and bundle splices,
-        whole-fleet channel adoptions (always 1: the block is built
-        with the engine) and single-bank re-adoptions, and the
-        world-slots on which an event boundary was handled.  Slice
-        churn, worlds joining or leaving the stepped set, resets that
-        detach churn slices and another engine stepping one of the
-        worlds are the only things that move any of them after the
-        first step."""
-        return MappingProxyType(dict(
-            self._counters, arena_rebuilds=self._arena.rebuilds))
+        full bundle builds and bundle splices (together, one per row
+        layout the kernels saw), whole-fleet channel adoptions (always
+        1: the block is built with the engine) and single-bank
+        re-adoptions, and the world-slots on which an event boundary
+        was handled.  Slice churn, worlds joining or leaving the
+        stepped set, resets that detach churn slices and another
+        engine stepping one of the worlds are the only things that
+        move any of them after the first step."""
+        return MappingProxyType(dict(self._counters))
 
     def slice_names(self, world: int) -> List[str]:
         return list(self.sims[world].slice_names)
@@ -284,15 +281,17 @@ class BatchSimulator:
                              np.ndarray]:
         """:meth:`step`, also handing back what the kernels computed:
         ``(result, out, rates)`` with ``out`` the
-        :func:`~repro.engine.kernels.evaluate_rows` arrays and
-        ``rates`` the realised arrivals/s, both over *every* row of
-        the stepped worlds (background churn slices included) and
-        owned by this engine until its next step -- what a caller
-        building per-slice reports at the edge reads.
+        :func:`~repro.engine.kernels.evaluate_rows` arrays (fresh
+        every step) and ``rates`` the realised arrivals/s (the
+        bundle's buffer, owned by this engine until its next step),
+        both over *every* row of the stepped worlds (background churn
+        slices included) -- what a caller building per-slice reports
+        at the edge reads.
 
         A step that is rejected (a world never reset or past its
-        horizon, an action of the wrong shape, for an unknown slice
-        or not finite) raises before anything changed: no event
+        horizon, an action of the wrong shape, for an unknown slice,
+        missing for a managed one or not finite) raises, naming the
+        world and the slice, before anything changed: no event
         fired, no generator advanced, and the same worlds can be
         stepped again with valid actions.
         """
@@ -348,7 +347,7 @@ class BatchSimulator:
                 matrix[bundle.managed] = staged
                 out = evaluate_rows(
                     bundle.rows, bundle.cond.refresh(bundle.fabrics),
-                    matrix, rates, cqi, margin, arena=self._arena)
+                    matrix, rates, cqi, margin)
 
             # 5. stacked managed-row results + cumulative cost
             with trace("engine.commit"):
@@ -393,7 +392,15 @@ class BatchSimulator:
                         f"{given.shape}")
                 parts.append(given)
             else:
+                for name in given:
+                    if name not in managed:
+                        raise KeyError(
+                            f"world {b}: action for unknown slice "
+                            f"{name!r}; managed slices: {managed}")
                 for name in managed:
+                    if name not in given:
+                        raise KeyError(f"world {b}: no action for "
+                                       f"slice {name!r}")
                     row = np.asarray(given[name], dtype=float)
                     if row.shape != (NUM_ACTIONS,):
                         raise ValueError(

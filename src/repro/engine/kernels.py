@@ -30,34 +30,32 @@ the scalar simulator for every catalog scenario, and its
 ``TestScalarDomainModelsMatchKernels`` holds ``evaluate_rows`` to the
 scalar oracle itself (``rtol=1e-9``; observed <= 3e-16).
 
-Arena discipline
-~~~~~~~~~~~~~~~~
-Every temporary is drawn from a :class:`~repro.engine.arena
-.KernelArena` and written through ``out=`` ufunc arguments, so a
-warmed arena serves the whole pass with zero heap array allocations
-(``tests/test_engine_alloc.py``).  None of this changes any computed
-bit, because the rewrites are limited to:
+Operation order
+~~~~~~~~~~~~~~~
+The kernels are plain numpy expressions that return fresh arrays.
+What carries the parity contract is the order of operations, so every
+expression keeps the association of the code it reproduces, and:
 
-* **out= placement.** An elementwise ufunc produces the same bits no
-  matter which buffer receives the result; chains like
-  ``eff * (1 - retx) / (1 + retx)`` keep their exact association and
-  merely reuse buffers between steps.
-* **Selection, not arithmetic.** ``np.where(c, a, b)`` becomes
-  ``copyto(out, b); copyto(out, a, where=c)`` -- a pure element
-  selection, identical for every value including ``inf``/``nan``.
+* **Selection, not arithmetic.** Branches are ``np.where`` (or
+  ``np.choose`` over the app codes): a pure element selection,
+  identical for every value including ``inf``/``nan``.
 * **Masked strict-order sums.** The scalar-mirroring left-to-right
-  accumulations (user axis, SGW-U instances) replace ``+ np.where(m,
-  v, 0.0)`` with ``np.add(acc, v, out=acc, where=m)``.  Skipping a
-  masked lane is bit-identical to adding ``0.0`` here: accumulators
-  start at ``+0.0`` and every summand is non-negative, so ``acc +
-  0.0 == acc`` exactly (no ``-0.0`` can arise).
-* **Masked max.** ``np.where(mask, goodput, -inf).max(axis=1)``
-  becomes ``np.max(goodput, axis=1, initial=-inf, where=mask)`` --
-  the same elements enter the same max reduction (goodput is always
-  finite: retx is clipped to ``[1e-9, 0.99]``).
-* **Gathers.** Fancy-indexed lookups (MCS table, per-world scalars,
-  path loads/hops) become ``np.take(..., out=)`` over the identical
-  flat row-major indices.
+  accumulations (user axis, SGW-U instances) keep their loops and
+  their ``+0.0`` start, adding lane ``j`` with ``np.add(acc, v,
+  out=acc, where=m)``.  Skipping a masked lane is bit-identical to
+  adding ``0.0`` here: every summand is non-negative, so ``acc + 0.0
+  == acc`` exactly (no ``-0.0`` can arise).
+* **Eq. 9 usage** sums the raw action columns in column order from an
+  explicit ``+0.0`` start: ``0.0 + (-0.0)`` is ``+0.0``, so starting
+  from the first column would flip the sign of a ``-0.0`` action.
+* **Masked max.** ``np.max(goodput, axis=1, initial=-inf,
+  where=mask)`` -- the padded lanes never enter the reduction
+  (goodput is always finite: retx is clipped to ``[1e-9, 0.99]``).
+* **Path loads** accumulate with ``np.add.at`` in row order.
+* **Integer decodes** (MCS offsets, schedulers, transport path) keep
+  their truncating ``astype(np.intp)`` casts.
+* **Error scopes.** The ``np.errstate`` blocks cover exactly the
+  divisions they always covered.
 
 Fusions
 ~~~~~~~
@@ -71,19 +69,17 @@ a float expression; each is bit-exact for the stated reason:
   are direction-independent, so they are computed once and shared by
   the uplink and downlink radio passes (the historical code evaluated
   the identical expression twice).
-* ``msg_bps`` in the RDC model reuses the MAR ``ul_demand`` buffer:
-  both are exactly ``rates * ul_bits``.
+* ``msg_bps`` in the RDC model is the MAR ``ul_demand``: both are
+  exactly ``rates * ul_bits``.  Likewise the core's and the edge's
+  ``clip(cpu, 0, 1)`` is one array.
 * Multiplications by the literal ``1.0`` (edge ``work_rate * 1.0``,
   edge service time ``* 1.0``, and the ``* np.ones((1, P))``
   broadcast in the transport load seed) are dropped: ``x * 1.0 == x``
   bitwise for every float, so the seed is a broadcast copy.
-* Row constants derived from static :class:`SliceRows` fields
-  (``1 - overhead``, float casts of the integer ``users`` /
-  ``num_paths`` / ``num_sgwu`` columns, app masks, padded-user masks)
-  are cached per layout via :meth:`KernelArena.static`; integer ->
-  float64 casts of these small counts are exact, and numpy performs
-  the identical promotion inside the historical mixed-dtype
-  expressions.
+* The integer ``users`` / ``num_paths`` / ``num_sgwu`` columns enter
+  float expressions directly: numpy promotes them to float64 inside
+  the ufunc, which is exact for these small counts and is the
+  promotion the historical mixed-dtype expressions made.
 """
 
 from __future__ import annotations
@@ -91,7 +87,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +96,6 @@ from repro.config import (
     NUM_ACTIONS,
     USAGE_ACTION_INDICES,
 )
-from repro.engine.arena import KernelArena
 from repro.obs.profile import begin as _profile_begin
 from repro.sim.phy import MCS_TABLE, NUM_CQI, NUM_MCS
 from repro.sim.queueing import RHO_KNEE
@@ -122,40 +117,25 @@ _MIN_SHARE = 0.01
 #: Application codes used by the row layout.
 APP_CODES: Dict[str, int] = {"mar": 0, "hvs": 1, "rdc": 2}
 
-#: Monotonic SliceRows layout tokens (arena cache keys -- unlike
-#: ``id()``, never reused after churn frees a bundle).
+#: Monotonic SliceRows layout tokens (the stepper's bundle cache keys
+#: -- unlike ``id()``, never reused after churn frees a bundle).
 _ROWS_UIDS = itertools.count(1)
 
 
-def _queueing_rows(service_ms: np.ndarray, rho: np.ndarray,
-                   a: KernelArena) -> np.ndarray:
+def _queueing_rows(service_ms: np.ndarray,
+                   rho: np.ndarray) -> np.ndarray:
     """The shared queueing-latency law (:mod:`repro.sim.queueing`).
 
     M/M/1 below the knee utilisation, the linear finite-buffer overload
     regime above it -- branch structure and float association exactly
     as the oracle's scalar ``queueing_latency_ms``.
     """
-    shape = rho.shape
-    r = a.take(shape)
-    np.maximum(rho, 0.0, out=r)
+    r = np.maximum(rho, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = a.take(shape)
-        np.subtract(1.0, r, out=d)
-        below = a.take(shape)
-        np.divide(service_ms, d, out=below)
-        knee = a.take(shape)
-        np.divide(service_ms, (1.0 - RHO_KNEE), out=knee)
-        slope = a.take(shape)
-        np.divide(service_ms, (1.0 - RHO_KNEE) ** 2, out=slope)
-        np.subtract(r, RHO_KNEE, out=d)
-        np.multiply(slope, d, out=d)
-        np.add(knee, d, out=d)                       # above
-    bk = a.take(shape, bool)
-    np.less(r, RHO_KNEE, out=bk)
-    out = a.take(shape)
-    np.copyto(out, d)
-    np.copyto(out, below, where=bk)
-    return out
+        below = service_ms / (1.0 - r)
+        above = (service_ms / (1.0 - RHO_KNEE)
+                 + service_ms / (1.0 - RHO_KNEE) ** 2 * (r - RHO_KNEE))
+    return np.where(r < RHO_KNEE, below, above)
 
 
 def _per_world():
@@ -226,8 +206,8 @@ class SliceRows:
     # -- channel population -------------------------------------------
     users: np.ndarray                 # (R,) int users per row's slice
 
-    #: Unique layout token; :func:`evaluate_rows` keys its arena on
-    #: this, so churn-rebuilt bundles always reset the buffer pools.
+    #: Unique layout token; the stepper keys its cached bundle on
+    #: this, so a churn-rebuilt layout is always a new key.
     uid: int = field(default_factory=lambda: next(_ROWS_UIDS))
 
     @property
@@ -421,8 +401,7 @@ class WorldConditions:
         return self
 
 
-def _user_sum_into(values: np.ndarray, mask: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+def _user_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Sum over the user axis in strict left-to-right order.
 
     Mirrors the scalar per-user ``+=`` accumulation; masked (padded)
@@ -430,50 +409,16 @@ def _user_sum_into(values: np.ndarray, mask: np.ndarray,
     ``+ np.where(mask, values, 0.0)`` because the accumulator starts
     at ``+0.0`` and every summand is non-negative.
     """
-    out.fill(0.0)
+    total = np.zeros(values.shape[0])
     for j in range(values.shape[1]):
-        np.add(out, values[:, j], out=out, where=mask[:, j])
-    return out
-
-
-def _statics_for(rows: SliceRows, a: KernelArena, num_users: int):
-    """Layout-constant derived arrays, built once per arena key."""
-
-    def s(name, builder):
-        return a.static(name, builder)
-
-    pmax = rows.path_hops.shape[1]
-    return {
-        "user_mask": s("user_mask", lambda: (
-            np.arange(num_users)[None, :] < rows.users[:, None])),
-        "users_f": s("users_f", lambda: rows.users.astype(np.float64)),
-        "num_paths_f": s("num_paths_f",
-                         lambda: rows.num_paths.astype(np.float64)),
-        "paths_hi": s("paths_hi",
-                      lambda: (rows.num_paths - 1).astype(np.float64)),
-        "num_sgwu_f": s("num_sgwu_f",
-                        lambda: rows.num_sgwu.astype(np.float64)),
-        "max_sgwu": s("max_sgwu", lambda: int(rows.num_sgwu.max())),
-        "sgwu_masks": s("sgwu_masks", lambda: [
-            j < rows.num_sgwu
-            for j in range(int(rows.num_sgwu.max()))]),
-        "fixed_on": s("fixed_on",
-                      lambda: rows.fixed_mcs[:, None] >= 0),
-        "one_minus_overhead": s("one_minus_overhead",
-                                lambda: 1.0 - rows.overhead),
-        "hops_flat": s("hops_flat", lambda: np.ascontiguousarray(
-            rows.path_hops).ravel()),
-        "row_flat_base": s("row_flat_base",
-                           lambda: rows.world * pmax),
-        "app_masks": s("app_masks", lambda: {
-            app: rows.app == code for app, code in APP_CODES.items()}),
-    }
+        np.add(total, values[:, j], out=total, where=mask[:, j])
+    return total
 
 
 def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                   actions: np.ndarray, rates: np.ndarray,
-                  cqi: np.ndarray, margin_db: np.ndarray,
-                  arena: KernelArena) -> Dict[str, np.ndarray]:
+                  cqi: np.ndarray,
+                  margin_db: np.ndarray) -> Dict[str, np.ndarray]:
     """Evaluate one configuration slot for every row at once.
 
     Parameters
@@ -490,15 +435,10 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     cqi / margin_db:
         ``(R, Umax)`` per-user CQI and channel margin (current SNR
         minus per-user mean), padded past ``rows.users`` per row.
-    arena:
-        The caller's persistent :class:`~repro.engine.arena
-        .KernelArena` (steady-state zero-allocation evaluation).  The
-        returned arrays are **owned by the arena**: read/copy them
-        before the next pass on the same arena overwrites them.
 
-    Returns a dict of ``(R,)`` arrays (plus the ``(W, Pmax)`` transport
-    ``path_loads`` for state write-back) covering every
-    :class:`~repro.sim.network.SlotReport` field.
+    Returns a dict of fresh ``(R,)`` arrays (plus the ``(W, Pmax)``
+    transport ``path_loads`` for state write-back) covering every
+    :class:`~repro.sim.network.SlotReport` field; no input is written.
 
     Profiling: when a :class:`~repro.obs.profile.KernelProfiler` is
     active (and samples this call), each kernel-stage boundary below
@@ -508,253 +448,123 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     when profiling is off the hook is one module-global read.
     """
     lap = _profile_begin()
-    a = arena
-    num_rows = rows.num_rows
-    num_users = cqi.shape[1]
-    a.begin((rows.uid, num_rows, num_users))
-    st = _statics_for(rows, a, num_users)
-    R = num_rows
-
     raw = np.asarray(actions)
-    if raw.shape != (R, NUM_ACTIONS):
+    if raw.shape != (rows.num_rows, NUM_ACTIONS):
         raise ValueError(
-            f"actions must have shape ({R}, {NUM_ACTIONS})"
+            f"actions must have shape ({rows.num_rows}, {NUM_ACTIONS})"
             f", got {raw.shape}")
 
-    arr = a.take((R, NUM_ACTIONS))
-    np.clip(raw, 0.0, 1.0, out=arr)
-
     # ---- action decode (oracle: SliceAllocation.from_action) ---------
-    ul_bw = a.take(R)
-    np.maximum(arr[:, 0], _MIN_SHARE, out=ul_bw)
-    dl_bw = a.take(R)
-    np.maximum(arr[:, 3], _MIN_SHARE, out=dl_bw)
-
-    def _int_decode(column, scale, lo, hi):
-        f = a.take(R)
-        np.multiply(column, scale, out=f)
-        if lo is None:
-            np.rint(f, out=f)
-        else:
-            np.clip(f, lo, hi, out=f)
-        out = a.take(R, np.intp)
-        out[...] = f                       # trunc cast, == .astype
-        return out
-
-    ul_off = _int_decode(arr[:, 1], MAX_MCS_OFFSET, None, None)
-    dl_off = _int_decode(arr[:, 4], MAX_MCS_OFFSET, None, None)
-    ul_sched = _int_decode(arr[:, 2], 3, 0, 2)
-    dl_sched = _int_decode(arr[:, 5], 3, 0, 2)
-    tn_bw = a.take(R)
-    np.maximum(arr[:, 6], _MIN_SHARE, out=tn_bw)
-    tn_path = _int_decode(arr[:, 7], st["num_paths_f"], 0,
-                          st["paths_hi"])
-    cpu = a.take(R)
-    np.maximum(arr[:, 8], _MIN_SHARE, out=cpu)
-    ram = a.take(R)
-    np.maximum(arr[:, 9], _MIN_SHARE, out=ram)
-
-    user_mask = st["user_mask"]
+    arr = np.clip(raw, 0.0, 1.0)
+    ul_bw, dl_bw, tn_bw, cpu, ram = np.maximum(
+        arr[:, [0, 3, 6, 8, 9]], _MIN_SHARE).T
+    ul_off, dl_off = np.rint(
+        arr[:, [1, 4]] * MAX_MCS_OFFSET).astype(np.intp).T
+    ul_sched, dl_sched = np.clip(
+        arr[:, [2, 5]] * 3, 0, 2).astype(np.intp).T
+    tn_path = np.clip(arr[:, 7] * rows.num_paths, 0,
+                      rows.num_paths - 1).astype(np.intp)
+    user_mask = np.arange(cqi.shape[1]) < rows.users[:, None]
     if lap is not None:
         lap.lap("decode")
 
     # ---- RAN capacities (oracle: RadioCell.slice_capacity) -----------
     # direction-shared terms (see Fusions): margin factor and base MCS
-    margin_pow = a.take((R, num_users))
-    np.divide(margin_db, -6.0, out=margin_pow)
-    np.power(10.0, margin_pow, out=margin_pow)
-    base_mcs = a.take((R, num_users), np.intp)
-    np.multiply(cqi, 2, out=base_mcs)
-    np.subtract(base_mcs, 2, out=base_mcs)
-    np.clip(base_mcs, 0, NUM_MCS - 1, out=base_mcs)      # vanilla
-    np.copyto(base_mcs, rows.fixed_mcs[:, None],
-              where=st["fixed_on"])
-    ul = _radio_direction(rows, st, ul_bw, ul_off, ul_sched,
-                          base_mcs, margin_pow, user_mask,
-                          uplink=True, a=a)
-    dl = _radio_direction(rows, st, dl_bw, dl_off, dl_sched,
-                          base_mcs, margin_pow, user_mask,
-                          uplink=False, a=a)
+    margin_pow = 10.0 ** (margin_db / -6.0)
+    fixed = rows.fixed_mcs[:, None]
+    base_mcs = np.where(fixed >= 0, fixed,
+                        np.clip(cqi * 2 - 2, 0, NUM_MCS - 1))
+    ul_cap, ul_retx = _radio_direction(
+        rows, ul_bw, ul_off, ul_sched, base_mcs, margin_pow, user_mask,
+        uplink=True)
+    dl_cap, dl_retx = _radio_direction(
+        rows, dl_bw, dl_off, dl_sched, base_mcs, margin_pow, user_mask,
+        uplink=False)
     if lap is not None:
         lap.lap("radio")
 
     # ---- transport (oracle: TransportFabric.reserve + evaluate) ------
-    num_worlds = rows.link_capacity_w.shape[0]
-    pmax = rows.path_hops.shape[1]
-    eff_cap_w = a.take(num_worlds)
-    np.multiply(rows.link_capacity_w, cond.capacity_scale,
-                out=eff_cap_w)
-    eff_cap = a.take(R)
-    np.take(eff_cap_w, rows.world, out=eff_cap)
-    seed = a.take(num_worlds)
-    np.multiply(cond.background_load_fraction, eff_cap_w, out=seed)
-    loads = a.take((num_worlds, pmax))
-    np.copyto(loads, seed[:, None])
-    reserve = a.take(R)
-    np.multiply(tn_bw, eff_cap, out=reserve)
-    np.add.at(loads, (rows.world, tn_path), reserve)
-    offered_bps = a.take(R)
-    np.multiply(rates, rows.sum_bits, out=offered_bps)
-    tn_cap = a.take(R)
-    np.clip(tn_bw, 0.0, 1.0, out=tn_cap)
-    np.multiply(tn_cap, eff_cap, out=tn_cap)
-    row_flat = a.take(R, np.intp)
-    np.add(st["row_flat_base"], tn_path, out=row_flat)
-    utilization = a.take(R)
-    np.take(loads.ravel(), row_flat, out=utilization)
-    np.divide(utilization, eff_cap, out=utilization)
-    np.minimum(utilization, 0.99, out=utilization)
-    queueing_ms = a.take(R)
-    np.multiply(rows.hop_latency_ms, utilization, out=queueing_ms)
-    head = a.take(R)
-    np.subtract(1.0, utilization, out=head)
-    np.divide(queueing_ms, head, out=queueing_ms)
-    hops_i = a.take(R, np.intp)
-    np.take(st["hops_flat"], row_flat, out=hops_i)
-    hops = a.take(R)
-    hops[...] = hops_i
-    tn_latency = a.take(R)
-    np.multiply(hops, rows.hop_latency_ms, out=tn_latency)
-    np.add(tn_latency, queueing_ms, out=tn_latency)
-    extra = a.take(R)
-    np.take(cond.extra_latency_ms, rows.world, out=extra)
-    np.add(tn_latency, extra, out=tn_latency)
-    dead = a.take(R, bool)
-    np.less_equal(tn_cap, 0, out=dead)
-    offering = a.take(R, bool)
-    np.greater(offered_bps, 0, out=offering)
-    np.logical_and(dead, offering, out=dead)
-    np.copyto(tn_latency, np.inf, where=dead)
+    eff_cap_w = rows.link_capacity_w * cond.capacity_scale
+    eff_cap = eff_cap_w[rows.world]
+    loads = np.repeat((cond.background_load_fraction
+                       * eff_cap_w)[:, None],
+                      rows.path_hops.shape[1], axis=1)
+    np.add.at(loads, (rows.world, tn_path), tn_bw * eff_cap)
+    offered_bps = rates * rows.sum_bits
+    tn_cap = np.clip(tn_bw, 0.0, 1.0) * eff_cap
+    utilization = np.minimum(loads[rows.world, tn_path] / eff_cap, 0.99)
+    queueing_ms = rows.hop_latency_ms * utilization / (1.0 - utilization)
+    tn_latency = (rows.path_hops[rows.world, tn_path]
+                  * rows.hop_latency_ms + queueing_ms
+                  + cond.extra_latency_ms[rows.world])
+    tn_latency = np.where((tn_cap <= 0) & (offered_bps > 0), np.inf,
+                          tn_latency)
     if lap is not None:
         lap.lap("transport")
 
     # ---- core (set_slice_resources + oracle: CoreNetwork.evaluate) ---
-    per_cpu = a.take(R)
-    np.clip(cpu, 0.0, 1.0, out=per_cpu)
-    np.divide(per_cpu, st["num_sgwu_f"], out=per_cpu)
-    cpu_total = a.take(R)
-    cpu_total.fill(0.0)
-    for mask in st["sgwu_masks"]:
-        np.add(cpu_total, per_cpu, out=cpu_total, where=mask)
-    core_mu = a.take(R)
-    np.multiply(cpu_total, rows.sgwu_capacity_pps, out=core_mu)
-    core_lam = a.take(R)
-    np.divide(offered_bps, rows.mean_packet_bits, out=core_lam)
-    has_mu = a.take(R, bool)
-    np.greater(core_mu, 0, out=has_mu)
-    has_lam = a.take(R, bool)
-    np.greater(core_lam, 0, out=has_lam)
+    cpu_share = np.clip(cpu, 0.0, 1.0)
+    per_cpu = cpu_share / rows.num_sgwu
+    cpu_total = np.zeros(rows.num_rows)
+    for j in range(int(rows.num_sgwu.max())):
+        np.add(cpu_total, per_cpu, out=cpu_total,
+               where=j < rows.num_sgwu)
+    core_mu = cpu_total * rows.sgwu_capacity_pps
+    core_lam = offered_bps / rows.mean_packet_bits
+    has_mu = core_mu > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = a.take(R)
-        np.divide(core_lam, core_mu, out=ratio)
-        core_util = a.take(R)
-        core_util.fill(0.0)
-        np.copyto(core_util, 1.0, where=has_lam)
-        np.copyto(core_util, ratio, where=has_mu)
-        safe_mu = a.take(R)
-        safe_mu.fill(1.0)
-        np.copyto(safe_mu, core_mu, where=has_mu)
-        service = a.take(R)
-        np.divide(1e3, safe_mu, out=service)
-        queued = _queueing_rows(service, core_util, a)
-        core_latency = a.take(R)
-        np.add(rows.core_base_latency_ms, queued, out=core_latency)
-        finite = a.take(R)
-        np.copyto(finite, core_latency)
-        core_latency.fill(np.inf)
-        np.copyto(core_latency, finite, where=has_mu)
-    core_pps = a.take(R)
-    core_pps.fill(0.0)
-    np.copyto(core_pps, core_mu, where=has_mu)
-    core_util_capped = a.take(R)
-    np.minimum(core_util, 1.0, out=core_util_capped)
+        core_util = np.where(has_mu, core_lam / core_mu,
+                             np.where(core_lam > 0, 1.0, 0.0))
+        queued = _queueing_rows(1e3 / np.where(has_mu, core_mu, 1.0),
+                                core_util)
+        core_latency = np.where(
+            has_mu, rows.core_base_latency_ms + queued, np.inf)
+    core_pps = np.where(has_mu, core_mu, 0.0)
     if lap is not None:
         lap.lap("core")
 
     # ---- edge (set_resources + oracle: EdgeServerPool.evaluate) ------
-    edge_cpu = a.take(R)
-    np.clip(cpu, 0.0, 1.0, out=edge_cpu)
-    edge_ram_gb = a.take(R)
-    np.clip(ram, 0.0, 1.0, out=edge_ram_gb)
-    np.multiply(edge_ram_gb, rows.total_ram_gb, out=edge_ram_gb)
-    work_rate = a.take(R)
-    np.multiply(rates, rows.compute_units, out=work_rate)
-    edge_mu = a.take(R)
-    np.multiply(edge_cpu, rows.edge_capacity_ups, out=edge_mu)
-    required_ram = a.take(R)
-    np.multiply(work_rate, rows.ram_gb_per_ups, out=required_ram)
-    needs_ram = a.take(R, bool)
-    np.greater(required_ram, 0, out=needs_ram)
-    short = a.take(R, bool)
-    np.less(edge_ram_gb, required_ram, out=short)
-    np.logical_and(needs_ram, short, out=short)
+    edge_ram_gb = np.clip(ram, 0.0, 1.0) * rows.total_ram_gb
+    work_rate = rates * rows.compute_units
+    required_ram = work_rate * rows.ram_gb_per_ups
+    needs_ram = required_ram > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        safe_ram = a.take(R)
-        safe_ram.fill(1.0)
-        np.copyto(safe_ram, required_ram, where=needs_ram)
-        penalty_val = a.take(R)
-        np.divide(edge_ram_gb, safe_ram, out=penalty_val)
-        np.maximum(penalty_val, 0.1, out=penalty_val)
-        ram_penalty = a.take(R)
-        ram_penalty.fill(1.0)
-        np.copyto(ram_penalty, penalty_val, where=short)
-    edge_mu_eff = a.take(R)
-    np.multiply(edge_mu, ram_penalty, out=edge_mu_eff)
-    has_eff = a.take(R, bool)
-    np.greater(edge_mu_eff, 0, out=has_eff)
-    has_work = a.take(R, bool)
-    np.greater(work_rate, 0, out=has_work)
+        ram_penalty = np.where(
+            needs_ram & (edge_ram_gb < required_ram),
+            np.maximum(edge_ram_gb
+                       / np.where(needs_ram, required_ram, 1.0), 0.1),
+            1.0)
+    edge_mu_eff = cpu_share * rows.edge_capacity_ups * ram_penalty
+    has_eff = edge_mu_eff > 0
+    has_work = work_rate > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        safe_eff = a.take(R)
-        safe_eff.fill(1.0)
-        np.copyto(safe_eff, edge_mu_eff, where=has_eff)
-        eratio = a.take(R)
-        np.divide(work_rate, safe_eff, out=eratio)
-        edge_util = a.take(R)
-        edge_util.fill(0.0)
-        np.copyto(edge_util, 1.0, where=has_work)
-        np.copyto(edge_util, eratio, where=has_eff)
-        eservice = a.take(R)
-        np.divide(1e3, safe_eff, out=eservice)
-        equeued = _queueing_rows(eservice, edge_util, a)
-        edge_latency = a.take(R)
-        edge_latency.fill(0.0)
-        np.copyto(edge_latency, np.inf, where=has_work)
-        np.copyto(edge_latency, equeued, where=has_eff)
-    edge_util_capped = a.take(R)
-    np.minimum(edge_util, 1.0, out=edge_util_capped)
+        safe_eff = np.where(has_eff, edge_mu_eff, 1.0)
+        edge_util = np.where(has_eff, work_rate / safe_eff,
+                             np.where(has_work, 1.0, 0.0))
+        edge_latency = np.where(
+            has_eff, _queueing_rows(1e3 / safe_eff, edge_util),
+            np.where(has_work, np.inf, 0.0))
     if lap is not None:
         lap.lap("edge")
 
     # ---- applications (oracle: evaluate_mar / _hvs / _rdc) -----------
-    value, satisfaction = _evaluate_apps(
-        rows, st, rates, ul["capacity"], dl["capacity"], ul["retx"],
-        dl["retx"], tn_cap, tn_latency, core_latency, core_pps,
-        edge_latency, a)
-    cost = a.take(R)
-    np.subtract(1.0, satisfaction, out=cost)
+    value = _evaluate_apps(rows, rates, ul_cap, dl_cap, ul_retx, dl_retx,
+                           tn_cap, tn_latency, core_latency, core_pps,
+                           edge_latency)
+    satisfaction = _satisfaction_rows(rows, value)
+    cost = 1.0 - satisfaction
     if lap is not None:
         lap.lap("apps")
 
     # ---- usage + state features --------------------------------------
-    usage = a.take(R)
-    usage.fill(0.0)
+    usage = np.zeros(rows.num_rows)         # +0.0 start (see Eq. 9 rule)
     for col in _USAGE_COLS:
-        np.add(usage, raw[:, col], out=usage)
-    np.divide(usage, len(_USAGE_COLS), out=usage)
-    radio_usage = a.take(R)
-    np.add(ul_bw, dl_bw, out=radio_usage)
-    np.multiply(radio_usage, 0.5, out=radio_usage)
-    workload = a.take(R)
-    np.add(core_util_capped, edge_util_capped, out=workload)
-    np.multiply(workload, 0.5, out=workload)
-    cqi_f = a.take((R, num_users))
-    cqi_f[...] = cqi
-    cqi_sum = a.take(R)
-    _user_sum_into(cqi_f, user_mask, cqi_sum)
-    channel_quality = a.take(R)
-    np.divide(cqi_sum, st["users_f"], out=channel_quality)
-    np.divide(channel_quality, NUM_CQI, out=channel_quality)
+        usage += raw[:, col]
+    usage = usage / len(_USAGE_COLS)
+    radio_usage = (ul_bw + dl_bw) * 0.5
+    workload = (np.minimum(core_util, 1.0)
+                + np.minimum(edge_util, 1.0)) * 0.5
+    channel_quality = _user_sum(cqi, user_mask) / rows.users / NUM_CQI
     if lap is not None:
         lap.lap("state")
 
@@ -765,10 +575,10 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         "usage": usage,
         "radio_usage": radio_usage,
         "workload": workload,
-        "ul_capacity_bps": ul["capacity"],
-        "dl_capacity_bps": dl["capacity"],
-        "ul_retx": ul["retx"],
-        "dl_retx": dl["retx"],
+        "ul_capacity_bps": ul_cap,
+        "dl_capacity_bps": dl_cap,
+        "ul_retx": ul_retx,
+        "dl_retx": dl_retx,
         "transport_latency_ms": tn_latency,
         "transport_rate_bps": tn_cap,
         "core_latency_ms": core_latency,
@@ -778,14 +588,14 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     }
 
 
-def _radio_direction(rows: SliceRows, st, share: np.ndarray,
+def _radio_direction(rows: SliceRows, share: np.ndarray,
                      mcs_offset: np.ndarray, scheduler: np.ndarray,
                      base_mcs: np.ndarray, margin_pow: np.ndarray,
-                     user_mask: np.ndarray, uplink: bool,
-                     a: KernelArena) -> Dict[str, np.ndarray]:
+                     user_mask: np.ndarray, uplink: bool
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """One direction of the oracle's ``RadioCell.slice_capacity`` (with
     ``PhyModel.link_quality`` and ``scheduler_efficiency`` inlined) for
-    all rows.
+    all rows: ``(capacity_bps, mean retx)``.
 
     ``base_mcs`` and ``margin_pow`` are the direction-shared terms
     precomputed by :func:`evaluate_rows` (see the module Fusions
@@ -795,219 +605,92 @@ def _radio_direction(rows: SliceRows, st, share: np.ndarray,
     duty = rows.uplink_fraction if uplink else rows.downlink_fraction
     base_retx = rows.base_retx_ul if uplink else rows.base_retx_dl
     decay = rows.decay_ul if uplink else rows.decay_dl
-    num_rows, num_users = base_mcs.shape
 
-    prbs = a.take(num_rows)
-    np.clip(share, 0.0, 1.0, out=prbs)
-    np.multiply(prbs, total, out=prbs)
-    np.rint(prbs, out=prbs)
-    tiny = a.take(num_rows, bool)
-    np.greater(share, 1e-3, out=tiny)
-    none = a.take(num_rows, bool)
-    np.equal(prbs, 0, out=none)
-    np.logical_and(tiny, none, out=tiny)
-    np.copyto(prbs, 1.0, where=tiny)
+    prbs = np.rint(np.clip(share, 0.0, 1.0) * total)
+    prbs = np.where((share > 1e-3) & (prbs == 0), 1.0, prbs)
 
     # per-user effective MCS and first-transmission error probability
-    mcs = a.take((num_rows, num_users), np.intp)
-    np.subtract(base_mcs, mcs_offset[:, None], out=mcs)
-    np.clip(mcs, 0, NUM_MCS - 1, out=mcs)
-    eff = a.take((num_rows, num_users))
-    np.take(_MCS_EFF, mcs, out=eff)
-    off_f = a.take(num_rows)
-    off_f[...] = mcs_offset
-    retx_row = a.take(num_rows)
-    np.power(decay, off_f, out=retx_row)
-    np.multiply(base_retx, retx_row, out=retx_row)
-    retx = a.take((num_rows, num_users))
-    np.multiply(retx_row[:, None], margin_pow, out=retx)
-    np.clip(retx, 1e-9, 0.99, out=retx)
-    goodput = a.take((num_rows, num_users))
-    np.subtract(1.0, retx, out=goodput)
-    np.multiply(eff, goodput, out=goodput)
-    shrink = a.take((num_rows, num_users))
-    np.add(1.0, retx, out=shrink)
-    np.divide(goodput, shrink, out=goodput)
+    eff = _MCS_EFF[np.clip(base_mcs - mcs_offset[:, None], 0,
+                           NUM_MCS - 1)]
+    retx = np.clip((base_retx * decay ** mcs_offset)[:, None]
+                   * margin_pow, 1e-9, 0.99)
+    goodput = eff * (1.0 - retx) / (1.0 + retx)
 
-    retx_mean = a.take(num_rows)
-    _user_sum_into(retx, user_mask, retx_mean)
-    np.divide(retx_mean, st["users_f"], out=retx_mean)
-    mean_eff = a.take(num_rows)
-    _user_sum_into(goodput, user_mask, mean_eff)
-    np.divide(mean_eff, st["users_f"], out=mean_eff)
-    best_eff = a.take(num_rows)
-    np.max(goodput, axis=1, initial=-np.inf, where=user_mask,
-           out=best_eff)
-    mixed_hi = a.take(num_rows)
-    np.multiply(0.9, best_eff, out=mixed_hi)
-    part = a.take(num_rows)
-    np.multiply(0.1, mean_eff, out=part)
-    np.add(mixed_hi, part, out=mixed_hi)
-    mixed_lo = a.take(num_rows)
-    np.multiply(0.6, best_eff, out=mixed_lo)
-    np.multiply(0.4, mean_eff, out=part)
-    np.add(mixed_lo, part, out=mixed_lo)
-    pick = a.take(num_rows, bool)
-    np.equal(scheduler, 2, out=pick)
-    agg = a.take(num_rows)
-    np.copyto(agg, mixed_lo)
-    np.copyto(agg, mixed_hi, where=pick)
-    np.equal(scheduler, 0, out=pick)
-    np.copyto(agg, mean_eff, where=pick)
-    capacity = a.take(num_rows)
-    np.multiply(prbs, rows.prb_bandwidth_hz, out=capacity)
-    np.multiply(capacity, duty, out=capacity)
-    np.multiply(capacity, agg, out=capacity)
-    np.multiply(capacity, st["one_minus_overhead"], out=capacity)
-    return {"capacity": capacity, "retx": retx_mean, "prbs": prbs}
+    retx_mean = _user_sum(retx, user_mask) / rows.users
+    mean_eff = _user_sum(goodput, user_mask) / rows.users
+    best_eff = np.max(goodput, axis=1, initial=-np.inf, where=user_mask)
+    agg = np.where(scheduler == 0, mean_eff,
+                   np.where(scheduler == 2,
+                            0.9 * best_eff + 0.1 * mean_eff,
+                            0.6 * best_eff + 0.4 * mean_eff))
+    capacity = (prbs * rows.prb_bandwidth_hz * duty * agg
+                * (1.0 - rows.overhead))
+    return capacity, retx_mean
 
 
 def _mm1_rows(payload_bits: np.ndarray, capacity_bps: np.ndarray,
-              demand_bps: np.ndarray, a: KernelArena) -> np.ndarray:
+              demand_bps: np.ndarray) -> np.ndarray:
     """Vectorised ``_mm1_latency_ms`` of the oracle's app models."""
-    shape = capacity_bps.shape
-    has_cap = a.take(shape, bool)
-    np.greater(capacity_bps, 0, out=has_cap)
-    safe_cap = a.take(shape)
-    safe_cap.fill(1.0)
-    np.copyto(safe_cap, capacity_bps, where=has_cap)
-    rho = a.take(shape)
-    np.divide(demand_bps, safe_cap, out=rho)
-    service_ms = a.take(shape)
-    np.divide(payload_bits, safe_cap, out=service_ms)
-    np.multiply(service_ms, 1e3, out=service_ms)
-    latency = _queueing_rows(service_ms, rho, a)
-    out = a.take(shape)
-    out.fill(np.inf)
-    np.copyto(out, latency, where=has_cap)
-    return out
+    has_cap = capacity_bps > 0
+    safe_cap = np.where(has_cap, capacity_bps, 1.0)
+    latency = _queueing_rows(payload_bits / safe_cap * 1e3,
+                             demand_bps / safe_cap)
+    return np.where(has_cap, latency, np.inf)
 
 
-def _satisfaction_rows(rows: SliceRows, measured: np.ndarray,
-                       a: KernelArena) -> np.ndarray:
+def _satisfaction_rows(rows: SliceRows,
+                       measured: np.ndarray) -> np.ndarray:
     """Vectorised ``_satisfaction`` of the oracle (both orientations)."""
-    shape = measured.shape
     target = rows.sla_target
-    positive = a.take(shape, bool)
-    np.greater(measured, 0, out=positive)
-    safe = a.take(shape)
-    safe.fill(1.0)
-    np.copyto(safe, measured, where=positive)
+    safe = np.where(measured > 0, measured, 1.0)
     with np.errstate(invalid="ignore"):
-        finite = a.take(shape, bool)
-        np.isfinite(measured, out=finite)
-        scaled = a.take(shape)
-        np.divide(target, safe, out=scaled)
-        lower_ratio = a.take(shape)
-        lower_ratio.fill(0.0)
-        np.copyto(lower_ratio, scaled, where=finite)
-        idle = a.take(shape, bool)
-        np.less_equal(measured, 0, out=idle)
-        np.copyto(lower_ratio, 1.0, where=idle)
-        higher_ratio = a.take(shape)
-        np.divide(measured, target, out=higher_ratio)
-    ratio = a.take(shape)
-    np.copyto(ratio, higher_ratio)
-    np.copyto(ratio, lower_ratio, where=rows.lower_better)
-    np.clip(ratio, 0.0, 1.0, out=ratio)
-    return ratio
+        lower_ratio = np.where(
+            measured <= 0, 1.0,
+            np.where(np.isfinite(measured), target / safe, 0.0))
+        higher_ratio = measured / target
+    return np.clip(np.where(rows.lower_better, lower_ratio,
+                            higher_ratio), 0.0, 1.0)
 
 
-def _evaluate_apps(rows: SliceRows, st, rates: np.ndarray,
+def _evaluate_apps(rows: SliceRows, rates: np.ndarray,
                    ul_cap: np.ndarray, dl_cap: np.ndarray,
                    ul_retx: np.ndarray, dl_retx: np.ndarray,
                    tn_rate: np.ndarray, tn_latency: np.ndarray,
                    core_latency: np.ndarray, core_pps: np.ndarray,
-                   edge_latency: np.ndarray, a: KernelArena):
-    """Dispatch the per-app performance models over all rows at once."""
-    num_rows = rows.num_rows
-
+                   edge_latency: np.ndarray) -> np.ndarray:
+    """Dispatch the per-app performance models over all rows at once:
+    each row's measured SLA metric."""
     # MAR: round-trip frame latency ------------------------------------
-    ul_demand = a.take(num_rows)
-    np.multiply(rates, rows.ul_bits, out=ul_demand)
-    dl_demand = a.take(num_rows)
-    np.multiply(rates, rows.dl_bits, out=dl_demand)
-    carried = a.take(num_rows, bool)
-    np.greater(tn_rate, 0, out=carried)
-    capped = a.take(num_rows)
-    np.minimum(ul_cap, tn_rate, out=capped)
-    effective_ul = a.take(num_rows)
-    effective_ul.fill(0.0)
-    np.copyto(effective_ul, capped, where=carried)
-    ul_ms = _mm1_rows(rows.ul_bits, effective_ul, ul_demand, a)
-    dl_ms = _mm1_rows(rows.dl_bits, dl_cap, dl_demand, a)
-    harq_ms = a.take(num_rows)
-    np.add(ul_retx, dl_retx, out=harq_ms)
-    np.multiply(8.0, harq_ms, out=harq_ms)
-    mar_latency = a.take(num_rows)
-    np.add(rows.ran_base_latency_ms, ul_ms, out=mar_latency)
-    np.add(mar_latency, dl_ms, out=mar_latency)
-    np.add(mar_latency, harq_ms, out=mar_latency)
-    np.add(mar_latency, tn_latency, out=mar_latency)
-    np.add(mar_latency, core_latency, out=mar_latency)
-    np.add(mar_latency, edge_latency, out=mar_latency)
+    ul_demand = rates * rows.ul_bits
+    effective_ul = np.where(tn_rate > 0, np.minimum(ul_cap, tn_rate),
+                            0.0)
+    mar_latency = (rows.ran_base_latency_ms
+                   + _mm1_rows(rows.ul_bits, effective_ul, ul_demand)
+                   + _mm1_rows(rows.dl_bits, dl_cap,
+                               rates * rows.dl_bits)
+                   + 8.0 * (ul_retx + dl_retx)
+                   + tn_latency + core_latency + edge_latency)
 
     # HVS: delivered FPS -----------------------------------------------
     target_fps = rows.sla_target
-    hvs_demand = a.take(num_rows)
-    np.multiply(rates, target_fps, out=hvs_demand)
-    np.multiply(hvs_demand, rows.dl_bits, out=hvs_demand)
-    core_bps = a.take(num_rows)
-    np.multiply(core_pps, rows.mean_packet_bits, out=core_bps)
-    supply = a.take(num_rows)
-    np.minimum(dl_cap, tn_rate, out=supply)
-    np.minimum(supply, core_bps, out=supply)
-    wants = a.take(num_rows, bool)
-    np.greater(hvs_demand, 0, out=wants)
-    safe_demand = a.take(num_rows)
-    safe_demand.fill(1.0)
-    np.copyto(safe_demand, hvs_demand, where=wants)
-    hvs_fps = a.take(num_rows)
-    np.divide(supply, safe_demand, out=hvs_fps)
-    np.minimum(hvs_fps, 1.0, out=hvs_fps)
-    np.multiply(target_fps, hvs_fps, out=hvs_fps)
-    drop = a.take(num_rows)
-    np.multiply(0.5, dl_retx, out=drop)
-    np.subtract(1.0, drop, out=drop)
-    np.multiply(hvs_fps, drop, out=hvs_fps)
-    sated = a.take(num_rows, bool)
-    np.less_equal(hvs_demand, 0, out=sated)
-    np.copyto(hvs_fps, target_fps, where=sated)
+    hvs_demand = rates * target_fps * rows.dl_bits
+    supply = np.minimum(np.minimum(dl_cap, tn_rate),
+                        core_pps * rows.mean_packet_bits)
+    hvs_fps = (target_fps
+               * np.minimum(supply / np.where(hvs_demand > 0,
+                                              hvs_demand, 1.0), 1.0)
+               * (1.0 - 0.5 * dl_retx))
+    hvs_fps = np.where(hvs_demand <= 0, target_fps, hvs_fps)
 
     # RDC: radio transmission reliability ------------------------------
     # msg_bps == rates * ul_bits == ul_demand (see Fusions)
-    msg_bps = ul_demand
-    radio_ok = a.take(num_rows)
-    np.subtract(1.0, ul_retx, out=radio_ok)
-    dl_ok = a.take(num_rows)
-    np.subtract(1.0, dl_retx, out=dl_ok)
-    np.multiply(radio_ok, dl_ok, out=radio_ok)
-    sending = a.take(num_rows, bool)
-    np.greater(msg_bps, 0, out=sending)
-    safe_msg = a.take(num_rows)
-    safe_msg.fill(1.0)
-    np.copyto(safe_msg, msg_bps, where=sending)
-    ul_carried = a.take(num_rows)
-    np.divide(ul_cap, safe_msg, out=ul_carried)
-    np.minimum(ul_carried, 1.0, out=ul_carried)
-    ul_sel = a.take(num_rows)
-    ul_sel.fill(1.0)
-    np.copyto(ul_sel, ul_carried, where=sending)
-    dl_carried = a.take(num_rows)
-    np.divide(dl_cap, safe_msg, out=dl_carried)
-    np.minimum(dl_carried, 1.0, out=dl_carried)
-    dl_sel = a.take(num_rows)
-    dl_sel.fill(1.0)
-    np.copyto(dl_sel, dl_carried, where=sending)
-    reliability = a.take(num_rows)
-    np.multiply(radio_ok, ul_sel, out=reliability)
-    np.multiply(reliability, dl_sel, out=reliability)
+    sending = ul_demand > 0
+    safe_msg = np.where(sending, ul_demand, 1.0)
+    reliability = ((1.0 - ul_retx) * (1.0 - dl_retx)
+                   * np.where(sending,
+                              np.minimum(ul_cap / safe_msg, 1.0), 1.0)
+                   * np.where(sending,
+                              np.minimum(dl_cap / safe_msg, 1.0), 1.0))
 
-    value = a.take(num_rows)
-    value.fill(0.0)
-    masks = st["app_masks"]
-    np.copyto(value, mar_latency, where=masks["mar"])
-    np.copyto(value, hvs_fps, where=masks["hvs"])
-    np.copyto(value, reliability, where=masks["rdc"])
-    satisfaction = _satisfaction_rows(rows, value, a)
-    return value, satisfaction
+    # one column per APP_CODES value, in code order
+    return np.choose(rows.app, [mar_latency, hvs_fps, reliability])

@@ -32,7 +32,6 @@ from repro.config import (
     nr_ran_config,
 )
 from repro.core.orchestrator import DomainManagerSet, coordinate_actions
-from repro.engine.arena import KernelArena
 from repro.engine.kernels import WorldConditions, evaluate_rows
 from repro.experiments.harness import (
     build_onslicing,
@@ -135,7 +134,7 @@ def fig6() -> Dict[str, List[float]]:
         network.slot_rows().repeat(rows), WorldConditions.nominal(rows),
         actions, rates=np.zeros(rows),
         cqi=np.ones((rows, 1), dtype=np.intp),   # retx ignores the CQI
-        margin_db=np.zeros((rows, 1)), arena=KernelArena())
+        margin_db=np.zeros((rows, 1)))
     return {
         "offset": offsets,
         "uplink": out["ul_retx"].tolist(),

@@ -12,7 +12,11 @@ every N-th ``evaluate_rows`` call and scales totals back up in the
 report, so profiling a long campaign costs a fraction of full
 instrumentation.  Allocation tracking (``alloc=True``) uses
 ``tracemalloc`` and is markedly slower; it is for directed
-memory-hunting sessions, not steady-state runs.
+memory-hunting sessions, not steady-state runs.  The kernels build
+fresh arrays (no buffer pool serves them), so an allocation lap is
+the stage's real allocation traffic: the traced bytes its arrays
+still hold at the stage boundary, minus what it freed (a temporary
+dropped inside the stage cancels out).
 
 Usage::
 

@@ -95,13 +95,6 @@ class EndToEndNetwork:
         #: channels' storage): rebuilt by every attach / detach, zero
         #: rows while there is no slice.
         self._bank = ChannelBank([], self.cfg.users_per_slice)
-        #: Persistent kernel arena + reused slot staging buffers of
-        #: ``evaluate_slot`` (lazily built), so repeated what-if
-        #: evaluations share the engine's zero-allocation steady state.
-        self._kernel_arena = None
-        self._slot_cond = None
-        self._slot_matrix = None
-        self._slot_rates = None
         if slices:
             for spec in slices:
                 self.add_slice(spec)
@@ -194,9 +187,8 @@ class EndToEndNetwork:
         """Every slice's per-user CQI and channel margin.
 
         Returns ``(cqi, margin)`` of shape ``(S, users_per_slice)`` in
-        slice order.  The margin buffer is the bank's and refilled per
-        call, so repeated evaluations allocate nothing (callers must
-        consume it before the next ``evaluate_slot``).
+        slice order; the margin array is the bank's buffer, refilled
+        by the next call.
         """
         return self._bank.read()
 
@@ -208,42 +200,40 @@ class EndToEndNetwork:
         Parameters
         ----------
         actions:
-            Slice name -> 10-dim action in [0, 1].  Callers are expected
+            Slice name -> 10-dim action in [0, 1], one for every slice
+            of this network and no other (else ``KeyError`` naming the
+            slice, before anything is evaluated).  Callers are expected
             to have already resolved over-requests (the domain managers
             raise otherwise -- see :mod:`repro.domains`); this method
             evaluates the network as configured.
         arrival_rates:
             Slice name -> realised arrivals per second this slot.
         """
-        from repro.engine.arena import KernelArena
         from repro.engine.kernels import WorldConditions, evaluate_rows
 
-        missing = set(self.slices) - set(actions)
-        if missing:
-            raise KeyError(f"missing actions for slices: {sorted(missing)}")
         names = list(self.slices)
-        if self._kernel_arena is None:
-            self._kernel_arena = KernelArena()
-        if self._slot_matrix is None \
-                or self._slot_matrix.shape[0] != len(names):
-            self._slot_matrix = np.empty((len(names), NUM_ACTIONS))
-            self._slot_rates = np.empty(len(names))
-            self._slot_cond = WorldConditions.nominal(1)
-        matrix = self._slot_matrix
-        rates = self._slot_rates
+        for name in actions:
+            if name not in self.slices:
+                raise KeyError(f"action for unknown slice {name!r}; "
+                               f"this network's slices: {names}")
+        missing = [name for name in names if name not in actions]
+        if missing:
+            raise KeyError(f"missing actions for slices {missing}; "
+                           f"this network's slices: {names}")
+        matrix = np.empty((len(names), NUM_ACTIONS))
         for i, name in enumerate(names):
             arr = np.asarray(actions[name], dtype=float)
             if arr.shape != (NUM_ACTIONS,):
                 raise ValueError(
-                    f"action must have shape ({NUM_ACTIONS},), "
-                    f"got {arr.shape}")
+                    f"action for slice {name!r} must have shape "
+                    f"({NUM_ACTIONS},), got {arr.shape}")
             matrix[i] = arr
-            rates[i] = float(arrival_rates.get(name, 0.0))
-        rows = self.slot_rows()
+        rates = np.array([float(arrival_rates.get(name, 0.0))
+                          for name in names])
         cqi, margin = self.gather_channel_state()
         out = evaluate_rows(
-            rows, self._slot_cond.refresh([self.fabric]),
-            matrix, rates, cqi, margin, arena=self._kernel_arena)
+            self.slot_rows(), WorldConditions.nominal(1).refresh(
+                [self.fabric]), matrix, rates, cqi, margin)
         return self.wrap_reports(out, rates)
 
     def wrap_reports(self, out: Dict, rates: np.ndarray

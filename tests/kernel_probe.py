@@ -18,7 +18,6 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.config import ACTION_NAMES, NetworkConfig, SliceSpec
-from repro.engine.arena import KernelArena
 from repro.engine.kernels import WorldConditions, evaluate_rows
 from repro.sim.network import EndToEndNetwork
 
@@ -73,7 +72,7 @@ def kernel_slot(net: EndToEndNetwork,
         net_margin = np.full(net_margin.shape, float(margin_db))
     out = evaluate_rows(
         net.slot_rows(), WorldConditions.nominal(1).refresh([net.fabric]),
-        matrix, rate_vec, net_cqi, net_margin, arena=KernelArena())
+        matrix, rate_vec, net_cqi, net_margin)
     return {name: {key: float(column[row])
                    for key, column in out.items() if key != "path_loads"}
             for row, name in enumerate(names)}

@@ -37,6 +37,8 @@ from repro.engine import (
     RoutedBatchPolicy,
     RuleBasedBatchPolicy,
     VecOnRLAgent,
+    WorldConditions,
+    evaluate_rows,
     project_actions_batch,
 )
 from repro.experiments.harness import (
@@ -285,6 +287,49 @@ class TestActionBoundary:
             batch.step(actions)
         with pytest.raises(ValueError, match="world 1"):
             batch.step([None, actions[1]])     # index, not position
+
+
+class TestPlainKernels:
+    """``evaluate_rows`` is a function of its inputs: it writes none of
+    them and hands back arrays of its own, and the op-order rules the
+    kernels' module docstring lists hold."""
+
+    @staticmethod
+    def _inputs(actions=None):
+        net = _build_sim("six_slices").network
+        rng = np.random.default_rng(4)
+        count = len(net.slice_names)
+        if actions is None:
+            actions = rng.uniform(-0.2, 1.2, (count, NUM_ACTIONS))
+        cqi, margin = net.gather_channel_state()
+        return (net.slot_rows(),
+                WorldConditions.nominal(1).refresh([net.fabric]),
+                actions, rng.uniform(0.0, 60.0, count), cqi.copy(),
+                margin.copy())
+
+    def test_inputs_untouched_and_outputs_fresh(self):
+        args = self._inputs()
+        arrays = args[2:]
+        before = [array.copy() for array in arrays]
+        first = evaluate_rows(*args)
+        second = evaluate_rows(*args)
+        for array, copy in zip(arrays, before):
+            np.testing.assert_array_equal(array, copy)
+        for key, column in first.items():
+            np.testing.assert_array_equal(column, second[key],
+                                          err_msg=key)
+            assert not np.shares_memory(column, second[key]), key
+            assert not any(np.shares_memory(column, array)
+                           for array in arrays), key
+
+    def test_usage_of_negative_zero_actions_is_positive_zero(self):
+        """Eq. 9 sums the raw columns from an explicit ``+0.0``:
+        starting from the first column would make it ``-0.0``."""
+        count = len(_build_sim("six_slices").slice_names)
+        out = evaluate_rows(*self._inputs(np.full((count, NUM_ACTIONS),
+                                                  -0.0)))
+        assert (out["usage"] == 0.0).all()
+        assert not np.signbit(out["usage"]).any()
 
 
 class TestWorldOwnsItsEpisode:

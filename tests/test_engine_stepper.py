@@ -188,10 +188,58 @@ class TestRejectedStepLeavesWorldsUntouched:
         sim, twin = _build(CHURNING), _build(CHURNING)
         sim.reset()
         twin.reset()
-        with pytest.raises(KeyError, match="RDC"):
+        with pytest.raises(KeyError, match="world 0: no action for "
+                                           "slice 'RDC'"):
             sim.step({"MAR": np.full(NUM_ACTIONS, 0.3),
                       "HVS": np.full(NUM_ACTIONS, 0.3)})
         assert _fingerprint(sim) == _fingerprint(twin)
+
+    @pytest.mark.parametrize("fault", ("typo", "background", "missing"))
+    @pytest.mark.parametrize("lone", (True, False))
+    def test_a_slice_the_world_does_not_manage_names_both(self, lone,
+                                                          fault):
+        """An action for a slice the world does not manage (a typo, or
+        its background churn slice) or no action for one it does is a
+        ``KeyError`` naming the world and the slice, raised before
+        anything moved; the world then steps like an untouched twin.
+        Dict actions used to drop an unknown slice silently."""
+        name = {"typo": "TYPO", "background": "bg0",
+                "missing": "RDC"}[fault]
+
+        def mapping(world):
+            return {n: np.full(NUM_ACTIONS, 0.3)
+                    for n in world.slice_names}
+
+        def worlds():
+            churning = _build(CHURNING)
+            if lone:
+                return [churning]
+            return [_build(_with_horizon(scenarios.get("default"), 24)),
+                    churning]
+
+        sims, twins = worlds(), worlds()
+        victim = len(sims) - 1
+        engines = [BatchSimulator(group) for group in (sims, twins)]
+        for engine, group in zip(engines, (sims, twins)):
+            engine.reset()
+            engine.step([mapping(world) for world in group])
+        assert sims[victim].background_slice_names == ["bg0"]
+        actions = [mapping(world) for world in sims]
+        if fault == "missing":
+            del actions[victim][name]
+        else:
+            actions[victim][name] = np.full(NUM_ACTIONS, 0.3)
+        with pytest.raises(KeyError,
+                           match=f"world {victim}: .*'{name}'"):
+            if lone:
+                sims[victim].step(actions[victim])
+            else:
+                engines[0].step(actions)
+        assert [_fingerprint(sim) for sim in sims] == \
+            [_fingerprint(twin) for twin in twins]
+        assert _step_arrays(engines[0].step(
+            [mapping(sim) for sim in sims])) == _step_arrays(
+            engines[1].step([mapping(twin) for twin in twins]))
 
     def test_a_rejected_first_step_keeps_trace_edits_open(self):
         """Trace edits between ``reset()`` and the first step count;
@@ -236,6 +284,23 @@ class TestRejectedStepLeavesWorldsUntouched:
         assert len(step.names[-1]) == 4
 
 
+def test_step_rows_outputs_outlive_the_next_step():
+    """The kernel arrays ``step_rows`` hands back are the caller's:
+    after the next step they still hold their own slot's values."""
+    sim = _build(scenarios.get("default"))
+    batch = BatchSimulator([sim])
+    batch.reset()
+    rng = np.random.default_rng(8)
+    shape = (len(sim.slice_names), NUM_ACTIONS)
+    _, out, _ = batch.step_rows([rng.uniform(0.0, 1.0, shape)])
+    kept = {key: column.copy() for key, column in out.items()}
+    _, later, _ = batch.step_rows([rng.uniform(0.0, 1.0, shape)])
+    for key, column in kept.items():
+        np.testing.assert_array_equal(out[key], column, err_msg=key)
+    # the second slot is a different one, so the check has teeth
+    assert not np.array_equal(later["value"], kept["value"])
+
+
 # ---- the counters show the mechanism ----------------------------------
 
 
@@ -253,17 +318,17 @@ class TestCounters:
         counters = _run(make_simulators(spec.build_config(), spec,
                                         count=8), episodes=2)
         assert dict(counters) == {
-            "arena_rebuilds": 1, "bundle_builds": 1,
-            "bundle_splices": 0, "fleet_adoptions": 1,
-            "bank_readoptions": 0, "event_slots": 0}
+            "bundle_builds": 1, "bundle_splices": 0,
+            "fleet_adoptions": 1, "bank_readoptions": 0,
+            "event_slots": 0}
         with pytest.raises(TypeError):
             counters["bundle_builds"] = 0
 
     def test_churn_costs_one_splice_per_boundary(self):
         """``slice_churn`` attaches its slice at 0.3 and detaches it
         at 0.7 of every episode: two boundaries an episode, each one
-        bundle splice, one bank re-adoption and one arena re-key --
-        and the churn-free world beside it costs nothing."""
+        bundle splice and one bank re-adoption -- and the churn-free
+        world beside it costs nothing."""
         churn = _with_horizon(scenarios.get("slice_churn"), 20)
         calm = _with_horizon(scenarios.get("default"), 20)
         lone = _build(churn)
@@ -287,9 +352,56 @@ class TestCounters:
         assert counters["fleet_adoptions"] == 1
         assert counters["bundle_splices"] == boundaries
         assert counters["bank_readoptions"] == boundaries
-        assert counters["arena_rebuilds"] == 1 + boundaries
+        # one layout per build or splice
+        assert counters["bundle_builds"] + counters["bundle_splices"] \
+            == 1 + boundaries
         # two events x (start, end) x two episodes, one world
         assert counters["event_slots"] == 4
+
+    def test_churn_splices_bit_identically(self):
+        """Mid-episode churn in a mixed-size batch splices the bundle
+        exactly once, and every world -- the churned one included --
+        stays bit-identical to a lone simulator replaying the same
+        action stream."""
+        names = ["default", "slice_churn", "six_slices"]
+        sims = [_build(scenarios.get(name)) for name in names]
+        slots = int(0.5 * sims[1].horizon)      # churn fires at 0.3
+
+        def lone_rows(name):
+            sim = _build(scenarios.get(name))
+            sim.reset()
+            rng = np.random.default_rng(321)
+            out = []
+            for _ in range(slots):
+                results = sim.step({n: rng.uniform(0.0, 1.0, NUM_ACTIONS)
+                                    for n in sim.slice_names})
+                out.append({n: (tuple(results[n].observation.vector()),
+                                results[n].cost, results[n].usage)
+                            for n in sim.slice_names})
+            return out
+
+        expected = {name: lone_rows(name) for name in names}
+        batch = BatchSimulator(sims)
+        batch.reset()
+        rngs = [np.random.default_rng(321) for _ in sims]
+        splices = []
+        for _ in range(slots):
+            step = batch.step([{n: rngs[b].uniform(0.0, 1.0, NUM_ACTIONS)
+                                for n in sim.slice_names}
+                               for b, sim in enumerate(sims)])
+            splices.append(batch.counters["bundle_splices"])
+            for b, name in enumerate(names):
+                rows = step.rows_of(b)
+                want = expected[name].pop(0)
+                for j, slice_name in enumerate(step.names[b]):
+                    obs, cost, usage = want[slice_name]
+                    assert tuple(step.observations[rows][j]) == obs, \
+                        f"{name}/{slice_name} diverged post-churn"
+                    assert float(step.costs[rows][j]) == cost
+                    assert float(step.usages[rows][j]) == usage
+        # the churn slice attached once in this window, and nothing
+        # else changed the layout
+        assert splices[0] == 0 and splices[-1] == 1
 
     def test_a_retirement_is_one_splice_and_one_arena_re_key(self):
         default = scenarios.get("default")
@@ -300,14 +412,14 @@ class TestCounters:
         curve = [dict(batch.counters) for _ in lockstep(batch, policy)]
         # the stepping set shrinks after slots 6 and 9, so the steps
         # of slots 7 and 10 (indices 6 and 9) each splice once
-        for name in ("bundle_splices", "arena_rebuilds"):
-            moved = [i for i in range(1, len(curve))
-                     if curve[i][name] != curve[i - 1][name]]
-            assert moved == [6, 9], name
+        moved = [i for i in range(1, len(curve))
+                 if curve[i]["bundle_splices"]
+                 != curve[i - 1]["bundle_splices"]]
+        assert moved == [6, 9]
         assert curve[-1] == {
-            "arena_rebuilds": 3, "bundle_builds": 1,
-            "bundle_splices": 2, "fleet_adoptions": 1,
-            "bank_readoptions": 0, "event_slots": 0}
+            "bundle_builds": 1, "bundle_splices": 2,
+            "fleet_adoptions": 1, "bank_readoptions": 0,
+            "event_slots": 0}
 
     def test_obs_profile_reports_the_counters(self, capsys):
         from repro.runtime.cli import main
@@ -316,12 +428,13 @@ class TestCounters:
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["engine_counters"] == {
-            "arena_rebuilds": 3, "bundle_builds": 1,
-            "bundle_splices": 2, "fleet_adoptions": 1,
-            "bank_readoptions": 2, "event_slots": 2}
+            "bundle_builds": 1, "bundle_splices": 2,
+            "fleet_adoptions": 1, "bank_readoptions": 2,
+            "event_slots": 2}
         assert main(["obs", "profile", "--scenario", "default"]) == 0
-        assert "engine counters: arena_rebuilds 1, " in \
-            capsys.readouterr().out
+        assert "engine counters: bank_readoptions 0, bundle_builds 1, " \
+            "bundle_splices 0, event_slots 0, fleet_adoptions 1\n" \
+            in capsys.readouterr().out
 
 
 # ---- worlds of differing user counts share one padded block -----------

@@ -99,6 +99,20 @@ class TestEndToEndNetwork:
             net.evaluate_slot({"MAR": np.full(NUM_ACTIONS, 0.5)},
                               {"MAR": 1.0})
 
+    def test_evaluate_rejects_an_action_for_an_unknown_slice(self, rng):
+        """Used to be dropped silently: the error names the slice and
+        the slices this network does host."""
+        net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
+        actions = {n: np.full(NUM_ACTIONS, 0.5) for n in net.slice_names}
+        with pytest.raises(KeyError, match="unknown slice 'TYPO'; this "
+                                           "network's slices: .*'RDC'"):
+            net.evaluate_slot({**actions, "TYPO": actions["MAR"]}, {})
+        with pytest.raises(KeyError, match="missing actions for slices "
+                                           r"\['HVS'\]"):
+            net.evaluate_slot({"MAR": actions["MAR"],
+                               "RDC": actions["RDC"]}, {})
+        assert set(net.evaluate_slot(actions, {})) == set(actions)
+
     def test_remove_slice_deprovisions_subscribers(self, rng):
         """Churn leaks nothing: five add / remove rounds of one
         background slice leave the HSS, the sessions and the
