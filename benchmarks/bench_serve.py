@@ -10,8 +10,12 @@ agree on is now ``tests/test_serve.py::test_batched_matches_unbatched``
 (one N-row ``decide`` vs N one-row ``decide``s).
 ``test_serve_fleet_shard`` records the other regime: many small cells
 decided by one ``decide_rows`` call per slot.
+``test_serve_store_roundtrip`` times the policy store's save and
+digest-verified load of an OnSlicing snapshot and gates the load.
 """
 
+import os
+import statistics
 import time
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.scenarios import get as get_scenario
 from repro.serve import (
     DecisionCore,
     DecisionRequest,
+    PolicyStore,
     SlicingService,
     snapshot_baseline,
     snapshot_onrl,
@@ -202,6 +207,52 @@ def test_serve_estimator_posterior(benchmark):
         per_call_ms = telemetry.histogram("stage_fallback_ms").mean
         benchmark.extra_info[f"posterior_ms_rows{rows}"] = per_call_ms
         print(f"  {rows:3d} rows  {per_call_ms:8.3f} ms")
+
+
+#: Gate on the median digest-verified load of the snapshot below.
+MAX_STORE_LOAD_MS = 30.0
+STORE_REPEATS = 5
+
+
+def test_serve_store_roundtrip(benchmark, tmp_path):
+    """Policy-store round trip of the e2e fixture-sized OnSlicing
+    snapshot (the paper's 3-slice default world, offline stage at one
+    clean and one exploration episode, seed 42).
+
+    Records save ms, load ms (medians of ``STORE_REPEATS``; a load
+    re-verifies the content digest) and the file's bytes, and gates
+    the load at <= 30 ms.  The timed benchmark sample is one load.
+    """
+    cfg = get_scenario("default").build_config()
+    snapshot = snapshot_onslicing(
+        "bench-store",
+        build_onslicing(cfg, offline_episodes=1, exploration_episodes=1,
+                        seed=42), seed=42)
+    store = PolicyStore(str(tmp_path))
+
+    def timed(fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        return out, 1e3 * (time.perf_counter() - start)
+
+    saves = [timed(store.save, snapshot) for _ in range(STORE_REPEATS)]
+    saved = saves[-1][0]
+    loads = [timed(store.load, saved.ref)[1]
+             for _ in range(STORE_REPEATS)]
+    loaded = run_once(benchmark, store.load, saved.ref)
+    assert loaded.digest == snapshot.digest
+
+    save_ms = statistics.median(ms for _, ms in saves)
+    load_ms = statistics.median(loads)
+    size = os.path.getsize(store._path(saved.name, saved.version))
+    benchmark.extra_info["save_ms"] = save_ms
+    benchmark.extra_info["load_ms"] = load_ms
+    benchmark.extra_info["file_bytes"] = size
+    print(f"\nPolicy store round trip (OnSlicing, {size:,} bytes): "
+          f"save {save_ms:.1f} ms, load {load_ms:.1f} ms")
+    assert load_ms <= MAX_STORE_LOAD_MS, \
+        (f"snapshot load takes {load_ms:.1f} ms "
+         f"(gate: <= {MAX_STORE_LOAD_MS:.0f} ms)")
 
 
 def test_serve_slo_overhead(benchmark):

@@ -135,8 +135,11 @@ class ResultCache:
                 try:
                     with open(path, "r", encoding="utf-8") as fh:
                         value = from_jsonable(json.load(fh))
-                except (OSError, ValueError):
-                    return MISSING  # corrupt/partial entry: recompute
+                except (OSError, ValueError, KeyError, TypeError):
+                    # torn JSON, a malformed array record (ValueError)
+                    # or a tagged record missing / mistyping a field:
+                    # the entry is corrupt or partial, so recompute
+                    return MISSING
                 self._memory[key] = value
                 return value
         return MISSING

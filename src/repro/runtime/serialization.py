@@ -10,6 +10,19 @@ numpy arrays, :class:`~repro.experiments.metrics.MethodResult`,
 :func:`from_jsonable` reconstructs them exactly, so a cache hit served
 from disk is indistinguishable from a freshly computed result.
 
+Arrays have one record, written by :func:`encode_array` and read by
+:func:`decode_array`: ``{"__repro__": "ndarray", "dtype": "<f8",
+"shape": [...], "b64": ...}``, the base64 of the array's little-endian
+C-order bytes.  It is bit-exact (``-0.0``, NaN payloads and subnormals
+included), about half the size of a float-repr list, and cheap to hash
+-- policy snapshots hold ~10^5 weights and their content digest is the
+SHA-256 of this canonical JSON.  Only boolean and numeric dtypes
+encode.  Decoding is strict: a missing key, an unknown, object or
+big-endian dtype, a bad shape, non-base64 text or a byte count that
+does not match the shape raises :class:`ValueError` saying which, so
+a corrupt cache entry reads as a miss and a corrupt snapshot names
+itself.
+
 Frozen declarative dataclasses -- the config family, scenario specs,
 traffic models, and network events -- round-trip through a generic
 ``{"__repro__": "dataclass", "type": ..., "fields": ...}`` wrapper.
@@ -20,8 +33,10 @@ Only types in the explicit :data:`DATACLASS_TYPES` allowlist decode
 
 from __future__ import annotations
 
+import base64
 import dataclasses
-from typing import Any
+import math
+from typing import Any, Dict
 
 import numpy as np
 
@@ -104,6 +119,59 @@ def register_dataclass(cls: type) -> type:
     return cls
 
 
+#: dtype kinds the array record carries: bool, signed / unsigned
+#: integer, float, complex.
+ARRAY_KINDS = "biufc"
+
+
+def encode_array(arr: np.ndarray) -> Dict[str, Any]:
+    """The ndarray record: little-endian C-order bytes in base64."""
+    if arr.dtype.kind not in ARRAY_KINDS:
+        raise TypeError(f"cannot encode a {arr.dtype} array for the "
+                        "result cache")
+    dtype = arr.dtype.newbyteorder("<")
+    raw = arr.astype(dtype, copy=False).tobytes()
+    return {TAG: "ndarray", "dtype": dtype.str, "shape": list(arr.shape),
+            "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(record: Dict[str, Any]) -> np.ndarray:
+    """Inverse of :func:`encode_array`: a writable array that owns its
+    data.  Any malformed record raises :class:`ValueError`."""
+    if not isinstance(record, dict):
+        raise ValueError(f"ndarray record is a {type(record).__name__}, "
+                         "not an object")
+    missing = [key for key in ("dtype", "shape", "b64")
+               if key not in record]
+    if missing:
+        raise ValueError(f"ndarray record is missing {missing}")
+    text, shape, b64 = record["dtype"], record["shape"], record["b64"]
+    try:
+        dtype = np.dtype(text) if isinstance(text, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.kind not in ARRAY_KINDS:
+        raise ValueError(f"ndarray record has unknown or unsupported "
+                         f"dtype {text!r} (bool and numeric only)")
+    if dtype.newbyteorder("<").str != text:
+        raise ValueError(f"ndarray record dtype {text!r} is not a "
+                         f"little-endian type string such as '<f8'")
+    if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"ndarray record shape {shape!r} is not a list "
+                         "of non-negative integers")
+    try:
+        raw = base64.b64decode(b64, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error included
+        raise ValueError(f"ndarray record b64 is not base64 text: "
+                         f"{exc}") from None
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"ndarray record holds {len(raw)} bytes; "
+                         f"{text} shape {shape} needs {expected}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-dumpable primitives."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -115,8 +183,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return {TAG: "ndarray", "dtype": str(obj.dtype),
-                "data": obj.tolist()}
+        return encode_array(obj)
     if isinstance(obj, TrajectoryPoint):
         return {TAG: "trajectory_point",
                 "fields": to_jsonable(dataclasses.asdict(obj))}
@@ -130,8 +197,8 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, RuleBasedPolicy):
         return {TAG: "rule_based_policy",
                 "slice_name": obj.slice_name, "app": obj.app,
-                "bin_edges": obj.bin_edges.tolist(),
-                "actions": [a.tolist() for a in obj.actions]}
+                "bin_edges": encode_array(obj.bin_edges),
+                "actions": encode_array(obj.actions)}
     if (dataclasses.is_dataclass(obj) and not isinstance(obj, type)
             and DATACLASS_TYPES.get(type(obj).__name__) is type(obj)):
         fields = {f.name: to_jsonable(getattr(obj, f.name))
@@ -154,7 +221,7 @@ def from_jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         tag = obj.get(TAG)
         if tag == "ndarray":
-            return np.asarray(obj["data"], dtype=obj["dtype"])
+            return decode_array(obj)
         if tag == "tuple":
             return tuple(from_jsonable(v) for v in obj["items"])
         if tag == "trajectory_point":
@@ -166,8 +233,9 @@ def from_jsonable(obj: Any) -> Any:
             return MethodResult(**fields)
         if tag == "rule_based_policy":
             return RuleBasedPolicy(
-                obj["slice_name"], obj["app"], obj["bin_edges"],
-                [np.asarray(a, dtype=float) for a in obj["actions"]])
+                obj["slice_name"], obj["app"],
+                decode_array(obj["bin_edges"]),
+                decode_array(obj["actions"]))
         if tag == "dataclass":
             cls = DATACLASS_TYPES.get(obj["type"])
             if cls is None:

@@ -11,6 +11,16 @@ pickle, no code execution on load) under ``<name>@<version>.json``;
 saving the same name again bumps the version, so a store directory is
 an append-only history of deployments.
 
+Format 2 stores every weight array as one binary record (dtype, shape
+and the base64 of its little-endian bytes): exact, about half the size
+of a JSON float list, and cheap to hash, so the content digest that
+:meth:`PolicyStore.load` re-verifies costs milliseconds.  There is no
+reader for format 1 (float lists); such a file is refused with a
+:class:`ValueError` naming it, and must be re-saved.  Every other
+unreadable snapshot -- truncated JSON, a malformed array record, a
+missing field, a digest that does not match -- is a
+:class:`ValueError` naming the snapshot ref and its path.
+
 All four comparison methods snapshot:
 
 * ``onslicing`` -- per-slice actor/critic/Gaussian head, the pi_phi
@@ -39,7 +49,7 @@ from repro.config import ExperimentConfig
 from repro.runtime.cache import code_version, content_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
 
-FORMAT = 1
+FORMAT = 2
 
 #: Methods the store knows how to snapshot and serve.
 SNAPSHOT_METHODS = ("onslicing", "onrl", "baseline", "model_based")
@@ -199,7 +209,10 @@ class PolicyStore:
 
         The stored digest is re-verified against the decoded contents,
         so a corrupted or hand-edited snapshot fails loudly instead of
-        serving wrong allocations.
+        serving wrong allocations.  Every way a file can fail to decode
+        (invalid JSON, an old format, a malformed record, a missing
+        field, a digest mismatch) raises :class:`ValueError` naming
+        the ref and the path.
         """
         name, _, version_text = ref.partition("@")
         if version_text:
@@ -218,24 +231,39 @@ class PolicyStore:
         if not os.path.exists(path):
             raise KeyError(f"no snapshot {name}@{version} in "
                            f"{self.directory}")
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != FORMAT:
+        where = f"snapshot {name}@{version} ({path})"
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:         # JSONDecodeError, bad UTF-8
+            raise ValueError(f"{where} is not valid JSON: {exc}") \
+                from exc
+        found = payload.get("format") if isinstance(payload, dict) \
+            else None
+        if found != FORMAT:
             raise ValueError(
-                f"unsupported snapshot format {payload.get('format')!r}")
-        snapshot = PolicySnapshot(
-            name=payload["name"], method=payload["method"],
-            scenario=payload["scenario"], seed=payload["seed"],
-            config=from_jsonable(payload["config"]),
-            policies=from_jsonable(payload["policies"]),
-            code_version=payload["code_version"],
-            version=payload["version"],
-            created_unix=payload["created_unix"])
-        if snapshot.digest != payload["digest"]:
+                f"{where} has format {found!r}; this store reads format "
+                f"{FORMAT} only (binary weight records) -- re-save the "
+                "snapshot with this version of repro")
+        try:
+            stored = payload["digest"]
+            snapshot = PolicySnapshot(
+                name=payload["name"], method=payload["method"],
+                scenario=payload["scenario"], seed=payload["seed"],
+                config=from_jsonable(payload["config"]),
+                policies=from_jsonable(payload["policies"]),
+                code_version=payload["code_version"],
+                version=payload["version"],
+                created_unix=payload["created_unix"])
+        except KeyError as exc:
+            raise ValueError(f"{where} is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} cannot be decoded: {exc}") \
+                from exc
+        if snapshot.digest != stored:
             raise ValueError(
-                f"snapshot {snapshot.ref} is corrupt: stored digest "
-                f"{payload['digest'][:12]} != recomputed "
-                f"{snapshot.digest[:12]}")
+                f"{where} is corrupt: stored digest {str(stored)[:12]} "
+                f"!= recomputed {snapshot.digest[:12]}")
         return snapshot
 
     def list(self) -> List[SnapshotInfo]:

@@ -217,7 +217,10 @@ class TestPolicyStore:
     def test_single_weight_edit_detected(self, tmp_path,
                                          onslicing_snapshot):
         """The digest is memoised per snapshot *object*; ``load``
-        builds a fresh one, so it still hashes what the file holds."""
+        builds a fresh one, so it still hashes what the file holds:
+        one weight moved by one ulp is caught."""
+        from repro.runtime.serialization import decode_array, encode_array
+
         store = PolicyStore(str(tmp_path))
         saved = store.save(onslicing_snapshot)
         assert store.load(saved.ref).digest == saved.digest
@@ -225,7 +228,9 @@ class TestPolicyStore:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         weights = payload["policies"]["MAR"]["estimator"]
-        weights["pi_phi.v0.weight_mu"]["data"][0][0] += 1e-9
+        mu = decode_array(weights["pi_phi.v0.weight_mu"])
+        mu[0, 0] = np.nextafter(mu[0, 0], np.inf)     # one ulp
+        weights["pi_phi.v0.weight_mu"] = encode_array(mu)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         with pytest.raises(ValueError, match="corrupt"):
