@@ -58,12 +58,8 @@ from conftest import run_once
 
 from repro.config import NUM_ACTIONS
 from repro.engine import BatchSimulator, ConstantBatchPolicy
-from repro.experiments.harness import (
-    episode_totals,
-    lockstep,
-    make_simulators,
-    run_episodes,
-)
+from repro.engine.policies import episode_totals, lockstep
+from repro.experiments.harness import make_simulators, run_episodes
 from repro.obs.trace import configure as configure_tracing, \
     disable as disable_tracing
 from repro.scenarios import FuzzSpace, generate_corpus

@@ -11,14 +11,19 @@ is PPO with
 * **no** offline imitation (learns from scratch),
 * **no** proactive baseline switching or cost estimator,
 * **projection** (not action modification) for over-requests -- applied
-  by the caller across agents via
-  :func:`repro.baselines.projection.project_actions`.
+  by the caller across agents, per world, by the lockstep loop.
+
+One learner serves any number of parallel worlds, row ``b`` of every
+call being world ``b`` (the vectorised-env pattern): one batched
+forward per slot, one :class:`~repro.rl.buffer.RolloutBuffer` per world
+so GAE stays per-episode exact, and one PPO update over the merged
+worlds at an episode boundary.  A single world is the one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,12 +45,14 @@ class OnRLConfig:
 
 
 class OnRLAgent:
-    """Learn-from-scratch PPO agent for one slice."""
+    """Learn-from-scratch PPO agent for one slice, over B worlds."""
 
     def __init__(self, slice_name: str, state_dim: int, action_dim: int,
                  cfg: Optional[OnRLConfig] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.slice_name = slice_name
+        #: The router's same-app key (``MAR7`` -> the ``mar`` policy).
+        self.app = slice_name[:3].lower()
         self.cfg = cfg or OnRLConfig()
         self._rng = rng if rng is not None else np.random.default_rng(5)
         self.model = GaussianActorCritic(
@@ -53,42 +60,74 @@ class OnRLAgent:
             ppo_cfg=self.cfg.ppo, rng=self._rng)
         self.trainer = PPOTrainer(self.model, cfg=self.cfg.ppo,
                                   rng=self._rng)
-        self.buffer = RolloutBuffer(gamma=self.cfg.ppo.gamma,
-                                    gae_lambda=self.cfg.ppo.gae_lambda)
-        self._pending = None
+        #: One rollout buffer per world, grown to the widest batch.
+        self.buffers: List[RolloutBuffer] = []
+        self._pending: Optional[Dict[str, np.ndarray]] = None
         self.updates_run = 0
 
-    def act(self, state: np.ndarray,
-            deterministic: bool = False) -> np.ndarray:
-        """Sample the next action and stage it for :meth:`observe`."""
-        decision = self.model.act(state, deterministic=deterministic)
-        self._pending = {"state": np.asarray(state, dtype=float),
-                         **decision}
-        return decision["action"]
+    def act_rows(self, states: np.ndarray) -> np.ndarray:
+        """Deterministic (mean) actions for stacked states: the Table 1
+        test protocol.  Stages nothing and learns nothing."""
+        return self.model.mean_actions(states)
 
-    def discard_pending(self) -> None:
-        """Drop the transition staged by :meth:`act` without learning.
+    def sample_rows(self, states: np.ndarray) -> np.ndarray:
+        """Sample one action per world and stage the transitions for
+        :meth:`observe_rows`."""
+        states = np.asarray(states, dtype=np.float64)
+        model = self.model
+        means = model.actor.predict_batch(states)
+        actions = model.dist.sample(means, model._rng)
+        ppo = self.cfg.ppo
+        while len(self.buffers) < len(states):
+            self.buffers.append(RolloutBuffer(
+                gamma=ppo.gamma, gae_lambda=ppo.gae_lambda))
+        self._pending = {
+            "states": states, "actions": actions,
+            "log_probs": model.dist.log_prob(means, actions),
+            "values": model.critic.predict_batch(states)[:, 0]}
+        return actions
 
-        Evaluation rollouts call this after every deterministic step so
-        test actions never enter the training buffer.
-        """
-        self._pending = None
-
-    def observe(self, reward: float, cost: float) -> None:
-        """Record the outcome of the last action (reward shaping here)."""
+    def observe_rows(self, rewards: np.ndarray,
+                     costs: np.ndarray) -> None:
+        """Record every world's outcome of the staged actions (reward
+        shaping applied here)."""
         if self._pending is None:
-            raise RuntimeError("observe() called before act()")
-        shaped = reward - self.cfg.penalty_weight * cost
-        self.buffer.add(Transition(
-            state=self._pending["state"],
-            action=self._pending["action"],
-            reward=shaped, cost=cost,
-            value=self._pending["value"],
-            log_prob=self._pending["log_prob"]))
-        self._pending = None
+            raise RuntimeError("observe_rows() called before "
+                               "sample_rows()")
+        pending, self._pending = self._pending, None
+        costs = np.asarray(costs, dtype=float)
+        shaped = (np.asarray(rewards, dtype=float)
+                  - self.cfg.penalty_weight * costs)
+        for b in range(len(pending["states"])):
+            self.buffers[b].add(Transition(
+                state=pending["states"][b],
+                action=pending["actions"][b],
+                reward=float(shaped[b]), cost=float(costs[b]),
+                value=float(pending["values"][b]),
+                log_prob=float(pending["log_probs"][b])))
 
-    def end_episode(self) -> None:
-        self.buffer.end_episode(bootstrap_value=0.0)
+    def end_episode(self) -> Optional[Dict[str, float]]:
+        """Finalise every world's episode, then run one PPO update over
+        the merged worlds once they hold ``update_threshold``
+        transitions.  Nothing is in progress at this point, so the
+        update trains on every transition observed since the last."""
+        for buffer in self.buffers:
+            buffer.end_episode(bootstrap_value=0.0)
+        if sum(map(len, self.buffers)) < self.cfg.update_threshold:
+            return None
+        batches = [buffer.get(normalize_advantages=False)
+                   for buffer in self.buffers if len(buffer)]
+        merged = {key: np.concatenate([batch[key] for batch in batches])
+                  for key in batches[0]}
+        advantages = merged["advantages"]
+        if len(advantages) > 1:
+            merged["advantages"] = (advantages - advantages.mean()) / (
+                advantages.std() + 1e-8)
+        stats = self.trainer.update(merged)
+        for buffer in self.buffers:
+            buffer.clear()
+        self.updates_run += 1
+        return stats
 
     # -- persistence -----------------------------------------------------
 
@@ -104,12 +143,3 @@ class OnRLAgent:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore weights exported by :meth:`state_dict` in place."""
         self.model.load_state_dict(state)
-
-    def maybe_update(self) -> Optional[Dict[str, float]]:
-        """Run a PPO update when enough transitions are stored."""
-        if len(self.buffer) < self.cfg.update_threshold:
-            return None
-        stats = self.trainer.update(self.buffer.get())
-        self.buffer.clear()
-        self.updates_run += 1
-        return stats

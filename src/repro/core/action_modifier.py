@@ -35,18 +35,6 @@ from repro.sim.network import CONSTRAINED_RESOURCES
 COST_WEIGHT = 3.0
 
 
-def beta_vector(beta: Mapping[str, float]) -> np.ndarray:
-    """Expand per-kind coordinating parameters onto action dimensions.
-
-    Only the consumable dimensions (PRB shares, transport bandwidth,
-    CPU, RAM) carry a beta; scheduler/MCS/path dimensions get zero.
-    """
-    vec = np.zeros(NUM_ACTIONS)
-    for kind, idx in CONSTRAINED_RESOURCES.items():
-        vec[idx] = float(beta.get(kind, 0.0))
-    return vec
-
-
 class CostSurrogate:
     """Differentiable model of the slice cost ``c(s, a)``."""
 

@@ -16,14 +16,16 @@ Before any online learning the agent is prepared offline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.config import NUM_ACTIONS
 from repro.core.agent import OnSlicingAgent
+from repro.engine.batch import BatchSimulator
+from repro.engine.policies import RoutedBatchPolicy, lockstep
 from repro.rl.behavior_cloning import BehaviorCloningTrainer
-from repro.sim.env import ScenarioSimulator, SliceObservation
+from repro.sim.env import ScenarioSimulator
 
 
 @dataclass
@@ -88,34 +90,38 @@ def collect_baseline_rollouts(simulator: ScenarioSimulator,
     ``exploration_std`` adds Gaussian jitter to the baseline actions
     (clipped to the box); the modifier's cost surrogate needs coverage
     around the baseline trajectory, not just on it.
+
+    The episodes are :func:`~repro.engine.policies.lockstep` over the
+    one world, unprojected: per slot ``RoutedBatchPolicy(baselines)``
+    labels every slice's state, one ``(S, NUM_ACTIONS)`` normal block
+    jitters the labels (the same draws, in the same order, as one
+    draw per slice), and the jittered rows are what the world executes.
     """
     rng = rng if rng is not None else np.random.default_rng(31)
     datasets = {name: OfflineDataset() for name in simulator.slice_names}
-    for _ in range(num_episodes):
-        observations = simulator.reset()
-        while not simulator.done:
-            actions = {}
-            expert = {}
-            for name in simulator.slice_names:
-                label = np.asarray(
-                    baselines[name].act(observations[name]), dtype=float)
-                expert[name] = label
-                action = label
-                if exploration_std > 0:
-                    action = np.clip(
-                        label + rng.normal(0.0, exploration_std,
-                                           size=label.shape),
-                        0.0, 1.0)
-                actions[name] = action
-            results = simulator.step(actions)
-            for name, result in results.items():
-                datasets[name].add(
-                    observations[name].vector(), actions[name],
-                    result.reward, result.cost, result.usage,
-                    expert_action=expert[name])
-                observations[name] = result.observation
-        for dataset in datasets.values():
-            dataset.end_episode()
+    expert = RoutedBatchPolicy(baselines)
+    label = np.empty(0)
+
+    def act_batch(states: np.ndarray, names) -> np.ndarray:
+        nonlocal label
+        label = expert.act_batch(states, names)
+        if exploration_std > 0:
+            return np.clip(label + rng.normal(
+                0.0, exploration_std, size=label.shape), 0.0, 1.0)
+        return label
+
+    for states, actions, step in lockstep(
+            BatchSimulator([simulator]),
+            SimpleNamespace(act_batch=act_batch), num_episodes,
+            project=False):
+        for row, name in enumerate(step.names[0]):
+            datasets[name].add(
+                states[row], actions[row], step.rewards[row],
+                step.costs[row], step.usages[row],
+                expert_action=label[row])
+        if step.dones[0]:
+            for dataset in datasets.values():
+                dataset.end_episode()
     return datasets
 
 

@@ -11,11 +11,12 @@ into flat array math:
   streams (``ScenarioSimulator.step`` is its ``B = 1`` case);
 * :mod:`repro.engine.policies` -- the :class:`BatchPolicy` protocol,
   the one name -> per-slice-policy router behind the rule-based /
-  model-based / snapshot batch policies, batched projection, and the
-  vectorised-env OnRL learner.
+  model-based / snapshot / OnRL batch policies, batched projection,
+  and the lockstep loop.
 
 The layers above consume it through
-:func:`repro.experiments.harness.lockstep` and the serving driver
+:func:`repro.engine.policies.lockstep` (evaluation, fuzzing, OnRL
+training, the offline pi_b rollouts) and the serving driver
 :func:`repro.serve.loadgen.drive_lockstep`.
 """
 
@@ -33,7 +34,6 @@ from repro.engine.policies import (
     ModelBasedBatchPolicy,
     RoutedBatchPolicy,
     RuleBasedBatchPolicy,
-    VecOnRLAgent,
     project_actions_batch,
 )
 
@@ -46,7 +46,6 @@ __all__ = [
     "RoutedBatchPolicy",
     "RuleBasedBatchPolicy",
     "SliceRows",
-    "VecOnRLAgent",
     "WorldConditions",
     "concat_rows",
     "evaluate_rows",

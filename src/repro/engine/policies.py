@@ -12,22 +12,25 @@ policy are served by one ``policy.act_rows(states)`` call --
 * the rule-based Baseline's ``act_rows`` is one ``searchsorted`` over
   the traffic column plus a row gather from its bin table;
 * Model_Based's evaluates its closed-form program row by row;
-* a learned snapshot policy's is one ``MLP.predict_batch`` forward.
+* a learned policy's (a snapshot's, an OnRL learner's) is one
+  ``MLP.predict_batch`` forward.
 
 :func:`project_actions_batch` applies the paper's projection
-(Sec. 4) per world across a whole batch, and :class:`VecOnRLAgent`
-runs one OnRL learner over B parallel worlds with per-world rollout
-buffers (the standard vectorised-env pattern).
+(Sec. 4) per world across a whole batch, and :func:`lockstep` drives
+a :class:`~repro.engine.batch.BatchSimulator` under one batch policy
+-- the one loop evaluation, fuzzing, OnRL training and the offline
+pi_b rollouts share -- with :func:`episode_totals` its per-episode
+fold.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.config import NUM_ACTIONS
-from repro.rl.buffer import RolloutBuffer, Transition
 from repro.sim.network import CONSTRAINED_RESOURCES
 
 #: Constrained action columns in CONSTRAINED_RESOURCES order.
@@ -150,93 +153,109 @@ def project_actions_batch(actions: np.ndarray,
     return projected
 
 
-class VecOnRLAgent:
-    """One OnRL learner driving B parallel worlds.
+def lockstep(batch, policy, episodes: int = 1, project: bool = True):
+    """The lockstep loop: every world of ``batch`` for ``episodes``
+    episodes under one :class:`BatchPolicy`.
 
-    Wraps a scalar :class:`~repro.baselines.onrl.OnRLAgent`: the
-    actor/critic forwards run batched over the worlds
-    (``MLP.predict_batch``), while each world keeps its own
-    :class:`~repro.rl.buffer.RolloutBuffer` so GAE stays per-episode
-    correct.  PPO updates trigger at episode boundaries once the
-    worlds' combined finalised transitions reach the scalar agent's
-    update threshold.
+    Per slot the active worlds' observations are stacked, the policy
+    is asked once, each world's rows are projected (paper Sec. 4;
+    ``project=False`` executes the policy's rows as they are) and all
+    of them advance through one ``batch.step``.  Yields
+    ``(states, matrix, step)`` per slot -- the observations the policy
+    saw, the action matrix that was executed and the
+    :class:`~repro.engine.batch.BatchStepResult`, all in
+    ``step.worlds`` order with ``step.offsets`` delimiting worlds.
+    Once the consumer has folded the slot, a world whose episode ended
+    is reset if it has episodes left and retired otherwise, so the
+    consumer reads a finished world's simulator before it restarts.
+
+    Between two slots only what a finished world changes is redone:
+    the next stacked observations are the step's own, with a reset
+    world's rows swapped in and a retired world's dropped, and the
+    name list and offsets are rebuilt when a world retires.
     """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    count = batch.num_worlds
+    remaining = [episodes - 1] * count
+    worlds = list(range(count))
+    stacked = np.concatenate([batch.reset_world(b) for b in worlds])
+    names = [batch.slice_names(b) for b in worlds]
+    flat = offsets = None
+    while worlds:
+        if flat is None:            # first slot, or a world retired
+            flat = list(itertools.chain.from_iterable(names))
+            offsets = [0, *itertools.accumulate(map(len, names))]
+        matrix = np.asarray(policy.act_batch(stacked, flat),
+                            dtype=float)
+        if project:
+            matrix = project_actions_batch(matrix, offsets)
+        actions: List[Optional[np.ndarray]] = [None] * count
+        for i, b in enumerate(worlds):
+            actions[b] = matrix[offsets[i]:offsets[i + 1]]
+        step = batch.step(actions)
+        yield stacked, matrix, step
+        stacked = step.observations
+        if not any(step.dones):
+            continue
+        pieces, kept, retired = [], 0, []
+        for i, done in enumerate(step.dones):
+            if not done:
+                continue
+            pieces.append(stacked[offsets[kept]:offsets[i]])
+            kept = i + 1
+            b = worlds[i]
+            if remaining[b] > 0:
+                pieces.append(batch.reset_world(b))
+                remaining[b] -= 1
+            else:
+                retired.append(i)
+        pieces.append(stacked[offsets[kept]:])
+        stacked = np.concatenate(pieces)
+        for i in reversed(retired):
+            del worlds[i], names[i]
+            flat = None
 
-    def __init__(self, agent, num_envs: int) -> None:
-        if num_envs < 1:
-            raise ValueError("num_envs must be >= 1")
-        self.agent = agent
-        self.num_envs = num_envs
-        ppo = agent.cfg.ppo
-        self.buffers = [RolloutBuffer(gamma=ppo.gamma,
-                                      gae_lambda=ppo.gae_lambda)
-                        for _ in range(num_envs)]
-        self._pending: Optional[Dict[str, np.ndarray]] = None
-        self.updates_run = 0
 
-    def act_many(self, states: np.ndarray,
-                 deterministic: bool = False) -> np.ndarray:
-        """Batched act across worlds; stages transitions for
-        :meth:`observe_many`."""
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim != 2 or states.shape[0] != self.num_envs:
-            raise ValueError(
-                f"need one state row per world: expected "
-                f"({self.num_envs}, state_dim), got {states.shape}")
-        model = self.agent.model
-        means = model.actor.predict_batch(states)
-        if deterministic:
-            actions = np.clip(means, 0.0, 1.0)
-        else:
-            actions = model.dist.sample(means, model._rng)
-        log_probs = model.dist.log_prob(means, actions)
-        values = model.critic.predict_batch(states)[:, 0]
-        self._pending = {"states": states, "actions": actions,
-                         "log_probs": log_probs, "values": values}
-        return actions
+def episode_totals(slots, num_worlds: int
+                   ) -> List[List[Dict[str, Dict[str, float]]]]:
+    """Fold :func:`lockstep` slots into per world, per episode, per
+    slice ``{"cost", "usage"}`` sums (``harness.run_episodes``' result).
 
-    def discard_pending(self) -> None:
-        self._pending = None
-
-    def observe_many(self, rewards: np.ndarray,
-                     costs: np.ndarray) -> None:
-        """Record every world's outcome (reward shaping included)."""
-        if self._pending is None:
-            raise RuntimeError("observe_many() called before act_many()")
-        pending = self._pending
-        self._pending = None
-        shaped = (np.asarray(rewards, dtype=float)
-                  - self.agent.cfg.penalty_weight
-                  * np.asarray(costs, dtype=float))
-        for b, buffer in enumerate(self.buffers):
-            buffer.add(Transition(
-                state=pending["states"][b],
-                action=pending["actions"][b],
-                reward=float(shaped[b]), cost=float(costs[b]),
-                value=float(pending["values"][b]),
-                log_prob=float(pending["log_probs"][b])))
-
-    def end_episodes(self) -> None:
-        for buffer in self.buffers:
-            buffer.end_episode(bootstrap_value=0.0)
-
-    def maybe_update(self) -> Optional[Dict[str, float]]:
-        """One PPO update over the merged worlds, when enough data."""
-        total = sum(len(buffer) for buffer in self.buffers)
-        if total < self.agent.cfg.update_threshold:
-            return None
-        batches = [buffer.get(normalize_advantages=False)
-                   for buffer in self.buffers if len(buffer)]
-        merged = {key: np.concatenate([batch[key]
-                                       for batch in batches])
-                  for key in batches[0]}
-        advantages = merged["advantages"]
-        if len(advantages) > 1:
-            merged["advantages"] = (advantages - advantages.mean()) / (
-                advantages.std() + 1e-8)
-        stats = self.agent.trainer.update(merged)
-        for buffer in self.buffers:
-            buffer.clear()
-        self.updates_run += 1
-        self.agent.updates_run += 1
-        return stats
+    Each slot's cost and usage vectors are added, element by element,
+    onto running totals laid out like the step's rows (the same
+    ``+=`` in slot order a per-slice loop makes, so every total is
+    the same float); a world's dicts are built when its episode ends.
+    """
+    results: List[List[Dict]] = [[] for _ in range(num_worlds)]
+    worlds: List[int] = []
+    offsets = [0]
+    cost = usage = np.zeros(0)
+    for _, _, step in slots:
+        if step.worlds != worlds:
+            # the stepped set changed: carry the surviving worlds'
+            # running totals over to the new row layout
+            carried = {b: (cost[lo:hi], usage[lo:hi])
+                       for b, lo, hi in zip(worlds, offsets,
+                                            offsets[1:])}
+            worlds = step.worlds
+            offsets = step.offsets.tolist()
+            blank = np.zeros(offsets[-1])
+            cost, usage = blank.copy(), blank.copy()
+            for b, lo, hi in zip(worlds, offsets, offsets[1:]):
+                if b in carried:
+                    cost[lo:hi], usage[lo:hi] = carried[b]
+        cost += step.costs
+        usage += step.usages
+        if not any(step.dones):
+            continue
+        for i, done in enumerate(step.dones):
+            if done:
+                rows = slice(offsets[i], offsets[i + 1])
+                results[worlds[i]].append({
+                    name: {"cost": c, "usage": u}
+                    for name, c, u in zip(step.names[i],
+                                          cost[rows].tolist(),
+                                          usage[rows].tolist())})
+                cost[rows] = usage[rows] = 0.0
+    return results

@@ -42,11 +42,11 @@ from repro.engine.policies import (
     ModelBasedBatchPolicy,
     RoutedBatchPolicy,
     RuleBasedBatchPolicy,
+    episode_totals,
+    lockstep,
 )
 from repro.experiments.harness import (
-    episode_totals,
     fit_baselines,
-    lockstep,
     make_model_based_policies,
     run_episodes,
 )
@@ -242,7 +242,7 @@ def run_fuzz_batch(specs: Sequence[ScenarioSpec], policy,
 
 def _checked(slots, specs: Sequence[ScenarioSpec], sims: List,
              breaches: List[Dict[str, object]]):
-    """Pass :func:`~repro.experiments.harness.lockstep` slots through,
+    """Pass :func:`~repro.engine.policies.lockstep` slots through,
     recording a breach for every per-slot engine invariant a world
     breaks (finite, non-negative, within capacity)."""
     for states, matrix, step in slots:

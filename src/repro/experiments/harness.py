@@ -18,15 +18,14 @@ cache directory is configured (see :mod:`repro.runtime.cache`).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.model_based import ModelBasedPolicy
 from repro.baselines.onrl import OnRLAgent, OnRLConfig
-from repro.baselines.projection import project_actions
 from repro.baselines.rule_based import (
     RuleBasedPolicy,
     fit_rule_based_policy,
@@ -47,8 +46,8 @@ from repro.core.orchestrator import DomainManagerSet, OnSlicingOrchestrator
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import (
     RoutedBatchPolicy,
-    VecOnRLAgent,
-    project_actions_batch,
+    episode_totals,
+    lockstep,
 )
 from repro.experiments.metrics import (
     MethodResult,
@@ -58,7 +57,6 @@ from repro.experiments.metrics import (
     violation_percent,
 )
 from repro.sim.env import STATE_DIM, ScenarioSimulator
-from repro.sim.network import EndToEndNetwork
 
 
 def resolve_scenario(scenario):
@@ -120,7 +118,8 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
 
     The workhorse of batched evaluation: ``policy`` is a
     :class:`~repro.engine.policies.BatchPolicy` (stacked observations
-    in, stacked actions out) driven through :func:`lockstep`.
+    in, stacked actions out) driven through
+    :func:`~repro.engine.policies.lockstep`.
     ``engine`` only picks the batch width: ``"vector"`` advances all
     worlds in one :class:`~repro.engine.batch.BatchSimulator`,
     ``"scalar"`` runs the same loop once per world.  A world steps
@@ -133,8 +132,6 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected "
                          f"one of {ENGINES}")
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
     batches = ([[sim] for sim in simulators] if engine == "scalar"
                else [simulators])
     results: List[List[Dict[str, Dict[str, float]]]] = []
@@ -142,111 +139,6 @@ def run_episodes(simulators: List[ScenarioSimulator], policy,
         results += episode_totals(
             lockstep(BatchSimulator(worlds), policy, episodes, project),
             len(worlds))
-    return results
-
-
-def lockstep(batch, policy, episodes: int = 1, project: bool = True):
-    """The lockstep loop: every world of ``batch`` for ``episodes``
-    episodes under one :class:`~repro.engine.policies.BatchPolicy`.
-
-    Per slot the active worlds' observations are stacked, the policy
-    is asked once, each world's rows are projected (paper Sec. 4) and
-    all of them advance through one ``batch.step``.  Yields
-    ``(states, matrix, step)`` per slot -- the observations the policy
-    saw, the action matrix that was executed and the
-    :class:`~repro.engine.batch.BatchStepResult`, all in
-    ``step.worlds`` order with ``step.offsets`` delimiting worlds.
-    Once the consumer has folded the slot, a world whose episode ended
-    is reset if it has episodes left and retired otherwise, so the
-    consumer reads a finished world's simulator before it restarts.
-
-    Between two slots only what a finished world changes is redone:
-    the next stacked observations are the step's own, with a reset
-    world's rows swapped in and a retired world's dropped, and the
-    name list and offsets are rebuilt when a world retires.
-    """
-    count = batch.num_worlds
-    remaining = [episodes - 1] * count
-    worlds = list(range(count))
-    stacked = np.concatenate([batch.reset_world(b) for b in worlds])
-    names = [batch.slice_names(b) for b in worlds]
-    flat = offsets = None
-    while worlds:
-        if flat is None:            # first slot, or a world retired
-            flat = list(itertools.chain.from_iterable(names))
-            offsets = [0, *itertools.accumulate(map(len, names))]
-        matrix = np.asarray(policy.act_batch(stacked, flat),
-                            dtype=float)
-        if project:
-            matrix = project_actions_batch(matrix, offsets)
-        actions: List[Optional[np.ndarray]] = [None] * count
-        for i, b in enumerate(worlds):
-            actions[b] = matrix[offsets[i]:offsets[i + 1]]
-        step = batch.step(actions)
-        yield stacked, matrix, step
-        stacked = step.observations
-        if not any(step.dones):
-            continue
-        pieces, kept, retired = [], 0, []
-        for i, done in enumerate(step.dones):
-            if not done:
-                continue
-            pieces.append(stacked[offsets[kept]:offsets[i]])
-            kept = i + 1
-            b = worlds[i]
-            if remaining[b] > 0:
-                pieces.append(batch.reset_world(b))
-                remaining[b] -= 1
-            else:
-                retired.append(i)
-        pieces.append(stacked[offsets[kept]:])
-        stacked = np.concatenate(pieces)
-        for i in reversed(retired):
-            del worlds[i], names[i]
-            flat = None
-
-
-def episode_totals(slots, num_worlds: int
-                   ) -> List[List[Dict[str, Dict[str, float]]]]:
-    """Fold :func:`lockstep` slots into ``run_episodes``' result:
-    per world, per episode, per slice ``{"cost", "usage"}`` sums.
-
-    Each slot's cost and usage vectors are added, element by element,
-    onto running totals laid out like the step's rows (the same
-    ``+=`` in slot order a per-slice loop makes, so every total is
-    the same float); a world's dicts are built when its episode ends.
-    """
-    results: List[List[Dict]] = [[] for _ in range(num_worlds)]
-    worlds: List[int] = []
-    offsets = [0]
-    cost = usage = np.zeros(0)
-    for _, _, step in slots:
-        if step.worlds != worlds:
-            # the stepped set changed: carry the surviving worlds'
-            # running totals over to the new row layout
-            carried = {b: (cost[lo:hi], usage[lo:hi])
-                       for b, lo, hi in zip(worlds, offsets,
-                                            offsets[1:])}
-            worlds = step.worlds
-            offsets = step.offsets.tolist()
-            blank = np.zeros(offsets[-1])
-            cost, usage = blank.copy(), blank.copy()
-            for b, lo, hi in zip(worlds, offsets, offsets[1:]):
-                if b in carried:
-                    cost[lo:hi], usage[lo:hi] = carried[b]
-        cost += step.costs
-        usage += step.usages
-        if not any(step.dones):
-            continue
-        for i, done in enumerate(step.dones):
-            if done:
-                rows = slice(offsets[i], offsets[i + 1])
-                results[worlds[i]].append({
-                    name: {"cost": c, "usage": u}
-                    for name, c, u in zip(step.names[i],
-                                          cost[rows].tolist(),
-                                          usage[rows].tolist())})
-                cost[rows] = usage[rows] = 0.0
     return results
 
 
@@ -488,88 +380,52 @@ def make_onrl_agents(cfg: ExperimentConfig, seed: int = 17,
     }
 
 
-def run_onrl_episode(simulator: ScenarioSimulator,
-                     agents: Dict[str, OnRLAgent],
-                     learn: bool = True,
-                     deterministic: bool = False
-                     ) -> Dict[str, Dict[str, float]]:
-    """One joint episode under independent OnRL agents + projection.
+def _onrl_learning(batch: BatchSimulator, agents: Dict[str, OnRLAgent],
+                   episodes: int):
+    """:func:`~repro.engine.policies.lockstep` of ``batch`` for
+    ``episodes`` episodes under the OnRL ``agents``' sampled actions,
+    learning in the consumer.
 
-    Returns per-slice ``{"cost", "usage"}`` totals.  With
-    ``learn=False`` actions are taken but never observed (the Table 1
-    deterministic-test protocol); the caller owns ``end_episode``.
+    Every world manages the same slices, so slice ``j``'s rows of a
+    slot are ``j::S``: each agent samples its rows (one per world) in
+    one forward, the joint rows are projected per world, and once the
+    step is taken each agent observes its rows.  The worlds share one
+    horizon, so they end their episodes together; each agent then
+    finalises its worlds' episodes and may update, before the loop
+    resets them.
     """
-    observations = simulator.reset()
-    totals = {n: {"cost": 0.0, "usage": 0.0} for n in agents}
-    while not simulator.done:
-        proposals = {
-            name: agent.act(observations[name].vector(),
-                            deterministic=deterministic)
-            for name, agent in agents.items()
-        }
-        if not learn:
-            for agent in agents.values():
-                agent.discard_pending()  # test only, no learning
-        actions = project_actions(proposals)
-        results = simulator.step(actions)
-        for name, result in results.items():
-            if learn:
-                agents[name].observe(result.reward, result.cost)
-            totals[name]["cost"] += result.cost
-            totals[name]["usage"] += result.usage
-            observations[name] = result.observation
-        if learn:
-            for agent in agents.values():
-                agent.maybe_update()
-    return totals
-
-
-def run_onrl_episode_batch(batch, vec_agents: Dict[str, object],
-                           learn: bool = True,
-                           deterministic: bool = False
-                           ) -> List[Dict[str, Dict[str, float]]]:
-    """One lockstep episode of every world under shared OnRL agents.
-
-    ``batch`` is a :class:`~repro.engine.batch.BatchSimulator` whose
-    worlds all share one slice population; ``vec_agents`` maps slice
-    names to :class:`~repro.engine.policies.VecOnRLAgent` wrappers.
-    Each slot runs one batched forward per agent over the worlds and
-    one kernel evaluation over every (world, slice) row -- the
-    vectorised-env analogue of :func:`run_onrl_episode`.  Returns
-    per-world episode totals.
-    """
-    num_envs = batch.num_worlds
     names = batch.slice_names(0)
-    s = len(names)
-    obs = batch.reset()
-    totals = [{n: {"cost": 0.0, "usage": 0.0} for n in names}
-              for _ in range(num_envs)]
-    offsets = np.arange(num_envs + 1) * s
-    while not all(batch.dones):
-        matrix = np.empty((num_envs * s, NUM_ACTIONS))
-        for j, name in enumerate(names):
-            actions = vec_agents[name].act_many(
-                obs[j::s], deterministic=deterministic)
-            matrix[j::s] = actions
-        if not learn:
-            for agent in vec_agents.values():
-                agent.discard_pending()
-        matrix = project_actions_batch(matrix, offsets)
-        step = batch.step([matrix[offsets[b]:offsets[b + 1]]
-                           for b in range(num_envs)])
-        obs = step.observations
-        for j, name in enumerate(names):
-            if learn:
-                vec_agents[name].observe_many(step.rewards[j::s],
-                                              step.costs[j::s])
-            for b in range(num_envs):
-                totals[b][name]["cost"] += float(step.costs[b * s + j])
-                totals[b][name]["usage"] += float(
-                    step.usages[b * s + j])
-        if learn:
-            for agent in vec_agents.values():
-                agent.maybe_update()
-    return totals
+    lanes = [(agents[name], slice(j, None, len(names)))
+             for j, name in enumerate(names)]
+
+    def sample(states: np.ndarray, _names) -> np.ndarray:
+        actions = np.empty((len(states), NUM_ACTIONS))
+        for agent, rows in lanes:
+            actions[rows] = agent.sample_rows(states[rows])
+        return actions
+
+    for slot in lockstep(batch, SimpleNamespace(act_batch=sample),
+                         episodes):
+        step = slot[2]
+        for agent, rows in lanes:
+            agent.observe_rows(step.rewards[rows], step.costs[rows])
+        if any(step.dones):
+            for agent, _ in lanes:
+                agent.end_episode()
+        yield slot
+
+
+def _verdict_means(cfg: ExperimentConfig, episodes,
+                   horizon: int) -> Tuple[float, float]:
+    """Mean per-slice usage and SLA-violation rate over episode totals
+    (folded episode by episode, slices in ``cfg.slices`` order)."""
+    usages: List[float] = []
+    violations: List[float] = []
+    for totals in episodes:
+        used, violated = episode_verdicts(cfg, totals, horizon)
+        usages += used
+        violations += violated
+    return float(np.mean(usages)), float(np.mean(violations))
 
 
 def train_onrl(cfg: ExperimentConfig, epochs: int = 12,
@@ -583,60 +439,32 @@ def train_onrl(cfg: ExperimentConfig, epochs: int = 12,
     the decision service) evaluate from the snapshot instead of
     retraining.  Returns ``{"agents", "simulator", "trajectory"}``.
 
-    ``envs > 1`` trains through the batched engine: ``envs`` worlds
-    (seeded from ``cfg.seed`` spawns) advance in lockstep, each agent
-    takes one batched forward per slot, and every lockstep episode
-    contributes ``envs`` episodes of experience -- same agents out,
-    more experience per wall-clock second.  PPO updates then trigger
-    at episode boundaries (per-world GAE stays exact), so the learning
-    trajectory is not slot-for-slot identical to ``envs=1``; the
-    default keeps the historical single-world path and its cache keys.
+    ``envs`` worlds (world 0 the plain ``cfg.seed`` world, the others
+    seeded from its spawns) each run ``epochs * episodes_per_epoch``
+    episodes through one lockstep loop (:func:`_onrl_learning`): one
+    batched forward per agent and slot, and at every episode boundary
+    at most one PPO update per agent over all worlds' finished
+    episodes.  One world is the one-row case of the same loop, so
+    ``envs`` changes how much experience an episode brings, not the
+    code that learns from it.
     """
     if envs < 1:
         raise ValueError("envs must be >= 1")
     agents = make_onrl_agents(cfg, seed=seed, onrl_cfg=onrl_cfg)
-    trajectory: List[TrajectoryPoint] = []
-    if envs == 1:
-        simulator = make_simulator(cfg, scenario)
-        for epoch in range(epochs):
-            usages, violations = [], []
-            for _ in range(episodes_per_epoch):
-                totals = run_onrl_episode(simulator, agents, learn=True)
-                for agent in agents.values():
-                    agent.end_episode()
-                used, violated = episode_verdicts(cfg, totals,
-                                                  simulator.horizon)
-                usages += used
-                violations += violated
-            trajectory.append(TrajectoryPoint(
-                epoch=epoch, mean_usage=float(np.mean(usages)),
-                mean_cost=0.0,
-                violation_rate=float(np.mean(violations))))
-        return {"agents": agents, "simulator": simulator,
-                "trajectory": trajectory}
-
     simulators = make_simulators(cfg, scenario, count=envs)
-    batch = BatchSimulator(simulators)
-    vec_agents = {name: VecOnRLAgent(agent, envs)
-                  for name, agent in agents.items()}
-    horizon = simulators[0].horizon
+    worlds = episode_totals(_onrl_learning(
+        BatchSimulator(simulators), agents, epochs * episodes_per_epoch),
+        envs)
+    trajectory: List[TrajectoryPoint] = []
     for epoch in range(epochs):
-        usages, violations = [], []
-        for _ in range(episodes_per_epoch):
-            totals = run_onrl_episode_batch(batch, vec_agents,
-                                            learn=True)
-            for agent in vec_agents.values():
-                agent.end_episodes()
-                agent.maybe_update()
-            for world_totals in totals:
-                used, violated = episode_verdicts(cfg, world_totals,
-                                                  horizon)
-                usages += used
-                violations += violated
+        episodes = range(epoch * episodes_per_epoch,
+                         (epoch + 1) * episodes_per_epoch)
+        usage, violation = _verdict_means(
+            cfg, [world[k] for k in episodes for world in worlds],
+            simulators[0].horizon)
         trajectory.append(TrajectoryPoint(
-            epoch=epoch, mean_usage=float(np.mean(usages)),
-            mean_cost=0.0,
-            violation_rate=float(np.mean(violations))))
+            epoch=epoch, mean_usage=usage, mean_cost=0.0,
+            violation_rate=violation))
     return {"agents": agents, "simulator": simulators[0],
             "trajectory": trajectory}
 
@@ -649,7 +477,10 @@ def run_onrl_phase(cfg: Optional[ExperimentConfig] = None,
     """Train OnRL from scratch and return trajectory + test metrics.
 
     OnRL agents act independently and over-requests are resolved with
-    projection -- no modifier, no switching, fixed penalty weight.
+    projection -- no modifier, no switching, fixed penalty weight.  The
+    test is three deterministic episodes of the trained world under
+    the agents' mean actions (:meth:`OnRLAgent.act_rows`, which learns
+    nothing), through :func:`run_episodes`.
     """
     scenario = resolve_scenario(scenario)
     if cfg is None:
@@ -659,20 +490,12 @@ def run_onrl_phase(cfg: Optional[ExperimentConfig] = None,
                          episodes_per_epoch=episodes_per_epoch,
                          seed=seed, onrl_cfg=onrl_cfg,
                          scenario=scenario)
-    agents = trained["agents"]
     simulator = trained["simulator"]
-    # deterministic test episodes
-    test_usages, test_violations = [], []
-    for _ in range(3):
-        totals = run_onrl_episode(simulator, agents, learn=False,
-                                  deterministic=True)
-        used, violated = episode_verdicts(cfg, totals,
-                                          simulator.horizon)
-        test_usages += used
-        test_violations += violated
+    world, = run_episodes([simulator],
+                          RoutedBatchPolicy(trained["agents"]), episodes=3)
+    usage, violation = _verdict_means(cfg, world, simulator.horizon)
     return MethodResult(
         method="OnRL",
-        avg_resource_usage=usage_percent(float(np.mean(test_usages))),
-        avg_sla_violation=violation_percent(
-            float(np.mean(test_violations))),
+        avg_resource_usage=usage_percent(usage),
+        avg_sla_violation=violation_percent(violation),
         trajectory=trained["trajectory"])

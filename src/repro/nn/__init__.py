@@ -7,7 +7,7 @@ policy heads, and mean-field variational (Bayes-by-backprop) layers for
 the cost-value estimator pi_phi -- with exact, unit-tested gradients.
 """
 
-from repro.nn.initializers import he_uniform, xavier_uniform, zeros_init
+from repro.nn.initializers import he_uniform, xavier_uniform
 from repro.nn.layers import (
     Dense,
     Identity,
@@ -19,8 +19,8 @@ from repro.nn.layers import (
     make_activation,
 )
 from repro.nn.network import MLP
-from repro.nn.optim import SGD, Adam, clip_grad_norm
-from repro.nn.losses import gaussian_nll, huber_loss, mse_loss
+from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.losses import mse_loss
 from repro.nn.distributions import DiagGaussian
 from repro.nn.bayesian import BayesianMLP, VariationalDense
 
@@ -33,17 +33,13 @@ __all__ = [
     "MLP",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sigmoid",
     "Softplus",
     "Tanh",
     "VariationalDense",
     "clip_grad_norm",
-    "gaussian_nll",
     "he_uniform",
-    "huber_loss",
     "make_activation",
     "mse_loss",
     "xavier_uniform",
-    "zeros_init",
 ]

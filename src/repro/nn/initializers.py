@@ -18,8 +18,3 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int,
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-
-def zeros_init(_rng: np.random.Generator, fan_in: int,
-               fan_out: int) -> np.ndarray:
-    """All-zero initialisation (used for final value-head layers)."""
-    return np.zeros((fan_in, fan_out))

@@ -17,39 +17,3 @@ def mse_loss(pred: np.ndarray,
     grad = 2.0 * diff / diff.size
     return value, grad
 
-
-def huber_loss(pred: np.ndarray, target: np.ndarray,
-               delta: float = 1.0) -> Tuple[float, np.ndarray]:
-    """Huber loss (quadratic near zero, linear in the tails)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    diff = pred - target
-    abs_diff = np.abs(diff)
-    quadratic = abs_diff <= delta
-    value = float(np.mean(np.where(
-        quadratic, 0.5 * diff ** 2, delta * (abs_diff - 0.5 * delta))))
-    grad = np.where(quadratic, diff, delta * np.sign(diff)) / diff.size
-    return value, grad
-
-
-def gaussian_nll(mean: np.ndarray, log_std: np.ndarray,
-                 target: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Negative log-likelihood of ``target`` under ``N(mean, exp(log_std)^2)``.
-
-    Returns ``(value, grad_mean, grad_log_std)`` -- the gradients needed
-    to train heteroscedastic regression heads and the variational cost
-    estimator's likelihood term.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    log_std = np.broadcast_to(
-        np.asarray(log_std, dtype=np.float64), mean.shape)
-    target = np.asarray(target, dtype=np.float64)
-    inv_var = np.exp(-2.0 * log_std)
-    diff = mean - target
-    per_sample = log_std + 0.5 * diff ** 2 * inv_var \
-        + 0.5 * np.log(2.0 * np.pi)
-    value = float(np.mean(per_sample))
-    n = mean.size
-    grad_mean = diff * inv_var / n
-    grad_log_std = (1.0 - diff ** 2 * inv_var) / n
-    return value, grad_mean, grad_log_std

@@ -25,32 +25,6 @@ def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
-class SGD:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.params: List[Parameter] = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        for param, vel in zip(self.params, self._velocity):
-            if self.momentum:
-                vel *= self.momentum
-                vel += param.grad
-                param.value -= self.lr * vel
-            else:
-                param.value -= self.lr * param.grad
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-
 class Adam:
     """Adam (Kingma & Ba 2015) with bias correction."""
 

@@ -1,9 +1,9 @@
 """JSON-safe encoding of experiment results.
 
 The result cache stores everything as JSON on disk (no pickle, no code
-execution on load -- same policy as :mod:`repro.core.persistence`).
-Result objects are richer than plain JSON, so values are encoded with a
-small tagged scheme: ``{"__repro__": "<tag>", ...}`` wrappers mark
+execution on load -- the policy store's rule too).  Result objects
+are richer than plain JSON, so values are encoded with a small tagged
+scheme: ``{"__repro__": "<tag>", ...}`` wrappers mark
 numpy arrays, :class:`~repro.experiments.metrics.MethodResult`,
 :class:`~repro.experiments.metrics.TrajectoryPoint` and
 :class:`~repro.baselines.rule_based.RuleBasedPolicy` instances, and

@@ -30,9 +30,9 @@ All four comparison methods snapshot:
 * ``baseline``  -- the grid-searched :class:`RuleBasedPolicy` tables;
 * ``model_based`` -- config only (policies are rebuilt analytically).
 
-Full *training-state* checkpoints (optimiser state, buffers, the
-action modifier) remain :mod:`repro.core.persistence`'s job; the store
-holds the decision surface.
+The store holds the decision surface, not training state: optimiser
+moments, rollout buffers, the action modifier and the cost surrogate
+are not saved.
 """
 
 from __future__ import annotations

@@ -64,12 +64,6 @@ CQI_SNR_THRESHOLDS_DB: Tuple[float, ...] = tuple(
     -6.0 + 2.0 * i for i in range(NUM_CQI))
 
 
-def snr_to_cqi(snr_db: float) -> int:
-    """Quantise an SNR measurement to the reported CQI index (1..15)."""
-    cqi = int(np.searchsorted(CQI_SNR_THRESHOLDS_DB, snr_db, side="right"))
-    return int(np.clip(cqi, 1, NUM_CQI))
-
-
 def cqi_to_mcs(cqi: int) -> int:
     """Vanilla CQI -> MCS mapping (the OAI default the RDM customises).
 

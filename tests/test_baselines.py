@@ -608,23 +608,22 @@ class TestOnRL:
         agent = OnRLAgent("S", state_dim=9, action_dim=NUM_ACTIONS,
                           cfg=OnRLConfig(update_threshold=8), rng=rng)
         for _ in range(10):
-            agent.act(np.zeros(9))
-            agent.observe(reward=-0.5, cost=0.1)
-        agent.end_episode()
-        stats = agent.maybe_update()
+            agent.sample_rows(np.zeros((1, 9)))
+            agent.observe_rows(np.array([-0.5]), np.array([0.1]))
+        stats = agent.end_episode()
         assert stats is not None
         assert agent.updates_run == 1
 
     def test_reward_shaping_applied(self, rng):
         agent = OnRLAgent("S", 9, NUM_ACTIONS,
                           cfg=OnRLConfig(penalty_weight=2.0), rng=rng)
-        agent.act(np.zeros(9))
-        agent.observe(reward=-0.5, cost=0.25)
-        agent.buffer.end_episode()
-        batch = agent.buffer.get(normalize_advantages=False)
+        agent.sample_rows(np.zeros((1, 9)))
+        agent.observe_rows(np.array([-0.5]), np.array([0.25]))
+        agent.buffers[0].end_episode()
+        batch = agent.buffers[0].get(normalize_advantages=False)
         assert batch["returns"][0] == pytest.approx(-1.0)
 
     def test_observe_before_act_raises(self, rng):
         agent = OnRLAgent("S", 9, NUM_ACTIONS, rng=rng)
         with pytest.raises(RuntimeError):
-            agent.observe(0.0, 0.0)
+            agent.observe_rows(np.zeros(1), np.zeros(1))

@@ -10,11 +10,7 @@ from repro.config import (
     NUM_ACTIONS,
     SwitchingConfig,
 )
-from repro.core.action_modifier import (
-    ActionModifier,
-    CostSurrogate,
-    beta_vector,
-)
+from repro.core.action_modifier import ActionModifier, CostSurrogate
 from repro.core.agent import OnSlicingAgent
 from repro.core.switching import ProactiveBaselineSwitch
 from repro.rl.cost_estimator import CostToGoEstimator
@@ -138,7 +134,12 @@ class TestCostSurrogate:
 
 class TestActionModifier:
     def test_beta_vector_maps_kinds(self):
-        vec = beta_vector({"cpu": 0.5})
+        """A kind-order beta vector lands on its kinds' action dims
+        only (the expansion ``modify`` and training share)."""
+        modifier = ActionModifier(ModifierConfig())
+        betas = np.zeros((1, len(CONSTRAINED_RESOURCES)))
+        betas[0, list(CONSTRAINED_RESOURCES).index("cpu")] = 0.5
+        vec = modifier._beta_matrix(betas)[0]
         assert vec[CONSTRAINED_RESOURCES["cpu"]] == 0.5
         assert vec.sum() == 0.5
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro import scenarios
 from repro.baselines.model_based import ModelBasedPolicy
+from repro.baselines.onrl import OnRLConfig
 from repro.baselines.projection import project_actions
 from repro.baselines.rule_based import RuleBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS, NetworkConfig
@@ -36,7 +37,6 @@ from repro.engine import (
     ModelBasedBatchPolicy,
     RoutedBatchPolicy,
     RuleBasedBatchPolicy,
-    VecOnRLAgent,
     WorldConditions,
     evaluate_rows,
     project_actions_batch,
@@ -564,28 +564,37 @@ class TestBatchPolicies:
 
 
 class TestVecOnRL:
+    """The one OnRL learner over parallel worlds: row ``b`` of every
+    call is world ``b``, with a rollout buffer per world."""
+
     def test_act_observe_update_cycle(self):
         cfg = ExperimentConfig()
-        agents = make_onrl_agents(cfg, seed=3)
-        agent = next(iter(agents.values()))
-        vec = VecOnRLAgent(agent, num_envs=4)
+        agent = next(iter(make_onrl_agents(
+            cfg, seed=3, onrl_cfg=OnRLConfig(update_threshold=12))
+            .values()))
         rng = np.random.default_rng(0)
         for _ in range(3):
             states = rng.uniform(0.0, 1.0, (4, STATE_DIM))
-            actions = vec.act_many(states)
+            actions = agent.sample_rows(states)
             assert actions.shape == (4, NUM_ACTIONS)
             assert np.all(actions >= 0.0) and np.all(actions <= 1.0)
-            vec.observe_many(rng.uniform(-1, 0, 4),
-                             rng.uniform(0, 1, 4))
-        vec.end_episodes()
-        assert sum(len(buffer) for buffer in vec.buffers) == 12
+            agent.observe_rows(rng.uniform(-1, 0, 4),
+                               rng.uniform(0, 1, 4))
+        assert [buffer.pending_length for buffer in agent.buffers] \
+            == [3] * 4
+        before = agent.state_dict()
+        stats = agent.end_episode()     # 12 finished = the threshold
+        assert stats is not None and agent.updates_run == 1
+        assert sum(len(buffer) for buffer in agent.buffers) == 0
+        after = agent.state_dict()
+        assert any(not np.array_equal(before[k], after[k])
+                   for k in before)
 
     def test_observe_before_act_raises(self):
         cfg = ExperimentConfig()
         agent = next(iter(make_onrl_agents(cfg, seed=3).values()))
-        vec = VecOnRLAgent(agent, num_envs=2)
-        with pytest.raises(RuntimeError, match="before act_many"):
-            vec.observe_many(np.zeros(2), np.zeros(2))
+        with pytest.raises(RuntimeError, match="before sample_rows"):
+            agent.observe_rows(np.zeros(2), np.zeros(2))
 
     def test_train_onrl_batched_smoke(self):
         spec = scenarios.get("short_horizon")

@@ -35,9 +35,9 @@ from repro.engine import (
     RuleBasedBatchPolicy,
 )
 from repro.engine.kernels import SliceRows, concat_rows
+from repro.engine.policies import lockstep
 from repro.experiments.harness import (
     fit_baselines,
-    lockstep,
     make_simulators,
     run_episodes,
 )

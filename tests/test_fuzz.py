@@ -273,7 +273,7 @@ class TestLockstepFoldsMatchTheParent:
         stacked input observations, the executed (projected) matrix
         and the step result line up row for row."""
         from repro.engine.batch import BatchSimulator
-        from repro.experiments.harness import episode_totals, lockstep
+        from repro.engine.policies import episode_totals, lockstep
 
         specs = generate_corpus(11, 3)
         sims = [spec.build_simulator() for spec in specs]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kernel_probe import make_network, probe
 from repro import scenarios
 from repro.config import MAX_MCS_OFFSET, lte_ran_config, mar_slice_spec
-from repro.sim.channel import ChannelProcess
+from repro.sim.channel import ChannelProcess, snr_to_cqi_array
 from repro.sim.phy import (
     CQI_TABLE,
     MCS_TABLE,
@@ -20,7 +20,6 @@ from repro.sim.phy import (
     PhyModel,
     cqi_to_mcs,
     mcs_spectral_efficiency,
-    snr_to_cqi,
 )
 
 
@@ -56,12 +55,12 @@ class TestTables:
             mcs_spectral_efficiency(NUM_MCS)
 
     def test_snr_to_cqi_clipping(self):
-        assert snr_to_cqi(-100.0) == 1
-        assert snr_to_cqi(100.0) == NUM_CQI
+        assert snr_to_cqi_array(np.array([-100.0, 100.0])).tolist() \
+            == [1, NUM_CQI]
 
     def test_snr_to_cqi_monotone(self):
-        cqis = [snr_to_cqi(snr) for snr in np.linspace(-10, 30, 50)]
-        assert all(b >= a for a, b in zip(cqis, cqis[1:]))
+        cqis = snr_to_cqi_array(np.linspace(-10, 30, 50))
+        assert np.all(np.diff(cqis) >= 0)
 
 
 class TestPhyModel:
