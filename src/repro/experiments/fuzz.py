@@ -91,8 +91,8 @@ class SnapshotBatchPolicy(RoutedBatchPolicy):
             raise ValueError(f"snapshot {snapshot.ref} has no policies")
         rng = np.random.default_rng(snapshot.seed)
         super().__init__({
-            name: _LearnedPolicy(name, payload, snapshot.config, rng)
-            for name, payload in snapshot.policies.items()})
+            name: _LearnedPolicy(snapshot, name, rng)
+            for name in snapshot.policies})
 
 
 #: method -> ``(cfg, snapshot) -> batch policy``: the static methods

@@ -37,6 +37,7 @@ Import discipline: :mod:`repro.obs.metrics` and the standard library
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,12 +115,16 @@ class DetectorSpec:
                              "be >= 1")
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
+def _middle(ordered: Sequence[float]) -> float:
+    """Median of values already in ascending order."""
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+def _median(values: Sequence[float]) -> float:
+    return _middle(sorted(values))
 
 
 def _robust_scale(values: Sequence[float], centre: float) -> float:
@@ -143,7 +148,9 @@ class StreamingDetector:
         self._values: List[float] = []
         self.ewma: Optional[float] = None
         self._points: List[Dict] = []
-        self._last: Optional[Dict] = None
+        #: The latest step's raw readout, rendered by :attr:`last` on
+        #: demand (most steps are quiet and never read).
+        self._step: Optional[tuple] = None
 
     # ---- the streaming step -----------------------------------------
 
@@ -176,8 +183,9 @@ class StreamingDetector:
         kinds: List[str] = []
         z = 0.0
         shift = 0.0
+        ordered = sorted(window)
         if len(window) >= spec.warmup:
-            centre = _median(window)
+            centre = _middle(ordered)
             gap = value - centre
             floor = max(SCALE_FLOOR * abs(centre), 1e-12)
             if abs(gap) / floor >= spec.z_threshold:
@@ -188,12 +196,13 @@ class StreamingDetector:
             else:
                 z = gap / floor
         if len(window) + 1 >= 8:
-            lo = min(min(window), value)
-            hi = max(max(window), value)
-            full = window + [value]
-            centre_full = _median(full)
+            lo = min(ordered[0], value)
+            hi = max(ordered[-1], value)
+            bisect.insort(ordered, value)
+            centre_full = _middle(ordered)
             floor = max(SCALE_FLOOR * abs(centre_full), 1e-12)
             if (hi - lo) / floor >= spec.shift_threshold:
+                full = window + [value]
                 half = len(full) // 2
                 older_med = _median(full[:half])
                 newer_med = _median(full[half:])
@@ -205,23 +214,28 @@ class StreamingDetector:
         window.append(value)
         del window[:-spec.history]
 
-        point = {
+        self._step = (at, value, self.ewma, z, shift, tuple(kinds))
+        if kinds:
+            point = self._render(self._step)
+            self._points.append(point)
+            del self._points[:-POINT_LIMIT]
+            return point
+        return None
+
+    def _render(self, step: tuple) -> Dict:
+        at, value, ewma, z, shift, kinds = step
+        spec = self.spec
+        return {
             "detector": spec.name,
             "instrument": spec.instrument,
             "mode": spec.mode,
             "at": round(at, 9),
             "value": round(value, 9),
-            "ewma": round(self.ewma, 9),
+            "ewma": round(ewma, 9),
             "z": round(z, 9),
             "shift": round(shift, 9),
-            "kinds": tuple(kinds),
+            "kinds": kinds,
         }
-        self._last = point
-        if kinds:
-            self._points.append(point)
-            del self._points[:-POINT_LIMIT]
-            return point
-        return None
 
     # ---- readouts ----------------------------------------------------
 
@@ -233,7 +247,7 @@ class StreamingDetector:
     @property
     def last(self) -> Optional[Dict]:
         """The most recent point (flagged or not), for dashboards."""
-        return self._last
+        return None if self._step is None else self._render(self._step)
 
 
 class AnomalyMonitor:

@@ -14,7 +14,10 @@ every row of every cell it is asked about.  State is arrays (the
 warm-started ``beta`` of Eq. 14 as ``(C, 3)``, the Eq. 8 latch as one
 boolean vector over every cell's slices), routing is one cached plan
 per name sequence, pi_b tables answer with one ``act_rows`` per table,
-Eq. 14 is segmented per cell (only the cells still over capacity take
+the pi_phi posterior runs only on the rows that latch does not hold
+yet (a switched slice has nothing left for Eq. 8 to decide until
+:meth:`SlicingService.begin_episode` re-arms it), Eq. 14 is segmented
+per cell (only the cells still over capacity take
 another sub-gradient round), and each cell's telemetry is buffered and
 folded into its own :class:`~repro.obs.metrics.Telemetry` in bulk
 (:meth:`DecisionCore.flush`).
@@ -112,13 +115,22 @@ class RowDecisions:
 
 class _LearnedPolicy:
     """A snapshot policy entry rebuilt for inference (pi_theta [+ pi_phi
-    + pi_b] for OnSlicing; pi_theta alone for OnRL)."""
+    + pi_b] for OnSlicing; pi_theta alone for OnRL).
 
-    def __init__(self, name: str, payload: Dict, cfg: ExperimentConfig,
+    Every weight and the pi_phi target scale must be finite (and the
+    scale's std positive): a NaN posterior compares false against any
+    budget, so Eq. 8 would silently never fire.  A snapshot that fails
+    this is refused with a ``ValueError`` naming its ref, the policy
+    and the tensor.
+    """
+
+    def __init__(self, snapshot: PolicySnapshot, name: str,
                  rng: np.random.Generator) -> None:
+        payload = snapshot.policies[name]
+        _check_finite(snapshot.ref, name, payload)
         self.name = name
         self.app = payload["app"]
-        agent_cfg = cfg.agent
+        agent_cfg = snapshot.config.agent
         self.model = GaussianActorCritic(
             STATE_DIM, NUM_ACTIONS, policy_cfg=agent_cfg.policy,
             ppo_cfg=agent_cfg.ppo, rng=rng)
@@ -141,6 +153,23 @@ class _LearnedPolicy:
         """Batched pi_phi posterior ``(mu, sigma)`` per state."""
         mu, sigma = self.estimator.predict_batch(states)
         return np.maximum(mu, 0.0), sigma
+
+
+def _check_finite(ref: str, name: str, payload: Dict) -> None:
+    """Refuse a learned policy entry whose pi_theta / pi_phi tensors or
+    pi_phi target scale are not finite, or whose scale std is <= 0."""
+    for part in ("model", "estimator"):
+        for tensor, value in payload.get(part, {}).items():
+            if not np.isfinite(value).all():
+                raise ValueError(
+                    f"snapshot {ref}: policy {name!r} {part} tensor "
+                    f"{tensor!r} is not finite")
+    if "estimator_scale" in payload:
+        mean, std = payload["estimator_scale"]
+        if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+            raise ValueError(
+                f"snapshot {ref}: policy {name!r} estimator_scale "
+                f"(mean {mean}, std {std}) must be finite with std > 0")
 
 
 class SlicingService:
@@ -210,9 +239,9 @@ class SlicingService:
         self._slo_every = int(slo_every)
         self._policies: Dict[str, _LearnedPolicy] = {}
         if snapshot.method in ("onslicing", "onrl"):
-            for name, payload in snapshot.policies.items():
+            for name in snapshot.policies:
                 self._policies[name] = _LearnedPolicy(
-                    name, payload, snapshot.config, self._rng)
+                    snapshot, name, self._rng)
         #: target slice name -> (policy key, table policy or None for
         #: learned policies); the position of a name is the slice's
         #: index in its cell's segment of the core's latch
@@ -377,8 +406,8 @@ class _Plan:
         #: group, cell-major and in order of first appearance -- the
         #: order each cell's generator is drawn from
         self.learned: List[tuple] = []
-        #: learned groups that carry pi_phi and pi_b, with their span
-        #: of :attr:`eq8_rows`
+        #: ``(policy, span)`` per learned group that carries pi_phi and
+        #: pi_b: the group's rows are ``eq8_rows[span]``
         self.posteriors: List[tuple] = []
         eq8_rows: List[int] = []
         self.groups = np.zeros(len(self.cells), dtype=np.intp)
@@ -420,16 +449,16 @@ class _Plan:
             for key, rows in groups.items():
                 policy = service._policies[key]
                 summed.extend(rows)
-                rows = np.asarray(rows, dtype=np.intp)
-                self.learned.append((policy, rows))
+                self.learned.append((policy, np.asarray(rows,
+                                                        dtype=np.intp)))
                 if policy.estimator is None or policy.baseline is None:
                     continue
-                span = slice(len(eq8_rows), len(eq8_rows) + len(rows))
-                self.posteriors.append((policy, rows, span))
-                eq8_rows.extend(rows.tolist())
+                self.posteriors.append((policy, slice(
+                    len(eq8_rows), len(eq8_rows) + len(rows))))
+                eq8_rows.extend(rows)
                 baselines.setdefault(
                     id(policy.baseline),
-                    (policy.baseline, []))[1].extend(rows.tolist())
+                    (policy.baseline, []))[1].extend(rows)
         self.slice_ids = np.asarray(slice_ids, dtype=np.intp)
         #: ``(table, rows)`` per pi_b table / analytic program serving
         #: rows directly, and per pi_b table standing behind learned
@@ -546,7 +575,8 @@ class DecisionCore:
         self._plan: Optional[_Plan] = None
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
-             "extra_rounds", "projections", "telemetry_folds"), 0)
+             "extra_rounds", "projections", "telemetry_folds",
+             "posterior_calls", "posterior_rows"), 0)
         self._pending = np.zeros(count, dtype=np.intp)
         self._buffer = np.empty((PENDING_SLOTS, count, _FIELDS))
         self._instruments: List[Optional[_CellInstruments]] = \
@@ -564,8 +594,9 @@ class DecisionCore:
         """What this core did so far (a read-only snapshot):
         :meth:`decide_rows` calls and the rows they decided, routing
         plans built, Eq. 14 cell-rounds beyond each decision's first,
-        cell-decisions that needed the capacity projection, and
-        per-cell telemetry folds."""
+        cell-decisions that needed the capacity projection, per-cell
+        telemetry folds, and the pi_phi posterior calls made and the
+        (unlatched) rows they evaluated."""
         return MappingProxyType(dict(self._counters))
 
     def _segment(self, cell: int) -> np.ndarray:
@@ -677,7 +708,8 @@ class DecisionCore:
 
     def _propose(self, plan: _Plan, states: np.ndarray, start: float):
         """Pre-coordination actions of validated rows: tables, the
-        pi_theta forwards, then Eq. 8 with the latch as a mask.
+        pi_theta forwards, then Eq. 8 on the rows the latch does not
+        already hold.
 
         Returns ``(actions, fallback, held, seconds)``: ``fallback``
         the rows pi_b serves, ``held`` those the latch was already
@@ -685,8 +717,12 @@ class DecisionCore:
         validation and table reads, since ``start``), forward and
         fallback stages.
 
-        A learned policy's forward (and its pi_phi posterior, drawn
-        from the cell's own generator) runs once per (cell, snapshot
+        The switch is a one-way door, so a latched row has nothing
+        left to ask pi_phi: each (cell, snapshot policy) group's
+        posterior runs on its *open* rows only -- its noise, drawn
+        from the cell's own generator, covering just those rows --
+        and not at all once every row of the group is latched.  A
+        learned policy's forward runs once per (cell, snapshot
         policy), the batch shape every digest was recorded under: a
         matrix product's rows are not bit-stable across batch sizes
         (gemv against gemm kernels), so rows of different cells are
@@ -700,23 +736,30 @@ class DecisionCore:
             actions[rows] = policy.act_rows(states[rows])
         forwarded = time.perf_counter()
         fallback = held = plan.no_fallback
-        if plan.learned:
+        if plan.posteriors:
+            # only pi_phi rows ever latch: without them there is no
+            # latch to read
             held = self._latched[plan.slice_ids]
-            fallback = held
-            if plan.posteriors:
-                mu = np.empty(len(plan.eq8_rows))
-                sigma = np.empty(len(plan.eq8_rows))
-                for policy, rows, span in plan.posteriors:
-                    mu[span], sigma[span] = policy.cost_to_go(
-                        states[rows])
-                # Eq. 8: cumulative cost + the pi_phi posterior beyond
-                # the episode budget means pi_b takes over
-                watched = states[plan.eq8_rows]
-                thresholds = watched[:, 7] * plan.eq8_horizon  # T*C_max
-                cumulative = watched[:, 8] * thresholds
-                expected = cumulative + mu + plan.eq8_eta * sigma
-                fallback = held.copy()
-                fallback[plan.eq8_rows] |= expected >= thresholds
+            open_ = ~held[plan.eq8_rows]
+            watched = states[plan.eq8_rows]
+            mu = np.zeros(len(open_))
+            sigma = np.zeros(len(open_))
+            counters = self._counters
+            for policy, span in plan.posteriors:
+                asked = open_[span]
+                if asked.any():
+                    mu[span][asked], sigma[span][asked] = \
+                        policy.cost_to_go(watched[span][asked])
+                    counters["posterior_calls"] += 1
+            counters["posterior_rows"] += int(open_.sum())
+            # Eq. 8: cumulative cost + the pi_phi posterior beyond the
+            # episode budget means pi_b takes over; a latched row's
+            # (zero) posterior is ORed into the latch it already holds
+            thresholds = watched[:, 7] * plan.eq8_horizon  # T * C_max
+            cumulative = watched[:, 8] * thresholds
+            expected = cumulative + mu + plan.eq8_eta * sigma
+            fallback = held.copy()
+            fallback[plan.eq8_rows] |= expected >= thresholds
             if fallback.any():
                 for table, rows in plan.baselines:
                     hit = rows[fallback[rows]]

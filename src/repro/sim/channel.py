@@ -193,8 +193,8 @@ class ChannelBank:
 
     The population is uniform by construction: one network builds all
     its processes with one user count, one generator and one set of
-    AR(1) parameters, and rebuilds the bank whenever its slice set
-    changes.  A network without slices has a zero-row bank.
+    AR(1) parameters, and builds a new bank on first use after its
+    slice set changes.  A network without slices has a zero-row bank.
 
     The stacked arrays live on the bank until a
     :class:`FleetChannelBank` takes them; ``mean_snr_db`` / ``snr_db``

@@ -92,9 +92,9 @@ class EndToEndNetwork:
         #: changes (see :meth:`slot_rows`).
         self._rows_cache = None
         #: Stacked channel state of the current slice set (the
-        #: channels' storage): rebuilt by every attach / detach, zero
-        #: rows while there is no slice.
-        self._bank = ChannelBank([], self.cfg.users_per_slice)
+        #: channels' storage): dropped by every attach / detach and
+        #: built on first use (see :meth:`channel_bank`).
+        self._bank: Optional[ChannelBank] = None
         if slices:
             for spec in slices:
                 self.add_slice(spec)
@@ -132,8 +132,7 @@ class EndToEndNetwork:
     def _slice_set_changed(self) -> None:
         self.churn_count += 1
         self._rows_cache = None
-        self._bank = ChannelBank(list(self.channels.values()),
-                                 self.cfg.users_per_slice)
+        self._bank = None
 
     @property
     def slice_names(self) -> List[str]:
@@ -161,8 +160,13 @@ class EndToEndNetwork:
     # ---- slot evaluation -----------------------------------------------
 
     def channel_bank(self) -> ChannelBank:
-        """This network's stacked channel state: rebuilt with every
-        slice attach / detach, zero rows without slices."""
+        """This network's stacked channel state, zero rows without
+        slices: built on the first call after a slice attach / detach
+        (the channels' state moves into it then), so a network built
+        slice by slice stacks its channels once, not once per slice."""
+        if self._bank is None:
+            self._bank = ChannelBank(list(self.channels.values()),
+                                     self.cfg.users_per_slice)
         return self._bank
 
     def step_channels(self) -> None:
@@ -172,7 +176,7 @@ class EndToEndNetwork:
         RNG identically to a per-channel loop (one ``(S, U)`` block
         draw == S sequential size-``U`` draws in slice order).
         """
-        self._bank.step(self._rng)
+        self.channel_bank().step(self._rng)
 
     def slot_rows(self):
         """This network's engine row layout (cached per slice set:
@@ -190,7 +194,7 @@ class EndToEndNetwork:
         slice order; the margin array is the bank's buffer, refilled
         by the next call.
         """
-        return self._bank.read()
+        return self.channel_bank().read()
 
     def evaluate_slot(self, actions: Dict[str, np.ndarray],
                       arrival_rates: Dict[str, float]

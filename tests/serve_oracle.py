@@ -11,7 +11,9 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
 row-wise path to it: same reports, digests, telemetry and generator
-state.  Nothing under ``src/`` imports this module.
+state.  Nothing under ``src/`` imports this module.  One edit since:
+``_fallback_flags`` asks pi_phi only about slices not yet switched
+(the core skips latched rows), so generator states still compare.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ class SlicingService:
         self._fallback_causes: Dict[str, object] = {}
         self._policies: Dict[str, _LearnedPolicy] = {}
         if snapshot.method in ("onslicing", "onrl"):
-            for name, payload in snapshot.policies.items():
+            for name in snapshot.policies:
                 self._policies[name] = _LearnedPolicy(
-                    name, payload, snapshot.config, self._rng)
+                    snapshot, name, self._rng)
         #: target slice name -> (policy key, per-slice act callable or
         #: None for learned/batched policies)
         self._routes = self._build_routes()
@@ -302,7 +304,9 @@ class SlicingService:
                 actions = policy.act_rows(states)
             t1 = time.perf_counter()
             with trace("serve.fallback", **self._trace_attrs):
-                flags = self._fallback_flags(policy, states)
+                flags = self._fallback_flags(
+                    policy, states,
+                    [name in self._switched for name, _ in entries])
                 for i, (name, state) in enumerate(entries):
                     fallback = name in self._switched or bool(flags[i])
                     if fallback:
@@ -320,17 +324,30 @@ class SlicingService:
         return proposed
 
     def _fallback_flags(self, policy: _LearnedPolicy,
-                        states: np.ndarray) -> np.ndarray:
+                        states: np.ndarray,
+                        switched: List[bool]) -> np.ndarray:
         """Eq. 8 per state: cumulative cost + pi_phi posterior beyond
         the episode budget means pi_b must take over (callers latch
-        the flag for the rest of the episode)."""
-        if policy.estimator is None or policy.baseline is None:
-            return np.zeros(len(states), dtype=bool)
+        the flag for the rest of the episode).
+
+        The one intentional divergence from the loop at 586b22d: the
+        posterior runs only on the states of slices not yet
+        ``switched`` (and not at all when every one is), the way the
+        row-wise core skips latched rows; a switched slice's flag is
+        False here and its caller's latch holds it on pi_b.
+        """
+        flags = np.zeros(len(states), dtype=bool)
+        asked = ~np.asarray(switched, dtype=bool)
+        if policy.estimator is None or policy.baseline is None \
+                or not asked.any():
+            return flags
+        states = states[asked]
         mu, sigma = policy.cost_to_go(states)
         thresholds = states[:, 7] * self.horizon       # T * C_max
         cumulative = states[:, 8] * thresholds         # de-normalised
         expected = cumulative + mu + self.eta * sigma
-        return expected >= thresholds
+        flags[asked] = expected >= thresholds
+        return flags
 
     # ---- coordination -------------------------------------------------
 

@@ -502,6 +502,101 @@ class TestLoadGenerator:
                 (name, method, limit)
             assert report.episodes == 2 and report.fallbacks == 0
 
+    #: ``LoadGenerator.run`` at commit e16e36c, whose serve core ran
+    #: the pi_phi posterior on every learned row, latched or not: the
+    #: module's OnSlicing snapshot on ``lte_fixed_mcs`` at 24 slots,
+    #: seed 5, 2 episodes.  Per (slices, max_decisions): decision
+    #: digest, decisions, mean usage, violation rate, fallbacks.
+    PARENT_ONSLICING_RUNS = {
+        (None, None): (
+            "3a354c1ce37ce29e6b86766905981222d4377690d873307f4631aa879c9"
+            "09dc7", 144, 0.1468533150909642, 0.3333333333333333, 44),
+        (12, None): (
+            "234bdb1e4346bf39edaea800cd5582fed36000cdca48b6613ca868259ad"
+            "a522e", 576, 0.07013664974170526, 0.3333333333333333, 176),
+        (12, 200): (
+            "635e74640850d90d204f16b62a053e1b95c8192c792decc8b31ef478df8"
+            "6b344", 204, 0.07212765821092952, 0.3333333333333333, 60),
+    }
+
+    def test_onslicing_runs_equal_the_parents_despite_the_skip(
+            self, onslicing_snapshot):
+        """Eq. 8 now skips the posterior on latched rows, which moves
+        the cell generator once a slice latches; no decision moved."""
+        spec = get_scenario("lte_fixed_mcs")
+        spec = replace(spec, traffic_cfg=replace(
+            spec.build_config().traffic, slots_per_episode=24))
+        for (slices, limit), want in self.PARENT_ONSLICING_RUNS.items():
+            generator = LoadGenerator(onslicing_snapshot, spec,
+                                      slices=slices, seed=5)
+            report = generator.run(episodes=2, max_decisions=limit)
+            assert (report.decision_digest, report.decisions,
+                    report.mean_usage, report.violation_rate,
+                    report.fallbacks) == want, (slices, limit)
+            # not vacuous: some (slot, group) posteriors were skipped,
+            # so the open groups after them drew from shifted noise
+            counters = generator.service.core.counters
+            groups = len(onslicing_snapshot.policies)
+            assert 0 < counters["posterior_calls"] \
+                < counters["decide_calls"] * groups
+            assert counters["posterior_rows"] < counters["rows_decided"]
+
+
+# ---- snapshot hardening: a non-finite pi_theta / pi_phi is refused -------
+
+
+def _poisoned(snapshot, part, value=np.nan):
+    """``snapshot`` with the last tensor of MAR's ``part`` (``model``
+    or ``estimator``; pi_phi's is ``log_noise``) holding one
+    ``value``, and that tensor's name."""
+    policies = {name: dict(payload)
+                for name, payload in snapshot.policies.items()}
+    tensors = dict(policies["MAR"][part])
+    tensor = list(tensors)[-1]
+    tensors[tensor] = tensors[tensor].copy()
+    tensors[tensor].flat[0] = value
+    policies["MAR"][part] = tensors
+    return replace(snapshot, policies=policies), tensor
+
+
+class TestSnapshotHardening:
+    @pytest.mark.parametrize("part", ["model", "estimator"])
+    def test_non_finite_tensor_is_refused_at_service_build(
+            self, tmp_path, onslicing_snapshot, part):
+        """Before this check a NaN pi_phi ``log_noise`` saved, loaded
+        with a valid digest and served: every posterior sigma was NaN,
+        NaN >= budget is False, and Eq. 8 never fired (0 fallbacks
+        against 201 clean, violation rate 1.0 on ``lte_fixed_mcs``)."""
+        poisoned, tensor = _poisoned(onslicing_snapshot, part)
+        store = PolicyStore(str(tmp_path))
+        loaded = store.load(store.save(poisoned).ref)
+        assert loaded.digest == poisoned.digest
+        for build in (lambda: SlicingService(loaded),
+                      lambda: LoadGenerator(loaded, "lte_fixed_mcs")):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert loaded.ref in message and "'MAR'" in message
+            assert f"{part} tensor {tensor!r} is not finite" in message
+
+    @pytest.mark.parametrize("scale", [(np.nan, 1.0), (0.0, np.inf),
+                                       (0.0, 0.0), (0.0, -1.0)])
+    def test_bad_estimator_scale_is_refused(self, onslicing_snapshot,
+                                            scale):
+        policies = {name: dict(payload) for name, payload
+                    in onslicing_snapshot.policies.items()}
+        policies["HVS"]["estimator_scale"] = list(scale)
+        poisoned = replace(onslicing_snapshot, policies=policies)
+        with pytest.raises(ValueError, match=r"ons-test@0: policy 'HVS' "
+                                             r"estimator_scale"):
+            SlicingService(poisoned)
+
+    def test_inf_pi_theta_is_refused_for_onrl(self, onrl_snapshot):
+        poisoned, tensor = _poisoned(onrl_snapshot, "model", np.inf)
+        with pytest.raises(ValueError, match=f"policy 'MAR' model tensor "
+                                             f"'{tensor}' is not finite"):
+            SlicingService(poisoned)
+
 
 # ---- snapshot evaluation / units -------------------------------------
 

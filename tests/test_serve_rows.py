@@ -46,7 +46,7 @@ from repro.serve import (
     snapshot_onslicing,
 )
 from repro.serve.loadgen import drive_lockstep
-from repro.serve.service import PENDING_SLOTS
+from repro.serve.service import PENDING_SLOTS, _LearnedPolicy
 
 #: LoadReport fields that read a clock.
 WALL_CLOCK_FIELDS = {"service_time_s", "wall_time_s",
@@ -259,6 +259,91 @@ def test_long_episodes_fold_when_the_buffers_fill(snapshots):
     assert new.service.core.counters["telemetry_folds"] == 2
 
 
+# ---- Eq. 8 asks pi_phi only about slices it can still switch ----------
+
+
+def _eq8_service(snapshot, seed=9):
+    cfg = scenario_with_population(
+        get_scenario("lte_fixed_mcs"), 12).build_config(seed=seed)
+    return SlicingService(snapshot, cfg=cfg, rng_seed=seed)
+
+
+def _requests(service, states):
+    return [DecisionRequest(name, state)
+            for name, state in zip(service.slice_names, states)]
+
+
+def test_posterior_never_sees_a_latched_row(snapshots, monkeypatch):
+    asked = _posterior_spy(monkeypatch)
+    service = _eq8_service(snapshots["onslicing"])
+    core = service.core
+    rng = np.random.default_rng(9)
+    mixed = 0
+    for _ in range(6):
+        states = rng.uniform(0.0, 1.0, size=(12, 9))
+        states[:, 8] *= 1.2             # some rows over budget: Eq. 8
+        latched = core._segment(service._cell).copy()
+        asked.clear()
+        rows = core.counters["posterior_rows"]
+        decisions = service.decide(_requests(service, states))
+        # every open row asked once, no latched row asked at all
+        assert sorted(map(tuple, np.concatenate(asked or [states[:0]]))) \
+            == sorted(map(tuple, states[~latched]))
+        assert core.counters["posterior_rows"] - rows == (~latched).sum()
+        assert all(decisions[name].fallback for name, held
+                   in zip(service.slice_names, latched) if held)
+        mixed += 0 < latched.sum() < len(latched)
+    assert mixed >= 2
+
+
+def test_a_fully_latched_cell_draws_nothing(snapshots):
+    """A slot where every learned row of a cell is latched leaves that
+    cell's generator untouched; a cell beside it still draws."""
+    latched, live = (_eq8_service(snapshots["onslicing"], seed)
+                     for seed in (9, 10))
+    rng = np.random.default_rng(9)
+    states = rng.uniform(0.1, 1.0, size=(12, 9))
+    states[:, 8] = 5.0                  # five budgets spent: all switch
+    assert all(d.fallback for d in latched.decide(
+        _requests(latched, states)).values())
+    core = DecisionCore([latched, live])
+    names = [latched.slice_names, live.slice_names]
+    states[:, 8] = 0.0
+    before = [s._rng.bit_generator.state for s in (latched, live)]
+    calls = core.counters["posterior_calls"]
+    out = core.decide_rows(np.vstack([states, states]), names)
+    assert out.fallback[:12].all() and not out.fallback[12:].all()
+    assert latched._rng.bit_generator.state == before[0]
+    assert live._rng.bit_generator.state != before[1]
+    assert core.counters["posterior_calls"] - calls == \
+        len({live._routes[name][0] for name in live.slice_names})
+
+
+def test_generator_matches_the_parent_until_the_first_latch(snapshots):
+    """Until a slice latches, the cell draws exactly what the core
+    drew at e16e36c (every group's posterior on all of its rows,
+    replayed on a twin); from the first latch on it draws less."""
+    service = _eq8_service(snapshots["onslicing"])
+    twin = _eq8_service(snapshots["onslicing"])
+    core = service.core
+    rng = np.random.default_rng(4)
+    phases = set()
+    for slot in range(8):
+        states = rng.uniform(0.0, 1.0, size=(12, 9))
+        states[:, 8] *= 0.2 * slot      # budgets fill up slot by slot
+        held = core._segment(service._cell).any()
+        service.decide(_requests(service, states))
+        plan = core._plan
+        for policy, span in plan.posteriors:
+            twin._policies[policy.name].cost_to_go(
+                states[plan.eq8_rows[span]])
+        same = service._rng.bit_generator.state == \
+            twin._rng.bit_generator.state
+        assert same != held, slot
+        phases.add(held)
+    assert phases == {False, True}
+
+
 # ---- bugfix: a batch is validated before it changes anything ----------
 
 
@@ -403,7 +488,20 @@ def _fleet_generators(snapshot, scenarios, cells=8, slots=12):
                           seed=cell.seed) for cell in plan.cells]
 
 
-def test_core_counters_on_a_fleet(snapshots):
+def _posterior_spy(monkeypatch):
+    """Record the states of every pi_phi posterior call."""
+    asked = []
+    cost_to_go = _LearnedPolicy.cost_to_go
+
+    def spy(policy, states):
+        asked.append(states.copy())
+        return cost_to_go(policy, states)
+
+    monkeypatch.setattr(_LearnedPolicy, "cost_to_go", spy)
+    return asked
+
+
+def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     generators = _fleet_generators(
         snapshots["baseline"], ("default", "bursty", "drift"))
     drive_lockstep(generators, episodes=2)
@@ -419,8 +517,28 @@ def test_core_counters_on_a_fleet(snapshots):
     assert counters["extra_rounds"] == rounds - 12 * 2 * 8
     assert counters["projections"] == sum(
         g.telemetry.counter("projections").value for g in generators)
+    assert counters["posterior_calls"] == counters["posterior_rows"] == 0
     with pytest.raises(TypeError):
         counters["decide_calls"] = 0
+
+    # OnSlicing: one call per (slot, cell, policy) with an open row,
+    # on exactly the rows the latch was not holding
+    asked = _posterior_spy(monkeypatch)
+    generators = _fleet_generators(
+        snapshots["onslicing"], ("default", "lte_fixed_mcs"))
+    drive_lockstep(generators, episodes=2)
+    core = generators[0].service.core
+    core.flush()
+    counters = core.counters
+    held = sum(g.telemetry.counter("fallbacks", {"cause": "latched"})
+               .value for g in generators)
+    assert held > 0
+    assert counters["posterior_calls"] == len(asked)
+    assert counters["posterior_rows"] == sum(map(len, asked)) \
+        == counters["rows_decided"] - held
+    # whole groups were skipped, not only rows
+    assert counters["posterior_calls"] < \
+        counters["decide_calls"] * len(core._plan.posteriors)
 
 
 def test_churn_does_not_rebuild_the_plan(snapshots):
@@ -479,10 +597,13 @@ def test_obs_profile_reports_the_serve_counters(capsys):
     counters = json.loads(capsys.readouterr().out)["serve_counters"]
     assert set(counters) == {"decide_calls", "rows_decided",
                              "plan_builds", "extra_rounds",
-                             "projections", "telemetry_folds"}
+                             "projections", "telemetry_folds",
+                             "posterior_calls", "posterior_rows"}
     assert (counters["decide_calls"], counters["rows_decided"],
             counters["plan_builds"], counters["telemetry_folds"]) == \
         (96, 288, 1, 1)
+    # the rule-based snapshot has no pi_phi to ask
+    assert counters["posterior_calls"] == counters["posterior_rows"] == 0
     assert main(["obs", "profile", "--scenario", "default"]) == 0
     out = capsys.readouterr().out
     assert out.index("engine counters: ") < \

@@ -133,6 +133,38 @@ class TestEndToEndNetwork:
             net.remove_slice("background")
         assert census() == before
 
+    def test_channel_bank_is_built_once_before_the_first_step(
+            self, rng, monkeypatch):
+        """Attach / detach drops the bank and the first use builds it:
+        a 64-slice network stacks its channels once, not once per
+        ``add_slice`` (65 times, O(S^2) copying, when it was eager),
+        and a rebuild after churn carries every channel's state."""
+        from repro.sim import network as network_module
+
+        built = []
+        make_bank = network_module.ChannelBank
+
+        def counting(channels, num_users):
+            built.append(len(channels))
+            return make_bank(channels, num_users)
+
+        monkeypatch.setattr(network_module, "ChannelBank", counting)
+        net = EndToEndNetwork(
+            slices=[mar_slice_spec(f"MAR{i}") for i in range(64)],
+            rng=rng)
+        assert built == []
+        net.step_channels()
+        net.step_channels()
+        assert built == [64]
+        snr = net.channel_bank().snr_db.copy()
+        net.add_slice(mar_slice_spec("late"))
+        net.remove_slice("MAR3")
+        assert built == [64]
+        cqi, _ = net.gather_channel_state()
+        assert built == [64, 64] and len(cqi) == 64
+        assert np.array_equal(net.channel_bank().snr_db[:63],
+                              np.delete(snr, 3, axis=0))
+
     def test_generous_beats_starved(self, rng):
         net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
         generous = {n: np.array([.5, .6, .5, .5, .5, .5, .5, 0, .5, .5])
