@@ -146,6 +146,9 @@ class StreamingDetector:
             total=spec.total if spec.mode == "ratio" else "")
         #: Windowed values, oldest first, bounded by ``spec.history``.
         self._values: List[float] = []
+        #: The same values in ascending order, kept in step with
+        #: ``_values`` (one insort and one removal per step).
+        self._ordered: List[float] = []
         self.ewma: Optional[float] = None
         self._points: List[Dict] = []
         #: The latest step's raw readout, rendered by :attr:`last` on
@@ -161,16 +164,16 @@ class StreamingDetector:
         unremarkable (the common case)."""
         at = float(at)
         spec = self.spec
-        self._series.push(telemetry, at)
-        # an idle step (no new denominator) holds the series
-        value = self._series.rate(
-            0.0, idle=self._values[-1] if self._values else 0.0)
-
-        # baseline excludes this step: statistics read self._values
+        # baseline excludes this step: statistics read the window
         # *before* the append below
         window = self._values
-        self.ewma = value if self.ewma is None else \
+        ordered = self._ordered
+        self._series.push(telemetry, at)
+        # an idle step (no new denominator) holds the series
+        value = self._series.rate(0.0, idle=window[-1] if window else 0.0)
+        ewma = value if self.ewma is None else \
             spec.alpha * value + (1.0 - spec.alpha) * self.ewma
+        self.ewma = ewma
 
         # The robust scale is floored at SCALE_FLOOR * |centre|, so
         # |value - centre| / floor upper-bounds |z| (and the window
@@ -180,10 +183,9 @@ class StreamingDetector:
         # bit-identical, quiet-step z/shift readouts carry the (still
         # deterministic, sub-threshold) floored bound.  This keeps the
         # every-batch serving cadence within the bench overhead gate.
-        kinds: List[str] = []
+        kinds: Tuple[str, ...] = ()
         z = 0.0
         shift = 0.0
-        ordered = sorted(window)
         if len(window) >= spec.warmup:
             centre = _middle(ordered)
             gap = value - centre
@@ -192,16 +194,14 @@ class StreamingDetector:
                 scale = _robust_scale(window, centre)
                 z = min(max(gap / scale, -Z_CLAMP), Z_CLAMP)
                 if abs(z) >= spec.z_threshold:
-                    kinds.append("spike")
+                    kinds += ("spike",)
             else:
                 z = gap / floor
-        if len(window) + 1 >= 8:
-            lo = min(ordered[0], value)
-            hi = max(ordered[-1], value)
-            bisect.insort(ordered, value)
+        bisect.insort(ordered, value)
+        if len(ordered) >= 8:
             centre_full = _middle(ordered)
             floor = max(SCALE_FLOOR * abs(centre_full), 1e-12)
-            if (hi - lo) / floor >= spec.shift_threshold:
+            if (ordered[-1] - ordered[0]) / floor >= spec.shift_threshold:
                 full = window + [value]
                 half = len(full) // 2
                 older_med = _median(full[:half])
@@ -210,11 +210,12 @@ class StreamingDetector:
                 shift = min(max((newer_med - older_med) / scale,
                                 -Z_CLAMP), Z_CLAMP)
                 if abs(shift) >= spec.shift_threshold:
-                    kinds.append("level_shift")
+                    kinds += ("level_shift",)
         window.append(value)
-        del window[:-spec.history]
+        if len(window) > spec.history:
+            ordered.remove(window.pop(0))
 
-        self._step = (at, value, self.ewma, z, shift, tuple(kinds))
+        self._step = (at, value, ewma, z, shift, kinds)
         if kinds:
             point = self._render(self._step)
             self._points.append(point)

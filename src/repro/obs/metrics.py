@@ -210,6 +210,10 @@ class Histogram:
         #: Raw samples while exact; ``None`` once folded into buckets.
         self._samples: Optional[List[float]] = []
         self._buckets: Optional[np.ndarray] = None
+        #: ``(threshold, samples scanned, count above)`` of the last
+        #: exact :meth:`count_over`: samples are append-only while
+        #: exact, so a repeat ask scans only the newer ones.
+        self._over: Tuple[Optional[float], int, int] = (None, 0, 0)
 
     # ---- recording ---------------------------------------------------
 
@@ -322,8 +326,16 @@ class Histogram:
             return 0.0
         if threshold < self._min:
             return float(self._count)
-        if self._samples is not None:
-            return float(sum(1 for v in self._samples if v > threshold))
+        samples = self._samples
+        if samples is not None:
+            asked, seen, over = self._over
+            if asked != threshold:
+                seen = over = 0
+            for value in samples[seen:]:
+                if value > threshold:
+                    over += 1
+            self._over = (threshold, len(samples), over)
+            return float(over)
         index = _bucket_index(threshold)
         above = float(self._buckets[index + 1:].sum())
         inside = int(self._buckets[index])
@@ -693,7 +705,9 @@ class WindowedSeries:
     newest sample at or before the window start -- the zero origin
     before any sample.  ``horizon`` is the longest window a caller
     will ask for; older samples are dropped, keeping one anchor at or
-    before every reachable window start.
+    before every reachable window start.  The drop is amortised (once
+    the ring has doubled): an older sample still present never changes
+    which anchor a window finds.
     """
 
     def __init__(self, label: str, reading: str, instrument: str,
@@ -707,6 +721,8 @@ class WindowedSeries:
         self.threshold = threshold
         self.horizon = horizon
         self._samples: List[Tuple[float, float, float]] = []
+        #: Ring length past which :meth:`push` drops expired samples.
+        self._trim_len = 8
 
     def _cumulative(self, telemetry: "Telemetry"
                     ) -> Tuple[float, float]:
@@ -740,11 +756,13 @@ class WindowedSeries:
                 f"sample at {samples[-1][0]} ({self.label})")
         num, den = self._cumulative(telemetry)
         samples.append((at, num, at if self.reading == "rate" else den))
-        keep = bisect.bisect_right(samples, at - self.horizon,
-                                   hi=len(samples) - 1,
-                                   key=_sample_at) - 1
-        if keep > 0:
-            del samples[:keep]
+        if len(samples) > self._trim_len:
+            keep = bisect.bisect_right(samples, at - self.horizon,
+                                       hi=len(samples) - 1,
+                                       key=_sample_at) - 1
+            if keep > 0:
+                del samples[:keep]
+            self._trim_len = 2 * len(samples) + 8
 
     def rate(self, window: float, idle: float = 0.0) -> float:
         """Delta ratio of the newest sample against the newest earlier

@@ -398,6 +398,11 @@ class SloEvaluator:
              for o in spec.objectives}
         self._counts: Dict[str, int] = {o.name: 0
                                         for o in spec.objectives}
+        #: ``(objective, series, status, allowance)`` in spec order:
+        #: what the streaming step walks.
+        self._rows = tuple(
+            (o, self._series[o.name], self._status[o.name], o.allowance)
+            for o in spec.objectives)
         # Restart dedup: adopt the loaded timeline's open incidents so
         # a persisting condition updates/resolves them instead of
         # re-opening duplicates.
@@ -428,17 +433,13 @@ class SloEvaluator:
         at = float(at)
         emitted: List[Dict] = []
         exemplars: Optional[List[Dict]] = None
-        for objective in self.spec.objectives:
-            name = objective.name
-            series = self._series[name]
+        for objective, series, status, allowance in self._rows:
             series.push(telemetry, at)
             sli_fast = series.rate(objective.fast_window)
-            burn_fast = sli_fast / objective.allowance
-            burn_slow = series.rate(objective.slow_window) \
-                / objective.allowance
+            burn_fast = sli_fast / allowance
+            burn_slow = series.rate(objective.slow_window) / allowance
             severity = objective.severity(burn_fast, burn_slow)
 
-            status = self._status[name]
             previous = status.severity
             status.burn_fast = burn_fast
             status.burn_slow = burn_slow
@@ -449,6 +450,7 @@ class SloEvaluator:
 
             if severity == previous:
                 continue
+            name = objective.name
             if severity is not None and previous is None:
                 event = "open"
                 self._counts[name] += 1

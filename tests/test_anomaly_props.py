@@ -229,6 +229,80 @@ def test_ratio_regime_change_is_a_level_shift():
                for p in ratio_points)
 
 
+# ---- the sorted window -----------------------------------------------
+
+
+def _sorted_median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+def _reference_step(spec, window, value):
+    """``(z, shift, kinds)`` of one step, from a full sort of the
+    window every time -- what the detector's incrementally sorted
+    window must reproduce bit for bit."""
+    def scale_of(values, centre):
+        mad = _sorted_median([abs(v - centre) for v in values])
+        return max(1.4826 * mad, 0.05 * abs(centre), 1e-12)
+
+    kinds, z, shift = [], 0.0, 0.0
+    if len(window) >= spec.warmup:
+        centre = _sorted_median(window)
+        gap = value - centre
+        floor = max(0.05 * abs(centre), 1e-12)
+        if abs(gap) / floor >= spec.z_threshold:
+            z = min(max(gap / scale_of(window, centre), -999.0), 999.0)
+            if abs(z) >= spec.z_threshold:
+                kinds.append("spike")
+        else:
+            z = gap / floor
+    full = window + [value]
+    if len(full) >= 8:
+        centre = _sorted_median(full)
+        floor = max(0.05 * abs(centre), 1e-12)
+        if (max(full) - min(full)) / floor >= spec.shift_threshold:
+            half = len(full) // 2
+            shift = (_sorted_median(full[half:])
+                     - _sorted_median(full[:half])) / scale_of(full, centre)
+            shift = min(max(shift, -999.0), 999.0)
+            if abs(shift) >= spec.shift_threshold:
+                kinds.append("level_shift")
+    return z, shift, tuple(kinds)
+
+
+def test_sorted_window_matches_a_full_sort_every_step():
+    """The detector keeps its window sorted step by step (one insort,
+    one removal) instead of sorting it per step; over regime changes,
+    repeats and a full history turnover, every step's z, shift and
+    flags equal the full-sort computation."""
+    spec = DetectorSpec(name="lat-mean", instrument="lat", mode="mean",
+                        history=12)
+    detector = StreamingDetector(spec)
+    telemetry = Telemetry()
+    rng = np.random.default_rng(21)
+    window = []
+    level = 100.0
+    flagged = 0
+    for at in range(1, 200):
+        if at % 37 == 0:
+            level *= 3.0 if level < 200.0 else 1.0 / 3.0
+        values = [level + float(rng.integers(-2, 3))] * 2
+        apply_step(telemetry, {}, values)
+        detector.observe(telemetry, float(at))
+        value = detector.last["value"]
+        z, shift, kinds = _reference_step(spec, window, value)
+        assert (detector.last["z"], detector.last["shift"],
+                detector.last["kinds"]) == \
+            (round(z, 9), round(shift, 9), kinds)
+        flagged += bool(kinds)
+        window = (window + [value])[-spec.history:]
+    assert detector._ordered == sorted(window)
+    assert flagged
+
+
 # ---- spec hygiene ----------------------------------------------------
 
 

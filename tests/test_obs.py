@@ -287,6 +287,61 @@ class TestMetrics:
             rows = [json.loads(line) for line in fh]
         assert rows and all(r["unix_time"] == 1234.5 for r in rows)
 
+    def test_count_over_counts_only_new_samples_yet_stays_exact(self):
+        """``count_over`` remembers its last (threshold, scan) and
+        scans only newer samples; the count must equal a full scan
+        through observe / observe_many / merge growth, a change of
+        threshold and the fold onto buckets."""
+        rng = np.random.default_rng(3)
+        histogram = Histogram("lat")
+        brute = Histogram("lat")          # never asked: no memo
+        for step in range(60):
+            grow = step % 3
+            values = rng.normal(10.0, 3.0, size=int(rng.integers(1, 9)))
+            if grow == 0:
+                for value in values:
+                    histogram.observe(value)
+            elif grow == 1:
+                histogram.observe_many(values)
+            else:
+                other = Histogram("lat")
+                other.observe_many(values)
+                histogram.merge(other)
+            brute.observe_many(values)
+            for threshold in (10.0, 10.0, 12.5, 10.0):
+                want = float(sum(1 for v in brute._samples
+                                 if v > threshold))
+                assert histogram.count_over(threshold) == want
+        assert histogram.exact
+        histogram.observe_many(rng.normal(10.0, 3.0, size=2000))
+        assert not histogram.exact
+        fresh = Histogram.from_state(histogram.state())
+        assert histogram.count_over(10.0) == fresh.count_over(10.0)
+
+    def test_windowed_series_trim_never_moves_an_anchor(self):
+        """Expired samples are dropped in amortised batches; every
+        window up to the horizon must read what an untrimmed ring
+        (horizon = inf) reads, over irregular ``at`` steps."""
+        from repro.obs.metrics import WindowedSeries
+
+        rng = np.random.default_rng(8)
+        telemetry = Telemetry()
+        trimmed = WindowedSeries("t", "ratio", "bad", total="all",
+                                 horizon=6.0)
+        kept = WindowedSeries("k", "ratio", "bad", total="all",
+                              horizon=float("inf"))
+        at = 0.0
+        for _ in range(300):
+            telemetry.counter("all").inc(float(rng.integers(0, 5)))
+            telemetry.counter("bad").inc(float(rng.integers(0, 2)))
+            at += float(rng.choice([0.25, 1.0, 1.0, 3.0, 9.0]))
+            trimmed.push(telemetry, at)
+            kept.push(telemetry, at)
+            for window in (0.0, 0.5, 1.0, 2.5, 6.0):
+                assert trimmed.rate(window, idle=-1.0) == \
+                    kept.rate(window, idle=-1.0)
+        assert len(trimmed._samples) < 100 < len(kept._samples)
+
     def test_serve_reexports_the_obs_registry(self):
         from repro import serve
 
