@@ -50,7 +50,8 @@ from repro.experiments.harness import (
     make_model_based_policies,
     run_episodes,
 )
-from repro.experiments.robustness import METHOD_LABELS, _ensure_snapshots
+from repro.experiments.metrics import METHOD_LABELS
+from repro.experiments.robustness import _ensure_snapshots
 from repro.scenarios.fuzz import (
     FuzzSpace,
     corpus_digest,

@@ -7,6 +7,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+#: Result label per method, as every unit and snapshot evaluation
+#: reports it.
+METHOD_LABELS = {
+    "onslicing": "OnSlicing",
+    "onrl": "OnRL",
+    "baseline": "Baseline",
+    "model_based": "Model_Based",
+}
+
 
 @dataclass(frozen=True)
 class TrajectoryPoint:

@@ -19,16 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.experiments.metrics import METHOD_LABELS
 from repro.runtime.runner import ParallelRunner
 from repro.runtime.units import make_unit, schedule_epochs as _schedule
 
-#: Display labels per unit method.
-METHOD_LABELS = {
-    "onslicing": "OnSlicing",
-    "onrl": "OnRL",
-    "baseline": "Baseline",
-    "model_based": "Model_Based",
-}
+#: The learners' online epochs at ``scale`` 1.
+FULL_EPOCHS = 40
 
 
 def robustness(scale: float = 0.25,
@@ -75,7 +71,7 @@ def robustness(scale: float = 0.25,
                          f"expected a subset of {tuple(METHOD_LABELS)}")
 
     runner = runner or ParallelRunner()
-    epochs = _schedule(scale, 40)
+    epochs = _schedule(scale, FULL_EPOCHS)
     offline = max(int(round(4 * scale)), 1)
     exploration = max(int(round(6 * scale)), 1)
     episodes = max(int(round(3 * scale)), 1)
@@ -143,30 +139,8 @@ def _ensure_snapshots(store_dir: str, learners: Sequence[str],
         try:
             snapshots[method] = store.load(name)
         except KeyError:
-            # the robustness training schedule, not train_snapshot's
-            # default: epochs follow the matrix's 40-epoch rule
-            epochs = _schedule(scale, 40)
-            if method == "onslicing":
-                from repro.experiments import harness
-                from repro.serve import snapshot_onslicing
-
-                bundle = harness.build_onslicing(
-                    offline_episodes=max(int(round(4 * scale)), 1),
-                    exploration_episodes=max(int(round(6 * scale)), 1),
-                    seed=seed, scenario="default")
-                harness.run_online_phase(bundle, epochs=epochs,
-                                         episodes_per_epoch=2)
-                snapshots[method] = store.save(snapshot_onslicing(
-                    name, bundle, scenario="default", seed=seed))
-            else:
-                from repro.experiments import harness
-                from repro.serve import snapshot_onrl
-
-                cfg = harness.resolve_scenario("default").build_config()
-                trained = harness.train_onrl(
-                    cfg, epochs=epochs, episodes_per_epoch=2,
-                    seed=seed, scenario="default")
-                snapshots[method] = store.save(snapshot_onrl(
-                    name, cfg, trained["agents"], scenario="default",
-                    seed=seed))
+            # the matrix's epoch rule, not train_snapshot's default
+            snapshots[method] = train_snapshot(
+                method, scale=scale, seed=seed, name=name, store=store,
+                full_epochs=FULL_EPOCHS)
     return snapshots

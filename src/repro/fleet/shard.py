@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.config import ENGINES
 from repro.fleet.spec import CellPlan, FleetSpec
-from repro.obs.metrics import Histogram, Telemetry, parse_key
+from repro.obs.metrics import Telemetry
 from repro.obs.trace import configure_from_env, flush as trace_flush, \
     trace
 from repro.runtime.serialization import register_dataclass
@@ -82,13 +82,7 @@ class ShardResult:
 
     def telemetry(self) -> Telemetry:
         """Rebuild live instruments from the serialised states."""
-        telemetry = Telemetry()
-        for key in sorted(self.counters):
-            name, labels = parse_key(key)
-            telemetry.counter(name, labels).inc(self.counters[key])
-        for key in sorted(self.histograms):
-            telemetry.adopt(Histogram.from_state(self.histograms[key]))
-        return telemetry
+        return Telemetry.from_state(self.counters, self.histograms)
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,5 @@ class MLP(Module):
                     f"{value.shape} vs {param.value.shape}")
             param.value = value.copy()
 
-    def copy_from(self, other: "MLP") -> None:
-        """Copy weights from another identically-shaped network."""
-        self.set_weights(other.get_weights())
-
     def num_parameters(self) -> int:
         return int(sum(p.value.size for p in self.parameters()))

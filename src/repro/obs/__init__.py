@@ -10,10 +10,12 @@ repo:
   view with an attributed-span digest that is invariant to fleet
   shard count.
 * :mod:`repro.obs.metrics` -- the unified metrics registry
-  (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, optional
-  labels, JSONL + Prometheus-text export, injectable clock), the
-  one JSONL row reader (``read_jsonl``) and the one cumulative
-  windowed series (:class:`WindowedSeries`) the judging layers share.
+  (:class:`Counter` / :class:`Histogram`, optional labels, JSONL +
+  Prometheus-text export, injectable clock; a JSONL export carries
+  the instrument state ``read_telemetry`` merges back into one
+  registry), the one JSONL row reader (``read_jsonl``) and the one
+  cumulative windowed series (:class:`WindowedSeries`) the judging
+  layers share.
 * :mod:`repro.obs.profile` -- opt-in per-kernel wall/alloc sampling
   hooks inside :func:`repro.engine.kernels.evaluate_rows`;
   ``repro obs profile`` prints the per-kernel cost breakdown.
@@ -64,7 +66,6 @@ from repro.obs.diagnose import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     Telemetry,
 )
@@ -92,7 +93,6 @@ __all__ = [
     "Counter",
     "DetectorSpec",
     "DiagnosisReport",
-    "Gauge",
     "Histogram",
     "Hypothesis",
     "IncidentTimeline",

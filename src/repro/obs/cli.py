@@ -12,10 +12,11 @@ that need them.
   per-kernel cost breakdown with the engine's and the serving core's
   counters.
 * ``obs watch`` -- live fleet health: evaluate an SLO spec against a
-  fleet checkpoint (full burn-rate view, deterministic timeline
-  digest) or a telemetry JSONL export dir (point-in-time view) and
-  render the dashboard every ``--interval`` seconds (``--once`` /
-  ``--json`` for scripting and CI).
+  fleet checkpoint (shard-by-shard burn-rate replay, deterministic
+  timeline digest) or a telemetry JSONL export dir (one evaluation of
+  the merged exports) and render the one dashboard frame every
+  ``--interval`` seconds (``--once`` / ``--json`` for scripting and
+  CI).
 * ``obs incidents`` -- query an incident timeline JSONL: filter by
   objective / severity / event, print the table or the raw records
   plus the timeline digest.
@@ -86,7 +87,8 @@ def add_obs_parser(subparsers) -> None:
     watch.add_argument(
         "--telemetry-dir", default=None, metavar="PATH",
         dest="telemetry_dir",
-        help="telemetry JSONL export dir/file: point-in-time health")
+        help="telemetry JSONL export dir/file: one evaluation of the "
+             "merged exports")
     watch.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="seconds between frames (default: 2)")
@@ -294,26 +296,36 @@ def _load_checkpoint(path: str):
 
 
 def _read_exports(path: str):
-    """Telemetry export rows under ``path``, or ``None`` after a
-    one-line stderr message."""
-    from repro.obs.monitor import read_telemetry_export
+    """The telemetry exports under ``path`` as one merged registry, or
+    ``None`` after a one-line stderr message."""
+    from repro.obs.metrics import read_telemetry
 
+    hint = "(run serve/loadgen with --telemetry-dir first)"
+    if not os.path.exists(path):
+        print(f"no telemetry exports at {path!r} {hint}",
+              file=sys.stderr)
+        return None
     try:
-        rows = read_telemetry_export(path)
+        telemetry = read_telemetry(path)
     except (OSError, ValueError) as exc:
         print(f"cannot read telemetry exports: {exc}", file=sys.stderr)
         return None
-    if not rows:
-        print(f"no telemetry exports under {path!r} "
-              "(run serve/loadgen with --telemetry-dir first)",
+    if not (telemetry.counters() or telemetry.histograms()):
+        print(f"no telemetry exports under {path!r} {hint}",
               file=sys.stderr)
-    return rows or None
+        return None
+    return telemetry
 
 
 def _render_watch_frame(args: argparse.Namespace, spec) -> int:
-    """One ``obs watch`` frame; returns the would-be exit code."""
+    """One ``obs watch`` frame; returns the would-be exit code.
+
+    A checkpoint is replayed shard by shard (with the anomalies pane);
+    a telemetry export is one evaluation of its merged registry.  Both
+    render through the same frame."""
     from repro.obs import monitor
 
+    anomalies = None
     if args.checkpoint is not None:
         from repro.obs.anomaly import AnomalyMonitor
         from repro.obs.diagnose import replay_shards
@@ -325,36 +337,24 @@ def _render_watch_frame(args: argparse.Namespace, spec) -> int:
             return 2
         replay = replay_shards(checkpoint.results.values(), slo=spec,
                                monitor=AnomalyMonitor())
-        anomalies = replay.monitor.anomalies()
-        if args.json:
-            print(json.dumps(monitor.frame_payload(
-                replay.evaluator, anomalies=anomalies), indent=2))
-        else:
-            print(monitor.render_frame(
-                f"fleet health -- {args.checkpoint} "
-                f"[slo {spec.name}]", replay.evaluator,
-                anomalies=anomalies))
-        return 0
-    if not os.path.exists(args.telemetry_dir):
-        print(f"no telemetry exports at {args.telemetry_dir!r} "
-              "(run serve/loadgen with --telemetry-dir first)",
-              file=sys.stderr)
-        return 2
-    rows = _read_exports(args.telemetry_dir)
-    if rows is None:
-        return 2
-    if args.json:
-        statuses = monitor.point_statuses(spec, rows)
-        print(json.dumps({
-            "spec": spec.name, "mode": "point",
-            "objectives": [
-                {"objective": s.objective.name, "severity": s.severity,
-                 "burn": s.burn_fast, "value": s.value}
-                for s in statuses]}, indent=2))
+        evaluator, anomalies = replay.evaluator, \
+            replay.monitor.anomalies()
+        title = f"fleet health -- {args.checkpoint}"
     else:
-        print(monitor.render_point_frame(
-            f"telemetry health -- {args.telemetry_dir} "
-            f"[slo {spec.name}]", spec, rows))
+        from repro.obs.slo import SloEvaluator
+
+        telemetry = _read_exports(args.telemetry_dir)
+        if telemetry is None:
+            return 2
+        evaluator = SloEvaluator(spec)
+        evaluator.observe(telemetry, at=1.0)
+        title = f"telemetry health -- {args.telemetry_dir}"
+    if args.json:
+        print(json.dumps(monitor.frame_payload(
+            evaluator, anomalies=anomalies), indent=2))
+    else:
+        print(monitor.render_frame(f"{title} [slo {spec.name}]",
+                                   evaluator, anomalies=anomalies))
     return 0
 
 
@@ -448,10 +448,10 @@ def _run_diagnose(args: argparse.Namespace) -> int:
                 snapshot_ref=checkpoint.snapshot_ref,
                 snapshot_digest=checkpoint.snapshot_digest)
     if report is None:
-        rows = _read_exports(args.path)
-        if rows is None:
+        telemetry = _read_exports(args.path)
+        if telemetry is None:
             return 2
-        report = diagnose_telemetry(rows, spec, label=args.path)
+        report = diagnose_telemetry(telemetry, spec, label=args.path)
     if args.incident is not None:
         filtered = _filter_report(report, args.incident)
         if filtered is None:

@@ -488,6 +488,28 @@ def rank_hypotheses(hypotheses: Iterable[Hypothesis]
                        h.incident, h.label)))
 
 
+def _judge(slo: SloSpec, telemetry: Telemetry, cells: Sequence = (),
+           events: Optional[Dict[str, Sequence[Dict]]] = None,
+           snapshot_ref: str = "", snapshot_digest: str = ""
+           ) -> Tuple[Tuple[Dict, ...], Tuple[Hypothesis, ...]]:
+    """Final-state breaches and their ranked hypotheses: the one judge
+    behind both entry points."""
+    incidents = final_incidents(slo, telemetry)
+    stage_rows = _stage_rows(telemetry)
+    hypotheses: List[Hypothesis] = []
+    for incident in incidents:
+        hypotheses.extend(_event_hypotheses(
+            incident, cells, events or {}, telemetry))
+        hypotheses.extend(
+            hypothesis for hypothesis in (
+                _fallback_hypothesis(incident, telemetry),
+                _snapshot_hypothesis(incident, telemetry,
+                                     snapshot_ref, snapshot_digest),
+                _stage_hypothesis(incident, stage_rows))
+            if hypothesis is not None)
+    return tuple(incidents), rank_hypotheses(hypotheses)
+
+
 # ---- entry points ----------------------------------------------------
 
 def diagnose_fleet(results: Iterable,
@@ -507,20 +529,9 @@ def diagnose_fleet(results: Iterable,
     """
     monitor = AnomalyMonitor(detectors)
     state = replay_shards(results, slo=slo, monitor=monitor)
-    telemetry = state.telemetry
-    incidents = final_incidents(slo, telemetry)
-    stage_rows = _stage_rows(telemetry)
-    hypotheses: List[Hypothesis] = []
-    for incident in incidents:
-        hypotheses.extend(_event_hypotheses(
-            incident, state.cells, state.events, telemetry))
-        hypotheses.extend(
-            hypothesis for hypothesis in (
-                _fallback_hypothesis(incident, telemetry),
-                _snapshot_hypothesis(incident, telemetry,
-                                     snapshot_ref, snapshot_digest),
-                _stage_hypothesis(incident, stage_rows))
-            if hypothesis is not None)
+    incidents, hypotheses = _judge(slo, state.telemetry, state.cells,
+                                   state.events, snapshot_ref,
+                                   snapshot_digest)
     event_rows = tuple(
         {"scenario": scenario, **dict(row)}
         for scenario in sorted(state.events)
@@ -532,8 +543,8 @@ def diagnose_fleet(results: Iterable,
         mode="checkpoint",
         snapshot_ref=snapshot_ref,
         snapshot_digest=snapshot_digest,
-        incidents=tuple(incidents),
-        hypotheses=rank_hypotheses(hypotheses),
+        incidents=incidents,
+        hypotheses=hypotheses,
         events=event_rows,
         anomalies=tuple(monitor.anomalies()),
         episodes=tuple(_timeline_episodes(
@@ -541,55 +552,27 @@ def diagnose_fleet(results: Iterable,
         timeline_digest=evaluator.timeline.digest())
 
 
-def diagnose_telemetry(rows: Sequence[Dict], slo: SloSpec,
+def diagnose_telemetry(telemetry: Telemetry, slo: SloSpec,
                        label: str = "") -> DiagnosisReport:
-    """Diagnose a telemetry JSONL export (point-in-time, degraded).
+    """Diagnose a telemetry export registry
+    (:func:`~repro.obs.metrics.read_telemetry`) with the judge
+    :func:`diagnose_fleet` runs after its replay.
 
-    Exports carry snapshots (percentile readouts, counter totals), not
-    mergeable states, so there is no timeline, no anomaly stream and
-    no event capture -- breaches come from the point health view
-    (:func:`repro.obs.monitor.point_statuses`) and hypotheses from the
-    counter taxonomy alone.
+    An export records no cells, scenario events or snapshot lineage,
+    and it is one evaluation rather than a shard sequence, so the report
+    carries no event or snapshot hypotheses, anomaly points or timeline
+    episodes -- breaches, fallback and serve-stage evidence are judged
+    exactly as on a checkpoint.
     """
-    from repro.obs.monitor import export_registry, point_statuses
-
-    telemetry, _ = export_registry(rows)
-    incidents: List[Dict] = []
-    for status in point_statuses(slo, rows):
-        if status.severity is None:
-            continue
-        incidents.append({
-            "objective": status.objective.name,
-            "kind": status.objective.kind,
-            "instrument": status.objective.instrument,
-            "severity": status.severity,
-            "burn": round(status.burn_fast, 9),
-            "value": round(status.value, 9),
-        })
-    stage_rows = [
-        {"kind": "stage",
-         "stage": str(row["metric"])[len("stage_"):-len("_ms")],
-         "count": int(row.get("count", 0)),
-         "wall": {"mean_ms": float(row.get("mean", 0.0))}}
-        for row in rows
-        if row.get("type") == "histogram"
-        and str(row.get("metric", "")).startswith("stage_")
-        and str(row.get("metric", "")).endswith("_ms")
-        and not row.get("labels")
-    ]
-    hypotheses = [
-        hypothesis for incident in incidents for hypothesis in (
-            _fallback_hypothesis(incident, telemetry),
-            _stage_hypothesis(incident, stage_rows))
-        if hypothesis is not None]
+    incidents, hypotheses = _judge(slo, telemetry)
     return DiagnosisReport(
         fleet=label,
         slo=slo.name,
         mode="telemetry",
         snapshot_ref="",
         snapshot_digest="",
-        incidents=tuple(incidents),
-        hypotheses=rank_hypotheses(hypotheses))
+        incidents=incidents,
+        hypotheses=hypotheses)
 
 
 # ---- rendering -------------------------------------------------------

@@ -1,23 +1,24 @@
-"""Unified metrics registry: counters, gauges, histograms, exporters.
+"""Unified metrics registry: counters, histograms, exporters.
 
-A :class:`Telemetry` registry hands out named :class:`Counter`,
-:class:`Gauge` and :class:`Histogram` instruments -- optionally
-*labeled* with a small ``{key: value}`` dict, Prometheus style -- and
-exports them as JSONL (one JSON object per instrument) or Prometheus
-text exposition format.  :func:`read_jsonl` is the one reader behind
-every JSONL surface of the repo, and :class:`WindowedSeries` the one
-cumulative-window primitive the SLO and anomaly layers judge with.
+A :class:`Telemetry` registry hands out named :class:`Counter` and
+:class:`Histogram` instruments -- optionally *labeled* with a small
+``{key: value}`` dict, Prometheus style -- and exports them as JSONL
+(one JSON object per instrument) or Prometheus text exposition format.
+:func:`read_jsonl` is the one reader behind every JSONL surface of the
+repo, and :class:`WindowedSeries` the one cumulative-window primitive
+the SLO and anomaly layers judge with.
 
 Every instrument is *mergeable*: a fleet shard aggregates its cells'
 telemetry locally, ships a compact serialisable state to the
 coordinator, and the coordinator folds shard states into one fleet
 view (:meth:`Counter.merge`, :meth:`Histogram.merge`,
 :meth:`Telemetry.merge`) -- the memory cost of the aggregate is
-bounded by the instrument count, never by the observation count.
-Gauges merge *additively* (the fleet view of a gauge is the sum over
-shards), which is the right semantics for the occupancy-style gauges
-this repo records; last-write-wins gauges do not survive a merge tree
-and are deliberately not offered.
+bounded by the instrument count, never by the observation count.  A
+JSONL export carries the same state (counter values, and each
+histogram's :meth:`Histogram.state` beside its readouts), so
+:func:`read_telemetry` rebuilds a file or a directory of runs as one
+merged registry through :meth:`Telemetry.from_state`, exactly as the
+fleet coordinator rebuilds a shard.
 
 Timestamps are injectable: ``Telemetry(clock=...)`` replaces the
 ``time.time`` used by the exporters, so exported artefacts are
@@ -132,45 +133,6 @@ class Counter:
 
     def snapshot(self) -> Dict[str, object]:
         out: Dict[str, object] = {"metric": self.name, "type": "counter",
-                                  "value": self.value}
-        if self.labels:
-            out["labels"] = dict(self.labels)
-        return out
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, active cells).
-
-    Merging is *additive*: the fleet view of a gauge is the sum of the
-    shard gauges, matching counter/histogram fan-in.  Use counters for
-    monotone totals and histograms for distributions; gauges are for
-    instantaneous occupancy-style readings that sum across shards.
-    """
-
-    def __init__(self, name: str,
-                 labels: Optional[Mapping[str, str]] = None) -> None:
-        self.name = name
-        self.labels: Dict[str, str] = \
-            {k: str(v) for k, v in (labels or {}).items()}
-        self.key = instrument_key(name, self.labels)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Fold another gauge in (additive, see class docstring)."""
-        self.value += other.value
-        return self
-
-    def snapshot(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"metric": self.name, "type": "gauge",
                                   "value": self.value}
         if self.labels:
             out["labels"] = dict(self.labels)
@@ -486,32 +448,30 @@ class Telemetry:
                  clock: Callable[[], float] = time.time) -> None:
         self._clock = clock
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
-    def _check_free(self, key: str, want: str) -> None:
-        for kind, registry in (("counter", self._counters),
-                               ("gauge", self._gauges),
-                               ("histogram", self._histograms)):
-            if kind != want and key in registry:
-                raise ValueError(f"{key!r} is already a {kind}")
+    @classmethod
+    def from_state(cls, counters: Mapping[str, float],
+                   histograms: Mapping[str, Dict]) -> "Telemetry":
+        """A registry rebuilt from counter values and
+        :meth:`Histogram.state` records, both by instrument key -- what
+        a fleet shard ships and what a JSONL export carries."""
+        telemetry = cls()
+        for key in sorted(counters):
+            name, labels = parse_key(key)
+            telemetry.counter(name, labels).inc(counters[key])
+        for key in sorted(histograms):
+            telemetry.adopt(Histogram.from_state(histograms[key]))
+        return telemetry
 
     def counter(self, name: str,
                 labels: Optional[Mapping[str, str]] = None) -> Counter:
         key = instrument_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
-            self._check_free(key, "counter")
+            if key in self._histograms:
+                raise ValueError(f"{key!r} is already a histogram")
             instrument = self._counters[key] = Counter(name, labels)
-        return instrument
-
-    def gauge(self, name: str,
-              labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        key = instrument_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            self._check_free(key, "gauge")
-            instrument = self._gauges[key] = Gauge(name, labels)
         return instrument
 
     def histogram(self, name: str,
@@ -519,7 +479,8 @@ class Telemetry:
         key = instrument_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
-            self._check_free(key, "histogram")
+            if key in self._counters:
+                raise ValueError(f"{key!r} is already a counter")
             instrument = self._histograms[key] = Histogram(name, labels)
         return instrument
 
@@ -537,10 +498,6 @@ class Telemetry:
         """The histogram registered under ``key``, or ``None``."""
         return self._histograms.get(key)
 
-    def gauges(self) -> Dict[str, Gauge]:
-        """Key -> gauge, in insertion order (live objects)."""
-        return dict(self._gauges)
-
     def histograms(self) -> Dict[str, Histogram]:
         """Key -> histogram, in insertion order (live objects)."""
         return dict(self._histograms)
@@ -553,9 +510,6 @@ class Telemetry:
         if isinstance(instrument, Counter):
             self.counter(instrument.name,
                          instrument.labels).merge(instrument)
-        elif isinstance(instrument, Gauge):
-            self.gauge(instrument.name,
-                       instrument.labels).merge(instrument)
         elif isinstance(instrument, Histogram):
             self.histogram(instrument.name,
                            instrument.labels).merge(instrument)
@@ -567,23 +521,23 @@ class Telemetry:
         the coordinator side of shard aggregation."""
         for counter in other._counters.values():
             self.adopt(counter)
-        for gauge in other._gauges.values():
-            self.adopt(gauge)
         for histogram in other._histograms.values():
             self.adopt(histogram)
         return self
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Every instrument's current reading, counters first (then
-        gauges, then histograms), each group sorted by key."""
+        histograms), each group sorted by key."""
         rows = [c.snapshot() for _, c in sorted(self._counters.items())]
-        rows += [g.snapshot() for _, g in sorted(self._gauges.items())]
         rows += [h.snapshot() for _, h in sorted(self._histograms.items())]
         return rows
 
     def export_jsonl(self, path: str,
                      run_label: Optional[str] = None) -> str:
-        """Write one JSON object per instrument to ``path`` (JSONL).
+        """Write one JSON object per instrument to ``path`` (JSONL):
+        its :meth:`snapshot` row, and for a histogram its
+        :meth:`Histogram.state` under ``"state"`` (what
+        :func:`read_telemetry` rebuilds it from).
 
         Parent directories are created; the file is overwritten (one
         file per run -- label runs via the filename or ``run_label``).
@@ -591,8 +545,11 @@ class Telemetry:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         stamp = self._clock()
+        rows = [c.snapshot() for _, c in sorted(self._counters.items())]
+        rows += [{**h.snapshot(), "state": h.state()}
+                 for _, h in sorted(self._histograms.items())]
         with open(path, "w", encoding="utf-8") as fh:
-            for row in self.snapshot():
+            for row in rows:
                 if run_label is not None:
                     row = {"run": run_label, **row}
                 fh.write(json.dumps({**row, "unix_time": stamp}) + "\n")
@@ -600,8 +557,8 @@ class Telemetry:
 
     def export_prometheus(self) -> str:
         """Render every instrument in the Prometheus text exposition
-        format (v0.0.4): counters as ``<name>_total``, gauges as-is,
-        histograms as summaries (quantile series + ``_sum``/``_count``).
+        format (v0.0.4): counters as ``<name>_total``, histograms as
+        summaries (quantile series + ``_sum``/``_count``).
         """
         lines: List[str] = []
         for _, counter in sorted(self._counters.items()):
@@ -609,11 +566,6 @@ class Telemetry:
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name}{_prom_labels(counter.labels)} "
                          f"{counter.value:g}")
-        for _, gauge in sorted(self._gauges.items()):
-            name = _prom_name(gauge.name)
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{_prom_labels(gauge.labels)} "
-                         f"{gauge.value:g}")
         for _, histogram in sorted(self._histograms.items()):
             name = _prom_name(histogram.name)
             lines.append(f"# TYPE {name} summary")
@@ -649,6 +601,43 @@ def jsonl_files(paths: Sequence[str]) -> List[str]:
         else:
             files.append(path)
     return files
+
+
+def read_telemetry(path: str) -> Telemetry:
+    """The telemetry export at ``path`` -- one JSONL file, or every
+    ``*.jsonl`` file of a directory -- as one merged registry: counters
+    add up and histograms merge across files, as fleet shards do.
+
+    Rows follow the :func:`read_jsonl` policy.  Every row must be a
+    counter with its value or a histogram with its ``state`` record; any
+    other row (a histogram exported with readouts only, a malformed
+    state) raises ``ValueError`` naming the file.
+    """
+    merged = Telemetry()
+    for file_path in jsonl_files([path]):
+        rows = read_jsonl(file_path)
+        counters: Dict[str, float] = {}
+        histograms: Dict[str, Dict] = {}
+        try:
+            for row in rows:
+                key = instrument_key(str(row.get("metric", "")),
+                                     row.get("labels"))
+                kind = row.get("type")
+                if kind == "counter":
+                    counters[key] = float(row["value"])
+                elif kind == "histogram" and "state" in row:
+                    histograms[key] = row["state"]
+                else:
+                    raise ValueError(
+                        f"{kind} row {key!r} is not a counter or a "
+                        "histogram with its instrument state (exports "
+                        "carry counters and histogram states; re-export "
+                        "it)")
+            registry = Telemetry.from_state(counters, histograms)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{file_path}: {exc}") from None
+        merged.merge(registry)
+    return merged
 
 
 def read_jsonl(path: str) -> List[Dict]:

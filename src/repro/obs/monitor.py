@@ -5,12 +5,12 @@ Pure presentation over :mod:`repro.obs.slo`: given an evaluator's
 :class:`~repro.obs.slo.ObjectiveStatus` rows and a timeline, render a
 terminal frame -- per-objective status glyphs, fast/slow burn rates,
 unicode sparkline trends over the recent burn history, and the open
-incident list.  The CLI (``repro obs watch``) drives this either from
-a fleet checkpoint (full burn-rate evaluation: histogram states are
-mergeable, so windowed SLIs are exact) or from a telemetry JSONL
-export directory (point-in-time health: exports carry percentile
-readouts, not mergeable states, so latency objectives compare the
-exported percentile against the budget directly).
+incident list.  The CLI (``repro obs watch``) renders one frame shape
+for both of its sources: a fleet checkpoint's shard replay, or one
+evaluation of a telemetry JSONL export read back as a merged registry
+(:func:`~repro.obs.metrics.read_telemetry`; exports carry histogram
+states, so latency objectives are judged on the same exact
+over-budget counts either way).
 
 Everything here is stdlib-only and side-effect free -- functions take
 data, return strings -- so tests can pin frames without a terminal.
@@ -18,12 +18,9 @@ data, return strings -- so tests can pin frames without a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.obs.metrics import (Histogram, Telemetry, instrument_key,
-                               jsonl_files, read_jsonl)
-from repro.obs.slo import (IncidentTimeline, ObjectiveStatus,
-                           SloEvaluator, SloSpec)
+from repro.obs.slo import IncidentTimeline, ObjectiveStatus, SloEvaluator
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -151,91 +148,6 @@ def frame_payload(evaluator: SloEvaluator,
     if anomalies is not None:
         payload["anomalies"] = [dict(point) for point in anomalies]
     return payload
-
-
-# ---- point-in-time health from telemetry JSONL exports ---------------
-
-def read_telemetry_export(path: str) -> List[Dict]:
-    """Rows of every instrument-export ``*.jsonl`` under ``path``
-    (a file works too).  Prometheus ``.prom`` siblings are ignored."""
-    return [row for file_path in jsonl_files([path])
-            for row in read_jsonl(file_path)]
-
-
-def export_registry(rows: Sequence[Dict]
-                    ) -> Tuple[Telemetry, Dict[str, Dict]]:
-    """Exported rows as a registry the SLO readings understand, plus
-    the newest histogram row per key: counters are summed, histograms
-    carry each newest row's count / sum totals (exported percentiles
-    are not mergeable and stay on the rows)."""
-    telemetry = Telemetry()
-    newest: Dict[str, Dict] = {}
-    for row in rows:
-        name, labels = str(row.get("metric", "")), row.get("labels")
-        if row.get("type") == "counter":
-            telemetry.counter(name, labels).inc(
-                float(row.get("value", 0.0)))
-        elif row.get("type") == "histogram":
-            newest[instrument_key(name, labels)] = row
-    for row in newest.values():
-        telemetry.adopt(Histogram.from_state({
-            "name": str(row.get("metric", "")),
-            "labels": row.get("labels"),
-            "count": row.get("count", 0), "sum": row.get("sum", 0.0),
-            "samples": []}))
-    return telemetry, newest
-
-
-def point_statuses(spec: SloSpec, rows: Sequence[Dict]
-                   ) -> List[ObjectiveStatus]:
-    """Point-in-time health of exported telemetry rows.
-
-    Exports are snapshots (percentiles, counts, sums), not mergeable
-    states, so no windowing is possible: each objective's *current*
-    value is compared against its allowance and both burn columns
-    carry the same point burn.  Latency objectives read the exported
-    percentile nearest the objective's (p50/p90/p99 are exported)
-    and report ``value / budget`` as the burn.
-    """
-    telemetry, histogram_rows = export_registry(rows)
-    statuses: List[ObjectiveStatus] = []
-    for objective in spec.objectives:
-        value = 0.0
-        burn = 0.0
-        if objective.kind == "latency":
-            row = histogram_rows.get(objective.instrument)
-            if row is not None:
-                exported = [float(p[1:]) for p in row
-                            if p.startswith("p") and p[1:]
-                            .replace(".", "").isdigit()]
-                if exported:
-                    nearest = min(
-                        exported,
-                        key=lambda p: abs(p - objective.percentile))
-                    value = float(row[f"p{nearest:g}"])
-                    burn = value / objective.budget_ms
-        else:
-            value = objective.series().overall(telemetry)
-            burn = value / objective.allowance
-        statuses.append(ObjectiveStatus(
-            objective=objective,
-            severity=objective.severity(burn, burn),
-            burn_fast=burn, burn_slow=burn, value=value,
-            history=[burn]))
-    return statuses
-
-
-def render_point_frame(title: str, spec: SloSpec,
-                       rows: Sequence[Dict]) -> str:
-    """Dashboard frame for exported telemetry (no timeline)."""
-    return "\n".join([
-        title,
-        "=" * len(title),
-        format_statuses(point_statuses(spec, rows)),
-        "",
-        "(point-in-time view: exports carry no mergeable history, "
-        "so burns are instantaneous)",
-    ])
 
 
 # ---- incident timeline formatting ------------------------------------

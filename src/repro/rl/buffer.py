@@ -104,10 +104,6 @@ class RolloutBuffer:
             self._costs.append(float(transition.cost))
         self.episodes_stored += 1
 
-    def discard_episode(self) -> None:
-        """Drop the in-progress episode without storing it."""
-        self._episode = []
-
     def get(self, normalize_advantages: bool = True
             ) -> Dict[str, np.ndarray]:
         """Return all finalised data as arrays (does not clear)."""

@@ -66,10 +66,6 @@ class CostToGoEstimator:
     def dataset_size(self) -> int:
         return len(self._states)
 
-    def clear_dataset(self) -> None:
-        self._states = []
-        self._targets = []
-
     # ---- training ---------------------------------------------------
 
     def fit(self, epochs: Optional[int] = None) -> List[float]:

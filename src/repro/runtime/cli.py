@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="traffic/service seed (default: the "
                             "scenario's)")
         p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                       help="export instrument readings as JSONL")
+                       help="export instrument state as JSONL (and "
+                            "Prometheus text), one file per run")
         p.add_argument("--slo", default=None, metavar="SPEC",
                        help="evaluate SLOs while serving: 'default' "
                             "for the stock contract or a tagged-JSON "
@@ -606,8 +607,12 @@ def _run_serving(args) -> int:
                            max_decisions=args.decisions)
     telemetry_rows = generator.telemetry.snapshot()
     if args.telemetry_dir:
-        base = os.path.join(args.telemetry_dir,
-                            f"{snapshot.name}-{report.scenario}")
+        # one file per (snapshot, scenario, population, seed): runs that
+        # differ in any of them sit side by side and merge on read
+        base = os.path.join(
+            args.telemetry_dir,
+            f"{snapshot.name}-{report.scenario}-{report.slices}slices"
+            f"-seed{generator.seed}")
         path = generator.telemetry.export_jsonl(
             base + ".jsonl", run_label=snapshot.ref)
         prom = generator.telemetry.export_prometheus_file(
@@ -840,7 +845,7 @@ def _fuzz_shrink(args) -> int:
         build_method_policies,
         shrink_violation,
     )
-    from repro.experiments.robustness import METHOD_LABELS
+    from repro.experiments.metrics import METHOD_LABELS
     from repro.scenarios.fuzz import generate_spec, spec_digest
 
     policies = build_method_policies(

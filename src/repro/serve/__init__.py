@@ -27,7 +27,7 @@ repository (the ROADMAP's "serve heavy traffic" north star):
 CLI: ``python -m repro train --save``, ``serve``, ``loadgen``.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, Telemetry
+from repro.obs.metrics import Counter, Histogram, Telemetry
 from repro.serve.evaluate import evaluate_snapshot
 from repro.serve.loadgen import (
     LoadGenerator,
@@ -63,7 +63,6 @@ __all__ = [
     "Decision",
     "DecisionCore",
     "DecisionRequest",
-    "Gauge",
     "Histogram",
     "LoadGenerator",
     "LoadReport",

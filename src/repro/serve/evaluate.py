@@ -13,20 +13,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.metrics import (
+    METHOD_LABELS,
     MethodResult,
     usage_percent,
     violation_percent,
 )
 from repro.serve.loadgen import LoadGenerator
 from repro.serve.policy_store import PolicySnapshot
-
-#: Result labels per snapshot method (matches the trained units).
-METHOD_LABELS = {
-    "onslicing": "OnSlicing",
-    "onrl": "OnRL",
-    "baseline": "Baseline",
-    "model_based": "Model_Based",
-}
 
 
 def evaluate_snapshot(snapshot: PolicySnapshot, scenario=None,

@@ -114,7 +114,6 @@ class LoadGenerator:
     def __init__(self, snapshot: PolicySnapshot, scenario,
                  slices: Optional[int] = None,
                  seed: Optional[int] = None,
-                 eta: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
                  trace_attrs: Optional[Dict[str, object]] = None,
                  slo: Optional[SloEvaluator] = None,
@@ -134,7 +133,7 @@ class LoadGenerator:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.service = SlicingService(
-            snapshot, cfg=self.cfg, eta=eta, telemetry=self.telemetry,
+            snapshot, cfg=self.cfg, telemetry=self.telemetry,
             rng_seed=self.seed, trace_attrs=trace_attrs)
         self.simulator = self.spec.build_simulator(
             self.cfg, rng=np.random.default_rng(self.cfg.seed))

@@ -100,10 +100,6 @@ class PolicySnapshot:
                             "config": self.config,
                             "policies": self.policies})
 
-    def slice_apps(self) -> Dict[str, str]:
-        return {name: payload["app"]
-                for name, payload in self.policies.items()}
-
 
 @dataclass(frozen=True)
 class SnapshotInfo:

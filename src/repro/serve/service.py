@@ -66,6 +66,13 @@ DECISION_STAGES = ("assemble", "forward", "fallback", "coordinate")
 _KIND_COLUMNS = np.fromiter(CONSTRAINED_RESOURCES.values(), dtype=np.intp)
 _CAPACITY = 1.0
 
+#: Eq. 14 sub-gradient rounds a cell may take per decision, and the
+#: slack over capacity its totals may keep without another round (the
+#: final projection clips whatever is left).
+MAX_COORDINATION_ROUNDS = 8
+COORDINATION_TOLERANCE = 1e-3
+_LIMIT = _CAPACITY + COORDINATION_TOLERANCE
+
 #: Decisions a cell may have buffered before its telemetry is folded
 #: without being asked (:meth:`DecisionCore.flush`).
 PENDING_SLOTS = 128
@@ -185,9 +192,6 @@ class SlicingService:
         horizon).  Defaults to the snapshot's training config; the load
         generator passes the scenario config so a 3-slice snapshot can
         serve a ``population(50)`` cell.
-    eta:
-        Risk preference of the fallback criterion (Eq. 8); defaults to
-        the snapshot config's switching eta.
     trace_attrs:
         Attributes stamped onto every trace row this cell's decisions
         leave (the fleet layer passes ``cell``/``scenario`` so traces
@@ -208,10 +212,7 @@ class SlicingService:
 
     def __init__(self, snapshot: PolicySnapshot,
                  cfg: Optional[ExperimentConfig] = None,
-                 eta: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
-                 max_coordination_rounds: int = 8,
-                 tolerance: float = 1e-3,
                  rng_seed: Optional[int] = None,
                  trace_attrs: Optional[Mapping[str, object]] = None,
                  slo=None,
@@ -219,8 +220,8 @@ class SlicingService:
                  anomaly=None) -> None:
         self.snapshot = snapshot
         self.cfg = cfg if cfg is not None else snapshot.config
-        self.eta = eta if eta is not None \
-            else snapshot.config.agent.switching.eta
+        #: Risk preference of the fallback criterion (Eq. 8).
+        self.eta = snapshot.config.agent.switching.eta
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.horizon = self.cfg.traffic.slots_per_episode
@@ -229,8 +230,6 @@ class SlicingService:
         self._step_size = self.cfg.agent.modifier.coordinator_step_size
         if self._step_size <= 0:
             raise ValueError("step_size must be positive")
-        self._max_rounds = max_coordination_rounds
-        self._tolerance = tolerance
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -486,10 +485,8 @@ class _Plan:
                 summed[self.starts[positions][:, None]
                        + np.arange(count)],
                 np.empty((len(_KIND_COLUMNS), len(positions), count))))
-        # Eq. 14 constants of the asked cells
+        # Eq. 14 step sizes of the asked cells
         self.step = core._step[self.index][:, None]
-        self.limit = core._limit[self.index][:, None]
-        self.max_rounds = core._max_rounds[self.index]
         # what every slot's telemetry block starts from, and the
         # answers of a plan no learned policy serves
         self.share = self.counts / self.rows
@@ -561,10 +558,6 @@ class DecisionCore:
         self._betas = np.zeros((count, len(_KIND_COLUMNS)))
         self._latched = np.zeros(int(self._slice_starts[-1]), dtype=bool)
         self._step = np.asarray([s._step_size for s in self.services])
-        self._limit = np.asarray([_CAPACITY + s._tolerance
-                                  for s in self.services])
-        self._max_rounds = np.asarray([s._max_rounds
-                                       for s in self.services])
         self._horizon = np.asarray([s.horizon for s in self.services],
                                    dtype=float)
         self._eta = np.asarray([s.eta for s in self.services],
@@ -787,8 +780,8 @@ class DecisionCore:
         prices = self._betas[plan.index]
         totals = plan.allocate(requested, prices)
         rounds = np.ones(len(plan.cells), dtype=np.intp)
-        over = (totals > plan.limit).any(axis=1)
-        live = over & (rounds < plan.max_rounds)
+        over = (totals > _LIMIT).any(axis=1)
+        live = over & (rounds < MAX_COORDINATION_ROUNDS)
         while live.any():
             rounds += live
             prices = np.where(
@@ -797,15 +790,15 @@ class DecisionCore:
                            0.0),
                 prices)
             totals = plan.allocate(requested, prices)
-            over = (totals > plan.limit).any(axis=1)
-            live = over & (rounds < plan.max_rounds)
+            over = (totals > _LIMIT).any(axis=1)
+            live = over & (rounds < MAX_COORDINATION_ROUNDS)
         if rounds.max() > 1:
             self._betas[plan.index] = prices
             self._counters["extra_rounds"] += int(rounds.sum()) \
                 - len(rounds)
         allocated = plan.allocated
         if over.any():
-            scale = np.where(totals > plan.limit,
+            scale = np.where(totals > _LIMIT,
                              _CAPACITY / np.maximum(totals, 1e-12), 1.0)
             allocated = allocated * scale.T[:, plan.cell_of_row]
             self._counters["projections"] += int(over.sum())

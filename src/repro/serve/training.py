@@ -28,7 +28,8 @@ from repro.serve.policy_store import (
 DEFAULT_STORE_DIR = ".repro_policies"
 
 #: Paper-equivalent full schedules scaled by ``scale`` (the same
-#: shrink rule the robustness artefact uses).
+#: shrink rule the robustness artefact uses, whose learners train for
+#: more epochs: it passes its own ``full_epochs``).
 FULL_EPOCHS = 12
 FULL_OFFLINE_EPISODES = 4
 FULL_EXPLORATION_EPISODES = 6
@@ -38,13 +39,15 @@ def train_snapshot(method: str, scenario="default",
                    scale: float = 0.1, seed: int = 42,
                    name: Optional[str] = None,
                    store: Optional[PolicyStore] = None,
-                   cfg: Optional[ExperimentConfig] = None
+                   cfg: Optional[ExperimentConfig] = None,
+                   full_epochs: int = FULL_EPOCHS
                    ) -> PolicySnapshot:
     """Train ``method`` on ``scenario`` and build a snapshot.
 
     ``scale`` shrinks the training schedule exactly like the artefact
-    generators; the static methods (baseline / model_based) have no
-    schedule and ignore it.  When ``store`` is given the snapshot is
+    generators: the learners run ``full_epochs`` online epochs at
+    ``scale`` 1.  The static methods (baseline / model_based) have no
+    schedule and ignore both.  When ``store`` is given the snapshot is
     saved (version assigned) before being returned.
     """
     from repro.experiments import harness
@@ -56,8 +59,8 @@ def train_snapshot(method: str, scenario="default",
                else ExperimentConfig())
     name = name or f"{method}-{scenario_name}-seed{seed}"
 
+    epochs = schedule_epochs(scale, full_epochs)
     if method == "onslicing":
-        epochs = schedule_epochs(scale, FULL_EPOCHS)
         bundle = harness.build_onslicing(
             cfg,
             offline_episodes=max(
@@ -71,7 +74,6 @@ def train_snapshot(method: str, scenario="default",
                                       scenario=scenario_name,
                                       seed=seed)
     elif method == "onrl":
-        epochs = schedule_epochs(scale, FULL_EPOCHS)
         trained = harness.train_onrl(cfg, epochs=epochs,
                                      episodes_per_epoch=2, seed=seed,
                                      scenario=spec)

@@ -161,15 +161,6 @@ class ChannelProcess:
     def cqis(self) -> np.ndarray:
         return np.asarray(self.cqi, dtype=int)
 
-    @property
-    def snrs_db(self) -> np.ndarray:
-        return np.asarray(self.snr_db)
-
-    @property
-    def margins_db(self) -> np.ndarray:
-        """Per-user channel margin (current SNR minus per-user mean)."""
-        return self.snr_db - self.mean_snr_db
-
     def average_cqi(self) -> float:
         """Mean reported CQI -- the ``h_{t-1}`` state feature."""
         return float(self.cqis.mean())

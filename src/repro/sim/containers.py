@@ -86,11 +86,6 @@ class ContainerRuntime:
         except KeyError as exc:
             raise KeyError(f"no container {name!r}") from exc
 
-    def by_label(self, key: str, value: str) -> Iterator[Container]:
-        for container in self._containers.values():
-            if container.labels.get(key) == value:
-                yield container
-
     @property
     def allocated_cpu_share(self) -> float:
         return sum(c.cpu_share for c in self._containers.values()

@@ -14,8 +14,7 @@ burst noise per bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -80,19 +79,3 @@ class TelecomItaliaSynthesizer:
             mean=-0.5 * cfg.noise_sigma ** 2, sigma=cfg.noise_sigma,
             size=n)
         return np.clip(profile * noise, 0.0, 1.2)
-
-    def slots_per_day(self) -> int:
-        """Number of slots in 24 hours at the configured cadence."""
-        return max(int(round(24.0 * 60.0 / self.cfg.slot_minutes)), 1)
-
-    def generate_days(self, num_days: int,
-                      start_day_of_week: int = 0) -> np.ndarray:
-        """One contiguous trace covering ``num_days`` full days.
-
-        A single :meth:`generate` call so weekday bookkeeping (and the
-        noise stream) is continuous across day boundaries.
-        """
-        if num_days <= 0:
-            raise ValueError("num_days must be positive")
-        return self.generate(num_days * self.slots_per_day(),
-                             day_of_week=start_day_of_week)

@@ -88,7 +88,3 @@ class TransportFabric:
         if not 0 <= path_index < self.num_paths:
             raise ValueError(f"path index out of range: {path_index}")
         return self._path_hops[path_index]
-
-    def shortest_path_nodes(self, path_index: int) -> List[str]:
-        """The node sequence of a reserved path (for inspection/tests)."""
-        return build_topology(self.cfg)[path_index]

@@ -11,9 +11,12 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
 row-wise path to it: same reports, digests, telemetry and generator
-state.  Nothing under ``src/`` imports this module.  One edit since:
+state.  Nothing under ``src/`` imports this module.  Two edits since:
 ``_fallback_flags`` asks pi_phi only about slices not yet switched
-(the core skips latched rows), so generator states still compare.
+(the core skips latched rows), so generator states still compare; and
+the Eq. 14 round limit and tolerance and the Eq. 8 eta are no longer
+parameters (the service reads the first two from module constants
+and eta from the snapshot config, with the same values).
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from repro.serve.loadgen import (
 )
 from repro.serve.policy_store import PolicySnapshot
 from repro.serve.service import (
+    COORDINATION_TOLERANCE,
     DECISION_STAGES,
+    MAX_COORDINATION_ROUNDS,
     Decision,
     DecisionRequest,
     _LearnedPolicy,
@@ -59,9 +64,6 @@ class SlicingService:
         horizon).  Defaults to the snapshot's training config; the load
         generator passes the scenario config so a 3-slice snapshot can
         serve a ``population(50)`` cell.
-    eta:
-        Risk preference of the fallback criterion (Eq. 8); defaults to
-        the snapshot config's switching eta.
     trace_attrs:
         Attributes stamped onto every span this service emits (the
         fleet layer passes ``cell``/``scenario`` so traces attribute
@@ -82,10 +84,7 @@ class SlicingService:
 
     def __init__(self, snapshot: PolicySnapshot,
                  cfg: Optional[ExperimentConfig] = None,
-                 eta: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
-                 max_coordination_rounds: int = 8,
-                 tolerance: float = 1e-3,
                  rng_seed: Optional[int] = None,
                  trace_attrs: Optional[Mapping[str, object]] = None,
                  slo=None,
@@ -93,8 +92,7 @@ class SlicingService:
                  anomaly=None) -> None:
         self.snapshot = snapshot
         self.cfg = cfg if cfg is not None else snapshot.config
-        self.eta = eta if eta is not None \
-            else snapshot.config.agent.switching.eta
+        self.eta = snapshot.config.agent.switching.eta
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.horizon = self.cfg.traffic.slots_per_episode
@@ -103,8 +101,8 @@ class SlicingService:
         self._coordinator = ParameterCoordinator(
             CONSTRAINED_RESOURCES,
             step_size=self.cfg.agent.modifier.coordinator_step_size)
-        self._max_rounds = max_coordination_rounds
-        self._tolerance = tolerance
+        self._max_rounds = MAX_COORDINATION_ROUNDS
+        self._tolerance = COORDINATION_TOLERANCE
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -405,7 +403,6 @@ class LoadGenerator:
     def __init__(self, snapshot: PolicySnapshot, scenario,
                  slices: Optional[int] = None,
                  seed: Optional[int] = None,
-                 eta: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
                  trace_attrs: Optional[Dict[str, object]] = None,
                  slo: Optional[SloEvaluator] = None,
@@ -425,7 +422,7 @@ class LoadGenerator:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.service = SlicingService(
-            snapshot, cfg=self.cfg, eta=eta, telemetry=self.telemetry,
+            snapshot, cfg=self.cfg, telemetry=self.telemetry,
             rng_seed=self.seed, trace_attrs=trace_attrs)
         self.simulator = self.spec.build_simulator(
             self.cfg, rng=np.random.default_rng(self.cfg.seed))

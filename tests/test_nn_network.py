@@ -53,7 +53,7 @@ class TestMLP:
         a = MLP(3, 2, hidden_sizes=(4,), rng=rng)
         b = MLP(3, 2, hidden_sizes=(4,),
                 rng=np.random.default_rng(99))
-        b.copy_from(a)
+        b.set_weights(a.get_weights())
         x = rng.standard_normal((5, 3))
         np.testing.assert_allclose(a.forward(x), b.forward(x))
 

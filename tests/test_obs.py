@@ -2,7 +2,7 @@
 
 Covers the four obs pillars end to end: structured tracing (span
 nesting, sampling, cross-process merge, the shard-invariant
-attributed digest), the generalized metrics registry (gauges, labels,
+attributed digest), the generalized metrics registry (labels,
 Prometheus export, the serve re-export), the perf-trajectory
 recorder (record/validate/load), and the opt-in kernel profiler -- plus the determinism contracts the layer
 must never break (golden workload digests with tracing on).
@@ -20,7 +20,6 @@ from repro.fleet import FleetSpec, plan_shards, run_fleet_shard
 from repro.obs import bench
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     Telemetry,
     instrument_key,
@@ -215,16 +214,6 @@ def test_fleet_trace_digest_invariant_to_shard_count(snapshot,
 
 
 class TestMetrics:
-    def test_gauge_set_inc_dec_and_additive_merge(self):
-        a, b = Telemetry(), Telemetry()
-        a.gauge("active_cells").set(3.0)
-        a.gauge("active_cells").inc(2.0)
-        a.gauge("active_cells").dec()
-        b.gauge("active_cells").set(5.0)
-        a.merge(b)
-        assert a.gauge("active_cells").value == 9.0
-        assert a.gauge("active_cells").snapshot()["type"] == "gauge"
-
     def test_instrument_key_roundtrip_and_bare_names(self):
         key = instrument_key("lat", {"cell": "3", "scenario": "bursty"})
         assert key == 'lat{cell="3",scenario="bursty"}'
@@ -254,18 +243,21 @@ class TestMetrics:
         telemetry = Telemetry()
         telemetry.counter("x")
         with pytest.raises(ValueError):
-            telemetry.gauge("x")
+            telemetry.histogram("x")
+        telemetry.histogram("y")
+        with pytest.raises(ValueError):
+            telemetry.counter("y")
 
     def test_prometheus_export_format(self):
         telemetry = Telemetry()
         telemetry.counter("decisions").inc(3.0)
-        telemetry.gauge("queue_depth", {"cell": "2"}).set(7.0)
+        telemetry.counter("sla_episodes", {"app": "mar"}).inc(7.0)
         for value in (1.0, 2.0, 3.0):
             telemetry.histogram("latency_ms").observe(value)
         text = telemetry.export_prometheus()
         assert "# TYPE decisions_total counter" in text
         assert "decisions_total 3" in text
-        assert 'queue_depth{cell="2"} 7' in text
+        assert 'sla_episodes_total{app="mar"} 7' in text
         assert 'latency_ms{quantile="0.5"} 2' in text
         assert "latency_ms_sum 6" in text
         assert "latency_ms_count 3" in text
@@ -346,7 +338,6 @@ class TestMetrics:
         from repro import serve
 
         assert serve.Counter is Counter
-        assert serve.Gauge is Gauge
         assert serve.Histogram is Histogram
         assert serve.Telemetry is Telemetry
 

@@ -45,12 +45,6 @@ class TestRolloutBuffer:
         batch = buf.get(normalize_advantages=False)
         np.testing.assert_allclose(batch["returns"], [11.0])
 
-    def test_discard_episode(self):
-        buf = RolloutBuffer()
-        buf.add(_transition())
-        buf.discard_episode()
-        assert len(buf) == 0 and buf.pending_length == 0
-
     def test_gae_matches_manual(self):
         gamma, lam = 0.9, 0.8
         buf = RolloutBuffer(gamma=gamma, gae_lambda=lam)

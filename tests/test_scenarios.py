@@ -491,12 +491,6 @@ class TestTrafficSynthesizerFixes:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_generate_days_continuous(self):
-        synth = TelecomItaliaSynthesizer(TrafficConfig(noise_sigma=0.0))
-        trace = synth.generate_days(2, start_day_of_week=4)
-        assert trace.shape == (192,)
-        assert trace[96:].mean() < trace[:96].mean()  # Saturday damped
-
 
 class TestSerialization:
     def test_event_roundtrip(self):

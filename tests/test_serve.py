@@ -643,6 +643,28 @@ class TestSnapshotEvaluation:
                    methods=("onrl",), snapshot_store=str(tmp_path))
         assert len(store.versions(store.latest("onrl").name)) == 1
 
+    #: Content digests of the robustness matrix's train-once snapshots
+    #: at scale 0.02, seed 42, as recorded when the matrix still had a
+    #: training loop of its own: its schedule is train_snapshot's with
+    #: a 40-epoch rule.
+    ROBUSTNESS_SNAPSHOT_DIGESTS = {
+        "onrl": "cd3b37dead76713638ab7bd8047db7ea75dc78c1"
+                "10c498b30ccb95daddda6c9c",
+        "onslicing": "3719f6c5ea8cb3c40e4f56810e939d5fc805dbe3"
+                     "64556175fca5fe8c715030ad",
+    }
+
+    @pytest.mark.parametrize("method", ["onrl", "onslicing"])
+    def test_robustness_snapshots_train_through_train_snapshot(
+            self, method, tmp_path):
+        from repro.experiments.robustness import _ensure_snapshots
+
+        snapshot = _ensure_snapshots(str(tmp_path), [method],
+                                     scale=0.02, seed=42)[method]
+        assert snapshot.name == f"robustness-{method}-s0p02-seed42"
+        assert snapshot.digest == \
+            self.ROBUSTNESS_SNAPSHOT_DIGESTS[method]
+
     def test_train_snapshot_static_methods(self, tmp_path, tiny_cfg):
         store = PolicyStore(str(tmp_path))
         snapshot = train_snapshot("model_based",

@@ -53,12 +53,6 @@ class TestContainerRuntime:
         rt.stop("b")
         assert not rt.cpu_overcommitted()
 
-    def test_by_label(self):
-        rt = ContainerRuntime(8.0, 32.0)
-        rt.run("a", "i", labels={"slice": "MAR"})
-        rt.run("b", "i", labels={"slice": "HVS"})
-        assert [c.name for c in rt.by_label("slice", "MAR")] == ["a"]
-
     def test_remove(self):
         rt = ContainerRuntime(8.0, 32.0)
         rt.run("a", "i")

@@ -172,7 +172,7 @@ class TestChannelProcess:
         snrs = []
         for _ in range(400):
             chan.step()
-            snrs.append(chan.snrs_db.copy())
+            snrs.append(chan.snr_db.copy())
         mean = np.mean(snrs)
         assert abs(mean - 18.0) < 1.0
 
@@ -200,8 +200,8 @@ def test_bank_step_is_the_sequential_channel_steps(slices, users):
         assert cqi.shape == margin.shape == (slices, users)
         for row, channel in enumerate(reference):
             np.testing.assert_array_equal(cqi[row], channel.cqis)
-            np.testing.assert_array_equal(margin[row],
-                                          channel.margins_db)
+            np.testing.assert_array_equal(
+                margin[row], channel.snr_db - channel.mean_snr_db)
         for mine, channel in zip(net.channels.values(), reference):
             np.testing.assert_array_equal(mine.snr_db, channel.snr_db)
     assert net._rng.bit_generator.state == rng.bit_generator.state

@@ -168,8 +168,7 @@ class TestTransport:
         paths = build_topology(cfg)
         assert len(paths) == cfg.num_paths
         fabric = TransportFabric(cfg)
-        for k in range(cfg.num_paths):
-            nodes = fabric.shortest_path_nodes(k)
+        for k, nodes in enumerate(paths):
             assert nodes[0] == "ran" and nodes[-1] == "core"
             assert len(nodes) - 1 == fabric.path_hops(k)
 

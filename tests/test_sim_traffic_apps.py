@@ -55,17 +55,10 @@ class TestTraffic:
         weekend = synth2.generate(day_of_week=6).mean()
         assert weekend < weekday
 
-    def test_generate_days_concatenates(self):
-        synth = TelecomItaliaSynthesizer()
-        trace = synth.generate_days(3)
-        assert trace.shape == (3 * 96,)
-
     def test_invalid_lengths(self):
         synth = TelecomItaliaSynthesizer()
         with pytest.raises(ValueError):
             synth.generate(0)
-        with pytest.raises(ValueError):
-            synth.generate_days(0)
 
 
 class TestPoisson:

@@ -34,6 +34,7 @@ from repro.obs.metrics import (
     Telemetry,
     _bucket_index,
     read_jsonl,
+    read_telemetry,
 )
 from repro.obs.slo import (
     DIGEST_FIELDS,
@@ -825,4 +826,32 @@ class TestCliSurface:
         assert main(argv + [flipped]) == 2
         message = capsys.readouterr().err.strip()
         assert f"{flipped}:2: " in message
+        assert len(message.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "watch", "--once", "--telemetry-dir"],
+        ["obs", "diagnose"]])
+    def test_export_histogram_without_state_is_refused(
+            self, argv, tmp_path, capsys):
+        """Exports carry histogram states.  A histogram row with
+        percentile readouts only is not judged from them: ``ValueError``
+        naming the file from the library, exit 2 and one line on
+        stderr from the CLI."""
+        telemetry = counters(decisions=8, fallbacks=1)
+        telemetry.histogram("slice_latency_ms").observe(594.0)
+        rows = read_jsonl(telemetry.export_jsonl(
+            str(tmp_path / "full.jsonl")))
+        exports = tmp_path / "exports"
+        exports.mkdir()
+        readouts = str(exports / "readouts.jsonl")
+        with open(readouts, "w", encoding="utf-8") as fh:
+            for row in rows:
+                row.pop("state", None)
+                fh.write(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(readouts)):
+            read_telemetry(str(exports))
+        capsys.readouterr()
+        assert main(argv + [str(exports)]) == 2
+        message = capsys.readouterr().err.strip()
+        assert readouts in message and "slice_latency_ms" in message
         assert len(message.splitlines()) == 1

@@ -5,13 +5,17 @@ whatever order shards happen to finish, possibly tree-wise.  These
 tests pin the algebra that makes that safe: ``Histogram.merge`` /
 ``Telemetry.merge`` are order-invariant and associative over
 *randomized* shard splits -- any partition of one observation stream,
-merged in any order or grouping, yields the same aggregate.
+merged in any order or grouping, yields the same aggregate -- and a
+JSONL export read back is the registry it was written from.
 
 Sample values are multiples of 1/64 (exactly representable in binary
 floating point), so sums compare bit-equal across merge orders; with
 arbitrary floats the sums would only agree to rounding, which is a
 float artefact, not a telemetry property.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     Telemetry,
+    read_telemetry,
 )
 
 
@@ -367,3 +372,44 @@ def test_bulk_trace_count_is_that_many_empty_spans(outer, inner):
     assert rollup[("shard/serve.decide",
                    (("cell", "3"), ("scenario", "bursty")))] == {
         "count": 2, "total_ms": 500.0, "child_ms": 250.0, "sampled": 0}
+
+
+# ---- export -> read back ---------------------------------------------
+
+
+@st.composite
+def registries(draw):
+    """Labeled and bare counters, and histograms on both sides of the
+    exact-sample fold."""
+    telemetry = Telemetry()
+    for index in range(draw(st.integers(min_value=0, max_value=4))):
+        labels = draw(st.sampled_from(
+            [None, {"cause": "eq8"}, {"app": "mar", "cell": "3"}]))
+        telemetry.counter(f"c{index}", labels).inc(
+            draw(st.floats(min_value=0.0, max_value=1e9)))
+    for index in range(draw(st.integers(min_value=0, max_value=3))):
+        labels = draw(st.sampled_from([None, {"app": "hvs"}]))
+        bulk = draw(st.sampled_from(
+            [0, 1, 40, EXACT_SAMPLE_LIMIT, EXACT_SAMPLE_LIMIT + 30]))
+        seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+        values = np.random.default_rng(seed).lognormal(
+            0.0, 3.0, size=bulk).tolist()
+        values += draw(st.lists(SAMPLES, max_size=8))
+        telemetry.histogram(f"h{index}", labels).observe_many(values)
+    return telemetry
+
+
+@given(registries())
+@settings(max_examples=40, deadline=None)
+def test_export_reads_back_the_registry(telemetry):
+    with tempfile.TemporaryDirectory() as directory:
+        back = read_telemetry(telemetry.export_jsonl(
+            os.path.join(directory, "run.jsonl")))
+    assert {key: counter.value for key, counter
+            in back.counters().items()} == \
+        {key: counter.value for key, counter
+         in telemetry.counters().items()}
+    assert {key: histogram.state() for key, histogram
+            in back.histograms().items()} == \
+        {key: histogram.state() for key, histogram
+         in telemetry.histograms().items()}
