@@ -9,7 +9,10 @@ ratio's denominator; the path is deleted, and what the two had to
 agree on is now ``tests/test_serve.py::test_batched_matches_unbatched``
 (one N-row ``decide`` vs N one-row ``decide``s).
 ``test_serve_fleet_shard`` records the other regime: many small cells
-decided by one ``decide_rows`` call per slot.
+decided by one ``decide_rows`` call per slot, and
+``test_serve_fleet_onslicing`` the same regime on a learned snapshot,
+where every cell's group of one snapshot policy rides one pi_theta
+forward and one pi_phi pass per slot.
 ``test_serve_store_roundtrip`` times the policy store's save and
 digest-verified load of an OnSlicing snapshot and gates the load.
 """
@@ -113,6 +116,23 @@ SHARD_SLOTS = 96
 SHARD_EPISODES = 2
 
 
+def _timed_shard(benchmark, monkeypatch, plan, snapshot):
+    """``run_fleet_shard`` once under the benchmark timer; returns its
+    result and the (largest) decision core it built."""
+    cores = []
+    build = DecisionCore.__init__
+
+    def spy(core, services):
+        build(core, services)
+        cores.append(core)
+
+    monkeypatch.setattr(DecisionCore, "__init__", spy)
+    result = run_once(benchmark, run_fleet_shard, plan,
+                      snapshot=snapshot)
+    monkeypatch.undo()
+    return result, max(cores, key=lambda c: len(c.services))
+
+
 def test_serve_fleet_shard(benchmark, monkeypatch):
     """Ungated trajectory case: one 32-cell ``ROBUSTNESS_MATRIX``
     shard on the rule-based snapshot through ``run_fleet_shard`` --
@@ -129,19 +149,7 @@ def test_serve_fleet_shard(benchmark, monkeypatch):
     plan, = plan_shards(spec, 1, "unused", snapshot.ref,
                         snapshot.digest)
     run_fleet_shard(plan, snapshot=snapshot)             # warm-up
-    cores = []
-    build = DecisionCore.__init__
-
-    def spy(core, services):
-        build(core, services)
-        cores.append(core)
-
-    monkeypatch.setattr(DecisionCore, "__init__", spy)
-    result = run_once(benchmark, run_fleet_shard, plan,
-                      snapshot=snapshot)
-    monkeypatch.undo()
-
-    core = max(cores, key=lambda c: len(c.services))
+    result, core = _timed_shard(benchmark, monkeypatch, plan, snapshot)
     assert len(core.services) == SHARD_CELLS
     counters = dict(core.counters)
     slots = SHARD_SLOTS * SHARD_EPISODES
@@ -158,6 +166,57 @@ def test_serve_fleet_shard(benchmark, monkeypatch):
                            in sorted(counters.items())))
     assert counters["decide_calls"] == slots
     assert counters["telemetry_folds"] == SHARD_CELLS * SHARD_EPISODES
+
+
+#: The learned fleet case: OnSlicing cells x slots of one shard over
+#: the scenarios of the e2e ``fleet_onslicing`` workload.
+ONSLICING_CELLS = 12
+ONSLICING_SCENARIOS = ("default", "lte_fixed_mcs", "transport_brownout")
+
+
+def test_serve_fleet_onslicing(benchmark, monkeypatch):
+    """Ungated trajectory case: a 12-cell OnSlicing shard, 96 slots.
+
+    Each cell routes its slices onto the snapshot's three policies, so
+    a slot holds 36 learned (cell, policy) groups; the core runs one
+    pi_theta forward per snapshot policy and row count and one pi_phi
+    pass per snapshot policy and open-row count, every cell's group a
+    slab of it.  Records decisions/s over the shard's wall time and,
+    per slot, the (cell, policy) groups, forwards and pi_phi passes.
+    """
+    cfg = get_scenario("default").build_config()
+    snapshot = snapshot_onslicing(
+        "bench-fleet-onslicing",
+        build_onslicing(cfg, offline_episodes=1, exploration_episodes=1,
+                        seed=11), seed=11)
+    spec = FleetSpec(name="bench-fleet-onslicing", cells=ONSLICING_CELLS,
+                     scenarios=ONSLICING_SCENARIOS, slots=SHARD_SLOTS,
+                     seed=7)
+    plan, = plan_shards(spec, 1, "unused", snapshot.ref,
+                        snapshot.digest)
+    run_fleet_shard(plan, snapshot=snapshot)             # warm-up
+    result, core = _timed_shard(benchmark, monkeypatch, plan, snapshot)
+    assert len(core.services) == ONSLICING_CELLS
+    counters = dict(core.counters)
+    slots = counters["decide_calls"]
+    groups = int(core._plan.groups.sum())
+    rate = result.decisions / result.elapsed_s
+    per_slot = {"groups_per_slot": groups,
+                "forwards_per_slot": counters["forward_calls"] / slots,
+                "posterior_passes_per_slot":
+                    counters["posterior_calls"] / slots}
+    benchmark.extra_info["decisions_per_sec"] = rate
+    benchmark.extra_info.update(per_slot)
+    benchmark.extra_info["serve_counters"] = counters
+    print(f"\nOnSlicing fleet shard ({ONSLICING_CELLS} cells x "
+          f"{SHARD_SLOTS} slots, {result.decisions} decisions): "
+          f"{rate:,.0f} decisions/s; per slot "
+          + ", ".join(f"{name[:-len('_per_slot')]} {value:g}"
+                      for name, value in per_slot.items()))
+    assert slots == SHARD_SLOTS
+    assert per_slot["forwards_per_slot"] == len(core._plan.forwards) \
+        < groups
+    assert 0 < per_slot["posterior_passes_per_slot"] < groups
 
 
 #: ``(rows, latched)`` per pi_phi case: one slice per policy (the

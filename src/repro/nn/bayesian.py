@@ -241,6 +241,15 @@ class BayesianMLP(Module):
             vlayer.accumulate_kl_grad(kl_weight, self.prior_std)
         return nll, kl
 
+    def noise_shape(self, rows: int, num_samples: int) -> Tuple[int, int]:
+        """The ``(num_samples, rows * sum of layer widths)`` block of
+        standard normals one posterior over ``rows`` inputs reads."""
+        if num_samples < 1:
+            raise ValueError(
+                f"num_samples must be >= 1, got {num_samples}")
+        return num_samples, rows * sum(v.out_features
+                                       for v in self._vlayers)
+
     def predict(self, x: np.ndarray, num_samples: int = 16,
                 rng: Optional[np.random.Generator] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,52 +257,64 @@ class BayesianMLP(Module):
 
         Monte-Carlo over ``num_samples`` stochastic forward passes
         (epistemic uncertainty), folding in the learned observation
-        noise (aleatoric).  Accepts single or batched inputs.
-
-        The passes run together: posterior scales are computed once,
-        the samples ride the leading axis of ``(S, n, k) @ (k, m)``
-        (numpy issues one ``(n, k) @ (k, m)`` product per sample), and
-        all noise is one block laid out sample-major / layer-minor --
-        the order ``num_samples`` consecutive :meth:`forward` calls
-        would draw it in.  Results and the generator state left behind
-        are therefore bit-identical to that loop, which survives as the
-        oracle in ``tests/test_nn_bayesian.py``.  The layers' shared
-        generator (the constructor's, or ``rng``, which rebinds them
-        all) supplies the block.
+        noise (aleatoric).  Accepts single or batched inputs.  The
+        layers' shared generator (the constructor's, or ``rng``, which
+        rebinds them all) supplies one :meth:`noise_shape` block, and
+        the passes are :meth:`predict_groups` with one group.
         """
-        if num_samples < 1:
-            raise ValueError(
-                f"num_samples must be >= 1, got {num_samples}")
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         out = np.atleast_2d(x)
+        shape = self.noise_shape(len(out), num_samples)
         if rng is not None:
             for vlayer in self._vlayers:
                 vlayer._rng = rng
-        rows = out.shape[0]
-        noise = self._vlayers[0]._rng.standard_normal(
-            (num_samples,
-             rows * sum(v.out_features for v in self._vlayers)))
+        noise = self._vlayers[0]._rng.standard_normal(shape)
+        mean, std = self.predict_groups(out[None], noise[None])
+        if single:
+            return mean[0, 0], std[0, 0]
+        return mean[0], std[0]
+
+    def predict_groups(self, x: np.ndarray, noise: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior-predictive ``(mean, std)``, each ``(G, n, out)``,
+        of ``G`` groups of ``n`` inputs ``x`` ``(G, n, in)`` under
+        ``noise`` ``(G, S, n * sum of layer widths)``: group ``g``
+        reads ``noise[g]``, a :meth:`noise_shape` block.
+
+        The ``S`` passes run together and every group is its own slab:
+        posterior scales are computed once, layer 0's moments once per
+        group (its input is the same for every sample), and the samples
+        ride a ``(G, S, n, k) @ (k, m)`` product that numpy dispatches as
+        one ``(n, k) @ (k, m)`` BLAS call per (group, sample) -- the
+        calls ``S`` consecutive :meth:`forward` passes over the group
+        alone make.  A block is read sample-major / layer-minor, the
+        order those passes would draw it in, and the sample axis is
+        reduced group-major (each group's ``(S, n, m)`` contiguous, as
+        a lone group's is; a sample-major ``(S, G, ...)`` layout sums a
+        strided axis in another order).  Every group's moments are
+        therefore bit-identical to that loop over the group alone,
+        which survives as the oracle in ``tests/test_nn_bayesian.py``.
+        """
+        groups, rows = x.shape[:2]
+        samples = noise.shape[1]
+        # a sample axis of one: layer 0's moments broadcast over it
+        out = np.asarray(x, dtype=np.float64)[:, None]
         offset = 0
         for layer in self.layers:
             if not isinstance(layer, VariationalDense):
                 out = layer.forward(out)
                 continue
-            # Layer 0 sees the 2-D input, so its moments are computed
-            # once and broadcast against the (S, n, m) noise.
             act_mean, act_std, _, _ = layer._moments(out)
             span = rows * layer.out_features
-            eps = noise[:, offset:offset + span].reshape(
-                num_samples, rows, layer.out_features)
+            eps = noise[:, :, offset:offset + span].reshape(
+                groups, samples, rows, layer.out_features)
             offset += span
             out = act_mean + act_std * eps
-        mean = out.mean(axis=0)
-        epistemic_var = out.var(axis=0)
+        mean = out.mean(axis=1)
+        epistemic_var = out.var(axis=1)
         noise_var = float(np.exp(2.0 * self.log_noise.value[0]))
-        std = np.sqrt(epistemic_var + noise_var)
-        if single:
-            return mean[0], std[0]
-        return mean, std
+        return mean, np.sqrt(epistemic_var + noise_var)
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass through the posterior means."""

@@ -83,14 +83,16 @@ class MLP(Module):
         ``states`` is a sequence of 1-D vectors (or an ``(n, in)``
         array); the result is always ``(n, out)``.  This is the serving
         fast path: N decisions cost one stacked matmul chain instead of
-        N python-level forward passes.
+        N python-level forward passes.  A ``(G, n, in)`` array runs G
+        groups in one chain, each slab bit-identical to its own
+        ``(n, in)`` forward (:meth:`Dense.forward`).
         """
         batch = np.asarray(states, dtype=np.float64)
         if batch.ndim == 1:
             batch = batch[None, :]
-        if batch.ndim != 2 or batch.shape[1] != self.in_features:
+        if batch.shape[-1] != self.in_features:
             raise ValueError(
-                f"expected (n, {self.in_features}) states, "
+                f"expected (..., n, {self.in_features}) states, "
                 f"got {batch.shape}")
         return self.forward(batch)
 

@@ -14,8 +14,10 @@ every row of every cell it is asked about.  State is arrays (the
 warm-started ``beta`` of Eq. 14 as ``(C, 3)``, the Eq. 8 latch as one
 boolean vector over every cell's slices), routing is one cached plan
 per name sequence, pi_b tables answer with one ``act_rows`` per table,
-the pi_phi posterior runs only on the rows that latch does not hold
-yet (a switched slice has nothing left for Eq. 8 to decide until
+pi_theta and the pi_phi posterior run once per snapshot policy for
+every cell at once (each cell's group a matmul slab, bit-identical to
+the group alone), the posterior only on the rows that latch does not
+hold yet (a switched slice has nothing left for Eq. 8 to decide until
 :meth:`SlicingService.begin_episode` re-arms it), Eq. 14 is segmented
 per cell (only the cells still over capacity take
 another sub-gradient round), and each cell's telemetry is buffered and
@@ -152,13 +154,16 @@ class _LearnedPolicy:
             self.estimator = estimator
 
     def act_rows(self, states: np.ndarray) -> np.ndarray:
-        """Deterministic pi_theta actions for a batch of states."""
+        """Deterministic pi_theta actions for ``(n, STATE_DIM)``
+        states, or for ``(G, n, STATE_DIM)`` groups stacked as slabs."""
         return self.model.mean_actions(states)
 
-    def cost_to_go(self, states: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched pi_phi posterior ``(mu, sigma)`` per state."""
-        mu, sigma = self.estimator.predict_batch(states)
+    def posterior(self, states: np.ndarray, noise: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The pi_phi posterior ``(mu, sigma)``, each ``(G, n)``, of
+        ``(G, n, STATE_DIM)`` groups of states under one
+        ``estimator.noise_shape(n)`` block of noise per group."""
+        mu, sigma = self.estimator.predict_groups(states, noise)
         return np.maximum(mu, 0.0), sigma
 
 
@@ -401,12 +406,12 @@ class _Plan:
         slice_ids: List[int] = []
         tables: Dict[int, tuple] = {}
         baselines: Dict[int, tuple] = {}
-        #: ``(policy, rows)`` per learned (cell, snapshot policy)
-        #: group, cell-major and in order of first appearance -- the
-        #: order each cell's generator is drawn from
-        self.learned: List[tuple] = []
-        #: ``(policy, span)`` per learned group that carries pi_phi and
-        #: pi_b: the group's rows are ``eq8_rows[span]``
+        forwards: Dict[tuple, tuple] = {}
+        #: per asked cell with pi_phi rows: its generator and its
+        #: ``(policy, stack, span)`` groups in order of first
+        #: appearance, the order the generator is drawn in (a group's
+        #: rows are ``eq8_rows[span]``; ``stack`` is what groups must
+        #: share to run as one pass: the snapshot object and policy)
         self.posteriors: List[tuple] = []
         eq8_rows: List[int] = []
         self.groups = np.zeros(len(self.cells), dtype=np.intp)
@@ -445,19 +450,23 @@ class _Plan:
                     groups.setdefault(key, []).append(row)
                 row += 1
             self.groups[position] = len(groups)
+            eq8_groups = []
             for key, rows in groups.items():
                 policy = service._policies[key]
                 summed.extend(rows)
-                self.learned.append((policy, np.asarray(rows,
-                                                        dtype=np.intp)))
+                stack = (id(service.snapshot), key)
+                forwards.setdefault((stack, len(rows)),
+                                    (policy, []))[1].append(rows)
                 if policy.estimator is None or policy.baseline is None:
                     continue
-                self.posteriors.append((policy, slice(
+                eq8_groups.append((policy, stack, slice(
                     len(eq8_rows), len(eq8_rows) + len(rows))))
                 eq8_rows.extend(rows)
                 baselines.setdefault(
                     id(policy.baseline),
                     (policy.baseline, []))[1].extend(rows)
+            if eq8_groups:
+                self.posteriors.append((service._rng, eq8_groups))
         self.slice_ids = np.asarray(slice_ids, dtype=np.intp)
         #: ``(table, rows)`` per pi_b table / analytic program serving
         #: rows directly, and per pi_b table standing behind learned
@@ -466,6 +475,11 @@ class _Plan:
                        for table, rows in tables.values()]
         self.baselines = [(table, np.asarray(rows, dtype=np.intp))
                           for table, rows in baselines.values()]
+        #: ``(policy, rows)`` per pi_theta forward: every learned
+        #: (cell, snapshot policy) group of one stack and row count, as
+        #: a ``(G, n)`` row index -- one slab per group
+        self.forwards = [(policy, np.asarray(rows, dtype=np.intp))
+                         for policy, rows in forwards.values()]
         self.eq8_rows = np.asarray(eq8_rows, dtype=np.intp)
         owner = self.cell_of_row[self.eq8_rows]
         self.eq8_horizon = core._horizon[self.index][owner]
@@ -569,7 +583,7 @@ class DecisionCore:
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
              "extra_rounds", "projections", "telemetry_folds",
-             "posterior_calls", "posterior_rows"), 0)
+             "forward_calls", "posterior_calls", "posterior_rows"), 0)
         self._pending = np.zeros(count, dtype=np.intp)
         self._buffer = np.empty((PENDING_SLOTS, count, _FIELDS))
         self._instruments: List[Optional[_CellInstruments]] = \
@@ -588,8 +602,10 @@ class DecisionCore:
         :meth:`decide_rows` calls and the rows they decided, routing
         plans built, Eq. 14 cell-rounds beyond each decision's first,
         cell-decisions that needed the capacity projection, per-cell
-        telemetry folds, and the pi_phi posterior calls made and the
-        (unlatched) rows they evaluated."""
+        telemetry folds, the pi_theta forwards run, and the pi_phi
+        passes run and the (unlatched) rows they evaluated -- a
+        forward or a pass serves every cell's group of one snapshot
+        policy and row count at once."""
         return MappingProxyType(dict(self._counters))
 
     def _segment(self, cell: int) -> np.ndarray:
@@ -670,6 +686,7 @@ class DecisionCore:
         counters = self._counters
         counters["decide_calls"] += 1
         counters["rows_decided"] += plan.rows
+        counters["forward_calls"] += len(plan.forwards)
         block = plan.block
         block[:, _ROUNDS] = rounds
         block[:, _PROJECTED] = projected
@@ -710,22 +727,32 @@ class DecisionCore:
         validation and table reads, since ``start``), forward and
         fallback stages.
 
+        Each (cell, snapshot policy) group is a slab: the groups of
+        one snapshot policy and row count -- every cell of a fleet
+        serving one snapshot -- share one pi_theta forward, a ``(G, n,
+        STATE_DIM)`` stack whose slab ``g`` numpy multiplies with the
+        very BLAS call the group alone would make.  Rows of different
+        groups are never merged into one matrix: a matrix product's
+        rows are not bit-stable across row counts (gemv against gemm
+        kernels), its slabs are.
+
         The switch is a one-way door, so a latched row has nothing
-        left to ask pi_phi: each (cell, snapshot policy) group's
-        posterior runs on its *open* rows only -- its noise, drawn
-        from the cell's own generator, covering just those rows --
-        and not at all once every row of the group is latched.  A
-        learned policy's forward runs once per (cell, snapshot
-        policy), the batch shape every digest was recorded under: a
-        matrix product's rows are not bit-stable across batch sizes
-        (gemv against gemm kernels), so rows of different cells are
-        not stacked into one forward.
+        left to ask pi_phi: a group's posterior covers its *open* rows
+        only, and a group the latch holds whole drops out.  The groups
+        left share one pass per snapshot policy and open-row count,
+        reduced group-major over the samples
+        (:meth:`~repro.nn.bayesian.BayesianMLP.predict_groups`), so
+        each group's ``(mu, sigma)`` is the float its own call gave.
+        Each cell draws one block of noise from its own generator,
+        covering its open groups in order: numpy fills it value by
+        value, so the values and the generator state left behind are
+        those of one draw per group.
         """
         actions = np.empty((plan.rows, NUM_ACTIONS))
         for table, rows in plan.tables:
             actions[rows] = table.act_rows(states[rows])
         assembled = time.perf_counter()
-        for policy, rows in plan.learned:
+        for policy, rows in plan.forwards:
             actions[rows] = policy.act_rows(states[rows])
         forwarded = time.perf_counter()
         fallback = held = plan.no_fallback
@@ -737,13 +764,35 @@ class DecisionCore:
             watched = states[plan.eq8_rows]
             mu = np.zeros(len(open_))
             sigma = np.zeros(len(open_))
+            # per stack and open-row count: the policy, each group's
+            # open positions in eq8_rows and its noise
+            passes: Dict[tuple, tuple] = {}
+            for rng, groups in plan.posteriors:
+                slabs = []
+                for policy, stack, span in groups:
+                    at = np.flatnonzero(open_[span]) + span.start
+                    if len(at):
+                        slabs.append((passes.setdefault(
+                            (stack, len(at)), (policy, [], [])), at,
+                            policy.estimator.noise_shape(len(at))))
+                if not slabs:
+                    continue
+                block = rng.standard_normal(sum(
+                    samples * width for _, _, (samples, width) in slabs))
+                end = 0
+                for (_, ats, noises), at, (samples, width) in slabs:
+                    begin, end = end, end + samples * width
+                    ats.append(at)
+                    noises.append(
+                        block[begin:end].reshape(samples, width))
+            for policy, ats, noises in passes.values():
+                at = np.asarray(ats)
+                # a lone group reads a view of its cell's block
+                noise = noises[0][None] if len(noises) == 1 \
+                    else np.stack(noises)
+                mu[at], sigma[at] = policy.posterior(watched[at], noise)
             counters = self._counters
-            for policy, span in plan.posteriors:
-                asked = open_[span]
-                if asked.any():
-                    mu[span][asked], sigma[span][asked] = \
-                        policy.cost_to_go(watched[span][asked])
-                    counters["posterior_calls"] += 1
+            counters["posterior_calls"] += len(passes)
             counters["posterior_rows"] += int(open_.sum())
             # Eq. 8: cumulative cost + the pi_phi posterior beyond the
             # episode budget means pi_b takes over; a latched row's

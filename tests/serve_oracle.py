@@ -11,12 +11,16 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
 row-wise path to it: same reports, digests, telemetry and generator
-state.  Nothing under ``src/`` imports this module.  Two edits since:
+state.  Nothing under ``src/`` imports this module.  Three edits since:
 ``_fallback_flags`` asks pi_phi only about slices not yet switched
-(the core skips latched rows), so generator states still compare; and
+(the core skips latched rows), so generator states still compare;
 the Eq. 14 round limit and tolerance and the Eq. 8 eta are no longer
 parameters (the service reads the first two from module constants
-and eta from the snapshot config, with the same values).
+and eta from the snapshot config, with the same values); and the
+per-group posterior call the service's policy object used to make
+(``cost_to_go``: ``estimator.predict_batch`` with ``mu`` clipped at
+zero) is spelled out in ``_fallback_flags``, since the core now runs
+its groups stacked.
 """
 
 from __future__ import annotations
@@ -340,7 +344,8 @@ class SlicingService:
                 or not asked.any():
             return flags
         states = states[asked]
-        mu, sigma = policy.cost_to_go(states)
+        mu, sigma = policy.estimator.predict_batch(states)
+        mu = np.maximum(mu, 0.0)
         thresholds = states[:, 7] * self.horizon       # T * C_max
         cumulative = states[:, 8] * thresholds         # de-normalised
         expected = cumulative + mu + self.eta * sigma

@@ -215,3 +215,45 @@ class TestPredictMatchesForwardLoop:
         net = BayesianMLP(3, 1, hidden_sizes=(8,), rng=rng)
         with pytest.raises(ValueError, match="num_samples"):
             net.predict(np.zeros(3), num_samples=num_samples, rng=rng)
+
+
+class TestPredictGroupsMatchesPredict:
+    """``predict_groups`` runs G groups stacked as slabs; each group's
+    own ``predict`` (its own generator) is the reference."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 21, 64])
+    def test_stacked_groups(self, rows, groups):
+        net, _ = _twin_nets(perturb_rho=True)
+        x = np.random.default_rng(rows).uniform(0.0, 1.0,
+                                                 (groups, rows, 9))
+        alone = [np.random.default_rng(40 + g) for g in range(groups)]
+        want = [net.predict(x[g], num_samples=16, rng=alone[g])
+                for g in range(groups)]
+        stacked = [np.random.default_rng(40 + g) for g in range(groups)]
+        noise = np.stack([gen.standard_normal(net.noise_shape(rows, 16))
+                          for gen in stacked])
+        mean, std = net.predict_groups(x, noise)
+        # width-1 output: the shape whose sample-axis sum a sample-major
+        # layout gets wrong
+        assert mean.shape == std.shape == (groups, rows, 1)
+        for g, (want_mean, want_std) in enumerate(want):
+            assert np.array_equal(mean[g], want_mean), g
+            assert np.array_equal(std[g], want_std), g
+        for mine, theirs in zip(stacked, alone):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_one_block_per_cell_is_one_draw_per_group(self):
+        """A generator filling one block for several groups leaves the
+        values and the state that one draw per group leaves."""
+        net, _ = _twin_nets()
+        shapes = [net.noise_shape(rows, 16) for rows in (3, 1, 7)]
+        one, many = np.random.default_rng(2), np.random.default_rng(2)
+        block = one.standard_normal(sum(s * w for s, w in shapes))
+        start = 0
+        for shape in shapes:
+            stop = start + shape[0] * shape[1]
+            assert np.array_equal(block[start:stop].reshape(shape),
+                                  many.standard_normal(shape))
+            start = stop
+        assert one.bit_generator.state == many.bit_generator.state

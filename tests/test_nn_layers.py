@@ -173,3 +173,27 @@ def test_relu_masks_negatives():
     np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
     grad = relu.backward(np.ones(3))
     np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
+
+
+#: Values where a max-based ReLU could part from ``np.where(x > 0, x,
+#: 0.0)``: signed zeros, NaN, infinities and subnormals.
+_RELU_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                 2.2e-308, -2.2e-308, 1.0, -1.0]
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_relu_is_where_bit_for_bit(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.5
+    x[special] = rng.choice(_RELU_SPECIAL, size=int(special.sum()))
+    relu = ReLU()
+    out = relu.forward(x)
+    want = np.where(x > 0, x, 0.0)
+    assert out.shape == want.shape
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    grad = relu.backward(np.ones(shape))
+    assert np.array_equal(grad, (x > 0).astype(float))

@@ -86,6 +86,22 @@ class TestMLP:
         assert loss < first * 0.1
 
 
+@pytest.mark.parametrize("groups", [1, 2, 3, 5])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 21, 64])
+def test_stacked_forward_slabs_match_alone(rows, groups):
+    """``predict_batch`` over ``(G, n, in)`` groups is each group's own
+    ``(n, in)`` forward, bit for bit (the pi_theta actor's shape)."""
+    net = MLP(9, 10, hidden_sizes=(128, 64, 32),
+              output_activation="sigmoid", rng=np.random.default_rng(3))
+    x = np.random.default_rng(rows).uniform(0.0, 1.0, (groups, rows, 9))
+    out = net.predict_batch(x)
+    assert out.shape == (groups, rows, 10)
+    for g in range(groups):
+        assert np.array_equal(out[g], net.predict_batch(x[g])), g
+    with pytest.raises(ValueError, match="expected"):
+        net.predict_batch(x[..., :8])
+
+
 class TestOptim:
     def test_adam_bias_correction_first_step(self, rng):
         net = MLP(2, 1, hidden_sizes=(4,), rng=rng)

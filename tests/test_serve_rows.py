@@ -262,9 +262,9 @@ def test_long_episodes_fold_when_the_buffers_fill(snapshots):
 # ---- Eq. 8 asks pi_phi only about slices it can still switch ----------
 
 
-def _eq8_service(snapshot, seed=9):
+def _eq8_service(snapshot, seed=9, slices=12):
     cfg = scenario_with_population(
-        get_scenario("lte_fixed_mcs"), 12).build_config(seed=seed)
+        get_scenario("lte_fixed_mcs"), slices).build_config(seed=seed)
     return SlicingService(snapshot, cfg=cfg, rng_seed=seed)
 
 
@@ -286,8 +286,12 @@ def test_posterior_never_sees_a_latched_row(snapshots, monkeypatch):
         asked.clear()
         rows = core.counters["posterior_rows"]
         decisions = service.decide(_requests(service, states))
-        # every open row asked once, no latched row asked at all
-        assert sorted(map(tuple, np.concatenate(asked or [states[:0]]))) \
+        # every open row asked once, no latched row asked at all, and
+        # no snapshot policy asked twice
+        passes = [entry for slot in asked for entry in slot]
+        assert len({name for name, _ in passes}) == len(passes)
+        seen = [block.reshape(-1, 9) for _, block in passes]
+        assert sorted(map(tuple, np.concatenate(seen or [states[:0]]))) \
             == sorted(map(tuple, states[~latched]))
         assert core.counters["posterior_rows"] - rows == (~latched).sum()
         assert all(decisions[name].fallback for name, held
@@ -334,14 +338,82 @@ def test_generator_matches_the_parent_until_the_first_latch(snapshots):
         held = core._segment(service._cell).any()
         service.decide(_requests(service, states))
         plan = core._plan
-        for policy, span in plan.posteriors:
-            twin._policies[policy.name].cost_to_go(
-                states[plan.eq8_rows[span]])
+        for _, watched in plan.posteriors:
+            for policy, _, span in watched:
+                twin._policies[policy.name].estimator.predict_batch(
+                    states[plan.eq8_rows[span]])
         same = service._rng.bit_generator.state == \
             twin._rng.bit_generator.state
         assert same != held, slot
         phases.add(held)
     assert phases == {False, True}
+
+
+@pytest.mark.parametrize("slices", [None, 12])
+@pytest.mark.parametrize("method", ["onslicing", "onrl"])
+def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
+        snapshots, monkeypatch, method, slices):
+    """Stacking (cell, policy) groups as slabs moves no float: each
+    cell of a 3-cell core decides, slot by slot across an episode in
+    which its slices latch at their own pace, what the same cell
+    decides in a one-cell core of its own -- every group's pi_phi
+    ``(mu, sigma)``, actions, fallbacks, latch and the generator left
+    behind -- with 1-row groups (the scenario's own 3 slices, the
+    fleet's shape) and 4-row groups (12 slices)."""
+    seen = {}
+    posterior = _LearnedPolicy.posterior
+
+    def spy(policy, states, noise):
+        mu, sigma = posterior(policy, states, noise)
+        for group, rows in enumerate(states):
+            seen.setdefault(rows.tobytes(), []).append(
+                (policy.name, mu[group].tobytes(),
+                 sigma[group].tobytes()))
+        return mu, sigma
+
+    monkeypatch.setattr(_LearnedPolicy, "posterior", spy)
+    seeds = (9, 10, 11)
+    fleet = [_eq8_service(snapshots[method], seed, slices)
+             for seed in seeds]
+    alone = [_eq8_service(snapshots[method], seed, slices)
+             for seed in seeds]
+    core = DecisionCore(fleet)
+    names = [service.slice_names for service in fleet]
+    width = len(names[0])
+    rng = np.random.default_rng(4)
+    counts = set()
+    for slot in range(10):
+        states = rng.uniform(0.0, 1.0, size=(3, width, 9))
+        states[:, :, 8] *= 0.25 * slot  # budgets fill up slot by slot
+        out = core.decide_rows(states.reshape(-1, 9), names)
+        for index, service in enumerate(alone):
+            own = service.core.decide_rows(states[index],
+                                           [service.slice_names])
+            rows = slice(width * index, width * (index + 1))
+            assert np.array_equal(own.actions, out.actions[rows])
+            assert np.array_equal(own.fallback, out.fallback[rows])
+            assert own.fallbacks[0] == out.fallbacks[index]
+            assert np.array_equal(service.core._segment(0),
+                                  core._segment(index))
+            assert service._rng.bit_generator.state == \
+                fleet[index]._rng.bit_generator.state, (slot, index)
+        counts.add(tuple(core._segment(index).sum() for index in range(3)))
+    # every group asked in the fleet was asked alone, with equal floats
+    assert all(len(asked) == 2 and asked[0] == asked[1]
+               for asked in seen.values())
+    lone = [service.core.counters for service in alone]
+    counters = core.counters
+    assert counters["forward_calls"] < sum(c["forward_calls"] for c in lone)
+    if method == "onrl":
+        assert not core._latched.any() and not seen
+        return
+    # not vacuous: cells latched different slices at different slots,
+    # and the passes still stacked groups across cells
+    assert len(counts) > 2 and any(len(set(c)) > 1 for c in counts)
+    assert counters["posterior_rows"] == \
+        sum(c["posterior_rows"] for c in lone)
+    assert counters["posterior_calls"] < \
+        sum(c["posterior_calls"] for c in lone)
 
 
 # ---- bugfix: a batch is validated before it changes anything ----------
@@ -489,15 +561,22 @@ def _fleet_generators(snapshot, scenarios, cells=8, slots=12):
 
 
 def _posterior_spy(monkeypatch):
-    """Record the states of every pi_phi posterior call."""
+    """Record every pi_phi pass, slot by slot: per slot, one ``(policy
+    name, (G, n, STATE_DIM) states)`` per pass."""
     asked = []
-    cost_to_go = _LearnedPolicy.cost_to_go
+    propose = DecisionCore._propose
+    posterior = _LearnedPolicy.posterior
 
-    def spy(policy, states):
-        asked.append(states.copy())
-        return cost_to_go(policy, states)
+    def slot(core, plan, states, start):
+        asked.append([])
+        return propose(core, plan, states, start)
 
-    monkeypatch.setattr(_LearnedPolicy, "cost_to_go", spy)
+    def spy(policy, states, noise):
+        asked[-1].append((policy.name, states.copy()))
+        return posterior(policy, states, noise)
+
+    monkeypatch.setattr(DecisionCore, "_propose", slot)
+    monkeypatch.setattr(_LearnedPolicy, "posterior", spy)
     return asked
 
 
@@ -517,12 +596,14 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     assert counters["extra_rounds"] == rounds - 12 * 2 * 8
     assert counters["projections"] == sum(
         g.telemetry.counter("projections").value for g in generators)
-    assert counters["posterior_calls"] == counters["posterior_rows"] == 0
+    assert counters["forward_calls"] == counters["posterior_calls"] \
+        == counters["posterior_rows"] == 0
     with pytest.raises(TypeError):
         counters["decide_calls"] = 0
 
-    # OnSlicing: one call per (slot, cell, policy) with an open row,
-    # on exactly the rows the latch was not holding
+    # OnSlicing: per slot at most one pass per snapshot policy, every
+    # cell's open group of it a slab, on exactly the rows the latch was
+    # not holding
     asked = _posterior_spy(monkeypatch)
     generators = _fleet_generators(
         snapshots["onslicing"], ("default", "lte_fixed_mcs"))
@@ -533,12 +614,28 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     held = sum(g.telemetry.counter("fallbacks", {"cause": "latched"})
                .value for g in generators)
     assert held > 0
-    assert counters["posterior_calls"] == len(asked)
-    assert counters["posterior_rows"] == sum(map(len, asked)) \
+    passes = [entry for slot in asked for entry in slot]
+    assert counters["posterior_calls"] == len(passes)
+    assert counters["posterior_rows"] == \
+        sum(block.shape[0] * block.shape[1] for _, block in passes) \
         == counters["rows_decided"] - held
+    assert len(asked) == counters["decide_calls"]
+    policies = {policy.name for _, watched in core._plan.posteriors
+                for policy, _, _ in watched}
+    for slot in asked:
+        assert len({name for name, _ in slot}) == len(slot) \
+            <= len(policies)
+    assert max(block.shape[0] for _, block in passes) == 8
+    # and one pi_theta forward per snapshot policy and slot, not one per
+    # (cell, policy)
+    assert len(core._plan.forwards) == len(policies) < int(
+        core._plan.groups.sum())
+    assert counters["forward_calls"] == \
+        counters["decide_calls"] * len(policies)
     # whole groups were skipped, not only rows
-    assert counters["posterior_calls"] < \
-        counters["decide_calls"] * len(core._plan.posteriors)
+    groups = sum(len(watched) for _, watched in core._plan.posteriors)
+    assert sum(block.shape[0] for _, block in passes) < \
+        counters["decide_calls"] * groups
 
 
 def test_churn_does_not_rebuild_the_plan(snapshots):
@@ -598,12 +695,14 @@ def test_obs_profile_reports_the_serve_counters(capsys):
     assert set(counters) == {"decide_calls", "rows_decided",
                              "plan_builds", "extra_rounds",
                              "projections", "telemetry_folds",
-                             "posterior_calls", "posterior_rows"}
+                             "forward_calls", "posterior_calls",
+                             "posterior_rows"}
     assert (counters["decide_calls"], counters["rows_decided"],
             counters["plan_builds"], counters["telemetry_folds"]) == \
         (96, 288, 1, 1)
-    # the rule-based snapshot has no pi_phi to ask
-    assert counters["posterior_calls"] == counters["posterior_rows"] == 0
+    # the rule-based snapshot has no pi_theta or pi_phi to ask
+    assert counters["forward_calls"] == counters["posterior_calls"] \
+        == counters["posterior_rows"] == 0
     assert main(["obs", "profile", "--scenario", "default"]) == 0
     out = capsys.readouterr().out
     assert out.index("engine counters: ") < \
