@@ -145,7 +145,10 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     Tolerant of a truncated final line (the signature of a kill
     mid-append): the shards read so far stand.  A corrupt earlier
     line is a ``ValueError`` naming ``path:lineno``
-    (:func:`~repro.obs.metrics.read_jsonl`).
+    (:func:`~repro.obs.metrics.read_jsonl`); a shard whose telemetry
+    does not rebuild (a hostile or pre-sketch histogram state,
+    :meth:`~repro.obs.metrics.Histogram.from_state`) is one naming the
+    file and the shard.
     """
     rows = read_jsonl(path)
     if not rows:
@@ -160,6 +163,11 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
         if row.get("kind") != "shard":
             continue
         result = from_jsonable(row["result"])
+        try:
+            result.telemetry()
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: shard {result.shard}: {exc}") from None
         results[result.shard] = result
     return FleetCheckpoint(
         spec=from_jsonable(header["spec"]),

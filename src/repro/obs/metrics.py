@@ -12,8 +12,8 @@ Every instrument is *mergeable*: a fleet shard aggregates its cells'
 telemetry locally, ships a compact serialisable state to the
 coordinator, and the coordinator folds shard states into one fleet
 view (:meth:`Counter.merge`, :meth:`Histogram.merge`,
-:meth:`Telemetry.merge`) -- the memory cost of the aggregate is
-bounded by the instrument count, never by the observation count.  A
+:meth:`Telemetry.merge`) -- the aggregate's memory grows with the
+instruments and their value ranges, never with the observations.  A
 JSONL export carries the same state (counter values, and each
 histogram's :meth:`Histogram.state` beside its readouts), so
 :func:`read_telemetry` rebuilds a file or a directory of runs as one
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import operator
 import os
 import re
@@ -42,23 +43,19 @@ import numpy as np
 #: Percentiles exported for every histogram.
 EXPORT_PERCENTILES = (50.0, 90.0, 99.0)
 
-#: Exact-mode capacity: a histogram keeps raw samples (exact
-#: percentiles) until it has seen this many observations, then folds
-#: them into the fixed bucket grid and stays bounded forever after.
-EXACT_SAMPLE_LIMIT = 1024
-
-#: Fixed log-spaced bucket grid shared by *every* histogram, so any
-#: two histograms merge bucket-for-bucket.  2**0.25 growth gives a
-#: worst-case relative quantile error of ~9%; the span covers
-#: sub-microsecond latencies up to ~1e9 (counts, byte totals).
-BUCKET_FACTOR = 2.0 ** 0.25
+#: Relative accuracy of every histogram percentile (DDSketch: Masson,
+#: Rim and Lee, VLDB 2019): a readout is within this fraction of the
+#: sample value it stands for.
+RELATIVE_ACCURACY = 0.01
+#: Bucket ``k`` holds the values in ``(GAMMA**(k-1), GAMMA**k]``; the
+#: grid is shared, so any two histograms merge bucket for bucket.
+GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+#: Keys are ``ceil(np.log(x) / _LOG_GAMMA)`` in the scalar and the
+#: bulk path alike: ``math.log`` rounds differently on some inputs, and
+#: a boundary value would change bucket between the two.
+_LOG_GAMMA = float(np.log(GAMMA))
+#: Zeros, negatives and values up to this share one low bucket.
 BUCKET_MIN = 1e-6
-_DECADES = np.log(1e9 / BUCKET_MIN)
-BUCKET_COUNT = int(np.ceil(_DECADES / np.log(BUCKET_FACTOR)))
-#: Bucket ``i`` (1-based in the counts array) covers
-#: ``[_EDGES[i-1], _EDGES[i])``; counts[0] is the underflow bucket
-#: (values below ``BUCKET_MIN``, zeros included), counts[-1] overflow.
-_EDGES = BUCKET_MIN * BUCKET_FACTOR ** np.arange(BUCKET_COUNT + 1)
 
 #: Characters that would break the ``name{k="v",...}`` key grammar and
 #: the Prometheus exposition format.
@@ -140,23 +137,17 @@ class Counter:
 
 
 class Histogram:
-    """Bounded, mergeable histogram with percentile readout.
+    """Mergeable log-bucket sketch with relative-error percentiles.
 
-    Small samples stay *exact*: observations are kept verbatim (and
-    percentiles computed from them) until :data:`EXACT_SAMPLE_LIMIT`,
-    the regime every single-cell serve run lives in.  Past the limit
-    the samples fold into the fixed log-spaced bucket grid and memory
-    stays O(buckets) no matter how many observations follow -- the
-    regime a fleet aggregate lives in.  ``count``/``sum``/``min``/
-    ``max`` are tracked exactly in both modes; bucket-mode percentiles
-    interpolate linearly *within* the straddling bucket (<= ~9%
-    relative error by bucket construction), so quantile readouts --
-    and the burn-rate math built on them -- move smoothly with new
-    observations instead of jumping edge to edge.
-
-    Snapshot keys are unchanged from the exact-only implementation
-    (``count``/``sum``/``mean``/``p50``/``p90``/``p99``); ``mode`` is
-    additive.
+    A value ``x > BUCKET_MIN`` lands in bucket ``ceil(log_GAMMA x)``;
+    zeros, negatives and values up to ``BUCKET_MIN`` share one low
+    bucket.  The state is integer counts from ``offset`` (the lowest
+    bucket seen) up to the highest, plus exact ``count`` / ``sum`` /
+    ``min`` / ``max``: it grows with the values' dynamic range, never
+    with the observation count, and a merge adds counts, exactly.
+    Percentiles are within :data:`RELATIVE_ACCURACY` of the sample at
+    their rank; p0 and p100 are the exact min and max.  A NaN or an
+    infinity is refused with a ``ValueError`` naming the instrument.
     """
 
     def __init__(self, name: str,
@@ -165,44 +156,36 @@ class Histogram:
         self.labels: Dict[str, str] = \
             {k: str(v) for k, v in (labels or {}).items()}
         self.key = instrument_key(name, self.labels)
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        #: Raw samples while exact; ``None`` once folded into buckets.
-        self._samples: Optional[List[float]] = []
-        self._buckets: Optional[np.ndarray] = None
-        #: ``(threshold, samples scanned, count above)`` of the last
-        #: exact :meth:`count_over`: samples are append-only while
-        #: exact, so a repeat ask scans only the newer ones.
-        self._over: Tuple[Optional[float], int, int] = (None, 0, 0)
-
-    # ---- recording ---------------------------------------------------
+        self._count, self._sum = 0, 0.0
+        self._min, self._max = float("inf"), float("-inf")
+        #: Observations at or below ``BUCKET_MIN``; bucket
+        #: ``_offset + i`` holds ``_counts[i]`` of the others.
+        self._low, self._offset = 0, 0
+        self._counts = np.zeros(0, dtype=np.int64)
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"histogram {self.key!r} cannot hold "
+                             f"{value}: observations must be finite")
         self._count += 1
         self._sum += value
         self._min = min(self._min, value)
         self._max = max(self._max, value)
-        if self._samples is not None:
-            self._samples.append(value)
-            if len(self._samples) > EXACT_SAMPLE_LIMIT:
-                self._fold()
+        if value <= BUCKET_MIN:
+            self._low += 1
+            return
+        index = math.ceil(np.log(value) / _LOG_GAMMA) - self._offset
+        if 0 <= index < self._counts.size:
+            self._counts[index] += 1
         else:
-            self._buckets[_bucket_index(value)] += 1
+            self._add(index + self._offset, np.ones(1, dtype=np.int64))
 
     def observe_many(self, values) -> None:
         """:meth:`observe` every value of ``values``, in order, as a
-        constant number of array operations.
-
-        Leaves exactly what the loop leaves: ``sum`` is added left to
-        right (it is an order-dependent float, so never ``np.sum``,
-        which adds pairwise), NaNs are skipped by ``min`` / ``max`` as
-        the comparisons skip them, and samples crossing
-        :data:`EXACT_SAMPLE_LIMIT` land in the same buckets whether
-        they fold together or one by one.
-        """
+        constant number of array operations, leaving exactly what the
+        loop leaves: keys come from the same ``np.log``, and ``sum`` is
+        added left to right (never the pairwise ``np.sum``)."""
         values = np.asarray(values, dtype=float)
         if values.size == 1:
             self.observe(values.item())
@@ -210,23 +193,32 @@ class Histogram:
         values = values.ravel()
         if not values.size:
             return
+        if not np.isfinite(values).all():   # refused, changing nothing
+            self.observe(values[~np.isfinite(values)][0])
         self._count += values.size
         self._sum = _running_sum(self._sum, values)
-        self._min = min(self._min, float(np.fmin.reduce(values)))
-        self._max = max(self._max, float(np.fmax.reduce(values)))
-        if self._samples is None:
-            self._buckets += _bucketize(values)
-            return
-        self._samples.extend(values.tolist())
-        if len(self._samples) > EXACT_SAMPLE_LIMIT:
-            self._fold()
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
+        high = values[values > BUCKET_MIN]
+        self._low += values.size - high.size
+        if high.size:
+            keys = np.ceil(np.log(high) / _LOG_GAMMA).astype(np.int64)
+            first = int(keys.min())
+            self._add(first, np.bincount(keys - first))
 
-    def _fold(self) -> None:
-        """Switch from exact samples to the bounded bucket grid."""
-        self._buckets = _bucketize(self._samples)
-        self._samples = None
-
-    # ---- reading -----------------------------------------------------
+    def _add(self, first: int, counts: np.ndarray) -> None:
+        """Add ``counts`` to buckets ``first, first + 1, ...``."""
+        if not self._counts.size:
+            self._offset = first
+        start, size = first - self._offset, self._counts.size
+        if start < 0 or start + counts.size > size:
+            low = min(first, self._offset)
+            grown = np.zeros(max(first + counts.size, self._offset + size)
+                             - low, dtype=np.int64)
+            grown[self._offset - low:self._offset - low + size] = \
+                self._counts
+            self._counts, self._offset, start = grown, low, first - low
+        self._counts[start:start + counts.size] += counts
 
     @property
     def count(self) -> int:
@@ -240,85 +232,54 @@ class Histogram:
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    @property
-    def exact(self) -> bool:
-        """Whether percentiles are still computed from raw samples."""
-        return self._samples is not None
-
     def percentile(self, p: float) -> float:
-        """Percentile ``p`` in [0, 100] (0.0 when empty).
-
-        Exact in exact mode; bucket-interpolated (then clipped to the
-        observed [min, max]) once folded.
-        """
+        """Percentile ``p`` in [0, 100] (0.0 when empty): the bucket at
+        rank ``floor(p / 100 * (count - 1))`` read at ``2 GAMMA**k /
+        (GAMMA + 1)`` (the low bucket at 0), clamped to [min, max]."""
         if self._count == 0:
             return 0.0
-        if self._samples is not None:
-            return float(np.percentile(np.asarray(self._samples), p))
-        target = (p / 100.0) * self._count
-        cumulative = np.cumsum(self._buckets)
-        index = int(np.searchsorted(cumulative, max(target, 1.0)))
-        index = min(index, len(self._buckets) - 1)
-        below = cumulative[index - 1] if index > 0 else 0
-        inside = self._buckets[index]
-        frac = ((target - below) / inside) if inside else 0.0
-        frac = min(max(frac, 0.0), 1.0)
-        if index == 0:                     # underflow: [<=0, BUCKET_MIN)
-            low, high = min(self._min, 0.0), BUCKET_MIN
-            value = low + frac * (high - low)
-        elif index == len(self._buckets) - 1:   # overflow bucket
-            value = self._max
-        else:
-            low, high = _EDGES[index - 1], _EDGES[index]
-            value = low + frac * (high - low)   # linear within bucket
+        if p <= 0.0:
+            return self._min
+        if p >= 100.0:
+            return self._max
+        rank = math.floor(p / 100.0 * (self._count - 1)) - self._low
+        value = 0.0
+        if rank >= 0:
+            index = int(np.searchsorted(np.cumsum(self._counts), rank,
+                                        side="right"))
+            value = 2.0 * GAMMA ** (self._offset + index) / (GAMMA + 1.0)
         return float(min(max(value, self._min), self._max))
 
     def count_over(self, threshold: float) -> float:
-        """Observations strictly above ``threshold`` (0.0 when empty).
-
-        Exact in exact mode.  In bucketed mode, full buckets above the
-        threshold count whole and the straddling bucket contributes a
-        linearly interpolated share -- the same within-bucket model as
-        :meth:`percentile` -- so SLI fractions built on it (e.g. "how
-        much traffic blew the latency budget") stay smooth rather than
-        step-quantized at bucket edges.
-        """
+        """Observations strictly above ``threshold`` (0.0 when empty):
+        the buckets above the threshold's, plus the share of its own
+        bucket's span (clamped to [min, max]) above it -- off by at
+        most that bucket's count, and smooth in the threshold."""
         threshold = float(threshold)
         if self._count == 0 or threshold >= self._max:
             return 0.0
         if threshold < self._min:
             return float(self._count)
-        samples = self._samples
-        if samples is not None:
-            asked, seen, over = self._over
-            if asked != threshold:
-                seen = over = 0
-            for value in samples[seen:]:
-                if value > threshold:
-                    over += 1
-            self._over = (threshold, len(samples), over)
-            return float(over)
-        index = _bucket_index(threshold)
-        above = float(self._buckets[index + 1:].sum())
-        inside = int(self._buckets[index])
-        if inside:
-            if index == 0:                 # underflow: [<=0, BUCKET_MIN)
-                low, high = min(self._min, 0.0), BUCKET_MIN
-            elif index == len(self._buckets) - 1:   # overflow bucket
-                low, high = _EDGES[-1], max(self._max, float(_EDGES[-1]))
-            else:
-                low, high = float(_EDGES[index - 1]), \
-                    float(_EDGES[index])
-            span = high - low
-            frac = (high - threshold) / span if span > 0 else 0.0
-            above += inside * min(max(frac, 0.0), 1.0)
+        counts = self._counts
+        if threshold <= BUCKET_MIN:
+            above, inside = float(counts.sum()), self._low
+            low, high = self._min, BUCKET_MIN
+        else:
+            key = math.ceil(np.log(threshold) / _LOG_GAMMA)
+            index = key - self._offset
+            above = float(counts[max(index + 1, 0):].sum())
+            inside = int(counts[index]) if 0 <= index < counts.size else 0
+            low, high = GAMMA ** (key - 1), GAMMA ** key
+        low, high = max(low, self._min), min(high, self._max)
+        if inside and high > low:
+            share = (high - threshold) / (high - low)
+            above += inside * min(max(share, 0.0), 1.0)
         return float(min(above, self._count))
 
     def snapshot(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "metric": self.name, "type": "histogram",
             "count": self.count, "sum": self.total, "mean": self.mean,
-            "mode": "exact" if self.exact else "bucketed",
         }
         if self.labels:
             out["labels"] = dict(self.labels)
@@ -326,27 +287,15 @@ class Histogram:
             out[f"p{p:g}"] = self.percentile(p)
         return out
 
-    # ---- merging / serialisation -------------------------------------
-
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram.
-
-        ``other`` is never mutated.  Merging is commutative and
-        associative up to bucket resolution: two exact histograms stay
-        exact while the combined sample count fits the exact limit,
-        otherwise the merge lands on the shared bucket grid.
-        """
+        """Fold ``other`` into this histogram (never mutating it):
+        counts add, so any split of a stream merged in any order leaves
+        the whole stream's state (``sum`` up to addition order)."""
         if other._count == 0:
             return self
-        if (self._samples is not None and other._samples is not None
-                and self._count + other._count <= EXACT_SAMPLE_LIMIT):
-            self._samples.extend(other._samples)
-        else:
-            if self._samples is not None:
-                self._fold()
-            self._buckets = self._buckets + (
-                other._buckets if other._buckets is not None
-                else _bucketize(other._samples))
+        if other._counts.size:
+            self._add(other._offset, other._counts)
+        self._low += other._low
         self._count += other._count
         self._sum += other._sum
         self._min = min(self._min, other._min)
@@ -363,40 +312,43 @@ class Histogram:
             out["labels"] = dict(self.labels)
         if self._count:
             out["min"], out["max"] = self._min, self._max
-        if self._samples is not None:
-            out["samples"] = list(self._samples)
-        else:
-            out["buckets"] = self._buckets.tolist()
+        out.update(low=self._low, offset=self._offset,
+                   counts=self._counts.tolist())
         return out
 
     @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "Histogram":
+    def from_state(cls, state: Mapping[str, object]) -> "Histogram":
+        """The histogram a :meth:`state` record describes; a pre-sketch
+        state (``samples`` / ``buckets``), counts that are negative, not
+        integers or not adding up to ``count``, or a non-finite ``sum`` /
+        ``min`` / ``max`` raise ``ValueError`` naming the histogram."""
         histogram = cls(str(state["name"]), state.get("labels"))
-        histogram._count = int(state["count"])
-        histogram._sum = float(state["sum"])
-        histogram._min = float(state.get("min", float("inf")))
-        histogram._max = float(state.get("max", float("-inf")))
-        if "samples" in state:
-            histogram._samples = [float(v) for v in state["samples"]]
+        counts, low, count, offset, total = (state.get(key) for key in (
+            "counts", "low", "count", "offset", "sum"))
+        bounds = (state.get("min"), state.get("max")) if count else ()
+        old = [key for key in ("samples", "buckets") if key in state]
+        if old:
+            problem = (f"pre-sketch state (a {old[0]!r} record of an "
+                       "older version; re-export it)")
+        elif not (isinstance(counts, list) and type(count) is int
+                  and type(offset) is int and all(
+                      type(n) is int and 0 <= n < 2 ** 63
+                      for n in counts + [low])):
+            problem = "counts, low and count must be non-negative integers"
+        elif low + sum(counts) != count:
+            problem = f"low + bucket counts {low + sum(counts)} != {count}"
+        elif not all(type(v) in (int, float) and math.isfinite(v)
+                     for v in (total, *bounds)):
+            problem = "sum, min and max must be finite"
         else:
-            histogram._samples = None
-            buckets = np.asarray(state["buckets"], dtype=np.int64)
-            if buckets.shape != (BUCKET_COUNT + 2,):
-                raise ValueError(
-                    f"histogram state for {histogram.name!r} has "
-                    f"{buckets.shape[0]} buckets, expected "
-                    f"{BUCKET_COUNT + 2} (incompatible grid)")
-            histogram._buckets = buckets
-        return histogram
-
-
-def _bucket_index(value: float) -> int:
-    """Counts-array index for ``value`` (0 underflow, -1 overflow)."""
-    if value < BUCKET_MIN:
-        return 0
-    if value >= _EDGES[-1]:
-        return BUCKET_COUNT + 1
-    return int(np.searchsorted(_EDGES, value, side="right"))
+            histogram._count, histogram._low = count, low
+            histogram._sum = float(total)
+            if count:
+                histogram._min, histogram._max = map(float, bounds)
+            histogram._offset = offset
+            histogram._counts = np.array(counts, dtype=np.int64)
+            return histogram
+        raise ValueError(f"histogram {histogram.key!r}: {problem}")
 
 
 def _running_sum(start: float, values: np.ndarray) -> float:
@@ -407,18 +359,6 @@ def _running_sum(start: float, values: np.ndarray) -> float:
         return start
     return float(np.add.accumulate(
         np.concatenate(((start,), values)))[-1])
-
-
-def _bucketize(samples) -> np.ndarray:
-    """Fold raw samples onto the shared grid (underflow+grid+overflow)."""
-    counts = np.zeros(BUCKET_COUNT + 2, dtype=np.int64)
-    values = np.asarray(samples, dtype=float)
-    if values.size:
-        indices = np.searchsorted(_EDGES, values, side="right")
-        indices[values < BUCKET_MIN] = 0
-        indices[values >= _EDGES[-1]] = BUCKET_COUNT + 1
-        np.add.at(counts, indices, 1)
-    return counts
 
 
 def _prom_name(name: str) -> str:

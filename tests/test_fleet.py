@@ -32,8 +32,8 @@ from repro.runtime.units import (
 from repro.scenarios import ROBUSTNESS_MATRIX
 from repro.serve import PolicyStore, snapshot_onrl
 from repro.obs.metrics import (
-    BUCKET_COUNT,
-    EXACT_SAMPLE_LIMIT,
+    GAMMA,
+    RELATIVE_ACCURACY,
     Histogram,
     Telemetry,
 )
@@ -64,31 +64,19 @@ def snapshot(store):
 
 
 class TestHistogram:
-    def test_exact_small_sample_mode(self):
+    def test_state_is_bounded_by_value_range(self):
+        """Memory follows the values' dynamic range, never the
+        observation count, and percentiles stay within the sketch's
+        relative accuracy."""
+        values = np.random.default_rng(0).uniform(1e-3, 10.0, 100_000)
         histogram = Histogram("lat")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        assert histogram.exact
-        assert histogram.count == 4
-        assert histogram.total == 10.0
-        assert histogram.mean == 2.5
-        assert histogram.percentile(50.0) == 2.5
-
-    def test_bounded_after_exact_limit(self):
-        histogram = Histogram("lat")
-        for value in np.linspace(0.001, 10.0, EXACT_SAMPLE_LIMIT + 50):
-            histogram.observe(float(value))
-        assert not histogram.exact
-        assert histogram.count == EXACT_SAMPLE_LIMIT + 50
-        # bucket-mode percentiles stay within the grid's resolution
-        exact = np.percentile(
-            np.linspace(0.001, 10.0, EXACT_SAMPLE_LIMIT + 50), 99.0)
-        assert histogram.percentile(99.0) == \
-            pytest.approx(exact, rel=0.1)
-        # memory is bounded: the state is buckets, not samples
+        histogram.observe_many(values)
+        assert histogram.count == 100_000
         state = histogram.state()
-        assert "samples" not in state
-        assert len(state["buckets"]) == BUCKET_COUNT + 2
+        assert len(state["counts"]) <= np.log(1e4) / np.log(GAMMA) + 1
+        assert histogram.percentile(99.0) == pytest.approx(
+            np.quantile(values, 0.99, method="lower"),
+            rel=RELATIVE_ACCURACY)
 
     def test_snapshot_keys_backward_compatible(self):
         histogram = Histogram("lat")
@@ -100,20 +88,24 @@ class TestHistogram:
         assert snapshot["type"] == "histogram"
 
     def test_merge_exact_stays_exact(self):
-        a, b = Histogram("x"), Histogram("x")
-        for value in (1.0, 2.0):
-            a.observe(value)
-        for value in (3.0, 4.0):
-            b.observe(value)
+        """A merge adds integer counts: two merged histograms hold the
+        state one histogram of both streams holds."""
+        a, b, both = Histogram("x"), Histogram("x"), Histogram("x")
+        a.observe_many([1.0, 2.0])
+        b.observe_many([3.0, 4.0])
+        both.observe_many([1.0, 2.0, 3.0, 4.0])
         a.merge(b)
-        assert a.exact
-        assert a.count == 4
-        assert a.percentile(50.0) == 2.5
+        assert a.state() == both.state()
+        assert (a.count, a.total, a.mean) == (4, 10.0, 2.5)
+        assert (a.percentile(0.0), a.percentile(100.0)) == (1.0, 4.0)
+        assert a.percentile(50.0) == \
+            pytest.approx(2.0, rel=RELATIVE_ACCURACY)
         # merge never mutates the right-hand side
         assert b.count == 2
 
     def test_merge_matches_single_stream(self):
-        """Split-then-merge approximates one histogram of everything."""
+        """Split-then-merge is one histogram of everything, bucket for
+        bucket (the float sum up to addition order)."""
         rng = np.random.default_rng(0)
         values = rng.lognormal(mean=0.0, sigma=1.5, size=4000)
         merged = Histogram("x")
@@ -127,31 +119,27 @@ class TestHistogram:
             single.observe(float(value))
         assert merged.count == single.count == 4000
         assert merged.total == pytest.approx(single.total)
-        for p in (50.0, 90.0, 99.0):
-            assert merged.percentile(p) == \
-                pytest.approx(single.percentile(p), rel=0.2)
+        assert {**merged.state(), "sum": 0.0} == \
+            {**single.state(), "sum": 0.0}
 
-    def test_state_roundtrip_both_modes(self):
-        exact = Histogram("e")
-        exact.observe(1.5)
-        clone = Histogram.from_state(exact.state())
-        assert clone.exact and clone.percentile(50.0) == 1.5
-        big = Histogram("b")
-        for value in np.linspace(0.1, 5.0, EXACT_SAMPLE_LIMIT + 10):
-            big.observe(float(value))
-        clone = Histogram.from_state(
-            json.loads(json.dumps(big.state())))
-        assert not clone.exact
-        assert clone.count == big.count
-        assert clone.percentile(99.0) == big.percentile(99.0)
+    def test_state_roundtrip(self):
+        for values in ([], [1.5], [0.0, -2.0],
+                       np.linspace(0.1, 5.0, 1034)):
+            histogram = Histogram("h", {"app": "mar"})
+            histogram.observe_many(values)
+            clone = Histogram.from_state(
+                json.loads(json.dumps(histogram.state())))
+            assert clone.state() == histogram.state()
+            assert [clone.percentile(p) for p in (0, 50, 99, 100)] == \
+                [histogram.percentile(p) for p in (0, 50, 99, 100)]
 
     def test_extreme_values_land_in_edge_buckets(self):
         histogram = Histogram("x")
-        for value in [0.0, 1e-12, 1e15] * (EXACT_SAMPLE_LIMIT // 2):
-            histogram.observe(value)
-        assert not histogram.exact
-        assert histogram.count == 3 * (EXACT_SAMPLE_LIMIT // 2)
-        assert histogram.percentile(0.0) >= 0.0
+        histogram.observe_many([0.0, 1e-12, 1e15] * 512)
+        assert histogram.count == 3 * 512
+        state = histogram.state()
+        assert state["low"] == 2 * 512 and state["counts"] == [512]
+        assert histogram.percentile(0.0) == 0.0
         assert histogram.percentile(100.0) == 1e15
 
     def test_telemetry_merge(self):

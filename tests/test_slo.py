@@ -29,10 +29,9 @@ from repro.fleet import (
 from repro.obs.cli import load_slo_spec
 from repro.obs.diagnose import ShardReplay, diagnose_fleet
 from repro.obs.metrics import (
-    EXACT_SAMPLE_LIMIT,
     Histogram,
     Telemetry,
-    _bucket_index,
+    _LOG_GAMMA,
     read_jsonl,
     read_telemetry,
 )
@@ -377,60 +376,30 @@ class TestHistogramInterpolation:
         return rng.lognormal(mean=1.0, sigma=1.2, size=count)
 
     @pytest.mark.parametrize("seed", [3, 17, 92])
-    def test_count_over_exact_mode_matches_numpy(self, seed):
-        values = self.random_stream(seed, EXACT_SAMPLE_LIMIT - 24)
-        histogram = Histogram("h")
-        for value in values:
-            histogram.observe(float(value))
-        assert histogram.exact
-        for threshold in np.percentile(values, [5, 50, 95, 99.9]):
-            assert histogram.count_over(float(threshold)) == \
-                float(np.sum(values > threshold))
-
-    @pytest.mark.parametrize("seed", [3, 17, 92])
     def test_count_over_bucketed_stays_inside_straddling_bucket(
             self, seed):
         """The interpolated share can only redistribute the
-        straddling bucket's own population: the bucketed answer must
+        straddling bucket's own population: the sketch's answer must
         sit within that bucket's count of the exact answer, for any
         threshold."""
-        values = self.random_stream(seed, EXACT_SAMPLE_LIMIT + 800)
+        values = self.random_stream(seed, 1800)
         histogram = Histogram("h")
         for value in values:
             histogram.observe(float(value))
-        assert not histogram.exact
+        state = histogram.state()
         rng = np.random.default_rng(seed + 1)
         thresholds = rng.uniform(values.min(), values.max(), size=32)
         for threshold in thresholds:
             exact = float(np.sum(values > threshold))
             approx = histogram.count_over(float(threshold))
-            slack = float(
-                histogram._buckets[_bucket_index(float(threshold))])
+            key = int(np.ceil(np.log(threshold) / _LOG_GAMMA))
+            slack = float(state["counts"][key - state["offset"]])
             assert abs(approx - exact) <= slack + 1e-9
         # and it is monotone non-increasing in the threshold
         readings = [histogram.count_over(float(t))
                     for t in sorted(thresholds)]
         assert all(a >= b - 1e-9
                    for a, b in zip(readings, readings[1:]))
-
-    @pytest.mark.parametrize("seed", [5, 23])
-    def test_bucketed_percentile_interpolates_not_quantizes(self,
-                                                            seed):
-        values = self.random_stream(seed, EXACT_SAMPLE_LIMIT + 800)
-        histogram = Histogram("h")
-        for value in values:
-            histogram.observe(float(value))
-        assert not histogram.exact
-        # linear interpolation keeps nearby percentiles distinct
-        # (a step-quantized readout would collapse them to edges)
-        p40, p45, p50 = (histogram.percentile(p)
-                         for p in (40.0, 45.0, 50.0))
-        assert p40 < p45 < p50
-        # and within the bucket grid's resolution of the exact answer
-        for p in (10.0, 50.0, 90.0, 99.0):
-            exact = float(np.percentile(values, p))
-            assert histogram.percentile(p) == \
-                pytest.approx(exact, rel=0.13)
 
 
 # ---- trace sampling validation (satellite) ---------------------------
@@ -855,3 +824,76 @@ class TestCliSurface:
         message = capsys.readouterr().err.strip()
         assert readouts in message and "slice_latency_ms" in message
         assert len(message.splitlines()) == 1
+
+    @pytest.mark.parametrize("damage", [
+        "truncated-counts", "flipped-count", "pre-sketch-row"])
+    def test_damaged_or_stale_export_state_is_refused(
+            self, damage, tmp_path, capsys):
+        """A histogram state whose counts do not add up (cut short, or
+        one count bit-flipped) or one written before the sketch (raw
+        ``samples``) is refused naming the file and the histogram:
+        ``ValueError`` from the library, exit 2 from the CLI."""
+        telemetry = counters(decisions=8, fallbacks=1)
+        telemetry.histogram("slice_latency_ms").observe_many(
+            [120.0, 180.0, 594.0, 601.0])
+        rows = read_jsonl(telemetry.export_jsonl(
+            str(tmp_path / "full.jsonl")))
+        exports = tmp_path / "exports"
+        exports.mkdir()
+        damaged = str(exports / "damaged.jsonl")
+        with open(damaged, "w", encoding="utf-8") as fh:
+            for row in rows:
+                state = row.get("state")
+                if state is not None and damage == "truncated-counts":
+                    state["counts"] = state["counts"][:-1]
+                elif state is not None and damage == "flipped-count":
+                    state["counts"][0] ^= 4
+                elif state is not None:
+                    for key in ("low", "offset", "counts"):
+                        del state[key]
+                    state["samples"] = [120.0, 180.0, 594.0, 601.0]
+                fh.write(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(damaged)
+                           + ".*slice_latency_ms"):
+            read_telemetry(str(exports))
+        capsys.readouterr()
+        assert main(["obs", "watch", "--once", "--telemetry-dir",
+                     str(exports)]) == 2
+        message = capsys.readouterr().err.strip()
+        assert damaged in message and "slice_latency_ms" in message
+        assert ("pre-sketch" in message) == (damage == "pre-sketch-row")
+        assert len(message.splitlines()) == 1
+
+    def test_pre_sketch_checkpoint_shard_is_refused(
+            self, checkpoints, artifacts, tmp_path, capsys):
+        """A checkpoint shard line whose histograms carry the old raw
+        ``samples`` state (the checkpoint format number is unchanged)
+        is refused naming the file, the shard and the histogram, by
+        ``load_checkpoint`` and by the CLI replaying it."""
+        with open(checkpoints["complete"], "r", encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+
+        def stale(node):
+            if isinstance(node, dict):
+                if "counts" in node and "offset" in node:
+                    for key in ("low", "offset", "counts"):
+                        del node[key]
+                    node["samples"] = [1.0] * node["count"]
+                for value in node.values():
+                    stale(value)
+            elif isinstance(node, list):
+                for value in node:
+                    stale(value)
+
+        stale(rows[2])
+        path = str(tmp_path / "stale.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        with pytest.raises(ValueError, match=re.escape(path)
+                           + r": shard \d+: histogram .*pre-sketch"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["obs", "watch", "--once", "--slo", artifacts["spec"],
+                     "--checkpoint", path]) == 2
+        message = capsys.readouterr().err.strip()
+        assert path in message and "pre-sketch" in message

@@ -2,32 +2,37 @@
 
 Fleet aggregation folds shard telemetry into a coordinator view in
 whatever order shards happen to finish, possibly tree-wise.  These
-tests pin the algebra that makes that safe: ``Histogram.merge`` /
+tests pin the algebra that makes that safe -- ``Histogram.merge`` /
 ``Telemetry.merge`` are order-invariant and associative over
-*randomized* shard splits -- any partition of one observation stream,
-merged in any order or grouping, yields the same aggregate -- and a
-JSONL export read back is the registry it was written from.
+*randomized* shard splits, state for state -- the histogram sketch's
+accuracy contract (every percentile within ``RELATIVE_ACCURACY`` of the
+sample at its rank, p0 / p100 exact, ``count_over`` off by at most the
+threshold bucket's count), and that a JSONL export read back is the
+registry it was written from.
 
-Sample values are multiples of 1/64 (exactly representable in binary
-floating point), so sums compare bit-equal across merge orders; with
-arbitrary floats the sums would only agree to rounding, which is a
+Merge sample values are multiples of 1/64 (exactly representable in
+binary floating point), so sums compare bit-equal across merge orders;
+with arbitrary floats the sums would only agree to rounding, which is a
 float artefact, not a telemetry property.
 """
 
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     BUCKET_MIN,
-    EXACT_SAMPLE_LIMIT,
+    GAMMA,
+    RELATIVE_ACCURACY,
     Counter,
     Histogram,
     Telemetry,
+    _LOG_GAMMA,
     read_telemetry,
 )
 
@@ -52,10 +57,15 @@ def histogram_of(values, name="h"):
 
 
 def fingerprint(histogram):
-    """Everything a merge must preserve, percentiles included."""
-    return (histogram.count, histogram.total, histogram.mean,
-            histogram.exact,
+    """Everything a merge must preserve: the state itself and the
+    readouts derived from it."""
+    return (histogram.state(), histogram.mean,
             tuple(histogram.percentile(p) for p in (0, 50, 90, 99, 100)))
+
+
+def bucket_keys(values):
+    """The sketch's bucket key of each value above ``BUCKET_MIN``."""
+    return np.ceil(np.log(np.asarray(values, dtype=float)) / _LOG_GAMMA)
 
 
 @pytest.mark.parametrize("total,shards", [(40, 2), (96, 5), (300, 7)])
@@ -83,6 +93,24 @@ def test_histogram_merge_associative():
     assert fingerprint(left) == fingerprint(right)
 
 
+GRID_RUNS = st.lists(st.integers(min_value=0, max_value=4096)
+                     .map(lambda n: n / 64.0), max_size=120)
+
+
+@given(GRID_RUNS, GRID_RUNS, GRID_RUNS)
+@settings(max_examples=80, deadline=None)
+def test_merge_is_commutative_and_associative(a, b, c):
+    """Bucket counts are integers, so a merge is exact: every grouping
+    and order of three parts leaves the state one histogram of all of
+    them leaves -- equal, not close."""
+    whole = histogram_of(a + b + c).state()
+    left = histogram_of(a).merge(histogram_of(b)).merge(histogram_of(c))
+    right = histogram_of(a).merge(histogram_of(b).merge(histogram_of(c)))
+    swapped = histogram_of(c).merge(histogram_of(a)).merge(
+        histogram_of(b))
+    assert left.state() == right.state() == swapped.state() == whole
+
+
 def test_merge_never_mutates_other():
     rng = np.random.default_rng(11)
     other = histogram_of(exact_values(rng, 50))
@@ -93,104 +121,46 @@ def test_merge_never_mutates_other():
 
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_bucketed_merge_order_invariant(shards):
-    """Past the exact limit the algebra must hold on the bucket grid."""
+    """A fleet-sized stream merges to the same bucket counts in any
+    shard order, and its state stays as small as its value range."""
     rng = np.random.default_rng(shards)
-    values = exact_values(rng, EXACT_SAMPLE_LIMIT + 200)
+    values = exact_values(rng, 5000)
     parts = split(rng, values, shards)
     reference = histogram_of(values)
-    assert not reference.exact  # the fold really happened
     merged = Histogram("h")
     for index in rng.permutation(shards):
         merged.merge(histogram_of(parts[index]))
     assert fingerprint(merged) == fingerprint(reference)
-    # bucket contents agree exactly, not just the percentile readout
-    np.testing.assert_array_equal(merged._buckets,
-                                  reference._buckets)
-
-
-def test_mixed_mode_merge_folds_to_buckets():
-    """exact + exact crossing the limit lands on the shared grid."""
-    rng = np.random.default_rng(3)
-    big = histogram_of(exact_values(rng, EXACT_SAMPLE_LIMIT - 10))
-    small = histogram_of(exact_values(rng, 50))
-    assert big.exact and small.exact
-    big.merge(small)
-    assert not big.exact
-    assert big.count == EXACT_SAMPLE_LIMIT + 40
-
-
-def test_fold_happens_exactly_past_the_limit():
-    """Exactly ``EXACT_SAMPLE_LIMIT`` observations stay exact; the
-    next one crosses into bucketed mode with nothing lost."""
-    rng = np.random.default_rng(9)
-    values = exact_values(rng, EXACT_SAMPLE_LIMIT)
-    histogram = histogram_of(values)
-    assert histogram.exact
-    assert histogram.count == EXACT_SAMPLE_LIMIT
-    exact_p50 = histogram.percentile(50.0)
-    histogram.observe(values[0])
-    assert not histogram.exact
-    assert histogram.count == EXACT_SAMPLE_LIMIT + 1
-    assert histogram.total == pytest.approx(sum(values) + values[0])
-    # bucket-mode percentile stays within the grid's ~9% relative
-    # error of the exact readout
-    if exact_p50 > 0:
-        assert histogram.percentile(50.0) == \
-            pytest.approx(exact_p50, rel=0.1)
+    keys = bucket_keys([v for v in values if v > BUCKET_MIN])
+    assert len(merged.state()["counts"]) == keys.max() - keys.min() + 1
 
 
 def test_bucketed_underflow_percentiles():
-    """Sub-``BUCKET_MIN`` values (zeros included) land in the
-    underflow bucket and still read out inside [min, max]."""
+    """Values at or below ``BUCKET_MIN`` (zeros included) share the
+    low bucket, which reads 0 clamped into [min, max]."""
     histogram = Histogram("lat")
-    tiny = [0.0, 1e-9, 1e-8] * ((EXACT_SAMPLE_LIMIT // 3) + 1)
-    for value in tiny:
-        histogram.observe(value)
-    assert not histogram.exact
+    tiny = [0.0, 1e-9, 1e-8] * 400
+    histogram.observe_many(tiny)
+    assert histogram.state()["low"] == len(tiny)
+    assert histogram.state()["counts"] == []
     for p in (0.0, 50.0, 99.0, 100.0):
-        value = histogram.percentile(p)
-        assert 0.0 <= value <= 1e-8
-    # a lone large value keeps the high percentiles honest; the
-    # median interpolates inside the underflow bucket [0, BUCKET_MIN)
+        assert 0.0 <= histogram.percentile(p) <= 1e-8
+    # a lone large value keeps the high percentiles honest
     histogram.observe(4.0)
     assert histogram.percentile(100.0) == 4.0
     assert histogram.percentile(50.0) < BUCKET_MIN
 
 
 def test_bucketed_overflow_percentiles():
-    """Beyond-grid values land in the overflow bucket; percentiles
-    that fall there report the observed max, never an edge value."""
+    """There is no top of the grid: values far beyond any latency read
+    back within the relative accuracy, and p100 is the exact max."""
     histogram = Histogram("bytes")
-    for _ in range(EXACT_SAMPLE_LIMIT + 10):
-        histogram.observe(1.0)
-    histogram.observe(3.5e12)                      # >> grid top (~1e9)
-    histogram.observe(7.0e12)
-    assert not histogram.exact
+    histogram.observe_many([1.0] * 1100 + [3.5e12, 7.0e12])
     assert histogram.percentile(100.0) == 7.0e12
-    assert histogram.percentile(50.0) == pytest.approx(1.0, rel=0.1)
-
-
-def test_merge_exact_into_bucketed_and_back():
-    """Merging across modes (either direction) buckets the result and
-    preserves count/total/min/max exactly."""
-    rng = np.random.default_rng(21)
-    values = exact_values(rng, EXACT_SAMPLE_LIMIT + 200)
-    bucketed = histogram_of(values)
-    assert not bucketed.exact
-    extra = exact_values(rng, 30)
-    exact = histogram_of(extra)
-    assert exact.exact
-
-    folded = histogram_of(values).merge(exact)     # bucketed <- exact
-    assert not folded.exact
-    assert folded.count == len(values) + len(extra)
-    assert folded.total == sum(values) + sum(extra)
-
-    other = histogram_of(extra).merge(bucketed)    # exact <- bucketed
-    assert not other.exact
-    assert (other.count, other.total) == (folded.count, folded.total)
-    assert other.percentile(50.0) == \
-        pytest.approx(folded.percentile(50.0), rel=1e-9)
+    assert histogram.percentile(99.95) == \
+        pytest.approx(3.5e12, rel=RELATIVE_ACCURACY)
+    assert histogram.percentile(50.0) == \
+        pytest.approx(1.0, rel=RELATIVE_ACCURACY)
 
 
 def telemetry_of(rows, name="t"):
@@ -232,9 +202,104 @@ def test_telemetry_merge_associative():
     a2, b2, c2 = (telemetry_of(part) for part in split(
         np.random.default_rng(42), rows, 3))
     left = a.merge(b).merge(c)
-    right_inner = b2.merge(c2)
-    right = a2.merge(right_inner)
+    right = a2.merge(b2.merge(c2))
     assert telemetry_fingerprint(left) == telemetry_fingerprint(right)
+
+
+# ---- the sketch's accuracy contract ------------------------------------
+
+#: Percentiles every accuracy property reads (the exported three and
+#: the tails).
+PERCENTILES = (0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9)
+
+
+@st.composite
+def positive_sets(draw):
+    """A lognormal set (sigma 3: nine decades) plus drawn floats, all
+    above ``BUCKET_MIN``."""
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    size = draw(st.integers(min_value=0, max_value=1500))
+    values = np.random.default_rng(seed).lognormal(0.0, 3.0, size=size)
+    values = values[values > BUCKET_MIN].tolist()
+    values += draw(st.lists(st.floats(min_value=BUCKET_MIN,
+                                      max_value=1e12, exclude_min=True),
+                            max_size=20))
+    assume(values)
+    return values
+
+
+@given(positive_sets(),
+       st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_percentiles_within_relative_accuracy(values, drawn):
+    """Every percentile is within ``RELATIVE_ACCURACY`` of
+    ``np.quantile(method="lower")`` -- the sample at rank
+    ``floor(p / 100 * (count - 1))``."""
+    histogram = Histogram("h")
+    histogram.observe_many(values)
+    for p in PERCENTILES + tuple(drawn):
+        want = float(np.quantile(values, p / 100.0, method="lower"))
+        assert abs(histogram.percentile(p) - want) <= \
+            RELATIVE_ACCURACY * (1.0 + 1e-9) * want, (p, want)
+
+
+@given(st.lists(st.one_of(
+    st.floats(min_value=-1e3, max_value=1e12),
+    st.sampled_from([0.0, -0.0, BUCKET_MIN, 2.5])), min_size=1,
+    max_size=80))
+@settings(max_examples=80, deadline=None)
+def test_p0_and_p100_are_the_exact_min_and_max(values):
+    histogram = Histogram("h")
+    histogram.observe_many(values)
+    assert histogram.percentile(0.0) == min(values)
+    assert histogram.percentile(100.0) == max(values)
+
+
+@given(positive_sets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_over_misses_by_at_most_its_bucket(values, data):
+    """The interpolated share only redistributes the threshold
+    bucket's own population, so ``count_over`` is within that
+    bucket's count of the exact answer (the low bucket's for a
+    threshold at or below ``BUCKET_MIN``), and never rises with the
+    threshold."""
+    values += data.draw(st.lists(st.sampled_from(
+        [0.0, -2.0, BUCKET_MIN / 3, BUCKET_MIN]), max_size=10))
+    histogram = Histogram("h")
+    histogram.observe_many(values)
+    array = np.asarray(values)
+    thresholds = sorted(data.draw(st.lists(st.one_of(
+        st.sampled_from(values),
+        st.floats(min_value=-10.0, max_value=2e12)), max_size=12)))
+    readings = []
+    for threshold in thresholds:
+        exact = float(np.sum(array > threshold))
+        if threshold <= BUCKET_MIN:
+            slack = np.sum(array <= BUCKET_MIN)
+        else:
+            high = array[array > BUCKET_MIN]
+            slack = np.sum(bucket_keys(high) == bucket_keys(threshold))
+        readings.append(histogram.count_over(threshold))
+        assert abs(readings[-1] - exact) <= slack + 1e-9, threshold
+    assert all(a >= b - 1e-9 for a, b in zip(readings, readings[1:]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 float("-inf")])
+def test_non_finite_observations_are_refused(bad):
+    """A sketch holds finite values only: NaN and +-inf raise naming
+    the instrument, through the scalar and the bulk path, and leave
+    the histogram as it was."""
+    for observe in (lambda h: h.observe(bad),
+                    lambda h: h.observe_many([bad]),
+                    lambda h: h.observe_many([4.0, bad, 5.0])):
+        histogram = Histogram("lat", {"app": "mar"})
+        histogram.observe_many([1.0, 2.0, 3.0])
+        before = reading(histogram)
+        with pytest.raises(ValueError,
+                           match=re.escape('lat{app="mar"}')):
+            observe(histogram)
+        assert reading(histogram) == before
 
 
 # ---- bulk updates == one update per sample ----------------------------
@@ -244,10 +309,17 @@ def test_telemetry_merge_associative():
 # instrument; the fold must leave exactly what the per-sample loop
 # leaves, floats included.
 
-#: Zero, negatives, repeats, the underflow bucket's edge and values
-#: past the last bucket edge.
+#: Bucket edges ``GAMMA**k`` and one ulp either side of each: a
+#: boundary value must land in the same bucket whichever path keys it.
+BOUNDARY_SAMPLES = [float(v) for k in (-690, -1, 0, 1, 2, 57, 345, 1000)
+                    for edge in (GAMMA ** k,)
+                    for v in (np.nextafter(edge, 0.0), edge,
+                              np.nextafter(edge, np.inf))]
+#: Zero, negatives, repeats, the low bucket's edge, large values and
+#: the bucket edges above.
 EDGE_SAMPLES = [0.0, -0.0, -3.5, -3.5, BUCKET_MIN / 2, BUCKET_MIN,
-                2.5, 2.5, 1e9, 4e9, 1e12]
+                float(np.nextafter(BUCKET_MIN, 1.0)), 2.5, 2.5, 1e9,
+                4e9, 1e12] + BOUNDARY_SAMPLES
 SAMPLES = st.one_of(
     st.sampled_from(EDGE_SAMPLES),
     st.floats(min_value=-1e3, max_value=1e12, allow_nan=False))
@@ -255,12 +327,9 @@ SAMPLES = st.one_of(
 
 @st.composite
 def sample_runs(draw):
-    """A float list whose length straddles ``EXACT_SAMPLE_LIMIT`` (a
-    seeded bulk plus a drawn tail) and a split of it into consecutive
-    chunks."""
-    bulk = draw(st.sampled_from(
-        [0, 3, EXACT_SAMPLE_LIMIT - 4, EXACT_SAMPLE_LIMIT,
-         EXACT_SAMPLE_LIMIT + 30]))
+    """A float list (a seeded bulk plus a drawn tail) and a split of
+    it into consecutive chunks."""
+    bulk = draw(st.sampled_from([0, 3, 200, 1500]))
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
     values = np.random.default_rng(seed).lognormal(
         0.0, 3.0, size=bulk).tolist()
@@ -294,9 +363,20 @@ def test_observe_many_is_the_observe_loop(run):
     other = histogram_of(exact_values(np.random.default_rng(3), 50))
     assert reading(Histogram("h").merge(chunked).merge(other)) == \
         reading(Histogram("h").merge(looped).merge(other))
-    assert reading(histogram_of(other.state()["samples"])
+    assert reading(Histogram.from_state(other.state())
                    .merge(chunked)) == \
-        reading(histogram_of(other.state()["samples"]).merge(looped))
+        reading(Histogram.from_state(other.state()).merge(looped))
+
+
+def test_boundary_values_key_alike_one_by_one_and_in_bulk():
+    """Every edge ``GAMMA**k`` and its neighbouring ulps land in one
+    bucket whether observed alone or in an array."""
+    looped = histogram_of(BOUNDARY_SAMPLES)
+    bulk = Histogram("h")
+    bulk.observe_many(BOUNDARY_SAMPLES)
+    assert bulk.state() == looped.state()
+    assert len(set(bucket_keys(
+        [v for v in BOUNDARY_SAMPLES if v > BUCKET_MIN]))) > 8
 
 
 def test_observe_many_sum_is_ordered_not_pairwise(monkeypatch):
@@ -379,8 +459,8 @@ def test_bulk_trace_count_is_that_many_empty_spans(outer, inner):
 
 @st.composite
 def registries(draw):
-    """Labeled and bare counters, and histograms on both sides of the
-    exact-sample fold."""
+    """Labeled and bare counters, and histograms from empty to
+    fleet-sized."""
     telemetry = Telemetry()
     for index in range(draw(st.integers(min_value=0, max_value=4))):
         labels = draw(st.sampled_from(
@@ -390,7 +470,7 @@ def registries(draw):
     for index in range(draw(st.integers(min_value=0, max_value=3))):
         labels = draw(st.sampled_from([None, {"app": "hvs"}]))
         bulk = draw(st.sampled_from(
-            [0, 1, 40, EXACT_SAMPLE_LIMIT, EXACT_SAMPLE_LIMIT + 30]))
+            [0, 1, 40, 1500]))
         seed = draw(st.integers(min_value=0, max_value=2 ** 16))
         values = np.random.default_rng(seed).lognormal(
             0.0, 3.0, size=bulk).tolist()
@@ -413,3 +493,38 @@ def test_export_reads_back_the_registry(telemetry):
             in back.histograms().items()} == \
         {key: histogram.state() for key, histogram
          in telemetry.histograms().items()}
+
+
+# ---- hostile and stale states ------------------------------------------
+
+
+def good_state():
+    histogram = Histogram("lat", {"app": "mar"})
+    histogram.observe_many([0.0, 1.5, 2.5, 40.0, 41.0])
+    return histogram.state()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s.update(samples=[1.5, 2.5]), "pre-sketch"),
+    (lambda s: s.update(buckets=[0] * 130), "pre-sketch"),
+    (lambda s: s["counts"].__setitem__(0, -1), "non-negative integers"),
+    (lambda s: s["counts"].__setitem__(0, 1.5), "non-negative integers"),
+    (lambda s: s["counts"].__setitem__(0, True), "non-negative integers"),
+    (lambda s: s.update(counts="[1, 2]"), "non-negative integers"),
+    (lambda s: s.update(low=-1), "non-negative integers"),
+    (lambda s: s.update(count=4.0), "non-negative integers"),
+    (lambda s: s["counts"].__setitem__(-1, 7), "!= 5"),
+    (lambda s: s["counts"].pop(), "!= 5"),
+    (lambda s: s.update(sum=float("nan")), "finite"),
+    (lambda s: s.update(max=float("inf")), "finite"),
+    (lambda s: s.pop("min"), "finite"),
+], ids=["samples", "buckets", "negative", "float", "bool", "not-a-list",
+        "negative-low", "float-count", "flipped-count",
+        "truncated-counts", "nan-sum", "inf-max", "no-min"])
+def test_from_state_refuses_what_it_cannot_hold(edit, message):
+    state = good_state()
+    assert Histogram.from_state(state).state() == state
+    edit(state)
+    with pytest.raises(ValueError, match=re.escape(
+            "histogram 'lat{app=\"mar\"}': ") + ".*" + re.escape(message)):
+        Histogram.from_state(state)
