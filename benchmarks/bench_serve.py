@@ -96,7 +96,7 @@ def test_serve_throughput(benchmark):
     """Ungated trajectory case: decisions/s at a 50-slice cell."""
     service = _make_service()
     slots = _make_requests(service)
-    # one warm-up slot: numpy buffers, coordinator warm start
+    # one warm-up slot: numpy buffers and the routing plan
     _drive(service, slots[:1])
 
     elapsed = run_once(benchmark, _drive, service, slots)

@@ -299,6 +299,12 @@ class TrafficConfig:
     #: traces are unchanged).
     seed: int = 11
 
+    def __post_init__(self) -> None:
+        if self.slots_per_episode < 1:
+            raise ValueError(
+                "slots_per_episode must be >= 1, got "
+                f"{self.slots_per_episode}")
+
 
 @dataclass(frozen=True)
 class PolicyNetConfig:

@@ -16,11 +16,12 @@ policy are served by one ``policy.act_rows(states)`` call --
   ``MLP.predict_batch`` forward.
 
 :func:`project_actions_batch` applies the paper's projection
-(Sec. 4) per world across a whole batch, and :func:`lockstep` drives
-a :class:`~repro.engine.batch.BatchSimulator` under one batch policy
--- the one loop evaluation, fuzzing, OnRL training and the offline
-pi_b rollouts share -- with :func:`episode_totals` its per-episode
-fold.
+(Sec. 4) per world across a whole batch -- the one projection, which
+serving's :class:`~repro.serve.service.DecisionCore` runs too -- and
+:func:`lockstep` drives a :class:`~repro.engine.batch.BatchSimulator`
+under one batch policy -- the one loop evaluation, fuzzing, OnRL
+training and the offline pi_b rollouts share -- with
+:func:`episode_totals` its per-episode fold.
 """
 
 from __future__ import annotations
@@ -128,28 +129,41 @@ class RoutedBatchPolicy:
 RuleBasedBatchPolicy = ModelBasedBatchPolicy = RoutedBatchPolicy
 
 
+def world_totals(actions: np.ndarray, offsets) -> np.ndarray:
+    """``(W, kinds)`` totals of the constrained kinds per world of a
+    stacked action matrix (``offsets[i]:offsets[i+1]`` delimit world
+    ``i``'s rows), each summed in row order: the totals
+    :func:`project_actions_batch` scales by."""
+    world_of = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    totals = np.zeros((len(offsets) - 1, len(_KIND_COLUMNS)))
+    np.add.at(totals, world_of,
+              np.asarray(actions, dtype=float)[:, _KIND_COLUMNS])
+    return totals
+
+
 def project_actions_batch(actions: np.ndarray,
                           offsets: np.ndarray,
-                          capacity: float = 1.0) -> np.ndarray:
+                          capacity: float = 1.0,
+                          totals: Optional[np.ndarray] = None
+                          ) -> np.ndarray:
     """Per-world proportional projection over a stacked action matrix.
 
     ``offsets[i]:offsets[i+1]`` delimit world ``i``'s rows; for every
     constrained resource kind whose within-world total exceeds
     ``capacity``, that world's entries scale by ``capacity / total``
     (the paper's projection, Sec. 4), all other dimensions untouched.
-    Returns a new matrix.
+    ``totals`` are the :func:`world_totals` of ``actions`` for a
+    caller that already summed them.  Returns a new matrix.
     """
     projected = np.asarray(actions, dtype=float).copy()
-    requested = projected[:, _KIND_COLUMNS]
-    world_of = np.repeat(np.arange(len(offsets) - 1),
-                         np.diff(offsets))
-    totals = np.zeros((len(offsets) - 1, len(_KIND_COLUMNS)))
-    np.add.at(totals, world_of, requested)
+    if totals is None:
+        totals = world_totals(projected, offsets)
     over = totals > capacity
     scale = np.where(over & (totals > 0),
                      capacity / np.where(totals > 0, totals, 1.0),
                      1.0)
-    projected[:, _KIND_COLUMNS] = requested * scale[world_of]
+    projected[:, _KIND_COLUMNS] *= np.repeat(scale, np.diff(offsets),
+                                             axis=0)
     return projected
 
 

@@ -9,7 +9,7 @@ repository (the ROADMAP's "serve heavy traffic" north star):
 * :mod:`repro.serve.service` -- :class:`DecisionCore`, the online
   decision row-wise for any number of cells per call (vectorised
   inference per policy, the paper's safe fallback to pi_b when pi_phi
-  predicts an SLA violation, Eq. 14 price coordination per cell), and
+  predicts an SLA violation, the capacity projection per cell), and
   :class:`SlicingService`, one cell of it and its request / decision
   object edge;
 * :mod:`repro.serve.loadgen` -- :class:`LoadGenerator`, which drives

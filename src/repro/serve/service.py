@@ -4,25 +4,28 @@ The paper's controller decides once per configuration slot for every
 slice of a cell -- pi_theta proposes, the pi_phi cost estimator
 switches a slice to the rule-based baseline pi_b for the *rest of the
 episode* when it predicts an SLA violation (Eq. 8, the one-way door of
-Sec. 3), and the allocations are priced into capacity against the
-coordinating parameters (Eq. 13-14), with projection as the hard
-guarantee -- and a fleet is that decision for many cells at the same
-slot.
+Sec. 3), and a cell whose allocations over-request a resource is
+projected into capacity (Sec. 4) -- and a fleet is that decision for
+many cells at the same slot.  Serving has no action modifier pi_a, so
+it does not coordinate (Eq. 13-14): a cell that fits is served as
+proposed, one that does not goes through
+:func:`~repro.engine.policies.project_actions_batch`, the projection
+evaluation executes, so a served cell decides what ``run_episodes``
+evaluates.
 
 :class:`DecisionCore` is that decision, row-wise: one call decides
-every row of every cell it is asked about.  State is arrays (the
-warm-started ``beta`` of Eq. 14 as ``(C, 3)``, the Eq. 8 latch as one
-boolean vector over every cell's slices), routing is one cached plan
-per name sequence, pi_b tables answer with one ``act_rows`` per table,
-pi_theta and the pi_phi posterior run once per snapshot policy for
-every cell at once (each cell's group a matmul slab, bit-identical to
-the group alone), the posterior only on the rows that latch does not
-hold yet (a switched slice has nothing left for Eq. 8 to decide until
-:meth:`SlicingService.begin_episode` re-arms it), Eq. 14 is segmented
-per cell (only the cells still over capacity take
-another sub-gradient round), and each cell's telemetry is buffered and
-folded into its own :class:`~repro.obs.metrics.Telemetry` in bulk
-(:meth:`DecisionCore.flush`).
+every row of every cell it is asked about.  Its only state across
+slots is the Eq. 8 latch, one boolean vector over every cell's
+slices; routing is one cached plan per name sequence, pi_b tables
+answer with one ``act_rows`` per table, pi_theta and the pi_phi
+posterior run once per snapshot policy for every cell at once (each
+cell's group a matmul slab, bit-identical to the group alone), the
+posterior only on the rows that latch does not hold yet (a switched
+slice has nothing left for Eq. 8 to decide until
+:meth:`SlicingService.begin_episode` re-arms it), one projection call
+covers every cell over capacity, and each cell's telemetry is
+buffered and folded into its own :class:`~repro.obs.metrics.Telemetry`
+in bulk (:meth:`DecisionCore.flush`).
 
 :class:`SlicingService` is one cell -- a snapshot bound to a target
 config, its generator, its telemetry -- and
@@ -49,41 +52,33 @@ import numpy as np
 
 from repro.baselines.model_based import ModelBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS
+from repro.engine.policies import project_actions_batch, world_totals
 from repro.obs.metrics import Telemetry
 from repro.obs.trace import active as active_tracer
 from repro.rl.cost_estimator import CostToGoEstimator
 from repro.rl.ppo import GaussianActorCritic
 from repro.serve.policy_store import PolicySnapshot
 from repro.sim.env import STATE_DIM
-from repro.sim.network import CONSTRAINED_RESOURCES
 
-#: Decision-path stages, pipeline order.  Every decision of a cell
-#: observes one ``stage_<name>_ms`` histogram sample per stage, so
-#: per-stage latency survives telemetry merges all the way up to the
-#: fleet report.
+#: Decision-path stages, pipeline order (``coordinate`` is the
+#: capacity projection).  Every decision of a cell observes one
+#: ``stage_<name>_ms`` histogram sample per stage, so per-stage latency
+#: survives telemetry merges all the way up to the fleet report.
 DECISION_STAGES = ("assemble", "forward", "fallback", "coordinate")
 
-#: Constrained action columns, in CONSTRAINED_RESOURCES order, and the
-#: capacity ``L_k_max`` every one of them is normalised to.
-_KIND_COLUMNS = np.fromiter(CONSTRAINED_RESOURCES.values(), dtype=np.intp)
+#: The capacity ``L_k_max`` every constrained resource is normalised
+#: to (Eq. 9: a cell's usage of a kind is at most 1).
 _CAPACITY = 1.0
-
-#: Eq. 14 sub-gradient rounds a cell may take per decision, and the
-#: slack over capacity its totals may keep without another round (the
-#: final projection clips whatever is left).
-MAX_COORDINATION_ROUNDS = 8
-COORDINATION_TOLERANCE = 1e-3
-_LIMIT = _CAPACITY + COORDINATION_TOLERANCE
 
 #: Decisions a cell may have buffered before its telemetry is folded
 #: without being asked (:meth:`DecisionCore.flush`).
 PENDING_SLOTS = 128
 
 #: Columns of the per-(slot, cell) telemetry buffer: rows decided,
-#: Eq. 14 rounds, projected (0 / 1), rows served by pi_b, the fresh
-#: Eq. 8 triggers among them, then milliseconds -- the whole decision
-#: and one per stage of :data:`DECISION_STAGES`.
-_ROWS, _ROUNDS, _PROJECTED, _FALLBACKS, _EQ8, _ELAPSED = range(6)
+#: projected (0 / 1), rows served by pi_b, the fresh Eq. 8 triggers
+#: among them, then milliseconds -- the whole decision and one per
+#: stage of :data:`DECISION_STAGES`.
+_ROWS, _PROJECTED, _FALLBACKS, _EQ8, _ELAPSED = range(5)
 _STAGES = slice(_ELAPSED + 1, _ELAPSED + 1 + len(DECISION_STAGES))
 _FIELDS = _STAGES.stop
 
@@ -118,7 +113,6 @@ class RowDecisions:
     fallback: np.ndarray            # (R,) bool: served by pi_b
     policies: List[str]             # snapshot policy per row
     fallbacks: np.ndarray           # (C,) rows served by pi_b
-    rounds: np.ndarray              # (C,) Eq. 14 rounds
     projected: np.ndarray           # (C,) bool: capacity projection
 
 
@@ -232,9 +226,6 @@ class SlicingService:
         self.horizon = self.cfg.traffic.slots_per_episode
         self._rng = np.random.default_rng(
             snapshot.seed if rng_seed is None else rng_seed)
-        self._step_size = self.cfg.agent.modifier.coordinator_step_size
-        if self._step_size <= 0:
-            raise ValueError("step_size must be positive")
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -252,7 +243,7 @@ class SlicingService:
         self._routes = self._build_routes()
         self._slice_index = {name: index
                              for index, name in enumerate(self._routes)}
-        #: The core holding this cell's betas and latch, and the cell's
+        #: The core holding this cell's latch, and the cell's
         #: index in it: a one-cell core of its own until a driver
         #: stacks the service with others.
         self._core: Optional["DecisionCore"] = None
@@ -339,7 +330,7 @@ class SlicingService:
         """Serve one batch of per-slice requests.
 
         Returns a decision per request.  The whole batch is treated as
-        one slot of one cell: allocations are coordinated jointly, so
+        one slot of one cell: allocations are fit into capacity jointly, so
         callers should batch the slices that share infrastructure.
         A batch with an unknown or repeated slice, a state of the
         wrong shape or a non-finite state is rejected whole, before it
@@ -365,8 +356,8 @@ class SlicingService:
     def _propose(self, requests: Sequence[DecisionRequest],
                  stages: Dict[str, float]
                  ) -> Dict[str, Tuple[np.ndarray, bool, str]]:
-        """Pre-coordination ``(action, fallback, policy key)`` per
-        slice -- :meth:`decide` up to Eq. 14, latching included --
+        """Pre-projection ``(action, fallback, policy key)`` per
+        slice -- :meth:`decide` up to the projection, latching included --
         adding the stage seconds spent to ``stages``."""
         plan, states = self._rows(requests)
         core = self._core
@@ -415,9 +406,6 @@ class _Plan:
         self.posteriors: List[tuple] = []
         eq8_rows: List[int] = []
         self.groups = np.zeros(len(self.cells), dtype=np.intp)
-        #: every cell's rows in the order Eq. 14 adds them up
-        #: (:meth:`allocate`): table rows, then group by group
-        summed: List[int] = []
         row = 0
         for position, (cell, cell_names) in enumerate(
                 zip(self.cells, self.names)):
@@ -445,7 +433,6 @@ class _Plan:
                 if table is not None:
                     tables.setdefault(id(table), (table, []))[1].append(
                         row)
-                    summed.append(row)
                 else:
                     groups.setdefault(key, []).append(row)
                 row += 1
@@ -453,7 +440,6 @@ class _Plan:
             eq8_groups = []
             for key, rows in groups.items():
                 policy = service._policies[key]
-                summed.extend(rows)
                 stack = (id(service.snapshot), key)
                 forwards.setdefault((stack, len(rows)),
                                     (policy, []))[1].append(rows)
@@ -484,23 +470,6 @@ class _Plan:
         owner = self.cell_of_row[self.eq8_rows]
         self.eq8_horizon = core._horizon[self.index][owner]
         self.eq8_eta = core._eta[self.index][owner]
-        # Eq. 14 work space, kind-major so a cell's rows are one
-        # contiguous run per resource kind: the allocations, and per
-        # distinct slice count the cells that have it, their rows (in
-        # summation order) as a (cells, count) grid and a buffer
-        self.allocated = np.empty((len(_KIND_COLUMNS), self.rows))
-        self.sums = np.empty((len(self.cells), len(_KIND_COLUMNS)))
-        self.by_count = []
-        summed = np.asarray(summed, dtype=np.intp)
-        for count in np.unique(self.counts):
-            positions = np.flatnonzero(self.counts == count)
-            self.by_count.append((
-                positions,
-                summed[self.starts[positions][:, None]
-                       + np.arange(count)],
-                np.empty((len(_KIND_COLUMNS), len(positions), count))))
-        # Eq. 14 step sizes of the asked cells
-        self.step = core._step[self.index][:, None]
         # what every slot's telemetry block starts from, and the
         # answers of a plan no learned policy serves
         self.share = self.counts / self.rows
@@ -511,47 +480,21 @@ class _Plan:
         self.observed = [cell for cell in self.cells
                          if cell in core._observed]
 
-    def allocate(self, requested: np.ndarray,
-                 prices: np.ndarray) -> np.ndarray:
-        """Price-taker allocations ``requested / (1 + beta)`` of
-        ``(kinds, R)`` requests under per-cell ``(C, kinds)`` prices,
-        into :attr:`allocated`; returns the per-cell ``(C, kinds)``
-        totals.
-
-        A total is the float the per-cell loop's ``allocated.sum(
-        axis=0)`` gave: there the allocations of one cell were a
-        column-major ``(S, kinds)`` array -- table rows in request
-        order, then the learned rows policy group by policy group --
-        so each kind's column was contiguous and numpy summed it
-        pairwise, a different float from the row-order sum once
-        ``S >= 8``.  Summing the last axis of a contiguous ``(kinds,
-        cells, S)`` block is that same pairwise sum over exactly ``S``
-        elements, so cells are grouped by slice count and their rows
-        gathered in that order.
-        """
-        np.divide(requested, (1.0 + prices).T[:, self.cell_of_row],
-                  out=self.allocated)
-        for positions, rows, block in self.by_count:
-            np.take(self.allocated, rows, axis=1, out=block)
-            self.sums[positions] = block.sum(axis=2).T
-        return self.sums
-
 
 class DecisionCore:
     """The row-wise decision core over ``C`` cells.
 
     Built over the :class:`SlicingService` cells it decides for, which
-    it *adopts*: their betas and latch move into this core's arrays
-    (whatever core held them before is flushed first) and
+    it *adopts*: their latch moves into this core's array
+    (whatever core held it before is flushed first) and
     ``service.core`` is this core from then on, so
     :meth:`SlicingService.decide` and :meth:`decide_rows` read and
     write one state.
 
-    What is per-cell state, and where: ``_betas[c]`` -- the Eq. 14
-    coordinating parameters, warm-started across slots (they move only
-    when a sub-gradient round is taken); ``_latched[_slice_starts[c]:
+    What is per-cell state, and where: ``_latched[_slice_starts[c]:
     _slice_starts[c + 1]]`` -- the Eq. 8 one-way door per slice of the
-    cell's config, cleared by :meth:`begin_episode`; the generator the
+    cell's config, cleared by :meth:`begin_episode` (nothing else is
+    carried from one slot to the next); the generator the
     pi_phi posterior draws from is the service's own.  What is cached:
     one :class:`_Plan` for the last (cells, names) asked about.  What
     is deferred: every decision's telemetry sits in a per-(slot, cell)
@@ -569,9 +512,7 @@ class DecisionCore:
         count = len(self.services)
         self._slice_starts = np.concatenate(
             ([0], np.cumsum([len(s._routes) for s in self.services])))
-        self._betas = np.zeros((count, len(_KIND_COLUMNS)))
         self._latched = np.zeros(int(self._slice_starts[-1]), dtype=bool)
-        self._step = np.asarray([s._step_size for s in self.services])
         self._horizon = np.asarray([s.horizon for s in self.services],
                                    dtype=float)
         self._eta = np.asarray([s.eta for s in self.services],
@@ -582,7 +523,7 @@ class DecisionCore:
         self._plan: Optional[_Plan] = None
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
-             "extra_rounds", "projections", "telemetry_folds",
+             "projections", "telemetry_folds",
              "forward_calls", "posterior_calls", "posterior_rows"), 0)
         self._pending = np.zeros(count, dtype=np.intp)
         self._buffer = np.empty((PENDING_SLOTS, count, _FIELDS))
@@ -592,7 +533,6 @@ class DecisionCore:
             old = service._core
             if old is not None:
                 old.flush((service._cell,))
-                self._betas[cell] = old._betas[service._cell]
                 self._segment(cell)[:] = old._segment(service._cell)
             service._core, service._cell = self, cell
 
@@ -600,9 +540,8 @@ class DecisionCore:
     def counters(self) -> Mapping[str, int]:
         """What this core did so far (a read-only snapshot):
         :meth:`decide_rows` calls and the rows they decided, routing
-        plans built, Eq. 14 cell-rounds beyond each decision's first,
-        cell-decisions that needed the capacity projection, per-cell
-        telemetry folds, the pi_theta forwards run, and the pi_phi
+        plans built, cell-decisions that needed the capacity projection,
+        per-cell telemetry folds, the pi_theta forwards run, and the pi_phi
         passes run and the (unlatched) rows they evaluated -- a
         forward or a pass serves every cell's group of one snapshot
         policy and row count at once."""
@@ -678,17 +617,16 @@ class DecisionCore:
         self._check(plan, states)
         actions, fallback, held, seconds = self._propose(plan, states,
                                                          start)
-        priced = time.perf_counter()
-        rounds, projected = self._price(plan, actions)
+        proposed = time.perf_counter()
+        actions, projected = self._project(plan, actions)
         done = time.perf_counter()
-        seconds.append(done - priced)
+        seconds.append(done - proposed)
 
         counters = self._counters
         counters["decide_calls"] += 1
         counters["rows_decided"] += plan.rows
         counters["forward_calls"] += len(plan.forwards)
         block = plan.block
-        block[:, _ROUNDS] = rounds
         block[:, _PROJECTED] = projected
         if fallback is plan.no_fallback:
             fallbacks = plan.no_fallbacks
@@ -714,10 +652,10 @@ class DecisionCore:
             self._run_observers(cell)
         return RowDecisions(
             actions=actions, fallback=fallback, policies=plan.policies,
-            fallbacks=fallbacks, rounds=rounds, projected=projected)
+            fallbacks=fallbacks, projected=projected)
 
     def _propose(self, plan: _Plan, states: np.ndarray, start: float):
-        """Pre-coordination actions of validated rows: tables, the
+        """Pre-projection actions of validated rows: tables, the
         pi_theta forwards, then Eq. 8 on the rows the latch does not
         already hold.
 
@@ -812,47 +750,25 @@ class DecisionCore:
             assembled - start, forwarded - assembled,
             time.perf_counter() - forwarded]
 
-    def _price(self, plan: _Plan, actions: np.ndarray):
-        """Price every cell's allocations into capacity (Eq. 14), in
-        place; returns per-cell ``(rounds, projected)``.
+    def _project(self, plan: _Plan, actions: np.ndarray):
+        """Fit every cell's allocations into capacity; returns the
+        actions served and the per-cell ``projected`` flags.
 
-        A cell's coordinator raises ``beta_k`` while resource ``k`` is
-        over-requested (warm-started across slots); allocations respond
-        as price-takers, ``a_k = proposal_k / (1 + beta_k)``
-        (:meth:`_Plan.allocate`), and only the cells still over
-        capacity -- and under their round limit
-        -- take another sub-gradient round.  A final projection
-        guarantees feasibility for the cells the rounds did not fit:
-        infrastructure capacity is physical.
+        A cell whose per-kind totals fit is served as proposed; the
+        others go through :func:`~repro.engine.policies
+        .project_actions_batch` (paper Sec. 4), which scales every kind
+        over capacity by ``capacity / total`` -- the projection
+        ``run_episodes`` executes -- and the flags are read off the
+        very totals it scales by.  Infrastructure capacity is
+        physical: no served cell exceeds it.
         """
-        requested = actions[:, _KIND_COLUMNS].T
-        prices = self._betas[plan.index]
-        totals = plan.allocate(requested, prices)
-        rounds = np.ones(len(plan.cells), dtype=np.intp)
-        over = (totals > _LIMIT).any(axis=1)
-        live = over & (rounds < MAX_COORDINATION_ROUNDS)
-        while live.any():
-            rounds += live
-            prices = np.where(
-                live[:, None],
-                np.maximum(prices + plan.step * (totals - _CAPACITY),
-                           0.0),
-                prices)
-            totals = plan.allocate(requested, prices)
-            over = (totals > _LIMIT).any(axis=1)
-            live = over & (rounds < MAX_COORDINATION_ROUNDS)
-        if rounds.max() > 1:
-            self._betas[plan.index] = prices
-            self._counters["extra_rounds"] += int(rounds.sum()) \
-                - len(rounds)
-        allocated = plan.allocated
-        if over.any():
-            scale = np.where(totals > _LIMIT,
-                             _CAPACITY / np.maximum(totals, 1e-12), 1.0)
-            allocated = allocated * scale.T[:, plan.cell_of_row]
-            self._counters["projections"] += int(over.sum())
-        actions[:, _KIND_COLUMNS] = allocated.T
-        return rounds, over
+        totals = world_totals(actions, plan.offsets)
+        projected = (totals > _CAPACITY).any(axis=1)
+        if projected.any():
+            actions = project_actions_batch(actions, plan.offsets,
+                                            _CAPACITY, totals)
+            self._counters["projections"] += int(projected.sum())
+        return actions, projected
 
     # ---- deferred telemetry ------------------------------------------
 
@@ -889,8 +805,8 @@ class DecisionCore:
                 if count:
                     found.lazy("fallbacks", "cause", cause).inc(count)
         # Admission taxonomy: every row of a decision was admitted,
-        # either at the coordinator's prices alone or only after the
-        # final capacity projection clipped the cell.
+        # either as proposed (the cell fit its capacity) or only after
+        # the capacity projection clipped the cell.
         rows = block[:, _ROWS]
         clipped = 0.0
         if sums[_PROJECTED]:
@@ -898,12 +814,11 @@ class DecisionCore:
             found.lazy("projections").inc(sums[_PROJECTED])
             found.lazy("admissions", "outcome", "projected").inc(clipped)
         if decisions > clipped:
-            found.lazy("admissions", "outcome", "priced").inc(
+            found.lazy("admissions", "outcome", "feasible").inc(
                 decisions - clipped)
         found.batch_size.observe_many(rows)
         found.batch_latency.observe_many(block[:, _ELAPSED])
         found.decision_latency.observe_many(block[:, _ELAPSED] / rows)
-        found.rounds.observe_many(block[:, _ROUNDS])
         for histogram, column in zip(found.stages,
                                      block[:, _STAGES].T):
             histogram.observe_many(column)
@@ -961,7 +876,6 @@ class _CellInstruments:
         self.batch_latency = telemetry.histogram("batch_latency_ms")
         self.decision_latency = telemetry.histogram(
             "decision_latency_ms")
-        self.rounds = telemetry.histogram("coordination_rounds")
         self.stages = [telemetry.histogram(f"stage_{stage}_ms")
                        for stage in DECISION_STAGES]
 

@@ -11,16 +11,21 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
 row-wise path to it: same reports, digests, telemetry and generator
-state.  Nothing under ``src/`` imports this module.  Three edits since:
+state.  Nothing under ``src/`` imports this module.  Four edits since:
 ``_fallback_flags`` asks pi_phi only about slices not yet switched
 (the core skips latched rows), so generator states still compare;
-the Eq. 14 round limit and tolerance and the Eq. 8 eta are no longer
-parameters (the service reads the first two from module constants
-and eta from the snapshot config, with the same values); and the
-per-group posterior call the service's policy object used to make
-(``cost_to_go``: ``estimator.predict_batch`` with ``mu`` clipped at
-zero) is spelled out in ``_fallback_flags``, since the core now runs
-its groups stacked.
+the Eq. 8 eta is no longer a parameter (the service reads it from the
+snapshot config, with the same value); the per-group posterior call
+the service's policy object used to make (``cost_to_go``:
+``estimator.predict_batch`` with ``mu`` clipped at zero) is spelled
+out in ``_fallback_flags``, since the core now runs its groups
+stacked; and ``_coordinate`` no longer prices the batch with a
+``ParameterCoordinator`` (Eq. 14 without an action modifier,
+warm-started across slots): serving has no pi_a, so a batch that fits
+capacity is served as proposed and one that does not is projected
+(``project_actions``, the projection evaluation executes), which also
+drops the ``coordination_rounds`` histogram and renames the
+``admissions`` outcome ``priced`` to ``feasible``.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.model_based import ModelBasedPolicy
+from repro.baselines.projection import project_actions
 from repro.config import ExperimentConfig
-from repro.domains.coordinator import ParameterCoordinator
 from repro.engine.batch import BatchSimulator
 from repro.obs.metrics import Telemetry
 from repro.obs.slo import SloEvaluator
@@ -45,9 +50,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.policy_store import PolicySnapshot
 from repro.serve.service import (
-    COORDINATION_TOLERANCE,
     DECISION_STAGES,
-    MAX_COORDINATION_ROUNDS,
     Decision,
     DecisionRequest,
     _LearnedPolicy,
@@ -102,11 +105,6 @@ class SlicingService:
         self.horizon = self.cfg.traffic.slots_per_episode
         self._rng = np.random.default_rng(
             snapshot.seed if rng_seed is None else rng_seed)
-        self._coordinator = ParameterCoordinator(
-            CONSTRAINED_RESOURCES,
-            step_size=self.cfg.agent.modifier.coordinator_step_size)
-        self._max_rounds = MAX_COORDINATION_ROUNDS
-        self._tolerance = COORDINATION_TOLERANCE
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -211,12 +209,12 @@ class SlicingService:
         stages = dict.fromkeys(DECISION_STAGES, 0.0)
         with trace("serve.decide", **self._trace_attrs):
             proposed = self._propose(requests, stages)
-            actions = {name: action
-                       for name, (action, _, _) in proposed.items()}
+            actions = {request.slice_name:
+                       proposed[request.slice_name][0]
+                       for request in requests}
             t0 = time.perf_counter()
             with trace("serve.coordinate", **self._trace_attrs):
-                coordinated, rounds, projected = \
-                    self._coordinate(actions)
+                coordinated, projected = self._coordinate(actions)
             stages["coordinate"] = time.perf_counter() - t0
             decisions = {
                 name: Decision(slice_name=name,
@@ -233,16 +231,15 @@ class SlicingService:
         if projected:
             tel.counter("projections").inc()
         # Admission taxonomy: every request in the batch was admitted,
-        # either at the coordinator's prices alone or only after the
-        # final capacity projection clipped the batch.
+        # either as proposed or only after the capacity projection
+        # clipped the batch.
         tel.counter("admissions",
                     {"outcome": "projected" if projected
-                     else "priced"}).inc(len(requests))
+                     else "feasible"}).inc(len(requests))
         tel.histogram("batch_size").observe(len(requests))
         tel.histogram("batch_latency_ms").observe(elapsed_ms)
         tel.histogram("decision_latency_ms").observe(
             elapsed_ms / len(requests))
-        tel.histogram("coordination_rounds").observe(rounds)
         for stage, seconds in stages.items():
             tel.histogram(f"stage_{stage}_ms").observe(seconds * 1e3)
         if self.slo is not None or self.anomaly is not None:
@@ -355,51 +352,21 @@ class SlicingService:
     # ---- coordination -------------------------------------------------
 
     #: Constrained action columns, in CONSTRAINED_RESOURCES order.
-    _KINDS = tuple(CONSTRAINED_RESOURCES)
     _KIND_COLUMNS = np.fromiter(CONSTRAINED_RESOURCES.values(),
                                 dtype=np.intp)
 
     def _coordinate(self, proposals: Mapping[str, np.ndarray]
-                    ) -> Tuple[Dict[str, np.ndarray], int, bool]:
-        """Price the batch's allocations into capacity (Eq. 14).
-
-        The coordinator raises ``beta_k`` while resource ``k`` is
-        over-requested (warm-started across slots); allocations respond
-        as price-takers, ``a_k = proposal_k / (1 + beta_k)``.  The loop
-        runs vectorised over the whole batch -- one (n, kinds) slice
-        per round, no per-slice python work.  A final projection
-        guarantees feasibility after ``max_rounds`` -- infrastructure
-        capacity is physical.
-        """
-        names = list(proposals)
-        matrix = np.stack([np.asarray(proposals[name], dtype=float)
-                           for name in names])
-        requested = matrix[:, self._KIND_COLUMNS]
-        coordinator = self._coordinator
-        betas = coordinator.begin_slot()
-        prices = np.array([betas[kind] for kind in self._KINDS])
-        allocated = requested / (1.0 + prices)
-        totals = allocated.sum(axis=0)
-        rounds = 1
-        capacity = coordinator.capacity + self._tolerance
-        while np.any(totals > capacity):
-            if rounds >= self._max_rounds:
-                break
-            rounds += 1
-            betas = coordinator.update(dict(zip(self._KINDS, totals)))
-            prices = np.array([betas[kind] for kind in self._KINDS])
-            allocated = requested / (1.0 + prices)
-            totals = allocated.sum(axis=0)
-        projected = bool(np.any(totals > capacity))
+                    ) -> Tuple[Dict[str, np.ndarray], bool]:
+        """Fit the batch into capacity: a batch whose per-kind totals
+        (added up in request order) fit is served as proposed, any
+        other is projected (paper Sec. 4)."""
+        totals = np.zeros(len(self._KIND_COLUMNS))
+        for action in proposals.values():
+            totals += action[self._KIND_COLUMNS]
+        projected = bool(np.any(totals > 1.0))
         if projected:
-            scale = np.where(totals > capacity,
-                             coordinator.capacity
-                             / np.maximum(totals, 1e-12), 1.0)
-            allocated = allocated * scale
-        matrix = matrix.copy()
-        matrix[:, self._KIND_COLUMNS] = allocated
-        return ({name: matrix[i] for i, name in enumerate(names)},
-                rounds, projected)
+            return project_actions(proposals), projected
+        return dict(proposals), projected
 
 
 class LoadGenerator:

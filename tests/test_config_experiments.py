@@ -14,6 +14,7 @@ from repro.config import (
     RANConfig,
     SliceSpec,
     SliceSLA,
+    TrafficConfig,
     action_index,
     default_slice_specs,
     lte_ran_config,
@@ -83,6 +84,18 @@ class TestConfig:
         assert sla.violated(0.05 + 1e-12)
         assert not sla.violated(0.05)
         assert not sla.violated(0.0)
+
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_zero_horizon_is_refused_at_construction(self, slots):
+        """A world with no slot fails where it is configured, naming
+        the field, not at its first reset."""
+        with pytest.raises(ValueError, match="slots_per_episode must be "
+                                             f">= 1, got {slots}"):
+            TrafficConfig(slots_per_episode=slots)
+        with pytest.raises(ValueError, match="slots_per_episode"):
+            dataclasses.replace(scenarios.get("default").build_config()
+                                .traffic, slots_per_episode=slots)
+        assert TrafficConfig(slots_per_episode=1).slots_per_episode == 1
 
     def test_ran_configs(self):
         lte = lte_ran_config()

@@ -463,19 +463,23 @@ class TestLoadGenerator:
     #: 2 x 24 slots, seed 5, an untrained OnRL snapshot (its actions
     #: read the whole observation vector) and the pi_b tables.  Per
     #: run: decision digest, decisions, mean usage, violation rate.
+    #: The OnRL entries were re-pinned once, when serving stopped
+    #: pricing over-requested cells (the warm-started Eq. 14 rounds)
+    #: and began projecting them as evaluation does; the pi_b cells
+    #: never exceed capacity, so theirs did not move.
     PARENT_RUNS = {
         ("default", "onrl", None): (
-            "60dbfca1d4301b238b8443f45a3bdf9d7d594aacd0179658c593ef8bb24"
-            "15565", 144, 0.3663008317208342, 0.0),
+            "0693a5cc841788929f0edc3ad9be0eb811775c64ec371a7d4c30d3ed711"
+            "1bb18", 144, 0.366372175214281, 0.0),
         ("default", "onrl", 100): (
-            "a5703228e860f406f411f515048d587d7c72654c96c0227febfb0610f4c"
-            "5de40", 102, 0.3659267123417009, 0.0),
+            "bcb2454dcbff96d69b0d1287d8274e71d16a9b109c314fd649e4d5d21c2"
+            "1f5ba", 102, 0.3659632965481065, 0.0),
         ("lte_fixed_mcs", "onrl", None): (
-            "f9c222ae881c36dc1ecad9bd0e4b77432ef44fe652cf77736757d360b05"
-            "0c620", 144, 0.325278074031702, 0.6666666666666666),
+            "634fd147caa6510beca5ffe7effe182567a8a22a6ec73233bf5b96c02dd"
+            "25bf9", 144, 0.3256474799709348, 0.6666666666666666),
         ("lte_fixed_mcs", "onrl", 100): (
-            "97f0574a86a129ed652ae1afa84b01b1f5bfbdcba85d154fbf44f691d65"
-            "b2221", 102, 0.33684487236861976, 0.6666666666666666),
+            "797182b04e7b081024c11e7f8af02aa3cf3c35d58d90dd56a5a5a376868"
+            "3c6ba", 102, 0.33735745954038276, 0.6666666666666666),
         ("lte_fixed_mcs", "baseline", None): (
             "84b88b8e912ee97fadf770288057c5e045ee909480274107e306cc8702b"
             "bc996", 144, 0.15383101851851852, 0.3333333333333333),
@@ -507,16 +511,19 @@ class TestLoadGenerator:
     #: module's OnSlicing snapshot on ``lte_fixed_mcs`` at 24 slots,
     #: seed 5, 2 episodes.  Per (slices, max_decisions): decision
     #: digest, decisions, mean usage, violation rate, fallbacks.
+    #: Re-pinned once when serving began projecting over-requested
+    #: cells instead of pricing them: digests and mean usage moved,
+    #: the Eq. 8 fallbacks did not.
     PARENT_ONSLICING_RUNS = {
         (None, None): (
-            "3a354c1ce37ce29e6b86766905981222d4377690d873307f4631aa879c9"
-            "09dc7", 144, 0.1468533150909642, 0.3333333333333333, 44),
+            "260ecb754c7eb4654cbef37a8ef853ededa5cb105cec106836e6d5e3332"
+            "9e174", 144, 0.15151270781273163, 0.3333333333333333, 44),
         (12, None): (
-            "234bdb1e4346bf39edaea800cd5582fed36000cdca48b6613ca868259ad"
-            "a522e", 576, 0.07013664974170526, 0.3333333333333333, 176),
+            "90b804eabdf5c77407b02ac23014a76dc52c03a6d6630cd3823c6dd244f"
+            "d1536", 576, 0.07289065949121663, 0.3333333333333333, 176),
         (12, 200): (
-            "635e74640850d90d204f16b62a053e1b95c8192c792decc8b31ef478df8"
-            "6b344", 204, 0.07212765821092952, 0.3333333333333333, 60),
+            "ee0615b46c67453dda9a1520cb333ce43146d1948054a69c2fbd7cae20e"
+            "e2ec1", 204, 0.07487106131643276, 0.3333333333333333, 60),
     }
 
     def test_onslicing_runs_equal_the_parents_despite_the_skip(

@@ -25,13 +25,17 @@ import numpy as np
 import pytest
 
 import serve_oracle
-from repro import serve
+from repro import scenarios, serve
 from repro.config import ExperimentConfig, TrafficConfig
 from repro.engine.batch import BatchSimulator
+from repro.engine.policies import RoutedBatchPolicy
 from repro.experiments.harness import (
     build_onslicing,
     fit_baselines,
+    make_model_based_policies,
     make_onrl_agents,
+    make_simulator,
+    run_episodes,
 )
 from repro.fleet import FleetSpec, plan_shards
 from repro.fleet.shard import run_fleet_shard
@@ -53,6 +57,10 @@ from repro.serve import (
 )
 from repro.serve.loadgen import drive_lockstep
 from repro.serve.service import PENDING_SLOTS, _LearnedPolicy
+from repro.sim.network import CONSTRAINED_RESOURCES
+
+#: Constrained action columns, in CONSTRAINED_RESOURCES order.
+KIND_COLUMNS = list(CONSTRAINED_RESOURCES.values())
 
 #: LoadReport fields that read a clock.
 WALL_CLOCK_FIELDS = {"service_time_s", "wall_time_s",
@@ -255,7 +263,7 @@ def test_rows_match_the_per_cell_loop(snapshots, method, slo_every,
             assert_same_cell(cells[index], old,
                              (method, label, old.spec.name))
     # the comparison is not vacuous: cells stopped mid-episode or ran
-    # both episodes, and rounds beyond the first were priced
+    # both episodes, and some batches were projected while others fit
     reports = [old.finish_run() for old in oracle]
     if limit is None:
         assert all(r.episodes == 2 for r in reports)
@@ -264,11 +272,74 @@ def test_rows_match_the_per_cell_loop(snapshots, method, slo_every,
     else:
         assert any(r.decisions % (r.slices * (8 + index)) for index, r
                    in enumerate(reports))
-    assert any(old.telemetry.histogram("coordination_rounds").total
-               > old.telemetry.histogram("coordination_rounds").count
-               for old in oracle)
+    outcomes = {key for old in oracle
+                for key in old.telemetry.counters()
+                if key.startswith("admissions{")}
+    assert 'admissions{outcome="projected"}' in outcomes
+    # (an untrained OnRL policy over-requests in every slot)
+    assert ('admissions{outcome="feasible"}' in outcomes) == \
+        (method != "onrl")
     if slo_every == 1:
         assert any(old.slo.timeline.records for old in oracle)
+
+
+# ---- served = evaluated, within capacity ----------------------------
+
+
+@pytest.fixture(scope="module")
+def table_snapshots():
+    cfg = ExperimentConfig(seed=5)
+    return {"baseline": (snapshot_baseline("eval-b", cfg,
+                                           fit_baselines(cfg), seed=5),
+                         lambda target: fit_baselines(cfg)),
+            "model_based": (snapshot_model_based("eval-m", cfg),
+                            make_model_based_policies)}
+
+
+@pytest.mark.parametrize("method", ["baseline", "model_based"])
+@pytest.mark.parametrize("name", scenarios.names())
+def test_a_served_cell_uses_what_run_episodes_evaluates(
+        table_snapshots, name, method):
+    """Serving projects a cell over capacity exactly as evaluation
+    does (and leaves one that fits untouched), so a pi_b or
+    Model_Based cell served by the load generator uses, slice for
+    slice, what ``run_episodes`` reports for the same world."""
+    snapshot, policies = table_snapshots[method]
+    spec = scenarios.get(name)
+    report = LoadGenerator(snapshot, spec, seed=5).run(episodes=2)
+    target = spec.build_config(seed=5)
+    episodes, = run_episodes(
+        [make_simulator(target, spec)],
+        RoutedBatchPolicy(policies(target)), episodes=2)
+    slots = target.traffic.slots_per_episode
+    evaluated = {slice_name: float(np.mean(
+        [episode[slice_name]["usage"] / slots for episode in episodes]))
+        for slice_name in episodes[0]}
+    assert report.per_slice_usage == evaluated
+
+
+def test_served_actions_stay_within_capacity(snapshots, monkeypatch):
+    """Eq. 9: every cell's executed allocations of a constrained kind
+    add up to at most its capacity, in every slot, for every method."""
+    totals = []
+    step = BatchSimulator.step
+
+    def spy(batch, actions):
+        for action in actions:
+            if action is not None:
+                totals.append(np.asarray(action)[:, KIND_COLUMNS]
+                              .sum(axis=0))
+        return step(batch, actions)
+
+    monkeypatch.setattr(BatchSimulator, "step", spy)
+    for snapshot in snapshots.values():
+        drive_lockstep(make_cells(serve, snapshot, None), 2, None)
+    totals = np.asarray(totals)
+    assert len(totals) == 4 * 2 * sum(
+        8 + index for index in range(len(cell_specs())))
+    assert totals.max() <= 1.0 + 1e-12
+    # not vacuous: some cells were projected down to capacity
+    assert np.isclose(totals, 1.0).any()
 
 
 def test_onslicing_cells_exercise_eq8(snapshots):
@@ -462,7 +533,7 @@ def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
 
 def _service_state(service):
     core, cell = service.core, service._cell
-    return (core._betas[cell].tolist(), core._segment(cell).tolist(),
+    return (core._segment(cell).tolist(),
             service._rng.bit_generator.state,
             [{k: v for k, v in row.items()}
              for row in service.telemetry.snapshot()
@@ -471,7 +542,7 @@ def _service_state(service):
 
 def _warm(snapshot, seed=9, slots=4, **kwargs):
     """A service (and the requests it was asked) a few decisions in,
-    so betas, latch and telemetry are not all zeros."""
+    so latch and telemetry are not all zeros."""
     cfg = scenario_with_population(
         get_scenario("lte_fixed_mcs"), 12).build_config(seed=seed)
     service = SlicingService(snapshot, cfg=cfg, rng_seed=seed, **kwargs)
@@ -568,7 +639,7 @@ def test_lockstep_rejection_names_the_cell(snapshots):
 
 def test_a_cell_moves_between_cores_with_its_state(snapshots):
     """A service decided alone, then stacked with others, then alone
-    again is one continuous stream: betas, latch and telemetry move
+    again is one continuous stream: latch and telemetry move
     with it (what a generator run twice relies on)."""
     service, rng = _warm(snapshots["onslicing"])
     twin, _ = _warm(snapshots["onslicing"])
@@ -632,9 +703,6 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     assert counters["rows_decided"] == 12 * 2 * 8 * 3
     assert counters["plan_builds"] == 1
     assert counters["telemetry_folds"] == 8 * 2         # cells x episodes
-    rounds = sum(g.telemetry.histogram("coordination_rounds").total
-                 for g in generators)
-    assert counters["extra_rounds"] == rounds - 12 * 2 * 8
     assert counters["projections"] == sum(
         g.telemetry.counter("projections").value for g in generators)
     assert counters["forward_calls"] == counters["posterior_calls"] \
@@ -734,10 +802,9 @@ def test_obs_profile_reports_the_serve_counters(capsys):
                  "--json"]) == 0
     counters = json.loads(capsys.readouterr().out)["serve_counters"]
     assert set(counters) == {"decide_calls", "rows_decided",
-                             "plan_builds", "extra_rounds",
-                             "projections", "telemetry_folds",
-                             "forward_calls", "posterior_calls",
-                             "posterior_rows"}
+                             "plan_builds", "projections",
+                             "telemetry_folds", "forward_calls",
+                             "posterior_calls", "posterior_rows"}
     assert (counters["decide_calls"], counters["rows_decided"],
             counters["plan_builds"], counters["telemetry_folds"]) == \
         (96, 288, 1, 1)
