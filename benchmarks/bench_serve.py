@@ -71,8 +71,7 @@ def _make_service(slo=None, slo_every: int = 64,
         make_onrl_agents(base_cfg, seed=11), seed=11)
     target = scenario_with_population(get_scenario("default"), SLICES)
     return SlicingService(snapshot, cfg=target.build_config(),
-                          rng_seed=0, slo=slo, slo_every=slo_every,
-                          anomaly=anomaly)
+                          slo=slo, slo_every=slo_every, anomaly=anomaly)
 
 
 def _make_requests(service: SlicingService):
@@ -254,8 +253,7 @@ def test_serve_estimator_posterior(benchmark):
     batches = {}
     for case in POSTERIOR_CASES:
         rows, latched = case
-        services[case] = SlicingService(snapshot, cfg=target,
-                                        rng_seed=0)
+        services[case] = SlicingService(snapshot, cfg=target)
         states = rng.uniform(0.0, 1.0, size=(rows, 9))
         states[:, 8] = 0.0                  # no cost spent yet
         warm = states.copy()

@@ -383,7 +383,6 @@ class EstimatorConfig:
     kl_weight: float = 1e-3
     train_epochs: int = 40
     minibatch_size: int = 128
-    num_posterior_samples: int = 16
     prior_std: float = 1.0
 
 

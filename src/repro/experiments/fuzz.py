@@ -90,10 +90,8 @@ class SnapshotBatchPolicy(RoutedBatchPolicy):
 
         if not snapshot.policies:
             raise ValueError(f"snapshot {snapshot.ref} has no policies")
-        rng = np.random.default_rng(snapshot.seed)
-        super().__init__({
-            name: _LearnedPolicy(snapshot, name, rng)
-            for name in snapshot.policies})
+        super().__init__({name: _LearnedPolicy(snapshot, name)
+                          for name in snapshot.policies})
 
 
 #: method -> ``(cfg, snapshot) -> batch policy``: the static methods

@@ -16,9 +16,12 @@ We implement that here from scratch:
   variance and keeps the backward pass closed-form).
 * :class:`BayesianMLP` -- a stack of variational layers with an
   analytic KL term against a zero-mean Gaussian prior; ``elbo_step``
-  maximises ``E_q[log p(D|phi)] - KL(q || p)`` exactly as Eq. 7, and
-  ``predict`` returns the posterior predictive mean and deviation by
-  Monte-Carlo over weight draws.
+  maximises ``E_q[log p(D|phi)] - KL(q || p)`` exactly as Eq. 7
+  (by reparameterised sampling), and ``predict`` returns the posterior
+  predictive mean and deviation in closed form, by propagating each
+  unit's first two moments through the net (Wu et al., "Deterministic
+  Variational Inference for Robust Bayesian Neural Networks", ICLR
+  2019, diagonal variant).
 """
 
 from __future__ import annotations
@@ -27,9 +30,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Module, Parameter, make_activation
+from repro.nn.layers import Module, Parameter, ReLU
 
 _SOFTPLUS_INV_1 = float(np.log(np.expm1(1.0)))  # softplus(x) = 1
+
+#: Abramowitz & Stegun 7.1.26: ``erf(x) = 1 - t * P(t) * exp(-x^2)``
+#: with ``t = 1 / (1 + p x)`` for ``x >= 0``, ``|error| <= 1.5e-7``.
+_AS_P = 0.3275911
+_AS_COEFFS = (1.061405429, -1.453152027, 1.421413741, -0.284496736,
+              0.254829592)
+_SQRT_HALF = float(np.sqrt(0.5))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+#: |mean / std| beyond which the rectified Gaussian is the identity or
+#: zero to the last float (Phi is exactly 0 or 1 and phi underflows);
+#: clipping there keeps a zero-variance unit finite.
+_Z_CLIP = 40.0
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -38,6 +53,45 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
+def _as_tail(a: np.ndarray) -> np.ndarray:
+    """``t P(t)`` of Abramowitz & Stegun 7.1.26 at ``a >= 0``, so that
+    ``erfc(a) = t P(t) exp(-a^2)`` to ``|error| <= 1.5e-7``."""
+    t = 1.0 / (1.0 + _AS_P * a)
+    poly = _AS_COEFFS[0]
+    for coeff in _AS_COEFFS[1:]:
+        poly = poly * t + coeff
+    return poly * t
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise, to ``|error| <= 1.5e-7`` (A&S
+    7.1.26; numpy has none and scipy is not a dependency).  Odd to the
+    last bit, and finite for any finite input."""
+    a = np.abs(np.asarray(x, dtype=np.float64))
+    return np.copysign(1.0 - _as_tail(a) * np.exp(-a * a), x)
+
+
+def relu_moments(mean: np.ndarray, var: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of ``max(X, 0)`` for ``X ~ N(mean, var)``:
+    with ``z = mean / std``, ``E = mean Phi(z) + std phi(z)`` and
+    ``E[x^2] = (mean^2 + var) Phi(z) + mean std phi(z)``.
+
+    ``Phi`` is :func:`erf`'s formula in complementary form, ``Phi(-|z|)
+    = erfc(|z| / sqrt 2) / 2``, which shares its exponential with
+    ``phi`` and keeps the lower tail free of cancellation."""
+    std = np.sqrt(var)
+    z = np.minimum(np.maximum(mean / np.maximum(std, 1e-300), -_Z_CLIP),
+                   _Z_CLIP)
+    gauss = np.exp(-0.5 * z * z)
+    lower = 0.5 * _as_tail(_SQRT_HALF * np.abs(z)) * gauss
+    cdf = np.where(z >= 0.0, 1.0 - lower, lower)
+    spread = (_INV_SQRT_2PI * std) * gauss            # std * phi(z)
+    first = mean * cdf + spread
+    second = (mean * mean + var) * cdf + mean * spread
+    return first, np.maximum(second - first * first, 0.0)
 
 
 class VariationalDense(Module):
@@ -81,20 +135,26 @@ class VariationalDense(Module):
         return [self.weight_mu, self.weight_rho, self.bias_mu,
                 self.bias_rho]
 
-    def _moments(self, x: np.ndarray):
-        """Pre-activation ``(mean, std)`` under the weight posterior,
-        plus the posterior scales ``(sigma_w, sigma_b)`` behind them.
+    def _moments(self, x: np.ndarray, var: Optional[np.ndarray] = None):
+        """Pre-activation ``(mean, variance)`` under the weight
+        posterior, plus the posterior scales ``(sigma_w, sigma_b)``
+        behind them, for an input of mean ``x`` whose units are
+        independent with variance ``var`` (``None``: a fixed input).
         ``x`` may carry leading batch axes."""
         sigma_w = _softplus(self.weight_rho.value)
         sigma_b = _softplus(self.bias_rho.value)
         act_mean = x @ self.weight_mu.value + self.bias_mu.value
-        act_var = (x ** 2) @ (sigma_w ** 2) + sigma_b ** 2
-        act_std = np.sqrt(np.maximum(act_var, 1e-16))
-        return act_mean, act_std, sigma_w, sigma_b
+        if var is None:
+            act_var = (x ** 2) @ (sigma_w ** 2) + sigma_b ** 2
+        else:
+            act_var = ((var + x ** 2) @ (sigma_w ** 2)
+                       + var @ (self.weight_mu.value ** 2) + sigma_b ** 2)
+        return act_mean, act_var, sigma_w, sigma_b
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        act_mean, act_std, sigma_w, sigma_b = self._moments(x)
+        act_mean, act_var, sigma_w, sigma_b = self._moments(x)
+        act_std = np.sqrt(np.maximum(act_var, 1e-16))
         if self.sample_noise:
             eps = self._rng.standard_normal(act_mean.shape)
         else:
@@ -161,12 +221,12 @@ class BayesianMLP(Module):
 
     Trained by maximising the ELBO of paper Eq. 7: a Gaussian likelihood
     (with a learnable homoscedastic observation noise) minus the KL of
-    the weight posterior against the prior.
+    the weight posterior against the prior.  Hidden layers are ReLU,
+    the one activation :meth:`predict`'s closed form covers.
     """
 
     def __init__(self, in_features: int, out_features: int = 1,
                  hidden_sizes: Sequence[int] = (64, 32),
-                 activation: str = "relu",
                  rng: Optional[np.random.Generator] = None,
                  prior_std: float = 1.0,
                  name: str = "bmlp") -> None:
@@ -184,7 +244,7 @@ class BayesianMLP(Module):
             self.layers.append(vdense)
             self._vlayers.append(vdense)
             if i < len(sizes) - 2:
-                self.layers.append(make_activation(activation))
+                self.layers.append(ReLU())
         #: Learnable log observation-noise std (aleatoric term).
         self.log_noise = Parameter(np.array([-1.0]),
                                    name=f"{name}.log_noise")
@@ -241,80 +301,40 @@ class BayesianMLP(Module):
             vlayer.accumulate_kl_grad(kl_weight, self.prior_std)
         return nll, kl
 
-    def noise_shape(self, rows: int, num_samples: int) -> Tuple[int, int]:
-        """The ``(num_samples, rows * sum of layer widths)`` block of
-        standard normals one posterior over ``rows`` inputs reads."""
-        if num_samples < 1:
-            raise ValueError(
-                f"num_samples must be >= 1, got {num_samples}")
-        return num_samples, rows * sum(v.out_features
-                                       for v in self._vlayers)
-
-    def predict(self, x: np.ndarray, num_samples: int = 16,
+    def predict(self, x: np.ndarray, num_samples: Optional[int] = None,
                 rng: Optional[np.random.Generator] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior-predictive mean and standard deviation.
+        """Posterior-predictive mean and standard deviation, in closed
+        form.
 
-        Monte-Carlo over ``num_samples`` stochastic forward passes
-        (epistemic uncertainty), folding in the learned observation
-        noise (aleatoric).  Accepts single or batched inputs.  The
-        layers' shared generator (the constructor's, or ``rng``, which
-        rebinds them all) supplies one :meth:`noise_shape` block, and
-        the passes are :meth:`predict_groups` with one group.
+        The diagonal deterministic variational inference of Wu et al.
+        (ICLR 2019): every unit is carried as a Gaussian ``(mean,
+        variance)``, independent of its neighbours.  A variational
+        layer maps an input ``(m, v)`` to the pre-activation mean ``m @
+        mu_W + mu_b`` and variance ``(v + m^2) @ sigma_W^2 + v @ mu_W^2
+        + sigma_b^2`` (:meth:`VariationalDense._moments`), a ReLU to the
+        rectified Gaussian's moments (:func:`relu_moments`), and the
+        learned observation noise (aleatoric) adds to the output
+        variance (epistemic).  ``x`` is one input ``(in,)`` or inputs
+        with any leading axes ``(..., in)``; a ``(G, n, in)`` stack
+        runs every matrix product as one slab per group, so each
+        group's moments are the floats it gets alone.  Nothing is
+        drawn: ``num_samples`` and ``rng`` are accepted for callers
+        written against the Monte-Carlo estimator and have no effect
+        on any output.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        out = np.atleast_2d(x)
-        shape = self.noise_shape(len(out), num_samples)
-        if rng is not None:
-            for vlayer in self._vlayers:
-                vlayer._rng = rng
-        noise = self._vlayers[0]._rng.standard_normal(shape)
-        mean, std = self.predict_groups(out[None], noise[None])
-        if single:
-            return mean[0, 0], std[0, 0]
-        return mean[0], std[0]
-
-    def predict_groups(self, x: np.ndarray, noise: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior-predictive ``(mean, std)``, each ``(G, n, out)``,
-        of ``G`` groups of ``n`` inputs ``x`` ``(G, n, in)`` under
-        ``noise`` ``(G, S, n * sum of layer widths)``: group ``g``
-        reads ``noise[g]``, a :meth:`noise_shape` block.
-
-        The ``S`` passes run together and every group is its own slab:
-        posterior scales are computed once, layer 0's moments once per
-        group (its input is the same for every sample), and the samples
-        ride a ``(G, S, n, k) @ (k, m)`` product that numpy dispatches as
-        one ``(n, k) @ (k, m)`` BLAS call per (group, sample) -- the
-        calls ``S`` consecutive :meth:`forward` passes over the group
-        alone make.  A block is read sample-major / layer-minor, the
-        order those passes would draw it in, and the sample axis is
-        reduced group-major (each group's ``(S, n, m)`` contiguous, as
-        a lone group's is; a sample-major ``(S, G, ...)`` layout sums a
-        strided axis in another order).  Every group's moments are
-        therefore bit-identical to that loop over the group alone,
-        which survives as the oracle in ``tests/test_nn_bayesian.py``.
-        """
-        groups, rows = x.shape[:2]
-        samples = noise.shape[1]
-        # a sample axis of one: layer 0's moments broadcast over it
-        out = np.asarray(x, dtype=np.float64)[:, None]
-        offset = 0
-        for layer in self.layers:
-            if not isinstance(layer, VariationalDense):
-                out = layer.forward(out)
-                continue
-            act_mean, act_std, _, _ = layer._moments(out)
-            span = rows * layer.out_features
-            eps = noise[:, :, offset:offset + span].reshape(
-                groups, samples, rows, layer.out_features)
-            offset += span
-            out = act_mean + act_std * eps
-        mean = out.mean(axis=1)
-        epistemic_var = out.var(axis=1)
+        mean, var = np.atleast_2d(x), None
+        for index, vlayer in enumerate(self._vlayers):
+            if index:
+                mean, var = relu_moments(mean, var)
+            mean, var, _, _ = vlayer._moments(mean, var)
         noise_var = float(np.exp(2.0 * self.log_noise.value[0]))
-        return mean, np.sqrt(epistemic_var + noise_var)
+        std = np.sqrt(var + noise_var)
+        if single:
+            return mean[0], std[0]
+        return mean, std
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass through the posterior means."""

@@ -112,47 +112,21 @@ class CostToGoEstimator:
         mean, std = scale
         self._target_mean, self._target_std = float(mean), float(std)
 
-    def noise_shape(self, rows: int, num_samples: Optional[int] = None
-                    ) -> Tuple[int, int]:
-        """The standard-normal block one posterior over ``rows`` states
-        reads (:meth:`BayesianMLP.noise_shape`), at the configured
-        sample count unless ``num_samples`` is given."""
-        if num_samples is None:
-            num_samples = self.cfg.num_posterior_samples
-            if num_samples < 1:
-                raise ValueError(
-                    "EstimatorConfig.num_posterior_samples must be "
-                    f">= 1, got {num_samples}")
-        return self.network.noise_shape(rows, num_samples)
-
-    def predict_batch(self, states: np.ndarray,
-                      num_samples: Optional[int] = None
+    def predict_batch(self, states: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior predictive ``(mu, sigma)`` of the cost-to-go per
-        row of ``states``, de-standardised to cost units: one
-        :meth:`noise_shape` block from this estimator's generator, and
-        :meth:`predict_groups` with one group."""
+        state, de-standardised to cost units: ``states`` is ``(n,
+        state_dim)`` or carries more leading axes (a ``(G, n,
+        state_dim)`` stack gives ``(G, n)``, each group's floats the
+        ones it gets alone -- :meth:`BayesianMLP.predict`).  Nothing is
+        drawn."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        noise = self._rng.standard_normal(
-            self.noise_shape(len(states), num_samples))
-        mu, sigma = self.predict_groups(states[None], noise[None])
-        return mu[0], sigma[0]
-
-    def predict_groups(self, states: np.ndarray, noise: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(mu, sigma)``, each ``(G, n)``, of ``G`` groups of ``n``
-        states ``(G, n, state_dim)`` under ``noise`` ``(G, S, ...)``, one
-        :meth:`noise_shape` block per group; every group's floats are
-        the ones :meth:`predict_batch` gives it alone under its block
-        (:meth:`BayesianMLP.predict_groups`)."""
-        mean, std = self.network.predict_groups(states, noise)
+        mean, std = self.network.predict(states)
         return (mean[..., 0] * self._target_std + self._target_mean,
                 std[..., 0] * self._target_std)
 
-    def predict(self, state: np.ndarray,
-                num_samples: Optional[int] = None
-                ) -> Tuple[float, float]:
+    def predict(self, state: np.ndarray) -> Tuple[float, float]:
         """Posterior predictive ``(mu, sigma)`` of one state: the
         1-row case of :meth:`predict_batch`."""
-        mu, sigma = self.predict_batch(state, num_samples)
+        mu, sigma = self.predict_batch(state)
         return float(mu[0]), float(sigma[0])

@@ -134,7 +134,7 @@ class LoadGenerator:
             else Telemetry()
         self.service = SlicingService(
             snapshot, cfg=self.cfg, telemetry=self.telemetry,
-            rng_seed=self.seed, trace_attrs=trace_attrs)
+            trace_attrs=trace_attrs)
         self.simulator = self.spec.build_simulator(
             self.cfg, rng=np.random.default_rng(self.cfg.seed))
         self.slo = slo

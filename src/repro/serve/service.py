@@ -18,17 +18,18 @@ every row of every cell it is asked about.  Its only state across
 slots is the Eq. 8 latch, one boolean vector over every cell's
 slices; routing is one cached plan per name sequence, pi_b tables
 answer with one ``act_rows`` per table, pi_theta and the pi_phi
-posterior run once per snapshot policy for every cell at once (each
-cell's group a matmul slab, bit-identical to the group alone), the
-posterior only on the rows that latch does not hold yet (a switched
-slice has nothing left for Eq. 8 to decide until
-:meth:`SlicingService.begin_episode` re-arms it), one projection call
-covers every cell over capacity, and each cell's telemetry is
-buffered and folded into its own :class:`~repro.obs.metrics.Telemetry`
-in bulk (:meth:`DecisionCore.flush`).
+posterior (in closed form: nothing is drawn) run once per snapshot
+policy for every cell at once (each cell's group a matmul slab,
+bit-identical to the group alone), the posterior only on the rows
+that latch does not hold yet (a switched slice has nothing left for
+Eq. 8 to decide until :meth:`SlicingService.begin_episode` re-arms
+it), one projection call covers every cell over capacity, and each
+cell's telemetry is buffered and folded into its own
+:class:`~repro.obs.metrics.Telemetry` in bulk
+(:meth:`DecisionCore.flush`).
 
 :class:`SlicingService` is one cell -- a snapshot bound to a target
-config, its generator, its telemetry -- and
+config, its telemetry and observers -- and
 :meth:`SlicingService.decide` is the one-cell edge over the same core
 that takes :class:`DecisionRequest` objects and hands back
 :class:`Decision` objects, exactly as ``ScenarioSimulator.step`` is
@@ -127,8 +128,7 @@ class _LearnedPolicy:
     and the tensor.
     """
 
-    def __init__(self, snapshot: PolicySnapshot, name: str,
-                 rng: np.random.Generator) -> None:
+    def __init__(self, snapshot: PolicySnapshot, name: str) -> None:
         payload = snapshot.policies[name]
         _check_finite(snapshot.ref, name, payload)
         self.name = name
@@ -136,13 +136,13 @@ class _LearnedPolicy:
         agent_cfg = snapshot.config.agent
         self.model = GaussianActorCritic(
             STATE_DIM, NUM_ACTIONS, policy_cfg=agent_cfg.policy,
-            ppo_cfg=agent_cfg.ppo, rng=rng)
+            ppo_cfg=agent_cfg.ppo)
         self.model.load_state_dict(payload["model"])
         self.estimator: Optional[CostToGoEstimator] = None
         self.baseline = payload.get("baseline")
         if "estimator" in payload:
-            estimator = CostToGoEstimator(
-                STATE_DIM, cfg=agent_cfg.estimator, rng=rng)
+            estimator = CostToGoEstimator(STATE_DIM,
+                                          cfg=agent_cfg.estimator)
             estimator.network.load_state_dict(payload["estimator"])
             estimator.target_scale = payload["estimator_scale"]
             self.estimator = estimator
@@ -152,12 +152,11 @@ class _LearnedPolicy:
         states, or for ``(G, n, STATE_DIM)`` groups stacked as slabs."""
         return self.model.mean_actions(states)
 
-    def posterior(self, states: np.ndarray, noise: np.ndarray
+    def posterior(self, states: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
         """The pi_phi posterior ``(mu, sigma)``, each ``(G, n)``, of
-        ``(G, n, STATE_DIM)`` groups of states under one
-        ``estimator.noise_shape(n)`` block of noise per group."""
-        mu, sigma = self.estimator.predict_groups(states, noise)
+        ``(G, n, STATE_DIM)`` groups of states."""
+        mu, sigma = self.estimator.predict_batch(states)
         return np.maximum(mu, 0.0), sigma
 
 
@@ -180,7 +179,7 @@ def _check_finite(ref: str, name: str, payload: Dict) -> None:
 
 class SlicingService:
     """One cell of the decision service: a policy snapshot bound to a
-    target config, with its generator, telemetry and observers.
+    target config, with its telemetry and observers.
 
     Parameters
     ----------
@@ -191,6 +190,10 @@ class SlicingService:
         horizon).  Defaults to the snapshot's training config; the load
         generator passes the scenario config so a 3-slice snapshot can
         serve a ``population(50)`` cell.
+    rng_seed:
+        Accepted for callers written when the pi_phi posterior was
+        sampled; serving draws nothing, so it has no effect on any
+        output.
     trace_attrs:
         Attributes stamped onto every trace row this cell's decisions
         leave (the fleet layer passes ``cell``/``scenario`` so traces
@@ -224,8 +227,6 @@ class SlicingService:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.horizon = self.cfg.traffic.slots_per_episode
-        self._rng = np.random.default_rng(
-            snapshot.seed if rng_seed is None else rng_seed)
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -235,8 +236,7 @@ class SlicingService:
         self._policies: Dict[str, _LearnedPolicy] = {}
         if snapshot.method in ("onslicing", "onrl"):
             for name in snapshot.policies:
-                self._policies[name] = _LearnedPolicy(
-                    snapshot, name, self._rng)
+                self._policies[name] = _LearnedPolicy(snapshot, name)
         #: target slice name -> (policy key, table policy or None for
         #: learned policies); the position of a name is the slice's
         #: index in its cell's segment of the core's latch
@@ -398,11 +398,10 @@ class _Plan:
         tables: Dict[int, tuple] = {}
         baselines: Dict[int, tuple] = {}
         forwards: Dict[tuple, tuple] = {}
-        #: per asked cell with pi_phi rows: its generator and its
-        #: ``(policy, stack, span)`` groups in order of first
-        #: appearance, the order the generator is drawn in (a group's
-        #: rows are ``eq8_rows[span]``; ``stack`` is what groups must
-        #: share to run as one pass: the snapshot object and policy)
+        #: ``(policy, stack, span)`` per learned (cell, snapshot policy)
+        #: group with pi_phi rows: the group's rows are
+        #: ``eq8_rows[span]``; ``stack`` is what groups must share to
+        #: run as one pass: the snapshot object and policy
         self.posteriors: List[tuple] = []
         eq8_rows: List[int] = []
         self.groups = np.zeros(len(self.cells), dtype=np.intp)
@@ -437,7 +436,6 @@ class _Plan:
                     groups.setdefault(key, []).append(row)
                 row += 1
             self.groups[position] = len(groups)
-            eq8_groups = []
             for key, rows in groups.items():
                 policy = service._policies[key]
                 stack = (id(service.snapshot), key)
@@ -445,14 +443,12 @@ class _Plan:
                                     (policy, []))[1].append(rows)
                 if policy.estimator is None or policy.baseline is None:
                     continue
-                eq8_groups.append((policy, stack, slice(
+                self.posteriors.append((policy, stack, slice(
                     len(eq8_rows), len(eq8_rows) + len(rows))))
                 eq8_rows.extend(rows)
                 baselines.setdefault(
                     id(policy.baseline),
                     (policy.baseline, []))[1].extend(rows)
-            if eq8_groups:
-                self.posteriors.append((service._rng, eq8_groups))
         self.slice_ids = np.asarray(slice_ids, dtype=np.intp)
         #: ``(table, rows)`` per pi_b table / analytic program serving
         #: rows directly, and per pi_b table standing behind learned
@@ -494,8 +490,7 @@ class DecisionCore:
     What is per-cell state, and where: ``_latched[_slice_starts[c]:
     _slice_starts[c + 1]]`` -- the Eq. 8 one-way door per slice of the
     cell's config, cleared by :meth:`begin_episode` (nothing else is
-    carried from one slot to the next); the generator the
-    pi_phi posterior draws from is the service's own.  What is cached:
+    carried from one slot to the next).  What is cached:
     one :class:`_Plan` for the last (cells, names) asked about.  What
     is deferred: every decision's telemetry sits in a per-(slot, cell)
     buffer until :meth:`flush` folds it into the cell's registry, so
@@ -677,14 +672,10 @@ class DecisionCore:
         The switch is a one-way door, so a latched row has nothing
         left to ask pi_phi: a group's posterior covers its *open* rows
         only, and a group the latch holds whole drops out.  The groups
-        left share one pass per snapshot policy and open-row count,
-        reduced group-major over the samples
-        (:meth:`~repro.nn.bayesian.BayesianMLP.predict_groups`), so
-        each group's ``(mu, sigma)`` is the float its own call gave.
-        Each cell draws one block of noise from its own generator,
-        covering its open groups in order: numpy fills it value by
-        value, so the values and the generator state left behind are
-        those of one draw per group.
+        left share one closed-form pass per snapshot policy and
+        open-row count, a ``(G, n, STATE_DIM)`` stack of slabs
+        (:meth:`~repro.nn.bayesian.BayesianMLP.predict`), so each
+        group's ``(mu, sigma)`` is the float its own call gives.
         """
         actions = np.empty((plan.rows, NUM_ACTIONS))
         for table, rows in plan.tables:
@@ -702,33 +693,17 @@ class DecisionCore:
             watched = states[plan.eq8_rows]
             mu = np.zeros(len(open_))
             sigma = np.zeros(len(open_))
-            # per stack and open-row count: the policy, each group's
-            # open positions in eq8_rows and its noise
+            # per stack and open-row count: the policy and each group's
+            # open positions in eq8_rows
             passes: Dict[tuple, tuple] = {}
-            for rng, groups in plan.posteriors:
-                slabs = []
-                for policy, stack, span in groups:
-                    at = np.flatnonzero(open_[span]) + span.start
-                    if len(at):
-                        slabs.append((passes.setdefault(
-                            (stack, len(at)), (policy, [], [])), at,
-                            policy.estimator.noise_shape(len(at))))
-                if not slabs:
-                    continue
-                block = rng.standard_normal(sum(
-                    samples * width for _, _, (samples, width) in slabs))
-                end = 0
-                for (_, ats, noises), at, (samples, width) in slabs:
-                    begin, end = end, end + samples * width
-                    ats.append(at)
-                    noises.append(
-                        block[begin:end].reshape(samples, width))
-            for policy, ats, noises in passes.values():
+            for policy, stack, span in plan.posteriors:
+                at = np.flatnonzero(open_[span]) + span.start
+                if len(at):
+                    passes.setdefault((stack, len(at)),
+                                      (policy, []))[1].append(at)
+            for policy, ats in passes.values():
                 at = np.asarray(ats)
-                # a lone group reads a view of its cell's block
-                noise = noises[0][None] if len(noises) == 1 \
-                    else np.stack(noises)
-                mu[at], sigma[at] = policy.posterior(watched[at], noise)
+                mu[at], sigma[at] = policy.posterior(watched[at])
             counters = self._counters
             counters["posterior_calls"] += len(passes)
             counters["posterior_rows"] += int(open_.sum())

@@ -10,10 +10,10 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 (``LoadGenerator`` with its per-name ``_totals`` / ``_states`` dicts,
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
-row-wise path to it: same reports, digests, telemetry and generator
-state.  Nothing under ``src/`` imports this module.  Four edits since:
-``_fallback_flags`` asks pi_phi only about slices not yet switched
-(the core skips latched rows), so generator states still compare;
+row-wise path to it: same reports, digests, telemetry and simulator
+generator state.  Nothing under ``src/`` imports this module.  Five
+edits since: ``_fallback_flags`` asks pi_phi only about slices not yet
+switched (the core skips latched rows);
 the Eq. 8 eta is no longer a parameter (the service reads it from the
 snapshot config, with the same value); the per-group posterior call
 the service's policy object used to make (``cost_to_go``:
@@ -25,7 +25,9 @@ warm-started across slots): serving has no pi_a, so a batch that fits
 capacity is served as proposed and one that does not is projected
 (``project_actions``, the projection evaluation executes), which also
 drops the ``coordination_rounds`` histogram and renames the
-``admissions`` outcome ``priced`` to ``feasible``.
+``admissions`` outcome ``priced`` to ``feasible``; and the service
+holds no generator, since ``predict_batch`` is pi_phi's posterior in
+closed form and draws nothing.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ class SlicingService:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.horizon = self.cfg.traffic.slots_per_episode
-        self._rng = np.random.default_rng(
-            snapshot.seed if rng_seed is None else rng_seed)
         self._trace_attrs = dict(trace_attrs or {})
         if slo_every < 1:
             raise ValueError("slo_every must be >= 1")
@@ -118,8 +118,7 @@ class SlicingService:
         self._policies: Dict[str, _LearnedPolicy] = {}
         if snapshot.method in ("onslicing", "onrl"):
             for name in snapshot.policies:
-                self._policies[name] = _LearnedPolicy(
-                    snapshot, name, self._rng)
+                self._policies[name] = _LearnedPolicy(snapshot, name)
         #: target slice name -> (policy key, per-slice act callable or
         #: None for learned/batched policies)
         self._routes = self._build_routes()

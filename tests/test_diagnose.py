@@ -61,9 +61,12 @@ LATENCY_SPEC = SloSpec(name="lat-160", objectives=(
 #: snapshot content digest changed with the canonical JSON it hashes,
 #: and the report embeds it (``snapshot_digest`` and the snapshot
 #: hypothesis's label and evidence); decisions, incidents, events and
-#: the timeline digest did not move.
+#: the timeline digest did not move.  Re-pinned again, for the same
+#: reason alone, when ``EstimatorConfig.num_posterior_samples`` left
+#: the hashed config (pi_phi's posterior became closed form): the
+#: snapshot's weights and every other report field are unchanged.
 PINNED_DIAGNOSIS_DIGEST = \
-    "7404ce1e672260e0707d6c35eb678c3c4e01841bb015a9fe4d9626777baa35a0"
+    "19e279c48e5097e22fd49a6286fd1fdbb86687d2c6ea6d23486bbd26989a70b2"
 
 
 @pytest.fixture(scope="module")

@@ -231,8 +231,8 @@ class TestCostEstimator:
         assert sigma > 0
 
     def test_predict_is_one_row_predict_batch(self):
-        """Same float ops, same generator draws: a state served alone
-        and as a 1-row batch gets bit-equal (mu, sigma)."""
+        """Same float ops: a state served alone and as a 1-row batch
+        gets bit-equal (mu, sigma)."""
         one, two = (CostToGoEstimator(4, rng=np.random.default_rng(6))
                     for _ in range(2))
         for est in (one, two):
@@ -257,16 +257,6 @@ class TestCostEstimator:
         other = CostToGoEstimator(2, rng=rng)
         other.target_scale = [mean, std]
         assert other.target_scale == est.target_scale
-
-    def test_rejects_empty_posterior_sample_count(self, rng):
-        from repro.config import EstimatorConfig
-
-        est = CostToGoEstimator(
-            2, cfg=EstimatorConfig(num_posterior_samples=0), rng=rng)
-        with pytest.raises(ValueError, match="num_posterior_samples"):
-            est.predict(np.zeros(2))
-        with pytest.raises(ValueError, match="num_samples"):
-            est.predict(np.zeros(2), num_samples=0)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),

@@ -9,7 +9,8 @@ one ``drive_lockstep``, each cell alone, and the one-cell dict edge
 benchmark harness calls it -- and must come out the same: report,
 decision digest, every counter, every deterministic histogram sample
 for sample, the incident timeline of an attached SLO evaluator, and
-the generators left behind.  Wall-clock instruments agree in count.
+the simulator generator left behind.  Wall-clock instruments agree in
+count.
 
 A histogram's state is bucket counts, so every histogram of this
 module also records the values it is given, in order, whichever of
@@ -216,10 +217,8 @@ def assert_same_cell(new, old, where):
                 (where, key)
             samples += len(recorded(histogram))
     assert samples >= report.decisions, where
-    for mine, theirs in ((new.service._rng, old.service._rng),
-                         (new.simulator._rng, old.simulator._rng)):
-        assert mine.bit_generator.state == theirs.bit_generator.state, \
-            where
+    assert new.simulator._rng.bit_generator.state == \
+        old.simulator._rng.bit_generator.state, where
     if new.slo is not None:
         def incidents(generator):
             return [{key: value for key, value in record.items()
@@ -413,8 +412,9 @@ def test_posterior_never_sees_a_latched_row(snapshots, monkeypatch):
 
 
 def test_a_fully_latched_cell_draws_nothing(snapshots):
-    """A slot where every learned row of a cell is latched leaves that
-    cell's generator untouched; a cell beside it still draws."""
+    """A slot where every learned row of a cell is latched runs no
+    posterior for that cell; a cell beside it still asks, one pass
+    per snapshot policy over its open rows."""
     latched, live = (_eq8_service(snapshots["onslicing"], seed)
                      for seed in (9, 10))
     rng = np.random.default_rng(9)
@@ -422,43 +422,68 @@ def test_a_fully_latched_cell_draws_nothing(snapshots):
     states[:, 8] = 5.0                  # five budgets spent: all switch
     assert all(d.fallback for d in latched.decide(
         _requests(latched, states)).values())
+    alone = latched.core.counters
+    states[:, 8] = 0.0
+    latched.decide(_requests(latched, states))
+    counters = latched.core.counters
+    assert counters["posterior_calls"] == alone["posterior_calls"]
+    assert counters["posterior_rows"] == alone["posterior_rows"]
     core = DecisionCore([latched, live])
     names = [latched.slice_names, live.slice_names]
-    states[:, 8] = 0.0
-    before = [s._rng.bit_generator.state for s in (latched, live)]
-    calls = core.counters["posterior_calls"]
     out = core.decide_rows(np.vstack([states, states]), names)
     assert out.fallback[:12].all() and not out.fallback[12:].all()
-    assert latched._rng.bit_generator.state == before[0]
-    assert live._rng.bit_generator.state != before[1]
-    assert core.counters["posterior_calls"] - calls == \
+    assert core.counters["posterior_rows"] == 12
+    assert core.counters["posterior_calls"] == \
         len({live._routes[name][0] for name in live.slice_names})
 
 
-def test_generator_matches_the_parent_until_the_first_latch(snapshots):
-    """Until a slice latches, the cell draws exactly what the core
-    drew at e16e36c (every group's posterior on all of its rows,
-    replayed on a twin); from the first latch on it draws less."""
+def test_posterior_counters_follow_the_latch(snapshots):
+    """Slot by slot, while budgets fill up: one pass per snapshot
+    policy that still has an open row (its groups' open-row counts
+    decide how many), and ``posterior_rows`` grows by exactly the rows
+    the latch left open -- all of them until the first latch, fewer
+    from then on."""
     service = _eq8_service(snapshots["onslicing"])
-    twin = _eq8_service(snapshots["onslicing"])
     core = service.core
     rng = np.random.default_rng(4)
     phases = set()
     for slot in range(8):
         states = rng.uniform(0.0, 1.0, size=(12, 9))
         states[:, 8] *= 0.2 * slot      # budgets fill up slot by slot
-        held = core._segment(service._cell).any()
+        held = core._segment(service._cell).copy()
+        before = core.counters
         service.decide(_requests(service, states))
-        plan = core._plan
-        for _, watched in plan.posteriors:
-            for policy, _, span in watched:
-                twin._policies[policy.name].estimator.predict_batch(
-                    states[plan.eq8_rows[span]])
-        same = service._rng.bit_generator.state == \
-            twin._rng.bit_generator.state
-        assert same != held, slot
-        phases.add(held)
+        after = core.counters
+        open_keys = {service._routes[name][0] for name, done
+                     in zip(service.slice_names, held) if not done}
+        assert after["posterior_rows"] - before["posterior_rows"] == \
+            (~held).sum(), slot
+        assert after["posterior_calls"] - before["posterior_calls"] == \
+            len(open_keys), slot
+        phases.add(bool(held.any()))
     assert phases == {False, True}
+
+
+def test_rng_seed_changes_nothing(snapshots):
+    """``SlicingService(rng_seed=)`` is kept for callers written when
+    the pi_phi posterior was sampled: services built with different
+    seeds, or none, decide the same floats slot after slot, latching
+    included."""
+    cfg = scenario_with_population(
+        get_scenario("lte_fixed_mcs"), 12).build_config(seed=9)
+    services = [SlicingService(snapshots["onslicing"], cfg=cfg,
+                               rng_seed=seed)
+                for seed in (None, 0, 9, 12345)]
+    rng = np.random.default_rng(4)
+    for slot in range(6):
+        states = rng.uniform(0.0, 1.0, size=(12, 9))
+        states[:, 8] *= 0.3 * slot      # budgets fill up slot by slot
+        outs = [service.core.decide_rows(states, [service.slice_names])
+                for service in services]
+        for out in outs[1:]:
+            assert np.array_equal(out.actions, outs[0].actions), slot
+            assert np.array_equal(out.fallback, outs[0].fallback), slot
+    assert outs[0].fallback.any() and not outs[0].fallback.all()
 
 
 @pytest.mark.parametrize("slices", [None, 12])
@@ -475,8 +500,8 @@ def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
     seen = {}
     posterior = _LearnedPolicy.posterior
 
-    def spy(policy, states, noise):
-        mu, sigma = posterior(policy, states, noise)
+    def spy(policy, states):
+        mu, sigma = posterior(policy, states)
         for group, rows in enumerate(states):
             seen.setdefault(rows.tobytes(), []).append(
                 (policy.name, mu[group].tobytes(),
@@ -507,8 +532,6 @@ def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
             assert own.fallbacks[0] == out.fallbacks[index]
             assert np.array_equal(service.core._segment(0),
                                   core._segment(index))
-            assert service._rng.bit_generator.state == \
-                fleet[index]._rng.bit_generator.state, (slot, index)
         counts.add(tuple(core._segment(index).sum() for index in range(3)))
     # every group asked in the fleet was asked alone, with equal floats
     assert all(len(asked) == 2 and asked[0] == asked[1]
@@ -534,7 +557,6 @@ def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
 def _service_state(service):
     core, cell = service.core, service._cell
     return (core._segment(cell).tolist(),
-            service._rng.bit_generator.state,
             [{k: v for k, v in row.items()}
              for row in service.telemetry.snapshot()
              if row["metric"] not in WALL_CLOCK_HISTOGRAMS])
@@ -683,9 +705,9 @@ def _posterior_spy(monkeypatch):
         asked.append([])
         return propose(core, plan, states, start)
 
-    def spy(policy, states, noise):
+    def spy(policy, states):
         asked[-1].append((policy.name, states.copy()))
-        return posterior(policy, states, noise)
+        return posterior(policy, states)
 
     monkeypatch.setattr(DecisionCore, "_propose", slot)
     monkeypatch.setattr(_LearnedPolicy, "posterior", spy)
@@ -729,8 +751,7 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
         sum(block.shape[0] * block.shape[1] for _, block in passes) \
         == counters["rows_decided"] - held
     assert len(asked) == counters["decide_calls"]
-    policies = {policy.name for _, watched in core._plan.posteriors
-                for policy, _, _ in watched}
+    policies = {policy.name for policy, _, _ in core._plan.posteriors}
     for slot in asked:
         assert len({name for name, _ in slot}) == len(slot) \
             <= len(policies)
@@ -742,7 +763,7 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     assert counters["forward_calls"] == \
         counters["decide_calls"] * len(policies)
     # whole groups were skipped, not only rows
-    groups = sum(len(watched) for _, watched in core._plan.posteriors)
+    groups = len(core._plan.posteriors)
     assert sum(block.shape[0] for _, block in passes) < \
         counters["decide_calls"] * groups
 

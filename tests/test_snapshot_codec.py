@@ -296,6 +296,34 @@ class TestStoreHardening:
             store.load(stamped.ref)
         assert "'config'" in str(info.value)
 
+    def test_posterior_sample_count_in_the_config_is_refused(self, saved):
+        """A snapshot written while pi_phi's posterior was sampled
+        carries ``EstimatorConfig.num_posterior_samples``; the field is
+        gone, so the file is refused naming the file and the field."""
+        store, stamped, path = saved
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+
+        def estimator_configs(node):
+            if isinstance(node, dict):
+                if node.get("type") == "EstimatorConfig":
+                    yield node["fields"]
+                for value in node.values():
+                    yield from estimator_configs(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from estimator_configs(value)
+
+        found = list(estimator_configs(payload["config"]))
+        assert len(found) == 1
+        found[0]["num_posterior_samples"] = 16
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=_names_the_file(saved)) \
+                as info:
+            store.load(stamped.ref)
+        assert "num_posterior_samples" in str(info.value)
+
     def test_no_float_lists_in_the_file(self, saved):
         """Every array in the file is a binary record: no float
         lists survive anywhere in the payload."""
