@@ -22,11 +22,16 @@ We implement that here from scratch:
   unit's first two moments through the net (Wu et al., "Deterministic
   Variational Inference for Robust Bayesian Neural Networks", ICLR
   2019, diagonal variant).
+* :class:`BayesianPosterior` -- the weight-side half of that closed
+  form, frozen: per layer the means ``mu_W``, ``mu_b`` and the squares
+  ``sigma_W^2``, ``mu_W^2``, ``sigma_b^2`` it reads, built once by
+  :meth:`BayesianMLP.posterior` and read by any number of
+  ``predict`` calls (serving builds one per snapshot policy at load).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +99,61 @@ def relu_moments(mean: np.ndarray, var: np.ndarray
     return first, np.maximum(second - first * first, 0.0)
 
 
+class DensePosterior(NamedTuple):
+    """A variational layer's weight posterior, as the tables its
+    moments read: ``mu_W``, ``sigma_W^2``, ``mu_W^2`` (``None`` when
+    only fixed inputs are propagated), ``mu_b`` and ``sigma_b^2``."""
+
+    weight_mu: np.ndarray
+    weight_var: np.ndarray
+    weight_mu_sq: Optional[np.ndarray]
+    bias_mu: np.ndarray
+    bias_var: np.ndarray
+
+    def moments(self, x: np.ndarray, var: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pre-activation ``(mean, variance)`` for an input of mean
+        ``x`` whose units are independent with variance ``var``
+        (``None``: a fixed input): ``x @ mu_W + mu_b`` and ``(var +
+        x^2) @ sigma_W^2 + var @ mu_W^2 + sigma_b^2``.  ``x`` may carry
+        leading batch axes.  The one copy of the expression: the ELBO
+        forward (:meth:`VariationalDense._moments`) and
+        :meth:`BayesianPosterior.predict` both read it."""
+        act_mean = x @ self.weight_mu + self.bias_mu
+        if var is None:
+            act_var = (x ** 2) @ self.weight_var + self.bias_var
+        else:
+            act_var = ((var + x ** 2) @ self.weight_var
+                       + var @ self.weight_mu_sq + self.bias_var)
+        return act_mean, act_var
+
+
+class BayesianPosterior(NamedTuple):
+    """A :class:`BayesianMLP`'s posterior, frozen at the weights it was
+    built from (:meth:`BayesianMLP.posterior`): one
+    :class:`DensePosterior` per variational layer, ReLU between them,
+    and the learned observation-noise variance."""
+
+    layers: Tuple[DensePosterior, ...]
+    noise_var: float
+
+    def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior-predictive mean and standard deviation of ``x``,
+        one input ``(in,)`` or inputs with any leading axes ``(...,
+        in)`` (see :meth:`BayesianMLP.predict`)."""
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        mean, var = np.atleast_2d(x), None
+        for index, layer in enumerate(self.layers):
+            if index:
+                mean, var = relu_moments(mean, var)
+            mean, var = layer.moments(mean, var)
+        std = np.sqrt(var + self.noise_var)
+        if single:
+            return mean[0], std[0]
+        return mean, std
+
+
 class VariationalDense(Module):
     """Dense layer with a Gaussian weight posterior.
 
@@ -135,21 +195,27 @@ class VariationalDense(Module):
         return [self.weight_mu, self.weight_rho, self.bias_mu,
                 self.bias_rho]
 
-    def _moments(self, x: np.ndarray, var: Optional[np.ndarray] = None):
-        """Pre-activation ``(mean, variance)`` under the weight
-        posterior, plus the posterior scales ``(sigma_w, sigma_b)``
-        behind them, for an input of mean ``x`` whose units are
-        independent with variance ``var`` (``None``: a fixed input).
-        ``x`` may carry leading batch axes."""
+    def _moments(self, x: np.ndarray):
+        """Pre-activation ``(mean, variance)`` of a fixed input ``x``
+        under the live weight posterior, plus the posterior scales
+        ``(sigma_w, sigma_b)`` behind them (the ELBO forward's
+        backward reuses them).  ``x`` may carry leading batch axes."""
         sigma_w = _softplus(self.weight_rho.value)
         sigma_b = _softplus(self.bias_rho.value)
-        act_mean = x @ self.weight_mu.value + self.bias_mu.value
-        if var is None:
-            act_var = (x ** 2) @ (sigma_w ** 2) + sigma_b ** 2
-        else:
-            act_var = ((var + x ** 2) @ (sigma_w ** 2)
-                       + var @ (self.weight_mu.value ** 2) + sigma_b ** 2)
+        live = DensePosterior(self.weight_mu.value, sigma_w ** 2, None,
+                              self.bias_mu.value, sigma_b ** 2)
+        act_mean, act_var = live.moments(x)
         return act_mean, act_var, sigma_w, sigma_b
+
+    def posterior(self) -> "DensePosterior":
+        """This layer's weight posterior as a frozen table: arrays of
+        its own (the means copied), so a later optimiser step, which
+        updates the parameters in place, does not reach it."""
+        sigma_w = _softplus(self.weight_rho.value)
+        sigma_b = _softplus(self.bias_rho.value)
+        weight_mu = self.weight_mu.value.copy()
+        return DensePosterior(weight_mu, sigma_w ** 2, weight_mu ** 2,
+                              self.bias_mu.value.copy(), sigma_b ** 2)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -312,7 +378,7 @@ class BayesianMLP(Module):
         variance)``, independent of its neighbours.  A variational
         layer maps an input ``(m, v)`` to the pre-activation mean ``m @
         mu_W + mu_b`` and variance ``(v + m^2) @ sigma_W^2 + v @ mu_W^2
-        + sigma_b^2`` (:meth:`VariationalDense._moments`), a ReLU to the
+        + sigma_b^2`` (:meth:`DensePosterior.moments`), a ReLU to the
         rectified Gaussian's moments (:func:`relu_moments`), and the
         learned observation noise (aleatoric) adds to the output
         variance (epistemic).  ``x`` is one input ``(in,)`` or inputs
@@ -322,25 +388,28 @@ class BayesianMLP(Module):
         drawn: ``num_samples`` and ``rng`` are accepted for callers
         written against the Monte-Carlo estimator and have no effect
         on any output.
+
+        This is ``self.posterior().predict(x)``: a caller asking many
+        times of unchanged weights keeps one :meth:`posterior` and
+        asks it instead.
         """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        mean, var = np.atleast_2d(x), None
-        for index, vlayer in enumerate(self._vlayers):
-            if index:
-                mean, var = relu_moments(mean, var)
-            mean, var, _, _ = vlayer._moments(mean, var)
-        noise_var = float(np.exp(2.0 * self.log_noise.value[0]))
-        std = np.sqrt(var + noise_var)
-        if single:
-            return mean[0], std[0]
-        return mean, std
+        return self.posterior().predict(x)
+
+    def posterior(self) -> BayesianPosterior:
+        """The weight-side half of :meth:`predict`'s closed form, frozen
+        at the current weights: later training steps do not reach it,
+        so build a new one after the weights change."""
+        return BayesianPosterior(
+            tuple(vlayer.posterior() for vlayer in self._vlayers),
+            float(np.exp(2.0 * self.log_noise.value[0])))
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass through the posterior means."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         self._set_sampling(False)
-        out = self.forward(np.atleast_2d(x))
-        self._set_sampling(True)
+        try:
+            out = self.forward(np.atleast_2d(x))
+        finally:
+            self._set_sampling(True)
         return out[0] if single else out

@@ -149,27 +149,28 @@ class _Activation(Module):
 class ReLU(_Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._cache = x > 0
         # np.where(x > 0, x, 0.0) bit for bit at a fraction of its cost:
         # fmax drops NaN, and adding +0.0 turns fmax's -0.0 into +0.0
         out = np.fmax(x, 0.0)
         out += 0.0
+        self._cache = out
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._cache
+        # out > 0 exactly where x > 0: out is x there and +0.0 elsewhere
+        return grad_out * (self._cache > 0)
 
 
 class Sigmoid(_Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty_like(x)
-        positive = x >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
+        # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, per element;
+        # min(x, -x) is -|x|, but passes a NaN through sign and all
+        exp_neg = np.exp(np.minimum(x, -x))
+        denom = 1.0 + exp_neg
+        out = np.where(x >= 0, 1.0 / denom, exp_neg / denom)
         self._cache = out
         return out
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import EstimatorConfig
-from repro.nn.bayesian import BayesianMLP
+from repro.nn.bayesian import BayesianMLP, BayesianPosterior
 from repro.nn.optim import Adam, clip_grad_norm
 
 
@@ -112,16 +112,22 @@ class CostToGoEstimator:
         mean, std = scale
         self._target_mean, self._target_std = float(mean), float(std)
 
-    def predict_batch(self, states: np.ndarray
+    def predict_batch(self, states: np.ndarray,
+                      posterior: Optional[BayesianPosterior] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior predictive ``(mu, sigma)`` of the cost-to-go per
         state, de-standardised to cost units: ``states`` is ``(n,
         state_dim)`` or carries more leading axes (a ``(G, n,
         state_dim)`` stack gives ``(G, n)``, each group's floats the
         ones it gets alone -- :meth:`BayesianMLP.predict`).  Nothing is
-        drawn."""
+        drawn.  ``posterior`` is a frozen table of :attr:`network`
+        (:meth:`BayesianMLP.posterior`) to read instead of the live
+        weights -- serving builds one per snapshot policy at load; the
+        target scale is read at call time either way."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        mean, std = self.network.predict(states)
+        if posterior is None:
+            posterior = self.network.posterior()
+        mean, std = posterior.predict(states)
         return (mean[..., 0] * self._target_std + self._target_mean,
                 std[..., 0] * self._target_std)
 

@@ -117,6 +117,18 @@ class TestBayesianMLP:
         np.testing.assert_array_equal(net.predict_mean(x),
                                       net.predict_mean(x))
 
+    def test_predict_mean_restores_sampling_when_forward_raises(
+            self, rng):
+        """A wrong-width input raises inside ``predict_mean``; the net
+        must come out sampling again, so the ELBO's ``forward`` still
+        draws noise afterwards."""
+        net = BayesianMLP(2, 1, hidden_sizes=(8,), rng=rng)
+        with pytest.raises(ValueError):
+            net.predict_mean(np.ones((3, 5)))
+        assert all(vlayer.sample_noise for vlayer in net._vlayers)
+        x = np.ones((4, 2))
+        assert not np.array_equal(net.forward(x), net.forward(x))
+
     def test_predict_single_input_shape(self, rng):
         net = BayesianMLP(3, 1, hidden_sizes=(8,), rng=rng)
         mean, std = net.predict(np.zeros(3))
@@ -211,12 +223,14 @@ class TestClosedFormMoments:
         layer = VariationalDense(4, 2, rng=rng, initial_rho=-1.0)
         m = np.array([[0.5, -1.0, 2.0, 0.1]])
         v = np.array([[0.2, 0.05, 0.3, 0.0]])
-        mean, var, sigma_w, sigma_b = layer._moments(m, v)
+        table = layer.posterior()
+        mean, var = table.moments(m, v)
         draws = 400_000
         x = m + np.sqrt(v) * rng.standard_normal((draws, 4))
-        w = layer.weight_mu.value + sigma_w * rng.standard_normal(
-            (draws, 4, 2))
-        b = layer.bias_mu.value + sigma_b * rng.standard_normal((draws, 2))
+        w = layer.weight_mu.value + np.sqrt(
+            table.weight_var) * rng.standard_normal((draws, 4, 2))
+        b = layer.bias_mu.value + np.sqrt(
+            table.bias_var) * rng.standard_normal((draws, 2))
         out = np.einsum("si,sio->so", x, w) + b
         assert np.all(np.abs(mean[0] - out.mean(axis=0))
                       <= 4.0 * np.sqrt(var[0] / draws))
@@ -351,6 +365,46 @@ class TestPredictMatchesForwardLoop:
         fresh = _net(seed=11)
         fresh.load_state_dict(net.state_dict())
         for got, want, old in zip(after, fresh.predict(x), before):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
+
+
+class TestPosteriorTable:
+    """``BayesianMLP.posterior()`` freezes the weight-side half of the
+    closed form: its ``predict`` is ``BayesianMLP.predict`` bit for
+    bit, and no later training step reaches it."""
+
+    @pytest.mark.parametrize("perturb_rho", [False, True])
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (21, 9), (64, 9),
+                                       (3, 4, 9), (5, 1, 9)])
+    def test_table_predict_is_predict(self, shape, perturb_rho):
+        net = _net(perturb_rho=perturb_rho)
+        x = np.random.default_rng(len(shape)).uniform(0.0, 1.0, shape)
+        table = net.posterior()
+        for got, want in zip(table.predict(x), net.predict(x)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64),
+                                  want.view(np.int64))
+
+    def test_table_is_frozen(self):
+        """An Adam step after the build (which updates the parameters
+        in place) leaves the table's outputs untouched; a table built
+        after the step reads the stepped weights."""
+        net = _net(perturb_rho=True)
+        data = np.random.default_rng(2)
+        x = data.uniform(0.0, 1.0, (7, 9))
+        table = net.posterior()
+        before = table.predict(x)
+        optim = Adam(net.parameters(), lr=0.05)
+        optim.zero_grad()
+        net.elbo_step(data.uniform(0.0, 1.0, (32, 9)),
+                      data.normal(0.0, 1.0, (32, 1)))
+        optim.step()
+        for got, want in zip(table.predict(x), before):
+            assert np.array_equal(got, want)
+        stepped = net.predict(x)
+        for got, want, old in zip(net.posterior().predict(x), stepped,
+                                  before):
             assert np.array_equal(got, want)
             assert not np.array_equal(got, old)
 

@@ -197,3 +197,48 @@ def test_relu_is_where_bit_for_bit(shape, seed):
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
     grad = relu.backward(np.ones(shape))
     assert np.array_equal(grad, (x > 0).astype(float))
+
+
+def _sigmoid_two_branch(x):
+    """The two-branch logistic, one boolean gather and scatter per
+    branch: ``1 / (1 + e^-x)`` where ``x >= 0``, ``e^x / (1 + e^x)``
+    elsewhere (NaN included)."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+#: Signed zeros, exp's overflow edge, the largest finites, infinities
+#: and NaN of either sign.
+_SIGMOID_SPECIAL = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf,
+                    -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 36.0,
+                    -36.0]
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sigmoid_is_two_branch_bit_for_bit(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * rng.choice([1.0, 10.0, 800.0],
+                                                size=shape)
+    special = rng.random(shape) < 0.5
+    x[special] = rng.choice(_SIGMOID_SPECIAL, size=int(special.sum()))
+    sigmoid = Sigmoid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sigmoid.forward(x)
+        want = _sigmoid_two_branch(x)
+    assert out.shape == want.shape
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_sigmoid_special_values_bit_for_bit():
+    x = np.array(_SIGMOID_SPECIAL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = Sigmoid().forward(x)
+        want = _sigmoid_two_branch(x)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))

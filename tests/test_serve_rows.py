@@ -27,7 +27,7 @@ import pytest
 
 import serve_oracle
 from repro import scenarios, serve
-from repro.config import ExperimentConfig, TrafficConfig
+from repro.config import NUM_ACTIONS, ExperimentConfig, TrafficConfig
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import RoutedBatchPolicy
 from repro.experiments.harness import (
@@ -40,6 +40,7 @@ from repro.experiments.harness import (
 )
 from repro.fleet import FleetSpec, plan_shards
 from repro.fleet.shard import run_fleet_shard
+from repro.nn.bayesian import BayesianMLP
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloEvaluator, default_slo_spec
 from repro.obs.trace import configure, disable
@@ -484,6 +485,46 @@ def test_rng_seed_changes_nothing(snapshots):
             assert np.array_equal(out.actions, outs[0].actions), slot
             assert np.array_equal(out.fallback, outs[0].fallback), slot
     assert outs[0].fallback.any() and not outs[0].fallback.all()
+
+
+def test_serving_builds_each_posterior_table_once(snapshots, monkeypatch):
+    """pi_phi's weight-side tables are built when a snapshot policy is
+    loaded and read by every Eq. 8 pass after that: over a 2 x 96-slot
+    replay of recorded ``lte_fixed_mcs`` slots, ``BayesianMLP
+    .posterior`` runs once per learned policy that has pi_phi, however
+    many passes ask it."""
+    built = []
+    posterior = BayesianMLP.posterior
+
+    def spy(net):
+        built.append(net)
+        return posterior(net)
+
+    monkeypatch.setattr(BayesianMLP, "posterior", spy)
+    snapshot = snapshots["onslicing"]
+    spec = scenario_with_population(get_scenario("lte_fixed_mcs"), 12)
+    spec = dataclasses.replace(spec, traffic_cfg=dataclasses.replace(
+        spec.traffic_cfg or TrafficConfig(), slots_per_episode=96))
+    cfg = spec.build_config(seed=7)
+    simulator = spec.build_simulator(cfg, rng=np.random.default_rng(7))
+    service = SlicingService(snapshot, cfg=cfg)
+    action = np.full(NUM_ACTIONS, 0.3)
+    for _ in range(2):
+        observations = simulator.reset()
+        service.begin_episode()
+        while not simulator.done:
+            service.decide([DecisionRequest(name, observation.vector())
+                            for name, observation
+                            in observations.items()])
+            results = simulator.step({name: action
+                                      for name in observations})
+            observations = {name: result.observation
+                            for name, result in results.items()}
+    with_pi_phi = sum("estimator" in payload
+                      for payload in snapshot.policies.values())
+    assert with_pi_phi > 0
+    assert len(built) == with_pi_phi
+    assert service.core.counters["posterior_calls"] >= 2 * 96
 
 
 @pytest.mark.parametrize("slices", [None, 12])
