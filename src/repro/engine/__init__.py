@@ -14,10 +14,10 @@ into flat array math:
   model-based / snapshot / OnRL batch policies, batched projection,
   and the lockstep loop.
 
-The layers above consume it through
-:func:`repro.engine.policies.lockstep` (evaluation, fuzzing, OnRL
-training, the offline pi_b rollouts) and the serving driver
-:func:`repro.serve.loadgen.drive_lockstep`.
+The layers above consume it through one loop,
+:func:`repro.engine.policies.lockstep`: evaluation, fuzzing, OnRL
+training, the offline pi_b rollouts and serving (every fleet shard
+included).
 """
 
 from repro.engine.batch import BatchSimulator, BatchStepResult

@@ -20,7 +20,7 @@ policy are served by one ``policy.act_rows(states)`` call --
 serving's :class:`~repro.serve.service.DecisionCore` runs too -- and
 :func:`lockstep` drives a :class:`~repro.engine.batch.BatchSimulator`
 under one batch policy -- the one loop evaluation, fuzzing, OnRL
-training and the offline pi_b rollouts share -- with
+training, the offline pi_b rollouts and serving share -- with
 :func:`episode_totals` its per-episode fold.
 """
 
@@ -169,7 +169,9 @@ def project_actions_batch(actions: np.ndarray,
 
 def lockstep(batch, policy, episodes: int = 1, project: bool = True):
     """The lockstep loop: every world of ``batch`` for ``episodes``
-    episodes under one :class:`BatchPolicy`.
+    episodes under one :class:`BatchPolicy` -- the one replay driver of
+    evaluation, fuzzing, OnRL training, the offline pi_b rollouts and
+    serving.
 
     Per slot the active worlds' observations are stacked, the policy
     is asked once, each world's rows are projected (paper Sec. 4;

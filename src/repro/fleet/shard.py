@@ -9,7 +9,9 @@ loads the snapshot from the :class:`~repro.serve.policy_store
 -- one :class:`~repro.serve.loadgen.LoadGenerator` each, a
 :class:`~repro.serve.service.SlicingService` over the shared snapshot
 -- in lockstep: one decision batch and one engine step per slot for
-all of them (:func:`~repro.serve.loadgen.drive_lockstep`).
+all of them, on the repo's one replay driver
+(:func:`~repro.engine.policies.lockstep`, through
+:func:`~repro.serve.loadgen.drive_lockstep`).
 
 Telemetry never leaves the shard raw: per-cell counters and bounded
 histograms merge into one shard-level :class:`~repro.obs.metrics

@@ -589,11 +589,17 @@ def read_jsonl(path: str) -> List[Dict]:
     undecodable (or non-object) line anywhere earlier is corruption
     and raises ``ValueError`` naming ``path:lineno``.
     """
+    return [row for _, row in read_jsonl_numbered(path)]
+
+
+def read_jsonl_numbered(path: str) -> List[Tuple[int, Dict]]:
+    """:func:`read_jsonl`'s rows with their 1-based line numbers, for
+    readers that refuse a row by ``path:lineno``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    rows: List[Dict] = []
+    rows: List[Tuple[int, Dict]] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -607,7 +613,7 @@ def read_jsonl(path: str) -> List[Dict]:
         if not isinstance(row, dict):
             raise ValueError(f"{path}:{lineno}: JSONL row is not an "
                              "object")
-        rows.append(row)
+        rows.append((lineno, row))
     return rows
 
 

@@ -18,6 +18,7 @@ data, return strings -- so tests can pin frames without a terminal.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 from repro.obs.slo import IncidentTimeline, ObjectiveStatus, SloEvaluator
@@ -153,7 +154,8 @@ def frame_payload(evaluator: SloEvaluator,
 # ---- incident timeline formatting ------------------------------------
 
 def format_incidents(records: Sequence[Dict]) -> str:
-    """Text table over timeline records."""
+    """Text table over timeline records (a burn a record lacks reads
+    ``nan``)."""
     if not records:
         return "(no matching incident records)"
     lines = [f"{'seq':>4} {'t':>8} {'event':<8} {'sev':<5} "
@@ -163,6 +165,7 @@ def format_incidents(records: Sequence[Dict]) -> str:
             f"{record['seq']:>4} {record['at']:>8g} "
             f"{record['event']:<8} {str(record['severity']):<5} "
             f"{str(record['incident']):<26} "
-            f"{record['burn_fast']:>6.1f}/{record['burn_slow']:<6.1f}"
+            f"{record.get('burn_fast', math.nan):>6.1f}/"
+            f"{record.get('burn_slow', math.nan):<6.1f}"
             f"  {_format_attribution(record, 'cell {cell}:{scenario}')}")
     return "\n".join(lines)

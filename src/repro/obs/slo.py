@@ -55,7 +55,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Telemetry, WindowedSeries, read_jsonl
+from repro.obs.metrics import Telemetry, WindowedSeries, \
+    read_jsonl_numbered
 
 TIMELINE_FORMAT = 1
 
@@ -259,6 +260,10 @@ def default_slo_spec(latency_budget_ms: float = 200.0,
 DIGEST_FIELDS = ("seq", "event", "incident", "objective", "severity",
                  "kind", "instrument", "at", "burn_fast", "burn_slow",
                  "value", "attribution")
+#: Fields every incident row must carry to load: the ones the
+#: evaluator's restart path and the timeline's readers key on.
+INCIDENT_FIELDS = ("seq", "event", "incident", "objective", "severity",
+                   "at")
 
 
 class IncidentTimeline:
@@ -292,10 +297,29 @@ class IncidentTimeline:
              ) -> "IncidentTimeline":
         """Parse a timeline file; ``append=True`` keeps it open for
         further records (the evaluator-restart path).  Torn-tail /
-        corruption policy: :func:`~repro.obs.metrics.read_jsonl`."""
+        corruption policy: :func:`~repro.obs.metrics.read_jsonl`.  A
+        file whose first row is not this format's header (a fleet
+        checkpoint, say) and an incident row lacking one of
+        :data:`INCIDENT_FIELDS` are ``ValueError`` naming
+        ``path:lineno``."""
+        rows = read_jsonl_numbered(path)
+        lineno, header = rows[0] if rows else (1, {})
+        if (header.get("kind") != "header"
+                or header.get("format") != TIMELINE_FORMAT):
+            raise ValueError(
+                f"{path}:{lineno}: not an incident timeline (the first "
+                f"row must be its header, format {TIMELINE_FORMAT})")
         # incident rows carry an "event"; the header (and any future
         # non-incident row kinds) do not
-        records = [row for row in read_jsonl(path) if "event" in row]
+        records = []
+        for lineno, row in rows[1:]:
+            if "event" not in row:
+                continue
+            missing = [key for key in INCIDENT_FIELDS if key not in row]
+            if missing:
+                raise ValueError(f"{path}:{lineno}: incident row lacks "
+                                 f"{', '.join(missing)}")
+            records.append(row)
         timeline = cls(path=path if append else None, clock=clock,
                        records=records)
         if append:

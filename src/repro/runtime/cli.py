@@ -603,8 +603,11 @@ def _run_serving(args) -> int:
         evaluator = SloEvaluator(load_slo_spec(args.slo))
     generator = LoadGenerator(snapshot, scenario, slices=args.slices,
                               seed=args.seed, slo=evaluator)
-    report = generator.run(episodes=args.episodes,
-                           max_decisions=args.decisions)
+    try:
+        report = generator.run(episodes=args.episodes,
+                               max_decisions=args.decisions)
+    except ValueError as exc:   # a bad --episodes / --decisions
+        raise SystemExit(f"{args.command}: {exc}") from None
     telemetry_rows = generator.telemetry.snapshot()
     if args.telemetry_dir:
         # one file per (snapshot, scenario, population, seed): runs that

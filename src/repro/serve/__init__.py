@@ -14,9 +14,10 @@ repository (the ROADMAP's "serve heavy traffic" north star):
   object edge;
 * :mod:`repro.serve.loadgen` -- :class:`LoadGenerator`, which drives
   the service with any registered scenario at ``population(N)`` scale
-  and reports decisions/sec, p50/p99 latency and SLA-violation rate,
-  and :func:`drive_lockstep`, the one loop a single run and a fleet
-  shard share;
+  and reports decisions/sec, p50/p99 latency and SLA-violation rate;
+  a single run and a fleet shard (``drive_lockstep``) both ride the
+  repo's one replay driver, :func:`repro.engine.policies.lockstep`,
+  with the run's books as its batch policy and slot consumer;
 * :mod:`repro.obs.metrics` -- the counters/histograms serve runs
   record into (``Telemetry`` et al. are re-exported here), with JSONL
   export so serve runs produce artefacts like everything else;

@@ -9,20 +9,19 @@ and reports what a load test should: decisions/sec, p50/p99 decision
 latency, the SLA-violation rate of the traffic actually served, and
 the fallback rate.
 
-:func:`drive_lockstep` is the one loop: every slot it has all the
-active cells' rows decided by one :meth:`~repro.serve.service
-.DecisionCore.decide_rows` call on the engine's stacked observations,
-steps all the cells' simulators in one
-:class:`~repro.engine.batch.BatchSimulator` kernel evaluation, and
-keeps the books in arrays (:class:`_Lockstep`): per-(cell, slice) cost
-and usage accumulators updated by one indexed add per slot, served
-actions and simulated latencies appended to per-run buffers.  Once per
-cell and episode -- or right before anything reads a registry (an
-attached :class:`~repro.obs.slo.SloEvaluator`, ``finish_run``) -- a
-cell's buffered slots are folded into its own telemetry in bulk and
-into its SHA-256 decision stream.  ``run()`` drives one cell, a fleet
-shard drives all of its cells; the cells' reports, digests and
-telemetry are the same either way.
+A served run is the repo's one replay driver,
+:func:`~repro.engine.policies.lockstep`, with the run's books
+(:class:`_Lockstep`) as its batch policy -- one :meth:`~repro.serve
+.service.DecisionCore.decide_rows` call for all the active cells'
+stacked rows -- and as its slot consumer: per-(cell, slice) cost and
+usage accumulators updated by one indexed add per slot, served actions
+and simulated latencies appended to per-run buffers.  Once per cell
+and episode -- or right before anything reads a registry (an attached
+:class:`~repro.obs.slo.SloEvaluator`, ``finish_run``) -- a cell's
+buffered slots are folded into its own telemetry in bulk and into its
+SHA-256 decision stream.  ``run()`` drives one cell, a fleet shard
+(:func:`drive_lockstep`) all of its cells; the cells' reports, digests
+and telemetry are the same either way.
 
 Throughput is measured over *service* time (a cell's row-proportional
 share of every ``decide_rows`` call it took part in), not simulator
@@ -32,9 +31,9 @@ two runs from the same snapshot and seed can be byte-compared: the CI
 smoke job replays 100 decisions twice and asserts the digests match.
 
 The incremental API (``begin_run`` / ``begin_episode`` / ``serve_slot``
-/ ``record_step`` / ``end_episode`` / ``finish_run``) is the one-cell
-edge over the same books for outside drivers that re-trace the loop
-with dicts.
+/ ``record_step`` / ``end_episode`` / ``finish_run``) is a one-cell
+edge over the same books, holding its cell's observations itself, for
+the frozen benchmark harness only; it goes with ROADMAP item 1(g).
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import ExperimentConfig, NUM_ACTIONS
-from repro.engine.batch import BatchSimulator, _ranges
+from repro.engine.batch import BatchSimulator, BatchStepResult, _ranges
+from repro.engine.policies import lockstep
 from repro.obs.metrics import Telemetry
 from repro.obs.slo import SloEvaluator
 from repro.scenarios.spec import ScenarioSpec, population
@@ -58,7 +58,6 @@ from repro.serve.service import (
     DecisionCore,
     SlicingService,
 )
-from repro.sim.env import STATE_DIM
 
 #: Telemetry-flush interval (in served slots) at which an attached
 #: :class:`~repro.obs.slo.SloEvaluator` re-reads the registry.
@@ -106,8 +105,6 @@ def scenario_with_population(spec: ScenarioSpec,
     return dataclasses.replace(spec, slices=population(slices))
 
 
-
-
 class LoadGenerator:
     """Drive a service with a scenario's traffic at a slice count."""
 
@@ -148,16 +145,16 @@ class LoadGenerator:
         #: index in them (:meth:`begin_run` / :func:`drive_lockstep`).
         self._run: Optional[_Lockstep] = None
         self._cell = 0
+        self._held: Optional[np.ndarray] = None     # the edge's rows
 
     # ---- incremental driving API ------------------------------------
     #
-    # The one-cell, dict-speaking edge over `_Lockstep`, for outside
-    # drivers re-tracing `drive_lockstep` cell by cell.
+    # The one-cell, dict-speaking edge over `_Lockstep` for the frozen
+    # benchmark harness, which re-traces the served loop cell by cell.
 
-    def begin_run(self, episodes: int = 1,
-                  max_decisions: Optional[int] = None) -> None:
+    def begin_run(self, episodes: int = 1) -> None:
         """Arm the accounting of a new run of this cell alone."""
-        _Lockstep([self], episodes, max_decisions)
+        _Lockstep([self], episodes)
 
     @property
     def want_more_episodes(self) -> bool:
@@ -167,12 +164,14 @@ class LoadGenerator:
         """Start one episode from the initial observation rows
         (``slice_names`` order) of the simulator the driver just
         reset."""
-        self._run.begin_episode(self._cell, observations)
+        self._held = np.array(observations, dtype=float)
+        self._run.open_episode(self._cell)
 
     def serve_slot(self) -> Dict[str, np.ndarray]:
         """One decision batch from the held observations, into the
         run's books.  Returns the actions to apply to the simulator."""
-        return dict(zip(self._names, self._run.serve([self._cell])))
+        return dict(zip(self._names,
+                        self._run.act_batch(self._held, self._names)))
 
     def record_step(self, costs: Dict[str, float],
                     usages: Dict[str, float],
@@ -189,12 +188,11 @@ class LoadGenerator:
         """
         names = self._names
         self._run.record(
-            [self._cell],
             np.asarray([costs[name] for name in names], dtype=float),
             np.asarray([usages[name] for name in names], dtype=float),
-            np.stack([observations[name] for name in names]),
             None if latencies is None else np.asarray(
                 [latencies[name] for name in names], dtype=float))
+        self._held = np.stack([observations[name] for name in names])
 
     def end_episode(self) -> None:
         """Close one episode's per-slice SLA accounting."""
@@ -206,9 +204,22 @@ class LoadGenerator:
 
     def run(self, episodes: int = 1,
             max_decisions: Optional[int] = None) -> LoadReport:
-        """Serve ``episodes`` full episodes (or stop after
-        ``max_decisions`` decisions, mid-episode if need be)."""
-        drive_lockstep([self], episodes, max_decisions)
+        """Serve ``episodes`` full episodes (or stop after the slot that
+        brings the decisions to ``max_decisions``, mid-episode if need
+        be)."""
+        if max_decisions is not None and max_decisions < 1:
+            raise ValueError(
+                f"max_decisions must be >= 1, got {max_decisions}")
+        run = _Lockstep([self], episodes)
+        for _, _, step in run.replay():
+            if max_decisions is not None and \
+                    run.served[0] >= max_decisions:
+                # close the episode the budget ends, once; re-arm and
+                # reset nothing
+                run.record(step.costs, step.usages, step.latencies)
+                run.end_episode(0)
+                break
+            run.consume(step)
         return self.finish_run()
 
 
@@ -283,39 +294,36 @@ class _View:
         everyone = self.cells == run.everyone
         index = np.asarray(self.cells, dtype=np.intp)
         self.counts = run.starts[index + 1] - run.starts[index]
-        ends = np.cumsum(self.counts)
         #: the cells' rows in the run layout
         self.row_ids = _ranges(run.starts, index)
         self.row_cells = run.cell_of_row[self.row_ids]
         #: the same, as cheap as they come when every cell is active
         self.index = slice(None) if everyone else index
         self.rows = slice(None) if everyone else self.row_ids
-        self.share = self.counts / ends[-1]
+        self.share = self.counts / self.counts.sum()
         self.names = [run.generators[cell]._names for cell in self.cells]
-        #: each cell's rows of a decided action matrix
-        self.spans = [slice(int(lo), int(hi))
-                      for lo, hi in zip(ends - self.counts, ends)]
         self.watched = [cell for cell in self.cells
                         if run.generators[cell].slo is not None]
 
 
 class _Lockstep:
-    """The books of one lockstep run over ``C`` cells, in arrays.
+    """The books of one lockstep run over ``C`` cells, in arrays:
+    ``lockstep``'s batch policy and slot consumer.
 
     Rows are every cell's slices, cell-major, fixed for the run
-    (``starts[c]:starts[c + 1]`` are cell ``c``'s).  Per row: the held
-    observation the next decision reads and the episode's cost / usage
-    accumulators; per cell: decisions served, fallbacks, service time,
-    slots recorded.  Served actions, costs and simulated latencies of
-    the slots a cell has not folded yet sit in ``(PENDING_SLOTS, R)``
-    buffers at the cell's own pending index; :meth:`fold` turns them
-    into bulk telemetry updates and one decision-stream update, and
-    runs at every episode end, before anything reads the cell's
+    (``starts[c]:starts[c + 1]`` are cell ``c``'s).  Per row: the
+    episode's cost / usage accumulators; per cell: decisions served,
+    fallbacks, service time, slots recorded; ``active``: the cells
+    ``lockstep`` steps.  Served actions, costs and simulated latencies
+    of the slots a cell has not folded yet sit in ``(PENDING_SLOTS,
+    R)`` buffers at the cell's own pending index; :meth:`fold` turns
+    them into bulk telemetry updates and one decision-stream update,
+    and runs at every episode end, before anything reads the cell's
     registry, and when a buffer is full.
     """
 
     def __init__(self, generators: Sequence[LoadGenerator],
-                 episodes: int, max_decisions: Optional[int]) -> None:
+                 episodes: int) -> None:
         if episodes < 1:
             raise ValueError("episodes must be >= 1")
         self.generators = list(generators)
@@ -324,15 +332,14 @@ class _Lockstep:
                 generator._run.fold(generator._cell)    # last slots
         count = len(self.generators)
         self.everyone = list(range(count))
+        self.active = self.everyone
         self.episodes_wanted = episodes
-        self.max_decisions = max_decisions
         self.core = DecisionCore([g.service for g in self.generators])
         self.starts = np.concatenate(
             ([0], np.cumsum([len(g._names) for g in self.generators])))
         rows = int(self.starts[-1])
         self.cell_of_row = np.repeat(np.arange(count),
                                      np.diff(self.starts))
-        self.states = np.zeros((rows, STATE_DIM))
         self.cost = np.zeros(rows)
         self.usage = np.zeros(rows)
         self.slots = np.zeros(count, dtype=np.intp)
@@ -340,7 +347,6 @@ class _Lockstep:
         self.fallbacks = np.zeros(count, dtype=np.intp)
         self.service_time = np.zeros(count)
         self.recorded = np.zeros(count, dtype=np.intp)
-        self.stopped = np.zeros(count, dtype=bool)
         self.pending = np.zeros(count, dtype=np.intp)
         self.actions = np.empty((PENDING_SLOTS, rows, NUM_ACTIONS))
         self.costs = np.empty((PENDING_SLOTS, rows))
@@ -350,39 +356,45 @@ class _Lockstep:
         self._view: Optional[_View] = None
         for cell, generator in enumerate(self.generators):
             generator._run, generator._cell = self, cell
+            self.open_episode(cell)
 
-    def _view_of(self, cells: Sequence[int]) -> _View:
+    def _active_view(self) -> _View:
         view = self._view
-        if view is None or cells != view.cells:
-            view = self._view = _View(self, cells)
+        if view is None or self.active != view.cells:
+            view = self._view = _View(self, self.active)
         return view
 
     def _bounds(self, cell: int) -> slice:
         return slice(int(self.starts[cell]), int(self.starts[cell + 1]))
 
+    def replay(self):
+        """``lockstep`` over the cells' simulators, these books
+        deciding; its caller books every slot it yields."""
+        batch = BatchSimulator([g.simulator for g in self.generators])
+        return lockstep(batch, self, self.episodes_wanted, project=False)
+
     # ---- the slot ----------------------------------------------------
 
     def wants_more(self, cell: int) -> bool:
-        return (not self.stopped[cell]
-                and self.books[cell].episodes_run < self.episodes_wanted)
+        return self.books[cell].episodes_run < self.episodes_wanted
 
-    def begin_episode(self, cell: int, observations: np.ndarray) -> None:
-        """Start one of ``cell``'s episodes from its simulator's
-        initial observation rows."""
-        self.generators[cell].service.begin_episode()   # re-arm Eq. 8
+    def open_episode(self, cell: int) -> None:
+        """Start one of ``cell``'s episodes: re-arm its Eq. 8 latch
+        and zero its accumulators."""
+        self.generators[cell].service.begin_episode()
         rows = self._bounds(cell)
         self.cost[rows] = 0.0
         self.usage[rows] = 0.0
         self.slots[cell] = 0
-        self.states[rows] = observations
 
-    def serve(self, cells: Sequence[int]) -> np.ndarray:
-        """Decide one slot for ``cells`` from the held observations;
-        returns the ``(R, NUM_ACTIONS)`` actions, cell-major."""
-        view = self._view_of(cells)
+    def act_batch(self, states: np.ndarray,
+                  slice_names: Sequence[str]) -> np.ndarray:
+        """Decide one slot for the active cells' stacked ``states``
+        (their own ``slice_names``, cell-major); returns the actions
+        served."""
+        view = self._active_view()
         t0 = time.perf_counter()
-        out = self.core.decide_rows(self.states[view.rows], view.names,
-                                    view.cells)
+        out = self.core.decide_rows(states, view.names, view.cells)
         # what a cell spent being decided for: its rows' share
         self.service_time[view.index] += (
             time.perf_counter() - t0) * view.share
@@ -390,30 +402,31 @@ class _Lockstep:
             out.actions
         self.fallbacks[view.index] += out.fallbacks
         self.served[view.index] += view.counts
-        if self.max_decisions is not None:
-            self.stopped[view.index] = \
-                self.served[view.index] >= self.max_decisions
         return out.actions
 
-    def split(self, cells: Sequence[int],
-              actions: np.ndarray) -> List[Optional[np.ndarray]]:
-        """:meth:`serve`'s matrix as the per-world action list the
-        engine steps (``None`` for the cells sitting out)."""
-        worlds: List[Optional[np.ndarray]] = [None] * len(self.generators)
-        for cell, span in zip(cells, self._view_of(cells).spans):
-            worlds[cell] = actions[span]
-        return worlds
+    def consume(self, step: BatchStepResult) -> None:
+        """Book one ``lockstep`` slot, then close the episodes it
+        ended: a cell with episodes left is re-armed (``lockstep``
+        resets its world next), the others retire."""
+        self.record(step.costs, step.usages, step.latencies)
+        retired = []
+        for i in np.flatnonzero(step.dones):
+            cell = step.worlds[i]
+            self.end_episode(cell)
+            if self.wants_more(cell):
+                self.open_episode(cell)
+            else:
+                retired.append(cell)
+        if retired:
+            self.active = [cell for cell in self.active
+                           if cell not in retired]
 
-    def record(self, cells: Sequence[int], costs: np.ndarray,
-               usages: np.ndarray, observations: np.ndarray,
-               latencies: Optional[np.ndarray],
-               dones: Sequence[bool] = ()) -> List[int]:
-        """Book one stepped slot of ``cells`` (stacked rows,
-        cell-major) and hold the observations for the next decision;
-        returns the cells whose episode is over (done, or stopped at
-        ``max_decisions``).  A slot recorded without ``latencies``
-        leaves no latency sample."""
-        view = self._view_of(cells)
+    def record(self, costs: np.ndarray, usages: np.ndarray,
+               latencies: Optional[np.ndarray]) -> None:
+        """Book one stepped slot of the active cells (stacked rows,
+        cell-major).  A slot recorded without ``latencies`` leaves no
+        latency sample."""
+        view = self._active_view()
         rows, index = view.rows, view.index
         self.cost[rows] += costs
         self.usage[rows] += usages
@@ -421,7 +434,6 @@ class _Lockstep:
         self.costs[slot, view.row_ids] = costs
         self.latencies[slot, view.row_ids] = \
             np.nan if latencies is None else latencies
-        self.states[rows] = observations
         self.slots[index] += 1
         self.recorded[index] += 1
         self.pending[index] += 1
@@ -433,10 +445,6 @@ class _Lockstep:
             if at % generator.slo_every == 0:
                 self.fold(cell)
                 generator.slo.observe(generator.telemetry, at=float(at))
-        over = self.stopped[index]
-        if len(dones):
-            over = over | np.asarray(dones)
-        return [view.cells[i] for i in np.flatnonzero(over)]
 
     # ---- per cell and episode ----------------------------------------
 
@@ -529,36 +537,19 @@ def _present(latencies: np.ndarray) -> np.ndarray:
     return flat[~missing] if missing.any() else flat
 
 
-def drive_lockstep(generators: List[LoadGenerator], episodes: int = 1,
-                   max_decisions: Optional[int] = None) -> None:
-    """Advance every cell's episodes through one decision core and one
-    batched engine.
+def drive_lockstep(generators: List[LoadGenerator],
+                   episodes: int = 1) -> None:
+    """Advance every cell's ``episodes`` through one decision core and
+    one batched engine (:func:`~repro.engine.policies.lockstep`).
 
     Each slot decides every active cell's rows in one
     :meth:`~repro.serve.service.DecisionCore.decide_rows` call
-    (per-cell fallback state, coordination, telemetry and digests are
+    (per-cell fallback state, projection, telemetry and digests are
     what each cell driven alone would have), then steps all the cells'
     simulators in one kernel evaluation.  Cells with shorter horizons
-    roll into their next episode independently, and a cell that has
-    served ``max_decisions`` stops after recording the slot it
-    decided.  Callers read each cell's ``finish_run()``.
+    roll into their next episode independently.  Callers read each
+    cell's ``finish_run()``.
     """
-    run = _Lockstep(generators, episodes, max_decisions)
-    batch = BatchSimulator([g.simulator for g in generators])
-    active = run.everyone
-    for cell in active:
-        run.begin_episode(cell, batch.reset_world(cell))
-    while active:
-        step = batch.step(run.split(active, run.serve(active)))
-        finished = run.record(active, step.costs, step.usages,
-                              step.observations, step.latencies,
-                              step.dones)
-        retired = []
-        for cell in finished:
-            run.end_episode(cell)
-            if run.wants_more(cell):
-                run.begin_episode(cell, batch.reset_world(cell))
-            else:
-                retired.append(cell)
-        if retired:
-            active = [cell for cell in active if cell not in retired]
+    run = _Lockstep(generators, episodes)
+    for _, _, step in run.replay():
+        run.consume(step)

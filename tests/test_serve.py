@@ -444,6 +444,13 @@ class TestLoadGenerator:
                                              max_decisions=100)
         assert report.decisions == 100
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_a_budget_below_one_is_refused(self, onrl_snapshot, limit):
+        """A budget of no decisions used to serve a whole slot."""
+        generator = LoadGenerator(onrl_snapshot, "short_horizon")
+        with pytest.raises(ValueError, match="max_decisions"):
+            generator.run(max_decisions=limit)
+
     def test_reproducible_from_snapshot(self, onrl_snapshot):
         runs = [
             LoadGenerator(onrl_snapshot, "flash_crowd", slices=5,
@@ -762,6 +769,15 @@ class TestServeCli:
             main([command, "--scenario", "default", "--no-batch"])
         assert excinfo.value.code == 2
         assert "--no-batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_decisions_below_one_is_refused(self, command, tmp_path):
+        """A usage error, not a traceback and not a served slot."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scenario", "short_horizon", "--store-dir",
+                  str(tmp_path / "policies"), "--decisions", "0"])
+        assert excinfo.value.code == \
+            f"{command}: max_decisions must be >= 1, got 0"
 
     def test_loadgen_rejects_unknown(self, tmp_path):
         store_dir = str(tmp_path / "policies")

@@ -10,7 +10,8 @@ benchmark harness calls it -- and must come out the same: report,
 decision digest, every counter, every deterministic histogram sample
 for sample, the incident timeline of an attached SLO evaluator, and
 the simulator generator left behind.  Wall-clock instruments agree in
-count.
+count.  A run with a decision budget is driven alone only:
+``LoadGenerator.run`` is the one driver that takes one.
 
 A histogram's state is bucket counts, so every histogram of this
 module also records the values it is given, in order, whichever of
@@ -21,6 +22,9 @@ and the deterministic ones are compared sample for sample as well.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -28,8 +32,9 @@ import pytest
 import serve_oracle
 from repro import scenarios, serve
 from repro.config import NUM_ACTIONS, ExperimentConfig, TrafficConfig
+from repro.core.offline import collect_baseline_rollouts
 from repro.engine.batch import BatchSimulator
-from repro.engine.policies import RoutedBatchPolicy
+from repro.engine.policies import RoutedBatchPolicy, lockstep
 from repro.experiments.harness import (
     build_onslicing,
     fit_baselines,
@@ -61,6 +66,8 @@ from repro.serve.loadgen import drive_lockstep
 from repro.serve.service import PENDING_SLOTS, _LearnedPolicy
 from repro.sim.network import CONSTRAINED_RESOURCES
 
+#: The ``repro`` package directory the driver spy reports callers in.
+PACKAGE = os.path.dirname(os.path.dirname(serve.__file__))
 #: Constrained action columns, in CONSTRAINED_RESOURCES order.
 KIND_COLUMNS = list(CONSTRAINED_RESOURCES.values())
 
@@ -155,13 +162,13 @@ def make_cells(module, snapshot, slo_every):
     return cells
 
 
-def drive_edge(generators, episodes, max_decisions):
+def drive_edge(generators, episodes):
     """The lockstep loop re-traced through the one-cell dict edge, the
     way ``benchmarks/e2e/wl_fleet.py`` drives it."""
     batch = BatchSimulator([g.simulator for g in generators])
     active = []
     for index, generator in enumerate(generators):
-        generator.begin_run(episodes, max_decisions)
+        generator.begin_run(episodes)
         generator.begin_episode(observations=batch.reset_world(index))
         active.append(index)
     while active:
@@ -179,8 +186,7 @@ def drive_edge(generators, episodes, max_decisions):
                 dict(zip(names, step.usages[rows].tolist())),
                 dict(zip(names, step.observations[rows])),
                 dict(zip(names, step.latencies[rows].tolist())))
-            stopped = generator._run.stopped[generator._cell]
-            if not step.dones[i] and not stopped:
+            if not step.dones[i]:
                 still_active.append(cell)
                 continue
             generator.end_episode()
@@ -249,17 +255,21 @@ def test_rows_match_the_per_cell_loop(snapshots, method, slo_every,
     oracle = make_cells(serve_oracle, snapshot, slo_every)
     serve_oracle.drive_lockstep(oracle, 2, limit)
 
-    together = make_cells(serve, snapshot, slo_every)
-    drive_lockstep(together, 2, limit)
     alone = make_cells(serve, snapshot, slo_every)
     for generator in alone:
         generator.run(2, limit)
-    edge = make_cells(serve, snapshot, slo_every)
-    drive_edge(edge, 2, limit)
+    runs = [("alone", alone)]
+    if limit is None:
+        # a decision budget is one cell's (``LoadGenerator.run``); a
+        # fleet shard and the edge always run every episode
+        together = make_cells(serve, snapshot, slo_every)
+        drive_lockstep(together, 2)
+        edge = make_cells(serve, snapshot, slo_every)
+        drive_edge(edge, 2)
+        runs += [("together", together), ("edge", edge)]
 
     for index, old in enumerate(oracle):
-        for label, cells in (("together", together), ("alone", alone),
-                             ("edge", edge)):
+        for label, cells in runs:
             assert_same_cell(cells[index], old,
                              (method, label, old.spec.name))
     # the comparison is not vacuous: cells stopped mid-episode or ran
@@ -333,7 +343,7 @@ def test_served_actions_stay_within_capacity(snapshots, monkeypatch):
 
     monkeypatch.setattr(BatchSimulator, "step", spy)
     for snapshot in snapshots.values():
-        drive_lockstep(make_cells(serve, snapshot, None), 2, None)
+        drive_lockstep(make_cells(serve, snapshot, None), 2)
     totals = np.asarray(totals)
     assert len(totals) == 4 * 2 * sum(
         8 + index for index in range(len(cell_specs())))
@@ -877,3 +887,86 @@ def test_obs_profile_reports_the_serve_counters(capsys):
     out = capsys.readouterr().out
     assert out.index("engine counters: ") < \
         out.index("serve counters: decide_calls 96, ")
+
+
+# ---- one replay driver -------------------------------------------------
+
+
+def test_every_step_is_taken_by_lockstep(snapshots, monkeypatch):
+    """Serving (one cell, with and without a decision budget), fleet
+    shards (vector and scalar plans), evaluation and the offline pi_b
+    rollouts all step their worlds from one loop,
+    ``engine/policies.py::lockstep``: a hand-written loop fails here."""
+    callers = []
+    step = BatchSimulator.step
+
+    def spy(batch, actions):
+        code = sys._getframe(1).f_code
+        callers.append((os.path.relpath(code.co_filename, PACKAGE),
+                        code.co_name))
+        return step(batch, actions)
+
+    monkeypatch.setattr(BatchSimulator, "step", spy)
+    snapshot = snapshots["baseline"]
+    spec = FleetSpec(name="one-driver", cells=3,
+                     scenarios=("default", "short_horizon"), slots=4,
+                     seed=5)
+    for engine in ("vector", "scalar"):
+        plan, = plan_shards(spec, 1, "unused", snapshot.ref,
+                            snapshot.digest, engine=engine)
+        run_fleet_shard(plan, snapshot=snapshot)
+    cell = cell_specs()[0]
+    LoadGenerator(snapshot, cell, seed=5).run(2)
+    LoadGenerator(snapshot, cell, seed=5).run(2, 10)
+    cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=4),
+                           seed=5)
+    baselines = fit_baselines(cfg)
+    run_episodes([make_simulator(cfg), make_simulator(cfg)],
+                 RoutedBatchPolicy(baselines), episodes=2)
+    collect_baseline_rollouts(make_simulator(cfg), baselines, 2)
+    assert len(callers) > 6 * 4
+    assert set(callers) == {
+        (os.path.join("engine", "policies.py"), "lockstep")}
+
+
+def test_lockstep_keeps_its_parameters():
+    """Serving rides ``lockstep`` as a batch policy and slot consumer:
+    it needed no option of its own."""
+    parameters = [(p.name, p.kind, p.default) for p
+                  in inspect.signature(lockstep).parameters.values()]
+    kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    empty = inspect.Parameter.empty
+    assert parameters == [("batch", kind, empty),
+                          ("policy", kind, empty),
+                          ("episodes", kind, 1),
+                          ("project", kind, True)]
+
+
+@pytest.mark.parametrize("where", ["mid-episode", "episode 1's last slot",
+                                   "the run's last slot"])
+def test_a_decision_budget_stops_as_the_per_cell_loop_did(snapshots,
+                                                          where):
+    """``run(2, m)`` against the oracle's: the episode the budget
+    ends is counted once -- also when it ends on an episode's last
+    slot -- and neither the latch is re-armed nor the world reset."""
+    spec = cell_specs()[-1]             # lte_fixed_mcs: Eq. 8 fires
+    slices = len(spec.build_config().slices)
+    horizon = spec.traffic_cfg.slots_per_episode
+    limit = {"mid-episode": slices * (horizon // 2) + 1,
+             "episode 1's last slot": slices * horizon,
+             "the run's last slot": 2 * slices * horizon}[where]
+    snapshot = snapshots["onslicing"]
+    new = LoadGenerator(snapshot, spec, seed=3)
+    old = serve_oracle.LoadGenerator(snapshot, spec, seed=3)
+    new.run(2, limit)
+    old.run(2, limit)
+    assert_same_cell(new, old, where)
+    assert new.finish_run().episodes == \
+        (2 if where == "the run's last slot" else 1)
+    service = new.service
+    latched = {name for name, held in zip(
+        service.slice_names, service.core._segment(service._cell))
+        if held}
+    assert latched == old.service._switched
+    # not vacuous: the latch is holding slices when the budget ends
+    assert latched

@@ -685,6 +685,51 @@ class TestCliSurface:
         assert all(r["event"] == "open" for r in payload["records"])
         assert payload["records"]
 
+    def test_a_fleet_checkpoint_is_not_a_timeline(self, artifacts,
+                                                  capsys):
+        """It used to load as 0 records with the empty-stream digest."""
+        path = artifacts["checkpoint"]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:1: not an incident timeline")):
+            IncidentTimeline.load(path)
+        capsys.readouterr()
+        assert main(["obs", "incidents", path]) == 2
+        assert f"{path}:1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        "seq", "incident", "objective", "severity", "at"])
+    def test_an_incident_row_missing_a_field_is_refused(
+            self, field, artifacts, tmp_path, capsys):
+        """It used to load, then raise ``KeyError`` in a reader."""
+        with open(artifacts["timeline"], "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        row = json.loads(lines[1])
+        del row[field]
+        lines[1] = json.dumps(row)
+        path = str(tmp_path / "holed.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: incident row lacks {field}")):
+            IncidentTimeline.load(path)
+        capsys.readouterr()
+        assert main(["obs", "incidents", path, "--objective",
+                     row.get("objective", "x")]) == 2
+        assert f"{path}:2: " in capsys.readouterr().err
+
+    def test_incidents_lists_a_row_without_burns(self, tmp_path,
+                                                 capsys):
+        """The burns are not required to load, so the table does not
+        require them either (it used to raise ``KeyError``)."""
+        path = str(tmp_path / "minimal.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "header", "format": 1}) + "\n")
+            fh.write(json.dumps({"event": "open", "objective": "obj",
+                                 "severity": "page", "incident":
+                                 "obj#1", "seq": 0, "at": 1.0}) + "\n")
+        assert main(["obs", "incidents", path]) == 0
+        assert "obj#1" in capsys.readouterr().out
+
     def test_incidents_missing_file_is_friendly(self, tmp_path):
         assert main(["obs", "incidents",
                      str(tmp_path / "nowhere.jsonl")]) == 2
