@@ -47,7 +47,9 @@ Determinism contract
 --------------------
 Each world keeps its *own* RNG (the simulator's), consumed in a fixed
 order per slot: event activation draws, then one standard-normal block
-for the world's channels, then one Poisson array draw over its slices.
+for the world's channels, then one scalar Poisson draw per slice, in
+row order (the same values and generator state as one array draw over
+the slices).
 A world stepped inside a batch therefore produces bit-identical
 traffic, channels, rewards, costs and observations to the same world
 stepped alone -- ``tests/test_engine.py`` pins this against the golden
@@ -324,22 +326,29 @@ class BatchSimulator:
                 cqi, margin = self._fleet.step_worlds(
                     stepping, bundle.channel_rows)
 
-            # 3. realised arrivals (one Poisson array draw per world);
-            #    the world's generator is done for the slot, so the
-            #    slot counter advances here too
+            # 3. realised arrivals: one scalar Poisson draw per row,
+            #    in row order on the world's own generator -- the
+            #    values and end state of one array draw over the row,
+            #    without the array call's per-call range checks (the
+            #    layout ran them once over the episode's table).  The
+            #    world's generator is done for the slot, so the slot
+            #    counter advances here too.
             with trace("engine.arrivals"):
-                counts, slots, dones = [], [], []
+                counts = bundle.counts
+                row = 0
+                slots, dones = [], []
                 for state in states:
                     sim = state.sim
                     slot = sim._slot
-                    counts.append(sim._rng.poisson(
-                        state.lam_rows[slot]))
+                    poisson = sim._rng.poisson
+                    for lam in state.lam_rows[slot].tolist():
+                        counts[row] = poisson(lam)
+                        row += 1
                     sim._slot = slot = slot + 1
                     slots.append(slot)
                     dones.append(slot >= sim.horizon)
                 rates = bundle.rates
-                np.concatenate(counts, out=bundle.counts)
-                np.divide(bundle.counts, ARRIVAL_WINDOW_S, out=rates)
+                np.divide(counts, ARRIVAL_WINDOW_S, out=rates)
 
             # 4. one kernel evaluation over every row of every world
             with trace("engine.kernel"):

@@ -37,6 +37,11 @@ STATE_DIM = 9
 #: Measurement window (seconds) over which slot arrivals are realised.
 ARRIVAL_WINDOW_S = 60.0
 
+#: The largest Poisson intensity numpy's ``Generator.poisson`` accepts
+#: (its ``POISSON_LAM_MAX``); a :class:`WorldLayout` refuses any above.
+POISSON_LAM_MAX = (np.iinfo("l").max
+                   - np.sqrt(np.iinfo("l").max) * 10)
+
 #: Event kinds that change transport-fabric conditions while active.
 _CONDITION_EVENT_KINDS = ("link_degradation", "latency_surge",
                           "background_load")
@@ -99,6 +104,14 @@ class WorldLayout:
     slices' cumulative cost.  Owned by the simulator it describes (see
     :meth:`ScenarioSimulator.layout`), so every engine stepping the
     world -- alone or inside a shared batch -- sees the same episode.
+
+    The intensity table is checked once, here, against the range
+    ``Generator.poisson`` enforces (finite, ``>= 0``, at most
+    :data:`POISSON_LAM_MAX`): a bad entry raises a ``ValueError``
+    naming the slice and the slot when the layout is built (in the
+    stepper's events stage), before that slot's channel and arrival
+    draws, so no draw of the arrivals stage can fail partway through
+    a world.
     """
 
     def __init__(self, sim: "ScenarioSimulator",
@@ -123,14 +136,24 @@ class WorldLayout:
                 self.fixed_actions[row] = background[name]
         # Poisson intensities for every (slot, slice) of the episode
         # (managed traces from the episode's generation, churn slices
-        # pinned at 1.0), precomputed slot-major so the hot loop only
-        # takes a contiguous row.  Bit-equal to a per-slot (envelope *
-        # max_arrival) * ARRIVAL_WINDOW_S: the same elementwise
-        # products, evaluated for all slots at once.
+        # pinned at 1.0), precomputed slot-major.  Bit-equal to a
+        # per-slot (envelope * max_arrival) * ARRIVAL_WINDOW_S: the
+        # same elementwise products, evaluated for all slots at once.
         traces = np.stack([sim._traces[name] for name in self.names],
                           axis=1)
-        self.lam_rows = ((traces * self.rows.max_arrival)
-                         * ARRIVAL_WINDOW_S)
+        lam = (traces * self.rows.max_arrival) * ARRIVAL_WINDOW_S
+        # ``0 <= x <= max`` is numpy's own per-call test (NaN fails
+        # it), run once over the whole (T, S) table.
+        bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
+        if bad.any():
+            slot, row = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(
+                f"slice {self.names[row]!r}: Poisson intensity "
+                f"{float(lam[slot, row])!r} at slot {slot} is not in "
+                f"[0, {float(POISSON_LAM_MAX)!r}]")
+        #: ``(T, S)``, slot-major: the arrivals stage draws one scalar
+        #: ``poisson`` per entry of a slot's row (as Python floats).
+        self.lam_rows = lam
         # Managed cumulative episode cost, aligned with managed rows;
         # a churn rebuild carries the episode's array over.  A batch
         # engine re-homes it as a view of its own stacked vector (see
@@ -331,6 +354,14 @@ class ScenarioSimulator:
                 raise ValueError(
                     f"traffic model returned shape {envelope.shape}, "
                     f"expected ({self.horizon},)")
+            finite = np.isfinite(envelope)
+            if not finite.all():
+                slot = int(np.argmin(finite))
+                model = type(self._traffic_model).__name__
+                raise ValueError(
+                    f"traffic model {model} returned a non-finite "
+                    f"envelope for slice {name!r} "
+                    f"({float(envelope[slot])!r} at slot {slot})")
             traces[name] = np.clip(envelope, 0.0, MAX_ENVELOPE)
         return traces
 

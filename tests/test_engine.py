@@ -19,11 +19,15 @@ ever breaks in a numpy upgrade, these tests fail loudly instead of
 the engine silently drifting from the scalar reference.
 """
 
+import ast
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import scenarios
 from repro.baselines.model_based import ModelBasedPolicy
@@ -47,7 +51,13 @@ from repro.experiments.harness import (
     run_episodes,
     train_onrl,
 )
-from repro.sim.env import STATE_DIM, ScenarioSimulator, SliceObservation
+from repro.sim.env import (
+    POISSON_LAM_MAX,
+    STATE_DIM,
+    ScenarioSimulator,
+    SliceObservation,
+    WorldLayout,
+)
 
 from test_golden_digests import GOLDEN_TRACE_DIGESTS
 
@@ -118,6 +128,53 @@ class TestRNGStreamEquivalence:
         scalars = np.array([a.poisson(lam) for lam in lams])
         assert np.array_equal(scalars, b.poisson(lams))
 
+    @staticmethod
+    def _rows_then_array(lams, seed, repeats):
+        """Draw ``lams`` ``repeats`` times on two twin generators: one
+        scalar call per row, as the stepper's arrivals stage does (a
+        Python float each), and one array call; both counts and both
+        generators' final states."""
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = np.asarray(lams, dtype=float)
+        scalars = [a.poisson(lam) for _ in range(repeats)
+                   for lam in table.tolist()]
+        block = np.concatenate([b.poisson(table)
+                                for _ in range(repeats)])
+        return (np.array(scalars, dtype=np.int64), block,
+                a.bit_generator.state, b.bit_generator.state)
+
+    @pytest.mark.parametrize("lams", [
+        [0.0], [9.99], [10.0], [10.01],
+        [0.0, 9.99, 10.0, 10.01], [10.01, 10.0, 9.99, 0.0],
+        [9.99, 10.0, 0.0, 10.01, 10.0, 9.99]])
+    def test_poisson_rows_match_array_draw_and_state(self, lams):
+        """Around numpy's switch from inversion to PTRS at lam = 10:
+        the per-row scalar sequence is the array draw, value for
+        value, and leaves the generator where the array draw does."""
+        scalars, block, state_a, state_b = self._rows_then_array(
+            lams, seed=13, repeats=64)
+        assert np.array_equal(scalars, block)
+        assert state_a == state_b
+
+    @given(lams=st.lists(st.floats(min_value=0.0, max_value=1e4,
+                                   allow_nan=False),
+                         min_size=1, max_size=8),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_poisson_rows_match_array_draw_property(self, lams, seed):
+        scalars, block, state_a, state_b = self._rows_then_array(
+            lams, seed, repeats=3)
+        assert np.array_equal(scalars, block)
+        assert state_a == state_b
+
+    def test_poisson_limit_is_numpys(self):
+        """:data:`POISSON_LAM_MAX` is the bound ``Generator.poisson``
+        enforces: accepted at it, refused one ulp above."""
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="too large"):
+            rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+
     def test_interleaved_channel_init(self):
         a, b = np.random.default_rng(5), np.random.default_rng(5)
         means, snrs = [], []
@@ -136,6 +193,65 @@ class TestRNGStreamEquivalence:
         full = np.power(10.0, x)
         singles = np.array([np.power(10.0, v) for v in x])
         assert np.array_equal(full, singles)
+
+
+class TestIntensityTableChecked:
+    """A world's Poisson intensity table is range-checked once, when
+    its layout is built, not by every draw: a bad entry is refused
+    naming the slice, before the world's generator moves."""
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1e30])
+    def test_bad_table_refused_before_any_draw(self, bad):
+        sim = _build_sim("default", slots=8)
+        sim.reset()
+        name = sim.slice_names[1]
+        sim._traces[name] = sim._traces[name].copy()
+        sim._traces[name][5] = bad
+        state = sim._rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"slice {name!r}.*slot 5"):
+            WorldLayout(sim)
+        with pytest.raises(ValueError, match=rf"slice {name!r}.*slot 5"):
+            sim.step({n: np.full(NUM_ACTIONS, 0.3)
+                      for n in sim.slice_names})
+        assert sim._rng.bit_generator.state == state
+        assert sim.slot == 0
+
+
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def test_the_only_poisson_under_src_is_the_arrivals_stage():
+    """Every Poisson draw of the simulator is the stepper's arrivals
+    stage: exactly one ``.poisson`` attribute under ``src/``, inside
+    ``BatchSimulator.step_rows``'s ``engine.arrivals`` block, so
+    replacing the draws has exactly one site."""
+    sites = []
+    for root, _, files in os.walk(SRC_DIR):
+        for entry in sorted(files):
+            if not entry.endswith(".py"):
+                continue
+            path = os.path.join(root, entry)
+            with open(path, "r", encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            sites += [(os.path.relpath(path, SRC_DIR), node.lineno, tree)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "poisson"]
+    where = [site[:2] for site in sites]
+    assert [path for path, _ in where] == [
+        os.path.join("repro", "engine", "batch.py")], where
+    (_, line, tree), = sites
+    step_rows, = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "step_rows"]
+    block, = [node for node in ast.walk(step_rows)
+              if isinstance(node, ast.With)
+              and any(isinstance(arg, ast.Constant)
+                      and arg.value == "engine.arrivals"
+                      for item in node.items
+                      for arg in getattr(item.context_expr, "args", ()))]
+    assert block.lineno <= line <= block.end_lineno
 
 
 class TestTraceDigestParity:

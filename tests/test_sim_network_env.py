@@ -249,6 +249,27 @@ class TestScenarioSimulator:
                                        obs_b[name].vector())
 
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_envelope_is_refused_at_reset(self, poison):
+        """``np.clip`` passes NaN through, so the model's envelope is
+        checked itself: the world refuses it at ``reset()``, naming
+        the model and the slice, not at the first slot that reads
+        it."""
+
+        class PoisonedTraffic:
+            def envelope(self, index, num_slots, day, cfg, rng):
+                trace = np.full(num_slots, 0.5)
+                if index == 1:
+                    trace[3] = poison
+                return trace
+
+        cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=8))
+        sim = ScenarioSimulator(cfg, traffic_model=PoisonedTraffic())
+        name = sim.slice_names[1]
+        with pytest.raises(ValueError,
+                           match=rf"PoisonedTraffic.*{name!r}.*slot 3"):
+            sim.reset()
+
     def test_step_before_reset_names_reset(self, simulator):
         actions = {n: np.full(NUM_ACTIONS, 0.4)
                    for n in simulator.slice_names}
