@@ -14,7 +14,7 @@ the baseline, it forms cost-to-go targets and maximises the ELBO.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +49,34 @@ class CostToGoEstimator:
         #: scaled regardless of the episode horizon.
         self._target_mean = 0.0
         self._target_std = 1.0
+        #: The weight-side half of pi_phi's closed form
+        #: (:meth:`BayesianMLP.posterior`), frozen at the current
+        #: weights: dropped by :meth:`fit` and :meth:`load`, the only
+        #: two writers of :attr:`network`, and rebuilt by the first
+        #: predict after either.
+        self._posterior: Optional[BayesianPosterior] = None
 
     # ---- dataset management ---------------------------------------
 
     def add_episode(self, states: Sequence[np.ndarray],
                     costs: Sequence[float]) -> None:
-        """Register one baseline episode as (state, cost-to-go) pairs."""
+        """Register one baseline episode as (state, cost-to-go) pairs.
+
+        A NaN or inf state or cost would make every fitted weight NaN,
+        and a NaN posterior never reaches an Eq. 8 budget, so the switch
+        to pi_b would never fire: the episode is refused whole with a
+        ``ValueError`` naming the field and the position.
+        """
         if len(states) != len(costs):
             raise ValueError("states/costs length mismatch")
+        states = [np.asarray(state, dtype=np.float64) for state in states]
+        for field, values in (("states", states), ("costs", costs)):
+            for at, value in enumerate(values):
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{field}[{at}] is not finite")
         targets = cost_to_go(costs)
-        for state, target in zip(states, targets):
-            self._states.append(np.asarray(state, dtype=np.float64))
-            self._targets.append(float(target))
+        self._states.extend(states)
+        self._targets.extend(targets.tolist())
 
     @property
     def dataset_size(self) -> int:
@@ -76,6 +92,7 @@ class CostToGoEstimator:
         if not self._states:
             raise RuntimeError("no episodes added")
         epochs = epochs if epochs is not None else self.cfg.train_epochs
+        self._posterior = None
         states = np.stack(self._states)
         targets = np.array(self._targets)
         self._target_mean = float(targets.mean())
@@ -112,22 +129,28 @@ class CostToGoEstimator:
         mean, std = scale
         self._target_mean, self._target_std = float(mean), float(std)
 
-    def predict_batch(self, states: np.ndarray,
-                      posterior: Optional[BayesianPosterior] = None
+    def load(self, weights: Mapping[str, np.ndarray],
+             scale: Sequence[float]) -> None:
+        """Install pi_phi's weights (a :meth:`BayesianMLP.state_dict`)
+        and its :attr:`target_scale`, e.g. from a policy snapshot."""
+        self.network.load_state_dict(weights)
+        self.target_scale = scale
+        self._posterior = None
+
+    def predict_batch(self, states: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior predictive ``(mu, sigma)`` of the cost-to-go per
         state, de-standardised to cost units: ``states`` is ``(n,
         state_dim)`` or carries more leading axes (a ``(G, n,
         state_dim)`` stack gives ``(G, n)``, each group's floats the
         ones it gets alone -- :meth:`BayesianMLP.predict`).  Nothing is
-        drawn.  ``posterior`` is a frozen table of :attr:`network`
-        (:meth:`BayesianMLP.posterior`) to read instead of the live
-        weights -- serving builds one per snapshot policy at load; the
-        target scale is read at call time either way."""
+        drawn.  The weight-side terms come from the table frozen at the
+        last :meth:`fit` / :meth:`load` (built here on the first call
+        after one); the target scale is read at call time."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if posterior is None:
-            posterior = self.network.posterior()
-        mean, std = posterior.predict(states)
+        if self._posterior is None:
+            self._posterior = self.network.posterior()
+        mean, std = self._posterior.predict(states)
         return (mean[..., 0] * self._target_std + self._target_mean,
                 std[..., 0] * self._target_std)
 

@@ -141,15 +141,10 @@ class _LearnedPolicy:
         self.estimator: Optional[CostToGoEstimator] = None
         self.baseline = payload.get("baseline")
         if "estimator" in payload:
-            estimator = CostToGoEstimator(STATE_DIM,
-                                          cfg=agent_cfg.estimator)
-            estimator.network.load_state_dict(payload["estimator"])
-            estimator.target_scale = payload["estimator_scale"]
-            self.estimator = estimator
-            #: pi_phi's weights are frozen in a snapshot, so the
-            #: weight-side tables of its closed form are built once
-            #: here and read by every Eq. 8 pass
-            self._pi_phi = estimator.network.posterior()
+            self.estimator = CostToGoEstimator(STATE_DIM,
+                                               cfg=agent_cfg.estimator)
+            self.estimator.load(payload["estimator"],
+                                payload["estimator_scale"])
 
     def act_rows(self, states: np.ndarray) -> np.ndarray:
         """Deterministic pi_theta actions for ``(n, STATE_DIM)``
@@ -160,7 +155,7 @@ class _LearnedPolicy:
                   ) -> Tuple[np.ndarray, np.ndarray]:
         """The pi_phi posterior ``(mu, sigma)``, each ``(G, n)``, of
         ``(G, n, STATE_DIM)`` groups of states."""
-        mu, sigma = self.estimator.predict_batch(states, self._pi_phi)
+        mu, sigma = self.estimator.predict_batch(states)
         return np.maximum(mu, 0.0), sigma
 
 

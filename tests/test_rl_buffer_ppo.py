@@ -218,6 +218,91 @@ class TestCostEstimator:
         with pytest.raises(ValueError):
             est.add_episode([np.zeros(3)], [0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field,at", [("states", 0), ("states", 2),
+                                          ("costs", 1), ("costs", 2)])
+    def test_add_episode_refuses_non_finite(self, rng, field, at, bad):
+        """A NaN cost used to fit a NaN pi_phi, whose ``(mu, sigma) =
+        (nan, nan)`` never reaches an Eq. 8 budget: the switch to pi_b
+        was silently off.  The episode is refused whole, naming the
+        field and the position."""
+        est = CostToGoEstimator(2, rng=rng)
+        est.add_episode([np.array([0.0, 0.5])], [0.1])
+        states = [np.array([t / 3, 0.5]) for t in range(3)]
+        costs = [0.1, 0.2, 0.3]
+        if field == "states":
+            states[at][1] = bad
+        else:
+            costs[at] = bad
+        with pytest.raises(ValueError, match=rf"{field}\[{at}\]"):
+            est.add_episode(states, costs)
+        assert est.dataset_size == 1
+        assert np.all(np.isfinite(est.fit(epochs=2)))
+        assert np.all(np.isfinite(est.predict(np.array([0.0, 0.5]))))
+
+    def test_frozen_table_follows_fit_and_load(self):
+        """``predict_batch`` reads a table frozen at the last fit /
+        load; after either it bit-equals a fresh
+        ``network.posterior().predict`` scaled by the target scale."""
+        est = CostToGoEstimator(4, rng=np.random.default_rng(6))
+        states = np.random.default_rng(1).uniform(0.0, 1.0, (7, 4))
+
+        def assert_reads_live_weights(estimator):
+            mean, std = estimator.network.posterior().predict(states)
+            shift, scale = estimator.target_scale
+            mu, sigma = estimator.predict_batch(states)
+            assert np.array_equal(mu, mean[:, 0] * scale + shift)
+            assert np.array_equal(sigma, std[:, 0] * scale)
+
+        assert_reads_live_weights(est)
+        costs = np.random.default_rng(2).uniform(0.0, 1.0, (3, 7))
+        for episode in costs:
+            est.add_episode(list(states), list(episode))
+        before, _ = est.predict_batch(states)
+        est.fit(epochs=2)
+        assert_reads_live_weights(est)
+        assert not np.array_equal(est.predict_batch(states)[0], before)
+        other = CostToGoEstimator(4, rng=np.random.default_rng(8))
+        other.predict_batch(states)
+        other.load(est.network.state_dict(), est.target_scale)
+        assert_reads_live_weights(other)
+        for got, want in zip(other.predict_batch(states),
+                             est.predict_batch(states)):
+            assert np.array_equal(got, want)
+
+    def test_training_builds_one_table_per_fit(self, monkeypatch):
+        """Over a 24-slot ``build_onslicing`` + ``run_online_phase`` +
+        ``test_performance`` (a predict follows every fit),
+        ``BayesianMLP.posterior`` runs once per pi_phi fit, however
+        many Eq. 8 predicts read it."""
+        from repro.config import ExperimentConfig, TrafficConfig
+        from repro.experiments import harness
+        from repro.nn.bayesian import BayesianMLP
+
+        calls = {"posterior": 0, "fit": 0, "predict_batch": 0}
+
+        def spy(owner, method):
+            original = getattr(owner, method)
+
+            def counted(*args, **kwargs):
+                calls[method] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, method, counted)
+
+        spy(BayesianMLP, "posterior")
+        spy(CostToGoEstimator, "fit")
+        spy(CostToGoEstimator, "predict_batch")
+        cfg = ExperimentConfig(seed=7).replace(
+            traffic=TrafficConfig(slots_per_episode=24))
+        bundle = harness.build_onslicing(cfg, offline_episodes=1,
+                                         exploration_episodes=1, seed=7)
+        harness.run_online_phase(bundle, epochs=1, episodes_per_epoch=1,
+                                 estimator_refresh_every=1)
+        harness.test_performance(bundle, episodes=1)
+        assert calls["fit"] == 2 * len(bundle.agents)
+        assert calls["posterior"] == calls["fit"]
+        assert calls["predict_batch"] > 10 * calls["posterior"]
+
     def test_predicts_cost_to_go_scale(self, rng):
         est = CostToGoEstimator(2, rng=rng)
         # episodes whose cost-to-go at the start is ~4.0
