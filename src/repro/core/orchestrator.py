@@ -15,7 +15,7 @@ coordinators and the end-to-end network (paper Fig. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from repro.domains.coordinator import ParameterCoordinator
 from repro.domains.edm import EdgeDomainManager
 from repro.domains.rdm import RadioDomainManager
 from repro.domains.tdm import TransportDomainManager
+from repro.engine.batch import BatchSimulator
+from repro.engine.policies import lockstep
 from repro.sim.env import ScenarioSimulator, SliceObservation
 from repro.sim.network import (
     CONSTRAINED_RESOURCES,
@@ -214,6 +216,26 @@ class OnSlicingOrchestrator:
                 .coordinator_step_size)
         self.interaction_counts: List[int] = []
         self.epoch_history: List[EpochStats] = []
+        self._batch = BatchSimulator([simulator])
+        self._deterministic, self._rounds = False, []
+
+    def act_batch(self, states: np.ndarray,
+                  slice_names: List[str]) -> List[np.ndarray]:
+        """:meth:`run_episode`'s batch policy: the agents act on their
+        rows (in ``self.agents`` order), then the slot is coordinated."""
+        rows = dict(zip(slice_names, states))
+        proposals = {
+            name: agent.act(SliceObservation(*rows[name].tolist()),
+                            deterministic=self._deterministic).action
+            for name, agent in self.agents.items()}
+        mod_cfg = self.cfg.agent.modifier
+        coordination = coordinate_actions(
+            rows, proposals, self.agents, self.managers.coordinators,
+            max_rounds=mod_cfg.max_coordination_rounds,
+            tolerance=mod_cfg.tolerance,
+            use_projection=mod_cfg.use_projection)
+        self._rounds.append(coordination.rounds)
+        return [coordination.actions[name] for name in slice_names]
 
     def run_episode(self, deterministic: bool = False,
                     learn: bool = True) -> Dict[str, object]:
@@ -222,42 +244,24 @@ class OnSlicingOrchestrator:
         Returns per-slice episode records plus the mean coordination
         rounds of the episode.
         """
-        simulator = self.simulator
-        observations = simulator.reset()
         for agent in self.agents.values():
             agent.begin_episode()
-        episode_interactions: List[int] = []
-        mod_cfg = self.cfg.agent.modifier
-        while not simulator.done:
-            proposals = {}
-            states = {}
-            for name, agent in self.agents.items():
-                decision = agent.act(observations[name],
-                                     deterministic=deterministic)
-                proposals[name] = decision.action
-                states[name] = observations[name].vector()
-            coordination = coordinate_actions(
-                states, proposals, self.agents,
-                self.managers.coordinators,
-                max_rounds=mod_cfg.max_coordination_rounds,
-                tolerance=mod_cfg.tolerance,
-                use_projection=mod_cfg.use_projection)
-            episode_interactions.append(coordination.rounds)
-            results = simulator.step(coordination.actions)
-            for name, result in results.items():
-                self.agents[name].observe(
-                    result.reward, result.cost, result.usage,
-                    executed_action=coordination.actions[name])
-                observations[name] = result.observation
+        self._deterministic, self._rounds = deterministic, []
+        for _, executed, step in lockstep(self._batch, self,
+                                          project=False):
+            for name, action, *outcome in zip(
+                    step.names[0], executed, step.rewards.tolist(),
+                    step.costs.tolist(), step.usages.tolist()):
+                self.agents[name].observe(*outcome,
+                                          executed_action=action)
             if learn:
                 for agent in self.agents.values():
                     agent.maybe_update()
         records = {name: agent.end_episode()
                    for name, agent in self.agents.items()}
-        self.interaction_counts.extend(episode_interactions)
+        self.interaction_counts.extend(self._rounds)
         return {"records": records,
-                "mean_interactions": float(
-                    np.mean(episode_interactions))}
+                "mean_interactions": float(np.mean(self._rounds))}
 
     def run_epoch(self, episodes: int = 10,
                   deterministic: bool = False,

@@ -19,9 +19,9 @@ policy are served by one ``policy.act_rows(states)`` call --
 (Sec. 4) per world across a whole batch -- the one projection, which
 serving's :class:`~repro.serve.service.DecisionCore` runs too -- and
 :func:`lockstep` drives a :class:`~repro.engine.batch.BatchSimulator`
-under one batch policy -- the one loop evaluation, fuzzing, OnRL
-training, the offline pi_b rollouts and serving share -- with
-:func:`episode_totals` its per-episode fold.
+under one batch policy -- the one loop of evaluation, fuzzing, OnRL and
+OnSlicing training, pi_b rollouts, figures, ``obs profile`` and
+serving -- with :func:`episode_totals` its per-episode fold.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def project_actions_batch(actions: np.ndarray,
 def lockstep(batch, policy, episodes: int = 1, project: bool = True):
     """The lockstep loop: every world of ``batch`` for ``episodes``
     episodes under one :class:`BatchPolicy` -- the one replay driver of
-    evaluation, fuzzing, OnRL training, the offline pi_b rollouts and
-    serving.
+    evaluation, fuzzing, OnRL and OnSlicing training, the offline pi_b
+    rollouts, the figure episodes, ``obs profile`` and serving.
 
     Per slot the active worlds' observations are stacked, the policy
     is asked once, each world's rows are projected (paper Sec. 4;

@@ -16,6 +16,7 @@ their series dicts the same way.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -32,10 +33,14 @@ from repro.config import (
     nr_ran_config,
 )
 from repro.core.orchestrator import DomainManagerSet, coordinate_actions
+from repro.engine.batch import BatchSimulator
 from repro.engine.kernels import WorldConditions, evaluate_rows
+from repro.engine.policies import RoutedBatchPolicy, lockstep
 from repro.experiments.harness import (
     build_onslicing,
+    episode_verdicts,
     fit_baselines,
+    run_episodes,
     run_online_phase,
 )
 from repro.experiments.metrics import cdf, usage_percent
@@ -43,7 +48,7 @@ from repro.rl.behavior_cloning import BehaviorCloningTrainer
 from repro.runtime.runner import ParallelRunner
 from repro.runtime.units import make_unit, schedule_epochs as _schedule
 from repro.rl.ppo import GaussianActorCritic
-from repro.sim.env import ScenarioSimulator
+from repro.sim.env import ScenarioSimulator, SliceObservation
 from repro.sim.network import CONSTRAINED_RESOURCES, EndToEndNetwork
 
 
@@ -364,25 +369,20 @@ def fig14(cfg: Optional[ExperimentConfig] = None,
     violations: Dict[str, List[float]] = {n: [] for n in bundle.agents}
     for beta in betas:
         fixed = {kind: float(beta) for kind in CONSTRAINED_RESOURCES}
-        observations = simulator.reset()
-        totals = {n: {"cost": 0.0, "usage": 0.0} for n in bundle.agents}
-        while not simulator.done:
-            actions = {}
-            for name, agent in bundle.agents.items():
-                proposal = agent.baseline.act(observations[name])
-                actions[name] = agent.modifier.modify(
-                    observations[name].vector(), proposal, fixed)
-            results = simulator.step(actions)
-            for name, result in results.items():
-                totals[name]["cost"] += result.cost
-                totals[name]["usage"] += result.usage
-                observations[name] = result.observation
-        for spec in cfg.slices:
-            horizon = simulator.horizon
-            usages[spec.name].append(usage_percent(
-                totals[spec.name]["usage"] / horizon))
-            violations[spec.name].append(100.0 * float(
-                spec.sla.violated(totals[spec.name]["cost"] / horizon)))
+
+        def modified(states, names):
+            return [bundle.agents[name].modifier.modify(
+                state, bundle.agents[name].baseline.act(
+                    SliceObservation(*state.tolist())), fixed)
+                for state, name in zip(states, names)]
+
+        (totals,), = run_episodes(
+            [simulator], SimpleNamespace(act_batch=modified),
+            project=False)
+        for spec, usage, violated in zip(cfg.slices, *episode_verdicts(
+                cfg, totals, simulator.horizon)):
+            usages[spec.name].append(usage_percent(usage))
+            violations[spec.name].append(100.0 * violated)
     out["usage_pct"] = usages
     out["violation_pct"] = violations
     return out
@@ -405,24 +405,16 @@ def fig15(scale: float = 0.25,
     bundle = build_onslicing(cfg)
     run_online_phase(bundle, epochs=epochs, episodes_per_epoch=2)
     simulator = bundle.simulator
-    observations = simulator.reset()
-    sums = {n: np.zeros(len(ACTION_NAMES)) for n in bundle.agents}
-    count = 0
-    while not simulator.done:
-        actions = {}
-        for name, agent in bundle.agents.items():
-            actions[name] = agent.model.mean_action(
-                observations[name].vector())
-            sums[name] += actions[name]
-        results = simulator.step(actions)
-        for name, result in results.items():
-            observations[name] = result.observation
-        count += 1
+    mean = SimpleNamespace(act_batch=lambda states, names: [
+        bundle.agents[name].model.mean_action(state)
+        for state, name in zip(states, names)])
+    sums = sum(executed for _, executed, _ in lockstep(
+        BatchSimulator([simulator]), mean, project=False))
     return {
         "resources": list(ACTION_NAMES),
         "allocations_pct": {
-            name: list(100.0 * total / count)
-            for name, total in sums.items()},
+            name: list(100.0 * total / simulator.horizon)
+            for name, total in zip(simulator.slice_names, sums)},
     }
 
 
@@ -457,20 +449,12 @@ def fig17(episodes: int = 1) -> Dict[str, object]:
                        ("NR", nr_ran_config())):
         cfg = ExperimentConfig(network=NetworkConfig(ran=ran))
         simulator = ScenarioSimulator(cfg)
-        baselines = fit_baselines(cfg)
-        ratios: Dict[str, List[float]] = {
-            n: [] for n in simulator.slice_names}
-        for _ in range(episodes):
-            observations = simulator.reset()
-            while not simulator.done:
-                actions = {n: baselines[n].act(observations[n])
-                           for n in simulator.slice_names}
-                results = simulator.step(actions)
-                for name, result in results.items():
-                    ratios[name].append(
-                        result.report.performance.satisfaction)
-                    observations[name] = result.observation
-        for name, values in ratios.items():
+        steps = lockstep(BatchSimulator([simulator]),
+                         RoutedBatchPolicy(fit_baselines(cfg)), episodes,
+                         project=False)
+        # the kernels price a slot as cost = 1 - satisfaction
+        satisfaction = 1.0 - np.array([step.costs for _, _, step in steps])
+        for name, values in zip(simulator.slice_names, satisfaction.T):
             out[f"{label}, {name}"] = cdf(values)
     return out
 
@@ -494,7 +478,7 @@ def fig18(scale: float = 0.25,
     out: Dict[str, object] = {"users": list(user_counts),
                               "usage_pct": [], "violation_pct": []}
     simulator = bundle.simulator
-    mar_spec = simulator.network.slices["MAR"]
+    mar = [spec.name for spec in cfg.slices].index("MAR")
     for users in user_counts:
         # 20 emulated users generate the nominal testbed peak load;
         # the 30-user end of the sweep pushes ~1.5x past it, which is
@@ -503,31 +487,20 @@ def fig18(scale: float = 0.25,
         # observes the higher demand (its traffic feature genuinely
         # grows) rather than having it normalised away.
         factor = users / 20.0
-        observations = simulator.reset()
-        simulator._traces["MAR"] = simulator._traces["MAR"] * factor
-        total_cost, total_usage = 0.0, 0.0
-        while not simulator.done:
-            actions = {}
-            for name, agent in bundle.agents.items():
-                actions[name] = agent.model.mean_action(
-                    observations[name].vector())
-            results = simulator.step(actions)
-            total_cost += results["MAR"].cost
-            total_usage += results["MAR"].usage
-            for name, result in results.items():
-                observations[name] = result.observation
-        horizon = simulator.horizon
-        out["usage_pct"].append(usage_percent(total_usage / horizon))
-        out["violation_pct"].append(100.0 * float(
-            mar_spec.sla.violated(total_cost / horizon)))
+
+        def act_batch(states, names):
+            if states[0, 0] == 0.0:     # after the reset, before step 1
+                simulator._traces["MAR"] = simulator._traces["MAR"] * factor
+            return [bundle.agents[name].model.mean_action(state)
+                    for state, name in zip(states, names)]
+
+        (totals,), = run_episodes(
+            [simulator], SimpleNamespace(act_batch=act_batch),
+            project=False)
+        usage, violated = episode_verdicts(cfg, totals, simulator.horizon)
+        out["usage_pct"].append(usage_percent(usage[mar]))
+        out["violation_pct"].append(100.0 * violated[mar])
     return out
-
-
-class _ModifierProxy:
-    """Minimal agent-like wrapper exposing a shared modifier."""
-
-    def __init__(self, modifier) -> None:
-        self.modifier = modifier
 
 
 def fig19(slice_counts=(9, 15, 21, 27),
@@ -536,17 +509,24 @@ def fig19(slice_counts=(9, 15, 21, 27),
 
     Paper shape: the number of agent<->manager interactions stays low
     (~2-3) as the slice count grows from 9 to 27 -- the warm-started
-    betas keep coordination cheap at scale.
+    betas keep coordination cheap at scale.  Every count must be a
+    positive multiple of the three default slice types.
     """
+    base_specs = default_slice_specs()
+    for count in slice_counts:
+        if count <= 0 or count % len(base_specs):
+            raise ValueError(
+                f"fig19: slice count {count} is not a positive "
+                f"multiple of {len(base_specs)} (the slice types)")
     template_cfg = ExperimentConfig()
     template = build_onslicing(template_cfg)
-    modifiers = {spec.app: template.agents[spec.name].modifier
-                 for spec in template_cfg.slices}
-    baselines = {spec.app: template.baselines[spec.name]
-                 for spec in template_cfg.slices}
+    # each replica's agent-like view: its type's pi_b and modifier
+    by_app = {spec.app: SimpleNamespace(
+        baseline=template.baselines[spec.name],
+        modifier=template.agents[spec.name].modifier)
+        for spec in template_cfg.slices}
     out: Dict[str, object] = {"slices": list(slice_counts),
                               "interactions": []}
-    base_specs = default_slice_specs()
     for count in slice_counts:
         replicas: List[SliceSpec] = []
         per_type = count // len(base_specs)
@@ -560,24 +540,19 @@ def fig19(slice_counts=(9, 15, 21, 27),
         simulator = ScenarioSimulator(cfg)
         coordinators = DomainManagerSet.for_simulator(
             simulator).coordinators
-        agents = {spec.name: _ModifierProxy(modifiers[spec.app])
-                  for spec in replicas}
+        agents = {spec.name: by_app[spec.app] for spec in replicas}
         rounds: List[int] = []
-        for _ in range(episodes):
-            observations = simulator.reset()
-            while not simulator.done:
-                proposals = {
-                    spec.name: baselines[spec.app].act(
-                        observations[spec.name])
-                    for spec in replicas
-                }
-                states = {name: observations[name].vector()
-                          for name in proposals}
-                coordination = coordinate_actions(
-                    states, proposals, agents, coordinators)
-                rounds.append(coordination.rounds)
-                results = simulator.step(coordination.actions)
-                for name, result in results.items():
-                    observations[name] = result.observation
+
+        def coordinated(states, names):
+            proposals = {name: agents[name].baseline.act(
+                SliceObservation(*state.tolist()))
+                for state, name in zip(states, names)}
+            coordination = coordinate_actions(
+                dict(zip(names, states)), proposals, agents, coordinators)
+            rounds.append(coordination.rounds)
+            return [coordination.actions[name] for name in names]
+
+        run_episodes([simulator], SimpleNamespace(act_batch=coordinated),
+                     episodes, project=False)
         out["interactions"].append(float(np.mean(rounds)))
     return out

@@ -30,7 +30,7 @@ from repro.fleet.report import FleetReport, build_report
 from repro.fleet.shard import ShardPlan, ShardResult, run_fleet_shard
 from repro.fleet.spec import CellPlan, FleetSpec
 from repro.obs.diagnose import ShardReplay, replay_shards
-from repro.obs.metrics import read_jsonl
+from repro.obs.metrics import read_jsonl_numbered
 from repro.obs.slo import IncidentTimeline, SloEvaluator, SloSpec
 from repro.runtime.cache import content_key
 from repro.runtime.serialization import from_jsonable, to_jsonable
@@ -148,20 +148,29 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     (:func:`~repro.obs.metrics.read_jsonl`); a shard whose telemetry
     does not rebuild (a hostile or pre-sketch histogram state,
     :meth:`~repro.obs.metrics.Histogram.from_state`) is one naming the
-    file and the shard.
+    file and the shard; a header or shard row missing a field is one
+    naming ``path:lineno`` and the field.
     """
-    rows = read_jsonl(path)
+    rows = read_jsonl_numbered(path)
     if not rows:
         raise ValueError(f"checkpoint {path!r} is empty")
-    header = rows[0]
+    lineno, header = rows[0]
     if (header.get("kind") != "fleet"
             or header.get("format") != CHECKPOINT_FORMAT):
         raise ValueError(f"{path!r} is not a fleet checkpoint "
                          f"(format {CHECKPOINT_FORMAT})")
+    for field in ("spec", "spec_key", "scenario_key", "snapshot_ref",
+                  "snapshot_digest", "shards"):
+        if field not in header:
+            raise ValueError(f"{path}:{lineno}: checkpoint header has "
+                             f"no {field!r}")
     results: Dict[int, ShardResult] = {}
-    for row in rows[1:]:
+    for lineno, row in rows[1:]:
         if row.get("kind") != "shard":
             continue
+        if "result" not in row:
+            raise ValueError(f"{path}:{lineno}: shard row has no "
+                             "'result'")
         result = from_jsonable(row["result"])
         try:
             result.telemetry()

@@ -40,7 +40,14 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def add_obs_parser(subparsers) -> None:
@@ -68,7 +75,7 @@ def add_obs_parser(subparsers) -> None:
                         "the kernel profiler")
     profile.add_argument("--scenario", default="default",
                          help="registered scenario name")
-    profile.add_argument("--sample", type=int, default=1,
+    profile.add_argument("--sample", type=_positive_int, default=1,
                          help="profile every Nth kernel call")
     profile.add_argument("--alloc", action="store_true",
                          help="also trace per-kernel allocations "
@@ -226,6 +233,7 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_profile(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchSimulator
+    from repro.engine.policies import lockstep
     from repro.obs.profile import KernelProfiler, format_profile
     from repro.experiments.harness import fit_baselines, resolve_scenario
     from repro.serve import SlicingService, snapshot_baseline
@@ -248,11 +256,11 @@ def _run_profile(args: argparse.Namespace) -> int:
     names = [simulator.slice_names]
     profiler = KernelProfiler(sample_interval=args.sample,
                               alloc=args.alloc)
+    decide = SimpleNamespace(
+        act_batch=lambda states, _: core.decide_rows(states, names).actions)
     with profiler:
-        states = batch.reset()
-        while not simulator.done:
-            states = batch.step(
-                [core.decide_rows(states, names).actions]).observations
+        for _ in lockstep(batch, decide, project=False):
+            pass
     core.flush()
     rows = profiler.report()
     counters = dict(batch.counters)

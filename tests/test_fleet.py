@@ -2,6 +2,7 @@
 mergeable telemetry, fleet units, and the fleet CLI surface)."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -350,6 +351,32 @@ class TestCoordinator:
         rebuilt = report_from_checkpoint(path)
         assert rebuilt.digest == live.digest
         assert rebuilt.decisions == live.decisions
+
+    @pytest.mark.parametrize("field", [
+        "result", "spec", "spec_key", "scenario_key", "snapshot_ref",
+        "snapshot_digest", "shards"])
+    def test_checkpoint_missing_field_names_line_and_field(
+            self, snapshot, store, tmp_path, capsys, field):
+        """A header without one of its fields, or a shard row without
+        its result, is a ``ValueError`` naming ``path:lineno`` and the
+        field -- a one-line exit from ``fleet report`` and ``obs
+        diagnose``, not a ``KeyError`` traceback."""
+        path = str(tmp_path / "fleet.jsonl")
+        run_fleet(SPEC, store.directory, snapshot_ref=snapshot.ref,
+                  shards=2, checkpoint_path=path)
+        with open(path, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        lineno = 2 if field == "result" else 1
+        del rows[lineno - 1][field]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        message = f"{re.escape(path)}:{lineno}: .* no '{field}'"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(SystemExit, match=message):
+            main(["fleet", "report", "--checkpoint", path])
+        assert main(["obs", "diagnose", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_kill_and_resume_reproduces_digest(self, snapshot, store,
                                                tmp_path):

@@ -33,8 +33,10 @@ import serve_oracle
 from repro import scenarios, serve
 from repro.config import NUM_ACTIONS, ExperimentConfig, TrafficConfig
 from repro.core.offline import collect_baseline_rollouts
+from repro.engine import batch as engine_batch
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import RoutedBatchPolicy, lockstep
+from repro.experiments import figures, harness
 from repro.experiments.harness import (
     build_onslicing,
     fit_baselines,
@@ -42,6 +44,7 @@ from repro.experiments.harness import (
     make_onrl_agents,
     make_simulator,
     run_episodes,
+    run_online_phase,
 )
 from repro.fleet import FleetSpec, plan_shards
 from repro.fleet.shard import run_fleet_shard
@@ -49,6 +52,7 @@ from repro.nn.bayesian import BayesianMLP
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloEvaluator, default_slo_spec
 from repro.obs.trace import configure, disable
+from repro.runtime.cli import main as cli_main
 from repro.scenarios import ROBUSTNESS_MATRIX
 from repro.scenarios import get as get_scenario
 from repro.serve import (
@@ -889,24 +893,42 @@ def test_obs_profile_reports_the_serve_counters(capsys):
         out.index("serve counters: decide_calls 96, ")
 
 
+@pytest.mark.parametrize("sample", ["0", "-2"])
+def test_obs_profile_refuses_a_sample_below_one(sample, capsys):
+    """The parser refuses it (exit 2, one error line), before any
+    baseline is fitted or snapshot built."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["obs", "profile", "--sample", sample])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --sample: must be >= 1, got {sample}" in err
+    assert "Traceback" not in err
+
+
 # ---- one replay driver -------------------------------------------------
 
 
-def test_every_step_is_taken_by_lockstep(snapshots, monkeypatch):
+def test_every_step_is_taken_by_lockstep(snapshots, monkeypatch, capsys):
     """Serving (one cell, with and without a decision budget), fleet
-    shards (vector and scalar plans), evaluation and the offline pi_b
-    rollouts all step their worlds from one loop,
-    ``engine/policies.py::lockstep``: a hand-written loop fails here."""
+    shards (vector and scalar plans), evaluation, the offline pi_b
+    rollouts, OnSlicing's online and test episodes, figures 14, 15,
+    17, 18 and 19 and ``obs profile`` all step their worlds from one
+    loop, ``engine/policies.py::lockstep``.  The spy sits on
+    ``BatchSimulator.step_rows``, which ``ScenarioSimulator.step``
+    calls too, so a hand-written loop over either stepper fails
+    here."""
     callers = []
-    step = BatchSimulator.step
+    step_rows = BatchSimulator.step_rows
 
     def spy(batch, actions):
-        code = sys._getframe(1).f_code
-        callers.append((os.path.relpath(code.co_filename, PACKAGE),
-                        code.co_name))
-        return step(batch, actions)
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == engine_batch.__file__:
+            frame = frame.f_back            # BatchSimulator.step
+        callers.append((os.path.relpath(frame.f_code.co_filename,
+                                        PACKAGE), frame.f_code.co_name))
+        return step_rows(batch, actions)
 
-    monkeypatch.setattr(BatchSimulator, "step", spy)
+    monkeypatch.setattr(BatchSimulator, "step_rows", spy)
     snapshot = snapshots["baseline"]
     spec = FleetSpec(name="one-driver", cells=3,
                      scenarios=("default", "short_horizon"), slots=4,
@@ -918,12 +940,29 @@ def test_every_step_is_taken_by_lockstep(snapshots, monkeypatch):
     cell = cell_specs()[0]
     LoadGenerator(snapshot, cell, seed=5).run(2)
     LoadGenerator(snapshot, cell, seed=5).run(2, 10)
-    cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=4),
-                           seed=5)
+
+    def tiny(**kwargs):
+        return ExperimentConfig(
+            traffic=TrafficConfig(slots_per_episode=4), seed=5, **kwargs)
+
+    cfg = tiny()
     baselines = fit_baselines(cfg)
     run_episodes([make_simulator(cfg), make_simulator(cfg)],
                  RoutedBatchPolicy(baselines), episodes=2)
     collect_baseline_rollouts(make_simulator(cfg), baselines, 2)
+    bundle = build_onslicing(cfg, offline_episodes=1,
+                             exploration_episodes=1)
+    run_online_phase(bundle, epochs=1, episodes_per_epoch=1)
+    harness.test_performance(bundle, episodes=1)
+    monkeypatch.setattr(figures, "ExperimentConfig", tiny)
+    figures.fig14(cfg, betas=(0.5,))
+    figures.fig15(scale=0.02, cfg=cfg)
+    figures.fig17()
+    figures.fig18(scale=0.02, user_counts=(30,))
+    figures.fig19(slice_counts=(3,))
+    assert cli_main(["obs", "profile", "--scenario", "short_horizon",
+                     "--json"]) == 0
+    capsys.readouterr()
     assert len(callers) > 6 * 4
     assert set(callers) == {
         (os.path.join("engine", "policies.py"), "lockstep")}
