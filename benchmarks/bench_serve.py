@@ -1,7 +1,7 @@
 """Serving throughput of the row-wise decision service.
 
-The decision service groups a 50-slice cell's requests into one
-vectorised :meth:`~repro.nn.network.MLP.predict_batch` call per policy
+The decision service stacks a 50-slice cell's requests as one slab per
+snapshot policy and runs one pi_theta forward per row count
 (coordination included); ``test_serve_throughput`` records its
 decisions/s as an ungated trajectory entry.  It used to be a >= 3x
 ratio against a single-state path kept in ``src/`` only to be that
@@ -11,8 +11,8 @@ agree on is now ``tests/test_serve.py::test_batched_matches_unbatched``
 ``test_serve_fleet_shard`` records the other regime: many small cells
 decided by one ``decide_rows`` call per slot, and
 ``test_serve_fleet_onslicing`` the same regime on a learned snapshot,
-where every cell's group of one snapshot policy rides one pi_theta
-forward and one pi_phi pass per slot.
+where the groups of every snapshot policy in every cell ride one
+pi_theta forward and one pi_phi pass per slot, one slab each.
 ``test_serve_store_roundtrip`` times the policy store's save and
 digest-verified load of an OnSlicing snapshot and gates the load.
 """
@@ -177,11 +177,12 @@ def test_serve_fleet_onslicing(benchmark, monkeypatch):
     """Ungated trajectory case: a 12-cell OnSlicing shard, 96 slots.
 
     Each cell routes its slices onto the snapshot's three policies, so
-    a slot holds 36 learned (cell, policy) groups; the core runs one
-    pi_theta forward per snapshot policy and row count and one pi_phi
-    pass per snapshot policy and open-row count, every cell's group a
-    slab of it.  Records decisions/s over the shard's wall time and,
-    per slot, the (cell, policy) groups, forwards and pi_phi passes.
+    a slot holds 36 learned (cell, policy) groups of one row each; the
+    core runs one pi_theta forward per snapshot and row count and one
+    pi_phi pass per snapshot and open-row count, every group of every
+    policy a slab of it: one forward and at most one pass per slot.
+    Records decisions/s over the shard's wall time and, per slot, the
+    (cell, policy) groups, forwards and pi_phi passes.
     """
     cfg = get_scenario("default").build_config()
     snapshot = snapshot_onslicing(
@@ -214,8 +215,8 @@ def test_serve_fleet_onslicing(benchmark, monkeypatch):
                       for name, value in per_slot.items()))
     assert slots == SHARD_SLOTS
     assert per_slot["forwards_per_slot"] == len(core._plan.forwards) \
-        < groups
-    assert 0 < per_slot["posterior_passes_per_slot"] < groups
+        == 1 < groups
+    assert 0 < per_slot["posterior_passes_per_slot"] <= 1
 
 
 #: ``(rows, latched)`` per pi_phi case: one slice per policy (the

@@ -148,8 +148,10 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     (:func:`~repro.obs.metrics.read_jsonl`); a shard whose telemetry
     does not rebuild (a hostile or pre-sketch histogram state,
     :meth:`~repro.obs.metrics.Histogram.from_state`) is one naming the
-    file and the shard; a header or shard row missing a field is one
-    naming ``path:lineno`` and the field.
+    file and the shard; a header or shard row missing a field, or
+    holding one that does not rebuild (a renamed dataclass field, a
+    ``shards`` that is no integer), is one naming ``path:lineno`` and
+    the field.
     """
     rows = read_jsonl_numbered(path)
     if not rows:
@@ -164,6 +166,10 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
         if field not in header:
             raise ValueError(f"{path}:{lineno}: checkpoint header has "
                              f"no {field!r}")
+    spec = _rebuild(path, lineno, "checkpoint header 'spec'",
+                    from_jsonable, header["spec"])
+    shards = _rebuild(path, lineno, "checkpoint header 'shards'",
+                      int, header["shards"])
     results: Dict[int, ShardResult] = {}
     for lineno, row in rows[1:]:
         if row.get("kind") != "shard":
@@ -171,7 +177,8 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
         if "result" not in row:
             raise ValueError(f"{path}:{lineno}: shard row has no "
                              "'result'")
-        result = from_jsonable(row["result"])
+        result = _rebuild(path, lineno, "shard row 'result'",
+                          from_jsonable, row["result"])
         try:
             result.telemetry()
         except ValueError as exc:
@@ -179,13 +186,23 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
                 f"{path}: shard {result.shard}: {exc}") from None
         results[result.shard] = result
     return FleetCheckpoint(
-        spec=from_jsonable(header["spec"]),
+        spec=spec,
         spec_key=header["spec_key"],
         scenario_key=header["scenario_key"],
         snapshot_ref=header["snapshot_ref"],
         snapshot_digest=header["snapshot_digest"],
-        shards=int(header["shards"]),
+        shards=shards,
         results=results)
+
+
+def _rebuild(path: str, lineno: int, field: str, build, value):
+    """``build(value)``, a ``ValueError`` naming the line and field if
+    the record does not fit its type."""
+    try:
+        return build(value)
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{path}:{lineno}: {field} does not rebuild: "
+                         f"{exc}") from None
 
 
 def report_from_checkpoint(

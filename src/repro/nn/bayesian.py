@@ -26,7 +26,7 @@ We implement that here from scratch:
   form, frozen: per layer the means ``mu_W``, ``mu_b`` and the squares
   ``sigma_W^2``, ``mu_W^2``, ``sigma_b^2`` it reads, built once by
   :meth:`BayesianMLP.posterior` and read by any number of
-  ``predict`` calls (serving builds one per snapshot policy at load).
+  ``predict`` calls (serving stacks one per snapshot policy per core).
 """
 
 from __future__ import annotations

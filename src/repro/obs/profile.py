@@ -131,23 +131,25 @@ class KernelProfiler:
 # ---- module-level switchboard ---------------------------------------
 
 _ACTIVE: Optional[KernelProfiler] = None
+#: Whether :func:`activate` started the running ``tracemalloc`` session.
+_STARTED_TRACING = False
 
 
 def activate(profiler: KernelProfiler) -> KernelProfiler:
     """Install ``profiler`` as the process-wide kernel profiler."""
-    global _ACTIVE
+    global _ACTIVE, _STARTED_TRACING
     if profiler.alloc and not tracemalloc.is_tracing():
         tracemalloc.start()
+        _STARTED_TRACING = True
     _ACTIVE = profiler
     return profiler
 
 
 def deactivate() -> None:
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE.alloc \
-            and tracemalloc.is_tracing():
+    global _ACTIVE, _STARTED_TRACING
+    if _STARTED_TRACING:
         tracemalloc.stop()
-    _ACTIVE = None
+    _ACTIVE, _STARTED_TRACING = None, False
 
 
 def active() -> Optional[KernelProfiler]:

@@ -29,6 +29,13 @@ def cost_to_go(costs: Sequence[float]) -> np.ndarray:
     return arr[::-1].cumsum()[::-1].copy()
 
 
+def destandardise(mean, std, scale) -> Tuple[np.ndarray, np.ndarray]:
+    """Standardised predictive ``(mean, std)`` in cost units, given the
+    target ``scale`` ``(mean, std)`` (scalars or broadcasting arrays)."""
+    target_mean, target_std = scale
+    return mean * target_std + target_mean, std * target_std
+
+
 class CostToGoEstimator:
     """Trainable posterior over the baseline policy's cost-to-go."""
 
@@ -151,8 +158,7 @@ class CostToGoEstimator:
         if self._posterior is None:
             self._posterior = self.network.posterior()
         mean, std = self._posterior.predict(states)
-        return (mean[..., 0] * self._target_std + self._target_mean,
-                std[..., 0] * self._target_std)
+        return destandardise(mean[..., 0], std[..., 0], self.target_scale)
 
     def predict(self, state: np.ndarray) -> Tuple[float, float]:
         """Posterior predictive ``(mu, sigma)`` of one state: the

@@ -19,8 +19,8 @@ slots is the Eq. 8 latch, one boolean vector over every cell's
 slices; routing is one cached plan per name sequence, pi_b tables
 answer with one ``act_rows`` per table, pi_theta and the pi_phi
 posterior (in closed form: nothing is drawn) run once per snapshot
-policy for every cell at once (each cell's group a matmul slab,
-bit-identical to the group alone), the posterior only on the rows
+and row count for every policy and cell at once (each group a matmul
+slab, bit-identical to the group alone), the posterior only on rows
 that latch does not hold yet (a switched slice has nothing left for
 Eq. 8 to decide until :meth:`SlicingService.begin_episode` re-arms
 it), one projection call covers every cell over capacity, and each
@@ -54,9 +54,11 @@ import numpy as np
 from repro.baselines.model_based import ModelBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS
 from repro.engine.policies import project_actions_batch, world_totals
+from repro.nn.bayesian import BayesianPosterior, DensePosterior
+from repro.nn.layers import Dense
 from repro.obs.metrics import Telemetry
 from repro.obs.trace import active as active_tracer
-from repro.rl.cost_estimator import CostToGoEstimator
+from repro.rl.cost_estimator import CostToGoEstimator, destandardise
 from repro.rl.ppo import GaussianActorCritic
 from repro.serve.policy_store import PolicySnapshot
 from repro.sim.env import STATE_DIM
@@ -121,9 +123,10 @@ class _LearnedPolicy:
     """A snapshot policy entry rebuilt for inference (pi_theta [+ pi_phi
     + pi_b] for OnSlicing; pi_theta alone for OnRL).
 
-    Every weight and the pi_phi target scale must be finite (and the
-    scale's std positive): a NaN posterior compares false against any
-    budget, so Eq. 8 would silently never fire.  A snapshot that fails
+    Every weight, the pi_phi target scale and the pi_b table must be
+    finite (and the scale's std positive): a NaN posterior compares
+    false against any budget, so Eq. 8 would silently never fire, and
+    a NaN pi_b action would be served.  A snapshot that fails
     this is refused with a ``ValueError`` naming its ref, the policy
     and the tensor.
     """
@@ -147,21 +150,15 @@ class _LearnedPolicy:
                                 payload["estimator_scale"])
 
     def act_rows(self, states: np.ndarray) -> np.ndarray:
-        """Deterministic pi_theta actions for ``(n, STATE_DIM)``
-        states, or for ``(G, n, STATE_DIM)`` groups stacked as slabs."""
+        """Deterministic pi_theta actions for ``(n, STATE_DIM)`` states
+        (the fuzz oracle's batch policy; serving reads :class:`_Slabs`)."""
         return self.model.mean_actions(states)
-
-    def posterior(self, states: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """The pi_phi posterior ``(mu, sigma)``, each ``(G, n)``, of
-        ``(G, n, STATE_DIM)`` groups of states."""
-        mu, sigma = self.estimator.predict_batch(states)
-        return np.maximum(mu, 0.0), sigma
 
 
 def _check_finite(ref: str, name: str, payload: Dict) -> None:
-    """Refuse a learned policy entry whose pi_theta / pi_phi tensors or
-    pi_phi target scale are not finite, or whose scale std is <= 0."""
+    """Refuse a snapshot policy entry whose pi_theta / pi_phi tensors,
+    pi_phi target scale or pi_b table (``actions``, ``bin_edges``) are
+    not finite, or whose scale std is <= 0."""
     for part in ("model", "estimator"):
         for tensor, value in payload.get(part, {}).items():
             if not np.isfinite(value).all():
@@ -174,6 +171,99 @@ def _check_finite(ref: str, name: str, payload: Dict) -> None:
             raise ValueError(
                 f"snapshot {ref}: policy {name!r} estimator_scale "
                 f"(mean {mean}, std {std}) must be finite with std > 0")
+    table = payload.get("baseline")
+    for field in ("actions", "bin_edges"):
+        if table is not None and not np.isfinite(
+                getattr(table, field)).all():
+            raise ValueError(f"snapshot {ref}: policy {name!r} baseline "
+                             f"{field} is not finite")
+
+
+def _slab(arrays: Sequence) -> np.ndarray:
+    """Per-policy scalars, ``(out,)`` or ``(in, out)`` arrays as one
+    ``(P, 1, ..., out)`` table broadcasting over ``(P, G, n, in)``."""
+    stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays])
+    return stacked.reshape((len(stacked),) + (1,) * (4 - stacked.ndim)
+                           + stacked.shape[1:])
+
+
+class _Slabs:
+    """One snapshot's learned policies as stacked tables, built once per
+    core from the first cell routed to it: pi_theta's actor as ``(P, 1,
+    in, out)`` weights and ``(P, 1, 1, out)`` biases, pi_phi's frozen
+    posterior and noise alike over ``eq8_names``.  The weights are copies,
+    never refreshed (a snapshot's do not change); the target scale is
+    read from ``eq8``'s estimators on every pass.  A pass reads a
+    ``span`` of positions (a view) and returns the slabs ``real``
+    marks, in ``(p, g)`` order."""
+
+    def __init__(self, policies: Sequence[_LearnedPolicy]) -> None:
+        layers = [policy.model.actor.layers for policy in policies]
+        # forward() is MLP.forward + mean_actions' clip over (Dense,
+        # weightless activation) pairs; one config builds every policy
+        assert all(isinstance(layers[0][at], Dense)
+                   and not layers[0][at + 1].parameters()
+                   for at in range(0, len(layers[0]), 2))
+        self.actor = [(_slab([own[at].weight.value for own in layers]),
+                       _slab([own[at].bias.value for own in layers]),
+                       type(layers[0][at + 1])())
+                      for at in range(0, len(layers[0]), 2)]
+        self.names = [p.name for p in policies]
+        self.eq8 = [p for p in policies
+                    if p.estimator is not None and p.baseline is not None]
+        self.eq8_names = [p.name for p in self.eq8]
+        if self.eq8:
+            tables = [p.estimator.network.posterior() for p in self.eq8]
+            self.layers = [DensePosterior(*map(_slab, zip(*parts)))
+                           for parts in zip(*(t.layers for t in tables))]
+            self.noise_var = _slab([t.noise_var for t in tables])
+
+    def forward(self, states: np.ndarray, real: np.ndarray,
+                span: slice) -> np.ndarray:
+        """pi_theta's deterministic actions, ``(K, n, NUM_ACTIONS)``."""
+        out = states
+        for weight, bias, activation in self.actor:
+            out = activation.forward(out @ weight[span] + bias[span])
+        return np.clip(out[real], 0.0, 1.0)
+
+    def posterior(self, states: np.ndarray, real: np.ndarray,
+                  span: slice) -> Tuple[np.ndarray, np.ndarray]:
+        """pi_phi's closed-form ``(mu, sigma)`` in cost units, each
+        ``(K, n)``, ``mu`` floored at 0 as Eq. 8 reads it."""
+        table = BayesianPosterior(
+            tuple(DensePosterior(*(field[span] for field in layer))
+                  for layer in self.layers), self.noise_var[span])
+        mean, std = table.predict(states)
+        scale = np.array([p.estimator.target_scale
+                          for p in self.eq8[span]]).T[:, :, None, None]
+        mu, sigma = destandardise(mean[..., 0], std[..., 0], scale)
+        return np.maximum(mu[real], 0.0), sigma[real]
+
+
+def _layout(groups) -> List[tuple]:
+    """``(slabs, span, at, real, rows)`` per (snapshot, row count) of
+    ``(slabs, position, rows)`` groups: ``span`` the run of slab
+    positions, ``at`` their ``(len(span), G, n)`` row index, ``real``
+    the slabs holding a group (dummies repeat the first) and ``rows``
+    the real slabs' rows, ``at[real]``."""
+    stacks: Dict[tuple, Dict[int, list]] = {}
+    for slabs, position, rows in groups:
+        if len(rows):
+            stacks.setdefault((slabs, len(rows)), {}).setdefault(
+                position, []).append(rows)
+    layout = []
+    for (slabs, count), by_slab in stacks.items():
+        span = slice(min(by_slab), max(by_slab) + 1)
+        at = np.empty((span.stop - span.start,
+                       max(map(len, by_slab.values())), count),
+                      dtype=np.intp)
+        at[...] = next(iter(by_slab.values()))[0]
+        real = np.zeros(at.shape[:2], dtype=bool)
+        for position, own in by_slab.items():
+            at[position - span.start, :len(own)] = own
+            real[position - span.start, :len(own)] = True
+        layout.append((slabs, span, at, real, at[real]))
+    return layout
 
 
 class SlicingService:
@@ -233,9 +323,11 @@ class SlicingService:
         self.anomaly = anomaly
         self._slo_every = int(slo_every)
         self._policies: Dict[str, _LearnedPolicy] = {}
-        if snapshot.method in ("onslicing", "onrl"):
-            for name in snapshot.policies:
+        for name, payload in snapshot.policies.items():
+            if snapshot.method in ("onslicing", "onrl"):
                 self._policies[name] = _LearnedPolicy(snapshot, name)
+            else:
+                _check_finite(snapshot.ref, name, payload)
         #: target slice name -> (policy key, table policy or None for
         #: learned policies); the position of a name is the slice's
         #: index in its cell's segment of the core's latch
@@ -396,11 +488,10 @@ class _Plan:
         slice_ids: List[int] = []
         tables: Dict[int, tuple] = {}
         baselines: Dict[int, tuple] = {}
-        forwards: Dict[tuple, tuple] = {}
-        #: ``(policy, stack, span)`` per learned (cell, snapshot policy)
-        #: group with pi_phi rows: the group's rows are
-        #: ``eq8_rows[span]``; ``stack`` is what groups must share to
-        #: run as one pass: the snapshot object and policy
+        forwards: List[tuple] = []
+        #: ``(slabs, position, span)`` per learned (cell, snapshot
+        #: policy) group with pi_phi rows: its slab position in the
+        #: snapshot's pi_phi stack and its rows ``eq8_rows[span]``
         self.posteriors: List[tuple] = []
         eq8_rows: List[int] = []
         self.groups = np.zeros(len(self.cells), dtype=np.intp)
@@ -437,13 +528,16 @@ class _Plan:
             self.groups[position] = len(groups)
             for key, rows in groups.items():
                 policy = service._policies[key]
-                stack = (id(service.snapshot), key)
-                forwards.setdefault((stack, len(rows)),
-                                    (policy, []))[1].append(rows)
+                slabs = core._slabs.get(id(service.snapshot))
+                if slabs is None:   # built once, for the first cell
+                    slabs = core._slabs[id(service.snapshot)] = _Slabs(
+                        list(service._policies.values()))
+                forwards.append((slabs, slabs.names.index(key), rows))
                 if policy.estimator is None or policy.baseline is None:
                     continue
-                self.posteriors.append((policy, stack, slice(
-                    len(eq8_rows), len(eq8_rows) + len(rows))))
+                self.posteriors.append((slabs, slabs.eq8_names.index(key),
+                                        slice(len(eq8_rows),
+                                              len(eq8_rows) + len(rows))))
                 eq8_rows.extend(rows)
                 baselines.setdefault(
                     id(policy.baseline),
@@ -456,11 +550,9 @@ class _Plan:
                        for table, rows in tables.values()]
         self.baselines = [(table, np.asarray(rows, dtype=np.intp))
                           for table, rows in baselines.values()]
-        #: ``(policy, rows)`` per pi_theta forward: every learned
-        #: (cell, snapshot policy) group of one stack and row count, as
-        #: a ``(G, n)`` row index -- one slab per group
-        self.forwards = [(policy, np.asarray(rows, dtype=np.intp))
-                         for policy, rows in forwards.values()]
+        #: ``(slabs, span, at, real, rows)`` per pi_theta forward: the
+        #: learned (cell, policy) groups of one snapshot and row count
+        self.forwards = _layout(forwards)
         self.eq8_rows = np.asarray(eq8_rows, dtype=np.intp)
         owner = self.cell_of_row[self.eq8_rows]
         self.eq8_horizon = core._horizon[self.index][owner]
@@ -515,6 +607,8 @@ class DecisionCore:
                           if s.slo is not None or s.anomaly is not None}
         self._everyone = list(range(count))
         self._plan: Optional[_Plan] = None
+        #: :class:`_Slabs` per snapshot (by ``id``) a plan routed to
+        self._slabs: Dict[int, _Slabs] = {}
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
              "projections", "telemetry_folds",
@@ -537,8 +631,8 @@ class DecisionCore:
         plans built, cell-decisions that needed the capacity projection,
         per-cell telemetry folds, the pi_theta forwards run, and the pi_phi
         passes run and the (unlatched) rows they evaluated -- a
-        forward or a pass serves every cell's group of one snapshot
-        policy and row count at once."""
+        forward or a pass serves the groups of every policy and cell
+        of one snapshot and (open-)row count at once."""
         return MappingProxyType(dict(self._counters))
 
     def _segment(self, cell: int) -> np.ndarray:
@@ -659,29 +753,30 @@ class DecisionCore:
         validation and table reads, since ``start``), forward and
         fallback stages.
 
-        Each (cell, snapshot policy) group is a slab: the groups of
-        one snapshot policy and row count -- every cell of a fleet
-        serving one snapshot -- share one pi_theta forward, a ``(G, n,
-        STATE_DIM)`` stack whose slab ``g`` numpy multiplies with the
-        very BLAS call the group alone would make.  Rows of different
-        groups are never merged into one matrix: a matrix product's
-        rows are not bit-stable across row counts (gemv against gemm
-        kernels), its slabs are.
+        Each learned (cell, snapshot policy) group is a slab: the
+        groups of one snapshot and row count -- of every policy, in
+        every cell -- share one pi_theta forward over a ``(P, G, n,
+        STATE_DIM)`` stack (:class:`_Slabs`, :func:`_layout`) whose slab
+        ``[p, g]`` numpy multiplies with the very BLAS call the group
+        alone makes against policy ``p``'s weights.  Ragged groups are
+        padded with whole dummy slabs, never rows, and their outputs
+        dropped; rows of different groups are never merged into one
+        matrix, since a product's rows are not bit-stable across row
+        counts (gemv against gemm kernels), its slabs are.
 
         The switch is a one-way door, so a latched row has nothing
         left to ask pi_phi: a group's posterior covers its *open* rows
         only, and a group the latch holds whole drops out.  The groups
-        left share one closed-form pass per snapshot policy and
-        open-row count, a ``(G, n, STATE_DIM)`` stack of slabs
-        (:meth:`~repro.nn.bayesian.BayesianMLP.predict`), so each
-        group's ``(mu, sigma)`` is the float its own call gives.
+        left share one closed-form pass per snapshot and open-row
+        count, stacked alike, so each group's ``(mu, sigma)`` is the
+        float its own call gives.
         """
         actions = np.empty((plan.rows, NUM_ACTIONS))
         for table, rows in plan.tables:
             actions[rows] = table.act_rows(states[rows])
         assembled = time.perf_counter()
-        for policy, rows in plan.forwards:
-            actions[rows] = policy.act_rows(states[rows])
+        for slabs, span, at, real, rows in plan.forwards:
+            actions[rows] = slabs.forward(states[at], real, span)
         forwarded = time.perf_counter()
         fallback = held = plan.no_fallback
         if plan.posteriors:
@@ -692,17 +787,12 @@ class DecisionCore:
             watched = states[plan.eq8_rows]
             mu = np.zeros(len(open_))
             sigma = np.zeros(len(open_))
-            # per stack and open-row count: the policy and each group's
-            # open positions in eq8_rows
-            passes: Dict[tuple, tuple] = {}
-            for policy, stack, span in plan.posteriors:
-                at = np.flatnonzero(open_[span]) + span.start
-                if len(at):
-                    passes.setdefault((stack, len(at)),
-                                      (policy, []))[1].append(at)
-            for policy, ats in passes.values():
-                at = np.asarray(ats)
-                mu[at], sigma[at] = policy.posterior(watched[at])
+            passes = _layout(
+                (slabs, position, np.flatnonzero(open_[span]) + span.start)
+                for slabs, position, span in plan.posteriors)
+            for slabs, span, at, real, rows in passes:
+                mu[rows], sigma[rows] = slabs.posterior(watched[at],
+                                                        real, span)
             counters = self._counters
             counters["posterior_calls"] += len(passes)
             counters["posterior_rows"] += int(open_.sum())

@@ -378,6 +378,38 @@ class TestCoordinator:
         assert main(["obs", "diagnose", path]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, field", [
+        ("result", "cells"), ("spec", "cells"), ("shards", None)])
+    def test_checkpoint_field_that_does_not_rebuild_names_it(
+            self, snapshot, store, tmp_path, capsys, where, field):
+        """A field renamed inside a shard's ``result`` or the header's
+        ``spec``, or a null ``shards``, used to escape as a
+        ``TypeError`` traceback from ``fleet report`` and ``obs
+        diagnose``; it is a ``ValueError`` naming ``path:lineno`` and
+        the field, so both exit on one line."""
+        path = str(tmp_path / "fleet.jsonl")
+        run_fleet(SPEC, store.directory, snapshot_ref=snapshot.ref,
+                  shards=2, checkpoint_path=path)
+        with open(path, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        lineno = 2 if where == "result" else 1
+        if field is None:
+            rows[0][where] = None
+            named = "'shards'"
+        else:
+            fields = rows[lineno - 1][where]["fields"]
+            fields[field + "x"] = fields.pop(field)
+            named = f"'{where}'.*'{field}x'"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+        message = f"{re.escape(path)}:{lineno}: .*{named}"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(SystemExit, match=message):
+            main(["fleet", "report", "--checkpoint", path])
+        assert main(["obs", "diagnose", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_kill_and_resume_reproduces_digest(self, snapshot, store,
                                                tmp_path):
         """The acceptance-criteria scenario: a run killed after one

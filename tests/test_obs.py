@@ -342,6 +342,24 @@ class TestProfiler:
     def test_hook_is_none_when_inactive(self):
         assert profile_begin() is None
 
+    def test_alloc_stops_only_the_tracing_it_started(self):
+        """A caller's own ``tracemalloc`` session outlives an
+        ``alloc=True`` profile; one the profiler started stops with
+        it."""
+        import tracemalloc
+
+        assert not tracemalloc.is_tracing()
+        with KernelProfiler(alloc=True):
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            with KernelProfiler(alloc=True):
+                pass
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+
     def test_sampling_interval_skips_calls(self):
         with KernelProfiler(sample_interval=2) as profiler:
             laps = [profile_begin() for _ in range(4)]

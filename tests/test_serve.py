@@ -2,11 +2,13 @@
 snapshot-eval units, and the serve-facing CLI surface)."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.baselines.rule_based import RuleBasedPolicy
 from repro.config import ExperimentConfig, TrafficConfig
 from repro.experiments.harness import (
     build_onslicing,
@@ -604,6 +606,34 @@ class TestSnapshotHardening:
         with pytest.raises(ValueError, match=r"ons-test@0: policy 'HVS' "
                                              r"estimator_scale"):
             SlicingService(poisoned)
+
+    @pytest.mark.parametrize("method", ["baseline", "onslicing"])
+    @pytest.mark.parametrize("field", ["actions", "bin_edges"])
+    def test_non_finite_pi_b_table_is_refused_at_service_build(
+            self, tmp_path, tiny_cfg, onslicing_snapshot, method, field):
+        """Before this check a baseline snapshot whose MAR table held a
+        NaN action saved, loaded and served NaN actions; OnSlicing's
+        Eq. 8 fallback table would have done the same once a slice
+        switched."""
+        snapshot = onslicing_snapshot if method == "onslicing" else \
+            snapshot_baseline("pi-b", tiny_cfg, fit_baselines(tiny_cfg),
+                              seed=5)
+        policies = {name: dict(payload)
+                    for name, payload in snapshot.policies.items()}
+        table = policies["MAR"]["baseline"]
+        values = {"actions": table.actions.copy(),
+                  "bin_edges": table.bin_edges.copy()}
+        values[field].flat[-1] = np.nan
+        policies["MAR"]["baseline"] = RuleBasedPolicy(
+            table.slice_name, table.app, values["bin_edges"],
+            values["actions"])
+        store = PolicyStore(str(tmp_path))
+        loaded = store.load(store.save(
+            replace(snapshot, policies=policies)).ref)
+        with pytest.raises(ValueError, match=(
+                f"snapshot {re.escape(loaded.ref)}: policy 'MAR' "
+                f"baseline {field} is not finite")):
+            SlicingService(loaded)
 
     def test_inf_pi_theta_is_refused_for_onrl(self, onrl_snapshot):
         poisoned, tensor = _poisoned(onrl_snapshot, "model", np.inf)

@@ -25,6 +25,7 @@ import dataclasses
 import inspect
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ from repro.serve import (
     snapshot_onslicing,
 )
 from repro.serve.loadgen import drive_lockstep
-from repro.serve.service import PENDING_SLOTS, _LearnedPolicy
+from repro.serve.service import PENDING_SLOTS, _Slabs
 from repro.sim.network import CONSTRAINED_RESOURCES
 
 #: The ``repro`` package directory the driver spy reports callers in.
@@ -414,7 +415,8 @@ def test_posterior_never_sees_a_latched_row(snapshots, monkeypatch):
         decisions = service.decide(_requests(service, states))
         # every open row asked once, no latched row asked at all, and
         # no snapshot policy asked twice
-        passes = [entry for slot in asked for entry in slot]
+        passes = [entry for slot in asked for each in slot
+                  for entry in each]
         assert len({name for name, _ in passes}) == len(passes)
         seen = [block.reshape(-1, 9) for _, block in passes]
         assert sorted(map(tuple, np.concatenate(seen or [states[:0]]))) \
@@ -429,7 +431,7 @@ def test_posterior_never_sees_a_latched_row(snapshots, monkeypatch):
 def test_a_fully_latched_cell_draws_nothing(snapshots):
     """A slot where every learned row of a cell is latched runs no
     posterior for that cell; a cell beside it still asks, one pass
-    per snapshot policy over its open rows."""
+    per open-row count over every snapshot policy's open rows."""
     latched, live = (_eq8_service(snapshots["onslicing"], seed)
                      for seed in (9, 10))
     rng = np.random.default_rng(9)
@@ -448,16 +450,18 @@ def test_a_fully_latched_cell_draws_nothing(snapshots):
     out = core.decide_rows(np.vstack([states, states]), names)
     assert out.fallback[:12].all() and not out.fallback[12:].all()
     assert core.counters["posterior_rows"] == 12
+    open_counts = Counter(live._routes[name][0]
+                          for name in live.slice_names)
     assert core.counters["posterior_calls"] == \
-        len({live._routes[name][0] for name in live.slice_names})
+        len(set(open_counts.values())) == 1
 
 
 def test_posterior_counters_follow_the_latch(snapshots):
-    """Slot by slot, while budgets fill up: one pass per snapshot
-    policy that still has an open row (its groups' open-row counts
-    decide how many), and ``posterior_rows`` grows by exactly the rows
-    the latch left open -- all of them until the first latch, fewer
-    from then on."""
+    """Slot by slot, while budgets fill up: one pass per open-row count
+    among the snapshot policies that still have an open row (every
+    policy's group of that count a slab of it), and ``posterior_rows``
+    grows by exactly the rows the latch left open -- all of them until
+    the first latch, fewer from then on."""
     service = _eq8_service(snapshots["onslicing"])
     core = service.core
     rng = np.random.default_rng(4)
@@ -469,12 +473,12 @@ def test_posterior_counters_follow_the_latch(snapshots):
         before = core.counters
         service.decide(_requests(service, states))
         after = core.counters
-        open_keys = {service._routes[name][0] for name, done
-                     in zip(service.slice_names, held) if not done}
+        open_keys = Counter(service._routes[name][0] for name, done
+                            in zip(service.slice_names, held) if not done)
         assert after["posterior_rows"] - before["posterior_rows"] == \
             (~held).sum(), slot
         assert after["posterior_calls"] - before["posterior_calls"] == \
-            len(open_keys), slot
+            len(set(open_keys.values())), slot
         phases.add(bool(held.any()))
     assert phases == {False, True}
 
@@ -553,17 +557,18 @@ def test_a_cell_decides_alone_what_it_decides_in_a_fleet(
     behind -- with 1-row groups (the scenario's own 3 slices, the
     fleet's shape) and 4-row groups (12 slices)."""
     seen = {}
-    posterior = _LearnedPolicy.posterior
+    posterior = _Slabs.posterior
 
-    def spy(policy, states):
-        mu, sigma = posterior(policy, states)
-        for group, rows in enumerate(states):
-            seen.setdefault(rows.tobytes(), []).append(
-                (policy.name, mu[group].tobytes(),
-                 sigma[group].tobytes()))
+    def spy(slabs, states, real, span):
+        mu, sigma = posterior(slabs, states, real, span)
+        names = slabs.eq8_names[span]
+        for (position, group), mu_g, sigma_g in zip(np.argwhere(real),
+                                                    mu, sigma):
+            seen.setdefault(states[position, group].tobytes(), []).append(
+                (names[position], mu_g.tobytes(), sigma_g.tobytes()))
         return mu, sigma
 
-    monkeypatch.setattr(_LearnedPolicy, "posterior", spy)
+    monkeypatch.setattr(_Slabs, "posterior", spy)
     seeds = (9, 10, 11)
     fleet = [_eq8_service(snapshots[method], seed, slices)
              for seed in seeds]
@@ -750,22 +755,27 @@ def _fleet_generators(snapshot, scenarios, cells=8, slots=12):
 
 
 def _posterior_spy(monkeypatch):
-    """Record every pi_phi pass, slot by slot: per slot, one ``(policy
-    name, (G, n, STATE_DIM) states)`` per pass."""
+    """Record every pi_phi pass, slot by slot: per slot, one list per
+    pass, holding one ``(policy name, (G, n, STATE_DIM) states)`` per
+    snapshot policy the pass stacks -- its real slabs, the padding
+    dropped."""
     asked = []
     propose = DecisionCore._propose
-    posterior = _LearnedPolicy.posterior
+    posterior = _Slabs.posterior
 
     def slot(core, plan, states, start):
         asked.append([])
         return propose(core, plan, states, start)
 
-    def spy(policy, states):
-        asked[-1].append((policy.name, states.copy()))
-        return posterior(policy, states)
+    def spy(slabs, states, real, span):
+        asked[-1].append([(name, states[position][real[position]].copy())
+                          for position, name
+                          in enumerate(slabs.eq8_names[span])
+                          if real[position].any()])
+        return posterior(slabs, states, real, span)
 
     monkeypatch.setattr(DecisionCore, "_propose", slot)
-    monkeypatch.setattr(_LearnedPolicy, "posterior", spy)
+    monkeypatch.setattr(_Slabs, "posterior", spy)
     return asked
 
 
@@ -787,9 +797,9 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     with pytest.raises(TypeError):
         counters["decide_calls"] = 0
 
-    # OnSlicing: per slot at most one pass per snapshot policy, every
-    # cell's open group of it a slab, on exactly the rows the latch was
-    # not holding
+    # OnSlicing: per slot at most one pass, every cell's open group of
+    # every snapshot policy a slab of it, on exactly the rows the latch
+    # was not holding
     asked = _posterior_spy(monkeypatch)
     generators = _fleet_generators(
         snapshots["onslicing"], ("default", "lte_fixed_mcs"))
@@ -800,23 +810,27 @@ def test_core_counters_on_a_fleet(snapshots, monkeypatch):
     held = sum(g.telemetry.counter("fallbacks", {"cause": "latched"})
                .value for g in generators)
     assert held > 0
-    passes = [entry for slot in asked for entry in slot]
-    assert counters["posterior_calls"] == len(passes)
+    assert counters["posterior_calls"] == \
+        sum(len(slot) for slot in asked)
+    assert all(len(slot) <= 1 for slot in asked)
+    passes = [entry for slot in asked for each in slot
+              for entry in each]
     assert counters["posterior_rows"] == \
         sum(block.shape[0] * block.shape[1] for _, block in passes) \
         == counters["rows_decided"] - held
     assert len(asked) == counters["decide_calls"]
-    policies = {policy.name for policy, _, _ in core._plan.posteriors}
+    policies = {slabs.eq8_names[position]
+                for slabs, position, _ in core._plan.posteriors}
     for slot in asked:
-        assert len({name for name, _ in slot}) == len(slot) \
+        entries = [entry for each in slot for entry in each]
+        assert len({name for name, _ in entries}) == len(entries) \
             <= len(policies)
     assert max(block.shape[0] for _, block in passes) == 8
-    # and one pi_theta forward per snapshot policy and slot, not one per
-    # (cell, policy)
-    assert len(core._plan.forwards) == len(policies) < int(
+    # and one pi_theta forward per slot, not one per snapshot policy or
+    # per (cell, policy)
+    assert len(core._plan.forwards) == 1 < len(policies) < int(
         core._plan.groups.sum())
-    assert counters["forward_calls"] == \
-        counters["decide_calls"] * len(policies)
+    assert counters["forward_calls"] == counters["decide_calls"]
     # whole groups were skipped, not only rows
     groups = len(core._plan.posteriors)
     assert sum(block.shape[0] for _, block in passes) < \

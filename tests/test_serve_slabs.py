@@ -1,0 +1,212 @@
+"""The decision core's stacked pi_theta / pi_phi passes against the
+per-policy passes they replaced.
+
+``tests/slab_oracle.py`` keeps the per-policy ``_propose`` (one
+pi_theta forward per (snapshot policy, row count), one pi_phi pass per
+(snapshot policy, open-row count)).  The core now stacks a snapshot's
+policies as slabs: one forward per (snapshot, row count) and one pass
+per (snapshot, open-row count), ragged groups padded with whole dummy
+slabs.  Slot by slot, while budgets fill up and slices latch at their
+own pace, every case below must leave the same bytes both ways:
+actions, fallback and held rows, the Eq. 8 latch after the slot, and
+each open row's pi_phi ``(mu, sigma)``.
+
+The floats rest on numpy running each slab as the BLAS call its group
+makes alone, so the suite is meant to pass under any BLAS thread count
+(CI runs it under ``OPENBLAS_NUM_THREADS=1`` and ``=2``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import slab_oracle
+from repro.config import ExperimentConfig, TrafficConfig
+from repro.experiments.harness import build_onslicing, make_onrl_agents
+from repro.scenarios import get as get_scenario
+from repro.serve import (
+    DecisionCore,
+    SlicingService,
+    scenario_with_population,
+    snapshot_onrl,
+    snapshot_onslicing,
+)
+from repro.serve.service import _Slabs
+
+SLOTS = 10
+
+
+def _perturbed(snapshot, name):
+    """``snapshot`` under a new name with every pi_theta / pi_phi weight
+    scaled by 1.1: a second snapshot whose tables differ from the
+    first's in every float."""
+    policies = {}
+    for key, payload in snapshot.policies.items():
+        payload = dict(payload)
+        for part in ("model", "estimator"):
+            payload[part] = {tensor: value * 1.1
+                             for tensor, value in payload[part].items()}
+        policies[key] = payload
+    return dataclasses.replace(snapshot, name=name, policies=policies)
+
+
+@pytest.fixture(scope="module")
+def snapshots():
+    cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=10),
+                           seed=5)
+    bundle = build_onslicing(cfg, offline_episodes=1,
+                             exploration_episodes=1, seed=5)
+    onslicing = snapshot_onslicing("slabs-s", bundle, seed=5)
+    return {
+        "onslicing": onslicing,
+        "other": _perturbed(onslicing, "slabs-t"),
+        "onrl": snapshot_onrl("slabs-o", cfg,
+                              make_onrl_agents(cfg, seed=3), seed=3),
+    }
+
+
+#: case -> one ``(snapshot key, slices, names kept)`` per cell: ``None``
+#: keeps every slice name of the cell, else the first ``k`` names.
+CASES = {
+    # 1-row groups, three per policy but two for the policy whose
+    # third cell gives it a 2-row group: G ragged across policies
+    "ragged": [("onslicing", 3, None), ("onslicing", 3, None),
+               ("onslicing", 4, None)],
+    # a cell asked about two of its three slices: one policy short
+    "missing": [("onslicing", 3, None), ("onslicing", 3, 2),
+                ("onslicing", 3, None)],
+    "n1": [("onslicing", 3, None)],
+    "n3": [("onslicing", 9, None), ("onslicing", 9, None)],
+    "n4": [("onslicing", 12, None), ("onslicing", 12, None)],
+    "n21": [("onslicing", 63, None)],
+    # big enough for a threaded BLAS to split a product: the case the
+    # two-thread CI run is for
+    "n64": [("onslicing", 192, None), ("onslicing", 192, None)],
+    # every row count above in one core, one cell each
+    "mixed": [("onslicing", 9, None), ("onslicing", 12, None),
+              ("onslicing", 63, None), ("onslicing", 3, None)],
+    "onrl": [("onrl", 3, None), ("onrl", 12, None), ("onrl", 4, None)],
+    "two_snapshots": [("onslicing", 3, None), ("other", 3, None),
+                      ("onslicing", 4, None), ("other", 12, None)],
+}
+
+
+def _cells(snapshots, case):
+    services, names = [], []
+    for index, (key, slices, kept) in enumerate(CASES[case]):
+        cfg = scenario_with_population(
+            get_scenario("lte_fixed_mcs"), slices).build_config(
+                seed=9 + index)
+        service = SlicingService(snapshots[key], cfg=cfg)
+        services.append(service)
+        names.append(service.slice_names[:kept])
+    return DecisionCore(services), names
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stacked_passes_equal_the_per_policy_passes(
+        snapshots, monkeypatch, case):
+    recorded = {}
+    padded = Counter()
+    posterior = _Slabs.posterior
+
+    def spy(slabs, states, real, span):
+        mu, sigma = posterior(slabs, states, real, span)
+        padded["posterior"] += not real.all()
+        for (position, group), mu_g, sigma_g in zip(np.argwhere(real),
+                                                    mu, sigma):
+            for row, mu_r, sigma_r in zip(states[position, group],
+                                          mu_g, sigma_g):
+                assert row.tobytes() not in recorded
+                recorded[row.tobytes()] = (mu_r.tobytes(),
+                                           sigma_r.tobytes())
+        return mu, sigma
+
+    monkeypatch.setattr(_Slabs, "posterior", spy)
+    core, names = _cells(snapshots, case)
+    cells = list(range(len(names)))
+    plan = core._route(cells, names)
+    parent = slab_oracle.ParentPlan(core, cells, names)
+    padded["forward"] = sum(not real.all()
+                            for _, _, _, real, _ in plan.forwards)
+    rng = np.random.default_rng(4)
+    latched = set()
+    for slot in range(SLOTS):
+        if slot == 6:
+            core.begin_episode(len(cells) - 1)  # one cell re-arms
+        states = rng.uniform(0.0, 1.0, size=(plan.rows, 9))
+        states[:, 8] *= 0.25 * slot     # budgets fill up slot by slot
+        twin = SimpleNamespace(_latched=core._latched.copy(),
+                               _counters=Counter())
+        want = slab_oracle.propose(twin, parent, states, 0.0)
+        recorded.clear()
+        actions, fallback, held, _ = core._propose(plan, states, 0.0)
+        assert actions.tobytes() == want[0].tobytes(), slot
+        assert np.array_equal(fallback, want[1]), slot
+        assert np.array_equal(held, want[2]), slot
+        assert np.array_equal(core._latched, twin._latched), slot
+        if want[3] is None:
+            assert not recorded
+            continue
+        open_ = ~want[2][parent.eq8_rows]
+        assert recorded == {
+            states[row].tobytes(): (mu.tobytes(), sigma.tobytes())
+            for row, mu, sigma in zip(parent.eq8_rows[open_],
+                                      want[3][open_], want[4][open_])}, \
+            slot
+        latched.add(int(core._latched.sum()))
+    # not vacuous: slices latched at different slots, and where the
+    # case is ragged whole dummy slabs were stacked and dropped
+    if case == "onrl":
+        assert not core._latched.any() and not latched
+    else:
+        assert len(latched) > 2
+    if case in ("ragged", "missing", "two_snapshots"):
+        assert padded["forward"] and padded["posterior"]
+
+
+def test_one_forward_and_one_pass_per_row_count(snapshots):
+    """Two 3-slice cells of one snapshot: every slot is one pi_theta
+    forward and, until every row latched, one pi_phi pass -- not one
+    per snapshot policy."""
+    core, names = _cells(snapshots, "ragged")
+    core, names = DecisionCore(core.services[:2]), names[:2]
+    rng = np.random.default_rng(4)
+    for slot in range(SLOTS):
+        states = rng.uniform(0.0, 1.0, size=(6, 9))
+        states[:, 8] *= 0.25 * slot
+        before = core.counters
+        held = core._latched.copy()
+        core.decide_rows(states, names)
+        after = core.counters
+        assert after["forward_calls"] - before["forward_calls"] == 1
+        assert after["posterior_calls"] - before["posterior_calls"] == \
+            int(not held.all())
+    assert core._latched.any()
+
+
+def test_tables_are_built_once_per_snapshot_and_core(snapshots,
+                                                     monkeypatch):
+    """A core builds one :class:`_Slabs` per snapshot it serves, however
+    many cells serve it and however many plans route to it."""
+    built = []
+    init = _Slabs.__init__
+
+    def spy(slabs, policies):
+        built.append([policy.name for policy in policies])
+        init(slabs, policies)
+
+    monkeypatch.setattr(_Slabs, "__init__", spy)
+    core, names = _cells(snapshots, "two_snapshots")
+    rng = np.random.default_rng(4)
+    for count in (4, 2, 4):
+        rows = sum(map(len, names[:count]))
+        core.decide_rows(rng.uniform(0.0, 1.0, size=(rows, 9)),
+                         names[:count], list(range(count)))
+    assert core.counters["plan_builds"] == 3
+    assert len(built) == 2 and len(core._slabs) == 2
