@@ -96,7 +96,7 @@ from repro.config import (
     NUM_ACTIONS,
     USAGE_ACTION_INDICES,
 )
-from repro.obs.profile import begin as _profile_begin
+from repro.obs.trace import active as _active_tracer
 from repro.sim.phy import MCS_TABLE, NUM_CQI, NUM_MCS
 from repro.sim.queueing import RHO_KNEE
 
@@ -440,14 +440,15 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     transport ``path_loads`` for state write-back) covering every
     :class:`~repro.sim.network.SlotReport` field; no input is written.
 
-    Profiling: when a :class:`~repro.obs.profile.KernelProfiler` is
-    active (and samples this call), each kernel-stage boundary below
-    records a lap -- wall time and, optionally, net allocations -- so
-    ``repro obs profile`` can attribute slot cost per kernel.  The
-    laps never touch the arrays, so the parity contract is unaffected;
-    when profiling is off the hook is one module-global read.
+    Tracing: with a :class:`~repro.obs.trace.Tracer` installed, each
+    stage boundary below laps one ``engine.kernel.<stage>`` row into
+    it (under ``engine.step/engine.kernel`` on the stepper).  The laps
+    never touch the arrays, so the parity contract is unaffected; when
+    tracing is off the hook is one module-global read.
     """
-    lap = _profile_begin()
+    tracer = _active_tracer()
+    if tracer is not None:
+        mark = tracer.clock()
     raw = np.asarray(actions)
     if raw.shape != (rows.num_rows, NUM_ACTIONS):
         raise ValueError(
@@ -465,8 +466,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     tn_path = np.clip(arr[:, 7] * rows.num_paths, 0,
                       rows.num_paths - 1).astype(np.intp)
     user_mask = np.arange(cqi.shape[1]) < rows.users[:, None]
-    if lap is not None:
-        lap.lap("decode")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.decode", mark)
 
     # ---- RAN capacities (oracle: RadioCell.slice_capacity) -----------
     # direction-shared terms (see Fusions): margin factor and base MCS
@@ -480,8 +481,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     dl_cap, dl_retx = _radio_direction(
         rows, dl_bw, dl_off, dl_sched, base_mcs, margin_pow, user_mask,
         uplink=False)
-    if lap is not None:
-        lap.lap("radio")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.radio", mark)
 
     # ---- transport (oracle: TransportFabric.reserve + evaluate) ------
     eff_cap_w = rows.link_capacity_w * cond.capacity_scale
@@ -499,8 +500,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                   + cond.extra_latency_ms[rows.world])
     tn_latency = np.where((tn_cap <= 0) & (offered_bps > 0), np.inf,
                           tn_latency)
-    if lap is not None:
-        lap.lap("transport")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.transport", mark)
 
     # ---- core (set_slice_resources + oracle: CoreNetwork.evaluate) ---
     cpu_share = np.clip(cpu, 0.0, 1.0)
@@ -520,8 +521,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         core_latency = np.where(
             has_mu, rows.core_base_latency_ms + queued, np.inf)
     core_pps = np.where(has_mu, core_mu, 0.0)
-    if lap is not None:
-        lap.lap("core")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.core", mark)
 
     # ---- edge (set_resources + oracle: EdgeServerPool.evaluate) ------
     edge_ram_gb = np.clip(ram, 0.0, 1.0) * rows.total_ram_gb
@@ -544,8 +545,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         edge_latency = np.where(
             has_eff, _queueing_rows(1e3 / safe_eff, edge_util),
             np.where(has_work, np.inf, 0.0))
-    if lap is not None:
-        lap.lap("edge")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.edge", mark)
 
     # ---- applications (oracle: evaluate_mar / _hvs / _rdc) -----------
     value = _evaluate_apps(rows, rates, ul_cap, dl_cap, ul_retx, dl_retx,
@@ -553,8 +554,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                            edge_latency)
     satisfaction = _satisfaction_rows(rows, value)
     cost = 1.0 - satisfaction
-    if lap is not None:
-        lap.lap("apps")
+    if tracer is not None:
+        mark = tracer.lap("engine.kernel.apps", mark)
 
     # ---- usage + state features --------------------------------------
     usage = np.zeros(rows.num_rows)         # +0.0 start (see Eq. 9 rule)
@@ -565,8 +566,8 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     workload = (np.minimum(core_util, 1.0)
                 + np.minimum(edge_util, 1.0)) * 0.5
     channel_quality = _user_sum(cqi, user_mask) / rows.users / NUM_CQI
-    if lap is not None:
-        lap.lap("state")
+    if tracer is not None:
+        tracer.lap("engine.kernel.state", mark)
 
     return {
         "value": value,

@@ -30,6 +30,7 @@ CLI: ``python -m repro fleet run --cells 32`` / ``fleet report``;
 from repro.fleet.coordinator import (
     FleetCheckpoint,
     FleetSloBreach,
+    NotACheckpoint,
     evaluate_checkpoint_slo,
     load_checkpoint,
     plan_shards,
@@ -60,6 +61,7 @@ __all__ = [
     "FleetReport",
     "FleetSloBreach",
     "FleetSpec",
+    "NotACheckpoint",
     "ScenarioRow",
     "ShardPlan",
     "ShardResult",

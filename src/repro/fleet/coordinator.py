@@ -122,6 +122,11 @@ def evaluate_checkpoint_slo(checkpoint: "str | FleetCheckpoint",
     return state.evaluator
 
 
+class NotACheckpoint(ValueError):
+    """The file's first line is no fleet checkpoint header of this
+    format (or it is empty): some other JSONL, not a damaged one."""
+
+
 @dataclass(frozen=True)
 class FleetCheckpoint:
     """A parsed checkpoint file: the pinned campaign + shards done."""
@@ -142,8 +147,10 @@ class FleetCheckpoint:
 def load_checkpoint(path: str) -> FleetCheckpoint:
     """Parse a checkpoint JSONL file written by :func:`run_fleet`.
 
-    Tolerant of a truncated final line (the signature of a kill
-    mid-append): the shards read so far stand.  A corrupt earlier
+    A file whose first line is no fleet header is a
+    :class:`NotACheckpoint`.  Tolerant of a truncated final line (the
+    signature of a kill mid-append): the shards read so far stand.  A
+    corrupt earlier
     line is a ``ValueError`` naming ``path:lineno``
     (:func:`~repro.obs.metrics.read_jsonl`); a shard whose telemetry
     does not rebuild (a hostile or pre-sketch histogram state,
@@ -153,14 +160,20 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     ``shards`` that is no integer), is one naming ``path:lineno`` and
     the field.
     """
-    rows = read_jsonl_numbered(path)
-    if not rows:
-        raise ValueError(f"checkpoint {path!r} is empty")
-    lineno, header = rows[0]
-    if (header.get("kind") != "fleet"
+    # the first line decides what the file is, before a corrupt later
+    # one can fail the whole read
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    try:
+        header = json.loads(first)
+    except ValueError:
+        header = None
+    if (not isinstance(header, dict) or header.get("kind") != "fleet"
             or header.get("format") != CHECKPOINT_FORMAT):
-        raise ValueError(f"{path!r} is not a fleet checkpoint "
-                         f"(format {CHECKPOINT_FORMAT})")
+        raise NotACheckpoint(f"{path!r} is not a fleet checkpoint "
+                             f"(format {CHECKPOINT_FORMAT})")
+    rows = read_jsonl_numbered(path)
+    lineno = 1
     for field in ("spec", "spec_key", "scenario_key", "snapshot_ref",
                   "snapshot_digest", "shards"):
         if field not in header:

@@ -1,14 +1,16 @@
-"""Observability layer: tracing, metrics, profiling, perf trajectory.
+"""Observability layer: tracing, metrics, perf trajectory, judging.
 
-One subsystem, four concerns, threaded through every layer of the
-repo:
+One subsystem, threaded through every layer of the repo:
 
-* :mod:`repro.obs.trace` -- structured spans.  ``trace("name",
-  **attrs)`` is free when tracing is off and aggregates into
-  mergeable cross-process JSONL trace files when on; ``repro obs
-  report`` rolls any set of trace files into one flamegraph-style
-  view with an attributed-span digest that is invariant to fleet
-  shard count.
+* :mod:`repro.obs.trace` -- structured spans, the one timing
+  instrument (the kernel stages of
+  :func:`repro.engine.kernels.evaluate_rows` are ``engine.kernel.*``
+  laps).  ``trace("name", **attrs)`` is free when tracing is off and
+  aggregates into mergeable cross-process JSONL trace files when on;
+  ``repro obs report`` rolls any set of trace files into one
+  flamegraph-style view with an attributed-span digest that is
+  invariant to fleet shard count, ``repro obs profile`` one
+  episode's ``engine.*`` rows.
 * :mod:`repro.obs.metrics` -- the unified metrics registry
   (:class:`Counter` / :class:`Histogram`, optional labels, JSONL +
   Prometheus-text export, injectable clock; a JSONL export carries
@@ -16,9 +18,8 @@ repo:
   registry), the one JSONL row reader (``read_jsonl``) and the one
   cumulative windowed series (:class:`WindowedSeries`) the judging
   layers share.
-* :mod:`repro.obs.profile` -- opt-in per-kernel wall/alloc sampling
-  hooks inside :func:`repro.engine.kernels.evaluate_rows`;
-  ``repro obs profile`` prints the per-kernel cost breakdown.
+* :mod:`repro.obs.profile` -- a read-only per-kernel view of the
+  tracer, kept for the frozen ``benchmarks/e2e`` harness.
 * :mod:`repro.obs.bench` -- the perf-trajectory recorder: every
   bench writes ``BENCH_<name>.json`` through it.  Records, not gates
   -- claims are judged by ``benchmarks/e2e/run.py compare``.
@@ -69,7 +70,6 @@ from repro.obs.metrics import (
     Histogram,
     Telemetry,
 )
-from repro.obs.profile import KernelProfiler
 from repro.obs.slo import (
     IncidentTimeline,
     ObjectiveStatus,
@@ -96,7 +96,6 @@ __all__ = [
     "Histogram",
     "Hypothesis",
     "IncidentTimeline",
-    "KernelProfiler",
     "ObjectiveStatus",
     "SloEvaluator",
     "SloObjective",

@@ -8,9 +8,9 @@ that need them.
   flamegraph-style rollup (``--json`` for machine-readable rows plus
   the attributed-span digest).
 * ``obs profile`` -- run one scenario episode, served by the
-  rule-based baseline, under the kernel profiler and print the
-  per-kernel cost breakdown with the engine's and the serving core's
-  counters.
+  rule-based baseline, under an in-memory tracer and print its
+  ``engine.*`` rollup rows (kernel-stage laps included) with the
+  engine's and the serving core's counters.
 * ``obs watch`` -- live fleet health: evaluate an SLO spec against a
   fleet checkpoint (shard-by-shard burn-rate replay, deterministic
   timeline digest) or a telemetry JSONL export dir (one evaluation of
@@ -44,12 +44,6 @@ from types import SimpleNamespace
 from typing import List, Optional
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
-
-
 def add_obs_parser(subparsers) -> None:
     """Attach the ``obs`` subcommand tree to the root CLI parser."""
     obs = subparsers.add_parser(
@@ -72,14 +66,9 @@ def add_obs_parser(subparsers) -> None:
 
     profile = obs_sub.add_parser(
         "profile", help="run one pi_b-served scenario episode under "
-                        "the kernel profiler")
+                        "an in-memory tracer")
     profile.add_argument("--scenario", default="default",
                          help="registered scenario name")
-    profile.add_argument("--sample", type=_positive_int, default=1,
-                         help="profile every Nth kernel call")
-    profile.add_argument("--alloc", action="store_true",
-                         help="also trace per-kernel allocations "
-                              "(tracemalloc; slow)")
     profile.add_argument("--seed", type=int, default=None)
     profile.add_argument("--json", action="store_true")
     profile.set_defaults(handler=_run_profile)
@@ -234,8 +223,9 @@ def _run_report(args: argparse.Namespace) -> int:
 def _run_profile(args: argparse.Namespace) -> int:
     from repro.engine.batch import BatchSimulator
     from repro.engine.policies import lockstep
-    from repro.obs.profile import KernelProfiler, format_profile
     from repro.experiments.harness import fit_baselines, resolve_scenario
+    from repro.obs.trace import (Tracer, format_rollup, installed,
+                                 rollup_rows)
     from repro.serve import SlicingService, snapshot_baseline
 
     spec = resolve_scenario(args.scenario)
@@ -254,28 +244,28 @@ def _run_profile(args: argparse.Namespace) -> int:
         snapshot_baseline("profile", cfg, fit_baselines(cfg),
                           seed=cfg.seed), cfg=cfg).core
     names = [simulator.slice_names]
-    profiler = KernelProfiler(sample_interval=args.sample,
-                              alloc=args.alloc)
     decide = SimpleNamespace(
         act_batch=lambda states, _: core.decide_rows(states, names).actions)
-    with profiler:
+    with installed(Tracer()) as tracer:
         for _ in lockstep(batch, decide, project=False):
             pass
     core.flush()
-    rows = profiler.report()
+    rollup = {key: entry for key, entry in tracer.rollup().items()
+              if key[0].startswith("engine.")}
+    # every evaluate_rows call laps its first stage once
+    calls = sum(int(entry["count"]) for (path, _), entry in rollup.items()
+                if path.endswith("/engine.kernel.decode"))
     counters = dict(batch.counters)
     serving = dict(core.counters)
     if args.json:
         print(json.dumps({"scenario": spec.name,
-                          "kernel_calls": profiler.calls,
-                          "sample_interval": args.sample,
-                          "rows": rows,
+                          "kernel_calls": calls,
+                          "rows": rollup_rows(rollup),
                           "engine_counters": counters,
                           "serve_counters": serving}, indent=2))
     else:
-        print(f"scenario {spec.name}: {profiler.calls} kernel calls, "
-              f"sampling 1/{args.sample}")
-        print(format_profile(rows))
+        print(f"scenario {spec.name}: {calls} kernel calls")
+        print(format_rollup(rollup))
         for title, values in (("engine", counters),
                               ("serve", serving)):
             print(f"{title} counters: " + ", ".join(
@@ -429,6 +419,7 @@ def _filter_report(report, objective: str):
 
 
 def _run_diagnose(args: argparse.Namespace) -> int:
+    from repro.fleet import NotACheckpoint
     from repro.obs.diagnose import (diagnose_fleet, diagnose_telemetry,
                                     format_report)
 
@@ -445,10 +436,12 @@ def _run_diagnose(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot read {args.path!r}: {exc}", file=sys.stderr)
             return 2
-        except ValueError:
-            # not a checkpoint: a telemetry file (a corrupt line
-            # fails the same way again just below)
+        except NotACheckpoint:
+            # a telemetry file (a corrupt line fails just below)
             checkpoint = None
+        except ValueError as exc:
+            print(f"cannot read checkpoint: {exc}", file=sys.stderr)
+            return 2
         if checkpoint is not None:
             report = diagnose_fleet(
                 checkpoint.results.values(), spec,

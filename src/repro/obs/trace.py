@@ -43,12 +43,13 @@ Cross-process wiring: set ``REPRO_TRACE_DIR`` (the ``fleet run
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
 import json
 import os
 import time
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.obs.metrics import jsonl_files, read_jsonl
 
@@ -97,12 +98,12 @@ class _Span:
             else self.name
         self.child_s = 0.0
         stack.append(self)
-        self._start = tracer._clock()
+        self._start = tracer.clock()
         return self
 
     def __exit__(self, *exc) -> bool:
         tracer = self._tracer
-        duration = tracer._clock() - self._start
+        duration = tracer.clock() - self._start
         stack = tracer._stack
         stack.pop()
         if stack:
@@ -136,7 +137,7 @@ class Tracer:
         self.path = path
         self.label = label
         self.sample_interval = sample_interval
-        self._clock = clock
+        self.clock = clock
         self._stack: List[_Span] = []
         # key -> [count, total_s, child_s, sampled]
         self._stats: Dict[RollupKey, List[float]] = {}
@@ -195,6 +196,13 @@ class Tracer:
         stats[0] += count
         stats[1] += total_s
         stats[2] += child_s
+
+    def lap(self, name: str, since: float) -> float:
+        """:meth:`add` one ``name`` row timed from ``since`` (a
+        :attr:`clock` reading) to now; returns now, so laps chain."""
+        now = self.clock()
+        self.add(name, {}, 1, now - since)
+        return now
 
     # ---- reading / flushing ------------------------------------------
 
@@ -287,6 +295,18 @@ def disable() -> None:
 def flush() -> None:
     if _TRACER is not None:
         _TRACER.flush()
+
+
+@contextlib.contextmanager
+def installed(tracer: Tracer) -> Iterator[Tracer]:
+    """Install ``tracer`` for the block, then put back the tracer (or
+    none) installed before it, unflushed."""
+    global _TRACER
+    previous, _TRACER = _TRACER, tracer
+    try:
+        yield tracer
+    finally:
+        _TRACER = previous
 
 
 def parse_sample_interval(value: "str | None") -> int:

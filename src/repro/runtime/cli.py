@@ -63,8 +63,9 @@ Subcommands
     Observability tooling: ``report`` rolls merged trace files (from
     ``REPRO_TRACE_DIR`` or ``fleet run --trace-dir``) into a
     flamegraph-style span tree with an attributed-span digest;
-    ``profile`` runs one scenario episode under the per-kernel
-    profiler and prints where engine time goes; ``watch`` renders a live fleet
+    ``profile`` runs one scenario episode under an in-memory
+    tracer and prints its ``engine.*`` rows (the seven kernel-stage
+    laps among them); ``watch`` renders a live fleet
     health board (burn sparklines, open incidents) from a fleet
     checkpoint or a serving telemetry export; ``incidents`` queries
     an SLO incident timeline (filter by objective/severity/event)
@@ -102,7 +103,7 @@ Examples
     python -m repro fleet run --cells 8 --slo default \
         --slo-timeline incidents.jsonl --fail-fast
     python -m repro obs report .repro_trace
-    python -m repro obs profile --scenario flash_crowd --alloc
+    python -m repro obs profile --scenario flash_crowd
     python -m repro obs watch --checkpoint fleet.jsonl --once
     python -m repro obs incidents incidents.jsonl --severity page
     python -m repro obs diagnose fleet.jsonl --top 3

@@ -548,6 +548,37 @@ class TestCliSurface:
         assert main(["obs", "diagnose",
                      str(tmp_path / "nowhere.jsonl")]) == 2
 
+    @pytest.mark.parametrize("damage", ["header_field", "middle_line",
+                                        "shard_result"])
+    def test_a_damaged_checkpoint_is_not_read_as_telemetry(
+            self, artifacts, tmp_path, capsys, damage):
+        """Only a file that is no checkpoint at all (empty, or a first
+        row that is no fleet header) falls back to the telemetry
+        reader; a checkpoint damaged past that exits 2 with one line
+        naming the checkpoint and ``path:lineno``."""
+        with open(artifacts["checkpoints"][2], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if damage == "header_field":
+            header = json.loads(lines[0])
+            del header["snapshot_digest"]
+            lines[0] = json.dumps(header)
+        elif damage == "middle_line":
+            lines[1] = lines[1][:40]
+        else:
+            shard = json.loads(lines[1])
+            shard["result"]["fields"]["bogus"] = 1
+            lines[1] = json.dumps(shard)
+        lineno = 1 if damage == "header_field" else 2
+        path = str(tmp_path / "damaged.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["obs", "diagnose", path, "--slo",
+                     artifacts["spec"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read checkpoint: ")
+        assert f"{path}:{lineno}: " in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_diagnose_reads_telemetry_exports(self, artifacts,
                                               tmp_path, capsys):
         exports = tmp_path / "telemetry"

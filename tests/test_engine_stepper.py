@@ -431,6 +431,14 @@ class TestCounters:
             "bundle_builds": 1, "bundle_splices": 2,
             "fleet_adoptions": 1, "bank_readoptions": 2,
             "event_slots": 2}
+        # one lap per kernel stage and call, under the stepper's span
+        laps = {row["path"]: row["count"] for row in report["rows"]
+                if "/engine.kernel/" in row["path"]}
+        assert laps == {
+            f"engine.step/engine.kernel/engine.kernel.{stage}": 96
+            for stage in ("decode", "radio", "transport", "core",
+                          "edge", "apps", "state")}
+        assert report["kernel_calls"] == 96
         assert main(["obs", "profile", "--scenario", "default"]) == 0
         assert "engine counters: bank_readoptions 0, bundle_builds 1, " \
             "bundle_splices 0, event_slots 0, fleet_adoptions 1\n" \

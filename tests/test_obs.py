@@ -4,10 +4,11 @@ Covers the four obs pillars end to end: structured tracing (span
 nesting, sampling, cross-process merge, the shard-invariant
 attributed digest), the generalized metrics registry (labels,
 Prometheus export, the serve re-export), the perf-trajectory
-recorder (record/validate/load), and the opt-in kernel profiler -- plus the determinism contracts the layer
+recorder (record/validate/load), and the kernel-stage laps -- plus the determinism contracts the layer
 must never break (golden workload digests with tracing on).
 """
 
+import ast
 import json
 import os
 import re
@@ -27,9 +28,10 @@ from repro.obs.metrics import (
     parse_key,
 )
 from repro.obs.profile import KernelProfiler
-from repro.obs.profile import begin as profile_begin
 from repro.obs.trace import (
     NULL_SPAN,
+    Tracer,
+    active,
     configure,
     disable,
     enabled,
@@ -335,82 +337,101 @@ def test_service_records_stage_histograms(snapshot):
     assert stage_ms <= batch_ms
 
 
-# ---- kernel profiler -------------------------------------------------
+# ---- kernel-stage laps ----------------------------------------------
+
+STAGES = ("decode", "radio", "transport", "core", "edge", "apps",
+          "state")
+
+
+def _stepped_world(steps):
+    """A fresh ``default`` world, reset, then stepped ``steps`` times
+    at a fixed allocation; returns every step's per-slice results."""
+    spec = get_scenario("default")
+    cfg = spec.build_config()
+    simulator = spec.build_simulator(
+        cfg, rng=np.random.default_rng(cfg.seed))
+    simulator.reset()
+    actions = {name: np.full(NUM_ACTIONS, 0.15)
+               for name in simulator.slice_names}
+    return [simulator.step(actions) for _ in range(steps)]
+
+
+def _harness_kernels():
+    """``benchmarks/e2e/workloads.py``'s ``KERNELS``, read without
+    importing the harness."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "benchmarks", "e2e", "workloads.py")
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    value, = [node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "KERNELS"]
+    return ast.literal_eval(value)
 
 
 class TestProfiler:
-    def test_hook_is_none_when_inactive(self):
-        assert profile_begin() is None
+    def test_hook_is_none_when_inactive(self, monkeypatch):
+        """Tracing off: ``evaluate_rows`` never reaches the tracer."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("Tracer.add reached with tracing off")
 
-    def test_alloc_stops_only_the_tracing_it_started(self):
-        """A caller's own ``tracemalloc`` session outlives an
-        ``alloc=True`` profile; one the profiler started stops with
-        it."""
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        with KernelProfiler(alloc=True):
-            assert tracemalloc.is_tracing()
-        assert not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            with KernelProfiler(alloc=True):
-                pass
-            assert tracemalloc.is_tracing()
-        finally:
-            tracemalloc.stop()
-
-    def test_sampling_interval_skips_calls(self):
-        with KernelProfiler(sample_interval=2) as profiler:
-            laps = [profile_begin() for _ in range(4)]
-        assert [lap is not None for lap in laps] == \
-            [True, False, True, False]
-        assert profiler.calls == 4
+        monkeypatch.setattr(Tracer, "add", refuse)
+        assert not enabled()
+        assert _stepped_world(2)
 
     def test_engine_integration_reports_every_kernel(self):
-        spec = get_scenario("default")
-        cfg = spec.build_config()
-        simulator = spec.build_simulator(
-            cfg, rng=np.random.default_rng(cfg.seed))
-        simulator.reset()
-        actions = {name: np.full(NUM_ACTIONS, 0.15)
-                   for name in simulator.slice_names}
-        with KernelProfiler() as profiler:
-            for _ in range(3):
-                simulator.step(actions)
-        kernels = {row["kernel"] for row in profiler.report()}
-        assert kernels == {"decode", "radio", "transport", "core",
-                           "edge", "apps", "state"}
-        assert all(row["laps"] == 3 for row in profiler.report())
-
-    def test_est_total_scales_by_sample_interval(self):
-        clock = iter(float(i) for i in range(100))
-        profiler = KernelProfiler(sample_interval=4,
-                                  clock=lambda: next(clock))
-        lap = profiler.begin()
-        lap.lap("decode")
-        rows = profiler.report()
-        assert rows[0]["est_total_ms"] == \
-            pytest.approx(rows[0]["sampled_ms"] * 4)
+        """One ``engine.kernel.<stage>`` row per stage and call, under
+        ``engine.step/engine.kernel`` on the stepper; the
+        ``engine.kernel`` span's child time is exactly their sum."""
+        tracer = configure(path=None)
+        _stepped_world(3)
+        rollup = tracer.rollup()
+        kernel = rollup[("engine.step/engine.kernel", ())]
+        laps = {path.rsplit("/", 1)[-1]: entry
+                for (path, _), entry in rollup.items()
+                if "engine.kernel." in path}
+        assert set(laps) == {f"engine.kernel.{s}" for s in STAGES}
+        assert all(
+            ("engine.step/engine.kernel/" + name, ()) in rollup
+            for name in laps)
+        assert all(entry["count"] == 3 for entry in laps.values())
+        assert kernel["count"] == 3
+        assert kernel["child_ms"] == pytest.approx(
+            sum(entry["total_ms"] for entry in laps.values()),
+            rel=1e-12)
 
     def test_profiler_off_does_not_change_results(self):
-        spec = get_scenario("default")
+        def outputs():
+            return [{name: (r.cost, r.usage, r.report)
+                     for name, r in results.items()}
+                    for results in _stepped_world(3)]
 
-        def run():
-            cfg = spec.build_config()
-            simulator = spec.build_simulator(
-                cfg, rng=np.random.default_rng(cfg.seed))
-            simulator.reset()
-            actions = {name: np.full(NUM_ACTIONS, 0.15)
-                       for name in simulator.slice_names}
-            results = simulator.step(actions)
-            return {name: (r.cost, r.usage)
-                    for name, r in results.items()}
+        baseline = outputs()
+        configure(path=None)
+        traced = outputs()
+        disable()
+        assert traced == baseline == outputs()
 
-        baseline = run()
+    def test_shim_reports_the_harness_kernels(self):
+        """The frozen harness's ``with KernelProfiler():`` view: one
+        row per ``KERNELS`` entry, each with ``kernel`` and
+        ``est_total_ms``; the tracer installed before the block is
+        the one installed after it."""
+        before = configure(path=None)
+        with KernelProfiler() as profiler:
+            assert active() is profiler.tracer
+            _stepped_world(4)
+        assert active() is before
+        rows = profiler.report()
+        assert sorted(row["kernel"] for row in rows) == \
+            sorted(_harness_kernels())
+        assert all(row["est_total_ms"] > 0 for row in rows)
+        # the block's spans went to the shim, not the displaced tracer
+        assert not before.rollup()
+        disable()
         with KernelProfiler():
-            profiled = run()
-        assert baseline == profiled
+            assert active() is not None
+        assert active() is None
 
 
 # ---- perf trajectory -------------------------------------------------

@@ -907,18 +907,6 @@ def test_obs_profile_reports_the_serve_counters(capsys):
         out.index("serve counters: decide_calls 96, ")
 
 
-@pytest.mark.parametrize("sample", ["0", "-2"])
-def test_obs_profile_refuses_a_sample_below_one(sample, capsys):
-    """The parser refuses it (exit 2, one error line), before any
-    baseline is fitted or snapshot built."""
-    with pytest.raises(SystemExit) as excinfo:
-        cli_main(["obs", "profile", "--sample", sample])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --sample: must be >= 1, got {sample}" in err
-    assert "Traceback" not in err
-
-
 # ---- one replay driver -------------------------------------------------
 
 
