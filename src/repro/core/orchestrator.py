@@ -15,92 +15,38 @@ coordinators and the end-to-end network (paper Fig. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.baselines.projection import project_actions
-from repro.config import ACTION_NAMES, ExperimentConfig
+from repro.config import ExperimentConfig
 from repro.core.agent import OnSlicingAgent
-from repro.domains.base import DomainManager
-from repro.domains.cdm import CoreDomainManager
 from repro.domains.coordinator import ParameterCoordinator
-from repro.domains.edm import EdgeDomainManager
-from repro.domains.rdm import RadioDomainManager
-from repro.domains.tdm import TransportDomainManager
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import lockstep
 from repro.sim.env import ScenarioSimulator, SliceObservation
-from repro.sim.network import (
-    CONSTRAINED_RESOURCES,
-    EndToEndNetwork,
-    SlotReport,
-)
+from repro.sim.network import CONSTRAINED_RESOURCES
 
 
 @dataclass
 class DomainManagerSet:
-    """The four domain managers over one network instance.
+    """Eq. 14's parameter coordinators, one per domain manager that
+    owns constrained kinds (RDM, TDM, EDM), in
+    ``CONSTRAINED_RESOURCES`` order."""
 
-    Each manager is lifecycle, per-slice configuration with isolation
-    enforced, and (for the three that own constrained kinds) a
-    parameter coordinator; none of them models performance.  "What
-    would this configuration deliver?" has one answer for all four,
-    :meth:`evaluate_slot`.
-    """
-
-    rdm: RadioDomainManager
-    tdm: TransportDomainManager
-    cdm: CoreDomainManager
-    edm: EdgeDomainManager
+    coordinators: List[ParameterCoordinator]
 
     @classmethod
     def for_simulator(cls, simulator: ScenarioSimulator,
                       coordinator_step: float = 0.5
                       ) -> "DomainManagerSet":
-        network = simulator.network
-        managers = cls(
-            rdm=RadioDomainManager(coordinator_step=coordinator_step),
-            tdm=TransportDomainManager(network.fabric,
-                                       coordinator_step=coordinator_step),
-            cdm=CoreDomainManager(network.core),
-            edm=EdgeDomainManager(network.edge,
-                                  coordinator_step=coordinator_step),
-        )
-        for name in simulator.slice_names:
-            for manager in managers:
-                manager.create_slice(name)
-        return managers
-
-    def __iter__(self) -> Iterator[DomainManager]:
-        return iter((self.rdm, self.tdm, self.cdm, self.edm))
-
-    @property
-    def coordinators(self) -> List[ParameterCoordinator]:
-        return [self.rdm.coordinator, self.tdm.coordinator,
-                self.edm.coordinator]
-
-    def slot_action(self, name: str) -> np.ndarray:
-        """The 10-dim action the four managers' current configuration
-        of slice ``name`` amounts to (each contributes its own
-        dimensions, see :meth:`DomainManager.action_terms`)."""
-        terms: Dict[str, float] = {}
-        for manager in self:
-            terms.update(manager.action_terms(name))
-        return np.array([terms[dim] for dim in ACTION_NAMES])
-
-    def evaluate_slot(self, network: EndToEndNetwork,
-                      arrival_rates: Mapping[str, float]
-                      ) -> Dict[str, SlotReport]:
-        """What the managers' configuration would deliver on
-        ``network`` at these arrival rates: the configured slices'
-        actions through the kernels (``network.evaluate_slot``), under
-        the network's current channels and fabric conditions.  (Eq. 9
-        ``usage`` counts ``U_l``, so it reflects the mid-bin encoding
-        of the configured path.)"""
-        return network.evaluate_slot(
-            {name: self.slot_action(name)
-             for name in network.slice_names}, arrival_rates)
+        """The three coordinators at ``coordinator_step``; the
+        simulator is not read."""
+        return cls([
+            ParameterCoordinator(kinds, step_size=coordinator_step)
+            for kinds in (("uplink_prb", "downlink_prb"),
+                          ("transport_bandwidth",), ("cpu", "ram"))])
 
 
 @dataclass(frozen=True)
@@ -201,7 +147,6 @@ class OnSlicingOrchestrator:
 
     def __init__(self, simulator: ScenarioSimulator,
                  agents: Dict[str, OnSlicingAgent],
-                 managers: Optional[DomainManagerSet] = None,
                  cfg: Optional[ExperimentConfig] = None) -> None:
         missing = set(simulator.slice_names) - set(agents)
         if missing:
@@ -209,11 +154,9 @@ class OnSlicingOrchestrator:
         self.simulator = simulator
         self.agents = agents
         self.cfg = cfg or ExperimentConfig()
-        self.managers = managers if managers is not None else \
-            DomainManagerSet.for_simulator(
-                simulator,
-                coordinator_step=self.cfg.agent.modifier
-                .coordinator_step_size)
+        self.managers = DomainManagerSet.for_simulator(
+            simulator,
+            coordinator_step=self.cfg.agent.modifier.coordinator_step_size)
         self.interaction_counts: List[int] = []
         self.epoch_history: List[EpochStats] = []
         self._batch = BatchSimulator([simulator])

@@ -1,32 +1,14 @@
-"""Domain managers: RDM, TDM, CDM, EDM (paper Sec. 6).
+"""Eq. 14's parameter coordinators (paper Sec. 4 and 6).
 
-Each manager virtualises one technical domain's infrastructure, exposes
-a unified REST-style interface toward the OnSlicing agents, enforces
-per-slice isolation, and hosts a :class:`ParameterCoordinator` that
-updates the coordinating parameters ``beta_k`` of the distributed
-coordination mechanism (paper Eq. 14).
+In the paper each domain manager hosts a :class:`ParameterCoordinator`
+that updates the coordinating parameters ``beta_k`` of the distributed
+coordination mechanism for the resource kinds its domain owns.  The
+managers' other duties -- configuring a real RAN, SDN fabric, CUPS EPC
+and Docker host -- are the testbed's control plane; this reproduction
+enforces what they enforce in the action decode, these coordinators
+and the capacity projection.
 """
 
-from repro.domains.base import (
-    DomainManager,
-    Request,
-    Response,
-    ResourceConstraintError,
-)
 from repro.domains.coordinator import ParameterCoordinator
-from repro.domains.rdm import RadioDomainManager
-from repro.domains.tdm import TransportDomainManager
-from repro.domains.cdm import CoreDomainManager
-from repro.domains.edm import EdgeDomainManager
 
-__all__ = [
-    "CoreDomainManager",
-    "DomainManager",
-    "EdgeDomainManager",
-    "ParameterCoordinator",
-    "RadioDomainManager",
-    "Request",
-    "Response",
-    "ResourceConstraintError",
-    "TransportDomainManager",
-]
+__all__ = ["ParameterCoordinator"]

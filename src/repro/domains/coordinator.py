@@ -14,24 +14,23 @@ as the start point at the current time slot" -- the warm start is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
-import numpy as np
+#: ``L_k_max``: every constrained resource's capacity, normalised.
+CAPACITY = 1.0
 
 
 class ParameterCoordinator:
     """Tracks ``beta_k`` for the resource kinds of one domain manager."""
 
     def __init__(self, resource_kinds: Iterable[str],
-                 step_size: float = 0.5, capacity: float = 1.0,
-                 warm_start: bool = True) -> None:
+                 step_size: float = 0.5, warm_start: bool = True) -> None:
         if step_size <= 0:
             raise ValueError("step_size must be positive")
         self.resource_kinds = tuple(resource_kinds)
         if not self.resource_kinds:
             raise ValueError("coordinator needs at least one resource")
         self.step_size = step_size
-        self.capacity = capacity
         self.warm_start = warm_start
         self._beta: Dict[str, float] = {
             kind: 0.0 for kind in self.resource_kinds}
@@ -55,11 +54,11 @@ class ParameterCoordinator:
         """One sub-gradient step from the total requested shares.
 
         ``requested_totals[kind]`` is ``sum_i a_hat_i_k``; the capacity
-        ``L_k_max`` is normalised to ``self.capacity`` (1.0 by default).
+        ``L_k_max`` is :data:`CAPACITY`.
         """
         for kind in self.resource_kinds:
             total = float(requested_totals.get(kind, 0.0))
-            residual = total - self.capacity
+            residual = total - CAPACITY
             self._beta[kind] = max(
                 self._beta[kind] + self.step_size * residual, 0.0)
         self._carry = dict(self._beta)
@@ -70,7 +69,7 @@ class ParameterCoordinator:
         """True when no owned resource is over-requested."""
         return all(
             float(requested_totals.get(kind, 0.0))
-            <= self.capacity + tolerance
+            <= CAPACITY + tolerance
             for kind in self.resource_kinds)
 
     def reset(self) -> None:

@@ -59,10 +59,8 @@ Two costs are deliberately *not* paid per slot: per-slice
 ``SliceObservation``/``SlotReport`` object construction (results are
 returned as stacked arrays; ``ScenarioSimulator.step`` builds objects
 at the edge for callers that want them) and substrate mirroring (the
-kernels compute path loads and container allocations directly; a
-stepped world's ``ContainerRuntime`` shares are not refreshed -- they
-are the domain managers' configuration surface, not a record of what
-the stepper executed).
+kernels compute path loads and container allocations directly; no
+substrate object records what the stepper executed).
 """
 
 from __future__ import annotations

@@ -503,7 +503,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if tracer is not None:
         mark = tracer.lap("engine.kernel.transport", mark)
 
-    # ---- core (set_slice_resources + oracle: CoreNetwork.evaluate) ---
+    # ---- core (oracle: CoreNetwork.set_slice_resources + evaluate) ---
     cpu_share = np.clip(cpu, 0.0, 1.0)
     per_cpu = cpu_share / rows.num_sgwu
     cpu_total = np.zeros(rows.num_rows)
@@ -524,7 +524,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if tracer is not None:
         mark = tracer.lap("engine.kernel.core", mark)
 
-    # ---- edge (set_resources + oracle: EdgeServerPool.evaluate) ------
+    # ---- edge (oracle: EdgeServerPool.set_resources + evaluate) ------
     edge_ram_gb = np.clip(ram, 0.0, 1.0) * rows.total_ram_gb
     work_rate = rates * rows.compute_units
     required_ram = work_rate * rows.ram_gb_per_ups

@@ -42,7 +42,7 @@ from repro.core.offline import (
     collect_baseline_rollouts,
     pretrain_agent,
 )
-from repro.core.orchestrator import DomainManagerSet, OnSlicingOrchestrator
+from repro.core.orchestrator import OnSlicingOrchestrator
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import (
     RoutedBatchPolicy,

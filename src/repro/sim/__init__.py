@@ -7,7 +7,8 @@ components as a fluid-flow/queueing simulator so the paper's agents see
 the same action -> performance relationships.  The modules below are
 the testbed's *state and configuration*; the arithmetic that turns an
 allocation into a performance number is one place,
-:func:`repro.engine.kernels.evaluate_rows`:
+:func:`repro.engine.kernels.evaluate_rows`, and its core (SPGW-U) and
+edge (container) stages need only ``cfg.core`` / ``cfg.edge``:
 
 * :mod:`repro.sim.phy` / :mod:`repro.sim.channel` -- CQI/MCS tables,
   the MCS-offset retransmission parameters, per-user channel processes;
@@ -15,10 +16,6 @@ allocation into a performance number is one place,
   scheduler choices;
 * :mod:`repro.sim.transport` -- SDN switch fabric: reserved paths over
   disjoint switch chains and the current link conditions;
-* :mod:`repro.sim.core_network` -- CUPS EPC (HSS/MME/SPGW-C/SPGW-U)
-  lifecycle: pools, subscribers, sessions;
-* :mod:`repro.sim.containers` / :mod:`repro.sim.edge` -- Docker-like
-  container runtime and the per-slice edge servers;
 * :mod:`repro.sim.traffic` -- Telecom-Italia-style traffic traces;
 * :mod:`repro.sim.apps` -- the MAR / HVS / RDC outcome record;
 * :mod:`repro.sim.network` / :mod:`repro.sim.env` -- the composed

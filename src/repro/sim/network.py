@@ -1,10 +1,11 @@
 """The composed end-to-end network: RAN + TN + CN + EN per slot.
 
-:class:`EndToEndNetwork` owns one instance of every substrate (radio
-cell, transport fabric, CUPS core, edge pool, per-slice channels) and
-evaluates a configuration slot: given each slice's resource allocation
-(the 10-dim action) and realised traffic, it produces per-slice
-performance/cost plus the usage and state features the agents consume.
+:class:`EndToEndNetwork` owns the radio cell, the transport fabric and
+the per-slice channels and evaluates a configuration slot: given each
+slice's resource allocation (the 10-dim action) and realised traffic,
+it produces per-slice performance/cost plus the usage and state
+features the agents consume.  The core and edge stages read only
+configuration (``cfg.core`` / ``cfg.edge``).
 
 Slot evaluation runs through the vectorised engine kernels
 (:mod:`repro.engine.kernels`): :meth:`EndToEndNetwork.evaluate_slot` is
@@ -13,8 +14,7 @@ no events, channels, arrivals or episode state -- while *stepping* a
 world is :class:`~repro.engine.batch.BatchSimulator`'s job.  The
 kernels are the model and they are pure: the substrate objects here
 are state and configuration (channels, fabric conditions and path
-hops, pools, sessions, containers and their shares) that the kernels
-read through the row layout and never write.
+hops) that the kernels read through the row layout and never write.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import numpy as np
 from repro.config import NUM_ACTIONS, NetworkConfig, SliceSpec
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import ChannelBank, ChannelProcess
-from repro.sim.containers import ContainerRuntime
-from repro.sim.core_network import CoreNetwork
-from repro.sim.edge import EdgeServerPool
 from repro.sim.ran import RadioCell
 from repro.sim.transport import TransportFabric
 
@@ -76,13 +73,8 @@ class EndToEndNetwork:
         self._rng = rng if rng is not None else np.random.default_rng(17)
         self.cell = RadioCell(self.cfg.ran)
         self.fabric = TransportFabric(self.cfg.transport)
-        runtime = ContainerRuntime(self.cfg.edge.total_cpu_cores,
-                                   self.cfg.edge.total_ram_gb)
-        self.core = CoreNetwork(self.cfg.core, runtime=runtime)
-        self.edge = EdgeServerPool(self.cfg.edge, runtime=runtime)
         self.slices: Dict[str, SliceSpec] = {}
         self.channels: Dict[str, ChannelProcess] = {}
-        self._imsi_counter = 0
         #: Bumped by every slice attach / detach: what holders of
         #: anything derived from the slice set (row layout, channel
         #: bank, a simulator's episode layout) compare to know it is
@@ -102,29 +94,17 @@ class EndToEndNetwork:
     # ---- slice lifecycle ---------------------------------------------
 
     def add_slice(self, spec: SliceSpec) -> None:
-        """Create a slice end to end: SPGW-U pool, edge server, UEs."""
+        """Attach a slice: its spec and its UEs' radio channels."""
         if spec.name in self.slices:
             raise ValueError(f"slice {spec.name!r} already exists")
         self.slices[spec.name] = spec
-        self.core.create_slice_pool(spec.name)
-        self.edge.create_server(spec.name)
         self.channels[spec.name] = ChannelProcess(
             self.cfg.users_per_slice, self._rng)
-        for _ in range(self.cfg.users_per_slice):
-            imsi = f"00101{self._imsi_counter:010d}"
-            self._imsi_counter += 1
-            self.core.hss.provision(imsi, spec.name)
-            self.core.attach(imsi)
         self._slice_set_changed()
 
     def remove_slice(self, name: str) -> None:
         if name not in self.slices:
             raise KeyError(f"no slice {name!r}")
-        for session in list(self.core.sessions_of(name)):
-            self.core.detach(session.imsi)
-            self.core.hss.deprovision(session.imsi)
-        self.core.delete_slice_pool(name)
-        self.edge.delete_server(name)
         del self.channels[name]
         del self.slices[name]
         self._slice_set_changed()
@@ -207,9 +187,9 @@ class EndToEndNetwork:
             Slice name -> 10-dim action in [0, 1], one for every slice
             of this network and no other (else ``KeyError`` naming the
             slice, before anything is evaluated).  Callers are expected
-            to have already resolved over-requests (the domain managers
-            raise otherwise -- see :mod:`repro.domains`); this method
-            evaluates the network as configured.
+            to have already resolved over-requests (Eq. 14 coordination
+            or the capacity projection); this method evaluates the
+            network as configured.
         arrival_rates:
             Slice name -> realised arrivals per second this slot.
         """

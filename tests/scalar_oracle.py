@@ -15,25 +15,35 @@ tests read the product model instead.
 Where the arithmetic were methods they still are, on same-named
 subclasses of the product classes that kept the state they read
 (``RadioCell``: the PRB budget; ``PhyModel``: the four BLER
-parameters; ``TransportFabric``: conditions and path hops;
-``CoreNetwork`` / ``EdgeServerPool``: pools, servers and container
-shares).  :class:`ScalarSubstrates` -- the only new code -- builds one
-set of them shadowing an ``EndToEndNetwork``.
+parameters; ``TransportFabric``: conditions and path hops).  The
+product no longer keeps SPGW-U pools, edge servers or container
+shares, so ``CoreNetwork`` / ``EdgeServerPool`` subclass private
+bases instead: the methods of the deleted product classes (and of
+their container runtime) that the two ``evaluate`` methods and the
+kernels test call, bodies copied verbatim, with constructors that set
+only the fields those methods read.
+:class:`ScalarSubstrates` -- the only new code -- builds one set of
+them shadowing an ``EndToEndNetwork``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import MAX_MCS_OFFSET, NUM_ACTIONS, SliceSpec
-from repro.sim import core_network, edge, phy, ran, transport
+from repro.config import (
+    MAX_MCS_OFFSET,
+    NUM_ACTIONS,
+    CoreConfig,
+    EdgeConfig,
+    SliceSpec,
+)
+from repro.sim import phy, ran, transport
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import ChannelProcess
-from repro.sim.containers import ContainerRuntime
 from repro.sim.phy import NUM_MCS, cqi_to_mcs, mcs_spectral_efficiency
 from repro.sim.queueing import RHO_KNEE
 
@@ -308,7 +318,114 @@ class TransportFabric(transport.TransportFabric):
             achieved_rate_bps=float(achieved), latency_ms=float(latency))
 
 
-# ---- sim/core_network.py -----------------------------------------------
+# ---- the container runtime (run / update / get) ------------------------
+
+
+@dataclass
+class _Container:
+    """One running container with its resource limits."""
+
+    name: str
+    image: str
+    cpu_share: float       # fraction of total host CPU in [0, 1]
+    ram_gb: float
+    labels: Dict[str, str] = field(default_factory=dict)
+    running: bool = True
+
+
+class _ContainerRuntime:
+    """Named containers with CPU-share and RAM limits."""
+
+    def __init__(self, total_cpu_cores: float, total_ram_gb: float
+                 ) -> None:
+        if total_cpu_cores <= 0 or total_ram_gb <= 0:
+            raise ValueError("host capacities must be positive")
+        self.total_cpu_cores = total_cpu_cores
+        self.total_ram_gb = total_ram_gb
+        self._containers: Dict[str, _Container] = {}
+
+    def run(self, name: str, image: str, cpu_share: float = 0.0,
+            ram_gb: float = 0.0,
+            labels: Optional[Dict[str, str]] = None) -> _Container:
+        """``docker run`` -- instantiate a named container."""
+        if name in self._containers:
+            raise ValueError(f"container {name!r} already exists")
+        container = _Container(name=name, image=image,
+                               cpu_share=float(cpu_share),
+                               ram_gb=float(ram_gb),
+                               labels=dict(labels or {}))
+        self._containers[name] = container
+        return container
+
+    def update(self, name: str, cpu_share: Optional[float] = None,
+               ram_gb: Optional[float] = None) -> _Container:
+        """``docker update`` -- adjust resources of a running container."""
+        container = self.get(name)
+        if cpu_share is not None:
+            if cpu_share < 0:
+                raise ValueError("cpu_share must be non-negative")
+            container.cpu_share = float(cpu_share)
+        if ram_gb is not None:
+            if ram_gb < 0:
+                raise ValueError("ram_gb must be non-negative")
+            container.ram_gb = float(ram_gb)
+        return container
+
+    def get(self, name: str) -> _Container:
+        try:
+            return self._containers[name]
+        except KeyError as exc:
+            raise KeyError(f"no container {name!r}") from exc
+
+
+# ---- the CUPS core's SPGW-U pools --------------------------------------
+
+
+class _CoreNetwork:
+    """The CUPS core's per-slice SPGW-U pools (no HSS, sessions or
+    control-plane containers: nothing here reads them)."""
+
+    def __init__(self, cfg: CoreConfig, runtime: _ContainerRuntime
+                 ) -> None:
+        self.cfg = cfg
+        self.runtime = runtime
+        self._pools: Dict[str, List[str]] = {}
+
+    def create_slice_pool(self, slice_name: str,
+                          num_instances: Optional[int] = None) -> List[str]:
+        """Instantiate the SPGW-U pool of a slice (exclusive instances)."""
+        if slice_name in self._pools:
+            raise ValueError(f"slice {slice_name!r} already has a pool")
+        count = (num_instances if num_instances is not None
+                 else self.cfg.num_sgwu_per_slice)
+        if count <= 0:
+            raise ValueError("pool needs at least one SPGW-U")
+        names = []
+        for i in range(count):
+            name = f"spgwu-{slice_name}-{i}"
+            self.runtime.run(name, image="oai-spgwu", cpu_share=0.0,
+                             ram_gb=0.0,
+                             labels={"plane": "user",
+                                     "slice": slice_name})
+            names.append(name)
+        self._pools[slice_name] = names
+        return list(names)
+
+    def pool(self, slice_name: str) -> Sequence[str]:
+        try:
+            return tuple(self._pools[slice_name])
+        except KeyError as exc:
+            raise KeyError(f"slice {slice_name!r} has no pool") from exc
+
+    def set_slice_resources(self, slice_name: str, cpu_share: float,
+                            ram_gb: float) -> None:
+        """Apply ``docker update`` across the slice's SPGW-U pool."""
+        pool = self.pool(slice_name)
+        per_cpu = float(np.clip(cpu_share, 0.0, 1.0)) / len(pool)
+        per_ram = max(ram_gb, 0.0) / len(pool)
+        for name in pool:
+            self.runtime.update(name, cpu_share=per_cpu, ram_gb=per_ram)
+
 
 
 @dataclass(frozen=True)
@@ -321,8 +438,8 @@ class CoreReport:
     utilization: float
 
 
-class CoreNetwork(core_network.CoreNetwork):
-    """The product's pools and container shares plus the SPGW-U
+class CoreNetwork(_CoreNetwork):
+    """The SPGW-U pools and container shares plus the SPGW-U
     processor model."""
 
     def evaluate(self, slice_name: str, offered_rate_bps: float
@@ -351,7 +468,44 @@ class CoreNetwork(core_network.CoreNetwork):
                           utilization=float(min(utilization, 1.0)))
 
 
-# ---- sim/edge.py -------------------------------------------------------
+# ---- the edge servers --------------------------------------------------
+
+
+class _EdgeServerPool:
+    """Per-slice edge compute containers on one workstation host."""
+
+    def __init__(self, cfg: EdgeConfig, runtime: _ContainerRuntime
+                 ) -> None:
+        self.cfg = cfg
+        self.runtime = runtime
+        self._slices: Dict[str, str] = {}
+
+    def create_server(self, slice_name: str) -> str:
+        """Instantiate the slice's edge container (idempotent per slice)."""
+        if slice_name in self._slices:
+            raise ValueError(f"slice {slice_name!r} already has a server")
+        name = f"edge-{slice_name}"
+        self.runtime.run(name, image="edge-app", cpu_share=0.0,
+                         ram_gb=0.0, labels={"slice": slice_name})
+        self._slices[slice_name] = name
+        return name
+
+    def set_resources(self, slice_name: str, cpu_share: float,
+                      ram_share: float) -> None:
+        """``docker update`` with normalised [0, 1] shares."""
+        name = self._container_name(slice_name)
+        self.runtime.update(
+            name, cpu_share=float(np.clip(cpu_share, 0.0, 1.0)),
+            ram_gb=float(np.clip(ram_share, 0.0, 1.0))
+            * self.cfg.total_ram_gb)
+
+    def _container_name(self, slice_name: str) -> str:
+        try:
+            return self._slices[slice_name]
+        except KeyError as exc:
+            raise KeyError(
+                f"slice {slice_name!r} has no edge server") from exc
+
 
 
 @dataclass(frozen=True)
@@ -365,8 +519,8 @@ class EdgeReport:
     ram_penalty: float           # 1.0 = no penalty
 
 
-class EdgeServerPool(edge.EdgeServerPool):
-    """The product's servers and container shares plus the edge
+class EdgeServerPool(_EdgeServerPool):
+    """The edge servers and container shares plus the edge
     processor model."""
 
     def evaluate(self, slice_name: str, offered_rate_ups: float,
@@ -616,8 +770,8 @@ class ScalarSubstrates:
             capacity_scale=net.fabric.capacity_scale,
             extra_latency_ms=net.fabric.extra_latency_ms,
             background_load_fraction=net.fabric.background_load_fraction)
-        runtime = ContainerRuntime(cfg.edge.total_cpu_cores,
-                                   cfg.edge.total_ram_gb)
+        runtime = _ContainerRuntime(cfg.edge.total_cpu_cores,
+                                    cfg.edge.total_ram_gb)
         self.core = CoreNetwork(cfg.core, runtime=runtime)
         self.edge = EdgeServerPool(cfg.edge, runtime=runtime)
         for name in net.slices:

@@ -17,7 +17,6 @@ from repro.core.offline import (
     pretrain_agent,
 )
 from repro.core.orchestrator import (
-    DomainManagerSet,
     OnSlicingOrchestrator,
     coordinate_actions,
 )
@@ -183,10 +182,3 @@ class TestOrchestrator:
         assert stats.episodes == 2
         assert set(stats.per_slice_usage) == set(orch.agents)
 
-    def test_domain_manager_set_registers_slices(self, setup):
-        cfg, simulator, *_ = setup
-        managers = DomainManagerSet.for_simulator(simulator)
-        for name in simulator.slice_names:
-            managers.rdm.configure_slice(name, 0.1, 0.1)
-            managers.tdm.configure_slice(name, 0.1)
-        assert len(managers.coordinators) == 3

