@@ -19,7 +19,7 @@ coordinating parameters to collected state-action pairs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,21 +40,20 @@ class CostSurrogate:
 
     def __init__(self, state_dim: int = STATE_DIM,
                  action_dim: int = NUM_ACTIONS,
-                 hidden_sizes: Sequence[int] = (128, 64, 32),
                  rng: Optional[np.random.Generator] = None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(7)
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.network = MLP(state_dim + action_dim, 1,
-                           hidden_sizes=hidden_sizes,
+                           hidden_sizes=(128, 64, 32),
                            output_activation="sigmoid",
                            rng=self._rng, name="cost_surrogate")
         self._optim = Adam(self.network.parameters(), lr=1e-3)
 
     def fit(self, states: np.ndarray, actions: np.ndarray,
-            costs: np.ndarray, epochs: int = 30,
-            minibatch_size: int = 128) -> List[float]:
-        """Supervised regression on collected transitions."""
+            costs: np.ndarray, epochs: int = 30) -> List[float]:
+        """Supervised regression on collected transitions, in
+        minibatches of 128."""
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=float)
         costs = np.asarray(costs, dtype=float).reshape(-1, 1)
@@ -66,8 +65,8 @@ class CostSurrogate:
         for _ in range(epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
-            for start in range(0, n, minibatch_size):
-                idx = order[start:start + minibatch_size]
+            for start in range(0, n, 128):
+                idx = order[start:start + 128]
                 pred = self.network.forward(inputs[idx])
                 loss, grad = mse_loss(pred, costs[idx])
                 self._optim.zero_grad()
@@ -121,22 +120,19 @@ class ActionModifier:
     CORRECTION_SCALE = 0.15
 
     def __init__(self, cfg: Optional[ModifierConfig] = None,
-                 state_dim: int = STATE_DIM,
-                 action_dim: int = NUM_ACTIONS,
-                 surrogate: Optional[CostSurrogate] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.cfg = cfg or ModifierConfig()
         self._rng = rng if rng is not None else np.random.default_rng(9)
-        self.state_dim = state_dim
-        self.action_dim = action_dim
+        self.state_dim = STATE_DIM
+        self.action_dim = NUM_ACTIONS
         self.num_betas = len(CONSTRAINED_RESOURCES)
-        in_dim = state_dim + action_dim + self.num_betas
-        self.network = MLP(in_dim, action_dim,
+        in_dim = STATE_DIM + NUM_ACTIONS + self.num_betas
+        self.network = MLP(in_dim, NUM_ACTIONS,
                            hidden_sizes=self.cfg.hidden_sizes,
                            output_activation="sigmoid",
                            rng=self._rng, name="pi_a")
-        self.surrogate = surrogate if surrogate is not None else \
-            CostSurrogate(state_dim, action_dim, rng=self._rng)
+        self.surrogate = CostSurrogate(STATE_DIM, NUM_ACTIONS,
+                                       rng=self._rng)
         self._optim = Adam(self.network.parameters(),
                            lr=self.cfg.learning_rate)
 
@@ -175,30 +171,28 @@ class ActionModifier:
                 + COST_WEIGHT * cost_grad) / n
         return h, grad
 
-    def train_offline(self, states: np.ndarray, actions: np.ndarray,
-                      epochs: Optional[int] = None,
-                      beta_scale: float = 1.0) -> List[float]:
-        """Offline pi_a training on system data + random betas.
+    def train_offline(self, states: np.ndarray,
+                      actions: np.ndarray) -> List[float]:
+        """Offline pi_a training on system data + random betas, for
+        ``cfg.train_epochs`` epochs.
 
         Builds the paper's dataset: each collected (s, a) pair is
         paired with coordinating parameters drawn uniformly from
-        [0, beta_scale] (plus a share of all-zero betas so the modifier
-        learns to be the identity when nothing is over-requested), then
-        pi_a is updated to minimise H through the frozen surrogate.
+        [0, 1] (plus a share of all-zero betas so the modifier learns
+        to be the identity when nothing is over-requested), then pi_a
+        is updated to minimise H through the frozen surrogate.
         """
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=float)
         n = len(states)
         if n == 0:
             raise ValueError("empty modifier dataset")
-        betas = self._rng.uniform(0.0, beta_scale,
-                                  size=(n, self.num_betas))
+        betas = self._rng.uniform(0.0, 1.0, size=(n, self.num_betas))
         zero_rows = self._rng.random(n) < 0.25
         betas[zero_rows] = 0.0
         inputs = np.concatenate([states, actions, betas], axis=1)
-        epochs = epochs if epochs is not None else self.cfg.train_epochs
         curve: List[float] = []
-        for _ in range(epochs):
+        for _ in range(self.cfg.train_epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
             for start in range(0, n, self.cfg.minibatch_size):

@@ -68,8 +68,6 @@ class OnSlicingAgent:
     def __init__(self, slice_name: str, baseline_policy,
                  horizon: int, cost_threshold: float,
                  cfg: Optional[AgentConfig] = None,
-                 state_dim: int = STATE_DIM,
-                 action_dim: int = NUM_ACTIONS,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.slice_name = slice_name
         self.cfg = cfg or AgentConfig()
@@ -78,7 +76,7 @@ class OnSlicingAgent:
         self.cost_threshold = cost_threshold
         self.baseline = baseline_policy
         self.model = GaussianActorCritic(
-            state_dim, action_dim, policy_cfg=self.cfg.policy,
+            STATE_DIM, NUM_ACTIONS, policy_cfg=self.cfg.policy,
             ppo_cfg=self.cfg.ppo, rng=self._rng)
         self.trainer = PPOTrainer(self.model, cfg=self.cfg.ppo,
                                   rng=self._rng)
@@ -87,15 +85,13 @@ class OnSlicingAgent:
         self.lagrangian = LagrangianMultiplier(
             cost_threshold, cfg=self.cfg.lagrangian)
         self.estimator = CostToGoEstimator(
-            state_dim, cfg=self.cfg.estimator, rng=self._rng)
+            STATE_DIM, cfg=self.cfg.estimator, rng=self._rng)
         self.switch = ProactiveBaselineSwitch(
             self.cfg.switching, horizon, cost_threshold,
             estimator=(self.estimator
                        if self.cfg.switching.use_estimator else None),
             rng=self._rng)
         self.modifier = ActionModifier(self.cfg.modifier,
-                                       state_dim=state_dim,
-                                       action_dim=action_dim,
                                        rng=self._rng)
         # episode bookkeeping
         self.last_executed_action: Optional[np.ndarray] = None

@@ -194,9 +194,10 @@ def pretrain_agent(agent: OnSlicingAgent, dataset: OfflineDataset,
                           dataset_size=len(dataset))
 
 
-def _warm_start_critic(agent: OnSlicingAgent, dataset: OfflineDataset,
-                       epochs: int = 10) -> None:
-    """Fit the critic to discounted penalised returns of the dataset."""
+def _warm_start_critic(agent: OnSlicingAgent,
+                       dataset: OfflineDataset) -> None:
+    """Fit the critic to discounted penalised returns of the dataset
+    (ten full-batch epochs)."""
     from repro.nn.losses import mse_loss
     from repro.nn.optim import Adam, clip_grad_norm
 
@@ -217,7 +218,7 @@ def _warm_start_critic(agent: OnSlicingAgent, dataset: OfflineDataset,
     targets = np.array(returns)
     optim = Adam(agent.model.critic.parameters(),
                  lr=agent.cfg.ppo.value_learning_rate)
-    for _ in range(epochs):
+    for _ in range(10):
         pred = agent.model.critic.forward(states)[:, 0]
         _loss, grad = mse_loss(pred, targets)
         optim.zero_grad()

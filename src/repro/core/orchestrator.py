@@ -248,7 +248,8 @@ class OnSlicingOrchestrator:
         self.epoch_history.append(stats)
         return stats
 
-    def refresh_estimators(self, epochs: int = 3) -> None:
-        """Periodic online pi_phi refresh across agents (Sec. 5)."""
+    def refresh_estimators(self) -> None:
+        """Periodic online pi_phi refresh across agents (Sec. 5), three
+        epochs each."""
         for agent in self.agents.values():
-            agent.refresh_estimator(epochs=epochs)
+            agent.refresh_estimator(epochs=3)

@@ -242,8 +242,9 @@ class SliceRows:
         return SliceRows(**columns)
 
 
-def rows_for_network(network, world: int = 0) -> SliceRows:
-    """Build the static row constants of one world's current slices.
+def rows_for_network(network) -> SliceRows:
+    """Build the static row constants of one world's current slices,
+    as world 0 of a one-world bundle.
 
     ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
     rows follow ``network.slice_names`` order (managed and background
@@ -265,8 +266,8 @@ def rows_for_network(network, world: int = 0) -> SliceRows:
     return SliceRows(
         names=names,
         metrics=[spec.sla.metric for spec in specs],
-        world=np.full(n, world, dtype=np.intp),
-        num_worlds=world + 1,
+        world=np.zeros(n, dtype=np.intp),
+        num_worlds=1,
         app=np.asarray([APP_CODES[spec.app] for spec in specs],
                        dtype=np.intp),
         max_arrival=np.asarray([spec.max_arrival_rate

@@ -109,7 +109,7 @@ BATCH_POLICY_FACTORIES = {
 
 
 def build_method_policies(methods: Optional[Sequence[str]] = None,
-                          scale: float = 0.05, seed: int = 42,
+                          scale: float = 0.05,
                           snapshot_store: Optional[str] = None
                           ) -> Dict[str, Tuple[object, str]]:
     """``label -> (batch policy, cache signature)`` per method.
@@ -133,7 +133,7 @@ def build_method_policies(methods: Optional[Sequence[str]] = None,
             "(their fuzz policies evaluate trained snapshots)")
     cfg = ExperimentConfig()
     snapshots = _ensure_snapshots(snapshot_store, learners,
-                                  scale=scale, seed=seed) \
+                                  scale=scale, seed=42) \
         if learners else {}
     policies: Dict[str, Tuple[object, str]] = {}
     for method in chosen:

@@ -8,7 +8,7 @@ standard PPO parameterisation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -98,22 +98,3 @@ class DiagGaussian:
     def entropy_grad_log_std(self) -> np.ndarray:
         """d entropy / d log_std == 1 for every dimension."""
         return np.ones(self.dim)
-
-    def kl_divergence(self, other_mean: np.ndarray, mean: np.ndarray,
-                      other_log_std: Optional[np.ndarray] = None
-                      ) -> np.ndarray:
-        """KL(new || old) between two diagonal Gaussians sharing shapes.
-
-        Used for the PPO ``target_kl`` early-stopping heuristic.
-        """
-        log_std = self._clamped_log_std()
-        if other_log_std is None:
-            other_log_std = log_std
-        var = np.exp(2.0 * log_std)
-        other_var = np.exp(2.0 * other_log_std)
-        mean = np.asarray(mean, dtype=np.float64)
-        other_mean = np.asarray(other_mean, dtype=np.float64)
-        per_dim = (other_log_std - log_std
-                   + (var + (mean - other_mean) ** 2) / (2.0 * other_var)
-                   - 0.5)
-        return per_dim.sum(axis=-1)

@@ -40,7 +40,7 @@ def machine_info() -> Dict[str, object]:
     }
 
 
-def git_rev(cwd: Optional[str] = None) -> str:
+def git_rev() -> str:
     """Short git revision of the working tree -- ``<rev>-dirty`` when
     tracked files differ from it, so a record made on uncommitted
     changes does not pass for its parent's -- ``unknown`` outside
@@ -48,7 +48,7 @@ def git_rev(cwd: Optional[str] = None) -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--exclude=*"],
-            cwd=cwd, capture_output=True, text=True, timeout=10)
+            capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
@@ -91,8 +91,8 @@ def validate(payload: Dict[str, object]) -> None:
 
 def record_result(directory: str, name: str, test: str,
                   samples: List[float],
-                  extra_info: Optional[Dict[str, object]] = None,
-                  metric: str = "seconds") -> str:
+                  extra_info: Optional[Dict[str, object]] = None
+                  ) -> str:
     """Write/update ``BENCH_<name>.json`` in ``directory`` with one
     test's samples; other tests already recorded in the same file (a
     multi-test bench module, or an earlier run) are kept."""
@@ -114,7 +114,7 @@ def record_result(directory: str, name: str, test: str,
     stddev = (sum((v - mean) ** 2 for v in values)
               / len(values)) ** 0.5 if len(values) > 1 else 0.0
     results[test] = {
-        "metric": metric,
+        "metric": "seconds",
         "samples": values,
         "mean": mean,
         "stddev": stddev,

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.anomaly import AnomalyMonitor, DetectorSpec
+from repro.obs.anomaly import AnomalyMonitor
 from repro.obs.metrics import Telemetry, parse_key
 from repro.obs.slo import IncidentTimeline, SloEvaluator, SloObjective, \
     SloSpec
@@ -60,7 +60,6 @@ EVENT_AFFINITY: Dict[str, Dict[str, float]] = {
     "link_degradation": {"latency": 0.90, "ratio": 0.70, "mean": 0.60},
     "background_load":  {"latency": 0.80, "ratio": 0.60, "mean": 0.55},
     "slice_arrival":    {"latency": 0.50, "ratio": 0.60, "mean": 0.70},
-    "slice_departure":  {"latency": 0.30, "ratio": 0.30, "mean": 0.30},
 }
 #: Prior for event kinds this table has never heard of.
 DEFAULT_AFFINITY = 0.25
@@ -516,9 +515,7 @@ def diagnose_fleet(results: Iterable,
                    slo: SloSpec,
                    fleet: str = "",
                    snapshot_ref: str = "",
-                   snapshot_digest: str = "",
-                   detectors: Optional[Sequence[DetectorSpec]] = None
-                   ) -> DiagnosisReport:
+                   snapshot_digest: str = "") -> DiagnosisReport:
     """Diagnose a fleet campaign from its shard results.
 
     ``results`` comes from a live ``run_fleet`` (via the checkpoint)
@@ -527,7 +524,7 @@ def diagnose_fleet(results: Iterable,
     them, then judges breaches and hypotheses on the final state (see
     module docstring for what the digest covers).
     """
-    monitor = AnomalyMonitor(detectors)
+    monitor = AnomalyMonitor()
     state = replay_shards(results, slo=slo, monitor=monitor)
     incidents, hypotheses = _judge(slo, state.telemetry, state.cells,
                                    state.events, snapshot_ref,

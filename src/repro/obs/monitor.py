@@ -24,20 +24,24 @@ from typing import Dict, Optional, Sequence
 from repro.obs.slo import IncidentTimeline, ObjectiveStatus, SloEvaluator
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
+#: Newest values a sparkline shows.
+SPARK_WIDTH = 24
+#: Newest flagged points the anomalies pane lists.
+ANOMALY_LIMIT = 6
 
 #: Status column glyph + label by severity (None = healthy).
 SEVERITY_LABELS = {None: "ok", "warn": "WARN", "page": "PAGE"}
 
 
-def sparkline(values: Sequence[float], width: int = 24) -> str:
+def sparkline(values: Sequence[float]) -> str:
     """Render a value series as a fixed-width unicode sparkline.
 
-    The newest ``width`` values are scaled against the series max (a
-    burn of 0 is always the lowest glyph), so a flat healthy history
-    reads as a flat low line and spikes stand out regardless of
-    scale.
+    The newest :data:`SPARK_WIDTH` values are scaled against the
+    series max (a burn of 0 is always the lowest glyph), so a flat
+    healthy history reads as a flat low line and spikes stand out
+    regardless of scale.
     """
-    tail = [max(float(v), 0.0) for v in values][-width:]
+    tail = [max(float(v), 0.0) for v in values][-SPARK_WIDTH:]
     if not tail:
         return ""
     top = max(tail)
@@ -93,14 +97,13 @@ def format_open_incidents(timeline: IncidentTimeline) -> str:
     return "\n".join(lines)
 
 
-def format_anomalies(points: Sequence[Dict],
-                     limit: int = 6) -> str:
+def format_anomalies(points: Sequence[Dict]) -> str:
     """The active-anomalies pane: the newest flagged detector points
     (see :meth:`repro.obs.anomaly.AnomalyMonitor.anomalies`)."""
     if not points:
         return "no anomalies flagged"
     lines = [f"{len(points)} anomalous point(s):"]
-    for point in points[-limit:]:
+    for point in points[-ANOMALY_LIMIT:]:
         lines.append(
             f"  [{'/'.join(point['kinds'])}] {point['detector']} "
             f"at t={point['at']:g} value {point['value']:.4f} "

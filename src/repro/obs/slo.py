@@ -35,7 +35,10 @@ carrying the offending instrument key, burn rates, optional per-cell /
 per-scenario attribution, and exemplar trace-span references when a
 tracer is active -- with a deterministic :meth:`IncidentTimeline
 .digest` (volatile fields excluded, clock injectable) so CI can pin
-whole alert sequences.  :meth:`SloEvaluator.compare` is the
+whole alert sequences.  A timeline file is written start to end by
+one evaluator and read back read-only (:meth:`IncidentTimeline.load`);
+a run continues by replaying its checkpoint into a fresh timeline,
+never by appending to an old one.  :meth:`SloEvaluator.compare` is the
 point-in-time verdict the future canary controller will call:
 "is the candidate's telemetry at least as healthy as the incumbent's,
 objective by objective?".
@@ -198,9 +201,6 @@ class SloSpec:
 
 
 def default_slo_spec(latency_budget_ms: float = 200.0,
-                     violation_ceiling: float = 0.05,
-                     fallback_ceiling: float = 0.10,
-                     cost_ceiling: float = 1.0,
                      fast_window: float = 1.0,
                      slow_window: float = 3.0) -> SloSpec:
     """The stock health contract over the serving stack's instruments.
@@ -209,10 +209,11 @@ def default_slo_spec(latency_budget_ms: float = 200.0,
     scenario's simulated end-to-end envelope (~145-155 ms) and
     comfortably below a sustained transport degradation (the
     ``transport_brownout`` scenario adds 60 ms), so healthy fleets
-    read ``ok`` and brownouts page.  Ratio ceilings are chosen so the
-    SRE thresholds are *reachable* (a ceiling of c caps burn at 1/c);
-    the fallback objective overrides them, since a fallback rate of
-    1.0 only burns 10x against its 0.10 ceiling.
+    read ``ok`` and brownouts page.  Ratio ceilings (0.05 violations,
+    0.10 fallbacks) are chosen so the SRE thresholds are *reachable*
+    (a ceiling of c caps burn at 1/c); the fallback objective
+    overrides them, since a fallback rate of 1.0 only burns 10x
+    against its 0.10 ceiling.  The mean Eq. 10 cost ceiling is 1.0.
 
     Windows default to (1, 3) in the caller's time unit -- tuned for
     the fleet coordinator's shard-checkpoint axis, where a fast window
@@ -231,21 +232,21 @@ def default_slo_spec(latency_budget_ms: float = 200.0,
         SloObjective(
             name="sla-violation-rate", kind="ratio",
             instrument="sla_violations", total="sla_episodes",
-            ceiling=violation_ceiling,
+            ceiling=0.05,
             fast_window=fast_window, slow_window=slow_window,
             description="fraction of (episode, slice) pairs whose "
                         "mean cost broke the paper's SLA threshold"),
         SloObjective(
             name="fallback-rate", kind="ratio",
             instrument="fallbacks", total="decisions",
-            ceiling=fallback_ceiling, page_burn=8.0, warn_burn=4.0,
+            ceiling=0.10, page_burn=8.0, warn_burn=4.0,
             fast_window=fast_window, slow_window=slow_window,
             description="fraction of decisions served by the Eq. 8 "
                         "safe fallback instead of the learned policy"),
         SloObjective(
             name="mean-slot-cost", kind="mean",
             instrument="slice_cost_total", total="slice_slots",
-            ceiling=cost_ceiling, page_burn=1.5, warn_burn=1.0,
+            ceiling=1.0, page_burn=1.5, warn_burn=1.0,
             fast_window=fast_window, slow_window=slow_window,
             description="mean per-slot Eq. 10 cost across slices"),
     ))
@@ -261,7 +262,8 @@ DIGEST_FIELDS = ("seq", "event", "incident", "objective", "severity",
                  "kind", "instrument", "at", "burn_fast", "burn_slow",
                  "value", "attribution")
 #: Fields every incident row must carry to load: the ones the
-#: evaluator's restart path and the timeline's readers key on.
+#: timeline's readers (``obs incidents`` filters, the dashboard's
+#: open-incidents pane) key on.
 INCIDENT_FIELDS = ("seq", "event", "incident", "objective", "severity",
                    "at")
 
@@ -292,11 +294,8 @@ class IncidentTimeline:
             self._fh.flush()
 
     @classmethod
-    def load(cls, path: str, append: bool = False,
-             clock: Callable[[], float] = time.time
-             ) -> "IncidentTimeline":
-        """Parse a timeline file; ``append=True`` keeps it open for
-        further records (the evaluator-restart path).  Torn-tail /
+    def load(cls, path: str) -> "IncidentTimeline":
+        """Parse a timeline file, read-only.  Torn-tail /
         corruption policy: :func:`~repro.obs.metrics.read_jsonl`.  A
         file whose first row is not this format's header (a fleet
         checkpoint, say) and an incident row lacking one of
@@ -320,11 +319,7 @@ class IncidentTimeline:
                 raise ValueError(f"{path}:{lineno}: incident row lacks "
                                  f"{', '.join(missing)}")
             records.append(row)
-        timeline = cls(path=path if append else None, clock=clock,
-                       records=records)
-        if append:
-            timeline._fh = open(path, "a", encoding="utf-8")
-        return timeline
+        return cls(records=records)
 
     def append(self, record: Dict) -> Dict:
         record = dict(record)
@@ -395,9 +390,9 @@ class SloEvaluator:
     telemetry: counters and histograms only ever grow, and fleet
     prefixes merge monotonically); each objective reads its fast and
     slow windows off one :class:`~repro.obs.metrics.WindowedSeries`.
-    Restarting mid-stream is safe: pass the loaded
-    timeline and already-open incidents stay open (no duplicate
-    ``open`` records), resolving normally when the burn clears.
+    The timeline must start empty: a fleet run continues by replaying
+    its checkpoint (:class:`~repro.obs.diagnose.ShardReplay`), which
+    re-derives every record from the first shard on.
     """
 
     def __init__(self, spec: SloSpec,
@@ -405,6 +400,12 @@ class SloEvaluator:
                  attribution_hook: Optional[
                      Callable[[SloObjective, Dict], Sequence[Dict]]]
                  = None) -> None:
+        if timeline is not None and timeline.records:
+            raise ValueError(
+                f"the incident timeline already holds "
+                f"{len(timeline.records)} record(s); a fleet run "
+                f"continues by replaying its checkpoint (ShardReplay) "
+                f"into a fresh timeline")
         self.spec = spec
         self.timeline = timeline if timeline is not None \
             else IncidentTimeline()
@@ -427,20 +428,6 @@ class SloEvaluator:
         self._rows = tuple(
             (o, self._series[o.name], self._status[o.name], o.allowance)
             for o in spec.objectives)
-        # Restart dedup: adopt the loaded timeline's open incidents so
-        # a persisting condition updates/resolves them instead of
-        # re-opening duplicates.
-        for record in self.timeline.records:
-            name = record["objective"]
-            if name in self._counts:
-                self._counts[name] = max(
-                    self._counts[name],
-                    int(record["incident"].rsplit("#", 1)[-1]))
-        for name, record in self.timeline.open_incidents().items():
-            status = self._status.get(name)
-            if status is not None:
-                status.severity = record["severity"]
-                status.incident = record["incident"]
 
     # ---- the streaming step -----------------------------------------
 
@@ -567,8 +554,9 @@ class SloEvaluator:
                 "rows": rows, "candidate_ok": ok}
 
 
-def _trace_exemplars(limit: int = 3) -> List[Dict]:
-    """Exemplar span references from the active tracer, if any.
+def _trace_exemplars() -> List[Dict]:
+    """Exemplar span references from the active tracer, if any: its
+    three rollup rows with the most total time.
 
     Volatile by nature (trace file names carry pids, counts depend on
     flush timing) -- attached to incident records for debugging,
@@ -584,7 +572,7 @@ def _trace_exemplars(limit: int = 3) -> List[Dict]:
         return []
     rollup = tracer.rollup()
     top = sorted(rollup.items(),
-                 key=lambda item: -item[1]["total_ms"])[:limit]
+                 key=lambda item: -item[1]["total_ms"])[:3]
     exemplars = []
     for (path, attrs), entry in top:
         exemplars.append({"span": path, "attrs": dict(attrs),

@@ -15,18 +15,17 @@ manager -- cheap enough to leave in every hot path.  When a
 and folded into an in-memory aggregation keyed by ``(path, attrs)``
 where *path* is the ``/``-joined stack of active span names, so the
 rollup is a flamegraph: ``fleet.shard/serve.decide/serve.forward``.
-Individual span events are *sampled* (one JSONL row every
-``sample_interval``-th occurrence of a key) so trace files stay small
-at full instrumentation density.
 
-Trace files are self-describing JSONL -- a ``header`` row, sampled
-``span`` rows, and aggregated ``stats`` rows written on flush (deltas:
-the aggregation clears on flush, so appends from long runs remain
-correct).  Files from different processes merge by concatenation;
-:func:`read_rollup` sums ``stats`` rows across any set of files or
-directories, and :func:`rollup_digest` hashes the *attributed* span
-profile (rows carrying at least one non-volatile attribute, counts
-only) -- the serving core reports one ``serve.decide`` row (and its
+Trace files are self-describing JSONL -- a ``header`` row and the
+aggregated ``stats`` rows written on flush (deltas: the aggregation
+clears on flush, so appends from long runs remain correct), one row
+per key however many spans it counts, so files stay small at full
+instrumentation density.  Files from different processes merge by
+concatenation; :func:`read_rollup` sums ``stats`` rows across any set
+of files or directories (refusing a malformed one by ``path:lineno``),
+and :func:`rollup_digest` hashes the *attributed* span profile (rows
+carrying at least one non-volatile attribute, counts only) -- the
+serving core reports one ``serve.decide`` row (and its
 stage children) per slot per cell with ``cell``/``scenario`` attrs
 (:meth:`Tracer.add`: it decides many cells per call, so it counts
 them rather than opening a span each), however the cells are packed
@@ -46,17 +45,18 @@ import atexit
 import contextlib
 import hashlib
 import json
+import math
 import os
 import time
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from repro.obs.metrics import jsonl_files, read_jsonl
+from repro.obs.metrics import jsonl_files, read_jsonl_numbered
 
 TRACE_FORMAT = 1
-DEFAULT_SAMPLE_INTERVAL = 16
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
-ENV_TRACE_SAMPLE = "REPRO_TRACE_SAMPLE"
+#: Fields every ``stats`` row carries; all but ``path`` are numbers.
+STATS_FIELDS = ("path", "count", "total_ms", "child_ms")
 #: Attributes that legitimately differ between equivalent runs
 #: (process ids, shard indices); excluded from the rollup digest.
 VOLATILE_ATTRS = frozenset({"pid", "shard", "worker"})
@@ -119,29 +119,23 @@ def _attrs_key(attrs: Dict[str, Any]) -> AttrsKey:
 
 
 class Tracer:
-    """Aggregating span recorder with sampled JSONL event emission.
+    """Aggregating span recorder.
 
     ``path=None`` keeps everything in memory (the overhead-gate and
-    unit-test mode); with a path, sampled span events and flushed
-    aggregation deltas are appended as JSONL.  Single-threaded per
-    process by design -- every repro worker is a process, not a
-    thread.
+    unit-test mode); with a path, flushed aggregation deltas are
+    appended as JSONL.  Single-threaded per process by design -- every
+    repro worker is a process, not a thread.
     """
 
     def __init__(self, path: Optional[str] = None,
-                 sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
                  clock: Callable[[], float] = time.perf_counter,
                  label: str = "proc") -> None:
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
         self.path = path
         self.label = label
-        self.sample_interval = sample_interval
         self.clock = clock
         self._stack: List[_Span] = []
-        # key -> [count, total_s, child_s, sampled]
+        # key -> [count, total_s, child_s]
         self._stats: Dict[RollupKey, List[float]] = {}
-        self._pending: List[str] = []
         self._header_written = False
 
     # ---- recording ---------------------------------------------------
@@ -153,22 +147,10 @@ class Tracer:
         key = (span.path, _attrs_key(span.attrs))
         stats = self._stats.get(key)
         if stats is None:
-            stats = self._stats[key] = [0, 0.0, 0.0, 0]
+            stats = self._stats[key] = [0, 0.0, 0.0]
         stats[0] += 1
         stats[1] += duration
         stats[2] += span.child_s
-        if self.path is not None and (
-                self.sample_interval == 1
-                or stats[0] % self.sample_interval == 1):
-            stats[3] += 1
-            row = {"kind": "span", "path": span.path,
-                   "dur_ms": duration * 1e3,
-                   "self_ms": (duration - span.child_s) * 1e3}
-            if span.attrs:
-                row["attrs"] = {k: str(v) for k, v in span.attrs.items()}
-            self._pending.append(json.dumps(row))
-            if len(self._pending) >= 512:
-                self._write_pending()
 
     def add(self, name: str, attrs: Dict[str, Any], count: int = 1,
             total_s: float = 0.0, child_s: float = 0.0) -> None:
@@ -177,10 +159,9 @@ class Tracer:
         attributed units of work in one call reports per unit.
 
         The rollup counts are those of ``count`` ``trace(name,
-        **attrs)`` blocks run under the innermost open span; no
-        sampled event rows are emitted.  ``total_s`` is the time the
-        caller attributes to them (``child_s`` of it inside their own
-        children).  A ``/`` in ``name`` places the rows deeper below
+        **attrs)`` blocks run under the innermost open span.
+        ``total_s`` is the time the caller attributes to them
+        (``child_s`` of it inside their own children).  A ``/`` in ``name`` places the rows deeper below
         the open span; their time is then already part of the
         shallower row's total, so only a ``/``-less add counts towards
         the open span's child time.
@@ -192,7 +173,7 @@ class Tracer:
         key = (path, _attrs_key(attrs))
         stats = self._stats.get(key)
         if stats is None:
-            stats = self._stats[key] = [0, 0.0, 0.0, 0]
+            stats = self._stats[key] = [0, 0.0, 0.0]
         stats[0] += count
         stats[1] += total_s
         stats[2] += child_s
@@ -209,41 +190,35 @@ class Tracer:
     def rollup(self) -> Dict[RollupKey, Dict[str, float]]:
         """The in-memory aggregation (unflushed spans only)."""
         return {key: {"count": stats[0], "total_ms": stats[1] * 1e3,
-                      "child_ms": stats[2] * 1e3, "sampled": stats[3]}
+                      "child_ms": stats[2] * 1e3}
                 for key, stats in self._stats.items()}
 
-    def _write_pending(self) -> None:
+    def flush(self) -> None:
+        """Append the aggregation *deltas* to the trace file (after
+        its header, on the file's first write) and clear the
+        aggregation, so repeated flushes from a long-lived process
+        never double-count."""
         if self.path is None:
             return
+        lines = []
+        for (path, attrs), stats in sorted(self._stats.items()):
+            row: Dict[str, Any] = {
+                "kind": "stats", "path": path,
+                "count": stats[0], "total_ms": stats[1] * 1e3,
+                "child_ms": stats[2] * 1e3}
+            if attrs:
+                row["attrs"] = dict(attrs)
+            lines.append(json.dumps(row) + "\n")
+        self._stats.clear()
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             if not self._header_written and fh.tell() == 0:
                 fh.write(json.dumps(
                     {"kind": "header", "format": TRACE_FORMAT,
-                     "label": self.label, "pid": os.getpid(),
-                     "sample_interval": self.sample_interval}) + "\n")
+                     "label": self.label, "pid": os.getpid()}) + "\n")
             self._header_written = True
-            for line in self._pending:
-                fh.write(line + "\n")
-        self._pending.clear()
-
-    def flush(self) -> None:
-        """Append pending sampled spans plus aggregation *deltas* to
-        the trace file and clear the aggregation (so repeated flushes
-        from a long-lived process never double-count)."""
-        if self.path is None:
-            return
-        for (path, attrs), stats in sorted(self._stats.items()):
-            row: Dict[str, Any] = {
-                "kind": "stats", "path": path,
-                "count": stats[0], "total_ms": stats[1] * 1e3,
-                "child_ms": stats[2] * 1e3, "sampled": stats[3]}
-            if attrs:
-                row["attrs"] = dict(attrs)
-            self._pending.append(json.dumps(row))
-        self._stats.clear()
-        self._write_pending()
+            fh.writelines(lines)
 
 
 # ---- module-level switchboard ---------------------------------------
@@ -272,15 +247,12 @@ def enabled() -> bool:
 
 
 def configure(path: Optional[str] = None,
-              sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
-              clock: Callable[[], float] = time.perf_counter,
               label: str = "proc") -> Tracer:
     """Install a tracer for this process (replacing any current one)."""
     global _TRACER
     if _TRACER is not None:
         _TRACER.flush()
-    _TRACER = Tracer(path=path, sample_interval=sample_interval,
-                     clock=clock, label=label)
+    _TRACER = Tracer(path=path, label=label)
     return _TRACER
 
 
@@ -309,38 +281,6 @@ def installed(tracer: Tracer) -> Iterator[Tracer]:
         _TRACER = previous
 
 
-def parse_sample_interval(value: "str | None") -> int:
-    """Validate a ``REPRO_TRACE_SAMPLE`` setting into an interval.
-
-    Integers >= 1 are a plain every-Nth interval; floats in (0, 1]
-    are a sampling *rate* (0.1 -> every 10th span).  Everything else
-    -- junk text, NaN, inf, zero, negatives -- raises ``ValueError``
-    naming the variable, instead of surfacing as an opaque crash (or,
-    worse, a silently skewed trace) deep inside a run.
-    """
-    if value is None or value == "":
-        return DEFAULT_SAMPLE_INTERVAL
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_TRACE_SAMPLE}={value!r} is not a number; expected "
-            "an integer interval >= 1 (sample every Nth span) or a "
-            "rate in (0, 1]")
-    if parsed != parsed or parsed in (float("inf"), float("-inf")) \
-            or parsed <= 0:
-        raise ValueError(
-            f"{ENV_TRACE_SAMPLE}={value!r} must be a finite positive "
-            "number: an integer interval >= 1 or a rate in (0, 1]")
-    if parsed < 1.0:
-        return max(1, round(1.0 / parsed))
-    if parsed != int(parsed):
-        raise ValueError(
-            f"{ENV_TRACE_SAMPLE}={value!r}: intervals above 1 must be "
-            "whole numbers of spans (or pass a rate in (0, 1])")
-    return int(parsed)
-
-
 def configure_from_env(label: str = "proc") -> Optional[Tracer]:
     """Install a file-backed tracer if ``REPRO_TRACE_DIR`` is set.
 
@@ -348,8 +288,7 @@ def configure_from_env(label: str = "proc") -> Optional[Tracer]:
     writes its own ``trace-<label>-<pid>.jsonl``, so concurrent fleet
     shards and pool workers never contend on one file; the reader
     merges.  A flush is registered via ``atexit`` so short-lived
-    workers leave complete files behind.  ``REPRO_TRACE_SAMPLE``
-    tunes sampling (see :func:`parse_sample_interval`).
+    workers leave complete files behind.
     """
     global _TRACER
     if _TRACER is not None:
@@ -357,10 +296,9 @@ def configure_from_env(label: str = "proc") -> Optional[Tracer]:
     directory = os.environ.get(ENV_TRACE_DIR)
     if not directory:
         return None
-    sample = parse_sample_interval(os.environ.get(ENV_TRACE_SAMPLE))
     path = os.path.join(directory,
                         f"trace-{label}-{os.getpid()}.jsonl")
-    tracer = configure(path=path, sample_interval=sample, label=label)
+    tracer = configure(path=path, label=label)
     atexit.register(flush)
     return tracer
 
@@ -370,23 +308,42 @@ def configure_from_env(label: str = "proc") -> Optional[Tracer]:
 def read_rollup(paths: Sequence[str]) \
         -> Dict[RollupKey, Dict[str, float]]:
     """Merge the ``stats`` rows of any set of trace files/directories
-    into one rollup (the mergeable cross-process read path)."""
+    into one rollup (the mergeable cross-process read path).
+
+    Rows follow the :func:`~repro.obs.metrics.read_jsonl` policy; rows
+    of other kinds are skipped.  A ``stats`` row lacking one of
+    :data:`STATS_FIELDS`, or holding anything but a finite number in
+    a numeric one, raises ``ValueError`` naming ``path:lineno`` and
+    the field.
+    """
     rollup: Dict[RollupKey, Dict[str, float]] = {}
     for file_path in jsonl_files(paths):
-        for row in read_jsonl(file_path):
+        for lineno, row in read_jsonl_numbered(file_path):
             if row.get("kind") != "stats":
                 continue
-            attrs = tuple(sorted(
-                (str(k), str(v))
-                for k, v in (row.get("attrs") or {}).items()))
-            key = (str(row["path"]), attrs)
+            for name in STATS_FIELDS:
+                value = row.get(name)
+                if value is None:
+                    raise ValueError(f"{file_path}:{lineno}: stats row "
+                                     f"lacks {name}")
+                if name != "path" and not (
+                        type(value) in (int, float)
+                        and math.isfinite(value)):
+                    raise ValueError(
+                        f"{file_path}:{lineno}: stats row {name} "
+                        f"{value!r} is not a finite number")
+            attrs = row.get("attrs") or {}
+            if not isinstance(attrs, dict):
+                raise ValueError(f"{file_path}:{lineno}: stats row "
+                                 f"attrs is not an object")
+            key = (str(row["path"]),
+                   tuple(sorted((str(k), str(v))
+                                for k, v in attrs.items())))
             entry = rollup.setdefault(
-                key, {"count": 0, "total_ms": 0.0,
-                      "child_ms": 0.0, "sampled": 0})
+                key, {"count": 0, "total_ms": 0.0, "child_ms": 0.0})
             entry["count"] += int(row["count"])
             entry["total_ms"] += float(row["total_ms"])
             entry["child_ms"] += float(row["child_ms"])
-            entry["sampled"] += int(row.get("sampled", 0))
     return rollup
 
 
@@ -453,6 +410,5 @@ def rollup_rows(rollup: Dict[RollupKey, Dict[str, float]]) \
             "path": path, "attrs": dict(attrs),
             "count": int(entry["count"]),
             "total_ms": entry["total_ms"],
-            "self_ms": entry["total_ms"] - entry["child_ms"],
-            "sampled": int(entry["sampled"])})
+            "self_ms": entry["total_ms"] - entry["child_ms"]})
     return rows

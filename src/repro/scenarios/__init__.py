@@ -9,8 +9,7 @@ into a parameter:
   timeline, network overrides) with ``build_config`` /
   ``build_simulator`` materialisers;
 * :mod:`repro.scenarios.traffic_models` -- compositional envelope
-  generators (diurnal, flash crowd, MMPP on/off, mix drift, file
-  replay);
+  generators (diurnal, flash crowd, MMPP on/off, mix drift);
 * :mod:`repro.scenarios.events` -- mid-episode network events (link
   degradation, latency surge, background load, slice churn) executed
   through hooks in :class:`~repro.sim.env.ScenarioSimulator`;
@@ -32,7 +31,6 @@ from repro.scenarios.events import (
     LinkDegradation,
     NetworkEvent,
     SliceArrival,
-    SliceDeparture,
 )
 from repro.scenarios.fuzz import (
     FuzzSpace,
@@ -66,7 +64,6 @@ from repro.scenarios.traffic_models import (
     MixDriftTraffic,
     OnOffTraffic,
     ScaledTraffic,
-    TraceReplayTraffic,
     TrafficModel,
 )
 
@@ -94,9 +91,7 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioSpec",
     "SliceArrival",
-    "SliceDeparture",
     "SliceTemplate",
-    "TraceReplayTraffic",
     "TrafficModel",
     "all_specs",
     "corpus_digest",

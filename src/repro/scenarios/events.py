@@ -21,8 +21,11 @@ unmodified while the world shifts under them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Tuple
+
+from repro.config import SLICE_SPEC_BUILDERS
 
 
 def slot_window(at_fraction: float, duration_fraction: float,
@@ -50,8 +53,9 @@ class NetworkEvent:
     def __post_init__(self) -> None:
         if not 0.0 <= self.at_fraction <= 1.0:
             raise ValueError("at_fraction must be in [0, 1]")
-        if self.duration_fraction < 0.0:
-            raise ValueError("duration_fraction must be >= 0")
+        if not (math.isfinite(self.duration_fraction)
+                and self.duration_fraction >= 0.0):
+            raise ValueError("duration_fraction must be finite and >= 0")
 
     def start_slot(self, horizon: int) -> int:
         """First slot (inclusive) at which the event is active."""
@@ -88,8 +92,9 @@ class LatencySurge(NetworkEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.extra_latency_ms < 0:
-            raise ValueError("extra_latency_ms must be >= 0")
+        if not (math.isfinite(self.extra_latency_ms)
+                and self.extra_latency_ms >= 0):
+            raise ValueError("extra_latency_ms must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,11 @@ class SliceArrival(NetworkEvent):
     """A background slice attaches mid-episode and departs when the
     event's duration elapses (slice churn).
 
-    The simulator provisions it end to end (SPGW-U pool, edge server,
-    UEs), drives it with a constant ``action_level`` allocation and a
-    flat traffic envelope, and removes it again at ``end_slot`` -- or
-    at an explicit :class:`SliceDeparture` naming it.
+    The simulator adds it to the network as an ``app`` slice (one of
+    the paper's templates) with ``arrival_scale`` times its peak
+    arrival rate, drives it with a constant ``action_level``
+    allocation and a flat traffic envelope, and removes it again at
+    ``end_slot``.
     """
 
     kind: ClassVar[str] = "slice_arrival"
@@ -126,27 +132,18 @@ class SliceArrival(NetworkEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        apps = tuple(SLICE_SPEC_BUILDERS)
+        if self.app not in apps:
+            raise ValueError(f"app must be one of {apps}, got "
+                             f"{self.app!r}")
         if not self.slice_name:
             raise ValueError("slice_name must be non-empty")
+        if not (math.isfinite(self.arrival_scale)
+                and self.arrival_scale > 0.0):
+            raise ValueError("arrival_scale must be finite and > 0")
         if not 0.0 < self.action_level <= 1.0:
             raise ValueError("action_level must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class SliceDeparture(NetworkEvent):
-    """Explicitly remove a background slice added by a prior
-    :class:`SliceArrival` (duration is irrelevant: departures are
-    instantaneous)."""
-
-    kind: ClassVar[str] = "slice_departure"
-
-    slice_name: str = "churn"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.slice_name:
-            raise ValueError("slice_name must be non-empty")
-
-
 EVENT_TYPES = (LinkDegradation, LatencySurge, BackgroundLoadStep,
-               SliceArrival, SliceDeparture)
+               SliceArrival)

@@ -135,9 +135,9 @@ def _draw_events(rng: np.random.Generator, space: FuzzSpace
 
     Churn arrivals get unique ``FZ<k>`` names, disjoint from the
     ``{APP}{index}`` population naming, so a generated spec never
-    trips the simulator's arrival-collision guard.  Departures are
-    implicit (an arrival expires at its window's end), matching how
-    the shrinker wants timelines to stay independently droppable.
+    trips the simulator's arrival-collision guard.  An arrival
+    departs when its window ends, so every event of a timeline stays
+    independently droppable for the shrinker.
     """
     count = int(rng.integers(0, space.max_events + 1))
     events: List[NetworkEvent] = []
@@ -237,12 +237,11 @@ def scenario_family(spec: ScenarioSpec) -> str:
     traffic = ("diurnal" if spec.traffic is None
                else type(spec.traffic).__name__)
     kinds = {getattr(event, "kind", "?") for event in spec.events}
-    churn = {"slice_arrival", "slice_departure"}
     if not kinds:
         profile = "none"
-    elif kinds <= churn:
+    elif kinds == {"slice_arrival"}:
         profile = "churn"
-    elif kinds & churn:
+    elif "slice_arrival" in kinds:
         profile = "mixed"
     else:
         profile = "faults"

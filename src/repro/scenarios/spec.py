@@ -107,23 +107,21 @@ class ScenarioSpec:
             kwargs["slices"] = specs
         return ExperimentConfig(**kwargs)
 
-    def event_timeline(self, horizon: Optional[int] = None
-                       ) -> Tuple[Dict, ...]:
+    def event_timeline(self) -> Tuple[Dict, ...]:
         """The resolved event schedule as plain JSON-safe rows.
 
         Each row carries the event ``kind``, its concrete
-        ``start_slot`` / ``end_slot`` under ``horizon`` (defaulting to
-        the spec's own episode length), the fractional placement it
-        was resolved from, and the event's remaining parameters under
-        ``params``.  This is the shard-checkpoint / diagnosis view of
+        ``start_slot`` / ``end_slot`` under the spec's own episode
+        length, the fractional placement it was resolved from, and
+        the event's remaining parameters under ``params``.  This is
+        the shard-checkpoint / diagnosis view of
         "what was injected when" -- slot rounding goes through
         :func:`~repro.scenarios.events.slot_window` via the event
         methods, so it matches what the simulator executes exactly.
         """
-        if horizon is None:
-            traffic = self.traffic_cfg if self.traffic_cfg is not None \
-                else TrafficConfig()
-            horizon = traffic.slots_per_episode
+        traffic = self.traffic_cfg if self.traffic_cfg is not None \
+            else TrafficConfig()
+        horizon = traffic.slots_per_episode
         rows = []
         for event in self.events:
             params = {

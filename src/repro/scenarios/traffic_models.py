@@ -17,8 +17,6 @@ toward video" is a plain expression over these classes.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -214,78 +212,5 @@ class MixDriftTraffic(TrafficModel):
         return self._clip(trace * ramp)
 
 
-#: Parsed replay traces, keyed by (path, column, mtime, size).
-_REPLAY_CACHE: dict = {}
-
-
-@dataclass(frozen=True)
-class TraceReplayTraffic(TrafficModel):
-    """Replay a measured trace from a file (``.npy``, ``.csv``, or
-    ``.json`` holding a numeric array / list of rows).
-
-    The trace is resampled to the episode length with linear
-    interpolation and, when ``normalize`` is set, rescaled so its peak
-    is 1.0.  ``column`` selects a column of 2-D inputs (e.g. one base
-    station of a Telecom-Italia export); slices replay the same
-    envelope -- wrap in :class:`ScaledTraffic` / compose per-slice
-    scenarios for heterogeneous replays.
-    """
-
-    path: str = ""
-    column: int = 0
-    normalize: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.path:
-            raise ValueError("path must name a trace file")
-
-    def _load(self) -> np.ndarray:
-        if not os.path.exists(self.path):
-            raise FileNotFoundError(
-                f"trace file not found: {self.path!r}")
-        # One read per file version: envelope() runs once per slice per
-        # episode, far too often to re-parse an immutable trace.
-        stat = os.stat(self.path)
-        key = (os.path.abspath(self.path), self.column,
-               stat.st_mtime_ns, stat.st_size)
-        cached = _REPLAY_CACHE.get(key)
-        if cached is not None:
-            return cached
-        ext = os.path.splitext(self.path)[1].lower()
-        if ext == ".npy":
-            data = np.load(self.path, allow_pickle=False)
-        elif ext == ".csv":
-            data = np.loadtxt(self.path, delimiter=",", ndmin=1)
-        elif ext == ".json":
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = np.asarray(json.load(fh), dtype=float)
-        else:
-            raise ValueError(
-                f"unsupported trace format {ext!r} "
-                "(expected .npy, .csv, or .json)")
-        data = np.asarray(data, dtype=float)
-        if data.ndim == 2:
-            data = data[:, self.column]
-        if data.ndim != 1 or data.size < 2:
-            raise ValueError(
-                "trace must be a 1-D series with >= 2 points")
-        data.setflags(write=False)  # shared across instances
-        _REPLAY_CACHE[key] = data
-        return data
-
-    def envelope(self, slice_index: int, num_slots: int,
-                 day_index: int, cfg: TrafficConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-        data = self._load()
-        if self.normalize:
-            peak = float(np.max(np.abs(data)))
-            if peak > 0:
-                data = data / peak
-        src = np.linspace(0.0, 1.0, data.size)
-        dst = np.linspace(0.0, 1.0, num_slots)
-        return self._clip(np.interp(dst, src, data))
-
-
 TRAFFIC_MODEL_TYPES = (DiurnalTraffic, ConstantTraffic, ScaledTraffic,
-                       FlashCrowdTraffic, OnOffTraffic,
-                       MixDriftTraffic, TraceReplayTraffic)
+                       FlashCrowdTraffic, OnOffTraffic, MixDriftTraffic)

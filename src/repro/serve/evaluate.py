@@ -24,7 +24,6 @@ from repro.serve.policy_store import PolicySnapshot
 
 def evaluate_snapshot(snapshot: PolicySnapshot, scenario=None,
                       episodes: int = 1,
-                      slices: Optional[int] = None,
                       seed: Optional[int] = None) -> MethodResult:
     """Deterministic service-side evaluation of a snapshot.
 
@@ -36,7 +35,7 @@ def evaluate_snapshot(snapshot: PolicySnapshot, scenario=None,
     generator = LoadGenerator(snapshot,
                               scenario if scenario is not None
                               else snapshot.scenario,
-                              slices=slices, seed=seed)
+                              seed=seed)
     report = generator.run(episodes=episodes)
     return MethodResult(
         method=METHOD_LABELS[snapshot.method],

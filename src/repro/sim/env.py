@@ -171,7 +171,7 @@ class ScenarioSimulator:
     per slice, and an event timeline (duck-typed objects carrying a
     ``kind`` tag -- see :mod:`repro.scenarios.events`) injects
     mid-episode network faults and slice churn.  Churn events manage
-    *background* slices: the simulator provisions them end to end,
+    *background* slices: the simulator attaches them to the network,
     drives them with a fixed allocation, and keeps them out of the
     per-slice results, so learning agents see only resource pressure.
     """
@@ -195,8 +195,7 @@ class ScenarioSimulator:
         self._events = tuple(events)
         for event in self._events:
             if getattr(event, "kind", None) not in (
-                    _CONDITION_EVENT_KINDS
-                    + ("slice_arrival", "slice_departure")):
+                    _CONDITION_EVENT_KINDS + ("slice_arrival",)):
                 raise ValueError(f"unknown event kind on {event!r}")
         # The timeline at this horizon, resolved once: when each event
         # starts and ends, and the only slots at which
@@ -264,10 +263,9 @@ class ScenarioSimulator:
     # ---- event timeline --------------------------------------------------
 
     def _remove_event_slice(self, name: str) -> None:
-        if name in self._event_slices:
-            self.network.remove_slice(name)
-            del self._event_slices[name]
-            self._traces.pop(name, None)
+        self.network.remove_slice(name)
+        del self._event_slices[name]
+        self._traces.pop(name, None)
 
     def _activate(self, event) -> None:
         if event.kind == "slice_arrival":
@@ -282,21 +280,7 @@ class ScenarioSimulator:
             self._event_slices[name] = np.full(NUM_ACTIONS,
                                                event.action_level)
             self._traces[name] = np.ones(self.horizon)
-            self._active_events.append(event)
-        elif event.kind == "slice_departure":
-            if (event.slice_name in self.network.slices
-                    and event.slice_name not in self._event_slices):
-                raise ValueError(
-                    f"cannot depart managed slice {event.slice_name!r};"
-                    " churn applies to background slices only")
-            self._remove_event_slice(event.slice_name)
-            # also retire the arrival so its own expiry is a no-op
-            self._active_events = [
-                e for e in self._active_events
-                if not (e.kind == "slice_arrival"
-                        and e.slice_name == event.slice_name)]
-        else:
-            self._active_events.append(event)
+        self._active_events.append(event)
 
     def _deactivate(self, event) -> None:
         self._active_events.remove(event)

@@ -77,18 +77,6 @@ class TestDiagGaussian:
         np.testing.assert_array_equal(dist.entropy_grad_log_std(),
                                       np.ones(5))
 
-    def test_kl_zero_for_same(self):
-        dist = DiagGaussian(3)
-        mean = np.array([0.1, 0.5, 0.9])
-        assert float(dist.kl_divergence(mean, mean)) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_kl_positive_for_shifted(self):
-        dist = DiagGaussian(3)
-        a = np.array([0.1, 0.5, 0.9])
-        b = a + 0.1
-        assert float(dist.kl_divergence(a, b)) > 0
-
     def test_log_std_clamped(self):
         dist = DiagGaussian(2, initial_log_std=-10.0,
                             min_log_std=-3.0)

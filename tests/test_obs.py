@@ -108,24 +108,21 @@ class TestTracer:
 
     def test_sampled_span_rows_and_stats_deltas(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        configure(path=path, sample_interval=4)
+        configure(path=path)
         for _ in range(10):
             with trace("engine.step"):
                 pass
         disable()                                    # flushes
-        kinds = {"header": 0, "span": 0, "stats": 0}
         with open(path, "r", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
-        for row in rows:
-            kinds[row["kind"]] += 1
-        # occurrences 1, 5, 9 get sampled at interval 4
-        assert kinds == {"header": 1, "span": 3, "stats": 1}
-        stats = [r for r in rows if r["kind"] == "stats"][0]
-        assert stats["count"] == 10 and stats["sampled"] == 3
+        # the file holds the aggregate only: no per-span rows
+        assert [row["kind"] for row in rows] == ["header", "stats"]
+        assert rows[1]["path"] == "engine.step"
+        assert rows[1]["count"] == 10
 
     def test_flush_deltas_never_double_count(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        tracer = configure(path=path, sample_interval=1)
+        tracer = configure(path=path)
         with trace("a"):
             pass
         tracer.flush()
@@ -139,7 +136,7 @@ class TestTracer:
     def test_read_rollup_merges_files_and_directories(self, tmp_path):
         for label in ("one", "two"):
             configure(path=str(tmp_path / f"trace-{label}.jsonl"),
-                      sample_interval=1, label=label)
+                      label=label)
             with trace("serve.decide", cell=7):
                 pass
             disable()
@@ -182,7 +179,7 @@ def test_tracing_never_perturbs_golden_workloads(name):
     first-episode digest is identical with tracing on."""
     spec = scenarios.get(name)
     untraced = scenarios.first_episode_trace_digest(spec)
-    configure(path=None, sample_interval=1)
+    configure(path=None)
     traced = scenarios.first_episode_trace_digest(spec)
     disable()
     assert traced == untraced
@@ -204,7 +201,7 @@ def test_fleet_trace_digest_invariant_to_shard_count(snapshot,
             # one file per (shard, sharding level), like one per
             # process in a real fleet run
             configure(path=str(directory / f"trace-{index}.jsonl"),
-                      sample_interval=16, label=f"shard{index}")
+                      label=f"shard{index}")
             run_fleet_shard(plan, snapshot=snapshot)
             disable()
         rollup = read_rollup([str(directory)])

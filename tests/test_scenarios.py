@@ -224,32 +224,6 @@ class TestTrafficModels:
                                  scale=1.5)
         assert self.envelope(model)[0] == pytest.approx(0.75)
 
-    def test_replay_csv_and_npy(self, tmp_path):
-        series = np.array([0.0, 2.0, 4.0, 2.0, 0.0])
-        csv = tmp_path / "trace.csv"
-        np.savetxt(csv, series, delimiter=",")
-        model = sc.TraceReplayTraffic(path=str(csv))
-        trace = self.envelope(model, slots=9)
-        assert trace.shape == (9,)
-        assert trace.max() == pytest.approx(1.0)   # normalised peak
-        assert trace[0] == pytest.approx(0.0)
-        npy = tmp_path / "trace.npy"
-        np.save(npy, series)
-        trace2 = self.envelope(
-            sc.TraceReplayTraffic(path=str(npy)), slots=9)
-        np.testing.assert_allclose(trace, trace2)
-
-    def test_replay_errors(self, tmp_path):
-        with pytest.raises(ValueError):
-            sc.TraceReplayTraffic(path="")
-        missing = sc.TraceReplayTraffic(path=str(tmp_path / "no.csv"))
-        with pytest.raises(FileNotFoundError):
-            self.envelope(missing)
-        bad = tmp_path / "trace.txt"
-        bad.write_text("1,2,3")
-        with pytest.raises(ValueError, match="unsupported"):
-            self.envelope(sc.TraceReplayTraffic(path=str(bad)))
-
     def test_model_validation(self):
         with pytest.raises(ValueError):
             sc.OnOffTraffic(on_level=0.1, off_level=0.5)
@@ -279,6 +253,25 @@ class TestEvents:
             sc.SliceArrival(slice_name="")
         with pytest.raises(ValueError):
             sc.NetworkEvent(at_fraction=1.5)
+        # what the simulator cannot run is refused at construction,
+        # and a tagged-JSON spec decodes through the same checks
+        nan, inf = float("nan"), float("inf")
+        for event, field in (
+                (sc.LatencySurge, {"extra_latency_ms": nan}),
+                (sc.LatencySurge, {"extra_latency_ms": inf}),
+                (sc.LinkDegradation, {"duration_fraction": nan}),
+                (sc.BackgroundLoadStep, {"duration_fraction": inf}),
+                (sc.SliceArrival, {"app": "video"}),
+                (sc.SliceArrival, {"arrival_scale": -1.0}),
+                (sc.SliceArrival, {"arrival_scale": 0.0}),
+                (sc.SliceArrival, {"arrival_scale": nan})):
+            name = next(iter(field))
+            with pytest.raises(ValueError, match=name):
+                event(**field)
+            tagged = to_jsonable(event())
+            tagged["fields"].update(field)
+            with pytest.raises(ValueError, match=name):
+                from_jsonable(json.loads(json.dumps(tagged)))
 
     def test_unknown_event_kind_rejected_by_simulator(self):
         class Rogue:
@@ -351,17 +344,6 @@ class TestSimulatorEvents:
         assert sim.network.fabric.capacity_scale == 1.0
         assert sim.network.fabric.extra_latency_ms == 0.0
         assert sim.active_events == []
-
-    def test_departing_managed_slice_rejected(self):
-        spec = sc.ScenarioSpec(
-            name="bad_churn",
-            traffic_cfg=TrafficConfig(slots_per_episode=6),
-            events=(sc.SliceDeparture(at_fraction=0.0,
-                                      slice_name="MAR"),))
-        sim = spec.build_simulator()
-        sim.reset()
-        with pytest.raises(ValueError, match="managed"):
-            sim.step({n: np.full(10, 0.2) for n in sim.slice_names})
 
     def test_traffic_model_drives_traces(self):
         spec = sc.ScenarioSpec(
@@ -496,8 +478,7 @@ class TestSerialization:
     def test_event_roundtrip(self):
         for event in (sc.LinkDegradation(), sc.LatencySurge(),
                       sc.BackgroundLoadStep(),
-                      sc.SliceArrival(app="hvs", slice_name="X"),
-                      sc.SliceDeparture(slice_name="X")):
+                      sc.SliceArrival(app="hvs", slice_name="X")):
             back = roundtrip(event)
             assert back == event and type(back) is type(event)
 

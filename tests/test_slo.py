@@ -10,7 +10,6 @@ fixture, the same way the golden-digest suite pins traffic traces.
 
 import itertools
 import json
-import os
 import re
 
 import numpy as np
@@ -44,10 +43,10 @@ from repro.obs.slo import (
     default_slo_spec,
 )
 from repro.obs.trace import (
-    DEFAULT_SAMPLE_INTERVAL,
-    ENV_TRACE_SAMPLE,
     Tracer,
-    parse_sample_interval,
+    read_rollup,
+    rollup_digest,
+    rollup_rows,
 )
 from repro.runtime.cli import main
 from repro.runtime.serialization import from_jsonable, to_jsonable
@@ -282,36 +281,29 @@ class TestBurnRateWindows:
             ("open", "obj#1"), ("resolve", "obj#1"),
             ("open", "obj#2")]
 
-    def test_restart_keeps_incident_open_and_resolves_it(self,
-                                                         tmp_path):
-        """An evaluator restarted from its own timeline must not
-        re-open the incident it inherited, and the eventual resolve
-        must reference the inherited id with a continuous seq."""
+    def test_evaluator_refuses_a_timeline_that_holds_records(
+            self, tmp_path):
+        """A run continues by replaying its checkpoint into a fresh
+        timeline: an evaluator handed a loaded timeline that already
+        holds records refuses it instead of appending after them."""
         path = str(tmp_path / "timeline.jsonl")
         first = SloEvaluator(PULSE,
                              timeline=IncidentTimeline(path=path))
         # all traffic bad: pages immediately at t=1, stays open
         drive(first, [(10 * i, 10 * i) for i in range(1, 7)])
-        assert [r["event"] for r in first.timeline.records] == ["open"]
         first.timeline.close()
+        loaded = IncidentTimeline.load(path)
+        assert [r["event"] for r in loaded.records] == ["open"]
+        with pytest.raises(ValueError, match=r"1 record\(s\).*"
+                           r"replaying its checkpoint \(ShardReplay\)"):
+            SloEvaluator(PULSE, timeline=loaded)
 
-        second = SloEvaluator(
-            PULSE, timeline=IncidentTimeline.load(path, append=True))
-        assert second.paging            # the open page was adopted
-        # still burning at t=7..8: no duplicate open; clean at t=9
-        drive(second, [(70, 70), (80, 80), (80, 90)], start=7)
-        second.timeline.close()
-
-        merged = IncidentTimeline.load(path)
-        assert [(r["event"], r["incident"], r["seq"])
-                for r in merged.records] == [
-            ("open", "obj#1", 0), ("resolve", "obj#1", 1)]
-        # a later fire on a fresh restart counts onward, not from 1
-        third = SloEvaluator(
-            PULSE, timeline=IncidentTimeline.load(path, append=True))
-        drive(third, [(100, 100)], start=10)
-        assert third.timeline.records[-1]["incident"] == "obj#2"
-        third.timeline.close()
+        # a timeline with no incident rows yet is a fresh start
+        empty = str(tmp_path / "empty.jsonl")
+        IncidentTimeline(path=empty).close()
+        assert SloEvaluator(
+            PULSE, timeline=IncidentTimeline.load(empty)).timeline \
+            .records == []
 
     def test_timeline_load_tolerates_torn_tail(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")
@@ -400,30 +392,6 @@ class TestHistogramInterpolation:
                     for t in sorted(thresholds)]
         assert all(a >= b - 1e-9
                    for a, b in zip(readings, readings[1:]))
-
-
-# ---- trace sampling validation (satellite) ---------------------------
-
-
-class TestTraceSampleValidation:
-    @pytest.mark.parametrize("value,expected", [
-        (None, DEFAULT_SAMPLE_INTERVAL),
-        ("", DEFAULT_SAMPLE_INTERVAL),
-        ("1", 1),
-        ("8", 8),
-        ("1.0", 1),
-        ("0.5", 2),
-        ("0.25", 4),
-        ("0.1", 10),
-    ])
-    def test_valid_settings(self, value, expected):
-        assert parse_sample_interval(value) == expected
-
-    @pytest.mark.parametrize("value", [
-        "junk", "nan", "inf", "-inf", "0", "-3", "2.5"])
-    def test_invalid_settings_name_the_variable(self, value):
-        with pytest.raises(ValueError, match=ENV_TRACE_SAMPLE):
-            parse_sample_interval(value)
 
 
 # ---- fleet wiring ----------------------------------------------------
@@ -797,21 +765,26 @@ class TestCliSurface:
         """One reader, one policy: a torn final line is a writer
         killed mid-append and is tolerated; a damaged earlier line is
         corruption -- ``ValueError`` naming ``path:lineno`` from the
-        library, exit 2 and one line on stderr from the CLI."""
+        library, exit 2 and one line on stderr from the CLI.  A
+        decodable row missing a field its surface requires is refused
+        the same way, naming the field (telemetry names the file)."""
         source = str(tmp_path / "source.jsonl")
         if surface == "checkpoint":
             source = checkpoints["complete"]
             argv = ["obs", "watch", "--once", "--slo",
                     artifacts["spec"], "--checkpoint"]
+            load, required = load_checkpoint, "result"
         elif surface == "timeline":
             evaluate_checkpoint_slo(checkpoints["complete"],
                                     LATENCY_SPEC,
                                     timeline=source).timeline.close()
             argv = ["obs", "incidents"]
+            load, required = IncidentTimeline.load, "incident"
         elif surface == "telemetry":
             counters(decisions=8, fallbacks=1, sla_episodes=4
                      ).export_jsonl(source)
             argv = ["obs", "watch", "--once", "--telemetry-dir"]
+            load, required = read_telemetry, "value"
         else:
             tracer = Tracer(path=source)
             for cell in (0, 1):
@@ -819,9 +792,28 @@ class TestCliSurface:
                     pass
             tracer.flush()
             argv = ["obs", "report"]
+            load, required = (lambda path: read_rollup([path])), \
+                "count"
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         assert len(lines) >= 3
+
+        lacking = str(tmp_path / "lacking.jsonl")
+        row = json.loads(lines[1])
+        del row[required]
+        with open(lacking, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([lines[0], json.dumps(row)] + lines[2:])
+                     + "\n")
+        named = f"{lacking}: " if surface == "telemetry" \
+            else f"{lacking}:2: "
+        with pytest.raises(ValueError, match=re.escape(named)
+                           + f".*{required}"):
+            load(lacking)
+        capsys.readouterr()
+        assert main(argv + [lacking]) == 2
+        message = capsys.readouterr().err.strip()
+        assert named in message and required in message
+        assert len(message.splitlines()) == 1
 
         torn = str(tmp_path / "torn.jsonl")
         with open(torn, "w", encoding="utf-8") as fh:
@@ -841,6 +833,70 @@ class TestCliSurface:
         message = capsys.readouterr().err.strip()
         assert f"{flipped}:2: " in message
         assert len(message.splitlines()) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("count", "ten"), ("total_ms", None), ("child_ms", float("nan")),
+        ("count", True), ("attrs", ["cell", "0"])])
+    def test_trace_stats_row_with_a_bad_value_is_refused(
+            self, field, value, tmp_path, capsys):
+        path = str(tmp_path / "trace.jsonl")
+        row = {"kind": "stats", "path": "serve.decide", "count": 2,
+               "total_ms": 1.0, "child_ms": 0.5, field: value}
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "header", "format": 1}) + "\n")
+            fh.write(json.dumps(row) + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:2: ") + f".*{field}"):
+            read_rollup([path])
+        capsys.readouterr()
+        assert main(["obs", "report", path]) == 2
+        message = capsys.readouterr().err.strip()
+        assert f"{path}:2: " in message and field in message
+        assert len(message.splitlines()) == 1
+
+    def test_trace_file_with_sampled_span_rows_still_rolls_up(
+            self, tmp_path, capsys):
+        """Trace files written before sampling went carry a header
+        ``sample_interval``, per-span ``span`` rows and a ``sampled``
+        column; they roll up to the rows and digest of the same spans
+        written today."""
+        ticks = itertools.count()
+        current = str(tmp_path / "current.jsonl")
+        tracer = Tracer(path=current, clock=lambda: next(ticks) * 1e-3)
+        for cell in (0, 1, 0):
+            with tracer.span("serve.decide",
+                             {"cell": cell, "scenario": "bursty"}):
+                with tracer.span("serve.forward", {}):
+                    pass
+        tracer.flush()
+        with open(current, "r", encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert [row["kind"] for row in rows] == \
+            ["header"] + ["stats"] * 3
+
+        legacy = str(tmp_path / "legacy.jsonl")
+        with open(legacy, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(rows[0], sample_interval=16))
+                     + "\n")
+            for row in rows[1:]:
+                fh.write(json.dumps(
+                    {"kind": "span", "path": row["path"],
+                     "dur_ms": 1.0, "self_ms": 1.0,
+                     "attrs": row.get("attrs", {})}) + "\n")
+            for row in rows[1:]:
+                fh.write(json.dumps(dict(row, sampled=1)) + "\n")
+
+        assert rollup_rows(read_rollup([legacy])) == \
+            rollup_rows(read_rollup([current]))
+        assert rollup_digest(read_rollup([legacy])) == \
+            rollup_digest(read_rollup([current]))
+        reports = []
+        for path in (legacy, current):
+            capsys.readouterr()
+            assert main(["obs", "report", "--json", path]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert all("sampled" not in row for row in reports[0]["rows"])
 
     @pytest.mark.parametrize("argv", [
         ["obs", "watch", "--once", "--telemetry-dir"],

@@ -451,7 +451,7 @@ def test_bulk_trace_count_is_that_many_empty_spans(outer, inner):
     assert rollup[("shard", ())]["child_ms"] == 500.0
     assert rollup[("shard/serve.decide",
                    (("cell", "3"), ("scenario", "bursty")))] == {
-        "count": 2, "total_ms": 500.0, "child_ms": 250.0, "sampled": 0}
+        "count": 2, "total_ms": 500.0, "child_ms": 250.0}
 
 
 # ---- export -> read back ---------------------------------------------
