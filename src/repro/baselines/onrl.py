@@ -76,14 +76,14 @@ class OnRLAgent:
         states = np.asarray(states, dtype=np.float64)
         model = self.model
         means = model.actor.predict_batch(states)
-        actions = model.dist.sample(means, model._rng)
+        actions, log_probs = model.sample(means)
         ppo = self.cfg.ppo
         while len(self.buffers) < len(states):
             self.buffers.append(RolloutBuffer(
                 gamma=ppo.gamma, gae_lambda=ppo.gae_lambda))
         self._pending = {
             "states": states, "actions": actions,
-            "log_probs": model.dist.log_prob(means, actions),
+            "log_probs": log_probs,
             "values": model.critic.predict_batch(states)[:, 0]}
         return actions
 

@@ -18,19 +18,30 @@ refreshing of pi_phi as new baseline-run transitions are observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from operator import attrgetter, is_
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import AgentConfig, NUM_ACTIONS
 from repro.core.action_modifier import ActionModifier
 from repro.core.switching import ProactiveBaselineSwitch, SwitchDecision
+from repro.nn.bayesian import BayesianPosterior
+from repro.nn.slabs import (
+    adopt_mlps,
+    mlp_forward,
+    posterior_span,
+    stack_posteriors,
+)
 from repro.rl.buffer import RolloutBuffer, Transition
-from repro.rl.cost_estimator import CostToGoEstimator
+from repro.rl.cost_estimator import CostToGoEstimator, destandardise
 from repro.rl.lagrangian import LagrangianMultiplier
 from repro.rl.ppo import GaussianActorCritic, PPOTrainer
 from repro.sim.env import STATE_DIM, SliceObservation
+
+_value = attrgetter("value")
 
 
 @dataclass
@@ -104,6 +115,7 @@ class OnSlicingAgent:
         self._baseline_costs: List[float] = []
         self.episodes: List[EpisodeRecord] = []
         self.updates_run = 0
+        self._stack = AgentStack()
         #: Minimum transitions before a PPO update (one paper epoch is
         #: 1000 transitions; we update on a fraction for faster cycles,
         #: and truncated episodes contribute fewer transitions).
@@ -123,15 +135,30 @@ class OnSlicingAgent:
 
     def act(self, observation: SliceObservation,
             deterministic: bool = False) -> ActDecision:
-        """Choose the slot's action: Eq. 8 switch, then pi_theta/pi_b."""
-        state = observation.vector()
-        decision = self.switch.evaluate(state, self._cum_cost,
-                                        self._slot)
+        """Choose the slot's action: Eq. 8 switch, then pi_theta/pi_b.
+
+        The one-row case of :meth:`AgentStack.act`, on a stack of this
+        agent alone (whose slabs are views of its own tables): the
+        floats, draws and bookkeeping of this agent acting beside
+        others."""
+        return self._stack.act([self], [observation],
+                               deterministic=deterministic)[0]
+
+    def _own_part(self, observation, state: np.ndarray,
+                  posterior: Tuple[float, float],
+                  head: Optional[Tuple[np.ndarray, float]],
+                  deterministic: bool) -> ActDecision:
+        """This agent's part of a stacked act: the Eq. 8 latch on
+        pi_phi's ``posterior`` ``(mu, sigma)`` at ``state``, the
+        truncation bootstrap, then pi_b, or the Gaussian head on
+        pi_theta's ``head`` ``(mean, value)`` (``None`` while latched),
+        every draw on this agent's generator."""
+        decision = self.switch.decide(*posterior, self._cum_cost,
+                                      self._slot)
         if decision.newly_triggered and not self._truncated:
             # Truncate the pi_theta episode with a critic bootstrap at
             # the truncation slot (paper Sec. 3).
-            self.buffer.end_episode(
-                bootstrap_value=self.model.value(state))
+            self.buffer.end_episode(bootstrap_value=head[1])
             self._truncated = True
         if decision.use_baseline:
             action = np.asarray(self.baseline.act(observation),
@@ -140,13 +167,15 @@ class OnSlicingAgent:
                              "from_baseline": True}
             return ActDecision(action=action, from_baseline=True,
                                switch=decision)
-        sampled = self.model.act(state, deterministic=deterministic)
+        mean, value = head
+        action, log_prob = self.model.sample(mean, deterministic)
+        log_prob = float(log_prob)
         self._pending = {"state": state, "from_baseline": False,
-                         **sampled}
-        return ActDecision(action=sampled["action"],
-                           from_baseline=False, switch=decision,
-                           log_prob=sampled["log_prob"],
-                           value=sampled["value"])
+                         "action": action, "mean": mean,
+                         "log_prob": log_prob, "value": value}
+        return ActDecision(action=action, from_baseline=False,
+                           switch=decision, log_prob=log_prob,
+                           value=value)
 
     def observe(self, reward: float, cost: float, usage: float,
                 executed_action: Optional[np.ndarray] = None) -> None:
@@ -215,3 +244,123 @@ class OnSlicingAgent:
     @property
     def cumulative_cost(self) -> float:
         return self._cum_cost
+
+
+class AgentStack:
+    """Agents acting as one, slot by slot: the orchestrator's, one per
+    slice (:meth:`OnSlicingOrchestrator.act_batch`), or one alone
+    (:meth:`OnSlicingAgent.act`).
+
+    A slot is one stacked pi_phi closed-form pass over the agents whose
+    Eq. 8 reads it (:attr:`ProactiveBaselineSwitch.watching`), one
+    stacked actor and one stacked critic forward over the agents whose
+    switch has not latched -- ``(S, 1, in, out)`` slabs
+    (:mod:`repro.nn.slabs`), each giving its agent the floats the
+    agent's own networks give -- and then each agent's own part, in
+    order: the Eq. 8 latch with the Est.-Noise draw, the truncation
+    bootstrap, and pi_b or the Gaussian head with its log-density
+    (:meth:`OnSlicingAgent._own_part`).
+
+    Where the slabs live and when they are rebuilt: the actor and
+    critic slabs are shared with the agents' parameters
+    (:func:`~repro.nn.slabs.adopt_mlps`), so a PPO step, which writes
+    them in place, lands in the slab; a parameter rebound since (by
+    ``load_state_dict`` / ``set_weights``), or another list of agents,
+    is seen by identity on the next act and the networks are adopted
+    anew.  The pi_phi slab stacks the agents' frozen
+    :meth:`CostToGoEstimator.posterior` tables and is rebuilt when one
+    of those objects changes (a refresh fit or a load); the target
+    scale is read on every pass.  A copy (``copy``, ``pickle``) keeps
+    no slab and builds its own from its own agents.
+    """
+
+    def __init__(self) -> None:
+        #: ``(agents, actor, critic, parameters, their bound values)``
+        self._networks: Optional[tuple] = None
+        #: ``(stacked table, the frozen tables it stacks)``
+        self._posterior: Optional[tuple] = None
+        self._counters = dict.fromkeys(
+            ("act_calls", "rows_acted", "forward_calls",
+             "posterior_calls", "posterior_rows", "slab_builds"), 0)
+
+    def __getstate__(self) -> Dict:
+        # a copy's parameter arrays are not views of a copied slab
+        return {**self.__dict__, "_networks": None, "_posterior": None}
+
+    @property
+    def counters(self) -> Mapping[str, int]:
+        """What this stack did so far (a read-only snapshot): act calls
+        and the agent rows they acted, the stacked actor + critic
+        forwards run, the pi_phi passes run and the (watching) rows
+        they evaluated, and the slabs (re)built -- actor and critic
+        adoptions and pi_phi stacks alike, so one minus ``slab_builds``
+        over ``forward_calls + posterior_calls`` is the slabs' hit
+        rate."""
+        return MappingProxyType(dict(self._counters))
+
+    def _nets(self, agents: List[OnSlicingAgent]):
+        """The actor and critic slabs of ``agents``, current."""
+        held = self._networks
+        if (held is None or held[0] != agents or not all(
+                map(is_, map(_value, held[3]), held[4]))):
+            actor, bound = adopt_mlps([a.model.actor for a in agents])
+            critic, more = adopt_mlps([a.model.critic for a in agents])
+            params, values = zip(*(bound + more))
+            held = self._networks = (agents, actor, critic, params, values)
+            self._counters["slab_builds"] += 1
+        return held[1], held[2]
+
+    def _table(self, agents: List[OnSlicingAgent]) -> BayesianPosterior:
+        """The pi_phi slab of ``agents``, current."""
+        frozen = [agent.estimator.posterior() for agent in agents]
+        held = self._posterior
+        if (held is None or len(held[1]) != len(frozen)
+                or not all(map(is_, held[1], frozen))):
+            held = self._posterior = (stack_posteriors(frozen), frozen)
+            self._counters["slab_builds"] += 1
+        return held[0]
+
+    def act(self, agents: Sequence[OnSlicingAgent],
+            observations: Sequence, deterministic: bool = False
+            ) -> List[ActDecision]:
+        """One slot of ``agents``, each on its observation, in order."""
+        agents = list(agents)
+        if len(observations) != len(agents):
+            raise ValueError(f"{len(observations)} observation(s) for "
+                             f"{len(agents)} agent(s)")
+        states = [observation.vector() for observation in observations]
+        stacked = np.stack(states)[:, None, None, :]
+        counters = self._counters
+        counters["act_calls"] += 1
+        counters["rows_acted"] += len(agents)
+        posteriors = [(0.0, 0.0)] * len(agents)
+        watching = [at for at, agent in enumerate(agents)
+                    if agent.switch.watching]
+        if watching:
+            span = slice(watching[0], watching[-1] + 1)
+            mean, std = posterior_span(self._table(agents), span).predict(
+                stacked[span])
+            scale = np.array([agent.estimator.target_scale
+                              for agent in agents[span]]).T
+            mu, sigma = destandardise(mean[:, 0, 0, 0], std[:, 0, 0, 0],
+                                      scale)
+            for at in watching:
+                posteriors[at] = (float(mu[at - span.start]),
+                                  float(sigma[at - span.start]))
+            counters["posterior_calls"] += 1
+            counters["posterior_rows"] += len(watching)
+        heads: List[Optional[tuple]] = [None] * len(agents)
+        open_ = [at for at, agent in enumerate(agents)
+                 if not agent.switch.active]
+        if open_:
+            span = slice(open_[0], open_[-1] + 1)
+            actor, critic = self._nets(agents)
+            means = mlp_forward(actor, stacked[span], span)
+            values = mlp_forward(critic, stacked[span], span)
+            for at in open_:
+                heads[at] = (means[at - span.start, 0, 0],
+                             float(values[at - span.start, 0, 0, 0]))
+            counters["forward_calls"] += 1
+        return [agent._own_part(*parts, deterministic)
+                for agent, *parts in zip(agents, observations, states,
+                                         posteriors, heads)]

@@ -225,3 +225,4 @@ def _warm_start_critic(agent: OnSlicingAgent,
         agent.model.critic.backward(grad[:, None])
         clip_grad_norm(agent.model.critic.parameters(), 5.0)
         optim.step()
+    agent.model.critic.drop_caches()

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.baselines.projection import project_actions
 from repro.config import ExperimentConfig
-from repro.core.agent import OnSlicingAgent
+from repro.core.agent import AgentStack, OnSlicingAgent
 from repro.domains.coordinator import ParameterCoordinator
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import lockstep
@@ -160,17 +160,33 @@ class OnSlicingOrchestrator:
         self.interaction_counts: List[int] = []
         self.epoch_history: List[EpochStats] = []
         self._batch = BatchSimulator([simulator])
+        self._stack = AgentStack()
         self._deterministic, self._rounds = False, []
+
+    @property
+    def counters(self) -> Mapping[str, int]:
+        """What the agents' acting did so far (a read-only snapshot,
+        :attr:`AgentStack.counters`): ``act_calls`` is the slots acted,
+        ``forward_calls`` the stacked actor + critic forwards (one per
+        slot with an unlatched agent, not one per slice) and
+        ``posterior_calls`` / ``posterior_rows`` the pi_phi passes and
+        the rows they evaluated."""
+        return self._stack.counters
 
     def act_batch(self, states: np.ndarray,
                   slice_names: List[str]) -> List[np.ndarray]:
         """:meth:`run_episode`'s batch policy: the agents act on their
-        rows (in ``self.agents`` order), then the slot is coordinated."""
+        rows as one stack (:meth:`AgentStack.act`: one pi_phi pass, one
+        actor and one critic forward, then each agent in
+        ``self.agents`` order), then the slot is coordinated."""
         rows = dict(zip(slice_names, states))
-        proposals = {
-            name: agent.act(SliceObservation(*rows[name].tolist()),
-                            deterministic=self._deterministic).action
-            for name, agent in self.agents.items()}
+        decisions = self._stack.act(
+            list(self.agents.values()),
+            [SliceObservation(*rows[name].tolist())
+             for name in self.agents],
+            deterministic=self._deterministic)
+        proposals = {name: decision.action
+                     for name, decision in zip(self.agents, decisions)}
         mod_cfg = self.cfg.agent.modifier
         coordination = coordinate_actions(
             rows, proposals, self.agents, self.managers.coordinators,
@@ -209,7 +225,11 @@ class OnSlicingOrchestrator:
     def run_epoch(self, episodes: int = 10,
                   deterministic: bool = False,
                   learn: bool = True) -> EpochStats:
-        """Run several episodes and aggregate the paper's metrics."""
+        """Run several episodes (at least one) and aggregate the
+        paper's metrics."""
+        if episodes < 1:
+            raise ValueError(f"run_epoch needs at least one episode, "
+                             f"got episodes={episodes}")
         usages: Dict[str, List[float]] = {
             name: [] for name in self.agents}
         costs: Dict[str, List[float]] = {

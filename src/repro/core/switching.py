@@ -30,6 +30,13 @@ from repro.config import SwitchingConfig
 from repro.rl.cost_estimator import CostToGoEstimator
 
 
+def expected_episode_cost(cumulative_cost, mu, sigma, eta: float):
+    """``E_t`` of Eq. 8, ``cumulative + mu + eta * sigma``, on floats or
+    on arrays of rows (serving's Eq. 8 pass); the switch fires once it
+    reaches ``T * C_max``."""
+    return cumulative_cost + mu + eta * sigma
+
+
 @dataclass(frozen=True)
 class SwitchDecision:
     """Outcome of one slot's switching evaluation."""
@@ -79,7 +86,25 @@ class ProactiveBaselineSwitch:
 
     def evaluate(self, state: np.ndarray, cumulative_cost: float,
                  slot: int) -> SwitchDecision:
-        """Eq. 8: decide which policy acts at this slot."""
+        """Eq. 8 at one state: pi_phi's posterior there when the rule
+        reads it (:attr:`watching`), then :meth:`decide`."""
+        mu, sigma = (self.estimator.predict(state) if self.watching
+                     else (0.0, 0.0))
+        return self.decide(mu, sigma, cumulative_cost, slot)
+
+    @property
+    def watching(self) -> bool:
+        """True while this slot's decision reads pi_phi: switching on,
+        estimator-driven, and the baseline not yet in control."""
+        return (self.cfg.enabled and self.cfg.use_estimator
+                and not self._active)
+
+    def decide(self, mu: float, sigma: float, cumulative_cost: float,
+               slot: int) -> SwitchDecision:
+        """Eq. 8: decide which policy acts at this slot, given pi_phi's
+        posterior ``(mu, sigma)`` at the state (read only while
+        :attr:`watching`).  The Est.-Noise draw, on this switch's
+        generator, happens here."""
         threshold = self.horizon * self.cost_threshold
         if not self.cfg.enabled:
             return SwitchDecision(False, cumulative_cost, threshold,
@@ -87,14 +112,15 @@ class ProactiveBaselineSwitch:
         if self._active:
             return SwitchDecision(True, cumulative_cost, threshold,
                                   0.0, 0.0, False)
-        mu, sigma = 0.0, 0.0
         if self.cfg.use_estimator:
-            mu, sigma = self.estimator.predict(state)
             if self.cfg.estimator_noise_std > 0:
                 mu += float(self._rng.normal(
                     0.0, self.cfg.estimator_noise_std))
             mu = max(mu, 0.0)
-        expected = cumulative_cost + mu + self.cfg.eta * sigma
+        else:
+            mu, sigma = 0.0, 0.0
+        expected = expected_episode_cost(cumulative_cost, mu, sigma,
+                                         self.cfg.eta)
         triggered = expected >= threshold
         if triggered:
             self._active = True

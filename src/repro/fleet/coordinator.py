@@ -147,7 +147,7 @@ class FleetCheckpoint:
 def load_checkpoint(path: str) -> FleetCheckpoint:
     """Parse a checkpoint JSONL file written by :func:`run_fleet`.
 
-    A file whose first line is no fleet header is a
+    A file whose first line is no fleet header (or no UTF-8) is a
     :class:`NotACheckpoint`.  Tolerant of a truncated final line (the
     signature of a kill mid-append): the shards read so far stand.  A
     corrupt earlier
@@ -162,11 +162,11 @@ def load_checkpoint(path: str) -> FleetCheckpoint:
     """
     # the first line decides what the file is, before a corrupt later
     # one can fail the whole read
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         first = fh.readline()
     try:
-        header = json.loads(first)
-    except ValueError:
+        header = json.loads(first.decode("utf-8"))
+    except ValueError:      # UnicodeDecodeError included
         header = None
     if (not isinstance(header, dict) or header.get("kind") != "fleet"
             or header.get("format") != CHECKPOINT_FORMAT):

@@ -83,6 +83,9 @@ class Module:
                     f"{value.shape} vs {param.value.shape}")
             param.value = value.copy()
 
+    def drop_caches(self) -> None:
+        """Forget what the last forward kept for :meth:`backward`."""
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -118,6 +121,9 @@ class Dense(Module):
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
 
+    def drop_caches(self) -> None:
+        self._input = None
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """``x`` is ``(n, in)``, or ``(..., n, in)`` with leading group
         axes: numpy runs each ``(n, in)`` slab as the BLAS call that
@@ -144,6 +150,9 @@ class _Activation(Module):
 
     def __init__(self) -> None:
         self._cache: Optional[np.ndarray] = None
+
+    def drop_caches(self) -> None:
+        self._cache = None
 
 
 class ReLU(_Activation):

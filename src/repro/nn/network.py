@@ -70,6 +70,13 @@ class MLP(Module):
             grad = layer.backward(grad)
         return grad
 
+    def drop_caches(self) -> None:
+        """Forget every layer's backward cache: a trainer done with its
+        batches calls this, so a trained network does not keep its last
+        minibatch's activations alive."""
+        for layer in self.layers:
+            layer.drop_caches()
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass that preserves 1-D inputs as 1-D outputs."""
         x = np.asarray(x, dtype=np.float64)

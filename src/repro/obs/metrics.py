@@ -594,8 +594,10 @@ def read_jsonl(path: str) -> List[Dict]:
 
 def read_jsonl_numbered(path: str) -> List[Tuple[int, Dict]]:
     """:func:`read_jsonl`'s rows with their 1-based line numbers, for
-    readers that refuse a row by ``path:lineno``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    readers that refuse a row by ``path:lineno``.  Lines are decoded
+    one by one, so a byte that is not UTF-8 (a flipped bit) is a row
+    that does not decode like any other."""
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -604,7 +606,7 @@ def read_jsonl_numbered(path: str) -> List[Tuple[int, Dict]]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = json.loads(line.decode("utf-8"))
         except ValueError as exc:
             if lineno == len(lines):
                 break

@@ -59,7 +59,9 @@ class BehaviorCloningTrainer:
             epochs: Optional[int] = None) -> List[float]:
         """Run ``epochs`` (default config) passes; returns loss curve."""
         epochs = epochs if epochs is not None else self.cfg.epochs
-        return [self.train_epoch(states, actions) for _ in range(epochs)]
+        curve = [self.train_epoch(states, actions) for _ in range(epochs)]
+        self.actor.drop_caches()
+        return curve
 
     def evaluate(self, states: np.ndarray,
                  actions: np.ndarray) -> float:

@@ -144,6 +144,15 @@ class CostToGoEstimator:
         self.target_scale = scale
         self._posterior = None
 
+    def posterior(self) -> BayesianPosterior:
+        """pi_phi's weight-side tables frozen at the last :meth:`fit` /
+        :meth:`load` (built here on the first call after one): the same
+        object until the next, so a holder of stacked copies can tell
+        by identity that it is still current."""
+        if self._posterior is None:
+            self._posterior = self.network.posterior()
+        return self._posterior
+
     def predict_batch(self, states: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior predictive ``(mu, sigma)`` of the cost-to-go per
@@ -155,9 +164,7 @@ class CostToGoEstimator:
         last :meth:`fit` / :meth:`load` (built here on the first call
         after one); the target scale is read at call time."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if self._posterior is None:
-            self._posterior = self.network.posterior()
-        mean, std = self._posterior.predict(states)
+        mean, std = self.posterior().predict(states)
         return destandardise(mean[..., 0], std[..., 0], self.target_scale)
 
     def predict(self, state: np.ndarray) -> Tuple[float, float]:

@@ -11,7 +11,7 @@ layers in :mod:`repro.nn`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,18 +59,21 @@ class GaussianActorCritic:
         """
         state = np.asarray(state, dtype=np.float64)
         mean = self.actor.predict(state)
+        action, log_prob = self.sample(mean, deterministic)
+        value = float(self.critic.predict(state)[0])
+        return {"action": action, "mean": mean,
+                "log_prob": float(log_prob), "value": value}
+
+    def sample(self, mean: np.ndarray, deterministic: bool = False):
+        """The Gaussian head on actor means ``(..., action_dim)``: the
+        actions -- a draw on this model's generator clipped to [0, 1],
+        or the clipped mean when ``deterministic`` -- and their
+        log-densities."""
         if deterministic:
             action = np.clip(mean, 0.0, 1.0)
         else:
             action = self.dist.sample(mean, self._rng)
-        log_prob = float(self.dist.log_prob(mean, action))
-        value = float(self.critic.predict(state)[0])
-        return {"action": action, "mean": mean,
-                "log_prob": log_prob, "value": value}
-
-    def value(self, state: np.ndarray) -> float:
-        return float(self.critic.predict(
-            np.asarray(state, dtype=np.float64))[0])
+        return action, self.dist.log_prob(mean, action)
 
     def mean_action(self, state: np.ndarray) -> np.ndarray:
         return np.clip(self.actor.predict(
@@ -161,6 +164,8 @@ class PPOTrainer:
                 if cfg.target_kl > 0 and diag["kl"] > 1.5 * cfg.target_kl:
                     stop = True
                     break
+        self.model.actor.drop_caches()
+        self.model.critic.drop_caches()
         count = max(stats.pop("updates"), 1.0)
         return {key: val / count for key, val in stats.items()}
 

@@ -53,9 +53,14 @@ import numpy as np
 
 from repro.baselines.model_based import ModelBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS
+from repro.core.switching import expected_episode_cost
 from repro.engine.policies import project_actions_batch, world_totals
-from repro.nn.bayesian import BayesianPosterior, DensePosterior
-from repro.nn.layers import Dense
+from repro.nn.slabs import (
+    mlp_forward,
+    posterior_span,
+    stack_mlps,
+    stack_posteriors,
+)
 from repro.obs.metrics import Telemetry
 from repro.obs.trace import active as active_tracer
 from repro.rl.cost_estimator import CostToGoEstimator, destandardise
@@ -179,14 +184,6 @@ def _check_finite(ref: str, name: str, payload: Dict) -> None:
                              f"{field} is not finite")
 
 
-def _slab(arrays: Sequence) -> np.ndarray:
-    """Per-policy scalars, ``(out,)`` or ``(in, out)`` arrays as one
-    ``(P, 1, ..., out)`` table broadcasting over ``(P, G, n, in)``."""
-    stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays])
-    return stacked.reshape((len(stacked),) + (1,) * (4 - stacked.ndim)
-                           + stacked.shape[1:])
-
-
 class _Slabs:
     """One snapshot's learned policies as stacked tables, built once per
     core from the first cell routed to it: pi_theta's actor as ``(P, 1,
@@ -198,42 +195,26 @@ class _Slabs:
     marks, in ``(p, g)`` order."""
 
     def __init__(self, policies: Sequence[_LearnedPolicy]) -> None:
-        layers = [policy.model.actor.layers for policy in policies]
-        # forward() is MLP.forward + mean_actions' clip over (Dense,
-        # weightless activation) pairs; one config builds every policy
-        assert all(isinstance(layers[0][at], Dense)
-                   and not layers[0][at + 1].parameters()
-                   for at in range(0, len(layers[0]), 2))
-        self.actor = [(_slab([own[at].weight.value for own in layers]),
-                       _slab([own[at].bias.value for own in layers]),
-                       type(layers[0][at + 1])())
-                      for at in range(0, len(layers[0]), 2)]
+        self.actor = stack_mlps([p.model.actor for p in policies])
         self.names = [p.name for p in policies]
         self.eq8 = [p for p in policies
                     if p.estimator is not None and p.baseline is not None]
         self.eq8_names = [p.name for p in self.eq8]
         if self.eq8:
-            tables = [p.estimator.network.posterior() for p in self.eq8]
-            self.layers = [DensePosterior(*map(_slab, zip(*parts)))
-                           for parts in zip(*(t.layers for t in tables))]
-            self.noise_var = _slab([t.noise_var for t in tables])
+            self.table = stack_posteriors(
+                [p.estimator.network.posterior() for p in self.eq8])
 
     def forward(self, states: np.ndarray, real: np.ndarray,
                 span: slice) -> np.ndarray:
         """pi_theta's deterministic actions, ``(K, n, NUM_ACTIONS)``."""
-        out = states
-        for weight, bias, activation in self.actor:
-            out = activation.forward(out @ weight[span] + bias[span])
+        out = mlp_forward(self.actor, states, span)
         return np.clip(out[real], 0.0, 1.0)
 
     def posterior(self, states: np.ndarray, real: np.ndarray,
                   span: slice) -> Tuple[np.ndarray, np.ndarray]:
         """pi_phi's closed-form ``(mu, sigma)`` in cost units, each
         ``(K, n)``, ``mu`` floored at 0 as Eq. 8 reads it."""
-        table = BayesianPosterior(
-            tuple(DensePosterior(*(field[span] for field in layer))
-                  for layer in self.layers), self.noise_var[span])
-        mean, std = table.predict(states)
+        mean, std = posterior_span(self.table, span).predict(states)
         scale = np.array([p.estimator.target_scale
                           for p in self.eq8[span]]).T[:, :, None, None]
         mu, sigma = destandardise(mean[..., 0], std[..., 0], scale)
@@ -801,7 +782,8 @@ class DecisionCore:
             # (zero) posterior is ORed into the latch it already holds
             thresholds = watched[:, 7] * plan.eq8_horizon  # T * C_max
             cumulative = watched[:, 8] * thresholds
-            expected = cumulative + mu + plan.eq8_eta * sigma
+            expected = expected_episode_cost(cumulative, mu, sigma,
+                                             plan.eq8_eta)
             fallback = held.copy()
             fallback[plan.eq8_rows] |= expected >= thresholds
             if fallback.any():

@@ -9,7 +9,7 @@ the imports and the file changed -- ``ast.dump`` of each definition
 equals the one at commit ``e297103``) so that it can keep doing the one
 job it still has: being the independent reference
 ``tests/test_engine.py::TestScalarDomainModelsMatchKernels`` holds the
-kernels to.  That class is this module's only importer; model-property
+kernels to.  That class is its only importer there; model-property
 tests read the product model instead.
 
 Where the arithmetic were methods they still are, on same-named
@@ -24,6 +24,15 @@ kernels test call, bodies copied verbatim, with constructors that set
 only the fields those methods read.
 :class:`ScalarSubstrates` -- the only new code -- builds one set of
 them shadowing an ``EndToEndNetwork``.
+
+The last section is the other scalar copy: one slice's act as it stood
+at commit ``acef036``, before the orchestrator stacked its agents
+(``repro.core.agent.AgentStack``) -- ``GaussianActorCritic.act`` and
+``.value``, ``ProactiveBaselineSwitch.evaluate``,
+``OnSlicingAgent.act`` and ``OnSlicingOrchestrator.act_batch`` as
+functions of their ``self``, bodies verbatim but for calling one
+another here.  ``tests/test_orchestrator_slabs.py`` holds the stack
+to them.
 """
 
 from __future__ import annotations
@@ -41,9 +50,13 @@ from repro.config import (
     EdgeConfig,
     SliceSpec,
 )
+from repro.core.agent import ActDecision
+from repro.core.orchestrator import coordinate_actions
+from repro.core.switching import SwitchDecision
 from repro.sim import phy, ran, transport
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import ChannelProcess
+from repro.sim.env import SliceObservation
 from repro.sim.phy import NUM_MCS, cqi_to_mcs, mcs_spectral_efficiency
 from repro.sim.queueing import RHO_KNEE
 
@@ -777,3 +790,102 @@ class ScalarSubstrates:
         for name in net.slices:
             self.core.create_slice_pool(name)
             self.edge.create_server(name)
+
+
+# ---- one slice's act at commit acef036 (core/, rl/ppo.py) --------------
+
+
+def model_act(self, state: np.ndarray, deterministic: bool = False
+              ) -> Dict[str, np.ndarray]:
+    """Sample (or take the mean) action for a single state.
+
+    Returns a dict with ``action``, ``mean``, ``log_prob`` and
+    ``value`` -- everything the rollout buffer needs.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    mean = self.actor.predict(state)
+    if deterministic:
+        action = np.clip(mean, 0.0, 1.0)
+    else:
+        action = self.dist.sample(mean, self._rng)
+    log_prob = float(self.dist.log_prob(mean, action))
+    value = float(self.critic.predict(state)[0])
+    return {"action": action, "mean": mean,
+            "log_prob": log_prob, "value": value}
+
+
+def model_value(self, state: np.ndarray) -> float:
+    return float(self.critic.predict(
+        np.asarray(state, dtype=np.float64))[0])
+
+
+def evaluate(self, state: np.ndarray, cumulative_cost: float,
+             slot: int) -> SwitchDecision:
+    """Eq. 8: decide which policy acts at this slot."""
+    threshold = self.horizon * self.cost_threshold
+    if not self.cfg.enabled:
+        return SwitchDecision(False, cumulative_cost, threshold,
+                              0.0, 0.0, False)
+    if self._active:
+        return SwitchDecision(True, cumulative_cost, threshold,
+                              0.0, 0.0, False)
+    mu, sigma = 0.0, 0.0
+    if self.cfg.use_estimator:
+        mu, sigma = self.estimator.predict(state)
+        if self.cfg.estimator_noise_std > 0:
+            mu += float(self._rng.normal(
+                0.0, self.cfg.estimator_noise_std))
+        mu = max(mu, 0.0)
+    expected = cumulative_cost + mu + self.cfg.eta * sigma
+    triggered = expected >= threshold
+    if triggered:
+        self._active = True
+        self._switch_slot = slot
+    return SwitchDecision(triggered, expected, threshold, mu, sigma,
+                          triggered)
+
+
+def act(self, observation: SliceObservation,
+        deterministic: bool = False) -> ActDecision:
+    """Choose the slot's action: Eq. 8 switch, then pi_theta/pi_b."""
+    state = observation.vector()
+    decision = evaluate(self.switch, state, self._cum_cost, self._slot)
+    if decision.newly_triggered and not self._truncated:
+        # Truncate the pi_theta episode with a critic bootstrap at
+        # the truncation slot (paper Sec. 3).
+        self.buffer.end_episode(
+            bootstrap_value=model_value(self.model, state))
+        self._truncated = True
+    if decision.use_baseline:
+        action = np.asarray(self.baseline.act(observation),
+                            dtype=float)
+        self._pending = {"state": state, "action": action,
+                         "from_baseline": True}
+        return ActDecision(action=action, from_baseline=True,
+                           switch=decision)
+    sampled = model_act(self.model, state, deterministic=deterministic)
+    self._pending = {"state": state, "from_baseline": False,
+                     **sampled}
+    return ActDecision(action=sampled["action"],
+                       from_baseline=False, switch=decision,
+                       log_prob=sampled["log_prob"],
+                       value=sampled["value"])
+
+
+def act_batch(self, states: np.ndarray,
+              slice_names: List[str]) -> List[np.ndarray]:
+    """:meth:`run_episode`'s batch policy: the agents act on their
+    rows (in ``self.agents`` order), then the slot is coordinated."""
+    rows = dict(zip(slice_names, states))
+    proposals = {
+        name: act(agent, SliceObservation(*rows[name].tolist()),
+                  deterministic=self._deterministic).action
+        for name, agent in self.agents.items()}
+    mod_cfg = self.cfg.agent.modifier
+    coordination = coordinate_actions(
+        rows, proposals, self.agents, self.managers.coordinators,
+        max_rounds=mod_cfg.max_coordination_rounds,
+        tolerance=mod_cfg.tolerance,
+        use_projection=mod_cfg.use_projection)
+    self._rounds.append(coordination.rounds)
+    return [coordination.actions[name] for name in slice_names]

@@ -279,7 +279,7 @@ class TestCostEstimator:
         from repro.experiments import harness
         from repro.nn.bayesian import BayesianMLP
 
-        calls = {"posterior": 0, "fit": 0, "predict_batch": 0}
+        calls = {"posterior": 0, "fit": 0}
 
         def spy(owner, method):
             original = getattr(owner, method)
@@ -291,7 +291,6 @@ class TestCostEstimator:
 
         spy(BayesianMLP, "posterior")
         spy(CostToGoEstimator, "fit")
-        spy(CostToGoEstimator, "predict_batch")
         cfg = ExperimentConfig(seed=7).replace(
             traffic=TrafficConfig(slots_per_episode=24))
         bundle = harness.build_onslicing(cfg, offline_episodes=1,
@@ -301,7 +300,9 @@ class TestCostEstimator:
         harness.test_performance(bundle, episodes=1)
         assert calls["fit"] == 2 * len(bundle.agents)
         assert calls["posterior"] == calls["fit"]
-        assert calls["predict_batch"] > 10 * calls["posterior"]
+        # the orchestrator's Eq. 8 reads are rows of its stacked pass
+        assert bundle.orchestrator.counters["posterior_rows"] \
+            > 10 * calls["posterior"]
 
     def test_predicts_cost_to_go_scale(self, rng):
         est = CostToGoEstimator(2, rng=rng)

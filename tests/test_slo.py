@@ -19,6 +19,7 @@ from repro.experiments.harness import make_onrl_agents
 from repro.fleet import (
     FleetSloBreach,
     FleetSpec,
+    NotACheckpoint,
     evaluate_checkpoint_slo,
     load_checkpoint,
     plan_shards,
@@ -821,6 +822,35 @@ class TestCliSurface:
         assert read_jsonl(torn) == [json.loads(line)
                                     for line in lines]
         assert main(argv + [torn]) == 0
+
+        # a flipped high bit leaves a byte that is no UTF-8: the row
+        # does not decode, like any other; a final line torn inside a
+        # multi-byte character is still a torn tail
+        raw = [line.encode("utf-8") for line in lines]
+        bitflip = str(tmp_path / "bitflip.jsonl")
+        with open(bitflip, "wb") as fh:
+            fh.write(b"\n".join([raw[0], raw[1][:9]
+                                 + bytes([raw[1][9] ^ 0x80])
+                                 + raw[1][10:]] + raw[2:]) + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bitflip}:2: ")):
+            load(bitflip)
+        capsys.readouterr()
+        assert main(argv + [bitflip]) == 2
+        message = capsys.readouterr().err.strip()
+        assert f"{bitflip}:2: " in message and "utf-8" in message
+        assert len(message.splitlines()) == 1
+        torn = str(tmp_path / "torn_utf8.jsonl")
+        with open(torn, "wb") as fh:
+            fh.write(b"\n".join(raw) + b"\n" + "\u00e9".encode()[:1])
+        assert read_jsonl(torn) == [json.loads(line) for line in lines]
+        assert main(argv + [torn]) == 0
+        if surface == "checkpoint":
+            header = str(tmp_path / "header.jsonl")
+            with open(header, "wb") as fh:
+                fh.write(b"\n".join([b"\xff" + raw[0][1:]] + raw[1:])
+                         + b"\n")
+            with pytest.raises(NotACheckpoint):
+                load(header)
 
         flipped = str(tmp_path / "flipped.jsonl")
         lines[1] = lines[1].replace('"', "\x02", 1)
