@@ -12,6 +12,7 @@ from a single object graph.  The defaults mirror the paper's testbed:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -74,6 +75,17 @@ class SliceSLA:
     target: float
     cost_threshold: float = 0.05
     lower_is_better: bool = False
+
+    def __post_init__(self) -> None:
+        # A zero or NaN target makes every satisfaction ratio (and so
+        # Eq. 10's cost) NaN; a zero C_max divides the cost budget
+        # feature by zero.
+        for name in ("target", "cost_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"SliceSLA.{name} must be finite and > 0, "
+                    f"got {value!r}")
 
     def violated(self, mean_cost: float) -> bool:
         """The episode SLA verdict: mean per-slot cost above ``C_max``."""
@@ -237,6 +249,10 @@ class TransportConfig:
     path_extra_hops: Tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self) -> None:
+        if self.num_paths < 1:
+            raise ValueError(
+                f"TransportConfig.num_paths must be >= 1, got "
+                f"{self.num_paths!r}")
         if self.num_paths != len(self.path_extra_hops):
             raise ValueError("path_extra_hops must list one entry per path")
 
@@ -252,6 +268,12 @@ class CoreConfig:
     #: Base control/user-plane latency in ms.
     base_latency_ms: float = 2.0
     mean_packet_bits: float = 12e3    # 1500-byte packets
+
+    def __post_init__(self) -> None:
+        if self.num_sgwu_per_slice < 1:
+            raise ValueError(
+                f"CoreConfig.num_sgwu_per_slice must be >= 1, got "
+                f"{self.num_sgwu_per_slice!r}")
 
 
 @dataclass(frozen=True)

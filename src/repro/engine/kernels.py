@@ -28,7 +28,11 @@ the same order the scalar loop reserved meters in.  The engine parity
 suite (``tests/test_engine.py``) asserts this bit-exactness against
 the scalar simulator for every catalog scenario, and its
 ``TestScalarDomainModelsMatchKernels`` holds ``evaluate_rows`` to the
-scalar oracle itself (``rtol=1e-9``; observed <= 3e-16).
+scalar oracle itself (``rtol=1e-9``; observed <= 3e-16).  The
+one-direction kernel this module replaced is kept verbatim in
+``tests/kernel_oracle.py``; ``tests/test_kernel_oracle.py`` holds
+every output array to it byte for byte (sign bits included) over
+random bundles far outside the catalog.
 
 Operation order
 ~~~~~~~~~~~~~~~
@@ -36,26 +40,50 @@ The kernels are plain numpy expressions that return fresh arrays.
 What carries the parity contract is the order of operations, so every
 expression keeps the association of the code it reproduces, and:
 
+* **Column pairs.**  What the scalar code evaluated twice, once per
+  direction or per domain, is one broadcast over a leading axis of
+  two: the uplink and the downlink (``(2, R)``, and ``(U, 2, R)`` per
+  user), the core's and the edge's queueing law (``(2, R)``: core,
+  edge) and MAR's two M/M/1 legs (``(2, R)``: UL, DL).  Elementwise
+  ufuncs do not care how their operands are shaped, so each element
+  is the value the one-direction expression computed.  The paired
+  :class:`SliceRows` constants are ``(R, 2)`` columns (so splicing
+  and stacking stay row-wise) read through their ``.T`` view.
 * **Selection, not arithmetic.** Branches are ``np.where`` (or
-  ``np.choose`` over the app codes): a pure element selection,
+  ``choose`` over the app codes): a pure element selection,
   identical for every value including ``inf``/``nan``.
 * **Masked strict-order sums.** The scalar-mirroring left-to-right
   accumulations (user axis, SGW-U instances) keep their loops and
   their ``+0.0`` start, adding lane ``j`` with ``np.add(acc, v,
   out=acc, where=m)``.  Skipping a masked lane is bit-identical to
   adding ``0.0`` here: every summand is non-negative, so ``acc + 0.0
-  == acc`` exactly (no ``-0.0`` can arise).
+  == acc`` exactly (no ``-0.0`` can arise).  The five user means
+  (retx and goodput per direction, and the CQI) share one such loop
+  over a ``(U, 5, R)`` stack: still one add per user, in user order.
 * **Eq. 9 usage** sums the raw action columns in column order from an
   explicit ``+0.0`` start: ``0.0 + (-0.0)`` is ``+0.0``, so starting
   from the first column would flip the sign of a ``-0.0`` action.
-* **Masked max.** ``np.max(goodput, axis=1, initial=-inf,
-  where=mask)`` -- the padded lanes never enter the reduction
-  (goodput is always finite: retx is clipped to ``[1e-9, 0.99]``).
-* **Path loads** accumulate with ``np.add.at`` in row order.
+* **Masked max.** ``np.maximum.reduce(goodput, axis=0,
+  initial=-inf, where=mask)`` (the reduction ``np.max`` calls) -- the
+  padded lanes never enter it (goodput is always finite: retx is
+  clipped to ``[1e-9, 0.99]``), and a maximum does not depend on the
+  order it meets its operands in.
+* **Path loads** accumulate with ``np.add.at`` in row order, at the
+  flat ``(world, path)`` index of a row's path.
 * **Integer decodes** (MCS offsets, schedulers, transport path) keep
   their truncating ``astype(np.intp)`` casts.
 * **Error scopes.** The ``np.errstate`` blocks cover exactly the
-  divisions they always covered.
+  divisions they always covered; the one whose division is gone went
+  with it (see Fusions).  ``tests/test_kernel_oracle.py`` compares
+  the warnings raised, too.
+* **Per-layout values** -- the user mask, the SGW-U instance mask,
+  the fixed-MCS mask, ``1 - overhead``, the last path and the flat
+  path index base -- depend on the row layout only and are built
+  once with it, in :meth:`SliceRows.__post_init__` (every
+  constructor, splice and repeat passes through it); they are not
+  fields, so no splice carries a stale one.  A channel block wider
+  than the layout's widest slice is cut to it: the lanes past it are
+  padding every row masks.
 
 Fusions
 ~~~~~~~
@@ -66,20 +94,66 @@ a float expression; each is bit-exact for the stated reason:
   manipulation is exact: both equal ``-(margin_db / 6.0)`` bitwise).
 * The per-user retx margin factor ``10 ** (-margin_db / 6)`` and the
   MCS base table (``clip(2*cqi - 2)`` overridden by ``fixed_mcs``)
-  are direction-independent, so they are computed once and shared by
-  the uplink and downlink radio passes (the historical code evaluated
-  the identical expression twice).
-* ``msg_bps`` in the RDC model is the MAR ``ul_demand``: both are
-  exactly ``rates * ul_bits``.  Likewise the core's and the edge's
-  ``clip(cpu, 0, 1)`` is one array.
+  are direction-independent, so they are computed once and broadcast
+  over the direction pair (the historical code evaluated the
+  identical expression twice).
+* ``msg_bps`` in the RDC model is the MAR uplink demand: both are
+  exactly ``rates * ul_bits``.
 * Multiplications by the literal ``1.0`` (edge ``work_rate * 1.0``,
   edge service time ``* 1.0``, and the ``* np.ones((1, P))``
   broadcast in the transport load seed) are dropped: ``x * 1.0 == x``
   bitwise for every float, so the seed is a broadcast copy.
+* **Clips that are identities by construction are dropped.**  The
+  decoded radio shares, ``tn_bw``, ``cpu`` and ``ram`` are
+  ``maximum(clip(a, 0, 1), 0.01)``, so they lie in ``[0.01, 1]`` (or
+  are NaN, which ``np.clip`` returns unchanged): the radio's
+  ``clip(share, 0, 1)``, the transport's ``clip(tn_bw, 0, 1)`` (so
+  the meter rate ``tn_bw * eff_cap`` is computed once, for the
+  reservation and the rate alike), the core's and the edge's
+  ``clip(cpu, 0, 1)`` and the edge's ``clip(ram, 0, 1)`` all
+  returned their input.  For the same reason the PRB floor's
+  ``share > 1e-3`` test is always true where ``prbs == 0`` can hold
+  (a NaN share makes NaN PRBs), so the floor is ``where(prbs == 0,
+  1, prbs)``.
+* **``np.clip`` becomes ``np.minimum`` / ``np.maximum`` only where
+  no signed zero or NaN can tell them apart** (``np.clip`` keeps a
+  ``-0.0`` at a ``0`` bound that ``np.maximum`` may turn into
+  ``+0.0``; both pass a NaN through):
+
+  - the action decode ``clip(raw, 0, 1)``: it differs at most in the
+    sign of a zero, and each reader of it is ``maximum(., 0.01)`` or
+    a truncating integer cast, which map both zeros to one value;
+  - the schedulers' ``clip(3 a, 0, 2)`` and the path's ``clip(a P,
+    0, P - 1)`` are ``minimum(3 a, 2)`` and ``minimum(a P, P - 1)``:
+    with ``a`` in ``[0, 1]`` the lower bound only ever meets a zero,
+    whose sign the ``intp`` cast erases;
+  - the integer MCS clips are ``take(..., mode="clip")`` lookups:
+    ``_MCS_EFF`` has ``NUM_MCS`` entries, and ``_BASE_MCS`` tabulates
+    ``clip(2 cqi - 2, 0, NUM_MCS - 1)`` up to a CQI where it is
+    saturated at both ends, so clipping the index is clipping the
+    value;
+  - the retx clip to ``[1e-9, 0.99]``: neither bound is a zero.
+
+  ``_satisfaction_rows`` keeps ``np.clip``: its ratio can be a
+  ``-0.0`` (no config field refuses a negative link capacity).
+* The core and edge utilisation is ``where(has_mu, lam / safe_mu,
+  lam > 0)``: where ``has_mu`` holds, ``safe_mu`` is ``mu``, and the
+  boolean fallback casts to exactly the ``1.0`` / ``0.0`` the
+  historical inner ``where`` selected.  Dividing by ``safe_mu``, never
+  zero, instead of ``mu`` leaves the ``np.errstate`` block the
+  historical ``lam / mu`` needed with nothing to cover, so it is gone
+  (the queueing law keeps its own).
 * The integer ``users`` / ``num_paths`` / ``num_sgwu`` columns enter
   float expressions directly: numpy promotes them to float64 inside
   the ufunc, which is exact for these small counts and is the
   promotion the historical mixed-dtype expressions made.
+
+Stage laps
+~~~~~~~~~~
+The seven ``engine.kernel.*`` laps keep their order.  The radio lap
+also computes the CQI mean of the ``channel_quality`` feature (it
+rides the radio's user sum); the edge lap pays for the core's and the
+edge's shared queueing call and both of their latency selections.
 """
 
 from __future__ import annotations
@@ -87,7 +161,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -104,8 +178,13 @@ from repro.sim.queueing import RHO_KNEE
 #: scalar lookups in :mod:`repro.sim.phy`).
 _MCS_EFF = np.asarray(MCS_TABLE, dtype=np.float64)
 
+#: Base MCS of CQI ``0 .. NUM_MCS``, ``clip(2 * cqi - 2, 0, NUM_MCS -
+#: 1)``: saturated at both ends, so a ``mode="clip"`` take of it is
+#: that expression for every integer CQI (see Fusions).
+_BASE_MCS = np.clip(np.arange(NUM_MCS + 1) * 2 - 2, 0, NUM_MCS - 1)
+
 #: Usage-counted action columns (paper Eq. 9).
-_USAGE_COLS = np.asarray(USAGE_ACTION_INDICES, dtype=np.intp)
+_USAGE_COLS = tuple(USAGE_ACTION_INDICES)
 
 #: Consumable-share floor: the minimum share every admitted slice is
 #: granted.  Domain managers never configure a literal zero for an
@@ -153,7 +232,8 @@ class SliceRows:
     .EndToEndNetwork` (and rebuilt only on slice churn), then
     concatenated across worlds by the batch engine.  All arrays are
     length ``R`` except the per-world tables marked
-    :func:`_per_world`.
+    :func:`_per_world`; the ``(R, 2)`` columns hold the uplink value
+    in column 0 and the downlink value in column 1.
     """
 
     # -- identity ------------------------------------------------------
@@ -165,27 +245,22 @@ class SliceRows:
     # -- slice/application constants ----------------------------------
     app: np.ndarray                   # (R,) APP_CODES
     max_arrival: np.ndarray
-    ul_bits: np.ndarray
-    dl_bits: np.ndarray
-    sum_bits: np.ndarray              # ul_bits + dl_bits (pre-added)
+    payload_bits: np.ndarray          # (R, 2)
+    sum_bits: np.ndarray              # UL + DL payload bits (pre-added)
     compute_units: np.ndarray
     sla_target: np.ndarray
     cost_threshold: np.ndarray
     lower_better: np.ndarray          # (R,) bool
 
     # -- RAN / PHY (row-expanded world constants) ----------------------
-    ul_prbs_total: np.ndarray
-    dl_prbs_total: np.ndarray
+    prbs_total: np.ndarray            # (R, 2)
     prb_bandwidth_hz: np.ndarray
-    uplink_fraction: np.ndarray
-    downlink_fraction: np.ndarray
+    duty: np.ndarray                  # (R, 2) uplink / downlink fraction
     overhead: np.ndarray
     fixed_mcs: np.ndarray             # (R,) int (-1: link adaptation)
     ran_base_latency_ms: np.ndarray
-    base_retx_ul: np.ndarray
-    base_retx_dl: np.ndarray
-    decay_ul: np.ndarray
-    decay_dl: np.ndarray
+    base_retx: np.ndarray             # (R, 2)
+    bler_decay: np.ndarray            # (R, 2)
 
     # -- transport -----------------------------------------------------
     link_capacity_bps: np.ndarray     # (R,)
@@ -209,6 +284,25 @@ class SliceRows:
     #: Unique layout token; the stepper keys its cached bundle on
     #: this, so a churn-rebuilt layout is always a new key.
     uid: int = field(default_factory=lambda: next(_ROWS_UIDS))
+
+    def __post_init__(self) -> None:
+        """Derive the per-layout values :func:`evaluate_rows` reads
+        every slot.  Every constructor (:func:`rows_for_network`,
+        :func:`_stack_rows`, :meth:`take_worlds`,
+        ``dataclasses.replace``) passes through here, so they are
+        built once with the layout; they are not fields, so no bundle
+        splice carries them."""
+        #: (U, R): user lane j of row r is one of the row's users
+        self.user_mask = (np.arange(int(self.users.max(initial=0)))[:, None]
+                          < self.users)
+        #: (K, R): SGW-U instance j of row r exists
+        self.sgwu_mask = (np.arange(int(self.num_sgwu.max(initial=0)))
+                          [:, None] < self.num_sgwu)
+        self.fixed_on = self.fixed_mcs >= 0
+        self.net_share = 1.0 - self.overhead
+        self.last_path = self.num_paths - 1
+        #: flat index of each row's world's path 0 in a (W, Pmax) table
+        self.path_base = self.world * self.path_hops.shape[1]
 
     @property
     def num_rows(self) -> int:
@@ -260,6 +354,9 @@ def rows_for_network(network) -> SliceRows:
     def const(value, dtype=np.float64):
         return np.full(n, value, dtype=dtype)
 
+    def pair(uplink, downlink):
+        return np.full((n, 2), (uplink, downlink), dtype=np.float64)
+
     hops = np.asarray(
         [network.fabric.path_hops(k)
          for k in range(network.fabric.num_paths)], dtype=np.intp)
@@ -272,10 +369,9 @@ def rows_for_network(network) -> SliceRows:
                        dtype=np.intp),
         max_arrival=np.asarray([spec.max_arrival_rate
                                 for spec in specs]),
-        ul_bits=np.asarray([spec.uplink_payload_bits
-                            for spec in specs]),
-        dl_bits=np.asarray([spec.downlink_payload_bits
-                            for spec in specs]),
+        payload_bits=np.asarray(
+            [(spec.uplink_payload_bits, spec.downlink_payload_bits)
+             for spec in specs], dtype=np.float64).reshape(n, 2),
         sum_bits=np.asarray([spec.uplink_payload_bits
                              + spec.downlink_payload_bits
                              for spec in specs]),
@@ -286,18 +382,15 @@ def rows_for_network(network) -> SliceRows:
                                    for spec in specs]),
         lower_better=np.asarray([spec.sla.lower_is_better
                                  for spec in specs], dtype=bool),
-        ul_prbs_total=const(network.cell.uplink_prbs),
-        dl_prbs_total=const(network.cell.downlink_prbs),
+        prbs_total=pair(network.cell.uplink_prbs,
+                        network.cell.downlink_prbs),
         prb_bandwidth_hz=const(cfg.ran.prb_bandwidth_hz),
-        uplink_fraction=const(cfg.ran.uplink_fraction),
-        downlink_fraction=const(cfg.ran.downlink_fraction),
+        duty=pair(cfg.ran.uplink_fraction, cfg.ran.downlink_fraction),
         overhead=const(cfg.ran.overhead),
         fixed_mcs=const(cfg.ran.fixed_mcs, dtype=np.intp),
         ran_base_latency_ms=const(cfg.ran.base_latency_ms),
-        base_retx_ul=const(phy.base_retx_ul),
-        base_retx_dl=const(phy.base_retx_dl),
-        decay_ul=const(phy.uplink_bler_decay),
-        decay_dl=const(phy.downlink_bler_decay),
+        base_retx=pair(phy.base_retx_ul, phy.base_retx_dl),
+        bler_decay=pair(phy.uplink_bler_decay, phy.downlink_bler_decay),
         link_capacity_bps=const(cfg.transport.link_capacity_bps),
         hop_latency_ms=const(cfg.transport.hop_latency_ms),
         num_paths=const(network.fabric.num_paths, dtype=np.intp),
@@ -403,16 +496,17 @@ class WorldConditions:
 
 
 def _user_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Sum over the user axis in strict left-to-right order.
+    """Sum over the leading (user) axis in strict left-to-right order.
 
-    Mirrors the scalar per-user ``+=`` accumulation; masked (padded)
-    lanes are skipped, which is bit-identical to the historical
-    ``+ np.where(mask, values, 0.0)`` because the accumulator starts
-    at ``+0.0`` and every summand is non-negative.
+    Mirrors the scalar per-user ``+=`` accumulation; ``mask[j]`` masks
+    user ``j`` and masked (padded) lanes are skipped, which is
+    bit-identical to the historical ``+ np.where(mask, values, 0.0)``
+    because the accumulator starts at ``+0.0`` and every summand is
+    non-negative.
     """
-    total = np.zeros(values.shape[0])
-    for j in range(values.shape[1]):
-        np.add(total, values[:, j], out=total, where=mask[:, j])
+    total = np.zeros(values.shape[1:])
+    for user, lane in zip(values, mask):
+        np.add(total, user, out=total, where=lane)
     return total
 
 
@@ -457,77 +551,83 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
             f", got {raw.shape}")
 
     # ---- action decode (oracle: SliceAllocation.from_action) ---------
-    arr = np.clip(raw, 0.0, 1.0)
-    ul_bw, dl_bw, tn_bw, cpu, ram = np.maximum(
-        arr[:, [0, 3, 6, 8, 9]], _MIN_SHARE).T
-    ul_off, dl_off = np.rint(
-        arr[:, [1, 4]] * MAX_MCS_OFFSET).astype(np.intp).T
-    ul_sched, dl_sched = np.clip(
-        arr[:, [2, 5]] * 3, 0, 2).astype(np.intp).T
-    tn_path = np.clip(arr[:, 7] * rows.num_paths, 0,
-                      rows.num_paths - 1).astype(np.intp)
-    user_mask = np.arange(cqi.shape[1]) < rows.users[:, None]
+    # (2, R) pairs: the UL / DL action columns (0, 3), (1, 4), (2, 5)
+    arr = np.minimum(np.maximum(raw, 0.0), 1.0)
+    floors = np.maximum(arr, _MIN_SHARE)
+    share = floors[:, 0:4:3].T
+    tn_bw, cpu, ram = floors[:, 6], floors[:, 8], floors[:, 9]
+    offset = np.rint(arr[:, 1:5:3].T * MAX_MCS_OFFSET).astype(np.intp)
+    sched = np.minimum(arr[:, 2:6:3].T * 3, 2).astype(np.intp)
+    tn_path = np.minimum(arr[:, 7] * rows.num_paths,
+                         rows.last_path).astype(np.intp)
     if tracer is not None:
         mark = tracer.lap("engine.kernel.decode", mark)
 
     # ---- RAN capacities (oracle: RadioCell.slice_capacity) -----------
-    # direction-shared terms (see Fusions): margin factor and base MCS
+    # One (U, 2, R) pass over both directions, on user lanes stacked
+    # with the CQI so that one strict-order sum averages all five.
+    width = min(cqi.shape[1], len(rows.user_mask))
+    cqi, margin_db = cqi[:, :width].T, margin_db[:, :width].T
     margin_pow = 10.0 ** (margin_db / -6.0)
-    fixed = rows.fixed_mcs[:, None]
-    base_mcs = np.where(fixed >= 0, fixed,
-                        np.clip(cqi * 2 - 2, 0, NUM_MCS - 1))
-    ul_cap, ul_retx = _radio_direction(
-        rows, ul_bw, ul_off, ul_sched, base_mcs, margin_pow, user_mask,
-        uplink=True)
-    dl_cap, dl_retx = _radio_direction(
-        rows, dl_bw, dl_off, dl_sched, base_mcs, margin_pow, user_mask,
-        uplink=False)
+    base_mcs = np.where(rows.fixed_on, rows.fixed_mcs,
+                        _BASE_MCS.take(cqi, mode="clip"))
+    lanes = np.empty((width, 5, rows.num_rows))
+    retx, goodput = lanes[:, :2], lanes[:, 2:4]
+    np.multiply(rows.base_retx.T * rows.bler_decay.T ** offset,
+                margin_pow[:, None], out=retx)
+    np.minimum(np.maximum(retx, 1e-9, out=retx), 0.99, out=retx)
+    eff = _MCS_EFF.take(base_mcs[:, None] - offset, mode="clip")
+    np.divide(eff * (1.0 - retx), 1.0 + retx, out=goodput)
+    lanes[:, 4] = cqi
+    means = _user_sum(lanes, rows.user_mask) / rows.users
+    retx_mean, mean_eff = means[:2], means[2:4]
+    best_eff = np.maximum.reduce(goodput, axis=0, initial=-np.inf,
+                                 where=rows.user_mask[:width, None])
+    agg = np.where(sched == 0, mean_eff,
+                   np.where(sched == 2,
+                            0.9 * best_eff + 0.1 * mean_eff,
+                            0.6 * best_eff + 0.4 * mean_eff))
+    prbs = np.rint(share * rows.prbs_total.T)
+    capacity = (np.where(prbs == 0, 1.0, prbs) * rows.prb_bandwidth_hz
+                * rows.duty.T * agg * rows.net_share)
     if tracer is not None:
         mark = tracer.lap("engine.kernel.radio", mark)
 
     # ---- transport (oracle: TransportFabric.reserve + evaluate) ------
     eff_cap_w = rows.link_capacity_w * cond.capacity_scale
     eff_cap = eff_cap_w[rows.world]
-    loads = np.repeat((cond.background_load_fraction
-                       * eff_cap_w)[:, None],
-                      rows.path_hops.shape[1], axis=1)
-    np.add.at(loads, (rows.world, tn_path), tn_bw * eff_cap)
+    tn_cap = tn_bw * eff_cap                # the reserved meter rate
+    loads = (cond.background_load_fraction * eff_cap_w)[:, None].repeat(
+        rows.path_hops.shape[1], axis=1)
+    lane = rows.path_base + tn_path         # flat (world, path) index
+    np.add.at(loads.reshape(-1), lane, tn_cap)
     offered_bps = rates * rows.sum_bits
-    tn_cap = np.clip(tn_bw, 0.0, 1.0) * eff_cap
-    utilization = np.minimum(loads[rows.world, tn_path] / eff_cap, 0.99)
+    utilization = np.minimum(loads.take(lane) / eff_cap, 0.99)
     queueing_ms = rows.hop_latency_ms * utilization / (1.0 - utilization)
-    tn_latency = (rows.path_hops[rows.world, tn_path]
-                  * rows.hop_latency_ms + queueing_ms
-                  + cond.extra_latency_ms[rows.world])
+    tn_latency = (rows.path_hops.take(lane) * rows.hop_latency_ms
+                  + queueing_ms + cond.extra_latency_ms[rows.world])
     tn_latency = np.where((tn_cap <= 0) & (offered_bps > 0), np.inf,
                           tn_latency)
     if tracer is not None:
         mark = tracer.lap("engine.kernel.transport", mark)
 
     # ---- core (oracle: CoreNetwork.set_slice_resources + evaluate) ---
-    cpu_share = np.clip(cpu, 0.0, 1.0)
-    per_cpu = cpu_share / rows.num_sgwu
+    # service rates and loads as (2, R) pairs: core, edge
+    mu = np.empty((2, rows.num_rows))
+    lam = np.empty((2, rows.num_rows))
+    per_cpu = cpu / rows.num_sgwu
     cpu_total = np.zeros(rows.num_rows)
-    for j in range(int(rows.num_sgwu.max())):
-        np.add(cpu_total, per_cpu, out=cpu_total,
-               where=j < rows.num_sgwu)
-    core_mu = cpu_total * rows.sgwu_capacity_pps
-    core_lam = offered_bps / rows.mean_packet_bits
-    has_mu = core_mu > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core_util = np.where(has_mu, core_lam / core_mu,
-                             np.where(core_lam > 0, 1.0, 0.0))
-        queued = _queueing_rows(1e3 / np.where(has_mu, core_mu, 1.0),
-                                core_util)
-        core_latency = np.where(
-            has_mu, rows.core_base_latency_ms + queued, np.inf)
-    core_pps = np.where(has_mu, core_mu, 0.0)
+    for sgwu in rows.sgwu_mask:
+        np.add(cpu_total, per_cpu, out=cpu_total, where=sgwu)
+    np.multiply(cpu_total, rows.sgwu_capacity_pps, out=mu[0])
+    np.divide(offered_bps, rows.mean_packet_bits, out=lam[0])
     if tracer is not None:
         mark = tracer.lap("engine.kernel.core", mark)
 
     # ---- edge (oracle: EdgeServerPool.set_resources + evaluate) ------
-    edge_ram_gb = np.clip(ram, 0.0, 1.0) * rows.total_ram_gb
-    work_rate = rates * rows.compute_units
+    # ... and the core's and the edge's queueing law, as one pair
+    edge_ram_gb = ram * rows.total_ram_gb
+    work_rate = np.multiply(rates, rows.compute_units, out=lam[1])
     required_ram = work_rate * rows.ram_gb_per_ups
     needs_ram = required_ram > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -536,22 +636,23 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
             np.maximum(edge_ram_gb
                        / np.where(needs_ram, required_ram, 1.0), 0.1),
             1.0)
-    edge_mu_eff = cpu_share * rows.edge_capacity_ups * ram_penalty
-    has_eff = edge_mu_eff > 0
-    has_work = work_rate > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe_eff = np.where(has_eff, edge_mu_eff, 1.0)
-        edge_util = np.where(has_eff, work_rate / safe_eff,
-                             np.where(has_work, 1.0, 0.0))
-        edge_latency = np.where(
-            has_eff, _queueing_rows(1e3 / safe_eff, edge_util),
-            np.where(has_work, np.inf, 0.0))
+    np.multiply(cpu * rows.edge_capacity_ups, ram_penalty, out=mu[1])
+    has_mu = mu > 0
+    safe_mu = np.where(has_mu, mu, 1.0)
+    util = np.where(has_mu, lam / safe_mu, lam > 0)
+    queued = _queueing_rows(1e3 / safe_mu, util)
+    core_latency = np.where(has_mu[0],
+                            rows.core_base_latency_ms + queued[0],
+                            np.inf)
+    core_pps = np.where(has_mu[0], mu[0], 0.0)
+    edge_latency = np.where(has_mu[1], queued[1],
+                            np.where(work_rate > 0, np.inf, 0.0))
     if tracer is not None:
         mark = tracer.lap("engine.kernel.edge", mark)
 
     # ---- applications (oracle: evaluate_mar / _hvs / _rdc) -----------
-    value = _evaluate_apps(rows, rates, ul_cap, dl_cap, ul_retx, dl_retx,
-                           tn_cap, tn_latency, core_latency, core_pps,
+    value = _evaluate_apps(rows, rates, capacity, retx_mean, tn_cap,
+                           tn_latency, core_latency, core_pps,
                            edge_latency)
     satisfaction = _satisfaction_rows(rows, value)
     cost = 1.0 - satisfaction
@@ -563,10 +664,10 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     for col in _USAGE_COLS:
         usage += raw[:, col]
     usage = usage / len(_USAGE_COLS)
-    radio_usage = (ul_bw + dl_bw) * 0.5
-    workload = (np.minimum(core_util, 1.0)
-                + np.minimum(edge_util, 1.0)) * 0.5
-    channel_quality = _user_sum(cqi, user_mask) / rows.users / NUM_CQI
+    radio_usage = (share[0] + share[1]) * 0.5
+    busy = np.minimum(util, 1.0)
+    workload = (busy[0] + busy[1]) * 0.5
+    channel_quality = means[4] / NUM_CQI
     if tracer is not None:
         tracer.lap("engine.kernel.state", mark)
 
@@ -577,10 +678,10 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         "usage": usage,
         "radio_usage": radio_usage,
         "workload": workload,
-        "ul_capacity_bps": ul_cap,
-        "dl_capacity_bps": dl_cap,
-        "ul_retx": ul_retx,
-        "dl_retx": dl_retx,
+        "ul_capacity_bps": capacity[0],
+        "dl_capacity_bps": capacity[1],
+        "ul_retx": retx_mean[0],
+        "dl_retx": retx_mean[1],
         "transport_latency_ms": tn_latency,
         "transport_rate_bps": tn_cap,
         "core_latency_ms": core_latency,
@@ -588,46 +689,6 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         "channel_quality": channel_quality,
         "path_loads": loads,
     }
-
-
-def _radio_direction(rows: SliceRows, share: np.ndarray,
-                     mcs_offset: np.ndarray, scheduler: np.ndarray,
-                     base_mcs: np.ndarray, margin_pow: np.ndarray,
-                     user_mask: np.ndarray, uplink: bool
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """One direction of the oracle's ``RadioCell.slice_capacity`` (with
-    ``PhyModel.link_quality`` and ``scheduler_efficiency`` inlined) for
-    all rows: ``(capacity_bps, mean retx)``.
-
-    ``base_mcs`` and ``margin_pow`` are the direction-shared terms
-    precomputed by :func:`evaluate_rows` (see the module Fusions
-    section).
-    """
-    total = rows.ul_prbs_total if uplink else rows.dl_prbs_total
-    duty = rows.uplink_fraction if uplink else rows.downlink_fraction
-    base_retx = rows.base_retx_ul if uplink else rows.base_retx_dl
-    decay = rows.decay_ul if uplink else rows.decay_dl
-
-    prbs = np.rint(np.clip(share, 0.0, 1.0) * total)
-    prbs = np.where((share > 1e-3) & (prbs == 0), 1.0, prbs)
-
-    # per-user effective MCS and first-transmission error probability
-    eff = _MCS_EFF[np.clip(base_mcs - mcs_offset[:, None], 0,
-                           NUM_MCS - 1)]
-    retx = np.clip((base_retx * decay ** mcs_offset)[:, None]
-                   * margin_pow, 1e-9, 0.99)
-    goodput = eff * (1.0 - retx) / (1.0 + retx)
-
-    retx_mean = _user_sum(retx, user_mask) / rows.users
-    mean_eff = _user_sum(goodput, user_mask) / rows.users
-    best_eff = np.max(goodput, axis=1, initial=-np.inf, where=user_mask)
-    agg = np.where(scheduler == 0, mean_eff,
-                   np.where(scheduler == 2,
-                            0.9 * best_eff + 0.1 * mean_eff,
-                            0.6 * best_eff + 0.4 * mean_eff))
-    capacity = (prbs * rows.prb_bandwidth_hz * duty * agg
-                * (1.0 - rows.overhead))
-    return capacity, retx_mean
 
 
 def _mm1_rows(payload_bits: np.ndarray, capacity_bps: np.ndarray,
@@ -655,27 +716,29 @@ def _satisfaction_rows(rows: SliceRows,
 
 
 def _evaluate_apps(rows: SliceRows, rates: np.ndarray,
-                   ul_cap: np.ndarray, dl_cap: np.ndarray,
-                   ul_retx: np.ndarray, dl_retx: np.ndarray,
+                   capacity: np.ndarray, retx: np.ndarray,
                    tn_rate: np.ndarray, tn_latency: np.ndarray,
                    core_latency: np.ndarray, core_pps: np.ndarray,
                    edge_latency: np.ndarray) -> np.ndarray:
     """Dispatch the per-app performance models over all rows at once:
-    each row's measured SLA metric."""
-    # MAR: round-trip frame latency ------------------------------------
-    ul_demand = rates * rows.ul_bits
-    effective_ul = np.where(tn_rate > 0, np.minimum(ul_cap, tn_rate),
-                            0.0)
-    mar_latency = (rows.ran_base_latency_ms
-                   + _mm1_rows(rows.ul_bits, effective_ul, ul_demand)
-                   + _mm1_rows(rows.dl_bits, dl_cap,
-                               rates * rows.dl_bits)
+    each row's measured SLA metric.  ``capacity`` and ``retx`` are the
+    radio's ``(2, R)`` UL / DL pairs."""
+    ul_cap, dl_cap = capacity
+    ul_retx, dl_retx = retx
+    demand = rates * rows.payload_bits.T
+
+    # MAR: round-trip frame latency; both M/M/1 legs as one pair, the
+    # uplink's through the slower of the radio and the meter --------
+    link = capacity.copy()
+    link[0] = np.where(tn_rate > 0, np.minimum(ul_cap, tn_rate), 0.0)
+    legs = _mm1_rows(rows.payload_bits.T, link, demand)
+    mar_latency = (rows.ran_base_latency_ms + legs[0] + legs[1]
                    + 8.0 * (ul_retx + dl_retx)
                    + tn_latency + core_latency + edge_latency)
 
     # HVS: delivered FPS -----------------------------------------------
     target_fps = rows.sla_target
-    hvs_demand = rates * target_fps * rows.dl_bits
+    hvs_demand = rates * target_fps * rows.payload_bits[:, 1]
     supply = np.minimum(np.minimum(dl_cap, tn_rate),
                         core_pps * rows.mean_packet_bits)
     hvs_fps = (target_fps
@@ -685,14 +748,12 @@ def _evaluate_apps(rows: SliceRows, rates: np.ndarray,
     hvs_fps = np.where(hvs_demand <= 0, target_fps, hvs_fps)
 
     # RDC: radio transmission reliability ------------------------------
-    # msg_bps == rates * ul_bits == ul_demand (see Fusions)
-    sending = ul_demand > 0
-    safe_msg = np.where(sending, ul_demand, 1.0)
-    reliability = ((1.0 - ul_retx) * (1.0 - dl_retx)
-                   * np.where(sending,
-                              np.minimum(ul_cap / safe_msg, 1.0), 1.0)
-                   * np.where(sending,
-                              np.minimum(dl_cap / safe_msg, 1.0), 1.0))
+    # msg_bps == rates * ul_bits == the uplink demand (see Fusions)
+    sending = demand[0] > 0
+    safe_msg = np.where(sending, demand[0], 1.0)
+    fill = np.where(sending, np.minimum(capacity / safe_msg, 1.0), 1.0)
+    good = 1.0 - retx
+    reliability = good[0] * good[1] * fill[0] * fill[1]
 
     # one column per APP_CODES value, in code order
-    return np.choose(rows.app, [mar_latency, hvs_fps, reliability])
+    return rows.app.choose([mar_latency, hvs_fps, reliability])

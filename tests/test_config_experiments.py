@@ -1,6 +1,7 @@
 """Tests: configuration integrity and cheap experiment generators."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from repro.config import (
     ACTION_NAMES,
     NUM_ACTIONS,
     USAGE_ACTION_INDICES,
+    CoreConfig,
+    EdgeConfig,
     ExperimentConfig,
     RANConfig,
     SliceSpec,
     SliceSLA,
     TrafficConfig,
+    TransportConfig,
     action_index,
     default_slice_specs,
+    hvs_slice_spec,
     lte_ran_config,
     nr_ran_config,
     usage_from_action,
@@ -28,6 +33,7 @@ from repro.experiments.metrics import (
     online_phase_summary,
     usage_percent,
 )
+from repro.runtime.serialization import from_jsonable, to_jsonable
 
 
 class TestConfig:
@@ -84,6 +90,45 @@ class TestConfig:
         assert sla.violated(0.05 + 1e-12)
         assert not sla.violated(0.05)
         assert not sla.violated(0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("target", 0.0), ("target", -30.0), ("target", float("nan")),
+        ("target", float("inf")), ("cost_threshold", 0.0),
+        ("cost_threshold", -0.05), ("cost_threshold", float("nan"))])
+    def test_degenerate_sla_is_refused(self, field, value):
+        """A zero or NaN target made every cost of the slice NaN, and
+        a zero C_max an infinite budget feature, without a word; both
+        are refused where they are written, a tagged-JSON spec
+        included."""
+        sla = dict(target=30.0, cost_threshold=0.05)
+        with pytest.raises(ValueError, match=f"SliceSLA.{field} must"):
+            SliceSLA("fps", **{**sla, field: value})
+        tagged = to_jsonable(hvs_slice_spec())
+        tagged["fields"]["sla"]["fields"][field] = value
+        with pytest.raises(ValueError, match=f"SliceSLA.{field} must"):
+            from_jsonable(json.loads(json.dumps(tagged)))
+
+    def test_degenerate_network_counts_are_refused(self):
+        """No path failed at the first step with a bare IndexError
+        from the kernel, and no SGW-U costed every latency slice 1.0
+        behind a divide-by-zero warning; both are refused at
+        construction, naming the field."""
+        with pytest.raises(ValueError,
+                           match="TransportConfig.num_paths must be >= 1"):
+            TransportConfig(num_paths=0, path_extra_hops=())
+        with pytest.raises(
+                ValueError,
+                match="CoreConfig.num_sgwu_per_slice must be >= 1"):
+            CoreConfig(num_sgwu_per_slice=0)
+        tagged = to_jsonable(CoreConfig())
+        tagged["fields"]["num_sgwu_per_slice"] = -1
+        with pytest.raises(ValueError, match="num_sgwu_per_slice"):
+            from_jsonable(json.loads(json.dumps(tagged)))
+        # a dead link and an idle edge stay legal
+        assert TransportConfig(link_capacity_bps=0.0).num_paths == 3
+        assert EdgeConfig(compute_capacity_ups=0.0).total_ram_gb > 0
+        assert TransportConfig(num_paths=1,
+                               path_extra_hops=(0,)).num_paths == 1
 
     @pytest.mark.parametrize("slots", [0, -3])
     def test_zero_horizon_is_refused_at_construction(self, slots):
