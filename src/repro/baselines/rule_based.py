@@ -32,6 +32,7 @@ from repro.config import (
     action_index,
 )
 from repro.engine.kernels import WorldConditions, evaluate_rows
+from repro.sim.channel import FleetChannelBank
 from repro.sim.env import SliceObservation
 from repro.sim.network import EndToEndNetwork
 
@@ -179,9 +180,10 @@ def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,
     ``eval_slots`` channel slots.
 
     The testbed is one single-slice network whose channels advance one
-    slot per evaluation; neither the action nor the arrival rate feeds
-    back into the channels, so candidate ``i``'s ``k``-th evaluation
-    sees trajectory slot ``i * eval_slots + k`` in every bin.  The
+    slot per evaluation, through a one-world channel block; neither
+    the action nor the arrival rate feeds back into the channels, so
+    candidate ``i``'s ``k``-th evaluation sees trajectory slot ``i *
+    eval_slots + k`` in every bin.  The
     trajectory is therefore recorded once, and each bin is a single
     :func:`~repro.engine.kernels.evaluate_rows` call in which every
     (candidate, slot) pair is a row in a world of its own
@@ -200,9 +202,9 @@ def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,
     num_rows = len(combos) * slots
     cqi = np.empty((num_rows, network_cfg.users_per_slice), dtype=np.intp)
     margin = np.empty(cqi.shape)
+    block = FleetChannelBank([network])
     for row in range(num_rows):
-        network.step_channels()
-        slot_cqi, slot_margin = network.gather_channel_state()
+        slot_cqi, slot_margin = block.step_worlds([0])
         cqi[row] = slot_cqi[0]
         margin[row] = slot_margin[0]
 

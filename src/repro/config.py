@@ -189,6 +189,15 @@ def slice_spec_for_app(app: str, name: Optional[str] = None,
         spec, max_arrival_rate=spec.max_arrival_rate * arrival_scale)
 
 
+def _check_capacity(cfg, name: str) -> None:
+    """Refuse a negative or non-finite capacity field of ``cfg``,
+    naming it (zero is legal: a dead link, an idle edge)."""
+    value = getattr(cfg, name)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{type(cfg).__name__}.{name} must be finite "
+                         f"and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RANConfig:
     """Radio access network parameters.
@@ -218,6 +227,14 @@ class RANConfig:
             raise ValueError("num_prbs must be positive")
         if not 0 < self.downlink_fraction < 1:
             raise ValueError("downlink_fraction must be in (0, 1)")
+        if not 0 < self.uplink_fraction < 1:
+            raise ValueError(
+                f"RANConfig.uplink_fraction must be in (0, 1), got "
+                f"{self.uplink_fraction!r}")
+        if not 0 <= self.overhead < 1:
+            raise ValueError(
+                f"RANConfig.overhead must be in [0, 1), got "
+                f"{self.overhead!r}")
 
 
 def lte_ran_config() -> RANConfig:
@@ -255,6 +272,7 @@ class TransportConfig:
                 f"{self.num_paths!r}")
         if self.num_paths != len(self.path_extra_hops):
             raise ValueError("path_extra_hops must list one entry per path")
+        _check_capacity(self, "link_capacity_bps")
 
 
 @dataclass(frozen=True)
@@ -289,6 +307,10 @@ class EdgeConfig:
     #: swapping penalties kick in.
     ram_gb_per_ups: float = 0.25
 
+    def __post_init__(self) -> None:
+        _check_capacity(self, "compute_capacity_ups")
+        _check_capacity(self, "total_ram_gb")
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -301,6 +323,12 @@ class NetworkConfig:
     #: Number of users each slice serves (per-slice UE population used
     #: for channel realisations).
     users_per_slice: int = 3
+
+    def __post_init__(self) -> None:
+        if self.users_per_slice < 1:
+            raise ValueError(
+                f"NetworkConfig.users_per_slice must be >= 1, got "
+                f"{self.users_per_slice!r}")
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ counter; everything else is whole-batch:
   :class:`~repro.sim.channel.FleetChannelBank` block -- built at
   construction for any B, one world included, and as wide as the
   widest world's user count -- advanced by one fused AR(1) update over
-  the stepped worlds' rows; only a world whose bank the block does not
-  hold (``network.churn_count`` moved, so its layout was rebuilt, or
-  another engine stepped the world) is re-adopted;
+  the stepped worlds' rows; only a world whose network the block does
+  not hold (its slice set changed, so it took its channel state back,
+  or another engine stepped the world) is re-adopted;
 * cumulative episode costs are one stacked vector the worlds' layouts
   view (re-homed when a layout is new or another engine stepped the
   world), updated with one add;
@@ -217,11 +217,9 @@ class BatchSimulator:
         self._counters = dict.fromkeys(
             ("bundle_builds", "bundle_splices", "fleet_adoptions",
              "bank_readoptions", "event_slots"), 0)
-        # Every world's channel bank, stacked into the one block the
+        # Every world's channel state, stacked into the one block the
         # channel stage advances.
-        self._fleet = FleetChannelBank(
-            [sim.network.channel_bank() for sim in self.sims],
-            [sim.network._rng for sim in self.sims])
+        self._fleet = FleetChannelBank([sim.network for sim in self.sims])
         self._counters["fleet_adoptions"] += 1
         # Every world's managed cumulative episode cost, stacked at
         # fixed positions; a stepped world's ``WorldLayout.cum_cost``
@@ -243,12 +241,12 @@ class BatchSimulator:
         """What this engine rebuilt so far (a read-only snapshot):
         full bundle builds and bundle splices (together, one per row
         layout the kernels saw), whole-fleet channel adoptions (always
-        1: the block is built with the engine) and single-bank
-        re-adoptions, and the world-slots on which an event boundary
-        was handled.  Slice churn, worlds joining or leaving the
-        stepped set, resets that detach churn slices and another
-        engine stepping one of the worlds are the only things that
-        move any of them after the first step."""
+        1: the block is built with the engine) and single-world
+        re-adoptions (``bank_readoptions``), and the world-slots on
+        which an event boundary was handled.  Slice churn, worlds
+        joining or leaving the stepped set, resets that detach churn
+        slices and another engine stepping one of the worlds are the
+        only things that move any of them after the first step."""
         return MappingProxyType(dict(self._counters))
 
     def slice_names(self, world: int) -> List[str]:
@@ -448,20 +446,21 @@ class BatchSimulator:
         """Bring what this engine caches in line with the stepping
         worlds' layouts, touching only what moved: re-home a cumulative
         cost vector that lives elsewhere (fresh episode, another
-        engine stepped the world), re-adopt a channel bank the fleet
-        block does not hold (churn, or another engine stepped the
-        world), splice the bundle when the worlds or their row layouts
-        changed."""
+        engine stepped the world), re-adopt a network whose channel
+        state the fleet block does not hold (churn, or another engine
+        stepped the world), splice the bundle when the worlds or their
+        row layouts changed."""
         fleet = self._fleet
         uids = []
         strays = []
         for b, state in zip(stepping, states):
             if state.cum_cost.base is not self._cum:
                 strays.append((b, state))
-            if state.bank._home is not fleet:
-                # (a bank of another size comes with new kernel rows,
-                # so the uid test below re-derives ``channel_rows``)
-                fleet.replace(b, state.bank)
+            network = state.sim.network
+            if network._home is not fleet:
+                # (churn comes with new kernel rows, so the uid test
+                # below re-derives ``channel_rows``)
+                fleet.replace(b, network)
                 self._counters["bank_readoptions"] += 1
             uids.append(state.rows.uid)
         if strays:

@@ -11,7 +11,8 @@ allocation into a performance number is one place,
 edge (container) stages need only ``cfg.core`` / ``cfg.edge``:
 
 * :mod:`repro.sim.phy` / :mod:`repro.sim.channel` -- CQI/MCS tables,
-  the MCS-offset retransmission parameters, per-user channel processes;
+  the MCS-offset retransmission parameters, the per-user AR(1) channel
+  state's one stepper;
 * :mod:`repro.sim.ran` -- the cell's PRB budget and the RR/PF/Max-CQI
   scheduler choices;
 * :mod:`repro.sim.transport` -- SDN switch fabric: reserved paths over
@@ -23,7 +24,6 @@ edge (container) stages need only ``cfg.core`` / ``cfg.edge``:
 """
 
 from repro.sim.apps import AppPerformance
-from repro.sim.channel import ChannelProcess, UserChannel
 from repro.sim.env import SliceObservation
 from repro.sim.network import EndToEndNetwork, SlotReport
 from repro.sim.phy import (
@@ -38,14 +38,12 @@ from repro.sim.traffic import TelecomItaliaSynthesizer
 __all__ = [
     "AppPerformance",
     "CQI_TABLE",
-    "ChannelProcess",
     "EndToEndNetwork",
     "MCS_TABLE",
     "PhyModel",
     "SliceObservation",
     "SlotReport",
     "TelecomItaliaSynthesizer",
-    "UserChannel",
     "cqi_to_mcs",
     "mcs_spectral_efficiency",
 ]

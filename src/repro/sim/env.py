@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.config import ExperimentConfig, NUM_ACTIONS, slice_spec_for_app
 from repro.sim.network import EndToEndNetwork, SlotReport
+from repro.sim.phy import NUM_CQI
 from repro.sim.traffic import MAX_ENVELOPE, TelecomItaliaSynthesizer
 
 #: Number of features in the observation vector.
@@ -99,7 +100,7 @@ class WorldLayout:
 
     What the stepper reads per world, in network row order (managed
     and background churn slices alike): the kernel row constants, the
-    channel bank, the managed-row mask, the background slices' fixed
+    managed-row mask, the background slices' fixed
     allocations, the episode's Poisson intensities and the managed
     slices' cumulative cost.  Owned by the simulator it describes (see
     :meth:`ScenarioSimulator.layout`), so every engine stepping the
@@ -121,7 +122,6 @@ class WorldLayout:
         #: ``network.churn_count`` this layout was built at.
         self.churn_count = network.churn_count
         self.rows = network.slot_rows()
-        self.bank = network.channel_bank()
         self.names = self.rows.names
         background = sim._event_slices
         self.managed = np.asarray(
@@ -365,13 +365,12 @@ class ScenarioSimulator:
         self._day += 1
         self._layout = None
         observations = {}
-        for name in self.slice_names:
-            spec = self.network.slices[name]
-            channel = self.network.channels[name]
+        cqi = self.network.cqi
+        for row, (name, spec) in enumerate(self.network.slices.items()):
             observations[name] = SliceObservation(
                 slot_fraction=0.0,
                 traffic=float(self._traces[name][0]),
-                channel_quality=channel.normalized_quality(),
+                channel_quality=float(cqi[row].mean()) / NUM_CQI,
                 radio_usage=0.0,
                 workload=0.0,
                 last_usage=0.0,

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.config import NUM_ACTIONS, NetworkConfig, SliceSpec
 from repro.sim.apps import AppPerformance
-from repro.sim.channel import ChannelBank, ChannelProcess
+from repro.sim.channel import _PADDING, draw_channels, snr_to_cqi_array
 from repro.sim.ran import RadioCell
 from repro.sim.transport import TransportFabric
 
@@ -64,7 +64,16 @@ CONSTRAINED_RESOURCES: Dict[str, int] = {
 
 
 class EndToEndNetwork:
-    """One end-to-end infrastructure instance hosting several slices."""
+    """One end-to-end infrastructure instance hosting several slices.
+
+    The slices' radio channels are three ``(S, users_per_slice)``
+    arrays in slice order, ``mean_snr_db`` / ``snr_db`` / ``cqi``
+    (:mod:`repro.sim.channel`): the network's own until an engine's
+    :class:`~repro.sim.channel.FleetChannelBank` takes them, after
+    which they read the network's rows of that block.  Attaching or
+    detaching a slice first takes the state back (as copies), then
+    appends or deletes one row.
+    """
 
     def __init__(self, cfg: Optional[NetworkConfig] = None,
                  slices: Optional[Sequence[SliceSpec]] = None,
@@ -74,45 +83,93 @@ class EndToEndNetwork:
         self.cell = RadioCell(self.cfg.ran)
         self.fabric = TransportFabric(self.cfg.transport)
         self.slices: Dict[str, SliceSpec] = {}
-        self.channels: Dict[str, ChannelProcess] = {}
+        for spec in slices or ():
+            self._check_new(spec)
+            self.slices[spec.name] = spec
         #: Bumped by every slice attach / detach: what holders of
-        #: anything derived from the slice set (row layout, channel
-        #: bank, a simulator's episode layout) compare to know it is
-        #: stale.
+        #: anything derived from the slice set (row layout, a fleet
+        #: block's rows, a simulator's episode layout) compare to know
+        #: it is stale.
         self.churn_count = 0
         #: Cached engine row layout; rebuilt whenever the slice set
         #: changes (see :meth:`slot_rows`).
         self._rows_cache = None
-        #: Stacked channel state of the current slice set (the
-        #: channels' storage): dropped by every attach / detach and
-        #: built on first use (see :meth:`channel_bank`).
-        self._bank: Optional[ChannelBank] = None
-        if slices:
-            for spec in slices:
-                self.add_slice(spec)
+        #: The engine block holding the channel state (``None``: the
+        #: state is ``_state``), and this network's world index in it.
+        self._home = None
+        self._index = 0
+        # One draw for every initial slice: the same stream as one
+        # draw per slice in attach order, with nothing to stack.
+        mean, snr = draw_channels(len(self.slices),
+                                  self.cfg.users_per_slice, self._rng)
+        self._state = {"mean_snr_db": mean, "snr_db": snr,
+                       "cqi": snr_to_cqi_array(snr)}
+
+    # ---- channel state -----------------------------------------------
+
+    def _read(self, field: str) -> np.ndarray:
+        home = self._home
+        if home is None:
+            return self._state[field]
+        return getattr(home, field)[
+            home.starts[self._index]:home.starts[self._index + 1],
+            :self.cfg.users_per_slice]
+
+    @property
+    def mean_snr_db(self) -> np.ndarray:
+        """``(S, U)`` per-user mean SNR (dB), slice order."""
+        return self._read("mean_snr_db")
+
+    @property
+    def snr_db(self) -> np.ndarray:
+        """``(S, U)`` per-user current SNR (dB), slice order."""
+        return self._read("snr_db")
+
+    @property
+    def cqi(self) -> np.ndarray:
+        """``(S, U)`` per-user reported CQI, slice order."""
+        return self._read("cqi")
+
+    def _own_state(self) -> Dict[str, np.ndarray]:
+        """The channel state as this network's own arrays, taken back
+        (as copies) from an engine block that holds it: the block may
+        reuse its rows, and re-adopts this network on its next step."""
+        if self._home is not None:
+            self._state = {field: self._read(field).copy()
+                           for field in _PADDING}
+            self._home = None
+        return self._state
 
     # ---- slice lifecycle ---------------------------------------------
 
-    def add_slice(self, spec: SliceSpec) -> None:
-        """Attach a slice: its spec and its UEs' radio channels."""
+    def _check_new(self, spec: SliceSpec) -> None:
         if spec.name in self.slices:
             raise ValueError(f"slice {spec.name!r} already exists")
+
+    def add_slice(self, spec: SliceSpec) -> None:
+        """Attach a slice: its spec and its UEs' radio channels."""
+        self._check_new(spec)
+        state = self._own_state()
+        mean, snr = draw_channels(1, self.cfg.users_per_slice, self._rng)
+        for field, row in (("mean_snr_db", mean), ("snr_db", snr),
+                           ("cqi", snr_to_cqi_array(snr))):
+            state[field] = np.concatenate([state[field], row])
         self.slices[spec.name] = spec
-        self.channels[spec.name] = ChannelProcess(
-            self.cfg.users_per_slice, self._rng)
         self._slice_set_changed()
 
     def remove_slice(self, name: str) -> None:
         if name not in self.slices:
             raise KeyError(f"no slice {name!r}")
-        del self.channels[name]
+        row = list(self.slices).index(name)
+        state = self._own_state()
+        for field in _PADDING:
+            state[field] = np.delete(state[field], row, axis=0)
         del self.slices[name]
         self._slice_set_changed()
 
     def _slice_set_changed(self) -> None:
         self.churn_count += 1
         self._rows_cache = None
-        self._bank = None
 
     @property
     def slice_names(self) -> List[str]:
@@ -139,25 +196,6 @@ class EndToEndNetwork:
 
     # ---- slot evaluation -----------------------------------------------
 
-    def channel_bank(self) -> ChannelBank:
-        """This network's stacked channel state, zero rows without
-        slices: built on the first call after a slice attach / detach
-        (the channels' state moves into it then), so a network built
-        slice by slice stacks its channels once, not once per slice."""
-        if self._bank is None:
-            self._bank = ChannelBank(list(self.channels.values()),
-                                     self.cfg.users_per_slice)
-        return self._bank
-
-    def step_channels(self) -> None:
-        """Advance every slice's radio channel by one slot.
-
-        One stacked AR(1) update over the channel bank; consumes the
-        RNG identically to a per-channel loop (one ``(S, U)`` block
-        draw == S sequential size-``U`` draws in slice order).
-        """
-        self.channel_bank().step(self._rng)
-
     def slot_rows(self):
         """This network's engine row layout (cached per slice set:
         churn drops it, so a new object *is* a new layout)."""
@@ -166,15 +204,6 @@ class EndToEndNetwork:
 
             self._rows_cache = rows_for_network(self)
         return self._rows_cache
-
-    def gather_channel_state(self):
-        """Every slice's per-user CQI and channel margin.
-
-        Returns ``(cqi, margin)`` of shape ``(S, users_per_slice)`` in
-        slice order; the margin array is the bank's buffer, refilled
-        by the next call.
-        """
-        return self.channel_bank().read()
 
     def evaluate_slot(self, actions: Dict[str, np.ndarray],
                       arrival_rates: Dict[str, float]
@@ -214,10 +243,10 @@ class EndToEndNetwork:
             matrix[i] = arr
         rates = np.array([float(arrival_rates.get(name, 0.0))
                           for name in names])
-        cqi, margin = self.gather_channel_state()
         out = evaluate_rows(
             self.slot_rows(), WorldConditions.nominal(1).refresh(
-                [self.fabric]), matrix, rates, cqi, margin)
+                [self.fabric]), matrix, rates, self.cqi,
+            self.snr_db - self.mean_snr_db)
         return self.wrap_reports(out, rates)
 
     def wrap_reports(self, out: Dict, rates: np.ndarray

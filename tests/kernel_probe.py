@@ -64,7 +64,7 @@ def kernel_slot(net: EndToEndNetwork,
     matrix = np.array([np.asarray(actions[name], dtype=float)
                        for name in names])
     rate_vec = np.array([float(rates.get(name, 0.0)) for name in names])
-    net_cqi, net_margin = net.gather_channel_state()
+    net_cqi, net_margin = net.cqi, net.snr_db - net.mean_snr_db
     if cqi is not None:
         net_cqi = np.broadcast_to(
             np.asarray(cqi, dtype=np.intp), net_cqi.shape).copy()

@@ -25,6 +25,10 @@ only the fields those methods read.
 :class:`ScalarSubstrates` -- the only new code -- builds one set of
 them shadowing an ``EndToEndNetwork``.
 
+The ``sim/channel.py`` section is the per-channel AR(1) process the
+product's one channel block is held against (its draw verbatim, its
+state its own arrays).
+
 The last section is the other scalar copy: one slice's act as it stood
 at commit ``acef036``, before the orchestrator stacked its agents
 (``repro.core.agent.AgentStack``) -- ``GaussianActorCritic.act`` and
@@ -55,7 +59,7 @@ from repro.core.orchestrator import coordinate_actions
 from repro.core.switching import SwitchDecision
 from repro.sim import phy, ran, transport
 from repro.sim.apps import AppPerformance
-from repro.sim.channel import ChannelProcess
+from repro.sim.channel import snr_to_cqi_array
 from repro.sim.env import SliceObservation
 from repro.sim.phy import NUM_MCS, cqi_to_mcs, mcs_spectral_efficiency
 from repro.sim.queueing import RHO_KNEE
@@ -144,6 +148,79 @@ class PhyModel(phy.PhyModel):
         return LinkQuality(mcs=mcs, spectral_efficiency=eff, bler=retx,
                            retransmission_probability=retx,
                            goodput_efficiency=goodput)
+
+
+# ---- sim/channel.py ----------------------------------------------------
+
+
+@dataclass
+class UserChannel:
+    """Snapshot of one user's channel (see :attr:`ChannelProcess.users`)."""
+
+    mean_snr_db: float
+    snr_db: float
+    cqi: int
+
+
+class ChannelProcess:
+    """AR(1) SNR evolution for a population of users: the per-channel
+    reference ``repro.sim.channel.FleetChannelBank`` is held against.
+
+    The constructor's draw is the product's historical one, verbatim;
+    the state is this object's own arrays, and :meth:`step` is the
+    historical ``mean + rho * (snr - mean) + sigma * z`` written out
+    (the product's in-place ``_ar1_step`` is the same association).
+    """
+
+    def __init__(self, num_users: int, rng: np.random.Generator,
+                 mean_snr_db: float = 18.0, snr_spread_db: float = 4.0,
+                 correlation: float = 0.9,
+                 innovation_std_db: float = 1.5) -> None:
+        if num_users <= 0:
+            raise ValueError("num_users must be positive")
+        if not 0.0 <= correlation < 1.0:
+            raise ValueError("correlation must be in [0, 1)")
+        self._rng = rng
+        self.num_users = num_users
+        self.correlation = correlation
+        self.innovation_std_db = innovation_std_db
+        # The historical scalar path drew, per user, mean then snr --
+        # an interleaved stream of standard normals.  One array draw
+        # consumes the generator identically; the even entries scale
+        # into means, the odd ones into initial SNRs.
+        z = rng.standard_normal(2 * num_users)
+        self.mean_snr_db = mean_snr_db + snr_spread_db * z[0::2]
+        self.snr_db = self.mean_snr_db + innovation_std_db * z[1::2]
+        self.cqi = snr_to_cqi_array(self.snr_db)
+
+    @classmethod
+    def holding(cls, mean_snr_db: np.ndarray, snr_db: np.ndarray,
+                cqi: np.ndarray) -> "ChannelProcess":
+        """A process over copies of one network row (never stepped)."""
+        channel = cls.__new__(cls)
+        channel.num_users = len(snr_db)
+        channel.mean_snr_db = np.array(mean_snr_db)
+        channel.snr_db = np.array(snr_db)
+        channel.cqi = np.array(cqi)
+        return channel
+
+    @property
+    def users(self) -> List[UserChannel]:
+        """Per-user snapshot views (read-only; state lives in arrays)."""
+        mean, snr, cqi = self.mean_snr_db, self.snr_db, self.cqi
+        return [UserChannel(mean_snr_db=float(mean[i]),
+                            snr_db=float(snr[i]), cqi=int(cqi[i]))
+                for i in range(self.num_users)]
+
+    def step(self) -> None:
+        """Advance every user's channel by one configuration slot."""
+        rho = self.correlation
+        sigma = self.innovation_std_db * np.sqrt(1.0 - rho ** 2)
+        z = self._rng.standard_normal(self.num_users)
+        self.snr_db = (self.mean_snr_db
+                       + rho * (self.snr_db - self.mean_snr_db)
+                       + sigma * z)
+        self.cqi = snr_to_cqi_array(self.snr_db)
 
 
 # ---- sim/ran.py --------------------------------------------------------
@@ -770,8 +847,9 @@ class ScalarSubstrates:
 
     Same configuration, PHY parameters, fabric conditions and slice
     set; pools, servers and container shares are its own, so driving
-    the oracle never writes into the network under test.  Channels are
-    not copied: the oracle reads ``net.channels`` directly.
+    the oracle never writes into the network under test.  ``channels``
+    holds one :class:`ChannelProcess` per slice over copies of the
+    network's channel rows.
     """
 
     def __init__(self, net) -> None:
@@ -787,9 +865,12 @@ class ScalarSubstrates:
                                     cfg.edge.total_ram_gb)
         self.core = CoreNetwork(cfg.core, runtime=runtime)
         self.edge = EdgeServerPool(cfg.edge, runtime=runtime)
-        for name in net.slices:
+        self.channels = {}
+        for row, name in enumerate(net.slices):
             self.core.create_slice_pool(name)
             self.edge.create_server(name)
+            self.channels[name] = ChannelProcess.holding(
+                net.mean_snr_db[row], net.snr_db[row], net.cqi[row])
 
 
 # ---- one slice's act at commit acef036 (core/, rl/ppo.py) --------------

@@ -38,6 +38,7 @@ from repro.config import (
 )
 from repro.engine.kernels import SliceRows, concat_rows
 from repro.scenarios import ScenarioSpec, get as get_scenario, population
+from repro.sim.channel import FleetChannelBank
 from repro.sim.env import SliceObservation
 from repro.sim.network import CONSTRAINED_RESOURCES, EndToEndNetwork
 
@@ -188,12 +189,13 @@ class TestRuleBased:
             GridSearchConfig(**{field: value})
 
 
-def _evaluate_candidate_oracle(network, spec, action, arrival_rate,
-                               eval_slots):
-    """The pre-batching per-candidate evaluation, kept verbatim."""
+def _evaluate_candidate_oracle(block, network, spec, action,
+                               arrival_rate, eval_slots):
+    """The pre-batching per-candidate evaluation, kept verbatim but
+    for stepping the channels through ``network``'s one-world block."""
     costs, usages = [], []
     for _ in range(eval_slots):
-        network.step_channels()
+        block.step_worlds([0])
         reports = network.evaluate_slot(
             {spec.name: action}, {spec.name: arrival_rate})
         costs.append(reports[spec.name].cost)
@@ -213,6 +215,7 @@ def _fit_oracle(spec, network_cfg, search_cfg, seed=1234):
     for bin_edge in search_cfg.bin_edges:
         rng = np.random.default_rng(seed)  # same channels per bin
         network = EndToEndNetwork(network_cfg, slices=[spec], rng=rng)
+        block = FleetChannelBank([network])
         rate = (bin_edge * search_cfg.traffic_margin
                 * spec.max_arrival_rate)
         target_cost = spec.sla.cost_threshold * search_cfg.cost_margin
@@ -228,7 +231,8 @@ def _fit_oracle(spec, network_cfg, search_cfg, seed=1234):
             for idx, value in zip(indices, combo):
                 candidate[idx] = value
             cost, usage = _evaluate_candidate_oracle(
-                network, spec, candidate, rate, search_cfg.eval_slots)
+                block, network, spec, candidate, rate,
+                search_cfg.eval_slots)
             costs.append(cost)
             usages.append(usage)
             if cost <= target_cost and usage < best_usage:

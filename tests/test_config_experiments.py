@@ -14,6 +14,7 @@ from repro.config import (
     CoreConfig,
     EdgeConfig,
     ExperimentConfig,
+    NetworkConfig,
     RANConfig,
     SliceSpec,
     SliceSLA,
@@ -124,11 +125,46 @@ class TestConfig:
         tagged["fields"]["num_sgwu_per_slice"] = -1
         with pytest.raises(ValueError, match="num_sgwu_per_slice"):
             from_jsonable(json.loads(json.dumps(tagged)))
-        # a dead link and an idle edge stay legal
+        # a dead link, an idle edge and the testbed's radios stay legal
         assert TransportConfig(link_capacity_bps=0.0).num_paths == 3
         assert EdgeConfig(compute_capacity_ups=0.0).total_ram_gb > 0
+        assert EdgeConfig(total_ram_gb=0.0).total_ram_gb == 0.0
+        assert RANConfig(overhead=0.0).overhead == 0.0
+        assert nr_ran_config().uplink_fraction == 0.43
         assert TransportConfig(num_paths=1,
                                path_extra_hops=(0,)).num_paths == 1
+
+    @pytest.mark.parametrize("config, field, value", [
+        (RANConfig, "uplink_fraction", 0.0),
+        (RANConfig, "uplink_fraction", 1.0),
+        (RANConfig, "uplink_fraction", 5.0),
+        (RANConfig, "uplink_fraction", float("nan")),
+        (RANConfig, "overhead", -0.1),
+        (RANConfig, "overhead", 1.0),
+        (RANConfig, "overhead", 1.5),
+        (TransportConfig, "link_capacity_bps", -1e9),
+        (TransportConfig, "link_capacity_bps", float("inf")),
+        (EdgeConfig, "total_ram_gb", -4.0),
+        (EdgeConfig, "total_ram_gb", float("nan")),
+        (EdgeConfig, "compute_capacity_ups", -1.0),
+        (NetworkConfig, "users_per_slice", 0),
+        (NetworkConfig, "users_per_slice", -2),
+    ])
+    def test_degenerate_network_quantities_are_refused(self, config,
+                                                       field, value):
+        """A negative capacity, an overhead of 100 % or more or a
+        UL duty outside (0, 1) used to reach the kernels and price a
+        dead or impossible slice as a satisfied one; a slice without
+        users failed only when a slice was attached.  Each is refused
+        at construction, naming the field, and through the tagged-JSON
+        decoder too."""
+        match = f"{config.__name__}.{field} must"
+        with pytest.raises(ValueError, match=match):
+            config(**{field: value})
+        tagged = to_jsonable(config())
+        tagged["fields"][field] = value
+        with pytest.raises(ValueError, match=match):
+            from_jsonable(tagged)
 
     @pytest.mark.parametrize("slots", [0, -3])
     def test_zero_horizon_is_refused_at_construction(self, slots):

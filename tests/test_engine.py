@@ -417,11 +417,10 @@ class TestPlainKernels:
         count = len(net.slice_names)
         if actions is None:
             actions = rng.uniform(-0.2, 1.2, (count, NUM_ACTIONS))
-        cqi, margin = net.gather_channel_state()
         return (net.slot_rows(),
                 WorldConditions.nominal(1).refresh([net.fabric]),
-                actions, rng.uniform(0.0, 60.0, count), cqi.copy(),
-                margin.copy())
+                actions, rng.uniform(0.0, 60.0, count), net.cqi.copy(),
+                net.snr_db - net.mean_snr_db)
 
     def test_inputs_untouched_and_outputs_fresh(self):
         args = self._inputs()
@@ -527,9 +526,8 @@ class TestWorldOwnsItsEpisode:
                 lone.cumulative_cost(name)
         assert sim._rng.bit_generator.state == \
             lone._rng.bit_generator.state
-        for name, channel in lone.network.channels.items():
-            np.testing.assert_array_equal(
-                sim.network.channels[name].snr_db, channel.snr_db)
+        np.testing.assert_array_equal(sim.network.snr_db,
+                                      lone.network.snr_db)
 
 
 class TestRunEpisodes:
@@ -931,7 +929,7 @@ class TestScalarDomainModelsMatchKernels:
         reports = {}
         for name, alloc in allocations.items():
             spec = net.slices[name]
-            channel = net.channels[name]
+            channel = sub.channels[name]
             ul = sub.cell.slice_capacity(
                 alloc.uplink_bandwidth, alloc.uplink_mcs_offset,
                 alloc.uplink_scheduler, channel, uplink=True)

@@ -514,10 +514,10 @@ def test_padded_fleet_steps_every_world_like_the_world_alone():
                 assert twin.done == done
             scripts[b].clear()
             assert _fingerprint(twin) == _fingerprint(sims[b])
-            for name, channel in twin.network.channels.items():
-                mine = sims[b].network.channels[name]
-                np.testing.assert_array_equal(mine.snr_db, channel.snr_db)
-                np.testing.assert_array_equal(mine.cqi, channel.cqi)
+            np.testing.assert_array_equal(sims[b].network.snr_db,
+                                          twin.network.snr_db)
+            np.testing.assert_array_equal(sims[b].network.cqi,
+                                          twin.network.cqi)
     assert batch._fleet.snr_db.shape[1] == 5
     assert batch.counters["fleet_adoptions"] == 1
     # every world churns twice an episode
@@ -860,38 +860,33 @@ class TestSplicedBundles:
 
     def test_fleet_block_steps_any_subset_like_the_banks_alone(self):
         """One fused update over a subset's rows == each network
-        stepping its own bank, and a churned bank is spliced in
-        without moving the others' state."""
+        stepping through a one-world block of its own, and a churned
+        network is spliced in without moving the others' state."""
         def networks():
             return [EndToEndNetwork(rng=np.random.default_rng(40 + i),
                                     slices=ExperimentConfig().slices)
                     for i in range(4)]
 
         fleet_nets, lone_nets = networks(), networks()
-        fleet = FleetChannelBank(
-            [net.channel_bank() for net in fleet_nets],
-            [net._rng for net in fleet_nets])
+        fleet = FleetChannelBank(fleet_nets)
+        lone = [FleetChannelBank([net]) for net in lone_nets]
         extra = scenarios.get("six_slices").build_config().slices[4]
         for subset in ([0, 1, 2, 3], [1, 3], [0], [0, 2, 3]):
             if subset == [0]:       # churn world 2 in both fleets
                 for nets in (fleet_nets, lone_nets):
                     nets[2].add_slice(extra)
-                fleet.replace(2, fleet_nets[2].channel_bank())
+                fleet.replace(2, fleet_nets[2])
+                lone[2].replace(0, lone_nets[2])
             rows = None if len(subset) == 4 else np.concatenate(
                 [np.arange(fleet.starts[b], fleet.starts[b + 1])
                  for b in subset])
             cqi, margin = fleet.step_worlds(subset, rows)
-            for b in subset:
-                lone_nets[b].step_channels()
-            want = [lone_nets[b].gather_channel_state() for b in subset]
+            want = [tuple(a.copy() for a in lone[b].step_worlds([0]))
+                    for b in subset]
             np.testing.assert_array_equal(
                 cqi, np.concatenate([c for c, _ in want]))
             np.testing.assert_array_equal(
                 margin, np.concatenate([m for _, m in want]))
         for mine, theirs in zip(fleet_nets, lone_nets):
-            for name in mine.channels:
-                np.testing.assert_array_equal(
-                    mine.channels[name].snr_db,
-                    theirs.channels[name].snr_db)
-                np.testing.assert_array_equal(
-                    mine.channels[name].cqi, theirs.channels[name].cqi)
+            np.testing.assert_array_equal(mine.snr_db, theirs.snr_db)
+            np.testing.assert_array_equal(mine.cqi, theirs.cqi)

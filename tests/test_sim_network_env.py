@@ -20,6 +20,7 @@ from repro.config import (
     usage_from_action,
 )
 from repro import scenarios
+from repro.sim.channel import FleetChannelBank
 from repro.sim.env import STATE_DIM, ScenarioSimulator
 from repro.sim.network import EndToEndNetwork
 
@@ -118,7 +119,7 @@ class TestEndToEndNetwork:
         net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)
 
         def census():
-            return (len(net.slices), len(net.channels),
+            return (len(net.slices), len(net.snr_db),
                     net.slot_rows().num_rows)
 
         before = census()
@@ -131,35 +132,35 @@ class TestEndToEndNetwork:
 
     def test_channel_bank_is_built_once_before_the_first_step(
             self, rng, monkeypatch):
-        """Attach / detach drops the bank and the first use builds it:
-        a 64-slice network stacks its channels once, not once per
-        ``add_slice`` (65 times, O(S^2) copying, when it was eager),
-        and a rebuild after churn carries every channel's state."""
+        """The initial slices' channels are drawn and stacked once: a
+        64-slice network makes one ``(64, U)`` draw, not one stack per
+        slice (65 stacks, O(S^2) copying, when it was eager), and
+        churn -- also of state an engine block holds -- carries every
+        other row."""
         from repro.sim import network as network_module
 
-        built = []
-        make_bank = network_module.ChannelBank
+        drawn = []
+        draw = network_module.draw_channels
 
-        def counting(channels, num_users):
-            built.append(len(channels))
-            return make_bank(channels, num_users)
+        def counting(num_slices, num_users, generator):
+            drawn.append(num_slices)
+            return draw(num_slices, num_users, generator)
 
-        monkeypatch.setattr(network_module, "ChannelBank", counting)
+        monkeypatch.setattr(network_module, "draw_channels", counting)
         net = EndToEndNetwork(
             slices=[mar_slice_spec(f"MAR{i}") for i in range(64)],
             rng=rng)
-        assert built == []
-        net.step_channels()
-        net.step_channels()
-        assert built == [64]
-        snr = net.channel_bank().snr_db.copy()
+        assert drawn == [64] and net.snr_db.shape == (64, 3)
+        block = FleetChannelBank([net])
+        block.step_worlds([0])
+        block.step_worlds([0])
+        assert drawn == [64]
+        snr = net.snr_db.copy()
         net.add_slice(mar_slice_spec("late"))
         net.remove_slice("MAR3")
-        assert built == [64]
-        cqi, _ = net.gather_channel_state()
-        assert built == [64, 64] and len(cqi) == 64
-        assert np.array_equal(net.channel_bank().snr_db[:63],
-                              np.delete(snr, 3, axis=0))
+        assert drawn == [64, 1] and net._home is None
+        assert len(net.cqi) == 64
+        assert np.array_equal(net.snr_db[:63], np.delete(snr, 3, axis=0))
 
     def test_generous_beats_starved(self, rng):
         net = EndToEndNetwork(slices=default_slice_specs(), rng=rng)

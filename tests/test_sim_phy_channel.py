@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_probe import make_network, probe
+from scalar_oracle import ChannelProcess
 from repro import scenarios
-from repro.config import MAX_MCS_OFFSET, lte_ran_config, mar_slice_spec
-from repro.sim.channel import ChannelProcess, snr_to_cqi_array
+from repro.config import (
+    MAX_MCS_OFFSET,
+    NetworkConfig,
+    lte_ran_config,
+    mar_slice_spec,
+)
+from repro.sim.channel import FleetChannelBank, snr_to_cqi_array
 from repro.sim.phy import (
     CQI_TABLE,
     MCS_TABLE,
@@ -142,68 +148,78 @@ class TestPhyModel:
             PhyModel(uplink_bler_decay=1.5)
 
 
+def _stepped(specs, users, seed, slots):
+    """A network hosting ``specs`` stepped ``slots`` times through a
+    one-world block, yielding it after every step."""
+    net = make_network(specs, seed=seed, users_per_slice=users)
+    block = FleetChannelBank([net])
+    for _ in range(slots):
+        block.step_worlds([0])
+        yield net
+
+
 class TestChannelProcess:
-    def test_population(self, rng):
-        chan = ChannelProcess(5, rng)
-        assert len(chan.users) == 5
-        assert chan.cqis.shape == (5,)
+    """The per-user AR(1) channel process, read off a network stepped
+    through a one-world block."""
 
-    def test_invalid_population(self, rng):
-        with pytest.raises(ValueError):
-            ChannelProcess(0, rng)
+    def test_population(self):
+        net = make_network([mar_slice_spec("A"), mar_slice_spec("B")],
+                           users_per_slice=5)
+        for field in ("mean_snr_db", "snr_db", "cqi"):
+            assert getattr(net, field).shape == (2, 5)
+        assert net.cqi.dtype == np.intp
 
-    def test_cqis_in_range(self, rng):
-        chan = ChannelProcess(10, rng)
-        for _ in range(50):
-            chan.step()
-            assert np.all(chan.cqis >= 1) and np.all(chan.cqis <= 15)
+    def test_invalid_population(self):
+        with pytest.raises(ValueError, match="NetworkConfig."
+                                             "users_per_slice must be"):
+            NetworkConfig(users_per_slice=0)
 
-    def test_normalized_quality_unit_interval(self, rng):
-        chan = ChannelProcess(4, rng)
-        for _ in range(20):
-            chan.step()
-            assert 0.0 < chan.normalized_quality() <= 1.0
+    def test_cqis_in_range(self):
+        for net in _stepped([mar_slice_spec()], 10, 3, 50):
+            assert np.all(net.cqi >= 1) and np.all(net.cqi <= 15)
 
-    def test_mean_reversion(self, rng):
-        """The AR(1) process stays near each user's mean SNR."""
-        chan = ChannelProcess(3, rng, mean_snr_db=18.0,
-                              snr_spread_db=0.0, correlation=0.9,
-                              innovation_std_db=1.0)
-        snrs = []
-        for _ in range(400):
-            chan.step()
-            snrs.append(chan.snr_db.copy())
-        mean = np.mean(snrs)
-        assert abs(mean - 18.0) < 1.0
+    def test_normalized_quality_unit_interval(self):
+        """``channel_quality`` (mean CQI / 15) of every slice stays in
+        (0, 1] as the channels move."""
+        specs = [mar_slice_spec("A"), mar_slice_spec("B")]
+        for net in _stepped(specs, 4, 5, 20):
+            quality = net.cqi.mean(axis=1) / NUM_CQI
+            assert np.all(quality > 0.0) and np.all(quality <= 1.0)
 
-    def test_invalid_correlation(self, rng):
-        with pytest.raises(ValueError):
-            ChannelProcess(3, rng, correlation=1.0)
+    def test_mean_reversion(self):
+        """The AR(1) process stays near each user's mean SNR: the
+        margin ``snr_db - mean_snr_db`` averages out near zero."""
+        margins = [net.snr_db - net.mean_snr_db
+                   for net in _stepped([mar_slice_spec()], 3, 8, 400)]
+        assert abs(np.mean(margins)) < 0.5
 
 
 @pytest.mark.parametrize("slices, users",
                          [(3, 3), (6, 5), (4, 1), (0, 3)])
 def test_bank_step_is_the_sequential_channel_steps(slices, users):
-    """A bare network's one block draw + stacked AR(1) update equals S
-    per-channel ``ChannelProcess.step`` calls in slice order: same
-    channels, same generator afterwards.  A network without slices has
-    a zero-row bank and steps nothing."""
+    """A network's one block draw + stacked AR(1) update through a
+    one-world block equals S per-channel ``ChannelProcess.step`` calls
+    (the oracle) in slice order: same channels, same generator
+    afterwards.  A network without slices has zero rows and steps
+    nothing."""
     specs = scenarios.get("six_slices").build_config().slices[:slices]
     net = make_network(specs, seed=77, users_per_slice=users)
+    block = FleetChannelBank([net])
     rng = np.random.default_rng(77)
     reference = [ChannelProcess(users, rng) for _ in specs]
     for _ in range(5):
-        net.step_channels()
+        cqi, margin = block.step_worlds([0])
         for channel in reference:
             channel.step()
-        cqi, margin = net.gather_channel_state()
         assert cqi.shape == margin.shape == (slices, users)
         for row, channel in enumerate(reference):
-            np.testing.assert_array_equal(cqi[row], channel.cqis)
+            np.testing.assert_array_equal(cqi[row], channel.cqi)
             np.testing.assert_array_equal(
                 margin[row], channel.snr_db - channel.mean_snr_db)
-        for mine, channel in zip(net.channels.values(), reference):
-            np.testing.assert_array_equal(mine.snr_db, channel.snr_db)
+            np.testing.assert_array_equal(net.snr_db[row],
+                                          channel.snr_db)
+            np.testing.assert_array_equal(net.mean_snr_db[row],
+                                          channel.mean_snr_db)
     assert net._rng.bit_generator.state == rng.bit_generator.state
 
 
