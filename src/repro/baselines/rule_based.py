@@ -209,7 +209,7 @@ def evaluate_grid(spec: SliceSpec, network_cfg: NetworkConfig,
         margin[row] = slot_margin[0]
 
     rows = network.slot_rows().repeat(num_rows)
-    cond = WorldConditions.nominal(num_rows)    # a fresh fabric's state
+    cond = WorldConditions.nominal(num_rows)    # a fresh network's links
     actions = np.repeat(candidates, slots, axis=0)
     shape = (len(search_cfg.bin_edges), len(combos))
     cost, usage = np.empty(shape), np.empty(shape)

@@ -31,9 +31,9 @@ ACTION_NAMES: Tuple[str, ...] = (
 )
 
 #: Indices of action dimensions that count toward the resource-usage
-#: reward (paper Eq. 9): U_u + U_d + U_b + U_l + U_c + U_r.  Scheduler
-#: choices and MCS offsets are excluded because their impact on usage is
-#: indirect.
+#: reward (paper Eq. 9): U_u + U_d + U_b + U_l + U_c + U_r.  The
+#: scheduler choices and MCS offsets are excluded because their impact
+#: on usage is indirect.
 USAGE_ACTION_INDICES: Tuple[int, ...] = (0, 3, 6, 7, 8, 9)
 
 #: Indices that are *not* consumable resources (schedulers, MCS offsets).
@@ -189,13 +189,16 @@ def slice_spec_for_app(app: str, name: Optional[str] = None,
         spec, max_arrival_rate=spec.max_arrival_rate * arrival_scale)
 
 
-def _check_capacity(cfg, name: str) -> None:
-    """Refuse a negative or non-finite capacity field of ``cfg``,
-    naming it (zero is legal: a dead link, an idle edge)."""
+def _check_quantity(cfg, name: str, positive: bool = False) -> None:
+    """Refuse a non-finite or negative field of ``cfg`` (a capacity, a
+    latency, a size), naming it.  Zero is legal unless ``positive``: a
+    dead link, an idle edge, a stalled SGW-U, no added latency."""
     value = getattr(cfg, name)
-    if not (math.isfinite(value) and value >= 0):
+    if not (math.isfinite(value) and (value > 0 if positive
+                                      else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{type(cfg).__name__}.{name} must be finite "
-                         f"and >= 0, got {value!r}")
+                         f"and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -225,16 +228,22 @@ class RANConfig:
             raise ValueError(f"unknown RAN technology {self.technology!r}")
         if self.num_prbs <= 0:
             raise ValueError("num_prbs must be positive")
-        if not 0 < self.downlink_fraction < 1:
-            raise ValueError("downlink_fraction must be in (0, 1)")
-        if not 0 < self.uplink_fraction < 1:
+        for name in ("downlink_fraction", "uplink_fraction"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"RANConfig.{name} must be in (0, 1), "
+                                 f"got {value!r}")
+        if self.downlink_fraction + self.uplink_fraction > 1:
             raise ValueError(
-                f"RANConfig.uplink_fraction must be in (0, 1), got "
-                f"{self.uplink_fraction!r}")
+                "RANConfig.downlink_fraction + RANConfig.uplink_fraction "
+                "must be <= 1 (they split one TDD frame), got "
+                f"{self.downlink_fraction!r} + {self.uplink_fraction!r}")
         if not 0 <= self.overhead < 1:
             raise ValueError(
                 f"RANConfig.overhead must be in [0, 1), got "
                 f"{self.overhead!r}")
+        _check_quantity(self, "prb_bandwidth_hz", positive=True)
+        _check_quantity(self, "base_latency_ms")
 
 
 def lte_ran_config() -> RANConfig:
@@ -271,8 +280,14 @@ class TransportConfig:
                 f"TransportConfig.num_paths must be >= 1, got "
                 f"{self.num_paths!r}")
         if self.num_paths != len(self.path_extra_hops):
-            raise ValueError("path_extra_hops must list one entry per path")
-        _check_capacity(self, "link_capacity_bps")
+            raise ValueError("TransportConfig.path_extra_hops must list "
+                             "one entry per path")
+        if any(extra < 0 for extra in self.path_extra_hops):
+            raise ValueError(
+                f"TransportConfig.path_extra_hops must be >= 0 on every "
+                f"path, got {self.path_extra_hops!r}")
+        _check_quantity(self, "link_capacity_bps")
+        _check_quantity(self, "hop_latency_ms")
 
 
 @dataclass(frozen=True)
@@ -292,6 +307,9 @@ class CoreConfig:
             raise ValueError(
                 f"CoreConfig.num_sgwu_per_slice must be >= 1, got "
                 f"{self.num_sgwu_per_slice!r}")
+        _check_quantity(self, "sgwu_capacity_pps")
+        _check_quantity(self, "base_latency_ms")
+        _check_quantity(self, "mean_packet_bits", positive=True)
 
 
 @dataclass(frozen=True)
@@ -308,8 +326,8 @@ class EdgeConfig:
     ram_gb_per_ups: float = 0.25
 
     def __post_init__(self) -> None:
-        _check_capacity(self, "compute_capacity_ups")
-        _check_capacity(self, "total_ram_gb")
+        _check_quantity(self, "compute_capacity_ups")
+        _check_quantity(self, "total_ram_gb")
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,8 @@ class _Bundle:
     constants, the managed-row mask, the action matrix (a background
     churn slice's row holds its event's fixed allocation; managed
     rows are overwritten every slot), the horizons, the managed-name
-    lists and the fabrics -- and everything else the slot needs (index
+    lists and the networks (whose link conditions each slot reads) --
+    and everything else the slot needs (index
     vectors, per-managed-row constants, buffers sized for the layout)
     is derived from them with a constant number of array operations.
     """
@@ -140,7 +141,7 @@ class _Bundle:
     def __init__(self, worlds: List[int], uids: List[int],
                  rows: SliceRows, mask: np.ndarray, matrix: np.ndarray,
                  horizons: np.ndarray, names: List[List[str]],
-                 fabrics: list) -> None:
+                 networks: list) -> None:
         self.worlds = worlds
         self.uids = uids
         self.rows = rows
@@ -148,7 +149,7 @@ class _Bundle:
         self.matrix = matrix
         self.horizons = horizons
         self.names = names
-        self.fabrics = fabrics
+        self.networks = networks
         count = len(worlds)
         #: first row of each world (all rows, managed or not)
         self.row_starts = np.searchsorted(rows.world,
@@ -351,7 +352,7 @@ class BatchSimulator:
                 matrix = bundle.matrix
                 matrix[bundle.managed] = staged
                 out = evaluate_rows(
-                    bundle.rows, bundle.cond.refresh(bundle.fabrics),
+                    bundle.rows, bundle.cond.refresh(bundle.networks),
                     matrix, rates, cqi, margin)
 
             # 5. stacked managed-row results + cumulative cost
@@ -502,7 +503,7 @@ class BatchSimulator:
             self._counters["bundle_splices"] += 1
         rows, masks, matrices, horizons = [], [], [], []
         names: List[List[str]] = []
-        fabrics: list = []
+        networks: list = []
         for piece in pieces:
             if isinstance(piece, tuple):
                 lo, hi = piece
@@ -512,17 +513,17 @@ class BatchSimulator:
                 matrices.append(old.matrix[first:last])
                 horizons.append(old.horizons[lo:hi])
                 names += old.names[lo:hi]
-                fabrics += old.fabrics[lo:hi]
+                networks += old.networks[lo:hi]
             else:
                 rows.append(piece.rows)
                 masks.append(piece.managed)
                 matrices.append(piece.fixed_actions)
                 horizons.append([piece.sim.horizon])
                 names.append(piece.managed_names)
-                fabrics.append(piece.sim.network.fabric)
+                networks.append(piece.sim.network)
         bundle = _Bundle(stepping, uids, concat_rows(rows),
                          np.concatenate(masks), np.concatenate(matrices),
-                         np.concatenate(horizons), names, fabrics)
+                         np.concatenate(horizons), names, networks)
         if len(stepping) < len(self.sims):
             members = np.asarray(stepping)
             bundle.cum_rows = _ranges(self._cum_starts, members)

@@ -1,13 +1,13 @@
 """Vectorised slot kernels: the paper's MDP as flat array math.
 
 This module is the one numeric model of the testbed: the only code
-under ``src/`` that turns (allocation, traffic, channel, fabric
+under ``src/`` that turns (allocation, traffic, channel, link
 conditions) into a performance number.  It evaluates one configuration
 slot for ``R`` (world, slice) *rows* at once; :mod:`repro.sim` holds
-the state and configuration it reads (channels, fabric conditions and
-path hops, PHY parameters and tables, slice specs) and none of the
-arithmetic.  The per-slice scalar pipeline these kernels were
-extracted from survives, verbatim, as their test oracle
+the state it reads (channels, link conditions, slice specs, the PHY
+tables and BLER constants), :mod:`repro.config` the rest, and neither
+holds any of the arithmetic.  The per-slice scalar pipeline these
+kernels were extracted from survives, verbatim, as their test oracle
 (``tests/scalar_oracle.py``); the stage comments below name the oracle
 function each stage reproduces.  A row bundle may hold one world's
 slices (the scalar :class:`~repro.sim.env.ScenarioSimulator`, which
@@ -171,8 +171,13 @@ from repro.config import (
     USAGE_ACTION_INDICES,
 )
 from repro.obs.trace import active as _active_tracer
-from repro.sim.phy import MCS_TABLE, NUM_CQI, NUM_MCS
-from repro.sim.queueing import RHO_KNEE
+from repro.sim.phy import (
+    BASE_RETX,
+    BLER_DECAY,
+    MCS_TABLE,
+    NUM_CQI,
+    NUM_MCS,
+)
 
 #: MCS spectral-efficiency table as an array (same values as the
 #: scalar lookups in :mod:`repro.sim.phy`).
@@ -193,6 +198,10 @@ _USAGE_COLS = tuple(USAGE_ACTION_INDICES)
 #: floor are rounded up (oracle: ``SliceAllocation.MIN_SHARE``).
 _MIN_SHARE = 0.01
 
+#: Utilisation where the queueing law's M/M/1 regime hands over to
+#: the linear overload regime (see :func:`_queueing_rows`).
+RHO_KNEE = 0.95
+
 #: Application codes used by the row layout.
 APP_CODES: Dict[str, int] = {"mar": 0, "hvs": 1, "rdc": 2}
 
@@ -203,11 +212,15 @@ _ROWS_UIDS = itertools.count(1)
 
 def _queueing_rows(service_ms: np.ndarray,
                    rho: np.ndarray) -> np.ndarray:
-    """The shared queueing-latency law (:mod:`repro.sim.queueing`).
+    """The shared queueing-latency law of the RAN partitions, the
+    SPGW-U packet processing and the edge compute.
 
-    M/M/1 below the knee utilisation, the linear finite-buffer overload
-    regime above it -- branch structure and float association exactly
-    as the oracle's scalar ``queueing_latency_ms``.
+    M/M/1 below the knee utilisation, then a linear finite-buffer
+    overload regime whose slope matches the M/M/1 derivative at the
+    knee: a real queue degrades under overload rather than becoming
+    instantly infinite, and the smooth mapping gives the agents a
+    gradient across the overload boundary.  Branch structure and float
+    association exactly as the oracle's scalar ``queueing_latency_ms``.
     """
     r = np.maximum(rho, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -343,10 +356,12 @@ def rows_for_network(network) -> SliceRows:
     ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
     rows follow ``network.slice_names`` order (managed and background
     churn slices alike -- the caller masks, exactly as the scalar
-    simulator reports only managed slices).
+    simulator reports only managed slices).  The constants come from
+    ``network.cfg`` and :mod:`repro.sim.phy`: both directions own the
+    cell's ``num_prbs``, reserved path ``k`` is a chain of ``2 +
+    path_extra_hops[k]`` links.
     """
     cfg = network.cfg
-    phy = network.cell.phy
     names = list(network.slice_names)
     specs = [network.slices[name] for name in names]
     n = len(names)
@@ -357,9 +372,9 @@ def rows_for_network(network) -> SliceRows:
     def pair(uplink, downlink):
         return np.full((n, 2), (uplink, downlink), dtype=np.float64)
 
-    hops = np.asarray(
-        [network.fabric.path_hops(k)
-         for k in range(network.fabric.num_paths)], dtype=np.intp)
+    hops = np.asarray([2 + extra
+                       for extra in cfg.transport.path_extra_hops],
+                      dtype=np.intp)
     return SliceRows(
         names=names,
         metrics=[spec.sla.metric for spec in specs],
@@ -382,18 +397,17 @@ def rows_for_network(network) -> SliceRows:
                                    for spec in specs]),
         lower_better=np.asarray([spec.sla.lower_is_better
                                  for spec in specs], dtype=bool),
-        prbs_total=pair(network.cell.uplink_prbs,
-                        network.cell.downlink_prbs),
+        prbs_total=pair(cfg.ran.num_prbs, cfg.ran.num_prbs),
         prb_bandwidth_hz=const(cfg.ran.prb_bandwidth_hz),
         duty=pair(cfg.ran.uplink_fraction, cfg.ran.downlink_fraction),
         overhead=const(cfg.ran.overhead),
         fixed_mcs=const(cfg.ran.fixed_mcs, dtype=np.intp),
         ran_base_latency_ms=const(cfg.ran.base_latency_ms),
-        base_retx=pair(phy.base_retx_ul, phy.base_retx_dl),
-        bler_decay=pair(phy.uplink_bler_decay, phy.downlink_bler_decay),
+        base_retx=pair(*BASE_RETX),
+        bler_decay=pair(*BLER_DECAY),
         link_capacity_bps=const(cfg.transport.link_capacity_bps),
         hop_latency_ms=const(cfg.transport.hop_latency_ms),
-        num_paths=const(network.fabric.num_paths, dtype=np.intp),
+        num_paths=const(cfg.transport.num_paths, dtype=np.intp),
         path_hops=hops[None, :],
         link_capacity_w=np.asarray([cfg.transport.link_capacity_bps]),
         sgwu_capacity_pps=const(cfg.core.sgwu_capacity_pps),
@@ -478,8 +492,9 @@ class WorldConditions:
                    extra_latency_ms=np.zeros(num_worlds),
                    background_load_fraction=np.zeros(num_worlds))
 
-    def refresh(self, fabrics) -> "WorldConditions":
-        """Re-read the fabrics into the existing buffers (no allocs).
+    def refresh(self, networks) -> "WorldConditions":
+        """Re-read the networks' link conditions into the existing
+        buffers (no allocs).
 
         Scalar element stores only, so a per-slot caller (the batch
         engine's hot loop) can keep one instance alive instead of
@@ -488,10 +503,10 @@ class WorldConditions:
         capacity = self.capacity_scale
         extra = self.extra_latency_ms
         background = self.background_load_fraction
-        for index, fabric in enumerate(fabrics):
-            capacity[index] = fabric.capacity_scale
-            extra[index] = fabric.extra_latency_ms
-            background[index] = fabric.background_load_fraction
+        for index, network in enumerate(networks):
+            capacity[index] = network.capacity_scale
+            extra[index] = network.extra_latency_ms
+            background[index] = network.background_load_fraction
         return self
 
 
@@ -557,13 +572,15 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     share = floors[:, 0:4:3].T
     tn_bw, cpu, ram = floors[:, 6], floors[:, 8], floors[:, 9]
     offset = np.rint(arr[:, 1:5:3].T * MAX_MCS_OFFSET).astype(np.intp)
+    # MAC scheduler per third of [0, 1]: 0 round robin, 1 proportional
+    # fair, 2 max-CQI
     sched = np.minimum(arr[:, 2:6:3].T * 3, 2).astype(np.intp)
     tn_path = np.minimum(arr[:, 7] * rows.num_paths,
                          rows.last_path).astype(np.intp)
     if tracer is not None:
         mark = tracer.lap("engine.kernel.decode", mark)
 
-    # ---- RAN capacities (oracle: RadioCell.slice_capacity) -----------
+    # ---- RAN capacities (oracle: the cell's slice_capacity) ----------
     # One (U, 2, R) pass over both directions, on user lanes stacked
     # with the CQI so that one strict-order sum averages all five.
     width = min(cqi.shape[1], len(rows.user_mask))
@@ -593,7 +610,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     if tracer is not None:
         mark = tracer.lap("engine.kernel.radio", mark)
 
-    # ---- transport (oracle: TransportFabric.reserve + evaluate) ------
+    # ---- transport (oracle: the fabric's reserve + evaluate) ---------
     eff_cap_w = rows.link_capacity_w * cond.capacity_scale
     eff_cap = eff_cap_w[rows.world]
     tn_cap = tn_bw * eff_cap                # the reserved meter rate

@@ -6,8 +6,8 @@ day and a 12-slot test episode at the same relative moment.  Each
 class carries a ``kind`` tag; :class:`~repro.sim.env.ScenarioSimulator`
 dispatches on the tag (the sim layer never imports this module, which
 keeps the dependency graph acyclic) and executes the effect through
-the event hooks on :class:`~repro.sim.network.EndToEndNetwork` /
-:class:`~repro.sim.transport.TransportFabric`.
+the event hooks on :class:`~repro.sim.network.EndToEndNetwork`
+(``set_transport_conditions``, ``add_slice`` / ``remove_slice``).
 
 Timeline semantics: an event *activates* at the step whose index equals
 ``start_slot(horizon)`` and *deactivates* at ``end_slot(horizon)``;

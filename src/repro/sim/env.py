@@ -43,7 +43,7 @@ ARRIVAL_WINDOW_S = 60.0
 POISSON_LAM_MAX = (np.iinfo("l").max
                    - np.sqrt(np.iinfo("l").max) * 10)
 
-#: Event kinds that change transport-fabric conditions while active.
+#: Event kinds that change the transport link conditions while active.
 _CONDITION_EVENT_KINDS = ("link_degradation", "latency_surge",
                           "background_load")
 
@@ -302,7 +302,7 @@ class ScenarioSimulator:
 
     def apply_events(self) -> None:
         """Expire finished events, fire the ones due this slot and
-        write the active events' transport conditions to the fabric.
+        write the active events' transport conditions to the network.
 
         Between two slots of :attr:`event_slots` a call changes
         nothing the timeline owns, so the stepper makes it on those

@@ -1,20 +1,21 @@
 """The composed end-to-end network: RAN + TN + CN + EN per slot.
 
-:class:`EndToEndNetwork` owns the radio cell, the transport fabric and
-the per-slice channels and evaluates a configuration slot: given each
-slice's resource allocation (the 10-dim action) and realised traffic,
-it produces per-slice performance/cost plus the usage and state
-features the agents consume.  The core and edge stages read only
-configuration (``cfg.core`` / ``cfg.edge``).
+:class:`EndToEndNetwork` owns the per-slice channels and the transport
+link conditions and evaluates a configuration slot: given each slice's
+resource allocation (the 10-dim action) and realised traffic, it
+produces per-slice performance/cost plus the usage and state features
+the agents consume.  Everything else a slot reads is configuration
+(``cfg.ran`` / ``cfg.transport`` / ``cfg.core`` / ``cfg.edge``).
 
 Slot evaluation runs through the vectorised engine kernels
 (:mod:`repro.engine.kernels`): :meth:`EndToEndNetwork.evaluate_slot` is
 the stateless what-if evaluator -- actions and rates in, reports out,
 no events, channels, arrivals or episode state -- while *stepping* a
 world is :class:`~repro.engine.batch.BatchSimulator`'s job.  The
-kernels are the model and they are pure: the substrate objects here
-are state and configuration (channels, fabric conditions and path
-hops) that the kernels read through the row layout and never write.
+kernels are the model and they are pure: the network is state
+(channels and link conditions) that the kernels read through the row
+layout and :class:`~repro.engine.kernels.WorldConditions`, and never
+write.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from repro.config import NUM_ACTIONS, NetworkConfig, SliceSpec
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import _PADDING, draw_channels, snr_to_cqi_array
-from repro.sim.ran import RadioCell
-from repro.sim.transport import TransportFabric
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,10 @@ class EndToEndNetwork:
     which they read the network's rows of that block.  Attaching or
     detaching a slice first takes the state back (as copies), then
     appends or deletes one row.
+
+    The transport link conditions (``capacity_scale``,
+    ``extra_latency_ms``, ``background_load_fraction``) are its own
+    too; scenario events drive them (:meth:`set_transport_conditions`).
     """
 
     def __init__(self, cfg: Optional[NetworkConfig] = None,
@@ -80,8 +83,7 @@ class EndToEndNetwork:
                  rng: Optional[np.random.Generator] = None) -> None:
         self.cfg = cfg or NetworkConfig()
         self._rng = rng if rng is not None else np.random.default_rng(17)
-        self.cell = RadioCell(self.cfg.ran)
-        self.fabric = TransportFabric(self.cfg.transport)
+        self.clear_transport_conditions()
         self.slices: Dict[str, SliceSpec] = {}
         for spec in slices or ():
             self._check_new(spec)
@@ -183,16 +185,33 @@ class EndToEndNetwork:
             background_load_fraction: Optional[float] = None) -> None:
         """Inject transport-network faults (see scenario events).
 
-        ``None`` leaves a condition unchanged; use
-        :meth:`clear_transport_conditions` to restore nominal state.
+        ``capacity_scale`` in (0, 1] derates every link (e.g. a port
+        renegotiating to a lower speed), ``extra_latency_ms`` >= 0
+        models a forwarding-plane latency surge, and
+        ``background_load_fraction`` in [0, 1) pre-loads each path
+        with unmanaged cross-traffic.  ``None`` leaves a condition
+        unchanged; use :meth:`clear_transport_conditions` to restore
+        nominal state.
         """
-        self.fabric.set_conditions(
-            capacity_scale=capacity_scale,
-            extra_latency_ms=extra_latency_ms,
-            background_load_fraction=background_load_fraction)
+        if capacity_scale is not None:
+            if not 0.0 < capacity_scale <= 1.0:
+                raise ValueError("capacity_scale must be in (0, 1]")
+            self.capacity_scale = float(capacity_scale)
+        if extra_latency_ms is not None:
+            if extra_latency_ms < 0:
+                raise ValueError("extra_latency_ms must be >= 0")
+            self.extra_latency_ms = float(extra_latency_ms)
+        if background_load_fraction is not None:
+            if not 0.0 <= background_load_fraction < 1.0:
+                raise ValueError(
+                    "background_load_fraction must be in [0, 1)")
+            self.background_load_fraction = float(background_load_fraction)
 
     def clear_transport_conditions(self) -> None:
-        self.fabric.clear_conditions()
+        """Restore nominal link conditions (no active events)."""
+        self.capacity_scale = 1.0
+        self.extra_latency_ms = 0.0
+        self.background_load_fraction = 0.0
 
     # ---- slot evaluation -----------------------------------------------
 
@@ -245,7 +264,7 @@ class EndToEndNetwork:
                           for name in names])
         out = evaluate_rows(
             self.slot_rows(), WorldConditions.nominal(1).refresh(
-                [self.fabric]), matrix, rates, self.cqi,
+                [self]), matrix, rates, self.cqi,
             self.snr_db - self.mean_snr_db)
         return self.wrap_reports(out, rates)
 
@@ -285,7 +304,7 @@ class EndToEndNetwork:
         core control latency, with light jitter.
         """
         ran_rtt = 2.0 * self.cfg.ran.base_latency_ms
-        hops = self.fabric.path_hops(0)
+        hops = 2 + self.cfg.transport.path_extra_hops[0]
         tn_rtt = 2.0 * hops * self.cfg.transport.hop_latency_ms
         cn_rtt = 2.0 * self.cfg.core.base_latency_ms
         jitter = float(self._rng.gamma(2.0, 0.8))

@@ -12,7 +12,7 @@ Models the pieces of the OAI PHY/MAC that the paper's RDM manipulates:
   measurement (~1e-1 at offset 0 down to ~1e-5 at offset 10, with the
   uplink benefiting more steeply than the downlink).
 
-This module holds the tables and the BLER model's parameters; the
+This module holds the tables and the BLER model's constants; the
 arithmetic over them (effective MCS, retransmission probability,
 goodput) is the radio stage of :mod:`repro.engine.kernels`.
 """
@@ -63,6 +63,16 @@ NUM_MCS = len(MCS_TABLE)          # MCS 0..28
 CQI_SNR_THRESHOLDS_DB: Tuple[float, ...] = tuple(
     -6.0 + 2.0 * i for i in range(NUM_CQI))
 
+#: ``(uplink, downlink)`` retransmission probability at MCS offset 0
+#: under nominal channel conditions.
+BASE_RETX: Tuple[float, float] = (0.12, 0.015)
+
+#: ``(uplink, downlink)`` per-offset-step multiplicative decay of the
+#: retransmission probability, fitted to the paper's Fig. 6: it falls
+#: from ~1e-1 to ~1e-5 over offsets 0..10 in the uplink and from
+#: ~1.5e-2 to ~1.5e-4 in the flatter downlink.
+BLER_DECAY: Tuple[float, float] = (0.40, 0.63)
+
 
 def cqi_to_mcs(cqi: int) -> int:
     """Vanilla CQI -> MCS mapping (the OAI default the RDM customises).
@@ -80,33 +90,3 @@ def mcs_spectral_efficiency(mcs: int) -> float:
         raise ValueError(f"MCS must be in 0..{NUM_MCS - 1}, got {mcs}")
     return MCS_TABLE[mcs]
 
-
-class PhyModel:
-    """Parameters of the link-level model tying CQI, MCS offset and
-    retransmissions (read by the kernels' row layout).
-
-    Parameters
-    ----------
-    uplink_bler_decay / downlink_bler_decay:
-        Per-offset-step multiplicative decay of the retransmission
-        probability.  Fitted to the paper's Fig. 6: the retransmission
-        probability falls from ~1e-1 to ~1e-5 over offsets 0..10 in the
-        uplink (decay ~0.40/step) and from ~1.5e-2 to ~1.5e-4 in the
-        flatter downlink (~0.63/step).
-    base_retx_ul / base_retx_dl:
-        Retransmission probability at offset 0 under nominal channel
-        conditions.
-    """
-
-    def __init__(self, base_retx_ul: float = 0.12,
-                 base_retx_dl: float = 0.015,
-                 uplink_bler_decay: float = 0.40,
-                 downlink_bler_decay: float = 0.63) -> None:
-        if not 0 < base_retx_ul < 1 or not 0 < base_retx_dl < 1:
-            raise ValueError("base retransmission probs must be in (0,1)")
-        if not 0 < uplink_bler_decay < 1 or not 0 < downlink_bler_decay < 1:
-            raise ValueError("decay factors must be in (0,1)")
-        self.base_retx_ul = base_retx_ul
-        self.base_retx_dl = base_retx_dl
-        self.uplink_bler_decay = uplink_bler_decay
-        self.downlink_bler_decay = downlink_bler_decay

@@ -22,10 +22,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.config import MAX_MCS_OFFSET, NUM_ACTIONS, USAGE_ACTION_INDICES
-from repro.engine.kernels import SliceRows, WorldConditions
+from repro.engine.kernels import RHO_KNEE, SliceRows, WorldConditions
 from repro.obs.trace import active as _active_tracer
 from repro.sim.phy import MCS_TABLE, NUM_CQI, NUM_MCS
-from repro.sim.queueing import RHO_KNEE
 
 _MCS_EFF = np.asarray(MCS_TABLE, dtype=np.float64)
 _USAGE_COLS = np.asarray(USAGE_ACTION_INDICES, dtype=np.intp)

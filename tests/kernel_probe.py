@@ -71,7 +71,7 @@ def kernel_slot(net: EndToEndNetwork,
     if margin_db is not None:
         net_margin = np.full(net_margin.shape, float(margin_db))
     out = evaluate_rows(
-        net.slot_rows(), WorldConditions.nominal(1).refresh([net.fabric]),
+        net.slot_rows(), WorldConditions.nominal(1).refresh([net]),
         matrix, rate_vec, net_cqi, net_margin)
     return {name: {key: float(column[row])
                    for key, column in out.items() if key != "path_loads"}

@@ -1,7 +1,7 @@
 """The scalar per-slice model of one slot: the kernels' oracle.
 
 ``repro.engine.kernels.evaluate_rows`` is the only code under ``src/``
-that turns (allocation, traffic, channel, fabric conditions) into a
+that turns (allocation, traffic, channel, link conditions) into a
 performance number.  Until it was, ``repro.sim`` carried the same
 arithmetic a second time as per-slice scalar methods; every function
 and report dataclass below is that copy, moved here **verbatim** (only
@@ -13,15 +13,23 @@ kernels to.  That class is its only importer there; model-property
 tests read the product model instead.
 
 Where the arithmetic were methods they still are, on same-named
-subclasses of the product classes that kept the state they read
-(``RadioCell``: the PRB budget; ``PhyModel``: the four BLER
-parameters; ``TransportFabric``: conditions and path hops).  The
-product no longer keeps SPGW-U pools, edge servers or container
-shares, so ``CoreNetwork`` / ``EdgeServerPool`` subclass private
-bases instead: the methods of the deleted product classes (and of
-their container runtime) that the two ``evaluate`` methods and the
-kernels test call, bodies copied verbatim, with constructors that set
-only the fields those methods read.
+subclasses of private bases.  ``_PhyModel`` (the four BLER
+parameters), ``_RadioCell`` (the PRB budget) and ``_TransportFabric``
+(link conditions and path hops) are the product classes as they stood
+at commit ``dbdcedf``, copied verbatim but for their names (which the
+subclasses' ``class`` lines name as their bases), before the
+network took over the link conditions and the row layout read
+``NetworkConfig`` and module constants directly; the parent
+:func:`rows_for_network` and ``WorldConditions.refresh`` (as a
+function of its ``self``) that read them are kept beside them, so
+``tests/test_sim_ran_transport.py`` holds the product's layout and
+conditions to them byte for byte.  The product no longer keeps SPGW-U
+pools, edge servers or container shares either, so ``CoreNetwork`` /
+``EdgeServerPool`` subclass private bases too: the methods of the
+deleted product classes (and of their container runtime) that the two
+``evaluate`` methods and the kernels test call, bodies copied
+verbatim, with constructors that set only the fields those methods
+read.
 :class:`ScalarSubstrates` -- the only new code -- builds one set of
 them shadowing an ``EndToEndNetwork``.
 
@@ -52,20 +60,24 @@ from repro.config import (
     NUM_ACTIONS,
     CoreConfig,
     EdgeConfig,
+    RANConfig,
     SliceSpec,
+    TransportConfig,
 )
 from repro.core.agent import ActDecision
 from repro.core.orchestrator import coordinate_actions
 from repro.core.switching import SwitchDecision
-from repro.sim import phy, ran, transport
+from repro.engine.kernels import APP_CODES, SliceRows, WorldConditions
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import snr_to_cqi_array
 from repro.sim.env import SliceObservation
 from repro.sim.phy import NUM_MCS, cqi_to_mcs, mcs_spectral_efficiency
-from repro.sim.queueing import RHO_KNEE
 
 
 # ---- sim/queueing.py ---------------------------------------------------
+
+#: Utilisation where M/M/1 hands over to the linear overload regime.
+RHO_KNEE = 0.95
 
 
 def queueing_latency_ms(service_ms: float, rho: float) -> float:
@@ -95,7 +107,38 @@ class LinkQuality:
     goodput_efficiency: float      # efficiency after HARQ overhead
 
 
-class PhyModel(phy.PhyModel):
+class _PhyModel:
+    """Parameters of the link-level model tying CQI, MCS offset and
+    retransmissions (read by the kernels' row layout).
+
+    Parameters
+    ----------
+    uplink_bler_decay / downlink_bler_decay:
+        Per-offset-step multiplicative decay of the retransmission
+        probability.  Fitted to the paper's Fig. 6: the retransmission
+        probability falls from ~1e-1 to ~1e-5 over offsets 0..10 in the
+        uplink (decay ~0.40/step) and from ~1.5e-2 to ~1.5e-4 in the
+        flatter downlink (~0.63/step).
+    base_retx_ul / base_retx_dl:
+        Retransmission probability at offset 0 under nominal channel
+        conditions.
+    """
+
+    def __init__(self, base_retx_ul: float = 0.12,
+                 base_retx_dl: float = 0.015,
+                 uplink_bler_decay: float = 0.40,
+                 downlink_bler_decay: float = 0.63) -> None:
+        if not 0 < base_retx_ul < 1 or not 0 < base_retx_dl < 1:
+            raise ValueError("base retransmission probs must be in (0,1)")
+        if not 0 < uplink_bler_decay < 1 or not 0 < downlink_bler_decay < 1:
+            raise ValueError("decay factors must be in (0,1)")
+        self.base_retx_ul = base_retx_ul
+        self.base_retx_dl = base_retx_dl
+        self.uplink_bler_decay = uplink_bler_decay
+        self.downlink_bler_decay = downlink_bler_decay
+
+
+class PhyModel(_PhyModel):
     """The product's four parameters plus the link-level arithmetic."""
 
     def effective_mcs(self, cqi: int, mcs_offset: int,
@@ -274,7 +317,26 @@ class SliceRadioReport:
     scheduler: Scheduler
 
 
-class RadioCell(ran.RadioCell):
+class _RadioCell:
+    """One eNB/gNB with exclusive PRB partitioning between slices."""
+
+    def __init__(self, cfg: RANConfig) -> None:
+        self.cfg = cfg
+        self.phy = PhyModel()
+        #: Useful PRB-seconds per second in each direction (TDD split).
+        self._dl_prbs = cfg.num_prbs
+        self._ul_prbs = cfg.num_prbs
+
+    @property
+    def downlink_prbs(self) -> int:
+        return self._dl_prbs
+
+    @property
+    def uplink_prbs(self) -> int:
+        return self._ul_prbs
+
+
+class RadioCell(_RadioCell):
     """The product's PRB budget plus the capacity arithmetic."""
 
     def prbs_for_share(self, share: float, uplink: bool) -> int:
@@ -350,7 +412,71 @@ class TransportReport:
     latency_ms: float
 
 
-class TransportFabric(transport.TransportFabric):
+class _TransportFabric:
+    """The transport network shared by all slices: its reserved paths
+    and current link conditions.
+
+    The per-path reserved load, the meters and the M/M/1-style latency
+    that grows as a path approaches saturation are the transport stage
+    of :mod:`repro.engine.kernels`, which reads this state.
+    """
+
+    def __init__(self, cfg: Optional[TransportConfig] = None) -> None:
+        self.cfg = cfg or TransportConfig()
+        self._path_hops: List[int] = [
+            2 + extra for extra in self.cfg.path_extra_hops]
+        # Mutable link conditions, driven by scenario events (fault
+        # injection): a capacity degradation factor, added forwarding
+        # latency, and cross-traffic that loads every path before the
+        # slices reserve anything.
+        self.capacity_scale = 1.0
+        self.extra_latency_ms = 0.0
+        self.background_load_fraction = 0.0
+
+    @property
+    def num_paths(self) -> int:
+        return self.cfg.num_paths
+
+    # ---- scenario event hooks -----------------------------------------
+
+    def set_conditions(self, capacity_scale: Optional[float] = None,
+                       extra_latency_ms: Optional[float] = None,
+                       background_load_fraction: Optional[float] = None
+                       ) -> None:
+        """Update the fabric's fault-injection state (``None`` = keep).
+
+        ``capacity_scale`` in (0, 1] derates every link (e.g. a port
+        renegotiating to a lower speed), ``extra_latency_ms`` models a
+        forwarding-plane latency surge, and ``background_load_fraction``
+        in [0, 1) pre-loads each path with unmanaged cross-traffic.
+        """
+        if capacity_scale is not None:
+            if not 0.0 < capacity_scale <= 1.0:
+                raise ValueError("capacity_scale must be in (0, 1]")
+            self.capacity_scale = float(capacity_scale)
+        if extra_latency_ms is not None:
+            if extra_latency_ms < 0:
+                raise ValueError("extra_latency_ms must be >= 0")
+            self.extra_latency_ms = float(extra_latency_ms)
+        if background_load_fraction is not None:
+            if not 0.0 <= background_load_fraction < 1.0:
+                raise ValueError(
+                    "background_load_fraction must be in [0, 1)")
+            self.background_load_fraction = float(background_load_fraction)
+
+    def clear_conditions(self) -> None:
+        """Restore nominal link conditions (no active events)."""
+        self.capacity_scale = 1.0
+        self.extra_latency_ms = 0.0
+        self.background_load_fraction = 0.0
+
+    def path_hops(self, path_index: int) -> int:
+        if not 0 <= path_index < self.num_paths:
+            raise ValueError(f"path index out of range: {path_index}")
+        return self._path_hops[path_index]
+
+
+class TransportFabric(_TransportFabric):
     """The product's conditions and path hops plus per-path reserved
     load, meters and the M/M/1 latency arithmetic."""
 
@@ -845,22 +971,26 @@ class SliceAllocation:
 class ScalarSubstrates:
     """One set of oracle substrates shadowing ``net``'s current state.
 
-    Same configuration, PHY parameters, fabric conditions and slice
-    set; pools, servers and container shares are its own, so driving
-    the oracle never writes into the network under test.  ``channels``
-    holds one :class:`ChannelProcess` per slice over copies of the
-    network's channel rows.
+    Same configuration, link conditions and slice set; pools, servers
+    and container shares are its own, so driving the oracle never
+    writes into the network under test.  ``channels`` holds one
+    :class:`ChannelProcess` per slice over copies of the network's
+    channel rows.  With ``cfg``, ``slices``, ``slice_names``, ``cell``
+    and ``fabric`` it is also a network as the parent
+    :func:`rows_for_network` read one.
     """
 
     def __init__(self, net) -> None:
         cfg = net.cfg
+        self.cfg = cfg
+        self.slices = dict(net.slices)
+        self.slice_names = list(net.slices)
         self.cell = RadioCell(cfg.ran)
-        self.cell.phy = PhyModel(**vars(net.cell.phy))
         self.fabric = TransportFabric(cfg.transport)
         self.fabric.set_conditions(
-            capacity_scale=net.fabric.capacity_scale,
-            extra_latency_ms=net.fabric.extra_latency_ms,
-            background_load_fraction=net.fabric.background_load_fraction)
+            capacity_scale=net.capacity_scale,
+            extra_latency_ms=net.extra_latency_ms,
+            background_load_fraction=net.background_load_fraction)
         runtime = _ContainerRuntime(cfg.edge.total_cpu_cores,
                                     cfg.edge.total_ram_gb)
         self.core = CoreNetwork(cfg.core, runtime=runtime)
@@ -871,6 +1001,97 @@ class ScalarSubstrates:
             self.edge.create_server(name)
             self.channels[name] = ChannelProcess.holding(
                 net.mean_snr_db[row], net.snr_db[row], net.cqi[row])
+
+
+# ---- engine/kernels.py's row layout and conditions at commit dbdcedf --
+
+
+def rows_for_network(network) -> SliceRows:
+    """Build the static row constants of one world's current slices,
+    as world 0 of a one-world bundle.
+
+    ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
+    rows follow ``network.slice_names`` order (managed and background
+    churn slices alike -- the caller masks, exactly as the scalar
+    simulator reports only managed slices).
+    """
+    cfg = network.cfg
+    phy = network.cell.phy
+    names = list(network.slice_names)
+    specs = [network.slices[name] for name in names]
+    n = len(names)
+
+    def const(value, dtype=np.float64):
+        return np.full(n, value, dtype=dtype)
+
+    def pair(uplink, downlink):
+        return np.full((n, 2), (uplink, downlink), dtype=np.float64)
+
+    hops = np.asarray(
+        [network.fabric.path_hops(k)
+         for k in range(network.fabric.num_paths)], dtype=np.intp)
+    return SliceRows(
+        names=names,
+        metrics=[spec.sla.metric for spec in specs],
+        world=np.zeros(n, dtype=np.intp),
+        num_worlds=1,
+        app=np.asarray([APP_CODES[spec.app] for spec in specs],
+                       dtype=np.intp),
+        max_arrival=np.asarray([spec.max_arrival_rate
+                                for spec in specs]),
+        payload_bits=np.asarray(
+            [(spec.uplink_payload_bits, spec.downlink_payload_bits)
+             for spec in specs], dtype=np.float64).reshape(n, 2),
+        sum_bits=np.asarray([spec.uplink_payload_bits
+                             + spec.downlink_payload_bits
+                             for spec in specs]),
+        compute_units=np.asarray([spec.compute_units
+                                  for spec in specs]),
+        sla_target=np.asarray([spec.sla.target for spec in specs]),
+        cost_threshold=np.asarray([spec.sla.cost_threshold
+                                   for spec in specs]),
+        lower_better=np.asarray([spec.sla.lower_is_better
+                                 for spec in specs], dtype=bool),
+        prbs_total=pair(network.cell.uplink_prbs,
+                        network.cell.downlink_prbs),
+        prb_bandwidth_hz=const(cfg.ran.prb_bandwidth_hz),
+        duty=pair(cfg.ran.uplink_fraction, cfg.ran.downlink_fraction),
+        overhead=const(cfg.ran.overhead),
+        fixed_mcs=const(cfg.ran.fixed_mcs, dtype=np.intp),
+        ran_base_latency_ms=const(cfg.ran.base_latency_ms),
+        base_retx=pair(phy.base_retx_ul, phy.base_retx_dl),
+        bler_decay=pair(phy.uplink_bler_decay, phy.downlink_bler_decay),
+        link_capacity_bps=const(cfg.transport.link_capacity_bps),
+        hop_latency_ms=const(cfg.transport.hop_latency_ms),
+        num_paths=const(network.fabric.num_paths, dtype=np.intp),
+        path_hops=hops[None, :],
+        link_capacity_w=np.asarray([cfg.transport.link_capacity_bps]),
+        sgwu_capacity_pps=const(cfg.core.sgwu_capacity_pps),
+        num_sgwu=const(cfg.core.num_sgwu_per_slice, dtype=np.intp),
+        core_base_latency_ms=const(cfg.core.base_latency_ms),
+        mean_packet_bits=const(cfg.core.mean_packet_bits),
+        edge_capacity_ups=const(cfg.edge.compute_capacity_ups),
+        total_ram_gb=const(cfg.edge.total_ram_gb),
+        ram_gb_per_ups=const(cfg.edge.ram_gb_per_ups),
+        users=const(cfg.users_per_slice, dtype=np.intp),
+    )
+
+
+def refresh(self, fabrics) -> "WorldConditions":
+    """Re-read the fabrics into the existing buffers (no allocs).
+
+    Scalar element stores only, so a per-slot caller (the batch
+    engine's hot loop) can keep one instance alive instead of
+    rebuilding three arrays every slot.
+    """
+    capacity = self.capacity_scale
+    extra = self.extra_latency_ms
+    background = self.background_load_fraction
+    for index, fabric in enumerate(fabrics):
+        capacity[index] = fabric.capacity_scale
+        extra[index] = fabric.extra_latency_ms
+        background[index] = fabric.background_load_fraction
+    return self
 
 
 # ---- one slice's act at commit acef036 (core/, rl/ppo.py) --------------

@@ -131,6 +131,12 @@ class TestConfig:
         assert EdgeConfig(total_ram_gb=0.0).total_ram_gb == 0.0
         assert RANConfig(overhead=0.0).overhead == 0.0
         assert nr_ran_config().uplink_fraction == 0.43
+        # the default and NR TDD splits fill at most one frame; a
+        # stalled SGW-U and a zero-hop-latency switch stay legal
+        assert RANConfig().downlink_fraction == 0.6
+        assert nr_ran_config().downlink_fraction == 0.54
+        assert CoreConfig(sgwu_capacity_pps=0.0).base_latency_ms == 2.0
+        assert TransportConfig(hop_latency_ms=0.0).num_paths == 3
         assert TransportConfig(num_paths=1,
                                path_extra_hops=(0,)).num_paths == 1
 
@@ -142,6 +148,20 @@ class TestConfig:
         (RANConfig, "overhead", -0.1),
         (RANConfig, "overhead", 1.0),
         (RANConfig, "overhead", 1.5),
+        (RANConfig, "downlink_fraction", 1.0),
+        (RANConfig, "downlink_fraction", float("nan")),
+        (RANConfig, "uplink_fraction", 0.9),      # 0.6 + 0.9 > 1
+        (RANConfig, "prb_bandwidth_hz", -180e3),
+        (RANConfig, "prb_bandwidth_hz", 0.0),
+        (RANConfig, "prb_bandwidth_hz", float("inf")),
+        (RANConfig, "base_latency_ms", -20.0),
+        (CoreConfig, "sgwu_capacity_pps", -2e5),
+        (CoreConfig, "sgwu_capacity_pps", float("nan")),
+        (CoreConfig, "mean_packet_bits", -12e3),
+        (CoreConfig, "mean_packet_bits", 0.0),
+        (CoreConfig, "base_latency_ms", -50.0),
+        (TransportConfig, "hop_latency_ms", -0.5),
+        (TransportConfig, "path_extra_hops", (0, -1, 2)),
         (TransportConfig, "link_capacity_bps", -1e9),
         (TransportConfig, "link_capacity_bps", float("inf")),
         (EdgeConfig, "total_ram_gb", -4.0),
@@ -155,9 +175,13 @@ class TestConfig:
         """A negative capacity, an overhead of 100 % or more or a
         UL duty outside (0, 1) used to reach the kernels and price a
         dead or impossible slice as a satisfied one; a slice without
-        users failed only when a slice was attached.  Each is refused
-        at construction, naming the field, and through the tagged-JSON
-        decoder too."""
+        users failed only when a slice was attached.  So did a TDD
+        split over one frame (more airtime than the cell has), a
+        negative PRB bandwidth (negative capacities, an RDC
+        reliability far above 1 at cost 0), a negative latency, hop
+        count or SGW-U capacity, and a packet size <= 0.  Each is
+        refused at construction, naming the field, and through the
+        tagged-JSON decoder too."""
         match = f"{config.__name__}.{field} must"
         with pytest.raises(ValueError, match=match):
             config(**{field: value})

@@ -418,7 +418,7 @@ class TestPlainKernels:
         if actions is None:
             actions = rng.uniform(-0.2, 1.2, (count, NUM_ACTIONS))
         return (net.slot_rows(),
-                WorldConditions.nominal(1).refresh([net.fabric]),
+                WorldConditions.nominal(1).refresh([net]),
                 actions, rng.uniform(0.0, 60.0, count), net.cqi.copy(),
                 net.snr_db - net.mean_snr_db)
 

@@ -65,12 +65,12 @@ def _build(spec, seed=None):
 
 def _fingerprint(sim):
     """Everything a step may change, short of stepping."""
-    fabric = sim.network.fabric
+    net = sim.network
     return (json.dumps(sim._rng.bit_generator.state, sort_keys=True),
-            sim.slot, sim.active_events, tuple(sim.network.slices),
+            sim.slot, sim.active_events, tuple(net.slices),
             sorted(sim.background_slice_names),
-            (fabric.capacity_scale, fabric.extra_latency_ms,
-             fabric.background_load_fraction))
+            (net.capacity_scale, net.extra_latency_ms,
+             net.background_load_fraction))
 
 
 def _step_arrays(step):
@@ -703,10 +703,10 @@ def _timeline(sim, event_slots=None):
             _parent_apply_events(sim)
         elif slot in event_slots:
             sim.apply_events()
-        fabric = sim.network.fabric
-        seen.append((sim.active_events, tuple(sim.network.slices),
-                     fabric.capacity_scale, fabric.extra_latency_ms,
-                     fabric.background_load_fraction))
+        net = sim.network
+        seen.append((sim.active_events, tuple(net.slices),
+                     net.capacity_scale, net.extra_latency_ms,
+                     net.background_load_fraction))
         sim._slot += 1
     return seen
 
@@ -752,17 +752,17 @@ class TestEventSlots:
         start, end = 6, 18          # the surge's window at 24 slots
         assert sim.event_slots == {start, end}
         sim.reset()
-        fabric = sim.network.fabric
+        net = sim.network
         actions = {n: np.full(NUM_ACTIONS, 0.3) for n in sim.slice_names}
         while sim.slot < 8:
             sim.step(actions)
-        assert fabric.extra_latency_ms == 60.0
-        sim.network.set_transport_conditions(extra_latency_ms=5.0)
+        assert net.extra_latency_ms == 60.0
+        net.set_transport_conditions(extra_latency_ms=5.0)
         while sim.slot < end:
             sim.step(actions)
-            assert fabric.extra_latency_ms == 5.0
+            assert net.extra_latency_ms == 5.0
         sim.step(actions)           # slot 18: the surge ends
-        assert fabric.extra_latency_ms == 0.0
+        assert net.extra_latency_ms == 0.0
 
 
 # ---- the router's cached plan -----------------------------------------

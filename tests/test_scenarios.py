@@ -300,7 +300,7 @@ class TestSimulatorEvents:
         scales = []
         while not sim.done:
             sim.step({n: np.full(10, 0.2) for n in sim.slice_names})
-            scales.append(sim.network.fabric.capacity_scale)
+            scales.append(sim.network.capacity_scale)
         event = spec.events[0]
         start = event.start_slot(sim.horizon)
         end = event.end_slot(sim.horizon)
@@ -341,8 +341,8 @@ class TestSimulatorEvents:
         run_episode(sim)
         sim.reset()
         assert sim.background_slice_names == []
-        assert sim.network.fabric.capacity_scale == 1.0
-        assert sim.network.fabric.extra_latency_ms == 0.0
+        assert sim.network.capacity_scale == 1.0
+        assert sim.network.extra_latency_ms == 0.0
         assert sim.active_events == []
 
     def test_traffic_model_drives_traces(self):
@@ -392,7 +392,7 @@ class TestEventEdgeCases:
                                     capacity_scale=0.5)
         _, scales = self._drive(
             (first, second),
-            probe=lambda sim: sim.network.fabric.capacity_scale)
+            probe=lambda sim: sim.network.capacity_scale)
         assert scales[3] == pytest.approx(0.5)   # first only
         assert scales[7] == pytest.approx(0.25)  # overlap
         assert scales[10] == pytest.approx(0.5)  # second only
@@ -413,9 +413,9 @@ class TestEventEdgeCases:
                                        load_fraction=0.6)
         sim, _ = self._drive((surge_a, surge_b, load_a, load_b))
         # latencies add; loads add but cap below saturation at 0.95
-        assert sim.network.fabric.extra_latency_ms == \
+        assert sim.network.extra_latency_ms == \
             pytest.approx(25.0)
-        assert sim.network.fabric.background_load_fraction == \
+        assert sim.network.background_load_fraction == \
             pytest.approx(0.95)
 
     def test_churn_at_horizon_boundary(self):
@@ -444,7 +444,7 @@ class TestEventEdgeCases:
         assert stop == start + 1  # a window is never empty
         _, scales = self._drive(
             (event,),
-            probe=lambda sim: sim.network.fabric.capacity_scale)
+            probe=lambda sim: sim.network.capacity_scale)
         assert scales[start] == pytest.approx(0.3)
         assert scales[start - 1] == 1.0
         assert scales[start + 1] == 1.0

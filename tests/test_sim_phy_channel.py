@@ -23,7 +23,6 @@ from repro.sim.phy import (
     MCS_TABLE,
     NUM_CQI,
     NUM_MCS,
-    PhyModel,
     cqi_to_mcs,
     mcs_spectral_efficiency,
 )
@@ -140,12 +139,6 @@ class TestPhyModel:
     def test_link_quality_goodput_below_raw(self):
         raw, goodput, _ = self._link(cqi=10, offset=0)
         assert goodput < raw
-
-    def test_invalid_constructor(self):
-        with pytest.raises(ValueError):
-            PhyModel(base_retx_ul=0.0)
-        with pytest.raises(ValueError):
-            PhyModel(uplink_bler_decay=1.5)
 
 
 def _stepped(specs, users, seed, slots):

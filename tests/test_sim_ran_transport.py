@@ -1,6 +1,8 @@
 """Model properties of the RAN, the queueing law and the transport
-fabric, read off the kernels (``tests/kernel_probe.py``), plus the
-unit tests of the state that stays in ``repro.sim``."""
+network, read off the kernels (``tests/kernel_probe.py``); and the
+network's parameters held, byte for byte, to the classes that kept
+them before the network and its configuration became their one home
+(``tests/scalar_oracle.py``)."""
 
 import dataclasses
 
@@ -9,20 +11,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from kernel_probe import kernel_slot, make_action, make_network, probe
+from repro import scenarios
 from repro.config import (
+    NUM_ACTIONS,
     EdgeConfig,
     RANConfig,
+    TrafficConfig,
     TransportConfig,
     hvs_slice_spec,
     lte_ran_config,
     mar_slice_spec,
+    nr_ran_config,
+    rdc_slice_spec,
 )
-from repro.sim.queueing import RHO_KNEE
-from repro.sim.ran import Scheduler
-from repro.sim.transport import TransportFabric, build_topology
+from repro.engine.kernels import (
+    RHO_KNEE,
+    SliceRows,
+    WorldConditions,
+    rows_for_network,
+)
 
 MAR = mar_slice_spec()
+
+#: The kernels' scheduler codes (thirds of the ``[0, 1]`` action):
+#: round robin, proportional fair, max-CQI.
+SCHEDULERS = (0, 1, 2)
 
 #: Three users far enough apart that the three schedulers differ.
 SPREAD_CQI = [5, 9, 13]
@@ -41,13 +56,11 @@ class TestScheduler:
         capacities = [{_dl_capacity(downlink_scheduler=v) for v in third}
                       for third in thirds]
         assert all(len(found) == 1 for found in capacities)
-        assert len(set.union(*capacities)) == len(Scheduler)
+        assert len(set.union(*capacities)) == len(SCHEDULERS)
 
     def test_efficiency_ordering(self):
-        rr, pf, mx = (_dl_capacity(downlink_scheduler=(s.value + 0.5) / 3)
-                      for s in (Scheduler.ROUND_ROBIN,
-                                Scheduler.PROPORTIONAL_FAIR,
-                                Scheduler.MAX_CQI))
+        rr, pf, mx = (_dl_capacity(downlink_scheduler=(code + 0.5) / 3)
+                      for code in SCHEDULERS)
         per_user = [probe(MAR, cqi=cqi, margin_db=0.0)["dl_capacity_bps"]
                     for cqi in SPREAD_CQI]
         assert rr < pf < mx
@@ -164,18 +177,19 @@ class TestTransport:
     HOP_MS = TransportConfig().hop_latency_ms
 
     def test_topology_paths_exist(self):
-        cfg = TransportConfig()
-        paths = build_topology(cfg)
-        assert len(paths) == cfg.num_paths
-        fabric = TransportFabric(cfg)
-        for k, nodes in enumerate(paths):
-            assert nodes[0] == "ran" and nodes[-1] == "core"
-            assert len(nodes) - 1 == fabric.path_hops(k)
+        """Every configured path is in the layout, path ``k`` a chain
+        of ``2 + path_extra_hops[k]`` links."""
+        for cfg in (TransportConfig(),
+                    TransportConfig(num_paths=4,
+                                    path_extra_hops=(0, 2, 3, 5))):
+            rows = rows_for_network(make_network([MAR], transport=cfg))
+            assert rows.num_paths.tolist() == [cfg.num_paths]
+            assert rows.path_hops.tolist() == [
+                [2 + extra for extra in cfg.path_extra_hops]]
 
     def test_path_hops_increasing(self):
-        fabric = TransportFabric()
-        hops = [fabric.path_hops(k) for k in range(fabric.num_paths)]
-        assert hops == sorted(hops)
+        hops = rows_for_network(make_network([MAR])).path_hops[0]
+        assert hops.tolist() == sorted(hops.tolist())
 
     def test_meter_caps_rate(self):
         """The granted rate is the meter's share of the link whatever
@@ -223,19 +237,24 @@ class TestTransport:
     def test_path_index_from_action(self):
         """``U_l`` = 0 decodes to the shortest path, 1 to the longest:
         hops * forwarding + M/M/1 on the slice's own reservation."""
-        fabric = TransportFabric()
+        extra_hops = TransportConfig().path_extra_hops
         meter = 0.2
         queueing_ms = self.HOP_MS * meter / (1.0 - meter)
-        for value, path in ((0.0, 0), (1.0, fabric.num_paths - 1)):
+        for value, path in ((0.0, 0), (1.0, len(extra_hops) - 1)):
             out = probe(MAR, transport_path=value,
                         transport_bandwidth=meter)
             assert out["transport_latency_ms"] == pytest.approx(
-                fabric.path_hops(path) * self.HOP_MS + queueing_ms)
+                (2 + extra_hops[path]) * self.HOP_MS + queueing_ms)
 
     def test_invalid_path(self):
-        fabric = TransportFabric()
-        with pytest.raises(ValueError):
-            fabric.path_hops(99)
+        """No path outside the configured ones reaches the transport
+        stage: the decode clips ``U_l``, so 99 is the longest path and
+        -1 the shortest (only Eq. 9's usage reads the raw action)."""
+        def latency(value):
+            return probe(MAR, transport_path=value)["transport_latency_ms"]
+
+        assert latency(99.0) == latency(1.0) > latency(0.0)
+        assert latency(-1.0) == latency(0.0)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -254,3 +273,136 @@ def test_prbs_never_exceed_total_property(share):
     prbs = got / one_prb
     assert prbs == pytest.approx(round(prbs))
     assert one_prb <= got <= cell
+
+
+# ---- the network's parameters have one home ---------------------------
+
+
+def _assert_same_layout(got: SliceRows, want: SliceRows, label) -> None:
+    """Every :class:`SliceRows` field but the layout token equal in
+    type, dtype, shape and bytes."""
+    for spec in dataclasses.fields(SliceRows):
+        if spec.name == "uid":
+            continue
+        a, b = getattr(got, spec.name), getattr(want, spec.name)
+        assert type(a) is type(b), (label, spec.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), \
+                (label, spec.name)
+            assert a.tobytes() == b.tobytes(), (label, spec.name)
+        else:
+            assert a == b, (label, spec.name)
+
+
+def _assert_same_conditions(nets, label) -> None:
+    """The engine's per-world conditions read off the networks equal
+    what the parent ``refresh`` read off the oracle's fabrics, byte
+    for byte."""
+    got = WorldConditions.nominal(len(nets)).refresh(nets)
+    want = scalar_oracle.refresh(
+        WorldConditions.nominal(len(nets)),
+        [scalar_oracle.ScalarSubstrates(net).fabric for net in nets])
+    for spec in dataclasses.fields(WorldConditions):
+        a, b = getattr(got, spec.name), getattr(want, spec.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+            (label, spec.name)
+
+
+def _assert_network_matches_oracle(net, label) -> None:
+    _assert_same_layout(
+        rows_for_network(net),
+        scalar_oracle.rows_for_network(
+            scalar_oracle.ScalarSubstrates(net)), label)
+    _assert_same_conditions([net], label)
+
+
+class TestParametersHaveOneHome:
+    """``rows_for_network`` reads ``NetworkConfig`` and the
+    ``repro.sim.phy`` constants, and the network holds its link
+    conditions; the parent read them through ``RadioCell``,
+    ``PhyModel`` and ``TransportFabric``, kept verbatim in the
+    oracle.  Both must give the same row layout and conditions."""
+
+    @pytest.mark.parametrize("scenario", scenarios.names())
+    def test_catalog_networks_over_an_episode(self, scenario):
+        """Every slot of a 12-slot episode: churn slices attached and
+        detached, transport events opened and closed."""
+        spec = dataclasses.replace(
+            scenarios.get(scenario),
+            traffic_cfg=TrafficConfig(slots_per_episode=12))
+        sim = spec.build_simulator()
+        sim.reset()
+        _assert_network_matches_oracle(sim.network, (scenario, 0))
+        while not sim.done:
+            sim.step({name: np.full(NUM_ACTIONS, 0.2)
+                      for name in sim.slice_names})
+            _assert_network_matches_oracle(sim.network,
+                                           (scenario, sim.slot))
+
+    @pytest.mark.parametrize("ran", [
+        dataclasses.replace(lte_ran_config(), fixed_mcs=9),
+        dataclasses.replace(nr_ran_config(), fixed_mcs=9),
+        nr_ran_config(),
+        RANConfig(num_prbs=25, downlink_fraction=0.7,
+                  uplink_fraction=0.3),
+    ], ids=["lte-mcs9", "nr-mcs9", "nr", "lte-25prb"])
+    def test_radio_configurations(self, ran):
+        net = make_network([MAR, hvs_slice_spec(), rdc_slice_spec()],
+                           ran=ran)
+        _assert_network_matches_oracle(net, ran)
+
+    @pytest.mark.parametrize("transport", [
+        TransportConfig(num_paths=1, path_extra_hops=(0,)),
+        TransportConfig(num_paths=4, path_extra_hops=(0, 2, 3, 5),
+                        hop_latency_ms=1.25),
+    ], ids=["one-path", "four-paths"])
+    def test_transport_configurations(self, transport):
+        net = make_network([MAR, hvs_slice_spec()], transport=transport)
+        _assert_network_matches_oracle(net, transport)
+
+    def test_network_under_active_transport_conditions(self):
+        net = make_network([MAR, hvs_slice_spec()])
+        for conditions in (
+                dict(capacity_scale=0.4, extra_latency_ms=7.5,
+                     background_load_fraction=0.6),
+                dict(extra_latency_ms=0.0),
+                dict(capacity_scale=1.0, background_load_fraction=0.0),
+                dict(capacity_scale=0.1)):
+            net.set_transport_conditions(**conditions)
+            _assert_network_matches_oracle(net, conditions)
+        _assert_same_conditions([make_network([MAR]), net], "two worlds")
+        net.clear_transport_conditions()
+        _assert_network_matches_oracle(net, "cleared")
+        assert (net.capacity_scale, net.extra_latency_ms,
+                net.background_load_fraction) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("conditions", [
+        dict(capacity_scale=0.0), dict(capacity_scale=1.5),
+        dict(extra_latency_ms=-1.0),
+        dict(background_load_fraction=1.0),
+        dict(background_load_fraction=-0.1),
+    ])
+    def test_out_of_range_conditions_are_refused(self, conditions):
+        """The network refuses what the fabric refused, naming the
+        condition, and keeps every condition it had."""
+        net = make_network([MAR])
+        net.set_transport_conditions(capacity_scale=0.5)
+        held = (net.capacity_scale, net.extra_latency_ms,
+                net.background_load_fraction)
+        with pytest.raises(ValueError, match=next(iter(conditions))):
+            net.set_transport_conditions(**conditions)
+        assert (net.capacity_scale, net.extra_latency_ms,
+                net.background_load_fraction) == held
+
+    def test_ping_crosses_the_shortest_path(self):
+        """Fig. 16's ping: the parent counted the fabric's path 0."""
+        transport = TransportConfig(num_paths=2, path_extra_hops=(3, 0))
+        cfg = make_network([MAR], transport=transport).cfg
+        fabric = scalar_oracle.TransportFabric(cfg.transport)
+        a, b = (make_network([MAR], seed=5, transport=transport)
+                for _ in range(2))
+        jitter = float(b._rng.gamma(2.0, 0.8))
+        assert a.ping_delay_ms("MAR") == (
+            2.0 * cfg.ran.base_latency_ms
+            + 2.0 * fabric.path_hops(0) * transport.hop_latency_ms
+            + 2.0 * cfg.core.base_latency_ms + jitter)
