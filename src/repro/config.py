@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -282,10 +283,13 @@ class TransportConfig:
         if self.num_paths != len(self.path_extra_hops):
             raise ValueError("TransportConfig.path_extra_hops must list "
                              "one entry per path")
-        if any(extra < 0 for extra in self.path_extra_hops):
+        # Integers: the kernels cast the hops to intp while the ping
+        # delay reads them as they are, so 0.5 would mean two things.
+        if any(not isinstance(extra, numbers.Integral) or extra < 0
+               for extra in self.path_extra_hops):
             raise ValueError(
-                f"TransportConfig.path_extra_hops must be >= 0 on every "
-                f"path, got {self.path_extra_hops!r}")
+                f"TransportConfig.path_extra_hops must be integers >= 0 "
+                f"on every path, got {self.path_extra_hops!r}")
         _check_quantity(self, "link_capacity_bps")
         _check_quantity(self, "hop_latency_ms")
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro.config import ModifierConfig, NUM_ACTIONS
 from repro.nn.losses import mse_loss
 from repro.nn.network import MLP
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam, fit_minibatches
 from repro.sim.env import STATE_DIM
 from repro.sim.network import CONSTRAINED_RESOURCES
 
@@ -60,23 +60,15 @@ class CostSurrogate:
         if not len(states) == len(actions) == len(costs):
             raise ValueError("dataset length mismatch")
         inputs = np.concatenate([states, actions], axis=1)
-        n = len(inputs)
-        curve: List[float] = []
-        for _ in range(epochs):
-            order = self._rng.permutation(n)
-            total, batches = 0.0, 0
-            for start in range(0, n, 128):
-                idx = order[start:start + 128]
-                pred = self.network.forward(inputs[idx])
-                loss, grad = mse_loss(pred, costs[idx])
-                self._optim.zero_grad()
-                self.network.backward(grad)
-                clip_grad_norm(self.network.parameters(), 5.0)
-                self._optim.step()
-                total += loss
-                batches += 1
-            curve.append(total / max(batches, 1))
-        return curve
+
+        def step(rows: np.ndarray) -> float:
+            loss, grad = mse_loss(self.network.forward(inputs[rows]),
+                                  costs[rows])
+            self.network.backward(grad)
+            return loss
+
+        return fit_minibatches(self._optim, self._rng, len(inputs), 128,
+                               epochs, step)
 
     def predict(self, states: np.ndarray,
                 actions: np.ndarray) -> np.ndarray:
@@ -191,30 +183,23 @@ class ActionModifier:
         zero_rows = self._rng.random(n) < 0.25
         betas[zero_rows] = 0.0
         inputs = np.concatenate([states, actions, betas], axis=1)
-        curve: List[float] = []
-        for _ in range(self.cfg.train_epochs):
-            order = self._rng.permutation(n)
-            total, batches = 0.0, 0
-            for start in range(0, n, self.cfg.minibatch_size):
-                idx = order[start:start + self.cfg.minibatch_size]
-                net_out = self.network.forward(inputs[idx])
-                beta_mat = self._beta_matrix(betas[idx])
-                modified = self._assemble(actions[idx], beta_mat,
-                                          net_out)
-                h, grad = self.objective(states[idx], actions[idx],
-                                         betas[idx], modified)
-                # d a_hat / d net_out = 2 * CORRECTION_SCALE where the
-                # clip is inactive (straight-through at the box edge).
-                active = (modified > 0.0) & (modified < 1.0)
-                grad_out = grad * active * (2.0 * self.CORRECTION_SCALE)
-                self._optim.zero_grad()
-                self.network.backward(grad_out)
-                clip_grad_norm(self.network.parameters(), 5.0)
-                self._optim.step()
-                total += h
-                batches += 1
-            curve.append(total / max(batches, 1))
-        return curve
+
+        def step(rows: np.ndarray) -> float:
+            net_out = self.network.forward(inputs[rows])
+            beta_mat = self._beta_matrix(betas[rows])
+            modified = self._assemble(actions[rows], beta_mat, net_out)
+            h, grad = self.objective(states[rows], actions[rows],
+                                     betas[rows], modified)
+            # d a_hat / d net_out = 2 * CORRECTION_SCALE where the
+            # clip is inactive (straight-through at the box edge).
+            active = (modified > 0.0) & (modified < 1.0)
+            self.network.backward(
+                grad * active * (2.0 * self.CORRECTION_SCALE))
+            return h
+
+        return fit_minibatches(self._optim, self._rng, n,
+                               self.cfg.minibatch_size,
+                               self.cfg.train_epochs, step)
 
     # ---- runtime ------------------------------------------------------
 

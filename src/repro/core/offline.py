@@ -15,7 +15,7 @@ Before any online learning the agent is prepared offline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -30,7 +30,8 @@ from repro.sim.env import ScenarioSimulator
 
 @dataclass
 class OfflineDataset:
-    """Baseline-rollout transitions for one slice.
+    """Baseline-rollout transitions for one slice, as contiguous
+    ``(N, ·)`` arrays in slot order.
 
     ``actions`` are the *executed* actions (possibly exploration-
     jittered); ``expert_actions`` are the clean pi_b labels for the
@@ -38,32 +39,17 @@ class OfflineDataset:
     the clone learns to *recover* toward the baseline from off-
     trajectory states (a DAgger-style correction -- without it, one
     noisy slot pushes the state features off the training manifold and
-    the clone cascades).
+    the clone cascades).  ``episode_bounds`` holds each episode's end
+    row (exclusive).
     """
 
-    states: List[np.ndarray] = field(default_factory=list)
-    actions: List[np.ndarray] = field(default_factory=list)
-    expert_actions: List[np.ndarray] = field(default_factory=list)
-    rewards: List[float] = field(default_factory=list)
-    costs: List[float] = field(default_factory=list)
-    usages: List[float] = field(default_factory=list)
-    episode_bounds: List[int] = field(default_factory=list)
-
-    def add(self, state: np.ndarray, action: np.ndarray, reward: float,
-            cost: float, usage: float,
-            expert_action: Optional[np.ndarray] = None) -> None:
-        self.states.append(np.asarray(state, dtype=float))
-        self.actions.append(np.asarray(action, dtype=float))
-        self.expert_actions.append(
-            np.asarray(expert_action, dtype=float)
-            if expert_action is not None
-            else np.asarray(action, dtype=float))
-        self.rewards.append(float(reward))
-        self.costs.append(float(cost))
-        self.usages.append(float(usage))
-
-    def end_episode(self) -> None:
-        self.episode_bounds.append(len(self.states))
+    states: np.ndarray
+    actions: np.ndarray
+    expert_actions: np.ndarray
+    rewards: np.ndarray
+    costs: np.ndarray
+    usages: np.ndarray
+    episode_bounds: List[int]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -74,9 +60,6 @@ class OfflineDataset:
         for end in self.episode_bounds:
             yield (self.states[start:end], self.costs[start:end])
             start = end
-
-    def mean_usage(self) -> float:
-        return float(np.mean(self.usages)) if self.usages else 0.0
 
 
 def collect_baseline_rollouts(simulator: ScenarioSimulator,
@@ -96,9 +79,11 @@ def collect_baseline_rollouts(simulator: ScenarioSimulator,
     labels every slice's state, one ``(S, NUM_ACTIONS)`` normal block
     jitters the labels (the same draws, in the same order, as one
     draw per slice), and the jittered rows are what the world executes.
+    Every slot is kept as it comes; after the last one each field is
+    joined once and gathered slice by slice.
     """
     rng = rng if rng is not None else np.random.default_rng(31)
-    datasets = {name: OfflineDataset() for name in simulator.slice_names}
+    slice_names = simulator.slice_names
     expert = RoutedBatchPolicy(baselines)
     label = np.empty(0)
 
@@ -110,18 +95,25 @@ def collect_baseline_rollouts(simulator: ScenarioSimulator,
                 0.0, exploration_std, size=label.shape), 0.0, 1.0)
         return label
 
+    names: List[str] = []
+    slots, ends = [], []
     for states, actions, step in lockstep(
             BatchSimulator([simulator]),
             SimpleNamespace(act_batch=act_batch), num_episodes,
             project=False):
-        for row, name in enumerate(step.names[0]):
-            datasets[name].add(
-                states[row], actions[row], step.rewards[row],
-                step.costs[row], step.usages[row],
-                expert_action=label[row])
+        names += step.names[0]
+        slots.append((states, actions, label, step.rewards, step.costs,
+                      step.usages))
         if step.dones[0]:
-            for dataset in datasets.values():
-                dataset.end_episode()
+            ends.append(len(names))
+    columns = [np.concatenate(column) for column in zip(*slots)]
+    row_names = np.array(names)
+    datasets = {}
+    for name in slice_names:
+        rows = np.flatnonzero(row_names == name)
+        datasets[name] = OfflineDataset(
+            *(column[rows] for column in columns),
+            episode_bounds=np.searchsorted(rows, ends).tolist())
     return datasets
 
 
@@ -157,16 +149,13 @@ def pretrain_agent(agent: OnSlicingAgent, dataset: OfflineDataset,
     #    both the clean and the jittered rollouts, always labelled with
     #    the expert pi_b action, so the clone recovers toward pi_b from
     #    off-trajectory states instead of cascading.
-    bc_states = np.concatenate(
-        [np.stack(dataset.states), np.stack(explore.states)]) \
-        if explore is not dataset else np.stack(dataset.states)
-    bc_labels = np.concatenate(
-        [np.stack(dataset.expert_actions),
-         np.stack(explore.expert_actions)]) \
-        if explore is not dataset else np.stack(dataset.expert_actions)
+    sources = [dataset] if explore is dataset else [dataset, explore]
     bc = BehaviorCloningTrainer(agent.model.actor, cfg=agent.cfg.bc,
                                 rng=agent._rng)
-    bc_curve = bc.fit(bc_states, bc_labels, epochs=bc_epochs)
+    bc_curve = bc.fit(
+        np.concatenate([source.states for source in sources]),
+        np.concatenate([source.expert_actions for source in sources]),
+        epochs=bc_epochs)
 
     # 2) pi_phi on the baseline cost-to-go (Eq. 7) -- *clean* rollouts
     #    only: pi_phi must estimate what the baseline would cost from
@@ -177,12 +166,10 @@ def pretrain_agent(agent: OnSlicingAgent, dataset: OfflineDataset,
     estimator_curve = agent.estimator.fit()
 
     # 3) cost surrogate + pi_a (Eq. 13) on the exploration data
-    ex_states = np.stack(explore.states)
-    ex_actions = np.stack(explore.actions)
-    ex_costs = np.array(explore.costs)
     surrogate_curve = agent.modifier.surrogate.fit(
-        ex_states, ex_actions, ex_costs)
-    modifier_curve = agent.modifier.train_offline(ex_states, ex_actions)
+        explore.states, explore.actions, explore.costs)
+    modifier_curve = agent.modifier.train_offline(explore.states,
+                                                  explore.actions)
 
     # 4) warm-start the critic toward the (penalised) baseline returns,
     #    so early PPO updates see sane value targets.
@@ -202,24 +189,18 @@ def _warm_start_critic(agent: OnSlicingAgent,
     from repro.nn.optim import Adam, clip_grad_norm
 
     gamma = agent.cfg.ppo.gamma
-    returns: List[float] = []
+    penalized = dataset.rewards - agent.lagrangian.value * dataset.costs
+    targets = np.empty(len(dataset))
     start = 0
     for end in dataset.episode_bounds:
         g = 0.0
-        episode_returns = []
         for i in reversed(range(start, end)):
-            penalized = (dataset.rewards[i]
-                         - agent.lagrangian.value * dataset.costs[i])
-            g = penalized + gamma * g
-            episode_returns.append(g)
-        returns.extend(reversed(episode_returns))
+            g = targets[i] = penalized[i] + gamma * g
         start = end
-    states = np.stack(dataset.states[:len(returns)])
-    targets = np.array(returns)
     optim = Adam(agent.model.critic.parameters(),
                  lr=agent.cfg.ppo.value_learning_rate)
     for _ in range(10):
-        pred = agent.model.critic.forward(states)[:, 0]
+        pred = agent.model.critic.forward(dataset.states)[:, 0]
         _loss, grad = mse_loss(pred, targets)
         optim.zero_grad()
         agent.model.critic.backward(grad[:, None])

@@ -210,8 +210,7 @@ def fig10(cfg: Optional[ExperimentConfig] = None,
     curves: Dict[str, object] = {"epochs": list(range(1, bc_epochs + 1))}
     for spec in cfg.slices:
         dataset = datasets[spec.name]
-        states = np.stack(dataset.states)
-        actions = np.stack(dataset.expert_actions)
+        states, actions = dataset.states, dataset.expert_actions
         model = GaussianActorCritic(
             states.shape[1], actions.shape[1],
             rng=np.random.default_rng(11))
@@ -226,7 +225,8 @@ def fig10(cfg: Optional[ExperimentConfig] = None,
                 [usage_from_action(a) for a in cloned]))))
         curves[spec.name] = {
             "cloned_usage_pct": usage_curve,
-            "baseline_usage_pct": usage_percent(dataset.mean_usage()),
+            "baseline_usage_pct": usage_percent(
+                float(np.mean(dataset.usages))),
         }
     return curves
 

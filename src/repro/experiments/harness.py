@@ -37,11 +37,7 @@ from repro.config import (
     SwitchingConfig,
 )
 from repro.core.agent import OnSlicingAgent
-from repro.core.offline import (
-    OfflineDataset,
-    collect_baseline_rollouts,
-    pretrain_agent,
-)
+from repro.core.offline import collect_baseline_rollouts, pretrain_agent
 from repro.core.orchestrator import OnSlicingOrchestrator
 from repro.engine.batch import BatchSimulator
 from repro.engine.policies import (
@@ -192,7 +188,6 @@ class OnSlicingBundle:
     baselines: Dict[str, RuleBasedPolicy]
     agents: Dict[str, OnSlicingAgent]
     orchestrator: OnSlicingOrchestrator
-    datasets: Dict[str, OfflineDataset]
     pretrain_reports: Dict[str, object]
 
 
@@ -271,7 +266,7 @@ def build_onslicing(cfg: Optional[ExperimentConfig] = None,
     return OnSlicingBundle(cfg=cfg, simulator=simulator,
                            baselines=baselines, agents=agents,
                            orchestrator=orchestrator,
-                           datasets=datasets, pretrain_reports=reports)
+                           pretrain_reports=reports)
 
 
 def run_online_phase(bundle: OnSlicingBundle, epochs: int = 12,

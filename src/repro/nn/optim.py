@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -97,3 +97,26 @@ class Adam:
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
+
+
+def fit_minibatches(optim: Adam, rng: np.random.Generator, n: int,
+                    batch_size: int, epochs: int,
+                    step: Callable[[np.ndarray], float]) -> List[float]:
+    """The supervised fit loop: ``epochs`` passes over ``n`` rows, each
+    in a fresh ``rng.permutation(n)`` order, ``batch_size`` rows at a
+    time.  Per minibatch the gradients are zeroed, ``step(rows)`` runs
+    the forward and backward passes over those rows and returns their
+    loss, the global gradient norm is clipped at 5.0 and ``optim``
+    steps.  Returns each epoch's mean minibatch loss."""
+    curve: List[float] = []
+    starts = range(0, n, batch_size)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in starts:
+            optim.zero_grad()
+            total += step(order[start:start + batch_size])
+            clip_grad_norm(optim.params, 5.0)
+            optim.step()
+        curve.append(total / max(len(starts), 1))
+    return curve

@@ -18,7 +18,7 @@ import numpy as np
 from repro.config import BCConfig
 from repro.nn.losses import mse_loss
 from repro.nn.network import MLP
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam, fit_minibatches
 
 
 class BehaviorCloningTrainer:
@@ -40,20 +40,15 @@ class BehaviorCloningTrainer:
             raise ValueError("states/actions length mismatch")
         if len(states) == 0:
             raise ValueError("empty demonstration set")
-        n = len(states)
-        order = self._rng.permutation(n)
-        total, batches = 0.0, 0
-        for start in range(0, n, self.cfg.minibatch_size):
-            idx = order[start:start + self.cfg.minibatch_size]
-            pred = self.actor.forward(states[idx])
-            loss, grad = mse_loss(pred, actions[idx])
-            self._optim.zero_grad()
+
+        def step(rows: np.ndarray) -> float:
+            loss, grad = mse_loss(self.actor.forward(states[rows]),
+                                  actions[rows])
             self.actor.backward(grad)
-            clip_grad_norm(self.actor.parameters(), 5.0)
-            self._optim.step()
-            total += loss
-            batches += 1
-        return total / max(batches, 1)
+            return loss
+
+        return fit_minibatches(self._optim, self._rng, len(states),
+                               self.cfg.minibatch_size, 1, step)[0]
 
     def fit(self, states: np.ndarray, actions: np.ndarray,
             epochs: Optional[int] = None) -> List[float]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import EstimatorConfig
 from repro.nn.bayesian import BayesianMLP, BayesianPosterior
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam, fit_minibatches
 
 
 def cost_to_go(costs: Sequence[float]) -> np.ndarray:
@@ -50,8 +50,10 @@ class CostToGoEstimator:
             rng=self._rng, prior_std=self.cfg.prior_std, name="pi_phi")
         self._optim = Adam(self.network.parameters(),
                            lr=self.cfg.learning_rate)
+        #: One ``(n, state_dim)`` state and one ``(n,)`` cost-to-go
+        #: array per added episode, joined at each :meth:`fit`.
         self._states: List[np.ndarray] = []
-        self._targets: List[float] = []
+        self._targets: List[np.ndarray] = []
         #: Standardisation of targets keeps the Gaussian likelihood well
         #: scaled regardless of the episode horizon.
         self._target_mean = 0.0
@@ -76,18 +78,20 @@ class CostToGoEstimator:
         """
         if len(states) != len(costs):
             raise ValueError("states/costs length mismatch")
-        states = [np.asarray(state, dtype=np.float64) for state in states]
-        for field, values in (("states", states), ("costs", costs)):
-            for at, value in enumerate(values):
-                if not np.isfinite(value).all():
-                    raise ValueError(f"{field}[{at}] is not finite")
-        targets = cost_to_go(costs)
-        self._states.extend(states)
-        self._targets.extend(targets.tolist())
+        states = np.array(states, dtype=np.float64).reshape(
+            len(costs), self.state_dim)
+        costs = np.asarray(costs, dtype=np.float64)
+        for field, finite in (("states", np.isfinite(states).all(axis=1)),
+                              ("costs", np.isfinite(costs))):
+            if not finite.all():
+                raise ValueError(
+                    f"{field}[{int(np.argmin(finite))}] is not finite")
+        self._states.append(states)
+        self._targets.append(cost_to_go(costs))
 
     @property
     def dataset_size(self) -> int:
-        return len(self._states)
+        return sum(map(len, self._states))
 
     # ---- training ---------------------------------------------------
 
@@ -96,32 +100,24 @@ class CostToGoEstimator:
 
         Returns the per-epoch negative-ELBO curve.
         """
-        if not self._states:
+        if self.dataset_size == 0:
             raise RuntimeError("no episodes added")
         epochs = epochs if epochs is not None else self.cfg.train_epochs
         self._posterior = None
-        states = np.stack(self._states)
-        targets = np.array(self._targets)
+        states = np.concatenate(self._states)
+        targets = np.concatenate(self._targets)
         self._target_mean = float(targets.mean())
         self._target_std = max(float(targets.std()), 1e-6)
         targets = (targets - self._target_mean) / self._target_std
-        n = len(states)
-        kl_weight = self.cfg.kl_weight / max(n, 1)
-        curve: List[float] = []
-        for _ in range(epochs):
-            order = self._rng.permutation(n)
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, n, self.cfg.minibatch_size):
-                idx = order[start:start + self.cfg.minibatch_size]
-                self._optim.zero_grad()
-                nll, kl = self.network.elbo_step(
-                    states[idx], targets[idx], kl_weight=kl_weight)
-                clip_grad_norm(self.network.parameters(), 5.0)
-                self._optim.step()
-                epoch_loss += nll + kl_weight * kl
-                batches += 1
-            curve.append(epoch_loss / max(batches, 1))
-        return curve
+        kl_weight = self.cfg.kl_weight / max(len(states), 1)
+
+        def step(rows: np.ndarray) -> float:
+            nll, kl = self.network.elbo_step(
+                states[rows], targets[rows], kl_weight=kl_weight)
+            return nll + kl_weight * kl
+
+        return fit_minibatches(self._optim, self._rng, len(states),
+                               self.cfg.minibatch_size, epochs, step)
 
     # ---- inference ----------------------------------------------------
 

@@ -12,7 +12,8 @@ of the repo holds for every scenario.
 Models compose: :class:`FlashCrowdTraffic` and :class:`MixDriftTraffic`
 wrap any base model, and :class:`ScaledTraffic` rescales one -- so
 "a diurnal day with a flash crowd on the MAR slice whose mix drifts
-toward video" is a plain expression over these classes.
+toward video" is a plain expression over these classes.  The base
+class and the default day are in :mod:`repro.sim.traffic`.
 """
 
 from __future__ import annotations
@@ -25,40 +26,7 @@ import numpy as np
 from repro.config import TrafficConfig
 from repro.scenarios.events import slot_window
 from repro.sim.traffic import MAX_ENVELOPE as ENVELOPE_MAX
-from repro.sim.traffic import TelecomItaliaSynthesizer
-
-
-class TrafficModel:
-    """Interface: per-slice envelope generation.
-
-    ``envelope(slice_index, num_slots, day_index, cfg, rng)`` returns a
-    float array of shape ``(num_slots,)``.  ``day_index`` counts reset
-    episodes so consecutive episodes see consecutive days; ``rng`` is
-    shared across the slices of one episode, so a model must draw a
-    deterministic amount of randomness per call.
-    """
-
-    def envelope(self, slice_index: int, num_slots: int,
-                 day_index: int, cfg: TrafficConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def _clip(self, trace: np.ndarray) -> np.ndarray:
-        return np.clip(trace, 0.0, ENVELOPE_MAX)
-
-
-@dataclass(frozen=True)
-class DiurnalTraffic(TrafficModel):
-    """The paper's Telecom-Italia-style diurnal day (the default)."""
-
-    start_day_of_week: int = 0
-
-    def envelope(self, slice_index: int, num_slots: int,
-                 day_index: int, cfg: TrafficConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-        synth = TelecomItaliaSynthesizer(cfg, rng=rng)
-        day = (self.start_day_of_week + day_index) % 7
-        return synth.generate(num_slots, day_of_week=day)
+from repro.sim.traffic import DiurnalTraffic, TrafficModel
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.config import ExperimentConfig, NUM_ACTIONS, slice_spec_for_app
 from repro.sim.network import EndToEndNetwork, SlotReport
 from repro.sim.phy import NUM_CQI
-from repro.sim.traffic import MAX_ENVELOPE, TelecomItaliaSynthesizer
+from repro.sim.traffic import MAX_ENVELOPE, DiurnalTraffic
 
 #: Number of features in the observation vector.
 STATE_DIM = 9
@@ -167,8 +167,9 @@ class ScenarioSimulator:
     """Joint multi-slice episode driver over :class:`EndToEndNetwork`.
 
     Beyond the paper's fixed world, the simulator executes a *scenario*:
-    an optional traffic model replaces the built-in diurnal synthesizer
-    per slice, and an event timeline (duck-typed objects carrying a
+    a traffic model draws each slice's envelope (``None`` is the
+    paper's diurnal day, :class:`~repro.sim.traffic.DiurnalTraffic`),
+    and an event timeline (duck-typed objects carrying a
     ``kind`` tag -- see :mod:`repro.scenarios.events`) injects
     mid-episode network faults and slice churn.  Churn events manage
     *background* slices: the simulator attaches them to the network,
@@ -188,10 +189,9 @@ class ScenarioSimulator:
             self.cfg.seed)
         self.network = EndToEndNetwork(
             self.cfg.network, slices=self.cfg.slices, rng=self._rng)
-        self._synth = TelecomItaliaSynthesizer(self.cfg.traffic,
-                                               rng=self._rng)
         self.horizon = self.cfg.traffic.slots_per_episode
-        self._traffic_model = traffic_model
+        self._traffic_model = (traffic_model if traffic_model is not None
+                               else DiurnalTraffic())
         self._events = tuple(events)
         for event in self._events:
             if getattr(event, "kind", None) not in (
@@ -324,11 +324,6 @@ class ScenarioSimulator:
     # ---- episode lifecycle -----------------------------------------------
 
     def _generate_traces(self) -> Dict[str, np.ndarray]:
-        if self._traffic_model is None:
-            return {
-                name: self._synth.generate(day_of_week=self._day % 7)
-                for name in self.slice_names
-            }
         traces: Dict[str, np.ndarray] = {}
         for index, name in enumerate(self.slice_names):
             envelope = np.asarray(self._traffic_model.envelope(

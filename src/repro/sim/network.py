@@ -20,6 +20,7 @@ write.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -186,8 +187,8 @@ class EndToEndNetwork:
         """Inject transport-network faults (see scenario events).
 
         ``capacity_scale`` in (0, 1] derates every link (e.g. a port
-        renegotiating to a lower speed), ``extra_latency_ms`` >= 0
-        models a forwarding-plane latency surge, and
+        renegotiating to a lower speed), a finite ``extra_latency_ms``
+        >= 0 models a forwarding-plane latency surge, and
         ``background_load_fraction`` in [0, 1) pre-loads each path
         with unmanaged cross-traffic.  ``None`` leaves a condition
         unchanged; use :meth:`clear_transport_conditions` to restore
@@ -198,8 +199,10 @@ class EndToEndNetwork:
                 raise ValueError("capacity_scale must be in (0, 1]")
             self.capacity_scale = float(capacity_scale)
         if extra_latency_ms is not None:
-            if extra_latency_ms < 0:
-                raise ValueError("extra_latency_ms must be >= 0")
+            if not (math.isfinite(extra_latency_ms)
+                    and extra_latency_ms >= 0):
+                raise ValueError(
+                    "extra_latency_ms must be finite and >= 0")
             self.extra_latency_ms = float(extra_latency_ms)
         if background_load_fraction is not None:
             if not 0.0 <= background_load_fraction < 1.0:

@@ -9,11 +9,13 @@ stage: one Poisson draw per slice and slot).  The dataset is not
 available offline, so :class:`TelecomItaliaSynthesizer` generates traces
 with the dataset's documented structure: a diurnal double-peak profile,
 weekly (weekday/weekend) modulation, and multiplicative log-normal
-burst noise per bin.
+burst noise per bin.  The simulator draws every trace through a
+:class:`TrafficModel`; :class:`DiurnalTraffic` is its default.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,3 +81,36 @@ class TelecomItaliaSynthesizer:
             mean=-0.5 * cfg.noise_sigma ** 2, sigma=cfg.noise_sigma,
             size=n)
         return np.clip(profile * noise, 0.0, 1.2)
+
+
+class TrafficModel:
+    """Interface: per-slice envelope generation.
+
+    ``envelope(slice_index, num_slots, day_index, cfg, rng)`` returns a
+    float array of shape ``(num_slots,)``.  ``day_index`` counts reset
+    episodes so consecutive episodes see consecutive days; ``rng`` is
+    shared across the slices of one episode, so a model must draw a
+    deterministic amount of randomness per call.
+    """
+
+    def envelope(self, slice_index: int, num_slots: int,
+                 day_index: int, cfg: TrafficConfig,
+                 rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def _clip(self, trace: np.ndarray) -> np.ndarray:
+        return np.clip(trace, 0.0, MAX_ENVELOPE)
+
+
+@dataclass(frozen=True)
+class DiurnalTraffic(TrafficModel):
+    """The paper's Telecom-Italia-style diurnal day (the default)."""
+
+    start_day_of_week: int = 0
+
+    def envelope(self, slice_index: int, num_slots: int,
+                 day_index: int, cfg: TrafficConfig,
+                 rng: np.random.Generator) -> np.ndarray:
+        synth = TelecomItaliaSynthesizer(cfg, rng=rng)
+        day = (self.start_day_of_week + day_index) % 7
+        return synth.generate(num_slots, day_of_week=day)

@@ -162,6 +162,9 @@ class TestConfig:
         (CoreConfig, "base_latency_ms", -50.0),
         (TransportConfig, "hop_latency_ms", -0.5),
         (TransportConfig, "path_extra_hops", (0, -1, 2)),
+        (TransportConfig, "path_extra_hops", (0.5, 1.7, 2.9)),
+        (TransportConfig, "path_extra_hops", (0, 1.0, 2)),
+        (TransportConfig, "path_extra_hops", (0, float("nan"), 2)),
         (TransportConfig, "link_capacity_bps", -1e9),
         (TransportConfig, "link_capacity_bps", float("inf")),
         (EdgeConfig, "total_ram_gb", -4.0),
@@ -179,7 +182,9 @@ class TestConfig:
         split over one frame (more airtime than the cell has), a
         negative PRB bandwidth (negative capacities, an RDC
         reliability far above 1 at cost 0), a negative latency, hop
-        count or SGW-U capacity, and a packet size <= 0.  Each is
+        count or SGW-U capacity, and a packet size <= 0.  A fractional
+        hop count was read two ways (the kernels truncate it, the ping
+        delay does not) and is refused too.  Each is
         refused at construction, naming the field, and through the
         tagged-JSON decoder too."""
         match = f"{config.__name__}.{field} must"

@@ -2,8 +2,10 @@
 
 * The offline pi_b rollouts (``collect_baseline_rollouts``) fill their
   datasets from :func:`repro.engine.policies.lockstep`; the per-slice
-  dict loop they replaced is kept here verbatim as the oracle, and the
-  two must agree on every dataset field and leave the world's
+  dict loop they replaced is kept here verbatim as the oracle, filling
+  the list-based dataset it filled (``fit_oracle.OfflineDataset``,
+  verbatim), and the two must agree on every dataset field -- each
+  array field the oracle's rows, stacked -- and leave the world's
   generator in the same state.
 * OnRL trains through the same loop with learning in a slot consumer:
   every transition a learner observes reaches a PPO update or is still
@@ -13,10 +15,11 @@
 import numpy as np
 import pytest
 
+from fit_oracle import OfflineDataset
 from repro import scenarios
 from repro.baselines.onrl import OnRLAgent, OnRLConfig
 from repro.config import ExperimentConfig, TrafficConfig
-from repro.core.offline import OfflineDataset, collect_baseline_rollouts
+from repro.core.offline import collect_baseline_rollouts
 from repro.experiments import harness
 from repro.rl.ppo import PPOTrainer
 
@@ -57,7 +60,7 @@ def parent_collect_baseline_rollouts(simulator, baselines, num_episodes,
 
 
 _FIELDS = ("states", "actions", "expert_actions", "rewards", "costs",
-           "usages", "episode_bounds")
+           "usages")
 
 
 class TestRolloutsMatchParentLoop:
@@ -81,11 +84,12 @@ class TestRolloutsMatchParentLoop:
         assert list(got) == list(want)
         for name in want:
             for field in _FIELDS:
-                a = getattr(want[name], field)
-                b = getattr(got[name], field)
-                assert len(a) == len(b), (name, field)
-                assert all(np.array_equal(x, y) for x, y in zip(a, b)), \
+                column = getattr(got[name], field)
+                assert column.dtype == np.float64, (name, field)
+                assert np.array_equal(column,
+                                      np.array(getattr(want[name], field))), \
                     (name, field)
+            assert got[name].episode_bounds == want[name].episode_bounds
         assert got_world == want_world
         assert got_rng == want_rng
 

@@ -80,7 +80,8 @@ class TestOfflineStage:
         *_, agents, _orch = setup
         agent = list(agents.values())[0]
         with pytest.raises(ValueError):
-            pretrain_agent(agent, OfflineDataset())
+            pretrain_agent(agent, OfflineDataset(
+                *[np.empty(0)] * 6, episode_bounds=[]))
 
     def test_bc_clone_matches_baseline_usage(self, setup):
         """After pretraining the deterministic clone's cost is close

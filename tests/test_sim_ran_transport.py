@@ -379,17 +379,25 @@ class TestParametersHaveOneHome:
     @pytest.mark.parametrize("conditions", [
         dict(capacity_scale=0.0), dict(capacity_scale=1.5),
         dict(extra_latency_ms=-1.0),
+        dict(extra_latency_ms=float("nan")),
+        dict(extra_latency_ms=float("inf")),
         dict(background_load_fraction=1.0),
         dict(background_load_fraction=-0.1),
     ])
     def test_out_of_range_conditions_are_refused(self, conditions):
         """The network refuses what the fabric refused, naming the
-        condition, and keeps every condition it had."""
+        condition, and keeps every condition it had.  A NaN or infinite
+        latency surge is refused too (``nan < 0`` is false, so it used
+        to give every slice a NaN transport latency), with the message
+        the ``LatencySurge`` event gives."""
         net = make_network([MAR])
         net.set_transport_conditions(capacity_scale=0.5)
         held = (net.capacity_scale, net.extra_latency_ms,
                 net.background_load_fraction)
-        with pytest.raises(ValueError, match=next(iter(conditions))):
+        name = next(iter(conditions))
+        match = ("extra_latency_ms must be finite and >= 0"
+                 if name == "extra_latency_ms" else name)
+        with pytest.raises(ValueError, match=match):
             net.set_transport_conditions(**conditions)
         assert (net.capacity_scale, net.extra_latency_ms,
                 net.background_load_fraction) == held
