@@ -146,14 +146,15 @@ class ActionModifier:
         return np.clip(base + correction, 0.0, 1.0)
 
     def objective(self, states: np.ndarray, actions: np.ndarray,
-                  betas: np.ndarray, modified: np.ndarray
+                  beta_mat: np.ndarray, modified: np.ndarray
                   ) -> Tuple[float, np.ndarray]:
         """Mean H over a batch and dH/d(modified).
 
-        H = |a_hat - a|^2 + sum_k beta_k a_hat_k + w_c c(s, a_hat).
+        H = |a_hat - a|^2 + sum_k beta_k a_hat_k + w_c c(s, a_hat),
+        with the betas as :meth:`_beta_matrix` expands them to action
+        dims.
         """
         n = len(modified)
-        beta_mat = self._beta_matrix(betas)
         cost, cost_grad = self.surrogate.cost_and_action_grad(
             states, modified)
         distance = np.sum((modified - actions) ** 2, axis=1)
@@ -189,7 +190,7 @@ class ActionModifier:
             beta_mat = self._beta_matrix(betas[rows])
             modified = self._assemble(actions[rows], beta_mat, net_out)
             h, grad = self.objective(states[rows], actions[rows],
-                                     betas[rows], modified)
+                                     beta_mat, modified)
             # d a_hat / d net_out = 2 * CORRECTION_SCALE where the
             # clip is inactive (straight-through at the box edge).
             active = (modified > 0.0) & (modified < 1.0)

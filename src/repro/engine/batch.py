@@ -21,9 +21,9 @@ counter; everything else is whole-batch:
 * what is constant for a row layout -- concatenated kernel rows,
   managed-row index, offsets, per-row constants, name lists, buffers
   -- is a :class:`_Bundle`, keyed on the stepping worlds and their
-  :attr:`SliceRows.uid` and *spliced* (kept runs of worlds + the
-  worlds that changed) when churn, a retirement or a sit-out changes
-  the key;
+  :attr:`SliceRows.uid` and *spliced* (the old bundle's kept runs of
+  worlds, read in place, + the worlds that changed, one call per
+  column block) when churn, a retirement or a sit-out changes the key;
 * the worlds' channels live in this engine's
   :class:`~repro.sim.channel.FleetChannelBank` block -- built at
   construction for any B, one world included, and as wide as the
@@ -75,8 +75,8 @@ from repro.config import NUM_ACTIONS
 from repro.engine.kernels import (
     SliceRows,
     WorldConditions,
-    concat_rows,
     evaluate_rows,
+    splice_rows,
 )
 from repro.obs.trace import trace
 from repro.sim.channel import FleetChannelBank
@@ -501,27 +501,26 @@ class BatchSimulator:
         else:
             pieces = old.pieces(stepping, uids, states)
             self._counters["bundle_splices"] += 1
-        rows, masks, matrices, horizons = [], [], [], []
-        names: List[List[str]] = []
-        networks: list = []
+        runs, masks, matrices, horizons, names, networks = (
+            [], [], [], [], [], [])
         for piece in pieces:
             if isinstance(piece, tuple):
                 lo, hi = piece
                 first, last = old.row_starts[lo], old.row_starts[hi]
-                rows.append(old.rows.take_worlds(lo, hi))
+                runs.append((old.rows, lo, hi))
                 masks.append(old.mask[first:last])
                 matrices.append(old.matrix[first:last])
                 horizons.append(old.horizons[lo:hi])
                 names += old.names[lo:hi]
                 networks += old.networks[lo:hi]
             else:
-                rows.append(piece.rows)
+                runs.append((piece.rows, 0, 1))
                 masks.append(piece.managed)
                 matrices.append(piece.fixed_actions)
                 horizons.append([piece.sim.horizon])
                 names.append(piece.managed_names)
                 networks.append(piece.sim.network)
-        bundle = _Bundle(stepping, uids, concat_rows(rows),
+        bundle = _Bundle(stepping, uids, splice_rows(runs),
                          np.concatenate(masks), np.concatenate(matrices),
                          np.concatenate(horizons), names, networks)
         if len(stepping) < len(self.sims):

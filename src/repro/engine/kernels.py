@@ -47,8 +47,9 @@ expression keeps the association of the code it reproduces, and:
   edge) and MAR's two M/M/1 legs (``(2, R)``: UL, DL).  Elementwise
   ufuncs do not care how their operands are shaped, so each element
   is the value the one-direction expression computed.  The paired
-  :class:`SliceRows` constants are ``(R, 2)`` columns (so splicing
-  and stacking stay row-wise) read through their ``.T`` view.
+  :class:`SliceRows` constants are two adjacent rows of its float
+  block, bound as ``(2, R)`` views, so they meet the pairs as they
+  are.
 * **Selection, not arithmetic.** Branches are ``np.where`` (or
   ``choose`` over the app codes): a pure element selection,
   identical for every value including ``inf``/``nan``.
@@ -76,14 +77,18 @@ expression keeps the association of the code it reproduces, and:
   divisions they always covered; the one whose division is gone went
   with it (see Fusions).  ``tests/test_kernel_oracle.py`` compares
   the warnings raised, too.
-* **Per-layout values** -- the user mask, the SGW-U instance mask,
-  the fixed-MCS mask, ``1 - overhead``, the last path and the flat
-  path index base -- depend on the row layout only and are built
-  once with it, in :meth:`SliceRows.__post_init__` (every
-  constructor, splice and repeat passes through it); they are not
-  fields, so no splice carries a stale one.  A channel block wider
-  than the layout's widest slice is cut to it: the lanes past it are
-  padding every row masks.
+* **Per-layout values.**  A :class:`SliceRows` keeps its per-row
+  constants in one ``(F, R)`` float64 and one ``(I, R)`` intp block,
+  and every constant the kernels read is a contiguous row view of
+  one, bound in :meth:`SliceRows.__post_init__`, so a layout build
+  or a splice moves each block with one array call and no accessor
+  runs per slot.  The values derived from the layout alone -- the
+  user mask, the SGW-U instance mask, the fixed-MCS mask, ``1 -
+  overhead``, the last path and the flat path index base -- are
+  built there too (every constructor, splice and repeat passes
+  through it); they are not fields, so no splice carries a stale
+  one.  A channel block wider than the layout's widest slice is cut
+  to it: the lanes past it are padding every row masks.
 
 Fusions
 ~~~~~~~
@@ -158,10 +163,9 @@ edge's shared queueing call and both of their latency selections.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -230,11 +234,30 @@ def _queueing_rows(service_ms: np.ndarray,
     return np.where(r < RHO_KNEE, below, above)
 
 
-def _per_world():
-    """A :class:`SliceRows` table with one entry per world, not per
-    row -- the one place that says so; :func:`_stack_rows` and
-    :meth:`SliceRows.take_worlds` read the marker."""
-    return field(metadata={"per_world": True})
+#: The named rows of :class:`SliceRows`' ``(F, R)`` float block, in
+#: block order: sixteen per-row scalars ...
+FLOAT_COLUMNS = (
+    "max_arrival", "sum_bits", "compute_units", "sla_target",
+    "cost_threshold", "prb_bandwidth_hz", "overhead",
+    "ran_base_latency_ms", "link_capacity_bps", "hop_latency_ms",
+    "sgwu_capacity_pps", "core_base_latency_ms", "mean_packet_bits",
+    "edge_capacity_ups", "total_ram_gb", "ram_gb_per_ups")
+#: ... then five uplink / downlink pairs, two rows each (uplink first),
+#: bound as ``(2, R)`` views.
+PAIR_COLUMNS = ("payload_bits", "prbs_total", "duty", "base_retx",
+                "bler_decay")
+#: The named rows of the ``(I, R)`` intp block (``fixed_mcs`` is -1
+#: under link adaptation).
+INT_COLUMNS = ("world", "app", "fixed_mcs", "num_paths", "num_sgwu",
+               "users")
+#: Everything that describes a row layout, block by block and then
+#: column by column: what two layouts are compared on (all but
+#: ``uid`` and the masks :meth:`SliceRows.__post_init__` derives).
+COLUMNS = (("names", "metrics", "num_worlds", "floats", "ints",
+            "lower_better", "path_hops", "link_capacity_w")
+           + FLOAT_COLUMNS + PAIR_COLUMNS + INT_COLUMNS)
+
+_NUM_FLOATS = len(FLOAT_COLUMNS) + 2 * len(PAIR_COLUMNS)
 
 
 @dataclass
@@ -243,68 +266,43 @@ class SliceRows:
 
     Built once per world from its :class:`~repro.sim.network
     .EndToEndNetwork` (and rebuilt only on slice churn), then
-    concatenated across worlds by the batch engine.  All arrays are
-    length ``R`` except the per-world tables marked
-    :func:`_per_world`; the ``(R, 2)`` columns hold the uplink value
-    in column 0 and the downlink value in column 1.
+    concatenated across worlds by the batch engine.  The per-row
+    constants live in two blocks, ``floats`` (``(F, R)``, the rows of
+    :data:`FLOAT_COLUMNS` then :data:`PAIR_COLUMNS`) and ``ints``
+    (``(I, R)``, the rows of :data:`INT_COLUMNS`), so a splice or a
+    repeat moves each block with one array call; every named column
+    is a contiguous row view of its block, bound with the layout.
+    ``lower_better`` is per row too; ``path_hops`` (``(W, Pmax)``,
+    zero-padded) and ``link_capacity_w`` (``(W,)``) are per world.
     """
 
-    # -- identity ------------------------------------------------------
     names: List[str]                  # row slice names, world-major
     metrics: List[str]                # SLA metric name per row
-    world: np.ndarray                 # (R,) world index of each row
     num_worlds: int
-
-    # -- slice/application constants ----------------------------------
-    app: np.ndarray                   # (R,) APP_CODES
-    max_arrival: np.ndarray
-    payload_bits: np.ndarray          # (R, 2)
-    sum_bits: np.ndarray              # UL + DL payload bits (pre-added)
-    compute_units: np.ndarray
-    sla_target: np.ndarray
-    cost_threshold: np.ndarray
+    floats: np.ndarray                # (F, R) float64
+    ints: np.ndarray                  # (I, R) intp
     lower_better: np.ndarray          # (R,) bool
-
-    # -- RAN / PHY (row-expanded world constants) ----------------------
-    prbs_total: np.ndarray            # (R, 2)
-    prb_bandwidth_hz: np.ndarray
-    duty: np.ndarray                  # (R, 2) uplink / downlink fraction
-    overhead: np.ndarray
-    fixed_mcs: np.ndarray             # (R,) int (-1: link adaptation)
-    ran_base_latency_ms: np.ndarray
-    base_retx: np.ndarray             # (R, 2)
-    bler_decay: np.ndarray            # (R, 2)
-
-    # -- transport -----------------------------------------------------
-    link_capacity_bps: np.ndarray     # (R,)
-    hop_latency_ms: np.ndarray        # (R,)
-    num_paths: np.ndarray             # (R,) int
-    path_hops: np.ndarray = _per_world()    # (W, Pmax) int, padded
-    link_capacity_w: np.ndarray = _per_world()          # (W,)
-
-    # -- core / edge ---------------------------------------------------
-    sgwu_capacity_pps: np.ndarray
-    num_sgwu: np.ndarray              # (R,) int
-    core_base_latency_ms: np.ndarray
-    mean_packet_bits: np.ndarray
-    edge_capacity_ups: np.ndarray
-    total_ram_gb: np.ndarray
-    ram_gb_per_ups: np.ndarray
-
-    # -- channel population -------------------------------------------
-    users: np.ndarray                 # (R,) int users per row's slice
+    path_hops: np.ndarray             # (W, Pmax) int, padded
+    link_capacity_w: np.ndarray       # (W,)
 
     #: Unique layout token; the stepper keys its cached bundle on
     #: this, so a churn-rebuilt layout is always a new key.
     uid: int = field(default_factory=lambda: next(_ROWS_UIDS))
 
     def __post_init__(self) -> None:
-        """Derive the per-layout values :func:`evaluate_rows` reads
-        every slot.  Every constructor (:func:`rows_for_network`,
-        :func:`_stack_rows`, :meth:`take_worlds`,
+        """Bind the named columns and derive the per-layout values
+        :func:`evaluate_rows` reads every slot.  Every constructor
+        (:func:`rows_for_network`, :func:`splice_rows`,
         ``dataclasses.replace``) passes through here, so they are
         built once with the layout; they are not fields, so no bundle
         splice carries them."""
+        columns = vars(self)
+        floats = self.floats
+        first = len(FLOAT_COLUMNS)
+        columns.update(zip(FLOAT_COLUMNS, floats[:first]))
+        columns.update(zip(PAIR_COLUMNS, floats[first:].reshape(
+            len(PAIR_COLUMNS), 2, floats.shape[1])))
+        columns.update(zip(INT_COLUMNS, self.ints))
         #: (U, R): user lane j of row r is one of the row's users
         self.user_mask = (np.arange(int(self.users.max(initial=0)))[:, None]
                           < self.users)
@@ -324,29 +322,12 @@ class SliceRows:
     def repeat(self, n: int) -> "SliceRows":
         """``n`` copies of this one-world bundle, each its own world.
 
-        Field for field ``concat_rows([self] * n)``.  The transport
+        Column for column ``concat_rows([self] * n)``.  The transport
         kernel sums path loads per world, so every copy is evaluated
         exactly as it would be alone -- ``n`` independent testbeds in
         one :func:`evaluate_rows` call.
         """
-        return _stack_rows([self], n)
-
-    def take_worlds(self, lo: int, hi: int) -> "SliceRows":
-        """Worlds ``lo:hi`` of this bundle as a bundle of their own,
-        renumbered from 0 (array fields are views): what
-        :func:`concat_rows` splices an existing bundle from."""
-        first, last = np.searchsorted(self.world, (lo, hi)).tolist()
-        columns = {"world": self.world[first:last] - lo,
-                   "num_worlds": hi - lo}
-        for spec in dataclasses.fields(SliceRows):
-            name = spec.name
-            if name == "uid" or name in columns:
-                continue
-            values = getattr(self, name)
-            columns[name] = (values[lo:hi]
-                             if spec.metadata.get("per_world")
-                             else values[first:last])
-        return SliceRows(**columns)
+        return splice_rows([(self, 0, self.num_worlds)], n)
 
 
 def rows_for_network(network) -> SliceRows:
@@ -359,123 +340,119 @@ def rows_for_network(network) -> SliceRows:
     simulator reports only managed slices).  The constants come from
     ``network.cfg`` and :mod:`repro.sim.phy`: both directions own the
     cell's ``num_prbs``, reserved path ``k`` is a chain of ``2 +
-    path_extra_hops[k]`` links.
+    path_extra_hops[k]`` links.  Each block is one array built from
+    one tuple per slice, in block order.
     """
     cfg = network.cfg
+    ran, transport, core, edge = cfg.ran, cfg.transport, cfg.core, cfg.edge
     names = list(network.slice_names)
     specs = [network.slices[name] for name in names]
     n = len(names)
-
-    def const(value, dtype=np.float64):
-        return np.full(n, value, dtype=dtype)
-
-    def pair(uplink, downlink):
-        return np.full((n, 2), (uplink, downlink), dtype=np.float64)
-
-    hops = np.asarray([2 + extra
-                       for extra in cfg.transport.path_extra_hops],
-                      dtype=np.intp)
+    shared = (ran.prb_bandwidth_hz, ran.overhead, ran.base_latency_ms,
+              transport.link_capacity_bps, transport.hop_latency_ms,
+              core.sgwu_capacity_pps, core.base_latency_ms,
+              core.mean_packet_bits, edge.compute_capacity_ups,
+              edge.total_ram_gb, edge.ram_gb_per_ups)
+    pairs = (ran.num_prbs, ran.num_prbs,
+             ran.uplink_fraction, ran.downlink_fraction,
+             *BASE_RETX, *BLER_DECAY)
+    floats = np.array(
+        [(spec.max_arrival_rate,
+          spec.uplink_payload_bits + spec.downlink_payload_bits,
+          spec.compute_units, spec.sla.target, spec.sla.cost_threshold)
+         + shared
+         + (spec.uplink_payload_bits, spec.downlink_payload_bits)
+         + pairs for spec in specs], dtype=np.float64)
+    ints = np.array(
+        [(0, APP_CODES[spec.app], ran.fixed_mcs, transport.num_paths,
+          core.num_sgwu_per_slice, cfg.users_per_slice)
+         for spec in specs], dtype=np.intp)
     return SliceRows(
         names=names,
         metrics=[spec.sla.metric for spec in specs],
-        world=np.zeros(n, dtype=np.intp),
         num_worlds=1,
-        app=np.asarray([APP_CODES[spec.app] for spec in specs],
-                       dtype=np.intp),
-        max_arrival=np.asarray([spec.max_arrival_rate
-                                for spec in specs]),
-        payload_bits=np.asarray(
-            [(spec.uplink_payload_bits, spec.downlink_payload_bits)
-             for spec in specs], dtype=np.float64).reshape(n, 2),
-        sum_bits=np.asarray([spec.uplink_payload_bits
-                             + spec.downlink_payload_bits
-                             for spec in specs]),
-        compute_units=np.asarray([spec.compute_units
-                                  for spec in specs]),
-        sla_target=np.asarray([spec.sla.target for spec in specs]),
-        cost_threshold=np.asarray([spec.sla.cost_threshold
-                                   for spec in specs]),
-        lower_better=np.asarray([spec.sla.lower_is_better
-                                 for spec in specs], dtype=bool),
-        prbs_total=pair(cfg.ran.num_prbs, cfg.ran.num_prbs),
-        prb_bandwidth_hz=const(cfg.ran.prb_bandwidth_hz),
-        duty=pair(cfg.ran.uplink_fraction, cfg.ran.downlink_fraction),
-        overhead=const(cfg.ran.overhead),
-        fixed_mcs=const(cfg.ran.fixed_mcs, dtype=np.intp),
-        ran_base_latency_ms=const(cfg.ran.base_latency_ms),
-        base_retx=pair(*BASE_RETX),
-        bler_decay=pair(*BLER_DECAY),
-        link_capacity_bps=const(cfg.transport.link_capacity_bps),
-        hop_latency_ms=const(cfg.transport.hop_latency_ms),
-        num_paths=const(cfg.transport.num_paths, dtype=np.intp),
-        path_hops=hops[None, :],
-        link_capacity_w=np.asarray([cfg.transport.link_capacity_bps]),
-        sgwu_capacity_pps=const(cfg.core.sgwu_capacity_pps),
-        num_sgwu=const(cfg.core.num_sgwu_per_slice, dtype=np.intp),
-        core_base_latency_ms=const(cfg.core.base_latency_ms),
-        mean_packet_bits=const(cfg.core.mean_packet_bits),
-        edge_capacity_ups=const(cfg.edge.compute_capacity_ups),
-        total_ram_gb=const(cfg.edge.total_ram_gb),
-        ram_gb_per_ups=const(cfg.edge.ram_gb_per_ups),
-        users=const(cfg.users_per_slice, dtype=np.intp),
+        floats=floats.reshape(n, _NUM_FLOATS).T.copy(),
+        ints=ints.reshape(n, len(INT_COLUMNS)).T.copy(),
+        lower_better=np.array([spec.sla.lower_is_better
+                               for spec in specs], dtype=bool),
+        path_hops=np.array([[2 + extra for extra
+                             in transport.path_extra_hops]],
+                           dtype=np.intp),
+        link_capacity_w=np.array([transport.link_capacity_bps]),
     )
 
 
-def _stack_rows(parts: Sequence[SliceRows], copies: int) -> SliceRows:
-    """``parts`` in order, the whole sequence laid out ``copies`` times.
+def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
+                copies: int = 1) -> SliceRows:
+    """Worlds ``lo:hi`` of each ``(rows, lo, hi)`` run, in order, the
+    whole sequence laid out ``copies`` times: one bundle, its worlds
+    renumbered in output order.
 
-    One :func:`dataclasses.fields` walk serves :func:`concat_rows` and
-    :meth:`SliceRows.repeat`: a part holds one world or several, and
-    worlds are renumbered in output order; a two-dimensional per-world
-    table (the path hops) is padded to the widest part's column count
-    and stacked; name lists and every other array (per-row and
-    per-world alike) join end to end; ``uid`` is fresh.
+    The one join of :func:`concat_rows`, :meth:`SliceRows.repeat` and
+    the batch engine's bundle splice: each block, ``lower_better``,
+    ``link_capacity_w`` and the name lists join with one call over the
+    runs' slices (and one ``tile`` for the copies); the per-world
+    ``path_hops`` tables are padded to the widest run's path count;
+    ``uid`` is fresh.
     """
-    if not parts or copies < 1:
+    if not runs or copies < 1:
         raise ValueError("need at least one world")
-
-    def padded(table, width):
-        short = width - table.shape[1]
-        return np.pad(table, ((0, 0), (0, short))) if short else table
-
-    first_world = [0]
-    for part in parts:
-        first_world.append(first_world[-1] + part.num_worlds)
-    world = np.concatenate([part.world + first
-                            for part, first in zip(parts, first_world)])
-    if copies > 1:
-        world = (world + first_world[-1]
-                 * np.arange(copies)[:, None]).ravel()
-    columns = {"world": world,
-               "num_worlds": first_world[-1] * copies}
-    for spec in dataclasses.fields(SliceRows):
-        name = spec.name
-        if name == "uid" or name in columns:
-            continue
-        values = [getattr(part, name) for part in parts]
-        if spec.metadata.get("per_world") and values[0].ndim == 2:
-            width = max(table.shape[1] for table in values)
-            values = [padded(table, width) for table in values]
-        if isinstance(values[0], list):
-            columns[name] = list(
-                itertools.chain.from_iterable(values)) * copies
+    floats, ints, lower_better, capacity, tables = [], [], [], [], []
+    names: List[str] = []
+    metrics: List[str] = []
+    shifts, sizes = [], []
+    num_worlds = width = 0
+    for rows, lo, hi in runs:
+        if lo == 0 and hi == rows.num_worlds:
+            first, last = 0, rows.num_rows
         else:
-            joined = np.concatenate(values)
-            columns[name] = joined if copies == 1 else np.tile(
-                joined, (copies,) + (1,) * (joined.ndim - 1))
-    return SliceRows(**columns)
+            first, last = rows.world.searchsorted((lo, hi)).tolist()
+        floats.append(rows.floats[:, first:last])
+        ints.append(rows.ints[:, first:last])
+        lower_better.append(rows.lower_better[first:last])
+        capacity.append(rows.link_capacity_w[lo:hi])
+        tables.append(rows.path_hops[lo:hi])
+        names += rows.names[first:last]
+        metrics += rows.metrics[first:last]
+        shifts.append(num_worlds - lo)
+        sizes.append(last - first)
+        num_worlds += hi - lo
+        width = max(width, rows.path_hops.shape[1])
+    floats = np.concatenate(floats, axis=1)
+    ints = np.concatenate(ints, axis=1)
+    ints[0] += np.repeat(shifts, sizes)
+    lower_better = np.concatenate(lower_better)
+    capacity = np.concatenate(capacity)
+    hops = np.zeros((num_worlds, width), dtype=tables[0].dtype)
+    first = 0
+    for table in tables:
+        hops[first:first + len(table), :table.shape[1]] = table
+        first += len(table)
+    if copies > 1:
+        rows_per_copy = len(names)
+        floats = np.tile(floats, copies)
+        ints = np.tile(ints, copies)
+        ints[0] += np.repeat(num_worlds * np.arange(copies),
+                             rows_per_copy)
+        lower_better = np.tile(lower_better, copies)
+        capacity = np.tile(capacity, copies)
+        hops = np.tile(hops, (copies, 1))
+        names, metrics = names * copies, metrics * copies
+    return SliceRows(names=names, metrics=metrics,
+                     num_worlds=num_worlds * copies, floats=floats,
+                     ints=ints, lower_better=lower_better,
+                     path_hops=hops, link_capacity_w=capacity)
 
 
 def concat_rows(parts: Sequence[SliceRows]) -> SliceRows:
     """Concatenate row bundles into one multi-world bundle.
 
-    A part may itself hold several worlds (a run of an existing
-    bundle, see :meth:`SliceRows.take_worlds`), so replacing or
-    dropping one world of a B-world bundle joins three parts, not B.
     World indices are renumbered 0..W-1 in ``parts`` order; the
     per-world path-hops tables are padded to the widest path count.
+    A run of worlds of an existing bundle joins through
+    :func:`splice_rows` without being cut out first.
     """
-    return _stack_rows(parts, 1)
+    return splice_rows([(part, 0, part.num_worlds) for part in parts])
 
 
 @dataclass
@@ -590,7 +567,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                         _BASE_MCS.take(cqi, mode="clip"))
     lanes = np.empty((width, 5, rows.num_rows))
     retx, goodput = lanes[:, :2], lanes[:, 2:4]
-    np.multiply(rows.base_retx.T * rows.bler_decay.T ** offset,
+    np.multiply(rows.base_retx * rows.bler_decay ** offset,
                 margin_pow[:, None], out=retx)
     np.minimum(np.maximum(retx, 1e-9, out=retx), 0.99, out=retx)
     eff = _MCS_EFF.take(base_mcs[:, None] - offset, mode="clip")
@@ -604,9 +581,9 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
                    np.where(sched == 2,
                             0.9 * best_eff + 0.1 * mean_eff,
                             0.6 * best_eff + 0.4 * mean_eff))
-    prbs = np.rint(share * rows.prbs_total.T)
+    prbs = np.rint(share * rows.prbs_total)
     capacity = (np.where(prbs == 0, 1.0, prbs) * rows.prb_bandwidth_hz
-                * rows.duty.T * agg * rows.net_share)
+                * rows.duty * agg * rows.net_share)
     if tracer is not None:
         mark = tracer.lap("engine.kernel.radio", mark)
 
@@ -742,20 +719,20 @@ def _evaluate_apps(rows: SliceRows, rates: np.ndarray,
     radio's ``(2, R)`` UL / DL pairs."""
     ul_cap, dl_cap = capacity
     ul_retx, dl_retx = retx
-    demand = rates * rows.payload_bits.T
+    demand = rates * rows.payload_bits
 
     # MAR: round-trip frame latency; both M/M/1 legs as one pair, the
     # uplink's through the slower of the radio and the meter --------
     link = capacity.copy()
     link[0] = np.where(tn_rate > 0, np.minimum(ul_cap, tn_rate), 0.0)
-    legs = _mm1_rows(rows.payload_bits.T, link, demand)
+    legs = _mm1_rows(rows.payload_bits, link, demand)
     mar_latency = (rows.ran_base_latency_ms + legs[0] + legs[1]
                    + 8.0 * (ul_retx + dl_retx)
                    + tn_latency + core_latency + edge_latency)
 
     # HVS: delivered FPS -----------------------------------------------
     target_fps = rows.sla_target
-    hvs_demand = rates * target_fps * rows.payload_bits[:, 1]
+    hvs_demand = rates * target_fps * rows.payload_bits[1]
     supply = np.minimum(np.minimum(dl_cap, tn_rate),
                         core_pps * rows.mean_packet_bits)
     hvs_fps = (target_fps

@@ -99,17 +99,30 @@ class RoutedBatchPolicy:
 
     def _route(self, slice_names: Sequence[str]) -> List[tuple]:
         """``(policy, row indices)`` per resolved policy, in order of
-        first appearance; recomputed only when the names change."""
+        first appearance; recomputed only when the names change, and
+        then each distinct name is resolved once."""
         if not isinstance(slice_names, list):
             slice_names = list(slice_names)
         if slice_names != self._plan_names:
-            groups: Dict[int, tuple] = {}
-            for row, name in enumerate(slice_names):
+            # distinct names in order of first appearance, so their
+            # policies' groups come out in that order too
+            codes: Dict[str, int] = {}
+            code_of_row = np.fromiter(
+                (codes.setdefault(name, len(codes))
+                 for name in slice_names),
+                dtype=np.intp, count=len(slice_names))
+            groups: Dict[int, int] = {}
+            policies: list = []
+            group_of_code = np.empty(len(codes), dtype=np.intp)
+            for code, name in enumerate(codes):
                 policy = self._resolve(name)
-                groups.setdefault(id(policy), (policy, []))[1].append(
-                    row)
-            self._plan = [(policy, np.asarray(rows, dtype=np.intp))
-                          for policy, rows in groups.values()]
+                group = groups.setdefault(id(policy), len(groups))
+                if group == len(policies):
+                    policies.append(policy)
+                group_of_code[code] = group
+            group_of_row = group_of_code[code_of_row]
+            self._plan = [(policy, np.flatnonzero(group_of_row == group))
+                          for group, policy in enumerate(policies)]
             self._plan_names = list(slice_names)
         return self._plan
 

@@ -12,20 +12,23 @@ is that code, moved here **verbatim**: the list-based
 ``_warm_start_critic`` that re-stacked its lists, and each fit's own
 loop as a method of a subclass of the class it ran in
 (``CostToGoEstimator`` with the row-list ``add_episode`` its ``fit``
-reads).  Only the enclosing classes, their docstrings and this one are
-new; ``ast.dump`` of each moved definition equals the one at commit
-``72485af``.  The subclasses share their parents' constructors, so an
+reads; ``ActionModifier`` with the raw-beta ``objective`` its loop
+calls, as it stood at commit ``77ddc91``).  Only the enclosing
+classes, their docstrings and this one are new; ``ast.dump`` of each
+moved definition equals the one at commit ``72485af`` (``77ddc91``
+for ``objective``).  The subclasses share their parents' constructors, so an
 oracle and a current object built from one seed start equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import action_modifier
+from repro.core.action_modifier import COST_WEIGHT
 from repro.core.agent import OnSlicingAgent
 from repro.core.offline import PretrainReport
 from repro.nn.losses import mse_loss
@@ -146,7 +149,26 @@ class CostSurrogate(action_modifier.CostSurrogate):
 
 
 class ActionModifier(action_modifier.ActionModifier):
-    """pi_a with the parent offline training loop."""
+    """pi_a with the parent offline training loop, and the parent
+    ``objective`` it calls (raw betas, expanded again inside)."""
+
+    def objective(self, states: np.ndarray, actions: np.ndarray,
+                  betas: np.ndarray, modified: np.ndarray
+                  ) -> Tuple[float, np.ndarray]:
+        """Mean H over a batch and dH/d(modified).
+
+        H = |a_hat - a|^2 + sum_k beta_k a_hat_k + w_c c(s, a_hat).
+        """
+        n = len(modified)
+        beta_mat = self._beta_matrix(betas)
+        cost, cost_grad = self.surrogate.cost_and_action_grad(
+            states, modified)
+        distance = np.sum((modified - actions) ** 2, axis=1)
+        beta_term = np.sum(beta_mat * modified, axis=1)
+        h = float(np.mean(distance + beta_term + COST_WEIGHT * cost))
+        grad = (2.0 * (modified - actions) + beta_mat
+                + COST_WEIGHT * cost_grad) / n
+        return h, grad
 
     def train_offline(self, states: np.ndarray,
                       actions: np.ndarray) -> List[float]:

@@ -10,19 +10,29 @@ kernel it replaced is kept below verbatim (``evaluate_rows``,
 oracle ``tests/test_kernel_oracle.py`` holds the rewrite to, byte for
 byte.  It reads the row constants through :func:`parent_rows`, which
 splits the paired columns back into the one-direction fields this
-code was written against.
+code was written against; :func:`rows_from_fields` builds a layout
+from one keyword per column, as random test worlds and the scalar
+oracle's row constructor name them, and :func:`assert_same_layout`
+is how every suite compares two layouts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from types import SimpleNamespace
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.config import MAX_MCS_OFFSET, NUM_ACTIONS, USAGE_ACTION_INDICES
-from repro.engine.kernels import RHO_KNEE, SliceRows, WorldConditions
+from repro.engine.kernels import (
+    COLUMNS,
+    FLOAT_COLUMNS,
+    INT_COLUMNS,
+    PAIR_COLUMNS,
+    RHO_KNEE,
+    SliceRows,
+    WorldConditions,
+)
 from repro.obs.trace import active as _active_tracer
 from repro.sim.phy import MCS_TABLE, NUM_CQI, NUM_MCS
 
@@ -32,23 +42,52 @@ _MIN_SHARE = 0.01
 
 
 def parent_rows(rows: SliceRows) -> SimpleNamespace:
-    """``rows``' fields, with the one-direction fields the oracle reads:
-    each ``(R, 2)`` pair split into its uplink and downlink columns.
-    The attributes ``SliceRows`` derives per layout are left out, so
-    the oracle computes its own masks."""
-    fields = {spec.name: getattr(rows, spec.name)
-              for spec in dataclasses.fields(rows)}
+    """``rows``' named columns (:data:`~repro.engine.kernels.COLUMNS`),
+    with the one-direction fields the oracle reads: each ``(2, R)``
+    pair split into its uplink and downlink rows.  The attributes
+    ``SliceRows`` derives per layout are left out, so the oracle
+    computes its own masks."""
+    fields = {name: getattr(rows, name) for name in COLUMNS}
     fields.update(
         num_rows=rows.num_rows,
-        ul_bits=rows.payload_bits[:, 0], dl_bits=rows.payload_bits[:, 1],
-        ul_prbs_total=rows.prbs_total[:, 0],
-        dl_prbs_total=rows.prbs_total[:, 1],
-        uplink_fraction=rows.duty[:, 0],
-        downlink_fraction=rows.duty[:, 1],
-        base_retx_ul=rows.base_retx[:, 0],
-        base_retx_dl=rows.base_retx[:, 1],
-        decay_ul=rows.bler_decay[:, 0], decay_dl=rows.bler_decay[:, 1])
+        ul_bits=rows.payload_bits[0], dl_bits=rows.payload_bits[1],
+        ul_prbs_total=rows.prbs_total[0],
+        dl_prbs_total=rows.prbs_total[1],
+        uplink_fraction=rows.duty[0],
+        downlink_fraction=rows.duty[1],
+        base_retx_ul=rows.base_retx[0],
+        base_retx_dl=rows.base_retx[1],
+        decay_ul=rows.bler_decay[0], decay_dl=rows.bler_decay[1])
     return SimpleNamespace(**fields)
+
+
+def assert_same_layout(got: SliceRows, want: SliceRows,
+                       label=None) -> None:
+    """Every named column of a layout (:data:`~repro.engine.kernels
+    .COLUMNS`: both blocks, each column bound to them, the tables and
+    lists beside them) equal in type, dtype, shape and bytes."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), (label, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (label, name)
+            assert a.tobytes() == b.tobytes(), (label, name)
+        else:
+            assert a == b, (label, name)
+
+
+def rows_from_fields(**fields) -> SliceRows:
+    """A :class:`SliceRows` from one keyword per column, the form its
+    constructor took before the block layout: the
+    :data:`~repro.engine.kernels.PAIR_COLUMNS` as ``(R, 2)`` arrays
+    (uplink in column 0), every other column ``(R,)``.  Each block is
+    stacked in block order."""
+    floats = [np.asarray(fields.pop(name), dtype=np.float64)[None]
+              for name in FLOAT_COLUMNS]
+    floats += [np.asarray(fields.pop(name), dtype=np.float64).T
+               for name in PAIR_COLUMNS]
+    ints = np.stack([fields.pop(name) for name in INT_COLUMNS])
+    return SliceRows(floats=np.concatenate(floats), ints=ints, **fields)
 
 
 def _queueing_rows(service_ms: np.ndarray,

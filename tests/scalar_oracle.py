@@ -23,7 +23,9 @@ network took over the link conditions and the row layout read
 :func:`rows_for_network` and ``WorldConditions.refresh`` (as a
 function of its ``self``) that read them are kept beside them, so
 ``tests/test_sim_ran_transport.py`` holds the product's layout and
-conditions to them byte for byte.  The product no longer keeps SPGW-U
+conditions to them byte for byte (the row constructor builds its
+``SliceRows`` through ``kernel_oracle.rows_from_fields``, since the
+layout keeps its columns in two blocks now).  The product no longer keeps SPGW-U
 pools, edge servers or container shares either, so ``CoreNetwork`` /
 ``EdgeServerPool`` subclass private bases too: the methods of the
 deleted product classes (and of their container runtime) that the two
@@ -67,6 +69,7 @@ from repro.config import (
 from repro.core.agent import ActDecision
 from repro.core.orchestrator import coordinate_actions
 from repro.core.switching import SwitchDecision
+from kernel_oracle import rows_from_fields
 from repro.engine.kernels import APP_CODES, SliceRows, WorldConditions
 from repro.sim.apps import AppPerformance
 from repro.sim.channel import snr_to_cqi_array
@@ -1030,7 +1033,7 @@ def rows_for_network(network) -> SliceRows:
     hops = np.asarray(
         [network.fabric.path_hops(k)
          for k in range(network.fabric.num_paths)], dtype=np.intp)
-    return SliceRows(
+    return rows_from_fields(
         names=names,
         metrics=[spec.sla.metric for spec in specs],
         world=np.zeros(n, dtype=np.intp),

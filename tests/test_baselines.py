@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import assert_same_layout
 from repro.baselines.model_based import (
     ModelBasedConfig,
     ModelBasedPolicy,
@@ -36,7 +37,7 @@ from repro.config import (
     mar_slice_spec,
     usage_from_action,
 )
-from repro.engine.kernels import SliceRows, concat_rows
+from repro.engine.kernels import INT_COLUMNS, concat_rows
 from repro.scenarios import ScenarioSpec, get as get_scenario, population
 from repro.sim.channel import FleetChannelBank
 from repro.sim.env import SliceObservation
@@ -381,15 +382,7 @@ class TestSliceRowsRepeat:
     @staticmethod
     def _assert_same(got, want):
         assert got.uid != want.uid
-        for spec in dataclasses.fields(SliceRows):
-            if spec.name == "uid":
-                continue
-            a, b = getattr(got, spec.name), getattr(want, spec.name)
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype, spec.name
-                assert np.array_equal(a, b), spec.name
-            else:
-                assert a == b, spec.name
+        assert_same_layout(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_repeat_equals_concat_of_copies(self, n):
@@ -406,9 +399,10 @@ class TestSliceRowsRepeat:
 
     def test_concat_pads_narrow_path_tables(self):
         wide = self._rows()
+        ints = wide.ints.copy()
+        ints[INT_COLUMNS.index("num_paths")] = 1
         narrow = dataclasses.replace(
-            wide, path_hops=wide.path_hops[:, :1].copy(),
-            num_paths=np.ones_like(wide.num_paths))
+            wide, path_hops=wide.path_hops[:, :1].copy(), ints=ints)
         out = concat_rows([narrow, wide, narrow])
         pmax = wide.path_hops.shape[1]
         assert out.path_hops.shape == (3, pmax)

@@ -16,7 +16,8 @@ timeline has work.  This suite pins what those caches may not change:
 * calling ``apply_events`` on a world's event slots only is the same
   timeline as calling it every slot (the old loop, kept here as the
   oracle), and dropping one end slot from the set is not;
-* the router's cached plan follows the name sequence.
+* the router's cached plan follows the name sequence;
+* a spliced bundle is the stepping worlds' layouts built afresh.
 """
 
 import dataclasses
@@ -25,7 +26,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_oracle import assert_same_layout
 from repro import scenarios
 from repro.config import ExperimentConfig, NUM_ACTIONS, TrafficConfig
 from repro.engine import (
@@ -34,7 +38,13 @@ from repro.engine import (
     RoutedBatchPolicy,
     RuleBasedBatchPolicy,
 )
-from repro.engine.kernels import SliceRows, concat_rows
+from repro.engine.kernels import (
+    SliceRows,
+    WorldConditions,
+    concat_rows,
+    evaluate_rows,
+    rows_for_network,
+)
 from repro.engine.policies import lockstep
 from repro.experiments.harness import (
     fit_baselines,
@@ -807,8 +817,26 @@ class TestRoutingPlan:
                 router.act_batch(states, names),
                 _parent_act_batch(reference, states, names))
         # resolved again exactly when the sequence changed: A, B, A,
-        # A[:4] (the repeat and the tuple spelling of A reuse the plan)
-        assert calls == self.A + self.B + self.A + self.A[:4]
+        # A[:4] (the repeat and the tuple spelling of A reuse the plan),
+        # each distinct name once, in order of first appearance
+        assert calls == (self.A + ["HVS", "MAR", "RDC", "RDC9"]
+                         + self.A + self.A[:4])
+
+    @pytest.mark.parametrize("names", [A, B, B[::-1] + A])
+    def test_plan_groups_rows_in_order_of_first_appearance(
+            self, rule_based, names):
+        """One ``(policy, rows)`` group per resolved policy, ordered by
+        the policy's first row, rows ascending -- the plan every row
+        resolved on its own gave."""
+        router = RoutedBatchPolicy(rule_based.policies)
+        groups = {}
+        for row, name in enumerate(names):
+            policy = router._resolve(name)
+            groups.setdefault(id(policy), (policy, []))[1].append(row)
+        plan = router._route(names)
+        assert [(policy, rows.tolist()) for policy, rows in plan] \
+            == list(groups.values())
+        assert all(rows.dtype == np.intp for _, rows in plan)
 
     def test_a_list_mutated_in_place_is_a_new_sequence(self, counting):
         router, calls = counting
@@ -826,38 +854,77 @@ class TestRoutingPlan:
 # ---- splicing ----------------------------------------------------------
 
 
-def _rows_equal(left: SliceRows, right: SliceRows):
-    for spec in dataclasses.fields(SliceRows):
-        if spec.name == "uid":
-            continue
-        a, b = getattr(left, spec.name), getattr(right, spec.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype, spec.name
-            np.testing.assert_array_equal(a, b, err_msg=spec.name)
-        else:
-            assert a == b, spec.name
+def _random_slot(rng: np.random.Generator, rows: SliceRows):
+    """Conditions, actions, rates and a channel block (wider than the
+    widest slice) for one evaluation of ``rows``."""
+    r, w = rows.num_rows, rows.num_worlds
+    cond = WorldConditions(capacity_scale=rng.uniform(0.0, 1.0, w),
+                           extra_latency_ms=rng.uniform(0.0, 20.0, w),
+                           background_load_fraction=rng.uniform(0, 1, w))
+    width = int(rows.users.max(initial=0)) + int(rng.integers(0, 3))
+    return (cond, rng.uniform(-0.25, 1.25, (r, NUM_ACTIONS)),
+            rng.poisson(40.0, r) / 10.0,
+            rng.integers(0, 16, (r, width)),
+            rng.normal(0.0, 6.0, (r, width)))
+
+
+#: Short churning worlds: every arrival and departure of a churn
+#: slice is a new layout for its world.
+SPLICE_SPACE = FuzzSpace(min_slices=1, max_slices=5, min_slots=4,
+                         max_slots=12, max_events=4)
+
+
+@given(st.integers(0, 2 ** 16), st.data())
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spliced_bundles_equal_fresh_layouts(seed, data):
+    """Random churn, sit-outs, retirements and re-joins: after every
+    step the engine's spliced bundle is ``concat_rows`` of the
+    stepping worlds' freshly built layouts, column for column, and
+    evaluates byte for byte like it."""
+    sims = [spec.build_simulator()
+            for spec in generate_corpus(seed, 5, SPLICE_SPACE)]
+    batch = BatchSimulator(sims)
+    batch.reset()
+    rng = np.random.default_rng(seed)
+    seen, previous = set(), None    # every splice is a new layout token
+    for slot in range(24):
+        for b, sim in enumerate(sims):
+            if sim.done and data.draw(st.booleans(), label="re-join"):
+                batch.reset_world(b)
+        live = [b for b, sim in enumerate(sims) if not sim.done]
+        if not live:
+            break
+        stepping = sorted(data.draw(
+            st.lists(st.sampled_from(live), min_size=1, unique=True),
+            label="stepping"))
+        actions = [None] * len(sims)
+        for b in stepping:
+            actions[b] = rng.uniform(0.0, 1.0, (len(sims[b].slice_names),
+                                                NUM_ACTIONS))
+        batch.step(actions)
+
+        bundle = batch._bundle
+        assert bundle.worlds == stepping
+        if bundle is not previous:
+            assert bundle.rows.uid not in seen
+            seen.add(bundle.rows.uid)
+        previous = bundle
+        fresh = concat_rows([rows_for_network(sims[b].network)
+                             for b in stepping])
+        assert_same_layout(bundle.rows, fresh, (seed, slot))
+        inputs = _random_slot(rng, fresh)
+        got = evaluate_rows(bundle.rows, *inputs)
+        want = evaluate_rows(fresh, *inputs)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert (got[key].dtype, got[key].shape) == \
+                (want[key].dtype, want[key].shape), (seed, slot, key)
+            assert got[key].tobytes() == want[key].tobytes(), \
+                (seed, slot, key)
 
 
 class TestSplicedBundles:
-    def _parts(self):
-        names = ("default", "six_slices", "slice_churn", "default")
-        return [_build(scenarios.get(name), seed=i).network.slot_rows()
-                for i, name in enumerate(names)]
-
-    def test_replacing_and_dropping_a_world_equals_a_full_concat(self):
-        parts = self._parts()
-        bundle = concat_rows(parts)
-        fresh = _build(scenarios.get("six_slices"), seed=9) \
-            .network.slot_rows()
-        replaced = concat_rows([bundle.take_worlds(0, 2), fresh,
-                                bundle.take_worlds(3, 4)])
-        _rows_equal(replaced, concat_rows(parts[:2] + [fresh]
-                                          + parts[3:]))
-        dropped = concat_rows([bundle.take_worlds(0, 1),
-                               bundle.take_worlds(2, 4)])
-        _rows_equal(dropped, concat_rows(parts[:1] + parts[2:]))
-        assert len({bundle.uid, replaced.uid, dropped.uid}) == 3
-
     def test_fleet_block_steps_any_subset_like_the_banks_alone(self):
         """One fused update over a subset's rows == each network
         stepping through a one-world block of its own, and a churned

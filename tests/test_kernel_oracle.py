@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import evaluate_rows as oracle_evaluate_rows
-from kernel_oracle import parent_rows
+from kernel_oracle import assert_same_layout, parent_rows, rows_from_fields
 from repro import scenarios
 from repro.config import NUM_ACTIONS
 from repro.engine import batch
@@ -34,6 +34,7 @@ from repro.engine.kernels import (
     WorldConditions,
     concat_rows,
     evaluate_rows,
+    splice_rows,
 )
 from repro.sim.phy import NUM_CQI, NUM_MCS
 
@@ -45,7 +46,7 @@ _EDGE_ACTIONS = np.array([-0.0, 0.0, 1.0, 1e-4, -1e-4, 1.0 + 1e-12,
 
 def _world(rng: np.random.Generator, max_slices: int,
            bank: int) -> SliceRows:
-    """One random world's rows, through the public constructor."""
+    """One random world's rows, one keyword per column."""
     n = int(rng.integers(1, max_slices + 1))
     paths = int(rng.integers(1, 4))
 
@@ -64,7 +65,7 @@ def _world(rng: np.random.Generator, max_slices: int,
                              rng.uniform(10, 60, n),
                              rng.uniform(0.9, 0.99999, n)])
     link = maybe_zero(float(rng.choice([1e8, 1e9, 2.5e9])))
-    return SliceRows(
+    return rows_from_fields(
         names=[f"s{i}" for i in range(n)],
         metrics=["m"] * n,
         world=np.zeros(n, dtype=np.intp),
@@ -171,34 +172,22 @@ def _worlds_of(cond: WorldConditions, lo: int, hi: int,
         for spec in dataclasses.fields(WorldConditions)))
 
 
-def _assert_same_rows(got: SliceRows, want: SliceRows):
-    for spec in dataclasses.fields(SliceRows):
-        if spec.name == "uid":
-            continue
-        a, b = getattr(got, spec.name), getattr(want, spec.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype, spec.name
-            np.testing.assert_array_equal(a, b, err_msg=spec.name)
-        else:
-            assert a == b, spec.name
-
-
 @given(_bundles(), st.data())
 @settings(max_examples=40, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_spliced_and_repeated_bundles_evaluate_like_their_worlds(
         bundle, data):
-    """``take_worlds`` / ``concat_rows`` / ``repeat`` carry the paired
-    ``(R, 2)`` columns and re-derive the per-layout masks: a run of
-    worlds taken out evaluates exactly as inside the whole bundle, a
-    splice back in is the bundle, and ``n`` copies of a world are
-    ``n`` independent testbeds."""
+    """``splice_rows`` / ``concat_rows`` / ``repeat`` carry the paired
+    ``(2, R)`` rows and re-derive the per-layout masks: a run of
+    worlds spliced out evaluates exactly as inside the whole bundle,
+    a splice of the runs back together is the bundle, and ``n``
+    copies of a world are ``n`` independent testbeds."""
     rows, (cond, actions, rates, cqi, margin) = bundle
     count = rows.num_worlds
     whole = evaluate_rows(rows, cond, actions, rates, cqi, margin)
     lo = data.draw(st.integers(0, count - 1))
     hi = data.draw(st.integers(lo + 1, count))
-    part = rows.take_worlds(lo, hi)
+    part = splice_rows([(rows, lo, hi)])
     picked = slice(*np.searchsorted(rows.world, (lo, hi)))
     alone = evaluate_rows(part, _worlds_of(cond, lo, hi),
                           actions[picked], rates[picked], cqi[picked],
@@ -208,15 +197,15 @@ def test_spliced_and_repeated_bundles_evaluate_like_their_worlds(
                 if key == "path_loads" else column[picked])
         assert alone[key].tobytes() == want.tobytes(), key
 
-    pieces = ([rows.take_worlds(0, lo)] if lo else []) + [part] + (
-        [rows.take_worlds(hi, count)] if hi < count else [])
-    _assert_same_rows(concat_rows(pieces), rows)
+    runs = ([(rows, 0, lo)] if lo else []) + [(part, 0, hi - lo)] + (
+        [(rows, hi, count)] if hi < count else [])
+    assert_same_layout(splice_rows(runs), rows)
 
-    one = rows.take_worlds(lo, lo + 1)
+    one = splice_rows([(rows, lo, lo + 1)])
     n = data.draw(st.integers(1, 4))
     copies = one.repeat(n)
-    _assert_same_rows(copies, concat_rows([one] * n))
-    assert copies.prbs_total.shape == (n * one.num_rows, 2)
+    assert_same_layout(copies, concat_rows([one] * n))
+    assert copies.prbs_total.shape == (2, n * one.num_rows)
     own = slice(*np.searchsorted(rows.world, (lo, lo + 1)))
     slot = (_worlds_of(cond, lo, lo + 1, n),) + tuple(
         np.tile(a, (n,) + (1,) * (a.ndim - 1))

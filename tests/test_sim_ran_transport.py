@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
+from kernel_oracle import assert_same_layout
 from kernel_probe import kernel_slot, make_action, make_network, probe
 from repro import scenarios
 from repro.config import (
@@ -28,7 +29,6 @@ from repro.config import (
 )
 from repro.engine.kernels import (
     RHO_KNEE,
-    SliceRows,
     WorldConditions,
     rows_for_network,
 )
@@ -278,22 +278,6 @@ def test_prbs_never_exceed_total_property(share):
 # ---- the network's parameters have one home ---------------------------
 
 
-def _assert_same_layout(got: SliceRows, want: SliceRows, label) -> None:
-    """Every :class:`SliceRows` field but the layout token equal in
-    type, dtype, shape and bytes."""
-    for spec in dataclasses.fields(SliceRows):
-        if spec.name == "uid":
-            continue
-        a, b = getattr(got, spec.name), getattr(want, spec.name)
-        assert type(a) is type(b), (label, spec.name)
-        if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), \
-                (label, spec.name)
-            assert a.tobytes() == b.tobytes(), (label, spec.name)
-        else:
-            assert a == b, (label, spec.name)
-
-
 def _assert_same_conditions(nets, label) -> None:
     """The engine's per-world conditions read off the networks equal
     what the parent ``refresh`` read off the oracle's fabrics, byte
@@ -309,7 +293,7 @@ def _assert_same_conditions(nets, label) -> None:
 
 
 def _assert_network_matches_oracle(net, label) -> None:
-    _assert_same_layout(
+    assert_same_layout(
         rows_for_network(net),
         scalar_oracle.rows_for_network(
             scalar_oracle.ScalarSubstrates(net)), label)
