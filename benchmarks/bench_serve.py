@@ -408,11 +408,14 @@ def test_serve_slo_overhead(benchmark):
     plain_s, observe_s = _observer_overhead(
         benchmark, slo=SloEvaluator(spec))
     overhead = observe_s / plain_s
+    per_batch_us = 1e6 * observe_s / SLOTS
     benchmark.extra_info["plain_decide_ms"] = 1e3 * plain_s
     benchmark.extra_info["slo_observe_ms"] = 1e3 * observe_s
+    benchmark.extra_info["slo_observe_us_per_batch"] = per_batch_us
     benchmark.extra_info["slo_overhead_pct"] = 100.0 * overhead
     print(f"\nSLO evaluation at slo_every=1 ({SLICES} slices, "
-          f"{SLOTS} slots): {1e3 * observe_s:.2f} ms observing against "
+          f"{SLOTS} slots): {1e3 * observe_s:.2f} ms observing "
+          f"({per_batch_us:.1f} us per batch) against "
           f"{1e3 * plain_s:.2f} ms deciding ({100.0 * overhead:.1f}%)")
     assert overhead <= MAX_SLO_OVERHEAD, \
         (f"slo evaluation costs {100.0 * overhead:.1f}% of the decide "
@@ -443,13 +446,15 @@ def test_serve_diagnose_overhead(benchmark):
     plain_s, observe_s = _observer_overhead(
         benchmark, slo=SloEvaluator(spec), anomaly=AnomalyMonitor())
     overhead = observe_s / plain_s
+    per_batch_us = 1e6 * observe_s / SLOTS
     benchmark.extra_info["plain_decide_ms"] = 1e3 * plain_s
     benchmark.extra_info["diagnose_observe_ms"] = 1e3 * observe_s
+    benchmark.extra_info["diagnose_observe_us_per_batch"] = per_batch_us
     benchmark.extra_info["diagnose_overhead_pct"] = 100.0 * overhead
     print(f"\nDiagnosis instrumentation at slo_every=1 ({SLICES} "
           f"slices, {SLOTS} slots): {1e3 * observe_s:.2f} ms observing "
-          f"against {1e3 * plain_s:.2f} ms deciding "
-          f"({100.0 * overhead:.1f}%)")
+          f"({per_batch_us:.1f} us per batch) against "
+          f"{1e3 * plain_s:.2f} ms deciding ({100.0 * overhead:.1f}%)")
     assert overhead <= MAX_DIAGNOSE_OVERHEAD, \
         (f"diagnosis instrumentation costs {100.0 * overhead:.1f}% of "
          f"the decide time (gate: <= "

@@ -392,8 +392,10 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
     the batch engine's bundle splice: each block, ``lower_better``,
     ``link_capacity_w`` and the name lists join with one call over the
     runs' slices (and one ``tile`` for the copies); the per-world
-    ``path_hops`` tables are padded to the widest run's path count;
-    ``uid`` is fresh.
+    ``path_hops`` tables are padded to the widest kept world's path
+    count (a run cut from a bundle brings that bundle's padding, which
+    is dropped: a hop count is at least 2, a pad is 0); ``uid`` is
+    fresh.
     """
     if not runs or copies < 1:
         raise ValueError("need at least one world")
@@ -417,7 +419,9 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
         shifts.append(num_worlds - lo)
         sizes.append(last - first)
         num_worlds += hi - lo
-        width = max(width, rows.path_hops.shape[1])
+        if rows.path_hops.shape[1] > width:     # count the kept paths
+            width = max(width, int(np.count_nonzero(
+                rows.path_hops[lo:hi], axis=1).max(initial=0)))
     floats = np.concatenate(floats, axis=1)
     ints = np.concatenate(ints, axis=1)
     ints[0] += np.repeat(shifts, sizes)
@@ -426,7 +430,7 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
     hops = np.zeros((num_worlds, width), dtype=tables[0].dtype)
     first = 0
     for table in tables:
-        hops[first:first + len(table), :table.shape[1]] = table
+        hops[first:first + len(table), :table.shape[1]] = table[:, :width]
         first += len(table)
     if copies > 1:
         rows_per_copy = len(names)

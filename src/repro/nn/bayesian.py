@@ -27,6 +27,31 @@ We implement that here from scratch:
   ``sigma_W^2``, ``mu_W^2``, ``sigma_b^2`` it reads, built once by
   :meth:`BayesianMLP.posterior` and read by any number of
   ``predict`` calls (serving stacks one per snapshot policy per core).
+
+Operation order
+~~~~~~~~~~~~~~~
+The closed form is on the serving path (every Eq. 8 check reads it),
+so :func:`relu_moments`, :meth:`DensePosterior.moments` and the tail
+of :meth:`BayesianPosterior.predict` compute into temporaries of their
+own rather than letting numpy allocate one per operator.  Every float
+is the one the plain expression gives, because only *where* a result
+lands changes:
+
+* **Same ufunc, same operands, same association.**  ``a * b + c``
+  becomes ``np.multiply(a, b, buf)`` then ``buf += c``; a scalar
+  factor keeps its side (``np.multiply(0.5, buf, buf)`` for ``0.5 *
+  buf``); a matrix product keeps its ``@`` and its bias is added into
+  it in place.  The output buffer goes positionally (parsing ``out=``
+  costs about a microsecond a call, the whole call at 1-3 rows),
+  except to ``np.maximum`` / ``np.minimum``, whose third positional
+  argument numpy deprecates.  The ``np.where`` selection stays: it
+  allocates its result, and is cheaper than a masked copy.
+* **Overwritten only when dead.**  A buffer is reused for a new value
+  only after the last read of the value it held; the inputs are never
+  written.
+* **0-d inputs** run the very same expression on ``()``-shaped
+  buffers; :func:`relu_moments` hands them back as numpy scalars, as
+  the plain expression did.
 """
 
 from __future__ import annotations
@@ -60,14 +85,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
-def _as_tail(a: np.ndarray) -> np.ndarray:
+def _as_tail(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t P(t)`` of Abramowitz & Stegun 7.1.26 at ``a >= 0``, so that
-    ``erfc(a) = t P(t) exp(-a^2)`` to ``|error| <= 1.5e-7``."""
-    t = 1.0 / (1.0 + _AS_P * a)
-    poly = _AS_COEFFS[0]
+    ``erfc(a) = t P(t) exp(-a^2)`` to ``|error| <= 1.5e-7``.
+
+    ``t`` holds ``a`` on entry and ``t = 1 / (1 + p a)`` on return;
+    ``out`` (``t``'s shape) receives ``t P(t)``, Horner's rule in
+    place."""
+    np.multiply(_AS_P, t, t)
+    np.add(1.0, t, t)
+    np.divide(1.0, t, t)
+    np.multiply(_AS_COEFFS[0], t, out)
     for coeff in _AS_COEFFS[1:]:
-        poly = poly * t + coeff
-    return poly * t
+        out += coeff
+        out *= t
+    return out
 
 
 def erf(x: np.ndarray) -> np.ndarray:
@@ -75,7 +107,9 @@ def erf(x: np.ndarray) -> np.ndarray:
     7.1.26; numpy has none and scipy is not a dependency).  Odd to the
     last bit, and finite for any finite input."""
     a = np.abs(np.asarray(x, dtype=np.float64))
-    return np.copysign(1.0 - _as_tail(a) * np.exp(-a * a), x)
+    t = np.array(a)
+    tail = _as_tail(t, np.empty_like(t))
+    return np.copysign(1.0 - tail * np.exp(-a * a), x)
 
 
 def relu_moments(mean: np.ndarray, var: np.ndarray
@@ -86,17 +120,46 @@ def relu_moments(mean: np.ndarray, var: np.ndarray
 
     ``Phi`` is :func:`erf`'s formula in complementary form, ``Phi(-|z|)
     = erfc(|z| / sqrt 2) / 2``, which shares its exponential with
-    ``phi`` and keeps the lower tail free of cancellation."""
-    std = np.sqrt(var)
-    z = np.minimum(np.maximum(mean / np.maximum(std, 1e-300), -_Z_CLIP),
-                   _Z_CLIP)
-    gauss = np.exp(-0.5 * z * z)
-    lower = 0.5 * _as_tail(_SQRT_HALF * np.abs(z)) * gauss
-    cdf = np.where(z >= 0.0, 1.0 - lower, lower)
-    spread = (_INV_SQRT_2PI * std) * gauss            # std * phi(z)
-    first = mean * cdf + spread
-    second = (mean * mean + var) * cdf + mean * spread
-    return first, np.maximum(second - first * first, 0.0)
+    ``phi`` and keeps the lower tail free of cancellation.
+
+    Computed in five buffers of the broadcast shape and the one
+    ``np.where`` allocates (module docstring, *Operation order*); the
+    comments name the value a line leaves."""
+    shape = np.broadcast(mean, var).shape
+    std, z, gauss, work, tail = (np.empty(shape) for _ in range(5))
+    np.sqrt(var, std)
+    np.maximum(std, 1e-300, out=z)
+    np.divide(mean, z, z)
+    np.maximum(z, -_Z_CLIP, out=z)
+    np.minimum(z, _Z_CLIP, out=z)                 # z
+    np.multiply(-0.5, z, gauss)
+    gauss *= z
+    np.exp(gauss, gauss)                          # exp(-z^2 / 2)
+    np.absolute(z, work)
+    np.multiply(_SQRT_HALF, work, work)
+    _as_tail(work, tail)
+    np.multiply(0.5, tail, tail)
+    tail *= gauss                                 # lower = Phi(-|z|)
+    np.subtract(1.0, tail, work)
+    cdf = np.where(z >= 0.0, work, tail)          # Phi(z)
+    spread = std
+    np.multiply(_INV_SQRT_2PI, std, spread)
+    spread *= gauss                               # std phi(z)
+    first = z
+    np.multiply(mean, cdf, first)
+    first += spread                               # E[max(X, 0)]
+    second = gauss
+    np.multiply(mean, mean, second)
+    second += var
+    second *= cdf
+    np.multiply(mean, spread, work)
+    second += work                                # E[max(X, 0)^2]
+    np.multiply(first, first, work)
+    np.subtract(second, work, second)
+    np.maximum(second, 0.0, out=second)
+    if not shape:
+        return first[()], second[()]
+    return first, second
 
 
 class DensePosterior(NamedTuple):
@@ -118,13 +181,19 @@ class DensePosterior(NamedTuple):
         x^2) @ sigma_W^2 + var @ mu_W^2 + sigma_b^2``.  ``x`` may carry
         leading batch axes.  The one copy of the expression: the ELBO
         forward (:meth:`VariationalDense._moments`) and
-        :meth:`BayesianPosterior.predict` both read it."""
-        act_mean = x @ self.weight_mu + self.bias_mu
+        :meth:`BayesianPosterior.predict` both read it.  Each sum
+        lands in the product it starts from (module docstring,
+        *Operation order*)."""
+        act_mean = x @ self.weight_mu
+        act_mean += self.bias_mu
+        square = x ** 2
         if var is None:
-            act_var = (x ** 2) @ self.weight_var + self.bias_var
+            act_var = square @ self.weight_var
         else:
-            act_var = ((var + x ** 2) @ self.weight_var
-                       + var @ self.weight_mu_sq + self.bias_var)
+            np.add(var, square, square)               # var + x^2
+            act_var = square @ self.weight_var
+            act_var += var @ self.weight_mu_sq
+        act_var += self.bias_var
         return act_mean, act_var
 
 
@@ -148,7 +217,8 @@ class BayesianPosterior(NamedTuple):
             if index:
                 mean, var = relu_moments(mean, var)
             mean, var = layer.moments(mean, var)
-        std = np.sqrt(var + self.noise_var)
+        var += self.noise_var
+        std = np.sqrt(var, var)
         if single:
             return mean[0], std[0]
         return mean, std

@@ -103,10 +103,13 @@ def adopt_mlps(mlps: Sequence[MLP]
 def mlp_forward(tables: Sequence[Table], states: np.ndarray,
                 span: slice = slice(None)) -> np.ndarray:
     """The stacked networks' outputs on ``(K, G, n, in)`` states, one
-    ``[k, g]`` slab per network of positions ``span``."""
+    ``[k, g]`` slab per network of positions ``span``; each layer's
+    bias is added into its product in place."""
     out = states
     for weight, bias, activation in tables:
-        out = activation.forward(out @ weight[span] + bias[span])
+        out = out @ weight[span]
+        out += bias[span]
+        out = activation.forward(out)
     return out
 
 

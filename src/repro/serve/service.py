@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,9 +99,8 @@ class DecisionRequest:
     state: np.ndarray               # STATE_DIM observation vector
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One slice's resource allocation for the next slot."""
+class Decision(NamedTuple):
+    """One slice's resource allocation for the next slot (immutable)."""
 
     slice_name: str
     action: np.ndarray              # NUM_ACTIONS allocation in [0, 1]
@@ -385,17 +384,29 @@ class SlicingService:
     def _rows(self, requests: Sequence[DecisionRequest]):
         """The routing plan and stacked ``(n, STATE_DIM)`` states of
         one request batch; a malformed request raises naming its slice
-        (unknown names and duplicates first, then shapes)."""
+        (unknown names and duplicates first, then shapes).
+
+        The states stack in one ``np.array`` call; a batch that does
+        not stack to ``(n, STATE_DIM)`` (ragged, or not numbers) is
+        walked request by request, so the error names the first
+        offender."""
         names = [request.slice_name for request in requests]
         plan = self.core._route([self._cell], [names])
-        states = [np.asarray(request.state, dtype=np.float64)
-                  for request in requests]
-        for name, state in zip(names, states):
-            if state.shape != (STATE_DIM,):
-                raise ValueError(
-                    f"state for {name!r} must have shape "
-                    f"({STATE_DIM},), got {state.shape}")
-        return plan, np.stack(states)
+        try:
+            states = np.array([request.state for request in requests],
+                              dtype=np.float64)
+        except (TypeError, ValueError):
+            states = None
+        if states is None or states.shape != (len(names), STATE_DIM):
+            states = [np.asarray(request.state, dtype=np.float64)
+                      for request in requests]
+            for name, state in zip(names, states):
+                if state.shape != (STATE_DIM,):
+                    raise ValueError(
+                        f"state for {name!r} must have shape "
+                        f"({STATE_DIM},), got {state.shape}")
+            states = np.stack(states)
+        return plan, states
 
     def decide(self, requests: Sequence[DecisionRequest]
                ) -> Dict[str, Decision]:
@@ -415,12 +426,9 @@ class SlicingService:
         core = self._core
         out = core._decide(plan, states, start)
         core.flush(plan.cells)
-        return {
-            name: Decision(slice_name=name, action=action,
-                           fallback=fallback, policy=policy)
-            for name, action, fallback, policy in zip(
-                plan.names[0], out.actions, out.fallback.tolist(),
-                out.policies)}
+        names = plan.names[0]
+        return dict(zip(names, map(Decision, names, out.actions,
+                                   out.fallback.tolist(), out.policies)))
 
     def decide_one(self, request: DecisionRequest) -> Decision:
         return self.decide([request])[request.slice_name]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
+import re
 import sys
 from collections import Counter
 
@@ -622,15 +623,15 @@ def _service_state(service):
              if row["metric"] not in WALL_CLOCK_HISTOGRAMS])
 
 
-def _warm(snapshot, seed=9, slots=4, **kwargs):
+def _warm(snapshot, seed=9, slots=4, slices=12, **kwargs):
     """A service (and the requests it was asked) a few decisions in,
     so latch and telemetry are not all zeros."""
     cfg = scenario_with_population(
-        get_scenario("lte_fixed_mcs"), 12).build_config(seed=seed)
+        get_scenario("lte_fixed_mcs"), slices).build_config(seed=seed)
     service = SlicingService(snapshot, cfg=cfg, rng_seed=seed, **kwargs)
     rng = np.random.default_rng(seed)
     for _ in range(slots):
-        states = rng.uniform(0.0, 1.0, size=(12, 9))
+        states = rng.uniform(0.0, 1.0, size=(slices, 9))
         states[:, 8] *= 3.0             # some rows over budget: Eq. 8
         service.decide([DecisionRequest(name, state) for name, state
                         in zip(service.slice_names, states)])
@@ -685,6 +686,62 @@ def test_duplicate_slice_is_rejected_whole(snapshots, method):
     assert _service_state(service) == _service_state(twin)
     assert service.telemetry.counter("decisions").value == \
         twin.telemetry.counter("decisions").value == 4 * 12
+
+
+#: A malformed state among 64 well-formed ones, as ``(position, state
+#: from the row's good one, the shape the error reports)``; ``None``
+#: position: every state is malformed, the first is named.
+MALFORMED = {
+    "short": (37, lambda good: good[:8], (8,)),
+    "column": (37, lambda good: good[:, None], (9, 1)),
+    "scalar": (37, lambda good: float(good[0]), ()),
+    "list": (63, lambda good: list(good) + [0.5], (10,)),
+    "every": (None, lambda good: good[:8], (8,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_state_in_a_64_request_batch_is_rejected_whole(
+        snapshots, case):
+    """The edge stacks a batch's states in one call and walks the
+    requests only when the stack is not ``(64, STATE_DIM)``: a ragged
+    or wrong-shaped batch still raises naming the first offending
+    slice, before anything changed."""
+    position, malform, shape = MALFORMED[case]
+    service, rng = _warm(snapshots["onslicing"], slices=64)
+    twin, _ = _warm(snapshots["onslicing"], slices=64)
+    names = service.slice_names
+    states = rng.uniform(0.0, 1.0, size=(64, 9))
+    states[:, 8] *= 3.0
+    requests = [DecisionRequest(name, state)
+                for name, state in zip(names, states)]
+    bad = [DecisionRequest(request.slice_name, malform(request.state))
+           if position in (None, at) else request
+           for at, request in enumerate(requests)]
+    named = names[position or 0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"state for {named!r} must have shape (9,), got {shape}")):
+        service.decide(bad)
+    assert _service_state(service) == _service_state(twin)
+    mine, theirs = service.decide(requests), twin.decide(requests)
+    assert list(mine) == names
+    for name in names:
+        assert mine[name].action.tobytes() == theirs[name].action.tobytes()
+        assert mine[name].fallback == theirs[name].fallback
+    assert _service_state(service) == _service_state(twin)
+
+
+def test_a_decision_is_immutable(snapshots):
+    service, rng = _warm(snapshots["onslicing"], slots=1)
+    name = service.slice_names[0]
+    decision = service.decide_one(
+        DecisionRequest(name, rng.uniform(0.0, 1.0, 9)))
+    assert decision._fields == ("slice_name", "action", "fallback",
+                                "policy")
+    assert decision.slice_name == name
+    for field in decision._fields:
+        with pytest.raises(AttributeError):
+            setattr(decision, field, None)
 
 
 def test_lockstep_rejection_names_the_cell(snapshots):
