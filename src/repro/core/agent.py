@@ -105,7 +105,6 @@ class OnSlicingAgent:
         self.modifier = ActionModifier(self.cfg.modifier,
                                        rng=self._rng)
         # episode bookkeeping
-        self.last_executed_action: Optional[np.ndarray] = None
         self._cum_cost = 0.0
         self._cum_usage = 0.0
         self._slot = 0
@@ -181,11 +180,12 @@ class OnSlicingAgent:
                 executed_action: Optional[np.ndarray] = None) -> None:
         """Record the slot outcome.
 
-        ``executed_action`` (the post-coordination action actually
-        enforced) is kept for diagnostics only; the stored transition
-        uses the *sampled* action so the importance ratios of PPO stay
-        coherent -- from pi_theta's perspective the action modification
-        is part of the environment dynamics.
+        The stored transition uses the *sampled* action so the
+        importance ratios of PPO stay coherent -- from pi_theta's
+        perspective the action modification is part of the environment
+        dynamics.  ``executed_action`` (the post-coordination action
+        actually enforced) is accepted for callers that pass it and has
+        no effect.
         """
         if self._pending is None:
             raise RuntimeError("observe() called before act()")
@@ -194,9 +194,6 @@ class OnSlicingAgent:
         self._cum_cost += cost
         self._cum_usage += usage
         self._slot += 1
-        self.last_executed_action = (
-            np.asarray(executed_action, dtype=float)
-            if executed_action is not None else pending["action"])
         if pending["from_baseline"]:
             # Baseline-run transitions feed pi_phi's online refresh.
             self._baseline_states.append(pending["state"])

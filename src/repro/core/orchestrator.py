@@ -206,13 +206,11 @@ class OnSlicingOrchestrator:
         for agent in self.agents.values():
             agent.begin_episode()
         self._deterministic, self._rounds = deterministic, []
-        for _, executed, step in lockstep(self._batch, self,
-                                          project=False):
-            for name, action, *outcome in zip(
-                    step.names[0], executed, step.rewards.tolist(),
+        for _, _, step in lockstep(self._batch, self, project=False):
+            for name, *outcome in zip(
+                    step.names[0], step.rewards.tolist(),
                     step.costs.tolist(), step.usages.tolist()):
-                self.agents[name].observe(*outcome,
-                                          executed_action=action)
+                self.agents[name].observe(*outcome)
             if learn:
                 for agent in self.agents.values():
                     agent.maybe_update()

@@ -306,16 +306,40 @@ class BatchSimulator:
             staged = self._stage(stepping, actions)
 
             # 1. events + churn, on the worlds at an event boundary
-            #    (may consume world RNG; may change layout)
+            #    (may consume world RNG; may change layout), and in the
+            #    same pass this engine's caches: re-home a cumulative
+            #    cost vector that lives elsewhere (fresh episode, another
+            #    engine stepped the world), re-adopt a network whose
+            #    channel state the fleet block does not hold (churn, or
+            #    another engine stepped it -- ``replace`` re-reads the
+            #    row starts, so later worlds' events find their rows),
+            #    then splice the bundle if the worlds or layouts changed
             with trace("engine.events"):
+                fleet, counters = self._fleet, self._counters
                 states: List[WorldLayout] = []
+                uids, strays = [], []
                 for b in stepping:
                     sim = self.sims[b]
                     if sim._slot in sim.event_slots:
                         sim.apply_events()
-                        self._counters["event_slots"] += 1
-                    states.append(sim.layout())
-                bundle = self._sync(stepping, states)
+                        counters["event_slots"] += 1
+                    state = sim.layout()
+                    states.append(state)
+                    if state.cum_cost.base is not self._cum:
+                        strays.append((b, state))
+                    if sim.network._home is not fleet:
+                        # (churn comes with new kernel rows, so the uid
+                        # test below re-derives ``channel_rows``)
+                        fleet.replace(b, sim.network)
+                        counters["bank_readoptions"] += 1
+                    uids.append(state.rows.uid)
+                if strays:
+                    self._home_costs(strays, list(zip(stepping, states)))
+                bundle = self._bundle
+                if bundle is None or uids != bundle.uids \
+                        or stepping != bundle.worlds:
+                    bundle = self._bundle = self._rebundle(
+                        stepping, uids, states)
 
             # 2. channels (one standard-normal block per world, one
             #    fused AR(1) update over all of them)
@@ -441,37 +465,6 @@ class BatchSimulator:
                              for sim in self.sims])])
         self._cum = np.zeros(int(self._cum_starts[-1]))
         self._bundle = None
-
-    def _sync(self, stepping: List[int],
-              states: List[WorldLayout]) -> _Bundle:
-        """Bring what this engine caches in line with the stepping
-        worlds' layouts, touching only what moved: re-home a cumulative
-        cost vector that lives elsewhere (fresh episode, another
-        engine stepped the world), re-adopt a network whose channel
-        state the fleet block does not hold (churn, or another engine
-        stepped the world), splice the bundle when the worlds or their
-        row layouts changed."""
-        fleet = self._fleet
-        uids = []
-        strays = []
-        for b, state in zip(stepping, states):
-            if state.cum_cost.base is not self._cum:
-                strays.append((b, state))
-            network = state.sim.network
-            if network._home is not fleet:
-                # (churn comes with new kernel rows, so the uid test
-                # below re-derives ``channel_rows``)
-                fleet.replace(b, network)
-                self._counters["bank_readoptions"] += 1
-            uids.append(state.rows.uid)
-        if strays:
-            self._home_costs(strays, list(zip(stepping, states)))
-        bundle = self._bundle
-        if bundle is None or uids != bundle.uids \
-                or stepping != bundle.worlds:
-            bundle = self._bundle = self._rebundle(stepping, uids,
-                                                   states)
-        return bundle
 
     def _home_costs(self, strays: list, everyone: list) -> None:
         """Make the cumulative cost of every ``(world, layout)`` of

@@ -265,6 +265,28 @@ def _shard_line(result: ShardResult) -> str:
                        "result": to_jsonable(result)}) + "\n"
 
 
+def _campaign_mismatch(checkpoint: FleetCheckpoint, path: str,
+                       spec: FleetSpec, scenario_key: str,
+                       snapshot) -> Optional[str]:
+    """What makes ``checkpoint`` (read from ``path``) another campaign's
+    than this one -- the first of its spec key, scenario key and
+    snapshot digest that differs, as a message -- or ``None``."""
+    spec_key = content_key(spec)
+    if checkpoint.spec_key != spec_key:
+        return (f"checkpoint {path!r} was written for a different fleet "
+                f"spec (key {checkpoint.spec_key[:12]} != "
+                f"{spec_key[:12]})")
+    if checkpoint.scenario_key != scenario_key:
+        return (f"checkpoint {path!r} pins different scenario "
+                "*definitions* -- a scenario in the cycle was edited "
+                "since the run was checkpointed; rerun without --resume")
+    if checkpoint.snapshot_digest != snapshot.digest:
+        return (f"checkpoint {path!r} pins snapshot digest "
+                f"{checkpoint.snapshot_digest[:12]}, but "
+                f"{snapshot.ref} has {snapshot.digest[:12]}")
+    return None
+
+
 def run_fleet(spec: FleetSpec, store_dir: str,
               snapshot_ref: Optional[str] = None,
               shards: int = 1,
@@ -355,9 +377,8 @@ def run_fleet(spec: FleetSpec, store_dir: str,
         except (OSError, ValueError):
             existing = None
         if (existing is not None and existing.results
-                and existing.spec_key == content_key(spec)
-                and existing.scenario_key == scenario_key
-                and existing.snapshot_digest == snapshot.digest):
+                and _campaign_mismatch(existing, checkpoint_path, spec,
+                                       scenario_key, snapshot) is None):
             raise ValueError(
                 f"checkpoint {checkpoint_path!r} already holds "
                 f"{len(existing.results)}/{existing.shards} completed "
@@ -365,23 +386,10 @@ def run_fleet(spec: FleetSpec, store_dir: str,
                 "continue it, or delete the file to restart")
     if checkpoint_path and resume and os.path.exists(checkpoint_path):
         checkpoint = load_checkpoint(checkpoint_path)
-        spec_key = content_key(spec)
-        if checkpoint.spec_key != spec_key:
-            raise ValueError(
-                f"checkpoint {checkpoint_path!r} was written for a "
-                f"different fleet spec (key {checkpoint.spec_key[:12]} "
-                f"!= {spec_key[:12]})")
-        if checkpoint.scenario_key != scenario_key:
-            raise ValueError(
-                f"checkpoint {checkpoint_path!r} pins different "
-                "scenario *definitions* -- a scenario in the cycle "
-                "was edited since the run was checkpointed; rerun "
-                "without --resume")
-        if checkpoint.snapshot_digest != snapshot.digest:
-            raise ValueError(
-                f"checkpoint {checkpoint_path!r} pins snapshot digest "
-                f"{checkpoint.snapshot_digest[:12]}, but "
-                f"{snapshot.ref} has {snapshot.digest[:12]}")
+        mismatch = _campaign_mismatch(checkpoint, checkpoint_path, spec,
+                                      scenario_key, snapshot)
+        if mismatch is not None:
+            raise ValueError(mismatch)
         if checkpoint.shards != min(shards, spec.cells):
             raise ValueError(
                 f"checkpoint {checkpoint_path!r} was sharded "

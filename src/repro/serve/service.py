@@ -433,24 +433,6 @@ class SlicingService:
     def decide_one(self, request: DecisionRequest) -> Decision:
         return self.decide([request])[request.slice_name]
 
-    def _propose(self, requests: Sequence[DecisionRequest],
-                 stages: Dict[str, float]
-                 ) -> Dict[str, Tuple[np.ndarray, bool, str]]:
-        """Pre-projection ``(action, fallback, policy key)`` per
-        slice -- :meth:`decide` up to the projection, latching included --
-        adding the stage seconds spent to ``stages``."""
-        plan, states = self._rows(requests)
-        core = self._core
-        core._check(plan, states)
-        actions, fallback, _, seconds = core._propose(
-            plan, states, time.perf_counter())
-        for stage, spent in zip(DECISION_STAGES, seconds):
-            stages[stage] += spent
-        return {name: (action, served_by_baseline, policy)
-                for name, action, served_by_baseline, policy in zip(
-                    plan.names[0], actions, fallback.tolist(),
-                    plan.policies)}
-
 
 class _Plan:
     """Everything :meth:`DecisionCore.decide_rows` needs that depends

@@ -11,7 +11,10 @@ and slot, per-request objects, a ``ParameterCoordinator`` and a
 ``serve_slot`` / ``record_step``, and ``drive_lockstep`` rebuilding four
 dicts per cell and slot).  ``tests/test_serve_rows.py`` holds the
 row-wise path to it: same reports, digests, telemetry and simulator
-generator state.  Nothing under ``src/`` imports this module.  Five
+generator state; ``tests/test_serve_slabs.py`` holds the core's stacked
+pi_theta / pi_phi passes to ``_propose``, one service per cell, byte for
+byte.  It is the one reference for serving.  Nothing under ``src/``
+imports this module.  Five
 edits since: ``_fallback_flags`` asks pi_phi only about slices not yet
 switched (the core skips latched rows);
 the Eq. 8 eta is no longer a parameter (the service reads it from the

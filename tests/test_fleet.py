@@ -61,6 +61,17 @@ def snapshot(store):
     return store.load("fleet-test")
 
 
+@pytest.fixture(scope="module")
+def other_snapshot(tmp_path_factory):
+    """A snapshot of other weights, alone in a store of its own: the
+    coordinator tests' campaign under another snapshot digest."""
+    store = PolicyStore(str(tmp_path_factory.mktemp("fleet_other")))
+    cfg = get_scenario("default").build_config()
+    store.save(snapshot_onrl("fleet-other", cfg,
+                             make_onrl_agents(cfg, seed=12), seed=12))
+    return store, store.load("fleet-other")
+
+
 # ---- histograms (satellite): bounded + mergeable ----------------------
 
 
@@ -469,6 +480,39 @@ class TestCoordinator:
             run_fleet(other, store.directory,
                       snapshot_ref=snapshot.ref,
                       checkpoint_path=path, resume=True)
+
+    def test_resume_rejects_another_snapshot(self, snapshot, store,
+                                             other_snapshot, tmp_path):
+        """Resuming a checkpoint written for another snapshot raises,
+        naming both digests."""
+        other_store, other = other_snapshot
+        assert other.digest != snapshot.digest
+        path = str(tmp_path / "fleet.jsonl")
+        run_fleet(SPEC, store.directory, snapshot_ref=snapshot.ref,
+                  shards=2, checkpoint_path=path)
+        message = (f"pins snapshot digest {snapshot.digest[:12]}, but "
+                   f"{re.escape(other.ref)} has {other.digest[:12]}")
+        with pytest.raises(ValueError, match=message):
+            run_fleet(SPEC, other_store.directory,
+                      snapshot_ref=other.ref, shards=2,
+                      checkpoint_path=path, resume=True)
+
+    def test_another_snapshot_overwrites_without_resume(
+            self, snapshot, store, other_snapshot, tmp_path):
+        """Without --resume, a campaign over another snapshot's
+        checkpoint is another campaign: it overwrites the file rather
+        than refusing."""
+        other_store, other = other_snapshot
+        path = str(tmp_path / "fleet.jsonl")
+        run_fleet(SPEC, store.directory, snapshot_ref=snapshot.ref,
+                  shards=2, checkpoint_path=path)
+        report = run_fleet(SPEC, other_store.directory,
+                           snapshot_ref=other.ref, shards=2,
+                           checkpoint_path=path)
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.complete
+        assert checkpoint.snapshot_digest == report.snapshot_digest \
+            == other.digest
 
     def test_resume_rejects_mismatched_shards(self, snapshot, store,
                                               tmp_path):

@@ -35,7 +35,6 @@ from repro.serve import (
     snapshot_onslicing,
     train_snapshot,
 )
-from repro.serve.service import DECISION_STAGES
 from repro.scenarios import get as get_scenario
 
 
@@ -259,6 +258,17 @@ class TestPolicyStore:
 # ---- decision service -------------------------------------------------
 
 
+def _proposals(service, requests):
+    """Pre-projection ``(action, fallback, policy key)`` per slice of
+    one request batch: ``DecisionCore._propose`` through the service's
+    own plan, latching included."""
+    plan, states = service._rows(requests)
+    actions, fallback, _, _ = service.core._propose(plan, states, 0.0)
+    return {name: (action, served_by_baseline, policy)
+            for name, action, served_by_baseline, policy in zip(
+                plan.names[0], actions, fallback.tolist(), plan.policies)}
+
+
 class TestSlicingService:
     def test_batched_matches_unbatched(self, onrl_snapshot):
         """One N-row ``decide`` proposes what N one-row ``decide``s
@@ -277,8 +287,7 @@ class TestSlicingService:
                                      rng_seed=0)
             out = {}
             for batch in batches:
-                out.update(service._propose(
-                    batch, dict.fromkeys(DECISION_STAGES, 0.0)))
+                out.update(_proposals(service, batch))
             return out
 
         together = proposals([requests])
@@ -300,8 +309,7 @@ class TestSlicingService:
         rng = np.random.default_rng(8)
         requests = [DecisionRequest(name, rng.uniform(0.0, 1.0, size=9))
                     for name in service.slice_names]
-        proposed = service._propose(
-            requests, dict.fromkeys(DECISION_STAGES, 0.0))
+        proposed = _proposals(service, requests)
         for request in requests:
             action, fallback, key = proposed[request.slice_name]
             assert np.array_equal(

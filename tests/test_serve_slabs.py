@@ -1,15 +1,16 @@
 """The decision core's stacked pi_theta / pi_phi passes against the
-per-policy passes they replaced.
+per-cell serving loop they replaced.
 
-``tests/slab_oracle.py`` keeps the per-policy ``_propose`` (one
-pi_theta forward per (snapshot policy, row count), one pi_phi pass per
-(snapshot policy, open-row count)).  The core now stacks a snapshot's
-policies as slabs: one forward per (snapshot, row count) and one pass
-per (snapshot, open-row count), ragged groups padded with whole dummy
-slabs.  Slot by slot, while budgets fill up and slices latch at their
-own pace, every case below must leave the same bytes both ways:
-actions, fallback and held rows, the Eq. 8 latch after the slot, and
-each open row's pi_phi ``(mu, sigma)``.
+``tests/serve_oracle.py`` keeps that loop (``SlicingService._propose``:
+per cell, one pi_theta forward and one pi_phi call per snapshot policy
+group, a ``_switched`` set as the Eq. 8 latch).  The core stacks a
+snapshot's policies as slabs: one forward per (snapshot, row count) and
+one pass per (snapshot, open-row count), over every cell, ragged groups
+padded with whole dummy slabs.  Slot by slot, while budgets fill up and
+slices latch at their own pace, every case below must leave the same
+bytes both ways: actions, fallback and held rows, the Eq. 8 latch after
+the slot, and each open row's pi_phi ``(mu, sigma)`` (the oracle's
+``CostToGoEstimator.predict_batch`` calls, ``mu`` floored at 0).
 
 The floats rest on numpy running each slab as the BLAS call its group
 makes alone, so the suite is meant to pass under any BLAS thread count
@@ -20,23 +21,24 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import slab_oracle
+import serve_oracle
 from repro.config import ExperimentConfig, TrafficConfig
 from repro.experiments.harness import build_onslicing, make_onrl_agents
+from repro.rl.cost_estimator import CostToGoEstimator
 from repro.scenarios import get as get_scenario
 from repro.serve import (
     DecisionCore,
+    DecisionRequest,
     SlicingService,
     scenario_with_population,
     snapshot_onrl,
     snapshot_onslicing,
 )
-from repro.serve.service import _Slabs
+from repro.serve.service import DECISION_STAGES, _Slabs
 
 SLOTS = 10
 
@@ -55,6 +57,16 @@ def _perturbed(snapshot, name):
     return dataclasses.replace(snapshot, name=name, policies=policies)
 
 
+def _with_eta(snapshot, name, eta):
+    """``snapshot`` under a new name with Eq. 8's risk preference set to
+    ``eta``: pi_phi's sigma is a few thousandths of a cost unit, so at
+    the trained ``eta = 1`` the ``eta * sigma`` term decides no row."""
+    agent = snapshot.config.agent
+    config = dataclasses.replace(snapshot.config, agent=dataclasses.replace(
+        agent, switching=dataclasses.replace(agent.switching, eta=eta)))
+    return dataclasses.replace(snapshot, name=name, config=config)
+
+
 @pytest.fixture(scope="module")
 def snapshots():
     cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=10),
@@ -65,6 +77,7 @@ def snapshots():
     return {
         "onslicing": onslicing,
         "other": _perturbed(onslicing, "slabs-t"),
+        "eta": _with_eta(onslicing, "slabs-e", 100.0),
         "onrl": snapshot_onrl("slabs-o", cfg,
                               make_onrl_agents(cfg, seed=3), seed=3),
     }
@@ -93,6 +106,8 @@ CASES = {
     "onrl": [("onrl", 3, None), ("onrl", 12, None), ("onrl", 4, None)],
     "two_snapshots": [("onslicing", 3, None), ("other", 3, None),
                       ("onslicing", 4, None), ("other", 12, None)],
+    # Eq. 8's eta * sigma margin flips rows a margin-free verdict keeps
+    "eta": [("eta", 3, None), ("eta", 12, None)],
 }
 
 
@@ -111,9 +126,10 @@ def _cells(snapshots, case):
 @pytest.mark.parametrize("case", list(CASES))
 def test_stacked_passes_equal_the_per_policy_passes(
         snapshots, monkeypatch, case):
-    recorded = {}
+    recorded, asked = {}, {}
     padded = Counter()
     posterior = _Slabs.posterior
+    predict_batch = CostToGoEstimator.predict_batch
 
     def spy(slabs, states, real, span):
         mu, sigma = posterior(slabs, states, real, span)
@@ -127,39 +143,57 @@ def test_stacked_passes_equal_the_per_policy_passes(
                                            sigma_r.tobytes())
         return mu, sigma
 
+    def oracle_posterior(estimator, states):
+        # the oracle's one pi_phi call per (cell, policy) group; Eq. 8
+        # reads mu floored at 0, as the core's pass returns it
+        mu, sigma = predict_batch(estimator, states)
+        for row, mu_r, sigma_r in zip(states, np.maximum(mu, 0.0),
+                                      sigma):
+            assert row.tobytes() not in asked
+            asked[row.tobytes()] = (mu_r.tobytes(), sigma_r.tobytes())
+        return mu, sigma
+
     monkeypatch.setattr(_Slabs, "posterior", spy)
+    monkeypatch.setattr(CostToGoEstimator, "predict_batch",
+                        oracle_posterior)
     core, names = _cells(snapshots, case)
+    # one per-cell service per cell, its ``_switched`` set the latch
+    oracles = [serve_oracle.SlicingService(service.snapshot,
+                                           cfg=service.cfg)
+               for service in core.services]
     cells = list(range(len(names)))
     plan = core._route(cells, names)
-    parent = slab_oracle.ParentPlan(core, cells, names)
     padded["forward"] = sum(not real.all()
                             for _, _, _, real, _ in plan.forwards)
     rng = np.random.default_rng(4)
     latched = set()
     for slot in range(SLOTS):
-        if slot == 6:
-            core.begin_episode(len(cells) - 1)  # one cell re-arms
+        if slot == 6:   # one cell re-arms
+            core.begin_episode(cells[-1])
+            oracles[-1].begin_episode()
         states = rng.uniform(0.0, 1.0, size=(plan.rows, 9))
         states[:, 8] *= 0.25 * slot     # budgets fill up slot by slot
-        twin = SimpleNamespace(_latched=core._latched.copy(),
-                               _counters=Counter())
-        want = slab_oracle.propose(twin, parent, states, 0.0)
         recorded.clear()
+        asked.clear()
         actions, fallback, held, _ = core._propose(plan, states, 0.0)
-        assert actions.tobytes() == want[0].tobytes(), slot
-        assert np.array_equal(fallback, want[1]), slot
-        assert np.array_equal(held, want[2]), slot
-        assert np.array_equal(core._latched, twin._latched), slot
-        if want[3] is None:
-            assert not recorded
-            continue
-        open_ = ~want[2][parent.eq8_rows]
-        assert recorded == {
-            states[row].tobytes(): (mu.tobytes(), sigma.tobytes())
-            for row, mu, sigma in zip(parent.eq8_rows[open_],
-                                      want[3][open_], want[4][open_])}, \
-            slot
-        latched.add(int(core._latched.sum()))
+        want, want_held = [], []
+        rows = iter(states)
+        for oracle, cell_names in zip(oracles, names):
+            want_held += [name in oracle._switched for name in cell_names]
+            proposed = oracle._propose(
+                [DecisionRequest(name, next(rows)) for name in cell_names],
+                dict.fromkeys(DECISION_STAGES, 0.0))
+            want += [proposed[name] for name in cell_names]
+        assert actions.tobytes() == np.stack(
+            [action for action, _, _ in want]).tobytes(), slot
+        assert fallback.tolist() == [flag for _, flag, _ in want], slot
+        assert held.tolist() == want_held, slot
+        assert core._latched.tolist() == [
+            name in oracle._switched
+            for oracle in oracles for name in oracle.slice_names], slot
+        assert recorded == asked, slot
+        if plan.posteriors:
+            latched.add(int(core._latched.sum()))
     # not vacuous: slices latched at different slots, and where the
     # case is ragged whole dummy slabs were stacked and dropped
     if case == "onrl":
