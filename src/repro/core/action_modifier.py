@@ -79,15 +79,14 @@ class CostSurrogate:
     def cost_and_action_grad(self, states: np.ndarray,
                              actions: np.ndarray
                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predicted cost and its gradient w.r.t. the action inputs."""
+        """Predicted cost and its gradient w.r.t. the action inputs.
+        The surrogate is frozen during pi_a training, so only the input
+        gradient is computed: no parameter gradient is touched."""
         states = np.atleast_2d(states)
         actions = np.atleast_2d(actions)
         inputs = np.concatenate([states, actions], axis=1)
         pred = self.network.forward(inputs)
-        grad_in = self.network.backward(np.ones_like(pred))
-        # Careful: backward() accumulates parameter grads; surrogate is
-        # frozen during pi_a training, so zero them to stay clean.
-        self.network.zero_grad()
+        grad_in = self.network.input_grad(np.ones_like(pred))
         return pred[:, 0], grad_in[:, self.state_dim:]
 
 

@@ -144,6 +144,11 @@ class Dense(Module):
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value.T
 
+    def input_grad(self, grad_out: np.ndarray) -> np.ndarray:
+        """:meth:`backward`'s return value alone: no weight or bias
+        gradient is accumulated."""
+        return np.atleast_2d(grad_out) @ self.weight.value.T
+
 
 class _Activation(Module):
     """Base for parameter-free elementwise activations."""
@@ -153,6 +158,10 @@ class _Activation(Module):
 
     def drop_caches(self) -> None:
         self._cache = None
+
+    def input_grad(self, grad_out: np.ndarray) -> np.ndarray:
+        """:meth:`backward`: there is no parameter to accumulate into."""
+        return self.backward(grad_out)
 
 
 class ReLU(_Activation):

@@ -70,6 +70,17 @@ class MLP(Module):
             grad = layer.backward(grad)
         return grad
 
+    def input_grad(self, grad_out: np.ndarray) -> np.ndarray:
+        """The gradient w.r.t. the last forward's input alone: what
+        :meth:`backward` returns, by the same operations in the same
+        order, without accumulating any weight or bias gradient (for a
+        frozen network differentiated through, such as pi_a's cost
+        surrogate)."""
+        grad = np.atleast_2d(grad_out)
+        for layer in reversed(self.layers):
+            grad = layer.input_grad(grad)
+        return grad
+
     def drop_caches(self) -> None:
         """Forget every layer's backward cache: a trainer done with its
         batches calls this, so a trained network does not keep its last

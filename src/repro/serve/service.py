@@ -55,6 +55,7 @@ from repro.baselines.model_based import ModelBasedPolicy
 from repro.config import ExperimentConfig, NUM_ACTIONS
 from repro.core.switching import expected_episode_cost
 from repro.engine.policies import project_actions_batch, world_totals
+from repro.nn.bayesian import BayesianPosterior
 from repro.nn.slabs import (
     mlp_forward,
     posterior_span,
@@ -132,7 +133,8 @@ class _LearnedPolicy:
     false against any budget, so Eq. 8 would silently never fire, and
     a NaN pi_b action would be served.  A snapshot that fails
     this is refused with a ``ValueError`` naming its ref, the policy
-    and the tensor.
+    and the tensor -- here, and by every :class:`SlicingService` when
+    it is built, before it builds any policy.
     """
 
     def __init__(self, snapshot: PolicySnapshot, name: str) -> None:
@@ -185,23 +187,28 @@ def _check_finite(ref: str, name: str, payload: Dict) -> None:
 
 class _Slabs:
     """One snapshot's learned policies as stacked tables, built once per
-    core from the first cell routed to it: pi_theta's actor as ``(P, 1,
-    in, out)`` weights and ``(P, 1, 1, out)`` biases, pi_phi's frozen
-    posterior and noise alike over ``eq8_names``.  The weights are copies,
-    never refreshed (a snapshot's do not change); the target scale is
-    read from ``eq8``'s estimators on every pass.  A pass reads a
-    ``span`` of positions (a view) and returns the slabs ``real``
-    marks, in ``(p, g)`` order."""
+    core from the first cell routed to it, whose :class:`_LearnedPolicy`
+    objects it keeps (``policies``, by name) and serves every cell of
+    the core from: pi_theta's actor as ``(P, 1, in, out)`` weights and
+    ``(P, 1, 1, out)`` biases, pi_phi's frozen posterior and noise
+    alike over ``eq8_names``.  The weights are copies, never refreshed
+    (a snapshot's do not change); the target scale is read from
+    ``eq8``'s estimators on every pass.  A pass reads a ``span`` of
+    positions -- for pi_phi one :func:`posterior_span` of views, kept
+    per span -- and returns the slabs ``real`` marks, in ``(p, g)``
+    order."""
 
     def __init__(self, policies: Sequence[_LearnedPolicy]) -> None:
+        self.policies = {p.name: p for p in policies}
         self.actor = stack_mlps([p.model.actor for p in policies])
-        self.names = [p.name for p in policies]
+        self.names = list(self.policies)
         self.eq8 = [p for p in policies
                     if p.estimator is not None and p.baseline is not None]
         self.eq8_names = [p.name for p in self.eq8]
         if self.eq8:
             self.table = stack_posteriors(
                 [p.estimator.network.posterior() for p in self.eq8])
+        self._spans: Dict[Tuple[int, int], BayesianPosterior] = {}
 
     def forward(self, states: np.ndarray, real: np.ndarray,
                 span: slice) -> np.ndarray:
@@ -213,7 +220,11 @@ class _Slabs:
                   span: slice) -> Tuple[np.ndarray, np.ndarray]:
         """pi_phi's closed-form ``(mu, sigma)`` in cost units, each
         ``(K, n)``, ``mu`` floored at 0 as Eq. 8 reads it."""
-        mean, std = posterior_span(self.table, span).predict(states)
+        table = self._spans.get((span.start, span.stop))
+        if table is None:
+            table = self._spans[span.start, span.stop] = posterior_span(
+                self.table, span)
+        mean, std = table.predict(states)
         scale = np.array([p.estimator.target_scale
                           for p in self.eq8[span]]).T[:, :, None, None]
         mu, sigma = destandardise(mean[..., 0], std[..., 0], scale)
@@ -249,6 +260,11 @@ def _layout(groups) -> List[tuple]:
 class SlicingService:
     """One cell of the decision service: a policy snapshot bound to a
     target config, with its telemetry and observers.
+
+    Building a service checks every snapshot policy
+    (:func:`_check_finite`) and routes the target slices; the learned
+    networks are rebuilt only when first asked for (``_policies``),
+    which in a core is by the first cell routed to the snapshot.
 
     Parameters
     ----------
@@ -302,12 +318,9 @@ class SlicingService:
         self.slo = slo
         self.anomaly = anomaly
         self._slo_every = int(slo_every)
-        self._policies: Dict[str, _LearnedPolicy] = {}
         for name, payload in snapshot.policies.items():
-            if snapshot.method in ("onslicing", "onrl"):
-                self._policies[name] = _LearnedPolicy(snapshot, name)
-            else:
-                _check_finite(snapshot.ref, name, payload)
+            _check_finite(snapshot.ref, name, payload)
+        self._learned: Optional[Dict[str, _LearnedPolicy]] = None
         #: target slice name -> (policy key, table policy or None for
         #: learned policies); the position of a name is the slice's
         #: index in its cell's segment of the core's latch
@@ -319,6 +332,21 @@ class SlicingService:
         #: stacks the service with others.
         self._core: Optional["DecisionCore"] = None
         self._cell = 0
+
+    @property
+    def _policies(self) -> Dict[str, _LearnedPolicy]:
+        """The snapshot's learned policies rebuilt for inference (none
+        for table methods), built the first time they are asked for:
+        by the first plan routed to this cell's snapshot, which stacks
+        them as the core's :class:`_Slabs` and serves every cell of the
+        snapshot from them, so no other cell of the core builds its
+        own."""
+        if self._learned is None:
+            self._learned = {
+                name: _LearnedPolicy(self.snapshot, name)
+                for name in self.snapshot.policies
+            } if self.snapshot.method in ("onslicing", "onrl") else {}
+        return self._learned
 
     @property
     def core(self) -> "DecisionCore":
@@ -498,11 +526,11 @@ class _Plan:
                 row += 1
             self.groups[position] = len(groups)
             for key, rows in groups.items():
-                policy = service._policies[key]
                 slabs = core._slabs.get(id(service.snapshot))
-                if slabs is None:   # built once, for the first cell
+                if slabs is None:   # built once, by the first cell
                     slabs = core._slabs[id(service.snapshot)] = _Slabs(
                         list(service._policies.values()))
+                policy = slabs.policies[key]
                 forwards.append((slabs, slabs.names.index(key), rows))
                 if policy.estimator is None or policy.baseline is None:
                     continue
@@ -525,6 +553,11 @@ class _Plan:
         #: learned (cell, policy) groups of one snapshot and row count
         self.forwards = _layout(forwards)
         self.eq8_rows = np.asarray(eq8_rows, dtype=np.intp)
+        #: the pi_phi pass layout last built, and the open-row mask
+        #: (``bytes``) it was built for: rebuilt only when a row
+        #: latches or a cell re-arms
+        self.open_key: Optional[bytes] = None
+        self.passes: List[tuple] = []
         owner = self.cell_of_row[self.eq8_rows]
         self.eq8_horizon = core._horizon[self.index][owner]
         self.eq8_eta = core._eta[self.index][owner]
@@ -552,9 +585,14 @@ class DecisionCore:
     What is per-cell state, and where: ``_latched[_slice_starts[c]:
     _slice_starts[c + 1]]`` -- the Eq. 8 one-way door per slice of the
     cell's config, cleared by :meth:`begin_episode` (nothing else is
-    carried from one slot to the next).  What is cached:
-    one :class:`_Plan` for the last (cells, names) asked about.  What
-    is deferred: every decision's telemetry sits in a per-(slot, cell)
+    carried from one slot to the next).  What is cached: one
+    :class:`_Plan` for the last (cells, names) asked about; in it, the
+    pi_phi pass layout for the last latch state (open-row mask) seen;
+    one :class:`_Slabs` per snapshot a plan routed to, with its
+    pi_phi span views; and in that, the :class:`_LearnedPolicy`
+    objects of the first cell routed to the snapshot, which serve
+    every cell of it (the others never build theirs).  What is
+    deferred: every decision's telemetry sits in a per-(slot, cell)
     buffer until :meth:`flush` folds it into the cell's registry, so
     anything that reads a registry flushes first
     (:meth:`SlicingService.decide` does before it returns; services
@@ -583,7 +621,8 @@ class DecisionCore:
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
              "projections", "telemetry_folds",
-             "forward_calls", "posterior_calls", "posterior_rows"), 0)
+             "forward_calls", "posterior_calls", "posterior_rows",
+             "pass_layouts"), 0)
         self._pending = np.zeros(count, dtype=np.intp)
         self._buffer = np.empty((PENDING_SLOTS, count, _FIELDS))
         self._instruments: List[Optional[_CellInstruments]] = \
@@ -600,10 +639,11 @@ class DecisionCore:
         """What this core did so far (a read-only snapshot):
         :meth:`decide_rows` calls and the rows they decided, routing
         plans built, cell-decisions that needed the capacity projection,
-        per-cell telemetry folds, the pi_theta forwards run, and the pi_phi
+        per-cell telemetry folds, the pi_theta forwards run, the pi_phi
         passes run and the (unlatched) rows they evaluated -- a
         forward or a pass serves the groups of every policy and cell
-        of one snapshot and (open-)row count at once."""
+        of one snapshot and (open-)row count at once -- and the pi_phi
+        pass layouts built (one per change of the open rows)."""
         return MappingProxyType(dict(self._counters))
 
     def _segment(self, cell: int) -> np.ndarray:
@@ -758,14 +798,18 @@ class DecisionCore:
             watched = states[plan.eq8_rows]
             mu = np.zeros(len(open_))
             sigma = np.zeros(len(open_))
-            passes = _layout(
-                (slabs, position, np.flatnonzero(open_[span]) + span.start)
-                for slabs, position, span in plan.posteriors)
-            for slabs, span, at, real, rows in passes:
+            counters = self._counters
+            key = open_.tobytes()
+            if key != plan.open_key:
+                plan.open_key, plan.passes = key, _layout(
+                    (slabs, position,
+                     np.flatnonzero(open_[span]) + span.start)
+                    for slabs, position, span in plan.posteriors)
+                counters["pass_layouts"] += 1
+            for slabs, span, at, real, rows in plan.passes:
                 mu[rows], sigma[rows] = slabs.posterior(watched[at],
                                                         real, span)
-            counters = self._counters
-            counters["posterior_calls"] += len(passes)
+            counters["posterior_calls"] += len(plan.passes)
             counters["posterior_rows"] += int(open_.sum())
             # Eq. 8: cumulative cost + the pi_phi posterior beyond the
             # episode budget means pi_b takes over; a latched row's

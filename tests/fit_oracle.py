@@ -16,7 +16,9 @@ reads; ``ActionModifier`` with the raw-beta ``objective`` its loop
 calls, as it stood at commit ``77ddc91``).  Only the enclosing
 classes, their docstrings and this one are new; ``ast.dump`` of each
 moved definition equals the one at commit ``72485af`` (``77ddc91``
-for ``objective``).  The subclasses share their parents' constructors, so an
+for ``objective``, ``50c6f56`` for ``CostSurrogate
+.cost_and_action_grad``, which now computes only the input
+gradient).  The subclasses share their parents' constructors, so an
 oracle and a current object built from one seed start equal.
 """
 
@@ -117,7 +119,9 @@ class BehaviorCloningTrainer(behavior_cloning.BehaviorCloningTrainer):
 
 
 class CostSurrogate(action_modifier.CostSurrogate):
-    """The cost surrogate with the parent fit loop."""
+    """The cost surrogate with the parent fit loop, and the parent
+    ``cost_and_action_grad`` (a whole ``MLP.backward``, its parameter
+    gradients then zeroed) that pi_a's loop calls."""
 
     def fit(self, states: np.ndarray, actions: np.ndarray,
             costs: np.ndarray, epochs: int = 30) -> List[float]:
@@ -146,6 +150,20 @@ class CostSurrogate(action_modifier.CostSurrogate):
                 batches += 1
             curve.append(total / max(batches, 1))
         return curve
+
+    def cost_and_action_grad(self, states: np.ndarray,
+                             actions: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+        """Predicted cost and its gradient w.r.t. the action inputs."""
+        states = np.atleast_2d(states)
+        actions = np.atleast_2d(actions)
+        inputs = np.concatenate([states, actions], axis=1)
+        pred = self.network.forward(inputs)
+        grad_in = self.network.backward(np.ones_like(pred))
+        # Careful: backward() accumulates parameter grads; surrogate is
+        # frozen during pi_a training, so zero them to stay clean.
+        self.network.zero_grad()
+        return pred[:, 0], grad_in[:, self.state_dim:]
 
 
 class ActionModifier(action_modifier.ActionModifier):

@@ -1,15 +1,17 @@
 """Property test: the one fit loop is the four loops it replaced.
 
 ``repro.nn.optim.fit_minibatches`` runs behaviour cloning (Eq. 15),
-pi_phi's ELBO fit (Eq. 7), the cost surrogate and pi_a (Eq. 13).  In
-``build_onslicing`` all four draw on the agent's one generator, so the
-loop must draw where the hand-written loops drew, in the same order.
-For each fit, over random dataset sizes, minibatch sizes, epochs and
-seeds, the weights, the Adam ``m`` / ``v`` / ``t``, the returned curve
-and the generator state must equal the parent loop's
-(``tests/fit_oracle.py``), and so must a whole ``pretrain_agent`` on
-collected rollouts against the parent stage over the list-based
-dataset.
+pi_phi's ELBO fit (Eq. 7), the cost surrogate and pi_a (Eq. 13), and
+pi_a's loop differentiates through the frozen surrogate with an
+input-gradient pass (``MLP.input_grad``) where the parent ran a whole
+``backward``.  In ``build_onslicing`` all four draw on the agent's one
+generator, so the loop must draw where the hand-written loops drew, in
+the same order.  For each fit, over random dataset sizes, minibatch
+sizes, epochs and seeds, the weights, the Adam ``m`` / ``v`` / ``t``,
+the returned curve and the generator state must equal the parent
+loop's (``tests/fit_oracle.py``), and so must a whole
+``pretrain_agent`` on collected rollouts against the parent stage over
+the list-based dataset.
 """
 
 import numpy as np
@@ -99,6 +101,35 @@ def test_cost_surrogate_fit_matches_the_parent_loop(rows, batch, epochs,
                                               epochs=epochs)))
     _assert_same_fit(*runs, network=lambda s: s.network,
                      optim=lambda s: s._optim, rng=lambda s: s._rng)
+
+
+@given(rows=_SIZES["rows"], seed=_SIZES["seed"],
+       epochs=st.integers(0, 2), one_row=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_surrogate_action_grad_matches_the_parent_method(rows, seed, epochs,
+                                                         one_row):
+    """pi_a's loop differentiates through the frozen surrogate: the
+    input-gradient pass gives the cost and action gradient of the
+    parent's whole ``backward`` (its parameter gradients then zeroed)
+    byte for byte, sign bits included, on an untrained or a fitted
+    surrogate and on 1-D or 2-D inputs, and leaves every parameter
+    gradient as it found it."""
+    states, actions, costs = _data(seed, rows)
+    surrogate = CostSurrogate(rng=np.random.default_rng(seed))
+    if epochs:
+        surrogate.fit(states, actions, costs, epochs=epochs)
+    if one_row:
+        states, actions = states[0], actions[0]
+    params = surrogate.network.parameters()
+    grads = [param.grad.tobytes() for param in params]
+    got = surrogate.cost_and_action_grad(states, actions)
+    assert [param.grad.tobytes() for param in params] == grads
+    want = fit_oracle.CostSurrogate.cost_and_action_grad(
+        surrogate, states, actions)
+    for got_array, want_array in zip(got, want):
+        assert (got_array.dtype, got_array.shape) == \
+            (want_array.dtype, want_array.shape)
+        assert got_array.tobytes() == want_array.tobytes()
 
 
 @given(**_SIZES)

@@ -951,7 +951,8 @@ def test_obs_profile_reports_the_serve_counters(capsys):
     assert set(counters) == {"decide_calls", "rows_decided",
                              "plan_builds", "projections",
                              "telemetry_folds", "forward_calls",
-                             "posterior_calls", "posterior_rows"}
+                             "posterior_calls", "posterior_rows",
+                             "pass_layouts"}
     assert (counters["decide_calls"], counters["rows_decided"],
             counters["plan_builds"], counters["telemetry_folds"]) == \
         (96, 288, 1, 1)
