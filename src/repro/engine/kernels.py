@@ -527,8 +527,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         ``(R, Umax)`` per-user CQI and channel margin (current SNR
         minus per-user mean), padded past ``rows.users`` per row.
 
-    Returns a dict of fresh ``(R,)`` arrays (plus the ``(W, Pmax)``
-    transport ``path_loads`` for state write-back) covering every
+    Returns a dict of fresh ``(R,)`` arrays covering every
     :class:`~repro.sim.network.SlotReport` field; no input is written.
 
     Tracing: with a :class:`~repro.obs.trace.Tracer` installed, each
@@ -685,7 +684,6 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
         "core_latency_ms": core_latency,
         "edge_latency_ms": edge_latency,
         "channel_quality": channel_quality,
-        "path_loads": loads,
     }
 
 

@@ -304,7 +304,9 @@ def fig12(cfg: Optional[ExperimentConfig] = None,
         coordination = coordinate_actions(
             states, proposals, bundle.agents,
             bundle.orchestrator.managers.coordinators,
-            max_rounds=mod_cfg.max_coordination_rounds)
+            max_rounds=mod_cfg.max_coordination_rounds,
+            tolerance=mod_cfg.tolerance,
+            use_projection=mod_cfg.use_projection)
         results = simulator.step(coordination.actions)
         slots.append(simulator.slot - 1)
         usage_pct.append(usage_percent(float(np.mean(

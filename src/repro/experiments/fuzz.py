@@ -78,18 +78,20 @@ STATIC_METHODS = ("baseline", "model_based")
 class SnapshotBatchPolicy(RoutedBatchPolicy):
     """Deterministic batch inference over a trained policy snapshot.
 
-    Rebuilds each snapshot policy's actor-critic and serves its mean
-    actions -- the same deterministic-test protocol as the Table 1
-    evaluation -- through the router the static methods use, so
-    ``MAR7`` of a fuzzed population lands on the snapshot's MAR
-    policy.
+    Checks each snapshot policy as a service build does, rebuilds its
+    actor-critic and serves its mean actions -- the same
+    deterministic-test protocol as the Table 1 evaluation -- through
+    the router the static methods use, so ``MAR7`` of a fuzzed
+    population lands on the snapshot's MAR policy.
     """
 
     def __init__(self, snapshot) -> None:
-        from repro.serve.service import _LearnedPolicy
+        from repro.serve.service import _LearnedPolicy, _check_finite
 
         if not snapshot.policies:
             raise ValueError(f"snapshot {snapshot.ref} has no policies")
+        for name, payload in snapshot.policies.items():
+            _check_finite(snapshot.ref, name, payload)
         super().__init__({name: _LearnedPolicy(snapshot, name)
                           for name in snapshot.policies})
 

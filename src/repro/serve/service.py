@@ -128,18 +128,14 @@ class _LearnedPolicy:
     """A snapshot policy entry rebuilt for inference (pi_theta [+ pi_phi
     + pi_b] for OnSlicing; pi_theta alone for OnRL).
 
-    Every weight, the pi_phi target scale and the pi_b table must be
-    finite (and the scale's std positive): a NaN posterior compares
-    false against any budget, so Eq. 8 would silently never fire, and
-    a NaN pi_b action would be served.  A snapshot that fails
-    this is refused with a ``ValueError`` naming its ref, the policy
-    and the tensor -- here, and by every :class:`SlicingService` when
-    it is built, before it builds any policy.
+    It checks nothing: its builders check the entry first
+    (:func:`_check_finite`) -- every :class:`SlicingService` the whole
+    snapshot when it is built, the fuzz's ``SnapshotBatchPolicy`` each
+    policy it serves.
     """
 
     def __init__(self, snapshot: PolicySnapshot, name: str) -> None:
         payload = snapshot.policies[name]
-        _check_finite(snapshot.ref, name, payload)
         self.name = name
         self.app = payload["app"]
         agent_cfg = snapshot.config.agent
@@ -164,7 +160,10 @@ class _LearnedPolicy:
 def _check_finite(ref: str, name: str, payload: Dict) -> None:
     """Refuse a snapshot policy entry whose pi_theta / pi_phi tensors,
     pi_phi target scale or pi_b table (``actions``, ``bin_edges``) are
-    not finite, or whose scale std is <= 0."""
+    not finite, or whose scale std is <= 0, with a ``ValueError``
+    naming the ref, the policy and the tensor: a NaN posterior compares
+    false against any budget, so Eq. 8 would silently never fire, and
+    a NaN pi_b action would be served."""
     for part in ("model", "estimator"):
         for tensor, value in payload.get(part, {}).items():
             if not np.isfinite(value).all():
@@ -186,10 +185,10 @@ def _check_finite(ref: str, name: str, payload: Dict) -> None:
 
 
 class _Slabs:
-    """One snapshot's learned policies as stacked tables, built once per
-    core from the first cell routed to it, whose :class:`_LearnedPolicy`
-    objects it keeps (``policies``, by name) and serves every cell of
-    the core from: pi_theta's actor as ``(P, 1, in, out)`` weights and
+    """One snapshot's learned policies, rebuilt for inference
+    (:class:`_LearnedPolicy`, kept by name in snapshot order as
+    ``policies``) and stacked as tables that serve every cell of the
+    snapshot in a core: pi_theta's actor as ``(P, 1, in, out)`` weights and
     ``(P, 1, 1, out)`` biases, pi_phi's frozen posterior and noise
     alike over ``eq8_names``.  The weights are copies, never refreshed
     (a snapshot's do not change); the target scale is read from
@@ -198,7 +197,9 @@ class _Slabs:
     per span -- and returns the slabs ``real`` marks, in ``(p, g)``
     order."""
 
-    def __init__(self, policies: Sequence[_LearnedPolicy]) -> None:
+    def __init__(self, snapshot: PolicySnapshot) -> None:
+        policies = [_LearnedPolicy(snapshot, name)
+                    for name in snapshot.policies]
         self.policies = {p.name: p for p in policies}
         self.actor = stack_mlps([p.model.actor for p in policies])
         self.names = list(self.policies)
@@ -262,9 +263,10 @@ class SlicingService:
     target config, with its telemetry and observers.
 
     Building a service checks every snapshot policy
-    (:func:`_check_finite`) and routes the target slices; the learned
-    networks are rebuilt only when first asked for (``_policies``),
-    which in a core is by the first cell routed to the snapshot.
+    (:func:`_check_finite`) and routes the target slices; it holds no
+    network.  The :class:`DecisionCore` that adopts it builds them (a
+    standalone service's own one-cell core, the first time
+    :attr:`core` is read), never a decide.
 
     Parameters
     ----------
@@ -320,7 +322,6 @@ class SlicingService:
         self._slo_every = int(slo_every)
         for name, payload in snapshot.policies.items():
             _check_finite(snapshot.ref, name, payload)
-        self._learned: Optional[Dict[str, _LearnedPolicy]] = None
         #: target slice name -> (policy key, table policy or None for
         #: learned policies); the position of a name is the slice's
         #: index in its cell's segment of the core's latch
@@ -332,21 +333,6 @@ class SlicingService:
         #: stacks the service with others.
         self._core: Optional["DecisionCore"] = None
         self._cell = 0
-
-    @property
-    def _policies(self) -> Dict[str, _LearnedPolicy]:
-        """The snapshot's learned policies rebuilt for inference (none
-        for table methods), built the first time they are asked for:
-        by the first plan routed to this cell's snapshot, which stacks
-        them as the core's :class:`_Slabs` and serves every cell of the
-        snapshot from them, so no other cell of the core builds its
-        own."""
-        if self._learned is None:
-            self._learned = {
-                name: _LearnedPolicy(self.snapshot, name)
-                for name in self.snapshot.policies
-            } if self.snapshot.method in ("onslicing", "onrl") else {}
-        return self._learned
 
     @property
     def core(self) -> "DecisionCore":
@@ -449,9 +435,9 @@ class SlicingService:
         """
         if not requests:
             return {}
+        core = self.core
         start = time.perf_counter()
         plan, states = self._rows(requests)
-        core = self._core
         out = core._decide(plan, states, start)
         core.flush(plan.cells)
         names = plan.names[0]
@@ -526,10 +512,7 @@ class _Plan:
                 row += 1
             self.groups[position] = len(groups)
             for key, rows in groups.items():
-                slabs = core._slabs.get(id(service.snapshot))
-                if slabs is None:   # built once, by the first cell
-                    slabs = core._slabs[id(service.snapshot)] = _Slabs(
-                        list(service._policies.values()))
+                slabs = core._slabs[id(service.snapshot)]
                 policy = slabs.policies[key]
                 forwards.append((slabs, slabs.names.index(key), rows))
                 if policy.estimator is None or policy.baseline is None:
@@ -582,16 +565,18 @@ class DecisionCore:
     :meth:`SlicingService.decide` and :meth:`decide_rows` read and
     write one state.
 
+    It owns the inference networks: one :class:`_Slabs` per distinct
+    learned snapshot of its cells, built here -- or taken over from
+    the core a cell is adopted from, as its latch is -- so no decide
+    builds a network, and a core builds each (snapshot, policy) once.
+
     What is per-cell state, and where: ``_latched[_slice_starts[c]:
     _slice_starts[c + 1]]`` -- the Eq. 8 one-way door per slice of the
     cell's config, cleared by :meth:`begin_episode` (nothing else is
     carried from one slot to the next).  What is cached: one
     :class:`_Plan` for the last (cells, names) asked about; in it, the
     pi_phi pass layout for the last latch state (open-row mask) seen;
-    one :class:`_Slabs` per snapshot a plan routed to, with its
-    pi_phi span views; and in that, the :class:`_LearnedPolicy`
-    objects of the first cell routed to the snapshot, which serve
-    every cell of it (the others never build theirs).  What is
+    and in each :class:`_Slabs`, its pi_phi span views.  What is
     deferred: every decision's telemetry sits in a per-(slot, cell)
     buffer until :meth:`flush` folds it into the cell's registry, so
     anything that reads a registry flushes first
@@ -616,7 +601,7 @@ class DecisionCore:
                           if s.slo is not None or s.anomaly is not None}
         self._everyone = list(range(count))
         self._plan: Optional[_Plan] = None
-        #: :class:`_Slabs` per snapshot (by ``id``) a plan routed to
+        #: :class:`_Slabs` per learned snapshot (by ``id``)
         self._slabs: Dict[int, _Slabs] = {}
         self._counters = dict.fromkeys(
             ("decide_calls", "rows_decided", "plan_builds",
@@ -632,7 +617,15 @@ class DecisionCore:
             if old is not None:
                 old.flush((service._cell,))
                 self._segment(cell)[:] = old._segment(service._cell)
+                key = id(service.snapshot)
+                if key in old._slabs:
+                    self._slabs[key] = old._slabs[key]
             service._core, service._cell = self, cell
+        for service in self.services:
+            key = id(service.snapshot)
+            if key not in self._slabs and \
+                    service.snapshot.method in ("onslicing", "onrl"):
+                self._slabs[key] = _Slabs(service.snapshot)
 
     @property
     def counters(self) -> Mapping[str, int]:

@@ -73,8 +73,7 @@ def kernel_slot(net: EndToEndNetwork,
     out = evaluate_rows(
         net.slot_rows(), WorldConditions.nominal(1).refresh([net]),
         matrix, rate_vec, net_cqi, net_margin)
-    return {name: {key: float(column[row])
-                   for key, column in out.items() if key != "path_loads"}
+    return {name: {key: float(column[row]) for key, column in out.items()}
             for row, name in enumerate(names)}
 
 

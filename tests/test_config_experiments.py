@@ -284,3 +284,32 @@ class TestCheapFigures:
 
         series = fig16(samples=50)
         assert series["NR_mean_ms"] < series["LTE_mean_ms"]
+
+
+def test_fig12_coordinates_as_the_orchestrator_does(monkeypatch):
+    """Fig. 12's hand loop passes every coordination setting of the
+    config to ``coordinate_actions``, as ``OnSlicingOrchestrator
+    .act_batch`` does, not just the round cap."""
+    from repro.experiments import figures
+
+    build = figures.build_onslicing
+    coordinate = figures.coordinate_actions
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return coordinate(*args, **kwargs)
+
+    monkeypatch.setattr(figures, "build_onslicing", lambda cfg: build(
+        cfg, offline_episodes=1, exploration_episodes=1))
+    monkeypatch.setattr(figures, "coordinate_actions", spy)
+    base = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=8))
+    modifier = dataclasses.replace(
+        base.agent.modifier, max_coordination_rounds=5, tolerance=0.05,
+        use_projection=True)
+    cfg = dataclasses.replace(base, agent=dataclasses.replace(
+        base.agent, modifier=modifier))
+    out = figures.fig12(cfg, spike_slot=3, spike_duration=2)
+    assert len(calls) == len(out["slots"]) == 8
+    assert all(kwargs == {"max_rounds": 5, "tolerance": 0.05,
+                          "use_projection": True} for kwargs in calls)

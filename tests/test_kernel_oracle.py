@@ -3,9 +3,10 @@
 ``repro.engine.kernels.evaluate_rows`` evaluates UL / DL, the core
 and edge queueing laws and MAR's two M/M/1 legs as column pairs, over
 per-layout masks built with the :class:`SliceRows`.  Its contract is
-*no bit moved*: every output array -- ``path_loads`` included, sign
-bits included -- must be byte-equal to the one-direction kernel kept
-verbatim in ``tests/kernel_oracle.py``, over random row bundles far
+*no bit moved*: every output array, sign bits included, must be
+byte-equal to the one-direction kernel kept verbatim in
+``tests/kernel_oracle.py`` (but its ``path_loads``, which the kernel
+no longer returns: nothing read it), over random row bundles far
 outside the catalog (1-96 worlds of 1-9 mixed slices, ragged user
 counts inside a wider channel block, fixed MCS on and off, 1-3 SGW-U
 instances and paths, dead links, stalled SGW-Us, idle edges, a zero
@@ -134,8 +135,8 @@ def _evaluate(kernel, rows, *slot):
 
 
 def _assert_bytes_equal(got, want):
-    assert got.keys() == want.keys()
-    for key in want:
+    assert got.keys() == want.keys() - {"path_loads"}
+    for key in got:
         a, b = np.asarray(got[key]), np.asarray(want[key])
         assert a.dtype == b.dtype and a.shape == b.shape, key
         assert a.tobytes() == b.tobytes(), (key, a, b)
@@ -193,9 +194,7 @@ def test_spliced_and_repeated_bundles_evaluate_like_their_worlds(
                           actions[picked], rates[picked], cqi[picked],
                           margin[picked])
     for key, column in whole.items():
-        want = (column[lo:hi, :part.path_hops.shape[1]]
-                if key == "path_loads" else column[picked])
-        assert alone[key].tobytes() == want.tobytes(), key
+        assert alone[key].tobytes() == column[picked].tobytes(), key
 
     runs = ([(rows, 0, lo)] if lo else []) + [(part, 0, hi - lo)] + (
         [(rows, hi, count)] if hi < count else [])
@@ -214,9 +213,8 @@ def test_spliced_and_repeated_bundles_evaluate_like_their_worlds(
     _assert_bytes_equal(out, oracle_evaluate_rows(parent_rows(copies),
                                                   *slot))
     for key, column in out.items():
-        if key != "path_loads":
-            assert column.reshape(n, -1).tobytes() == np.tile(
-                whole[key][own], n).tobytes(), key
+        assert column.reshape(n, -1).tobytes() == np.tile(
+            whole[key][own], n).tobytes(), key
 
 
 @pytest.mark.parametrize("scenario", ["default", "lte_fixed_mcs",

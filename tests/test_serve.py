@@ -10,6 +10,7 @@ import pytest
 
 from repro.baselines.rule_based import RuleBasedPolicy
 from repro.config import ExperimentConfig, TrafficConfig
+from repro.experiments.fuzz import SnapshotBatchPolicy
 from repro.experiments.harness import (
     build_onslicing,
     fit_baselines,
@@ -380,7 +381,7 @@ class TestSlicingService:
         hot[7], hot[8] = 0.05, 2.0      # over the episode budget
         benign = np.zeros(9)
         benign[7] = 0.05
-        policy = service._policies["MAR"]
+        policy = service.core._slabs[id(service.snapshot)].policies["MAR"]
         policy.estimator._target_mean = -1e9   # pi_phi predicts zero
         policy.estimator._target_std = 0.0
         assert not service.decide_one(
@@ -397,7 +398,7 @@ class TestSlicingService:
         service = SlicingService(onslicing_snapshot, rng_seed=0)
         state = np.zeros(9)
         state[7] = 0.05
-        policy = service._policies["MAR"]
+        policy = service.core._slabs[id(service.snapshot)].policies["MAR"]
         # pin pi_phi's posterior: no predicted cost -> learner serves
         policy.estimator._target_mean = -1e9
         policy.estimator._target_std = 0.0
@@ -596,7 +597,8 @@ class TestSnapshotHardening:
         loaded = store.load(store.save(poisoned).ref)
         assert loaded.digest == poisoned.digest
         for build in (lambda: SlicingService(loaded),
-                      lambda: LoadGenerator(loaded, "lte_fixed_mcs")):
+                      lambda: LoadGenerator(loaded, "lte_fixed_mcs"),
+                      lambda: SnapshotBatchPolicy(loaded)):
             with pytest.raises(ValueError) as excinfo:
                 build()
             message = str(excinfo.value)

@@ -6,15 +6,18 @@ built last, keyed on the open-row mask (the rows the Eq. 8 latch does
 not hold), and builds a new one only when that mask changes: when a
 row latches or a cell re-arms.  The memoised passes must be the
 layout :func:`~repro.serve.service._layout` builds fresh for the same
-open rows, byte for byte.  A service builds its learned policies only
-when first asked for them, and a core asks only the first cell routed
-to each snapshot: the other cells never build theirs.  A snapshot with
-a non-finite tensor is still refused by every service build.
+open rows, byte for byte.  A service holds no network: the core that
+adopts it builds one set of learned policies per snapshot when it is
+made, or takes over the set of the core the cell came from, and no
+decide builds any.  A snapshot with a non-finite tensor is still
+refused by every service build.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +30,12 @@ from repro.scenarios import get as get_scenario
 from repro.serve import (
     DecisionCore,
     DecisionRequest,
+    LoadGenerator,
     SlicingService,
     scenario_with_population,
     snapshot_onslicing,
 )
+from repro.serve import service as service_module
 from repro.serve.service import _LearnedPolicy, _layout
 
 #: slices per cell of the 3-cell ``lte_fixed_mcs`` core: 1-, 4- and
@@ -141,12 +146,17 @@ def test_the_layout_is_rebuilt_only_when_the_latch_moves(snapshot):
     assert core.counters["pass_layouts"] == changes
 
 
+def _requests(service):
+    return [DecisionRequest(name, np.full(9, 0.2))
+            for name in service.slice_names]
+
+
 @pytest.mark.parametrize("two_snapshots", [False, True])
-def test_only_the_first_cell_of_a_snapshot_builds_policies(
+def test_a_core_builds_each_snapshot_policy_once_when_made(
         snapshot, builds, two_snapshots):
-    """A core serves every cell of a snapshot from the first cell's
-    policies: a 3-cell core of one snapshot builds each policy once,
-    and a 4-cell core of two builds each once per snapshot."""
+    """A 3-cell core of one snapshot builds each policy once, and a
+    4-cell core of two builds each once per snapshot -- all of it when
+    the core is made; deciding builds nothing more."""
     snapshots = [snapshot] * 3
     if two_snapshots:
         other = dataclasses.replace(snapshot, name="cache-t")
@@ -154,32 +164,94 @@ def test_only_the_first_cell_of_a_snapshot_builds_policies(
     services = _services(snapshots, POPULATIONS + (3,))
     assert not builds
     core = DecisionCore(services)
+    made = sorted(
+        (name, policy) for name in {s.name for s in snapshots}
+        for policy in snapshot.policies)
+    assert sorted(builds) == made
     names = [service.slice_names for service in services]
     rows = sum(map(len, names))
     rng = np.random.default_rng(4)
     for _ in range(3):
         core.decide_rows(rng.uniform(0.0, 1.0, size=(rows, 9)), names)
-    first = {}
-    for cell, service in enumerate(services):
-        first.setdefault(service.snapshot.name, cell)
-    assert sorted(builds) == sorted(
-        (name, policy) for name in first for policy in snapshot.policies)
-    for cell, service in enumerate(services):
-        assert (service._learned is not None) == \
-            (cell in first.values()), cell
+    assert sorted(builds) == made
 
 
-def test_a_standalone_service_builds_its_policies_on_its_first_decide(
+def test_a_standalone_service_builds_with_its_core_not_in_a_decide(
         snapshot, builds):
+    """Building a service builds no network; its one-cell core builds
+    them once, and neither decide builds more."""
     service = SlicingService(snapshot)
     assert not builds
-    requests = [DecisionRequest(name, np.full(9, 0.2))
-                for name in service.slice_names]
-    service.decide(requests)
+    service.core
     assert sorted(policy for _, policy in builds) == \
         sorted(snapshot.policies)
-    service.decide(requests)
+    for _ in range(2):
+        service.decide(_requests(service))
     assert len(builds) == len(snapshot.policies)
+
+
+@pytest.mark.parametrize("flow", ["decide", "loadgen"])
+def test_every_build_precedes_the_decides_clock(snapshot, monkeypatch,
+                                                flow):
+    """Deterministic, with no timing: every :class:`_LearnedPolicy`
+    build is recorded before the first ``time.perf_counter`` read of
+    the serving code, so no build is inside a timed batch -- for a
+    standalone service's first decide and for a load-generator run,
+    whose core is made before its first slot."""
+    events = []
+    init = _LearnedPolicy.__init__
+
+    def build(policy, snapshot, name):
+        events.append("build")
+        init(policy, snapshot, name)
+
+    def clock():
+        events.append("clock")
+        return time.perf_counter()
+
+    monkeypatch.setattr(_LearnedPolicy, "__init__", build)
+    monkeypatch.setattr(service_module, "time",
+                        SimpleNamespace(perf_counter=clock))
+    if flow == "decide":
+        service = SlicingService(snapshot)
+        service.decide(_requests(service))
+    else:
+        LoadGenerator(snapshot, "lte_fixed_mcs", slices=3,
+                      seed=2).run(max_decisions=6)
+    assert events.count("build") == len(snapshot.policies)
+    assert "clock" in events
+    assert events.index("clock") > max(
+        at for at, event in enumerate(events) if event == "build")
+
+
+def test_a_second_run_of_a_generator_builds_nothing(snapshot, builds):
+    """Each run makes a new core over the generator's service; the
+    second takes the first's networks over, as it takes the latch."""
+    generator = LoadGenerator(snapshot, "lte_fixed_mcs", slices=3,
+                              seed=2)
+    for _ in range(2):
+        generator.run(max_decisions=6)
+    assert sorted(policy for _, policy in builds) == \
+        sorted(snapshot.policies)
+
+
+@pytest.mark.parametrize("standalone_first", [True, False])
+def test_an_adopted_standalone_cell_brings_its_networks(
+        snapshot, builds, standalone_first):
+    """A service that decided alone, then adopted by a 2-cell core
+    beside a fresh cell of the same snapshot: the core takes the
+    standalone core's networks, in either cell order, and builds
+    none of its own."""
+    alone, fresh = _services([snapshot] * 2, POPULATIONS[:2])
+    alone.decide(_requests(alone))
+    assert len(builds) == len(snapshot.policies)
+    slabs = alone.core._slabs[id(snapshot)]
+    cells = [alone, fresh] if standalone_first else [fresh, alone]
+    core = DecisionCore(cells)
+    names = [service.slice_names for service in cells]
+    core.decide_rows(np.full((sum(map(len, names)), 9), 0.2), names)
+    assert len(builds) == len(snapshot.policies)
+    assert core._slabs == {id(snapshot): slabs}
 
 
 @pytest.mark.parametrize("part", ["model", "estimator"])

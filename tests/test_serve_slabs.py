@@ -231,9 +231,9 @@ def test_tables_are_built_once_per_snapshot_and_core(snapshots,
     built = []
     init = _Slabs.__init__
 
-    def spy(slabs, policies):
-        built.append([policy.name for policy in policies])
-        init(slabs, policies)
+    def spy(slabs, snapshot):
+        built.append(snapshot.name)
+        init(slabs, snapshot)
 
     monkeypatch.setattr(_Slabs, "__init__", spy)
     core, names = _cells(snapshots, "two_snapshots")
