@@ -217,7 +217,8 @@ class BatchSimulator:
         self._bundle: Optional[_Bundle] = None
         self._counters = dict.fromkeys(
             ("bundle_builds", "bundle_splices", "fleet_adoptions",
-             "bank_readoptions", "event_slots"), 0)
+             "bank_readoptions", "event_slots", "layout_builds",
+             "row_edits"), 0)
         # Every world's channel state, stacked into the one block the
         # channel stage advances.
         self._fleet = FleetChannelBank([sim.network for sim in self.sims])
@@ -243,8 +244,13 @@ class BatchSimulator:
         full bundle builds and bundle splices (together, one per row
         layout the kernels saw), whole-fleet channel adoptions (always
         1: the block is built with the engine) and single-world
-        re-adoptions (``bank_readoptions``), and the world-slots on
-        which an event boundary was handled.  Slice churn, worlds
+        re-adoptions (``bank_readoptions``), the world-slots on
+        which an event boundary was handled, the
+        :class:`~repro.sim.env.WorldLayout` builds its steps made (one
+        per episode, plus one per slice set changed by hand) and the
+        row edits its event boundaries made (one per slice a timeline
+        attached or detached: a column of the network's rows and a row
+        of the world's layout, no rebuild).  Slice churn, worlds
         joining or leaving the stepped set, resets that detach churn
         slices and another engine stepping one of the worlds are the
         only things that move any of them after the first step."""
@@ -260,13 +266,9 @@ class BatchSimulator:
         return np.concatenate(rows, axis=0)
 
     def reset_world(self, world: int) -> np.ndarray:
-        """Reset one world (``sim.reset()``, on its own RNG stream)
-        and return its initial observations, stacked."""
-        observations = self.sims[world].reset()
-        out = np.empty((len(observations), STATE_DIM))
-        for row, observation in zip(out, observations.values()):
-            observation.vector(out=row)
-        return out
+        """Reset one world (``sim.reset_rows()``, on its own RNG
+        stream) and return its initial observations, stacked."""
+        return self.sims[world].reset_rows()
 
     # ---- lockstep stepping ------------------------------------------
 
@@ -321,9 +323,15 @@ class BatchSimulator:
                 for b in stepping:
                     sim = self.sims[b]
                     if sim._slot in sim.event_slots:
+                        churn = sim.network.churn_count
                         sim.apply_events()
                         counters["event_slots"] += 1
+                        counters["row_edits"] += \
+                            sim.network.churn_count - churn
+                    current = sim._layout
                     state = sim.layout()
+                    if state is not current:
+                        counters["layout_builds"] += 1
                     states.append(state)
                     if state.cum_cost.base is not self._cum:
                         strays.append((b, state))
@@ -395,7 +403,7 @@ class BatchSimulator:
         parts: List[np.ndarray] = []
         for b in stepping:
             sim = self.sims[b]
-            if not sim._traces:
+            if not sim._day:                # no episode started yet
                 raise RuntimeError(
                     f"world {b} was never reset; call reset() "
                     "or reset_world() first")

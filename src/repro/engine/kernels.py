@@ -79,16 +79,21 @@ expression keeps the association of the code it reproduces, and:
   the warnings raised, too.
 * **Per-layout values.**  A :class:`SliceRows` keeps its per-row
   constants in one ``(F, R)`` float64 and one ``(I, R)`` intp block,
-  and every constant the kernels read is a contiguous row view of
-  one, bound in :meth:`SliceRows.__post_init__`, so a layout build
-  or a splice moves each block with one array call and no accessor
-  runs per slot.  The values derived from the layout alone -- the
-  user mask, the SGW-U instance mask, the fixed-MCS mask, ``1 -
-  overhead``, the last path and the flat path index base -- are
-  built there too (every constructor, splice and repeat passes
-  through it); they are not fields, so no splice carries a stale
-  one.  A channel block wider than the layout's widest slice is cut
-  to it: the lanes past it are padding every row masks.
+  one column per row, so a build, a churn edit
+  (:meth:`SliceRows.append` / :meth:`SliceRows.delete`: one column
+  of :func:`slice_column` in or out) or a splice moves each block
+  with one array call.  Every constant the kernels read is a
+  contiguous row view of a block, and the values derived from the
+  layout alone (:data:`DERIVED`: the user mask, the SGW-U instance
+  mask, the fixed-MCS mask, ``1 - overhead``, the last path and the
+  flat path index base) are arrays beside them; both are made on
+  first read (:meth:`SliceRows.__getattr__`) and kept on the layout,
+  so no accessor runs per slot and only a layout the kernels
+  evaluate pays for them -- the spliced bundle, not the per-world
+  layouts it is cut from.  Neither is a field, so no splice or edit
+  carries a stale one.  A channel block wider than the layout's
+  widest slice is cut to it: the lanes past it are padding every row
+  masks.
 
 Fusions
 ~~~~~~~
@@ -139,8 +144,18 @@ a float expression; each is bit-exact for the stated reason:
     value;
   - the retx clip to ``[1e-9, 0.99]``: neither bound is a zero.
 
-  ``_satisfaction_rows`` keeps ``np.clip``: its ratio can be a
-  ``-0.0`` (no config field refuses a negative link capacity).
+  ``_satisfaction_rows`` keeps ``np.clip``, though not for the
+  reason once given (a negative link capacity, which
+  ``TransportConfig`` now refuses, as the config refuses negative
+  capacities, latencies and splits and non-positive SLA targets).
+  Instrumented over the byte-equality oracle's random bundles and
+  the golden-digest, fuzz, engine, stepper and baseline suites
+  (134 519 ratios), the clip met no ``-0.0`` and
+  ``minimum(maximum(.))`` differed from it nowhere.  But a
+  :class:`SliceRows` checks nothing itself: a row built by hand
+  (``tests/kernel_oracle.py::rows_from_fields``) with a negative
+  capacity or duty can still hand it a ``-0.0``, so the swap's
+  exactness would rest on every caller, not on the kernel.
 * The core and edge utilisation is ``where(has_mu, lam / safe_mu,
   lam > 0)``: where ``has_mu`` holds, ``safe_mu`` is ``mu``, and the
   boolean fallback casts to exactly the ``1.0`` / ``0.0`` the
@@ -165,7 +180,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -252,26 +267,75 @@ INT_COLUMNS = ("world", "app", "fixed_mcs", "num_paths", "num_sgwu",
                "users")
 #: Everything that describes a row layout, block by block and then
 #: column by column: what two layouts are compared on (all but
-#: ``uid`` and the masks :meth:`SliceRows.__post_init__` derives).
+#: ``uid`` and the :data:`DERIVED` values).
 COLUMNS = (("names", "metrics", "num_worlds", "floats", "ints",
             "lower_better", "path_hops", "link_capacity_w")
            + FLOAT_COLUMNS + PAIR_COLUMNS + INT_COLUMNS)
+#: What :class:`SliceRows` derives from its columns, on first read
+#: of any.
+DERIVED = ("user_mask", "sgwu_mask", "fixed_on", "net_share",
+           "last_path", "path_base")
+#: The names :class:`SliceRows` binds as row views of its blocks.
+_BOUND = frozenset(FLOAT_COLUMNS + PAIR_COLUMNS + INT_COLUMNS)
 
 _NUM_FLOATS = len(FLOAT_COLUMNS) + 2 * len(PAIR_COLUMNS)
+
+
+class SliceColumn(NamedTuple):
+    """One slice's row of a layout: its name and SLA orientation and
+    its constants, one entry per row of each :class:`SliceRows` block
+    (``world`` 0), as :func:`slice_column` builds them."""
+
+    name: str
+    metric: str
+    lower_better: bool
+    floats: np.ndarray                # (F,) float64
+    ints: np.ndarray                  # (I,) intp
+
+
+def slice_column(cfg, spec) -> SliceColumn:
+    """The row constants of slice ``spec`` (a :class:`~repro.config
+    .SliceSpec`) on a network configured by ``cfg`` (a
+    :class:`~repro.config.NetworkConfig`): the one place a row is made
+    from configuration, for :func:`rows_for_network` and for the
+    column a churn appends (:meth:`SliceRows.append`).  Both
+    directions own the cell's ``num_prbs``; each block is one array
+    built from one tuple, in block order."""
+    ran, transport, core, edge = cfg.ran, cfg.transport, cfg.core, cfg.edge
+    floats = np.array(
+        (spec.max_arrival_rate,
+         spec.uplink_payload_bits + spec.downlink_payload_bits,
+         spec.compute_units, spec.sla.target, spec.sla.cost_threshold,
+         ran.prb_bandwidth_hz, ran.overhead, ran.base_latency_ms,
+         transport.link_capacity_bps, transport.hop_latency_ms,
+         core.sgwu_capacity_pps, core.base_latency_ms,
+         core.mean_packet_bits, edge.compute_capacity_ups,
+         edge.total_ram_gb, edge.ram_gb_per_ups,
+         spec.uplink_payload_bits, spec.downlink_payload_bits,
+         ran.num_prbs, ran.num_prbs,
+         ran.uplink_fraction, ran.downlink_fraction,
+         *BASE_RETX, *BLER_DECAY), dtype=np.float64)
+    ints = np.array((0, APP_CODES[spec.app], ran.fixed_mcs,
+                     transport.num_paths, core.num_sgwu_per_slice,
+                     cfg.users_per_slice), dtype=np.intp)
+    return SliceColumn(spec.name, spec.sla.metric,
+                       spec.sla.lower_is_better, floats, ints)
 
 
 @dataclass
 class SliceRows:
     """Static per-row constants for a set of (world, slice) rows.
 
-    Built once per world from its :class:`~repro.sim.network
-    .EndToEndNetwork` (and rebuilt only on slice churn), then
-    concatenated across worlds by the batch engine.  The per-row
+    A one-world layout is its network's (:meth:`~repro.sim.network
+    .EndToEndNetwork.slot_rows`): built once from the slices'
+    :func:`slice_column` rows, then edited by slice churn
+    (:meth:`append` / :meth:`delete`, each a new layout); the batch
+    engine splices them across worlds.  The per-row
     constants live in two blocks, ``floats`` (``(F, R)``, the rows of
     :data:`FLOAT_COLUMNS` then :data:`PAIR_COLUMNS`) and ``ints``
     (``(I, R)``, the rows of :data:`INT_COLUMNS`), so a splice or a
     repeat moves each block with one array call; every named column
-    is a contiguous row view of its block, bound with the layout.
+    is a contiguous row view of its block, bound on first read.
     ``lower_better`` is per row too; ``path_hops`` (``(W, Pmax)``,
     zero-padded) and ``link_capacity_w`` (``(W,)``) are per world.
     """
@@ -286,38 +350,79 @@ class SliceRows:
     link_capacity_w: np.ndarray       # (W,)
 
     #: Unique layout token; the stepper keys its cached bundle on
-    #: this, so a churn-rebuilt layout is always a new key.
+    #: this, so a churn-edited layout is always a new key.
     uid: int = field(default_factory=lambda: next(_ROWS_UIDS))
 
-    def __post_init__(self) -> None:
-        """Bind the named columns and derive the per-layout values
-        :func:`evaluate_rows` reads every slot.  Every constructor
-        (:func:`rows_for_network`, :func:`splice_rows`,
-        ``dataclasses.replace``) passes through here, so they are
-        built once with the layout; they are not fields, so no bundle
-        splice carries them."""
+    def __getattr__(self, name: str):
+        """Make the named columns, or the :data:`DERIVED` values the
+        kernels read every slot, on the first read of one (Python
+        calls this only for a name the instance does not hold yet):
+        a layout that is only edited or spliced pays for neither, and
+        as neither is a field, no splice or edit carries a stale one."""
         columns = vars(self)
-        floats = self.floats
-        first = len(FLOAT_COLUMNS)
-        columns.update(zip(FLOAT_COLUMNS, floats[:first]))
-        columns.update(zip(PAIR_COLUMNS, floats[first:].reshape(
-            len(PAIR_COLUMNS), 2, floats.shape[1])))
-        columns.update(zip(INT_COLUMNS, self.ints))
-        #: (U, R): user lane j of row r is one of the row's users
-        self.user_mask = (np.arange(int(self.users.max(initial=0)))[:, None]
-                          < self.users)
-        #: (K, R): SGW-U instance j of row r exists
-        self.sgwu_mask = (np.arange(int(self.num_sgwu.max(initial=0)))
-                          [:, None] < self.num_sgwu)
-        self.fixed_on = self.fixed_mcs >= 0
-        self.net_share = 1.0 - self.overhead
-        self.last_path = self.num_paths - 1
-        #: flat index of each row's world's path 0 in a (W, Pmax) table
-        self.path_base = self.world * self.path_hops.shape[1]
+        if name in _BOUND:
+            floats = columns["floats"]
+            first = len(FLOAT_COLUMNS)
+            columns.update(zip(FLOAT_COLUMNS, floats[:first]))
+            columns.update(zip(PAIR_COLUMNS, floats[first:].reshape(
+                len(PAIR_COLUMNS), 2, floats.shape[1])))
+            columns.update(zip(INT_COLUMNS, columns["ints"]))
+        elif name in DERIVED:
+            users, num_sgwu = self.users, self.num_sgwu
+            #: (U, R): user lane j of row r is one of the row's users
+            columns["user_mask"] = (
+                np.arange(int(users.max(initial=0)))[:, None] < users)
+            #: (K, R): SGW-U instance j of row r exists
+            columns["sgwu_mask"] = (
+                np.arange(int(num_sgwu.max(initial=0)))[:, None]
+                < num_sgwu)
+            columns["fixed_on"] = self.fixed_mcs >= 0
+            columns["net_share"] = 1.0 - self.overhead
+            columns["last_path"] = self.num_paths - 1
+            #: flat index of each row's world's path 0 in a (W, Pmax)
+            #: table
+            columns["path_base"] = self.world * self.path_hops.shape[1]
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{name!r}")
+        return columns[name]
 
     @property
     def num_rows(self) -> int:
         return len(self.names)
+
+    def append(self, column: SliceColumn) -> "SliceRows":
+        """This one-world layout with ``column``'s slice attached as
+        its last row: a new layout (fresh ``uid``) whose blocks are
+        one column wider, column for column :func:`rows_for_network`
+        of the grown slice set."""
+        return SliceRows(
+            names=self.names + [column.name],
+            metrics=self.metrics + [column.metric],
+            num_worlds=1,
+            floats=np.concatenate([self.floats, column.floats[:, None]],
+                                  axis=1),
+            ints=np.concatenate([self.ints, column.ints[:, None]],
+                                axis=1),
+            lower_better=np.concatenate([self.lower_better,
+                                         [column.lower_better]]),
+            path_hops=self.path_hops,
+            link_capacity_w=self.link_capacity_w)
+
+    def delete(self, row: int) -> "SliceRows":
+        """This one-world layout without row ``row`` (a detached
+        slice): a new layout (fresh ``uid``), the other rows in order."""
+        keep = np.arange(self.num_rows) != row
+        return SliceRows(
+            names=self.names[:row] + self.names[row + 1:],
+            metrics=self.metrics[:row] + self.metrics[row + 1:],
+            num_worlds=1,
+            floats=self.floats.compress(keep, axis=1),
+            ints=self.ints.compress(keep, axis=1),
+            lower_better=self.lower_better[keep],
+            path_hops=self.path_hops,
+            link_capacity_w=self.link_capacity_w)
 
     def repeat(self, n: int) -> "SliceRows":
         """``n`` copies of this one-world bundle, each its own world.
@@ -337,44 +442,25 @@ def rows_for_network(network) -> SliceRows:
     ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
     rows follow ``network.slice_names`` order (managed and background
     churn slices alike -- the caller masks, exactly as the scalar
-    simulator reports only managed slices).  The constants come from
-    ``network.cfg`` and :mod:`repro.sim.phy`: both directions own the
-    cell's ``num_prbs``, reserved path ``k`` is a chain of ``2 +
-    path_extra_hops[k]`` links.  Each block is one array built from
-    one tuple per slice, in block order.
+    simulator reports only managed slices), one :func:`slice_column`
+    each, read from ``network.cfg`` and :mod:`repro.sim.phy`; reserved
+    path ``k`` is a chain of ``2 + path_extra_hops[k]`` links.
     """
     cfg = network.cfg
-    ran, transport, core, edge = cfg.ran, cfg.transport, cfg.core, cfg.edge
-    names = list(network.slice_names)
-    specs = [network.slices[name] for name in names]
-    n = len(names)
-    shared = (ran.prb_bandwidth_hz, ran.overhead, ran.base_latency_ms,
-              transport.link_capacity_bps, transport.hop_latency_ms,
-              core.sgwu_capacity_pps, core.base_latency_ms,
-              core.mean_packet_bits, edge.compute_capacity_ups,
-              edge.total_ram_gb, edge.ram_gb_per_ups)
-    pairs = (ran.num_prbs, ran.num_prbs,
-             ran.uplink_fraction, ran.downlink_fraction,
-             *BASE_RETX, *BLER_DECAY)
-    floats = np.array(
-        [(spec.max_arrival_rate,
-          spec.uplink_payload_bits + spec.downlink_payload_bits,
-          spec.compute_units, spec.sla.target, spec.sla.cost_threshold)
-         + shared
-         + (spec.uplink_payload_bits, spec.downlink_payload_bits)
-         + pairs for spec in specs], dtype=np.float64)
-    ints = np.array(
-        [(0, APP_CODES[spec.app], ran.fixed_mcs, transport.num_paths,
-          core.num_sgwu_per_slice, cfg.users_per_slice)
-         for spec in specs], dtype=np.intp)
+    transport = cfg.transport
+    columns = [slice_column(cfg, network.slices[name])
+               for name in network.slice_names]
+    n = len(columns)
     return SliceRows(
-        names=names,
-        metrics=[spec.sla.metric for spec in specs],
+        names=[column.name for column in columns],
+        metrics=[column.metric for column in columns],
         num_worlds=1,
-        floats=floats.reshape(n, _NUM_FLOATS).T.copy(),
-        ints=ints.reshape(n, len(INT_COLUMNS)).T.copy(),
-        lower_better=np.array([spec.sla.lower_is_better
-                               for spec in specs], dtype=bool),
+        floats=np.array([column.floats for column in columns]).reshape(
+            n, _NUM_FLOATS).T.copy(),
+        ints=np.array([column.ints for column in columns],
+                      dtype=np.intp).reshape(n, len(INT_COLUMNS)).T.copy(),
+        lower_better=np.array([column.lower_better
+                               for column in columns], dtype=bool),
         path_hops=np.array([[2 + extra for extra
                              in transport.path_extra_hops]],
                            dtype=np.intp),

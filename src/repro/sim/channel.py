@@ -46,7 +46,7 @@ INNOVATION_STD_DB = 1.5
 def snr_to_cqi_array(snr_db: np.ndarray) -> np.ndarray:
     """Vectorised SNR -> CQI quantisation (1..15), any shape."""
     cqi = np.searchsorted(CQI_SNR_THRESHOLDS_DB, snr_db, side="right")
-    return np.clip(cqi, 1, NUM_CQI)
+    return cqi.clip(1, NUM_CQI)
 
 
 def draw_channels(num_slices: int, num_users: int,

@@ -22,8 +22,9 @@ per-slice objects built at the edge.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +96,76 @@ class SliceStepResult:
     report: SlotReport
 
 
+class EpisodeTraces(MutableMapping):
+    """One episode's per-slice traffic envelopes as one ``(T, S)``
+    slot-major block, a slice name per column.
+
+    A slice's trace is its column (a view: writing it writes the
+    block); assigning a trace writes the column, or appends one for a
+    new name, and deleting a name drops its column.
+    """
+
+    def __init__(self, names: Sequence[str], block: np.ndarray) -> None:
+        self.names = list(names)
+        self.block = block
+        self._index = {name: i for i, name in enumerate(self.names)}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.block[:, self._index[name]]
+
+    def __setitem__(self, name: str, trace) -> None:
+        index = self._index.get(name)
+        if index is None:
+            column = np.empty((len(self.block), 1))
+            column[:, 0] = trace
+            self.block = np.concatenate([self.block, column], axis=1)
+            self._index[name] = len(self.names)
+            self.names.append(name)
+        else:
+            self.block[:, index] = trace
+
+    def __delitem__(self, name: str) -> None:
+        keep = np.arange(len(self.names)) != self._index[name]
+        self.block = self.block.compress(keep, axis=1)
+        self.names.remove(name)
+        self._index = {name: i for i, name in enumerate(self.names)}
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def table(self, names: Sequence[str]) -> np.ndarray:
+        """The ``(T, len(names))`` traces of ``names``, in that order:
+        the block itself when those are its columns."""
+        if names == self.names:
+            return self.block
+        return self.block[:, [self._index[name] for name in names]]
+
+
+def _intensities(traces: np.ndarray, max_arrival: Sequence[float],
+                 names: Sequence[str]) -> np.ndarray:
+    """The ``(T, S)`` Poisson intensities of ``traces`` (one column
+    per slice of ``names``, whose peak arrival rates are
+    ``max_arrival``), checked against the range
+    ``Generator.poisson`` enforces (finite, ``>= 0``, at most
+    :data:`POISSON_LAM_MAX`).  Bit-equal to a per-slot
+    ``(envelope * max_arrival) * ARRIVAL_WINDOW_S``: the same
+    elementwise products, for all slots at once."""
+    lam = (traces * max_arrival) * ARRIVAL_WINDOW_S
+    # ``0 <= x <= max`` is numpy's own per-call test (NaN fails it),
+    # run once over the whole table.
+    bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
+    if bad.any():
+        slot, row = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"slice {names[row]!r}: Poisson intensity "
+            f"{float(lam[slot, row])!r} at slot {slot} is not in "
+            f"[0, {float(POISSON_LAM_MAX)!r}]")
+    return lam
+
+
 class WorldLayout:
     """One world's current slice set and episode as struct-of-arrays.
 
@@ -105,21 +176,24 @@ class WorldLayout:
     slices' cumulative cost.  Owned by the simulator it describes (see
     :meth:`ScenarioSimulator.layout`), so every engine stepping the
     world -- alone or inside a shared batch -- sees the same episode.
+    A background slice attaching or detaching mid-episode is a row
+    edit (:meth:`add_row` / :meth:`delete_row`), as it is on the
+    network's row constants.
 
     The intensity table is checked once, here, against the range
     ``Generator.poisson`` enforces (finite, ``>= 0``, at most
-    :data:`POISSON_LAM_MAX`): a bad entry raises a ``ValueError``
-    naming the slice and the slot when the layout is built (in the
-    stepper's events stage), before that slot's channel and arrival
-    draws, so no draw of the arrivals stage can fail partway through
-    a world.
+    :data:`POISSON_LAM_MAX`), and so is every row an edit adds: a bad
+    entry raises a ``ValueError`` naming the slice and the slot when
+    the layout is built or edited (in the stepper's events stage),
+    before that slot's channel and arrival draws, so no draw of the
+    arrivals stage can fail partway through a world.
     """
 
     def __init__(self, sim: "ScenarioSimulator",
                  cum_cost: Optional[np.ndarray] = None) -> None:
         network = sim.network
         self.sim = sim
-        #: ``network.churn_count`` this layout was built at.
+        #: ``network.churn_count`` this layout is current at.
         self.churn_count = network.churn_count
         self.rows = network.slot_rows()
         self.names = self.rows.names
@@ -134,33 +208,52 @@ class WorldLayout:
         for row, name in enumerate(self.names):
             if name in background:
                 self.fixed_actions[row] = background[name]
-        # Poisson intensities for every (slot, slice) of the episode
-        # (managed traces from the episode's generation, churn slices
-        # pinned at 1.0), precomputed slot-major.  Bit-equal to a
-        # per-slot (envelope * max_arrival) * ARRIVAL_WINDOW_S: the
-        # same elementwise products, evaluated for all slots at once.
-        traces = np.stack([sim._traces[name] for name in self.names],
-                          axis=1)
-        lam = (traces * self.rows.max_arrival) * ARRIVAL_WINDOW_S
-        # ``0 <= x <= max`` is numpy's own per-call test (NaN fails
-        # it), run once over the whole (T, S) table.
-        bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
-        if bad.any():
-            slot, row = (int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(
-                f"slice {self.names[row]!r}: Poisson intensity "
-                f"{float(lam[slot, row])!r} at slot {slot} is not in "
-                f"[0, {float(POISSON_LAM_MAX)!r}]")
-        #: ``(T, S)``, slot-major: the arrivals stage draws one scalar
-        #: ``poisson`` per entry of a slot's row (as Python floats).
-        self.lam_rows = lam
+        #: ``(T, S)``, slot-major: the Poisson intensities of every
+        #: (slot, slice) of the episode (managed traces from the
+        #: episode's generation, churn slices pinned at 1.0); the
+        #: arrivals stage draws one scalar ``poisson`` per entry of a
+        #: slot's row (as Python floats).
+        self.lam_rows = _intensities(
+            sim._traces.table(self.names),
+            [network.slices[name].max_arrival_rate for name in self.names],
+            self.names)
         # Managed cumulative episode cost, aligned with managed rows;
-        # a churn rebuild carries the episode's array over.  A batch
-        # engine re-homes it as a view of its own stacked vector (see
+        # a row edit keeps the episode's array.  A batch engine
+        # re-homes it as a view of its own stacked vector (see
         # ``BatchSimulator``), so always read it through this
         # attribute.
         self.cum_cost = (np.zeros(len(self.managed_names))
                          if cum_cost is None else cum_cost)
+
+    def add_row(self) -> None:
+        """Follow a background slice the network attached as its last
+        row since this layout was current: one row more of each
+        array."""
+        sim = self.sim
+        rows = sim.network.slot_rows()
+        name = rows.names[-1]
+        lam = _intensities(sim._traces[name][:, None],
+                           [sim.network.slices[name].max_arrival_rate],
+                           [name])
+        self.managed = np.concatenate([self.managed, [False]])
+        self.fixed_actions = np.concatenate(
+            [self.fixed_actions, sim._event_slices[name][None]])
+        self.lam_rows = np.concatenate([self.lam_rows, lam], axis=1)
+        self._follow(rows)
+
+    def delete_row(self, row: int) -> None:
+        """Follow a background slice the network detached from row
+        ``row`` since this layout was current."""
+        keep = np.arange(len(self.names)) != row
+        self.managed = self.managed[keep]
+        self.fixed_actions = self.fixed_actions.compress(keep, axis=0)
+        self.lam_rows = self.lam_rows.compress(keep, axis=1)
+        self._follow(self.sim.network.slot_rows())
+
+    def _follow(self, rows) -> None:
+        self.rows = rows
+        self.names = rows.names
+        self.churn_count = self.sim.network.churn_count
 
 
 class ScenarioSimulator:
@@ -197,6 +290,18 @@ class ScenarioSimulator:
             if getattr(event, "kind", None) not in (
                     _CONDITION_EVENT_KINDS + ("slice_arrival",)):
                 raise ValueError(f"unknown event kind on {event!r}")
+        from repro.engine.kernels import slice_column
+
+        # Each churn event's slice spec and row column, resolved once:
+        # an arrival attaches them as they are.
+        self._arrivals = {}
+        for event in self._events:
+            if event.kind == "slice_arrival":
+                spec = slice_spec_for_app(
+                    event.app, name=event.slice_name,
+                    arrival_scale=event.arrival_scale)
+                self._arrivals[id(event)] = (
+                    spec, slice_column(self.network.cfg, spec))
         # The timeline at this horizon, resolved once: when each event
         # starts and ends, and the only slots at which
         # :meth:`apply_events` has anything to do.
@@ -211,8 +316,10 @@ class ScenarioSimulator:
                 self._end_slot.values())
         self._active_events: List = []
         self._event_slices: Dict[str, np.ndarray] = {}
-        self._traces: Dict[str, np.ndarray] = {}
+        #: The episode's traffic envelopes (empty until :meth:`reset`).
+        self._traces = EpisodeTraces((), np.empty((self.horizon, 0)))
         self._slot = 0
+        #: Episodes started so far (0: never reset).
         self._day = 0
         self._layout: Optional[WorldLayout] = None
         self._managed: List[str] = []
@@ -262,25 +369,40 @@ class ScenarioSimulator:
 
     # ---- event timeline --------------------------------------------------
 
+    def _current_layout(self) -> Optional[WorldLayout]:
+        """The episode's layout if it is current with the network's
+        slice set (a churn edits it then; else the next
+        :meth:`layout` rebuilds it)."""
+        layout = self._layout
+        if layout is not None \
+                and layout.churn_count == self.network.churn_count:
+            return layout
+        return None
+
     def _remove_event_slice(self, name: str) -> None:
+        layout = self._current_layout()
         self.network.remove_slice(name)
         del self._event_slices[name]
         self._traces.pop(name, None)
+        if layout is not None:
+            layout.delete_row(layout.names.index(name))
 
     def _activate(self, event) -> None:
+        layout = None
         if event.kind == "slice_arrival":
             name = event.slice_name
             if name in self.network.slices:
                 raise ValueError(
                     f"slice arrival {name!r} collides with an "
                     "existing slice")
-            spec = slice_spec_for_app(event.app, name=name,
-                                      arrival_scale=event.arrival_scale)
-            self.network.add_slice(spec)
+            layout = self._current_layout()
+            self.network.add_slice(*self._arrivals[id(event)])
             self._event_slices[name] = np.full(NUM_ACTIONS,
                                                event.action_level)
             self._traces[name] = np.ones(self.horizon)
         self._active_events.append(event)
+        if layout is not None:
+            layout.add_row()
 
     def _deactivate(self, event) -> None:
         self._active_events.remove(event)
@@ -323,9 +445,12 @@ class ScenarioSimulator:
 
     # ---- episode lifecycle -----------------------------------------------
 
-    def _generate_traces(self) -> Dict[str, np.ndarray]:
-        traces: Dict[str, np.ndarray] = {}
-        for index, name in enumerate(self.slice_names):
+    def _generate_traces(self) -> EpisodeTraces:
+        """The episode's envelopes, one per managed slice, checked and
+        clipped as one ``(T, S)`` block."""
+        names = self.slice_names
+        block = np.empty((self.horizon, len(names)))
+        for index in range(len(names)):
             envelope = np.asarray(self._traffic_model.envelope(
                 index, self.horizon, self._day, self.cfg.traffic,
                 self._rng), dtype=float)
@@ -333,55 +458,63 @@ class ScenarioSimulator:
                 raise ValueError(
                     f"traffic model returned shape {envelope.shape}, "
                     f"expected ({self.horizon},)")
-            finite = np.isfinite(envelope)
-            if not finite.all():
-                slot = int(np.argmin(finite))
-                model = type(self._traffic_model).__name__
-                raise ValueError(
-                    f"traffic model {model} returned a non-finite "
-                    f"envelope for slice {name!r} "
-                    f"({float(envelope[slot])!r} at slot {slot})")
-            traces[name] = np.clip(envelope, 0.0, MAX_ENVELOPE)
-        return traces
+            block[:, index] = envelope
+        finite = np.isfinite(block)
+        if not finite.all():
+            index = int(np.argmin(finite.all(axis=0)))
+            slot = int(np.argmin(finite[:, index]))
+            model = type(self._traffic_model).__name__
+            raise ValueError(
+                f"traffic model {model} returned a non-finite "
+                f"envelope for slice {names[index]!r} "
+                f"({float(block[slot, index])!r} at slot {slot})")
+        return EpisodeTraces(names, block.clip(0.0, MAX_ENVELOPE,
+                                               out=block))
 
     def reset(self) -> Dict[str, SliceObservation]:
         """Start a new 24 h episode with fresh traffic traces.
 
+        :meth:`reset_rows` with the first observations wrapped into
+        one :class:`SliceObservation` per slice.
+        """
+        rows = self.reset_rows()
+        return {name: SliceObservation(*vector) for name, vector
+                in zip(self.network.slices, rows.tolist())}
+
+    def reset_rows(self) -> np.ndarray:
+        """Start a new 24 h episode with fresh traffic traces; returns
+        the first observations as one ``(S, STATE_DIM)`` array, rows
+        in slice order.
+
         Restores the nominal world first: active events end, churn
         slices detach, and transport conditions clear -- the timeline
-        replays relative to each episode.
+        replays relative to each episode.  Only the traces' burst
+        noise is drawn; their diurnal shape is memoised
+        (:func:`repro.sim.traffic.episode_shape`).
         """
         self._slot = 0
+        self._layout = None
         self._active_events = []
         for name in list(self._event_slices):
             self._remove_event_slice(name)
         self.network.clear_transport_conditions()
         self._traces = self._generate_traces()
         self._day += 1
-        self._layout = None
-        observations = {}
-        cqi = self.network.cqi
-        for row, (name, spec) in enumerate(self.network.slices.items()):
-            observations[name] = SliceObservation(
-                slot_fraction=0.0,
-                traffic=float(self._traces[name][0]),
-                channel_quality=float(cqi[row].mean()) / NUM_CQI,
-                radio_usage=0.0,
-                workload=0.0,
-                last_usage=0.0,
-                last_cost=0.0,
-                cost_threshold=spec.sla.cost_threshold,
-                cumulative_cost=0.0,
-            )
+        observations = np.zeros((len(self._traces), STATE_DIM))
+        observations[:, 1] = self._traces.block[0]
+        observations[:, 2] = self.network.cqi.mean(axis=1) / NUM_CQI
+        observations[:, 7] = [spec.sla.cost_threshold
+                              for spec in self.network.slices.values()]
         return observations
 
     def layout(self) -> WorldLayout:
         """The current episode's :class:`WorldLayout`.
 
         ``reset()`` drops it and the first step of the episode builds
-        it, so trace edits made in between count; when churn swapped
-        the network's row layout it is rebuilt with the episode's
-        cumulative cost carried over.
+        it, so trace edits made in between count.  The timeline's
+        churn edits it row by row as it edits the network's rows; a
+        slice set changed any other way (by hand, on the network) has
+        it rebuilt with the episode's cumulative cost carried over.
         """
         current = self._layout
         if current is None:

@@ -74,6 +74,12 @@ class EndToEndNetwork:
     detaching a slice first takes the state back (as copies), then
     appends or deletes one row.
 
+    Its slices' kernel row constants are its own too, one column per
+    slice in slice order (:meth:`slot_rows`): built from
+    (``cfg``, spec) the first time they are read, after which a churn
+    edits them -- ``add_slice`` appends the slice's column,
+    ``remove_slice`` deletes one -- into a new layout.
+
     The transport link conditions (``capacity_scale``,
     ``extra_latency_ms``, ``background_load_fraction``) are its own
     too; scenario events drive them (:meth:`set_transport_conditions`).
@@ -94,9 +100,9 @@ class EndToEndNetwork:
         #: block's rows, a simulator's episode layout) compare to know
         #: it is stale.
         self.churn_count = 0
-        #: Cached engine row layout; rebuilt whenever the slice set
-        #: changes (see :meth:`slot_rows`).
-        self._rows_cache = None
+        #: The slices' engine row layout (see :meth:`slot_rows`);
+        #: ``None`` until first read.
+        self._rows = None
         #: The engine block holding the channel state (``None``: the
         #: state is ``_state``), and this network's world index in it.
         self._home = None
@@ -149,8 +155,12 @@ class EndToEndNetwork:
         if spec.name in self.slices:
             raise ValueError(f"slice {spec.name!r} already exists")
 
-    def add_slice(self, spec: SliceSpec) -> None:
-        """Attach a slice: its spec and its UEs' radio channels."""
+    def add_slice(self, spec: SliceSpec, column=None) -> None:
+        """Attach a slice: its spec, its UEs' radio channels and its
+        row constants.  ``column`` is the slice's
+        :func:`~repro.engine.kernels.slice_column` on this network's
+        ``cfg``, if the caller resolved it already (a churn event's is
+        resolved with its simulator)."""
         self._check_new(spec)
         state = self._own_state()
         mean, snr = draw_channels(1, self.cfg.users_per_slice, self._rng)
@@ -158,21 +168,26 @@ class EndToEndNetwork:
                            ("cqi", snr_to_cqi_array(snr))):
             state[field] = np.concatenate([state[field], row])
         self.slices[spec.name] = spec
-        self._slice_set_changed()
+        self.churn_count += 1
+        if self._rows is not None:
+            if column is None:
+                from repro.engine.kernels import slice_column
+
+                column = slice_column(self.cfg, spec)
+            self._rows = self._rows.append(column)
 
     def remove_slice(self, name: str) -> None:
         if name not in self.slices:
             raise KeyError(f"no slice {name!r}")
         row = list(self.slices).index(name)
+        keep = np.arange(len(self.slices)) != row
         state = self._own_state()
         for field in _PADDING:
-            state[field] = np.delete(state[field], row, axis=0)
+            state[field] = state[field].compress(keep, axis=0)
         del self.slices[name]
-        self._slice_set_changed()
-
-    def _slice_set_changed(self) -> None:
         self.churn_count += 1
-        self._rows_cache = None
+        if self._rows is not None:
+            self._rows = self._rows.delete(row)
 
     @property
     def slice_names(self) -> List[str]:
@@ -219,13 +234,16 @@ class EndToEndNetwork:
     # ---- slot evaluation -----------------------------------------------
 
     def slot_rows(self):
-        """This network's engine row layout (cached per slice set:
-        churn drops it, so a new object *is* a new layout)."""
-        if self._rows_cache is None:
+        """This network's engine row layout, one row per slice in
+        slice order: :func:`~repro.engine.kernels.rows_for_network` on
+        first read, then edited by every churn (one column appended or
+        deleted), so a new object *is* a new layout and is always
+        column for column a fresh build of the current slice set."""
+        if self._rows is None:
             from repro.engine.kernels import rows_for_network
 
-            self._rows_cache = rows_for_network(self)
-        return self._rows_cache
+            self._rows = rows_for_network(self)
+        return self._rows
 
     def evaluate_slot(self, actions: Dict[str, np.ndarray],
                       arrival_rates: Dict[str, float]

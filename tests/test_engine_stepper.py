@@ -335,7 +335,7 @@ class TestCounters:
         assert dict(counters) == {
             "bundle_builds": 1, "bundle_splices": 0,
             "fleet_adoptions": 1, "bank_readoptions": 0,
-            "event_slots": 0}
+            "event_slots": 0, "layout_builds": 16, "row_edits": 0}
         with pytest.raises(TypeError):
             counters["bundle_builds"] = 0
 
@@ -372,6 +372,9 @@ class TestCounters:
             == 1 + boundaries
         # two events x (start, end) x two episodes, one world
         assert counters["event_slots"] == 4
+        # one layout per world and episode; each boundary edits a row
+        assert counters["layout_builds"] == 4
+        assert counters["row_edits"] == boundaries
 
     def test_churn_splices_bit_identically(self):
         """Mid-episode churn in a mixed-size batch splices the bundle
@@ -434,7 +437,7 @@ class TestCounters:
         assert curve[-1] == {
             "bundle_builds": 1, "bundle_splices": 2,
             "fleet_adoptions": 1, "bank_readoptions": 0,
-            "event_slots": 0}
+            "event_slots": 0, "layout_builds": 3, "row_edits": 0}
 
     def test_obs_profile_reports_the_counters(self, capsys):
         from repro.runtime.cli import main
@@ -445,7 +448,7 @@ class TestCounters:
         assert report["engine_counters"] == {
             "bundle_builds": 1, "bundle_splices": 2,
             "fleet_adoptions": 1, "bank_readoptions": 2,
-            "event_slots": 2}
+            "event_slots": 2, "layout_builds": 1, "row_edits": 2}
         # one lap per kernel stage and call, under the stepper's span
         laps = {row["path"]: row["count"] for row in report["rows"]
                 if "/engine.kernel/" in row["path"]}
@@ -456,8 +459,8 @@ class TestCounters:
         assert report["kernel_calls"] == 96
         assert main(["obs", "profile", "--scenario", "default"]) == 0
         assert "engine counters: bank_readoptions 0, bundle_builds 1, " \
-            "bundle_splices 0, event_slots 0, fleet_adoptions 1\n" \
-            in capsys.readouterr().out
+            "bundle_splices 0, event_slots 0, fleet_adoptions 1, " \
+            "layout_builds 1, row_edits 0\n" in capsys.readouterr().out
 
 
 # ---- worlds of differing user counts share one padded block -----------
