@@ -247,10 +247,10 @@ class BatchSimulator:
         re-adoptions (``bank_readoptions``), the world-slots on
         which an event boundary was handled, the
         :class:`~repro.sim.env.WorldLayout` builds its steps made (one
-        per episode, plus one per slice set changed by hand) and the
-        row edits its event boundaries made (one per slice a timeline
-        attached or detached: a column of the network's rows and a row
-        of the world's layout, no rebuild).  Slice churn, worlds
+        per episode, plus one per world-slot whose slice set changed)
+        and the row edits its event boundaries made (one per slice a
+        timeline attached or detached: a column appended to or deleted
+        from the network's rows, no rebuild).  Slice churn, worlds
         joining or leaving the stepped set, resets that detach churn
         slices and another engine stepping one of the worlds are the
         only things that move any of them after the first step."""

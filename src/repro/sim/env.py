@@ -103,6 +103,11 @@ class EpisodeTraces(MutableMapping):
     A slice's trace is its column (a view: writing it writes the
     block); assigning a trace writes the column, or appends one for a
     new name, and deleting a name drops its column.
+
+    Appending or dropping a column replaces the block, so a view read
+    before the slice set changed (a background slice attaching or
+    detaching) no longer writes the episode's traces: read the trace
+    again after a churn, or assign it (``traces[name] = trace``).
     """
 
     def __init__(self, names: Sequence[str], block: np.ndarray) -> None:
@@ -144,28 +149,6 @@ class EpisodeTraces(MutableMapping):
         return self.block[:, [self._index[name] for name in names]]
 
 
-def _intensities(traces: np.ndarray, max_arrival: Sequence[float],
-                 names: Sequence[str]) -> np.ndarray:
-    """The ``(T, S)`` Poisson intensities of ``traces`` (one column
-    per slice of ``names``, whose peak arrival rates are
-    ``max_arrival``), checked against the range
-    ``Generator.poisson`` enforces (finite, ``>= 0``, at most
-    :data:`POISSON_LAM_MAX`).  Bit-equal to a per-slot
-    ``(envelope * max_arrival) * ARRIVAL_WINDOW_S``: the same
-    elementwise products, for all slots at once."""
-    lam = (traces * max_arrival) * ARRIVAL_WINDOW_S
-    # ``0 <= x <= max`` is numpy's own per-call test (NaN fails it),
-    # run once over the whole table.
-    bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
-    if bad.any():
-        slot, row = (int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"slice {names[row]!r}: Poisson intensity "
-            f"{float(lam[slot, row])!r} at slot {slot} is not in "
-            f"[0, {float(POISSON_LAM_MAX)!r}]")
-    return lam
-
-
 class WorldLayout:
     """One world's current slice set and episode as struct-of-arrays.
 
@@ -176,24 +159,21 @@ class WorldLayout:
     slices' cumulative cost.  Owned by the simulator it describes (see
     :meth:`ScenarioSimulator.layout`), so every engine stepping the
     world -- alone or inside a shared batch -- sees the same episode.
-    A background slice attaching or detaching mid-episode is a row
-    edit (:meth:`add_row` / :meth:`delete_row`), as it is on the
-    network's row constants.
 
     The intensity table is checked once, here, against the range
     ``Generator.poisson`` enforces (finite, ``>= 0``, at most
-    :data:`POISSON_LAM_MAX`), and so is every row an edit adds: a bad
-    entry raises a ``ValueError`` naming the slice and the slot when
-    the layout is built or edited (in the stepper's events stage),
-    before that slot's channel and arrival draws, so no draw of the
-    arrivals stage can fail partway through a world.
+    :data:`POISSON_LAM_MAX`): a bad entry raises a ``ValueError``
+    naming the slice and the slot when the layout is built (in the
+    stepper's events stage), before that slot's channel and arrival
+    draws, so no draw of the arrivals stage can fail partway through
+    a world.
     """
 
     def __init__(self, sim: "ScenarioSimulator",
                  cum_cost: Optional[np.ndarray] = None) -> None:
         network = sim.network
         self.sim = sim
-        #: ``network.churn_count`` this layout is current at.
+        #: ``network.churn_count`` this layout was built at.
         self.churn_count = network.churn_count
         self.rows = network.slot_rows()
         self.names = self.rows.names
@@ -208,52 +188,32 @@ class WorldLayout:
         for row, name in enumerate(self.names):
             if name in background:
                 self.fixed_actions[row] = background[name]
-        #: ``(T, S)``, slot-major: the Poisson intensities of every
-        #: (slot, slice) of the episode (managed traces from the
-        #: episode's generation, churn slices pinned at 1.0); the
-        #: arrivals stage draws one scalar ``poisson`` per entry of a
-        #: slot's row (as Python floats).
-        self.lam_rows = _intensities(
-            sim._traces.table(self.names),
-            [network.slices[name].max_arrival_rate for name in self.names],
-            self.names)
+        # Poisson intensities for every (slot, slice) of the episode
+        # (managed traces from the episode's generation, churn slices
+        # pinned at 1.0), precomputed slot-major.  Bit-equal to a
+        # per-slot (envelope * max_arrival) * ARRIVAL_WINDOW_S: the
+        # same elementwise products, evaluated for all slots at once.
+        lam = (sim._traces.table(self.names) * self.rows.max_arrival) \
+            * ARRIVAL_WINDOW_S
+        # ``0 <= x <= max`` is numpy's own per-call test (NaN fails
+        # it), run once over the whole (T, S) table.
+        bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
+        if bad.any():
+            slot, row = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(
+                f"slice {self.names[row]!r}: Poisson intensity "
+                f"{float(lam[slot, row])!r} at slot {slot} is not in "
+                f"[0, {float(POISSON_LAM_MAX)!r}]")
+        #: ``(T, S)``, slot-major: the arrivals stage draws one scalar
+        #: ``poisson`` per entry of a slot's row (as Python floats).
+        self.lam_rows = lam
         # Managed cumulative episode cost, aligned with managed rows;
-        # a row edit keeps the episode's array.  A batch engine
-        # re-homes it as a view of its own stacked vector (see
+        # a churn rebuild carries the episode's array over.  A batch
+        # engine re-homes it as a view of its own stacked vector (see
         # ``BatchSimulator``), so always read it through this
         # attribute.
         self.cum_cost = (np.zeros(len(self.managed_names))
                          if cum_cost is None else cum_cost)
-
-    def add_row(self) -> None:
-        """Follow a background slice the network attached as its last
-        row since this layout was current: one row more of each
-        array."""
-        sim = self.sim
-        rows = sim.network.slot_rows()
-        name = rows.names[-1]
-        lam = _intensities(sim._traces[name][:, None],
-                           [sim.network.slices[name].max_arrival_rate],
-                           [name])
-        self.managed = np.concatenate([self.managed, [False]])
-        self.fixed_actions = np.concatenate(
-            [self.fixed_actions, sim._event_slices[name][None]])
-        self.lam_rows = np.concatenate([self.lam_rows, lam], axis=1)
-        self._follow(rows)
-
-    def delete_row(self, row: int) -> None:
-        """Follow a background slice the network detached from row
-        ``row`` since this layout was current."""
-        keep = np.arange(len(self.names)) != row
-        self.managed = self.managed[keep]
-        self.fixed_actions = self.fixed_actions.compress(keep, axis=0)
-        self.lam_rows = self.lam_rows.compress(keep, axis=1)
-        self._follow(self.sim.network.slot_rows())
-
-    def _follow(self, rows) -> None:
-        self.rows = rows
-        self.names = rows.names
-        self.churn_count = self.sim.network.churn_count
 
 
 class ScenarioSimulator:
@@ -290,18 +250,13 @@ class ScenarioSimulator:
             if getattr(event, "kind", None) not in (
                     _CONDITION_EVENT_KINDS + ("slice_arrival",)):
                 raise ValueError(f"unknown event kind on {event!r}")
-        from repro.engine.kernels import slice_column
-
-        # Each churn event's slice spec and row column, resolved once:
-        # an arrival attaches them as they are.
-        self._arrivals = {}
-        for event in self._events:
-            if event.kind == "slice_arrival":
-                spec = slice_spec_for_app(
-                    event.app, name=event.slice_name,
-                    arrival_scale=event.arrival_scale)
-                self._arrivals[id(event)] = (
-                    spec, slice_column(self.network.cfg, spec))
+        # Each churn event's slice spec, resolved once: an arrival
+        # attaches it as it is.
+        self._arrivals = {
+            id(event): slice_spec_for_app(
+                event.app, name=event.slice_name,
+                arrival_scale=event.arrival_scale)
+            for event in self._events if event.kind == "slice_arrival"}
         # The timeline at this horizon, resolved once: when each event
         # starts and ends, and the only slots at which
         # :meth:`apply_events` has anything to do.
@@ -369,40 +324,23 @@ class ScenarioSimulator:
 
     # ---- event timeline --------------------------------------------------
 
-    def _current_layout(self) -> Optional[WorldLayout]:
-        """The episode's layout if it is current with the network's
-        slice set (a churn edits it then; else the next
-        :meth:`layout` rebuilds it)."""
-        layout = self._layout
-        if layout is not None \
-                and layout.churn_count == self.network.churn_count:
-            return layout
-        return None
-
     def _remove_event_slice(self, name: str) -> None:
-        layout = self._current_layout()
         self.network.remove_slice(name)
         del self._event_slices[name]
         self._traces.pop(name, None)
-        if layout is not None:
-            layout.delete_row(layout.names.index(name))
 
     def _activate(self, event) -> None:
-        layout = None
         if event.kind == "slice_arrival":
             name = event.slice_name
             if name in self.network.slices:
                 raise ValueError(
                     f"slice arrival {name!r} collides with an "
                     "existing slice")
-            layout = self._current_layout()
-            self.network.add_slice(*self._arrivals[id(event)])
+            self.network.add_slice(self._arrivals[id(event)])
             self._event_slices[name] = np.full(NUM_ACTIONS,
                                                event.action_level)
             self._traces[name] = np.ones(self.horizon)
         self._active_events.append(event)
-        if layout is not None:
-            layout.add_row()
 
     def _deactivate(self, event) -> None:
         self._active_events.remove(event)
@@ -488,18 +426,16 @@ class ScenarioSimulator:
 
         Restores the nominal world first: active events end, churn
         slices detach, and transport conditions clear -- the timeline
-        replays relative to each episode.  Only the traces' burst
-        noise is drawn; their diurnal shape is memoised
-        (:func:`repro.sim.traffic.episode_shape`).
+        replays relative to each episode.
         """
         self._slot = 0
-        self._layout = None
         self._active_events = []
         for name in list(self._event_slices):
             self._remove_event_slice(name)
         self.network.clear_transport_conditions()
         self._traces = self._generate_traces()
         self._day += 1
+        self._layout = None
         observations = np.zeros((len(self._traces), STATE_DIM))
         observations[:, 1] = self._traces.block[0]
         observations[:, 2] = self.network.cqi.mean(axis=1) / NUM_CQI
@@ -511,10 +447,9 @@ class ScenarioSimulator:
         """The current episode's :class:`WorldLayout`.
 
         ``reset()`` drops it and the first step of the episode builds
-        it, so trace edits made in between count.  The timeline's
-        churn edits it row by row as it edits the network's rows; a
-        slice set changed any other way (by hand, on the network) has
-        it rebuilt with the episode's cumulative cost carried over.
+        it, so trace edits made in between count; when churn changed
+        the network's slice set it is rebuilt with the episode's
+        cumulative cost carried over.
         """
         current = self._layout
         if current is None:

@@ -155,12 +155,9 @@ class EndToEndNetwork:
         if spec.name in self.slices:
             raise ValueError(f"slice {spec.name!r} already exists")
 
-    def add_slice(self, spec: SliceSpec, column=None) -> None:
+    def add_slice(self, spec: SliceSpec) -> None:
         """Attach a slice: its spec, its UEs' radio channels and its
-        row constants.  ``column`` is the slice's
-        :func:`~repro.engine.kernels.slice_column` on this network's
-        ``cfg``, if the caller resolved it already (a churn event's is
-        resolved with its simulator)."""
+        row constants (:func:`~repro.engine.kernels.slice_column`)."""
         self._check_new(spec)
         state = self._own_state()
         mean, snr = draw_channels(1, self.cfg.users_per_slice, self._rng)
@@ -170,11 +167,9 @@ class EndToEndNetwork:
         self.slices[spec.name] = spec
         self.churn_count += 1
         if self._rows is not None:
-            if column is None:
-                from repro.engine.kernels import slice_column
+            from repro.engine.kernels import slice_column
 
-                column = slice_column(self.cfg, spec)
-            self._rows = self._rows.append(column)
+            self._rows = self._rows.append(slice_column(self.cfg, spec))
 
     def remove_slice(self, name: str) -> None:
         if name not in self.slices:

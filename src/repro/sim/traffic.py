@@ -16,7 +16,6 @@ burst noise per bin.  The simulator draws every trace through a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,7 +46,11 @@ class TelecomItaliaSynthesizer:
 
     def diurnal_profile(self, hour: np.ndarray) -> np.ndarray:
         """Deterministic double-peak daily shape in [night_floor, 1]."""
-        return _diurnal_profile(self.cfg, hour)
+        cfg = self.cfg
+        morning = np.exp(-0.5 * ((hour - cfg.morning_peak_hour) / 2.5) ** 2)
+        evening = np.exp(-0.5 * ((hour - cfg.evening_peak_hour) / 3.0) ** 2)
+        shape = np.maximum(morning, 0.9 * evening)
+        return cfg.night_floor + (1.0 - cfg.night_floor) * shape
 
     def generate(self, num_slots: Optional[int] = None,
                  day_of_week: int = 2) -> np.ndarray:
@@ -67,41 +70,17 @@ class TelecomItaliaSynthesizer:
         n = num_slots if num_slots is not None else cfg.slots_per_episode
         if n <= 0:
             raise ValueError("num_slots must be positive")
+        slot_hours = cfg.slot_minutes / 60.0
+        absolute_hours = np.arange(n) * slot_hours
+        profile = self.diurnal_profile(absolute_hours % 24.0)
+        days = (day_of_week + absolute_hours // 24.0).astype(int) % 7
+        profile = np.where(days >= 5,
+                           profile * (1.0 - cfg.weekly_modulation),
+                           profile)
         noise = self._rng.lognormal(
             mean=-0.5 * cfg.noise_sigma ** 2, sigma=cfg.noise_sigma,
             size=n)
-        return (episode_shape(cfg, n, day_of_week) * noise).clip(0.0, 1.2)
-
-
-def _diurnal_profile(cfg: TrafficConfig, hour: np.ndarray) -> np.ndarray:
-    morning = np.exp(-0.5 * ((hour - cfg.morning_peak_hour) / 2.5) ** 2)
-    evening = np.exp(-0.5 * ((hour - cfg.evening_peak_hour) / 3.0) ** 2)
-    shape = np.maximum(morning, 0.9 * evening)
-    return cfg.night_floor + (1.0 - cfg.night_floor) * shape
-
-
-@lru_cache(maxsize=128)
-def episode_shape(cfg: TrafficConfig, num_slots: int,
-                  day_of_week: int) -> np.ndarray:
-    """The deterministic part of :meth:`TelecomItaliaSynthesizer
-    .generate`: the diurnal profile of ``num_slots`` slots from
-    weekday ``day_of_week``, weekend slots dampened by the weekly
-    modulation.
-
-    Memoised (read-only arrays) per (``cfg``, length, weekday), at
-    most 128 of them: every slice and episode of a world draws only
-    its burst noise.  ``episode_shape.cache_info()`` reports the
-    memo's hits and misses.
-    """
-    slot_hours = cfg.slot_minutes / 60.0
-    absolute_hours = np.arange(num_slots) * slot_hours
-    profile = _diurnal_profile(cfg, absolute_hours % 24.0)
-    days = (day_of_week + absolute_hours // 24.0).astype(int) % 7
-    profile = np.where(days >= 5,
-                       profile * (1.0 - cfg.weekly_modulation),
-                       profile)
-    profile.flags.writeable = False
-    return profile
+        return (profile * noise).clip(0.0, 1.2)
 
 
 class TrafficModel:

@@ -372,8 +372,9 @@ class TestCounters:
             == 1 + boundaries
         # two events x (start, end) x two episodes, one world
         assert counters["event_slots"] == 4
-        # one layout per world and episode; each boundary edits a row
-        assert counters["layout_builds"] == 4
+        # one layout per world and episode, and one per boundary;
+        # each boundary edits one column of the network's rows
+        assert counters["layout_builds"] == 4 + boundaries
         assert counters["row_edits"] == boundaries
 
     def test_churn_splices_bit_identically(self):
@@ -448,7 +449,7 @@ class TestCounters:
         assert report["engine_counters"] == {
             "bundle_builds": 1, "bundle_splices": 2,
             "fleet_adoptions": 1, "bank_readoptions": 2,
-            "event_slots": 2, "layout_builds": 1, "row_edits": 2}
+            "event_slots": 2, "layout_builds": 3, "row_edits": 2}
         # one lap per kernel stage and call, under the stepper's span
         laps = {row["path"]: row["count"] for row in report["rows"]
                 if "/engine.kernel/" in row["path"]}

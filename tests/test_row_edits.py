@@ -1,12 +1,12 @@
-"""Churn is a row edit: a network's and a world's layouts follow slice
-churn column by column, and equal what a fresh build would give.
+"""Churn is a row edit: a network's row layout follows slice churn
+column by column, and equals what a fresh build would give.
 
 ``EndToEndNetwork.slot_rows()`` is built once (``rows_for_network``)
 and then edited by every ``add_slice`` / ``remove_slice``
 (``SliceRows.append`` / ``SliceRows.delete``); a simulator's
-``WorldLayout`` follows its timeline's background slices the same way
-(``add_row`` / ``delete_row``).  These properties hold both to fresh
-builds, byte for byte, and count what a fuzz corpus builds.
+``WorldLayout`` is rebuilt from those rows when its timeline churns.
+These properties hold both to fresh builds, byte for byte, and count
+what a fuzz corpus builds.
 """
 
 from __future__ import annotations
@@ -28,18 +28,12 @@ from repro.config import (
 )
 from repro.engine import kernels
 from repro.engine.batch import BatchSimulator
-from repro.engine.kernels import (
-    DERIVED,
-    evaluate_rows,
-    rows_for_network,
-    slice_column,
-)
+from repro.engine.kernels import DERIVED, evaluate_rows, rows_for_network
 from repro.engine.policies import ConstantBatchPolicy, lockstep
 from repro.scenarios.events import SliceArrival
 from repro.scenarios.fuzz import FuzzSpace, generate_corpus
-from repro.sim.env import ScenarioSimulator, WorldLayout
+from repro.sim.env import ARRIVAL_WINDOW_S, ScenarioSimulator, WorldLayout
 from repro.sim.network import EndToEndNetwork
-from repro.sim.traffic import episode_shape
 
 APPS = ("mar", "hvs", "rdc")
 
@@ -76,8 +70,8 @@ _SLICE = st.tuples(st.sampled_from(APPS), st.floats(0.2, 2.0))
 
 @given(st.integers(0, 2 ** 16), st.sampled_from(TRANSPORTS),
        st.lists(_SLICE, min_size=1, max_size=9),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 11), _SLICE,
-                          st.booleans()), max_size=14),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 11), _SLICE),
+                max_size=14),
        st.sampled_from(APPS))
 @settings(max_examples=60, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -107,14 +101,11 @@ def test_edited_network_rows_equal_fresh_builds(seed, transport, initial,
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), (label, key)
 
-    for step, (attach, index, (app, scale), resolved) in enumerate(churn):
+    for step, (attach, index, (app, scale)) in enumerate(churn):
         name = f"s{index}"
         if attach and name not in net.slices and len(net.slices) < 9:
-            spec = slice_spec_for_app(app, name=name, arrival_scale=scale)
-            if resolved:
-                net.add_slice(spec, slice_column(cfg, spec))
-            else:
-                net.add_slice(spec)
+            net.add_slice(slice_spec_for_app(app, name=name,
+                                             arrival_scale=scale))
         elif not attach and name in net.slices and len(net.slices) > 1:
             net.remove_slice(name)
         else:
@@ -163,12 +154,12 @@ _WINDOW = st.tuples(st.integers(0, 3), st.integers(1, 5),
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_edited_world_layouts_equal_fresh_builds(seed, transport,
                                                  initial, draws):
-    """A timeline of background slices over 1-6 managed ones: the
-    episode keeps one ``WorldLayout``, edited at every churn, and
-    after every step it equals a fresh ``WorldLayout(sim)`` -- kernel
+    """A timeline of background slices over 1-6 managed ones: after
+    every step the episode's ``WorldLayout`` reads the network's
+    edited rows and equals a fresh ``WorldLayout(sim)`` -- kernel
     rows, intensity table, managed mask, fixed actions -- with the
-    episode's cumulative cost carried; the network's rows equal a
-    fresh build."""
+    episode's cumulative cost carried over every churn; the network's
+    rows equal a fresh build."""
     horizon = 16
     cfg = ExperimentConfig(
         slices=tuple(slice_spec_for_app(app, name=f"m{i}",
@@ -181,17 +172,14 @@ def test_edited_world_layouts_equal_fresh_builds(seed, transport,
     rng = np.random.default_rng(seed)
     for episode in range(2):
         sim.reset()
-        layout = None
         totals = dict.fromkeys(sim.slice_names, 0.0)
         while not sim.done:
             results = sim.step({name: rng.uniform(0.0, 1.0, NUM_ACTIONS)
                                 for name in sim.slice_names})
             for name, result in results.items():
                 totals[name] += result.cost
-            if layout is None:
-                layout = sim._layout
+            layout = sim._layout
             label = (seed, episode, sim.slot)
-            assert sim._layout is layout, label     # edited, not rebuilt
             _assert_same_rows(sim.network.slot_rows(),
                               rows_for_network(sim.network), label)
             fresh = WorldLayout(sim, layout.cum_cost)
@@ -212,8 +200,8 @@ def test_a_fuzz_corpus_builds_each_networks_rows_once(monkeypatch):
     """Over a churning fuzz corpus, two episodes each:
     ``rows_for_network`` runs at most once per network built (churn
     and resets edit the rows), one ``WorldLayout`` is built per world
-    and episode, every attach or detach is a row edit, and the traces
-    draw their diurnal shape from the memo."""
+    and episode plus at most one per attach or detach, and every
+    attach or detach is a row edit."""
     built, rows_calls = [], []
     network_init = EndToEndNetwork.__init__
     fresh_rows = kernels.rows_for_network
@@ -234,16 +222,43 @@ def test_a_fuzz_corpus_builds_each_networks_rows_once(monkeypatch):
                    for spec in corpus for event in spec.events)
     assert arrivals > 0                     # the corpus churns
     batch = BatchSimulator(sims)
-    before = episode_shape.cache_info()
     policy = ConstantBatchPolicy(np.full(NUM_ACTIONS, 0.25))
     for _ in lockstep(batch, policy, episodes=2):
         pass
-    after = episode_shape.cache_info()
 
     assert len(rows_calls) <= len(built)
     assert len({id(network) for network in rows_calls}) == len(rows_calls)
     counters = batch.counters
-    assert counters["layout_builds"] == 2 * len(sims)
     assert 0 < counters["row_edits"] \
         <= sum(sim.network.churn_count for sim in sims)
-    assert after.hits > before.hits
+    assert 2 * len(sims) < counters["layout_builds"] \
+        <= 2 * len(sims) + counters["row_edits"]
+
+
+def test_a_trace_edited_after_churn_reaches_the_next_layout():
+    """A churn replaces the episode's trace block: a trace read after
+    the churn (or assigned) writes the episode's traces, and the next
+    layout reads it; a view read before the churn no longer does."""
+    horizon = 12
+    cfg = ExperimentConfig(traffic=TrafficConfig(slots_per_episode=horizon))
+    sim = ScenarioSimulator(cfg, rng=np.random.default_rng(3), events=[
+        SliceArrival(at_fraction=0.25, duration_fraction=0.5)])
+    sim.reset()
+    name = sim.slice_names[0]
+    stale = sim._traces[name]
+    actions = {n: np.full(NUM_ACTIONS, 0.25) for n in sim.slice_names}
+    while "churn" not in sim.network.slices:
+        sim.step(actions)
+    assert not np.shares_memory(stale, sim._traces.block)
+
+    sim._traces[name][6:] = 0.5                 # read after the churn
+    other = sim.slice_names[1]
+    sim._traces[other] = np.full(horizon, 0.25)  # assigned
+    layout = WorldLayout(sim, sim._layout.cum_cost)
+    rates = sim.network.slot_rows().max_arrival
+    for edited in (name, other):
+        row = layout.names.index(edited)
+        assert layout.lam_rows[:, row].tolist() == (
+            (sim._traces[edited] * rates[row]) * ARRIVAL_WINDOW_S).tolist()
+    assert sim._traces[name][6:].tolist() == [0.5] * (horizon - 6)
+    assert sim._traces[other].tolist() == [0.25] * horizon
