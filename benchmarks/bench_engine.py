@@ -24,11 +24,12 @@ the ``engine_fuzz`` workload, not against that file.
 The corpus test drives what the uniform fleets above never do: a
 24-world fuzz corpus with slice churn, transport faults and ragged
 horizons, two episodes in one batch, where worlds retire one by one
-and churn rebuilds row layouts mid-episode.  It records world-slots/s
-and the engine's rebuild counters
+and churn flips rows mid-episode.  It records world-slots/s and the
+engine's rebuild counters
 (:attr:`~repro.engine.batch.BatchSimulator.counters`: one full bundle
-build and one whole-fleet channel adoption, the rest splices and
-single-bank re-adoptions) in ``extra_info`` -- ungated, like the
+build and one whole-fleet channel adoption, then a splice per
+retirement; churn re-adopts and splices nothing) in ``extra_info`` --
+ungated, like the
 throughputs above.  The same test drives a ``slice_churn`` fleet
 whose worlds alternate 3 and 5 users per slice -- the one place the
 engine's padded ``(R, Umax)`` channel block has a number

@@ -23,14 +23,19 @@ counter; everything else is whole-batch:
   -- is a :class:`_Bundle`, keyed on the stepping worlds and their
   :attr:`SliceRows.uid` and *spliced* (the old bundle's kept runs of
   worlds, read in place, + the worlds that changed, one call per
-  column block) when churn, a retirement or a sit-out changes the key;
+  column block) when a retirement, a sit-out or a reshape by hand
+  changes the key.  Churn changes no key: a world's rows are fixed
+  when its simulator is built and churn flips which are attached
+  (``EndToEndNetwork.active``, copied into the bundle's rows); an
+  unattached row draws nothing, adds exactly ``0.0`` to its world's
+  path loads and is in no output;
 * the worlds' channels live in this engine's
   :class:`~repro.sim.channel.FleetChannelBank` block -- built at
   construction for any B, one world included, and as wide as the
   widest world's user count -- advanced by one fused AR(1) update over
   the stepped worlds' rows; only a world whose network the block does
-  not hold (its slice set changed, so it took its channel state back,
-  or another engine stepped the world) is re-adopted;
+  not hold (another engine stepped the world, or its rows were
+  reshaped by hand) is re-adopted;
 * cumulative episode costs are one stacked vector the worlds' layouts
   view (re-homed when a layout is new or another engine stepped the
   world), updated with one add;
@@ -47,9 +52,10 @@ Determinism contract
 --------------------
 Each world keeps its *own* RNG (the simulator's), consumed in a fixed
 order per slot: event activation draws, then one standard-normal block
-for the world's channels, then one scalar Poisson draw per slice, in
-row order (the same values and generator state as one array draw over
-the slices).
+for the world's attached channels, then one scalar Poisson draw per
+attached slice, in row order (the same values and generator state as
+one array draw over the slices).  Attached rows are in attach order,
+so these are the calls a world whose rows came and went would make.
 A world stepped inside a batch therefore produces bit-identical
 traffic, channels, rewards, costs and observations to the same world
 stepped alone -- ``tests/test_engine.py`` pins this against the golden
@@ -126,7 +132,9 @@ class BatchStepResult:
 class _Bundle:
     """Everything that is constant for one row layout of the stepping
     worlds: built (or spliced from its predecessor) when the worlds or
-    one of their :attr:`SliceRows.uid` change, and read-only between.
+    one of their :attr:`SliceRows.uid` change; between, only a
+    churned world's segment of ``rows.active`` and ``counts`` is
+    rewritten (:meth:`follow`).
 
     The stacked inputs are joined piece by piece -- the kernel row
     constants, the managed-row mask, the action matrix (a background
@@ -139,11 +147,13 @@ class _Bundle:
     """
 
     def __init__(self, worlds: List[int], uids: List[int],
-                 rows: SliceRows, mask: np.ndarray, matrix: np.ndarray,
-                 horizons: np.ndarray, names: List[List[str]],
-                 networks: list) -> None:
+                 churns: List[int], rows: SliceRows, mask: np.ndarray,
+                 matrix: np.ndarray, horizons: np.ndarray,
+                 names: List[List[str]], networks: list) -> None:
         self.worlds = worlds
         self.uids = uids
+        #: the ``network.churn_count`` ``rows.active`` follows
+        self.churns = churns
         self.rows = rows
         self.mask = mask
         self.matrix = matrix
@@ -163,7 +173,7 @@ class _Bundle:
         self.cost_threshold = rows.cost_threshold[self.managed]
         self.horizon_cost = (horizons[self.world_of]
                              * self.cost_threshold)
-        self.counts = np.empty(rows.num_rows, dtype=np.int64)
+        self.counts = np.zeros(rows.num_rows, dtype=np.int64)
         self.rates = np.empty(rows.num_rows)
         self.cond = WorldConditions.nominal(count)
         #: where the worlds' managed rows / channel rows sit in the
@@ -172,17 +182,29 @@ class _Bundle:
         self.cum_rows: Union[slice, np.ndarray] = slice(None)
         self.channel_rows: Optional[np.ndarray] = None
 
+    def follow(self, churns: List[int]) -> None:
+        """Re-read the attached rows of every world whose network
+        churned since ``self.churns``, and zero their arrival counts
+        (an attached row's count is drawn afresh each slot)."""
+        for i, (now, was) in enumerate(zip(churns, self.churns)):
+            if now != was:
+                lo, hi = self.row_starts[i], self.row_starts[i + 1]
+                self.rows.active[lo:hi] = self.networks[i].active
+                self.counts[lo:hi] = 0
+        self.churns = churns
+
     def pieces(self, worlds: List[int], uids: List[int],
-               states: List[WorldLayout]) -> list:
+               churns: List[int], states: List[WorldLayout]) -> list:
         """How to make the bundle of ``worlds`` from this one: runs
         ``(lo, hi)`` of this bundle's worlds that carry over as they
-        are, and the :class:`WorldLayout` of every world that is new
-        or whose rows changed, in output order."""
+        are, and the :class:`WorldLayout` of every world that is new,
+        churned or whose rows changed, in output order."""
         position = {b: i for i, b in enumerate(self.worlds)}
         pieces: list = []
-        for b, uid, state in zip(worlds, uids, states):
+        for b, uid, churn, state in zip(worlds, uids, churns, states):
             i = position.get(b)
-            if i is None or self.uids[i] != uid:
+            if i is None or self.uids[i] != uid \
+                    or self.churns[i] != churn:
                 pieces.append(state)
             elif (pieces and isinstance(pieces[-1], tuple)
                     and pieces[-1][1] == i):
@@ -244,16 +266,15 @@ class BatchSimulator:
         full bundle builds and bundle splices (together, one per row
         layout the kernels saw), whole-fleet channel adoptions (always
         1: the block is built with the engine) and single-world
-        re-adoptions (``bank_readoptions``), the world-slots on
-        which an event boundary was handled, the
+        re-adoptions (``bank_readoptions``), the world-slots on which
+        an event boundary was handled, the
         :class:`~repro.sim.env.WorldLayout` builds its steps made (one
-        per episode, plus one per world-slot whose slice set changed)
-        and the row edits its event boundaries made (one per slice a
-        timeline attached or detached: a column appended to or deleted
-        from the network's rows, no rebuild).  Slice churn, worlds
-        joining or leaving the stepped set, resets that detach churn
-        slices and another engine stepping one of the worlds are the
-        only things that move any of them after the first step."""
+        per world and episode) and the row edits its event boundaries
+        made (one per slice a timeline attached or detached: a row
+        flipped, nothing rebuilt).  Worlds joining or leaving the
+        stepped set, another engine stepping a world and a slice set
+        reshaped by hand are the only things that move the others
+        after the first step; churn moves none of them."""
         return MappingProxyType(dict(self._counters))
 
     def slice_names(self, world: int) -> List[str]:
@@ -308,26 +329,29 @@ class BatchSimulator:
             staged = self._stage(stepping, actions)
 
             # 1. events + churn, on the worlds at an event boundary
-            #    (may consume world RNG; may change layout), and in the
-            #    same pass this engine's caches: re-home a cumulative
-            #    cost vector that lives elsewhere (fresh episode, another
+            #    (may consume world RNG; flips rows), and in the same
+            #    pass this engine's caches: re-home a cumulative cost
+            #    vector that lives elsewhere (fresh episode, another
             #    engine stepped the world), re-adopt a network whose
-            #    channel state the fleet block does not hold (churn, or
-            #    another engine stepped it -- ``replace`` re-reads the
-            #    row starts, so later worlds' events find their rows),
-            #    then splice the bundle if the worlds or layouts changed
+            #    channel state the fleet block does not hold (another
+            #    engine stepped it, or a reshape, which also brings
+            #    a new uid -- ``replace`` re-reads the row starts, so
+            #    later worlds' events find their rows), then splice the
+            #    bundle if the worlds or layouts changed, or follow the
+            #    worlds that churned
             with trace("engine.events"):
                 fleet, counters = self._fleet, self._counters
                 states: List[WorldLayout] = []
-                uids, strays = [], []
+                uids, churns, strays = [], [], []
                 for b in stepping:
                     sim = self.sims[b]
+                    network = sim.network
                     if sim._slot in sim.event_slots:
-                        churn = sim.network.churn_count
+                        churn = network.churn_count
                         sim.apply_events()
                         counters["event_slots"] += 1
                         counters["row_edits"] += \
-                            sim.network.churn_count - churn
+                            network.churn_count - churn
                     current = sim._layout
                     state = sim.layout()
                     if state is not current:
@@ -335,19 +359,20 @@ class BatchSimulator:
                     states.append(state)
                     if state.cum_cost.base is not self._cum:
                         strays.append((b, state))
-                    if sim.network._home is not fleet:
-                        # (churn comes with new kernel rows, so the uid
-                        # test below re-derives ``channel_rows``)
-                        fleet.replace(b, sim.network)
+                    if network._home is not fleet:
+                        fleet.replace(b, network)
                         counters["bank_readoptions"] += 1
                     uids.append(state.rows.uid)
+                    churns.append(network.churn_count)
                 if strays:
                     self._home_costs(strays, list(zip(stepping, states)))
                 bundle = self._bundle
                 if bundle is None or uids != bundle.uids \
                         or stepping != bundle.worlds:
                     bundle = self._bundle = self._rebundle(
-                        stepping, uids, states)
+                        stepping, uids, churns, states)
+                elif churns != bundle.churns:
+                    bundle.follow(churns)
 
             # 2. channels (one standard-normal block per world, one
             #    fused AR(1) update over all of them)
@@ -355,24 +380,25 @@ class BatchSimulator:
                 cqi, margin = self._fleet.step_worlds(
                     stepping, bundle.channel_rows)
 
-            # 3. realised arrivals: one scalar Poisson draw per row,
-            #    in row order on the world's own generator -- the
-            #    values and end state of one array draw over the row,
-            #    without the array call's per-call range checks (the
-            #    layout ran them once over the episode's table).  The
-            #    world's generator is done for the slot, so the slot
-            #    counter advances here too.
+            # 3. realised arrivals: one scalar Poisson draw per
+            #    attached row, in row order on the world's own
+            #    generator -- the values and end state of one array
+            #    draw over those rows, without its per-call range
+            #    checks (the layout ran them once).  The world's
+            #    generator is done for the slot, so the slot counter
+            #    advances here too.
             with trace("engine.arrivals"):
                 counts = bundle.counts
-                row = 0
+                first = 0
                 slots, dones = [], []
                 for state in states:
                     sim = state.sim
                     slot = sim._slot
                     poisson = sim._rng.poisson
-                    for lam in state.lam_rows[slot].tolist():
-                        counts[row] = poisson(lam)
-                        row += 1
+                    lams = state.lam_rows[slot].tolist()
+                    for row in sim.network.attached:
+                        counts[first + row] = poisson(lams[row])
+                    first += len(lams)
                     sim._slot = slot = slot + 1
                     slots.append(slot)
                     dones.append(slot >= sim.horizon)
@@ -414,7 +440,7 @@ class BatchSimulator:
             managed = sim._managed_names()
             episode = sim._layout       # None before the first step
             if episode is not None \
-                    and episode.churn_count != sim.network.churn_count \
+                    and episode.rows is not sim.network._rows \
                     and episode.managed_names != managed:
                 raise ValueError(
                     f"world {b}: the managed slices changed "
@@ -494,13 +520,14 @@ class BatchSimulator:
             state.cum_cost = home
 
     def _rebundle(self, stepping: List[int], uids: List[int],
+                  churns: List[int],
                   states: List[WorldLayout]) -> _Bundle:
         old = self._bundle
         if old is None:
             pieces = list(states)
             self._counters["bundle_builds"] += 1
         else:
-            pieces = old.pieces(stepping, uids, states)
+            pieces = old.pieces(stepping, uids, churns, states)
             self._counters["bundle_splices"] += 1
         runs, masks, matrices, horizons, names, networks = (
             [], [], [], [], [], [])
@@ -521,7 +548,7 @@ class BatchSimulator:
                 horizons.append([piece.sim.horizon])
                 names.append(piece.managed_names)
                 networks.append(piece.sim.network)
-        bundle = _Bundle(stepping, uids, splice_rows(runs),
+        bundle = _Bundle(stepping, uids, churns, splice_rows(runs),
                          np.concatenate(masks), np.concatenate(matrices),
                          np.concatenate(horizons), names, networks)
         if len(stepping) < len(self.sims):

@@ -70,7 +70,11 @@ expression keeps the association of the code it reproduces, and:
   clipped to ``[1e-9, 0.99]``), and a maximum does not depend on the
   order it meets its operands in.
 * **Path loads** accumulate with ``np.add.at`` in row order, at the
-  flat ``(world, path)`` index of a row's path.
+  flat ``(world, path)`` index of a row's path.  An unattached row
+  (``rows.active`` false) adds ``tn_cap * False``, exactly ``+0.0``,
+  which leaves a running sum as it was (loads start at ``+0.0`` or
+  above, so no ``-0.0`` meets it); an attached one adds ``tn_cap *
+  True``, ``tn_cap`` bit for bit: the attached rows' sum as alone.
 * **Integer decodes** (MCS offsets, schedulers, transport path) keep
   their truncating ``astype(np.intp)`` casts.
 * **Error scopes.** The ``np.errstate`` blocks cover exactly the
@@ -79,10 +83,8 @@ expression keeps the association of the code it reproduces, and:
   the warnings raised, too.
 * **Per-layout values.**  A :class:`SliceRows` keeps its per-row
   constants in one ``(F, R)`` float64 and one ``(I, R)`` intp block,
-  one column per row, so a build, a churn edit
-  (:meth:`SliceRows.append` / :meth:`SliceRows.delete`: one column
-  of :func:`slice_column` in or out) or a splice moves each block
-  with one array call.  Every constant the kernels read is a
+  one column per row, so a build or a splice moves each block with
+  one array call.  Every constant the kernels read is a
   contiguous row view of a block, and the values derived from the
   layout alone (:data:`DERIVED`: the user mask, the SGW-U instance
   mask, the fixed-MCS mask, ``1 - overhead``, the last path and the
@@ -90,8 +92,8 @@ expression keeps the association of the code it reproduces, and:
   first read (:meth:`SliceRows.__getattr__`) and kept on the layout,
   so no accessor runs per slot and only a layout the kernels
   evaluate pays for them -- the spliced bundle, not the per-world
-  layouts it is cut from.  Neither is a field, so no splice or edit
-  carries a stale one.  A channel block wider than the layout's
+  layouts it is cut from.  Neither is a field, so no splice carries
+  a stale one.  A channel block wider than the layout's
   widest slice is cut to it: the lanes past it are padding every row
   masks.
 
@@ -180,7 +182,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -225,7 +227,7 @@ RHO_KNEE = 0.95
 APP_CODES: Dict[str, int] = {"mar": 0, "hvs": 1, "rdc": 2}
 
 #: Monotonic SliceRows layout tokens (the stepper's bundle cache keys
-#: -- unlike ``id()``, never reused after churn frees a bundle).
+#: -- unlike ``id()``, never reused after a reshape frees a layout).
 _ROWS_UIDS = itertools.count(1)
 
 
@@ -281,24 +283,12 @@ _BOUND = frozenset(FLOAT_COLUMNS + PAIR_COLUMNS + INT_COLUMNS)
 _NUM_FLOATS = len(FLOAT_COLUMNS) + 2 * len(PAIR_COLUMNS)
 
 
-class SliceColumn(NamedTuple):
-    """One slice's row of a layout: its name and SLA orientation and
-    its constants, one entry per row of each :class:`SliceRows` block
-    (``world`` 0), as :func:`slice_column` builds them."""
-
-    name: str
-    metric: str
-    lower_better: bool
-    floats: np.ndarray                # (F,) float64
-    ints: np.ndarray                  # (I,) intp
-
-
-def slice_column(cfg, spec) -> SliceColumn:
+def slice_column(cfg, spec) -> Tuple[np.ndarray, np.ndarray]:
     """The row constants of slice ``spec`` (a :class:`~repro.config
     .SliceSpec`) on a network configured by ``cfg`` (a
-    :class:`~repro.config.NetworkConfig`): the one place a row is made
-    from configuration, for :func:`rows_for_network` and for the
-    column a churn appends (:meth:`SliceRows.append`).  Both
+    :class:`~repro.config.NetworkConfig`), its ``(F,)`` float and
+    ``(I,)`` int entries (``world`` 0): the one place a row is made
+    from configuration, for :func:`rows_for_network`.  Both
     directions own the cell's ``num_prbs``; each block is one array
     built from one tuple, in block order."""
     ran, transport, core, edge = cfg.ran, cfg.transport, cfg.core, cfg.edge
@@ -318,8 +308,7 @@ def slice_column(cfg, spec) -> SliceColumn:
     ints = np.array((0, APP_CODES[spec.app], ran.fixed_mcs,
                      transport.num_paths, core.num_sgwu_per_slice,
                      cfg.users_per_slice), dtype=np.intp)
-    return SliceColumn(spec.name, spec.sla.metric,
-                       spec.sla.lower_is_better, floats, ints)
+    return floats, ints
 
 
 @dataclass
@@ -327,10 +316,9 @@ class SliceRows:
     """Static per-row constants for a set of (world, slice) rows.
 
     A one-world layout is its network's (:meth:`~repro.sim.network
-    .EndToEndNetwork.slot_rows`): built once from the slices'
-    :func:`slice_column` rows, then edited by slice churn
-    (:meth:`append` / :meth:`delete`, each a new layout); the batch
-    engine splices them across worlds.  The per-row
+    .EndToEndNetwork.slot_rows`): built once from its rows'
+    :func:`slice_column`, one per slice the network can hold; the
+    batch engine splices them across worlds.  The per-row
     constants live in two blocks, ``floats`` (``(F, R)``, the rows of
     :data:`FLOAT_COLUMNS` then :data:`PAIR_COLUMNS`) and ``ints``
     (``(I, R)``, the rows of :data:`INT_COLUMNS`), so a splice or a
@@ -338,6 +326,11 @@ class SliceRows:
     is a contiguous row view of its block, bound on first read.
     ``lower_better`` is per row too; ``path_hops`` (``(W, Pmax)``,
     zero-padded) and ``link_capacity_w`` (``(W,)``) are per world.
+
+    ``active`` (``(R,)`` bool, every row unless set) is the one
+    per-row value that is state: which rows are attached.  A network's
+    rows hold its own mask, which churn flips in place; a splice joins
+    copies of its runs' masks, which the batch engine keeps current.
     """
 
     names: List[str]                  # row slice names, world-major
@@ -350,15 +343,16 @@ class SliceRows:
     link_capacity_w: np.ndarray       # (W,)
 
     #: Unique layout token; the stepper keys its cached bundle on
-    #: this, so a churn-edited layout is always a new key.
+    #: this, so a reshaped network's layout is always a new key.
     uid: int = field(default_factory=lambda: next(_ROWS_UIDS))
 
     def __getattr__(self, name: str):
         """Make the named columns, or the :data:`DERIVED` values the
         kernels read every slot, on the first read of one (Python
         calls this only for a name the instance does not hold yet):
-        a layout that is only edited or spliced pays for neither, and
-        as neither is a field, no splice or edit carries a stale one."""
+        a layout that is only spliced pays for neither, and as neither
+        is a field, no splice carries a stale one.  ``active`` reads
+        every row as attached until an owner sets it."""
         columns = vars(self)
         if name in _BOUND:
             floats = columns["floats"]
@@ -382,6 +376,8 @@ class SliceRows:
             #: flat index of each row's world's path 0 in a (W, Pmax)
             #: table
             columns["path_base"] = self.world * self.path_hops.shape[1]
+        elif name == "active":
+            columns["active"] = np.ones(self.num_rows, dtype=bool)
         else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute "
@@ -391,38 +387,6 @@ class SliceRows:
     @property
     def num_rows(self) -> int:
         return len(self.names)
-
-    def append(self, column: SliceColumn) -> "SliceRows":
-        """This one-world layout with ``column``'s slice attached as
-        its last row: a new layout (fresh ``uid``) whose blocks are
-        one column wider, column for column :func:`rows_for_network`
-        of the grown slice set."""
-        return SliceRows(
-            names=self.names + [column.name],
-            metrics=self.metrics + [column.metric],
-            num_worlds=1,
-            floats=np.concatenate([self.floats, column.floats[:, None]],
-                                  axis=1),
-            ints=np.concatenate([self.ints, column.ints[:, None]],
-                                axis=1),
-            lower_better=np.concatenate([self.lower_better,
-                                         [column.lower_better]]),
-            path_hops=self.path_hops,
-            link_capacity_w=self.link_capacity_w)
-
-    def delete(self, row: int) -> "SliceRows":
-        """This one-world layout without row ``row`` (a detached
-        slice): a new layout (fresh ``uid``), the other rows in order."""
-        keep = np.arange(self.num_rows) != row
-        return SliceRows(
-            names=self.names[:row] + self.names[row + 1:],
-            metrics=self.metrics[:row] + self.metrics[row + 1:],
-            num_worlds=1,
-            floats=self.floats.compress(keep, axis=1),
-            ints=self.ints.compress(keep, axis=1),
-            lower_better=self.lower_better[keep],
-            path_hops=self.path_hops,
-            link_capacity_w=self.link_capacity_w)
 
     def repeat(self, n: int) -> "SliceRows":
         """``n`` copies of this one-world bundle, each its own world.
@@ -440,32 +404,35 @@ def rows_for_network(network) -> SliceRows:
     as world 0 of a one-world bundle.
 
     ``network`` is an :class:`~repro.sim.network.EndToEndNetwork`;
-    rows follow ``network.slice_names`` order (managed and background
-    churn slices alike -- the caller masks, exactly as the scalar
+    rows follow ``network.row_specs`` (held and spare slices alike,
+    attached or not -- the layout's ``active`` is the network's own
+    mask, and the caller masks managed rows, exactly as the scalar
     simulator reports only managed slices), one :func:`slice_column`
     each, read from ``network.cfg`` and :mod:`repro.sim.phy`; reserved
     path ``k`` is a chain of ``2 + path_extra_hops[k]`` links.
     """
     cfg = network.cfg
     transport = cfg.transport
-    columns = [slice_column(cfg, network.slices[name])
-               for name in network.slice_names]
+    specs = network.row_specs
+    columns = [slice_column(cfg, spec) for spec in specs]
     n = len(columns)
-    return SliceRows(
-        names=[column.name for column in columns],
-        metrics=[column.metric for column in columns],
+    rows = SliceRows(
+        names=[spec.name for spec in specs],
+        metrics=[spec.sla.metric for spec in specs],
         num_worlds=1,
-        floats=np.array([column.floats for column in columns]).reshape(
+        floats=np.array([floats for floats, _ in columns]).reshape(
             n, _NUM_FLOATS).T.copy(),
-        ints=np.array([column.ints for column in columns],
+        ints=np.array([ints for _, ints in columns],
                       dtype=np.intp).reshape(n, len(INT_COLUMNS)).T.copy(),
-        lower_better=np.array([column.lower_better
-                               for column in columns], dtype=bool),
+        lower_better=np.array([spec.sla.lower_is_better
+                               for spec in specs], dtype=bool),
         path_hops=np.array([[2 + extra for extra
                              in transport.path_extra_hops]],
                            dtype=np.intp),
         link_capacity_w=np.array([transport.link_capacity_bps]),
     )
+    rows.active = network.active
+    return rows
 
 
 def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
@@ -476,8 +443,9 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
 
     The one join of :func:`concat_rows`, :meth:`SliceRows.repeat` and
     the batch engine's bundle splice: each block, ``lower_better``,
-    ``link_capacity_w`` and the name lists join with one call over the
-    runs' slices (and one ``tile`` for the copies); the per-world
+    ``active`` (a copy), ``link_capacity_w`` and the name lists join
+    with one call over the runs' slices (and one ``tile`` for the
+    copies); the per-world
     ``path_hops`` tables are padded to the widest kept world's path
     count (a run cut from a bundle brings that bundle's padding, which
     is dropped: a hop count is at least 2, a pad is 0); ``uid`` is
@@ -485,7 +453,8 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
     """
     if not runs or copies < 1:
         raise ValueError("need at least one world")
-    floats, ints, lower_better, capacity, tables = [], [], [], [], []
+    floats, ints, lower_better, active, capacity, tables = (
+        [], [], [], [], [], [])
     names: List[str] = []
     metrics: List[str] = []
     shifts, sizes = [], []
@@ -498,6 +467,7 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
         floats.append(rows.floats[:, first:last])
         ints.append(rows.ints[:, first:last])
         lower_better.append(rows.lower_better[first:last])
+        active.append(rows.active[first:last])
         capacity.append(rows.link_capacity_w[lo:hi])
         tables.append(rows.path_hops[lo:hi])
         names += rows.names[first:last]
@@ -512,6 +482,7 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
     ints = np.concatenate(ints, axis=1)
     ints[0] += np.repeat(shifts, sizes)
     lower_better = np.concatenate(lower_better)
+    active = np.concatenate(active)
     capacity = np.concatenate(capacity)
     hops = np.zeros((num_worlds, width), dtype=tables[0].dtype)
     first = 0
@@ -525,13 +496,16 @@ def splice_rows(runs: Sequence[Tuple[SliceRows, int, int]],
         ints[0] += np.repeat(num_worlds * np.arange(copies),
                              rows_per_copy)
         lower_better = np.tile(lower_better, copies)
+        active = np.tile(active, copies)
         capacity = np.tile(capacity, copies)
         hops = np.tile(hops, (copies, 1))
         names, metrics = names * copies, metrics * copies
-    return SliceRows(names=names, metrics=metrics,
-                     num_worlds=num_worlds * copies, floats=floats,
-                     ints=ints, lower_better=lower_better,
-                     path_hops=hops, link_capacity_w=capacity)
+    out = SliceRows(names=names, metrics=metrics,
+                    num_worlds=num_worlds * copies, floats=floats,
+                    ints=ints, lower_better=lower_better,
+                    path_hops=hops, link_capacity_w=capacity)
+    out.active = active
+    return out
 
 
 def concat_rows(parts: Sequence[SliceRows]) -> SliceRows:
@@ -683,7 +657,7 @@ def evaluate_rows(rows: SliceRows, cond: WorldConditions,
     loads = (cond.background_load_fraction * eff_cap_w)[:, None].repeat(
         rows.path_hops.shape[1], axis=1)
     lane = rows.path_base + tn_path         # flat (world, path) index
-    np.add.at(loads.reshape(-1), lane, tn_cap)
+    np.add.at(loads.reshape(-1), lane, tn_cap * rows.active)
     offered_bps = rates * rows.sum_bits
     utilization = np.minimum(loads.take(lane) / eff_cap, 0.99)
     queueing_ms = rows.hop_latency_ms * utilization / (1.0 - utilization)

@@ -7,7 +7,9 @@ class carries a ``kind`` tag; :class:`~repro.sim.env.ScenarioSimulator`
 dispatches on the tag (the sim layer never imports this module, which
 keeps the dependency graph acyclic) and executes the effect through
 the event hooks on :class:`~repro.sim.network.EndToEndNetwork`
-(``set_transport_conditions``, ``add_slice`` / ``remove_slice``).
+(``set_transport_conditions``, ``add_slice`` / ``remove_slice``, which
+flip the arriving slice's spare row, laid out when the simulator was
+built).
 
 Timeline semantics: an event *activates* at the step whose index equals
 ``start_slot(horizon)`` and *deactivates* at ``end_slot(horizon)``;

@@ -16,8 +16,9 @@ the configuration:
 * :mod:`repro.sim.traffic` -- Telecom-Italia-style traffic traces;
 * :mod:`repro.sim.apps` -- the MAR / HVS / RDC outcome record;
 * :mod:`repro.sim.network` / :mod:`repro.sim.env` -- the composed
-  end-to-end network (its slices' channels and the transport link
-  conditions) and the paper's MDP over it.
+  end-to-end network (one row per slice it can hold, which of them
+  are attached, their channels and the transport link conditions)
+  and the paper's MDP over it.
 
 The cell's PRB budget, the reserved paths' hop counts and every other
 infrastructure constant are read straight from

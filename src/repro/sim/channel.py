@@ -8,11 +8,12 @@ from a log-distance shadowing distribution, quantised to CQI with the
 standard reporting thresholds.
 
 State is stored struct-of-arrays at one level: an
-:class:`~repro.sim.network.EndToEndNetwork` holds its slices' ``(S,
-U)`` mean / SNR / CQI arrays, in slice order, until an engine's
-:class:`FleetChannelBank` takes them; from then on the network reads
-its rows (and its ``U`` lanes) *through* the block, so the block can
-move or reshape its storage without visiting the networks.
+:class:`~repro.sim.network.EndToEndNetwork` holds its ``(C, U)``
+mean / SNR / CQI arrays, one row per slice it can hold, until an
+engine's :class:`FleetChannelBank` takes them; from then on the
+network reads its rows (and its ``U`` lanes) *through* the block, so
+the block can move or reshape its storage without visiting the
+networks.
 
 There is one AR(1) stepper, :meth:`FleetChannelBank.step_worlds`: it
 advances the worlds of a :class:`~repro.engine.batch.BatchSimulator`
@@ -110,13 +111,12 @@ class FleetChannelBank:
     0`` -- lanes the kernels' ``user_mask`` never reads.
 
     RNG parity is preserved exactly: each world's innovations are
-    drawn from *its network's own* generator as one ``(S, U)`` block,
-    in world order -- the identical stream the per-channel loop
-    consumes; only the stepped worlds' generators advance.
-
-    A world whose network churned (it took its state back) or was
-    taken by another block is spliced in by :meth:`replace`; nothing
-    else moves.
+    drawn from *its network's own* generator as one ``(S, U)`` block
+    over its attached rows, in world order -- the identical stream the
+    per-channel loop consumes.  An unattached row draws nothing (its
+    state stays finite and unread until its slice attaches and draws
+    it afresh).  A world whose network another block took, or whose
+    rows were reshaped by hand, is spliced in by :meth:`replace`.
     """
 
     def __init__(self, networks: Sequence) -> None:
@@ -127,7 +127,7 @@ class FleetChannelBank:
         self._width = max(self.users)
         self.starts = [0]
         for net in networks:
-            self.starts.append(self.starts[-1] + len(net.slices))
+            self.starts.append(self.starts[-1] + len(net.active))
         for field in _PADDING:
             setattr(self, field, np.concatenate(
                 [self._padded(net, field) for net in networks]))
@@ -136,8 +136,8 @@ class FleetChannelBank:
             self._take(index, net)
 
     def _padded(self, network, field: str) -> np.ndarray:
-        """The network's ``field`` as ``(S, Umax)`` block rows."""
-        state = getattr(network, field)
+        """The network's ``field`` as ``(C, Umax)`` block rows."""
+        state = network._read(field)
         rows = np.full((state.shape[0], self._width), _PADDING[field],
                        dtype=state.dtype)
         rows[:, :state.shape[1]] = state
@@ -156,9 +156,9 @@ class FleetChannelBank:
     def replace(self, index: int, network) -> None:
         """Splice world ``index``'s network into the block.
 
-        Called when the network churned (and took its state back) or
-        another block took it: its current state replaces the world's
-        rows, and later worlds' row ranges shift by the size
+        Called when another block took the network, or a reshape made
+        it take its state back: its current state replaces the
+        world's rows, and later worlds' row ranges shift by the size
         difference.
         """
         lo, hi = self.starts[index], self.starts[index + 1]
@@ -167,7 +167,7 @@ class FleetChannelBank:
             setattr(self, field, np.concatenate(
                 [block[:lo], self._padded(network, field), block[hi:]]))
         self.users[index] = network.cfg.users_per_slice
-        moved = len(network.slices) - (hi - lo)
+        moved = len(network.active) - (hi - lo)
         self.starts[index + 1:] = [
             start + moved for start in self.starts[index + 1:]]
         self._lay_out_scratch()
@@ -186,12 +186,15 @@ class FleetChannelBank:
         z, starts, width = self._z, self.starts, self._width
         for b in worlds:
             draw = z[starts[b]:starts[b + 1]]
+            network = self.networks[b]
             users = self.users[b]
-            rng = self.networks[b]._rng
-            if users == width:
-                rng.standard_normal(out=draw)
+            rng = network._rng
+            attached = network._attached    # a slice when contiguous
+            if users == width and attached.__class__ is slice:
+                rng.standard_normal(out=draw[attached])
             else:
-                draw[:, :users] = rng.standard_normal((len(draw), users))
+                draw[attached, :users] = rng.standard_normal(
+                    (len(network.attached), users))
         if rows is None:
             _ar1_step(self.snr_db, self.mean_snr_db, z, self.cqi)
             np.subtract(self.snr_db, self.mean_snr_db,

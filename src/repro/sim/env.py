@@ -22,9 +22,8 @@ per-slice objects built at the edge.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -96,69 +95,17 @@ class SliceStepResult:
     report: SlotReport
 
 
-class EpisodeTraces(MutableMapping):
-    """One episode's per-slice traffic envelopes as one ``(T, S)``
-    slot-major block, a slice name per column.
-
-    A slice's trace is its column (a view: writing it writes the
-    block); assigning a trace writes the column, or appends one for a
-    new name, and deleting a name drops its column.
-
-    Appending or dropping a column replaces the block, so a view read
-    before the slice set changed (a background slice attaching or
-    detaching) no longer writes the episode's traces: read the trace
-    again after a churn, or assign it (``traces[name] = trace``).
-    """
-
-    def __init__(self, names: Sequence[str], block: np.ndarray) -> None:
-        self.names = list(names)
-        self.block = block
-        self._index = {name: i for i, name in enumerate(self.names)}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.block[:, self._index[name]]
-
-    def __setitem__(self, name: str, trace) -> None:
-        index = self._index.get(name)
-        if index is None:
-            column = np.empty((len(self.block), 1))
-            column[:, 0] = trace
-            self.block = np.concatenate([self.block, column], axis=1)
-            self._index[name] = len(self.names)
-            self.names.append(name)
-        else:
-            self.block[:, index] = trace
-
-    def __delitem__(self, name: str) -> None:
-        keep = np.arange(len(self.names)) != self._index[name]
-        self.block = self.block.compress(keep, axis=1)
-        self.names.remove(name)
-        self._index = {name: i for i, name in enumerate(self.names)}
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def table(self, names: Sequence[str]) -> np.ndarray:
-        """The ``(T, len(names))`` traces of ``names``, in that order:
-        the block itself when those are its columns."""
-        if names == self.names:
-            return self.block
-        return self.block[:, [self._index[name] for name in names]]
-
-
 class WorldLayout:
-    """One world's current slice set and episode as struct-of-arrays.
+    """One world's rows and episode as struct-of-arrays.
 
     What the stepper reads per world, in network row order (managed
-    and background churn slices alike): the kernel row constants, the
-    managed-row mask, the background slices' fixed
+    rows, then one spare row per background churn slice): the kernel
+    row constants, the managed-row mask, the background slices' fixed
     allocations, the episode's Poisson intensities and the managed
-    slices' cumulative cost.  Owned by the simulator it describes (see
-    :meth:`ScenarioSimulator.layout`), so every engine stepping the
-    world -- alone or inside a shared batch -- sees the same episode.
+    slices' cumulative cost.  Built once per episode, churn or not, and
+    owned by the simulator it describes (see :meth:`ScenarioSimulator
+    .layout`), so every engine stepping the world -- alone or inside a
+    shared batch -- sees the same episode.
 
     The intensity table is checked once, here, against the range
     ``Generator.poisson`` enforces (finite, ``>= 0``, at most
@@ -173,28 +120,25 @@ class WorldLayout:
                  cum_cost: Optional[np.ndarray] = None) -> None:
         network = sim.network
         self.sim = sim
-        #: ``network.churn_count`` this layout was built at.
-        self.churn_count = network.churn_count
         self.rows = network.slot_rows()
         self.names = self.rows.names
-        background = sim._event_slices
-        self.managed = np.asarray(
-            [name not in background for name in self.names],
-            dtype=bool)
+        held = network.first_spare
+        self.managed = np.arange(len(self.names)) < held
         self.managed_names = sim.slice_names
-        #: ``(S, NUM_ACTIONS)``: a background churn slice's row is its
+        #: ``(C, NUM_ACTIONS)``: a background churn slice's row is its
         #: event's fixed allocation (managed rows are never read).
         self.fixed_actions = np.zeros((len(self.names), NUM_ACTIONS))
-        for row, name in enumerate(self.names):
-            if name in background:
-                self.fixed_actions[row] = background[name]
-        # Poisson intensities for every (slot, slice) of the episode
+        for row, event in enumerate(sim._spares, start=held):
+            self.fixed_actions[row] = event.action_level
+        # Poisson intensities for every (slot, row) of the episode
         # (managed traces from the episode's generation, churn slices
         # pinned at 1.0), precomputed slot-major.  Bit-equal to a
         # per-slot (envelope * max_arrival) * ARRIVAL_WINDOW_S: the
         # same elementwise products, evaluated for all slots at once.
-        lam = (sim._traces.table(self.names) * self.rows.max_arrival) \
-            * ARRIVAL_WINDOW_S
+        envelopes = np.ones((sim.horizon, len(self.names)))
+        for row, name in enumerate(self.managed_names):
+            envelopes[:, row] = sim._traces[name]
+        lam = (envelopes * self.rows.max_arrival) * ARRIVAL_WINDOW_S
         # ``0 <= x <= max`` is numpy's own per-call test (NaN fails
         # it), run once over the whole (T, S) table.
         bad = ~((lam >= 0.0) & (lam <= POISSON_LAM_MAX))
@@ -204,11 +148,11 @@ class WorldLayout:
                 f"slice {self.names[row]!r}: Poisson intensity "
                 f"{float(lam[slot, row])!r} at slot {slot} is not in "
                 f"[0, {float(POISSON_LAM_MAX)!r}]")
-        #: ``(T, S)``, slot-major: the arrivals stage draws one scalar
-        #: ``poisson`` per entry of a slot's row (as Python floats).
+        #: ``(T, C)``, slot-major: the arrivals stage draws one scalar
+        #: ``poisson`` per attached entry of a slot's row.
         self.lam_rows = lam
         # Managed cumulative episode cost, aligned with managed rows;
-        # a churn rebuild carries the episode's array over.  A batch
+        # a rebuild after a reshape carries the episode's array over.  A batch
         # engine re-homes it as a view of its own stacked vector (see
         # ``BatchSimulator``), so always read it through this
         # attribute.
@@ -228,6 +172,10 @@ class ScenarioSimulator:
     *background* slices: the simulator attaches them to the network,
     drives them with a fixed allocation, and keeps them out of the
     per-slice results, so learning agents see only resource pressure.
+
+    The network's rows are laid out here, once: the managed slices,
+    then a spare row per ``slice_arrival`` event in attach order
+    (start slot, then timeline order), so a churn flips a row.
     """
 
     def __init__(self, cfg: Optional[ExperimentConfig] = None,
@@ -240,8 +188,6 @@ class ScenarioSimulator:
                              "least one slice to step")
         self._rng = rng if rng is not None else np.random.default_rng(
             self.cfg.seed)
-        self.network = EndToEndNetwork(
-            self.cfg.network, slices=self.cfg.slices, rng=self._rng)
         self.horizon = self.cfg.traffic.slots_per_episode
         self._traffic_model = (traffic_model if traffic_model is not None
                                else DiurnalTraffic())
@@ -250,13 +196,22 @@ class ScenarioSimulator:
             if getattr(event, "kind", None) not in (
                     _CONDITION_EVENT_KINDS + ("slice_arrival",)):
                 raise ValueError(f"unknown event kind on {event!r}")
+        #: The churn events in the order they attach: one spare row
+        #: each.
+        self._spares = sorted(
+            (event for event in self._events
+             if event.kind == "slice_arrival"),
+            key=lambda event: event.start_slot(self.horizon))
         # Each churn event's slice spec, resolved once: an arrival
-        # attaches it as it is.
+        # attaches it as it is, into its own spare row.
         self._arrivals = {
             id(event): slice_spec_for_app(
                 event.app, name=event.slice_name,
                 arrival_scale=event.arrival_scale)
-            for event in self._events if event.kind == "slice_arrival"}
+            for event in self._spares}
+        self.network = EndToEndNetwork(
+            self.cfg.network, slices=self.cfg.slices, rng=self._rng,
+            spares=[self._arrivals[id(event)] for event in self._spares])
         # The timeline at this horizon, resolved once: when each event
         # starts and ends, and the only slots at which
         # :meth:`apply_events` has anything to do.
@@ -270,9 +225,9 @@ class ScenarioSimulator:
             slot for _, slot in self._start_slot).union(
                 self._end_slot.values())
         self._active_events: List = []
-        self._event_slices: Dict[str, np.ndarray] = {}
-        #: The episode's traffic envelopes (empty until :meth:`reset`).
-        self._traces = EpisodeTraces((), np.empty((self.horizon, 0)))
+        #: The episode's envelope per managed slice (empty until
+        #: :meth:`reset`; a churn slice's arrivals are pinned at peak).
+        self._traces: Dict[str, np.ndarray] = {}
         self._slot = 0
         #: Episodes started so far (0: never reset).
         self._day = 0
@@ -291,18 +246,20 @@ class ScenarioSimulator:
 
     def _managed_names(self) -> List[str]:
         """:attr:`slice_names` without the copy, re-derived only when
-        the network's slice set changed (do not mutate)."""
+        the network's slice set changed (do not mutate): the held
+        rows, which come first and are always attached."""
         churn = self.network.churn_count
         if self._managed_at != churn:
-            self._managed = [name for name in self.network.slices
-                             if name not in self._event_slices]
+            self._managed = list(self.network.slices)[
+                :self.network.first_spare]
             self._managed_at = churn
         return self._managed
 
     @property
     def background_slice_names(self) -> List[str]:
-        """Slices attached by churn events, driven by the simulator."""
-        return list(self._event_slices)
+        """Slices attached by churn events, driven by the simulator:
+        the attached spare rows."""
+        return list(self.network.slices)[self.network.first_spare:]
 
     @property
     def active_events(self) -> List:
@@ -324,11 +281,6 @@ class ScenarioSimulator:
 
     # ---- event timeline --------------------------------------------------
 
-    def _remove_event_slice(self, name: str) -> None:
-        self.network.remove_slice(name)
-        del self._event_slices[name]
-        self._traces.pop(name, None)
-
     def _activate(self, event) -> None:
         if event.kind == "slice_arrival":
             name = event.slice_name
@@ -337,15 +289,12 @@ class ScenarioSimulator:
                     f"slice arrival {name!r} collides with an "
                     "existing slice")
             self.network.add_slice(self._arrivals[id(event)])
-            self._event_slices[name] = np.full(NUM_ACTIONS,
-                                               event.action_level)
-            self._traces[name] = np.ones(self.horizon)
         self._active_events.append(event)
 
     def _deactivate(self, event) -> None:
         self._active_events.remove(event)
         if event.kind == "slice_arrival":
-            self._remove_event_slice(event.slice_name)
+            self.network.remove_slice(event.slice_name)
 
     def _refresh_conditions(self) -> None:
         scale, extra, load = 1.0, 0.0, 0.0
@@ -383,7 +332,7 @@ class ScenarioSimulator:
 
     # ---- episode lifecycle -----------------------------------------------
 
-    def _generate_traces(self) -> EpisodeTraces:
+    def _generate_traces(self) -> Dict[str, np.ndarray]:
         """The episode's envelopes, one per managed slice, checked and
         clipped as one ``(T, S)`` block."""
         names = self.slice_names
@@ -406,8 +355,8 @@ class ScenarioSimulator:
                 f"traffic model {model} returned a non-finite "
                 f"envelope for slice {names[index]!r} "
                 f"({float(block[slot, index])!r} at slot {slot})")
-        return EpisodeTraces(names, block.clip(0.0, MAX_ENVELOPE,
-                                               out=block))
+        return dict(zip(names, block.clip(0.0, MAX_ENVELOPE,
+                                          out=block).T))
 
     def reset(self) -> Dict[str, SliceObservation]:
         """Start a new 24 h episode with fresh traffic traces.
@@ -430,14 +379,14 @@ class ScenarioSimulator:
         """
         self._slot = 0
         self._active_events = []
-        for name in list(self._event_slices):
-            self._remove_event_slice(name)
+        for name in self.background_slice_names:
+            self.network.remove_slice(name)
         self.network.clear_transport_conditions()
         self._traces = self._generate_traces()
         self._day += 1
         self._layout = None
         observations = np.zeros((len(self._traces), STATE_DIM))
-        observations[:, 1] = self._traces.block[0]
+        observations[:, 1] = [trace[0] for trace in self._traces.values()]
         observations[:, 2] = self.network.cqi.mean(axis=1) / NUM_CQI
         observations[:, 7] = [spec.sla.cost_threshold
                               for spec in self.network.slices.values()]
@@ -447,14 +396,14 @@ class ScenarioSimulator:
         """The current episode's :class:`WorldLayout`.
 
         ``reset()`` drops it and the first step of the episode builds
-        it, so trace edits made in between count; when churn changed
-        the network's slice set it is rebuilt with the episode's
-        cumulative cost carried over.
+        it, so trace edits made in between count.  Churn keeps it;
+        a reshape by hand (new network rows) rebuilds it with the
+        episode's cumulative cost carried over.
         """
         current = self._layout
         if current is None:
             current = self._layout = WorldLayout(self)
-        elif current.churn_count != self.network.churn_count:
+        elif current.rows is not self.network._rows:
             current = self._layout = WorldLayout(self,
                                                  current.cum_cost)
         return current

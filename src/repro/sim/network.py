@@ -66,19 +66,22 @@ CONSTRAINED_RESOURCES: Dict[str, int] = {
 class EndToEndNetwork:
     """One end-to-end infrastructure instance hosting several slices.
 
-    The slices' radio channels are three ``(S, users_per_slice)``
-    arrays in slice order, ``mean_snr_db`` / ``snr_db`` / ``cqi``
-    (:mod:`repro.sim.channel`): the network's own until an engine's
-    :class:`~repro.sim.channel.FleetChannelBank` takes them, after
-    which they read the network's rows of that block.  Attaching or
-    detaching a slice first takes the state back (as copies), then
-    appends or deletes one row.
+    Its rows are laid out when it is built: the initial slices, then
+    one *spare* row per slice that may attach later (``spares``: a
+    simulator's timeline arrivals, in attach order); :attr:`active`
+    says which are attached.  Attaching a spare's slice flips its row
+    on and draws its UEs' channels into it, detaching flips it off, so
+    the kernel rows (:meth:`slot_rows`, ``uid`` included) and an
+    engine block's rows stay as they are.  A slice set changed by hand
+    (a spec no spare row holds, an initial slice detached) reshapes
+    the network: the row is inserted or deleted, the channel state
+    taken back as copies, and the kernel rows rebuilt on next read.
 
-    Its slices' kernel row constants are its own too, one column per
-    slice in slice order (:meth:`slot_rows`): built from
-    (``cfg``, spec) the first time they are read, after which a churn
-    edits them -- ``add_slice`` appends the slice's column,
-    ``remove_slice`` deletes one -- into a new layout.
+    The radio channels are three ``(C, U)`` arrays, ``mean_snr_db`` /
+    ``snr_db`` / ``cqi`` (:mod:`repro.sim.channel`): the network's own
+    until an engine's :class:`~repro.sim.channel.FleetChannelBank`
+    takes them, then its rows of that block.  The public properties
+    read the attached rows.
 
     The transport link conditions (``capacity_scale``,
     ``extra_latency_ms``, ``background_load_fraction``) are its own
@@ -87,7 +90,8 @@ class EndToEndNetwork:
 
     def __init__(self, cfg: Optional[NetworkConfig] = None,
                  slices: Optional[Sequence[SliceSpec]] = None,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 rng: Optional[np.random.Generator] = None,
+                 spares: Sequence[SliceSpec] = ()) -> None:
         self.cfg = cfg or NetworkConfig()
         self._rng = rng if rng is not None else np.random.default_rng(17)
         self.clear_transport_conditions()
@@ -95,28 +99,38 @@ class EndToEndNetwork:
         for spec in slices or ():
             self._check_new(spec)
             self.slices[spec.name] = spec
-        #: Bumped by every slice attach / detach: what holders of
-        #: anything derived from the slice set (row layout, a fleet
-        #: block's rows, a simulator's episode layout) compare to know
-        #: it is stale.
+        #: One spec per row, attached or not: the held slices (rows
+        #: ``[0, first_spare)``, always attached), then the spares.
+        self.row_specs: List[SliceSpec] = [*self.slices.values(), *spares]
+        self.first_spare = len(self.slices)
+        #: ``(C,)`` bool: which rows are attached (flipped in place).
+        self.active = np.arange(len(self.row_specs)) < self.first_spare
+        #: Bumped by every slice attach / detach: what holders of a
+        #: copy of :attr:`active` or the slice names compare.
         self.churn_count = 0
-        #: The slices' engine row layout (see :meth:`slot_rows`);
-        #: ``None`` until first read.
+        #: The engine row layout (see :meth:`slot_rows`); ``None``
+        #: until first read and after a reshape.
         self._rows = None
         #: The engine block holding the channel state (``None``: the
         #: state is ``_state``), and this network's world index in it.
         self._home = None
         self._index = 0
         # One draw for every initial slice: the same stream as one
-        # draw per slice in attach order, with nothing to stack.
-        mean, snr = draw_channels(len(self.slices),
-                                  self.cfg.users_per_slice, self._rng)
-        self._state = {"mean_snr_db": mean, "snr_db": snr,
-                       "cqi": snr_to_cqi_array(snr)}
+        # draw per slice in attach order.  Spare rows hold padding.
+        users = self.cfg.users_per_slice
+        mean, snr = draw_channels(self.first_spare, users, self._rng)
+        spare = (len(self.row_specs) - self.first_spare, users)
+        self._state = {
+            field: np.concatenate([value, np.full(
+                spare, _PADDING[field], dtype=value.dtype)])
+            for field, value in (("mean_snr_db", mean), ("snr_db", snr),
+                                 ("cqi", snr_to_cqi_array(snr)))}
+        self._relabel()
 
     # ---- channel state -----------------------------------------------
 
     def _read(self, field: str) -> np.ndarray:
+        """``field`` for every row, attached or not (a view)."""
         home = self._home
         if home is None:
             return self._state[field]
@@ -126,23 +140,23 @@ class EndToEndNetwork:
 
     @property
     def mean_snr_db(self) -> np.ndarray:
-        """``(S, U)`` per-user mean SNR (dB), slice order."""
-        return self._read("mean_snr_db")
+        """``(S, U)`` per-user mean SNR (dB), attached rows."""
+        return self._read("mean_snr_db")[self._attached]
 
     @property
     def snr_db(self) -> np.ndarray:
-        """``(S, U)`` per-user current SNR (dB), slice order."""
-        return self._read("snr_db")
+        """``(S, U)`` per-user current SNR (dB), attached rows."""
+        return self._read("snr_db")[self._attached]
 
     @property
     def cqi(self) -> np.ndarray:
-        """``(S, U)`` per-user reported CQI, slice order."""
-        return self._read("cqi")
+        """``(S, U)`` per-user reported CQI, attached rows."""
+        return self._read("cqi")[self._attached]
 
     def _own_state(self) -> Dict[str, np.ndarray]:
         """The channel state as this network's own arrays, taken back
-        (as copies) from an engine block that holds it: the block may
-        reuse its rows, and re-adopts this network on its next step."""
+        (as copies) from an engine block that holds it, before a
+        reshape: the block re-adopts this network on its next step."""
         if self._home is not None:
             self._state = {field: self._read(field).copy()
                            for field in _PADDING}
@@ -155,34 +169,60 @@ class EndToEndNetwork:
         if spec.name in self.slices:
             raise ValueError(f"slice {spec.name!r} already exists")
 
-    def add_slice(self, spec: SliceSpec) -> None:
-        """Attach a slice: its spec, its UEs' radio channels and its
-        row constants (:func:`~repro.engine.kernels.slice_column`)."""
-        self._check_new(spec)
-        state = self._own_state()
-        mean, snr = draw_channels(1, self.cfg.users_per_slice, self._rng)
-        for field, row in (("mean_snr_db", mean), ("snr_db", snr),
-                           ("cqi", snr_to_cqi_array(snr))):
-            state[field] = np.concatenate([state[field], row])
-        self.slices[spec.name] = spec
-        self.churn_count += 1
-        if self._rows is not None:
-            from repro.engine.kernels import slice_column
+    def _relabel(self) -> None:
+        """Re-derive from :attr:`active` the attached slices and rows
+        (``attached``, in row order; ``_attached``, a slice when they
+        are contiguous)."""
+        on = self.attached = np.flatnonzero(self.active).tolist()
+        self.slices = {self.row_specs[row].name: self.row_specs[row]
+                       for row in on}
+        self._attached = (slice(on[0], on[-1] + 1)
+                          if on and on[-1] - on[0] == len(on) - 1
+                          else np.array(on, dtype=np.intp))
 
-            self._rows = self._rows.append(slice_column(self.cfg, spec))
+    def add_slice(self, spec: SliceSpec) -> None:
+        """Attach a slice and draw its UEs' radio channels into its
+        spare row (this very ``spec`` object), flipped on, or into a
+        row inserted after the held ones (a reshape)."""
+        self._check_new(spec)
+        spares = range(self.first_spare, len(self.row_specs))
+        row = next((row for row in spares if self.row_specs[row] is spec
+                    and not self.active[row]), None)
+        if row is None:
+            row = self.first_spare
+            state = self._own_state()
+            for field in _PADDING:
+                state[field] = np.insert(state[field], row, 0, axis=0)
+            self.row_specs.insert(row, spec)
+            self.active = np.insert(self.active, row, True)
+            self.first_spare += 1
+            self._rows = None
+        mean, snr = draw_channels(1, self.cfg.users_per_slice, self._rng)
+        for field, value in (("mean_snr_db", mean), ("snr_db", snr),
+                             ("cqi", snr_to_cqi_array(snr))):
+            self._read(field)[row] = value[0]
+        self.active[row] = True
+        self.churn_count += 1
+        self._relabel()
 
     def remove_slice(self, name: str) -> None:
+        """Detach a slice: flip its spare row off, or delete a held
+        row (a reshape)."""
         if name not in self.slices:
             raise KeyError(f"no slice {name!r}")
-        row = list(self.slices).index(name)
-        keep = np.arange(len(self.slices)) != row
-        state = self._own_state()
-        for field in _PADDING:
-            state[field] = state[field].compress(keep, axis=0)
-        del self.slices[name]
+        row = self.attached[list(self.slices).index(name)]
+        if row < self.first_spare:
+            state = self._own_state()
+            for field in _PADDING:
+                state[field] = np.delete(state[field], row, axis=0)
+            del self.row_specs[row]
+            self.active = np.delete(self.active, row)
+            self.first_spare -= 1
+            self._rows = None
+        else:
+            self.active[row] = False
         self.churn_count += 1
-        if self._rows is not None:
-            self._rows = self._rows.delete(row)
+        self._relabel()
 
     @property
     def slice_names(self) -> List[str]:
@@ -229,11 +269,12 @@ class EndToEndNetwork:
     # ---- slot evaluation -----------------------------------------------
 
     def slot_rows(self):
-        """This network's engine row layout, one row per slice in
-        slice order: :func:`~repro.engine.kernels.rows_for_network` on
-        first read, then edited by every churn (one column appended or
-        deleted), so a new object *is* a new layout and is always
-        column for column a fresh build of the current slice set."""
+        """This network's engine row layout, one row per row of
+        :attr:`row_specs`, attached or not, whose ``active`` is this
+        network's :attr:`active` (the same array):
+        :func:`~repro.engine.kernels.rows_for_network` on first read,
+        and again only after a reshape, so a churn of a spare row
+        keeps the layout and its ``uid``."""
         if self._rows is None:
             from repro.engine.kernels import rows_for_network
 
@@ -243,7 +284,7 @@ class EndToEndNetwork:
     def evaluate_slot(self, actions: Dict[str, np.ndarray],
                       arrival_rates: Dict[str, float]
                       ) -> Dict[str, SlotReport]:
-        """Evaluate one configuration slot for all slices.
+        """Evaluate one configuration slot for all attached slices.
 
         Parameters
         ----------
@@ -268,28 +309,30 @@ class EndToEndNetwork:
         if missing:
             raise KeyError(f"missing actions for slices {missing}; "
                            f"this network's slices: {names}")
-        matrix = np.empty((len(names), NUM_ACTIONS))
-        for i, name in enumerate(names):
+        matrix = np.zeros((len(self.row_specs), NUM_ACTIONS))
+        rates = np.zeros(len(self.row_specs))
+        for name, row in zip(names, self.attached):
             arr = np.asarray(actions[name], dtype=float)
             if arr.shape != (NUM_ACTIONS,):
                 raise ValueError(
                     f"action for slice {name!r} must have shape "
                     f"({NUM_ACTIONS},), got {arr.shape}")
-            matrix[i] = arr
-        rates = np.array([float(arrival_rates.get(name, 0.0))
-                          for name in names])
+            matrix[row] = arr
+            rates[row] = float(arrival_rates.get(name, 0.0))
+        snr = self._read("snr_db")
         out = evaluate_rows(
             self.slot_rows(), WorldConditions.nominal(1).refresh(
-                [self]), matrix, rates, self.cqi,
-            self.snr_db - self.mean_snr_db)
+                [self]), matrix, rates, self._read("cqi"),
+            snr - self._read("mean_snr_db"))
         return self.wrap_reports(out, rates)
 
     def wrap_reports(self, out: Dict, rates: np.ndarray
                      ) -> Dict[str, SlotReport]:
         """Build per-slice :class:`SlotReport` objects from this
-        network's kernel rows."""
+        network's kernel rows (every row; the attached ones are
+        read)."""
         reports: Dict[str, SlotReport] = {}
-        for r, (name, spec) in enumerate(self.slices.items()):
+        for r, (name, spec) in zip(self.attached, self.slices.items()):
             performance = AppPerformance(
                 metric=spec.sla.metric,
                 value=float(out["value"][r]),

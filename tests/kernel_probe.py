@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.config import ACTION_NAMES, NetworkConfig, SliceSpec
-from repro.engine.kernels import WorldConditions, evaluate_rows
+from repro.engine.kernels import SliceRows, WorldConditions, evaluate_rows
 from repro.sim.network import EndToEndNetwork
 
 #: A comfortable allocation: round robin, no MCS offset, shortest path.
@@ -87,3 +87,17 @@ def probe(spec: SliceSpec, rate: float = 0.0, cqi=None,
     return kernel_slot(net, {spec.name: make_action(**dims)},
                        {spec.name: rate}, cqi=cqi,
                        margin_db=margin_db)[spec.name]
+
+
+def attached_rows(rows: SliceRows) -> SliceRows:
+    """``rows`` cut to its attached rows (``rows.active``), in order,
+    every world kept: the layout of the same slices with no
+    unattached row beside them."""
+    on = rows.active
+    return SliceRows(
+        names=[name for name, kept in zip(rows.names, on) if kept],
+        metrics=[metric for metric, kept in zip(rows.metrics, on)
+                 if kept],
+        num_worlds=rows.num_worlds, floats=rows.floats[:, on],
+        ints=rows.ints[:, on], lower_better=rows.lower_better[on],
+        path_hops=rows.path_hops, link_capacity_w=rows.link_capacity_w)

@@ -90,6 +90,33 @@ class TestProactiveSwitch:
         assert decision.use_baseline
         assert 0.25 < decision.expected_episode_cost
 
+    def test_an_expected_cost_at_the_budget_falls_back(self, rng):
+        """Eq. 8 reads ``E_t >= T * C_max``: an expected episode cost
+        equal to the budget to the last bit hands the episode to pi_b,
+        reactively and with pi_phi's forecast; one ulp under it, or
+        less, does not.  (Dyadic values: every sum below is exact.)"""
+        reactive = ProactiveBaselineSwitch(
+            SwitchingConfig(use_estimator=False), horizon=8,
+            cost_threshold=0.25)
+        budget = reactive.horizon * reactive.cost_threshold
+        assert budget == 2.0
+        under = reactive.decide(0.0, 0.0, np.nextafter(budget, 0.0), 1)
+        assert not under.use_baseline and not reactive.active
+        at = reactive.decide(0.0, 0.0, budget, 2)
+        assert at.expected_episode_cost == at.threshold == budget
+        assert at.use_baseline and at.newly_triggered
+        assert reactive.switch_slot == 2
+
+        proactive = ProactiveBaselineSwitch(
+            SwitchingConfig(eta=2.0), horizon=8, cost_threshold=0.25,
+            estimator=CostToGoEstimator(STATE_DIM, rng=rng), rng=rng)
+        under = proactive.decide(0.5, 0.25, 0.75, 0)
+        assert under.expected_episode_cost < budget
+        assert not under.use_baseline
+        at = proactive.decide(0.5, 0.25, 1.0, 1)   # 1 + 0.5 + 2 * 0.25
+        assert at.expected_episode_cost == at.threshold == budget
+        assert at.use_baseline and at.newly_triggered
+
     def test_estimator_required_when_enabled(self):
         with pytest.raises(ValueError):
             ProactiveBaselineSwitch(SwitchingConfig(), horizon=10,

@@ -339,11 +339,12 @@ class TestCounters:
         with pytest.raises(TypeError):
             counters["bundle_builds"] = 0
 
-    def test_churn_costs_one_splice_per_boundary(self):
+    def test_churn_costs_no_splice_and_no_readoption(self):
         """``slice_churn`` attaches its slice at 0.3 and detaches it
         at 0.7 of every episode: two boundaries an episode, each one
-        bundle splice and one bank re-adoption -- and the churn-free
-        world beside it costs nothing."""
+        row flipped in place -- no bundle splice, no bank re-adoption,
+        no layout rebuild, in a world alone or beside a churn-free
+        one."""
         churn = _with_horizon(scenarios.get("slice_churn"), 20)
         calm = _with_horizon(scenarios.get("default"), 20)
         lone = _build(churn)
@@ -357,31 +358,27 @@ class TestCounters:
                 boundaries += tuple(lone.network.slices) != population
                 population = tuple(lone.network.slices)
         assert boundaries == 4
-        # a world only ever stepped alone owns a one-world block:
-        # adopted once, re-adopted at the churn boundaries only
+        # a world only ever stepped alone owns a one-world block,
+        # adopted once and never again
         assert lone._engine.counters["fleet_adoptions"] == 1
-        assert lone._engine.counters["bank_readoptions"] == boundaries
+        assert lone._engine.counters["bank_readoptions"] == 0
 
         counters = _run([_build(churn), _build(calm)], episodes=2)
         assert counters["bundle_builds"] == 1
         assert counters["fleet_adoptions"] == 1
-        assert counters["bundle_splices"] == boundaries
-        assert counters["bank_readoptions"] == boundaries
-        # one layout per build or splice
-        assert counters["bundle_builds"] + counters["bundle_splices"] \
-            == 1 + boundaries
+        assert counters["bundle_splices"] == 0
+        assert counters["bank_readoptions"] == 0
         # two events x (start, end) x two episodes, one world
         assert counters["event_slots"] == 4
-        # one layout per world and episode, and one per boundary;
-        # each boundary edits one column of the network's rows
-        assert counters["layout_builds"] == 4 + boundaries
+        # one layout per world and episode; each boundary flips one
+        # row of the network
+        assert counters["layout_builds"] == 4
         assert counters["row_edits"] == boundaries
 
-    def test_churn_splices_bit_identically(self):
-        """Mid-episode churn in a mixed-size batch splices the bundle
-        exactly once, and every world -- the churned one included --
-        stays bit-identical to a lone simulator replaying the same
-        action stream."""
+    def test_churn_steps_bit_identically_without_a_splice(self):
+        """Mid-episode churn in a mixed-size batch splices nothing, and
+        every world -- the churned one included -- stays bit-identical
+        to a lone simulator replaying the same action stream."""
         names = ["default", "slice_churn", "six_slices"]
         sims = [_build(scenarios.get(name)) for name in names]
         slots = int(0.5 * sims[1].horizon)      # churn fires at 0.3
@@ -418,9 +415,10 @@ class TestCounters:
                         f"{name}/{slice_name} diverged post-churn"
                     assert float(step.costs[rows][j]) == cost
                     assert float(step.usages[rows][j]) == usage
-        # the churn slice attached once in this window, and nothing
-        # else changed the layout
-        assert splices[0] == 0 and splices[-1] == 1
+        # the churn slice attached in this window, and flipped its
+        # row: nothing changed the layout
+        assert "MAR-churn" in sims[1].network.slices
+        assert splices[-1] == 0
 
     def test_a_retirement_is_one_splice_and_one_arena_re_key(self):
         default = scenarios.get("default")
@@ -447,9 +445,9 @@ class TestCounters:
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["engine_counters"] == {
-            "bundle_builds": 1, "bundle_splices": 2,
-            "fleet_adoptions": 1, "bank_readoptions": 2,
-            "event_slots": 2, "layout_builds": 3, "row_edits": 2}
+            "bundle_builds": 1, "bundle_splices": 0,
+            "fleet_adoptions": 1, "bank_readoptions": 0,
+            "event_slots": 2, "layout_builds": 1, "row_edits": 2}
         # one lap per kernel stage and call, under the stepper's span
         laps = {row["path"]: row["count"] for row in report["rows"]
                 if "/engine.kernel/" in row["path"]}
@@ -539,8 +537,9 @@ def test_padded_fleet_steps_every_world_like_the_world_alone():
                                           twin.network.cqi)
     assert batch._fleet.snr_db.shape[1] == 5
     assert batch.counters["fleet_adoptions"] == 1
-    # every world churns twice an episode
-    assert batch.counters["bank_readoptions"] == 2 * 2 * count
+    # every world churns twice an episode, and is never re-adopted
+    assert batch.counters["row_edits"] == 2 * 2 * count
+    assert batch.counters["bank_readoptions"] == 0
 
 
 # ---- recorded-parent totals over fuzz corpora -------------------------

@@ -244,3 +244,24 @@ def test_tables_are_built_once_per_snapshot_and_core(snapshots,
                          names[:count], list(range(count)))
     assert core.counters["plan_builds"] == 3
     assert len(built) == 2 and len(core._slabs) == 2
+
+
+def test_an_expected_cost_at_the_budget_falls_back(snapshots,
+                                                    monkeypatch):
+    """Eq. 8 as served reads ``E_t >= T * C_max``: with pi_phi's
+    posterior pinned at zero, a row whose cumulative-cost feature is
+    exactly 1 (its cost so far is the whole episode budget, to the last
+    bit) falls back to pi_b and latches; one ulp under it, or less,
+    keeps pi_theta."""
+    monkeypatch.setattr(_Slabs, "posterior",
+                        lambda slabs, states, real, span: (0.0, 0.0))
+    core, names = _cells(snapshots, "n1")
+    plan = core._route([0], names)
+    assert plan.rows == 3
+    states = np.full((3, 9), 0.5)
+    states[:, 7] = 0.25             # C_max: T * C_max is exact
+    states[:, 8] = [1.0, np.nextafter(1.0, 0.0), 0.5]
+    _, fallback, held, _ = core._propose(plan, states, 0.0)
+    assert not held.any()
+    assert fallback.tolist() == [True, False, False]
+    assert core._latched.tolist() == [True, False, False]
